@@ -1,8 +1,10 @@
+use crate::crc::Crc32;
+use crate::wire::{begin_frame, seal_frame, split_frame, FrameHeader};
 use crate::{
-    compress_f32s, decode_frame_flags, decompress_f32s, encode_frame_with, FrameFlags, TraceCtx,
-    WireError, TRACE_CTX_LEN,
+    compress_f32s, decompress_f32s, FrameFlags, TraceCtx, WireError, FRAME_HEADER_LEN,
+    TRACE_CTX_LEN,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use photon_tensor::Dtype;
 use serde::{Deserialize, Serialize};
 
@@ -178,8 +180,8 @@ impl Message {
     /// encoding is recorded in the frame flags so [`Message::from_frame`]
     /// decodes any mode without out-of-band context.
     pub fn to_frame_opts(&self, opts: WireOpts) -> Bytes {
-        let body = self.encode_body(opts);
-        encode_frame_with(&body, opts.flags())
+        let (head, floats) = self.encode_head();
+        build_frame(&head, floats, opts, None).0
     }
 
     /// [`Message::to_frame_opts`] with a [`TraceCtx`] span-context trailer
@@ -187,20 +189,21 @@ impl Message {
     /// receiver can recover the sender's causal edge via
     /// [`Message::from_frame_traced`].
     pub fn to_frame_traced(&self, opts: WireOpts, ctx: TraceCtx) -> Bytes {
-        let mut body = self.encode_body(opts);
-        body.put_slice(&ctx.encode());
-        let mut flags = opts.flags();
-        flags.trace = true;
-        encode_frame_with(&body, flags)
+        let (head, floats) = self.encode_head();
+        build_frame(&head, floats, opts, Some(ctx)).0
     }
 
-    fn encode_body(&self, opts: WireOpts) -> BytesMut {
-        let mut body = BytesMut::new();
+    /// Encodes everything in the body up to the float block — tag and
+    /// fixed fields, a few dozen bytes — and hands back the floats that
+    /// follow it, still borrowed. Every variant keeps its floats last, so
+    /// a body is always `head ++ floats`.
+    fn encode_head(&self) -> (Vec<u8>, Option<&[f32]>) {
+        let mut head = Vec::with_capacity(48);
+        let mut floats = None;
         match self {
             Message::ModelBroadcast { round, params } => {
-                body.put_u8(TAG_BROADCAST);
-                body.put_u64_le(*round);
-                put_floats(&mut body, params, opts);
+                head.put_slice(&broadcast_head(*round));
+                floats = Some(&params[..]);
             }
             Message::ClientResult {
                 round,
@@ -209,43 +212,43 @@ impl Message {
                 weight,
                 metrics,
             } => {
-                body.put_u8(TAG_RESULT);
-                body.put_u64_le(*round);
-                body.put_u32_le(*client_id);
-                body.put_f64_le(*weight);
-                body.put_f32_le(metrics.mean_loss);
-                body.put_u64_le(metrics.tokens);
-                body.put_u64_le(metrics.steps);
-                put_floats(&mut body, delta, opts);
+                head.put_u8(TAG_RESULT);
+                head.put_u64_le(*round);
+                head.put_u32_le(*client_id);
+                head.put_f64_le(*weight);
+                head.put_f32_le(metrics.mean_loss);
+                head.put_u64_le(metrics.tokens);
+                head.put_u64_le(metrics.steps);
+                floats = Some(&delta[..]);
             }
             Message::Shutdown => {
-                body.put_u8(TAG_SHUTDOWN);
+                head.put_u8(TAG_SHUTDOWN);
             }
             Message::Hello {
                 client_id,
                 birth_round,
             } => {
-                body.put_u8(TAG_HELLO);
-                body.put_u32_le(*client_id);
-                body.put_u64_le(*birth_round);
+                head.put_u8(TAG_HELLO);
+                head.put_u32_le(*client_id);
+                head.put_u64_le(*birth_round);
             }
             Message::LeaseGrant {
                 client_id,
                 expires_ms,
             } => {
-                body.put_u8(TAG_LEASE_GRANT);
-                body.put_u32_le(*client_id);
-                body.put_u64_le(*expires_ms);
+                head.put_u8(TAG_LEASE_GRANT);
+                head.put_u32_le(*client_id);
+                head.put_u64_le(*expires_ms);
             }
             Message::SessionHello {
                 client_id,
                 token,
                 last_acked_round,
             } => {
-                body.put_u8(TAG_SESSION_HELLO);
-                body.put_u32_le(*client_id);
-                body.put_u64_le(*token);
-                body.put_u64_le(*last_acked_round);
+                head.put_u8(TAG_SESSION_HELLO);
+                head.put_u32_le(*client_id);
+                head.put_u64_le(*token);
+                head.put_u64_le(*last_acked_round);
             }
             Message::SessionGrant {
                 client_id,
@@ -253,35 +256,35 @@ impl Message {
                 round,
                 resumed,
             } => {
-                body.put_u8(TAG_SESSION_GRANT);
-                body.put_u32_le(*client_id);
-                body.put_u64_le(*token);
-                body.put_u64_le(*round);
-                body.put_u8(u8::from(*resumed));
+                head.put_u8(TAG_SESSION_GRANT);
+                head.put_u32_le(*client_id);
+                head.put_u64_le(*token);
+                head.put_u64_le(*round);
+                head.put_u8(u8::from(*resumed));
             }
             Message::Heartbeat { client_id, seq } => {
-                body.put_u8(TAG_HEARTBEAT);
-                body.put_u32_le(*client_id);
-                body.put_u64_le(*seq);
+                head.put_u8(TAG_HEARTBEAT);
+                head.put_u32_le(*client_id);
+                head.put_u64_le(*seq);
             }
             Message::ResultAck { client_id, round } => {
-                body.put_u8(TAG_RESULT_ACK);
-                body.put_u32_le(*client_id);
-                body.put_u64_le(*round);
+                head.put_u8(TAG_RESULT_ACK);
+                head.put_u32_le(*client_id);
+                head.put_u64_le(*round);
             }
             Message::RunSync {
                 round,
                 state,
                 config_json,
             } => {
-                body.put_u8(TAG_RUN_SYNC);
-                body.put_u64_le(*round);
-                body.put_u8(*state);
-                body.put_u64_le(config_json.len() as u64);
-                body.put_slice(config_json);
+                head.put_u8(TAG_RUN_SYNC);
+                head.put_u64_le(*round);
+                head.put_u8(*state);
+                head.put_u64_le(config_json.len() as u64);
+                head.put_slice(config_json);
             }
         }
-        body
+        (head, floats)
     }
 
     /// Parses a Link frame, discarding any trace-context trailer.
@@ -301,7 +304,30 @@ impl Message {
     /// message tag, or a trace-flagged payload too short to hold the
     /// trailer.
     pub fn from_frame_traced(frame: Bytes) -> Result<(Message, Option<TraceCtx>), WireError> {
-        let (mut body, flags) = decode_frame_flags(frame)?;
+        let (header, body) = split_frame(frame)?;
+        header.check_payload(&body)?;
+        Self::decode_payload(body, header.flags)
+    }
+
+    /// [`Message::from_frame_traced`] for a frame whose payload CRC the
+    /// caller has **already verified** — a streaming transport checks it
+    /// while reading the frame off the socket
+    /// ([`FrameHeader::check_payload`]), and a model-sized payload should
+    /// be walked once, not twice. Everything else (magic, version, length,
+    /// structure) is still checked. Never feed this bytes that skipped
+    /// that check: a corrupted update would be aggregated silently.
+    ///
+    /// # Errors
+    /// As [`Message::from_frame_traced`], minus the checksum.
+    pub fn from_verified_frame(frame: Bytes) -> Result<(Message, Option<TraceCtx>), WireError> {
+        let (header, body) = split_frame(frame)?;
+        Self::decode_payload(body, header.flags)
+    }
+
+    fn decode_payload(
+        mut body: Bytes,
+        flags: FrameFlags,
+    ) -> Result<(Message, Option<TraceCtx>), WireError> {
         let ctx = if flags.trace {
             if body.remaining() < TRACE_CTX_LEN {
                 return Err(WireError::Truncated);
@@ -443,16 +469,111 @@ impl Message {
     }
 }
 
-fn put_floats(out: &mut BytesMut, xs: &[f32], opts: WireOpts) {
-    if opts.compress {
-        let c = compress_f32s(xs);
-        out.put_u64_le(c.len() as u64);
-        out.put_slice(&c);
-    } else {
-        match opts.dtype {
-            Dtype::F32 => photon_tensor::write_f32_slice(out, xs),
-            Dtype::Bf16 => photon_tensor::write_bf16_slice(out, xs),
+/// The body of a `ModelBroadcast` ahead of its float block: tag, round.
+fn broadcast_head(round: u64) -> [u8; 9] {
+    let mut head = [TAG_BROADCAST; 9];
+    head[1..].copy_from_slice(&round.to_le_bytes());
+    head
+}
+
+/// Builds a whole frame — header, `head`, the float block, the optional
+/// trace trailer — in one buffer of exactly the frame's size: the floats
+/// are converted straight into it and the CRC, one pass over the payload,
+/// is patched into the header afterwards. Returns the CRC state over the
+/// payload alongside the frame.
+fn build_frame(
+    head: &[u8],
+    floats: Option<&[f32]>,
+    opts: WireOpts,
+    ctx: Option<TraceCtx>,
+) -> (Bytes, Crc32) {
+    #[cfg(test)]
+    if floats.is_some() {
+        tests::FLOAT_BLOCKS_SERIALIZED.with(|n| n.set(n.get() + 1));
+    }
+    // The compressed stream's length is only known once it exists.
+    let packed = floats.filter(|_| opts.compress).map(compress_f32s);
+    let floats_len = match (&packed, floats) {
+        (Some(c), _) => 8 + c.len(),
+        (None, Some(xs)) => 8 + xs.len() * opts.dtype.bytes_per_param(),
+        (None, None) => 0,
+    };
+    let trailer_len = if ctx.is_some() { TRACE_CTX_LEN } else { 0 };
+    let mut flags = opts.flags();
+    flags.trace = ctx.is_some();
+
+    let mut frame = begin_frame(flags, head.len() + floats_len + trailer_len);
+    frame.put_slice(head);
+    match (&packed, floats) {
+        (Some(c), _) => {
+            frame.put_u64_le(c.len() as u64);
+            frame.put_slice(c);
         }
+        (None, Some(xs)) => {
+            frame.put_u64_le(xs.len() as u64);
+            match opts.dtype {
+                Dtype::F32 => photon_tensor::put_f32s_le(&mut frame, xs),
+                Dtype::Bf16 => photon_tensor::put_bf16s_le(&mut frame, xs),
+            }
+        }
+        (None, None) => {}
+    }
+    if let Some(ctx) = ctx {
+        frame.put_slice(&ctx.encode());
+    }
+    seal_frame(frame)
+}
+
+/// A model broadcast encoded **once** for a whole cohort.
+///
+/// The parameters are borrowed, serialized into one frame and CRC'd one
+/// time; [`BroadcastFrame::frame`] hands every recipient the same shared
+/// bytes. When frames carry a per-recipient [`TraceCtx`],
+/// [`BroadcastFrame::traced`] derives each recipient's header and trailer
+/// from the saved CRC state — 52 bytes of work — and the shared payload
+/// goes on the wire between them untouched.
+#[derive(Debug, Clone)]
+pub struct BroadcastFrame {
+    frame: Bytes,
+    flags: FrameFlags,
+    payload_crc: Crc32,
+}
+
+impl BroadcastFrame {
+    /// Encodes `Message::ModelBroadcast { round, params }` from borrowed
+    /// parameters; byte-identical to [`Message::to_frame_opts`] on the
+    /// owned message.
+    pub fn new(round: u64, params: &[f32], opts: WireOpts) -> BroadcastFrame {
+        let (frame, payload_crc) = build_frame(&broadcast_head(round), Some(params), opts, None);
+        BroadcastFrame {
+            frame,
+            flags: opts.flags(),
+            payload_crc,
+        }
+    }
+
+    /// The complete untraced frame; clones share one allocation.
+    pub fn frame(&self) -> Bytes {
+        self.frame.clone()
+    }
+
+    /// The three pieces that, written back to back, are exactly
+    /// [`Message::to_frame_traced`] for this broadcast and `ctx`: a
+    /// per-recipient header, the shared payload, a per-recipient trailer.
+    pub fn traced(&self, ctx: TraceCtx) -> ([u8; FRAME_HEADER_LEN], &[u8], [u8; TRACE_CTX_LEN]) {
+        let payload = &self.frame[FRAME_HEADER_LEN..];
+        let trailer = ctx.encode();
+        let mut crc = self.payload_crc;
+        crc.update(&trailer);
+        let header = FrameHeader {
+            flags: FrameFlags {
+                trace: true,
+                ..self.flags
+            },
+            crc: crc.finalize(),
+            len: (payload.len() + TRACE_CTX_LEN) as u64,
+        };
+        (header.encode(), payload, trailer)
     }
 }
 
@@ -483,6 +604,211 @@ mod tests {
     fn sample_params(n: usize) -> Vec<f32> {
         let mut rng = SeedStream::new(3);
         (0..n).map(|_| rng.next_normal() * 0.02).collect()
+    }
+
+    thread_local! {
+        /// Float blocks `build_frame` turned into wire bytes on this thread,
+        /// by either codec.
+        pub(super) static FLOAT_BLOCKS_SERIALIZED: std::cell::Cell<u64> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Floats whose encodings differ by codec: signed zeros, inf, a NaN
+    /// payload, a subnormal, a bf16 rounding tie, a repeated value (a zero
+    /// run for the compressor) and a value bf16 must round.
+    fn golden_floats() -> Vec<f32> {
+        [
+            0x0000_0000u32,
+            0x8000_0000,
+            0x3F80_0000,
+            0xBF00_0000,
+            0x7F80_0000,
+            0x7FA5_5AA5,
+            0x0000_0001,
+            0x3F81_8000,
+            0x3F80_0000,
+            0x3F80_0000,
+            0xC2F7_1234,
+        ]
+        .iter()
+        .map(|&b| f32::from_bits(b))
+        .collect()
+    }
+
+    fn golden_ctx() -> TraceCtx {
+        TraceCtx {
+            trace_id: 0x1234_5678_9abc_def0,
+            origin: 3,
+            seq: 42,
+            ts_us: 1_000_000,
+        }
+    }
+
+    fn golden_opts(name: &str) -> WireOpts {
+        match name {
+            "raw" => WireOpts::default(),
+            "compressed" => WireOpts {
+                compress: true,
+                dtype: Dtype::F32,
+            },
+            "bf16" => WireOpts {
+                compress: false,
+                dtype: Dtype::Bf16,
+            },
+            other => panic!("unknown golden opts {other}"),
+        }
+    }
+
+    /// `(message, opts, traced, frame)` as the encoder emitted them before
+    /// frames were built in a single buffer (body in a growing `BytesMut`,
+    /// per-element float puts, then copied behind a header). The wire
+    /// format is frozen: these bytes may never change.
+    #[rustfmt::skip]
+    const GOLDEN_FRAMES: [(&str, &str, bool, &str); 18] = [
+        ("broadcast", "raw", false, "5048544e4c4e4b31010000009e779bdf3d000000000000000107000000000000000b0000000000000000000000000000800000803f000000bf0000807fa55aa57f010000000080813f0000803f0000803f3412f7c2"),
+        ("broadcast", "raw", true, "5048544e4c4e4b3101000400945ef2e659000000000000000107000000000000000b0000000000000000000000000000800000803f000000bf0000807fa55aa57f010000000080813f0000803f0000803f3412f7c2f0debc9a78563412030000002a0000000000000040420f0000000000"),
+        ("broadcast", "compressed", false, "5048544e4c4e4b3101000100216577f53f000000000000000107000000000000002e000000000000000b00000000000000f705a5a401f70234f7055a5a80800012f70280808025a5810100770080bf80c0007f3ff702fd"),
+        ("broadcast", "compressed", true, "5048544e4c4e4b3101000500c97b12f15b000000000000000107000000000000002e000000000000000b00000000000000f705a5a401f70234f7055a5a80800012f70280808025a5810100770080bf80c0007f3ff702fdf0debc9a78563412030000002a0000000000000040420f0000000000"),
+        ("broadcast", "bf16", false, "5048544e4c4e4b3101000200b535408427000000000000000107000000000000000b0000000000000000000080803f00bf807fe57f0000823f803f803ff7c2"),
+        ("broadcast", "bf16", true, "5048544e4c4e4b3101000600072268c143000000000000000107000000000000000b0000000000000000000080803f00bf807fe57f0000823f803f803ff7c2f0debc9a78563412030000002a0000000000000040420f0000000000"),
+        ("result", "raw", false, "5048544e4c4e4b31010000005ce6547c5d000000000000000203000000000000000b000000000000000000044000005040001000000000000080000000000000000b0000000000000000000000000000800000803f000000bf0000807fa55aa57f010000000080813f0000803f0000803f3412f7c2"),
+        ("result", "raw", true, "5048544e4c4e4b310100040093bdcacf79000000000000000203000000000000000b000000000000000000044000005040001000000000000080000000000000000b0000000000000000000000000000800000803f000000bf0000807fa55aa57f010000000080813f0000803f0000803f3412f7c2f0debc9a78563412030000002a0000000000000040420f0000000000"),
+        ("result", "compressed", false, "5048544e4c4e4b3101000100f0d0b38b5f000000000000000203000000000000000b000000000000000000044000005040001000000000000080000000000000002e000000000000000b00000000000000f705a5a401f70234f7055a5a80800012f70280808025a5810100770080bf80c0007f3ff702fd"),
+        ("result", "compressed", true, "5048544e4c4e4b3101000500f47750877b000000000000000203000000000000000b000000000000000000044000005040001000000000000080000000000000002e000000000000000b00000000000000f705a5a401f70234f7055a5a80800012f70280808025a5810100770080bf80c0007f3ff702fdf0debc9a78563412030000002a0000000000000040420f0000000000"),
+        ("result", "bf16", false, "5048544e4c4e4b3101000200e258409e47000000000000000203000000000000000b000000000000000000044000005040001000000000000080000000000000000b0000000000000000000080803f00bf807fe57f0000823f803f803ff7c2"),
+        ("result", "bf16", true, "5048544e4c4e4b3101000600718e3e8463000000000000000203000000000000000b000000000000000000044000005040001000000000000080000000000000000b0000000000000000000080803f00bf807fe57f0000823f803f803ff7c2f0debc9a78563412030000002a0000000000000040420f0000000000"),
+        ("run_sync", "raw", false, "5048544e4c4e4b3101000000976bf4741f000000000000000a0d00000000000000020d000000000000007b22726f756e6473223a31367d"),
+        ("run_sync", "raw", true, "5048544e4c4e4b3101000400788658d53b000000000000000a0d00000000000000020d000000000000007b22726f756e6473223a31367df0debc9a78563412030000002a0000000000000040420f0000000000"),
+        ("run_sync", "compressed", false, "5048544e4c4e4b3101000100976bf4741f000000000000000a0d00000000000000020d000000000000007b22726f756e6473223a31367d"),
+        ("run_sync", "compressed", true, "5048544e4c4e4b3101000500788658d53b000000000000000a0d00000000000000020d000000000000007b22726f756e6473223a31367df0debc9a78563412030000002a0000000000000040420f0000000000"),
+        ("run_sync", "bf16", false, "5048544e4c4e4b3101000200976bf4741f000000000000000a0d00000000000000020d000000000000007b22726f756e6473223a31367d"),
+        ("run_sync", "bf16", true, "5048544e4c4e4b3101000600788658d53b000000000000000a0d00000000000000020d000000000000007b22726f756e6473223a31367df0debc9a78563412030000002a0000000000000040420f0000000000"),
+    ];
+
+    #[test]
+    fn golden_frames_are_byte_identical_to_the_pre_change_encoder() {
+        let msgs = [
+            (
+                "broadcast",
+                Message::ModelBroadcast {
+                    round: 7,
+                    params: golden_floats(),
+                },
+            ),
+            (
+                "result",
+                Message::ClientResult {
+                    round: 3,
+                    client_id: 11,
+                    delta: golden_floats(),
+                    weight: 2.5,
+                    metrics: TrainMetrics {
+                        mean_loss: 3.25,
+                        tokens: 4096,
+                        steps: 128,
+                    },
+                },
+            ),
+            (
+                "run_sync",
+                Message::RunSync {
+                    round: 13,
+                    state: 2,
+                    config_json: br#"{"rounds":16}"#.to_vec(),
+                },
+            ),
+        ];
+        for (msg_name, opts_name, traced, want) in GOLDEN_FRAMES {
+            let (_, msg) = msgs
+                .iter()
+                .find(|(name, _)| *name == msg_name)
+                .expect("golden row names a known message");
+            let opts = golden_opts(opts_name);
+            let frame = if traced {
+                msg.to_frame_traced(opts, golden_ctx())
+            } else {
+                msg.to_frame_opts(opts)
+            };
+            assert_eq!(hex(&frame), want, "{msg_name}/{opts_name}/traced={traced}");
+            // The encode-once broadcast is the same bytes again, whole or
+            // in its three traced pieces.
+            if msg_name == "broadcast" {
+                let shared = BroadcastFrame::new(7, &golden_floats(), opts);
+                let got = if traced {
+                    let (header, payload, trailer) = shared.traced(golden_ctx());
+                    [&header[..], payload, &trailer[..]].concat()
+                } else {
+                    shared.frame().to_vec()
+                };
+                assert_eq!(hex(&got), want, "shared {opts_name}/traced={traced}");
+            }
+        }
+    }
+
+    #[test]
+    fn traced_broadcast_to_three_clients_serializes_the_float_body_once() {
+        let params = sample_params(4097);
+        for opts in ["raw", "compressed", "bf16"].map(golden_opts) {
+            let before = FLOAT_BLOCKS_SERIALIZED.with(std::cell::Cell::get);
+            let shared = BroadcastFrame::new(9, &params, opts);
+            let frames: Vec<Vec<u8>> = (0..3u64)
+                .map(|seq| {
+                    let ctx = TraceCtx {
+                        seq,
+                        ..golden_ctx()
+                    };
+                    let (header, payload, trailer) = shared.traced(ctx);
+                    [&header[..], payload, &trailer[..]].concat()
+                })
+                .collect();
+            let after = FLOAT_BLOCKS_SERIALIZED.with(std::cell::Cell::get);
+            assert_eq!(after - before, 1, "one float pass for the whole cohort");
+
+            let want = Message::from_frame(shared.frame()).unwrap();
+            for (seq, frame) in frames.into_iter().enumerate() {
+                // Each recipient's frame is a valid traced frame in its own
+                // right: the extended CRC verifies and the trailer is its own.
+                let (msg, ctx) = Message::from_frame_traced(Bytes::from(frame)).unwrap();
+                assert_eq!(msg, want);
+                assert_eq!(ctx.map(|c| c.seq), Some(seq as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn verified_decode_skips_only_the_checksum() {
+        let msg = Message::ModelBroadcast {
+            round: 4,
+            params: sample_params(40),
+        };
+        let frame = msg.to_frame(false);
+        assert_eq!(
+            Message::from_verified_frame(frame.clone()).unwrap(),
+            (msg.clone(), None)
+        );
+        // A wrong CRC field is the one thing it does not look at ...
+        let mut raw = frame.to_vec();
+        raw[12] ^= 0xFF;
+        assert!(matches!(
+            Message::from_frame(Bytes::from(raw.clone())),
+            Err(WireError::BadChecksum { .. })
+        ));
+        assert_eq!(
+            Message::from_verified_frame(Bytes::from(raw)).unwrap().0,
+            msg
+        );
+        // ... magic, version and truncation are still rejected.
+        let mut raw = frame.to_vec();
+        raw[0] = b'X';
+        assert_eq!(
+            Message::from_verified_frame(Bytes::from(raw)).unwrap_err(),
+            WireError::BadMagic
+        );
+        assert!(Message::from_verified_frame(frame.slice(..frame.len() - 1)).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-use crate::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::crc::Crc32;
+use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
 
 const MAGIC: &[u8; 8] = b"PHTNLNK1";
@@ -205,12 +205,23 @@ impl FrameHeader {
         Ok(FrameHeader { flags, crc, len })
     }
 
+    /// Serializes the header into its fixed [`FRAME_HEADER_LEN`]-byte form.
+    pub(crate) fn encode(&self) -> [u8; FRAME_HEADER_LEN] {
+        let mut out = [0u8; FRAME_HEADER_LEN];
+        out[0..8].copy_from_slice(MAGIC);
+        out[8..10].copy_from_slice(&VERSION.to_le_bytes());
+        out[10..12].copy_from_slice(&self.flags.encode().to_le_bytes());
+        out[CRC_FIELD].copy_from_slice(&self.crc.to_le_bytes());
+        out[16..24].copy_from_slice(&self.len.to_le_bytes());
+        out
+    }
+
     /// Verifies `payload` against the declared CRC.
     ///
     /// # Errors
     /// Returns [`WireError::BadChecksum`] on a mismatch.
     pub fn check_payload(&self, payload: &[u8]) -> Result<(), WireError> {
-        let computed = crc32(payload);
+        let computed = crate::crc32(payload);
         if computed != self.crc {
             return Err(WireError::BadChecksum {
                 computed,
@@ -219,6 +230,40 @@ impl FrameHeader {
         }
         Ok(())
     }
+}
+
+/// Byte range of the CRC field inside the frame header.
+const CRC_FIELD: std::ops::Range<usize> = 12..16;
+
+/// Starts a frame in one buffer sized for the whole of it: the header
+/// (CRC still zero) followed by room for exactly `payload_len` payload
+/// bytes, which the caller appends before [`seal_frame`].
+pub(crate) fn begin_frame(flags: FrameFlags, payload_len: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload_len);
+    let header = FrameHeader {
+        flags,
+        crc: 0,
+        len: payload_len as u64,
+    };
+    frame.extend_from_slice(&header.encode());
+    frame
+}
+
+/// Finishes a frame started by [`begin_frame`]: one CRC pass over the
+/// payload, patched into the header in place. Also returns the CRC state
+/// over the payload so a trailer can extend it without re-reading the
+/// payload.
+pub(crate) fn seal_frame(mut frame: Vec<u8>) -> (Bytes, Crc32) {
+    let payload = &frame[FRAME_HEADER_LEN..];
+    debug_assert_eq!(
+        payload.len() as u64,
+        u64::from_le_bytes(frame[16..24].try_into().expect("8-byte length field")),
+        "payload length differs from the length begin_frame declared"
+    );
+    let mut crc = Crc32::new();
+    crc.update(payload);
+    frame[CRC_FIELD].copy_from_slice(&crc.finalize().to_le_bytes());
+    (Bytes::from(frame), crc)
 }
 
 /// Encodes a payload into a Link frame:
@@ -241,14 +286,9 @@ pub fn encode_frame(payload: &[u8], compressed: bool) -> Bytes {
 
 /// [`encode_frame`] with the full flag set (bf16 float payloads included).
 pub fn encode_frame_with(payload: &[u8], flags: FrameFlags) -> Bytes {
-    let mut out = BytesMut::with_capacity(payload.len() + 24);
-    out.put_slice(MAGIC);
-    out.put_u16_le(VERSION);
-    out.put_u16_le(flags.encode());
-    out.put_u32_le(crc32(payload));
-    out.put_u64_le(payload.len() as u64);
-    out.put_slice(payload);
-    out.freeze()
+    let mut frame = begin_frame(flags, payload.len());
+    frame.put_slice(payload);
+    seal_frame(frame).0
 }
 
 /// Decodes a Link frame, returning the payload and whether the compressed
@@ -267,34 +307,27 @@ pub fn decode_frame(frame: Bytes) -> Result<(Bytes, bool), WireError> {
 /// # Errors
 /// Returns a [`WireError`] on truncation, bad magic/version, or checksum
 /// mismatch.
-pub fn decode_frame_flags(mut frame: Bytes) -> Result<(Bytes, FrameFlags), WireError> {
-    if frame.remaining() < 24 {
+pub fn decode_frame_flags(frame: Bytes) -> Result<(Bytes, FrameFlags), WireError> {
+    let (header, payload) = split_frame(frame)?;
+    header.check_payload(&payload)?;
+    Ok((payload, header.flags))
+}
+
+/// Splits a frame into its parsed header and the payload the header
+/// declares, checking everything but the CRC.
+pub(crate) fn split_frame(frame: Bytes) -> Result<(FrameHeader, Bytes), WireError> {
+    let Some(prefix) = frame.first_chunk::<FRAME_HEADER_LEN>() else {
+        return Err(WireError::Truncated);
+    };
+    // In-memory decoding only slices bytes it already holds, so the
+    // declared length needs no cap here, only a bounds check.
+    let header = FrameHeader::parse(prefix, u64::MAX)?;
+    let body = frame.len() - FRAME_HEADER_LEN;
+    if header.len > body as u64 {
         return Err(WireError::Truncated);
     }
-    let mut magic = [0u8; 8];
-    frame.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = frame.get_u16_le();
-    if version != VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let flags = frame.get_u16_le();
-    let declared_crc = frame.get_u32_le();
-    let len = frame.get_u64_le() as usize;
-    if frame.remaining() < len {
-        return Err(WireError::Truncated);
-    }
-    let payload = frame.slice(..len);
-    let computed = crc32(&payload);
-    if computed != declared_crc {
-        return Err(WireError::BadChecksum {
-            computed,
-            declared: declared_crc,
-        });
-    }
-    Ok((payload, FrameFlags::decode(flags)))
+    let end = FRAME_HEADER_LEN + header.len as usize;
+    Ok((header, frame.slice(FRAME_HEADER_LEN..end)))
 }
 
 #[cfg(test)]

@@ -487,11 +487,9 @@ impl Aggregator {
         let broadcast = {
             let mut bspan = photon_trace::span(photon_trace::Phase::Broadcast)
                 .arg("cohort", cohort_idx.len() as u64);
-            let frame = photon_comms::Message::ModelBroadcast {
-                round: self.round,
-                params: self.params.clone(),
-            }
-            .to_frame_opts(self.cfg.wire_opts());
+            let frame =
+                photon_comms::BroadcastFrame::new(self.round, &self.params, self.cfg.wire_opts())
+                    .frame();
             bspan.set_arg("frame_bytes", frame.len() as u64);
             frame
         };
@@ -507,24 +505,37 @@ impl Aggregator {
         // `contains` per client would make the spawn loop O(pop × cohort).
         let mut cohort_sorted = cohort_idx.clone();
         cohort_sorted.sort_unstable();
-        crossbeam::thread::scope(|scope| {
+        let all_joined = crossbeam::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(cohort_sorted.len());
             for (i, client) in clients.iter_mut().enumerate() {
                 if cohort_sorted.binary_search(&i).is_err() {
                     continue;
                 }
                 let tx = tx.clone();
                 let frame = broadcast.clone();
-                scope.spawn(move |_| {
+                handles.push(scope.spawn(move |_| {
                     let id = client.id();
                     // Send failures mean the aggregator stopped listening;
                     // the thread just winds down (no panic either way).
                     let _ = tx.send(client_round(client, frame, round, cohort_ids_ref, cfg, {
                         injector.and_then(|inj| inj.client_fault(round, id))
                     }));
-                });
+                }));
             }
+            // Join every handle (no short-circuit): a dropped handle
+            // detaches its thread, and a detach racing the exit of a thread
+            // that lives microseconds has crashed inside glibc. Joining
+            // also surfaces a panic here.
+            let mut all_joined = true;
+            for handle in handles {
+                all_joined &= handle.join().is_ok();
+            }
+            all_joined
         })
-        .map_err(|_| CoreError::ClientFailure("a client thread panicked".into()))?;
+        .unwrap_or(false);
+        if !all_joined {
+            return Err(CoreError::ClientFailure("a client thread panicked".into()));
+        }
         drop(tx);
 
         // L.7–8: collect updates and aggregate. Results arrive in thread

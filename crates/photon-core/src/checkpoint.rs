@@ -31,7 +31,7 @@ use crate::membership::MembershipSnapshot;
 use crate::{FederationConfig, Result};
 use photon_comms::crc32;
 use photon_fedopt::{BufferedUpdate, ServerOptState};
-use photon_tensor::{bf16_from_f32, bf16_to_f32, Dtype};
+use photon_tensor::{bf16s_from_le, f32s_from_le, put_bf16s_le, put_f32s_le, Dtype};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::Write;
@@ -151,16 +151,8 @@ pub fn save_checkpoint_full(
     bin.extend_from_slice(PARAMS_MAGIC);
     bin.extend_from_slice(&(params.len() as u64).to_le_bytes());
     match dtype {
-        Dtype::F32 => {
-            for &p in params {
-                bin.extend_from_slice(&p.to_le_bytes());
-            }
-        }
-        Dtype::Bf16 => {
-            for &p in params {
-                bin.extend_from_slice(&bf16_from_f32(p).to_le_bytes());
-            }
-        }
+        Dtype::F32 => put_f32s_le(&mut bin, params),
+        Dtype::Bf16 => put_bf16s_le(&mut bin, params),
     }
     let crc = crc32(&bin);
     bin.extend_from_slice(&crc.to_le_bytes());
@@ -236,9 +228,7 @@ fn encode_elastic_state(state: &ElasticState) -> Vec<u8> {
                 bin.extend_from_slice(&e.base_weight.to_le_bytes());
                 bin.extend_from_slice(&e.mean_loss.to_le_bytes());
                 bin.extend_from_slice(&(e.delta.len() as u64).to_le_bytes());
-                for &v in &e.delta {
-                    bin.extend_from_slice(&v.to_le_bytes());
-                }
+                put_f32s_le(&mut bin, &e.delta);
             }
         }
     }
@@ -306,10 +296,7 @@ fn decode_elastic_state(bin: &[u8]) -> std::result::Result<ElasticState, String>
                     &mut cursor,
                     len.checked_mul(4).ok_or("delta length overflow")?,
                 )?;
-                let delta = raw
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect();
+                let delta = f32s_from_le(raw);
                 entries.push(BufferedUpdate {
                     client_id,
                     origin_round,
@@ -420,9 +407,7 @@ fn encode_opt_state(state: &ServerOptState) -> Vec<u8> {
     bin.extend_from_slice(&(state.slots.len() as u32).to_le_bytes());
     for slot in &state.slots {
         bin.extend_from_slice(&(slot.len() as u64).to_le_bytes());
-        for &v in slot {
-            bin.extend_from_slice(&v.to_le_bytes());
-        }
+        put_f32s_le(&mut bin, slot);
     }
     let crc = crc32(&bin);
     bin.extend_from_slice(&crc.to_le_bytes());
@@ -460,11 +445,7 @@ fn decode_opt_state(bin: &[u8]) -> std::result::Result<ServerOptState, String> {
             &mut cursor,
             len.checked_mul(4).ok_or("slot length overflow")?,
         )?;
-        slots.push(
-            raw.chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect(),
-        );
+        slots.push(f32s_from_le(raw));
     }
     if cursor != body.len() {
         return Err("server_opt.bin has trailing bytes".into());
@@ -522,14 +503,8 @@ pub fn load_checkpoint(dir: &Path) -> Result<(CheckpointManifest, Vec<f32>)> {
         ));
     }
     let params = match manifest.dtype {
-        Dtype::F32 => body[16..]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect(),
-        Dtype::Bf16 => body[16..]
-            .chunks_exact(2)
-            .map(|c| bf16_to_f32(u16::from_le_bytes(c.try_into().expect("2 bytes"))))
-            .collect(),
+        Dtype::F32 => f32s_from_le(&body[16..]),
+        Dtype::Bf16 => bf16s_from_le(&body[16..]),
     };
     Ok((manifest, params))
 }

@@ -193,7 +193,7 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
             std::thread::sleep(backoff.next_delay());
             continue;
         }
-        let grant = match recv_traced(link.as_ref(), Duration::from_secs(5)) {
+        let grant = match recv_traced(&link, Duration::from_secs(5)) {
             Ok((
                 Message::SessionGrant {
                     client_id,
@@ -202,6 +202,7 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
                     ..
                 },
                 grant_ctx,
+                _,
             )) => {
                 if identity.is_some() {
                     report.reconnects += 1;
@@ -314,8 +315,8 @@ fn connection_loop(
     hb_hang: &Arc<AtomicBool>,
 ) -> ConnOutcome {
     loop {
-        let msg = match recv_traced(link.as_ref(), Duration::from_millis(250)) {
-            Ok((msg, _)) => msg,
+        let msg = match recv_traced(link, Duration::from_millis(250)) {
+            Ok((msg, _, _)) => msg,
             Err(LinkError::TimedOut) => {
                 if link.is_connected() {
                     continue;
@@ -392,8 +393,11 @@ fn connection_loop(
                     weight: outcome.weight,
                     metrics: outcome.metrics,
                 };
-                *retained = Some((round, result.clone()));
-                let send_res = send_traced(link.as_ref(), &result, wire);
+                // Retain before sending, so a send that fails half-way
+                // still re-delivers after the reconnect; the send borrows
+                // the retained copy (the delta is model-sized).
+                let (_, result) = retained.insert((round, result));
+                let send_res = send_traced(link.as_ref(), result, wire);
                 if injector.as_ref().is_some_and(|i| i.netcrash_at(round, me)) {
                     // Crash the transport right behind the result: the
                     // first copy may or may not have landed, and the

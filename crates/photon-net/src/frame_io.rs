@@ -56,7 +56,9 @@ fn read_full<R: Read + ?Sized>(
 /// The header is parsed (magic, version, length cap) before the payload
 /// buffer is sized, and the payload CRC is verified before the frame is
 /// returned — a corrupt frame surfaces as [`LinkError::Wire`] without
-/// ever reaching message decoding.
+/// ever reaching message decoding. This is the one CRC pass a received
+/// frame gets: the crate decodes what it reads here with
+/// [`photon_comms::Message::from_verified_frame`].
 ///
 /// # Errors
 /// [`LinkError::TimedOut`] when no frame starts within the stream's read
@@ -72,7 +74,40 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Bytes, LinkError> {
     frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
     read_full(r, &mut frame[FRAME_HEADER_LEN..], true)?;
     parsed.check_payload(&frame[FRAME_HEADER_LEN..])?;
+    #[cfg(test)]
+    CRC_PASSES.with(|n| n.set(n.get() + 1));
     Ok(Bytes::from(frame))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Payload CRC verifications run by [`read_frame`] on this thread.
+    pub(crate) static CRC_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Writes the pieces of one wire frame back to back and flushes once, so
+/// a frame whose payload is shared between recipients goes out without
+/// first being copied into a buffer of its own.
+///
+/// # Errors
+/// As [`write_frame`].
+pub(crate) fn write_frame_parts<W: Write + ?Sized>(
+    w: &mut W,
+    parts: &[&[u8]],
+) -> Result<(), LinkError> {
+    for part in parts {
+        w.write_all(part).map_err(map_write_error)?;
+    }
+    w.flush().map_err(map_write_error)
+}
+
+fn map_write_error(e: std::io::Error) -> LinkError {
+    match e.kind() {
+        ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
+            LinkError::Closed
+        }
+        _ => LinkError::Io(e),
+    }
 }
 
 /// Writes one complete wire frame and flushes.
@@ -81,14 +116,7 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Bytes, LinkError> {
 /// [`LinkError::Closed`] when the peer hung up mid-write,
 /// [`LinkError::Io`] on any other socket error.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, frame: &[u8]) -> Result<(), LinkError> {
-    let map = |e: std::io::Error| match e.kind() {
-        ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
-            LinkError::Closed
-        }
-        _ => LinkError::Io(e),
-    };
-    w.write_all(frame).map_err(map)?;
-    w.flush().map_err(map)
+    write_frame_parts(w, &[frame])
 }
 
 #[cfg(test)]

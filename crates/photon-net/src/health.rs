@@ -267,9 +267,12 @@ pub struct HealthServer {
 }
 
 impl HealthServer {
-    /// Signals the accept loop to exit (it notices within its poll tick).
+    /// Stops the accept loop: raises the stop flag, then wakes the blocked
+    /// `accept` with a throwaway connection to our own port.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect(("127.0.0.1", self.port));
+        }
     }
 }
 
@@ -280,27 +283,29 @@ impl Drop for HealthServer {
 }
 
 /// Binds `127.0.0.1:port` and serves `GET /metrics` and `GET /health`
-/// from a background thread until the returned handle is dropped.
+/// from a background thread until the returned handle is dropped. The
+/// thread blocks in `accept`, so a poll is answered as soon as it lands.
 ///
 /// # Errors
 /// Propagates the bind failure.
 pub fn spawn_health_server(port: u16, registry: HealthRegistry) -> std::io::Result<HealthServer> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     let port = listener.local_addr()?.port();
-    listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     std::thread::Builder::new()
         .name("photon-health".into())
         .spawn(move || {
-            while !stop_flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
+            for stream in listener.incoming() {
+                if stop_flag.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => {
                         let _ = serve_one(stream, &registry);
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
+                    // Transient accept failures (fd pressure, an aborted
+                    // handshake) must not spin the loop.
                     Err(_) => std::thread::sleep(Duration::from_millis(20)),
                 }
             }
@@ -311,7 +316,6 @@ pub fn spawn_health_server(port: u16, registry: HealthRegistry) -> std::io::Resu
 }
 
 fn serve_one(mut stream: TcpStream, registry: &HealthRegistry) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     // Read up to the end of the request line; ignore headers (HTTP/1.0

@@ -26,9 +26,9 @@ use crate::health::{spawn_health_server, HealthRegistry};
 use crate::plan::RunPlan;
 use crate::session::SessionTable;
 use crate::tcp::TcpLink;
-use crate::tracectx::{init_trace_scope, run_trace_id, send_traced};
+use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_broadcast, send_traced};
 use crate::{NetError, Result};
-use photon_comms::{Link, LinkError, Message, TrainMetrics, WireOpts};
+use photon_comms::{BroadcastFrame, Link, LinkError, Message, TrainMetrics, WireOpts};
 use photon_core::{
     load_checkpoint, load_server_opt_state, save_checkpoint_full, Aggregator, FaultInjector,
     RoundRecord,
@@ -350,26 +350,15 @@ fn spawn_reader(link: Arc<TcpLink>, client: u32, events: Sender<Event>, hb_timeo
         photon_trace::set_actor(0);
         let poll = Duration::from_millis(hb_timeout_ms.max(10));
         loop {
-            match link.recv_frame(poll) {
-                Ok(frame) => {
-                    let frame_len = frame.len() as u64;
-                    match Message::from_frame_traced(frame) {
-                        Ok((msg, ctx)) => {
-                            if let Some(ctx) = ctx {
-                                crate::tracectx::note_recv(&ctx, frame_len);
-                            }
-                            if events
-                                .send(Event::Frame {
-                                    client,
-                                    msg,
-                                    frame_len,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        Err(_) => break, // undecodable frame: sever
+            match recv_traced(&link, poll) {
+                Ok((msg, _, frame_len)) => {
+                    let frame = Event::Frame {
+                        client,
+                        msg,
+                        frame_len,
+                    };
+                    if events.send(frame).is_err() {
+                        return;
                     }
                 }
                 Err(LinkError::TimedOut) => {
@@ -377,7 +366,7 @@ fn spawn_reader(link: Arc<TcpLink>, client: u32, events: Sender<Event>, hb_timeo
                         break;
                     }
                 }
-                Err(_) => break,
+                Err(_) => break, // dead link or undecodable frame: sever
             }
         }
         link.sever();
@@ -388,6 +377,10 @@ fn spawn_reader(link: Arc<TcpLink>, client: u32, events: Sender<Event>, hb_timeo
 /// State of the round in flight.
 struct InFlight {
     cohort: Vec<u32>,
+    /// The round's model, encoded once at [`open_round`]: the cohort
+    /// fan-out, a stalled round's re-broadcast and a resumed session's
+    /// re-send all put these same bytes on the wire.
+    broadcast: BroadcastFrame,
     pending: Vec<(u32, Vec<f32>, f64, TrainMetrics)>,
     wire_bytes: u64,
     deadline: Instant,
@@ -507,7 +500,7 @@ fn main_loop(
                         let outstanding = fl.cohort.contains(&client)
                             && !applied.contains(&(coord.round(), client));
                         if outstanding {
-                            send_to(registry, client, &broadcast_msg(agg), wire);
+                            send_broadcast_to(registry, client, &fl.broadcast);
                         }
                     }
                 }
@@ -588,10 +581,9 @@ fn main_loop(
             // committing an empty round.
             if let Some(fl) = in_flight.as_mut() {
                 fl.deadline = Instant::now() + round_timeout;
-                let msg = broadcast_msg(agg);
-                for &client in fl.cohort.clone().iter() {
+                for &client in &fl.cohort {
                     if !applied.contains(&(coord.round(), client)) {
-                        send_to(registry, client, &msg, wire);
+                        send_broadcast_to(registry, client, &fl.broadcast);
                     }
                 }
             }
@@ -620,17 +612,19 @@ fn main_loop(
 }
 
 /// Opens a round: fixes the cohort to the currently-connected clients
-/// and broadcasts the model.
+/// and broadcasts the model, encoded once straight from the aggregator's
+/// parameters.
 fn open_round(agg: &Aggregator, registry: &Registry, round_timeout: Duration) -> InFlight {
     registry.round.store(agg.round(), Ordering::SeqCst);
     let cohort: Vec<u32> = registry.conns.lock().unwrap().keys().copied().collect();
-    let msg = broadcast_msg(agg);
+    let broadcast = BroadcastFrame::new(agg.round(), agg.params(), registry.wire);
     for &client in &cohort {
         registry.health.note_participation(client, agg.round());
-        send_to(registry, client, &msg, registry.wire);
+        send_broadcast_to(registry, client, &broadcast);
     }
     InFlight {
         cohort,
+        broadcast,
         pending: Vec::new(),
         wire_bytes: 0,
         deadline: Instant::now() + round_timeout,
@@ -638,17 +632,17 @@ fn open_round(agg: &Aggregator, registry: &Registry, round_timeout: Duration) ->
     }
 }
 
-fn broadcast_msg(agg: &Aggregator) -> Message {
-    Message::ModelBroadcast {
-        round: agg.round(),
-        params: agg.params().to_vec(),
-    }
-}
-
 fn send_to(registry: &Registry, client: u32, msg: &Message, wire: WireOpts) {
     let link = registry.conns.lock().unwrap().get(&client).cloned();
     if let Some(link) = link {
         let _ = send_traced(link.as_ref(), msg, wire);
+    }
+}
+
+fn send_broadcast_to(registry: &Registry, client: u32, broadcast: &BroadcastFrame) {
+    let link = registry.conns.lock().unwrap().get(&client).cloned();
+    if let Some(link) = link {
+        let _ = send_broadcast(&link, broadcast);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The socket-backed [`Link`]: framed messages over TCP.
 
-use crate::frame_io::{read_frame, write_frame};
+use crate::frame_io::{read_frame, write_frame_parts};
 use bytes::Bytes;
-use photon_comms::{Link, LinkError};
+use photon_comms::{Link, LinkError, Message, TraceCtx};
 use std::io::BufWriter;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,6 +70,39 @@ impl TcpLink {
     fn latch_dead(&self) {
         self.connected.store(false, Ordering::SeqCst);
     }
+
+    /// Sends one wire frame given as consecutive pieces (see
+    /// [`write_frame_parts`]); [`Link::send_frame`] is the one-piece case.
+    ///
+    /// # Errors
+    /// As [`Link::send_frame`].
+    pub(crate) fn send_frame_parts(&self, parts: &[&[u8]]) -> Result<(), LinkError> {
+        if !self.is_connected() {
+            return Err(LinkError::Closed);
+        }
+        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let res = write_frame_parts(&mut *writer, parts);
+        if matches!(res, Err(LinkError::Closed) | Err(LinkError::Io(_))) {
+            self.latch_dead();
+        }
+        res
+    }
+
+    /// Receives and parses the next message with its optional trace
+    /// context. [`read_frame`] has already verified the payload CRC, so
+    /// the decode does not walk the payload a second time.
+    ///
+    /// # Errors
+    /// As [`Link::recv_message`].
+    pub(crate) fn recv_message_traced(
+        &self,
+        timeout: Duration,
+    ) -> Result<(Message, Option<TraceCtx>, u64), LinkError> {
+        let frame = self.recv_frame(timeout)?;
+        let frame_len = frame.len() as u64;
+        let (msg, ctx) = Message::from_verified_frame(frame).map_err(LinkError::Wire)?;
+        Ok((msg, ctx, frame_len))
+    }
 }
 
 impl Drop for TcpLink {
@@ -80,15 +113,7 @@ impl Drop for TcpLink {
 
 impl Link for TcpLink {
     fn send_frame(&self, frame: Bytes) -> Result<(), LinkError> {
-        if !self.is_connected() {
-            return Err(LinkError::Closed);
-        }
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let res = write_frame(&mut *writer, &frame);
-        if matches!(res, Err(LinkError::Closed) | Err(LinkError::Io(_))) {
-            self.latch_dead();
-        }
-        res
+        self.send_frame_parts(&[&frame])
     }
 
     fn recv_frame(&self, timeout: Duration) -> Result<Bytes, LinkError> {
@@ -114,12 +139,16 @@ impl Link for TcpLink {
     fn is_connected(&self) -> bool {
         self.connected.load(Ordering::SeqCst)
     }
+
+    fn recv_message(&self, timeout: Duration) -> Result<Message, LinkError> {
+        self.recv_message_traced(timeout).map(|(msg, _, _)| msg)
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use photon_comms::{Message, WireOpts};
+    use photon_comms::WireOpts;
     use std::net::TcpListener;
 
     fn opts() -> WireOpts {
@@ -129,7 +158,7 @@ mod tests {
         }
     }
 
-    fn loopback_pair() -> (TcpLink, TcpLink) {
+    pub(crate) fn loopback_pair() -> (TcpLink, TcpLink) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = std::thread::spawn(move || TcpStream::connect(addr).unwrap());
@@ -155,6 +184,52 @@ mod tests {
             client.recv_message(Duration::from_secs(2)).unwrap(),
             Message::Shutdown
         );
+    }
+
+    #[test]
+    fn a_received_frame_is_crc_verified_exactly_once() {
+        use crate::frame_io::CRC_PASSES;
+        let (server, client) = loopback_pair();
+        let ctx = TraceCtx {
+            trace_id: 9,
+            origin: 1,
+            seq: 0,
+            ts_us: 5,
+        };
+        let model = Message::ModelBroadcast {
+            round: 1,
+            params: (0..20_000).map(|i| i as f32 * 0.5).collect(),
+        };
+        let beat = Message::Heartbeat {
+            client_id: 1,
+            seq: 2,
+        };
+        client.send_message(&model, opts()).unwrap();
+        client
+            .send_frame(beat.to_frame_traced(opts(), ctx))
+            .unwrap();
+        client.send_message(&beat, opts()).unwrap();
+
+        // Every receive path this crate uses runs on this thread, so the
+        // thread-local count is exactly the passes these three frames got.
+        let before = CRC_PASSES.with(std::cell::Cell::get);
+        let wait = Duration::from_secs(2);
+        assert_eq!(server.recv_message(wait).unwrap(), model);
+        let (msg, got_ctx, _) = crate::tracectx::recv_traced(&server, wait).unwrap();
+        assert_eq!((msg, got_ctx), (beat.clone(), Some(ctx)));
+        assert_eq!(server.recv_message_traced(wait).unwrap().0, beat);
+        assert_eq!(CRC_PASSES.with(std::cell::Cell::get) - before, 3);
+    }
+
+    #[test]
+    fn a_corrupt_frame_is_still_rejected_at_the_socket() {
+        let (server, client) = loopback_pair();
+        let mut raw = Message::Shutdown.to_frame_opts(opts()).to_vec();
+        let last = raw.len() - 1;
+        raw[last] ^= 0x01;
+        client.send_frame(Bytes::from(raw)).unwrap();
+        let err = server.recv_message(Duration::from_secs(2)).unwrap_err();
+        assert!(matches!(err, LinkError::Wire(_)), "{err:?}");
     }
 
     #[test]

@@ -15,9 +15,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use photon_comms::{Link, LinkError, Message, TraceCtx, WireOpts};
+use photon_comms::{BroadcastFrame, Link, LinkError, Message, TraceCtx, WireOpts};
 
 use crate::backoff::splitmix;
+use crate::tcp::TcpLink;
 
 /// The run-wide trace id: a pure function of the run seed, so every
 /// process in one run agrees on it without coordination. Never 0 (0
@@ -85,14 +86,11 @@ pub(crate) fn send_traced<L: Link + ?Sized>(
     match next_ctx() {
         Some(ctx) => {
             let frame = msg.to_frame_traced(wire, ctx);
-            photon_trace::instant(
+            note_edge(
                 photon_trace::Phase::NetSend,
                 "net_send",
-                &[
-                    ("origin", u64::from(ctx.origin)),
-                    ("seq", ctx.seq),
-                    ("bytes", frame.len() as u64),
-                ],
+                &ctx,
+                frame.len() as u64,
             );
             link.send_frame(frame)
         }
@@ -100,31 +98,59 @@ pub(crate) fn send_traced<L: Link + ?Sized>(
     }
 }
 
-/// Receives one frame and decodes it with its optional span context,
+/// [`send_traced`] for a broadcast encoded once for its whole cohort:
+/// every recipient gets the same payload bytes, and with tracing on only
+/// the header and this recipient's span-context trailer are built per
+/// send.
+///
+/// # Errors
+/// Propagates [`LinkError`] from the underlying send.
+pub(crate) fn send_broadcast(
+    link: &TcpLink,
+    broadcast: &BroadcastFrame,
+) -> std::result::Result<(), LinkError> {
+    send_broadcast_with(link, broadcast, next_ctx())
+}
+
+fn send_broadcast_with(
+    link: &TcpLink,
+    broadcast: &BroadcastFrame,
+    ctx: Option<TraceCtx>,
+) -> std::result::Result<(), LinkError> {
+    match ctx {
+        Some(ctx) => {
+            let (header, payload, trailer) = broadcast.traced(ctx);
+            let bytes = header.len() + payload.len() + trailer.len();
+            note_edge(photon_trace::Phase::NetSend, "net_send", &ctx, bytes as u64);
+            link.send_frame_parts(&[&header, payload, &trailer])
+        }
+        None => link.send_frame(broadcast.frame()),
+    }
+}
+
+/// Receives one message with its optional span context and frame length,
 /// recording the matching `net_recv` instant so the sender's edge has its
 /// receive endpoint.
 ///
 /// # Errors
 /// Propagates [`LinkError`] from the underlying receive; a frame that
 /// decodes but fails message parsing is [`LinkError::Wire`].
-pub(crate) fn recv_traced<L: Link + ?Sized>(
-    link: &L,
+pub(crate) fn recv_traced(
+    link: &TcpLink,
     timeout: Duration,
-) -> std::result::Result<(Message, Option<TraceCtx>), LinkError> {
-    let frame = link.recv_frame(timeout)?;
-    let bytes = frame.len() as u64;
-    let (msg, ctx) = Message::from_frame_traced(frame).map_err(LinkError::Wire)?;
-    if let Some(ctx) = ctx {
-        note_recv(&ctx, bytes);
+) -> std::result::Result<(Message, Option<TraceCtx>, u64), LinkError> {
+    let (msg, ctx, frame_len) = link.recv_message_traced(timeout)?;
+    if let Some(ctx) = &ctx {
+        note_edge(photon_trace::Phase::NetRecv, "net_recv", ctx, frame_len);
     }
-    Ok((msg, ctx))
+    Ok((msg, ctx, frame_len))
 }
 
-/// Records the receive endpoint of a traced frame.
-pub(crate) fn note_recv(ctx: &TraceCtx, bytes: u64) {
+/// Records one endpoint of a traced frame's send/recv edge.
+fn note_edge(phase: photon_trace::Phase, name: &'static str, ctx: &TraceCtx, bytes: u64) {
     photon_trace::instant(
-        photon_trace::Phase::NetRecv,
-        "net_recv",
+        phase,
+        name,
         &[
             ("origin", u64::from(ctx.origin)),
             ("seq", ctx.seq),
@@ -145,5 +171,39 @@ mod tests {
             assert_eq!(id, run_trace_id(seed));
         }
         assert_ne!(run_trace_id(1), run_trace_id(2));
+    }
+
+    #[test]
+    fn one_encoded_broadcast_fans_out_to_three_traced_recipients() {
+        let params: Vec<f32> = (0..50_000).map(|i| (i as f32).sin()).collect();
+        let broadcast = BroadcastFrame::new(6, &params, WireOpts::default());
+        let want = Message::ModelBroadcast { round: 6, params };
+        let wait = Duration::from_secs(5);
+        let links: Vec<_> = (0..3).map(|_| crate::tcp::tests::loopback_pair()).collect();
+        let ctx_for = |seq: u64| TraceCtx {
+            trace_id: 77,
+            origin: 0,
+            seq,
+            ts_us: 1_000 + seq,
+        };
+        // Receivers drain concurrently: the frame outgrows a socket buffer.
+        std::thread::scope(|s| {
+            for (seq, (_, client)) in links.iter().enumerate() {
+                let (want, ctx) = (&want, ctx_for(seq as u64));
+                s.spawn(move || {
+                    let (msg, got_ctx, bytes) = recv_traced(client, wait).unwrap();
+                    assert_eq!((&msg, got_ctx), (want, Some(ctx)));
+                    let whole = want.to_frame_traced(WireOpts::default(), ctx);
+                    assert_eq!(bytes as usize, whole.len());
+                    // The untraced send is the same shared bytes, whole.
+                    let (msg, got_ctx, _) = recv_traced(client, wait).unwrap();
+                    assert_eq!((&msg, got_ctx), (want, None));
+                });
+            }
+            for (seq, (server, _)) in links.iter().enumerate() {
+                send_broadcast_with(server, &broadcast, Some(ctx_for(seq as u64))).unwrap();
+                send_broadcast_with(server, &broadcast, None).unwrap();
+            }
+        });
     }
 }

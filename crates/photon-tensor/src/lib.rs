@@ -38,7 +38,8 @@ pub use dtype::{bf16_from_f32, bf16_to_f32, Dtype};
 pub use error::TensorError;
 pub use init::{normal_fill, trunc_normal_fill, uniform_fill, SeedStream, SAMPLE_DENSE_MAX};
 pub use ser::{
-    read_bf16_slice, read_f32_slice, read_tensor, write_bf16_slice, write_f32_slice, write_tensor,
+    bf16s_from_le, f32s_from_le, put_bf16s_le, put_f32s_le, read_bf16_slice, read_f32_slice,
+    read_tensor, write_bf16_slice, write_f32_slice, write_tensor,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;
