@@ -1,0 +1,337 @@
+//! Golden safety net for the round engine: one table of seeded scenarios,
+//! one per aggregation mode and failure path, each pinned to a digest of
+//! everything a round can observably produce — the serialized
+//! `RoundRecord` sequence (or the error a round returned), the final
+//! parameter bit patterns, the fault counters and the drained sim-clock
+//! trace. A refactor of the round engine must leave every digest alone.
+//!
+//! One `#[test]` in its own binary: the compute backend and the trace
+//! recorder are process-global, so sibling tests would race them.
+//!
+//! The `want` column was generated by running this file against the
+//! pre-refactor engine (a mismatch prints the digests it computed). Do
+//! not edit it to make a change pass.
+
+use photon_core::experiments::build_iid_federation;
+use photon_core::{
+    AdaptiveDeadlineConfig, CoreError, FaultCounters, FaultInjector, FaultSpec, FederationConfig,
+    HierarchyConfig, LinkProfile, MembershipConfig, NetworkConfig, RoundRecord,
+};
+use photon_fedopt::{AggregationKind, BufferConfig, GuardConfig};
+use photon_tensor::backend::{set_backend, BackendKind};
+use photon_tests::tiny_federation;
+use photon_trace::{ClockMode, TraceConfig};
+
+const TOKENS: usize = 3_000;
+
+/// What one scenario produced, for the digest and the coverage check.
+struct Run {
+    /// `Ok` records and `Err` messages, in execution order.
+    steps: Vec<Result<RoundRecord, String>>,
+    params: Vec<f32>,
+    counters: FaultCounters,
+    trace: String,
+}
+
+impl Run {
+    fn records(&self) -> impl Iterator<Item = &RoundRecord> {
+        self.steps.iter().filter_map(|s| s.as_ref().ok())
+    }
+
+    /// One line per step: the record as JSON, or the error.
+    fn log(&self) -> String {
+        let mut out = String::new();
+        for step in &self.steps {
+            match step {
+                Ok(r) => out.push_str(&serde_json::to_string(r).expect("record serializes")),
+                Err(e) => out.push_str(&format!("ERR {e}")),
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    fn digest(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.write(self.log().as_bytes());
+        for p in &self.params {
+            h.write(&p.to_bits().to_le_bytes());
+        }
+        h.write(
+            serde_json::to_string(&self.counters)
+                .expect("counters serialize")
+                .as_bytes(),
+        );
+        h.write(self.trace.as_bytes());
+        h.0
+    }
+}
+
+/// FNV-1a, 64-bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Runs `rounds` committed rounds of `cfg` under `faults`. A watchdog trip
+/// is recorded, the round neutralized, and the same round re-run — the
+/// recovery driver's protocol without the checkpoint restore.
+fn run(cfg: &FederationConfig, faults: &str, rounds: u64) -> Run {
+    photon_trace::reset_for_tests();
+    photon_trace::init(TraceConfig {
+        jsonl: None,
+        prometheus: None,
+        kernel_events: false,
+        clock: ClockMode::Sim,
+    })
+    .expect("tracing initializes");
+    let spec = FaultSpec::parse(faults).expect("fault spec parses");
+    let injector = FaultInjector::from_spec(&spec, cfg.population, rounds);
+    let (mut fed, _) = build_iid_federation(cfg, TOKENS).expect("federation builds");
+    let mut steps = Vec::new();
+    while fed.aggregator.round() < rounds {
+        assert!(steps.len() < 2 * rounds as usize, "run does not terminate");
+        match fed.run_round_with(Some(&injector)) {
+            Ok(record) => steps.push(Ok(record)),
+            Err(CoreError::Divergence { round, reason }) => {
+                steps.push(Err(format!("divergence at {round}: {reason}")));
+                fed.aggregator.neutralize_round(round);
+            }
+            Err(e) => panic!("round {} failed: {e}", fed.aggregator.round()),
+        }
+    }
+    let trace = photon_trace::flush_to_string();
+    photon_trace::reset_for_tests();
+    Run {
+        steps,
+        params: fed.aggregator.params().to_vec(),
+        counters: fed.aggregator.telemetry().fault_counters(),
+        trace,
+    }
+}
+
+fn flat(n: usize, seed: u64) -> FederationConfig {
+    let mut cfg = tiny_federation(n);
+    cfg.seed = seed;
+    cfg
+}
+
+fn tree(n: usize, seed: u64, shard_quorum_frac: f64) -> FederationConfig {
+    let mut cfg = flat(n, seed);
+    cfg.allow_partial_results = true;
+    cfg.hierarchy = Some(HierarchyConfig {
+        shards: 4,
+        shard_quorum_frac,
+        max_resident: 4,
+    });
+    cfg
+}
+
+fn buffered(n: usize, seed: u64) -> FederationConfig {
+    let mut cfg = flat(n, seed);
+    cfg.allow_partial_results = true;
+    cfg.membership = Some(MembershipConfig::default());
+    cfg.buffer = Some(BufferConfig {
+        quorum: 3,
+        staleness_decay: 0.5,
+    });
+    cfg.round_deadline_ms = Some(300);
+    cfg
+}
+
+struct Row {
+    name: &'static str,
+    cfg: FederationConfig,
+    faults: &'static str,
+    rounds: u64,
+    /// The scenario fired: guards against a digest that is stable only
+    /// because the path it is meant to pin never ran.
+    fired: fn(&Run) -> bool,
+    want: u64,
+}
+
+fn table() -> Vec<Row> {
+    let mut guarded = flat(5, 33);
+    guarded.aggregation = AggregationKind::TrimmedMean { trim_ratio: 0.2 };
+    guarded.guard = GuardConfig::on();
+    guarded.allow_partial_results = true;
+    guarded.round_deadline_ms = Some(500);
+
+    let mut chaos = flat(4, 13);
+    chaos.allow_partial_results = true;
+    chaos.network = Some(NetworkConfig {
+        profile: LinkProfile {
+            base_latency_ms: 20,
+            jitter_ms: 15,
+            loss_rate: 0.15,
+            dup_rate: 0.3,
+            reorder_window_ms: 20,
+            ..LinkProfile::default()
+        },
+        ..NetworkConfig::default()
+    });
+    chaos.adaptive_deadline = Some(AdaptiveDeadlineConfig {
+        floor_ms: 100,
+        ceiling_ms: 2_000,
+        ..AdaptiveDeadlineConfig::default()
+    });
+
+    let mut tree_guarded = tree(8, 29, 0.5);
+    tree_guarded.guard = GuardConfig::on();
+
+    let mut buffered_tree = buffered(8, 41);
+    buffered_tree.hierarchy = Some(HierarchyConfig {
+        shards: 4,
+        shard_quorum_frac: 0.5,
+        max_resident: 4,
+    });
+
+    let mut watched = flat(3, 19);
+    watched.loss_spike_mult = Some(20.0);
+
+    vec![
+        Row {
+            name: "flat mean",
+            cfg: flat(3, 11),
+            faults: "seed=1",
+            rounds: 6,
+            fired: |run| run.records().all(|r| r.pseudo_grad_norm > 0.0),
+            want: 0x48ca_535e_fb71_2f53,
+        },
+        Row {
+            name: "flat trimmed-mean + guard, byzantine faults, partial results",
+            cfg: guarded,
+            faults: "nan-update@r1c2,scale:50@r3c1,sign-flip@r5c3,crash@r2c4,\
+                     corrupt:1@r4c0,straggle:900@r2c0,seed=3",
+            rounds: 8,
+            fired: |run| {
+                let c = &run.counters;
+                c.rejected_nonfinite > 0
+                    && c.rejected_outliers + c.norm_clipped > 0
+                    && c.quarantine_skips > 0
+                    && c.crashes > 0
+                    && c.stragglers > 0
+                    && c.retransmits > 0
+            },
+            want: 0xca12_a9e5_8612_c2d1,
+        },
+        Row {
+            name: "flat + network chaos, degrading partition and heal",
+            cfg: chaos,
+            faults: "partition@r1-r3:0|1.2.3,lossy=0.1,slowlink@r4c0,seed=5",
+            rounds: 7,
+            fired: |run| {
+                let c = &run.counters;
+                c.degraded_rounds == 2
+                    && c.degraded_recoveries == 1
+                    && c.partition_drops > 0
+                    && c.link_duplicates > 0
+                    && c.dup_drops > 0
+                    && c.link_losses > 0
+            },
+            want: 0x8c9d_5a29_8ce0_2d56,
+        },
+        Row {
+            name: "4-shard tree: shardcrash, shardhang, shard-quorum miss",
+            cfg: tree(8, 23, 1.0),
+            faults: "shards=4,shardcrash@r1s2,shardhang@r3s0,crash@r2c1,crash@r5c7,seed=7",
+            rounds: 7,
+            fired: |run| {
+                let c = &run.counters;
+                c.shard_crashes == 1
+                    && c.shard_hangs == 1
+                    && c.shard_degraded >= 2
+                    && c.reparented > 0
+            },
+            want: 0xdd0b_82fa_e242_bbdf,
+        },
+        Row {
+            name: "tree + guard: poisoned shard aggregates screened at the root",
+            cfg: tree_guarded,
+            faults: "shards=4,nan-update@r1c3,scale:80@r3c0,shardhang@r4s1,seed=9",
+            rounds: 7,
+            fired: |run| {
+                let c = &run.counters;
+                c.rejected_nonfinite > 0 && c.shard_hangs == 1
+            },
+            want: 0x93f5_bfbc_f0eb_23db,
+        },
+        Row {
+            name: "membership + buffered: deferred stragglers, stale commit",
+            cfg: buffered(4, 17),
+            faults:
+                "straggle:1500@r1c2,join@r2,crash@r4c0,crash@r4c1,crash@r4c3,leave@r6c3,seed=11",
+            rounds: 8,
+            fired: |run| {
+                let c = &run.counters;
+                run.records().any(|r| r.commit_deferred)
+                    && c.stale_commits > 0
+                    && c.buffered_commits > 0
+                    && c.joins > 0
+            },
+            want: 0x4b4a_2576_37e6_7b3f,
+        },
+        Row {
+            name: "buffered + tree: streaming commit",
+            cfg: buffered_tree,
+            faults: "shards=4,straggle:1400@r1c5,shardhang@r2s1,shardcrash@r4s3,seed=13",
+            rounds: 7,
+            fired: |run| {
+                let c = &run.counters;
+                c.buffered_commits > 0
+                    && c.stale_commits > 0
+                    && c.shard_crashes == 1
+                    && c.shard_hangs == 1
+                    && c.reparented > 0
+                    && run.records().any(|r| r.peak_resident > 0)
+            },
+            want: 0x0c99_e58a_15cc_afb4,
+        },
+        Row {
+            name: "watchdog trip, then the neutralized replay",
+            cfg: watched,
+            faults: "scale:4000@r4c0,seed=15",
+            rounds: 7,
+            fired: |run| {
+                run.steps.iter().filter(|s| s.is_err()).count() == 1
+                    && run.records().filter(|r| r.neutralized).count() == 1
+            },
+            want: 0x7804_bcd7_7ab6_0103,
+        },
+    ]
+}
+
+#[test]
+fn every_round_path_replays_to_its_golden_digest() {
+    set_backend(BackendKind::Scalar);
+    let mut report = String::new();
+    let mut mismatched = 0;
+    for row in table() {
+        let run = run(&row.cfg, row.faults, row.rounds);
+        assert!(
+            (row.fired)(&run),
+            "{}: the scenario did not fire\n{:?}\n{}",
+            row.name,
+            run.counters,
+            run.log()
+        );
+        let got = run.digest();
+        if got != row.want {
+            mismatched += 1;
+        }
+        report.push_str(&format!(
+            "  {:#018x} (want {:#018x})  {}\n",
+            got, row.want, row.name
+        ));
+    }
+    assert_eq!(mismatched, 0, "digests computed by this run:\n{report}");
+}
