@@ -1,0 +1,1598 @@
+//! The round engine: one federated round (Algorithm 1, L.4–11) as five
+//! stages over plain data.
+//!
+//! ```text
+//! plan ──► transport ──► collect ──► merge ──► commit
+//! ```
+//!
+//! * **plan** applies membership churn, draws the cohort and the round's
+//!   scheduled faults, and fixes the straggler deadline ([`RoundPlan`]).
+//! * **transport** broadcasts the model and runs the sampled clients on
+//!   scoped threads. It is the only simulator-specific stage: the TCP
+//!   coordinator in `photon-net` moves the same frames over sockets and
+//!   enters at [`Aggregator::commit_external_round`].
+//! * **collect** carries each reply across the simulated link (chaos,
+//!   retransmits, deadline), decodes it and removes re-deliveries
+//!   ([`Arrival`], [`RoundAccounting`]).
+//! * **merge** is the only mode-specific stage. Flat, shard tree,
+//!   buffered and buffered-over-tree each turn the arrivals into either
+//!   one aggregate or a "commit nothing" outcome ([`Merged`]).
+//! * **commit** alone runs the watchdog, applies the server optimizer,
+//!   records the round's telemetry, builds the [`RoundRecord`] and
+//!   advances the round counter.
+
+#![deny(clippy::too_many_lines)]
+
+use super::Aggregator;
+use crate::faults::{ClientFault, FaultInjector};
+use crate::hierarchy::{HierarchyConfig, ShardPartition, ShardTree};
+use crate::membership::ChurnEvents;
+use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord};
+use crossbeam::channel::unbounded;
+use photon_comms::{PartitionKind, TrainMetrics};
+use photon_fedopt::{
+    canonical_fold, sample_live, AggregationKind, BufferedUpdate, ClientUpdate, StreamingMerge,
+};
+use std::collections::BTreeMap;
+
+/// EMA blend for the watchdog's loss/norm trackers: history-weighted
+/// enough to ignore single-round noise, fresh enough to track the loss
+/// curve's natural decay.
+const WATCHDOG_EMA_BETA: f64 = 0.7;
+
+/// Pseudo-client id base for shard aggregates entering the root guard
+/// screen: high enough that no real client id collides, so a shard that
+/// repeatedly emits poisoned aggregates earns its own quarantine sentence.
+const SHARD_GUARD_BASE: u32 = 0x8000_0000;
+
+/// What the plan stage fixes before any traffic moves.
+#[derive(Default)]
+struct RoundPlan {
+    /// The sampled cohort as indices into the provisioned client vector.
+    cohort_idx: Vec<usize>,
+    /// The sampled clients' ids, parallel to `cohort_idx` (what the
+    /// simulated transport hands each client; an external transport
+    /// leaves it empty).
+    cohort_ids: Vec<u32>,
+    /// This round's membership changes (empty without a registry).
+    churn: ChurnEvents,
+    /// Hello/LeaseGrant bytes of this round's (re)joins.
+    handshake_bytes: u64,
+    /// Cohort members fully severed by an active partition: they are
+    /// not charged a broadcast.
+    severed_full: usize,
+    /// The straggler deadline in force; `None` waits for every result.
+    effective_deadline_ms: Option<u64>,
+    /// Live shards scheduled to crash this round: the slice is lost and
+    /// the shard is dead from the next round on.
+    shard_crashes: Vec<u32>,
+    /// Live shards scheduled to hang this round: the slice is lost, the
+    /// shard recovers next round.
+    shard_hangs: Vec<u32>,
+}
+
+/// One client result that reached the aggregator, decoded and
+/// deduplicated.
+#[derive(Clone)]
+struct Arrival {
+    client_id: u32,
+    delta: Vec<f32>,
+    weight: f64,
+    metrics: TrainMetrics,
+    /// The simulated round the result lands in: later than the current
+    /// one only for a straggler that a buffered round defers instead of
+    /// dropping.
+    arrival_round: u64,
+}
+
+/// Per-round transport and network counters, filled by the collect stage
+/// (or by the external transport's entry point).
+#[derive(Default)]
+struct RoundAccounting {
+    crashes: usize,
+    stragglers: usize,
+    link_dropouts: usize,
+    retransmits: u64,
+    wire_bytes: u64,
+    unreachable: usize,
+    net_losses: u64,
+    net_duplicates: u64,
+    net_reorders: u64,
+    dup_drops: u64,
+}
+
+/// Clients a round heard from, with the metrics they reported.
+type Seen = Vec<(u32, TrainMetrics)>;
+
+/// What the merge stage hands the commit stage.
+struct Merged {
+    /// The aggregate to apply. `None` commits nothing: a degraded round,
+    /// a tree round that lost every slice, or a deferred buffered commit.
+    aggregate: Option<Aggregate>,
+    /// Clients whose round metrics enter the telemetry.
+    seen: Seen,
+    mean_client_loss: f32,
+    tally: MergeTally,
+}
+
+/// The round's aggregated pseudo-gradient, ready for the server optimizer.
+struct Aggregate {
+    delta: Vec<f32>,
+    /// How many updates were folded into `delta`.
+    folded: usize,
+    /// The per-client updates behind `delta`, for the §6 alignment
+    /// measurement; empty when the merge folded them on the way (shard
+    /// tree, streaming buffered commit).
+    contributors: Vec<(u32, ClientUpdate)>,
+}
+
+/// The mode-specific half of the round's record.
+#[derive(Default)]
+struct MergeTally {
+    guard_rejected: usize,
+    guard_clipped: usize,
+    quarantined: usize,
+    buffered: usize,
+    commit_deferred: bool,
+    degraded: bool,
+    /// Stale updates in this round's buffered commit, if one happened.
+    stale_commit: Option<u64>,
+    shards: usize,
+    shard_degraded: usize,
+    reparented: usize,
+    peak_resident: usize,
+}
+
+/// Updates waiting for the guard screen and the aggregation rule.
+#[derive(Default)]
+struct Candidates {
+    /// Guard identities, parallel to `updates`.
+    ids: Vec<u32>,
+    updates: Vec<ClientUpdate>,
+    /// Clients behind the updates: parallel to them in the flat merge,
+    /// the committed shards' members in the tree merge.
+    seen: Seen,
+}
+
+impl Merged {
+    /// A round that commits nothing but still reports who it heard from.
+    fn nothing(seen: Seen, tally: MergeTally) -> Self {
+        Merged {
+            aggregate: None,
+            mean_client_loss: mean(seen.iter().map(|(_, m)| m.mean_loss)),
+            seen,
+            tally,
+        }
+    }
+}
+
+/// Mean of the reported losses in iteration order; `0.0` when there are
+/// none.
+fn mean(losses: impl ExactSizeIterator<Item = f32>) -> f32 {
+    let n = losses.len();
+    if n == 0 {
+        0.0
+    } else {
+        losses.sum::<f32>() / n as f32
+    }
+}
+
+/// Keeps the elements of `items` whose slot in `keep` is set.
+fn retain_mask<T>(items: &mut Vec<T>, keep: &[bool]) {
+    let mut keep = keep.iter();
+    items.retain(|_| *keep.next().expect("mask covers the vector"));
+}
+
+/// Sorts arrivals by client id — so float accumulation is bit-reproducible
+/// whatever order the transport delivered in — and removes re-deliveries:
+/// within a round each client legitimately appears once, so id-adjacent
+/// equals are exactly a duplicating link's (or a retrying client's)
+/// copies, and must never double-apply. Returns how many were dropped.
+fn dedup_arrivals(arrivals: &mut Vec<Arrival>) -> u64 {
+    arrivals.sort_by_key(|a| a.client_id);
+    let before = arrivals.len();
+    arrivals.dedup_by(|a, b| a.client_id == b.client_id);
+    (before - arrivals.len()) as u64
+}
+
+/// Marks a shard slice dropped this round (crash, hang or quorum miss).
+fn note_shard_degraded(shard: u32, round: u64, crash: bool, slice: usize) {
+    photon_trace::instant(
+        photon_trace::Phase::ShardDegraded,
+        "shard_degraded",
+        &[
+            ("shard", shard as u64),
+            ("round", round),
+            ("crash", u64::from(crash)),
+            ("slice", slice as u64),
+        ],
+    );
+}
+
+impl Aggregator {
+    /// Executes one federated round (Algorithm 1, L.4–11): samples the
+    /// cohort, broadcasts the model as a Link frame, runs each sampled
+    /// client on its own thread, decodes result frames, aggregates and
+    /// applies the server optimizer.
+    ///
+    /// # Errors
+    /// Returns an error if a client thread fails or a frame is corrupt.
+    pub fn run_round(&mut self, clients: &mut [LlmClient]) -> Result<RoundRecord> {
+        self.run_round_with(clients, None)
+    }
+
+    /// [`Aggregator::run_round`] with an optional seeded fault schedule:
+    /// scheduled crashes drop the client's result, stragglers are measured
+    /// against `round_deadline_ms`, and corrupted result frames go through
+    /// the Link retransmit budget before counting as dropouts.
+    ///
+    /// # Errors
+    /// Returns an error if a client thread fails, a frame is corrupt past
+    /// recovery, or dropouts exceed what the configuration tolerates.
+    pub fn run_round_with(
+        &mut self,
+        clients: &mut [LlmClient],
+        injector: Option<&FaultInjector>,
+    ) -> Result<RoundRecord> {
+        // Observability: freeze the simulated clock at the round start so
+        // every event this round emits carries the same replayable
+        // timestamp, then open the round's root span on the driver lane.
+        let round_ms = self.round_ms();
+        if photon_trace::enabled() {
+            photon_trace::set_sim_time_us(photon_comms::SimClock::new(round_ms).now_us(self.round));
+            photon_trace::set_actor(0);
+        }
+        let mut round_span =
+            photon_trace::span(photon_trace::Phase::Round).arg("round", self.round);
+        round_span.set_sim_dur_us(round_ms.saturating_mul(1_000));
+
+        let plan = self.plan(clients, injector)?;
+        let (replies, broadcast_bytes) = self.transport(&plan, clients, injector)?;
+        let (arrivals, acct) = self.collect(&plan, replies, broadcast_bytes, injector)?;
+        self.merge_and_commit(&mut round_span, plan, arrivals, acct)
+    }
+
+    /// Commits one federated round from results gathered by an external
+    /// transport (the `photon-net` TCP coordinator) instead of in-process
+    /// client threads. `results` carries `(client_id, delta, weight,
+    /// metrics)` tuples exactly as decoded from `ClientResult` frames;
+    /// `cohort_ids` is the set of clients the round was assigned to, and
+    /// `wire_bytes` what the transport actually moved.
+    ///
+    /// Results from clients outside the cohort are dropped, re-deliveries
+    /// are removed by the same id-keyed dedup the simulated Link uses, and
+    /// the round then runs the same merge and commit stages as
+    /// [`Aggregator::run_round_with`] — so a retried frame can never
+    /// double-apply and both transports converge identically.
+    ///
+    /// # Errors
+    /// Same failure surface as [`Aggregator::run_round_with`]: partial
+    /// results without `allow_partial_results`, an empty post-guard
+    /// cohort, or a watchdog trip.
+    pub fn commit_external_round(
+        &mut self,
+        results: Vec<(u32, Vec<f32>, f64, TrainMetrics)>,
+        cohort_ids: &[u32],
+        wire_bytes: u64,
+    ) -> Result<RoundRecord> {
+        let round = self.round;
+        let mut round_span = photon_trace::span(photon_trace::Phase::Round).arg("round", round);
+        let mut arrivals: Vec<Arrival> = results
+            .into_iter()
+            .filter(|(id, _, _, _)| cohort_ids.contains(id))
+            .map(|(client_id, delta, weight, metrics)| Arrival {
+                client_id,
+                delta,
+                weight,
+                metrics,
+                arrival_round: round,
+            })
+            .collect();
+        let dup_drops = dedup_arrivals(&mut arrivals);
+        let plan = RoundPlan {
+            cohort_idx: cohort_ids.iter().map(|&id| id as usize).collect(),
+            ..RoundPlan::default()
+        };
+        let acct = RoundAccounting {
+            // A cohort member that never delivered a usable result is a
+            // transport dropout from the aggregator's point of view.
+            link_dropouts: cohort_ids.len().saturating_sub(arrivals.len()),
+            wire_bytes,
+            dup_drops,
+            ..RoundAccounting::default()
+        };
+        self.merge_and_commit(&mut round_span, plan, arrivals, acct)
+    }
+
+    /// The half of a round both transports share: stamps the round's
+    /// traffic on its root span and the run counters, then merges and
+    /// commits.
+    fn merge_and_commit(
+        &mut self,
+        round_span: &mut photon_trace::Span,
+        plan: RoundPlan,
+        arrivals: Vec<Arrival>,
+        acct: RoundAccounting,
+    ) -> Result<RoundRecord> {
+        round_span.set_arg("cohort", plan.cohort_idx.len() as u64);
+        round_span.set_arg("wire_bytes", acct.wire_bytes);
+        round_span.set_arg("received", arrivals.len() as u64);
+        photon_trace::counter_add("round.wire_bytes", acct.wire_bytes);
+        photon_trace::observe("round.wire_bytes", acct.wire_bytes);
+        photon_trace::counter_add("rounds.total", 1);
+        let merged = self.merge(&plan, arrivals, &acct)?;
+        self.commit(plan, acct, merged)
+    }
+
+    /// Simulated wall time of one round.
+    fn round_ms(&self) -> u64 {
+        self.cfg.membership.map_or(1_000, |m| m.round_ms)
+    }
+
+    // ---------------------------------------------------------------
+    // Stage 1: plan
+    // ---------------------------------------------------------------
+
+    /// Applies this round's churn, draws the cohort and the scheduled
+    /// shard faults, and fixes the straggler deadline.
+    fn plan(
+        &mut self,
+        clients: &[LlmClient],
+        injector: Option<&FaultInjector>,
+    ) -> Result<RoundPlan> {
+        let mut plan = if self.membership.is_some() {
+            self.plan_elastic_cohort(injector)?
+        } else {
+            RoundPlan {
+                cohort_idx: self.sampler.sample(clients.len(), self.round),
+                ..RoundPlan::default()
+            }
+        };
+        if plan.cohort_idx.is_empty() {
+            return Err(CoreError::InvalidConfig("empty cohort".into()));
+        }
+        if let Some(&max) = plan.cohort_idx.iter().max() {
+            if max >= clients.len() {
+                return Err(CoreError::InvalidConfig(format!(
+                    "cohort references client {max} but only {} are provisioned \
+                     (call Federation::sync_roster after membership churn)",
+                    clients.len()
+                )));
+            }
+        }
+        plan.cohort_ids = plan.cohort_idx.iter().map(|&i| clients[i].id()).collect();
+
+        // Active partitions: fully severed clients exchange no traffic this
+        // round (no broadcast charged, result dropped); asymmetrically
+        // severed ones hear the broadcast but lose the result on the way
+        // back.
+        plan.severed_full = injector.map_or(0, |inj| {
+            plan.cohort_ids
+                .iter()
+                .filter(|&&id| inj.partition_state(self.round, id) == Some(PartitionKind::Full))
+                .count()
+        });
+
+        // The straggler deadline this round: adaptive (a percentile of the
+        // observed latency window) when configured, the static knob
+        // otherwise — and lifted entirely while the aggregator is degraded,
+        // so a healing partition's late results are not re-dropped.
+        plan.effective_deadline_ms = if self.degraded {
+            None
+        } else if let Some(ad) = self.cfg.adaptive_deadline {
+            Some(ad.effective_deadline_ms(&self.latency_obs))
+        } else {
+            self.cfg.round_deadline_ms
+        };
+
+        // Shard faults are drawn from the salted fault-plan columns for
+        // the shards still alive this round (a dead shard cannot crash or
+        // hang again).
+        if let (Some(tree), Some(inj)) = (&self.hierarchy, injector) {
+            let live = tree.live_shards();
+            plan.shard_crashes = live
+                .iter()
+                .copied()
+                .filter(|&s| inj.shardcrash_at(self.round, s))
+                .collect();
+            plan.shard_hangs = live
+                .iter()
+                .copied()
+                .filter(|&s| inj.shardhang_at(self.round, s))
+                .collect();
+        }
+        Ok(plan)
+    }
+
+    /// Elastic membership: applies this round's churn (joins, leaves,
+    /// lease renewals and expiries), charges the (re)join handshakes, and
+    /// draws the cohort from the live roster instead of the static
+    /// population.
+    fn plan_elastic_cohort(&mut self, injector: Option<&FaultInjector>) -> Result<RoundPlan> {
+        let reg = self
+            .membership
+            .as_mut()
+            .expect("elastic planning requires a membership registry");
+        let churn = reg.begin_round(self.round, injector);
+        self.telemetry.record_churn(
+            churn.joined.len() as u64,
+            churn.departed.len() as u64,
+            churn.expired.len() as u64,
+            churn.rejoined.len() as u64,
+        );
+        // Every (re)join runs the Hello/LeaseGrant handshake over the
+        // Link; the frames count toward the round's wire traffic.
+        let mcfg = reg.config();
+        let expires_ms = mcfg.clock().now_ms(self.round) + mcfg.lease_ms;
+        let mut handshake_bytes = 0u64;
+        for &id in churn.joined.iter().chain(&churn.rejoined) {
+            let hello = photon_comms::Message::Hello {
+                client_id: id,
+                birth_round: reg.birth_round(id).unwrap_or(self.round),
+            }
+            .to_frame_opts(self.cfg.wire_opts());
+            let grant = photon_comms::Message::LeaseGrant {
+                client_id: id,
+                expires_ms,
+            }
+            .to_frame_opts(self.cfg.wire_opts());
+            handshake_bytes += hello.len() as u64 + grant.len() as u64;
+        }
+        let live = reg.live_members();
+        let mut universe = if live.is_empty() {
+            // Every lease lapsed at once: fall back to all reachable
+            // members rather than stalling the run.
+            reg.reachable_members()
+        } else {
+            live
+        };
+        // A client admitted this round spends it on the Hello/LeaseGrant
+        // handshake and model transfer; it becomes sampleable from the
+        // next round (which also gives the driver a chance to provision
+        // its client-side state).
+        universe.retain(|id| !churn.joined.contains(id));
+        if universe.is_empty() {
+            return Err(CoreError::ClientFailure(
+                "no trained member is available to sample this round".into(),
+            ));
+        }
+        let k = match self.cfg.cohort {
+            CohortSpec::Full => universe.len(),
+            CohortSpec::Sample { k } => k,
+        };
+        let rng = self
+            .member_rng
+            .as_ref()
+            .expect("membership mode always has a sampling stream");
+        let cohort_idx = sample_live(&universe, k, rng, self.round)
+            .into_iter()
+            .map(|id| id as usize)
+            .collect();
+        Ok(RoundPlan {
+            cohort_idx,
+            churn,
+            handshake_bytes,
+            ..RoundPlan::default()
+        })
+    }
+
+    // ---------------------------------------------------------------
+    // Stage 2: transport (simulator)
+    // ---------------------------------------------------------------
+
+    /// L.5–6: broadcasts the model as one shared Link frame and trains the
+    /// cohort in parallel, one scoped thread per sampled client. Returns
+    /// the replies in client-id order plus the broadcast bytes charged.
+    fn transport(
+        &self,
+        plan: &RoundPlan,
+        clients: &mut [LlmClient],
+        injector: Option<&FaultInjector>,
+    ) -> Result<(Vec<ClientReply>, u64)> {
+        let cohort = plan.cohort_idx.len();
+        let broadcast = {
+            let mut bspan =
+                photon_trace::span(photon_trace::Phase::Broadcast).arg("cohort", cohort as u64);
+            let frame =
+                photon_comms::BroadcastFrame::new(self.round, &self.params, self.cfg.wire_opts())
+                    .frame();
+            bspan.set_arg("frame_bytes", frame.len() as u64);
+            frame
+        };
+        let broadcast_bytes = broadcast.len() as u64 * (cohort - plan.severed_full) as u64;
+        photon_trace::counter_add("round.broadcast_bytes", broadcast_bytes);
+
+        let (tx, rx) = unbounded::<ClientReply>();
+        let round = self.round;
+        let cfg = &self.cfg;
+        let cohort_ids = &plan.cohort_ids;
+        // Membership test via sorted lookup: the provisioned roster can be
+        // 10^5+ clients while the cohort is thousands, so a linear
+        // `contains` per client would make the spawn loop O(pop × cohort).
+        let mut cohort_sorted = plan.cohort_idx.clone();
+        cohort_sorted.sort_unstable();
+        let all_joined = crossbeam::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(cohort_sorted.len());
+            for (i, client) in clients.iter_mut().enumerate() {
+                if cohort_sorted.binary_search(&i).is_err() {
+                    continue;
+                }
+                let tx = tx.clone();
+                let frame = broadcast.clone();
+                handles.push(scope.spawn(move |_| {
+                    let id = client.id();
+                    // Send failures mean the aggregator stopped listening;
+                    // the thread just winds down (no panic either way).
+                    let _ = tx.send(client_round(client, frame, round, cohort_ids, cfg, {
+                        injector.and_then(|inj| inj.client_fault(round, id))
+                    }));
+                }));
+            }
+            // Join every handle (no short-circuit): a dropped handle
+            // detaches its thread, and a detach racing the exit of a thread
+            // that lives microseconds has crashed inside glibc. Joining
+            // also surfaces a panic here.
+            let mut all_joined = true;
+            for handle in handles {
+                all_joined &= handle.join().is_ok();
+            }
+            all_joined
+        })
+        .unwrap_or(false);
+        if !all_joined {
+            return Err(CoreError::ClientFailure("a client thread panicked".into()));
+        }
+        drop(tx);
+        // Replies arrive in thread-completion order; hand them on in
+        // client-id order so the aggregator-side Link deliveries (and the
+        // trace events they emit) replay in a deterministic sequence.
+        let mut replies: Vec<ClientReply> = rx.iter().collect();
+        replies.sort_by_key(ClientReply::client_id);
+        Ok((replies, broadcast_bytes))
+    }
+
+    // ---------------------------------------------------------------
+    // Stage 3: collect
+    // ---------------------------------------------------------------
+
+    /// L.7: carries every reply across the simulated Link, applies the
+    /// straggler policy, decodes the survivors and removes re-deliveries.
+    fn collect(
+        &mut self,
+        plan: &RoundPlan,
+        replies: Vec<ClientReply>,
+        broadcast_bytes: u64,
+        injector: Option<&FaultInjector>,
+    ) -> Result<(Vec<Arrival>, RoundAccounting)> {
+        let mut acct = RoundAccounting {
+            wire_bytes: broadcast_bytes + plan.handshake_bytes,
+            ..RoundAccounting::default()
+        };
+        let mut arrivals = Vec::with_capacity(plan.cohort_idx.len());
+        let mut round_latencies: Vec<u64> = Vec::new();
+        for reply in replies {
+            let delivered = match reply {
+                ClientReply::Crash { .. } => {
+                    acct.crashes += 1;
+                    continue;
+                }
+                ClientReply::Error { client_id, message } => {
+                    return Err(CoreError::ClientFailure(format!(
+                        "client {client_id}: {message}"
+                    )));
+                }
+                ClientReply::Frame {
+                    client_id,
+                    frame,
+                    delay_ms,
+                    corrupt_attempts,
+                } => self.deliver(
+                    injector,
+                    client_id,
+                    &frame,
+                    delay_ms,
+                    corrupt_attempts,
+                    &mut acct,
+                ),
+            };
+            let Some(delivered) = delivered else {
+                continue;
+            };
+            if self.network.is_some() {
+                self.telemetry.record_link_latency(delivered.lateness);
+                photon_trace::observe("net.latency_ms", delivered.lateness);
+            }
+            round_latencies.push(delivered.lateness);
+            // Straggler policy: synchronous rounds drop late results;
+            // buffered rounds defer them to the simulated round their
+            // lateness lands them in, where they commit with a staleness
+            // discount instead.
+            let mut arrival_round = self.round;
+            if let Some(deadline) = plan.effective_deadline_ms {
+                if delivered.lateness > deadline {
+                    acct.stragglers += 1;
+                    if self.buffer.is_none() {
+                        continue;
+                    }
+                    arrival_round =
+                        self.round + 1 + (delivered.lateness - deadline) / self.round_ms();
+                }
+            }
+            let frame_len = delivered.frame.len() as u64;
+            match photon_comms::Message::from_frame(delivered.frame)? {
+                photon_comms::Message::ClientResult {
+                    client_id,
+                    delta,
+                    weight,
+                    metrics,
+                    ..
+                } => {
+                    let arrival = Arrival {
+                        client_id,
+                        delta,
+                        weight,
+                        metrics,
+                        arrival_round,
+                    };
+                    // A duplicating link re-delivers the decoded frame; the
+                    // copy is charged to the wire and discarded by dedup.
+                    for _ in 0..delivered.duplicates {
+                        acct.wire_bytes += frame_len;
+                        arrivals.push(arrival.clone());
+                    }
+                    arrivals.push(arrival);
+                }
+                other => {
+                    return Err(CoreError::ClientFailure(format!(
+                        "unexpected message from client: {other:?}"
+                    )))
+                }
+            }
+        }
+        acct.dup_drops = dedup_arrivals(&mut arrivals);
+
+        // Feed the adaptive-deadline window (bounded, deterministic: the
+        // replies were processed in client-id order).
+        if let Some(ad) = self.cfg.adaptive_deadline {
+            self.latency_obs.extend(&round_latencies);
+            if self.latency_obs.len() > ad.window {
+                let excess = self.latency_obs.len() - ad.window;
+                self.latency_obs.drain(..excess);
+            }
+        }
+        Ok((arrivals, acct))
+    }
+
+    /// One result frame's trip across the simulated Link: an active
+    /// partition severs it, the chaos network and the fault plan decide
+    /// latency, loss and duplication, and CRC-failed or lost attempts are
+    /// retransmitted (deterministically) up to the budget. `None` means
+    /// the result never arrived.
+    fn deliver(
+        &self,
+        injector: Option<&FaultInjector>,
+        client_id: u32,
+        frame: &bytes::Bytes,
+        delay_ms: u64,
+        corrupt_attempts: u32,
+        acct: &mut RoundAccounting,
+    ) -> Option<Delivered> {
+        // A severed client's result never reaches the aggregator (it
+        // still trained, keeping its local state deterministic across
+        // the heal).
+        if let Some(kind) = injector.and_then(|inj| inj.partition_state(self.round, client_id)) {
+            acct.unreachable += 1;
+            photon_trace::instant(
+                photon_trace::Phase::NetPartition,
+                "net_partition",
+                &[
+                    ("client", client_id as u64),
+                    ("full", u64::from(kind == PartitionKind::Full)),
+                ],
+            );
+            return None;
+        }
+        // The chaos network decides what the link does to this delivery;
+        // the fault plan can pile scheduled losses and a pinned-slow link
+        // on top.
+        let outcome = self
+            .network
+            .as_ref()
+            .map(|net| net.link_outcome(self.round, client_id, frame.len()))
+            .unwrap_or_default();
+        let mut latency_ms = outcome.latency_ms;
+        if injector.is_some_and(|inj| inj.slowlink_at(self.round, client_id)) {
+            let factor = self.cfg.network.map_or(10, |n| n.slow_factor);
+            latency_ms = latency_ms.saturating_mul(factor).max(1_000);
+        }
+        let lost_attempts =
+            outcome.lost_attempts + injector.map_or(0, |inj| inj.link_loss(self.round, client_id));
+        acct.net_losses += lost_attempts as u64;
+        acct.net_duplicates += outcome.duplicates as u64;
+        acct.net_reorders += u64::from(outcome.reorder_ms > 0);
+        let (delivered, report) = photon_comms::deliver_chaos(
+            frame,
+            corrupt_attempts,
+            lost_attempts,
+            latency_ms,
+            mix_link_seed(self.cfg.seed, self.round, client_id),
+            &self.cfg.retransmit,
+        );
+        acct.wire_bytes += report.wire_bytes;
+        acct.retransmits += u64::from(report.attempts.saturating_sub(1));
+        let Ok(frame) = delivered else {
+            // Budget (or delivery timeout) exhausted: the client counts
+            // as dropped out.
+            acct.link_dropouts += 1;
+            return None;
+        };
+        Some(Delivered {
+            frame,
+            // Simulated lateness is the injected delay plus the delivery's
+            // in-flight time, retry backoff and any reorder delay.
+            lateness: delay_ms + report.backoff_ms + report.latency_ms + outcome.reorder_ms,
+            duplicates: outcome.duplicates,
+        })
+    }
+
+    // ---------------------------------------------------------------
+    // Stage 4: merge
+    // ---------------------------------------------------------------
+
+    /// L.8: turns the round's arrivals into one aggregate, or decides the
+    /// round commits nothing. The synchronous pipeline is
+    /// degraded-quorum gate → admission (client updates, or shard
+    /// aggregates from the tree) → guard screen → partial-results gate →
+    /// aggregation rule; buffered rounds take
+    /// [`Aggregator::merge_buffered`].
+    fn merge(
+        &mut self,
+        plan: &RoundPlan,
+        arrivals: Vec<Arrival>,
+        acct: &RoundAccounting,
+    ) -> Result<Merged> {
+        // This round routes over the tree as it stood when the round
+        // began; a crash takes effect from the next round's routing on,
+        // whichever way this round exits.
+        let tree = self.hierarchy.clone();
+        if let Some(live_tree) = self.hierarchy.as_mut() {
+            for &s in &plan.shard_crashes {
+                live_tree.mark_crashed(s);
+            }
+        }
+        if self.buffer.is_some() {
+            return self.merge_buffered(plan, tree.as_ref(), arrivals, acct);
+        }
+        self.record_network(acct, acct.dup_drops);
+        let (cohort, received) = (plan.cohort_idx.len(), arrivals.len());
+        // Route the assigned cohort (not just the arrivals) onto the tree:
+        // per-shard quorum denominators come from the slice a shard was
+        // responsible for, so silent losses count against it.
+        let routed = tree.map(|tree| {
+            let ids: Vec<u32> = plan.cohort_idx.iter().map(|&i| i as u32).collect();
+            let part = tree.partition(&ids);
+            (tree, part)
+        });
+        let mut tally = MergeTally::default();
+        if let Some((_, part)) = &routed {
+            tally.shards = part.shards.len();
+            tally.reparented = part.reparented;
+        }
+
+        if self.below_reachability_quorum(cohort, received) {
+            tally.degraded = true;
+            let seen = arrivals.iter().map(|a| (a.client_id, a.metrics)).collect();
+            return Ok(Merged::nothing(seen, tally));
+        }
+
+        let mut cand = match &routed {
+            Some((tree, part)) => self.fold_shards(plan, tree, part, arrivals, &mut tally)?,
+            None => self.admit_clients(arrivals, &mut tally)?,
+        };
+        if routed.is_some() && cand.updates.is_empty() {
+            // Every slice was lost (crashes, hangs, quorum misses, or all
+            // shards dead). Committing nothing and carrying on is the
+            // whole point of the tree: no rollback, no error.
+            tally.degraded = true;
+            return Ok(Merged::nothing(cand.seen, tally));
+        }
+
+        // Admission checks: quarantine skips, finiteness, norm clipping,
+        // cohort outlier rejection. In the flat merge a rejected update
+        // takes its client's metrics with it — a poisoned loss must not
+        // steer the watchdog; the tree screens shard aggregates, whose
+        // members were admitted at the leaves.
+        let keep = self.screen(&mut cand.ids, &mut cand.updates, &mut tally);
+        if routed.is_none() {
+            retain_mask(&mut cand.seen, &keep);
+        }
+
+        // §4: only the partial-update path may proceed with survivors.
+        // Guard rejections and shard-level drops are deliberate
+        // exclusions, not transport failures: the gate only counts
+        // clients that never delivered a usable frame.
+        if received < cohort && (!self.cfg.allow_partial_results || received == 0) {
+            return Err(CoreError::ClientFailure(format!(
+                "expected {cohort} results, got {received} (enable allow_partial_results \
+                 to aggregate survivors)"
+            )));
+        }
+        if cand.updates.is_empty() {
+            return Err(CoreError::ClientFailure(
+                match routed {
+                    Some(_) => "the guard rejected every shard aggregate",
+                    None => "the guard rejected the entire cohort",
+                }
+                .into(),
+            ));
+        }
+
+        let delta = match (&routed, self.cfg.aggregation) {
+            // The root reduce of a weighted mean is the canonical fold,
+            // which makes the whole tree a pure re-bracketing of one
+            // summation order.
+            (Some(_), AggregationKind::Mean) => canonical_fold(&cand.updates)
+                .map(|(delta, _)| delta)
+                .expect("root reduce over a non-empty shard set"),
+            _ => self.cfg.aggregation.aggregate(&cand.updates),
+        };
+        let folded = cand.updates.len();
+        let contributors = match routed {
+            Some(_) => Vec::new(),
+            None => cand.ids.into_iter().zip(cand.updates).collect(),
+        };
+        Ok(Merged {
+            aggregate: Some(Aggregate {
+                delta,
+                folded,
+                contributors,
+            }),
+            mean_client_loss: mean(cand.seen.iter().map(|(_, m)| m.mean_loss)),
+            seen: cand.seen,
+            tally,
+        })
+    }
+
+    /// Accumulates the round's network chaos into the telemetry.
+    fn record_network(&self, acct: &RoundAccounting, dup_drops: u64) {
+        self.telemetry.record_network(
+            acct.net_losses,
+            acct.net_duplicates,
+            acct.net_reorders,
+            dup_drops,
+            acct.unreachable as u64,
+        );
+    }
+
+    /// The degraded-quorum gate. When an active partition (or mass loss)
+    /// leaves the round below the reachability quorum, committing the
+    /// minority slice would skew the model toward whoever stayed
+    /// connected: the round records its telemetry but commits nothing.
+    /// The deadline stays lifted until a round reaches quorum again, at
+    /// which point the aggregator recovers automatically. Runs before
+    /// anything touches the guard.
+    fn below_reachability_quorum(&mut self, cohort: usize, received: usize) -> bool {
+        let Some(net) = self.cfg.network else {
+            return false;
+        };
+        let quorum = (((cohort as f64) * net.min_quorum_frac).ceil() as usize).max(1);
+        if received >= quorum {
+            if self.degraded {
+                self.degraded = false;
+                self.telemetry.record_degraded_recovery();
+            }
+            return false;
+        }
+        self.degraded = true;
+        self.telemetry.record_degraded_round();
+        photon_trace::instant(
+            photon_trace::Phase::DegradedRound,
+            "degraded_round",
+            &[
+                ("round", self.round),
+                ("received", received as u64),
+                ("quorum", quorum as u64),
+            ],
+        );
+        true
+    }
+
+    /// Arrival-time weight check shared by every merge: a malformed
+    /// aggregation weight surfaces as a recoverable failure, and guarded
+    /// runs quarantine the sender instead of failing the round.
+    fn admit_weight(
+        &mut self,
+        id: u32,
+        delta: Vec<f32>,
+        weight: f64,
+        tally: &mut MergeTally,
+    ) -> Result<Option<ClientUpdate>> {
+        match ClientUpdate::new(delta, weight) {
+            Ok(update) => Ok(Some(update)),
+            Err(e) => {
+                let Some(guard) = self.guard.as_mut() else {
+                    return Err(CoreError::ClientFailure(format!("client {id}: {e}")));
+                };
+                guard.quarantine(self.round, id);
+                tally.guard_rejected += 1;
+                self.telemetry.record_guard(1, 0, 0, 0);
+                Ok(None)
+            }
+        }
+    }
+
+    /// Flat admission: every arrival with a valid weight is a candidate.
+    fn admit_clients(
+        &mut self,
+        arrivals: Vec<Arrival>,
+        tally: &mut MergeTally,
+    ) -> Result<Candidates> {
+        let mut cand = Candidates::default();
+        for a in arrivals {
+            if let Some(update) = self.admit_weight(a.client_id, a.delta, a.weight, tally)? {
+                cand.ids.push(a.client_id);
+                cand.updates.push(update);
+                cand.seen.push((a.client_id, a.metrics));
+            }
+        }
+        Ok(cand)
+    }
+
+    /// Tree admission: the arrivals are grouped by the shard they report
+    /// to and every live shard folds its slice, ascending shard id so the
+    /// root reduce replays bit-identically. The candidates are the shard
+    /// aggregates, under pseudo-ids so a repeatedly-poisoned shard earns
+    /// its own quarantine at the root screen.
+    ///
+    /// Failure domains compose per level: a `shardcrash`/`shardhang`
+    /// loses only that shard's slice this round, and a shard missing its
+    /// quorum degrades alone.
+    fn fold_shards(
+        &mut self,
+        plan: &RoundPlan,
+        tree: &ShardTree,
+        part: &ShardPartition,
+        arrivals: Vec<Arrival>,
+        tally: &mut MergeTally,
+    ) -> Result<Candidates> {
+        // Arrivals with no live shard to report to are lost.
+        let mut routed: BTreeMap<u32, Vec<Arrival>> = BTreeMap::new();
+        for a in arrivals {
+            if let Some(s) = tree.shard_of(a.client_id) {
+                routed.entry(s).or_default().push(a);
+            }
+        }
+        let mut cand = Candidates::default();
+        for (&shard, slice) in &part.shards {
+            if slice.is_empty() {
+                continue;
+            }
+            let crashed = plan.shard_crashes.contains(&shard);
+            if crashed || plan.shard_hangs.contains(&shard) {
+                // The sub-aggregator died or stalled mid-round: its whole
+                // slice is lost; siblings are unaffected.
+                note_shard_degraded(shard, self.round, crashed, slice.len());
+                continue;
+            }
+            let arrived = routed.remove(&shard).unwrap_or_default();
+            let folded = self.fold_shard(shard, slice.len(), arrived, tree.config(), tally)?;
+            if let Some((update, members)) = folded {
+                cand.ids.push(SHARD_GUARD_BASE + shard);
+                cand.updates.push(update);
+                cand.seen.extend(members);
+            }
+        }
+        Ok(cand)
+    }
+
+    /// One shard's leaf admission and streaming, memory-bounded merge.
+    /// Returns the shard aggregate with the members behind it, or `None`
+    /// when the shard missed its `ceil(shard_quorum_frac × slice)` quorum
+    /// (or folded to a degenerate weight) and its slice is dropped.
+    fn fold_shard(
+        &mut self,
+        shard: u32,
+        slice: usize,
+        arrived: Vec<Arrival>,
+        hcfg: HierarchyConfig,
+        tally: &mut MergeTally,
+    ) -> Result<Option<(ClientUpdate, Seen)>> {
+        let mut merge_span = photon_trace::span(photon_trace::Phase::ShardMerge)
+            .arg("shard", shard as u64)
+            .arg("round", self.round)
+            .arg("slice", slice as u64)
+            .arg("arrived", arrived.len() as u64);
+        // Leaf admission mirrors the flat arrival checks: quarantined
+        // senders are skipped and a malformed weight quarantines (or fails
+        // the round when unguarded). Outlier screening runs at the root,
+        // over shard aggregates.
+        let mut admitted: Vec<(u32, ClientUpdate, TrainMetrics)> = Vec::new();
+        for a in arrived {
+            let quarantined = self
+                .guard
+                .as_ref()
+                .is_some_and(|g| g.is_quarantined(a.client_id, self.round));
+            if quarantined {
+                tally.quarantined += 1;
+                self.telemetry.record_guard(0, 0, 0, 1);
+                continue;
+            }
+            if let Some(update) = self.admit_weight(a.client_id, a.delta, a.weight, tally)? {
+                admitted.push((a.client_id, update, a.metrics));
+            }
+        }
+        // Arrivals come in ascending client-id order, so the expected key
+        // set is already strictly ascending and each push folds at the
+        // frontier; out-of-order arrival permutations are covered by the
+        // streaming-merge property tests.
+        let expected = admitted
+            .iter()
+            .map(|(id, _, _)| (self.round, *id))
+            .collect();
+        let mut merge = StreamingMerge::new(expected, hcfg.max_resident);
+        let mut members = Vec::with_capacity(admitted.len());
+        for (id, update, metrics) in admitted {
+            merge.push((self.round, id), update);
+            members.push((id, metrics));
+        }
+        tally.peak_resident = tally.peak_resident.max(merge.peak_resident());
+        let folded = merge.folded();
+        merge_span.set_arg("folded", folded as u64);
+        merge_span.set_arg("peak_resident", merge.peak_resident() as u64);
+        let aggregate = if folded >= hcfg.shard_quorum(slice) && folded > 0 {
+            merge
+                .finish()
+                .and_then(|(merged, weight)| ClientUpdate::new(merged, weight).ok())
+        } else {
+            None
+        };
+        if aggregate.is_none() {
+            tally.shard_degraded += 1;
+            note_shard_degraded(shard, self.round, false, slice);
+        }
+        Ok(aggregate.map(|update| (update, members)))
+    }
+
+    /// The guard screen every merge shares. Drops the rejected entries
+    /// of `ids` and `updates` (clipped deltas are rescaled in place) and
+    /// returns the admission mask for the caller's own parallel vectors.
+    /// Unguarded runs admit everything.
+    fn screen(
+        &mut self,
+        ids: &mut Vec<u32>,
+        updates: &mut Vec<ClientUpdate>,
+        tally: &mut MergeTally,
+    ) -> Vec<bool> {
+        let Some(guard) = self.guard.as_mut() else {
+            return vec![true; ids.len()];
+        };
+        let report = guard.screen_round(self.round, ids, updates);
+        self.telemetry.record_guard(
+            report.rejected_nonfinite,
+            report.rejected_outliers,
+            report.clipped,
+            report.quarantine_skips,
+        );
+        tally.guard_rejected += (report.rejected_nonfinite + report.rejected_outliers) as usize;
+        tally.guard_clipped += report.clipped as usize;
+        tally.quarantined += report.quarantine_skips as usize;
+        let keep: Vec<bool> = report.decisions.iter().map(|d| d.admitted()).collect();
+        retain_mask(ids, &keep);
+        retain_mask(updates, &keep);
+        keep
+    }
+
+    /// The buffered (semi-synchronous) merge: every arrived result is
+    /// enqueued in the update buffer, and a merge commits only when the
+    /// pending set reaches the quorum — or when a pending update has
+    /// waited longer than one lease duration, the deadline path that
+    /// keeps sub-quorum runs making progress. Committed updates are
+    /// staleness-discounted and guard-screened like a synchronous merge.
+    ///
+    /// With a shard tree every arrival passes through its sub-aggregator
+    /// on the way to the buffer, so shard faults drop the slice at
+    /// arrival time and orphans of dead shards are fostered.
+    fn merge_buffered(
+        &mut self,
+        plan: &RoundPlan,
+        tree: Option<&ShardTree>,
+        arrivals: Vec<Arrival>,
+        acct: &RoundAccounting,
+    ) -> Result<Merged> {
+        let bcfg = self
+            .cfg
+            .buffer
+            .expect("a buffered merge has a buffer config");
+        let mcfg = self.cfg.membership.expect("buffering requires membership");
+        let round = self.round;
+        let mut tally = MergeTally::default();
+        let mut dup_drops = acct.dup_drops;
+        let mut seen = Vec::new();
+        for a in arrivals {
+            if let Some(tree) = tree {
+                match tree.shard_of(a.client_id) {
+                    // The sub-aggregator died or stalled (or none is
+                    // left): the arrival never reaches the buffer.
+                    Some(s) if plan.shard_crashes.contains(&s) || plan.shard_hangs.contains(&s) => {
+                        continue
+                    }
+                    None => continue,
+                    Some(s) => tally.reparented += usize::from(s != tree.home_shard(a.client_id)),
+                }
+            }
+            // Weight validity is enforced at arrival (mirroring the
+            // synchronous path) so a later commit cannot fail on it.
+            let Some(update) = self.admit_weight(a.client_id, a.delta, a.weight, &mut tally)?
+            else {
+                continue;
+            };
+            let accepted = self
+                .buffer
+                .as_mut()
+                .expect("a buffered merge has a buffer")
+                .push(BufferedUpdate {
+                    client_id: a.client_id,
+                    origin_round: round,
+                    arrival_round: a.arrival_round,
+                    base_weight: update.weight,
+                    mean_loss: a.metrics.mean_loss,
+                    delta: update.delta,
+                });
+            if accepted {
+                seen.push((a.client_id, a.metrics));
+            } else {
+                // A duplicating link re-delivered an already-buffered
+                // client round; the copy is discarded.
+                dup_drops += 1;
+            }
+        }
+        self.record_network(acct, dup_drops);
+
+        let buffer = self.buffer.as_mut().expect("a buffered merge has a buffer");
+        let overdue = buffer.entries().iter().any(|e| {
+            e.arrival_round <= round
+                && e.staleness_at(round).saturating_mul(mcfg.round_ms) >= mcfg.lease_ms
+        });
+        let commit_ready = buffer.quorum_reached(round, bcfg.quorum) || overdue;
+        let mut mean_client_loss = mean(seen.iter().map(|(_, m)| m.mean_loss));
+        let mut aggregate = None;
+        if !commit_ready {
+            // Below quorum with nothing overdue: the commit is deferred.
+        } else if let Some(tree) = tree {
+            // Streaming commit: the pending set folds through a
+            // memory-bounded merge in canonical order instead of
+            // materializing a sorted batch — bitwise the same aggregate.
+            // The guard's per-update screen cannot run on a pre-folded
+            // stream; arrival-time weight checks and the watchdog stand
+            // in for it (config validation pins the aggregation to Mean).
+            let max_resident = tree.config().max_resident;
+            if let Some(c) = buffer.commit_streaming(round, bcfg.staleness_decay, max_resident) {
+                tally.peak_resident = c.peak_resident;
+                tally.stale_commit = Some(c.stale as u64);
+                mean_client_loss = mean(c.losses.iter().copied());
+                aggregate = Some(Aggregate {
+                    delta: c.merged,
+                    folded: c.client_ids.len(),
+                    contributors: Vec::new(),
+                });
+            }
+        } else if let Some(batch) = buffer.commit(round, bcfg.staleness_decay) {
+            let (mut ids, mut updates, mut losses) =
+                (batch.client_ids, batch.updates, batch.losses);
+            let keep = self.screen(&mut ids, &mut updates, &mut tally);
+            retain_mask(&mut losses, &keep);
+            if updates.is_empty() {
+                return Err(CoreError::ClientFailure(
+                    "the guard rejected the entire buffered commit".into(),
+                ));
+            }
+            tally.stale_commit = Some(batch.stale as u64);
+            mean_client_loss = mean(losses.iter().copied());
+            aggregate = Some(Aggregate {
+                delta: self.cfg.aggregation.aggregate(&updates),
+                folded: updates.len(),
+                contributors: ids.into_iter().zip(updates).collect(),
+            });
+        }
+        tally.shards = tree.map_or(0, ShardTree::live_count);
+        tally.buffered = self.buffer.as_ref().map_or(0, |b| b.len());
+        tally.commit_deferred = aggregate.is_none();
+        Ok(Merged {
+            aggregate,
+            seen,
+            mean_client_loss,
+            tally,
+        })
+    }
+
+    // ---------------------------------------------------------------
+    // Stage 5: commit
+    // ---------------------------------------------------------------
+
+    /// L.9–11, and the one place a round advances: records the round's
+    /// telemetry, runs the watchdog, applies the server optimizer, builds
+    /// the record and bumps the round counter.
+    fn commit(
+        &mut self,
+        plan: RoundPlan,
+        acct: RoundAccounting,
+        merged: Merged,
+    ) -> Result<RoundRecord> {
+        let Merged {
+            aggregate,
+            seen,
+            mean_client_loss,
+            tally,
+        } = merged;
+        // Round telemetry is recorded once, here, after every gate in the
+        // merge stage that can fail the round: a round that returns an
+        // error and is replayed by the recovery driver counts its faults
+        // once.
+        self.telemetry.record_round_faults(
+            acct.crashes as u64,
+            acct.stragglers as u64,
+            acct.retransmits,
+            acct.link_dropouts as u64,
+        );
+        self.telemetry.record_shard_faults(
+            plan.shard_crashes.len() as u64,
+            plan.shard_hangs.len() as u64,
+            tally.shard_degraded as u64,
+        );
+        self.telemetry.record_reparented(tally.reparented as u64);
+        for (id, metrics) in &seen {
+            self.telemetry.record(*id, self.round, metrics);
+        }
+        if let Some(stale) = tally.stale_commit {
+            self.telemetry.record_commit(stale);
+        }
+
+        // A neutralized round runs (keeping client state deterministic)
+        // but skips the update application and the watchdog.
+        let neutralized = self.neutralized.contains(&self.round);
+        let pseudo_grad_norm = aggregate
+            .as_ref()
+            .map_or(0.0, |agg| photon_tensor::ops::l2_norm(&agg.delta));
+        if let Some(agg) = aggregate.filter(|_| !neutralized) {
+            // Loss-spike watchdog, BEFORE the server optimizer touches the
+            // parameters: a divergent round leaves the model untouched and
+            // the recovery driver rolls back to the last-good checkpoint.
+            self.check_watchdog(mean_client_loss, pseudo_grad_norm)?;
+
+            // §6 client-contribution measurement: cosine alignment between
+            // each client's update and the aggregate.
+            if pseudo_grad_norm > 0.0 {
+                for (id, update) in &agg.contributors {
+                    let dot = photon_tensor::ops::dot(&update.delta, &agg.delta);
+                    let norm = update.norm();
+                    if norm > 0.0 {
+                        self.telemetry
+                            .record_alignment(*id, dot / (norm * pseudo_grad_norm));
+                    }
+                }
+            }
+            // L.9: apply the server optimization policy.
+            {
+                let _opt_span = photon_trace::span(photon_trace::Phase::ServerOpt)
+                    .arg("round", self.round)
+                    .arg("updates", agg.folded as u64);
+                self.server_opt
+                    .apply(&mut self.params, &agg.delta, self.round);
+            }
+            // The round's update stood: it is *committed*, not just seen.
+            self.telemetry.record_committed_round(self.round);
+            let blend = |ema: Option<f64>, v: f64| match ema {
+                Some(e) => WATCHDOG_EMA_BETA * e + (1.0 - WATCHDOG_EMA_BETA) * v,
+                None => v,
+            };
+            self.loss_ema = Some(blend(self.loss_ema, mean_client_loss as f64));
+            self.norm_ema = Some(blend(self.norm_ema, pseudo_grad_norm as f64));
+        }
+
+        let record = RoundRecord {
+            round: self.round,
+            cohort: plan.cohort_idx,
+            dropouts: acct.crashes + acct.link_dropouts,
+            stragglers: acct.stragglers,
+            retransmits: acct.retransmits,
+            mean_client_loss,
+            pseudo_grad_norm,
+            wire_bytes: acct.wire_bytes,
+            guard_rejected: tally.guard_rejected,
+            guard_clipped: tally.guard_clipped,
+            quarantined: tally.quarantined,
+            neutralized,
+            joined: plan.churn.joined.len(),
+            departed: plan.churn.departed.len(),
+            lease_expired: plan.churn.expired.len(),
+            rejoined: plan.churn.rejoined.len(),
+            buffered: tally.buffered,
+            commit_deferred: tally.commit_deferred,
+            degraded: tally.degraded,
+            unreachable: acct.unreachable,
+            effective_deadline_ms: plan.effective_deadline_ms,
+            shards: tally.shards,
+            shard_degraded: tally.shard_degraded,
+            shard_crashes: plan.shard_crashes.len(),
+            shard_hangs: plan.shard_hangs.len(),
+            reparented: tally.reparented,
+            peak_resident: tally.peak_resident,
+            // `eval_ppl` is the driver's to fill in.
+            ..RoundRecord::default()
+        };
+        self.round += 1;
+        Ok(record)
+    }
+
+    /// The divergence checks run before every (non-neutralized) update
+    /// application. Non-finite aggregates always fail; the EMA multiplier
+    /// checks require `cfg.loss_spike_mult`.
+    fn check_watchdog(&self, mean_loss: f32, pseudo_grad_norm: f32) -> Result<()> {
+        let diverged = |reason: String| {
+            Err(CoreError::Divergence {
+                round: self.round,
+                reason,
+            })
+        };
+        if !pseudo_grad_norm.is_finite() {
+            return diverged(format!("aggregate norm {pseudo_grad_norm} is not finite"));
+        }
+        if !mean_loss.is_finite() {
+            return diverged(format!("mean client loss {mean_loss} is not finite"));
+        }
+        if let Some(mult) = self.cfg.loss_spike_mult {
+            if let Some(ema) = self.loss_ema {
+                if mean_loss as f64 > mult * ema {
+                    return diverged(format!(
+                        "mean client loss {mean_loss} > {mult}x EMA {ema:.4}"
+                    ));
+                }
+            }
+            if let Some(ema) = self.norm_ema {
+                if pseudo_grad_norm as f64 > mult * ema {
+                    return diverged(format!(
+                        "pseudo-gradient norm {pseudo_grad_norm} > {mult}x EMA {ema:.4}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A result frame that made it across the simulated Link.
+struct Delivered {
+    frame: bytes::Bytes,
+    /// Simulated milliseconds between the round start and the arrival.
+    lateness: u64,
+    /// Extra copies a duplicating link delivered.
+    duplicates: u32,
+}
+
+/// What one client thread reports back to the collect stage. Every
+/// outcome — including failures that used to panic the thread — is a
+/// message, so the round can translate them into accounting or a typed
+/// [`CoreError`].
+enum ClientReply {
+    /// A result frame, plus the simulated turbulence to apply to it on the
+    /// aggregator side of the Link.
+    Frame {
+        client_id: u32,
+        frame: bytes::Bytes,
+        /// Injected straggler delay (simulated ms).
+        delay_ms: u64,
+        /// How many leading transmissions arrive corrupted.
+        corrupt_attempts: u32,
+    },
+    /// Mid-round disconnect: no result frame will come.
+    Crash { client_id: u32 },
+    /// The client could not run the round (e.g. the broadcast frame failed
+    /// to decode); surfaced as [`CoreError::ClientFailure`].
+    Error { client_id: u32, message: String },
+}
+
+impl ClientReply {
+    /// The sender, for deterministic (id-ordered) reply processing.
+    fn client_id(&self) -> u32 {
+        match self {
+            ClientReply::Frame { client_id, .. }
+            | ClientReply::Crash { client_id }
+            | ClientReply::Error { client_id, .. } => *client_id,
+        }
+    }
+}
+
+/// One client's side of a round: decode the broadcast, honour any
+/// scheduled fault, train, and frame the result. Runs on the client's
+/// thread; never panics.
+fn client_round(
+    client: &mut LlmClient,
+    broadcast: bytes::Bytes,
+    round: u64,
+    cohort_ids: &[u32],
+    cfg: &FederationConfig,
+    fault: Option<ClientFault>,
+) -> ClientReply {
+    let client_id = client.id();
+    // Each client gets its own trace lane (`tid` = 1 + id; 0 is the
+    // aggregator/driver), so per-client spans never interleave.
+    photon_trace::set_actor(1 + client_id);
+    let params = match photon_comms::Message::from_frame(broadcast) {
+        Ok(photon_comms::Message::ModelBroadcast { round: r, params }) => {
+            debug_assert_eq!(r, round);
+            params
+        }
+        Ok(other) => {
+            return ClientReply::Error {
+                client_id,
+                message: format!("expected a model broadcast, got {other:?}"),
+            }
+        }
+        Err(e) => {
+            return ClientReply::Error {
+                client_id,
+                message: format!("broadcast frame corrupt: {e}"),
+            }
+        }
+    };
+    if client.fails_on(round) || fault == Some(ClientFault::Crash) {
+        // Simulated mid-round disconnect: no result frame.
+        return ClientReply::Crash { client_id };
+    }
+    let mut outcome = {
+        let mut step_span = photon_trace::span(photon_trace::Phase::LocalStep)
+            .arg("client", client_id as u64)
+            .arg("round", round);
+        let outcome = match client.run_round(&params, round, cohort_ids, cfg) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                return ClientReply::Error {
+                    client_id,
+                    message: e.to_string(),
+                }
+            }
+        };
+        step_span.set_arg("tokens", outcome.metrics.tokens);
+        step_span.set_arg("steps", outcome.metrics.steps);
+        photon_trace::counter_add("client.steps", outcome.metrics.steps);
+        photon_trace::counter_add("client.tokens", outcome.metrics.tokens);
+        outcome
+    };
+    // Byzantine faults poison the result AFTER honest local training, so
+    // the client's own state stays on the deterministic trajectory and
+    // only the reported delta is adversarial.
+    match fault {
+        Some(ClientFault::NanUpdate) => outcome.delta.fill(f32::NAN),
+        Some(ClientFault::SignFlip) => {
+            for v in &mut outcome.delta {
+                *v = -*v;
+            }
+        }
+        Some(ClientFault::Scale { factor }) => {
+            for v in &mut outcome.delta {
+                *v = (*v as f64 * factor) as f32;
+            }
+        }
+        _ => {}
+    }
+    let frame = photon_comms::Message::ClientResult {
+        round,
+        client_id,
+        delta: outcome.delta,
+        weight: outcome.weight,
+        metrics: outcome.metrics,
+    }
+    .to_frame_opts(cfg.wire_opts());
+    let (delay_ms, corrupt_attempts) = match fault {
+        Some(ClientFault::Straggle { delay_ms }) => (delay_ms, 0),
+        Some(ClientFault::Corrupt { attempts }) => (0, attempts),
+        _ => (0, 0),
+    };
+    ClientReply::Frame {
+        client_id,
+        frame,
+        delay_ms,
+        corrupt_attempts,
+    }
+}
+
+/// Seed for the Link-layer bit flips of one client's result this round:
+/// pure in `(seed, round, client)` so replays corrupt the same bits.
+fn mix_link_seed(seed: u64, round: u64, client: u32) -> u64 {
+    seed ^ round
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((client as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+        .rotate_left(23)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::aggregator::tests::quick_cfg;
+    use crate::hierarchy::HierarchyConfig;
+    use crate::{
+        build_federation, FaultCounters, FaultInjector, FaultSpec, FederationConfig, RoundRecord,
+    };
+
+    fn four_shards() -> Option<HierarchyConfig> {
+        Some(HierarchyConfig {
+            shards: 4,
+            ..HierarchyConfig::default()
+        })
+    }
+
+    #[test]
+    fn a_tree_round_that_fails_the_partial_gate_records_no_faults() {
+        let mut cfg = quick_cfg(8);
+        cfg.hierarchy = four_shards();
+        cfg.allow_partial_results = false;
+        let spec = FaultSpec::parse("shards=4,crash@r0c5,shardhang@r0s2,seed=3").unwrap();
+        let injector = FaultInjector::from_spec(&spec, cfg.population, 1);
+        let mut fed = build_federation(&cfg, 2_000).unwrap();
+        let err = fed
+            .aggregator
+            .run_round_with(&mut fed.clients, Some(&injector))
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("expected 8 results, got 7"),
+            "{err}"
+        );
+        assert_eq!(fed.aggregator.round(), 0, "a failed round does not advance");
+        // The recovery driver replays this round; had the failed attempt
+        // bumped the crash and shard-hang counters, the replay would count
+        // them twice.
+        assert_eq!(
+            fed.aggregator.telemetry().fault_counters(),
+            FaultCounters::default()
+        );
+    }
+
+    /// Runs `rounds` rounds twice from one config — through the simulated
+    /// transport, and by training the same clients by hand and entering at
+    /// `commit_external_round` — and requires the two aggregators to agree.
+    fn sim_and_external_agree(cfg: &FederationConfig, rounds: u64) {
+        let mut sim = build_federation(cfg, 2_000).unwrap();
+        let mut ext = build_federation(cfg, 2_000).unwrap();
+        let cohort: Vec<u32> = (0..cfg.population as u32).collect();
+        for round in 0..rounds {
+            let want = sim.aggregator.run_round(&mut sim.clients).unwrap();
+            let mut results = Vec::new();
+            for client in &mut ext.clients {
+                let out = client
+                    .run_round(ext.aggregator.params(), round, &cohort, cfg)
+                    .unwrap();
+                results.push((client.id(), out.delta, out.weight, out.metrics));
+            }
+            // A real transport delivers in any order and may re-deliver.
+            results.reverse();
+            results.push(results[0].clone());
+            let got = ext
+                .aggregator
+                .commit_external_round(results, &cohort, 0)
+                .unwrap();
+            // Only what the wire moved may differ between the transports.
+            let sans_wire = |r: RoundRecord| RoundRecord { wire_bytes: 0, ..r };
+            assert_eq!(sans_wire(got), sans_wire(want), "round {round}");
+            let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(ext.aggregator.params()),
+                bits(sim.aggregator.params()),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_external_entry_matches_the_simulated_round_flat() {
+        sim_and_external_agree(&quick_cfg(3), 3);
+    }
+
+    #[test]
+    fn the_external_entry_matches_the_simulated_round_through_the_shard_tree() {
+        let mut cfg = quick_cfg(8);
+        cfg.hierarchy = four_shards();
+        sim_and_external_agree(&cfg, 3);
+        let mut fed = build_federation(&cfg, 2_000).unwrap();
+        let record = fed.aggregator.run_round(&mut fed.clients).unwrap();
+        assert_eq!(record.shards, 4, "the tree merge ran");
+    }
+}

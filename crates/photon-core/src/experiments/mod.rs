@@ -205,32 +205,9 @@ pub fn run_centralized(
         history.push(RoundRecord {
             round: chunk,
             cohort: vec![0],
-            dropouts: 0,
-            stragglers: 0,
-            retransmits: 0,
             mean_client_loss: mean_loss,
-            pseudo_grad_norm: 0.0,
-            wire_bytes: 0,
             eval_ppl: Some(report.perplexity),
-            guard_rejected: 0,
-            guard_clipped: 0,
-            quarantined: 0,
-            neutralized: false,
-            joined: 0,
-            departed: 0,
-            lease_expired: 0,
-            rejoined: 0,
-            buffered: 0,
-            commit_deferred: false,
-            degraded: false,
-            unreachable: 0,
-            effective_deadline_ms: None,
-            shards: 0,
-            shard_degraded: 0,
-            shard_crashes: 0,
-            shard_hangs: 0,
-            reparented: 0,
-            peak_resident: 0,
+            ..RoundRecord::default()
         });
         if stop_below.is_some_and(|t| report.perplexity <= t) {
             break;

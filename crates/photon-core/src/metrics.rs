@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Summary of one federated round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundRecord {
     /// Round index.
     pub round: u64,
@@ -171,32 +171,11 @@ mod tests {
         RoundRecord {
             round,
             cohort: vec![0, 1],
-            dropouts: 0,
-            stragglers: 0,
-            retransmits: 0,
             mean_client_loss: 2.0,
             pseudo_grad_norm: 0.5,
             wire_bytes: 100,
             eval_ppl: ppl,
-            guard_rejected: 0,
-            guard_clipped: 0,
-            quarantined: 0,
-            neutralized: false,
-            joined: 0,
-            departed: 0,
-            lease_expired: 0,
-            rejoined: 0,
-            buffered: 0,
-            commit_deferred: false,
-            degraded: false,
-            unreachable: 0,
-            effective_deadline_ms: None,
-            shards: 0,
-            shard_degraded: 0,
-            shard_crashes: 0,
-            shard_hangs: 0,
-            reparented: 0,
-            peak_resident: 0,
+            ..RoundRecord::default()
         }
     }
 

@@ -118,6 +118,15 @@ impl BufferedUpdate {
     pub fn staleness_at(&self, round: u64) -> u64 {
         round.saturating_sub(self.origin_round)
     }
+
+    /// The update as a commit at `round` weighs it: the base weight scaled
+    /// by its [`staleness_factor`]. The base weight was validated at
+    /// arrival and the factor is in (0, 1], so the product stays positive
+    /// and finite.
+    fn weighted_at(self, round: u64, decay: f64) -> ClientUpdate {
+        let weight = self.base_weight * staleness_factor(self.staleness_at(round), decay);
+        ClientUpdate::new(self.delta, weight).expect("staleness scaling preserves weight validity")
+    }
 }
 
 /// A committed merge batch, ready for guard screening and aggregation.
@@ -185,6 +194,16 @@ impl UpdateBuffer {
         self.pending(round) >= quorum
     }
 
+    /// Removes and returns every update that has arrived by `round`, in
+    /// arrival (insertion) order; updates still in flight stay buffered.
+    fn drain_pending(&mut self, round: u64) -> Vec<BufferedUpdate> {
+        let (pending, deferred) = std::mem::take(&mut self.entries)
+            .into_iter()
+            .partition(|e| e.arrival_round <= round);
+        self.entries = deferred;
+        pending
+    }
+
     /// Drains every update that has arrived by `round` into a
     /// deterministic [`CommitBatch`], scaling each base weight by its
     /// [`staleness_factor`]. Returns `None` when nothing is pending.
@@ -194,25 +213,7 @@ impl UpdateBuffer {
     /// weights, which makes a full-quorum zero-staleness commit bitwise
     /// identical to the synchronous merge.
     pub fn commit(&mut self, round: u64, decay: f64) -> Option<CommitBatch> {
-        let mut batch: Vec<BufferedUpdate> = Vec::new();
-        self.entries.retain_mut(|e| {
-            if e.arrival_round <= round {
-                batch.push(std::mem::replace(
-                    e,
-                    BufferedUpdate {
-                        client_id: 0,
-                        origin_round: 0,
-                        arrival_round: 0,
-                        base_weight: 0.0,
-                        mean_loss: 0.0,
-                        delta: Vec::new(),
-                    },
-                ));
-                false
-            } else {
-                true
-            }
-        });
+        let mut batch = self.drain_pending(round);
         if batch.is_empty() {
             return None;
         }
@@ -228,19 +229,11 @@ impl UpdateBuffer {
             stale: 0,
         };
         for entry in batch {
-            let s = entry.staleness_at(round);
-            if s > 0 {
-                out.stale += 1;
-            }
-            let weight = entry.base_weight * staleness_factor(s, decay);
-            // base_weight was validated at arrival and the factor is in
-            // (0, 1], so the product stays positive and finite.
-            let update = ClientUpdate::new(entry.delta, weight)
-                .expect("staleness scaling preserves weight validity");
+            out.stale += usize::from(entry.staleness_at(round) > 0);
             out.client_ids.push(entry.client_id);
             out.origin_rounds.push(entry.origin_round);
-            out.updates.push(update);
             out.losses.push(entry.mean_loss);
+            out.updates.push(entry.weighted_at(round, decay));
         }
         commit_span.set_arg("stale", out.stale as u64);
         photon_trace::counter_add("buffer.committed_updates", out.updates.len() as u64);
@@ -262,25 +255,7 @@ impl UpdateBuffer {
         decay: f64,
         max_resident: usize,
     ) -> Option<StreamingCommit> {
-        let mut batch: Vec<BufferedUpdate> = Vec::new();
-        self.entries.retain_mut(|e| {
-            if e.arrival_round <= round {
-                batch.push(std::mem::replace(
-                    e,
-                    BufferedUpdate {
-                        client_id: 0,
-                        origin_round: 0,
-                        arrival_round: 0,
-                        base_weight: 0.0,
-                        mean_loss: 0.0,
-                        delta: Vec::new(),
-                    },
-                ));
-                false
-            } else {
-                true
-            }
-        });
+        let batch = self.drain_pending(round);
         if batch.is_empty() {
             return None;
         }
@@ -303,17 +278,12 @@ impl UpdateBuffer {
             peak_resident: 0,
         };
         for entry in batch {
-            let s = entry.staleness_at(round);
-            if s > 0 {
-                out.stale += 1;
-            }
-            let weight = entry.base_weight * staleness_factor(s, decay);
-            let update = ClientUpdate::new(entry.delta, weight)
-                .expect("staleness scaling preserves weight validity");
+            out.stale += usize::from(entry.staleness_at(round) > 0);
             out.client_ids.push(entry.client_id);
             out.origin_rounds.push(entry.origin_round);
             out.losses.push(entry.mean_loss);
-            merge.push((entry.origin_round, entry.client_id), update);
+            let key = (entry.origin_round, entry.client_id);
+            merge.push(key, entry.weighted_at(round, decay));
         }
         commit_span.set_arg("stale", out.stale as u64);
         photon_trace::counter_add("buffer.committed_updates", out.client_ids.len() as u64);
