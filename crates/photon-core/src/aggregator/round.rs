@@ -8,9 +8,10 @@
 //! * **plan** applies membership churn, draws the cohort and the round's
 //!   scheduled faults, and fixes the straggler deadline ([`RoundPlan`]).
 //! * **transport** broadcasts the model and runs the sampled clients on
-//!   scoped threads. It is the only simulator-specific stage: the TCP
-//!   coordinator in `photon-net` moves the same frames over sockets and
-//!   enters at [`Aggregator::commit_external_round`].
+//!   at most `pool::max_threads()` scoped lane threads, which own the
+//!   core budget for the round. It is the only simulator-specific stage:
+//!   the TCP coordinator in `photon-net` moves the same frames over
+//!   sockets and enters at [`Aggregator::commit_external_round`].
 //! * **collect** carries each reply across the simulated link (chaos,
 //!   retransmits, deadline), decodes it and removes re-deliveries
 //!   ([`Arrival`], [`RoundAccounting`]).
@@ -28,11 +29,12 @@ use crate::faults::{ClientFault, FaultInjector};
 use crate::hierarchy::{HierarchyConfig, ShardPartition, ShardTree};
 use crate::membership::ChurnEvents;
 use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord};
-use crossbeam::channel::unbounded;
+use parking_lot::Mutex;
 use photon_comms::{PartitionKind, TrainMetrics};
 use photon_fedopt::{
     canonical_fold, sample_live, AggregationKind, BufferedUpdate, ClientUpdate, StreamingMerge,
 };
+use photon_tensor::ops::pool;
 use std::collections::BTreeMap;
 
 /// EMA blend for the watchdog's loss/norm trackers: history-weighted
@@ -211,8 +213,8 @@ fn note_shard_degraded(shard: u32, round: u64, crash: bool, slice: usize) {
 
 impl Aggregator {
     /// Executes one federated round (Algorithm 1, L.4–11): samples the
-    /// cohort, broadcasts the model as a Link frame, runs each sampled
-    /// client on its own thread, decodes result frames, aggregates and
+    /// cohort, broadcasts the model as a Link frame, runs the sampled
+    /// clients on client lanes, decodes result frames, aggregates and
     /// applies the server optimizer.
     ///
     /// # Errors
@@ -234,6 +236,20 @@ impl Aggregator {
         clients: &mut [LlmClient],
         injector: Option<&FaultInjector>,
     ) -> Result<RoundRecord> {
+        self.run_round_on_lanes(clients, injector, pool::max_threads())
+    }
+
+    /// [`Aggregator::run_round_with`] on at most `max_lanes` client lanes
+    /// in place of one per core. The lane count is scheduling only; this
+    /// entry exists for the test that holds every round output equal
+    /// across lane counts.
+    #[doc(hidden)]
+    pub fn run_round_on_lanes(
+        &mut self,
+        clients: &mut [LlmClient],
+        injector: Option<&FaultInjector>,
+        max_lanes: usize,
+    ) -> Result<RoundRecord> {
         // Observability: freeze the simulated clock at the round start so
         // every event this round emits carries the same replayable
         // timestamp, then open the round's root span on the driver lane.
@@ -247,7 +263,7 @@ impl Aggregator {
         round_span.set_sim_dur_us(round_ms.saturating_mul(1_000));
 
         let plan = self.plan(clients, injector)?;
-        let (replies, broadcast_bytes) = self.transport(&plan, clients, injector)?;
+        let (replies, broadcast_bytes) = self.transport(&plan, clients, injector, max_lanes)?;
         let (arrivals, acct) = self.collect(&plan, replies, broadcast_bytes, injector)?;
         self.merge_and_commit(&mut round_span, plan, arrivals, acct)
     }
@@ -481,13 +497,18 @@ impl Aggregator {
     // ---------------------------------------------------------------
 
     /// L.5–6: broadcasts the model as one shared Link frame and trains the
-    /// cohort in parallel, one scoped thread per sampled client. Returns
-    /// the replies in client-id order plus the broadcast bytes charged.
+    /// cohort on `min(cohort, max_lanes)` scoped lane threads that claim
+    /// clients from one queue. The lanes divide the caller's execution
+    /// width and keep its chunk count ([`pool::Context::lanes`]), so with
+    /// a lane per core every kernel runs inline on its lane and the result
+    /// does not depend on the lane count. Returns the replies in client-id
+    /// order plus the broadcast bytes charged.
     fn transport(
         &self,
         plan: &RoundPlan,
         clients: &mut [LlmClient],
         injector: Option<&FaultInjector>,
+        max_lanes: usize,
     ) -> Result<(Vec<ClientReply>, u64)> {
         let cohort = plan.cohort_idx.len();
         let broadcast = {
@@ -502,51 +523,36 @@ impl Aggregator {
         let broadcast_bytes = broadcast.len() as u64 * (cohort - plan.severed_full) as u64;
         photon_trace::counter_add("round.broadcast_bytes", broadcast_bytes);
 
-        let (tx, rx) = unbounded::<ClientReply>();
-        let round = self.round;
-        let cfg = &self.cfg;
-        let cohort_ids = &plan.cohort_ids;
-        // Membership test via sorted lookup: the provisioned roster can be
-        // 10^5+ clients while the cohort is thousands, so a linear
-        // `contains` per client would make the spawn loop O(pop × cohort).
+        // The cohort's clients, picked out of the roster by ascending
+        // index: O(cohort) however many clients are provisioned.
         let mut cohort_sorted = plan.cohort_idx.clone();
         cohort_sorted.sort_unstable();
-        let all_joined = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(cohort_sorted.len());
-            for (i, client) in clients.iter_mut().enumerate() {
-                if cohort_sorted.binary_search(&i).is_err() {
-                    continue;
-                }
-                let tx = tx.clone();
-                let frame = broadcast.clone();
-                handles.push(scope.spawn(move |_| {
-                    let id = client.id();
-                    // Send failures mean the aggregator stopped listening;
-                    // the thread just winds down (no panic either way).
-                    let _ = tx.send(client_round(client, frame, round, cohort_ids, cfg, {
-                        injector.and_then(|inj| inj.client_fault(round, id))
-                    }));
-                }));
-            }
-            // Join every handle (no short-circuit): a dropped handle
-            // detaches its thread, and a detach racing the exit of a thread
-            // that lives microseconds has crashed inside glibc. Joining
-            // also surfaces a panic here.
-            let mut all_joined = true;
-            for handle in handles {
-                all_joined &= handle.join().is_ok();
-            }
-            all_joined
-        })
-        .unwrap_or(false);
-        if !all_joined {
+        cohort_sorted.dedup();
+        let mut roster = clients.iter_mut();
+        let mut next = 0;
+        let members: Vec<&mut LlmClient> = cohort_sorted
+            .iter()
+            .map(|&i| {
+                let client = roster
+                    .nth(i - next)
+                    .expect("cohort index within the roster");
+                next = i + 1;
+                client
+            })
+            .collect();
+
+        let lanes = members.len().min(max_lanes);
+        let (round, cfg, cohort_ids) = (self.round, &self.cfg, &plan.cohort_ids);
+        let replies = on_lanes(members, lanes, |client| {
+            let fault = injector.and_then(|inj| inj.client_fault(round, client.id()));
+            client_round(client, broadcast.clone(), round, cohort_ids, cfg, fault)
+        });
+        let Some(mut replies) = replies else {
             return Err(CoreError::ClientFailure("a client thread panicked".into()));
-        }
-        drop(tx);
-        // Replies arrive in thread-completion order; hand them on in
-        // client-id order so the aggregator-side Link deliveries (and the
-        // trace events they emit) replay in a deterministic sequence.
-        let mut replies: Vec<ClientReply> = rx.iter().collect();
+        };
+        // Replies come back in completion order; hand them on in client-id
+        // order so the aggregator-side Link deliveries (and the trace
+        // events they emit) replay in a deterministic sequence.
         replies.sort_by_key(ClientReply::client_id);
         Ok((replies, broadcast_bytes))
     }
@@ -1360,6 +1366,45 @@ impl Aggregator {
     }
 }
 
+/// Runs `work` over `items` on `lanes` scoped threads that claim items
+/// from one queue, each under an equal share of the caller's execution
+/// width ([`pool::Context::lanes`]). Returns the results in no particular
+/// order, or `None` when a lane panicked. Every lane is joined either way,
+/// and the surviving lanes drain the queue, so no item runs twice and none
+/// is left unrun behind a lane that died.
+fn on_lanes<T: Send, R: Send>(
+    items: Vec<T>,
+    lanes: usize,
+    work: impl Fn(T) -> R + Sync,
+) -> Option<Vec<R>> {
+    let ctx = pool::Context::current().lanes(lanes);
+    let queue = Mutex::new(items.into_iter());
+    #[cfg(test)]
+    crate::thread_census::note_spawned(lanes);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..lanes)
+            .map(|_| {
+                scope.spawn(|| {
+                    ctx.enter(|| {
+                        // The lock covers the claim only, never the work.
+                        let claim = || queue.lock().next();
+                        let mut done = Vec::new();
+                        while let Some(item) = claim() {
+                            done.push(work(item));
+                        }
+                        done
+                    })
+                })
+            })
+            .collect();
+        // Join every lane before looking at any outcome: a scoped thread
+        // that panicked and was never joined would panic the scope itself.
+        let joined: Vec<_> = handles.into_iter().map(|lane| lane.join()).collect();
+        let per_lane: Option<Vec<Vec<R>>> = joined.into_iter().map(|lane| lane.ok()).collect();
+        per_lane.map(|done| done.into_iter().flatten().collect())
+    })
+}
+
 /// A result frame that made it across the simulated Link.
 struct Delivered {
     frame: bytes::Bytes,
@@ -1369,7 +1414,7 @@ struct Delivered {
     duplicates: u32,
 }
 
-/// What one client thread reports back to the collect stage. Every
+/// What one client's round reports back to the collect stage. Every
 /// outcome — including failures that used to panic the thread — is a
 /// message, so the round can translate them into accounting or a typed
 /// [`CoreError`].
@@ -1403,8 +1448,7 @@ impl ClientReply {
 }
 
 /// One client's side of a round: decode the broadcast, honour any
-/// scheduled fault, train, and frame the result. Runs on the client's
-/// thread; never panics.
+/// scheduled fault, train, and frame the result. Runs on a client lane.
 fn client_round(
     client: &mut LlmClient,
     broadcast: bytes::Bytes,
@@ -1415,7 +1459,8 @@ fn client_round(
 ) -> ClientReply {
     let client_id = client.id();
     // Each client gets its own trace lane (`tid` = 1 + id; 0 is the
-    // aggregator/driver), so per-client spans never interleave.
+    // aggregator/driver) whichever thread runs it, so per-client spans
+    // never interleave.
     photon_trace::set_actor(1 + client_id);
     let params = match photon_comms::Message::from_frame(broadcast) {
         Ok(photon_comms::Message::ModelBroadcast { round: r, params }) => {
@@ -1507,11 +1552,106 @@ fn mix_link_seed(seed: u64, round: u64, client: u32) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::on_lanes;
     use crate::aggregator::tests::quick_cfg;
     use crate::hierarchy::HierarchyConfig;
+    use crate::thread_census::spawned;
     use crate::{
-        build_federation, FaultCounters, FaultInjector, FaultSpec, FederationConfig, RoundRecord,
+        build_federation, CohortSpec, CoreError, DataSource, FaultCounters, FaultInjector,
+        FaultSpec, FederationConfig, LlmClient, RoundRecord,
     };
+    use photon_tensor::ops::pool;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn a_lane_that_panics_is_joined_and_the_others_finish_the_queue() {
+        let runs: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        let work = |i: usize| {
+            runs[i].fetch_add(1, Ordering::SeqCst);
+            assert!(i != 3, "item 3 fails");
+            i * 10
+        };
+        assert_eq!(on_lanes((0..8).collect(), 2, work), None);
+        let counts: Vec<usize> = runs.iter().map(|r| r.swap(0, Ordering::SeqCst)).collect();
+        assert_eq!(counts, [1; 8], "every item ran, none twice");
+
+        let mut clean = on_lanes((4..8).collect(), 3, work).expect("no lane panicked");
+        clean.sort_unstable();
+        assert_eq!(clean, [40, 50, 60, 70]);
+    }
+
+    #[test]
+    fn lanes_divide_the_width_and_inherit_the_rest_of_the_context() {
+        let outer = pool::Context {
+            chunks: 6,
+            width: 4,
+            backend: Some(photon_tensor::backend::BackendKind::Scalar),
+        };
+        let seen = outer.enter(|| on_lanes(vec![(); 2], 2, |()| pool::Context::current()));
+        assert_eq!(seen, Some(vec![outer.lanes(2); 2]));
+        assert_eq!(outer.lanes(2).width, 2);
+    }
+
+    /// A client bound to a shard shorter than one training window: its
+    /// first batch panics.
+    fn client_without_a_window(id: u32) -> LlmClient {
+        let shard = photon_data::Shard::from_range("short", std::sync::Arc::new(vec![1, 2]), 0, 2);
+        LlmClient::new(
+            id,
+            DataSource::new("short", shard),
+            None,
+            photon_tensor::SeedStream::new(0),
+        )
+    }
+
+    #[test]
+    fn a_client_that_panics_on_a_lane_fails_the_round() {
+        for max_lanes in [1, 2, 5] {
+            let mut fed = build_federation(&quick_cfg(5), 2_000).unwrap();
+            fed.clients[1] = client_without_a_window(1);
+            let err = fed
+                .aggregator
+                .run_round_on_lanes(&mut fed.clients, None, max_lanes)
+                .unwrap_err();
+            assert!(
+                matches!(&err, CoreError::ClientFailure(m) if m.contains("panicked")),
+                "{max_lanes} lane(s): {err}"
+            );
+            assert_eq!(fed.aggregator.round(), 0, "a failed round does not advance");
+        }
+    }
+
+    #[test]
+    fn a_256_client_tree_round_starts_no_more_threads_than_the_budget() {
+        let mut cfg = quick_cfg(300);
+        cfg.cohort = CohortSpec::Sample { k: 256 };
+        cfg.local_steps = 1;
+        cfg.local_batch = 1;
+        cfg.hierarchy = Some(HierarchyConfig {
+            shards: 8,
+            ..HierarchyConfig::default()
+        });
+        let mut fed = build_federation(&cfg, 100).unwrap();
+        // Spawn sites count on the spawning thread: the lanes show up here,
+        // and what a lane itself would start shows up when this thread
+        // plays a lane (one core to give) below.
+        let before = spawned();
+        let record = fed.aggregator.run_round(&mut fed.clients).unwrap();
+        assert_eq!(record.cohort.len(), 256);
+        let lanes = pool::max_threads().min(256);
+        assert_eq!(spawned() - before, lanes);
+
+        let before = spawned();
+        let cohort: Vec<u32> = record.cohort.iter().map(|&i| i as u32).collect();
+        pool::Context::current().lanes(lanes).enter(|| {
+            for &id in &cohort {
+                fed.clients[id as usize]
+                    .run_round(fed.aggregator.params(), 1, &cohort, &cfg)
+                    .unwrap();
+            }
+        });
+        assert_eq!(spawned() - before, 0, "a client trains on its lane");
+    }
 
     fn four_shards() -> Option<HierarchyConfig> {
         Some(HierarchyConfig {

@@ -1,9 +1,8 @@
 use crate::{DataSource, DdpConfig, FederationConfig};
 use photon_cluster::{select_strategy, SiloSpec, TrainingStrategy};
 use photon_comms::{mask_update, TrainMetrics};
-use photon_data::Batch;
-use photon_nn::{Activations, Gpt};
-use photon_optim::{clip_global_norm, AdamW, Optimizer};
+use photon_optim::{clip_global_norm, AdamW};
+use photon_tensor::ops::pool;
 use photon_tensor::SeedStream;
 
 /// The result of one client's local round (before Link framing).
@@ -135,7 +134,7 @@ impl LlmClient {
         } else {
             // Standard distributed training across the silo's GPUs
             // (Algorithm 1, L.16–18). Stateless: fresh optimizer per round.
-            let ddp_cfg = self.ddp_config(round, workers, cfg);
+            let ddp_cfg = self.ddp_config(round, cfg);
             let streams = if workers == 1 {
                 vec![self.ds.bind_stream(round_rng.split("round-stream"))]
             } else {
@@ -161,8 +160,7 @@ impl LlmClient {
         })
     }
 
-    fn ddp_config(&self, round: u64, workers: usize, cfg: &FederationConfig) -> DdpConfig {
-        let _ = workers;
+    fn ddp_config(&self, round: u64, cfg: &FederationConfig) -> DdpConfig {
         DdpConfig {
             model: cfg.model,
             per_worker_batch: cfg.local_batch,
@@ -187,36 +185,38 @@ impl LlmClient {
         cfg: &FederationConfig,
         rng: &mut SeedStream,
     ) -> crate::Result<(Vec<f32>, TrainMetrics)> {
-        let ddp_cfg = self.ddp_config(round, 1, cfg);
+        let ddp_cfg = self.ddp_config(round, cfg);
         let streams = self.ds.partition_streams(partitions, rng);
-        // Like DDP replicas, concurrent sub-federation nodes split the
-        // caller's kernel-thread budget rather than oversubscribing it.
-        let kernel_threads =
-            (photon_tensor::ops::pool::effective_parallelism() / partitions.max(1)).max(1);
+        // Concurrent nodes take equal shares of this client's compute
+        // context, like DDP replicas.
+        let ctx = pool::Context::current().split(partitions);
         let panic_scheduled = self.panic_node_rounds.contains(&round);
         let client_id = self.id;
-        let handles: Vec<_> = streams
-            .into_iter()
-            .enumerate()
-            .map(|(node, stream)| {
-                let ddp_cfg = ddp_cfg.clone();
-                let global = global.to_vec();
-                std::thread::spawn(move || {
-                    if panic_scheduled && node == 0 {
-                        panic!("injected sub-federation node fault (client {client_id}, round {round})");
-                    }
-                    photon_tensor::ops::pool::with_parallelism(kernel_threads, move || {
-                        crate::ddp_train(&global, &ddp_cfg, vec![stream])
+        #[cfg(test)]
+        crate::thread_census::note_spawned(streams.len());
+        // Scoped threads: every node is joined before a failure surfaces,
+        // so a panicking node never leaves siblings running into the next
+        // round, and the nodes read `global` in place.
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = streams
+                .into_iter()
+                .enumerate()
+                .map(|(node, stream)| {
+                    let ddp_cfg = &ddp_cfg;
+                    scope.spawn(move || {
+                        if panic_scheduled && node == 0 {
+                            panic!("injected sub-federation node fault (client {client_id}, round {round})");
+                        }
+                        ctx.enter(|| crate::ddp_train(global, ddp_cfg, vec![stream]))
                     })
                 })
-            })
-            .collect();
-        // Join every node before surfacing a failure, so a panicking node
-        // never leaves siblings running detached into the next round.
-        let mut results = Vec::with_capacity(handles.len());
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let mut results = Vec::with_capacity(joined.len());
         let mut failure: Option<String> = None;
-        for (node, h) in handles.into_iter().enumerate() {
-            match h.join() {
+        for (node, outcome) in joined.into_iter().enumerate() {
+            match outcome {
                 Ok(result) => results.push(result),
                 Err(payload) => {
                     let reason = payload
@@ -265,41 +265,17 @@ impl LlmClient {
         cfg: &FederationConfig,
         rng: &mut SeedStream,
     ) -> (Vec<f32>, TrainMetrics) {
-        let mut model = Gpt::from_params(cfg.model, global.to_vec());
+        let ddp_cfg = self.ddp_config(round, cfg);
+        let stream = self.ds.bind_stream(rng.split("round-stream"));
         let opt = self
             .opt_state
             .get_or_insert_with(|| AdamW::new(cfg.adamw, global.len()));
-        let mut stream = self.ds.bind_stream(rng.split("round-stream"));
-        let mut acts = Activations::new(&cfg.model, cfg.local_batch, cfg.model.seq_len);
-        let mut grads = model.grad_buffer();
-        let mut batch = Batch::zeros(cfg.local_batch, cfg.model.seq_len);
-        let mut loss_sum = 0.0f64;
-        for i in 0..cfg.local_steps {
-            stream.next_batch(&mut batch);
-            grads.iter_mut().for_each(|g| *g = 0.0);
-            let loss = model
-                .forward(&batch.inputs, Some(&batch.targets), &mut acts)
-                .expect("targets provided");
-            loss_sum += loss as f64;
-            model.backward(&batch.inputs, &batch.targets, &mut acts, &mut grads);
-            if let Some(mu) = cfg.fedprox_mu {
-                let w = model.params();
-                for ((g, &wi), &ai) in grads.iter_mut().zip(w).zip(global) {
-                    *g += mu * (wi - ai);
-                }
-            }
-            if let Some(max_norm) = cfg.grad_clip {
-                clip_global_norm(&mut grads, max_norm);
-            }
-            let lr = cfg.schedule.lr_at(round * cfg.local_steps + i);
-            opt.step(model.params_mut(), &grads, lr);
-        }
-        let tokens = cfg.local_steps * (cfg.local_batch * cfg.model.seq_len) as u64;
+        let (params, mean_loss) = crate::ddp::train_replica(global, &ddp_cfg, opt, stream, None);
         (
-            model.into_params(),
+            params,
             TrainMetrics {
-                mean_loss: (loss_sum / cfg.local_steps.max(1) as f64) as f32,
-                tokens,
+                mean_loss,
+                tokens: cfg.local_steps * (cfg.local_batch * cfg.model.seq_len) as u64,
                 steps: cfg.local_steps,
             },
         )
@@ -335,7 +311,7 @@ impl LlmClient {
 mod tests {
     use super::*;
     use photon_data::Shard;
-    use photon_nn::ModelConfig;
+    use photon_nn::{Gpt, ModelConfig};
     use std::sync::Arc;
 
     fn test_cfg() -> FederationConfig {

@@ -9,10 +9,11 @@
 //! This module serves both the centralized baseline and the RDMA branch of
 //! the LLM client's local pipeline (Algorithm 1, L.16–18).
 
-use photon_comms::ring_allreduce_group;
+use photon_comms::{ring_allreduce_group, RingWorker};
 use photon_data::{Batch, TokenStream};
 use photon_nn::{Activations, Gpt, ModelConfig};
 use photon_optim::{clip_global_norm, AdamW, AdamWConfig, LrSchedule, Optimizer};
+use photon_tensor::ops::pool;
 
 /// Configuration for one DDP training segment.
 #[derive(Debug, Clone)]
@@ -49,74 +50,94 @@ pub struct DdpReport {
     pub steps: u64,
 }
 
+/// One replica's training segment: `cfg.steps` steps of `opt` from
+/// `params` over `stream`, gradients averaged over `ring` when there is
+/// one. Returns the trained parameters and the mean loss.
+pub(crate) fn train_replica(
+    params: &[f32],
+    cfg: &DdpConfig,
+    opt: &mut AdamW,
+    mut stream: Box<dyn TokenStream>,
+    mut ring: Option<RingWorker>,
+) -> (Vec<f32>, f32) {
+    let mut model = Gpt::from_params(cfg.model, params.to_vec());
+    let mut acts = Activations::new(&cfg.model, cfg.per_worker_batch, cfg.seq_len);
+    let mut grads = model.grad_buffer();
+    let mut batch = Batch::zeros(cfg.per_worker_batch, cfg.seq_len);
+    let mut loss_sum = 0.0f64;
+    for i in 0..cfg.steps {
+        stream.next_batch(&mut batch);
+        grads.iter_mut().for_each(|g| *g = 0.0);
+        let loss = model
+            .forward(&batch.inputs, Some(&batch.targets), &mut acts)
+            .expect("targets provided");
+        loss_sum += loss as f64;
+        model.backward(&batch.inputs, &batch.targets, &mut acts, &mut grads);
+        if let Some(mu) = cfg.fedprox_mu {
+            // The proximal anchor is the received model itself.
+            for ((g, &wi), &ai) in grads.iter_mut().zip(model.params()).zip(params) {
+                *g += mu * (wi - ai);
+            }
+        }
+        if let Some(ring) = ring.as_mut() {
+            ring.allreduce_mean(&mut grads);
+        }
+        if let Some(max_norm) = cfg.grad_clip {
+            clip_global_norm(&mut grads, max_norm);
+        }
+        let lr = cfg.schedule.lr_at(cfg.start_step + i);
+        opt.step(model.params_mut(), &grads, lr);
+    }
+    let mean = (loss_sum / cfg.steps.max(1) as f64) as f32;
+    (model.into_params(), mean)
+}
+
 /// Runs synchronous data-parallel training from `params`, returning the
-/// updated parameters and a report. One worker per stream.
+/// updated parameters and a report. One worker per stream, each on a
+/// thread of its own (the ring all-reduce needs them concurrent) under an
+/// equal share of the caller's compute context — except that a single
+/// stream whose caller has one core to give (execution width 1: a client
+/// lane on a full machine) trains on the caller, where a thread of its own
+/// could only take turns with it.
 ///
 /// # Panics
-/// Panics if `streams` is empty, a worker thread panics, or the replicas
+/// Panics if `streams` is empty, a worker panics, or the replicas
 /// desynchronize (which would indicate a collective bug).
 pub fn ddp_train(
     params: &[f32],
     cfg: &DdpConfig,
-    streams: Vec<Box<dyn TokenStream>>,
+    mut streams: Vec<Box<dyn TokenStream>>,
 ) -> (Vec<f32>, DdpReport) {
     assert!(!streams.is_empty(), "ddp needs at least one worker");
     let n = streams.len();
-    let ring = ring_allreduce_group(n);
-    // Replica threads are themselves a layer of parallelism: divide the
-    // caller's kernel-thread budget between them instead of letting every
-    // replica fan out to the full pool (n replicas × full pool would
-    // oversubscribe the machine n-fold). Using the *effective* budget keeps
-    // nested drivers (sub-federation nodes running DDP) composable.
-    let kernel_threads = (photon_tensor::ops::pool::effective_parallelism() / n).max(1);
-
-    let handles: Vec<_> = streams
-        .into_iter()
-        .zip(ring)
-        .map(|(mut stream, mut ring)| {
-            let cfg = cfg.clone();
-            let params = params.to_vec();
-            std::thread::spawn(move || {
-                photon_tensor::ops::pool::with_parallelism(kernel_threads, move || {
-                    let anchor = cfg.fedprox_mu.map(|_| params.clone());
-                    let mut model = Gpt::from_params(cfg.model, params);
-                    let mut opt = AdamW::new(cfg.adamw, model.param_count());
-                    let mut acts = Activations::new(&cfg.model, cfg.per_worker_batch, cfg.seq_len);
-                    let mut grads = model.grad_buffer();
-                    let mut batch = Batch::zeros(cfg.per_worker_batch, cfg.seq_len);
-                    let mut loss_sum = 0.0f64;
-                    for i in 0..cfg.steps {
-                        stream.next_batch(&mut batch);
-                        grads.iter_mut().for_each(|g| *g = 0.0);
-                        let loss = model
-                            .forward(&batch.inputs, Some(&batch.targets), &mut acts)
-                            .expect("targets provided");
-                        loss_sum += loss as f64;
-                        model.backward(&batch.inputs, &batch.targets, &mut acts, &mut grads);
-                        if let (Some(mu), Some(anchor)) = (cfg.fedprox_mu, anchor.as_ref()) {
-                            let w = model.params();
-                            for ((g, &wi), &ai) in grads.iter_mut().zip(w).zip(anchor) {
-                                *g += mu * (wi - ai);
-                            }
-                        }
-                        ring.allreduce_mean(&mut grads);
-                        if let Some(max_norm) = cfg.grad_clip {
-                            clip_global_norm(&mut grads, max_norm);
-                        }
-                        let lr = cfg.schedule.lr_at(cfg.start_step + i);
-                        opt.step(model.params_mut(), &grads, lr);
-                    }
-                    let mean = (loss_sum / cfg.steps.max(1) as f64) as f32;
-                    (model.into_params(), mean)
+    // Stateless: every replica starts the segment with a fresh optimizer.
+    let replica = |stream, ring| {
+        let mut opt = AdamW::new(cfg.adamw, params.len());
+        train_replica(params, cfg, &mut opt, stream, ring)
+    };
+    let ctx = pool::Context::current().split(n);
+    // At width > 1 a single stream keeps its thread: the one-client-per-
+    // process path trains measurably faster with the round's model-sized
+    // buffers off the connection thread (DESIGN.md §4.8).
+    let mut results: Vec<(Vec<f32>, f32)> = if n == 1 && ctx.width == 1 {
+        vec![replica(streams.pop().expect("one stream"), None)]
+    } else {
+        #[cfg(test)]
+        crate::thread_census::note_spawned(n);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = streams
+                .into_iter()
+                .zip(ring_allreduce_group(n))
+                .map(|(stream, ring)| {
+                    scope.spawn(move || ctx.enter(|| replica(stream, Some(ring))))
                 })
-            })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("ddp worker panicked"))
+                .collect()
         })
-        .collect();
-
-    let mut results: Vec<(Vec<f32>, f32)> = handles
-        .into_iter()
-        .map(|h| h.join().expect("ddp worker panicked"))
-        .collect();
+    };
 
     // Replicas must be exactly synchronized: the ring produces bitwise
     // identical reduced gradients and the optimizers are deterministic.
@@ -218,6 +239,38 @@ mod tests {
         let (out, report) = ddp_train(&params, &cfg, streams(1, 200, 3));
         assert_ne!(out, params);
         assert_eq!(report.steps, 10);
+    }
+
+    #[test]
+    fn a_single_stream_on_a_one_core_caller_gets_no_thread() {
+        use crate::thread_census::spawned;
+        let cfg = tiny_cfg(2);
+        let params = init_params(&cfg);
+        let run = |width, n| {
+            let before = spawned();
+            let out = pool::Context {
+                chunks: 4,
+                width,
+                backend: None,
+            }
+            .enter(|| ddp_train(&params, &cfg, streams(n, 200, 3)));
+            (out, spawned() - before)
+        };
+        let (on_the_caller, threads) = run(1, 1);
+        assert_eq!(threads, 0, "a lane that owns one core trains on itself");
+        let (on_a_thread, threads) = run(4, 1);
+        assert_eq!(threads, 1);
+        assert_eq!(
+            on_the_caller, on_a_thread,
+            "where it runs is not arithmetic"
+        );
+
+        // Two streams are concurrent at any width (the ring needs it), and
+        // their arithmetic depends on the caller's chunk budget over the
+        // replica count, never on its execution width.
+        let (narrow, threads) = run(1, 2);
+        assert_eq!(threads, 2);
+        assert_eq!(narrow, run(4, 2).0);
     }
 
     #[test]

@@ -73,3 +73,24 @@ pub use telemetry::{ClientStats, FaultCounters, Telemetry};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
+
+/// Test-only census of the OS threads this crate starts. Each spawn site
+/// adds to a counter on the *spawning* thread, so a test reads what its
+/// own thread started and sibling tests cannot disturb the count.
+#[cfg(test)]
+pub(crate) mod thread_census {
+    use std::cell::Cell;
+
+    thread_local! {
+        static SPAWNED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn note_spawned(n: usize) {
+        SPAWNED.with(|s| s.set(s.get() + n));
+    }
+
+    /// Threads the calling thread has started so far.
+    pub(crate) fn spawned() -> usize {
+        SPAWNED.with(Cell::get)
+    }
+}

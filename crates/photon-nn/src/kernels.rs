@@ -16,7 +16,7 @@
 //! (layernorm/matmul weight and bias gradients) accumulate into per-chunk
 //! partial buffers and reduce them in deterministic chunk order.
 
-use photon_tensor::backend;
+use photon_tensor::backend::{self, Backend};
 use photon_tensor::ops::{add_bias_rows, gemm_auto, pool, Gemm};
 use std::ops::Range;
 
@@ -82,7 +82,9 @@ pub fn encoder_backward(dwte: &mut [f32], dout: &[f32], tokens: &[u32], bt: usiz
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn layernorm_rows(
+    bk: &dyn Backend,
     out: &mut [f32],
     mean: &mut [f32],
     rstd: &mut [f32],
@@ -91,7 +93,6 @@ fn layernorm_rows(
     bias: &[f32],
     c: usize,
 ) {
-    let bk = backend::active();
     for (i, (x, o)) in inp_rows
         .chunks_exact(c)
         .zip(out.chunks_exact_mut(c))
@@ -122,6 +123,9 @@ pub fn layernorm_forward(
         .arg("bt", bt as u64)
         .arg("c", c as u64)
         .arg("backend", backend::active_kind().id());
+    // Resolved here, not in the tasks: a pool worker does not see the
+    // submitting thread's scoped backend.
+    let bk = backend::active();
     let ranges = row_chunks(bt, grain_for(c, 2048));
     let out_chunks = pool::split_rows(&mut out[..bt * c], c, &ranges);
     let mean_chunks = pool::split_rows(&mut mean[..bt], 1, &ranges);
@@ -133,7 +137,7 @@ pub fn layernorm_forward(
         .zip(&ranges)
         .map(|(((o, m), rs), r)| {
             let x = &inp[r.start * c..r.end * c];
-            Box::new(move || layernorm_rows(o, m, rs, x, weight, bias, c)) as pool::Task
+            Box::new(move || layernorm_rows(bk, o, m, rs, x, weight, bias, c)) as pool::Task
         })
         .collect();
     pool::run_tasks(tasks);
@@ -141,6 +145,7 @@ pub fn layernorm_forward(
 
 #[allow(clippy::too_many_arguments)]
 fn layernorm_backward_rows(
+    bk: &dyn Backend,
     dinp: &mut [f32],
     dweight: &mut [f32],
     dbias: &mut [f32],
@@ -152,7 +157,6 @@ fn layernorm_backward_rows(
     rows: usize,
     c: usize,
 ) {
-    let bk = backend::active();
     for i in 0..rows {
         let x = &inp[i * c..(i + 1) * c];
         let dy = &dout[i * c..(i + 1) * c];
@@ -183,9 +187,12 @@ pub fn layernorm_backward(
         .arg("bt", bt as u64)
         .arg("c", c as u64)
         .arg("backend", backend::active_kind().id());
+    let bk = backend::active();
     let ranges = row_chunks(bt, grain_for(c, 2048));
     if ranges.len() <= 1 {
-        layernorm_backward_rows(dinp, dweight, dbias, dout, inp, weight, mean, rstd, bt, c);
+        layernorm_backward_rows(
+            bk, dinp, dweight, dbias, dout, inp, weight, mean, rstd, bt, c,
+        );
         return;
     }
     let dinp_chunks = pool::split_rows(&mut dinp[..bt * c], c, &ranges);
@@ -201,6 +208,7 @@ pub fn layernorm_backward(
             let r = r.clone();
             Box::new(move || {
                 layernorm_backward_rows(
+                    bk,
                     di,
                     dw,
                     db,

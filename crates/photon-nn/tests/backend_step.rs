@@ -8,7 +8,7 @@
 //! trivially, which is the intended CI behavior on such machines.
 
 use photon_nn::{Activations, Gpt, ModelConfig};
-use photon_tensor::backend::{set_backend, BackendKind};
+use photon_tensor::backend::{with_backend, BackendKind};
 use photon_tensor::SeedStream;
 
 fn cfg() -> ModelConfig {
@@ -22,8 +22,13 @@ fn cfg() -> ModelConfig {
     }
 }
 
+/// Trains under `kind`, scoped to this call: the two tests of this binary
+/// run concurrently and must not see each other's backend.
 fn train(kind: BackendKind, steps: usize) -> (Vec<f32>, Vec<f32>) {
-    set_backend(kind);
+    with_backend(kind, || train_steps(steps))
+}
+
+fn train_steps(steps: usize) -> (Vec<f32>, Vec<f32>) {
     let cfg = cfg();
     let (b, t) = (2usize, cfg.seq_len);
     let mut rng = SeedStream::new(42);
@@ -56,7 +61,6 @@ fn train_step_losses_match_across_backends() {
     let steps = 4;
     let (loss_scalar, params_scalar) = train(BackendKind::Scalar, steps);
     let (loss_simd, params_simd) = train(BackendKind::Simd, steps);
-    set_backend(BackendKind::Scalar);
 
     for (i, (s, v)) in loss_scalar.iter().zip(&loss_simd).enumerate() {
         let rel = (s - v).abs() / s.abs().max(1e-6);
@@ -80,5 +84,4 @@ fn each_backend_replays_bit_identically() {
         assert_eq!(loss_a, loss_b, "{kind:?} losses not reproducible");
         assert_eq!(params_a, params_b, "{kind:?} params not reproducible");
     }
-    set_backend(BackendKind::Scalar);
 }

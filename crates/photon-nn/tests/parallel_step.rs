@@ -6,6 +6,11 @@
 //! match bitwise (row-partitioned loops, two-phase attention) or reduce
 //! partial sums in deterministic chunk order (split-k GEMM, layernorm and
 //! bias gradients), so the tolerance here is far tighter than fp32 noise.
+//!
+//! Where the chunks of a batch execute is no part of that: at one chunk
+//! budget, a step whose batches run inline on the caller (execution width
+//! 1, a client lane on a full machine) matches one dispatched to the pool
+//! bit for bit.
 
 use photon_nn::{Activations, Gpt, ModelConfig};
 use photon_tensor::ops::pool;
@@ -22,12 +27,24 @@ fn cfg() -> ModelConfig {
     }
 }
 
-/// Runs `steps` full training steps under the given thread budget and
-/// returns the per-step losses plus the final parameters.
-fn train(threads: usize, steps: usize) -> (Vec<f32>, Vec<f32>) {
-    pool::with_parallelism(threads, || {
-        let cfg = cfg();
-        let (b, t) = (2usize, cfg.seq_len);
+/// Wide enough that at two chunks every reducing kernel really splits:
+/// the split-k weight-gradient GEMM, the layernorm and bias partials.
+fn wide_cfg() -> ModelConfig {
+    ModelConfig {
+        n_layers: 1,
+        d_model: 64,
+        n_heads: 4,
+        exp_ratio: 4,
+        vocab_size: 31,
+        seq_len: 64,
+    }
+}
+
+/// Runs `steps` full training steps of batch `b` under `ctx` and returns
+/// the per-step losses plus the final parameters.
+fn train(ctx: pool::Context, cfg: ModelConfig, b: usize, steps: usize) -> (Vec<f32>, Vec<f32>) {
+    ctx.enter(|| {
+        let t = cfg.seq_len;
         let mut rng = SeedStream::new(42);
         let mut model = Gpt::new(cfg, &mut rng);
         let mut acts = Activations::new(&cfg, b, t);
@@ -57,8 +74,12 @@ fn train(threads: usize, steps: usize) -> (Vec<f32>, Vec<f32>) {
 #[test]
 fn train_step_matches_across_thread_budgets() {
     let steps = 4;
-    let (loss_serial, params_serial) = train(1, steps);
-    let (loss_par, params_par) = train(4, steps);
+    let budget = |chunks| pool::Context {
+        chunks,
+        ..pool::Context::current()
+    };
+    let (loss_serial, params_serial) = train(budget(1), cfg(), 2, steps);
+    let (loss_par, params_par) = train(budget(4), cfg(), 2, steps);
 
     for (s, p) in loss_serial.iter().zip(&loss_par) {
         assert!(
@@ -79,4 +100,28 @@ fn train_step_matches_across_thread_budgets() {
         max_diff < 1e-5,
         "weights diverged across thread budgets: max |d| = {max_diff}"
     );
+}
+
+#[test]
+fn train_step_is_bit_identical_inline_and_dispatched() {
+    let at_width = |width| pool::Context {
+        chunks: 2,
+        width,
+        ..pool::Context::current()
+    };
+    let inline = train(at_width(1), wide_cfg(), 8, 2);
+    let dispatched = train(at_width(2), wide_cfg(), 8, 2);
+    let bits = |(losses, params): &(Vec<f32>, Vec<f32>)| -> Vec<u32> {
+        losses.iter().chain(params).map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&inline), bits(&dispatched));
+
+    // The chunk budget, by contrast, is arithmetic: one chunk sums the same
+    // partials in another order. Were this equal, the shape would be too
+    // small to split and the comparison above would prove nothing.
+    let one_chunk = pool::Context {
+        chunks: 1,
+        ..at_width(1)
+    };
+    assert_ne!(bits(&train(one_chunk, wide_cfg(), 8, 2)), bits(&inline));
 }

@@ -10,7 +10,7 @@
 //!
 //! ## Selection
 //!
-//! The active backend is resolved once per process, in priority order:
+//! The process default is resolved once, in priority order:
 //!
 //! 1. an explicit [`set_backend`] call (the CLI `--backend` flag);
 //! 2. the `PHOTON_BACKEND` environment variable (`scalar` or `simd`);
@@ -21,6 +21,14 @@
 //! Requesting `simd` on a host without the required features falls back to
 //! scalar — runtime dispatch never regresses a host that cannot vectorize.
 //!
+//! [`with_backend`] overrides the default for one closure on the calling
+//! thread. The override is part of the compute context
+//! ([`crate::ops::pool::Context`]), so the threads a round spawns (client
+//! lanes, DDP replicas, sub-federation nodes) inherit it; concurrent tests
+//! pin different backends this way without touching the process default.
+//! Pool workers do not see it: a kernel resolves [`active`] on the
+//! submitting thread and hands the backend to its tasks.
+//!
 //! ## Determinism contract
 //!
 //! Results are bit-identical across runs *within* a fixed backend (kernels
@@ -30,6 +38,7 @@
 //! replay comparisons must pin `PHOTON_BACKEND`.
 
 use crate::ops::Gemm;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 mod scalar;
@@ -211,6 +220,20 @@ const KIND_SIMD: u8 = 2;
 
 static ACTIVE_KIND: AtomicU8 = AtomicU8::new(KIND_UNSET);
 
+thread_local! {
+    /// This thread's [`with_backend`] override, consulted before
+    /// [`ACTIVE_KIND`].
+    static SCOPED_KIND: Cell<Option<BackendKind>> = const { Cell::new(None) };
+}
+
+/// `Simd` on a host that cannot run it resolves to `Scalar`.
+fn supported(kind: BackendKind) -> BackendKind {
+    match kind {
+        BackendKind::Simd if !simd_available() => BackendKind::Scalar,
+        other => other,
+    }
+}
+
 fn resolve_default() -> BackendKind {
     let requested = std::env::var("PHOTON_BACKEND")
         .ok()
@@ -220,18 +243,17 @@ fn resolve_default() -> BackendKind {
         Some(BackendKind::Scalar) => BackendKind::Scalar,
         // An explicit `simd` request on an unsupported host falls back to
         // scalar rather than failing: zero regression on non-SIMD hosts.
-        Some(BackendKind::Simd) | None => {
-            if simd_available() {
-                BackendKind::Simd
-            } else {
-                BackendKind::Scalar
-            }
-        }
+        Some(BackendKind::Simd) | None => supported(BackendKind::Simd),
     }
 }
 
-/// The kind of the active backend, resolving the selection on first use.
+/// The kind of the active backend: this thread's [`with_backend`]
+/// override if one is in scope, otherwise the process default (resolved on
+/// first use).
 pub fn active_kind() -> BackendKind {
+    if let Some(kind) = scoped_kind() {
+        return kind;
+    }
     match ACTIVE_KIND.load(Ordering::Relaxed) {
         KIND_SCALAR => BackendKind::Scalar,
         KIND_SIMD => BackendKind::Simd,
@@ -260,20 +282,43 @@ pub fn active_name() -> &'static str {
     active().name()
 }
 
-/// Overrides the backend selection (the CLI `--backend` flag). Returns the
-/// kind actually in effect: requesting `Simd` on a host without AVX2/NEON
-/// resolves to `Scalar`.
+/// Sets the process default (the CLI `--backend` flag). Returns the kind
+/// actually in effect: requesting `Simd` on a host without AVX2/NEON
+/// resolves to `Scalar`. Code that needs a backend for one computation —
+/// tests above all — uses [`with_backend`] instead.
 pub fn set_backend(kind: BackendKind) -> BackendKind {
-    let resolved = match kind {
-        BackendKind::Simd if !simd_available() => BackendKind::Scalar,
-        other => other,
-    };
+    let resolved = supported(kind);
     let encoded = match resolved {
         BackendKind::Scalar => KIND_SCALAR,
         BackendKind::Simd => KIND_SIMD,
     };
     ACTIVE_KIND.store(encoded, Ordering::Relaxed);
     resolved
+}
+
+/// Runs `f` with `kind` as this thread's active backend (`Simd` resolves
+/// to `Scalar` on a host without AVX2/NEON), restoring the previous
+/// override afterwards — also on panic.
+pub fn with_backend<R>(kind: BackendKind, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<BackendKind>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_scoped_kind(self.0);
+        }
+    }
+    let _restore = Restore(set_scoped_kind(Some(supported(kind))));
+    f()
+}
+
+/// This thread's [`with_backend`] override, for the compute context to
+/// capture.
+pub(crate) fn scoped_kind() -> Option<BackendKind> {
+    SCOPED_KIND.with(Cell::get)
+}
+
+/// Replaces this thread's override, returning the previous one.
+pub(crate) fn set_scoped_kind(kind: Option<BackendKind>) -> Option<BackendKind> {
+    SCOPED_KIND.with(|k| k.replace(kind))
 }
 
 #[cfg(test)]
@@ -302,5 +347,24 @@ mod tests {
         let kind = active_kind();
         assert_eq!(active().name(), by_kind(kind).name());
         assert_eq!(active_name(), active().name());
+    }
+
+    #[test]
+    fn with_backend_scopes_nests_and_stays_on_its_thread() {
+        let default = active_kind();
+        with_backend(BackendKind::Scalar, || {
+            assert_eq!(active_kind(), BackendKind::Scalar);
+            assert_eq!(active().name(), "scalar");
+            with_backend(BackendKind::Simd, || {
+                assert_eq!(active_kind(), supported(BackendKind::Simd));
+            });
+            assert_eq!(active_kind(), BackendKind::Scalar);
+            // A plain spawn starts from the process default; inheriting
+            // takes `pool::Context`.
+            let other = std::thread::spawn(active_kind).join().unwrap();
+            assert_eq!(other, default);
+        });
+        assert_eq!(active_kind(), default);
+        assert_eq!(scoped_kind(), None);
     }
 }

@@ -20,11 +20,28 @@
 //!
 //! # Nested parallelism
 //!
-//! Coarse-grained parallel callers (DDP replica threads, sub-federation
-//! nodes) wrap their work in [`with_parallelism`] to divide the global
-//! thread budget instead of oversubscribing: a 8-thread budget split across
-//! 4 replica threads gives each replica 2-way kernel parallelism. The
-//! budget is thread-local, so concurrent replicas compose. Tasks that are
+//! A thread computes under a [`Context`] of two numbers that are kept
+//! apart because they answer different questions:
+//!
+//! * the **chunk count** ([`effective_parallelism`]) is arithmetic: it
+//!   fixes how a kernel splits its work and, for the kernels that reduce
+//!   across chunks, the order of the floating-point sums. Changing it
+//!   changes results in the last bits.
+//! * the **execution width** is scheduling: how many of the process's
+//!   compute threads this thread's batches may occupy. At width 1
+//!   [`run_tasks`] runs the whole batch on the caller, chunk by chunk, in
+//!   place of a trip through the channel and the latch. It never changes a
+//!   result.
+//!
+//! Coarse-grained drivers spawn threads of their own and divide the
+//! context between them so that the layers together fill the cores once:
+//! the round engine runs the cohort on at most [`max_threads`] client
+//! lanes ([`Context::lanes`]: the width is divided, the chunk count is
+//! kept, so a round is bit-identical on any lane count), DDP replicas and
+//! sub-federation nodes take [`Context::split`] (both divided: a 8-thread
+//! budget over 4 replicas gives each 2 chunks on 2 threads). A spawned
+//! thread starts with empty thread-locals, so the spawner captures
+//! [`Context::current`] and the thread [`Context::enter`]s it. Tasks
 //! already running *on* a pool worker never fan out again
 //! ([`effective_parallelism`] reports `1` there), which makes pool-waiting
 //! deadlocks impossible by construction.
@@ -40,6 +57,7 @@
 //! barrier in deterministic chunk order.
 #![allow(unsafe_code)]
 
+use crate::backend::{self, BackendKind};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::ops::Range;
@@ -61,8 +79,10 @@ static POOL: OnceLock<Option<Pool>> = OnceLock::new();
 thread_local! {
     /// Set on pool worker threads; suppresses nested fan-out.
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// Thread-local parallelism budget (0 = unset, use the global max).
+    /// Thread-local chunk budget (0 = unset, use the global max).
     static BUDGET: Cell<usize> = const { Cell::new(0) };
+    /// Thread-local execution width (0 = unset, use the global max).
+    static WIDTH: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Job {
@@ -155,22 +175,90 @@ pub fn effective_parallelism() -> usize {
     }
 }
 
-/// Runs `f` with this thread's parallelism budget set to `n` (clamped to at
+/// Runs `f` with this thread's chunk budget set to `n` (clamped to at
 /// least 1), restoring the previous budget afterwards — also on panic.
 ///
-/// Used by coarse-grained parallel drivers (DDP replicas, sub-federation
-/// nodes) to divide the global budget, and by tests/benches to pin kernel
-/// parallelism regardless of the host machine.
+/// Used by tests and benches to pin the kernels' chunk count regardless of
+/// the host machine. Drivers that spawn threads divide a [`Context`].
 pub fn with_parallelism<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BUDGET.with(|b| b.set(self.0));
+    Context {
+        chunks: n,
+        ..Context::current()
+    }
+    .enter(f)
+}
+
+/// What a thread computes under: the chunk count its kernels split by, the
+/// execution width its batches may occupy, and its
+/// [`backend::with_backend`] override (see the module docs, "Nested
+/// parallelism"). Thread-local; a driver that spawns threads captures
+/// [`Context::current`], divides it, and has each thread [`Context::enter`]
+/// its share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Context {
+    /// What [`effective_parallelism`] reports. Part of the numerical
+    /// contract.
+    pub chunks: usize,
+    /// How many compute threads this thread's batches may occupy. At 1,
+    /// [`run_tasks`] runs every batch on the caller.
+    pub width: usize,
+    /// The scoped backend override, inherited as captured.
+    pub backend: Option<BackendKind>,
+}
+
+impl Context {
+    /// The calling thread's context.
+    pub fn current() -> Self {
+        let width = WIDTH.with(Cell::get);
+        Context {
+            chunks: effective_parallelism(),
+            width: if IS_WORKER.with(Cell::get) {
+                1
+            } else if width != 0 {
+                width
+            } else {
+                max_threads()
+            },
+            backend: backend::scoped_kind(),
         }
     }
-    let _restore = Restore(BUDGET.with(Cell::get));
-    BUDGET.with(|b| b.set(n.max(1)));
-    f()
+
+    /// The share of each of `n` concurrent threads whose results must not
+    /// depend on `n`: the width is divided, the chunk count is kept.
+    pub fn lanes(self, n: usize) -> Self {
+        Context {
+            width: (self.width / n.max(1)).max(1),
+            ..self
+        }
+    }
+
+    /// The share of each of `n` concurrent replicas: chunk count and width
+    /// are both divided, so `n` is part of the replicas' arithmetic.
+    pub fn split(self, n: usize) -> Self {
+        Context {
+            chunks: (self.chunks / n.max(1)).max(1),
+            ..self.lanes(n)
+        }
+    }
+
+    /// Runs `f` under this context (a zero count is taken as 1), restoring
+    /// the thread's previous one afterwards — also on panic.
+    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(usize, usize, Option<BackendKind>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                BUDGET.with(|b| b.set(self.0));
+                WIDTH.with(|w| w.set(self.1));
+                backend::set_scoped_kind(self.2);
+            }
+        }
+        let _restore = Restore(
+            BUDGET.with(|b| b.replace(self.chunks.max(1))),
+            WIDTH.with(|w| w.replace(self.width.max(1))),
+            backend::set_scoped_kind(self.backend),
+        );
+        f()
+    }
 }
 
 /// Splits `0..n` into `parts` contiguous, balanced, non-empty ranges
@@ -258,8 +346,9 @@ pub fn pool_workers() -> usize {
 /// Executes a batch of independent tasks, blocking until all complete.
 ///
 /// One task always runs inline on the calling thread; the rest are handed
-/// to the persistent workers (or also run inline when the pool is disabled,
-/// the batch has a single task, or the caller *is* a pool worker). Tasks
+/// to the persistent workers (or also run inline, in task order, when the
+/// pool is disabled, the batch has a single task, the caller's execution
+/// width is 1, or the caller *is* a pool worker). Tasks
 /// may borrow non-`'static` data: this function never returns — not even by
 /// unwinding — before every task has finished, so the borrows cannot
 /// outlive their owners.
@@ -276,7 +365,7 @@ pub fn run_tasks(tasks: Vec<Task<'_>>) {
     let _dispatch = photon_trace::span(photon_trace::Phase::PoolDispatch).arg("tasks", n as u64);
     photon_trace::counter_add("pool.batches", 1);
     photon_trace::counter_add("pool.tasks", n as u64);
-    let run_inline = n == 1 || IS_WORKER.with(Cell::get);
+    let run_inline = n == 1 || IS_WORKER.with(Cell::get) || WIDTH.with(Cell::get) == 1;
     let pool = if run_inline { None } else { pool() };
     let Some(pool) = pool else {
         for task in tasks {
@@ -405,6 +494,56 @@ mod tests {
             assert_eq!(effective_parallelism(), 3);
         });
         assert_eq!(effective_parallelism(), outer);
+    }
+
+    #[test]
+    fn context_divides_and_is_inherited_by_entering() {
+        let base = Context {
+            chunks: 8,
+            width: 4,
+            backend: Some(BackendKind::Scalar),
+        };
+        assert_eq!(base.lanes(2).chunks, 8, "lanes keep the chunk count");
+        assert_eq!(base.lanes(2).width, 2);
+        assert_eq!(base.lanes(64).width, 1, "never below one thread");
+        assert_eq!((base.split(4).chunks, base.split(4).width), (2, 1));
+        assert_eq!(base.split(0), base, "zero threads are taken as one");
+        let outer = Context::current();
+        base.enter(|| {
+            assert_eq!(Context::current(), base);
+            assert_eq!(effective_parallelism(), 8);
+            // A spawned thread starts from the defaults until it enters
+            // the context its spawner captured.
+            let ctx = Context::current().lanes(4);
+            let seen = std::thread::spawn(move || {
+                assert_eq!(Context::current().backend, None);
+                ctx.enter(Context::current)
+            });
+            assert_eq!(seen.join().unwrap(), base.lanes(4));
+        });
+        assert_eq!(Context::current(), outer);
+    }
+
+    #[test]
+    fn width_one_runs_the_batch_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        let batch = || {
+            let tasks: Vec<Task> = (0..4)
+                .map(|i| {
+                    let ran_on = &ran_on;
+                    Box::new(move || ran_on.lock().push((i, std::thread::current().id()))) as Task
+                })
+                .collect();
+            run_tasks(tasks);
+        };
+        Context {
+            width: 1,
+            ..Context::current()
+        }
+        .enter(batch);
+        let inline: Vec<_> = (0..4).map(|i| (i, caller)).collect();
+        assert_eq!(*ran_on.lock(), inline, "in task order, all on the caller");
     }
 
     #[test]

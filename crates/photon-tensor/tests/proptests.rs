@@ -151,4 +151,43 @@ proptest! {
         });
         prop_assert!(ops::max_abs_diff(&serial, &auto) < 1e-3);
     }
+
+    /// Where a batch executes never shows in what it leaves behind: for any
+    /// chunking, running the tasks inline on the caller (execution width 1)
+    /// and dispatching them to the pool write identical buffers.
+    #[test]
+    fn run_tasks_inline_matches_dispatched(
+        rows in 1usize..40,
+        row_len in 1usize..9,
+        parts in 1usize..9,
+        width in 2usize..9,
+        seed in any::<u64>(),
+    ) {
+        use ops::pool;
+        let mut rng = SeedStream::new(seed);
+        let input: Vec<f32> = (0..rows * row_len).map(|_| rng.next_normal()).collect();
+        let fill = |width: usize| {
+            let mut out = vec![0.0f32; rows * row_len];
+            let ranges = pool::chunk_ranges(rows, parts);
+            let tasks: Vec<pool::Task> = pool::split_rows(&mut out, row_len, &ranges)
+                .into_iter()
+                .zip(&ranges)
+                .map(|(chunk, r)| {
+                    let src = &input[r.start * row_len..r.end * row_len];
+                    // A running sum makes each value depend on the order
+                    // within its chunk, as a kernel's reduction would.
+                    Box::new(move || {
+                        let mut acc = r.start as f32;
+                        for (o, x) in chunk.iter_mut().zip(src) {
+                            acc += x;
+                            *o = acc;
+                        }
+                    }) as pool::Task
+                })
+                .collect();
+            pool::Context { width, ..pool::Context::current() }.enter(|| pool::run_tasks(tasks));
+            out.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        prop_assert_eq!(fill(1), fill(width));
+    }
 }

@@ -5,8 +5,8 @@
 //! parameter bit patterns, the fault counters and the drained sim-clock
 //! trace. A refactor of the round engine must leave every digest alone.
 //!
-//! One `#[test]` in its own binary: the compute backend and the trace
-//! recorder are process-global, so sibling tests would race them.
+//! One `#[test]` in its own binary: the trace recorder is process-global,
+//! so sibling tests would write into the traces under digest.
 //!
 //! The `want` column was generated by running this file against the
 //! pre-refactor engine (a mismatch prints the digests it computed). Do
@@ -18,7 +18,7 @@ use photon_core::{
     HierarchyConfig, LinkProfile, MembershipConfig, NetworkConfig, RoundRecord,
 };
 use photon_fedopt::{AggregationKind, BufferConfig, GuardConfig};
-use photon_tensor::backend::{set_backend, BackendKind};
+use photon_tensor::backend::{with_backend, BackendKind};
 use photon_tests::tiny_federation;
 use photon_trace::{ClockMode, TraceConfig};
 
@@ -312,11 +312,13 @@ fn table() -> Vec<Row> {
 
 #[test]
 fn every_round_path_replays_to_its_golden_digest() {
-    set_backend(BackendKind::Scalar);
     let mut report = String::new();
     let mut mismatched = 0;
     for row in table() {
-        let run = run(&row.cfg, row.faults, row.rounds);
+        // Scoped, and inherited by the client lanes the rounds run on.
+        let run = with_backend(BackendKind::Scalar, || {
+            run(&row.cfg, row.faults, row.rounds)
+        });
         assert!(
             (row.fired)(&run),
             "{}: the scenario did not fire\n{:?}\n{}",
