@@ -9,61 +9,6 @@ use photon_tensor::{ops, SeedStream};
 use std::hint::black_box;
 use std::time::Duration;
 
-/// The pre-pool seed GEMM (ipj loop with value-dependent zero skips), kept
-/// here verbatim as the `baseline-*` reference so BENCH_kernels.json records
-/// baseline-vs-after from a single run on the same machine.
-fn seed_gemm(spec: ops::Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let (m, k, n) = (spec.m, spec.k, spec.n);
-    let alpha = spec.alpha;
-    c[..m * n].iter_mut().for_each(|v| *v = 0.0);
-    if !spec.trans_a && !spec.trans_b {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (p, &apv) in a_row.iter().enumerate() {
-                if apv == 0.0 {
-                    continue;
-                }
-                let s = alpha * apv;
-                let b_row = &b[p * n..(p + 1) * n];
-                for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += s * bv;
-                }
-            }
-        }
-    } else if spec.trans_a && !spec.trans_b {
-        for p in 0..k {
-            let a_row = &a[p * m..(p + 1) * m];
-            let b_row = &b[p * n..(p + 1) * n];
-            for (i, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let s = alpha * av;
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += s * bv;
-                }
-            }
-        }
-    } else if !spec.trans_a && spec.trans_b {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (j, cv) in c_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *cv += alpha * acc;
-            }
-        }
-    } else {
-        unreachable!("baseline bench only covers nn/ta/tb variants");
-    }
-}
-
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
     group
@@ -75,15 +20,6 @@ fn bench_gemm(c: &mut Criterion) {
         let b: Vec<f32> = (0..k * n).map(|_| rng.next_normal()).collect();
         let mut out = vec![0.0f32; m * n];
         group.throughput(Throughput::Flops((2 * m * k * n) as u64));
-        for (tag, spec) in [
-            ("", ops::Gemm::new(m, k, n)),
-            ("-ta", ops::Gemm::new(m, k, n).transpose_a()),
-            ("-tb", ops::Gemm::new(m, k, n).transpose_b()),
-        ] {
-            group.bench_function(format!("{m}x{k}x{n}{tag}-baseline"), |bch| {
-                bch.iter(|| seed_gemm(spec, black_box(&a), black_box(&b), &mut out));
-            });
-        }
         // Per-backend entries: `-scalar` pins the reference path, `-simd`
         // the vectorized one (only when the host supports it); unsuffixed
         // names run whatever dispatch resolved, matching production.

@@ -8,16 +8,26 @@
 //!
 //! Every kernel with enough work fans out over the persistent worker pool
 //! in [`photon_tensor::ops::pool`]: matmuls route through
-//! [`gemm_auto`], attention splits over `(batch, head)` / output rows, and
+//! [`gemm_auto`], attention splits into whole `(batch, head)` units, and
 //! the row-wise kernels (layernorm, gelu, residual, cross-entropy) split
 //! their rows into disjoint chunks. Chunking depends only on
 //! [`pool::effective_parallelism`], never on scheduling, so results are
 //! reproducible for a fixed thread budget. Kernels that reduce across rows
 //! (layernorm/matmul weight and bias gradients) accumulate into per-chunk
 //! partial buffers and reduce them in deterministic chunk order.
+//!
+//! Attention runs each unit as small GEMMs over packed `(T, hs)` tiles
+//! (see [`attention_forward`]). Determinism contract: under the scalar
+//! backend the results are bit for bit those of the per-row `dot`/`axpy`
+//! loops this replaced — every sum still runs in ascending order from
+//! zero — and the tests keep those loops as the reference; under the SIMD
+//! backend the sums reassociate through the GEMM register tiles and the
+//! softmax uses the polynomial `exp`, so only tolerance parity (1e-5)
+//! holds against the loops. Masked positions are exact zeros that the
+//! GEMMs multiply through, so causality is exact for finite activations.
 
 use photon_tensor::backend::{self, Backend};
-use photon_tensor::ops::{add_bias_rows, gemm_auto, pool, Gemm};
+use photon_tensor::ops::{add_bias_rows, gemm_auto, gemm_serial, pool, transpose_into, Gemm};
 use std::ops::Range;
 
 /// Splits `rows` into at most [`pool::effective_parallelism`] contiguous
@@ -329,18 +339,210 @@ pub fn alibi_slope(h: usize, nh: usize) -> f32 {
     (2.0f32).powf(-8.0 * (h as f32 + 1.0) / nh as f32)
 }
 
+/// What the `(batch, head)` units of one attention call share: the head
+/// geometry and the backend, and the per-unit passes over them.
+#[derive(Clone, Copy)]
+struct UnitKernel<'a> {
+    /// Resolved on the submitting thread: a pool worker does not see the
+    /// scoped backend.
+    bk: &'a dyn Backend,
+    t: usize,
+    c: usize,
+    nh: usize,
+    hs: usize,
+    /// `1 / sqrt(hs)`.
+    scale: f32,
+}
+
+impl<'a> UnitKernel<'a> {
+    fn new(t: usize, c: usize, nh: usize) -> Self {
+        assert_eq!(c % nh, 0, "channels {c} must split evenly over {nh} heads");
+        let hs = c / nh;
+        UnitKernel {
+            bk: backend::active(),
+            t,
+            c,
+            nh,
+            hs,
+            scale: 1.0 / (hs as f32).sqrt(),
+        }
+    }
+
+    /// The `hs`-wide column blocks of a `(B * T, row_len)` buffer as a
+    /// `(B * NH, blocks per unit)` matrix: row `bi * nh + h` holds, for each
+    /// of the unit's `T` buffer rows in order, the block at column `h * hs`
+    /// of every `C`-wide section of that row (one section for the attention
+    /// output, three — Q, K, V — for a fused row). Heads interleave within a
+    /// buffer row, so this is what lets one task own a unit's share of it.
+    fn unit_blocks<'b>(&self, buf: &'b mut [f32], row_len: usize) -> Vec<&'b mut [f32]> {
+        let sections = row_len / self.c;
+        let mut blocks = Vec::new();
+        blocks.resize_with(buf.len() / self.hs, Default::default);
+        for (r, row) in buf.chunks_exact_mut(row_len).enumerate() {
+            let (bi, ti) = (r / self.t, r % self.t);
+            for (j, block) in row.chunks_exact_mut(self.hs).enumerate() {
+                let (section, h) = (j / self.nh, j % self.nh);
+                blocks[((bi * self.nh + h) * self.t + ti) * sections + section] = block;
+            }
+        }
+        blocks
+    }
+
+    /// The fused `(T, 3C)` rows of unit `u`, starting at its Q columns (K is
+    /// `C` further into each row, V `2C`).
+    fn qkv_rows<'b>(&self, inp: &'b [f32], u: usize) -> &'b [f32] {
+        let (bi, h) = (u / self.nh, u % self.nh);
+        let batch = self.t * 3 * self.c;
+        &inp[bi * batch + h * self.hs..(bi + 1) * batch]
+    }
+
+    /// Copies the `(T, hs)` column window at the start of `rows` (row stride
+    /// `stride`) into the contiguous `dst`.
+    fn pack(&self, dst: &mut [f32], rows: &[f32], stride: usize) {
+        for (d, row) in dst.chunks_exact_mut(self.hs).zip(rows.chunks(stride)) {
+            d.copy_from_slice(&row[..self.hs]);
+        }
+    }
+
+    /// Forward pass of one unit. `tiles` is `4 * T * hs` floats of scratch,
+    /// `out_u` the unit's `T` output blocks, `pre_u` / `att_u` its `(T, T)`
+    /// blocks of `preatt` / `att`, `rows` its [`Self::qkv_rows`].
+    fn forward(
+        &self,
+        tiles: &mut [f32],
+        out_u: &mut [&mut [f32]],
+        pre_u: &mut [f32],
+        att_u: &mut [f32],
+        rows: &[f32],
+        slope: f32,
+    ) {
+        let &UnitKernel {
+            bk,
+            t,
+            c,
+            hs,
+            scale,
+            ..
+        } = self;
+        let (q, rest) = tiles.split_at_mut(t * hs);
+        let (kt, rest) = rest.split_at_mut(t * hs);
+        let (v, o) = rest.split_at_mut(t * hs);
+        self.pack(q, rows, 3 * c);
+        transpose_into(kt, &rows[c..], t, hs, 3 * c);
+        self.pack(v, &rows[2 * c..], 3 * c);
+
+        gemm_serial(bk, Gemm::new(t, hs, t), q, kt, pre_u);
+        for (ti, (pre_row, att_row)) in pre_u
+            .chunks_exact_mut(t)
+            .zip(att_u.chunks_exact_mut(t))
+            .enumerate()
+        {
+            let (pre_live, pre_masked) = pre_row.split_at_mut(ti + 1);
+            let (att_live, att_masked) = att_row.split_at_mut(ti + 1);
+            for (t2, logit) in pre_live.iter_mut().enumerate() {
+                *logit = *logit * scale - slope * (ti - t2) as f32;
+            }
+            pre_masked.fill(0.0);
+            bk.softmax_row(att_live, pre_live);
+            att_masked.fill(0.0);
+        }
+        // Over the full rows: a masked position contributes an exact zero.
+        gemm_serial(bk, Gemm::new(t, t, hs), att_u, v, o);
+        for (dst, src) in out_u.iter_mut().zip(o.chunks_exact(hs)) {
+            dst.copy_from_slice(src);
+        }
+    }
+
+    /// Backward pass of one unit. `tiles` is `7 * T * hs` floats of scratch,
+    /// `dinp_u` the unit's `3 T` gradient blocks (dQ, dK, dV per row),
+    /// `dpre_u` / `datt_u` its `(T, T)` blocks of `dpreatt` / `datt`, `p` its
+    /// block of `att`, `d_out` the `(T, C)` output-gradient rows starting at
+    /// the unit's columns, `rows` its [`Self::qkv_rows`].
+    #[allow(clippy::too_many_arguments)]
+    fn backward(
+        &self,
+        tiles: &mut [f32],
+        dinp_u: &mut [&mut [f32]],
+        dpre_u: &mut [f32],
+        datt_u: &mut [f32],
+        p: &[f32],
+        d_out: &[f32],
+        rows: &[f32],
+    ) {
+        let &UnitKernel {
+            bk,
+            t,
+            c,
+            hs,
+            scale,
+            ..
+        } = self;
+        let (q, rest) = tiles.split_at_mut(t * hs);
+        let (k, rest) = rest.split_at_mut(t * hs);
+        let (vt, rest) = rest.split_at_mut(t * hs);
+        let (d_o, rest) = rest.split_at_mut(t * hs);
+        let (dq, rest) = rest.split_at_mut(t * hs);
+        let (dk, dv) = rest.split_at_mut(t * hs);
+        self.pack(q, rows, 3 * c);
+        self.pack(k, &rows[c..], 3 * c);
+        transpose_into(vt, &rows[2 * c..], t, hs, 3 * c);
+        self.pack(d_o, d_out, c);
+
+        // Backward through out = att @ V.
+        gemm_serial(bk, Gemm::new(t, hs, t), d_o, vt, datt_u);
+        gemm_serial(bk, Gemm::new(t, t, hs).transpose_a(), p, d_o, dv);
+
+        // Backward through softmax, over each row's causal prefix.
+        for (ti, ((ds_row, dp_row), p_row)) in dpre_u
+            .chunks_exact_mut(t)
+            .zip(datt_u.chunks_exact_mut(t))
+            .zip(p.chunks_exact(t))
+            .enumerate()
+        {
+            let (ds_live, ds_masked) = ds_row.split_at_mut(ti + 1);
+            let (dp_live, dp_masked) = dp_row.split_at_mut(ti + 1);
+            let p_live = &p_row[..=ti];
+            let dot = bk.dot(p_live, dp_live);
+            for ((ds, &pv), &dp) in ds_live.iter_mut().zip(p_live).zip(&*dp_live) {
+                *ds = pv * (dp - dot);
+            }
+            ds_masked.fill(0.0);
+            dp_masked.fill(0.0);
+        }
+
+        // Backward through q·k scaling (the ALiBi bias has no parameters).
+        gemm_serial(bk, Gemm::new(t, t, hs).alpha(scale), dpre_u, k, dq);
+        let dk_spec = Gemm::new(t, t, hs).transpose_a().alpha(scale);
+        gemm_serial(bk, dk_spec, dpre_u, q, dk);
+
+        for (ti, qkv_blocks) in dinp_u.chunks_exact_mut(3).enumerate() {
+            let row = ti * hs..(ti + 1) * hs;
+            for (dst, src) in qkv_blocks.iter_mut().zip([&*dq, &*dk, &*dv]) {
+                for (d, &s) in dst.iter_mut().zip(&src[row.clone()]) {
+                    *d += s;
+                }
+            }
+        }
+    }
+}
+
 /// Causal multi-head self-attention, optionally with ALiBi positional bias
 /// (`alibi = false` for learned-position models).
 ///
 /// * `inp`: fused QKV activations, `(B, T, 3C)` with Q at channel offset 0,
 ///   K at `C`, V at `2C`;
-/// * `preatt`, `att`: `(B, NH, T, T)` scratch (masked logits / softmax);
+/// * `preatt`, `att`: `(B, NH, T, T)` (masked, biased logits / softmax, both
+///   with zeros above the diagonal);
 /// * `out`: `(B, T, C)` attention output (pre-projection).
 ///
-/// Two parallel phases, bitwise identical to the serial kernel: the softmax
-/// phase splits over `(batch, head)` units (each owns a `(T, T)` block of
-/// `preatt`/`att`), then the `att @ V` phase splits over `(batch, t)` output
-/// rows.
+/// One pass per `(batch, head)` unit, whole units split over the pool: the
+/// unit's Q, Kᵀ and V are packed into contiguous `(T, hs)` tiles, then
+/// `S = Q Kᵀ` (backend GEMM, straight into the unit's `preatt` block), scale,
+/// bias and mask per row, the backend softmax over each row's causal prefix,
+/// and `O = P V` (GEMM over the full row: masked positions multiply by exact
+/// zeros, so causality is exact for finite activations). A unit is computed
+/// by one task with no cross-unit reduction, so the result does not depend on
+/// the chunk count.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_forward(
     out: &mut [f32],
@@ -358,92 +560,32 @@ pub fn attention_forward(
         .arg("t", t as u64)
         .arg("nh", nh as u64)
         .arg("backend", backend::active_kind().id());
-    let bk = backend::active();
-    let hs = c / nh;
-    let scale = 1.0 / (hs as f32).sqrt();
-    let c3 = 3 * c;
+    let unit = UnitKernel::new(t, c, nh);
     let units = b * nh;
     let tt = t * t;
 
-    // Phase 1: logits + softmax per (batch, head) unit.
     let ranges = row_chunks(units, 1);
+    let mut out_blocks = unit.unit_blocks(&mut out[..b * t * c], c);
+    let out_chunks = pool::split_rows(&mut out_blocks, t, &ranges);
     let preatt_chunks = pool::split_rows(&mut preatt[..units * tt], tt, &ranges);
     let att_chunks = pool::split_rows(&mut att[..units * tt], tt, &ranges);
-    let tasks: Vec<pool::Task> = preatt_chunks
-        .into_iter()
-        .zip(att_chunks)
-        .zip(&ranges)
-        .map(|((pre_c, att_c), r)| {
-            let r = r.clone();
-            Box::new(move || {
-                for (du, u) in r.clone().enumerate() {
-                    let bi = u / nh;
-                    let h = u % nh;
-                    let slope = if alibi { alibi_slope(h, nh) } else { 0.0 };
-                    let pre_u = &mut pre_c[du * tt..(du + 1) * tt];
-                    let att_u = &mut att_c[du * tt..(du + 1) * tt];
-                    for ti in 0..t {
-                        let q = &inp[bi * t * c3 + ti * c3 + h * hs..][..hs];
-                        let row_off = ti * t;
-
-                        // Logits with causal mask + ALiBi, tracking the max
-                        // for a numerically stable softmax.
-                        let mut maxv = f32::NEG_INFINITY;
-                        for t2 in 0..=ti {
-                            let k = &inp[bi * t * c3 + t2 * c3 + c + h * hs..][..hs];
-                            let dotv = bk.dot(q, k);
-                            let val = dotv * scale - slope * (ti - t2) as f32;
-                            pre_u[row_off + t2] = val;
-                            if val > maxv {
-                                maxv = val;
-                            }
-                        }
-
-                        let mut expsum = 0.0f32;
-                        for t2 in 0..=ti {
-                            let e = (pre_u[row_off + t2] - maxv).exp();
-                            att_u[row_off + t2] = e;
-                            expsum += e;
-                        }
-                        let inv = if expsum == 0.0 { 0.0 } else { 1.0 / expsum };
-                        for t2 in 0..t {
-                            if t2 <= ti {
-                                att_u[row_off + t2] *= inv;
-                            } else {
-                                att_u[row_off + t2] = 0.0; // masked
-                                pre_u[row_off + t2] = 0.0;
-                            }
-                        }
-                    }
-                }
-            }) as pool::Task
-        })
-        .collect();
-    pool::run_tasks(tasks);
-
-    // Phase 2: out = att @ V per (batch, t) output row (covers all heads,
-    // so each row of `out` is written by exactly one task).
-    let att = &att[..units * tt];
-    let ranges = row_chunks(b * t, 1);
-    let out_chunks = pool::split_rows(&mut out[..b * t * c], c, &ranges);
     let tasks: Vec<pool::Task> = out_chunks
         .into_iter()
+        .zip(preatt_chunks)
+        .zip(att_chunks)
         .zip(&ranges)
-        .map(|(rows, r)| {
+        .map(|(((out_c, pre_c), att_c), r)| {
             let r = r.clone();
             Box::new(move || {
-                for (o_row, bt_i) in rows.chunks_exact_mut(c).zip(r.clone()) {
-                    let bi = bt_i / t;
-                    let ti = bt_i % t;
-                    o_row.iter_mut().for_each(|v| *v = 0.0);
-                    for h in 0..nh {
-                        let att_row = &att[bi * nh * tt + h * tt + ti * t..][..t];
-                        let o = &mut o_row[h * hs..(h + 1) * hs];
-                        for (t2, &a) in att_row[..=ti].iter().enumerate() {
-                            let v = &inp[bi * t * c3 + t2 * c3 + 2 * c + h * hs..][..hs];
-                            bk.axpy(a, v, o);
-                        }
-                    }
+                let mut tiles = vec![0.0f32; 4 * t * unit.hs];
+                let blocks = out_c
+                    .chunks_exact_mut(t)
+                    .zip(pre_c.chunks_exact_mut(tt))
+                    .zip(att_c.chunks_exact_mut(tt));
+                for (u, ((out_u, pre_u), att_u)) in r.zip(blocks) {
+                    let slope = if alibi { alibi_slope(u % nh, nh) } else { 0.0 };
+                    let rows = unit.qkv_rows(inp, u);
+                    unit.forward(&mut tiles, out_u, pre_u, att_u, rows, slope);
                 }
             }) as pool::Task
         })
@@ -453,11 +595,13 @@ pub fn attention_forward(
 
 /// Backward of [`attention_forward`]. Accumulates into `dinp` (fused QKV
 /// gradient); `dpreatt`/`datt` are scratch with the same shape as
-/// `preatt`/`att` and are overwritten.
+/// `preatt`/`att` and are overwritten (zeros above the diagonal).
 ///
-/// Batch-parallel: each task owns one batch's contiguous `dinp` /
-/// `dpreatt` / `datt` slices (per-head splitting would interleave `dinp`
-/// writes across heads of the same position).
+/// Same unit grain as the forward pass. Per unit, over packed Q, K, Vᵀ and
+/// dO tiles: `dP = dO Vᵀ` (into the unit's `datt` block), `dV = Pᵀ dO`,
+/// `dS = P ∘ (dP − rowdot(P, dP))` over each row's causal prefix (into
+/// `dpreatt`), `dQ = scale · dS K`, `dK = scale · dSᵀ Q`; the three `(T, hs)`
+/// results are then added into the unit's column blocks of `dinp`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_backward(
     dinp: &mut [f32],
@@ -476,16 +620,15 @@ pub fn attention_backward(
         .arg("t", t as u64)
         .arg("nh", nh as u64)
         .arg("backend", backend::active_kind().id());
-    let bk = backend::active();
-    let hs = c / nh;
-    let scale = 1.0 / (hs as f32).sqrt();
-    let c3 = 3 * c;
+    let unit = UnitKernel::new(t, c, nh);
+    let units = b * nh;
     let tt = t * t;
 
-    let ranges = row_chunks(b, 1);
-    let dinp_chunks = pool::split_rows(&mut dinp[..b * t * c3], t * c3, &ranges);
-    let dpre_chunks = pool::split_rows(&mut dpreatt[..b * nh * tt], nh * tt, &ranges);
-    let datt_chunks = pool::split_rows(&mut datt[..b * nh * tt], nh * tt, &ranges);
+    let ranges = row_chunks(units, 1);
+    let mut dinp_blocks = unit.unit_blocks(&mut dinp[..b * t * 3 * c], 3 * c);
+    let dinp_chunks = pool::split_rows(&mut dinp_blocks, 3 * t, &ranges);
+    let dpre_chunks = pool::split_rows(&mut dpreatt[..units * tt], tt, &ranges);
+    let datt_chunks = pool::split_rows(&mut datt[..units * tt], tt, &ranges);
     let tasks: Vec<pool::Task> = dinp_chunks
         .into_iter()
         .zip(dpre_chunks)
@@ -494,53 +637,17 @@ pub fn attention_backward(
         .map(|(((dinp_c, dpre_c), datt_c), r)| {
             let r = r.clone();
             Box::new(move || {
-                dpre_c.iter_mut().for_each(|v| *v = 0.0);
-                datt_c.iter_mut().for_each(|v| *v = 0.0);
-                for (db, bi) in r.clone().enumerate() {
-                    let base = db * t * c3;
-                    for h in 0..nh {
-                        for ti in 0..t {
-                            // Offsets into the per-batch mutable chunks use
-                            // the local batch index `db`; reads from the
-                            // shared buffers stay absolute.
-                            let att_off = bi * nh * tt + h * tt + ti * t;
-                            let datt_off = db * nh * tt + h * tt + ti * t;
-                            let d_out_h = &dout[bi * t * c + ti * c + h * hs..][..hs];
-
-                            // Backward through out = att @ V.
-                            for t2 in 0..=ti {
-                                let v = &inp[bi * t * c3 + t2 * c3 + 2 * c + h * hs..][..hs];
-                                let a = att[att_off + t2];
-                                let dv = &mut dinp_c[base + t2 * c3 + 2 * c + h * hs..][..hs];
-                                datt_c[datt_off + t2] += bk.dot(v, d_out_h);
-                                bk.axpy(a, d_out_h, dv);
-                            }
-
-                            // Backward through softmax.
-                            let dot = bk.dot(
-                                &att[att_off..att_off + ti + 1],
-                                &datt_c[datt_off..datt_off + ti + 1],
-                            );
-                            for t2 in 0..=ti {
-                                dpre_c[datt_off + t2] =
-                                    att[att_off + t2] * (datt_c[datt_off + t2] - dot);
-                            }
-
-                            // Backward through q·k scaling (ALiBi bias has
-                            // no params).
-                            let q = &inp[bi * t * c3 + ti * c3 + h * hs..][..hs];
-                            for t2 in 0..=ti {
-                                let k = &inp[bi * t * c3 + t2 * c3 + c + h * hs..][..hs];
-                                let dp = dpre_c[datt_off + t2] * scale;
-                                // dq and dk live in disjoint channel slices
-                                // of dinp (sequential borrows).
-                                let dq = &mut dinp_c[base + ti * c3 + h * hs..][..hs];
-                                bk.axpy(dp, k, dq);
-                                let dk = &mut dinp_c[base + t2 * c3 + c + h * hs..][..hs];
-                                bk.axpy(dp, q, dk);
-                            }
-                        }
-                    }
+                let mut tiles = vec![0.0f32; 7 * t * unit.hs];
+                let blocks = dinp_c
+                    .chunks_exact_mut(3 * t)
+                    .zip(dpre_c.chunks_exact_mut(tt))
+                    .zip(datt_c.chunks_exact_mut(tt));
+                for (u, ((dinp_u, dpre_u), datt_u)) in r.zip(blocks) {
+                    let p = &att[u * tt..(u + 1) * tt];
+                    let (bi, h) = (u / nh, u % nh);
+                    let d_out = &dout[bi * t * c + h * unit.hs..(bi + 1) * t * c];
+                    let rows = unit.qkv_rows(inp, u);
+                    unit.backward(&mut tiles, dinp_u, dpre_u, datt_u, p, d_out, rows);
                 }
             }) as pool::Task
         })
@@ -719,6 +826,228 @@ mod tests {
         let down = f(x);
         x[i] = orig;
         (up - down) / (2.0 * h)
+    }
+
+    /// The per-row attention loops the tiled kernels replaced, kept as the
+    /// reference: one backend `dot` per logit, an inline libm softmax, one
+    /// `axpy` per (query, key) pair. Under the scalar backend
+    /// [`attention_forward`] must match this bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn attention_forward_rows(
+        out: &mut [f32],
+        preatt: &mut [f32],
+        att: &mut [f32],
+        inp: &[f32],
+        b: usize,
+        t: usize,
+        c: usize,
+        nh: usize,
+        alibi: bool,
+    ) {
+        let bk = backend::active();
+        let hs = c / nh;
+        let scale = 1.0 / (hs as f32).sqrt();
+        let c3 = 3 * c;
+        out[..b * t * c].fill(0.0);
+        for bi in 0..b {
+            for h in 0..nh {
+                let slope = if alibi { alibi_slope(h, nh) } else { 0.0 };
+                for ti in 0..t {
+                    let q = &inp[bi * t * c3 + ti * c3 + h * hs..][..hs];
+                    let row_off = (bi * nh + h) * t * t + ti * t;
+                    let mut maxv = f32::NEG_INFINITY;
+                    for t2 in 0..=ti {
+                        let k = &inp[bi * t * c3 + t2 * c3 + c + h * hs..][..hs];
+                        let val = bk.dot(q, k) * scale - slope * (ti - t2) as f32;
+                        preatt[row_off + t2] = val;
+                        if val > maxv {
+                            maxv = val;
+                        }
+                    }
+                    let mut expsum = 0.0f32;
+                    for t2 in 0..=ti {
+                        let e = (preatt[row_off + t2] - maxv).exp();
+                        att[row_off + t2] = e;
+                        expsum += e;
+                    }
+                    let inv = if expsum == 0.0 { 0.0 } else { 1.0 / expsum };
+                    for t2 in 0..t {
+                        if t2 <= ti {
+                            att[row_off + t2] *= inv;
+                        } else {
+                            att[row_off + t2] = 0.0;
+                            preatt[row_off + t2] = 0.0;
+                        }
+                    }
+                    let o = &mut out[bi * t * c + ti * c + h * hs..][..hs];
+                    for t2 in 0..=ti {
+                        let v = &inp[bi * t * c3 + t2 * c3 + 2 * c + h * hs..][..hs];
+                        bk.axpy(att[row_off + t2], v, o);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reference for [`attention_backward`]; see [`attention_forward_rows`].
+    #[allow(clippy::too_many_arguments)]
+    fn attention_backward_rows(
+        dinp: &mut [f32],
+        dpreatt: &mut [f32],
+        datt: &mut [f32],
+        dout: &[f32],
+        inp: &[f32],
+        att: &[f32],
+        b: usize,
+        t: usize,
+        c: usize,
+        nh: usize,
+    ) {
+        let bk = backend::active();
+        let hs = c / nh;
+        let scale = 1.0 / (hs as f32).sqrt();
+        let c3 = 3 * c;
+        dpreatt[..b * nh * t * t].fill(0.0);
+        datt[..b * nh * t * t].fill(0.0);
+        for bi in 0..b {
+            for h in 0..nh {
+                for ti in 0..t {
+                    let off = (bi * nh + h) * t * t + ti * t;
+                    let d_out_h = &dout[bi * t * c + ti * c + h * hs..][..hs];
+                    for t2 in 0..=ti {
+                        let v = &inp[bi * t * c3 + t2 * c3 + 2 * c + h * hs..][..hs];
+                        let dv = &mut dinp[bi * t * c3 + t2 * c3 + 2 * c + h * hs..][..hs];
+                        datt[off + t2] += bk.dot(v, d_out_h);
+                        bk.axpy(att[off + t2], d_out_h, dv);
+                    }
+                    let dot = bk.dot(&att[off..off + ti + 1], &datt[off..off + ti + 1]);
+                    for t2 in 0..=ti {
+                        dpreatt[off + t2] = att[off + t2] * (datt[off + t2] - dot);
+                    }
+                    let q = &inp[bi * t * c3 + ti * c3 + h * hs..][..hs];
+                    for t2 in 0..=ti {
+                        let k = &inp[bi * t * c3 + t2 * c3 + c + h * hs..][..hs];
+                        let dp = dpreatt[off + t2] * scale;
+                        let dq = &mut dinp[bi * t * c3 + ti * c3 + h * hs..][..hs];
+                        bk.axpy(dp, k, dq);
+                        let dk = &mut dinp[bi * t * c3 + t2 * c3 + c + h * hs..][..hs];
+                        bk.axpy(dp, q, dk);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every buffer either attention kernel writes, for one shape.
+    #[derive(Debug, PartialEq)]
+    struct AttentionRun {
+        out: Vec<f32>,
+        preatt: Vec<f32>,
+        att: Vec<f32>,
+        dinp: Vec<f32>,
+        dpreatt: Vec<f32>,
+        datt: Vec<f32>,
+    }
+
+    impl AttentionRun {
+        fn buffers(&self) -> [(&'static str, &[f32]); 6] {
+            [
+                ("out", &self.out),
+                ("preatt", &self.preatt),
+                ("att", &self.att),
+                ("dinp", &self.dinp),
+                ("dpreatt", &self.dpreatt),
+                ("datt", &self.datt),
+            ]
+        }
+    }
+
+    /// Forward then backward at one shape, through the tiled kernels or the
+    /// row-loop reference. The scratch buffers start as NaN: the kernels must
+    /// overwrite every element, masked ones included.
+    fn attention_run(
+        reference: bool,
+        (b, t, nh, hs): (usize, usize, usize, usize),
+        alibi: bool,
+        seed: u64,
+    ) -> AttentionRun {
+        let c = nh * hs;
+        let mut rng = SeedStream::new(seed);
+        let inp = randv(b * t * 3 * c, &mut rng);
+        let dout = randv(b * t * c, &mut rng);
+        let scratch = || vec![f32::NAN; b * nh * t * t];
+        let mut run = AttentionRun {
+            out: vec![f32::NAN; b * t * c],
+            preatt: scratch(),
+            att: scratch(),
+            dinp: vec![0.0; b * t * 3 * c],
+            dpreatt: scratch(),
+            datt: scratch(),
+        };
+        let AttentionRun {
+            out,
+            preatt,
+            att,
+            dinp,
+            dpreatt,
+            datt,
+        } = &mut run;
+        if reference {
+            attention_forward_rows(out, preatt, att, &inp, b, t, c, nh, alibi);
+            attention_backward_rows(dinp, dpreatt, datt, &dout, &inp, att, b, t, c, nh);
+        } else {
+            attention_forward(out, preatt, att, &inp, b, t, c, nh, alibi);
+            attention_backward(dinp, dpreatt, datt, &dout, &inp, att, b, t, c, nh);
+        }
+        run
+    }
+
+    #[test]
+    fn tiled_attention_matches_the_row_loops() {
+        use photon_tensor::backend::{simd_available, with_backend, BackendKind};
+        let mut seed = 100;
+        for t in [1, 5, 8, 24, 64] {
+            for hs in [2, 4, 8, 16, 24] {
+                for (b, nh) in [(1, 2), (3, 3)] {
+                    for alibi in [true, false] {
+                        seed += 1;
+                        let shape = (b, t, nh, hs);
+                        for kind in [BackendKind::Scalar, BackendKind::Simd] {
+                            if kind == BackendKind::Simd && !simd_available() {
+                                continue;
+                            }
+                            let tag = format!("{kind:?} b{b} t{t} nh{nh} hs{hs} alibi={alibi}");
+                            let run = |reference: bool, chunks: usize| {
+                                with_backend(kind, || {
+                                    pool::with_parallelism(chunks, || {
+                                        attention_run(reference, shape, alibi, seed)
+                                    })
+                                })
+                            };
+                            let (want, got) = (run(true, 1), run(false, 1));
+                            for ((name, w), (_, g)) in want.buffers().into_iter().zip(got.buffers())
+                            {
+                                for (i, (x, y)) in w.iter().zip(g).enumerate() {
+                                    // Scalar: the GEMM tiles sum in the row
+                                    // loops' order. SIMD: reassociated sums
+                                    // and a polynomial exp.
+                                    let same = match kind {
+                                        BackendKind::Scalar => x.to_bits() == y.to_bits(),
+                                        BackendKind::Simd => {
+                                            (x - y).abs() <= 1e-5 * 1.0f32.max(x.abs()).max(y.abs())
+                                        }
+                                    };
+                                    assert!(same, "{name}[{i}] at {tag}: {x} vs {y}");
+                                }
+                            }
+                            for chunks in [2, 4] {
+                                assert_eq!(run(false, chunks), got, "{chunks} chunks at {tag}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

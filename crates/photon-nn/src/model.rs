@@ -19,6 +19,12 @@ pub struct Activations {
     logits: Vec<f32>,
     probs: Vec<f32>,
     losses: Vec<f32>,
+    // Attention scratch shared by every layer: nothing reads the masked
+    // logits after a layer's forward call (backward takes only its `att`),
+    // and each backward call overwrites both gradient blocks.
+    preatt: Vec<f32>,
+    g_preatt: Vec<f32>,
+    g_att: Vec<f32>,
     // Gradient mirrors.
     g_encoded: Vec<f32>,
     g_lnf: Vec<f32>,
@@ -32,7 +38,6 @@ struct LayerActs {
     ln1_rstd: Vec<f32>,
     qkv: Vec<f32>,
     atty: Vec<f32>,
-    preatt: Vec<f32>,
     att: Vec<f32>,
     attproj: Vec<f32>,
     residual2: Vec<f32>,
@@ -47,8 +52,6 @@ struct LayerActs {
     g_ln1: Vec<f32>,
     g_qkv: Vec<f32>,
     g_atty: Vec<f32>,
-    g_preatt: Vec<f32>,
-    g_att: Vec<f32>,
     g_attproj: Vec<f32>,
     g_residual2: Vec<f32>,
     g_ln2: Vec<f32>,
@@ -77,7 +80,6 @@ impl Activations {
                 ln1_rstd: vec![0.0; bt],
                 qkv: vec![0.0; bt * 3 * c],
                 atty: vec![0.0; bt * c],
-                preatt: vec![0.0; att_size],
                 att: vec![0.0; att_size],
                 attproj: vec![0.0; bt * c],
                 residual2: vec![0.0; bt * c],
@@ -91,8 +93,6 @@ impl Activations {
                 g_ln1: vec![0.0; bt * c],
                 g_qkv: vec![0.0; bt * 3 * c],
                 g_atty: vec![0.0; bt * c],
-                g_preatt: vec![0.0; att_size],
-                g_att: vec![0.0; att_size],
                 g_attproj: vec![0.0; bt * c],
                 g_residual2: vec![0.0; bt * c],
                 g_ln2: vec![0.0; bt * c],
@@ -113,6 +113,9 @@ impl Activations {
             logits: vec![0.0; bt * v],
             probs: vec![0.0; bt * v],
             losses: vec![0.0; bt],
+            preatt: vec![0.0; att_size],
+            g_preatt: vec![0.0; att_size],
+            g_att: vec![0.0; att_size],
             g_encoded: vec![0.0; bt * c],
             g_lnf: vec![0.0; bt * c],
             g_logits: vec![0.0; bt * v],
@@ -381,7 +384,7 @@ impl Gpt {
             );
             k::attention_forward(
                 &mut layer.atty,
-                &mut layer.preatt,
+                &mut acts.preatt,
                 &mut layer.att,
                 &layer.qkv,
                 b,
@@ -607,8 +610,8 @@ impl Gpt {
             }
             k::attention_backward(
                 &mut layer.g_qkv,
-                &mut layer.g_preatt,
-                &mut layer.g_att,
+                &mut acts.g_preatt,
+                &mut acts.g_att,
                 &layer.g_atty,
                 &layer.qkv,
                 &layer.att,

@@ -1,9 +1,86 @@
 //! Property-based tests for the transformer: structural invariants that
 //! must hold for arbitrary (small) architectures and inputs.
 
-use photon_nn::{Activations, Gpt, ModelConfig};
+use photon_nn::{kernels, Activations, Gpt, ModelConfig};
+use photon_tensor::backend::{simd_available, with_backend, BackendKind};
 use photon_tensor::SeedStream;
 use proptest::prelude::*;
+
+/// Textbook causal attention, forward and backward, in plain scalar loops
+/// with every sum taken in ascending index order: an oracle that shares no
+/// code with the kernels or the backends. Returns `(out, preatt, att, dinp)`.
+fn naive_attention(
+    inp: &[f32],
+    dout: &[f32],
+    (b, t, nh, hs): (usize, usize, usize, usize),
+    alibi: bool,
+) -> [Vec<f32>; 4] {
+    let c = nh * hs;
+    let at =
+        |bi: usize, ti: usize, part: usize, h: usize| (bi * t + ti) * 3 * c + part * c + h * hs;
+    let scale = 1.0 / (hs as f32).sqrt();
+    let mut out = vec![0.0f32; b * t * c];
+    let mut preatt = vec![0.0f32; b * nh * t * t];
+    let mut att = vec![0.0f32; b * nh * t * t];
+    let mut dinp = vec![0.0f32; b * t * 3 * c];
+    for bi in 0..b {
+        for h in 0..nh {
+            let slope = if alibi {
+                kernels::alibi_slope(h, nh)
+            } else {
+                0.0
+            };
+            let unit = (bi * nh + h) * t * t;
+            for ti in 0..t {
+                let row = unit + ti * t;
+                for t2 in 0..=ti {
+                    let mut dot = 0.0f32;
+                    for p in 0..hs {
+                        dot += inp[at(bi, ti, 0, h) + p] * inp[at(bi, t2, 1, h) + p];
+                    }
+                    preatt[row + t2] = dot * scale - slope * (ti - t2) as f32;
+                }
+                let max = preatt[row..=row + ti]
+                    .iter()
+                    .fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+                let mut sum = 0.0f32;
+                for t2 in 0..=ti {
+                    att[row + t2] = (preatt[row + t2] - max).exp();
+                    sum += att[row + t2];
+                }
+                let inv = 1.0 / sum;
+                for t2 in 0..=ti {
+                    att[row + t2] *= inv;
+                    for p in 0..hs {
+                        out[(bi * t + ti) * c + h * hs + p] +=
+                            att[row + t2] * inp[at(bi, t2, 2, h) + p];
+                    }
+                }
+            }
+            for ti in 0..t {
+                let row = unit + ti * t;
+                let d_o = &dout[(bi * t + ti) * c + h * hs..][..hs];
+                let mut datt = vec![0.0f32; ti + 1];
+                let mut rowdot = 0.0f32;
+                for t2 in 0..=ti {
+                    for p in 0..hs {
+                        datt[t2] += d_o[p] * inp[at(bi, t2, 2, h) + p];
+                        dinp[at(bi, t2, 2, h) + p] += att[row + t2] * d_o[p];
+                    }
+                    rowdot += att[row + t2] * datt[t2];
+                }
+                for t2 in 0..=ti {
+                    let ds = att[row + t2] * (datt[t2] - rowdot) * scale;
+                    for p in 0..hs {
+                        dinp[at(bi, ti, 0, h) + p] += ds * inp[at(bi, t2, 1, h) + p];
+                        dinp[at(bi, t2, 1, h) + p] += ds * inp[at(bi, ti, 0, h) + p];
+                    }
+                }
+            }
+        }
+    }
+    [out, preatt, att, dinp]
+}
 
 fn arb_config() -> impl Strategy<Value = ModelConfig> {
     (1usize..3, 1usize..3, 1usize..3, 4usize..20, 2usize..8).prop_map(
@@ -112,5 +189,57 @@ proptest! {
         let rebuilt = Gpt::from_params(cfg, model.params().to_vec());
         rebuilt.forward(&tokens, None, &mut acts);
         prop_assert_eq!(acts.logits(), &want[..]);
+    }
+
+    /// The tiled attention kernels against the textbook loops, at any shape
+    /// and thread budget: bit for bit under the scalar backend (the GEMM
+    /// tiles sum in ascending order from zero, like the loops), within
+    /// tolerance under SIMD (reassociated sums, polynomial exp).
+    #[test]
+    fn attention_matches_textbook_loops(
+        shape in (1usize..4, 1usize..40, 1usize..4, 1usize..26),
+        alibi in any::<bool>(),
+        chunks in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let (b, t, nh, hs) = shape;
+        let c = nh * hs;
+        let mut rng = SeedStream::new(seed);
+        let inp: Vec<f32> = (0..b * t * 3 * c).map(|_| rng.next_normal() * 0.5).collect();
+        let dout: Vec<f32> = (0..b * t * c).map(|_| rng.next_normal() * 0.5).collect();
+        let want = naive_attention(&inp, &dout, shape, alibi);
+        for kind in [BackendKind::Scalar, BackendKind::Simd] {
+            if kind == BackendKind::Simd && !simd_available() {
+                continue;
+            }
+            let n = b * nh * t * t;
+            let (mut out, mut preatt, mut att) = (vec![f32::NAN; b * t * c], vec![f32::NAN; n], vec![f32::NAN; n]);
+            let (mut dinp, mut dpreatt, mut datt) = (vec![0.0; inp.len()], vec![f32::NAN; n], vec![f32::NAN; n]);
+            with_backend(kind, || {
+                photon_tensor::ops::pool::with_parallelism(chunks, || {
+                    kernels::attention_forward(&mut out, &mut preatt, &mut att, &inp, b, t, c, nh, alibi);
+                    kernels::attention_backward(
+                        &mut dinp, &mut dpreatt, &mut datt, &dout, &inp, &att, b, t, c, nh,
+                    );
+                })
+            });
+            let got = [out, preatt, att, dinp];
+            for (name, (w, g)) in ["out", "preatt", "att", "dinp"].into_iter().zip(want.iter().zip(&got)) {
+                for (i, (x, y)) in w.iter().zip(g).enumerate() {
+                    let same = match kind {
+                        BackendKind::Scalar => x.to_bits() == y.to_bits(),
+                        BackendKind::Simd => (x - y).abs() <= 1e-5 * 1.0f32.max(x.abs()).max(y.abs()),
+                    };
+                    prop_assert!(same, "{:?} {}[{}] at {:?}: {} vs {}", kind, name, i, shape, x, y);
+                }
+            }
+            // The gradient scratch is overwritten whole, zeros above the diagonal.
+            for scratch in [&dpreatt, &datt] {
+                for (i, v) in scratch.iter().enumerate() {
+                    let (ti, t2) = (i / t % t, i % t);
+                    prop_assert!(v.is_finite() && (t2 <= ti || *v == 0.0));
+                }
+            }
+        }
     }
 }

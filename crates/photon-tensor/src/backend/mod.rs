@@ -1,12 +1,13 @@
 //! Pluggable compute backends: a scalar reference implementation and a
 //! SIMD microkernel path, selected once at runtime.
 //!
-//! Every hot kernel in the stack (GEMM in all transpose layouts, the
-//! attention dot/axpy primitives, layernorm, GELU, residual adds and the
-//! cross-entropy softmax) routes through the [`Backend`] trait, so the
-//! persistent worker pool in [`crate::ops::pool`] composes with either
-//! implementation: the pool decides *how work is split*, the backend
-//! decides *how each chunk is computed*.
+//! Every hot kernel in the stack (GEMM in all transpose layouts — the
+//! matmuls and, per head, attention — the softmax row shared by attention
+//! and cross-entropy, layernorm, GELU, residual adds) routes through the
+//! [`Backend`] trait, so the persistent worker pool in
+//! [`crate::ops::pool`] composes with either implementation: the pool
+//! decides *how work is split*, the backend decides *how each chunk is
+//! computed*.
 //!
 //! ## Selection
 //!
@@ -36,6 +37,15 @@
 //! backends only tolerance-bounded parity holds: the SIMD path reassociates
 //! reductions (8-wide accumulator trees) and uses a polynomial `exp`, so
 //! replay comparisons must pin `PHOTON_BACKEND`.
+//!
+//! The scalar GEMM kernels are held to more than that: each output element
+//! accumulates `alpha * a[i, p] * b[p, j]` over ascending `p`, straight
+//! into `C`. `photon-nn`'s attention relies on it — with packed transposes
+//! and `beta = 0` its per-head GEMMs reproduce the per-row `dot`/`axpy`
+//! loops they replaced bit for bit, which is what keeps scalar replays
+//! (and the round-engine golden digests) unchanged. The SIMD GEMMs sum
+//! per k-block into zeroed register tiles and apply `alpha` once per tile,
+//! so SIMD attention agrees with those loops to tolerance only.
 
 use crate::ops::Gemm;
 use std::cell::Cell;
@@ -84,8 +94,8 @@ pub trait Backend: Send + Sync {
         c_rows: &mut [f32],
     );
 
-    /// Dot product with single-precision accumulation (the attention q·k
-    /// inner product; for the f64-accumulated reduction see
+    /// Dot product with single-precision accumulation (the row dot of the
+    /// attention softmax backward; for the f64-accumulated reduction see
     /// [`crate::ops::dot`]).
     ///
     /// # Panics

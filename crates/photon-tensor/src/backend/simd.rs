@@ -828,15 +828,34 @@ mod arch {
         }
     }
 
+    /// Softmax over one row. The last `len % 8` elements go through the
+    /// same vector max / `exp` / sum as the full lanes, loaded and stored
+    /// under a lane mask (dead lanes read as `-inf` for the max and add `0`
+    /// to the sum): attention calls this on every causal prefix length, so a
+    /// scalar libm tail would cost more than the vector body.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn softmax_row_avx2(probs: &mut [f32], logits: &[f32]) {
         let v = logits.len();
         let lp = logits.as_ptr();
         let pp = probs.as_mut_ptr();
+        let body = v - v % 8;
+        // All-ones in the lanes the tail occupies.
+        let tail = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((v % 8) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let tail_ps = _mm256_castsi256_ps(tail);
 
-        let mut max_v = _mm256_set1_ps(f32::NEG_INFINITY);
+        // SAFETY (both masked accesses below): a masked-off lane is neither
+        // read nor written, and the live lanes are `body..v`, in bounds of
+        // both slices (equal lengths checked by the caller).
+        let mut max_v = _mm256_blendv_ps(
+            _mm256_set1_ps(f32::NEG_INFINITY),
+            _mm256_maskload_ps(lp.add(body), tail),
+            tail_ps,
+        );
         let mut i = 0usize;
-        while i + 8 <= v {
+        while i < body {
             max_v = _mm256_max_ps(max_v, _mm256_loadu_ps(lp.add(i)));
             i += 8;
         }
@@ -846,34 +865,24 @@ mod arch {
         let s = _mm_max_ps(lo, hi);
         let s = _mm_max_ps(s, _mm_movehl_ps(s, s));
         let s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
-        let mut maxv = _mm_cvtss_f32(s);
-        // An all-tail row starts from -inf, so seed with the first scalar.
-        while i < v {
-            maxv = maxv.max(*lp.add(i));
-            i += 1;
-        }
+        let max_b = _mm256_set1_ps(_mm_cvtss_f32(s));
 
-        let max_b = _mm256_set1_ps(maxv);
         let mut sum_v = _mm256_setzero_ps();
         let mut i = 0usize;
-        while i + 8 <= v {
+        while i < body {
             let e = exp_avx2(_mm256_sub_ps(_mm256_loadu_ps(lp.add(i)), max_b));
             _mm256_storeu_ps(pp.add(i), e);
             sum_v = _mm256_add_ps(sum_v, e);
             i += 8;
         }
-        let mut sum = hsum(sum_v);
-        while i < v {
-            let e = (*lp.add(i) - maxv).exp();
-            *pp.add(i) = e;
-            sum += e;
-            i += 1;
-        }
+        let e = exp_avx2(_mm256_sub_ps(_mm256_maskload_ps(lp.add(body), tail), max_b));
+        _mm256_maskstore_ps(pp.add(body), tail, e);
+        sum_v = _mm256_add_ps(sum_v, _mm256_and_ps(e, tail_ps));
 
-        let inv = 1.0 / sum;
+        let inv = 1.0 / hsum(sum_v);
         let inv_v = _mm256_set1_ps(inv);
         let mut i = 0usize;
-        while i + 8 <= v {
+        while i < body {
             _mm256_storeu_ps(pp.add(i), _mm256_mul_ps(_mm256_loadu_ps(pp.add(i)), inv_v));
             i += 8;
         }
@@ -1294,15 +1303,20 @@ mod tests {
         }
         let sd = SimdBackend;
         // Softmax over a spread of magnitudes, including large negatives
-        // that exercise the exp clamp.
-        let logits: Vec<f32> = (0..37).map(|i| (i as f32 - 18.0) * 2.3).collect();
-        let mut p_simd = vec![0.0f32; logits.len()];
-        let mut p_ref = vec![0.0f32; logits.len()];
-        sd.softmax_row(&mut p_simd, &logits);
-        ScalarBackend.softmax_row(&mut p_ref, &logits);
-        assert_close(&p_simd, &p_ref, 1e-5);
-        let sum: f32 = p_simd.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5, "softmax sums to {sum}");
+        // that exercise the exp clamp, at every masked-tail width (attention
+        // calls it on each causal prefix length, from one element up).
+        for len in 1..=40 {
+            let logits: Vec<f32> = (0..len).map(|i| (i as f32 - 18.0) * 2.3).collect();
+            // One element past the row on each side must stay untouched.
+            let mut p_simd = vec![f32::NAN; len + 2];
+            let mut p_ref = vec![0.0f32; len];
+            sd.softmax_row(&mut p_simd[1..=len], &logits);
+            ScalarBackend.softmax_row(&mut p_ref, &logits);
+            assert_close(&p_simd[1..=len], &p_ref, 1e-5);
+            assert!(p_simd[0].is_nan() && p_simd[len + 1].is_nan(), "len {len}");
+            let sum: f32 = p_simd[1..=len].iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5, "softmax of {len} sums to {sum}");
+        }
     }
 
     #[test]

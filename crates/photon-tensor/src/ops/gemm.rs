@@ -109,18 +109,48 @@ fn should_pack_b(spec: &Gemm) -> bool {
 /// the `trans_b` layout runs through the streaming `nn` kernel (unit-stride
 /// B rows) instead of column-strided dots.
 fn pack_b(k: usize, n: usize, b: &[f32]) -> Vec<f32> {
-    let mut packed = Vec::with_capacity(k * n);
-    for p in 0..k {
-        for j in 0..n {
-            packed.push(b[j * k + p]);
-        }
-    }
+    let mut packed = vec![0.0f32; k * n];
+    transpose_into(&mut packed, &b[..n * k], n, k, k);
     packed
 }
 
+/// Edge of the square tiles [`transpose_into`] walks: a tile reads
+/// `TRANSPOSE_TILE` source rows and writes as many destination rows, so both
+/// sides stay within a few cache lines whatever the matrix size.
+const TRANSPOSE_TILE: usize = 8;
+
+/// Writes the transpose of a `(rows, cols)` matrix into `dst` as a contiguous
+/// `(cols, rows)` row-major block. Source row `i` starts at `src[i * stride]`,
+/// so `src` may be a column window of a wider matrix (`stride >= cols`).
+///
+/// # Panics
+/// Panics if `dst` is shorter than `rows * cols` or `src` does not hold the
+/// last source row.
+pub fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: usize, stride: usize) {
+    let dst = &mut dst[..rows * cols];
+    for i0 in (0..rows).step_by(TRANSPOSE_TILE) {
+        let i1 = (i0 + TRANSPOSE_TILE).min(rows);
+        for j0 in (0..cols).step_by(TRANSPOSE_TILE) {
+            let j1 = (j0 + TRANSPOSE_TILE).min(cols);
+            for i in i0..i1 {
+                let src_row = &src[i * stride + j0..i * stride + j1];
+                for (j, &v) in (j0..j1).zip(src_row) {
+                    dst[j * rows + i] = v;
+                }
+            }
+        }
+    }
+}
+
 /// Runs a spec on the calling thread through one backend: applies `beta`,
-/// then dispatches the accumulate kernel for the transpose layout.
-fn gemm_serial(bk: &dyn Backend, spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
+/// then dispatches the accumulate kernel for the transpose layout. No
+/// packing, no pool. This is the entry point for a kernel that fans out
+/// itself and hands the backend it resolved on the submitting thread to its
+/// tasks (a pool worker does not see a [`backend::with_backend`] scope).
+///
+/// # Panics
+/// Panics if any slice is shorter than the spec requires.
+pub fn gemm_serial(bk: &dyn Backend, spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
     let (m, n) = (spec.m, spec.n);
     scale_beta(&mut c[..m * n], spec.beta);
     match (spec.trans_a, spec.trans_b) {
@@ -389,6 +419,34 @@ mod tests {
                 &mut c,
             );
             assert_close(&c, &want);
+        }
+    }
+
+    #[test]
+    fn transpose_into_handles_ragged_tiles_and_column_windows() {
+        let mut rng = SeedStream::new(9);
+        // Shapes on both sides of the tile edge; `stride > cols` reads a
+        // column window of a wider matrix.
+        for &(rows, cols, stride) in &[(1, 1, 1), (7, 3, 3), (8, 8, 8), (13, 17, 40), (64, 16, 192)]
+        {
+            let src = rand_vec(rows * stride, &mut rng);
+            let mut dst = vec![f32::NAN; rows * cols];
+            transpose_into(
+                &mut dst,
+                &src[..(rows - 1) * stride + cols],
+                rows,
+                cols,
+                stride,
+            );
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(
+                        dst[j * rows + i],
+                        src[i * stride + j],
+                        "{rows}x{cols} ({i},{j})"
+                    );
+                }
+            }
         }
     }
 
