@@ -60,6 +60,7 @@ pub use topology::{aggregation_time_seconds, bytes_on_wire, comm_time_seconds, T
 pub use transport::{ChannelLink, Link, LinkError};
 pub use walltime::{RoundTime, SimClock, WallTimeModel};
 pub use wire::{
-    decode_frame, decode_frame_flags, encode_frame, encode_frame_with, FrameFlags, FrameHeader,
-    TraceCtx, WireError, FRAME_HEADER_LEN, MAX_FRAME_BYTES, TRACE_CTX_LEN,
+    crc_passes, decode_frame, decode_frame_flags, encode_frame, encode_frame_with, FrameFlags,
+    FrameHeader, TraceCtx, VerifiedFrame, WireError, FRAME_HEADER_LEN, MAX_FRAME_BYTES,
+    TRACE_CTX_LEN,
 };

@@ -11,7 +11,7 @@
 //! backoff, seeded jitter and per-delivery timeout are fixed policy, so a
 //! chaos run replays bit-identically.
 
-use crate::{decode_frame, WireError};
+use crate::{VerifiedFrame, WireError};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -171,7 +171,7 @@ pub fn corrupt_frame(frame: &Bytes, seed: u64) -> Bytes {
 /// `policy.max_retries` times.
 ///
 /// `seed` keys the injected bit flips so a replay corrupts the same bits.
-/// Returns the first frame that decoded cleanly plus the delivery cost.
+/// Returns the first frame that verified cleanly plus the delivery cost.
 ///
 /// # Errors
 /// Returns [`LinkExhausted`] when every allowed attempt was corrupted.
@@ -180,7 +180,7 @@ pub fn deliver(
     corrupt_first: u32,
     seed: u64,
     policy: &RetransmitPolicy,
-) -> (Result<Bytes, LinkExhausted>, DeliveryReport) {
+) -> (Result<VerifiedFrame, LinkExhausted>, DeliveryReport) {
     deliver_chaos(frame, corrupt_first, 0, 0, seed, policy)
 }
 
@@ -203,7 +203,7 @@ pub fn deliver_chaos(
     latency_ms: u64,
     seed: u64,
     policy: &RetransmitPolicy,
-) -> (Result<Bytes, LinkExhausted>, DeliveryReport) {
+) -> (Result<VerifiedFrame, LinkExhausted>, DeliveryReport) {
     let mut link_span = photon_trace::span(photon_trace::Phase::LinkDeliver);
     let (result, report) =
         deliver_inner(frame, corrupt_first, lost_first, latency_ms, seed, policy);
@@ -244,7 +244,7 @@ fn deliver_inner(
     latency_ms: u64,
     seed: u64,
     policy: &RetransmitPolicy,
-) -> (Result<Bytes, LinkExhausted>, DeliveryReport) {
+) -> (Result<VerifiedFrame, LinkExhausted>, DeliveryReport) {
     let mut report = DeliveryReport::default();
     let mut last_error = WireError::Truncated;
     for attempt in 0..=policy.max_retries {
@@ -284,9 +284,10 @@ fn deliver_inner(
             frame.clone()
         };
         // Receiver-side integrity check: a corrupted frame MUST fail here;
-        // anything that decodes is delivered as-is.
-        match decode_frame(sent.clone()) {
-            Ok(_) => return (Ok(sent), report),
+        // anything that verifies is delivered as-is, carrying the proof so
+        // the receiver decodes it without a second CRC pass.
+        match VerifiedFrame::check(sent) {
+            Ok(frame) => return (Ok(frame), report),
             Err(e) => last_error = e,
         }
     }
@@ -303,7 +304,7 @@ fn deliver_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode_frame;
+    use crate::{decode_frame, encode_frame};
 
     fn frame() -> Bytes {
         encode_frame(b"pseudo-gradient payload bytes", false)
@@ -313,7 +314,7 @@ mod tests {
     fn clean_delivery_is_one_attempt() {
         let f = frame();
         let (out, report) = deliver(&f, 0, 7, &RetransmitPolicy::default());
-        assert_eq!(out.unwrap(), f);
+        assert_eq!(*out.unwrap(), f);
         assert_eq!(report.attempts, 1);
         assert_eq!(report.wire_bytes, f.len() as u64);
         assert_eq!(report.backoff_ms, 0);
@@ -324,7 +325,7 @@ mod tests {
         let f = frame();
         let policy = RetransmitPolicy::default(); // 3 retries
         let (out, report) = deliver(&f, 2, 7, &policy);
-        assert_eq!(out.unwrap(), f);
+        assert_eq!(*out.unwrap(), f);
         assert_eq!(report.attempts, 3);
         assert_eq!(report.wire_bytes, 3 * f.len() as u64);
         // Backoff 10ms then 20ms.
@@ -447,7 +448,7 @@ mod tests {
         let f = frame();
         let policy = RetransmitPolicy::default();
         let (out, report) = deliver_chaos(&f, 0, 2, 30, 7, &policy);
-        assert_eq!(out.unwrap(), f);
+        assert_eq!(*out.unwrap(), f);
         assert_eq!(report.attempts, 3);
         assert_eq!(report.latency_ms, 90, "every attempt pays link latency");
         assert_eq!(report.backoff_ms, 10 + 20);
@@ -461,7 +462,7 @@ mod tests {
             ..RetransmitPolicy::default()
         };
         let (out, report) = deliver_chaos(&f, 1, 1, 0, 7, &policy);
-        assert_eq!(out.unwrap(), f);
+        assert_eq!(*out.unwrap(), f);
         assert_eq!(report.attempts, 3, "1 lost + 1 corrupt + 1 clean");
     }
 

@@ -1,8 +1,8 @@
 use crate::crc::Crc32;
 use crate::wire::{begin_frame, seal_frame, split_frame, FrameHeader};
 use crate::{
-    compress_f32s, decompress_f32s, FrameFlags, TraceCtx, WireError, FRAME_HEADER_LEN,
-    TRACE_CTX_LEN,
+    compress_f32s, decompress_f32s, FrameFlags, TraceCtx, VerifiedFrame, WireError,
+    FRAME_HEADER_LEN, TRACE_CTX_LEN,
 };
 use bytes::{Buf, BufMut, Bytes};
 use photon_tensor::Dtype;
@@ -309,18 +309,21 @@ impl Message {
         Self::decode_payload(body, header.flags)
     }
 
-    /// [`Message::from_frame_traced`] for a frame whose payload CRC the
-    /// caller has **already verified** — a streaming transport checks it
-    /// while reading the frame off the socket
-    /// ([`FrameHeader::check_payload`]), and a model-sized payload should
-    /// be walked once, not twice. Everything else (magic, version, length,
-    /// structure) is still checked. Never feed this bytes that skipped
-    /// that check: a corrupted update would be aggregated silently.
+    /// [`Message::from_frame_traced`] for a frame whose payload CRC has
+    /// **already been verified** — a streaming transport checks it while
+    /// reading the frame off the socket, the simulated Link inside its
+    /// retransmit loop — because a model-sized payload should be walked
+    /// once, not twice. Everything else (magic, version, length,
+    /// structure) is still checked. The [`VerifiedFrame`] type is what
+    /// keeps unchecked bytes out: a corrupted update decoded here would be
+    /// aggregated silently.
     ///
     /// # Errors
     /// As [`Message::from_frame_traced`], minus the checksum.
-    pub fn from_verified_frame(frame: Bytes) -> Result<(Message, Option<TraceCtx>), WireError> {
-        let (header, body) = split_frame(frame)?;
+    pub fn from_verified_frame(
+        frame: VerifiedFrame,
+    ) -> Result<(Message, Option<TraceCtx>), WireError> {
+        let (header, body) = split_frame(frame.into_bytes())?;
         Self::decode_payload(body, header.flags)
     }
 
@@ -787,7 +790,7 @@ mod tests {
         };
         let frame = msg.to_frame(false);
         assert_eq!(
-            Message::from_verified_frame(frame.clone()).unwrap(),
+            Message::from_verified_frame(VerifiedFrame(frame.clone())).unwrap(),
             (msg.clone(), None)
         );
         // A wrong CRC field is the one thing it does not look at ...
@@ -798,17 +801,20 @@ mod tests {
             Err(WireError::BadChecksum { .. })
         ));
         assert_eq!(
-            Message::from_verified_frame(Bytes::from(raw)).unwrap().0,
+            Message::from_verified_frame(VerifiedFrame(Bytes::from(raw)))
+                .unwrap()
+                .0,
             msg
         );
         // ... magic, version and truncation are still rejected.
         let mut raw = frame.to_vec();
         raw[0] = b'X';
         assert_eq!(
-            Message::from_verified_frame(Bytes::from(raw)).unwrap_err(),
+            Message::from_verified_frame(VerifiedFrame(Bytes::from(raw))).unwrap_err(),
             WireError::BadMagic
         );
-        assert!(Message::from_verified_frame(frame.slice(..frame.len() - 1)).is_err());
+        let short = VerifiedFrame(frame.slice(..frame.len() - 1));
+        assert!(Message::from_verified_frame(short).is_err());
     }
 
     #[test]

@@ -454,19 +454,23 @@ impl Aggregator {
             .to_frame_opts(self.cfg.wire_opts());
             handshake_bytes += hello.len() as u64 + grant.len() as u64;
         }
-        let live = reg.live_members();
-        let mut universe = if live.is_empty() {
+        // The sampler indexes the registry's own roster; nothing is copied.
+        let fallback;
+        let mut universe = reg.live_roster();
+        if universe.is_empty() {
             // Every lease lapsed at once: fall back to all reachable
             // members rather than stalling the run.
-            reg.reachable_members()
-        } else {
-            live
-        };
+            fallback = reg.reachable_members();
+            universe = &fallback;
+        }
         // A client admitted this round spends it on the Hello/LeaseGrant
         // handshake and model transfer; it becomes sampleable from the
         // next round (which also gives the driver a chance to provision
-        // its client-side state).
-        universe.retain(|id| !churn.joined.contains(id));
+        // its client-side state). Joiners take the largest ids, so they
+        // are the roster's tail.
+        if let Some(&first) = churn.joined.first() {
+            universe = &universe[..universe.partition_point(|&id| id < first)];
+        }
         if universe.is_empty() {
             return Err(CoreError::ClientFailure(
                 "no trained member is available to sample this round".into(),
@@ -480,7 +484,7 @@ impl Aggregator {
             .member_rng
             .as_ref()
             .expect("membership mode always has a sampling stream");
-        let cohort_idx = sample_live(&universe, k, rng, self.round)
+        let cohort_idx = sample_live(universe, k, rng, self.round)
             .into_iter()
             .map(|id| id as usize)
             .collect();
@@ -522,6 +526,11 @@ impl Aggregator {
         };
         let broadcast_bytes = broadcast.len() as u64 * (cohort - plan.severed_full) as u64;
         photon_trace::counter_add("round.broadcast_bytes", broadcast_bytes);
+        // One frame, verified and decoded once for the whole cohort. The
+        // clients train from the *decoded frame*, never `self.params`:
+        // bf16 storage and the link codec round on the wire.
+        let global = decode_broadcast(broadcast, self.round);
+        let global = global.as_deref().map_err(String::as_str);
 
         // The cohort's clients, picked out of the roster by ascending
         // index: O(cohort) however many clients are provisioned.
@@ -545,7 +554,7 @@ impl Aggregator {
         let (round, cfg, cohort_ids) = (self.round, &self.cfg, &plan.cohort_ids);
         let replies = on_lanes(members, lanes, |client| {
             let fault = injector.and_then(|inj| inj.client_fault(round, client.id()));
-            client_round(client, broadcast.clone(), round, cohort_ids, cfg, fault)
+            client_round(client, global, round, cohort_ids, cfg, fault)
         });
         let Some(mut replies) = replies else {
             return Err(CoreError::ClientFailure("a client thread panicked".into()));
@@ -625,7 +634,9 @@ impl Aggregator {
                 }
             }
             let frame_len = delivered.frame.len() as u64;
-            match photon_comms::Message::from_frame(delivered.frame)? {
+            // The Link's retransmit loop verified this frame's CRC; the
+            // decode does not walk the payload again.
+            match photon_comms::Message::from_verified_frame(delivered.frame)?.0 {
                 photon_comms::Message::ClientResult {
                     client_id,
                     delta,
@@ -1407,7 +1418,7 @@ fn on_lanes<T: Send, R: Send>(
 
 /// A result frame that made it across the simulated Link.
 struct Delivered {
-    frame: bytes::Bytes,
+    frame: photon_comms::VerifiedFrame,
     /// Simulated milliseconds between the round start and the arrival.
     lateness: u64,
     /// Extra copies a duplicating link delivered.
@@ -1447,11 +1458,25 @@ impl ClientReply {
     }
 }
 
-/// One client's side of a round: decode the broadcast, honour any
+/// Verifies and decodes the round's broadcast frame into the parameters
+/// the cohort trains from, or the message every client reports when it
+/// cannot be.
+fn decode_broadcast(frame: bytes::Bytes, round: u64) -> std::result::Result<Vec<f32>, String> {
+    match photon_comms::Message::from_frame(frame) {
+        Ok(photon_comms::Message::ModelBroadcast { round: r, params }) => {
+            debug_assert_eq!(r, round);
+            Ok(params)
+        }
+        Ok(other) => Err(format!("expected a model broadcast, got {other:?}")),
+        Err(e) => Err(format!("broadcast frame corrupt: {e}")),
+    }
+}
+
+/// One client's side of a round: take the decoded broadcast, honour any
 /// scheduled fault, train, and frame the result. Runs on a client lane.
 fn client_round(
     client: &mut LlmClient,
-    broadcast: bytes::Bytes,
+    global: std::result::Result<&[f32], &str>,
     round: u64,
     cohort_ids: &[u32],
     cfg: &FederationConfig,
@@ -1462,21 +1487,12 @@ fn client_round(
     // aggregator/driver) whichever thread runs it, so per-client spans
     // never interleave.
     photon_trace::set_actor(1 + client_id);
-    let params = match photon_comms::Message::from_frame(broadcast) {
-        Ok(photon_comms::Message::ModelBroadcast { round: r, params }) => {
-            debug_assert_eq!(r, round);
-            params
-        }
-        Ok(other) => {
+    let params = match global {
+        Ok(params) => params,
+        Err(message) => {
             return ClientReply::Error {
                 client_id,
-                message: format!("expected a model broadcast, got {other:?}"),
-            }
-        }
-        Err(e) => {
-            return ClientReply::Error {
-                client_id,
-                message: format!("broadcast frame corrupt: {e}"),
+                message: message.to_owned(),
             }
         }
     };
@@ -1488,7 +1504,7 @@ fn client_round(
         let mut step_span = photon_trace::span(photon_trace::Phase::LocalStep)
             .arg("client", client_id as u64)
             .arg("round", round);
-        let outcome = match client.run_round(&params, round, cohort_ids, cfg) {
+        let outcome = match client.run_round(params, round, cohort_ids, cfg) {
             Ok(outcome) => outcome,
             Err(e) => {
                 return ClientReply::Error {
@@ -1560,6 +1576,7 @@ mod tests {
         build_federation, CohortSpec, CoreError, DataSource, FaultCounters, FaultInjector,
         FaultSpec, FederationConfig, LlmClient, RoundRecord,
     };
+    use photon_comms::Message;
     use photon_tensor::ops::pool;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1689,18 +1706,42 @@ mod tests {
     /// Runs `rounds` rounds twice from one config — through the simulated
     /// transport, and by training the same clients by hand and entering at
     /// `commit_external_round` — and requires the two aggregators to agree.
+    /// The hand-run side moves the model and the results through the wire
+    /// codec itself: what a client trains from is the *decoded broadcast
+    /// frame* (bf16 storage rounds there), never the aggregator's floats.
     fn sim_and_external_agree(cfg: &FederationConfig, rounds: u64) {
         let mut sim = build_federation(cfg, 2_000).unwrap();
         let mut ext = build_federation(cfg, 2_000).unwrap();
         let cohort: Vec<u32> = (0..cfg.population as u32).collect();
+        let over_the_wire =
+            |msg: Message| Message::from_frame(msg.to_frame_opts(cfg.wire_opts())).unwrap();
         for round in 0..rounds {
             let want = sim.aggregator.run_round(&mut sim.clients).unwrap();
+            let params = ext.aggregator.params().to_vec();
+            let Message::ModelBroadcast { params: global, .. } =
+                over_the_wire(Message::ModelBroadcast { round, params })
+            else {
+                panic!("a broadcast decodes as a broadcast");
+            };
             let mut results = Vec::new();
             for client in &mut ext.clients {
-                let out = client
-                    .run_round(ext.aggregator.params(), round, &cohort, cfg)
-                    .unwrap();
-                results.push((client.id(), out.delta, out.weight, out.metrics));
+                let out = client.run_round(&global, round, &cohort, cfg).unwrap();
+                let Message::ClientResult {
+                    delta,
+                    weight,
+                    metrics,
+                    ..
+                } = over_the_wire(Message::ClientResult {
+                    round,
+                    client_id: client.id(),
+                    delta: out.delta,
+                    weight: out.weight,
+                    metrics: out.metrics,
+                })
+                else {
+                    panic!("a result decodes as a result");
+                };
+                results.push((client.id(), delta, weight, metrics));
             }
             // A real transport delivers in any order and may re-deliver.
             results.reverse();
@@ -1724,6 +1765,29 @@ mod tests {
     #[test]
     fn the_external_entry_matches_the_simulated_round_flat() {
         sim_and_external_agree(&quick_cfg(3), 3);
+    }
+
+    #[test]
+    fn every_client_trains_from_the_decoded_broadcast_frame() {
+        let mut bf16 = quick_cfg(3);
+        bf16.dtype = photon_tensor::Dtype::Bf16;
+        // The rule has teeth here: the frame rounds, so the aggregator's
+        // own floats are not what a client may be handed.
+        let fed = build_federation(&bf16, 2_000).unwrap();
+        let params = fed.aggregator.params().to_vec();
+        let frame = Message::ModelBroadcast { round: 0, params }.to_frame_opts(bf16.wire_opts());
+        let Ok(Message::ModelBroadcast {
+            params: decoded, ..
+        }) = Message::from_frame(frame)
+        else {
+            panic!("a broadcast decodes as a broadcast");
+        };
+        assert_ne!(decoded, fed.aggregator.params());
+        sim_and_external_agree(&bf16, 3);
+
+        let mut compressed = quick_cfg(3);
+        compressed.compress_link = true;
+        sim_and_external_agree(&compressed, 3);
     }
 
     #[test]

@@ -716,6 +716,17 @@ impl FaultPlan {
         self.client_faults.get(&(round, client)).copied()
     }
 
+    /// The clients scheduled to crash at `round`, ascending: one range
+    /// query over the round's faults, for callers that would otherwise ask
+    /// [`FaultPlan::client_fault`] about every client.
+    pub fn crashes_at(&self, round: u64) -> Vec<u32> {
+        self.client_faults
+            .range((round, 0)..=(round, u32::MAX))
+            .filter(|&(_, &fault)| fault == ClientFault::Crash)
+            .map(|(&(_, client), _)| client)
+            .collect()
+    }
+
     /// Whether the aggregator is scheduled to crash right after `round`
     /// completes (before the next checkpoint).
     pub fn aggregator_crashes_after(&self, round: u64) -> bool {

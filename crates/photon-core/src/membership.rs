@@ -27,12 +27,15 @@
 //! enough consecutive rounds that simulated time passes its lease expiry
 //! is *expired* — dropped from the live roster until a crash-free round
 //! lets it re-handshake (`Hello`/`LeaseGrant`) and warm-rejoin.
+//!
+//! Storage is flat arrays (ids are dense), and a round pays one sequential
+//! pass over the active leases plus what changed: [`MembershipRegistry`].
 
 use crate::faults::FaultInjector;
 use photon_comms::SimClock;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Knobs for the elastic membership runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,20 +140,33 @@ pub struct MembershipSnapshot {
 /// The aggregator's membership registry: who exists, who is live, and who
 /// may be sampled this round.
 ///
-/// Per-round cost is O(active) + O(expiring), not O(ever admitted): the
-/// active and expired id sets are indexed, and lease expiries come off a
-/// min-heap instead of a full-map scan. Departed members (which only
-/// accumulate over a long run) are never touched again by `begin_round`.
+/// Ids are dense by construction — founding members are `0..population`
+/// and every join takes the next id — so members live in a `Vec` indexed
+/// by id, and the live roster is a sorted id vector the registry lends out
+/// as a slice ([`MembershipRegistry::live_roster`]).
+///
+/// What a round costs: [`MembershipRegistry::begin_round`] makes **one
+/// sequential pass over the active leases** (a store per member; the crash
+/// test is a cursor over the round's sorted crash list). That pass is
+/// O(active) and the only term that grows with the registry. Everything
+/// else is O(churn + this round's faults): joins append, expiries come off
+/// a min-heap, and a round that changed the rosters at all (departures,
+/// rejoins, expiries) rebuilds them in one merge pass, worst case
+/// O(active + changes) — never a `Vec::insert`/`remove` per change.
+/// Sampling borrows the roster, so the cohort draw is O(cohort). Departed
+/// members are never touched again.
 #[derive(Debug, Clone)]
 pub struct MembershipRegistry {
     cfg: MembershipConfig,
     clock: SimClock,
-    members: BTreeMap<u32, Member>,
-    next_id: u32,
-    /// Ids in [`MemberPhase::Active`] — the renewal scan's universe.
-    active: BTreeSet<u32>,
-    /// Ids in [`MemberPhase::Expired`] — the rejoin scan's universe.
-    expired: BTreeSet<u32>,
+    /// Every member ever admitted, indexed by id.
+    members: Vec<Member>,
+    /// Ids in [`MemberPhase::Active`], ascending — the live roster and the
+    /// renewal pass's universe.
+    active: Vec<u32>,
+    /// Ids in [`MemberPhase::Expired`], ascending — the rejoin scan's
+    /// universe.
+    expired: Vec<u32>,
     /// Lazy lease-expiry min-heap over `(lease_expires_ms, id)`. An entry
     /// is pushed whenever a member misses a heartbeat (its lease then
     /// stops moving), and validated against the member's current lease on
@@ -163,13 +179,38 @@ pub struct MembershipRegistry {
 
 impl PartialEq for MembershipRegistry {
     fn eq(&self, other: &Self) -> bool {
-        // The index structures are derived state (and the lazy heap admits
-        // many equivalent shapes); logical equality is the member map.
-        self.cfg == other.cfg && self.members == other.members && self.next_id == other.next_id
+        // The rosters are derived state (and the lazy heap admits many
+        // equivalent shapes); logical equality is the member table.
+        self.cfg == other.cfg && self.members == other.members
     }
 }
 
 impl Eq for MembershipRegistry {}
+
+/// Whether `id` is in the ascending list `ids`, for a scan whose own ids
+/// ascend: drops the head of the list below `id`, so a whole scan costs
+/// O(list + queries) instead of a map lookup per query.
+fn next_is(ids: &mut &[u32], id: u32) -> bool {
+    while ids.first().is_some_and(|&head| head < id) {
+        *ids = &ids[1..];
+    }
+    ids.first() == Some(&id)
+}
+
+/// `roster` with `added` merged in (both ascending, disjoint), minus every
+/// id that has left `phase`: one pass, O(roster + added).
+fn remerge(members: &[Member], roster: &[u32], added: &[u32], phase: MemberPhase) -> Vec<u32> {
+    let mut out = Vec::with_capacity(roster.len() + added.len());
+    let mut added = added.iter().copied().peekable();
+    for &id in roster {
+        if members[id as usize].phase == phase {
+            out.extend(std::iter::from_fn(|| added.next_if(|&a| a < id)));
+            out.push(id);
+        }
+    }
+    out.extend(added);
+    out
+}
 
 impl MembershipRegistry {
     /// Founds a registry with `population` members, all active with leases
@@ -182,26 +223,17 @@ impl MembershipRegistry {
         cfg.validate().expect("invalid membership config");
         assert!(population > 0, "cannot found an empty federation");
         let clock = cfg.clock();
-        let lease = clock.now_ms(0) + cfg.lease_ms;
-        let members = (0..population as u32)
-            .map(|id| {
-                (
-                    id,
-                    Member {
-                        birth_round: 0,
-                        lease_expires_ms: lease,
-                        phase: MemberPhase::Active,
-                    },
-                )
-            })
-            .collect();
+        let founder = Member {
+            birth_round: 0,
+            lease_expires_ms: clock.now_ms(0) + cfg.lease_ms,
+            phase: MemberPhase::Active,
+        };
         MembershipRegistry {
             cfg,
             clock,
-            members,
-            next_id: population as u32,
+            members: vec![founder; population],
             active: (0..population as u32).collect(),
-            expired: BTreeSet::new(),
+            expired: Vec::new(),
             expiry_heap: BinaryHeap::new(),
         }
     }
@@ -215,14 +247,16 @@ impl MembershipRegistry {
     /// id and roster index coincide, so this is also the size the client
     /// vector must be provisioned to.
     pub fn roster_len(&self) -> usize {
-        self.next_id as usize
+        self.members.len()
     }
 
     /// Applies one round of membership churn, in deterministic order:
     /// scheduled joins, then permanent leaves, then warm rejoins of
     /// expired members (a crash-free round re-handshakes), then heartbeat
     /// lease renewals (a member scheduled to crash misses its heartbeat),
-    /// then lease-expiry checks against the simulated clock.
+    /// then lease-expiry checks against the simulated clock. Phases change
+    /// as each step decides them; the rosters catch up in one merge pass
+    /// at the end.
     pub fn begin_round(&mut self, round: u64, injector: Option<&FaultInjector>) -> ChurnEvents {
         let now = self.clock.now_ms(round);
         let lease = now + self.cfg.lease_ms;
@@ -230,129 +264,119 @@ impl MembershipRegistry {
 
         if let Some(inj) = injector {
             for _ in 0..inj.joins_at(round) {
-                let id = self.next_id;
-                self.next_id += 1;
-                self.members.insert(
-                    id,
-                    Member {
-                        birth_round: round,
-                        lease_expires_ms: lease,
-                        phase: MemberPhase::Active,
-                    },
-                );
-                self.active.insert(id);
+                let id = self.members.len() as u32;
+                self.members.push(Member {
+                    birth_round: round,
+                    lease_expires_ms: lease,
+                    phase: MemberPhase::Active,
+                });
+                // The newest id is the largest: the roster stays sorted.
+                self.active.push(id);
                 events.joined.push(id);
             }
             for id in inj.leaves_at(round) {
-                if let Some(m) = self.members.get_mut(&id) {
+                if let Some(m) = self.members.get_mut(id as usize) {
                     if m.phase != MemberPhase::Departed {
                         m.phase = MemberPhase::Departed;
-                        self.active.remove(&id);
-                        self.expired.remove(&id);
                         events.departed.push(id);
                     }
                 }
             }
         }
 
-        let crashed = |id: u32| {
-            injector
-                .and_then(|inj| inj.client_fault(round, id))
-                .map(|f| f == crate::faults::ClientFault::Crash)
-                .unwrap_or(false)
-        };
-        // Warm rejoins: O(expired), ascending id (matching the order the
-        // old full-map scan produced).
-        let rejoining: Vec<u32> = self
-            .expired
-            .iter()
-            .copied()
-            .filter(|&id| !crashed(id))
-            .collect();
-        for id in rejoining {
-            let m = self
-                .members
-                .get_mut(&id)
-                .expect("expired index out of sync");
-            m.phase = MemberPhase::Active;
-            m.lease_expires_ms = lease;
-            self.expired.remove(&id);
-            self.active.insert(id);
-            events.rejoined.push(id);
+        // This round's crashes, ascending; each scan below walks them with
+        // its own cursor.
+        let crashes = injector.map_or_else(Vec::new, |inj| inj.plan().crashes_at(round));
+        // Warm rejoins: O(expired), ascending id.
+        let mut crashed = &crashes[..];
+        for &id in &self.expired {
+            let m = &mut self.members[id as usize];
+            if m.phase == MemberPhase::Expired && !next_is(&mut crashed, id) {
+                m.phase = MemberPhase::Active;
+                m.lease_expires_ms = lease;
+                events.rejoined.push(id);
+            }
         }
-        // Heartbeat renewals: O(active). A member that crashes misses its
+        // Heartbeat renewals: the one O(active) pass, sequential over the
+        // roster and the member table. A member that crashes misses its
         // heartbeat — its lease stops moving, so it enters the expiry heap
-        // with the lease it will still hold when (if) it lapses.
+        // with the lease it will still hold when (if) it lapses. (This
+        // round's rejoins already hold a fresh lease.)
+        let mut crashed = &crashes[..];
         for &id in &self.active {
-            let m = self.members.get_mut(&id).expect("active index out of sync");
-            if crashed(id) {
+            let m = &mut self.members[id as usize];
+            if m.phase != MemberPhase::Active {
+                continue; // departed above
+            }
+            if next_is(&mut crashed, id) {
                 self.expiry_heap.push(Reverse((m.lease_expires_ms, id)));
             } else {
                 m.lease_expires_ms = lease;
             }
         }
         // Lease expiries: O(expiring), off the heap instead of a second
-        // full-map scan. Entries whose lease no longer matches (the member
+        // full scan. Entries whose lease no longer matches (the member
         // renewed, already expired, or departed since the push) are stale
         // and discarded.
-        let mut expiring = Vec::new();
         while let Some(&Reverse((expires_ms, id))) = self.expiry_heap.peek() {
             if expires_ms >= now {
                 break;
             }
             self.expiry_heap.pop();
-            if let Some(m) = self.members.get_mut(&id) {
-                if m.phase == MemberPhase::Active && m.lease_expires_ms == expires_ms {
-                    m.phase = MemberPhase::Expired;
-                    self.active.remove(&id);
-                    self.expired.insert(id);
-                    expiring.push(id);
-                }
+            let m = &mut self.members[id as usize];
+            if m.phase == MemberPhase::Active && m.lease_expires_ms == expires_ms {
+                m.phase = MemberPhase::Expired;
+                events.expired.push(id);
             }
         }
-        // The old path reported expiries in ascending id order; the heap
-        // yields (lease, id) order. Restore the contract.
-        expiring.sort_unstable();
-        events.expired = expiring;
+        // Expiries are reported in ascending id order; the heap yields
+        // (lease, id) order.
+        events.expired.sort_unstable();
+
+        if !(events.departed.is_empty() && events.rejoined.is_empty() && events.expired.is_empty())
+        {
+            let m = &self.members;
+            self.active = remerge(m, &self.active, &events.rejoined, MemberPhase::Active);
+            self.expired = remerge(m, &self.expired, &events.expired, MemberPhase::Expired);
+        }
         events
     }
 
     /// Active members, ascending — the universe the cohort sampler draws
-    /// from this round. O(active), straight off the index.
-    pub fn live_members(&self) -> Vec<u32> {
-        self.active.iter().copied().collect()
-    }
-
-    /// Number of active members, without materializing them.
-    pub fn live_count(&self) -> usize {
-        self.active.len()
+    /// from this round, borrowed straight off the roster.
+    pub fn live_roster(&self) -> &[u32] {
+        &self.active
     }
 
     /// Every non-departed member, ascending — the fallback universe when
     /// every live member happens to be expired at once.
     pub fn reachable_members(&self) -> Vec<u32> {
-        self.active.union(&self.expired).copied().collect()
+        remerge(
+            &self.members,
+            &self.active,
+            &self.expired,
+            MemberPhase::Active,
+        )
     }
 
     /// The member's phase, if it was ever admitted.
     pub fn phase(&self, id: u32) -> Option<MemberPhase> {
-        self.members.get(&id).map(|m| m.phase)
+        self.members.get(id as usize).map(|m| m.phase)
     }
 
     /// The round the member first joined, if it was ever admitted.
     pub fn birth_round(&self, id: u32) -> Option<u64> {
-        self.members.get(&id).map(|m| m.birth_round)
+        self.members.get(id as usize).map(|m| m.birth_round)
     }
 
     /// Exports the registry for checkpointing.
     pub fn snapshot(&self) -> MembershipSnapshot {
         MembershipSnapshot {
             config: self.cfg,
-            next_id: self.next_id,
-            members: self
-                .members
-                .iter()
-                .map(|(&id, m)| {
+            next_id: self.members.len() as u32,
+            members: (0u32..)
+                .zip(&self.members)
+                .map(|(id, m)| {
                     let phase = match m.phase {
                         MemberPhase::Active => 0u8,
                         MemberPhase::Expired => 1,
@@ -367,14 +391,19 @@ impl MembershipRegistry {
     /// Rebuilds a registry from a checkpoint snapshot.
     ///
     /// # Errors
-    /// Returns a description of an invalid snapshot (bad config, unknown
-    /// phase tag, or an id at or past `next_id`).
+    /// Returns a description of an invalid snapshot: bad config, unknown
+    /// phase tag, or member ids that are not exactly `0..next_id` in order
+    /// (the id is the member's index, so a gap, a duplicate or a shuffle
+    /// cannot be represented).
     pub fn from_snapshot(snap: &MembershipSnapshot) -> Result<Self, String> {
         snap.config.validate()?;
-        let mut members = BTreeMap::new();
+        let mut members = Vec::with_capacity(snap.members.len());
         for &(id, birth_round, lease_expires_ms, phase) in &snap.members {
-            if id >= snap.next_id {
-                return Err(format!("member id {id} beyond next_id {}", snap.next_id));
+            if id as usize != members.len() {
+                return Err(format!(
+                    "member id {id} at position {}: ids must run 0..next_id in order",
+                    members.len()
+                ));
             }
             let phase = match phase {
                 0 => MemberPhase::Active,
@@ -382,32 +411,32 @@ impl MembershipRegistry {
                 2 => MemberPhase::Departed,
                 other => return Err(format!("unknown member phase tag {other}")),
             };
-            members.insert(
-                id,
-                Member {
-                    birth_round,
-                    lease_expires_ms,
-                    phase,
-                },
-            );
+            members.push(Member {
+                birth_round,
+                lease_expires_ms,
+                phase,
+            });
         }
-        let active = members
-            .iter()
-            .filter(|(_, m)| m.phase == MemberPhase::Active)
-            .map(|(&id, _)| id)
-            .collect();
-        let expired = members
-            .iter()
-            .filter(|(_, m)| m.phase == MemberPhase::Expired)
-            .map(|(&id, _)| id)
-            .collect();
+        if members.len() != snap.next_id as usize {
+            return Err(format!(
+                "{} members but next_id {}",
+                members.len(),
+                snap.next_id
+            ));
+        }
+        let in_phase = |phase| {
+            (0u32..)
+                .zip(&members)
+                .filter(move |(_, m)| m.phase == phase)
+                .map(|(id, _)| id)
+                .collect()
+        };
         Ok(MembershipRegistry {
             cfg: snap.config,
             clock: snap.config.clock(),
+            active: in_phase(MemberPhase::Active),
+            expired: in_phase(MemberPhase::Expired),
             members,
-            next_id: snap.next_id,
-            active,
-            expired,
             // Empty is correct: a member can only expire on a round it
             // also crashes, and the deterministic fault plan re-pushes its
             // entry when that round replays.
@@ -419,7 +448,9 @@ impl MembershipRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultSpec;
+    use crate::faults::{ClientFault, FaultSpec};
+    use photon_tensor::SeedStream;
+    use std::collections::BTreeMap;
 
     fn cfg() -> MembershipConfig {
         MembershipConfig::default() // 3 s lease, 1 s rounds
@@ -428,7 +459,7 @@ mod tests {
     #[test]
     fn founding_members_are_all_live() {
         let reg = MembershipRegistry::new(cfg(), 4);
-        assert_eq!(reg.live_members(), vec![0, 1, 2, 3]);
+        assert_eq!(reg.live_roster(), vec![0, 1, 2, 3]);
         assert_eq!(reg.roster_len(), 4);
         assert_eq!(reg.phase(0), Some(MemberPhase::Active));
         assert_eq!(reg.birth_round(0), Some(0));
@@ -447,11 +478,11 @@ mod tests {
         assert!(reg.begin_round(0, Some(&inj)).is_empty());
         let ev = reg.begin_round(2, Some(&inj));
         assert_eq!(ev.joined, vec![3, 4]);
-        assert_eq!(reg.live_members(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(reg.live_roster(), vec![0, 1, 2, 3, 4]);
         assert_eq!(reg.birth_round(3), Some(2));
         let ev = reg.begin_round(3, Some(&inj));
         assert_eq!(ev.departed, vec![1]);
-        assert_eq!(reg.live_members(), vec![0, 2, 3, 4]);
+        assert_eq!(reg.live_roster(), vec![0, 2, 3, 4]);
         // A mid-run joiner can be told to leave too.
         let ev = reg.begin_round(5, Some(&inj));
         assert_eq!(ev.departed, vec![4]);
@@ -460,7 +491,7 @@ mod tests {
         for round in 6..10 {
             assert!(reg.begin_round(round, Some(&inj)).is_empty());
         }
-        assert_eq!(reg.live_members(), vec![0, 2, 3]);
+        assert_eq!(reg.live_roster(), vec![0, 2, 3]);
     }
 
     #[test]
@@ -491,12 +522,12 @@ mod tests {
         // Lease from round 0 (granted to 3000 ms) lapses at round 4
         // (now = 4000 > 3000): three consecutive missed heartbeats.
         assert_eq!(expired_at, Some(4));
-        assert_eq!(reg.live_members(), vec![0, 2]);
+        assert_eq!(reg.live_roster(), vec![0, 2]);
         assert_eq!(reg.phase(1), Some(MemberPhase::Expired));
         // Round 5 is crash-free: warm rejoin with a fresh lease.
         let ev = reg.begin_round(5, Some(&inj));
         assert_eq!(ev.rejoined, vec![1]);
-        assert_eq!(reg.live_members(), vec![0, 1, 2]);
+        assert_eq!(reg.live_roster(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -505,7 +536,7 @@ mod tests {
         for round in 0..50 {
             assert!(reg.begin_round(round, None).is_empty());
         }
-        assert_eq!(reg.live_members().len(), 5);
+        assert_eq!(reg.live_roster().len(), 5);
     }
 
     #[test]
@@ -550,6 +581,24 @@ mod tests {
         let mut snap = reg.snapshot();
         snap.next_id = 1;
         assert!(MembershipRegistry::from_snapshot(&snap).is_err());
+        // The id is the member's index: a snapshot whose ids are not
+        // exactly 0..next_id in order is an error, never a bad index.
+        let reg = MembershipRegistry::new(cfg(), 3);
+        type Breakage = fn(&mut MembershipSnapshot);
+        let broken: [(&str, Breakage); 5] = [
+            ("gap", |s| {
+                s.members.remove(1);
+            }),
+            ("duplicate", |s| s.members[1].0 = 0),
+            ("out of order", |s| s.members.swap(0, 1)),
+            ("missing tail", |s| s.members.truncate(2)),
+            ("next_id past the members", |s| s.next_id = 4),
+        ];
+        for (what, breakage) in broken {
+            let mut snap = reg.snapshot();
+            breakage(&mut snap);
+            assert!(MembershipRegistry::from_snapshot(&snap).is_err(), "{what}");
+        }
     }
 
     /// A faithful reimplementation of the pre-heap `begin_round`: two full
@@ -642,30 +691,123 @@ mod tests {
         }
     }
 
+    impl ShadowRegistry {
+        fn ids(&self, keep: impl Fn(MemberPhase) -> bool) -> Vec<u32> {
+            let kept = self.members.iter().filter(|(_, m)| keep(m.phase));
+            kept.map(|(&id, _)| id).collect()
+        }
+
+        fn snapshot(&self) -> MembershipSnapshot {
+            MembershipSnapshot {
+                config: self.cfg,
+                next_id: self.next_id,
+                members: self
+                    .members
+                    .iter()
+                    .map(|(&id, m)| (id, m.birth_round, m.lease_expires_ms, m.phase as u8))
+                    .collect(),
+            }
+        }
+    }
+
+    /// One seeded churn scenario: a population in 1..=64, a lease of one
+    /// to four rounds, random crash / join / leave rates, pinned joins
+    /// (several a round included) and pinned leaves of founders, of
+    /// not-yet-admitted ids and of clients in the very round they join.
+    /// (The plan draws crashes for founding ids only, so a join and a
+    /// crash never share a round.)
+    fn churn_case(case: u64, rounds: u64) -> (MembershipConfig, usize, FaultInjector) {
+        let mut rng = SeedStream::new(0xC0FFEE + case);
+        let population = 1 + rng.next_below(64);
+        let cfg = MembershipConfig {
+            lease_ms: 1_000 * (1 + rng.next_below(4) as u64),
+            round_ms: 1_000,
+        };
+        let mut pick = |rates: &[f64]| rates[rng.next_below(rates.len())];
+        let mut spec = FaultSpec {
+            p_crash: pick(&[0.0, 0.05, 0.25, 0.45, 0.7]),
+            p_join: pick(&[0.0, 0.1, 0.5]),
+            p_leave: pick(&[0.0, 0.02, 0.1]),
+            ..FaultSpec::none(case)
+        };
+        for _ in 0..rng.next_below(8) {
+            spec.targeted_joins
+                .push(rng.next_below(rounds as usize) as u64);
+        }
+        // Joins draw from their own columns, so the ids they will be given
+        // can be read off a first expansion and told to leave on arrival.
+        let joins_only = FaultInjector::from_spec(&spec, population, rounds);
+        let mut next_id = population as u32;
+        for round in 0..rounds {
+            let joiners = next_id..next_id + joins_only.joins_at(round);
+            next_id = joiners.end;
+            for id in joiners.filter(|_| rng.next_below(4) == 0) {
+                spec.targeted_leaves.push((round, id));
+            }
+        }
+        for _ in 0..rng.next_below(6) {
+            let id = rng.next_below(next_id as usize + 2) as u32;
+            spec.targeted_leaves
+                .push((rng.next_below(rounds as usize) as u64, id));
+        }
+        let injector = FaultInjector::from_spec(&spec, population, rounds);
+        (cfg, population, injector)
+    }
+
     #[test]
     fn heap_path_matches_old_double_scan_exactly() {
-        // A churny plan: random crashes (driving expiries and rejoins in
-        // overlapping waves), joins and permanent leaves, over enough
-        // rounds for leases to lapse repeatedly.
-        let spec = FaultSpec {
-            p_crash: 0.45,
-            targeted_joins: vec![3, 7, 12, 18, 25],
-            targeted_leaves: vec![(4, 2), (10, 5), (16, 21), (22, 0), (28, 9)],
-            ..FaultSpec::none(0xC0FFEE)
-        };
-        let rounds = 40;
-        let population = 24;
-        let inj = FaultInjector::from_spec(&spec, population, rounds);
-        let mut fast = MembershipRegistry::new(cfg(), population);
-        let mut shadow = ShadowRegistry::new(cfg(), population);
-        for round in 0..rounds {
-            let a = fast.begin_round(round, Some(&inj));
-            let b = shadow.begin_round(round, Some(&inj));
-            assert_eq!(a, b, "churn events diverged at round {round}");
+        let rounds = 60;
+        let (mut joined_and_left, mut expired, mut rejoined) = (0, 0, 0);
+        for case in 0..64 {
+            let (cfg, population, inj) = churn_case(case, rounds);
+            let mut fast = MembershipRegistry::new(cfg, population);
+            let mut shadow = ShadowRegistry::new(cfg, population);
+            // A registry restored from a mid-run snapshot runs alongside.
+            let restore_at = case % rounds;
+            let mut restored: Option<MembershipRegistry> = None;
+            for round in 0..rounds {
+                let at = format!("case {case}, round {round}");
+                let events = fast.begin_round(round, Some(&inj));
+                assert_eq!(events, shadow.begin_round(round, Some(&inj)), "{at}");
+                let live = shadow.ids(|p| p == MemberPhase::Active);
+                assert_eq!(fast.live_roster(), live, "{at}");
+                let reachable = shadow.ids(|p| p != MemberPhase::Departed);
+                assert_eq!(fast.reachable_members(), reachable, "{at}");
+                // One id past the roster too: never admitted.
+                for id in 0..=shadow.next_id {
+                    let want = shadow.members.get(&id);
+                    assert_eq!(fast.phase(id), want.map(|m| m.phase), "{at}");
+                    assert_eq!(fast.birth_round(id), want.map(|m| m.birth_round), "{at}");
+                }
+                assert_eq!(fast.snapshot(), shadow.snapshot(), "{at}");
+
+                let crashes: Vec<u32> = (0..shadow.next_id)
+                    .filter(|&id| inj.client_fault(round, id) == Some(ClientFault::Crash))
+                    .collect();
+                assert_eq!(inj.plan().crashes_at(round), crashes, "{at}");
+
+                if let Some(restored) = restored.as_mut() {
+                    assert_eq!(restored.begin_round(round, Some(&inj)), events, "{at}");
+                    assert_eq!(restored.live_roster(), fast.live_roster(), "{at}");
+                    assert_eq!(restored.reachable_members(), reachable, "{at}");
+                    assert_eq!(*restored, fast, "{at}");
+                }
+                if round == restore_at {
+                    restored = Some(MembershipRegistry::from_snapshot(&fast.snapshot()).unwrap());
+                }
+                let left_on_arrival = |id| events.departed.contains(id);
+                joined_and_left += events
+                    .joined
+                    .iter()
+                    .filter(|&id| left_on_arrival(id))
+                    .count();
+                expired += events.expired.len();
+                rejoined += events.rejoined.len();
+            }
+            assert_eq!(fast.roster_len(), shadow.next_id as usize);
         }
-        // And the full lease state agrees, not just the event stream.
-        assert_eq!(fast.members, shadow.members);
-        assert_eq!(fast.next_id, shadow.next_id);
+        // The table reaches what it claims to.
+        assert!(joined_and_left > 0 && expired > 100 && rejoined > 100);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! allocated, so a hostile length field can never drive allocation.
 
 use bytes::Bytes;
-use photon_comms::{FrameHeader, LinkError, FRAME_HEADER_LEN, MAX_FRAME_BYTES};
+use photon_comms::{FrameHeader, LinkError, VerifiedFrame, FRAME_HEADER_LEN, MAX_FRAME_BYTES};
 use std::io::{ErrorKind, Read, Write};
 
 /// How many consecutive read timeouts mid-frame are tolerated before the
@@ -65,7 +65,7 @@ fn read_full<R: Read + ?Sized>(
 /// timeout (or a started frame stalls past the patience budget),
 /// [`LinkError::Closed`] on EOF, [`LinkError::Wire`] on integrity
 /// failure, [`LinkError::Io`] on any other socket error.
-pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Bytes, LinkError> {
+pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<VerifiedFrame, LinkError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     read_full(r, &mut header, false)?;
     let parsed = FrameHeader::parse(&header, MAX_FRAME_BYTES)?;
@@ -73,10 +73,10 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Bytes, LinkError> {
     let mut frame = vec![0u8; FRAME_HEADER_LEN + payload_len];
     frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
     read_full(r, &mut frame[FRAME_HEADER_LEN..], true)?;
-    parsed.check_payload(&frame[FRAME_HEADER_LEN..])?;
+    let frame = VerifiedFrame::check(Bytes::from(frame))?;
     #[cfg(test)]
     CRC_PASSES.with(|n| n.set(n.get() + 1));
-    Ok(Bytes::from(frame))
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -142,7 +142,7 @@ mod tests {
         let back = read_frame(&mut cursor).unwrap();
         assert_eq!(&back[..], &frame[..]);
         assert_eq!(
-            Message::from_frame(back).unwrap(),
+            Message::from_frame(back.into_bytes()).unwrap(),
             Message::Heartbeat {
                 client_id: 3,
                 seq: 9

@@ -2,7 +2,7 @@
 
 use crate::frame_io::{read_frame, write_frame_parts};
 use bytes::Bytes;
-use photon_comms::{Link, LinkError, Message, TraceCtx};
+use photon_comms::{Link, LinkError, Message, TraceCtx, VerifiedFrame};
 use std::io::BufWriter;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -98,25 +98,15 @@ impl TcpLink {
         &self,
         timeout: Duration,
     ) -> Result<(Message, Option<TraceCtx>, u64), LinkError> {
-        let frame = self.recv_frame(timeout)?;
+        let frame = self.recv_verified(timeout)?;
         let frame_len = frame.len() as u64;
         let (msg, ctx) = Message::from_verified_frame(frame).map_err(LinkError::Wire)?;
         Ok((msg, ctx, frame_len))
     }
-}
 
-impl Drop for TcpLink {
-    fn drop(&mut self) {
-        self.sever();
-    }
-}
-
-impl Link for TcpLink {
-    fn send_frame(&self, frame: Bytes) -> Result<(), LinkError> {
-        self.send_frame_parts(&[&frame])
-    }
-
-    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, LinkError> {
+    /// [`Link::recv_frame`], keeping [`read_frame`]'s proof that the CRC
+    /// has been checked.
+    fn recv_verified(&self, timeout: Duration) -> Result<VerifiedFrame, LinkError> {
         if !self.is_connected() {
             return Err(LinkError::Closed);
         }
@@ -134,6 +124,22 @@ impl Link for TcpLink {
             _ => {}
         }
         res
+    }
+}
+
+impl Drop for TcpLink {
+    fn drop(&mut self) {
+        self.sever();
+    }
+}
+
+impl Link for TcpLink {
+    fn send_frame(&self, frame: Bytes) -> Result<(), LinkError> {
+        self.send_frame_parts(&[&frame])
+    }
+
+    fn recv_frame(&self, timeout: Duration) -> Result<Bytes, LinkError> {
+        self.recv_verified(timeout).map(VerifiedFrame::into_bytes)
     }
 
     fn is_connected(&self) -> bool {

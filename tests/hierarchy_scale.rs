@@ -6,90 +6,17 @@
 //! the next round, and the whole faulted run must replay bit-identically —
 //! trace included — under the sim clock.
 
-use photon_core::{
-    Aggregator, CohortSpec, DataSource, FaultInjector, FaultSpec, Federation, FederationConfig,
-    HierarchyConfig, LlmClient, MembershipConfig, TrainingHistory,
+use photon_core::{FaultInjector, FaultSpec, Federation, FederationConfig, TrainingHistory};
+use photon_tests::{
+    scale_cfg, scale_federation, SCALE_MAX_RESIDENT as MAX_RESIDENT, SCALE_SHARDS as SHARDS,
 };
-use photon_data::Shard;
-use photon_nn::ModelConfig;
-use photon_tensor::SeedStream;
-use photon_tokenizer::TokenId;
 use photon_trace::{ClockMode, TraceConfig};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 const REGISTERED: usize = 100_000;
 const SAMPLED: usize = 1_000;
-const SHARDS: usize = 8;
-const MAX_RESIDENT: usize = 16;
 const ROUNDS: u64 = 3;
-
-/// The smallest model the stack trains: at 10^5 provisioned clients the
-/// registry and tree are the subject under test, not the math.
-fn nano_model() -> ModelConfig {
-    ModelConfig {
-        n_layers: 1,
-        d_model: 8,
-        n_heads: 1,
-        exp_ratio: 2,
-        vocab_size: 257,
-        seq_len: 8,
-    }
-}
-
-fn scale_cfg(registered: usize, sampled: usize) -> FederationConfig {
-    let mut cfg = FederationConfig::quick_demo(nano_model(), registered);
-    cfg.cohort = CohortSpec::Sample { k: sampled };
-    cfg.local_steps = 1;
-    cfg.local_batch = 1;
-    cfg.seed = 61;
-    cfg.allow_partial_results = true;
-    cfg.membership = Some(MembershipConfig::default());
-    cfg.hierarchy = Some(HierarchyConfig {
-        shards: SHARDS,
-        shard_quorum_frac: 0.5,
-        max_resident: MAX_RESIDENT,
-    });
-    cfg
-}
-
-/// Provisions `registered` clients as views into one shared token buffer:
-/// each client's shard is a 64-token window into the same `Arc`, so the
-/// whole 10^5-client roster costs megabytes, not gigabytes.
-fn scale_federation(cfg: &FederationConfig) -> Federation {
-    let mut rng = SeedStream::new(cfg.seed);
-    let mut data_rng = rng.split("data");
-    let tokens: Arc<Vec<TokenId>> = Arc::new(
-        (0..4096)
-            .map(|_| (data_rng.next_below(257)) as TokenId)
-            .collect(),
-    );
-    const WINDOW: usize = 64;
-    let span = tokens.len() - WINDOW;
-    let clients = (0..cfg.population)
-        .map(|i| {
-            let start = (i * 31) % span;
-            let shard = Shard::from_range(
-                format!("scale-{i}"),
-                Arc::clone(&tokens),
-                start,
-                start + WINDOW,
-            );
-            LlmClient::new(
-                i as u32,
-                DataSource::new(format!("ds-{i}"), shard),
-                None,
-                rng.split(&format!("client-{i}")),
-            )
-        })
-        .collect();
-    Federation {
-        aggregator: Aggregator::new(cfg.clone()).expect("config validates"),
-        clients,
-        joiner_tokens: WINDOW,
-    }
-}
 
 /// A shard-2 crash in round 1, on the salted shard fault columns.
 fn crash_spec() -> FaultSpec {
@@ -219,81 +146,4 @@ fn shard_crash_at_registry_scale_degrades_one_shard_and_replays_bit_identically(
     assert!(hist_q.rounds.iter().all(|r| r.reparented == 0));
 
     let _ = fs::remove_dir_all(&dir);
-}
-
-/// Peak RSS high-water mark of this process, in MiB.
-fn peak_rss_mb() -> u64 {
-    let status = fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|l| l.trim().strip_suffix("kB"))
-        .and_then(|l| l.trim().parse::<u64>().ok())
-        .map_or(0, |kb| kb / 1024)
-}
-
-/// The scale suite behind CI's `scale-suite` job: round latency and peak
-/// RSS at 10^3 / 10^4 / 10^5 registered clients with a fixed sampled
-/// cohort, written to `BENCH_scale.json`. Round cost must track the
-/// *active* cohort, not the registry — sub-linear in registered count —
-/// and RSS must stay bounded.
-#[test]
-#[ignore = "scale suite: run with --release -- --ignored"]
-fn scale_bench_emits_bench_json() {
-    const BENCH_SAMPLED: usize = 256;
-    const BENCH_ROUNDS: u64 = 2;
-    let sizes = [1_000usize, 10_000, 100_000];
-    let mut entries = Vec::new();
-    for &registered in &sizes {
-        let cfg = scale_cfg(registered, BENCH_SAMPLED);
-        let inj = FaultInjector::from_spec(&FaultSpec::none(23), cfg.population, BENCH_ROUNDS);
-        let mut fed = scale_federation(&cfg);
-        let mut round_ms = Vec::new();
-        let mut peak_resident = 0usize;
-        for _ in 0..BENCH_ROUNDS {
-            let t = std::time::Instant::now();
-            let record = fed.run_round_with(Some(&inj)).expect("round completes");
-            round_ms.push(t.elapsed().as_secs_f64() * 1e3);
-            peak_resident = peak_resident.max(record.peak_resident);
-        }
-        let mean_ms = round_ms.iter().sum::<f64>() / round_ms.len() as f64;
-        assert!(
-            peak_resident > 0 && peak_resident <= MAX_RESIDENT,
-            "residency bound violated at {registered} registered"
-        );
-        entries.push((registered, mean_ms, peak_rss_mb(), peak_resident));
-    }
-
-    let lat_small = entries[0].1;
-    let lat_large = entries[entries.len() - 1].1;
-    let registered_growth = sizes[sizes.len() - 1] as f64 / sizes[0] as f64;
-    let latency_growth = lat_large / lat_small;
-    assert!(
-        latency_growth < registered_growth / 2.0,
-        "round latency grew {latency_growth:.1}x over a {registered_growth:.0}x \
-         registry increase — round cost is not O(active)"
-    );
-    let rss = entries.last().unwrap().2;
-    assert!(rss < 4096, "peak RSS {rss} MiB exceeds the 4 GiB bound");
-
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|(n, ms, rss, resident)| {
-            format!(
-                "    {{\"registered\": {n}, \"sampled\": {BENCH_SAMPLED}, \
-                 \"mean_round_ms\": {ms:.1}, \"peak_rss_mb\": {rss}, \
-                 \"peak_resident\": {resident}}}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"suite\": \"hierarchy_scale\",\n  \"shards\": {SHARDS},\n  \
-         \"max_resident\": {MAX_RESIDENT},\n  \"rounds_per_size\": {BENCH_ROUNDS},\n  \
-         \"entries\": [\n{}\n  ],\n  \"registered_growth\": {registered_growth:.0},\n  \
-         \"latency_growth\": {latency_growth:.2}\n}}\n",
-        rows.join(",\n")
-    );
-    let out = std::env::var("BENCH_SCALE_OUT")
-        .unwrap_or_else(|_| format!("{}/../BENCH_scale.json", env!("CARGO_MANIFEST_DIR")));
-    fs::write(&out, json).expect("BENCH_scale.json written");
 }
