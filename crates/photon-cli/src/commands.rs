@@ -5,9 +5,9 @@ use photon_core::experiments::{
     build_heterogeneous_federation, build_iid_federation, downstream_report, RunOptions,
 };
 use photon_core::{
-    load_checkpoint, run_training, AdaptiveDeadlineConfig, CohortSpec, CoreError, FaultInjector,
-    FaultSpec, Federation, FederationConfig, HierarchyConfig, LinkProfile, MembershipConfig,
-    NetworkConfig, TrainingOptions,
+    load_checkpoint, run_training, AdaptiveDeadlineConfig, CohortSpec, CoreError, FaultSpec,
+    Federation, FederationConfig, HierarchyConfig, LinkProfile, MembershipConfig, NetworkConfig,
+    TrainingOptions,
 };
 use photon_fedopt::{AggregationKind, BufferConfig, GuardConfig, ServerOptKind};
 use photon_nn::{generate as sample_tokens, Gpt, ModelConfig, SampleConfig};
@@ -179,14 +179,9 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
         let dir = ckpt_dir
             .as_deref()
             .ok_or("resume requires --checkpoint-dir")?;
-        let (manifest, _) =
-            load_checkpoint(dir).map_err(|e| format!("cannot load checkpoint: {e}"))?;
-        println!(
-            "resuming from {} at round {}",
-            dir.display(),
-            manifest.round
-        );
-        manifest.config
+        let ckpt = load_checkpoint(dir).map_err(|e| format!("cannot load checkpoint: {e}"))?;
+        println!("resuming from {} at round {}", dir.display(), ckpt.round);
+        ckpt.config
     } else {
         config_from_args(args)?
     };
@@ -201,7 +196,7 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
                     spec.shards = h.shards;
                 }
             }
-            Some(FaultInjector::from_spec(&spec, cfg.population, rounds))
+            Some(spec.plan(cfg.population, rounds))
         }
         None => None,
     };
@@ -228,21 +223,19 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
         println!(
             "fault plan: {} client fault(s), {} aggregator crash(es), {} join(s), \
              {} leave(s) over {rounds} round(s)",
-            inj.plan().client_fault_count(),
-            inj.plan().agg_crash_count(),
-            inj.plan().join_count(),
-            inj.plan().leave_count()
+            inj.client_fault_count(),
+            inj.agg_crash_count(),
+            inj.join_count(),
+            inj.leave_count()
         );
-        let chaos = inj.plan().partition_count()
-            + inj.plan().slowlink_count()
-            + inj.plan().link_loss_count();
+        let chaos = inj.partition_count() + inj.slowlink_count() + inj.link_loss_count();
         if chaos > 0 {
             println!(
                 "network chaos: {} partition window(s), {} slow link(s), \
                  {} lossy cell(s)",
-                inj.plan().partition_count(),
-                inj.plan().slowlink_count(),
-                inj.plan().link_loss_count()
+                inj.partition_count(),
+                inj.slowlink_count(),
+                inj.link_loss_count()
             );
         }
     }
@@ -759,9 +752,8 @@ fn load_model(args: &Args) -> Result<Gpt, String> {
         .get("checkpoint-dir")
         .map(Path::new)
         .ok_or("missing --checkpoint-dir")?;
-    let (manifest, params) =
-        load_checkpoint(dir).map_err(|e| format!("cannot load checkpoint: {e}"))?;
-    Ok(Gpt::from_params(manifest.config.model, params))
+    let ckpt = load_checkpoint(dir).map_err(|e| format!("cannot load checkpoint: {e}"))?;
+    Ok(Gpt::from_params(ckpt.config.model, ckpt.params))
 }
 
 const SERVE_HELP: &str = "photon serve — multi-process coordinator

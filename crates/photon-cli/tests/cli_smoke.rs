@@ -26,8 +26,7 @@ fn tiny_train_args(dir: &std::path::Path, extra: &str) -> Args {
 fn train_then_resume_generate_downstream() {
     let dir = ckpt_dir("full-cycle");
     commands::train(&tiny_train_args(&dir, ""), false).expect("train failed");
-    assert!(dir.join("manifest.json").exists());
-    assert!(dir.join("params.bin").exists());
+    assert!(photon_core::checkpoint_exists(&dir));
 
     // Resume continues from the saved round.
     let resume = args(&format!(

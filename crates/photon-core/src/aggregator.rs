@@ -1,7 +1,7 @@
 mod round;
 
-use crate::checkpoint::ElasticState;
-use crate::faults::FaultInjector;
+use crate::checkpoint::{write_checkpoint, Checkpoint, CheckpointView};
+use crate::faults::FaultPlan;
 use crate::hierarchy::{HierarchyState, ShardTree};
 use crate::membership::MembershipRegistry;
 use crate::{CohortSpec, CoreError, DataSource, FederationConfig, LlmClient, Result, RoundRecord};
@@ -14,6 +14,7 @@ use photon_nn::Gpt;
 use photon_tensor::SeedStream;
 use photon_tokenizer::ByteTokenizer;
 use std::collections::BTreeSet;
+use std::path::Path;
 
 /// The Photon Aggregator (Agg, §3.1): owns the global model, orchestrates
 /// rounds over real Link frames, aggregates pseudo-gradients and applies
@@ -52,7 +53,7 @@ pub struct Aggregator {
     /// EMAs it re-warms deterministically from the replayed rounds.
     latency_obs: Vec<u64>,
     /// Sub-aggregator tree, present when `cfg.hierarchy` is set. Its dead
-    /// set is the only hierarchical state and rides in checkpoint v5.
+    /// set is the only hierarchical state a checkpoint carries.
     hierarchy: Option<ShardTree>,
 }
 
@@ -156,54 +157,113 @@ impl Aggregator {
         &self.telemetry
     }
 
-    /// The server optimizer's exportable state (for checkpointing).
-    pub fn server_opt_state(&self) -> photon_fedopt::ServerOptState {
-        self.server_opt.export_state()
-    }
-
-    /// Restores aggregator state from a checkpoint *without* server
-    /// optimizer state: stateful optimizers (FedMom, FedAdam, DiLoCo) are
-    /// reinitialized with a logged warning. Prefer
-    /// [`Aggregator::restore_with_opt`] with the state saved by
-    /// [`crate::save_checkpoint_with_opt`].
+    /// Saves everything a restart needs — parameters, server-optimizer
+    /// momenta, roster with in-flight buffered updates, dead shards — as
+    /// `dir`'s checkpoint. Parameters and buffered updates are encoded
+    /// from where they live, not cloned first.
     ///
     /// # Errors
-    /// Returns [`CoreError::InvalidConfig`] if the parameter vector does
-    /// not match the configured model.
-    pub fn restore(&mut self, round: u64, params: Vec<f32>) -> Result<()> {
-        self.restore_with_opt(round, params, None)
+    /// Propagates filesystem errors.
+    pub fn save_checkpoint(&self, dir: &Path) -> Result<()> {
+        let server_opt = self.server_opt.export_state();
+        let roster = self.membership.as_ref().map(MembershipRegistry::snapshot);
+        let hierarchy = self.hierarchy_state();
+        write_checkpoint(
+            dir,
+            &CheckpointView {
+                round: self.round,
+                config: &self.cfg,
+                params: &self.params,
+                server_opt: Some(&server_opt),
+                elastic: roster
+                    .as_ref()
+                    .map(|roster| (roster, self.buffer.as_ref().map(UpdateBuffer::entries))),
+                hierarchy: hierarchy.as_ref(),
+            },
+        )
     }
 
-    /// Restores aggregator state from a checkpoint, including the server
-    /// optimizer's state when the checkpoint carries one. Passing `None`
-    /// (legacy v1 checkpoints) reinitializes the optimizer; if it is
-    /// stateful, a warning is logged because its momentum is lost.
+    /// Restores the aggregator from a loaded checkpoint. Every section is
+    /// checked against the run's configuration before anything is
+    /// assigned, so a rejected checkpoint leaves the aggregator exactly as
+    /// it was.
+    ///
+    /// A section the checkpoint does not carry resets to its founding
+    /// state: a params-only checkpoint reinitializes the server optimizer
+    /// (with a warning when that loses momentum), the founding roster and
+    /// a fully live tree. Guard, watchdog, degraded-mode and
+    /// adaptive-deadline state is never checkpointed: it re-warms
+    /// deterministically from the replayed rounds.
     ///
     /// # Errors
-    /// Returns [`CoreError::InvalidConfig`] if the parameter vector does
-    /// not match the configured model or the optimizer state belongs to a
-    /// different optimizer or shape.
-    pub fn restore_with_opt(
-        &mut self,
-        round: u64,
-        params: Vec<f32>,
-        server_opt: Option<&photon_fedopt::ServerOptState>,
-    ) -> Result<()> {
-        if params.len() != self.params.len() {
+    /// Returns [`CoreError::InvalidConfig`] if the parameter count, the
+    /// optimizer kind or shape, the roster or the dead-shard set does not
+    /// fit the configured run.
+    pub fn restore(&mut self, ckpt: Checkpoint) -> Result<()> {
+        if ckpt.params.len() != self.params.len() {
             return Err(CoreError::InvalidConfig(format!(
                 "checkpoint has {} parameters, model needs {}",
-                params.len(),
+                ckpt.params.len(),
                 self.params.len()
             )));
         }
-        match server_opt {
+        let hierarchy = match (&ckpt.hierarchy, self.cfg.hierarchy) {
+            (Some(_), None) => {
+                return Err(CoreError::InvalidConfig(
+                    "checkpoint carries hierarchy state but the run has no hierarchy config".into(),
+                ));
+            }
+            (Some(state), Some(hcfg)) => {
+                if let Some(&bad) = state
+                    .dead_shards
+                    .iter()
+                    .find(|&&s| s as usize >= hcfg.shards)
+                {
+                    return Err(CoreError::InvalidConfig(format!(
+                        "checkpoint marks shard {bad} dead but the tree has {} shards",
+                        hcfg.shards
+                    )));
+                }
+                Some(ShardTree::from_state(hcfg, self.cfg.seed, state))
+            }
+            (None, hcfg) => hcfg.map(|h| ShardTree::new(h, self.cfg.seed)),
+        };
+        let buffering = self.cfg.buffer.is_some();
+        let (membership, buffer) = match (ckpt.elastic, self.cfg.membership) {
+            (Some(_), None) => {
+                return Err(CoreError::InvalidConfig(
+                    "checkpoint carries membership state but the run has no membership config"
+                        .into(),
+                ));
+            }
+            (Some(state), Some(_)) => {
+                let reg = MembershipRegistry::from_snapshot(&state.membership)
+                    .map_err(|e| CoreError::InvalidConfig(format!("membership snapshot: {e}")))?;
+                let buffer = match state.buffer {
+                    Some(entries) if buffering => Some(UpdateBuffer::from_entries(entries)),
+                    Some(entries) if !entries.is_empty() => {
+                        return Err(CoreError::InvalidConfig(
+                            "checkpoint carries buffered updates but buffering is disabled".into(),
+                        ));
+                    }
+                    _ => buffering.then(UpdateBuffer::new),
+                };
+                (Some(reg), buffer)
+            }
+            (None, mcfg) => (
+                mcfg.map(|m| MembershipRegistry::new(m, self.cfg.population)),
+                buffering.then(UpdateBuffer::new),
+            ),
+        };
+        // The last check: `import_state` leaves the optimizer untouched
+        // when it rejects the state, and nothing after it can fail.
+        match &ckpt.server_opt {
             Some(state) => self
                 .server_opt
                 .import_state(state)
                 .map_err(|e| CoreError::InvalidConfig(format!("server optimizer state: {e}")))?,
             None => {
-                let is_stateful = !self.server_opt.export_state().slots.is_empty();
-                if is_stateful {
+                if !self.server_opt.export_state().slots.is_empty() {
                     eprintln!(
                         "warning: checkpoint carries no server-optimizer state; \
                          {} momentum reinitialized",
@@ -213,10 +273,11 @@ impl Aggregator {
                 self.server_opt = self.cfg.server_opt.build(self.params.len());
             }
         }
-        self.params = params;
-        self.round = round;
-        // Guard and watchdog state is not checkpointed: it re-warms
-        // deterministically from the replayed rounds.
+        self.params = ckpt.params;
+        self.round = ckpt.round;
+        self.membership = membership;
+        self.buffer = buffer;
+        self.hierarchy = hierarchy;
         self.guard = self
             .cfg
             .guard
@@ -224,100 +285,15 @@ impl Aggregator {
             .then(|| UpdateGuard::new(self.cfg.guard, self.cfg.seed));
         self.loss_ema = None;
         self.norm_ema = None;
-        // Degraded mode and the adaptive-deadline window likewise re-warm
-        // from the replayed rounds rather than being checkpointed.
         self.degraded = false;
         self.latency_obs.clear();
-        // Roster and buffer reset to the founding state; a v3 checkpoint's
-        // [`Aggregator::restore_elastic`] overwrites them with the exact
-        // image the crashed run had.
-        self.membership = self
-            .cfg
-            .membership
-            .map(|m| MembershipRegistry::new(m, self.cfg.population));
-        self.buffer = self.cfg.buffer.map(|_| UpdateBuffer::new());
-        // The shard tree resets to fully live; a v5 checkpoint's
-        // [`Aggregator::restore_hierarchy`] overwrites the dead set with
-        // the exact image the crashed run had.
-        self.hierarchy = self.cfg.hierarchy.map(|h| ShardTree::new(h, self.cfg.seed));
         Ok(())
     }
 
-    /// The hierarchical-aggregation image to carry in a v5 checkpoint:
-    /// the set of crashed shards. `None` when the run has no hierarchy
+    /// The set of crashed shards; `None` when the run has no hierarchy
     /// config.
     pub fn hierarchy_state(&self) -> Option<HierarchyState> {
         self.hierarchy.as_ref().map(ShardTree::state)
-    }
-
-    /// Restores the shard tree's dead set from a v5 checkpoint, so the
-    /// resumed run re-derives the identical routing — including the
-    /// deterministic re-parenting of every orphaned client — the crashed
-    /// run had.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::InvalidConfig`] if the run has no hierarchy
-    /// config or the dead set references shards outside the tree.
-    pub fn restore_hierarchy(&mut self, state: &HierarchyState) -> Result<()> {
-        let Some(hcfg) = self.cfg.hierarchy else {
-            return Err(CoreError::InvalidConfig(
-                "checkpoint carries hierarchy state but the run has no hierarchy config".into(),
-            ));
-        };
-        if let Some(&bad) = state
-            .dead_shards
-            .iter()
-            .find(|&&s| s as usize >= hcfg.shards)
-        {
-            return Err(CoreError::InvalidConfig(format!(
-                "checkpoint marks shard {bad} dead but the tree has {} shards",
-                hcfg.shards
-            )));
-        }
-        self.hierarchy = Some(ShardTree::from_state(hcfg, self.cfg.seed, state));
-        Ok(())
-    }
-
-    /// The elastic-membership image to carry in a v3 checkpoint: the
-    /// roster snapshot plus any in-flight buffered updates. `None` when
-    /// the run has no membership config.
-    pub fn elastic_state(&self) -> Option<ElasticState> {
-        self.membership.as_ref().map(|reg| ElasticState {
-            membership: reg.snapshot(),
-            buffer: self.buffer.as_ref().map(|b| b.entries().to_vec()),
-        })
-    }
-
-    /// Restores the membership registry and update buffer from a v3
-    /// checkpoint, so the resumed run continues with the exact roster —
-    /// including mid-run joiners and departures — the crashed run had.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::InvalidConfig`] if the run has no membership
-    /// config, the snapshot is malformed, or the checkpoint carries
-    /// buffered updates while buffering is disabled.
-    pub fn restore_elastic(&mut self, state: &ElasticState) -> Result<()> {
-        if self.cfg.membership.is_none() {
-            return Err(CoreError::InvalidConfig(
-                "checkpoint carries membership state but the run has no membership config".into(),
-            ));
-        }
-        let reg = MembershipRegistry::from_snapshot(&state.membership)
-            .map_err(|e| CoreError::InvalidConfig(format!("membership snapshot: {e}")))?;
-        self.membership = Some(reg);
-        match (&state.buffer, self.cfg.buffer.is_some()) {
-            (Some(entries), true) => {
-                self.buffer = Some(UpdateBuffer::from_entries(entries.clone()))
-            }
-            (None, true) => self.buffer = Some(UpdateBuffer::new()),
-            (Some(entries), false) if !entries.is_empty() => {
-                return Err(CoreError::InvalidConfig(
-                    "checkpoint carries buffered updates but buffering is disabled".into(),
-                ));
-            }
-            _ => {}
-        }
-        Ok(())
     }
 
     /// How many clients the roster requires (founding members plus every
@@ -387,7 +363,7 @@ impl Federation {
     ///
     /// # Errors
     /// Propagates aggregator round failures.
-    pub fn run_round_with(&mut self, injector: Option<&FaultInjector>) -> Result<RoundRecord> {
+    pub fn run_round_with(&mut self, injector: Option<&FaultPlan>) -> Result<RoundRecord> {
         self.sync_roster()?;
         let record = self
             .aggregator
@@ -422,13 +398,49 @@ fn provision_joiner(cfg: &FederationConfig, id: u32, tokens: usize) -> LlmClient
     )
 }
 
+/// The founding population of an IID federation — the C4-style setup of
+/// §5.1 ("randomly partitioning the dataset uniformly into equally sized
+/// shards") — plus the corpus tail of `val_tokens` tokens held out before
+/// partitioning. This is the one seed-split sequence every builder shares:
+/// corpus and shards draw from the `"data"` child, and client `i` takes
+/// the `"client-{i}"` child, whose value depends on every earlier split —
+/// which is why the clients come as an iterator that has to be advanced in
+/// id order.
+pub(crate) fn iid_clients(
+    cfg: &FederationConfig,
+    tokens_per_client: usize,
+    val_tokens: usize,
+) -> (impl Iterator<Item = LlmClient>, TokenCorpus) {
+    let mut rng = SeedStream::new(cfg.seed);
+    let tokenizer = ByteTokenizer::new();
+    let mut data_rng = rng.split("data");
+    let domain = SyntheticDomain::preset(DomainKind::Web, &mut data_rng);
+    let mut corpus = TokenCorpus::from_domain(
+        &domain,
+        &tokenizer,
+        tokens_per_client * cfg.population + val_tokens,
+        &mut data_rng,
+    );
+    let val = corpus.split_validation(val_tokens);
+    let block = (cfg.model.seq_len + 1).max(32);
+    let shards = partition_iid(&corpus, cfg.population, block, &mut data_rng);
+    let clients = shards.into_iter().enumerate().map(move |(i, shard)| {
+        LlmClient::new(
+            i as u32,
+            DataSource::new(format!("ds-{i}"), shard),
+            None,
+            rng.split(&format!("client-{i}")),
+        )
+    });
+    (clients, val)
+}
+
 /// Builds exactly one client's local state — data shard plus training RNG
-/// — without constructing the rest of the federation. This is what a
-/// `photon client` OS process calls at startup: founding members
-/// (`id < cfg.population`) replay [`build_federation`]'s seed-split
-/// sequence so the standalone client is bit-identical to its in-process
-/// twin, and joiners (`id >= cfg.population`) use the warm-join
-/// derivation, which is already keyed by id alone.
+/// — without keeping the rest of the federation. This is what a
+/// `photon client` OS process calls at startup: a founding member
+/// (`id < cfg.population`) is bit-identical to its in-process twin in
+/// [`build_federation`], and joiners (`id >= cfg.population`) use the
+/// warm-join derivation, which is keyed by id alone.
 ///
 /// # Errors
 /// Returns an error if the configuration is invalid.
@@ -441,75 +453,21 @@ pub fn build_client(
     if (id as usize) >= cfg.population {
         return Ok(provision_joiner(cfg, id, tokens_per_client));
     }
-    let mut rng = SeedStream::new(cfg.seed);
-    let tokenizer = ByteTokenizer::new();
-    let mut data_rng = rng.split("data");
-    let domain = SyntheticDomain::preset(DomainKind::Web, &mut data_rng);
-    let corpus = TokenCorpus::from_domain(
-        &domain,
-        &tokenizer,
-        tokens_per_client * cfg.population,
-        &mut data_rng,
-    );
-    let block = (cfg.model.seq_len + 1).max(32);
-    let shards = partition_iid(&corpus, cfg.population, block, &mut data_rng);
-    // `rng.split` advances shared state, so earlier siblings' splits must
-    // be replayed in order for client `id` to receive the same stream it
-    // gets in `build_federation`.
-    let mut client_rng = None;
-    for i in 0..=(id as usize) {
-        let r = rng.split(&format!("client-{i}"));
-        if i == id as usize {
-            client_rng = Some(r);
-        }
-    }
-    let shard = shards
-        .into_iter()
+    Ok(iid_clients(cfg, tokens_per_client, 0)
+        .0
         .nth(id as usize)
-        .expect("partition_iid returns population shards");
-    Ok(LlmClient::new(
-        id,
-        DataSource::new(format!("ds-{id}"), shard),
-        None,
-        client_rng.expect("loop covers id"),
-    ))
+        .expect("one client per founding id"))
 }
 
-/// Builds a federation over IID shards of a synthetic web corpus — the
-/// C4-style setup of §5.1 ("randomly partitioning the dataset uniformly
-/// into equally sized shards").
+/// Builds a federation over IID shards of a synthetic web corpus.
 ///
 /// # Errors
 /// Returns an error if the configuration is invalid.
 pub fn build_federation(cfg: &FederationConfig, tokens_per_client: usize) -> Result<Federation> {
     cfg.validate()?;
-    let mut rng = SeedStream::new(cfg.seed);
-    let tokenizer = ByteTokenizer::new();
-    let mut data_rng = rng.split("data");
-    let domain = SyntheticDomain::preset(DomainKind::Web, &mut data_rng);
-    let corpus = TokenCorpus::from_domain(
-        &domain,
-        &tokenizer,
-        tokens_per_client * cfg.population,
-        &mut data_rng,
-    );
-    let block = (cfg.model.seq_len + 1).max(32);
-    let shards = partition_iid(&corpus, cfg.population, block, &mut data_rng);
-    let clients = shards
-        .into_iter()
-        .enumerate()
-        .map(|(i, shard)| {
-            LlmClient::new(
-                i as u32,
-                DataSource::new(format!("ds-{i}"), shard),
-                None,
-                rng.split(&format!("client-{i}")),
-            )
-        })
-        .collect();
     Ok(Federation {
         aggregator: Aggregator::new(cfg.clone())?,
-        clients,
+        clients: iid_clients(cfg, tokens_per_client, 0).0.collect(),
         joiner_tokens: tokens_per_client,
     })
 }
@@ -616,12 +574,155 @@ mod tests {
     }
 
     #[test]
+    fn build_client_is_the_twin_of_each_founding_member() {
+        // What `build_client`'s doc promises a `photon client` process: the
+        // same shard and the same training stream as the in-process client,
+        // shown by one local round from the same global model.
+        let mut cfg = quick_cfg(3);
+        cfg.local_steps = 1;
+        let mut fed = build_federation(&cfg, 2_000).unwrap();
+        let global = fed.aggregator.params().to_vec();
+        let cohort = [0, 1, 2];
+        for twin in &mut fed.clients {
+            let mut alone = build_client(&cfg, twin.id(), 2_000).unwrap();
+            let alone = alone.run_round(&global, 0, &cohort, &cfg).unwrap();
+            let twin = twin.run_round(&global, 0, &cohort, &cfg).unwrap();
+            assert_eq!(alone.delta, twin.delta);
+            assert_eq!(alone.metrics.mean_loss, twin.metrics.mean_loss);
+        }
+    }
+
+    fn checkpoint_of(agg: &Aggregator) -> Checkpoint {
+        let dir = std::env::temp_dir().join(format!(
+            "photon-core-restore-{:?}",
+            std::thread::current().id()
+        ));
+        agg.save_checkpoint(&dir).unwrap();
+        let ckpt = crate::load_checkpoint(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        ckpt
+    }
+
+    #[test]
     fn restore_validates_length() {
         let cfg = quick_cfg(2);
         let mut agg = Aggregator::new(cfg).unwrap();
-        assert!(agg.restore(3, vec![0.0; 5]).is_err());
-        let n = agg.params().len();
-        agg.restore(3, vec![0.0; n]).unwrap();
+        let mut ckpt = checkpoint_of(&agg);
+        ckpt.round = 3;
+        ckpt.params.truncate(5);
+        assert!(agg.restore(ckpt.clone()).is_err());
+        ckpt.params = vec![0.0; agg.params().len()];
+        agg.restore(ckpt).unwrap();
         assert_eq!(agg.round(), 3);
+    }
+
+    #[test]
+    fn a_rejected_checkpoint_changes_nothing() {
+        use crate::hierarchy::HierarchyConfig;
+        use crate::membership::MembershipConfig;
+        use photon_fedopt::{BufferConfig, ServerOptKind};
+
+        // A run with every checkpointed subsystem on, two rounds in.
+        let mut cfg = quick_cfg(4);
+        cfg.server_opt = ServerOptKind::FedMom {
+            lr: 1.0,
+            momentum: 0.9,
+        };
+        cfg.membership = Some(MembershipConfig::default());
+        cfg.buffer = Some(BufferConfig::default());
+        cfg.hierarchy = Some(HierarchyConfig {
+            shards: 2,
+            ..HierarchyConfig::default()
+        });
+        let mut fed = build_federation(&cfg, 2_000).unwrap();
+        fed.run_round().unwrap();
+        let good = checkpoint_of(&fed.aggregator);
+        fed.run_round().unwrap();
+
+        let with = |edit: &dyn Fn(&mut FederationConfig)| {
+            let mut cfg = cfg.clone();
+            edit(&mut cfg);
+            Aggregator::new(cfg).unwrap()
+        };
+        let mut wrong_count = good.clone();
+        wrong_count.params.pop();
+        let mut foreign_opt = good.clone();
+        foreign_opt.server_opt.as_mut().unwrap().kind = "fedadam".into();
+        let mut dead_outside = good.clone();
+        dead_outside.hierarchy.as_mut().unwrap().dead_shards = vec![2];
+        let mut buffered = good.clone();
+        buffered.elastic.as_mut().unwrap().buffer = Some(vec![photon_fedopt::BufferedUpdate {
+            client_id: 0,
+            origin_round: 0,
+            arrival_round: 1,
+            base_weight: 1.0,
+            mean_loss: 1.0,
+            delta: vec![0.0; good.params.len()],
+        }]);
+        let mut bad_roster = good.clone();
+        bad_roster.elastic.as_mut().unwrap().membership.members[1].0 = 7;
+
+        let cases: Vec<(&str, Aggregator, Checkpoint)> = vec![
+            ("wrong param count", with(&|_| {}), wrong_count),
+            ("foreign optimizer kind", with(&|_| {}), foreign_opt),
+            ("dead shard outside the tree", with(&|_| {}), dead_outside),
+            ("malformed roster", with(&|_| {}), bad_roster),
+            (
+                "buffered updates without a buffer config",
+                with(&|c| c.buffer = None),
+                buffered,
+            ),
+            (
+                "membership state without a membership config",
+                with(&|c| (c.membership, c.buffer) = (None, None)),
+                good.clone(),
+            ),
+            (
+                "hierarchy state without a hierarchy config",
+                with(&|c| c.hierarchy = None),
+                good.clone(),
+            ),
+        ];
+        for (what, mut agg, ckpt) in cases {
+            // Move the target off its founding state first, so "unchanged"
+            // cannot be confused with "reset".
+            let mut warm = good.clone();
+            if agg.cfg.membership.is_none() {
+                warm.elastic = None;
+            } else if agg.cfg.buffer.is_none() {
+                warm.elastic.as_mut().unwrap().buffer = None;
+            }
+            if agg.cfg.hierarchy.is_none() {
+                warm.hierarchy = None;
+            }
+            agg.restore(warm).unwrap();
+            let before = (
+                agg.round,
+                agg.params.clone(),
+                agg.server_opt.export_state(),
+                agg.membership.clone(),
+                agg.buffer.as_ref().map(|b| b.entries().to_vec()),
+                agg.hierarchy_state(),
+            );
+            assert!(agg.restore(ckpt).is_err(), "{what} was accepted");
+            let after = (
+                agg.round,
+                agg.params.clone(),
+                agg.server_opt.export_state(),
+                agg.membership.clone(),
+                agg.buffer.as_ref().map(|b| b.entries().to_vec()),
+                agg.hierarchy_state(),
+            );
+            assert!(
+                before == after,
+                "{what}: a rejected restore changed the aggregator"
+            );
+        }
+
+        // The good checkpoint itself restores, and the run continues from it.
+        fed.aggregator.restore(good.clone()).unwrap();
+        assert_eq!(fed.aggregator.round(), 1);
+        assert_eq!(checkpoint_of(&fed.aggregator), good);
+        fed.run_round().unwrap();
     }
 }

@@ -25,7 +25,7 @@
 #![deny(clippy::too_many_lines)]
 
 use super::Aggregator;
-use crate::faults::{ClientFault, FaultInjector};
+use crate::faults::{ClientFault, FaultPlan};
 use crate::hierarchy::{HierarchyConfig, ShardPartition, ShardTree};
 use crate::membership::ChurnEvents;
 use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord};
@@ -234,7 +234,7 @@ impl Aggregator {
     pub fn run_round_with(
         &mut self,
         clients: &mut [LlmClient],
-        injector: Option<&FaultInjector>,
+        injector: Option<&FaultPlan>,
     ) -> Result<RoundRecord> {
         self.run_round_on_lanes(clients, injector, pool::max_threads())
     }
@@ -247,7 +247,7 @@ impl Aggregator {
     pub fn run_round_on_lanes(
         &mut self,
         clients: &mut [LlmClient],
-        injector: Option<&FaultInjector>,
+        injector: Option<&FaultPlan>,
         max_lanes: usize,
     ) -> Result<RoundRecord> {
         // Observability: freeze the simulated clock at the round start so
@@ -351,11 +351,7 @@ impl Aggregator {
 
     /// Applies this round's churn, draws the cohort and the scheduled
     /// shard faults, and fixes the straggler deadline.
-    fn plan(
-        &mut self,
-        clients: &[LlmClient],
-        injector: Option<&FaultInjector>,
-    ) -> Result<RoundPlan> {
+    fn plan(&mut self, clients: &[LlmClient], injector: Option<&FaultPlan>) -> Result<RoundPlan> {
         let mut plan = if self.membership.is_some() {
             self.plan_elastic_cohort(injector)?
         } else {
@@ -424,7 +420,7 @@ impl Aggregator {
     /// lease renewals and expiries), charges the (re)join handshakes, and
     /// draws the cohort from the live roster instead of the static
     /// population.
-    fn plan_elastic_cohort(&mut self, injector: Option<&FaultInjector>) -> Result<RoundPlan> {
+    fn plan_elastic_cohort(&mut self, injector: Option<&FaultPlan>) -> Result<RoundPlan> {
         let reg = self
             .membership
             .as_mut()
@@ -511,7 +507,7 @@ impl Aggregator {
         &self,
         plan: &RoundPlan,
         clients: &mut [LlmClient],
-        injector: Option<&FaultInjector>,
+        injector: Option<&FaultPlan>,
         max_lanes: usize,
     ) -> Result<(Vec<ClientReply>, u64)> {
         let cohort = plan.cohort_idx.len();
@@ -577,7 +573,7 @@ impl Aggregator {
         plan: &RoundPlan,
         replies: Vec<ClientReply>,
         broadcast_bytes: u64,
-        injector: Option<&FaultInjector>,
+        injector: Option<&FaultPlan>,
     ) -> Result<(Vec<Arrival>, RoundAccounting)> {
         let mut acct = RoundAccounting {
             wire_bytes: broadcast_bytes + plan.handshake_bytes,
@@ -687,7 +683,7 @@ impl Aggregator {
     /// the result never arrived.
     fn deliver(
         &self,
-        injector: Option<&FaultInjector>,
+        injector: Option<&FaultPlan>,
         client_id: u32,
         frame: &bytes::Bytes,
         delay_ms: u64,
@@ -1573,8 +1569,8 @@ mod tests {
     use crate::hierarchy::HierarchyConfig;
     use crate::thread_census::spawned;
     use crate::{
-        build_federation, CohortSpec, CoreError, DataSource, FaultCounters, FaultInjector,
-        FaultSpec, FederationConfig, LlmClient, RoundRecord,
+        build_federation, CohortSpec, CoreError, DataSource, FaultCounters, FaultSpec,
+        FederationConfig, LlmClient, RoundRecord,
     };
     use photon_comms::Message;
     use photon_tensor::ops::pool;
@@ -1683,7 +1679,7 @@ mod tests {
         cfg.hierarchy = four_shards();
         cfg.allow_partial_results = false;
         let spec = FaultSpec::parse("shards=4,crash@r0c5,shardhang@r0s2,seed=3").unwrap();
-        let injector = FaultInjector::from_spec(&spec, cfg.population, 1);
+        let injector = spec.plan(cfg.population, 1);
         let mut fed = build_federation(&cfg, 2_000).unwrap();
         let err = fed
             .aggregator

@@ -1,53 +1,47 @@
-//! Global-model checkpointing (Algorithm 1, L.11): a JSON manifest plus a
-//! CRC-protected binary parameter file, written atomically enough for the
-//! paper's failure-recovery story (write to temp, rename).
+//! Global-model checkpointing (Algorithm 1, L.11): one sealed file per
+//! directory, published by one rename.
 //!
-//! Format version 2 adds an optional `server_opt.bin` carrying the server
-//! optimizer's state (momentum / Adam moments), so restoring a FedMom,
-//! FedAdam or DiLoCo run no longer silently resets its momentum. Version-1
-//! checkpoints (no `format_version` field) still load; the optimizer state
-//! is reinitialized with a logged warning.
+//! `checkpoint.bin` (format 6, integers little-endian):
 //!
-//! Format version 3 adds an optional `membership.bin` carrying the elastic
-//! roster (the membership registry snapshot) and any in-flight buffered
-//! updates, so a restore resumes with the exact roster and buffer the
-//! crashed run had. Version-2 (and version-1) checkpoints still load;
-//! elastic state is simply absent.
+//! ```text
+//! "PHTNCKP6" | u32 len | manifest JSON { round, config, param_count }
+//!   | params            param_count × config.dtype (f32 or bf16)
+//!   | server optimizer  u8 present [ kind | step | slots ]
+//!   | elastic           u8 present [ roster | u8 buffered [ updates ] ]
+//!   | hierarchy         u8 present [ dead shards ]
+//!   | u32 crc32 of every byte before it
+//! ```
 //!
-//! Format version 4 adds a `dtype` manifest field selecting the storage
-//! precision of `params.bin` (f32 or bf16). Manifests without the field —
-//! every v1–v3 checkpoint — decode as f32, so old checkpoints restore
-//! unchanged. Loaded parameters are always widened to f32 master weights
-//! in memory regardless of storage precision.
-//!
-//! Format version 5 adds an optional `hierarchy.bin` carrying the
-//! aggregation tree's dead-shard set, so an aggregator crash-restart
-//! re-derives the identical shard routing — including the deterministic
-//! re-parenting of every orphaned client — the crashed run had. Pre-v5
-//! checkpoints still load; the tree simply restores fully live.
+//! A save writes `checkpoint.bin.tmp`, fsyncs it, renames it over
+//! `checkpoint.bin` and fsyncs the directory. The rename is the commit
+//! point: whenever a save is killed, the directory holds exactly the
+//! previous checkpoint or exactly the new one, and a leftover `.tmp` is
+//! never read. Loaded parameters are always widened to f32 master weights
+//! whatever the storage precision.
 
 use crate::hierarchy::HierarchyState;
-use crate::membership::MembershipSnapshot;
-use crate::{FederationConfig, Result};
+use crate::membership::{MembershipConfig, MembershipSnapshot};
+use crate::{CoreError, FederationConfig, Result};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use photon_comms::crc32;
 use photon_fedopt::{BufferedUpdate, ServerOptState};
-use photon_tensor::{bf16s_from_le, f32s_from_le, put_bf16s_le, put_f32s_le, Dtype};
+use photon_tensor::{
+    bf16s_from_le, f32s_from_le, put_bf16s_le, put_f32s_le, read_f32_slice, write_f32_slice, Dtype,
+};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-const PARAMS_MAGIC: &[u8; 8] = b"PHTNCKP1";
-const OPT_MAGIC: &[u8; 8] = b"PHTNOPT2";
-const MEM_MAGIC: &[u8; 8] = b"PHTNMEM3";
-const HIER_MAGIC: &[u8; 8] = b"PHTNHIE5";
+const MAGIC: &[u8; 8] = b"PHTNCKP6";
+const FILE: &str = "checkpoint.bin";
+const TMP_FILE: &str = "checkpoint.bin.tmp";
+/// What marks a directory written before format 6 (a JSON manifest beside
+/// `params.bin` and per-feature sidecars). Only named to reject it.
+const PRE_6_MANIFEST: &str = "manifest.json";
 
-/// Current checkpoint format version. Version-1 manifests predate the
-/// field and deserialize as 0.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
-
-/// The elastic-membership side state carried by checkpoint v3: the roster
-/// at save time plus any updates still waiting in the aggregation buffer.
+/// The elastic-membership state a checkpoint carries: the roster at save
+/// time plus any updates still waiting in the aggregation buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElasticState {
     /// The membership registry snapshot.
@@ -56,38 +50,45 @@ pub struct ElasticState {
     pub buffer: Option<Vec<BufferedUpdate>>,
 }
 
-/// Checkpoint metadata saved alongside the parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointManifest {
+/// Everything one checkpoint file holds, owned and fully validated.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
     /// Completed rounds at save time.
     pub round: u64,
     /// The run configuration.
     pub config: FederationConfig,
-    /// Parameter count (sanity check at load).
-    pub param_count: usize,
-    /// Checkpoint format version (0 = legacy v1 manifest without the
-    /// field).
-    #[serde(default)]
-    pub format_version: u32,
-    /// Whether `server_opt.bin` was saved alongside the parameters.
-    #[serde(default)]
-    pub has_server_opt: bool,
-    /// Whether `membership.bin` (elastic roster + buffer) was saved.
-    #[serde(default)]
-    pub has_membership: bool,
-    /// Storage precision of `params.bin` (v4+). Manifests without the
-    /// field — every pre-v4 checkpoint — decode as f32.
-    #[serde(default)]
-    pub dtype: Dtype,
-    /// Whether `hierarchy.bin` (the aggregation tree's dead-shard set)
-    /// was saved (v5+).
-    #[serde(default)]
-    pub has_hierarchy: bool,
+    /// The global parameters, widened to f32.
+    pub params: Vec<f32>,
+    /// The server optimizer's momenta; `None` for a params-only save.
+    pub server_opt: Option<ServerOptState>,
+    /// Roster and in-flight buffer; `None` for a run without membership.
+    pub elastic: Option<ElasticState>,
+    /// The aggregation tree's dead-shard set; `None` for a flat run.
+    pub hierarchy: Option<HierarchyState>,
 }
 
-/// Saves a checkpoint into `dir` (created if missing): `manifest.json` and
-/// `params.bin`. Equivalent to [`save_checkpoint_with_opt`] without server
-/// optimizer state.
+/// What a save writes, borrowed from the state that owns it.
+pub(crate) struct CheckpointView<'a> {
+    pub round: u64,
+    pub config: &'a FederationConfig,
+    pub params: &'a [f32],
+    pub server_opt: Option<&'a ServerOptState>,
+    pub elastic: Option<(&'a MembershipSnapshot, Option<&'a [BufferedUpdate]>)>,
+    pub hierarchy: Option<&'a HierarchyState>,
+}
+
+/// The JSON head of the file; the sections after it are sized by it.
+#[derive(Serialize, Deserialize)]
+struct Manifest {
+    round: u64,
+    config: FederationConfig,
+    param_count: usize,
+}
+
+/// Saves a params-only checkpoint into `dir` (created if missing) — model
+/// export. A training run saves through
+/// [`Aggregator::save_checkpoint`](crate::Aggregator::save_checkpoint),
+/// which also carries the optimizer, roster and tree.
 ///
 /// # Errors
 /// Propagates filesystem errors.
@@ -97,102 +98,61 @@ pub fn save_checkpoint(
     round: u64,
     params: &[f32],
 ) -> Result<()> {
-    save_checkpoint_with_opt(dir, cfg, round, params, None)
+    write_checkpoint(
+        dir,
+        &CheckpointView {
+            round,
+            config: cfg,
+            params,
+            server_opt: None,
+            elastic: None,
+            hierarchy: None,
+        },
+    )
 }
 
-/// Saves a checkpoint including the server optimizer's state, so a restore
-/// resumes with its momentum intact. Equivalent to
-/// [`save_checkpoint_full`] without elastic-membership state.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn save_checkpoint_with_opt(
-    dir: &Path,
-    cfg: &FederationConfig,
-    round: u64,
-    params: &[f32],
-    server_opt: Option<&ServerOptState>,
-) -> Result<()> {
-    save_checkpoint_full(dir, cfg, round, params, server_opt, None, None)
-}
-
-/// Saves a full checkpoint: parameters, server optimizer state, (when the
-/// run is elastic) the membership roster plus any in-flight buffered
-/// updates, and (when the run is hierarchical) the aggregation tree's
-/// dead-shard set.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn save_checkpoint_full(
-    dir: &Path,
-    cfg: &FederationConfig,
-    round: u64,
-    params: &[f32],
-    server_opt: Option<&ServerOptState>,
-    elastic: Option<&ElasticState>,
-    hierarchy: Option<&HierarchyState>,
-) -> Result<()> {
+/// Encodes `view` and publishes it as `dir`'s checkpoint.
+pub(crate) fn write_checkpoint(dir: &Path, view: &CheckpointView<'_>) -> Result<()> {
     fs::create_dir_all(dir)?;
-    let dtype = cfg.dtype;
-    let manifest = CheckpointManifest {
-        round,
-        config: cfg.clone(),
-        param_count: params.len(),
-        format_version: CHECKPOINT_FORMAT_VERSION,
-        has_server_opt: server_opt.is_some(),
-        has_membership: elastic.is_some(),
-        dtype,
-        has_hierarchy: hierarchy.is_some(),
-    };
-    let manifest_json =
-        serde_json::to_string_pretty(&manifest).expect("manifest serialization cannot fail");
-
-    let mut bin = Vec::with_capacity(16 + params.len() * dtype.bytes_per_param());
-    bin.extend_from_slice(PARAMS_MAGIC);
-    bin.extend_from_slice(&(params.len() as u64).to_le_bytes());
-    match dtype {
-        Dtype::F32 => put_f32s_le(&mut bin, params),
-        Dtype::Bf16 => put_bf16s_le(&mut bin, params),
+    let manifest = serde_json::to_string(&Manifest {
+        round: view.round,
+        config: view.config.clone(),
+        param_count: view.params.len(),
+    })
+    .expect("manifest serialization cannot fail");
+    // Sized for the parameters; momenta and buffered updates grow it.
+    let stored = view.params.len() * view.config.dtype.bytes_per_param();
+    let mut bin = BytesMut::with_capacity(manifest.len() + stored + 4096);
+    bin.put_slice(MAGIC);
+    bin.put_u32_le(manifest.len() as u32);
+    bin.put_slice(manifest.as_bytes());
+    match view.config.dtype {
+        Dtype::F32 => put_f32s_le(&mut bin, view.params),
+        Dtype::Bf16 => put_bf16s_le(&mut bin, view.params),
     }
+    put_section(&mut bin, view.server_opt, put_opt_state);
+    put_section(&mut bin, view.elastic, |bin, (membership, buffer)| {
+        put_elastic_state(bin, membership, buffer)
+    });
+    put_section(&mut bin, view.hierarchy, put_hierarchy_state);
     let crc = crc32(&bin);
-    bin.extend_from_slice(&crc.to_le_bytes());
+    bin.put_u32_le(crc);
 
-    // Write-then-fsync-then-rename so an interrupted save never corrupts
-    // the previous checkpoint, and a power cut after the rename cannot
-    // surface a renamed-but-unflushed (torn) file as the checkpoint. The
-    // manifest goes last: it is the commit point that declares which side
-    // files are valid.
-    write_durably(dir, "params.bin", &bin)?;
-    if let Some(state) = server_opt {
-        write_durably(dir, "server_opt.bin", &encode_opt_state(state))?;
-    }
-    if let Some(state) = elastic {
-        write_durably(dir, "membership.bin", &encode_elastic_state(state))?;
-    }
-    if let Some(state) = hierarchy {
-        write_durably(dir, "hierarchy.bin", &encode_hierarchy_state(state))?;
-    }
-    write_durably(dir, "manifest.json", manifest_json.as_bytes())?;
+    // The fsync before the rename keeps the rename from publishing a file
+    // whose data blocks are still in the page cache only; the directory
+    // fsync after it makes the rename itself durable.
+    let tmp = dir.join(TMP_FILE);
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(&bin)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, dir.join(FILE))?;
     sync_dir(dir);
     Ok(())
 }
 
-/// Writes `bytes` to `dir/<name>` durably: into a temp file, fsynced, then
-/// renamed over the target. The fsync before the rename guarantees the
-/// rename never publishes a file whose data blocks are still in the page
-/// cache only.
-fn write_durably(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    drop(file);
-    fs::rename(&tmp, dir.join(name))
-}
-
-/// Fsyncs the checkpoint directory so the renames themselves (directory
-/// entries) are durable. Best-effort: platforms where a directory cannot
-/// be opened for sync skip it quietly.
+/// Fsyncs the checkpoint directory. Best-effort: platforms where a
+/// directory cannot be opened for sync skip it quietly.
 fn sync_dir(dir: &Path) {
     #[cfg(unix)]
     if let Ok(handle) = fs::File::open(dir) {
@@ -202,120 +162,220 @@ fn sync_dir(dir: &Path) {
     let _ = dir;
 }
 
-fn encode_elastic_state(state: &ElasticState) -> Vec<u8> {
-    let mem = &state.membership;
-    let mut bin = Vec::new();
-    bin.extend_from_slice(MEM_MAGIC);
-    bin.extend_from_slice(&mem.config.lease_ms.to_le_bytes());
-    bin.extend_from_slice(&mem.config.round_ms.to_le_bytes());
-    bin.extend_from_slice(&mem.next_id.to_le_bytes());
-    bin.extend_from_slice(&(mem.members.len() as u32).to_le_bytes());
-    for &(id, birth, lease, phase) in &mem.members {
-        bin.extend_from_slice(&id.to_le_bytes());
-        bin.extend_from_slice(&birth.to_le_bytes());
-        bin.extend_from_slice(&lease.to_le_bytes());
-        bin.push(phase);
-    }
-    match &state.buffer {
-        None => bin.push(0),
-        Some(entries) => {
-            bin.push(1);
-            bin.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for e in entries {
-                bin.extend_from_slice(&e.client_id.to_le_bytes());
-                bin.extend_from_slice(&e.origin_round.to_le_bytes());
-                bin.extend_from_slice(&e.arrival_round.to_le_bytes());
-                bin.extend_from_slice(&e.base_weight.to_le_bytes());
-                bin.extend_from_slice(&e.mean_loss.to_le_bytes());
-                bin.extend_from_slice(&(e.delta.len() as u64).to_le_bytes());
-                put_f32s_le(&mut bin, &e.delta);
-            }
-        }
-    }
-    let crc = crc32(&bin);
-    bin.extend_from_slice(&crc.to_le_bytes());
-    bin
+/// Whether `dir` holds a checkpoint. A pre-6 layout counts, so that
+/// [`load_checkpoint`] gets to name it in an error instead of the caller
+/// starting over as if the directory were empty.
+pub fn checkpoint_exists(dir: &Path) -> bool {
+    dir.join(FILE).exists() || dir.join(PRE_6_MANIFEST).exists()
 }
 
-fn decode_elastic_state(bin: &[u8]) -> std::result::Result<ElasticState, String> {
-    if bin.len() < 12 || &bin[..8] != MEM_MAGIC {
-        return Err("membership.bin is not a photon membership state".into());
-    }
-    let (body, crc_bytes) = bin.split_at(bin.len() - 4);
-    let declared = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != declared {
-        return Err("membership.bin failed its integrity check".into());
-    }
-    let mut cursor = 8usize;
-    let take = |cursor: &mut usize, n: usize| -> std::result::Result<&[u8], String> {
-        let end = cursor
-            .checked_add(n)
-            .filter(|&e| e <= body.len())
-            .ok_or("membership.bin truncated")?;
-        let slice = &body[*cursor..end];
-        *cursor = end;
-        Ok(slice)
-    };
-    let u64_at = |cursor: &mut usize| -> std::result::Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            take(cursor, 8)?.try_into().expect("8 bytes"),
-        ))
-    };
-    let u32_at = |cursor: &mut usize| -> std::result::Result<u32, String> {
-        Ok(u32::from_le_bytes(
-            take(cursor, 4)?.try_into().expect("4 bytes"),
-        ))
-    };
-    let lease_ms = u64_at(&mut cursor)?;
-    let round_ms = u64_at(&mut cursor)?;
-    let next_id = u32_at(&mut cursor)?;
-    let n_members = u32_at(&mut cursor)? as usize;
-    let mut members = Vec::with_capacity(n_members);
-    for _ in 0..n_members {
-        let id = u32_at(&mut cursor)?;
-        let birth = u64_at(&mut cursor)?;
-        let lease = u64_at(&mut cursor)?;
-        let phase = take(&mut cursor, 1)?[0];
-        members.push((id, birth, lease, phase));
-    }
-    let buffer = match take(&mut cursor, 1)?[0] {
-        0 => None,
-        1 => {
-            let n_entries = u32_at(&mut cursor)? as usize;
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                let client_id = u32_at(&mut cursor)?;
-                let origin_round = u64_at(&mut cursor)?;
-                let arrival_round = u64_at(&mut cursor)?;
-                let base_weight =
-                    f64::from_le_bytes(take(&mut cursor, 8)?.try_into().expect("8 bytes"));
-                let mean_loss =
-                    f32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes"));
-                let len = u64_at(&mut cursor)? as usize;
-                let raw = take(
-                    &mut cursor,
-                    len.checked_mul(4).ok_or("delta length overflow")?,
-                )?;
-                let delta = f32s_from_le(raw);
-                entries.push(BufferedUpdate {
-                    client_id,
-                    origin_round,
-                    arrival_round,
-                    base_weight,
-                    mean_loss,
-                    delta,
-                });
-            }
-            Some(entries)
+/// Loads the checkpoint in `dir`: one read, one integrity check, one
+/// parse.
+///
+/// # Errors
+/// Returns an error if there is no checkpoint, the directory holds a
+/// pre-6 layout, or the file is truncated, corrupt or malformed.
+pub fn load_checkpoint(dir: &Path) -> Result<Checkpoint> {
+    let file = match fs::read(dir.join(FILE)) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && checkpoint_exists(dir) => {
+            return Err(unreadable(format!(
+                "{} holds a pre-6 checkpoint ({PRE_6_MANIFEST} beside params.bin and \
+                 sidecar files); this build reads only {FILE}",
+                dir.display()
+            )));
         }
-        other => return Err(format!("unknown membership buffer tag {other}")),
+        Err(e) => return Err(e.into()),
     };
-    if cursor != body.len() {
-        return Err("membership.bin has trailing bytes".into());
+    decode(file).map_err(|e| unreadable(format!("{FILE} {e}")))
+}
+
+fn unreadable(msg: String) -> CoreError {
+    CoreError::Checkpoint(std::io::Error::new(std::io::ErrorKind::InvalidData, msg))
+}
+
+fn decode(file: Vec<u8>) -> Decoded<Checkpoint> {
+    let mut r = Reader::open(file)?;
+    let manifest_len = r.u32()? as usize;
+    let manifest: Manifest = std::str::from_utf8(&r.take(manifest_len)?)
+        .map_err(|e| e.to_string())
+        .and_then(|json| serde_json::from_str(json).map_err(|e| e.to_string()))
+        .map_err(|e| format!("has a bad manifest: {e}"))?;
+    let dtype = manifest.config.dtype;
+    let raw = r.take(
+        manifest
+            .param_count
+            .checked_mul(dtype.bytes_per_param())
+            .ok_or("parameter count overflows")?,
+    )?;
+    let params = match dtype {
+        Dtype::F32 => f32s_from_le(&raw),
+        Dtype::Bf16 => bf16s_from_le(&raw),
+    };
+    let server_opt = r.section(take_opt_state)?;
+    let elastic = r.section(take_elastic_state)?;
+    let hierarchy = r.section(take_hierarchy_state)?;
+    if r.body.has_remaining() {
+        return Err("has trailing bytes".into());
     }
+    Ok(Checkpoint {
+        round: manifest.round,
+        config: manifest.config,
+        params,
+        server_opt,
+        elastic,
+        hierarchy,
+    })
+}
+
+/// What went wrong with the file, phrased to follow its name.
+type Decoded<T> = std::result::Result<T, String>;
+
+/// Appends an optional section: a presence byte, then its body.
+fn put_section<T>(bin: &mut BytesMut, state: Option<T>, put: impl FnOnce(&mut BytesMut, T)) {
+    bin.put_u8(state.is_some() as u8);
+    if let Some(state) = state {
+        put(bin, state);
+    }
+}
+
+/// Bounds-checked cursor over the body of a checkpoint file whose magic
+/// and CRC trailer have been verified: every read returns bytes of the
+/// sealed body or an error, never a panic.
+struct Reader {
+    body: Bytes,
+}
+
+impl Reader {
+    fn open(file: Vec<u8>) -> Decoded<Self> {
+        if file.len() < MAGIC.len() + 4 || &file[..MAGIC.len()] != MAGIC {
+            return Err("is not a photon checkpoint".into());
+        }
+        let (sealed, trailer) = file.split_at(file.len() - 4);
+        if crc32(sealed) != u32::from_le_bytes(trailer.try_into().expect("4 bytes")) {
+            return Err("failed its integrity check".into());
+        }
+        let body = MAGIC.len()..sealed.len();
+        Ok(Reader {
+            body: Bytes::from(file).slice(body),
+        })
+    }
+
+    /// The unread body, once `n` more bytes of it are known to exist.
+    fn need(&mut self, n: usize) -> Decoded<&mut Bytes> {
+        if self.body.remaining() < n {
+            return Err("ends inside a section".into());
+        }
+        Ok(&mut self.body)
+    }
+
+    fn take(&mut self, n: usize) -> Decoded<Bytes> {
+        let body = self.need(n)?;
+        let taken = body.slice(..n);
+        body.advance(n);
+        Ok(taken)
+    }
+
+    fn u8(&mut self) -> Decoded<u8> {
+        Ok(self.need(1)?.get_u8())
+    }
+
+    fn u32(&mut self) -> Decoded<u32> {
+        Ok(self.need(4)?.get_u32_le())
+    }
+
+    fn u64(&mut self) -> Decoded<u64> {
+        Ok(self.need(8)?.get_u64_le())
+    }
+
+    /// A length-prefixed float vector; the count is checked against the
+    /// bytes present before anything is allocated for it.
+    fn f32s(&mut self) -> Decoded<Vec<f32>> {
+        read_f32_slice(&mut self.body).map_err(|e| e.to_string())
+    }
+
+    fn section<T>(&mut self, body: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Option<T>> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => body(self).map(Some),
+            other => Err(format!("has an unknown section tag {other}")),
+        }
+    }
+}
+
+fn put_opt_state(bin: &mut BytesMut, state: &ServerOptState) {
+    bin.put_u32_le(state.kind.len() as u32);
+    bin.put_slice(state.kind.as_bytes());
+    bin.put_u64_le(state.step);
+    bin.put_u32_le(state.slots.len() as u32);
+    for slot in &state.slots {
+        write_f32_slice(bin, slot);
+    }
+}
+
+fn take_opt_state(r: &mut Reader) -> Decoded<ServerOptState> {
+    let kind_len = r.u32()? as usize;
+    let kind = String::from_utf8(r.take(kind_len)?.to_vec())
+        .map_err(|_| "names a server optimizer that is not utf-8")?;
+    let step = r.u64()?;
+    let slots = (0..r.u32()?).map(|_| r.f32s()).collect::<Decoded<_>>()?;
+    Ok(ServerOptState { kind, step, slots })
+}
+
+fn put_elastic_state(
+    bin: &mut BytesMut,
+    mem: &MembershipSnapshot,
+    buffer: Option<&[BufferedUpdate]>,
+) {
+    bin.put_u64_le(mem.config.lease_ms);
+    bin.put_u64_le(mem.config.round_ms);
+    bin.put_u32_le(mem.next_id);
+    bin.put_u32_le(mem.members.len() as u32);
+    for &(id, birth, lease, phase) in &mem.members {
+        bin.put_u32_le(id);
+        bin.put_u64_le(birth);
+        bin.put_u64_le(lease);
+        bin.put_u8(phase);
+    }
+    put_section(bin, buffer, |bin, entries| {
+        bin.put_u32_le(entries.len() as u32);
+        for e in entries {
+            bin.put_u32_le(e.client_id);
+            bin.put_u64_le(e.origin_round);
+            bin.put_u64_le(e.arrival_round);
+            bin.put_f64_le(e.base_weight);
+            bin.put_f32_le(e.mean_loss);
+            write_f32_slice(bin, &e.delta);
+        }
+    });
+}
+
+fn take_elastic_state(r: &mut Reader) -> Decoded<ElasticState> {
+    let config = MembershipConfig {
+        lease_ms: r.u64()?,
+        round_ms: r.u64()?,
+    };
+    let next_id = r.u32()?;
+    let members = (0..r.u32()?)
+        .map(|_| Ok((r.u32()?, r.u64()?, r.u64()?, r.u8()?)))
+        .collect::<Decoded<_>>()?;
+    let buffer = r.section(|r| {
+        (0..r.u32()?)
+            .map(|_| {
+                Ok(BufferedUpdate {
+                    client_id: r.u32()?,
+                    origin_round: r.u64()?,
+                    arrival_round: r.u64()?,
+                    base_weight: f64::from_bits(r.u64()?),
+                    mean_loss: f32::from_bits(r.u32()?),
+                    delta: r.f32s()?,
+                })
+            })
+            .collect()
+    })?;
     Ok(ElasticState {
         membership: MembershipSnapshot {
-            config: crate::membership::MembershipConfig { lease_ms, round_ms },
+            config,
             next_id,
             members,
         },
@@ -323,198 +383,31 @@ fn decode_elastic_state(bin: &[u8]) -> std::result::Result<ElasticState, String>
     })
 }
 
-/// Loads the elastic-membership state saved with a checkpoint, if the
-/// manifest declares one (`None` for v1/v2 checkpoints and non-elastic
-/// runs).
-///
-/// # Errors
-/// Returns an error if the manifest is unreadable or a declared
-/// `membership.bin` is missing or corrupt.
-pub fn load_elastic_state(dir: &Path) -> Result<Option<ElasticState>> {
-    let manifest_json = fs::read_to_string(dir.join("manifest.json"))?;
-    let manifest: CheckpointManifest = serde_json::from_str(&manifest_json)
-        .map_err(|e| crate::CoreError::InvalidConfig(format!("bad manifest: {e}")))?;
-    if !manifest.has_membership {
-        return Ok(None);
-    }
-    let bin = fs::read(dir.join("membership.bin"))?;
-    decode_elastic_state(&bin)
-        .map(Some)
-        .map_err(crate::CoreError::InvalidConfig)
-}
-
-fn encode_hierarchy_state(state: &HierarchyState) -> Vec<u8> {
-    let mut bin = Vec::with_capacity(16 + state.dead_shards.len() * 4);
-    bin.extend_from_slice(HIER_MAGIC);
-    bin.extend_from_slice(&(state.dead_shards.len() as u32).to_le_bytes());
+fn put_hierarchy_state(bin: &mut BytesMut, state: &HierarchyState) {
+    bin.put_u32_le(state.dead_shards.len() as u32);
     for &shard in &state.dead_shards {
-        bin.extend_from_slice(&shard.to_le_bytes());
+        bin.put_u32_le(shard);
     }
-    let crc = crc32(&bin);
-    bin.extend_from_slice(&crc.to_le_bytes());
-    bin
 }
 
-fn decode_hierarchy_state(bin: &[u8]) -> std::result::Result<HierarchyState, String> {
-    if bin.len() < 16 || &bin[..8] != HIER_MAGIC {
-        return Err("hierarchy.bin is not a photon hierarchy state".into());
-    }
-    let (body, crc_bytes) = bin.split_at(bin.len() - 4);
-    let declared = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != declared {
-        return Err("hierarchy.bin failed its integrity check".into());
-    }
-    let n = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")) as usize;
-    if body.len() != 12 + n * 4 {
-        return Err("hierarchy.bin length disagrees with its header".into());
-    }
-    let dead_shards: Vec<u32> = body[12..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect();
+fn take_hierarchy_state(r: &mut Reader) -> Decoded<HierarchyState> {
+    let dead_shards = (0..r.u32()?)
+        .map(|_| r.u32())
+        .collect::<Decoded<Vec<u32>>>()?;
     if dead_shards.windows(2).any(|w| w[0] >= w[1]) {
-        return Err("hierarchy.bin dead set is not strictly ascending".into());
+        return Err("lists dead shards that are not strictly ascending".into());
     }
     Ok(HierarchyState { dead_shards })
-}
-
-/// Loads the aggregation tree's dead-shard set saved with a checkpoint,
-/// if the manifest declares one (`None` for pre-v5 checkpoints and flat
-/// runs).
-///
-/// # Errors
-/// Returns an error if the manifest is unreadable or a declared
-/// `hierarchy.bin` is missing or corrupt.
-pub fn load_hierarchy_state(dir: &Path) -> Result<Option<HierarchyState>> {
-    let manifest_json = fs::read_to_string(dir.join("manifest.json"))?;
-    let manifest: CheckpointManifest = serde_json::from_str(&manifest_json)
-        .map_err(|e| crate::CoreError::InvalidConfig(format!("bad manifest: {e}")))?;
-    if !manifest.has_hierarchy {
-        return Ok(None);
-    }
-    let bin = fs::read(dir.join("hierarchy.bin"))?;
-    decode_hierarchy_state(&bin)
-        .map(Some)
-        .map_err(crate::CoreError::InvalidConfig)
-}
-
-fn encode_opt_state(state: &ServerOptState) -> Vec<u8> {
-    let mut bin = Vec::new();
-    bin.extend_from_slice(OPT_MAGIC);
-    bin.extend_from_slice(&(state.kind.len() as u32).to_le_bytes());
-    bin.extend_from_slice(state.kind.as_bytes());
-    bin.extend_from_slice(&state.step.to_le_bytes());
-    bin.extend_from_slice(&(state.slots.len() as u32).to_le_bytes());
-    for slot in &state.slots {
-        bin.extend_from_slice(&(slot.len() as u64).to_le_bytes());
-        put_f32s_le(&mut bin, slot);
-    }
-    let crc = crc32(&bin);
-    bin.extend_from_slice(&crc.to_le_bytes());
-    bin
-}
-
-fn decode_opt_state(bin: &[u8]) -> std::result::Result<ServerOptState, String> {
-    if bin.len() < 12 || &bin[..8] != OPT_MAGIC {
-        return Err("server_opt.bin is not a photon optimizer state".into());
-    }
-    let (body, crc_bytes) = bin.split_at(bin.len() - 4);
-    let declared = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != declared {
-        return Err("server_opt.bin failed its integrity check".into());
-    }
-    let mut cursor = 8usize;
-    let take = |cursor: &mut usize, n: usize| -> std::result::Result<&[u8], String> {
-        let end = cursor
-            .checked_add(n)
-            .filter(|&e| e <= body.len())
-            .ok_or("server_opt.bin truncated")?;
-        let slice = &body[*cursor..end];
-        *cursor = end;
-        Ok(slice)
-    };
-    let kind_len = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes")) as usize;
-    let kind = String::from_utf8(take(&mut cursor, kind_len)?.to_vec())
-        .map_err(|_| "server_opt.bin kind is not utf-8".to_string())?;
-    let step = u64::from_le_bytes(take(&mut cursor, 8)?.try_into().expect("8 bytes"));
-    let n_slots = u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes")) as usize;
-    let mut slots = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        let len = u64::from_le_bytes(take(&mut cursor, 8)?.try_into().expect("8 bytes")) as usize;
-        let raw = take(
-            &mut cursor,
-            len.checked_mul(4).ok_or("slot length overflow")?,
-        )?;
-        slots.push(f32s_from_le(raw));
-    }
-    if cursor != body.len() {
-        return Err("server_opt.bin has trailing bytes".into());
-    }
-    Ok(ServerOptState { kind, step, slots })
-}
-
-/// Loads the server optimizer state saved with a checkpoint, if the
-/// checkpoint's manifest declares one (`None` for legacy v1 checkpoints
-/// and runs saved without optimizer state).
-///
-/// # Errors
-/// Returns an error if the manifest is unreadable or a declared
-/// `server_opt.bin` is missing or corrupt.
-pub fn load_server_opt_state(dir: &Path) -> Result<Option<ServerOptState>> {
-    let manifest_json = fs::read_to_string(dir.join("manifest.json"))?;
-    let manifest: CheckpointManifest = serde_json::from_str(&manifest_json)
-        .map_err(|e| crate::CoreError::InvalidConfig(format!("bad manifest: {e}")))?;
-    if !manifest.has_server_opt {
-        return Ok(None);
-    }
-    let bin = fs::read(dir.join("server_opt.bin"))?;
-    decode_opt_state(&bin)
-        .map(Some)
-        .map_err(crate::CoreError::InvalidConfig)
-}
-
-/// Loads a checkpoint saved by [`save_checkpoint`].
-///
-/// # Errors
-/// Returns an error on missing files, bad magic, CRC mismatch, or a
-/// manifest/parameter disagreement.
-pub fn load_checkpoint(dir: &Path) -> Result<(CheckpointManifest, Vec<f32>)> {
-    let manifest_json = fs::read_to_string(dir.join("manifest.json"))?;
-    let manifest: CheckpointManifest = serde_json::from_str(&manifest_json)
-        .map_err(|e| crate::CoreError::InvalidConfig(format!("bad manifest: {e}")))?;
-
-    let bin = fs::read(dir.join("params.bin"))?;
-    if bin.len() < 20 || &bin[..8] != PARAMS_MAGIC {
-        return Err(crate::CoreError::InvalidConfig(
-            "params.bin is not a photon checkpoint".into(),
-        ));
-    }
-    let (body, crc_bytes) = bin.split_at(bin.len() - 4);
-    let declared = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != declared {
-        return Err(crate::CoreError::InvalidConfig(
-            "params.bin failed its integrity check".into(),
-        ));
-    }
-    let n = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes")) as usize;
-    if n != manifest.param_count || body.len() != 16 + n * manifest.dtype.bytes_per_param() {
-        return Err(crate::CoreError::InvalidConfig(
-            "checkpoint length disagrees with manifest".into(),
-        ));
-    }
-    let params = match manifest.dtype {
-        Dtype::F32 => f32s_from_le(&body[16..]),
-        Dtype::Bf16 => bf16s_from_le(&body[16..]),
-    };
-    Ok((manifest, params))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::membership::MembershipRegistry;
     use photon_nn::ModelConfig;
+    use std::path::PathBuf;
 
-    fn tmp_dir(name: &str) -> std::path::PathBuf {
+    fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("photon-core-ckpt").join(name);
         let _ = fs::remove_dir_all(&dir);
         dir
@@ -524,243 +417,152 @@ mod tests {
         FederationConfig::quick_demo(ModelConfig::proxy_tiny(), 2)
     }
 
+    fn params_only(round: u64, params: &[f32]) -> Checkpoint {
+        Checkpoint {
+            round,
+            config: cfg(),
+            params: params.to_vec(),
+            server_opt: None,
+            elastic: None,
+            hierarchy: None,
+        }
+    }
+
+    /// A checkpoint with every section present; `k` varies every field.
+    fn full(k: u32) -> Checkpoint {
+        let mut reg = MembershipRegistry::new(MembershipConfig::default(), 2 + k as usize);
+        reg.begin_round(k as u64, None);
+        Checkpoint {
+            round: 10 + k as u64,
+            config: FederationConfig {
+                seed: 40 + k as u64,
+                ..cfg()
+            },
+            params: (0..64).map(|i| (i + k) as f32 * 0.5).collect(),
+            server_opt: Some(ServerOptState {
+                kind: "fedadam".into(),
+                step: 3 + k as u64,
+                slots: vec![vec![0.25 * k as f32; 64], vec![-1.5; 64]],
+            }),
+            elastic: Some(ElasticState {
+                membership: reg.snapshot(),
+                buffer: Some(vec![BufferedUpdate {
+                    client_id: k,
+                    origin_round: 4,
+                    arrival_round: 6 + k as u64,
+                    base_weight: 1.5,
+                    mean_loss: 2.25,
+                    delta: vec![0.5, -1.0, k as f32],
+                }]),
+            }),
+            hierarchy: Some(HierarchyState {
+                dead_shards: vec![1, 5 + k],
+            }),
+        }
+    }
+
+    fn save(dir: &Path, c: &Checkpoint) {
+        write_checkpoint(
+            dir,
+            &CheckpointView {
+                round: c.round,
+                config: &c.config,
+                params: &c.params,
+                server_opt: c.server_opt.as_ref(),
+                elastic: c
+                    .elastic
+                    .as_ref()
+                    .map(|e| (&e.membership, e.buffer.as_deref())),
+                hierarchy: c.hierarchy.as_ref(),
+            },
+        )
+        .unwrap();
+    }
+
+    /// Recomputes the CRC trailer after a test edited the body.
+    fn reseal(file: &mut [u8]) {
+        let body = file.len() - 4;
+        let crc = crc32(&file[..body]);
+        file[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// The byte offset where the manifest ends and the sections start.
+    fn manifest_end(file: &[u8]) -> usize {
+        12 + u32::from_le_bytes(file[8..12].try_into().unwrap()) as usize
+    }
+
+    fn assert_truncations_rejected(name: &str, lengths: impl Fn(&[u8]) -> std::ops::Range<usize>) {
+        let dir = tmp_dir(name);
+        save(&dir, &full(0));
+        let file = fs::read(dir.join(FILE)).unwrap();
+        for len in lengths(&file) {
+            fs::write(dir.join(FILE), &file[..len]).unwrap();
+            assert!(load_checkpoint(&dir).is_err(), "loaded at {len} bytes");
+        }
+    }
+
     #[test]
     fn roundtrip() {
         let dir = tmp_dir("roundtrip");
         let params: Vec<f32> = (0..100).map(|i| i as f32 * 0.5).collect();
         save_checkpoint(&dir, &cfg(), 12, &params).unwrap();
-        let (manifest, loaded) = load_checkpoint(&dir).unwrap();
-        assert_eq!(manifest.round, 12);
-        assert_eq!(manifest.param_count, 100);
-        assert_eq!(loaded, params);
-        assert_eq!(manifest.config, cfg());
-        assert_eq!(manifest.format_version, CHECKPOINT_FORMAT_VERSION);
-        assert!(!manifest.has_server_opt);
-        assert_eq!(load_server_opt_state(&dir).unwrap(), None);
+        assert_eq!(load_checkpoint(&dir).unwrap(), params_only(12, &params));
+        assert!(checkpoint_exists(&dir));
     }
 
     #[test]
     fn server_opt_state_roundtrips() {
         let dir = tmp_dir("opt-state");
-        let state = ServerOptState {
-            kind: "fedadam".into(),
-            step: 17,
-            slots: vec![vec![0.5, -1.25, 3.0], vec![0.0, 2.5, -0.125]],
-        };
-        save_checkpoint_with_opt(&dir, &cfg(), 4, &[1.0, 2.0], Some(&state)).unwrap();
-        let (manifest, _) = load_checkpoint(&dir).unwrap();
-        assert!(manifest.has_server_opt);
-        assert_eq!(load_server_opt_state(&dir).unwrap(), Some(state));
-    }
-
-    #[test]
-    fn legacy_v1_manifest_loads_without_opt_state() {
-        let dir = tmp_dir("legacy-v1");
-        save_checkpoint(&dir, &cfg(), 3, &[1.0; 8]).unwrap();
-        // Rewrite the manifest as a v1 manifest (no format_version /
-        // has_server_opt fields).
-        let path = dir.join("manifest.json");
-        let mut lines: Vec<String> = fs::read_to_string(&path)
-            .unwrap()
-            .lines()
-            .filter(|l| {
-                !l.contains("format_version")
-                    && !l.contains("has_server_opt")
-                    && !l.contains("has_membership")
-            })
-            .map(String::from)
-            .collect();
-        // The removed fields were last; un-comma the new final field so the
-        // manifest stays valid JSON.
-        let last_field = lines.len() - 2;
-        lines[last_field] = lines[last_field].trim_end_matches(',').to_string();
-        fs::write(&path, lines.join("\n")).unwrap();
-        let (manifest, params) = load_checkpoint(&dir).unwrap();
-        assert_eq!(manifest.format_version, 0);
-        assert!(!manifest.has_server_opt);
-        assert_eq!(params, vec![1.0; 8]);
-        assert_eq!(load_server_opt_state(&dir).unwrap(), None);
+        let mut saved = params_only(4, &[1.0, 2.0]);
+        saved.server_opt = full(0).server_opt;
+        save(&dir, &saved);
+        assert_eq!(load_checkpoint(&dir).unwrap(), saved);
     }
 
     #[test]
     fn elastic_state_roundtrips() {
-        use crate::membership::{MembershipConfig, MembershipRegistry};
         let dir = tmp_dir("elastic");
         let mut reg = MembershipRegistry::new(MembershipConfig::default(), 3);
         reg.begin_round(0, None);
-        let elastic = ElasticState {
-            membership: reg.snapshot(),
-            buffer: Some(vec![BufferedUpdate {
-                client_id: 2,
-                origin_round: 4,
-                arrival_round: 6,
-                base_weight: 1.5,
-                mean_loss: 2.25,
-                delta: vec![0.5, -1.0, f32::NAN], // NaN must survive byte-exact
-            }]),
+        let mut elastic = full(0).elastic.unwrap();
+        elastic.membership = reg.snapshot();
+        elastic.buffer.as_mut().unwrap()[0].delta[2] = f32::NAN;
+        let mut saved = params_only(5, &[1.0, 2.0]);
+        saved.elastic = Some(elastic.clone());
+        save(&dir, &saved);
+        let loaded = load_checkpoint(&dir).unwrap().elastic.unwrap();
+        // NaN != NaN, so the delta is compared by its bits.
+        let bits = |e: &ElasticState| {
+            let delta = &e.buffer.as_ref().unwrap()[0].delta;
+            delta.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         };
-        save_checkpoint_full(&dir, &cfg(), 5, &[1.0, 2.0], None, Some(&elastic), None).unwrap();
-        let (manifest, _) = load_checkpoint(&dir).unwrap();
-        assert!(manifest.has_membership);
-        assert_eq!(manifest.format_version, CHECKPOINT_FORMAT_VERSION);
-        let loaded = load_elastic_state(&dir).unwrap().unwrap();
-        assert_eq!(loaded.membership, elastic.membership);
-        let (a, b) = (
-            &loaded.buffer.as_ref().unwrap()[0],
-            &elastic.buffer.as_ref().unwrap()[0],
-        );
-        assert_eq!(a.client_id, b.client_id);
-        assert_eq!(a.base_weight, b.base_weight);
-        assert_eq!(a.delta[..2], b.delta[..2]);
-        assert!(a.delta[2].is_nan(), "NaN coordinate lost in roundtrip");
-        // The registry reconstructs exactly.
+        assert_eq!(bits(&loaded), bits(&elastic));
         assert_eq!(
             MembershipRegistry::from_snapshot(&loaded.membership).unwrap(),
             reg
         );
-    }
 
-    #[test]
-    fn v2_checkpoints_without_membership_still_load() {
-        let dir = tmp_dir("legacy-v2");
-        let state = ServerOptState {
-            kind: "fedmom".into(),
-            step: 2,
-            slots: vec![vec![0.5; 4]],
-        };
-        save_checkpoint_with_opt(&dir, &cfg(), 7, &[2.0; 4], Some(&state)).unwrap();
-        // Rewrite the manifest as a v2 manifest: no has_membership or
-        // has_hierarchy fields, format_version 2.
-        let path = dir.join("manifest.json");
-        let json = fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"format_version\": 5", "\"format_version\": 2")
-            .lines()
-            .filter(|l| !l.contains("has_membership") && !l.contains("has_hierarchy"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let json = {
-            // Un-comma the new final field so the manifest stays valid.
-            let mut lines: Vec<String> = json.lines().map(String::from).collect();
-            let last_field = lines.len() - 2;
-            lines[last_field] = lines[last_field].trim_end_matches(',').to_string();
-            lines.join("\n")
-        };
-        fs::write(&path, json).unwrap();
-        let (manifest, params) = load_checkpoint(&dir).unwrap();
-        assert_eq!(manifest.format_version, 2);
-        assert!(!manifest.has_membership);
-        assert_eq!(params, vec![2.0; 4]);
-        assert_eq!(load_server_opt_state(&dir).unwrap(), Some(state));
-        assert!(load_elastic_state(&dir).unwrap().is_none());
+        // A roster without a buffer (synchronous elastic run).
+        elastic.buffer = None;
+        saved.elastic = Some(elastic);
+        save(&dir, &saved);
+        assert_eq!(load_checkpoint(&dir).unwrap(), saved);
     }
 
     #[test]
     fn hierarchy_state_roundtrips() {
         let dir = tmp_dir("hierarchy");
-        let state = HierarchyState {
+        let mut saved = params_only(9, &[1.0, 2.0]);
+        saved.hierarchy = Some(HierarchyState {
             dead_shards: vec![1, 5, 6],
-        };
-        save_checkpoint_full(&dir, &cfg(), 9, &[1.0, 2.0], None, None, Some(&state)).unwrap();
-        let (manifest, _) = load_checkpoint(&dir).unwrap();
-        assert!(manifest.has_hierarchy);
-        assert_eq!(manifest.format_version, CHECKPOINT_FORMAT_VERSION);
-        assert_eq!(load_hierarchy_state(&dir).unwrap(), Some(state));
+        });
+        save(&dir, &saved);
+        assert_eq!(load_checkpoint(&dir).unwrap(), saved);
 
-        // A fully-live tree round-trips too (empty dead set).
-        let dir = tmp_dir("hierarchy-live");
-        let live = HierarchyState::default();
-        save_checkpoint_full(&dir, &cfg(), 1, &[1.0], None, None, Some(&live)).unwrap();
-        assert_eq!(load_hierarchy_state(&dir).unwrap(), Some(live));
-    }
-
-    #[test]
-    fn v4_checkpoints_without_hierarchy_still_load() {
-        let dir = tmp_dir("legacy-v4");
-        save_checkpoint(&dir, &cfg(), 3, &[1.0; 4]).unwrap();
-        // Rewrite the manifest as a v4 manifest: no has_hierarchy field,
-        // format_version 4.
-        let path = dir.join("manifest.json");
-        let json = fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"format_version\": 5", "\"format_version\": 4")
-            .lines()
-            .filter(|l| !l.contains("has_hierarchy"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let json = {
-            // Un-comma the new final field so the manifest stays valid.
-            let mut lines: Vec<String> = json.lines().map(String::from).collect();
-            let last_field = lines.len() - 2;
-            lines[last_field] = lines[last_field].trim_end_matches(',').to_string();
-            lines.join("\n")
-        };
-        fs::write(&path, json).unwrap();
-        let (manifest, params) = load_checkpoint(&dir).unwrap();
-        assert_eq!(manifest.format_version, 4);
-        assert!(!manifest.has_hierarchy);
-        assert_eq!(params, vec![1.0; 4]);
-        assert!(load_hierarchy_state(&dir).unwrap().is_none());
-    }
-
-    #[test]
-    fn hierarchy_state_corruption_detected() {
-        let dir = tmp_dir("hierarchy-corrupt");
-        let state = HierarchyState {
-            dead_shards: vec![0, 3],
-        };
-        save_checkpoint_full(&dir, &cfg(), 1, &[1.0], None, None, Some(&state)).unwrap();
-        let path = dir.join("hierarchy.bin");
-        let mut raw = fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0xFF;
-        fs::write(&path, &raw).unwrap();
-        assert!(load_hierarchy_state(&dir).is_err());
-
-        // Truncation is caught too.
-        let dir = tmp_dir("hierarchy-torn");
-        save_checkpoint_full(&dir, &cfg(), 1, &[1.0], None, None, Some(&state)).unwrap();
-        let path = dir.join("hierarchy.bin");
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 6]).unwrap();
-        assert!(load_hierarchy_state(&dir).is_err());
-    }
-
-    #[test]
-    fn elastic_state_corruption_detected() {
-        let dir = tmp_dir("elastic-corrupt");
-        let reg = crate::membership::MembershipRegistry::new(
-            crate::membership::MembershipConfig::default(),
-            2,
-        );
-        let elastic = ElasticState {
-            membership: reg.snapshot(),
-            buffer: None,
-        };
-        save_checkpoint_full(&dir, &cfg(), 1, &[1.0], None, Some(&elastic), None).unwrap();
-        let path = dir.join("membership.bin");
-        let mut raw = fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0xFF;
-        fs::write(&path, &raw).unwrap();
-        assert!(load_elastic_state(&dir).is_err());
-    }
-
-    #[test]
-    fn opt_state_corruption_detected() {
-        let dir = tmp_dir("opt-corrupt");
-        let state = ServerOptState {
-            kind: "fedmom".into(),
-            step: 1,
-            slots: vec![vec![1.0; 16]],
-        };
-        save_checkpoint_with_opt(&dir, &cfg(), 1, &[1.0, 2.0], Some(&state)).unwrap();
-        let path = dir.join("server_opt.bin");
-        let mut raw = fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0xFF;
-        fs::write(&path, &raw).unwrap();
-        assert!(load_server_opt_state(&dir).is_err());
+        // A fully live tree round-trips too (empty dead set).
+        saved.hierarchy = Some(HierarchyState::default());
+        save(&dir, &saved);
+        assert_eq!(load_checkpoint(&dir).unwrap(), saved);
     }
 
     #[test]
@@ -769,16 +571,17 @@ mod tests {
         let mut cfg_bf16 = cfg();
         cfg_bf16.dtype = Dtype::Bf16;
         // Values exactly representable in bf16 restore bit-exactly.
-        let params: Vec<f32> = (0..256).map(|i| (i as f32 - 128.0) * 0.25).collect();
+        let params: Vec<f32> = (0..4096)
+            .map(|i| ((i % 256) as f32 - 128.0) * 0.25)
+            .collect();
         save_checkpoint(&dir, &cfg_bf16, 9, &params).unwrap();
-        let (manifest, loaded) = load_checkpoint(&dir).unwrap();
-        assert_eq!(manifest.dtype, Dtype::Bf16);
-        assert_eq!(loaded, params);
+        let loaded = load_checkpoint(&dir).unwrap();
+        assert_eq!(loaded.config.dtype, Dtype::Bf16);
+        assert_eq!(loaded.params, params);
 
-        let bf16_size = fs::metadata(dir.join("params.bin")).unwrap().len();
-        let dir_f32 = tmp_dir("bf16-vs-f32");
-        save_checkpoint(&dir_f32, &cfg(), 9, &params).unwrap();
-        let f32_size = fs::metadata(dir_f32.join("params.bin")).unwrap().len();
+        let bf16_size = fs::metadata(dir.join(FILE)).unwrap().len();
+        save_checkpoint(&dir, &cfg(), 9, &params).unwrap();
+        let f32_size = fs::metadata(dir.join(FILE)).unwrap().len();
         assert!(
             (bf16_size as f64) < 0.6 * f32_size as f64,
             "bf16 {bf16_size} vs f32 {f32_size}"
@@ -788,63 +591,197 @@ mod tests {
     #[test]
     fn overwrite_replaces_previous() {
         let dir = tmp_dir("overwrite");
-        save_checkpoint(&dir, &cfg(), 1, &[1.0, 2.0]).unwrap();
+        save(&dir, &full(0));
         save_checkpoint(&dir, &cfg(), 2, &[3.0, 4.0, 5.0]).unwrap();
-        let (manifest, params) = load_checkpoint(&dir).unwrap();
-        assert_eq!(manifest.round, 2);
-        assert_eq!(params, vec![3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn corruption_detected() {
-        let dir = tmp_dir("corrupt");
-        save_checkpoint(&dir, &cfg(), 1, &[1.0; 64]).unwrap();
-        let path = dir.join("params.bin");
-        let mut raw = fs::read(&path).unwrap();
-        raw[30] ^= 0xFF;
-        fs::write(&path, &raw).unwrap();
-        assert!(load_checkpoint(&dir).is_err());
+        assert_eq!(
+            load_checkpoint(&dir).unwrap(),
+            params_only(2, &[3.0, 4.0, 5.0])
+        );
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [FILE], "a save leaves one file and no .tmp");
     }
 
     #[test]
     fn missing_checkpoint_errors() {
-        assert!(load_checkpoint(Path::new("/nonexistent/ckpt")).is_err());
+        let dir = Path::new("/nonexistent/ckpt");
+        assert!(!checkpoint_exists(dir));
+        assert!(load_checkpoint(dir).is_err());
     }
 
     #[test]
-    fn torn_params_write_is_detected() {
-        // A crash can leave params.bin truncated mid-write; the length and
-        // CRC checks must reject it instead of restoring garbage.
-        let dir = tmp_dir("torn-params");
-        save_checkpoint(&dir, &cfg(), 2, &[1.0; 64]).unwrap();
-        let path = dir.join("params.bin");
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() / 2]).unwrap();
-        assert!(load_checkpoint(&dir).is_err());
+    fn pre_6_directory_is_rejected_naming_the_old_layout() {
+        let dir = tmp_dir("pre-6");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(PRE_6_MANIFEST), b"{\"round\": 3}").unwrap();
+        fs::write(dir.join("params.bin"), b"PHTNCKP1").unwrap();
+        assert!(checkpoint_exists(&dir), "so that a resume warns");
+        let err = load_checkpoint(&dir).unwrap_err().to_string();
+        assert!(
+            err.contains("pre-6") && err.contains(PRE_6_MANIFEST),
+            "{err}"
+        );
     }
 
+    /// Every state a killed save can leave: each published file is
+    /// independently the old checkpoint's copy or the new one's. Loading
+    /// must give exactly the old or exactly the new checkpoint (or fail),
+    /// never fields of both. With one file there are two such states.
     #[test]
-    fn torn_manifest_write_is_detected() {
-        let dir = tmp_dir("torn-manifest");
-        save_checkpoint(&dir, &cfg(), 2, &[1.0; 16]).unwrap();
-        let path = dir.join("manifest.json");
-        let json = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &json[..json.len() / 2]).unwrap();
-        assert!(load_checkpoint(&dir).is_err());
+    fn a_killed_save_leaves_the_old_checkpoint_or_the_new_one() {
+        let files_of = |dir: &Path| -> Vec<(std::ffi::OsString, Vec<u8>)> {
+            let mut files: Vec<_> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .map(|e| (e.file_name(), fs::read(e.path()).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let (old, new) = (full(0), full(1));
+        let dir = tmp_dir("killed-save");
+        save(&dir, &old);
+        let old_files = files_of(&dir);
+        save(&dir, &new);
+        let new_files = files_of(&dir);
+        assert_eq!(old_files.len(), new_files.len());
+        for mix in 0..1u32 << new_files.len() {
+            for (i, (name, bytes)) in new_files.iter().enumerate() {
+                let from_new = mix >> i & 1 == 1;
+                let bytes = if from_new { bytes } else { &old_files[i].1 };
+                fs::write(dir.join(name), bytes).unwrap();
+            }
+            if let Ok(loaded) = load_checkpoint(&dir) {
+                assert!(
+                    loaded == old || loaded == new,
+                    "mix {mix:b} loads a blend: round {} with params[0] = {} and \
+                     optimizer step {:?}",
+                    loaded.round,
+                    loaded.params[0],
+                    loaded.server_opt.map(|s| s.step)
+                );
+            }
+        }
+        assert_eq!(
+            load_checkpoint(&dir).unwrap(),
+            new,
+            "the last mix is all-new"
+        );
     }
 
     #[test]
     fn stale_tmp_files_do_not_affect_loading() {
-        // A crash between write and rename leaves a *.tmp behind; the
-        // published checkpoint must load as if it were not there.
+        // A save killed before its rename leaves a `.tmp` behind — empty,
+        // half-written or complete. The published checkpoint must load as
+        // if it were not there, and the next save must replace it.
         let dir = tmp_dir("stale-tmp");
-        let params: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        save_checkpoint(&dir, &cfg(), 6, &params).unwrap();
-        fs::write(dir.join("params.bin.tmp"), b"torn garbage").unwrap();
-        fs::write(dir.join("manifest.json.tmp"), b"{\"round\":").unwrap();
-        let (manifest, loaded) = load_checkpoint(&dir).unwrap();
-        assert_eq!(manifest.round, 6);
-        assert_eq!(loaded, params);
+        let (old, new) = (full(0), full(1));
+        save(&dir, &new);
+        let newer = fs::read(dir.join(FILE)).unwrap();
+        save(&dir, &old);
+        for leftover in [&newer[..0], &newer[..newer.len() / 2], &newer[..]] {
+            fs::write(dir.join(TMP_FILE), leftover).unwrap();
+            assert_eq!(load_checkpoint(&dir).unwrap(), old);
+        }
+        save(&dir, &new);
+        assert_eq!(load_checkpoint(&dir).unwrap(), new);
+        assert!(!dir.join(TMP_FILE).exists());
+    }
+
+    #[test]
+    fn corruption_detected() {
+        // One flipped byte anywhere — magic, manifest, any section, the
+        // trailer — must fail the load.
+        let dir = tmp_dir("corrupt");
+        save(&dir, &full(0));
+        let file = fs::read(dir.join(FILE)).unwrap();
+        for at in 0..file.len() {
+            let mut bad = file.clone();
+            bad[at] ^= 0xFF;
+            fs::write(dir.join(FILE), &bad).unwrap();
+            assert!(load_checkpoint(&dir).is_err(), "flip at byte {at} loaded");
+        }
+    }
+
+    #[test]
+    fn torn_manifest_write_is_detected() {
+        assert_truncations_rejected("torn-manifest", |file| 0..manifest_end(file));
+    }
+
+    #[test]
+    fn torn_params_write_is_detected() {
+        assert_truncations_rejected("torn-params", |file| manifest_end(file)..file.len());
+    }
+
+    /// Overwrites one byte, *reseals* the file so the CRC passes, and
+    /// expects the section decoder itself to reject the content with
+    /// `want` — without panicking or reading out of bounds.
+    fn assert_resealed_damage_rejected(dir: &Path, file: &[u8], at: usize, byte: u8, want: &str) {
+        let mut bad = file.to_vec();
+        bad[at] = byte;
+        reseal(&mut bad);
+        fs::write(dir.join(FILE), &bad).unwrap();
+        let err = load_checkpoint(dir).unwrap_err().to_string();
+        assert!(err.contains(want), "byte {at} = {byte}: {err}");
+    }
+
+    #[test]
+    fn opt_state_corruption_detected() {
+        let dir = tmp_dir("opt-corrupt");
+        let mut saved = params_only(1, &[1.0, 2.0]);
+        saved.server_opt = full(0).server_opt;
+        save(&dir, &saved);
+        let file = fs::read(dir.join(FILE)).unwrap();
+        let opt = manifest_end(&file) + 2 * 4 + 1;
+        for (at, byte, want) in [
+            (opt - 1, 2, "unknown section tag"),
+            (opt + 4, 0xFF, "not utf-8"),
+            (opt + 3, 0x7F, "ends inside a section"), // kind length
+            (opt + 4 + 7 + 8, 9, "missing f32 slice length"), // slot count
+            (opt + 4 + 7 + 8 + 4 + 7, 0x7F, "bytes remain"), // slot length
+        ] {
+            assert_resealed_damage_rejected(&dir, &file, at, byte, want);
+        }
+    }
+
+    #[test]
+    fn elastic_state_corruption_detected() {
+        let dir = tmp_dir("elastic-corrupt");
+        let mut saved = params_only(1, &[1.0]);
+        saved.elastic = full(0).elastic;
+        saved.elastic.as_mut().unwrap().buffer = None;
+        save(&dir, &saved);
+        let file = fs::read(dir.join(FILE)).unwrap();
+        let elastic = manifest_end(&file) + 4 + 1 + 1;
+        let buffered_tag = file.len() - 4 - 1 - 1;
+        for (at, byte, want) in [
+            (elastic + 8 + 8 + 4 + 3, 0x7F, "ends inside a section"), // member count
+            (buffered_tag, 7, "unknown section tag"),
+            (buffered_tag, 1, "ends inside a section"), // a buffer that is not there
+        ] {
+            assert_resealed_damage_rejected(&dir, &file, at, byte, want);
+        }
+    }
+
+    #[test]
+    fn hierarchy_state_corruption_detected() {
+        let dir = tmp_dir("hierarchy-corrupt");
+        let mut saved = params_only(1, &[1.0]);
+        saved.hierarchy = Some(HierarchyState {
+            dead_shards: vec![0, 3],
+        });
+        save(&dir, &saved);
+        let file = fs::read(dir.join(FILE)).unwrap();
+        let last_shard = file.len() - 4 - 4;
+        for (at, byte, want) in [
+            (last_shard, 0, "not strictly ascending"),
+            (last_shard - 2 * 4, 3, "ends inside a section"), // shard count
+            (last_shard - 2 * 4, 1, "trailing bytes"),
+        ] {
+            assert_resealed_damage_rejected(&dir, &file, at, byte, want);
+        }
     }
 
     #[test]
@@ -853,11 +790,11 @@ mod tests {
         let cfg = cfg();
         let mut fed = crate::build_federation(&cfg, 2_000).unwrap();
         fed.aggregator.run_round(&mut fed.clients).unwrap();
-        save_checkpoint(&dir, &cfg, fed.aggregator.round(), fed.aggregator.params()).unwrap();
+        fed.aggregator.save_checkpoint(&dir).unwrap();
 
-        let (manifest, params) = load_checkpoint(&dir).unwrap();
-        let mut fresh = crate::Aggregator::new(manifest.config.clone()).unwrap();
-        fresh.restore(manifest.round, params).unwrap();
+        let ckpt = load_checkpoint(&dir).unwrap();
+        let mut fresh = crate::Aggregator::new(ckpt.config.clone()).unwrap();
+        fresh.restore(ckpt).unwrap();
         assert_eq!(fresh.round(), fed.aggregator.round());
         assert_eq!(fresh.params(), fed.aggregator.params());
     }

@@ -9,13 +9,13 @@ mod downstream;
 
 pub use downstream::{downstream_suite, evaluate_downstream, ClozeTask, DownstreamScore};
 
+use crate::aggregator::iid_clients;
 use crate::{
     Aggregator, CentralizedTrainer, DataSource, Federation, FederationConfig, LlmClient, Result,
     RoundRecord, TrainingHistory,
 };
 use photon_data::{
-    build_domain_corpora, partition_by_domain, partition_iid, DomainKind, EvalStream,
-    SyntheticDomain, TokenCorpus,
+    build_domain_corpora, partition_by_domain, DomainKind, EvalStream, SyntheticDomain, TokenCorpus,
 };
 use photon_nn::{evaluate_perplexity, Gpt};
 use photon_optim::LrSchedule;
@@ -61,36 +61,12 @@ pub fn build_iid_federation(
     tokens_per_client: usize,
 ) -> Result<(Federation, TokenCorpus)> {
     cfg.validate()?;
-    let mut rng = SeedStream::new(cfg.seed);
-    let tokenizer = ByteTokenizer::new();
-    let mut data_rng = rng.split("data");
-    let domain = SyntheticDomain::preset(DomainKind::Web, &mut data_rng);
     let val_tokens = (tokens_per_client / 2).max(2048);
-    let mut corpus = TokenCorpus::from_domain(
-        &domain,
-        &tokenizer,
-        tokens_per_client * cfg.population + val_tokens,
-        &mut data_rng,
-    );
-    let val = corpus.split_validation(val_tokens);
-    let block = (cfg.model.seq_len + 1).max(32);
-    let shards = partition_iid(&corpus, cfg.population, block, &mut data_rng);
-    let clients = shards
-        .into_iter()
-        .enumerate()
-        .map(|(i, shard)| {
-            LlmClient::new(
-                i as u32,
-                DataSource::new(format!("ds-{i}"), shard),
-                None,
-                rng.split(&format!("client-{i}")),
-            )
-        })
-        .collect();
+    let (clients, val) = iid_clients(cfg, tokens_per_client, val_tokens);
     Ok((
         Federation {
             aggregator: Aggregator::new(cfg.clone())?,
-            clients,
+            clients: clients.collect(),
             joiner_tokens: tokens_per_client,
         },
         val,

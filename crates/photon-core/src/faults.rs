@@ -116,24 +116,38 @@ impl TargetedFault {
             .split_once('@')
             .ok_or_else(|| format!("targeted fault {s:?} is not kind@rNcM"))?;
         let fault = ClientFault::parse_kind(kind)?;
-        let rest = cell
-            .strip_prefix('r')
-            .ok_or_else(|| format!("targeted fault cell {cell:?} is not rNcM"))?;
-        let (round, client) = rest
-            .split_once('c')
-            .ok_or_else(|| format!("targeted fault cell {cell:?} is not rNcM"))?;
-        let round = round
-            .parse()
-            .map_err(|_| format!("invalid round in {cell:?}"))?;
-        let client = client
-            .parse()
-            .map_err(|_| format!("invalid client in {cell:?}"))?;
+        let (round, client) = parse_cell(cell, Some('c')).map_err(|part| match part {
+            CellPart::Shape => format!("targeted fault cell {cell:?} is not rNcM"),
+            CellPart::Round => format!("invalid round in {cell:?}"),
+            CellPart::Index => format!("invalid client in {cell:?}"),
+        })?;
         Ok(TargetedFault {
             round,
             client,
             fault,
         })
     }
+}
+
+/// Which part of a targeted cell failed to parse.
+enum CellPart {
+    Shape,
+    Round,
+    Index,
+}
+
+/// Parses the cell of a targeted entry: `rN` when `axis` is `None`
+/// (index 0), else `rN<axis>M` — `c` addresses a client, `s` a shard.
+fn parse_cell(cell: &str, axis: Option<char>) -> Result<(u64, u32), CellPart> {
+    let rest = cell.strip_prefix('r').ok_or(CellPart::Shape)?;
+    let (round, index) = match axis {
+        Some(axis) => rest.split_once(axis).ok_or(CellPart::Shape)?,
+        None => (rest, "0"),
+    };
+    Ok((
+        round.parse().map_err(|_| CellPart::Round)?,
+        index.parse().map_err(|_| CellPart::Index)?,
+    ))
 }
 
 /// Per-run fault rates, expanded into a [`FaultPlan`] by [`FaultSpec::plan`].
@@ -298,85 +312,35 @@ impl FaultSpec {
                 spec.partitions.push(parse_partition(window)?);
                 continue;
             }
-            if let Some(cell) = pair.strip_prefix("slowlink@") {
-                let parsed = cell
-                    .strip_prefix('r')
-                    .and_then(|rest| rest.split_once('c'))
-                    .and_then(|(r, c)| Some((r.parse().ok()?, c.parse().ok()?)));
-                let (round, client) = parsed
-                    .ok_or_else(|| format!("targeted slowlink {pair:?} is not slowlink@rNcM"))?;
-                spec.targeted_slowlinks.push((round, client));
-                continue;
-            }
-            if let Some(cell) = pair.strip_prefix("join@") {
-                let round = cell
-                    .strip_prefix('r')
-                    .and_then(|r| r.parse().ok())
-                    .ok_or_else(|| format!("targeted join {pair:?} is not join@rN"))?;
-                spec.targeted_joins.push(round);
-                continue;
-            }
-            if let Some(cell) = pair.strip_prefix("netcrash@") {
-                let parsed = cell
-                    .strip_prefix('r')
-                    .and_then(|rest| rest.split_once('c'))
-                    .and_then(|(r, c)| Some((r.parse().ok()?, c.parse().ok()?)));
-                let (round, client) = parsed
-                    .ok_or_else(|| format!("targeted netcrash {pair:?} is not netcrash@rNcM"))?;
-                spec.targeted_netcrashes.push((round, client));
-                continue;
-            }
-            if let Some(cell) = pair.strip_prefix("nethang@") {
-                let parsed = cell
-                    .strip_prefix('r')
-                    .and_then(|rest| rest.split_once('c'))
-                    .and_then(|(r, c)| Some((r.parse().ok()?, c.parse().ok()?)));
-                let (round, client) = parsed
-                    .ok_or_else(|| format!("targeted nethang {pair:?} is not nethang@rNcM"))?;
-                spec.targeted_nethangs.push((round, client));
-                continue;
-            }
-            if let Some(cell) = pair.strip_prefix("coordkill@") {
-                let round = cell
-                    .strip_prefix('r')
-                    .and_then(|r| r.parse().ok())
-                    .ok_or_else(|| format!("targeted coordkill {pair:?} is not coordkill@rN"))?;
-                spec.targeted_coordkills.push(round);
-                continue;
-            }
-            if let Some(cell) = pair.strip_prefix("shardcrash@") {
-                let parsed = cell
-                    .strip_prefix('r')
-                    .and_then(|rest| rest.split_once('s'))
-                    .and_then(|(r, s)| Some((r.parse().ok()?, s.parse().ok()?)));
-                let (round, shard) = parsed.ok_or_else(|| {
-                    format!("targeted shardcrash {pair:?} is not shardcrash@rNsM")
-                })?;
-                spec.targeted_shardcrashes.push((round, shard));
-                continue;
-            }
-            if let Some(cell) = pair.strip_prefix("shardhang@") {
-                let parsed = cell
-                    .strip_prefix('r')
-                    .and_then(|rest| rest.split_once('s'))
-                    .and_then(|(r, s)| Some((r.parse().ok()?, s.parse().ok()?)));
-                let (round, shard) = parsed
-                    .ok_or_else(|| format!("targeted shardhang {pair:?} is not shardhang@rNsM"))?;
-                spec.targeted_shardhangs.push((round, shard));
-                continue;
-            }
-            if let Some(cell) = pair.strip_prefix("leave@") {
-                let parsed = cell
-                    .strip_prefix('r')
-                    .and_then(|rest| rest.split_once('c'))
-                    .and_then(|(r, c)| Some((r.parse().ok()?, c.parse().ok()?)));
-                let (round, client) =
-                    parsed.ok_or_else(|| format!("targeted leave {pair:?} is not leave@rNcM"))?;
-                spec.targeted_leaves.push((round, client));
-                continue;
-            }
-            if pair.contains('@') {
-                spec.targeted.push(TargetedFault::parse(pair)?);
+            if let Some((kind, cell)) = pair.split_once('@') {
+                let cells = match kind {
+                    "slowlink" => Some((&mut spec.targeted_slowlinks, 'c')),
+                    "netcrash" => Some((&mut spec.targeted_netcrashes, 'c')),
+                    "nethang" => Some((&mut spec.targeted_nethangs, 'c')),
+                    "leave" => Some((&mut spec.targeted_leaves, 'c')),
+                    "shardcrash" => Some((&mut spec.targeted_shardcrashes, 's')),
+                    "shardhang" => Some((&mut spec.targeted_shardhangs, 's')),
+                    _ => None,
+                };
+                if let Some((cells, axis)) = cells {
+                    cells.push(parse_cell(cell, Some(axis)).map_err(|_| {
+                        format!("targeted {kind} {pair:?} is not {kind}@rN{axis}M")
+                    })?);
+                    continue;
+                }
+                let rounds = match kind {
+                    "join" => Some(&mut spec.targeted_joins),
+                    "coordkill" => Some(&mut spec.targeted_coordkills),
+                    _ => None,
+                };
+                match rounds {
+                    Some(rounds) => rounds.push(
+                        parse_cell(cell, None)
+                            .map_err(|_| format!("targeted {kind} {pair:?} is not {kind}@rN"))?
+                            .0,
+                    ),
+                    None => spec.targeted.push(TargetedFault::parse(pair)?),
+                }
                 continue;
             }
             let (key, value) = pair
@@ -542,18 +506,12 @@ impl FaultSpec {
             .filter(|&round| cell_stream(self.seed, round, u32::MAX - 1).next_f64() < self.p_join)
             .map(|round| (round, 1))
             .collect();
-        for &round in &self.targeted_joins {
-            if round < rounds {
-                *joins.entry(round).or_insert(0) += 1;
-            }
+        for round in in_horizon(&self.targeted_joins, rounds, |r| r) {
+            *joins.entry(round).or_insert(0) += 1;
         }
         // Targeted leaves may name any client id — including one only
         // admitted mid-run — so they are not bounded by `population`.
-        for &(round, client) in &self.targeted_leaves {
-            if round < rounds {
-                leaves.insert((round, client));
-            }
-        }
+        leaves.extend(in_horizon(&self.targeted_leaves, rounds, cell_round));
         // Link losses draw from their own salted column (never the client
         // fault chain), so `lossy=0` leaves legacy plans bit-identical.
         let mut link_losses = BTreeMap::new();
@@ -570,32 +528,12 @@ impl FaultSpec {
         }
         // Slow links, like targeted leaves, may name clients admitted
         // mid-run, so they are bounded only by the round horizon.
-        let slow_links = self
-            .targeted_slowlinks
-            .iter()
-            .filter(|&&(round, _)| round < rounds)
-            .copied()
-            .collect();
+        let slow_links = in_horizon(&self.targeted_slowlinks, rounds, cell_round).collect();
         // Process faults are targeted-only (no probabilistic column), so
         // legacy specs expand to bit-identical plans with empty sets.
-        let netcrashes = self
-            .targeted_netcrashes
-            .iter()
-            .filter(|&&(round, _)| round < rounds)
-            .copied()
-            .collect();
-        let nethangs = self
-            .targeted_nethangs
-            .iter()
-            .filter(|&&(round, _)| round < rounds)
-            .copied()
-            .collect();
-        let coordkills = self
-            .targeted_coordkills
-            .iter()
-            .filter(|&&round| round < rounds)
-            .copied()
-            .collect();
+        let netcrashes = in_horizon(&self.targeted_netcrashes, rounds, cell_round).collect();
+        let nethangs = in_horizon(&self.targeted_nethangs, rounds, cell_round).collect();
+        let coordkills = in_horizon(&self.targeted_coordkills, rounds, |r| r).collect();
         // Shard faults draw from their own salted (round, shard) column,
         // gated on the rates, so legacy specs expand bit-identically.
         let mut shardcrashes = BTreeSet::new();
@@ -613,16 +551,8 @@ impl FaultSpec {
                 }
             }
         }
-        for &(round, shard) in &self.targeted_shardcrashes {
-            if round < rounds {
-                shardcrashes.insert((round, shard));
-            }
-        }
-        for &(round, shard) in &self.targeted_shardhangs {
-            if round < rounds {
-                shardhangs.insert((round, shard));
-            }
-        }
+        shardcrashes.extend(in_horizon(&self.targeted_shardcrashes, rounds, cell_round));
+        shardhangs.extend(in_horizon(&self.targeted_shardhangs, rounds, cell_round));
         FaultPlan {
             client_faults,
             agg_crashes,
@@ -639,6 +569,23 @@ impl FaultSpec {
             rounds,
         }
     }
+}
+
+/// The targets that fire inside the planning horizon; later ones are
+/// ignored.
+fn in_horizon<'a, T: Copy>(
+    targets: &'a [T],
+    rounds: u64,
+    round_of: impl Fn(T) -> u64 + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    targets
+        .iter()
+        .copied()
+        .filter(move |&target| round_of(target) < rounds)
+}
+
+fn cell_round((round, _): (u64, u32)) -> u64 {
+    round
 }
 
 /// Parses a partition window `rN[-rM]:a|b` (after the `partition@`
@@ -777,9 +724,14 @@ impl FaultPlan {
         self.slow_links.contains(&(round, client))
     }
 
-    /// The scheduled partition windows.
-    pub fn partitions(&self) -> &PartitionSchedule {
-        &self.partitions
+    /// The severing in effect for `client` at `round`, if any.
+    pub fn partition_state(&self, round: u64, client: u32) -> Option<PartitionKind> {
+        self.partitions.state(round, client)
+    }
+
+    /// Whether a partition window heals exactly at `round`.
+    pub fn partition_heals_at(&self, round: u64) -> bool {
+        self.partitions.heals_at(round)
     }
 
     /// Number of cells scheduled to lose transmissions.
@@ -855,95 +807,6 @@ impl FaultPlan {
     /// The planning horizon in rounds.
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-}
-
-/// Read-only fault oracle handed to the aggregator's round loop. Queries
-/// are pure, so the injector can be shared across client threads.
-#[derive(Debug, Clone, Default)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-}
-
-impl FaultInjector {
-    /// Wraps a prepared plan.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultInjector { plan }
-    }
-
-    /// Builds the plan for `spec` over a run shape.
-    pub fn from_spec(spec: &FaultSpec, population: usize, rounds: u64) -> Self {
-        FaultInjector::new(spec.plan(population, rounds))
-    }
-
-    /// The fault (if any) scheduled for `client` at `round`.
-    pub fn client_fault(&self, round: u64, client: u32) -> Option<ClientFault> {
-        self.plan.client_fault(round, client)
-    }
-
-    /// Whether the aggregator crashes after `round`.
-    pub fn aggregator_crashes_after(&self, round: u64) -> bool {
-        self.plan.aggregator_crashes_after(round)
-    }
-
-    /// How many clients join at `round`.
-    pub fn joins_at(&self, round: u64) -> u32 {
-        self.plan.joins_at(round)
-    }
-
-    /// The clients permanently departing at `round`.
-    pub fn leaves_at(&self, round: u64) -> Vec<u32> {
-        self.plan.leaves_at(round)
-    }
-
-    /// Leading result transmissions lost on `client`'s link at `round`.
-    pub fn link_loss(&self, round: u64, client: u32) -> u32 {
-        self.plan.link_loss(round, client)
-    }
-
-    /// Whether `client`'s link is pinned slow at `round`.
-    pub fn slowlink_at(&self, round: u64, client: u32) -> bool {
-        self.plan.slowlink_at(round, client)
-    }
-
-    /// The severing in effect for `client` at `round`, if any.
-    pub fn partition_state(&self, round: u64, client: u32) -> Option<PartitionKind> {
-        self.plan.partitions().state(round, client)
-    }
-
-    /// Whether a partition window heals exactly at `round`.
-    pub fn partition_heals_at(&self, round: u64) -> bool {
-        self.plan.partitions().heals_at(round)
-    }
-
-    /// Whether `client`'s transport connection is severed at `round`.
-    pub fn netcrash_at(&self, round: u64, client: u32) -> bool {
-        self.plan.netcrash_at(round, client)
-    }
-
-    /// Whether `client` goes silent at `round`.
-    pub fn nethang_at(&self, round: u64, client: u32) -> bool {
-        self.plan.nethang_at(round, client)
-    }
-
-    /// Whether the coordinator process dies after committing `round`.
-    pub fn coordkill_after(&self, round: u64) -> bool {
-        self.plan.coordkill_after(round)
-    }
-
-    /// Whether sub-aggregator `shard` crashes mid-round at `round`.
-    pub fn shardcrash_at(&self, round: u64, shard: u32) -> bool {
-        self.plan.shardcrash_at(round, shard)
-    }
-
-    /// Whether sub-aggregator `shard` hangs for `round`.
-    pub fn shardhang_at(&self, round: u64, shard: u32) -> bool {
-        self.plan.shardhang_at(round, shard)
-    }
-
-    /// The underlying schedule.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 
@@ -1273,15 +1136,12 @@ mod tests {
         assert!(!plan.slowlink_at(3, 1));
         assert_eq!(plan.partition_count(), 2);
         assert_eq!(
-            plan.partitions().state(3, 1),
+            plan.partition_state(3, 1),
             Some(PartitionKind::Full),
             "client 1 severed during the window"
         );
-        assert_eq!(plan.partitions().state(5, 1), None, "healed");
-        assert_eq!(
-            plan.partitions().state(7, 3),
-            Some(PartitionKind::Asymmetric)
-        );
+        assert_eq!(plan.partition_state(5, 1), None, "healed");
+        assert_eq!(plan.partition_state(7, 3), Some(PartitionKind::Asymmetric));
         // Loss bursts stay within the configured burst cap.
         for round in 0..10 {
             for client in 0..8 {
@@ -1399,49 +1259,5 @@ mod tests {
             }
         }
         assert_eq!(legacy.agg_crash_count(), sharded.agg_crash_count());
-    }
-
-    #[test]
-    fn shard_injector_delegates_to_plan() {
-        let spec = FaultSpec {
-            p_shard_crash: 0.2,
-            shards: 4,
-            targeted_shardhangs: vec![(2, 1)],
-            ..FaultSpec::none(5)
-        };
-        let injector = FaultInjector::from_spec(&spec, 8, 10);
-        let plan = spec.plan(8, 10);
-        for round in 0..10 {
-            for shard in 0..4 {
-                assert_eq!(
-                    injector.shardcrash_at(round, shard),
-                    plan.shardcrash_at(round, shard)
-                );
-                assert_eq!(
-                    injector.shardhang_at(round, shard),
-                    plan.shardhang_at(round, shard)
-                );
-            }
-        }
-        assert!(injector.shardhang_at(2, 1));
-    }
-
-    #[test]
-    fn injector_delegates_to_plan() {
-        let spec = chaos_spec(2);
-        let injector = FaultInjector::from_spec(&spec, 8, 20);
-        let plan = spec.plan(8, 20);
-        for round in 0..20 {
-            assert_eq!(
-                injector.aggregator_crashes_after(round),
-                plan.aggregator_crashes_after(round)
-            );
-            for client in 0..8 {
-                assert_eq!(
-                    injector.client_fault(round, client),
-                    plan.client_fault(round, client)
-                );
-            }
-        }
     }
 }

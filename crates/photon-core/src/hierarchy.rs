@@ -19,8 +19,8 @@
 //!   affecting its siblings.
 //!
 //! Only the dead-shard set is state; everything else is re-derived. That
-//! set rides in checkpoint v5 (`hierarchy.bin`) so agg-crash recovery
-//! replays the tree bit-exactly.
+//! set rides in the checkpoint so agg-crash recovery replays the tree
+//! bit-exactly.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};

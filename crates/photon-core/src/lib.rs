@@ -49,16 +49,14 @@ mod telemetry;
 pub use aggregator::{build_client, build_federation, Aggregator, Federation};
 pub use centralized::CentralizedTrainer;
 pub use checkpoint::{
-    load_checkpoint, load_elastic_state, load_hierarchy_state, load_server_opt_state,
-    save_checkpoint, save_checkpoint_full, save_checkpoint_with_opt, CheckpointManifest,
-    ElasticState, CHECKPOINT_FORMAT_VERSION,
+    checkpoint_exists, load_checkpoint, save_checkpoint, Checkpoint, ElasticState,
 };
 pub use client::{ClientOutcome, LlmClient};
 pub use config::{CohortSpec, FederationConfig, PostProcessConfig};
 pub use datasource::DataSource;
 pub use ddp::{ddp_train, DdpConfig, DdpReport};
 pub use error::CoreError;
-pub use faults::{ClientFault, FaultInjector, FaultPlan, FaultSpec, TargetedFault};
+pub use faults::{ClientFault, FaultPlan, FaultSpec, TargetedFault};
 pub use hierarchy::{HierarchyConfig, HierarchyState, ShardPartition, ShardTree};
 pub use membership::{
     ChurnEvents, MemberPhase, MembershipConfig, MembershipRegistry, MembershipSnapshot,

@@ -31,7 +31,7 @@
 //! Storage is flat arrays (ids are dense), and a round pays one sequential
 //! pass over the active leases plus what changed: [`MembershipRegistry`].
 
-use crate::faults::FaultInjector;
+use crate::faults::FaultPlan;
 use photon_comms::SimClock;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -124,7 +124,7 @@ impl ChurnEvents {
     }
 }
 
-/// A serializable image of the registry, carried by checkpoint v3 so a
+/// A serializable image of the registry, carried by the checkpoint so a
 /// restore resumes with the exact roster the crashed run had.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MembershipSnapshot {
@@ -257,7 +257,7 @@ impl MembershipRegistry {
     /// then lease-expiry checks against the simulated clock. Phases change
     /// as each step decides them; the rosters catch up in one merge pass
     /// at the end.
-    pub fn begin_round(&mut self, round: u64, injector: Option<&FaultInjector>) -> ChurnEvents {
+    pub fn begin_round(&mut self, round: u64, injector: Option<&FaultPlan>) -> ChurnEvents {
         let now = self.clock.now_ms(round);
         let lease = now + self.cfg.lease_ms;
         let mut events = ChurnEvents::default();
@@ -286,7 +286,7 @@ impl MembershipRegistry {
 
         // This round's crashes, ascending; each scan below walks them with
         // its own cursor.
-        let crashes = injector.map_or_else(Vec::new, |inj| inj.plan().crashes_at(round));
+        let crashes = injector.map_or_else(Vec::new, |inj| inj.crashes_at(round));
         // Warm rejoins: O(expired), ascending id.
         let mut crashed = &crashes[..];
         for &id in &self.expired {
@@ -473,7 +473,7 @@ mod tests {
             targeted_leaves: vec![(3, 1), (5, 4)],
             ..FaultSpec::none(1)
         };
-        let inj = FaultInjector::from_spec(&spec, 3, 10);
+        let inj = spec.plan(3, 10);
         let mut reg = MembershipRegistry::new(cfg(), 3);
         assert!(reg.begin_round(0, Some(&inj)).is_empty());
         let ev = reg.begin_round(2, Some(&inj));
@@ -508,7 +508,7 @@ mod tests {
             ],
             ..FaultSpec::none(1)
         };
-        let inj = FaultInjector::from_spec(&spec, 3, 10);
+        let inj = spec.plan(3, 10);
         let mut reg = MembershipRegistry::new(cfg(), 3);
         reg.begin_round(0, Some(&inj));
         let mut expired_at = None;
@@ -552,7 +552,7 @@ mod tests {
             ],
             ..FaultSpec::none(1)
         };
-        let inj = FaultInjector::from_spec(&spec, 3, 10);
+        let inj = spec.plan(3, 10);
         let mut reg = MembershipRegistry::new(cfg(), 3);
         for round in 0..5 {
             reg.begin_round(round, Some(&inj));
@@ -635,7 +635,7 @@ mod tests {
             }
         }
 
-        fn begin_round(&mut self, round: u64, injector: Option<&FaultInjector>) -> ChurnEvents {
+        fn begin_round(&mut self, round: u64, injector: Option<&FaultPlan>) -> ChurnEvents {
             let now = self.clock.now_ms(round);
             let lease = now + self.cfg.lease_ms;
             let mut events = ChurnEvents::default();
@@ -716,7 +716,7 @@ mod tests {
     /// not-yet-admitted ids and of clients in the very round they join.
     /// (The plan draws crashes for founding ids only, so a join and a
     /// crash never share a round.)
-    fn churn_case(case: u64, rounds: u64) -> (MembershipConfig, usize, FaultInjector) {
+    fn churn_case(case: u64, rounds: u64) -> (MembershipConfig, usize, FaultPlan) {
         let mut rng = SeedStream::new(0xC0FFEE + case);
         let population = 1 + rng.next_below(64);
         let cfg = MembershipConfig {
@@ -736,7 +736,7 @@ mod tests {
         }
         // Joins draw from their own columns, so the ids they will be given
         // can be read off a first expansion and told to leave on arrival.
-        let joins_only = FaultInjector::from_spec(&spec, population, rounds);
+        let joins_only = spec.plan(population, rounds);
         let mut next_id = population as u32;
         for round in 0..rounds {
             let joiners = next_id..next_id + joins_only.joins_at(round);
@@ -750,7 +750,7 @@ mod tests {
             spec.targeted_leaves
                 .push((rng.next_below(rounds as usize) as u64, id));
         }
-        let injector = FaultInjector::from_spec(&spec, population, rounds);
+        let injector = spec.plan(population, rounds);
         (cfg, population, injector)
     }
 
@@ -784,7 +784,7 @@ mod tests {
                 let crashes: Vec<u32> = (0..shadow.next_id)
                     .filter(|&id| inj.client_fault(round, id) == Some(ClientFault::Crash))
                     .collect();
-                assert_eq!(inj.plan().crashes_at(round), crashes, "{at}");
+                assert_eq!(inj.crashes_at(round), crashes, "{at}");
 
                 if let Some(restored) = restored.as_mut() {
                     assert_eq!(restored.begin_round(round, Some(&inj)), events, "{at}");

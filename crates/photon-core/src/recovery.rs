@@ -10,11 +10,8 @@
 //! parameters of one that never crashed.
 
 use crate::experiments::{eval_seq, RunOptions};
-use crate::faults::FaultInjector;
-use crate::{
-    load_checkpoint, load_elastic_state, load_server_opt_state, save_checkpoint_full, CoreError,
-    Federation, Result, TrainingHistory,
-};
+use crate::faults::FaultPlan;
+use crate::{checkpoint_exists, load_checkpoint, CoreError, Federation, Result, TrainingHistory};
 use photon_data::{EvalStream, TokenCorpus};
 use photon_nn::evaluate_perplexity;
 use std::collections::BTreeSet;
@@ -86,7 +83,7 @@ pub struct TrainingOutcome {
 pub fn run_training<F>(
     mut build: F,
     opts: &TrainingOptions,
-    injector: Option<&FaultInjector>,
+    injector: Option<&FaultPlan>,
 ) -> Result<TrainingOutcome>
 where
     F: FnMut() -> Result<(Federation, TokenCorpus)>,
@@ -104,28 +101,11 @@ where
     let mut neutralized: BTreeSet<u64> = BTreeSet::new();
 
     if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
-            if dir.join("manifest.json").exists() {
-                match restore_from(&mut fed, dir) {
-                    // A fresh process cannot know which prefix rounds a
-                    // prior incarnation neutralized (that is not
-                    // checkpointed), so the whole restored prefix counts
-                    // as committed.
-                    Ok(()) => mark_committed_prefix(&fed, &neutralized),
-                    Err(e) => {
-                        // A torn or corrupt checkpoint must not kill the
-                        // resume: fall back to a clean start instead.
-                        eprintln!(
-                            "warning: checkpoint in {} is unusable ({e}); \
-                             restarting from round 0",
-                            dir.display()
-                        );
-                        let (fresh, _) = build()?;
-                        fed = fresh;
-                    }
-                }
-            }
-        }
+        restore_latest(&mut fed, opts);
+        // A fresh process cannot know which prefix rounds a prior
+        // incarnation neutralized (that is not checkpointed), so the whole
+        // restored prefix counts as committed.
+        mark_committed_prefix(&fed, &neutralized);
     }
 
     let seq = eval_seq(fed.aggregator.config());
@@ -161,15 +141,7 @@ where
                         let _save_span = photon_trace::span(photon_trace::Phase::CheckpointSave)
                             .arg("round", fed.aggregator.round());
                         photon_trace::counter_add("checkpoint.saves", 1);
-                        save_checkpoint_full(
-                            dir,
-                            fed.aggregator.config(),
-                            fed.aggregator.round(),
-                            fed.aggregator.params(),
-                            Some(&fed.aggregator.server_opt_state()),
-                            fed.aggregator.elastic_state().as_ref(),
-                            fed.aggregator.hierarchy_state().as_ref(),
-                        )?;
+                        fed.aggregator.save_checkpoint(dir)?;
                     }
                 }
                 if reached {
@@ -252,22 +224,7 @@ where
     F: FnMut() -> Result<(Federation, TokenCorpus)>,
 {
     let (mut fed, _) = build()?;
-    if let Some(dir) = &opts.checkpoint_dir {
-        if dir.join("manifest.json").exists() {
-            if let Err(e) = restore_from(&mut fed, dir) {
-                // The latest checkpoint itself is torn or corrupt: falling
-                // back to round 0 (bounded by the shared recovery budget)
-                // beats failing the whole run on a bad disk block.
-                eprintln!(
-                    "warning: checkpoint in {} is unusable ({e}); \
-                     recovering from round 0",
-                    dir.display()
-                );
-                let (fresh, _) = build()?;
-                fed = fresh;
-            }
-        }
-    }
+    restore_latest(&mut fed, opts);
     // The rebuilt aggregator starts with a clean slate; re-arm the
     // neutralized rounds so the replay skips every previously-diverged
     // update application.
@@ -434,25 +391,26 @@ fn write_metrics_json(
     photon_trace::atomic_write(path, &json)
 }
 
-fn restore_from(fed: &mut Federation, dir: &std::path::Path) -> Result<()> {
+/// Restores the latest checkpoint into a freshly built federation, when
+/// there is one. A torn or corrupt checkpoint must not kill the run: the
+/// rejected restore changed nothing, so the federation starts over from
+/// round 0 (within the recovery budget) with a warning.
+fn restore_latest(fed: &mut Federation, opts: &TrainingOptions) {
+    let latest = opts.checkpoint_dir.as_deref();
+    let Some(dir) = latest.filter(|dir| checkpoint_exists(dir)) else {
+        return;
+    };
     let _restore_span = photon_trace::span(photon_trace::Phase::CheckpointRestore);
     photon_trace::counter_add("checkpoint.restores", 1);
-    let (manifest, params) = load_checkpoint(dir)?;
-    let opt = load_server_opt_state(dir)?;
-    fed.aggregator
-        .restore_with_opt(manifest.round, params, opt.as_ref())?;
-    // v3 checkpoints carry the membership roster and any in-flight
-    // buffered updates; the resumed run continues with the exact roster
-    // the crashed run had (including mid-run joiners, which sync_roster
-    // re-provisions deterministically from the run seed).
-    if let Some(elastic) = load_elastic_state(dir)? {
-        fed.aggregator.restore_elastic(&elastic)?;
+    let restored = load_checkpoint(dir)
+        .and_then(|ckpt| fed.aggregator.restore(ckpt))
+        // Mid-run joiners in the restored roster are re-provisioned
+        // deterministically from the run seed.
+        .and_then(|()| fed.sync_roster());
+    if let Err(e) = restored {
+        eprintln!(
+            "warning: checkpoint in {} is unusable ({e}); restarting from round 0",
+            dir.display()
+        );
     }
-    // v5 checkpoints carry the sub-aggregator tree's dead-shard set; a
-    // resumed hierarchical run replays with the exact routing (including
-    // crash re-parenting) the crashed run had.
-    if let Some(hier) = crate::load_hierarchy_state(dir)? {
-        fed.aggregator.restore_hierarchy(&hier)?;
-    }
-    fed.sync_roster()
 }

@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Portable snapshot of a server optimizer's internal state, carried by
-/// checkpoint format v2 so an aggregator restart does not silently lose
+/// the checkpoint so an aggregator restart does not silently lose
 /// outer momenta (the DiLoCo Nesterov buffer, FedAdam's moments, ...).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerOptState {
@@ -73,7 +73,7 @@ pub trait ServerOpt: Send {
     /// Resets internal momenta.
     fn reset_state(&mut self);
 
-    /// Exports internal momenta for checkpointing (format v2).
+    /// Exports internal momenta for checkpointing.
     fn export_state(&self) -> ServerOptState;
 
     /// Restores momenta previously produced by

@@ -20,7 +20,7 @@ use crate::tcp::TcpLink;
 use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_traced};
 use crate::{NetError, Result};
 use photon_comms::{Link, LinkError, Message, WireOpts};
-use photon_core::{build_client, FaultInjector, LlmClient};
+use photon_core::{build_client, FaultPlan, LlmClient};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -147,7 +147,7 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
     let mut identity: Option<Identity> = load_identity(opts);
     let mut retained: Option<(u64, Message)> = None;
     let mut plan: Option<RunPlan> = None;
-    let mut injector: Option<FaultInjector> = None;
+    let mut injector: Option<FaultPlan> = None;
     let mut llm: Option<LlmClient> = None;
     let mut report = ClientReport {
         client_id: u32::MAX,
@@ -307,7 +307,7 @@ fn connection_loop(
     opts: &ClientOptions,
     me: u32,
     plan: &mut Option<RunPlan>,
-    injector: &mut Option<FaultInjector>,
+    injector: &mut Option<FaultPlan>,
     llm: &mut Option<LlmClient>,
     retained: &mut Option<(u64, Message)>,
     identity: &mut Option<Identity>,
@@ -332,7 +332,7 @@ fn connection_loop(
                         *injector = p
                             .faults
                             .as_ref()
-                            .map(|spec| FaultInjector::from_spec(spec, p.cfg.population, p.rounds));
+                            .map(|spec| spec.plan(p.cfg.population, p.rounds));
                         // Deterministic provisioning: this rebuilds the
                         // exact founding client for `me`, so a client
                         // process restarted from scratch trains

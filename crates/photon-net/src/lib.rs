@@ -25,7 +25,7 @@
 //!   Finished`) with min-client gating and a ring buffer of recent rounds;
 //! * [`serve`] / [`run_client`]: the two process entry points, wiring
 //!   heartbeats, idempotent result re-delivery, client session resumption
-//!   and coordinator crash-restart from the v4 checkpoint.
+//!   and coordinator crash-restart from the checkpoint.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -17,7 +17,7 @@
 //!   deterministic token and rejoins its in-flight round; the cohort it
 //!   was broadcast into is unchanged and the model is re-sent to it.
 //! * **Crash-restart** — with `resume`, the aggregator restores from the
-//!   v4 checkpoint, the state machine restarts at the checkpointed round
+//!   checkpoint, the state machine restarts at the checkpointed round
 //!   behind the min-client gate, and every client that reconnects is
 //!   re-synchronized via `RunSync`.
 
@@ -29,10 +29,7 @@ use crate::tcp::TcpLink;
 use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_broadcast, send_traced};
 use crate::{NetError, Result};
 use photon_comms::{BroadcastFrame, Link, LinkError, Message, TrainMetrics, WireOpts};
-use photon_core::{
-    load_checkpoint, load_server_opt_state, save_checkpoint_full, Aggregator, FaultInjector,
-    RoundRecord,
-};
+use photon_core::{checkpoint_exists, load_checkpoint, Aggregator, FaultPlan, RoundRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -169,26 +166,33 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeReport> {
 
     let mut agg = Aggregator::new(plan.cfg.clone())?;
     let mut resumed_from = None;
-    if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
-            if let Ok((manifest, params)) = load_checkpoint(dir) {
-                let opt_state = load_server_opt_state(dir)?;
-                agg.restore_with_opt(manifest.round, params, opt_state.as_ref())?;
+    let resume_dir = opts
+        .checkpoint_dir
+        .as_deref()
+        .filter(|dir| opts.resume && checkpoint_exists(dir));
+    if let Some(dir) = resume_dir {
+        // A rejected checkpoint leaves `agg` at its fresh round 0.
+        match load_checkpoint(dir).and_then(|ckpt| agg.restore(ckpt)) {
+            Ok(()) => {
                 agg.telemetry().record_coordinator_restart();
                 photon_trace::instant(
                     photon_trace::Phase::CoordRestart,
                     "coord_restart",
-                    &[("round", manifest.round)],
+                    &[("round", agg.round())],
                 );
-                resumed_from = Some(manifest.round);
+                resumed_from = Some(agg.round());
             }
+            Err(e) => eprintln!(
+                "warning: checkpoint in {} is unusable ({e}); restarting from round 0",
+                dir.display()
+            ),
         }
     }
 
     let injector = plan
         .faults
         .as_ref()
-        .map(|spec| FaultInjector::from_spec(spec, plan.cfg.population, plan.rounds));
+        .map(|spec| spec.plan(plan.cfg.population, plan.rounds));
 
     let started = Instant::now();
     let now_ms = || started.elapsed().as_millis() as u64;
@@ -396,7 +400,7 @@ fn main_loop(
     coord: &mut Coordinator,
     registry: &Registry,
     events: &Receiver<Event>,
-    injector: Option<&FaultInjector>,
+    injector: Option<&FaultPlan>,
     resumed_from: Option<u64>,
     now_ms: &dyn Fn() -> u64,
 ) -> Result<ServeReport> {
@@ -724,15 +728,7 @@ fn commit_round(
         .health
         .set_coordinator(agg.round(), coord.state().discriminant(), coord.committed());
     if let Some(dir) = &opts.checkpoint_dir {
-        save_checkpoint_full(
-            dir,
-            agg.config(),
-            agg.round(),
-            agg.params(),
-            Some(&agg.server_opt_state()),
-            None,
-            agg.hierarchy_state().as_ref(),
-        )?;
+        agg.save_checkpoint(dir)?;
     }
     // Ack-after-commit: the results are durable now.
     {

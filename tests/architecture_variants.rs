@@ -48,14 +48,14 @@ fn learned_positions_survive_checkpoint_roundtrip() {
     fed.aggregator.run_round(&mut fed.clients).unwrap();
     save_checkpoint(&dir, &cfg, 1, fed.aggregator.params()).unwrap();
 
-    let (manifest, params) = load_checkpoint(&dir).unwrap();
-    assert_eq!(manifest.config.positions, PosEncoding::Learned);
+    let ckpt = load_checkpoint(&dir).unwrap();
+    assert_eq!(ckpt.config.positions, PosEncoding::Learned);
     // from_params infers the scheme from the parameter count.
-    let model = photon_nn::Gpt::from_params(manifest.config.model, params.clone());
+    let model = photon_nn::Gpt::from_params(ckpt.config.model, ckpt.params.clone());
     assert_eq!(model.pos_encoding(), PosEncoding::Learned);
     // A restored aggregator keeps training.
-    let mut revived = Aggregator::new(manifest.config).unwrap();
-    revived.restore(manifest.round, params).unwrap();
+    let mut revived = Aggregator::new(ckpt.config.clone()).unwrap();
+    revived.restore(ckpt).unwrap();
     fed.aggregator = revived;
     fed.aggregator.run_round(&mut fed.clients).unwrap();
 }

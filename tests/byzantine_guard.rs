@@ -7,7 +7,7 @@
 
 use photon_core::experiments::{build_iid_federation, RunOptions};
 use photon_core::{
-    run_training, FaultCounters, FaultInjector, FaultSpec, Federation, FederationConfig,
+    run_training, FaultCounters, FaultPlan, FaultSpec, Federation, FederationConfig,
     TrainingOptions,
 };
 use photon_data::{EvalStream, TokenCorpus};
@@ -46,7 +46,7 @@ fn eval_ppl(fed: &Federation, val: &TokenCorpus) -> f64 {
 /// perplexity and the telemetry fault counters.
 fn run_guarded(
     cfg: &FederationConfig,
-    injector: Option<&FaultInjector>,
+    injector: Option<&FaultPlan>,
 ) -> (Vec<f32>, f64, FaultCounters) {
     let (mut fed, val) = build_iid_federation(cfg, TOKENS).expect("federation builds");
     for _ in 0..ROUNDS {
@@ -72,7 +72,7 @@ fn robust_rules_absorb_a_byzantine_minority() {
         AggregationKind::Median,
     ] {
         let cfg = guarded_cfg(aggregation);
-        let injector = FaultInjector::from_spec(&spec, cfg.population, ROUNDS);
+        let injector = spec.plan(cfg.population, ROUNDS);
 
         let (poisoned, poisoned_ppl, counters) = run_guarded(&cfg, Some(&injector));
         let (baseline, baseline_ppl, _) = run_guarded(&cfg, None);
@@ -125,7 +125,7 @@ fn forced_divergence_rolls_back_exactly_once() {
     let mut cfg = tiny_federation(3);
     cfg.seed = 17;
     let spec = FaultSpec::parse("nan-update@r2c0,seed=5").unwrap();
-    let injector = FaultInjector::from_spec(&spec, cfg.population, ROUNDS);
+    let injector = spec.plan(cfg.population, ROUNDS);
     let opts = TrainingOptions {
         run: RunOptions {
             rounds: ROUNDS,

@@ -5,10 +5,7 @@
 //! uninterrupted run exactly.
 
 use photon_core::experiments::{build_iid_federation, RunOptions};
-use photon_core::{
-    load_checkpoint, load_server_opt_state, run_training, save_checkpoint_with_opt, FaultInjector,
-    FaultSpec, TrainingOptions,
-};
+use photon_core::{load_checkpoint, run_training, FaultPlan, FaultSpec, TrainingOptions};
 use photon_fedopt::ServerOptKind;
 use photon_tests::tiny_federation;
 use std::fs;
@@ -36,7 +33,7 @@ fn chaos_spec() -> FaultSpec {
 fn diloco_resume_requires_server_opt_state() {
     // DiLoCo's outer Nesterov momentum is part of the training state: a
     // restore that carries it reproduces the uninterrupted run exactly,
-    // and one that drops it (the legacy v1 restore) diverges.
+    // and one that drops it (a params-only checkpoint) diverges.
     let mut cfg = tiny_federation(3);
     cfg.server_opt = ServerOptKind::diloco_default();
     cfg.seed = 33;
@@ -57,24 +54,16 @@ fn diloco_resume_requires_server_opt_state() {
             .unwrap();
     }
     let dir = tmp_dir("diloco-resume");
-    save_checkpoint_with_opt(
-        &dir,
-        &cfg,
-        first_half.aggregator.round(),
-        first_half.aggregator.params(),
-        Some(&first_half.aggregator.server_opt_state()),
-    )
-    .unwrap();
+    first_half.aggregator.save_checkpoint(&dir).unwrap();
 
     // Restore WITH optimizer state into a freshly built federation.
-    let (manifest, params) = load_checkpoint(&dir).unwrap();
-    let opt = load_server_opt_state(&dir).unwrap();
-    assert!(opt.is_some(), "checkpoint should carry optimizer state");
+    let mut ckpt = load_checkpoint(&dir).unwrap();
+    assert!(
+        ckpt.server_opt.is_some(),
+        "checkpoint should carry optimizer state"
+    );
     let (mut resumed, _) = build_iid_federation(&cfg, 3_000).unwrap();
-    resumed
-        .aggregator
-        .restore_with_opt(manifest.round, params.clone(), opt.as_ref())
-        .unwrap();
+    resumed.aggregator.restore(ckpt.clone()).unwrap();
     for _ in 0..3 {
         resumed.aggregator.run_round(&mut resumed.clients).unwrap();
     }
@@ -86,7 +75,8 @@ fn diloco_resume_requires_server_opt_state() {
 
     // Restore WITHOUT optimizer state: momentum resets, trajectory drifts.
     let (mut amnesiac, _) = build_iid_federation(&cfg, 3_000).unwrap();
-    amnesiac.aggregator.restore(manifest.round, params).unwrap();
+    ckpt.server_opt = None;
+    amnesiac.aggregator.restore(ckpt).unwrap();
     for _ in 0..3 {
         amnesiac
             .aggregator
@@ -106,8 +96,8 @@ fn chaos_runs_replay_bit_identically() {
     cfg.allow_partial_results = true;
     cfg.round_deadline_ms = Some(50);
     cfg.seed = 21;
-    let injector = FaultInjector::from_spec(&chaos_spec(), cfg.population, 6);
-    assert!(injector.plan().client_fault_count() > 0);
+    let injector = chaos_spec().plan(cfg.population, 6);
+    assert!(injector.client_fault_count() > 0);
 
     let run = |_: ()| {
         let (mut fed, _) = build_iid_federation(&cfg, 3_000).unwrap();
@@ -140,7 +130,7 @@ fn training_under_faults_converges_near_fault_free() {
     cfg.seed = 5;
     let (mut clean, val) = build_iid_federation(&cfg, 3_000).unwrap();
     let (mut faulted, _) = build_iid_federation(&cfg, 3_000).unwrap();
-    let injector = FaultInjector::from_spec(&chaos_spec(), cfg.population, 8);
+    let injector = chaos_spec().plan(cfg.population, 8);
 
     for _ in 0..8 {
         clean.aggregator.run_round(&mut clean.clients).unwrap();
@@ -181,8 +171,8 @@ fn corruption_within_retransmit_budget_is_transparent() {
         p_agg_crash: 0.0,
         ..FaultSpec::none(4)
     };
-    let injector = FaultInjector::from_spec(&spec, cfg.population, 4);
-    assert!(injector.plan().client_fault_count() > 0);
+    let injector = spec.plan(cfg.population, 4);
+    assert!(injector.client_fault_count() > 0);
 
     let (mut clean, _) = build_iid_federation(&cfg, 3_000).unwrap();
     let (mut noisy, _) = build_iid_federation(&cfg, 3_000).unwrap();
@@ -219,7 +209,7 @@ fn retransmit_budget_exhaustion_becomes_dropout() {
         p_agg_crash: 0.0,
         ..FaultSpec::none(11)
     };
-    let injector = FaultInjector::from_spec(&spec, cfg.population, 6);
+    let injector = spec.plan(cfg.population, 6);
     let (mut fed, _) = build_iid_federation(&cfg, 3_000).unwrap();
     let mut dropouts = 0usize;
     for _ in 0..6 {
@@ -249,11 +239,11 @@ fn aggregator_crash_recovery_matches_uninterrupted_run() {
     crashing.p_agg_crash = 1.0;
     let mut control = crashing.clone();
     control.p_agg_crash = 0.0;
-    let crash_inj = FaultInjector::from_spec(&crashing, cfg.population, rounds);
-    let control_inj = FaultInjector::from_spec(&control, cfg.population, rounds);
-    assert_eq!(crash_inj.plan().agg_crash_count(), rounds as usize);
+    let crash_inj = crashing.plan(cfg.population, rounds);
+    let control_inj = control.plan(cfg.population, rounds);
+    assert_eq!(crash_inj.agg_crash_count(), rounds as usize);
 
-    let run = |injector: &FaultInjector, dir: PathBuf, budget: u32| {
+    let run = |injector: &FaultPlan, dir: PathBuf, budget: u32| {
         let opts = TrainingOptions {
             run: RunOptions {
                 rounds,

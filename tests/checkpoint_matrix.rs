@@ -1,19 +1,18 @@
-//! Checkpoint cross-version matrix: every on-disk format the project
-//! ever wrote — v1 (bare manifest), v2 (+ server optimizer state),
-//! v3 (+ elastic membership), v4 (+ storage dtype) — must restore into
-//! the *current* aggregator and keep training. Older formats are
-//! reconstructed by downgrading a freshly saved checkpoint the same way
-//! the historical writers shaped them: dropping the fields (and side
-//! files) that did not exist yet.
+//! Checkpoint section matrix: a checkpoint restores into a freshly built
+//! aggregator and keeps training whichever sections it carries. There is
+//! one file format; a row's `vN` prefix is the generation of the project
+//! that introduced the section the row adds (bare parameters, server
+//! optimizer state, elastic roster, storage dtype and the shard tree).
 
 use photon_core::experiments::build_iid_federation;
 use photon_core::{
-    load_checkpoint, load_elastic_state, load_server_opt_state, save_checkpoint_full, ElasticState,
-    MembershipConfig, MembershipRegistry, CHECKPOINT_FORMAT_VERSION,
+    load_checkpoint, save_checkpoint, Checkpoint, FederationConfig, HierarchyConfig,
+    MembershipConfig,
 };
+use photon_fedopt::{BufferConfig, ServerOptKind};
 use photon_tests::tiny_federation;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("photon-ckpt-matrix").join(name);
@@ -21,181 +20,122 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Rewrites `manifest.json` as an older writer would have produced it:
-/// top-level `drop` fields removed, `format_version` forced to
-/// `version` (or removed entirely for v1, which predates the field).
-///
-/// Only top-level manifest lines (`  "key": ...` at depth one) are
-/// touched — the nested `config` object keeps every field, exactly like
-/// a real old manifest whose config schema the current reader fills in
-/// via serde defaults.
-fn downgrade_manifest(dir: &Path, version: u32, drop: &[&str]) {
-    let path = dir.join("manifest.json");
-    let mut lines: Vec<String> = fs::read_to_string(&path)
-        .unwrap()
-        .lines()
-        .filter(|line| {
-            !drop
-                .iter()
-                .any(|key| line.starts_with(&format!("  \"{key}\"")))
-        })
-        .map(|line| {
-            if line.starts_with("  \"format_version\"") {
-                format!("  \"format_version\": {version},")
-            } else {
-                line.to_string()
-            }
-        })
-        .collect();
-    // The dropped fields were at the tail; strip the now-dangling comma
-    // off whichever top-level field is last.
-    let last_field = lines.len() - 2;
-    lines[last_field] = lines[last_field].trim_end_matches(',').to_string();
-    fs::write(&path, lines.join("\n")).unwrap();
-}
-
-/// One matrix row: a checkpoint dir shaped like `version` wrote it.
-fn make_checkpoint(name: &str, version: u32) -> PathBuf {
-    let mut cfg = tiny_federation(3);
+/// A stateful server optimizer, so that losing its momentum is visible.
+fn matrix_cfg() -> FederationConfig {
+    let mut cfg = tiny_federation(4);
     cfg.seed = 77;
-    if version >= 3 {
-        cfg.membership = Some(MembershipConfig::default());
-    }
-    let (fed, _) = build_iid_federation(&cfg, 2_000).unwrap();
-    let params: Vec<f32> = fed.aggregator.params().to_vec();
-    let opt = fed.aggregator.server_opt_state();
-    let elastic = (version >= 3).then(|| ElasticState {
-        membership: MembershipRegistry::new(MembershipConfig::default(), 3).snapshot(),
-        buffer: None,
-    });
-
-    let dir = tmp_dir(name);
-    save_checkpoint_full(
-        &dir,
-        &cfg,
-        5,
-        &params,
-        (version >= 2).then_some(&opt),
-        elastic.as_ref(),
-        None,
-    )
-    .unwrap();
-
-    match version {
-        1 => {
-            downgrade_manifest(
-                &dir,
-                0,
-                &[
-                    "format_version",
-                    "has_server_opt",
-                    "has_membership",
-                    "dtype",
-                ],
-            );
-            fs::remove_file(dir.join("server_opt.bin")).ok();
-            fs::remove_file(dir.join("membership.bin")).ok();
-        }
-        2 => {
-            downgrade_manifest(&dir, 2, &["has_membership", "dtype"]);
-            fs::remove_file(dir.join("membership.bin")).ok();
-        }
-        3 => downgrade_manifest(&dir, 3, &["dtype"]),
-        _ => {}
-    }
-    dir
+    cfg.server_opt = ServerOptKind::FedMom {
+        lr: 1.0,
+        momentum: 0.9,
+    };
+    cfg
 }
 
-/// Restores a checkpoint of any vintage into a current aggregator and
-/// proves the run keeps training from it.
-fn restore_and_train(dir: &Path, expect_version: u32, expect_opt: bool, expect_elastic: bool) {
-    let (manifest, params) = load_checkpoint(dir).unwrap();
-    assert_eq!(manifest.round, 5);
-    assert_eq!(manifest.format_version, expect_version);
+/// Trains `cfg` for two rounds, saves through the aggregator, restores the
+/// loaded checkpoint into a freshly built federation and proves the run
+/// keeps training from it. Returns what was loaded.
+fn save_restore_and_train(name: &str, cfg: &FederationConfig) -> Checkpoint {
+    let dir = tmp_dir(name);
+    let (mut fed, _) = build_iid_federation(cfg, 2_000).unwrap();
+    fed.run_round().unwrap();
+    fed.run_round().unwrap();
+    fed.aggregator.save_checkpoint(&dir).unwrap();
+    let ckpt = load_checkpoint(&dir).unwrap();
+    assert_eq!(ckpt.round, 2);
+    assert_eq!(ckpt.params, fed.aggregator.params());
+    restore_and_train(&ckpt);
+    ckpt
+}
 
-    let opt = load_server_opt_state(dir).unwrap();
-    assert_eq!(
-        opt.is_some(),
-        expect_opt,
-        "server-opt presence (v{expect_version})"
-    );
-    let elastic = load_elastic_state(dir).unwrap();
-    assert_eq!(
-        elastic.is_some(),
-        expect_elastic,
-        "elastic-state presence (v{expect_version})"
-    );
+fn restore_and_train(ckpt: &Checkpoint) {
+    let (mut fed, _) = build_iid_federation(&ckpt.config, 2_000).unwrap();
+    fed.aggregator.restore(ckpt.clone()).unwrap();
+    fed.sync_roster().unwrap();
+    assert_eq!(fed.aggregator.round(), ckpt.round);
+    assert_eq!(fed.aggregator.params(), &ckpt.params[..]);
 
-    let (mut fed, _) = build_iid_federation(&manifest.config, 2_000).unwrap();
-    fed.aggregator
-        .restore_with_opt(manifest.round, params.clone(), opt.as_ref())
-        .unwrap();
-    if let Some(elastic) = &elastic {
-        fed.aggregator.restore_elastic(elastic).unwrap();
-    }
-    assert_eq!(fed.aggregator.round(), 5);
-    assert_eq!(fed.aggregator.params(), &params[..]);
-
-    let record = fed.aggregator.run_round(&mut fed.clients).unwrap();
-    assert_eq!(record.round, 5);
+    let record = fed.run_round().unwrap();
+    assert_eq!(record.round, ckpt.round);
     assert!(record.mean_client_loss.is_finite());
-    assert_eq!(fed.aggregator.round(), 6);
+    assert_eq!(fed.aggregator.round(), ckpt.round + 1);
     assert_ne!(
         fed.aggregator.params(),
-        &params[..],
+        &ckpt.params[..],
         "training must advance past the restored parameters"
     );
 }
 
 #[test]
 fn v1_bare_checkpoint_restores_into_current_aggregator() {
-    let dir = make_checkpoint("v1", 1);
-    restore_and_train(&dir, 0, false, false);
+    // A params-only export carries no optimizer state: the restore warns
+    // and starts FedMom's momentum from zero again.
+    let cfg = matrix_cfg();
+    let dir = tmp_dir("bare");
+    let (mut fed, _) = build_iid_federation(&cfg, 2_000).unwrap();
+    fed.run_round().unwrap();
+    save_checkpoint(&dir, &cfg, 1, fed.aggregator.params()).unwrap();
+    let ckpt = load_checkpoint(&dir).unwrap();
+    assert!(ckpt.server_opt.is_none() && ckpt.elastic.is_none() && ckpt.hierarchy.is_none());
+    restore_and_train(&ckpt);
+
+    fed.aggregator.restore(ckpt).unwrap();
+    fed.aggregator.save_checkpoint(&dir).unwrap();
+    let momentum = load_checkpoint(&dir).unwrap().server_opt.unwrap();
+    assert!(momentum.slots[0].iter().all(|&v| v == 0.0));
 }
 
 #[test]
 fn v2_opt_state_checkpoint_restores_into_current_aggregator() {
-    let dir = make_checkpoint("v2", 2);
-    restore_and_train(&dir, 2, true, false);
+    let ckpt = save_restore_and_train("opt", &matrix_cfg());
+    let momentum = ckpt.server_opt.expect("a training run saves its optimizer");
+    assert!(momentum.slots[0].iter().any(|&v| v != 0.0));
+    assert!(ckpt.elastic.is_none() && ckpt.hierarchy.is_none());
 }
 
 #[test]
 fn v3_elastic_checkpoint_restores_into_current_aggregator() {
-    let dir = make_checkpoint("v3", 3);
-    restore_and_train(&dir, 3, true, true);
+    let mut cfg = matrix_cfg();
+    cfg.membership = Some(MembershipConfig::default());
+    let ckpt = save_restore_and_train("elastic", &cfg);
+    let elastic = ckpt.elastic.expect("an elastic run saves its roster");
+    assert_eq!(elastic.membership.next_id, 4);
+    assert!(elastic.buffer.is_none() && ckpt.hierarchy.is_none());
 }
 
 #[test]
 fn v4_current_checkpoint_restores_into_current_aggregator() {
-    let dir = make_checkpoint("v4", 4);
-    restore_and_train(&dir, CHECKPOINT_FORMAT_VERSION, true, true);
+    // Every section at once: optimizer, roster, update buffer, shard tree.
+    let mut cfg = matrix_cfg();
+    cfg.membership = Some(MembershipConfig::default());
+    cfg.buffer = Some(BufferConfig::default());
+    cfg.hierarchy = Some(HierarchyConfig {
+        shards: 2,
+        ..HierarchyConfig::default()
+    });
+    let ckpt = save_restore_and_train("current", &cfg);
+    assert!(ckpt.server_opt.is_some() && ckpt.hierarchy.is_some());
+    assert!(ckpt.elastic.expect("roster").buffer.is_some());
 }
 
 #[test]
 fn v4_bf16_storage_restores_within_half_precision() {
-    // The dtype column of the matrix: a v4 checkpoint stored in bf16
-    // widens back to f32 master weights within bf16's resolution.
-    let mut cfg = tiny_federation(3);
-    cfg.seed = 78;
+    // Parameters stored in bf16 widen back to f32 master weights within
+    // bf16's resolution.
+    let mut cfg = matrix_cfg();
     cfg.dtype = photon_tensor::Dtype::Bf16;
     let (fed, _) = build_iid_federation(&cfg, 2_000).unwrap();
-    let params: Vec<f32> = fed.aggregator.params().to_vec();
-    let dir = tmp_dir("v4-bf16");
-    save_checkpoint_full(&dir, &cfg, 2, &params, None, None, None).unwrap();
+    let dir = tmp_dir("bf16");
+    fed.aggregator.save_checkpoint(&dir).unwrap();
 
-    let (manifest, loaded) = load_checkpoint(&dir).unwrap();
-    assert_eq!(manifest.dtype, photon_tensor::Dtype::Bf16);
-    assert_eq!(loaded.len(), params.len());
-    for (a, b) in loaded.iter().zip(&params) {
+    let ckpt = load_checkpoint(&dir).unwrap();
+    assert_eq!(ckpt.config.dtype, photon_tensor::Dtype::Bf16);
+    assert_eq!(ckpt.params.len(), fed.aggregator.params().len());
+    for (a, b) in ckpt.params.iter().zip(fed.aggregator.params()) {
         let tolerance = b.abs().max(1e-3) * 0.01; // bf16: ~8 mantissa bits
         assert!(
             (a - b).abs() <= tolerance,
             "bf16 roundtrip drift: {a} vs {b}"
         );
     }
-
-    let (mut fed2, _) = build_iid_federation(&cfg, 2_000).unwrap();
-    fed2.aggregator.restore(manifest.round, loaded).unwrap();
-    let record = fed2.aggregator.run_round(&mut fed2.clients).unwrap();
-    assert!(record.mean_client_loss.is_finite());
+    restore_and_train(&ckpt);
 }

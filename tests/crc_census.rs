@@ -10,7 +10,7 @@
 
 use photon_comms::crc_passes;
 use photon_core::experiments::build_iid_federation;
-use photon_core::{FaultInjector, FaultSpec};
+use photon_core::FaultSpec;
 use photon_tests::tiny_federation;
 
 const CLIENTS: usize = 6;
@@ -23,7 +23,7 @@ fn a_round_verifies_each_received_frame_once() {
     // Round 0 is clean; in round 1 the first transmission of client 2's
     // result arrives corrupted.
     let spec = FaultSpec::parse("corrupt:1@r1c2,seed=3").expect("fault spec parses");
-    let injector = FaultInjector::from_spec(&spec, CLIENTS, 2);
+    let injector = spec.plan(CLIENTS, 2);
 
     let before = crc_passes();
     let clean = fed.run_round_with(Some(&injector)).expect("round 0");

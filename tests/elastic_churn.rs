@@ -7,9 +7,8 @@
 
 use photon_core::experiments::{build_iid_federation, RunOptions};
 use photon_core::{
-    load_checkpoint, load_elastic_state, load_server_opt_state, run_training, save_checkpoint_full,
-    FaultInjector, FaultSpec, FederationConfig, MembershipConfig, TargetedFault, TrainingHistory,
-    TrainingOptions,
+    load_checkpoint, run_training, FaultSpec, FederationConfig, MembershipConfig, TargetedFault,
+    TrainingHistory, TrainingOptions,
 };
 use photon_fedopt::{AggregationKind, BufferConfig, GuardConfig};
 use photon_tests::tiny_federation;
@@ -52,7 +51,7 @@ fn churn_spec() -> FaultSpec {
 }
 
 fn run_churn(cfg: &FederationConfig, spec: &FaultSpec, rounds: u64) -> (TrainingHistory, Vec<f32>) {
-    let inj = FaultInjector::from_spec(spec, cfg.population, rounds);
+    let inj = spec.plan(cfg.population, rounds);
     let (mut fed, _) = build_iid_federation(cfg, 3_000).unwrap();
     let mut history = TrainingHistory::new();
     for _ in 0..rounds {
@@ -130,7 +129,7 @@ fn restore_resumes_with_a_roster_that_changed_since_the_checkpoint() {
     };
     let rounds = 8u64;
     let cfg = elastic_cfg(4);
-    let inj = FaultInjector::from_spec(&spec, cfg.population, rounds);
+    let inj = spec.plan(cfg.population, rounds);
 
     // Uninterrupted reference run, checkpointing at round 4.
     let dir = tmp_dir("roster-restore");
@@ -138,16 +137,7 @@ fn restore_resumes_with_a_roster_that_changed_since_the_checkpoint() {
     for round in 0..rounds {
         straight.run_round_with(Some(&inj)).unwrap();
         if round == 3 {
-            save_checkpoint_full(
-                &dir,
-                straight.aggregator.config(),
-                straight.aggregator.round(),
-                straight.aggregator.params(),
-                Some(&straight.aggregator.server_opt_state()),
-                straight.aggregator.elastic_state().as_ref(),
-                None,
-            )
-            .unwrap();
+            straight.aggregator.save_checkpoint(&dir).unwrap();
         }
     }
     assert!(
@@ -158,19 +148,14 @@ fn restore_resumes_with_a_roster_that_changed_since_the_checkpoint() {
     // Fresh world + restore: the snapshot carries the changed roster and
     // sync_roster re-provisions the mid-run joiner deterministically.
     let (mut resumed, _) = build_iid_federation(&cfg, 3_000).unwrap();
-    let (manifest, params) = load_checkpoint(&dir).unwrap();
-    assert_eq!(manifest.round, 4);
-    let opt = load_server_opt_state(&dir).unwrap();
-    resumed
-        .aggregator
-        .restore_with_opt(manifest.round, params, opt.as_ref())
-        .unwrap();
-    let elastic = load_elastic_state(&dir).unwrap().expect("v3 checkpoint");
+    let ckpt = load_checkpoint(&dir).unwrap();
+    assert_eq!(ckpt.round, 4);
+    let elastic = ckpt.elastic.as_ref().expect("an elastic run's checkpoint");
     assert!(
         elastic.membership.next_id > 4,
         "snapshot must carry the grown roster"
     );
-    resumed.aggregator.restore_elastic(&elastic).unwrap();
+    resumed.aggregator.restore(ckpt).unwrap();
     resumed.sync_roster().unwrap();
     for _ in 4..rounds {
         resumed.run_round_with(Some(&inj)).unwrap();
@@ -191,7 +176,7 @@ fn restore_resumes_with_a_roster_that_changed_since_the_checkpoint() {
 #[test]
 fn recovery_driver_replays_churn_through_an_aggregator_crash() {
     // The full crash-recovery driver over an elastic run: an aggregator
-    // crash mid-run restores the v3 checkpoint (roster + buffer) and the
+    // crash mid-run restores the checkpoint (roster + buffer) and the
     // replayed rounds land on the crash-free trajectory bit-for-bit.
     let spec = FaultSpec {
         p_agg_crash: 0.5,
@@ -200,7 +185,7 @@ fn recovery_driver_replays_churn_through_an_aggregator_crash() {
     };
     let cfg = elastic_cfg(3);
     let rounds = 6u64;
-    let inj = FaultInjector::from_spec(&spec, cfg.population, rounds);
+    let inj = spec.plan(cfg.population, rounds);
     let opts = TrainingOptions {
         run: RunOptions {
             rounds,

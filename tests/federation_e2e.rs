@@ -73,10 +73,10 @@ fn checkpoint_recovery_resumes_training() {
 
     // A "crashed" aggregator comes back from the checkpoint and keeps
     // improving with the surviving clients.
-    let (manifest, params) = load_checkpoint(&dir).unwrap();
-    assert_eq!(manifest.round, 3);
-    let mut revived = Aggregator::new(manifest.config).unwrap();
-    revived.restore(manifest.round, params).unwrap();
+    let ckpt = load_checkpoint(&dir).unwrap();
+    assert_eq!(ckpt.round, 3);
+    let mut revived = Aggregator::new(ckpt.config.clone()).unwrap();
+    revived.restore(ckpt).unwrap();
     assert_eq!(revived.params(), fed.aggregator.params());
 
     fed.aggregator = revived;

@@ -6,7 +6,7 @@
 //! the next round, and the whole faulted run must replay bit-identically —
 //! trace included — under the sim clock.
 
-use photon_core::{FaultInjector, FaultSpec, Federation, FederationConfig, TrainingHistory};
+use photon_core::{FaultSpec, Federation, FederationConfig, TrainingHistory};
 use photon_tests::{
     scale_cfg, scale_federation, SCALE_MAX_RESIDENT as MAX_RESIDENT, SCALE_SHARDS as SHARDS,
 };
@@ -28,7 +28,7 @@ fn crash_spec() -> FaultSpec {
 }
 
 fn run(cfg: &FederationConfig, spec: &FaultSpec) -> (Federation, TrainingHistory) {
-    let inj = FaultInjector::from_spec(spec, cfg.population, ROUNDS);
+    let inj = spec.plan(cfg.population, ROUNDS);
     let mut fed = scale_federation(cfg);
     let mut history = TrainingHistory::new();
     for _ in 0..ROUNDS {

@@ -7,7 +7,7 @@
 //! so sibling tests would write into the trace under comparison.
 
 use photon_core::experiments::build_iid_federation;
-use photon_core::{FaultInjector, FaultSpec, FederationConfig, HierarchyConfig, RoundRecord};
+use photon_core::{FaultSpec, FederationConfig, HierarchyConfig, RoundRecord};
 use photon_fedopt::{AggregationKind, GuardConfig};
 use photon_tensor::backend::{with_backend, BackendKind};
 use photon_tests::tiny_federation;
@@ -34,7 +34,7 @@ fn run(cfg: &FederationConfig, faults: &str, rounds: u64, max_lanes: usize) -> O
     })
     .expect("tracing initializes");
     let spec = FaultSpec::parse(faults).expect("fault spec parses");
-    let injector = FaultInjector::from_spec(&spec, cfg.population, rounds);
+    let injector = spec.plan(cfg.population, rounds);
     let (mut fed, _) = build_iid_federation(cfg, TOKENS).expect("federation builds");
     let steps = (0..rounds)
         .map(|_| {

@@ -9,7 +9,7 @@
 
 use photon_core::experiments::{build_iid_federation, RunOptions};
 use photon_core::{
-    run_training, AdaptiveDeadlineConfig, FaultInjector, FaultSpec, FederationConfig, LinkProfile,
+    run_training, AdaptiveDeadlineConfig, FaultSpec, FederationConfig, LinkProfile,
     MembershipConfig, NetworkConfig, TrainingOptions,
 };
 use photon_fedopt::BufferConfig;
@@ -74,8 +74,8 @@ fn minority_partition_converges_near_fault_free() {
     .expect("fault-free run completes");
 
     let spec = FaultSpec::parse("partition@r1-r4:*|3,seed=7").expect("partition spec parses");
-    let injector = FaultInjector::from_spec(&spec, cfg.population, rounds);
-    assert_eq!(injector.plan().partition_count(), 1);
+    let injector = spec.plan(cfg.population, rounds);
+    assert_eq!(injector.partition_count(), 1);
     let dir = tmp_dir("minority");
     let mjson = dir.join("metrics.json");
     let part = run_training(
@@ -133,7 +133,7 @@ fn below_quorum_partition_degrades_and_recovers() {
     cfg.network = Some(NetworkConfig::default());
 
     let spec = FaultSpec::parse("partition@r1-r3:0|1.2.3,seed=5").expect("partition spec parses");
-    let injector = FaultInjector::from_spec(&spec, cfg.population, 5);
+    let injector = spec.plan(cfg.population, 5);
     let (mut fed, _) = build_iid_federation(&cfg, TOKENS).unwrap();
     let mut records = Vec::new();
     let mut params_after = Vec::new();
@@ -165,7 +165,7 @@ fn below_quorum_partition_degrades_and_recovers() {
 
     // Without a heal round the aggregator never recovers.
     let spec = FaultSpec::parse("partition@r1:*|1.2.3,seed=5").expect("partition spec parses");
-    let injector = FaultInjector::from_spec(&spec, cfg.population, 4);
+    let injector = spec.plan(cfg.population, 4);
     let (mut fed, _) = build_iid_federation(&cfg, TOKENS).unwrap();
     for _ in 0..4 {
         fed.aggregator
@@ -284,7 +284,7 @@ fn jittered_retransmit_exhaustion_counts_and_commits() {
         corrupt_attempts_max: 5,
         ..FaultSpec::none(11)
     };
-    let injector = FaultInjector::from_spec(&spec, cfg.population, rounds);
+    let injector = spec.plan(cfg.population, rounds);
     let outcome = run_training(
         || build_iid_federation(&cfg, TOKENS),
         &run_opts(rounds, None),
@@ -303,7 +303,7 @@ fn jittered_retransmit_exhaustion_counts_and_commits() {
     assert_eq!(outcome.rollbacks, 0);
 }
 
-/// Satellite: a torn checkpoint (truncated params file) must not kill a
+/// Satellite: a torn checkpoint (every file in it truncated) must not kill a
 /// resume — the driver detects the corruption and falls back to a clean
 /// start, reproducing the uninterrupted run exactly.
 #[test]
@@ -330,10 +330,14 @@ fn corrupt_checkpoint_resume_restarts_cleanly() {
         None,
     )
     .expect("first leg completes");
-    // Tear the checkpoint: a half-written params file.
-    let params_path = dir.join("params.bin");
-    let bytes = fs::read(&params_path).expect("params file exists");
-    fs::write(&params_path, &bytes[..bytes.len() / 2]).expect("truncate params");
+    // Tear the checkpoint: cut whatever the save published in half.
+    let published: Vec<_> = fs::read_dir(&dir).expect("checkpoint dir").collect();
+    assert!(!published.is_empty(), "the first leg saved a checkpoint");
+    for entry in published {
+        let path = entry.expect("dir entry").path();
+        let bytes = fs::read(&path).expect("checkpoint file");
+        fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
+    }
 
     let resumed = run_training(
         || build_iid_federation(&cfg, TOKENS),
@@ -399,7 +403,7 @@ fn same_seed_network_chaos_traces_are_byte_identical() {
             "partition@r1-r3:*|~2,lossy=0.2,slowlink@r1c0,straggle=0.15,straggle-ms=300,seed=13",
         )
         .expect("chaos spec parses");
-        let injector = FaultInjector::from_spec(&spec, cfg.population, 4);
+        let injector = spec.plan(cfg.population, 4);
         let opts = TrainingOptions {
             run: RunOptions {
                 rounds: 4,

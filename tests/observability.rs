@@ -7,7 +7,7 @@
 //! regression).
 
 use photon_core::experiments::{build_iid_federation, RunOptions};
-use photon_core::{run_training, FaultInjector, FaultSpec, TrainingOptions};
+use photon_core::{run_training, FaultSpec, TrainingOptions};
 use photon_tests::tiny_federation;
 use photon_trace::{ClockMode, Phase, PhaseGroup, TraceConfig};
 use std::fs;
@@ -36,7 +36,7 @@ fn chaos_run(dir: &Path, metrics_json: Option<PathBuf>) -> photon_core::Training
     cfg.allow_partial_results = true;
     let spec = FaultSpec::parse("crash=0.2,corrupt=0.3,straggle=0.2,straggle-ms=400,seed=9")
         .expect("fault spec parses");
-    let injector = FaultInjector::from_spec(&spec, cfg.population, ROUNDS);
+    let injector = spec.plan(cfg.population, ROUNDS);
     let opts = TrainingOptions {
         run: RunOptions {
             rounds: ROUNDS,
@@ -181,7 +181,7 @@ fn watchdog_rollback_does_not_overcount_committed_rounds() {
     let mut cfg = tiny_federation(3);
     cfg.seed = 17;
     let spec = FaultSpec::parse("nan-update@r2c0,seed=5").expect("fault spec parses");
-    let injector = FaultInjector::from_spec(&spec, cfg.population, rounds);
+    let injector = spec.plan(cfg.population, rounds);
     let opts = TrainingOptions {
         run: RunOptions {
             rounds,

@@ -14,8 +14,8 @@
 
 use photon_core::experiments::build_iid_federation;
 use photon_core::{
-    AdaptiveDeadlineConfig, CoreError, FaultCounters, FaultInjector, FaultSpec, FederationConfig,
-    HierarchyConfig, LinkProfile, MembershipConfig, NetworkConfig, RoundRecord,
+    AdaptiveDeadlineConfig, CoreError, FaultCounters, FaultSpec, FederationConfig, HierarchyConfig,
+    LinkProfile, MembershipConfig, NetworkConfig, RoundRecord,
 };
 use photon_fedopt::{AggregationKind, BufferConfig, GuardConfig};
 use photon_tensor::backend::{with_backend, BackendKind};
@@ -95,7 +95,7 @@ fn run(cfg: &FederationConfig, faults: &str, rounds: u64) -> Run {
     })
     .expect("tracing initializes");
     let spec = FaultSpec::parse(faults).expect("fault spec parses");
-    let injector = FaultInjector::from_spec(&spec, cfg.population, rounds);
+    let injector = spec.plan(cfg.population, rounds);
     let (mut fed, _) = build_iid_federation(cfg, TOKENS).expect("federation builds");
     let mut steps = Vec::new();
     while fed.aggregator.round() < rounds {
