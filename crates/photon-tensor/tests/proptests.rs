@@ -191,3 +191,68 @@ proptest! {
         prop_assert_eq!(fill(1), fill(width));
     }
 }
+
+/// FNV-1a over the bit patterns of `values`.
+fn digest(values: impl Iterator<Item = f32>) -> u64 {
+    values.fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+/// Dense GEMM results at the matmul shapes of the three benchmark models —
+/// forward (`nt`, beta 0), input gradient (`nn`, beta 1) and weight gradient
+/// (`tn`, beta 1) of every linear layer — must keep the bits recorded at the
+/// commit before GEMM learned leading dimensions. Under SIMD the last
+/// `n % 8` columns are left out: that commit summed them in a scalar tail,
+/// the one place where the register tile's FMA chain was not used.
+#[test]
+fn proxy_model_gemm_bits_are_pinned() {
+    use photon_tensor::backend::{simd_available, with_backend, BackendKind};
+    // (name, d_model, batch * seq); mlp = 4 d, vocab = 257.
+    let models = [
+        ("proxy_tiny", 32, 128),
+        ("proxy_small", 64, 512),
+        ("proxy_large", 128, 64),
+    ];
+    let pinned: [(&str, BackendKind, u64); 6] = [
+        ("proxy_tiny", BackendKind::Scalar, 0x85da_e44f_e28e_1837),
+        ("proxy_tiny", BackendKind::Simd, 0xb1ea_22f9_dd19_7e0d),
+        ("proxy_small", BackendKind::Scalar, 0x8038_1b80_9499_f264),
+        ("proxy_small", BackendKind::Simd, 0x86db_bed0_fb50_af86),
+        ("proxy_large", BackendKind::Scalar, 0x5766_87b6_8c45_b882),
+        ("proxy_large", BackendKind::Simd, 0xa0ee_00de_7dfa_f0aa),
+    ];
+    for (name, kind, want) in pinned {
+        if kind == BackendKind::Simd && !simd_available() {
+            continue;
+        }
+        let &(_, d, bt) = models.iter().find(|m| m.0 == name).unwrap();
+        let mut rng = SeedStream::new(0x6e6d);
+        let mut got = 0u64;
+        // (in features, out features) of qkv, attproj, fc, fcproj, lm head.
+        for (ic, oc) in [(d, 3 * d), (d, d), (d, 4 * d), (4 * d, d), (d, 257)] {
+            let specs = [
+                ops::Gemm::new(bt, ic, oc).transpose_b(),
+                ops::Gemm::new(bt, oc, ic).beta(1.0),
+                ops::Gemm::new(oc, bt, ic).transpose_a().beta(1.0),
+            ];
+            for spec in specs {
+                let a: Vec<f32> = (0..spec.m * spec.k).map(|_| rng.next_normal()).collect();
+                let b: Vec<f32> = (0..spec.k * spec.n).map(|_| rng.next_normal()).collect();
+                let mut c: Vec<f32> = (0..spec.m * spec.n).map(|_| rng.next_normal()).collect();
+                with_backend(kind, || ops::gemm(spec, &a, &b, &mut c));
+                let kept = match kind {
+                    BackendKind::Scalar => spec.n,
+                    BackendKind::Simd => spec.n - spec.n % 8,
+                };
+                let rows = c
+                    .chunks_exact(spec.n)
+                    .flat_map(|row| row[..kept].iter().copied());
+                got = got.rotate_left(7) ^ digest(rows);
+            }
+        }
+        assert_eq!(got, want, "{name} under {kind:?}: computed {got:#018x}");
+    }
+}
