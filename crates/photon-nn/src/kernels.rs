@@ -3,8 +3,10 @@
 //! Conventions (llm.c style):
 //! * batch `B`, sequence `T`, channels `C`, heads `NH`, vocab `V`;
 //! * all buffers are dense row-major `f32` slices;
-//! * backward kernels **accumulate** (`+=`) into gradient buffers, so a
-//!   single zeroing at the start of a step supports gradient accumulation.
+//! * backward kernels **accumulate** (`+=`) into *parameter* gradients, so
+//!   a single zeroing at the start of a step supports gradient accumulation;
+//!   an *activation* gradient is stored (`=`) by the kernel that produces
+//!   it, except on the residual stream, whose two producers accumulate.
 //!
 //! Every kernel with enough work fans out over the persistent worker pool
 //! in [`photon_tensor::ops::pool`]: matmuls route through
@@ -16,8 +18,8 @@
 //! (layernorm/matmul weight and bias gradients) accumulate into per-chunk
 //! partial buffers and reduce them in deterministic chunk order.
 //!
-//! Attention runs each unit as small GEMMs over packed `(T, hs)` tiles
-//! (see [`attention_forward`]). Determinism contract: under the scalar
+//! Attention runs each unit as small strided GEMMs, in place over the fused
+//! QKV rows (see [`attention_forward`]). Determinism contract: under the scalar
 //! backend the results are bit for bit those of the per-row `dot`/`axpy`
 //! loops this replaced — every sum still runs in ascending order from
 //! zero — and the tests keep those loops as the reference; under the SIMD
@@ -27,7 +29,7 @@
 //! GEMMs multiply through, so causality is exact for finite activations.
 
 use photon_tensor::backend::{self, Backend};
-use photon_tensor::ops::{add_bias_rows, gemm_auto, gemm_serial, pool, transpose_into, Gemm};
+use photon_tensor::ops::{add_bias_rows, gemm_auto, gemm_serial, pool, Gemm, Window};
 use std::ops::Range;
 
 /// Splits `rows` into at most [`pool::effective_parallelism`] contiguous
@@ -272,8 +274,9 @@ pub fn matmul_forward(
     }
 }
 
-/// Backward of [`matmul_forward`]. Accumulates into `dinp`, `dweight`,
-/// `dbias` (pass an empty `dbias` for bias-free layers).
+/// Backward of [`matmul_forward`]. Stores `dinp` (whatever it held is
+/// overwritten) and accumulates into `dweight` and `dbias` (pass an empty
+/// `dbias` for bias-free layers).
 ///
 /// Fully parallel: `dinp` row-splits, `dweight` uses the split-k
 /// `trans_a` GEMM path (per-worker accumulators, deterministic reduce), and
@@ -290,8 +293,8 @@ pub fn matmul_backward(
     ic: usize,
     oc: usize,
 ) {
-    // dinp[bt, ic] += dout[bt, oc] @ weight[oc, ic]
-    gemm_auto(Gemm::new(bt, oc, ic).beta(1.0), dout, weight, dinp);
+    // dinp[bt, ic] = dout[bt, oc] @ weight[oc, ic]
+    gemm_auto(Gemm::new(bt, oc, ic), dout, weight, dinp);
     // dweight[oc, ic] += dout^T[oc, bt] @ inp[bt, ic]
     gemm_auto(
         Gemm::new(oc, bt, ic).transpose_a().beta(1.0),
@@ -339,6 +342,19 @@ pub fn alibi_slope(h: usize, nh: usize) -> f32 {
     (2.0f32).powf(-8.0 * (h as f32 + 1.0) / nh as f32)
 }
 
+/// Query (or key) rows per causal block of a unit's GEMMs: a block of query
+/// rows `[i0, i1)` multiplies keys `< i1` only, so about half of each `(T, T)`
+/// product is never computed. A multiple of the widest register-tile panel,
+/// so every key panel of a block is full.
+const ROW_BLOCK: usize = 16;
+
+/// The `(start, end)` row blocks of `t` rows.
+fn row_blocks(t: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..t)
+        .step_by(ROW_BLOCK)
+        .map(move |i0| (i0, (i0 + ROW_BLOCK).min(t)))
+}
+
 /// What the `(batch, head)` units of one attention call share: the head
 /// geometry and the backend, and the per-unit passes over them.
 #[derive(Clone, Copy)]
@@ -368,52 +384,23 @@ impl<'a> UnitKernel<'a> {
         }
     }
 
-    /// The `hs`-wide column blocks of a `(B * T, row_len)` buffer as a
-    /// `(B * NH, blocks per unit)` matrix: row `bi * nh + h` holds, for each
-    /// of the unit's `T` buffer rows in order, the block at column `h * hs`
-    /// of every `C`-wide section of that row (one section for the attention
-    /// output, three — Q, K, V — for a fused row). Heads interleave within a
-    /// buffer row, so this is what lets one task own a unit's share of it.
-    fn unit_blocks<'b>(&self, buf: &'b mut [f32], row_len: usize) -> Vec<&'b mut [f32]> {
-        let sections = row_len / self.c;
-        let mut blocks = Vec::new();
-        blocks.resize_with(buf.len() / self.hs, Default::default);
-        for (r, row) in buf.chunks_exact_mut(row_len).enumerate() {
-            let (bi, ti) = (r / self.t, r % self.t);
-            for (j, block) in row.chunks_exact_mut(self.hs).enumerate() {
-                let (section, h) = (j / self.nh, j % self.nh);
-                blocks[((bi * self.nh + h) * self.t + ti) * sections + section] = block;
-            }
-        }
-        blocks
-    }
-
-    /// The fused `(T, 3C)` rows of unit `u`, starting at its Q columns (K is
-    /// `C` further into each row, V `2C`).
-    fn qkv_rows<'b>(&self, inp: &'b [f32], u: usize) -> &'b [f32] {
+    /// Unit `u`'s Q, K and V: `(T, hs)` column windows of the fused
+    /// `(B, T, 3C)` rows, read in place with leading dimension `3C`.
+    fn qkv<'b>(&self, inp: &'b [f32], u: usize) -> [&'b [f32]; 3] {
         let (bi, h) = (u / self.nh, u % self.nh);
-        let batch = self.t * 3 * self.c;
-        &inp[bi * batch + h * self.hs..(bi + 1) * batch]
+        let q = &inp[bi * self.t * 3 * self.c + h * self.hs..];
+        [q, &q[self.c..], &q[2 * self.c..]]
     }
 
-    /// Copies the `(T, hs)` column window at the start of `rows` (row stride
-    /// `stride`) into the contiguous `dst`.
-    fn pack(&self, dst: &mut [f32], rows: &[f32], stride: usize) {
-        for (d, row) in dst.chunks_exact_mut(self.hs).zip(rows.chunks(stride)) {
-            d.copy_from_slice(&row[..self.hs]);
-        }
-    }
-
-    /// Forward pass of one unit. `tiles` is `4 * T * hs` floats of scratch,
-    /// `out_u` the unit's `T` output blocks, `pre_u` / `att_u` its `(T, T)`
-    /// blocks of `preatt` / `att`, `rows` its [`Self::qkv_rows`].
+    /// Forward pass of unit `u`: `out_u` is its window of the attention
+    /// output, `pre_u` / `att_u` its `(T, T)` blocks of `preatt` / `att`.
     fn forward(
         &self,
-        tiles: &mut [f32],
-        out_u: &mut [&mut [f32]],
+        out_u: &mut Window<'_>,
         pre_u: &mut [f32],
         att_u: &mut [f32],
-        rows: &[f32],
+        inp: &[f32],
+        u: usize,
         slope: f32,
     ) {
         let &UnitKernel {
@@ -424,73 +411,52 @@ impl<'a> UnitKernel<'a> {
             scale,
             ..
         } = self;
-        let (q, rest) = tiles.split_at_mut(t * hs);
-        let (kt, rest) = rest.split_at_mut(t * hs);
-        let (v, o) = rest.split_at_mut(t * hs);
-        self.pack(q, rows, 3 * c);
-        transpose_into(kt, &rows[c..], t, hs, 3 * c);
-        self.pack(v, &rows[2 * c..], 3 * c);
-
-        gemm_serial(bk, Gemm::new(t, hs, t), q, kt, pre_u);
-        for (ti, (pre_row, att_row)) in pre_u
-            .chunks_exact_mut(t)
-            .zip(att_u.chunks_exact_mut(t))
-            .enumerate()
-        {
-            let (pre_live, pre_masked) = pre_row.split_at_mut(ti + 1);
-            let (att_live, att_masked) = att_row.split_at_mut(ti + 1);
-            for (t2, logit) in pre_live.iter_mut().enumerate() {
-                *logit = *logit * scale - slope * (ti - t2) as f32;
-            }
-            pre_masked.fill(0.0);
-            bk.softmax_row(att_live, pre_live);
-            att_masked.fill(0.0);
+        let [q, k, v] = self.qkv(inp, u);
+        for (i0, i1) in row_blocks(t) {
+            let s = Gemm::new(i1 - i0, hs, i1).transpose_b();
+            let s = s.lda(3 * c).ldb(3 * c).ldc(t);
+            gemm_serial(bk, s, &q[i0 * 3 * c..], k, &mut pre_u[i0 * t..]);
         }
-        // Over the full rows: a masked position contributes an exact zero.
-        gemm_serial(bk, Gemm::new(t, t, hs), att_u, v, o);
-        for (dst, src) in out_u.iter_mut().zip(o.chunks_exact(hs)) {
-            dst.copy_from_slice(src);
+        bk.causal_softmax(att_u, pre_u, t, scale, slope);
+        // Inside a block a masked position contributes an exact zero.
+        for (i0, i1) in row_blocks(t) {
+            let o = Gemm::new(i1 - i0, i1, hs).lda(t).ldb(3 * c);
+            bk.gemm(o, &att_u[i0 * t..], v, &mut out_u.row_block(i0..i1));
         }
     }
 
-    /// Backward pass of one unit. `tiles` is `7 * T * hs` floats of scratch,
-    /// `dinp_u` the unit's `3 T` gradient blocks (dQ, dK, dV per row),
-    /// `dpre_u` / `datt_u` its `(T, T)` blocks of `dpreatt` / `datt`, `p` its
-    /// block of `att`, `d_out` the `(T, C)` output-gradient rows starting at
-    /// the unit's columns, `rows` its [`Self::qkv_rows`].
+    /// Backward pass of unit `u`: `dqkv_u` holds its dQ, dK and dV windows of
+    /// the fused gradient, `dpre_u` / `datt_u` its `(T, T)` blocks of
+    /// `dpreatt` / `datt`, `p` its block of `att`.
     #[allow(clippy::too_many_arguments)]
     fn backward(
         &self,
-        tiles: &mut [f32],
-        dinp_u: &mut [&mut [f32]],
+        dqkv_u: [&mut Window<'_>; 3],
         dpre_u: &mut [f32],
         datt_u: &mut [f32],
         p: &[f32],
-        d_out: &[f32],
-        rows: &[f32],
+        dout: &[f32],
+        inp: &[f32],
+        u: usize,
     ) {
         let &UnitKernel {
             bk,
             t,
             c,
+            nh,
             hs,
             scale,
-            ..
         } = self;
-        let (q, rest) = tiles.split_at_mut(t * hs);
-        let (k, rest) = rest.split_at_mut(t * hs);
-        let (vt, rest) = rest.split_at_mut(t * hs);
-        let (d_o, rest) = rest.split_at_mut(t * hs);
-        let (dq, rest) = rest.split_at_mut(t * hs);
-        let (dk, dv) = rest.split_at_mut(t * hs);
-        self.pack(q, rows, 3 * c);
-        self.pack(k, &rows[c..], 3 * c);
-        transpose_into(vt, &rows[2 * c..], t, hs, 3 * c);
-        self.pack(d_o, d_out, c);
+        let [q, k, v] = self.qkv(inp, u);
+        let d_o = &dout[(u / nh) * t * c + (u % nh) * hs..];
+        let [dq, dk, dv] = dqkv_u;
 
-        // Backward through out = att @ V.
-        gemm_serial(bk, Gemm::new(t, hs, t), d_o, vt, datt_u);
-        gemm_serial(bk, Gemm::new(t, t, hs).transpose_a(), p, d_o, dv);
+        // Backward through out = att @ V: dP = dO Vᵀ.
+        for (i0, i1) in row_blocks(t) {
+            let dp = Gemm::new(i1 - i0, hs, i1).transpose_b();
+            let dp = dp.lda(c).ldb(3 * c).ldc(t);
+            gemm_serial(bk, dp, &d_o[i0 * c..], v, &mut datt_u[i0 * t..]);
+        }
 
         // Backward through softmax, over each row's causal prefix.
         for (ti, ((ds_row, dp_row), p_row)) in dpre_u
@@ -510,18 +476,27 @@ impl<'a> UnitKernel<'a> {
             dp_masked.fill(0.0);
         }
 
-        // Backward through q·k scaling (the ALiBi bias has no parameters).
-        gemm_serial(bk, Gemm::new(t, t, hs).alpha(scale), dpre_u, k, dq);
-        let dk_spec = Gemm::new(t, t, hs).transpose_a().alpha(scale);
-        gemm_serial(bk, dk_spec, dpre_u, q, dk);
-
-        for (ti, qkv_blocks) in dinp_u.chunks_exact_mut(3).enumerate() {
-            let row = ti * hs..(ti + 1) * hs;
-            for (dst, src) in qkv_blocks.iter_mut().zip([&*dq, &*dk, &*dv]) {
-                for (d, &s) in dst.iter_mut().zip(&src[row.clone()]) {
-                    *d += s;
-                }
-            }
+        // Backward through q·k scaling (the ALiBi bias has no parameters):
+        // dQ = scale · dS K over keys at or below each query block.
+        for (i0, i1) in row_blocks(t) {
+            let spec = Gemm::new(i1 - i0, i1, hs).alpha(scale);
+            let spec = spec.lda(t).ldb(3 * c);
+            bk.gemm(spec, &dpre_u[i0 * t..], k, &mut dq.row_block(i0..i1));
+        }
+        // dV = Pᵀ dO and dK = scale · dSᵀ Q over queries at or after each
+        // key block (earlier queries hold exact zeros in these columns).
+        for (j0, j1) in row_blocks(t) {
+            let spec = Gemm::new(j1 - j0, t - j0, hs).transpose_a().lda(t);
+            let dv_spec = spec.ldb(c);
+            bk.gemm(
+                dv_spec,
+                &p[j0 * t + j0..],
+                &d_o[j0 * c..],
+                &mut dv.row_block(j0..j1),
+            );
+            let dk_spec = spec.ldb(3 * c).alpha(scale);
+            let ds = &dpre_u[j0 * t + j0..];
+            bk.gemm(dk_spec, ds, &q[j0 * 3 * c..], &mut dk.row_block(j0..j1));
         }
     }
 }
@@ -535,12 +510,14 @@ impl<'a> UnitKernel<'a> {
 ///   with zeros above the diagonal);
 /// * `out`: `(B, T, C)` attention output (pre-projection).
 ///
-/// One pass per `(batch, head)` unit, whole units split over the pool: the
-/// unit's Q, Kᵀ and V are packed into contiguous `(T, hs)` tiles, then
-/// `S = Q Kᵀ` (backend GEMM, straight into the unit's `preatt` block), scale,
-/// bias and mask per row, the backend softmax over each row's causal prefix,
-/// and `O = P V` (GEMM over the full row: masked positions multiply by exact
-/// zeros, so causality is exact for finite activations). A unit is computed
+/// One pass per `(batch, head)` unit, whole units split over the pool. A
+/// unit reads its Q, K and V in place from the fused rows (leading dimension
+/// `3C`): `S = Q Kᵀ` (strided backend GEMM, straight into the unit's `preatt`
+/// block) by blocks of query rows against the keys at or below the block,
+/// then scale, bias, mask and softmax in one backend pass over the block,
+/// then `O = P V` by the same row blocks, stored straight into the unit's
+/// column window of `out`. Inside a block masked positions multiply by exact
+/// zeros, so causality is exact for finite activations. A unit is computed
 /// by one task with no cross-unit reduction, so the result does not depend on
 /// the chunk count.
 #[allow(clippy::too_many_arguments)]
@@ -565,8 +542,8 @@ pub fn attention_forward(
     let tt = t * t;
 
     let ranges = row_chunks(units, 1);
-    let mut out_blocks = unit.unit_blocks(&mut out[..b * t * c], c);
-    let out_chunks = pool::split_rows(&mut out_blocks, t, &ranges);
+    let mut out_windows = Window::new(&mut out[..b * t * c], b * t, c, c).grid(t, unit.hs);
+    let out_chunks = pool::split_rows(&mut out_windows, 1, &ranges);
     let preatt_chunks = pool::split_rows(&mut preatt[..units * tt], tt, &ranges);
     let att_chunks = pool::split_rows(&mut att[..units * tt], tt, &ranges);
     let tasks: Vec<pool::Task> = out_chunks
@@ -577,15 +554,13 @@ pub fn attention_forward(
         .map(|(((out_c, pre_c), att_c), r)| {
             let r = r.clone();
             Box::new(move || {
-                let mut tiles = vec![0.0f32; 4 * t * unit.hs];
                 let blocks = out_c
-                    .chunks_exact_mut(t)
+                    .iter_mut()
                     .zip(pre_c.chunks_exact_mut(tt))
                     .zip(att_c.chunks_exact_mut(tt));
                 for (u, ((out_u, pre_u), att_u)) in r.zip(blocks) {
                     let slope = if alibi { alibi_slope(u % nh, nh) } else { 0.0 };
-                    let rows = unit.qkv_rows(inp, u);
-                    unit.forward(&mut tiles, out_u, pre_u, att_u, rows, slope);
+                    unit.forward(out_u, pre_u, att_u, inp, u, slope);
                 }
             }) as pool::Task
         })
@@ -593,15 +568,18 @@ pub fn attention_forward(
     pool::run_tasks(tasks);
 }
 
-/// Backward of [`attention_forward`]. Accumulates into `dinp` (fused QKV
-/// gradient); `dpreatt`/`datt` are scratch with the same shape as
-/// `preatt`/`att` and are overwritten (zeros above the diagonal).
+/// Backward of [`attention_forward`]. **Stores** `dinp` (the fused QKV
+/// gradient): every element lies in exactly one unit's dQ, dK or dV window
+/// and is written there, so whatever `dinp` held — zeros, the previous
+/// step's gradient, NaN — is overwritten, not added to. `dpreatt`/`datt`
+/// are scratch with the same shape as `preatt`/`att` and are overwritten too
+/// (zeros above the diagonal).
 ///
-/// Same unit grain as the forward pass. Per unit, over packed Q, K, Vᵀ and
-/// dO tiles: `dP = dO Vᵀ` (into the unit's `datt` block), `dV = Pᵀ dO`,
+/// Same unit grain and causal row blocks as the forward pass, all operands
+/// read in place. Per unit: `dP = dO Vᵀ` (into the unit's `datt` block),
 /// `dS = P ∘ (dP − rowdot(P, dP))` over each row's causal prefix (into
-/// `dpreatt`), `dQ = scale · dS K`, `dK = scale · dSᵀ Q`; the three `(T, hs)`
-/// results are then added into the unit's column blocks of `dinp`.
+/// `dpreatt`), `dQ = scale · dS K`, `dV = Pᵀ dO`, `dK = scale · dSᵀ Q`, the
+/// last three stored straight into the unit's column windows of `dinp`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_backward(
     dinp: &mut [f32],
@@ -625,29 +603,27 @@ pub fn attention_backward(
     let tt = t * t;
 
     let ranges = row_chunks(units, 1);
-    let mut dinp_blocks = unit.unit_blocks(&mut dinp[..b * t * 3 * c], 3 * c);
-    let dinp_chunks = pool::split_rows(&mut dinp_blocks, 3 * t, &ranges);
+    // The Q, K and V sections of the fused rows, each cut unit by unit.
+    let fused = Window::new(&mut dinp[..b * t * 3 * c], b * t, 3 * c, 3 * c);
+    let (dq, dkv) = fused.split_cols(c);
+    let (dk, dv) = dkv.split_cols(c);
+    let [mut dq, mut dk, mut dv] = [dq, dk, dv].map(|section| section.grid(t, unit.hs));
+    let dq_chunks = pool::split_rows(&mut dq, 1, &ranges);
+    let dk_chunks = pool::split_rows(&mut dk, 1, &ranges);
+    let dv_chunks = pool::split_rows(&mut dv, 1, &ranges);
     let dpre_chunks = pool::split_rows(&mut dpreatt[..units * tt], tt, &ranges);
     let datt_chunks = pool::split_rows(&mut datt[..units * tt], tt, &ranges);
-    let tasks: Vec<pool::Task> = dinp_chunks
-        .into_iter()
-        .zip(dpre_chunks)
-        .zip(datt_chunks)
+    let tasks: Vec<pool::Task> = (dq_chunks.into_iter().zip(dk_chunks).zip(dv_chunks))
+        .zip(dpre_chunks.into_iter().zip(datt_chunks))
         .zip(&ranges)
-        .map(|(((dinp_c, dpre_c), datt_c), r)| {
+        .map(|((((dq_c, dk_c), dv_c), (dpre_c, datt_c)), r)| {
             let r = r.clone();
             Box::new(move || {
-                let mut tiles = vec![0.0f32; 7 * t * unit.hs];
-                let blocks = dinp_c
-                    .chunks_exact_mut(3 * t)
-                    .zip(dpre_c.chunks_exact_mut(tt))
-                    .zip(datt_c.chunks_exact_mut(tt));
-                for (u, ((dinp_u, dpre_u), datt_u)) in r.zip(blocks) {
+                let windows = dq_c.iter_mut().zip(dk_c).zip(dv_c);
+                let blocks = dpre_c.chunks_exact_mut(tt).zip(datt_c.chunks_exact_mut(tt));
+                for ((u, ((dq_u, dk_u), dv_u)), (dpre_u, datt_u)) in r.zip(windows).zip(blocks) {
                     let p = &att[u * tt..(u + 1) * tt];
-                    let (bi, h) = (u / nh, u % nh);
-                    let d_out = &dout[bi * t * c + h * unit.hs..(bi + 1) * t * c];
-                    let rows = unit.qkv_rows(inp, u);
-                    unit.backward(&mut tiles, dinp_u, dpre_u, datt_u, p, d_out, rows);
+                    unit.backward([dq_u, dk_u, dv_u], dpre_u, datt_u, p, dout, inp, u);
                 }
             }) as pool::Task
         })
@@ -673,7 +649,7 @@ pub fn gelu_forward(out: &mut [f32], inp: &[f32]) {
     pool::run_tasks(tasks);
 }
 
-/// Backward of [`gelu_forward`]. Accumulates into `dinp`. Element-chunked.
+/// Backward of [`gelu_forward`]. Stores `dinp`. Element-chunked.
 pub fn gelu_backward(dinp: &mut [f32], inp: &[f32], dout: &[f32]) {
     let bk = backend::active();
     let n = dinp.len();
@@ -709,8 +685,10 @@ pub fn residual_forward(out: &mut [f32], a: &[f32], b: &[f32]) {
     pool::run_tasks(tasks);
 }
 
-/// Backward of the residual: both inputs receive the output gradient.
-/// Element-chunked (both gradient buffers split on the same ranges).
+/// Backward of the residual: both inputs receive the output gradient. `da`,
+/// the residual stream, accumulates it (the stream has a second producer);
+/// `db`, the branch, is overwritten with it. Element-chunked (both gradient
+/// buffers split on the same ranges).
 pub fn residual_backward(da: &mut [f32], db: &mut [f32], dout: &[f32]) {
     let bk = backend::active();
     let n = dout.len();
@@ -725,7 +703,7 @@ pub fn residual_backward(da: &mut [f32], db: &mut [f32], dout: &[f32]) {
             let dy = &dout[r.start..r.end];
             Box::new(move || {
                 bk.axpy(1.0, dy, dac);
-                bk.axpy(1.0, dy, dbc);
+                dbc.copy_from_slice(dy);
             }) as pool::Task
         })
         .collect();
@@ -776,7 +754,7 @@ pub fn cross_entropy_forward(
 }
 
 /// Fused backward of softmax + cross-entropy for a *mean* loss:
-/// `dlogits[i, j] += (probs[i, j] - 1[j == target_i]) / BT`. Row-parallel.
+/// `dlogits[i, j] = (probs[i, j] - 1[j == target_i]) / BT`. Row-parallel.
 pub fn cross_entropy_backward(
     dlogits: &mut [f32],
     probs: &[f32],
@@ -798,7 +776,7 @@ pub fn cross_entropy_backward(
                     let target = targets[i] as usize;
                     for j in 0..v {
                         let indicator = if j == target { 1.0 } else { 0.0 };
-                        d[j] += (p[j] - indicator) * inv_bt;
+                        d[j] = (p[j] - indicator) * inv_bt;
                     }
                 }
             }) as pool::Task
@@ -1006,7 +984,7 @@ mod tests {
     fn tiled_attention_matches_the_row_loops() {
         use photon_tensor::backend::{simd_available, with_backend, BackendKind};
         let mut seed = 100;
-        for t in [1, 5, 8, 24, 64] {
+        for t in [1, 5, 16, 33, 64, 65] {
             for hs in [2, 4, 8, 16, 24] {
                 for (b, nh) in [(1, 2), (3, 3)] {
                     for alibi in [true, false] {

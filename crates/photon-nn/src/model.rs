@@ -25,6 +25,9 @@ pub struct Activations {
     preatt: Vec<f32>,
     g_preatt: Vec<f32>,
     g_att: Vec<f32>,
+    // A layer's branch gradients, shared by every layer likewise: each is
+    // stored and read back within one layer's backward step.
+    g: BranchGrads,
     // Gradient mirrors.
     g_encoded: Vec<f32>,
     g_lnf: Vec<f32>,
@@ -48,17 +51,22 @@ struct LayerActs {
     fch_gelu: Vec<f32>,
     fcproj: Vec<f32>,
     residual3: Vec<f32>,
-    // Gradient mirrors.
-    g_ln1: Vec<f32>,
-    g_qkv: Vec<f32>,
-    g_atty: Vec<f32>,
-    g_attproj: Vec<f32>,
-    g_residual2: Vec<f32>,
-    g_ln2: Vec<f32>,
-    g_fch: Vec<f32>,
-    g_fch_gelu: Vec<f32>,
-    g_fcproj: Vec<f32>,
+    // Gradient of `residual3`: written by the layer above, read by this one.
     g_residual3: Vec<f32>,
+}
+
+/// Gradient mirrors of one layer's activations below its output.
+#[derive(Debug, Clone)]
+struct BranchGrads {
+    ln1: Vec<f32>,
+    qkv: Vec<f32>,
+    atty: Vec<f32>,
+    attproj: Vec<f32>,
+    residual2: Vec<f32>,
+    ln2: Vec<f32>,
+    fch: Vec<f32>,
+    fch_gelu: Vec<f32>,
+    fcproj: Vec<f32>,
 }
 
 impl Activations {
@@ -90,18 +98,20 @@ impl Activations {
                 fch_gelu: vec![0.0; bt * rc],
                 fcproj: vec![0.0; bt * c],
                 residual3: vec![0.0; bt * c],
-                g_ln1: vec![0.0; bt * c],
-                g_qkv: vec![0.0; bt * 3 * c],
-                g_atty: vec![0.0; bt * c],
-                g_attproj: vec![0.0; bt * c],
-                g_residual2: vec![0.0; bt * c],
-                g_ln2: vec![0.0; bt * c],
-                g_fch: vec![0.0; bt * rc],
-                g_fch_gelu: vec![0.0; bt * rc],
-                g_fcproj: vec![0.0; bt * c],
                 g_residual3: vec![0.0; bt * c],
             })
             .collect();
+        let g = BranchGrads {
+            ln1: vec![0.0; bt * c],
+            qkv: vec![0.0; bt * 3 * c],
+            atty: vec![0.0; bt * c],
+            attproj: vec![0.0; bt * c],
+            residual2: vec![0.0; bt * c],
+            ln2: vec![0.0; bt * c],
+            fch: vec![0.0; bt * rc],
+            fch_gelu: vec![0.0; bt * rc],
+            fcproj: vec![0.0; bt * c],
+        };
         Activations {
             batch,
             seq,
@@ -116,6 +126,7 @@ impl Activations {
             preatt: vec![0.0; att_size],
             g_preatt: vec![0.0; att_size],
             g_att: vec![0.0; att_size],
+            g,
             g_encoded: vec![0.0; bt * c],
             g_lnf: vec![0.0; bt * c],
             g_logits: vec![0.0; bt * v],
@@ -148,25 +159,15 @@ impl Activations {
         &self.losses
     }
 
-    fn zero_grads(&mut self) {
-        self.g_encoded.iter_mut().for_each(|v| *v = 0.0);
-        self.g_lnf.iter_mut().for_each(|v| *v = 0.0);
-        self.g_logits.iter_mut().for_each(|v| *v = 0.0);
+    /// Zeroes the gradients of the layers' inputs and outputs: with
+    /// `residual2` (zeroed where each layer's backward step starts) the
+    /// only activation gradients with two producers — the residual add and
+    /// the layernorm below it both accumulate into them. Every other
+    /// gradient buffer is stored whole by the one kernel that produces it.
+    fn zero_stream_grads(&mut self) {
+        self.g_encoded.fill(0.0);
         for l in &mut self.layers {
-            for buf in [
-                &mut l.g_ln1,
-                &mut l.g_qkv,
-                &mut l.g_atty,
-                &mut l.g_attproj,
-                &mut l.g_residual2,
-                &mut l.g_ln2,
-                &mut l.g_fch,
-                &mut l.g_fch_gelu,
-                &mut l.g_fcproj,
-                &mut l.g_residual3,
-            ] {
-                buf.iter_mut().for_each(|v| *v = 0.0);
-            }
+            l.g_residual3.fill(0.0);
         }
     }
 }
@@ -482,7 +483,7 @@ impl Gpt {
         let nh = self.config.n_heads;
         let p = &self.params;
 
-        acts.zero_grads();
+        acts.zero_stream_grads();
         k::cross_entropy_backward(&mut acts.g_logits, &acts.probs, targets, bt, v);
 
         // Tied LM head: gradient flows into g_lnf and dwte.
@@ -535,6 +536,7 @@ impl Gpt {
             let blk = *self.layout.block(l);
             let (prev, cur) = acts.layers.split_at_mut(l);
             let layer = &mut cur[0];
+            let g = &mut acts.g;
             let (res_in, g_res_in): (&[f32], &mut [f32]) = if l == 0 {
                 (&acts.encoded, &mut acts.g_encoded)
             } else {
@@ -543,18 +545,15 @@ impl Gpt {
             };
 
             // residual3 = residual2 + fcproj
-            k::residual_backward(
-                &mut layer.g_residual2,
-                &mut layer.g_fcproj,
-                &layer.g_residual3,
-            );
+            g.residual2.fill(0.0);
+            k::residual_backward(&mut g.residual2, &mut g.fcproj, &layer.g_residual3);
             {
                 let (dw, db) = wb_mut(grads, blk.fcprojw, blk.fcprojb);
                 k::matmul_backward(
-                    &mut layer.g_fch_gelu,
+                    &mut g.fch_gelu,
                     dw,
                     db,
-                    &layer.g_fcproj,
+                    &g.fcproj,
                     &layer.fch_gelu,
                     range(p, blk.fcprojw),
                     bt,
@@ -562,14 +561,14 @@ impl Gpt {
                     c,
                 );
             }
-            k::gelu_backward(&mut layer.g_fch, &layer.fch, &layer.g_fch_gelu);
+            k::gelu_backward(&mut g.fch, &layer.fch, &g.fch_gelu);
             {
                 let (dw, db) = wb_mut(grads, blk.fcw, blk.fcb);
                 k::matmul_backward(
-                    &mut layer.g_ln2,
+                    &mut g.ln2,
                     dw,
                     db,
-                    &layer.g_fch,
+                    &g.fch,
                     &layer.ln2,
                     range(p, blk.fcw),
                     bt,
@@ -580,10 +579,10 @@ impl Gpt {
             {
                 let (dw, db) = wb_mut(grads, blk.ln2w, blk.ln2b);
                 k::layernorm_backward(
-                    &mut layer.g_residual2,
+                    &mut g.residual2,
                     dw,
                     db,
-                    &layer.g_ln2,
+                    &g.ln2,
                     &layer.residual2,
                     range(p, blk.ln2w),
                     &layer.ln2_mean,
@@ -593,14 +592,14 @@ impl Gpt {
                 );
             }
             // residual2 = res_in + attproj
-            k::residual_backward(g_res_in, &mut layer.g_attproj, &layer.g_residual2);
+            k::residual_backward(g_res_in, &mut g.attproj, &g.residual2);
             {
                 let (dw, db) = wb_mut(grads, blk.attprojw, blk.attprojb);
                 k::matmul_backward(
-                    &mut layer.g_atty,
+                    &mut g.atty,
                     dw,
                     db,
-                    &layer.g_attproj,
+                    &g.attproj,
                     &layer.atty,
                     range(p, blk.attprojw),
                     bt,
@@ -609,10 +608,10 @@ impl Gpt {
                 );
             }
             k::attention_backward(
-                &mut layer.g_qkv,
+                &mut g.qkv,
                 &mut acts.g_preatt,
                 &mut acts.g_att,
-                &layer.g_atty,
+                &g.atty,
                 &layer.qkv,
                 &layer.att,
                 b,
@@ -623,10 +622,10 @@ impl Gpt {
             {
                 let (dw, db) = wb_mut(grads, blk.qkvw, blk.qkvb);
                 k::matmul_backward(
-                    &mut layer.g_ln1,
+                    &mut g.ln1,
                     dw,
                     db,
-                    &layer.g_qkv,
+                    &g.qkv,
                     &layer.ln1,
                     range(p, blk.qkvw),
                     bt,
@@ -640,7 +639,7 @@ impl Gpt {
                     g_res_in,
                     dw,
                     db,
-                    &layer.g_ln1,
+                    &g.ln1,
                     res_in,
                     range(p, blk.ln1w),
                     &layer.ln1_mean,

@@ -243,3 +243,135 @@ proptest! {
         }
     }
 }
+
+/// Every buffer both attention kernels write, at one shape and backend:
+/// `[out, preatt, att, dinp, dpreatt, datt]`. The scratch blocks and `dinp`
+/// start as `dinp_fill` / NaN: the kernels must overwrite all of them.
+fn run_attention(
+    kind: BackendKind,
+    chunks: usize,
+    inp: &[f32],
+    dout: &[f32],
+    (b, t, nh, hs): (usize, usize, usize, usize),
+    alibi: bool,
+    dinp_fill: f32,
+) -> [Vec<f32>; 6] {
+    let (c, n) = (nh * hs, b * nh * t * t);
+    let (mut out, mut preatt, mut att) = (
+        vec![f32::NAN; b * t * c],
+        vec![f32::NAN; n],
+        vec![f32::NAN; n],
+    );
+    let (mut dinp, mut dpreatt, mut datt) = (
+        vec![dinp_fill; inp.len()],
+        vec![f32::NAN; n],
+        vec![f32::NAN; n],
+    );
+    with_backend(kind, || {
+        photon_tensor::ops::pool::with_parallelism(chunks, || {
+            kernels::attention_forward(&mut out, &mut preatt, &mut att, inp, b, t, c, nh, alibi);
+            kernels::attention_backward(
+                &mut dinp,
+                &mut dpreatt,
+                &mut datt,
+                dout,
+                inp,
+                &att,
+                b,
+                t,
+                c,
+                nh,
+            );
+        })
+    });
+    [out, preatt, att, dinp, dpreatt, datt]
+}
+
+/// Attention at the edges of its blocking: sequence lengths on both sides of
+/// the causal row block (16) and the register-tile height, head sizes below,
+/// at and above one tile panel, several units per task.
+#[test]
+fn attention_holds_at_block_and_tile_edges() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut seed = 500;
+    for t in [1usize, 5, 16, 33, 64, 65] {
+        for hs in [4usize, 16, 24] {
+            for alibi in [true, false] {
+                seed += 1;
+                let shape @ (b, _, nh, _) = (2usize, t, 3usize, hs);
+                let c = nh * hs;
+                let mut rng = SeedStream::new(seed);
+                let inp: Vec<f32> = (0..b * t * 3 * c)
+                    .map(|_| rng.next_normal() * 0.5)
+                    .collect();
+                let dout: Vec<f32> = (0..b * t * c).map(|_| rng.next_normal() * 0.5).collect();
+                let want = naive_attention(&inp, &dout, shape, alibi);
+                for kind in [BackendKind::Scalar, BackendKind::Simd] {
+                    if kind == BackendKind::Simd && !simd_available() {
+                        continue;
+                    }
+                    let tag = format!("{kind:?} t{t} hs{hs} alibi={alibi}");
+                    let got = run_attention(kind, 1, &inp, &dout, shape, alibi, 0.0);
+                    // Scalar: bit for bit the textbook loops. SIMD: 1e-5.
+                    for (name, (w, g)) in ["out", "preatt", "att", "dinp"]
+                        .into_iter()
+                        .zip(want.iter().zip(&got))
+                    {
+                        for (i, (x, y)) in w.iter().zip(g).enumerate() {
+                            let same = match kind {
+                                BackendKind::Scalar => x.to_bits() == y.to_bits(),
+                                BackendKind::Simd => {
+                                    (x - y).abs() <= 1e-5 * 1.0f32.max(x.abs()).max(y.abs())
+                                }
+                            };
+                            assert!(same, "{name}[{i}] at {tag}: {x} vs {y}");
+                        }
+                    }
+                    // All four (T, T) blocks: exact zeros above the diagonal.
+                    for (name, block) in ["preatt", "att", "dpreatt", "datt"]
+                        .into_iter()
+                        .zip([&got[1], &got[2], &got[4], &got[5]])
+                    {
+                        for (i, v) in block.iter().enumerate() {
+                            let (ti, t2) = (i / t % t, i % t);
+                            assert!(v.is_finite(), "{name}[{i}] at {tag}");
+                            assert!(t2 <= ti || v.to_bits() == 0, "{name}[{i}] = {v} at {tag}");
+                        }
+                    }
+                    // Several units per task: the chunk count never shows.
+                    for chunks in [2, 4] {
+                        let again = run_attention(kind, chunks, &inp, &dout, shape, alibi, 0.0);
+                        assert!(
+                            again.iter().zip(&got).all(|(x, y)| bits(x) == bits(y)),
+                            "{chunks} chunks at {tag}"
+                        );
+                    }
+                    // `attention_backward` stores `dinp`: what it held is gone.
+                    let over_nan = run_attention(kind, 1, &inp, &dout, shape, alibi, f32::NAN);
+                    assert_eq!(bits(&over_nan[3]), bits(&got[3]), "dinp over NaN at {tag}");
+                    // A key/value row in a *later* row block is never read
+                    // for an earlier query row, not even times zero.
+                    let mut future = inp.clone();
+                    let boundary = t.min(16);
+                    for bi in 0..b {
+                        for row in future[bi * t * 3 * c..(bi + 1) * t * 3 * c]
+                            .chunks_exact_mut(3 * c)
+                            .skip(boundary)
+                        {
+                            row[c..].fill(f32::NAN);
+                        }
+                    }
+                    let poisoned = run_attention(kind, 1, &future, &dout, shape, alibi, 0.0);
+                    for bi in 0..b {
+                        let early = bi * t * c..(bi * t + boundary) * c;
+                        assert_eq!(
+                            bits(&poisoned[0][early.clone()]),
+                            bits(&got[0][early]),
+                            "rows before the first block edge at {tag}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -38,16 +38,25 @@
 //! reductions (8-wide accumulator trees) and uses a polynomial `exp`, so
 //! replay comparisons must pin `PHOTON_BACKEND`.
 //!
-//! The scalar GEMM kernels are held to more than that: each output element
-//! accumulates `alpha * a[i, p] * b[p, j]` over ascending `p`, straight
-//! into `C`. `photon-nn`'s attention relies on it — with packed transposes
-//! and `beta = 0` its per-head GEMMs reproduce the per-row `dot`/`axpy`
-//! loops they replaced bit for bit, which is what keeps scalar replays
-//! (and the round-engine golden digests) unchanged. The SIMD GEMMs sum
-//! per k-block into zeroed register tiles and apply `alpha` once per tile,
-//! so SIMD attention agrees with those loops to tolerance only.
+//! ## GEMM
+//!
+//! Both backends run [`Backend::gemm`] through one driver (`ops/gemm.rs`):
+//! leading dimensions on every operand, `trans_b` panels transposed inside
+//! the kernel, remainder rows and columns through the same register tile.
+//! A backend supplies only the tile.
+//!
+//! The scalar tile is held to more than determinism: each output element
+//! accumulates `(alpha * a[i, p]) * b[p, j]` over ascending `p`, straight
+//! into `C`, in every layout and at every edge. `photon-nn`'s attention
+//! relies on it — with `beta = 0` its strided per-head GEMMs reproduce the
+//! per-row `dot`/`axpy` loops they replaced bit for bit, which is what keeps
+//! scalar replays (and the round-engine golden digests) unchanged. One
+//! exception is pinned by the same digests: a small `A Bᵀ` on dense operands
+//! (the matmuls of tiny models) sums each output as a four-chain dot. The
+//! SIMD tile sums per k-block into zeroed registers and applies `alpha` once
+//! per tile, so SIMD attention agrees with those loops to tolerance only.
 
-use crate::ops::Gemm;
+use crate::ops::{Gemm, Window};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -62,37 +71,23 @@ pub use simd::SimdBackend;
 /// A compute backend: the set of inner-loop kernels everything above the
 /// worker pool dispatches through.
 ///
-/// GEMM kernels accumulate `C += alpha * op(A) op(B)` — the caller applies
-/// `beta` (see `ops::gemm`) and decides packing/splitting. Row kernels
-/// operate on one logical row so pool chunking stays in the caller.
+/// Row kernels operate on one logical row so pool chunking stays in the
+/// caller.
 pub trait Backend: Send + Sync {
     /// Short stable name (`"scalar"` / `"simd"`), used for trace tags and
     /// metrics attribution.
     fn name(&self) -> &'static str;
 
-    /// `C += alpha * A B` with row-major `A: (m, k)`, `B: (k, n)`.
-    fn gemm_nn(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]);
-
-    /// `C += alpha * A B^T` with physical `B: (n, k)` (each output is a dot
-    /// of two contiguous rows). Large problems are repacked to `gemm_nn` by
-    /// the caller; this path handles the small/unpacked cases.
-    fn gemm_nt(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]);
-
-    /// `C += alpha * A^T B` with physical `A: (k, m)`, `B: (k, n)`.
-    fn gemm_tn(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]);
-
-    /// `C += alpha * A^T B^T` for logical rows `i0..i0 + rows`, indexing the
-    /// full physical buffers absolutely (the row window cannot be expressed
-    /// as a sub-slice of `a`). Rare outside tests.
-    fn gemm_tt_rows(
-        &self,
-        spec: Gemm,
-        i0: usize,
-        rows: usize,
-        a: &[f32],
-        b: &[f32],
-        c_rows: &mut [f32],
-    );
+    /// `C = alpha * op(A) op(B) + beta * C` on the `(m, n)` corner of the
+    /// window `c` (whose own stride stands in for `spec.ldc`), for every
+    /// transpose layout and leading dimension, on the calling thread and
+    /// without touching the heap. `beta = 0` overwrites whatever `c` held.
+    ///
+    /// # Panics
+    /// Panics if a leading dimension is below its operand's physical column
+    /// count, `a` or `b` does not hold its operand's last row, or `c` is
+    /// smaller than `(m, n)`.
+    fn gemm(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_>);
 
     /// Dot product with single-precision accumulation (the row dot of the
     /// attention softmax backward; for the f64-accumulated reduction see
@@ -120,7 +115,8 @@ pub trait Backend: Send + Sync {
     /// Panics if lengths differ.
     fn gelu(&self, out: &mut [f32], inp: &[f32]);
 
-    /// GELU backward over a chunk: `dinp[i] += gelu'(inp[i]) * dout[i]`.
+    /// GELU backward over a chunk: `dinp[i] = gelu'(inp[i]) * dout[i]`
+    /// (a store: the pre-activation gradient has no other producer).
     ///
     /// # Panics
     /// Panics if lengths differ.
@@ -159,6 +155,37 @@ pub trait Backend: Send + Sync {
     /// # Panics
     /// Panics if lengths differ.
     fn softmax_row(&self, probs: &mut [f32], logits: &[f32]);
+
+    /// The softmax stage of one attention unit, over its `(t, t)` blocks.
+    /// On entry row `ti` of `preatt` holds the raw logits `q_ti . k_j` for
+    /// `j <= ti` (anything above the diagonal is ignored); on exit it holds
+    /// `logit * scale - slope * (ti - j)` there and zeros above, and row
+    /// `ti` of `att` holds the softmax of that prefix and zeros above.
+    ///
+    /// # Panics
+    /// Panics if either block is not `t * t` long.
+    fn causal_softmax(
+        &self,
+        att: &mut [f32],
+        preatt: &mut [f32],
+        t: usize,
+        scale: f32,
+        slope: f32,
+    ) {
+        assert_eq!(att.len(), t * t, "causal_softmax block mismatch");
+        assert_eq!(preatt.len(), t * t, "causal_softmax block mismatch");
+        let rows = preatt.chunks_exact_mut(t).zip(att.chunks_exact_mut(t));
+        for (ti, (pre_row, att_row)) in rows.enumerate() {
+            let (pre_live, pre_masked) = pre_row.split_at_mut(ti + 1);
+            let (att_live, att_masked) = att_row.split_at_mut(ti + 1);
+            for (t2, logit) in pre_live.iter_mut().enumerate() {
+                *logit = *logit * scale - slope * (ti - t2) as f32;
+            }
+            pre_masked.fill(0.0);
+            self.softmax_row(att_live, pre_live);
+            att_masked.fill(0.0);
+        }
+    }
 }
 
 /// Which backend implementation to run.

@@ -8,8 +8,8 @@
 //! panics instead of executing illegal instructions. On aarch64 the GEMM
 //! and vector primitives use NEON (baseline on AArch64); the
 //! transcendental row kernels (GELU / softmax) delegate to the scalar
-//! reference there. The `tt` GEMM layout is rare outside tests and always
-//! delegates to the scalar kernel.
+//! reference there. GEMM is the shared driver in `ops/gemm.rs` around each
+//! ISA's register tile: the tile is the only GEMM code in this file.
 //!
 //! Numerics: reductions are reassociated into 8-wide accumulator trees and
 //! `exp` is a Cephes-style degree-6 polynomial (relative error ~1e-6), so
@@ -17,8 +17,8 @@
 //! this backend every kernel is a pure function of its inputs: replays are
 //! bit-identical for a fixed backend.
 
-use super::{scalar, Backend, ScalarBackend};
-use crate::ops::Gemm;
+use super::{Backend, ScalarBackend};
+use crate::ops::{drive, Gemm, Window};
 
 const SCALAR_REF: ScalarBackend = ScalarBackend;
 
@@ -31,39 +31,9 @@ impl Backend for SimdBackend {
         "simd"
     }
 
-    fn gemm_nn(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
-        assert!(a.len() >= spec.m * spec.k, "gemm_nn: a too short");
-        assert!(b.len() >= spec.k * spec.n, "gemm_nn: b too short");
-        assert!(c.len() >= spec.m * spec.n, "gemm_nn: c too short");
-        arch::gemm_nn(spec.m, spec.k, spec.n, spec.alpha, a, b, c);
-    }
-
-    fn gemm_nt(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
-        assert!(a.len() >= spec.m * spec.k, "gemm_nt: a too short");
-        assert!(b.len() >= spec.k * spec.n, "gemm_nt: b too short");
-        assert!(c.len() >= spec.m * spec.n, "gemm_nt: c too short");
-        arch::gemm_nt(spec.m, spec.k, spec.n, spec.alpha, a, b, c);
-    }
-
-    fn gemm_tn(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
-        assert!(a.len() >= spec.m * spec.k, "gemm_tn: a too short");
-        assert!(b.len() >= spec.k * spec.n, "gemm_tn: b too short");
-        assert!(c.len() >= spec.m * spec.n, "gemm_tn: c too short");
-        arch::gemm_tn(spec.m, spec.k, spec.n, spec.alpha, a, b, c);
-    }
-
-    fn gemm_tt_rows(
-        &self,
-        spec: Gemm,
-        i0: usize,
-        rows: usize,
-        a: &[f32],
-        b: &[f32],
-        c_rows: &mut [f32],
-    ) {
-        // Doubly-strided access defeats the register tiles; this layout is
-        // rare outside tests, so the reference kernel serves both backends.
-        scalar::kernel_tt_rows(spec, i0, rows, a, b, c_rows);
+    fn gemm(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_>) {
+        arch::require_simd();
+        drive::<arch::RegisterTile>(spec, a, b, c);
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
@@ -131,6 +101,20 @@ impl Backend for SimdBackend {
         assert_eq!(probs.len(), logits.len(), "softmax_row length mismatch");
         arch::softmax_row(probs, logits);
     }
+
+    #[cfg(target_arch = "x86_64")]
+    fn causal_softmax(
+        &self,
+        att: &mut [f32],
+        preatt: &mut [f32],
+        t: usize,
+        scale: f32,
+        slope: f32,
+    ) {
+        assert_eq!(att.len(), t * t, "causal_softmax block mismatch");
+        assert_eq!(preatt.len(), t * t, "causal_softmax block mismatch");
+        arch::causal_softmax(att, preatt, t, scale, slope);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -140,58 +124,62 @@ mod arch {
     //! sound even if `SimdBackend` is constructed directly.
 
     use super::{Backend, SCALAR_REF};
+    use crate::ops::Tile;
     use core::arch::x86_64::*;
 
-    fn require_simd() {
+    pub(super) fn require_simd() {
         assert!(
             crate::backend::simd_available(),
             "SIMD backend used on a host without AVX2+FMA"
         );
     }
 
-    /// k-dimension block size (matches the scalar kernel's L2 blocking).
-    const KC: usize = 256;
+    /// The AVX2+FMA register tile: 6x16 (12 accumulators plus 2 panel lanes
+    /// plus 1 broadcast = 15 of 16 ymm), the last rows of a ragged `m`
+    /// through the same loop at 1 to 5 rows.
+    pub(super) struct RegisterTile;
 
-    pub(super) fn gemm_nn(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        require_simd();
-        // SAFETY: AVX2+FMA verified above; slice bounds checked by caller.
-        unsafe { gemm_nn_avx2(m, k, n, alpha, a, b, c) }
-    }
+    impl Tile for RegisterTile {
+        const MR: usize = 6;
+        const NR: usize = 16;
 
-    pub(super) fn gemm_tn(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        require_simd();
-        // SAFETY: as above.
-        unsafe { gemm_tn_avx2(m, k, n, alpha, a, b, c) }
-    }
+        unsafe fn tile(
+            rows: usize,
+            kc: usize,
+            a: *const f32,
+            rs_a: usize,
+            cs_a: usize,
+            panel: *const f32,
+            ldp: usize,
+            c: *mut f32,
+            ldc: usize,
+            alpha: f32,
+            store: bool,
+        ) {
+            // SAFETY: the caller's contract, passed on unchanged; AVX2+FMA
+            // was verified by `SimdBackend::gemm` before the driver ran.
+            unsafe {
+                match rows {
+                    6 => tile_avx2::<6>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                    5 => tile_avx2::<5>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                    4 => tile_avx2::<4>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                    3 => tile_avx2::<3>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                    2 => tile_avx2::<2>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                    _ => tile_avx2::<1>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                }
+            }
+        }
 
-    pub(super) fn gemm_nt(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        require_simd();
-        // SAFETY: as above.
-        unsafe { gemm_nt_avx2(m, k, n, alpha, a, b, c) }
+        unsafe fn pack_transposed(
+            panel: *mut f32,
+            b: *const f32,
+            ldb: usize,
+            nr: usize,
+            kc: usize,
+        ) {
+            // SAFETY: as above.
+            unsafe { pack_transposed_avx2(panel, b, ldb, nr, kc) }
+        }
     }
 
     pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -252,6 +240,18 @@ mod arch {
         unsafe { softmax_row_avx2(probs, logits) }
     }
 
+    pub(super) fn causal_softmax(
+        att: &mut [f32],
+        pre: &mut [f32],
+        t: usize,
+        scale: f32,
+        slope: f32,
+    ) {
+        require_simd();
+        // SAFETY: as above; both blocks are `t * t` long (checked by caller).
+        unsafe { causal_softmax_avx2(att, pre, t, scale, slope) }
+    }
+
     /// Horizontal sum of one 8-lane register.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn hsum(v: __m256) -> f32 {
@@ -263,238 +263,121 @@ mod arch {
         _mm_cvtss_f32(s)
     }
 
-    /// `C += alpha * A B`: 6x16 register tile (12 accumulators plus 2 B
-    /// lanes plus 1 broadcast = 15 of 16 ymm), zero-initialized per k-block
-    /// and merged into C with one FMA per lane so the inner loop is pure
+    /// Horizontal max of one 8-lane register.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn hmax(v: __m256) -> f32 {
+        let lo = _mm256_castps256_ps128(v);
+        let hi = _mm256_extractf128_ps(v, 1);
+        let s = _mm_max_ps(lo, hi);
+        let s = _mm_max_ps(s, _mm_movehl_ps(s, s));
+        let s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
+        _mm_cvtss_f32(s)
+    }
+
+    /// [`Tile::tile`] at `R` rows: accumulators zeroed per call and merged
+    /// into C with one FMA per lane, so the inner loop is pure
     /// broadcast-load-FMA. Each output element keeps its own accumulator
-    /// summed over `p` in order, so results are bit-identical regardless of
-    /// tile shape.
+    /// summed over `p` in order, so results do not depend on `R`.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_nn_avx2(
-        m: usize,
-        k: usize,
-        n: usize,
+    unsafe fn tile_avx2<const R: usize>(
+        kc: usize,
+        a: *const f32,
+        rs_a: usize,
+        cs_a: usize,
+        panel: *const f32,
+        ldp: usize,
+        c: *mut f32,
+        ldc: usize,
         alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
+        store: bool,
     ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
+        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        for p in 0..kc {
+            let brow = panel.add(p * ldp);
+            let b0 = _mm256_loadu_ps(brow);
+            let b1 = _mm256_loadu_ps(brow.add(8));
+            let acol = a.add(p * cs_a);
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let s = _mm256_set1_ps(*acol.add(r * rs_a));
+                accr[0] = _mm256_fmadd_ps(s, b0, accr[0]);
+                accr[1] = _mm256_fmadd_ps(s, b1, accr[1]);
+            }
+        }
         let alpha_v = _mm256_set1_ps(alpha);
-        let mut p0 = 0usize;
-        while p0 < k {
-            let pe = (p0 + KC).min(k);
-            let mut i = 0usize;
-            while i + 6 <= m {
-                let rows = [
-                    i * k,
-                    (i + 1) * k,
-                    (i + 2) * k,
-                    (i + 3) * k,
-                    (i + 4) * k,
-                    (i + 5) * k,
-                ];
-                let mut j = 0usize;
-                while j + 16 <= n {
-                    let mut acc = [[_mm256_setzero_ps(); 2]; 6];
-                    for p in p0..pe {
-                        let brow = bp.add(p * n + j);
-                        let b0 = _mm256_loadu_ps(brow);
-                        let b1 = _mm256_loadu_ps(brow.add(8));
-                        for (accr, &row) in acc.iter_mut().zip(&rows) {
-                            let s = _mm256_set1_ps(*ap.add(row + p));
-                            accr[0] = _mm256_fmadd_ps(s, b0, accr[0]);
-                            accr[1] = _mm256_fmadd_ps(s, b1, accr[1]);
-                        }
-                    }
-                    for (r, accr) in acc.iter().enumerate() {
-                        let crow = cp.add((i + r) * n + j);
-                        let c0 = _mm256_loadu_ps(crow);
-                        let c1 = _mm256_loadu_ps(crow.add(8));
-                        _mm256_storeu_ps(crow, _mm256_fmadd_ps(alpha_v, accr[0], c0));
-                        _mm256_storeu_ps(crow.add(8), _mm256_fmadd_ps(alpha_v, accr[1], c1));
-                    }
-                    j += 16;
-                }
-                while j + 8 <= n {
-                    let mut acc = [_mm256_setzero_ps(); 6];
-                    for p in p0..pe {
-                        let b0 = _mm256_loadu_ps(bp.add(p * n + j));
-                        for (accr, &row) in acc.iter_mut().zip(&rows) {
-                            let s = _mm256_set1_ps(*ap.add(row + p));
-                            *accr = _mm256_fmadd_ps(s, b0, *accr);
-                        }
-                    }
-                    for (r, accr) in acc.iter().enumerate() {
-                        let crow = cp.add((i + r) * n + j);
-                        _mm256_storeu_ps(
-                            crow,
-                            _mm256_fmadd_ps(alpha_v, *accr, _mm256_loadu_ps(crow)),
-                        );
-                    }
-                    j += 8;
-                }
-                while j < n {
-                    for (r, &row) in rows.iter().enumerate() {
-                        let mut s = 0.0f32;
-                        for p in p0..pe {
-                            s += *ap.add(row + p) * *bp.add(p * n + j);
-                        }
-                        *cp.add((i + r) * n + j) += alpha * s;
-                    }
-                    j += 1;
-                }
-                i += 6;
-            }
-            while i < m {
-                let row = i * k;
-                let mut j = 0usize;
-                while j + 8 <= n {
-                    let mut acc = _mm256_setzero_ps();
-                    for p in p0..pe {
-                        let s = _mm256_set1_ps(*ap.add(row + p));
-                        acc = _mm256_fmadd_ps(s, _mm256_loadu_ps(bp.add(p * n + j)), acc);
-                    }
-                    let crow = cp.add(i * n + j);
-                    _mm256_storeu_ps(crow, _mm256_fmadd_ps(alpha_v, acc, _mm256_loadu_ps(crow)));
-                    j += 8;
-                }
-                while j < n {
-                    let mut s = 0.0f32;
-                    for p in p0..pe {
-                        s += *ap.add(row + p) * *bp.add(p * n + j);
-                    }
-                    *cp.add(i * n + j) += alpha * s;
-                    j += 1;
-                }
-                i += 1;
-            }
-            p0 = pe;
+        for (r, accr) in acc.iter().enumerate() {
+            let crow = c.add(r * ldc);
+            // A store still adds to an explicit zero: `alpha * acc + 0`, the
+            // value the accumulate form leaves in a zeroed C.
+            let (c0, c1) = if store {
+                (_mm256_setzero_ps(), _mm256_setzero_ps())
+            } else {
+                (_mm256_loadu_ps(crow), _mm256_loadu_ps(crow.add(8)))
+            };
+            _mm256_storeu_ps(crow, _mm256_fmadd_ps(alpha_v, accr[0], c0));
+            _mm256_storeu_ps(crow.add(8), _mm256_fmadd_ps(alpha_v, accr[1], c1));
         }
     }
 
-    /// `C += alpha * A^T B` with physical `A: (k, m)`: identical tile
-    /// structure to `gemm_nn_avx2`, with the row scalars gathered from the
-    /// transposed layout (`a[p*m + i + r]` — six contiguous loads).
+    /// Transposes eight 8-lane rows in registers.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_tn_avx2(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let alpha_v = _mm256_set1_ps(alpha);
-        let mut p0 = 0usize;
-        while p0 < k {
-            let pe = (p0 + KC).min(k);
-            let mut i = 0usize;
-            while i + 6 <= m {
-                let mut j = 0usize;
-                while j + 16 <= n {
-                    let mut acc = [[_mm256_setzero_ps(); 2]; 6];
-                    for p in p0..pe {
-                        let brow = bp.add(p * n + j);
-                        let b0 = _mm256_loadu_ps(brow);
-                        let b1 = _mm256_loadu_ps(brow.add(8));
-                        let arow = ap.add(p * m + i);
-                        for (r, accr) in acc.iter_mut().enumerate() {
-                            let s = _mm256_set1_ps(*arow.add(r));
-                            accr[0] = _mm256_fmadd_ps(s, b0, accr[0]);
-                            accr[1] = _mm256_fmadd_ps(s, b1, accr[1]);
-                        }
-                    }
-                    for (r, accr) in acc.iter().enumerate() {
-                        let crow = cp.add((i + r) * n + j);
-                        let c0 = _mm256_loadu_ps(crow);
-                        let c1 = _mm256_loadu_ps(crow.add(8));
-                        _mm256_storeu_ps(crow, _mm256_fmadd_ps(alpha_v, accr[0], c0));
-                        _mm256_storeu_ps(crow.add(8), _mm256_fmadd_ps(alpha_v, accr[1], c1));
-                    }
-                    j += 16;
-                }
-                while j + 8 <= n {
-                    let mut acc = [_mm256_setzero_ps(); 6];
-                    for p in p0..pe {
-                        let b0 = _mm256_loadu_ps(bp.add(p * n + j));
-                        let arow = ap.add(p * m + i);
-                        for (r, accr) in acc.iter_mut().enumerate() {
-                            let s = _mm256_set1_ps(*arow.add(r));
-                            *accr = _mm256_fmadd_ps(s, b0, *accr);
-                        }
-                    }
-                    for (r, accr) in acc.iter().enumerate() {
-                        let crow = cp.add((i + r) * n + j);
-                        _mm256_storeu_ps(
-                            crow,
-                            _mm256_fmadd_ps(alpha_v, *accr, _mm256_loadu_ps(crow)),
-                        );
-                    }
-                    j += 8;
-                }
-                while j < n {
-                    for r in 0..6 {
-                        let mut s = 0.0f32;
-                        for p in p0..pe {
-                            s += *ap.add(p * m + i + r) * *bp.add(p * n + j);
-                        }
-                        *cp.add((i + r) * n + j) += alpha * s;
-                    }
-                    j += 1;
-                }
-                i += 6;
-            }
-            while i < m {
-                let mut j = 0usize;
-                while j + 8 <= n {
-                    let mut acc = _mm256_setzero_ps();
-                    for p in p0..pe {
-                        let s = _mm256_set1_ps(*ap.add(p * m + i));
-                        acc = _mm256_fmadd_ps(s, _mm256_loadu_ps(bp.add(p * n + j)), acc);
-                    }
-                    let crow = cp.add(i * n + j);
-                    _mm256_storeu_ps(crow, _mm256_fmadd_ps(alpha_v, acc, _mm256_loadu_ps(crow)));
-                    j += 8;
-                }
-                while j < n {
-                    let mut s = 0.0f32;
-                    for p in p0..pe {
-                        s += *ap.add(p * m + i) * *bp.add(p * n + j);
-                    }
-                    *cp.add(i * n + j) += alpha * s;
-                    j += 1;
-                }
-                i += 1;
-            }
-            p0 = pe;
-        }
+    unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
     }
 
-    /// `C += alpha * A B^T`: every output is a dot of two contiguous rows.
-    /// Large problems are repacked to `gemm_nn` upstream; this serves the
-    /// small/unpacked cases.
+    /// [`Tile::pack_transposed`]: 8x8 blocks through [`transpose8`] (rows
+    /// past `nr` read as zero), the last `kc % 8` panel rows one element at
+    /// a time.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_nt_avx2(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
+    unsafe fn pack_transposed_avx2(
+        panel: *mut f32,
+        b: *const f32,
+        ldb: usize,
+        nr: usize,
+        kc: usize,
     ) {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &b[j * k..(j + 1) * k];
-                *c.get_unchecked_mut(i * n + j) += alpha * dot_avx2(a_row, b_row);
+        const NR: usize = RegisterTile::NR;
+        let body = kc - kc % 8;
+        for j0 in [0, 8] {
+            for p0 in (0..body).step_by(8) {
+                let mut rows = [_mm256_setzero_ps(); 8];
+                for (j, row) in rows.iter_mut().enumerate().take(nr.saturating_sub(j0)) {
+                    *row = _mm256_loadu_ps(b.add((j0 + j) * ldb + p0));
+                }
+                for (p, col) in transpose8(rows).into_iter().enumerate() {
+                    _mm256_storeu_ps(panel.add((p0 + p) * NR + j0), col);
+                }
+            }
+        }
+        for p in body..kc {
+            for j in 0..NR {
+                let v = if j < nr { *b.add(j * ldb + p) } else { 0.0 };
+                *panel.add(p * NR + j) = v;
             }
         }
     }
@@ -643,7 +526,7 @@ mod arch {
         let len = out.len();
         let op = out.as_mut_ptr();
         let ip = inp.as_ptr();
-        let s_v = _mm256_set1_ps(super::scalar::GELU_S);
+        let s_v = _mm256_set1_ps(crate::backend::scalar::GELU_S);
         let cube_v = _mm256_set1_ps(GELU_CUBE);
         let half = _mm256_set1_ps(0.5);
         let one = _mm256_set1_ps(1.0);
@@ -669,7 +552,7 @@ mod arch {
         let dp = dinp.as_mut_ptr();
         let ip = inp.as_ptr();
         let yp = dout.as_ptr();
-        let s_v = _mm256_set1_ps(super::scalar::GELU_S);
+        let s_v = _mm256_set1_ps(crate::backend::scalar::GELU_S);
         let cube_v = _mm256_set1_ps(GELU_CUBE);
         let three_cube = _mm256_set1_ps(3.0 * GELU_CUBE);
         let half = _mm256_set1_ps(0.5);
@@ -689,8 +572,7 @@ mod arch {
                 poly,
             );
             let local = _mm256_fmadd_ps(half, _mm256_add_ps(one, th), slope);
-            let d = _mm256_fmadd_ps(local, dy, _mm256_loadu_ps(dp.add(i)));
-            _mm256_storeu_ps(dp.add(i), d);
+            _mm256_storeu_ps(dp.add(i), _mm256_mul_ps(local, dy));
             i += 8;
         }
         if i < len {
@@ -735,7 +617,7 @@ mod arch {
             i += 1;
         }
         let var = var / c as f32;
-        let rstd = 1.0 / (var + super::scalar::LN_EPS).sqrt();
+        let rstd = 1.0 / (var + crate::backend::scalar::LN_EPS).sqrt();
 
         let rstd_v = _mm256_set1_ps(rstd);
         let op = out.as_mut_ptr();
@@ -859,13 +741,7 @@ mod arch {
             max_v = _mm256_max_ps(max_v, _mm256_loadu_ps(lp.add(i)));
             i += 8;
         }
-        // Horizontal max.
-        let lo = _mm256_castps256_ps128(max_v);
-        let hi = _mm256_extractf128_ps(max_v, 1);
-        let s = _mm_max_ps(lo, hi);
-        let s = _mm_max_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
-        let max_b = _mm256_set1_ps(_mm_cvtss_f32(s));
+        let max_b = _mm256_set1_ps(hmax(max_v));
 
         let mut sum_v = _mm256_setzero_ps();
         let mut i = 0usize;
@@ -891,6 +767,139 @@ mod arch {
             i += 1;
         }
     }
+
+    /// Eight lanes at `p`, or only those `in_row` selects (the rest read as
+    /// zero) when the vector crosses the end of its row.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn load8(p: *const f32, ragged: bool, in_row: __m256i) -> __m256 {
+        if ragged {
+            _mm256_maskload_ps(p, in_row)
+        } else {
+            _mm256_loadu_ps(p)
+        }
+    }
+
+    /// Counterpart of [`load8`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn store8(p: *mut f32, ragged: bool, in_row: __m256i, v: __m256) {
+        if ragged {
+            _mm256_maskstore_ps(p, in_row, v)
+        } else {
+            _mm256_storeu_ps(p, v)
+        }
+    }
+
+    /// [`Backend::causal_softmax`]: rows in whole vectors with the causal
+    /// mask folded in as a lane mask (dead lanes read as `-inf` for the max,
+    /// add `0` to the sum and store `0`), four rows at a time where four
+    /// share a vector count: a row is one max -> exp -> sum -> divide
+    /// dependency chain, and four independent chains fill the pipeline one
+    /// leaves idle. Per element the arithmetic is that of the scalar bias
+    /// loop followed by `softmax_row_avx2` on the prefix.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn causal_softmax_avx2(
+        att: &mut [f32],
+        pre: &mut [f32],
+        t: usize,
+        scale: f32,
+        slope: f32,
+    ) {
+        let mut ti = 0;
+        while ti < t {
+            // Rows `8g..8g + 8` all span `g + 1` vectors.
+            if ti + 4 <= ((ti / 8 + 1) * 8).min(t) {
+                causal_rows_avx2::<4>(att, pre, t, ti, scale, slope);
+                ti += 4;
+            } else {
+                causal_rows_avx2::<1>(att, pre, t, ti, scale, slope);
+                ti += 1;
+            }
+        }
+    }
+
+    /// Rows `ti0..ti0 + N` of [`causal_softmax_avx2`]; they must lie in one
+    /// group of eight (`ti0 / 8 == (ti0 + N - 1) / 8`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn causal_rows_avx2<const N: usize>(
+        att: &mut [f32],
+        pre: &mut [f32],
+        t: usize,
+        ti0: usize,
+        scale: f32,
+        slope: f32,
+    ) {
+        let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let scale_v = _mm256_set1_ps(scale);
+        let slope_v = _mm256_set1_ps(slope);
+        let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+        // The lanes of the vector at `t - t % 8` that lie inside the row.
+        let in_row = _mm256_cmpgt_epi32(_mm256_set1_epi32((t % 8) as i32), iota);
+        // One past the last vector that holds a live lane.
+        let end = (ti0 / 8 + 1) * 8;
+        // SAFETY (every access below): a vector at `j` covers elements
+        // `j..j + 8` of row `ti0 + r`; it is accessed whole only when
+        // `j + 8 <= t` and under `in_row` otherwise, so no lane outside
+        // rows `ti0..ti0 + N` of either `t * t` block is read or written.
+        let pp = pre.as_mut_ptr().add(ti0 * t);
+        let ap = att.as_mut_ptr().add(ti0 * t);
+        let mut ti_v = [_mm256_setzero_si256(); N];
+        for (r, v) in ti_v.iter_mut().enumerate() {
+            *v = _mm256_set1_epi32((ti0 + r) as i32);
+        }
+
+        let mut max_v = [neg_inf; N];
+        for j in (0..end).step_by(8) {
+            let lanes = _mm256_add_epi32(_mm256_set1_epi32(j as i32), iota);
+            for r in 0..N {
+                let dead = _mm256_castsi256_ps(_mm256_cmpgt_epi32(lanes, ti_v[r]));
+                let dist = _mm256_cvtepi32_ps(_mm256_sub_epi32(ti_v[r], lanes));
+                let raw = load8(pp.add(r * t + j), j + 8 > t, in_row);
+                let logit =
+                    _mm256_sub_ps(_mm256_mul_ps(raw, scale_v), _mm256_mul_ps(slope_v, dist));
+                store8(
+                    pp.add(r * t + j),
+                    j + 8 > t,
+                    in_row,
+                    _mm256_andnot_ps(dead, logit),
+                );
+                max_v[r] = _mm256_max_ps(max_v[r], _mm256_blendv_ps(logit, neg_inf, dead));
+            }
+        }
+
+        let mut sum_v = [_mm256_setzero_ps(); N];
+        for m in &mut max_v {
+            *m = _mm256_set1_ps(hmax(*m));
+        }
+        for j in (0..end).step_by(8) {
+            let lanes = _mm256_add_epi32(_mm256_set1_epi32(j as i32), iota);
+            for r in 0..N {
+                let dead = _mm256_castsi256_ps(_mm256_cmpgt_epi32(lanes, ti_v[r]));
+                let logit = load8(pp.add(r * t + j), j + 8 > t, in_row);
+                let e = _mm256_andnot_ps(dead, exp_avx2(_mm256_sub_ps(logit, max_v[r])));
+                store8(ap.add(r * t + j), j + 8 > t, in_row, e);
+                sum_v[r] = _mm256_add_ps(sum_v[r], e);
+            }
+        }
+
+        for s in &mut sum_v {
+            *s = _mm256_set1_ps(1.0 / hsum(*s));
+        }
+        for j in (0..end).step_by(8) {
+            let lanes = _mm256_add_epi32(_mm256_set1_epi32(j as i32), iota);
+            for r in 0..N {
+                let dead = _mm256_castsi256_ps(_mm256_cmpgt_epi32(lanes, ti_v[r]));
+                let e = load8(ap.add(r * t + j), j + 8 > t, in_row);
+                let p = _mm256_andnot_ps(dead, _mm256_mul_ps(e, sum_v[r]));
+                store8(ap.add(r * t + j), j + 8 > t, in_row, p);
+            }
+        }
+
+        for ti in ti0..ti0 + N {
+            let masked = ti * t + end.min(t)..(ti + 1) * t;
+            pre[masked.clone()].fill(0.0);
+            att[masked].fill(0.0);
+        }
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -901,50 +910,41 @@ mod arch {
     //! backend's win is the matmul path.
 
     use super::{Backend, SCALAR_REF};
+    use crate::ops::Tile;
     use core::arch::aarch64::*;
 
-    const KC: usize = 256;
+    /// NEON is mandatory on aarch64.
+    pub(super) fn require_simd() {}
 
-    pub(super) fn gemm_nn(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        // SAFETY: NEON is mandatory on aarch64; bounds checked by caller.
-        unsafe { gemm_nn_neon(m, k, n, alpha, a, b, c) }
-    }
+    /// The NEON register tile: 4x8, two 4-lane accumulators per row, the
+    /// last rows of a ragged `m` through the same loop at 1 to 3 rows.
+    pub(super) struct RegisterTile;
 
-    pub(super) fn gemm_tn(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        // SAFETY: as above.
-        unsafe { gemm_tn_neon(m, k, n, alpha, a, b, c) }
-    }
+    impl Tile for RegisterTile {
+        const MR: usize = 4;
+        const NR: usize = 8;
 
-    pub(super) fn gemm_nt(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (j, cv) in c_row.iter_mut().enumerate() {
-                *cv += alpha * dot(a_row, &b[j * k..(j + 1) * k]);
+        unsafe fn tile(
+            rows: usize,
+            kc: usize,
+            a: *const f32,
+            rs_a: usize,
+            cs_a: usize,
+            panel: *const f32,
+            ldp: usize,
+            c: *mut f32,
+            ldc: usize,
+            alpha: f32,
+            store: bool,
+        ) {
+            // SAFETY: the caller's contract, passed on unchanged.
+            unsafe {
+                match rows {
+                    4 => tile_neon::<4>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                    3 => tile_neon::<3>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                    2 => tile_neon::<2>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                    _ => tile_neon::<1>(kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store),
+                }
             }
         }
     }
@@ -994,173 +994,43 @@ mod arch {
         SCALAR_REF.softmax_row(probs, logits);
     }
 
-    /// `C += alpha * A B`: 4x8 register tile of 4-lane accumulators,
-    /// zero-initialized per k-block and merged with one FMA per lane.
-    unsafe fn gemm_nn_neon(
-        m: usize,
-        k: usize,
-        n: usize,
+    /// [`Tile::tile`] at `R` rows: accumulators zeroed per call and merged
+    /// into C with one FMA per lane.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile_neon<const R: usize>(
+        kc: usize,
+        a: *const f32,
+        rs_a: usize,
+        cs_a: usize,
+        panel: *const f32,
+        ldp: usize,
+        c: *mut f32,
+        ldc: usize,
         alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
+        store: bool,
     ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let alpha_v = vdupq_n_f32(alpha);
-        let mut p0 = 0usize;
-        while p0 < k {
-            let pe = (p0 + KC).min(k);
-            let mut i = 0usize;
-            while i + 4 <= m {
-                let rows = [i * k, (i + 1) * k, (i + 2) * k, (i + 3) * k];
-                let mut j = 0usize;
-                while j + 8 <= n {
-                    let mut acc = [[vdupq_n_f32(0.0); 2]; 4];
-                    for p in p0..pe {
-                        let brow = bp.add(p * n + j);
-                        let b0 = vld1q_f32(brow);
-                        let b1 = vld1q_f32(brow.add(4));
-                        for (accr, &row) in acc.iter_mut().zip(&rows) {
-                            let s = vdupq_n_f32(*ap.add(row + p));
-                            accr[0] = vfmaq_f32(accr[0], s, b0);
-                            accr[1] = vfmaq_f32(accr[1], s, b1);
-                        }
-                    }
-                    for (r, accr) in acc.iter().enumerate() {
-                        let crow = cp.add((i + r) * n + j);
-                        vst1q_f32(crow, vfmaq_f32(vld1q_f32(crow), alpha_v, accr[0]));
-                        vst1q_f32(
-                            crow.add(4),
-                            vfmaq_f32(vld1q_f32(crow.add(4)), alpha_v, accr[1]),
-                        );
-                    }
-                    j += 8;
-                }
-                while j < n {
-                    for (r, &row) in rows.iter().enumerate() {
-                        let mut s = 0.0f32;
-                        for p in p0..pe {
-                            s += *ap.add(row + p) * *bp.add(p * n + j);
-                        }
-                        *cp.add((i + r) * n + j) += alpha * s;
-                    }
-                    j += 1;
-                }
-                i += 4;
+        let mut acc = [[vdupq_n_f32(0.0); 2]; R];
+        for p in 0..kc {
+            let brow = panel.add(p * ldp);
+            let b0 = vld1q_f32(brow);
+            let b1 = vld1q_f32(brow.add(4));
+            let acol = a.add(p * cs_a);
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let s = vdupq_n_f32(*acol.add(r * rs_a));
+                accr[0] = vfmaq_f32(accr[0], s, b0);
+                accr[1] = vfmaq_f32(accr[1], s, b1);
             }
-            while i < m {
-                let row = i * k;
-                let mut j = 0usize;
-                while j + 4 <= n {
-                    let mut acc = vdupq_n_f32(0.0);
-                    for p in p0..pe {
-                        acc = vfmaq_f32(
-                            acc,
-                            vdupq_n_f32(*ap.add(row + p)),
-                            vld1q_f32(bp.add(p * n + j)),
-                        );
-                    }
-                    let crow = cp.add(i * n + j);
-                    vst1q_f32(crow, vfmaq_f32(vld1q_f32(crow), alpha_v, acc));
-                    j += 4;
-                }
-                while j < n {
-                    let mut s = 0.0f32;
-                    for p in p0..pe {
-                        s += *ap.add(row + p) * *bp.add(p * n + j);
-                    }
-                    *cp.add(i * n + j) += alpha * s;
-                    j += 1;
-                }
-                i += 1;
-            }
-            p0 = pe;
         }
-    }
-
-    /// `C += alpha * A^T B` with physical `A: (k, m)`.
-    unsafe fn gemm_tn_neon(
-        m: usize,
-        k: usize,
-        n: usize,
-        alpha: f32,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-    ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
         let alpha_v = vdupq_n_f32(alpha);
-        let mut p0 = 0usize;
-        while p0 < k {
-            let pe = (p0 + KC).min(k);
-            let mut i = 0usize;
-            while i + 4 <= m {
-                let mut j = 0usize;
-                while j + 8 <= n {
-                    let mut acc = [[vdupq_n_f32(0.0); 2]; 4];
-                    for p in p0..pe {
-                        let brow = bp.add(p * n + j);
-                        let b0 = vld1q_f32(brow);
-                        let b1 = vld1q_f32(brow.add(4));
-                        let arow = ap.add(p * m + i);
-                        for (r, accr) in acc.iter_mut().enumerate() {
-                            let s = vdupq_n_f32(*arow.add(r));
-                            accr[0] = vfmaq_f32(accr[0], s, b0);
-                            accr[1] = vfmaq_f32(accr[1], s, b1);
-                        }
-                    }
-                    for (r, accr) in acc.iter().enumerate() {
-                        let crow = cp.add((i + r) * n + j);
-                        vst1q_f32(crow, vfmaq_f32(vld1q_f32(crow), alpha_v, accr[0]));
-                        vst1q_f32(
-                            crow.add(4),
-                            vfmaq_f32(vld1q_f32(crow.add(4)), alpha_v, accr[1]),
-                        );
-                    }
-                    j += 8;
-                }
-                while j < n {
-                    for r in 0..4 {
-                        let mut s = 0.0f32;
-                        for p in p0..pe {
-                            s += *ap.add(p * m + i + r) * *bp.add(p * n + j);
-                        }
-                        *cp.add((i + r) * n + j) += alpha * s;
-                    }
-                    j += 1;
-                }
-                i += 4;
-            }
-            while i < m {
-                let mut j = 0usize;
-                while j + 4 <= n {
-                    let mut acc = vdupq_n_f32(0.0);
-                    for p in p0..pe {
-                        acc = vfmaq_f32(
-                            acc,
-                            vdupq_n_f32(*ap.add(p * m + i)),
-                            vld1q_f32(bp.add(p * n + j)),
-                        );
-                    }
-                    let crow = cp.add(i * n + j);
-                    vst1q_f32(crow, vfmaq_f32(vld1q_f32(crow), alpha_v, acc));
-                    j += 4;
-                }
-                while j < n {
-                    let mut s = 0.0f32;
-                    for p in p0..pe {
-                        s += *ap.add(p * m + i) * *bp.add(p * n + j);
-                    }
-                    *cp.add(i * n + j) += alpha * s;
-                    j += 1;
-                }
-                i += 1;
-            }
-            p0 = pe;
+        for (r, accr) in acc.iter().enumerate() {
+            let crow = c.add(r * ldc);
+            let (c0, c1) = if store {
+                (vdupq_n_f32(0.0), vdupq_n_f32(0.0))
+            } else {
+                (vld1q_f32(crow), vld1q_f32(crow.add(4)))
+            };
+            vst1q_f32(crow, vfmaq_f32(c0, alpha_v, accr[0]));
+            vst1q_f32(crow.add(4), vfmaq_f32(c1, alpha_v, accr[1]));
         }
     }
 
@@ -1235,6 +1105,7 @@ mod arch {
 mod tests {
     use super::*;
     use crate::backend::simd_available;
+    use crate::ops::gemm_serial;
     use crate::SeedStream;
 
     fn randv(n: usize, seed: u64) -> Vec<f32> {
@@ -1268,24 +1139,18 @@ mod tests {
         ] {
             let a = randv(m * k, 1);
             let b = randv(k * n, 2);
-            let spec = Gemm::new(m, k, n).alpha(0.75);
-            for (name, run) in [("nn", 0usize), ("nt", 1), ("tn", 2)] {
+            let base = Gemm::new(m, k, n).alpha(0.75).beta(1.0);
+            let layouts = [
+                ("nn", base),
+                ("nt", base.transpose_b()),
+                ("tn", base.transpose_a()),
+                ("tt", base.transpose_a().transpose_b()),
+            ];
+            for (name, spec) in layouts {
                 let mut c1 = randv(m * n, 3);
                 let mut c2 = c1.clone();
-                match run {
-                    0 => {
-                        sc.gemm_nn(spec, &a, &b, &mut c1);
-                        sd.gemm_nn(spec, &a, &b, &mut c2);
-                    }
-                    1 => {
-                        sc.gemm_nt(spec, &a, &b, &mut c1);
-                        sd.gemm_nt(spec, &a, &b, &mut c2);
-                    }
-                    _ => {
-                        sc.gemm_tn(spec, &a, &b, &mut c1);
-                        sd.gemm_tn(spec, &a, &b, &mut c2);
-                    }
-                }
+                gemm_serial(&sc, spec, &a, &b, &mut c1);
+                gemm_serial(&sd, spec, &a, &b, &mut c2);
                 for (x, y) in c1.iter().zip(&c2) {
                     assert!(
                         (x - y).abs() <= 1e-3 * 1.0f32.max(x.abs()),
@@ -1320,6 +1185,37 @@ mod tests {
     }
 
     #[test]
+    fn simd_causal_softmax_matches_the_row_loop() {
+        if !simd_available() {
+            return;
+        }
+        // Every block size up to five vectors: rows that end inside, at and
+        // past a vector, ragged row ends, and NaN above the diagonal on entry.
+        for t in 1..=41 {
+            let mut pre_simd = randv(t * t, t as u64);
+            for (i, v) in pre_simd.iter_mut().enumerate() {
+                if i % t > i / t {
+                    *v = f32::NAN;
+                }
+            }
+            let mut pre_ref = pre_simd.clone();
+            let (mut att_simd, mut att_ref) = (vec![f32::NAN; t * t], vec![f32::NAN; t * t]);
+            SimdBackend.causal_softmax(&mut att_simd, &mut pre_simd, t, 0.25, 0.0625);
+            ScalarBackend.causal_softmax(&mut att_ref, &mut pre_ref, t, 0.25, 0.0625);
+            // The bias is the same three IEEE operations on both sides.
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&pre_simd), bits(&pre_ref), "t = {t}");
+            assert_close(&att_simd, &att_ref, 1e-5);
+            for (i, v) in att_simd.iter().enumerate() {
+                assert!(
+                    i % t <= i / t || v.to_bits() == 0,
+                    "t = {t}: att[{i}] = {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn simd_gelu_matches_scalar() {
         if !simd_available() {
             return;
@@ -1333,8 +1229,8 @@ mod tests {
         ScalarBackend.gelu(&mut y_ref, &x);
         assert_close(&y_simd, &y_ref, 1e-4);
 
-        let mut d_simd = vec![0.1f32; x.len()];
-        let mut d_ref = vec![0.1f32; x.len()];
+        let mut d_simd = vec![f32::NAN; x.len()];
+        let mut d_ref = vec![f32::NAN; x.len()];
         sd.gelu_grad(&mut d_simd, &x, &dy);
         ScalarBackend.gelu_grad(&mut d_ref, &x, &dy);
         assert_close(&d_simd, &d_ref, 1e-4);

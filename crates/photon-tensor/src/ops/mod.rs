@@ -9,10 +9,13 @@ mod elementwise;
 mod gemm;
 pub mod pool;
 mod reduce;
+mod window;
 
 pub use elementwise::{
     add_bias_rows, add_inplace, axpy, clip_inplace, copy_from, lerp_inplace, mul_inplace, scale,
     sub_inplace,
 };
-pub use gemm::{gemm, gemm_auto, gemm_serial, par_gemm, transpose_into, Gemm};
+pub(crate) use gemm::{drive, scale_beta, Tile};
+pub use gemm::{gemm, gemm_auto, gemm_serial, par_gemm, Gemm};
 pub use reduce::{argmax, dot, l2_norm, max_abs, max_abs_diff, mean, sum};
+pub use window::Window;

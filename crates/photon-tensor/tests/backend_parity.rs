@@ -9,7 +9,7 @@
 //! runs, so `PHOTON_BACKEND=simd` CI jobs skip cleanly on such machines.
 
 use photon_tensor::backend::{by_kind, BackendKind};
-use photon_tensor::ops::Gemm;
+use photon_tensor::ops::{gemm_serial, Gemm};
 use photon_tensor::{bf16_from_f32, bf16_to_f32, SeedStream};
 use proptest::prelude::*;
 
@@ -23,12 +23,12 @@ fn randn(rng: &mut SeedStream, n: usize) -> Vec<f32> {
 }
 
 proptest! {
-    /// All three GEMM layouts agree between backends, with a tolerance
+    /// All four GEMM layouts agree between backends, with a tolerance
     /// that grows with the reduction length k.
     #[test]
     fn gemm_layouts_match(
         m in 1usize..24, k in 1usize..48, n in 1usize..24,
-        layout in 0u8..3,
+        layout in 0u8..4,
         seed in any::<u64>(),
     ) {
         let scalar = by_kind(BackendKind::Scalar);
@@ -39,25 +39,15 @@ proptest! {
         let spec = match layout {
             0 => Gemm::new(m, k, n),
             1 => Gemm::new(m, k, n).transpose_a(),
-            _ => Gemm::new(m, k, n).transpose_b(),
+            2 => Gemm::new(m, k, n).transpose_b(),
+            _ => Gemm::new(m, k, n).transpose_a().transpose_b(),
         }
-        .alpha(0.5);
+        .alpha(0.5)
+        .beta(1.0);
         let mut c_s = vec![0.1; m * n];
         let mut c_v = vec![0.1; m * n];
-        match layout {
-            0 => {
-                scalar.gemm_nn(spec, &a, &b, &mut c_s);
-                simd.gemm_nn(spec, &a, &b, &mut c_v);
-            }
-            1 => {
-                scalar.gemm_tn(spec, &a, &b, &mut c_s);
-                simd.gemm_tn(spec, &a, &b, &mut c_v);
-            }
-            _ => {
-                scalar.gemm_nt(spec, &a, &b, &mut c_s);
-                simd.gemm_nt(spec, &a, &b, &mut c_v);
-            }
-        }
+        gemm_serial(scalar, spec, &a, &b, &mut c_s);
+        gemm_serial(simd, spec, &a, &b, &mut c_v);
         let tol = 1e-5 * (k as f32).sqrt().max(1.0) * 8.0;
         for (s, v) in c_s.iter().zip(&c_v) {
             prop_assert!(close(*s, *v, tol), "{s} vs {v} (k={k})");

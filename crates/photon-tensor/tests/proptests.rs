@@ -256,3 +256,157 @@ fn proxy_model_gemm_bits_are_pinned() {
         assert_eq!(got, want, "{name} under {kind:?}: computed {got:#018x}");
     }
 }
+
+/// One strided GEMM problem: physical operands padded out to their leading
+/// dimensions, `C` with a gap after every row and spare rows after the last.
+struct Strided {
+    spec: ops::Gemm,
+    a: Vec<f32>,
+    b: Vec<f32>,
+    c: Vec<f32>,
+}
+
+/// What every float of `C` outside the `(m, n)` window must still hold.
+const CANARY: f32 = -7777.25;
+
+impl Strided {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        (m, k, n): (usize, usize, usize),
+        (trans_a, trans_b): (bool, bool),
+        (pad_a, pad_b, pad_c): (usize, usize, usize),
+        alpha: f32,
+        beta: f32,
+        seed: u64,
+    ) -> Self {
+        let mut rng = SeedStream::new(seed);
+        let mut spec = ops::Gemm::new(m, k, n).alpha(alpha).beta(beta);
+        if trans_a {
+            spec = spec.transpose_a();
+        }
+        if trans_b {
+            spec = spec.transpose_b();
+        }
+        let spec = spec
+            .lda(spec.lda + pad_a)
+            .ldb(spec.ldb + pad_b)
+            .ldc(n + pad_c);
+        let (a_rows, b_rows) = (if trans_a { k } else { m }, if trans_b { n } else { k });
+        let a = (0..a_rows * spec.lda).map(|_| rng.next_normal()).collect();
+        let b = (0..b_rows * spec.ldb).map(|_| rng.next_normal()).collect();
+        // beta = 0 must overwrite whatever the window held, NaN included.
+        let mut c = vec![CANARY; (m + 2) * spec.ldc];
+        for row in c.chunks_exact_mut(spec.ldc).take(m) {
+            for v in &mut row[..n] {
+                *v = if beta == 0.0 {
+                    f32::NAN
+                } else {
+                    rng.next_normal()
+                };
+            }
+        }
+        Strided { spec, a, b, c }
+    }
+
+    fn a_at(&self, i: usize, p: usize) -> f32 {
+        let s = &self.spec;
+        self.a[if s.trans_a {
+            p * s.lda + i
+        } else {
+            i * s.lda + p
+        }]
+    }
+
+    fn b_at(&self, p: usize, j: usize) -> f32 {
+        let s = &self.spec;
+        self.b[if s.trans_b {
+            j * s.ldb + p
+        } else {
+            p * s.ldb + j
+        }]
+    }
+
+    /// Whether the scalar backend sums this problem as four-chain dots: a
+    /// small `A Bᵀ` on dense operands, pinned by the golden digests.
+    fn is_dot_form(&self) -> bool {
+        let s = &self.spec;
+        let small = s.m < 8 || 2 * s.m * s.k * s.n < 1 << 16;
+        !s.trans_a && s.trans_b && s.lda == s.k && s.ldb == s.k && small
+    }
+
+    /// The scalar backend's result, bit for bit: each element starts from
+    /// `beta * c` (zero for `beta = 0`) and adds `(alpha * a[i, p]) * b[p, j]`
+    /// over ascending `p` — or `alpha` times a four-chain dot in the dot form.
+    fn reference(&self) -> Vec<f32> {
+        let s = &self.spec;
+        let mut want = self.c.clone();
+        for i in 0..s.m {
+            for j in 0..s.n {
+                let at = i * s.ldc + j;
+                let mut acc = match s.beta {
+                    0.0 => 0.0,
+                    1.0 => want[at],
+                    beta => want[at] * beta,
+                };
+                if self.is_dot_form() {
+                    let mut chains = [0.0f32; 5];
+                    for p in 0..s.k {
+                        let chain = if p < s.k - s.k % 4 { p % 4 } else { 4 };
+                        chains[chain] += self.a_at(i, p) * self.b_at(p, j);
+                    }
+                    let dot = (chains[0] + chains[1]) + (chains[2] + chains[3]) + chains[4];
+                    acc += s.alpha * dot;
+                } else {
+                    for p in 0..s.k {
+                        acc += (s.alpha * self.a_at(i, p)) * self.b_at(p, j);
+                    }
+                }
+                want[at] = acc;
+            }
+        }
+        want
+    }
+}
+
+proptest! {
+    // Four layouts x three betas x the row, column and k-block edges: the
+    // default 64 cases would leave most combinations unvisited.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every layout, edge and leading dimension of the one GEMM entry: the
+    /// scalar backend bit for bit against the ascending-`p` reference, SIMD
+    /// within the parity bound, `beta = 0` over NaN garbage, and nothing
+    /// outside the `(m, n)` window of `C` touched.
+    #[test]
+    fn strided_gemm_matches_the_reference_and_stays_in_its_window(
+        m in 1usize..20,
+        k in prop_oneof![1usize..40, 250usize..262, 300usize..301, 513usize..514],
+        n in prop_oneof![1usize..36, 47usize..50],
+        layout in (any::<bool>(), any::<bool>()),
+        pads in (0usize..4, 0usize..4, 0usize..4),
+        alpha in 0usize..2,
+        beta in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        use photon_tensor::backend::{by_kind, BackendKind};
+        let (alpha, beta) = ([1.0, 0.125][alpha], [0.0, 1.0, 0.5][beta]);
+        let problem = Strided::new((m, k, n), layout, pads, alpha, beta, seed);
+        let (spec, want) = (problem.spec, problem.reference());
+        for kind in [BackendKind::Scalar, BackendKind::Simd] {
+            let mut c = problem.c.clone();
+            ops::gemm_serial(by_kind(kind), spec, &problem.a, &problem.b, &mut c);
+            let tol = 1e-5 * (k as f32).sqrt().max(1.0) * 8.0;
+            for (at, (&got, &want)) in c.iter().zip(&want).enumerate() {
+                let inside = at / spec.ldc < m && at % spec.ldc < n;
+                let ok = match kind {
+                    _ if !inside => got.to_bits() == CANARY.to_bits(),
+                    BackendKind::Scalar => got.to_bits() == want.to_bits(),
+                    BackendKind::Simd => {
+                        (got - want).abs() <= tol * got.abs().max(want.abs()).max(1.0)
+                    }
+                };
+                prop_assert!(ok, "{kind:?} {spec:?} at {at}: {got} vs {want}");
+            }
+        }
+    }
+}
