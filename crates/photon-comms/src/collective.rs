@@ -69,11 +69,6 @@ impl RingWorker {
         self.rank
     }
 
-    /// Group size.
-    pub fn group_size(&self) -> usize {
-        self.n
-    }
-
     /// Total payload bytes this worker has sent (4 bytes per element).
     pub fn bytes_sent(&self) -> usize {
         self.bytes_sent

@@ -1599,6 +1599,7 @@ mod tests {
             chunks: 6,
             width: 4,
             backend: Some(photon_tensor::backend::BackendKind::Scalar),
+            ..pool::Context::current()
         };
         let seen = outer.enter(|| on_lanes(vec![(); 2], 2, |()| pool::Context::current()));
         assert_eq!(seen, Some(vec![outer.lanes(2); 2]));

@@ -202,7 +202,7 @@ impl LlmClient {
                 .into_iter()
                 .enumerate()
                 .map(|(node, stream)| {
-                    let ddp_cfg = &ddp_cfg;
+                    let (ddp_cfg, ctx) = (&ddp_cfg, &ctx);
                     scope.spawn(move || {
                         if panic_scheduled && node == 0 {
                             panic!("injected sub-federation node fault (client {client_id}, round {round})");

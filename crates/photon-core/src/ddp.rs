@@ -129,6 +129,7 @@ pub fn ddp_train(
                 .into_iter()
                 .zip(ring_allreduce_group(n))
                 .map(|(stream, ring)| {
+                    let ctx = &ctx;
                     scope.spawn(move || ctx.enter(|| replica(stream, Some(ring))))
                 })
                 .collect();
@@ -251,7 +252,7 @@ mod tests {
             let out = pool::Context {
                 chunks: 4,
                 width,
-                backend: None,
+                ..pool::Context::current()
             }
             .enter(|| ddp_train(&params, &cfg, streams(n, 200, 3)));
             (out, spawned() - before)

@@ -729,11 +729,6 @@ impl FaultPlan {
         self.partitions.state(round, client)
     }
 
-    /// Whether a partition window heals exactly at `round`.
-    pub fn partition_heals_at(&self, round: u64) -> bool {
-        self.partitions.heals_at(round)
-    }
-
     /// Number of cells scheduled to lose transmissions.
     pub fn link_loss_count(&self) -> usize {
         self.link_losses.len()

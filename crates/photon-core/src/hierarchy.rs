@@ -181,11 +181,6 @@ impl ShardTree {
         self.cfg.shards - self.dead.len()
     }
 
-    /// Whether `shard` has crashed.
-    pub fn is_dead(&self, shard: u32) -> bool {
-        self.dead.contains(&shard)
-    }
-
     /// A client's home shard (ignoring crashes): `id % shards`.
     pub fn home_shard(&self, client: u32) -> u32 {
         client % self.cfg.shards as u32

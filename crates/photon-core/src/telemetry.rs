@@ -8,7 +8,7 @@
 //! Since the observability pass, the hub's fault/guard/churn tallies are
 //! backed by a [`photon_trace::CounterSet`]: every `record_*` call bumps a
 //! named counter in the instance-local set **and** mirrors the same
-//! increment into the global trace recorder (a no-op when tracing is
+//! increment into the thread's trace recorder (a no-op when tracing is
 //! disabled), so the Prometheus snapshot and the CLI summary read from one
 //! source of truth. [`FaultCounters`] remains the stable serialized view,
 //! assembled from counter names on demand.
@@ -232,8 +232,9 @@ struct Inner {
     compute_threads: usize,
     counters: photon_trace::CounterSet,
     /// Observed per-delivery simulated latencies (network model runs
-    /// only), kept sorted lazily for the p50/p99 metrics surface.
-    link_latencies_ms: Vec<u64>,
+    /// only) as a multiset, latency → deliveries, for the p50/p99 metrics
+    /// surface: bounded by the distinct latencies, not the deliveries.
+    link_latencies_ms: BTreeMap<u64, u64>,
     /// Per-client transport reconnect counts (multi-process runs only) —
     /// the operator's view of which workers flap.
     reconnects_by_client: BTreeMap<u32, u64>,
@@ -241,7 +242,7 @@ struct Inner {
 
 impl Inner {
     /// Bumps a named counter locally and mirrors the increment into the
-    /// global trace recorder (no-op when tracing is disabled).
+    /// thread's trace recorder (no-op when tracing is disabled).
     fn bump(&mut self, name: &'static str, by: u64) {
         if by == 0 {
             return;
@@ -386,7 +387,12 @@ impl Telemetry {
     /// Records one delivery's total simulated latency (in-flight time plus
     /// backoff and reorder delay) for the p50/p99 metrics surface.
     pub fn record_link_latency(&self, latency_ms: u64) {
-        self.inner.write().link_latencies_ms.push(latency_ms);
+        *self
+            .inner
+            .write()
+            .link_latencies_ms
+            .entry(latency_ms)
+            .or_insert(0) += 1;
     }
 
     /// Records one transport reconnect by `client` and whether it resumed
@@ -449,26 +455,27 @@ impl Telemetry {
     /// The `q`-quantile (`0.0..=1.0`) of observed per-delivery simulated
     /// latencies; `None` before any delivery was recorded.
     pub fn link_latency_quantile(&self, q: f64) -> Option<u64> {
+        let count = self.link_latency_count().checked_sub(1)?;
+        // The index the sorted list of deliveries would be read at.
+        let idx = ((count as f64 * q.clamp(0.0, 1.0)).round() as u64).min(count as u64);
+        let mut below = 0;
         let inner = self.inner.read();
-        if inner.link_latencies_ms.is_empty() {
-            return None;
-        }
-        let mut sorted = inner.link_latencies_ms.clone();
-        sorted.sort_unstable();
-        let idx = (((sorted.len() - 1) as f64) * q.clamp(0.0, 1.0)).round() as usize;
-        Some(sorted[idx.min(sorted.len() - 1)])
+        inner.link_latencies_ms.iter().find_map(|(&ms, &n)| {
+            below += n;
+            (idx < below).then_some(ms)
+        })
     }
 
     /// Number of deliveries with a recorded simulated latency.
     pub fn link_latency_count(&self) -> usize {
-        self.inner.read().link_latencies_ms.len()
+        self.inner.read().link_latencies_ms.values().sum::<u64>() as usize
     }
 
     /// Marks `round` as *committed*: it completed and its aggregated
     /// update was applied (not neutralized by a watchdog rollback).
     /// Idempotent per round, so a replay after recovery counts once.
     ///
-    /// Deliberately NOT mirrored into the global trace recorder: recovery
+    /// Deliberately NOT mirrored into the trace recorder: recovery
     /// re-seeds the committed prefix on every rebuilt federation, which
     /// would inflate a cumulative counter; the recovery driver publishes
     /// the commit count as a gauge instead.
@@ -691,6 +698,19 @@ mod tests {
         assert_eq!(t.link_latency_quantile(0.5), Some(30));
         assert_eq!(t.link_latency_quantile(0.0), Some(10));
         assert_eq!(t.link_latency_quantile(1.0), Some(50));
+
+        // 10^5 deliveries: every quantile equals the sorted list's.
+        let t = Telemetry::new();
+        let mut sorted: Vec<u64> = (0..100_000u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 53)
+            .collect();
+        sorted.iter().for_each(|&ms| t.record_link_latency(ms));
+        sorted.sort_unstable();
+        assert_eq!(t.link_latency_count(), sorted.len());
+        for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            let idx = (((sorted.len() - 1) as f64) * q).round() as usize;
+            assert_eq!(t.link_latency_quantile(q), Some(sorted[idx]), "q = {q}");
+        }
     }
 
     #[test]

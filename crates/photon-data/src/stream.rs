@@ -28,11 +28,6 @@ impl Batch {
             targets: vec![0; batch * seq],
         }
     }
-
-    /// Number of supervised tokens in the batch.
-    pub fn token_count(&self) -> usize {
-        self.batch * self.seq
-    }
 }
 
 /// An endless source of training batches — Photon's DS-to-client stream.

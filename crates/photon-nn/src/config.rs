@@ -57,11 +57,6 @@ impl ModelConfig {
         assert!(self.seq_len > 0, "seq_len must be positive");
     }
 
-    /// Dimension of one attention head.
-    pub fn head_dim(&self) -> usize {
-        self.d_model / self.n_heads
-    }
-
     /// Hidden dimension of the MLP.
     pub fn mlp_dim(&self) -> usize {
         self.exp_ratio * self.d_model

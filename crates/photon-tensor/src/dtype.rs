@@ -84,12 +84,6 @@ pub fn bf16_to_f32(h: u16) -> f32 {
     f32::from_bits((h as u32) << 16)
 }
 
-/// Encodes a slice through bf16 and back, yielding what a decoder on the
-/// other end of the wire (or a checkpoint restore) will see.
-pub fn bf16_round_trip(xs: &[f32]) -> Vec<f32> {
-    xs.iter().map(|&x| bf16_to_f32(bf16_from_f32(x))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

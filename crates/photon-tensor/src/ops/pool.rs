@@ -41,7 +41,10 @@
 //! sub-federation nodes take [`Context::split`] (both divided: a 8-thread
 //! budget over 4 replicas gives each 2 chunks on 2 threads). A spawned
 //! thread starts with empty thread-locals, so the spawner captures
-//! [`Context::current`] and the thread [`Context::enter`]s it. Tasks
+//! [`Context::current`] and the thread [`Context::enter`]s it — which also
+//! hands it the spawner's backend override and trace scope (recorder and
+//! actor lane), so a replica's kernel spans land in its round's recorder
+//! on its client's lane. Tasks
 //! already running *on* a pool worker never fan out again
 //! ([`effective_parallelism`] reports `1` there), which makes pool-waiting
 //! deadlocks impossible by construction.
@@ -189,12 +192,12 @@ pub fn with_parallelism<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// What a thread computes under: the chunk count its kernels split by, the
-/// execution width its batches may occupy, and its
-/// [`backend::with_backend`] override (see the module docs, "Nested
+/// execution width its batches may occupy, its [`backend::with_backend`]
+/// override and its trace scope (see the module docs, "Nested
 /// parallelism"). Thread-local; a driver that spawns threads captures
 /// [`Context::current`], divides it, and has each thread [`Context::enter`]
 /// its share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Context {
     /// What [`effective_parallelism`] reports. Part of the numerical
     /// contract.
@@ -204,6 +207,9 @@ pub struct Context {
     pub width: usize,
     /// The scoped backend override, inherited as captured.
     pub backend: Option<BackendKind>,
+    /// The recorder and actor lane trace calls reach, inherited as
+    /// captured.
+    pub trace: photon_trace::Scope,
 }
 
 impl Context {
@@ -220,21 +226,22 @@ impl Context {
                 max_threads()
             },
             backend: backend::scoped_kind(),
+            trace: photon_trace::Scope::current(),
         }
     }
 
     /// The share of each of `n` concurrent threads whose results must not
     /// depend on `n`: the width is divided, the chunk count is kept.
-    pub fn lanes(self, n: usize) -> Self {
+    pub fn lanes(&self, n: usize) -> Self {
         Context {
             width: (self.width / n.max(1)).max(1),
-            ..self
+            ..self.clone()
         }
     }
 
     /// The share of each of `n` concurrent replicas: chunk count and width
     /// are both divided, so `n` is part of the replicas' arithmetic.
-    pub fn split(self, n: usize) -> Self {
+    pub fn split(&self, n: usize) -> Self {
         Context {
             chunks: (self.chunks / n.max(1)).max(1),
             ..self.lanes(n)
@@ -243,7 +250,7 @@ impl Context {
 
     /// Runs `f` under this context (a zero count is taken as 1), restoring
     /// the thread's previous one afterwards — also on panic.
-    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
         struct Restore(usize, usize, Option<BackendKind>);
         impl Drop for Restore {
             fn drop(&mut self) {
@@ -257,7 +264,7 @@ impl Context {
             WIDTH.with(|w| w.replace(self.width.max(1))),
             backend::set_scoped_kind(self.backend),
         );
-        f()
+        self.trace.enter(f)
     }
 }
 
@@ -498,11 +505,18 @@ mod tests {
 
     #[test]
     fn context_divides_and_is_inherited_by_entering() {
+        let recorder = photon_trace::Recorder::start(Default::default()).unwrap();
         let base = Context {
             chunks: 8,
             width: 4,
             backend: Some(BackendKind::Scalar),
+            // A recorder and an actor lane that are not the thread defaults.
+            trace: recorder.scope(|| {
+                photon_trace::set_actor(3);
+                photon_trace::Scope::current()
+            }),
         };
+        assert_ne!(base.trace, photon_trace::Scope::current());
         assert_eq!(base.lanes(2).chunks, 8, "lanes keep the chunk count");
         assert_eq!(base.lanes(2).width, 2);
         assert_eq!(base.lanes(64).width, 1, "never below one thread");

@@ -58,13 +58,6 @@ impl Tensor {
         t
     }
 
-    /// Creates a tensor with entries drawn uniformly from `[lo, hi)`.
-    pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut SeedStream) -> Self {
-        let mut t = Tensor::zeros(shape);
-        crate::uniform_fill(t.data_mut(), lo, hi, rng);
-        t
-    }
-
     /// Returns the shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -83,11 +76,6 @@ impl Tensor {
     /// Mutable view of the underlying buffer (row-major).
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Reinterprets the tensor with a new shape of equal element count.

@@ -1,9 +1,12 @@
 //! The trace clock: simulated walltime (deterministic replay) or a real
-//! monotonic clock.
+//! monotonic clock. Each [`crate::Recorder`] has its own; the free
+//! functions reach the calling thread's.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
+
+use crate::recorder::with_current;
 
 /// Which clock stamps trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -18,46 +21,65 @@ pub enum ClockMode {
     Monotonic,
 }
 
-static SIM_MODE: AtomicBool = AtomicBool::new(true);
-static SIM_NOW_US: AtomicU64 = AtomicU64::new(0);
-static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// A recorder's clock: the mode, the published simulated walltime and the
+/// monotonic epoch.
+pub(crate) struct Clock {
+    sim_mode: AtomicBool,
+    sim_now_us: AtomicU64,
+    epoch: OnceLock<Instant>,
+}
 
-pub(crate) fn set_mode(mode: ClockMode) {
-    SIM_MODE.store(mode == ClockMode::Sim, Ordering::SeqCst);
-    if mode == ClockMode::Monotonic {
-        // Re-anchor the epoch lazily on first read after enabling.
-        let _ = EPOCH.get_or_init(Instant::now);
+impl Clock {
+    pub(crate) fn new() -> Self {
+        Clock {
+            sim_mode: AtomicBool::new(true),
+            sim_now_us: AtomicU64::new(0),
+            epoch: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn set_mode(&self, mode: ClockMode) {
+        self.sim_mode
+            .store(mode == ClockMode::Sim, Ordering::SeqCst);
+        if mode == ClockMode::Monotonic {
+            // Anchor the epoch when the clock is first made monotonic.
+            let _ = self.epoch.get_or_init(Instant::now);
+        }
+    }
+
+    pub(crate) fn is_sim(&self) -> bool {
+        self.sim_mode.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn set_sim_time_us(&self, us: u64) {
+        self.sim_now_us.store(us, Ordering::SeqCst);
+    }
+
+    pub(crate) fn now_us(&self) -> u64 {
+        if self.is_sim() {
+            self.sim_now_us.load(Ordering::Relaxed)
+        } else {
+            self.epoch.get_or_init(Instant::now).elapsed().as_micros() as u64
+        }
     }
 }
 
-pub(crate) fn is_sim() -> bool {
-    SIM_MODE.load(Ordering::Relaxed)
-}
-
-/// Publishes the current simulated walltime in microseconds. Federation
-/// drivers call this at every round boundary with
-/// `SimClock::now_ms(round) * 1000`; all events recorded until the next
-/// update are stamped with this value.
+/// Publishes the current simulated walltime in microseconds to the calling
+/// thread's recorder. Federation drivers call this at every round boundary
+/// with `SimClock::now_ms(round) * 1000`; all events that recorder takes
+/// until the next update are stamped with this value.
 pub fn set_sim_time_us(us: u64) {
-    SIM_NOW_US.store(us, Ordering::SeqCst);
+    with_current(|recorder| recorder.clock.set_sim_time_us(us));
 }
 
-/// The most recently published simulated walltime in microseconds.
-pub fn sim_time_us() -> u64 {
-    SIM_NOW_US.load(Ordering::Relaxed)
-}
-
-/// The timestamp for an event recorded right now, per the active mode:
-/// the published simulated walltime under [`ClockMode::Sim`], real
-/// microseconds since tracing was enabled under [`ClockMode::Monotonic`].
-/// Distributed callers (photon-net) stamp wire-frame trace contexts with
-/// this so the receiver can estimate a cross-process clock offset.
+/// The timestamp for an event the calling thread records right now, per
+/// its recorder's mode: the published simulated walltime under
+/// [`ClockMode::Sim`], real microseconds since tracing was enabled under
+/// [`ClockMode::Monotonic`]. Distributed callers (photon-net) stamp
+/// wire-frame trace contexts with this so the receiver can estimate a
+/// cross-process clock offset.
 pub fn now_us() -> u64 {
-    if is_sim() {
-        sim_time_us()
-    } else {
-        EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
-    }
+    with_current(|recorder| recorder.clock.now_us())
 }
 
 #[cfg(test)]
@@ -66,11 +88,8 @@ mod tests {
 
     #[test]
     fn sim_time_is_what_was_published() {
-        let _guard = crate::recorder::TEST_GUARD.lock();
-        set_mode(ClockMode::Sim);
-        set_sim_time_us(42_000);
-        assert_eq!(sim_time_us(), 42_000);
-        assert_eq!(now_us(), 42_000);
-        set_sim_time_us(0);
+        let clock = Clock::new();
+        clock.set_sim_time_us(42_000);
+        assert_eq!(clock.now_us(), 42_000);
     }
 }

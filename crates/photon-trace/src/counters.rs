@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 ///
 /// Backed by a `BTreeMap` so iteration order — and therefore every sink
 /// rendering — is deterministic, and merge (per-key addition) is
-/// order-invariant. This is the same structure the global recorder
+/// order-invariant. This is the same structure a recorder
 /// aggregates into, and `photon_core::Telemetry` reuses it as its own
 /// storage so both views stay consistent by construction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

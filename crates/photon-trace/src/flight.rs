@@ -4,10 +4,10 @@
 //!
 //! The JSONL sink only sees events at flush boundaries, and a killed
 //! process loses whatever a crash interrupts; the flight recorder keeps
-//! the recent past in memory — [`crate::flush`] feeds every flushed batch
-//! into the ring — and [`flight_dump`] writes ring + still-pending events
-//! atomically, so post-mortem debugging always has the final round's
-//! spans. Lock order is collector before ring ([`crate::flush`] holds the
+//! the recent past in memory — the process default recorder's
+//! [`crate::flush`] feeds every flushed batch into the ring — and
+//! [`flight_dump`] writes ring + still-pending events atomically, so
+//! post-mortem debugging always has the final round's spans. Lock order is collector before ring ([`crate::flush`] holds the
 //! collector lock while feeding the ring; the dump path snapshots the
 //! collector first), so the two paths cannot deadlock.
 
@@ -30,6 +30,41 @@ struct FlightState {
     meta: Option<String>,
 }
 
+impl FlightState {
+    fn new(path: &Path) -> Self {
+        FlightState {
+            path: path.to_path_buf(),
+            ring: VecDeque::with_capacity(128),
+            meta: None,
+        }
+    }
+
+    fn note_events(&mut self, batch: &[Event]) {
+        for event in batch {
+            if self.ring.len() == FLIGHT_RING_CAP {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(event.clone());
+        }
+    }
+
+    /// Writes the ring, then `pending`, to the armed path, atomically.
+    fn dump(&self, pid: u32, meta: Option<String>, pending: &[Event]) -> io::Result<PathBuf> {
+        let mut text = String::new();
+        if let Some(line) = self.meta.as_ref().or(meta.as_ref()) {
+            text.push_str(line);
+            text.push('\n');
+        }
+        for event in self.ring.iter().chain(pending) {
+            text.push_str(&event.to_json_line_with_pid(pid));
+            text.push('\n');
+        }
+        atomic_write(&self.path, &text)?;
+        Ok(self.path.clone())
+    }
+}
+
+/// The process's flight ring, fed by the process default recorder.
 static FLIGHT: Mutex<Option<FlightState>> = Mutex::new(None);
 
 /// Arms the flight recorder: recent events are retained in a bounded ring
@@ -39,66 +74,42 @@ pub fn flight_init(path: &Path) {
     let mut guard = FLIGHT.lock();
     match guard.as_mut() {
         Some(state) => state.path = path.to_path_buf(),
-        None => {
-            *guard = Some(FlightState {
-                path: path.to_path_buf(),
-                ring: VecDeque::with_capacity(128),
-                meta: None,
-            });
-        }
+        None => *guard = Some(FlightState::new(path)),
     }
 }
 
 /// Feeds a flushed batch into the ring (no-op until [`flight_init`]).
 pub(crate) fn note_events(batch: &[Event]) {
-    let mut guard = FLIGHT.lock();
-    let Some(state) = guard.as_mut() else {
-        return;
-    };
-    for event in batch {
-        if state.ring.len() == FLIGHT_RING_CAP {
-            state.ring.pop_front();
-        }
-        state.ring.push_back(event.clone());
+    if let Some(state) = FLIGHT.lock().as_mut() {
+        state.note_events(batch);
     }
 }
 
 /// Records the most recent `process_meta` line (no-op until
 /// [`flight_init`]).
 pub(crate) fn note_meta(line: String) {
-    let mut guard = FLIGHT.lock();
-    if let Some(state) = guard.as_mut() {
+    if let Some(state) = FLIGHT.lock().as_mut() {
         state.meta = Some(line);
     }
 }
 
-/// Dumps the flight ring plus every drained-but-unflushed event to the
-/// armed path, atomically. Returns the path written, or `None` when
-/// [`flight_init`] was never called. Safe to call at any point — the dump
-/// is non-consuming, so a process that survives keeps flushing normally.
+/// Dumps the flight ring plus every event the process default recorder
+/// has drained but not flushed to the armed path, atomically. Returns the
+/// path written, or `None` when [`flight_init`] was never called. Safe to
+/// call at any point — the dump is non-consuming, so a process that
+/// survives keeps flushing normally.
 ///
 /// # Errors
 /// Propagates I/O errors from the atomic write.
 pub fn flight_dump() -> io::Result<Option<PathBuf>> {
     // Snapshot the collector before taking the ring lock (lock order:
     // collector, then ring).
-    let (pid, meta, pending) = crate::recorder::flight_snapshot();
+    let (pid, meta, pending) = crate::recorder::default_recorder().flight_snapshot();
     let guard = FLIGHT.lock();
-    let Some(state) = guard.as_ref() else {
-        return Ok(None);
-    };
-    let mut text = String::new();
-    if let Some(line) = state.meta.as_ref().or(meta.as_ref()) {
-        text.push_str(line);
-        text.push('\n');
-    }
-    for event in state.ring.iter().chain(pending.iter()) {
-        text.push_str(&event.to_json_line_with_pid(pid));
-        text.push('\n');
-    }
-    let path = state.path.clone();
-    atomic_write(&path, &text)?;
-    Ok(Some(path))
+    guard
+        .as_ref()
+        .map(|state| state.dump(pid, meta, &pending))
+        .transpose()
 }
 
 /// Chains a panic hook that dumps the flight ring before the default
@@ -136,15 +147,13 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_dump_writes_jsonl() {
-        let _guard = crate::recorder::TEST_GUARD.lock();
-        crate::reset_for_tests();
         let dir = std::env::temp_dir().join(format!("photon-flight-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("flight-test.jsonl");
-        flight_init(&path);
+        let mut state = FlightState::new(&path);
         let batch: Vec<Event> = (0..FLIGHT_RING_CAP as u64 + 10).map(|i| mk(i, i)).collect();
-        note_events(&batch);
-        let written = flight_dump().unwrap().expect("armed");
+        state.note_events(&batch);
+        let written = state.dump(0, None, &[]).unwrap();
         assert_eq!(written, path);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -152,14 +161,11 @@ mod tests {
         // Oldest events evicted: the first retained line is ts 10.
         assert!(lines[0].contains("\"ts\":10,"), "got {}", lines[0]);
         let _ = std::fs::remove_dir_all(&dir);
-        crate::reset_for_tests();
     }
 
+    /// Nothing in this binary arms the process ring.
     #[test]
     fn dump_without_init_is_none() {
-        let _guard = crate::recorder::TEST_GUARD.lock();
-        crate::reset_for_tests();
         assert_eq!(flight_dump().unwrap(), None);
-        crate::reset_for_tests();
     }
 }

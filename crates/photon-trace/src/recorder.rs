@@ -1,13 +1,33 @@
-//! The global recorder: per-thread shards, a background drainer thread,
-//! and deterministic flush into the sinks.
+//! The [`Recorder`]: per-thread shards, one collector and the sinks, owned
+//! by the run that records into it.
+//!
+//! ## Whose recorder
+//!
+//! A recorder is a value. [`Recorder::scope`] installs it as the calling
+//! thread's *current* recorder for the length of a closure (restored on
+//! exit and on panic); a driver that spawns threads hands them its
+//! [`Scope`] — `photon_tensor::ops::pool::Context` carries one, so client
+//! lanes, DDP replicas and sub-federation nodes record where their round
+//! does, on their client's lane. Two federations in one process never see
+//! each other's events, sim time or kernel-event setting.
+//!
+//! The free functions ([`span`], [`counter_add`], [`flush`], …) are what
+//! instrumented code and the drivers call. Each is a one-line delegation
+//! to the thread's scoped recorder or, on a thread with none, to the
+//! process **default** — the recorder [`init`] configures, the only one a
+//! CLI process has. Three things stay process-level: that default slot,
+//! the count of enabled recorders (below) and the crash flight ring, which
+//! only the default recorder feeds.
 //!
 //! ## Hot path
 //!
-//! Every public entry point starts with one `Relaxed` load of a global
-//! `AtomicBool`. When tracing is disabled that is the entire cost — no
-//! clock read, no allocation, no lock. When enabled, a thread records
-//! into its own shard behind a mutex nothing else contends on (the
-//! drainer touches each shard for microseconds every ~25ms).
+//! Every recording entry point starts with one `Relaxed` load of the
+//! process-wide count of enabled recorders. While that is zero the load is
+//! the entire cost — no thread-local read, no clock read, no allocation, no
+//! lock. Otherwise the thread resolves its recorder and records into its
+//! own shard behind a mutex nothing else contends on (a flush touches each
+//! shard for microseconds). A shard that fills spills into the collector
+//! on the recording thread; no background thread exists.
 //!
 //! ## Determinism
 //!
@@ -18,51 +38,64 @@
 //! independent of thread scheduling and drain timing. With the Sim clock
 //! this makes trace files byte-identical across same-seed runs.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io;
 use std::mem;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::clock::{self, ClockMode};
+use crate::clock::{Clock, ClockMode};
 use crate::counters::CounterSet;
 use crate::event::{Event, EventKind, Phase, MAX_ARGS};
 use crate::hist::LogHistogram;
 use crate::profile::PhaseProfile;
 use crate::sink::{atomic_write, render_prometheus, JsonlSink};
 
-/// Per-shard event ring capacity. Beyond this, events are counted as
-/// dropped rather than grown without bound; profile/counter accounting
-/// is never dropped.
-const SHARD_EVENT_CAP: usize = 1 << 18;
+/// Events a shard holds before the recording thread spills them into the
+/// collector.
+const SHARD_EVENT_CAP: usize = 1 << 14;
 
-/// How often the background drainer migrates shard data.
-const DRAIN_INTERVAL: Duration = Duration::from_millis(25);
+/// Events the collector holds between flushes. Beyond this, events are
+/// counted as dropped rather than grown without bound; profile/counter
+/// accounting is never dropped.
+const PENDING_EVENT_CAP: usize = 1 << 20;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static KERNEL_EVENTS: AtomicBool = AtomicBool::new(false);
-static DRAINER_STARTED: AtomicBool = AtomicBool::new(false);
+/// How many recorders in the process are enabled: the one load a call site
+/// pays while nothing records.
+static ENABLED_RECORDERS: AtomicUsize = AtomicUsize::new(0);
 
+/// The process default recorder: what a thread with no [`Scope`] records
+/// into, and what [`init`] / [`reset_for_tests`] configure.
+static DEFAULT: OnceLock<Arc<Recorder>> = OnceLock::new();
+
+thread_local! {
+    /// This thread's recorder (`None`: the process default) and actor lane.
+    static SCOPE: RefCell<Scope> = const { RefCell::new(Scope { recorder: None, actor: 0 }) };
+    /// This thread's shard and the recorder it is registered with.
+    static SHARD: RefCell<Option<(Weak<Recorder>, Arc<Shard>)>> = const { RefCell::new(None) };
+    static CHILD_NS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+#[derive(Default)]
 struct ShardData {
     events: Vec<Event>,
     seq: u64,
     profile: PhaseProfile,
     counters: CounterSet,
     hists: BTreeMap<&'static str, LogHistogram>,
-    dropped: u64,
 }
 
 struct Shard {
     data: Mutex<ShardData>,
 }
 
-static REGISTRY: Mutex<Vec<Arc<Shard>>> = Mutex::new(Vec::new());
-
+#[derive(Default)]
 struct Collector {
     pending: Vec<Event>,
     profile: PhaseProfile,
@@ -89,15 +122,7 @@ struct Collector {
     meta_set: bool,
 }
 
-static COLLECTOR: Mutex<Option<Collector>> = Mutex::new(None);
-
-thread_local! {
-    static SHARD: RefCell<Option<Arc<Shard>>> = const { RefCell::new(None) };
-    static ACTOR: Cell<u32> = const { Cell::new(0) };
-    static CHILD_NS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Recorder configuration passed to [`init`].
+/// Recorder configuration passed to [`Recorder::start`] and [`init`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceConfig {
     /// JSONL trace file path (`--trace-jsonl`); `None` disables the
@@ -119,7 +144,7 @@ pub struct TraceConfig {
 pub struct FlushSummary {
     /// Cumulative JSONL events written (or rendered) so far.
     pub events_written: u64,
-    /// Cumulative events dropped to shard ring-buffer overflow.
+    /// Cumulative events dropped to collector overflow.
     pub events_dropped: u64,
     /// Merged per-phase wall-time profile.
     pub profile: PhaseProfile,
@@ -131,118 +156,450 @@ pub struct FlushSummary {
     pub hists: BTreeMap<&'static str, LogHistogram>,
 }
 
-/// True when tracing is enabled (one relaxed atomic load).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// One run's trace state: the enabled and kernel-event flags, the clock,
+/// the registry of per-thread shards and the collector with its sinks.
+/// Shared as an `Arc` between the threads that record into it; dropping
+/// the last handle closes the sinks.
+pub struct Recorder {
+    enabled: AtomicBool,
+    kernel_events: AtomicBool,
+    pub(crate) clock: Clock,
+    registry: Mutex<Vec<Arc<Shard>>>,
+    collector: Mutex<Collector>,
+    /// Flushes feed the crash flight ring (the process default only).
+    feeds_flight: bool,
 }
 
-/// Enables tracing with the given sinks and clock. Idempotent per
-/// process in normal use; calling again replaces the sink configuration
-/// and keeps already-collected data.
-pub fn init(config: TraceConfig) -> io::Result<()> {
-    let jsonl = match &config.jsonl {
-        Some(path) => Some(JsonlSink::create(path)?),
-        None => None,
-    };
-    {
-        let mut guard = COLLECTOR.lock();
-        let collector = guard.get_or_insert_with(Collector::empty);
-        collector.jsonl = jsonl;
-        collector.prometheus = config.prometheus.clone();
+/// What a thread records under: its recorder and its actor lane. A spawned
+/// thread starts on the process default at lane 0, so the spawner captures
+/// [`Scope::current`] and the thread [`Scope::enter`]s it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Scope {
+    recorder: Option<Arc<Recorder>>,
+    actor: u32,
+}
+
+impl Scope {
+    /// The recorder this scope records into: its own, else the process
+    /// default.
+    fn recorder(&self) -> &Arc<Recorder> {
+        self.recorder.as_ref().unwrap_or_else(|| default_recorder())
     }
-    clock::set_mode(config.clock);
-    KERNEL_EVENTS.store(config.kernel_events, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
-    if !DRAINER_STARTED.swap(true, Ordering::SeqCst) {
-        std::thread::Builder::new()
-            .name("photon-trace-drain".into())
-            .spawn(|| loop {
-                std::thread::sleep(DRAIN_INTERVAL);
-                if enabled() {
-                    drain_shards();
-                }
-            })
-            .map(|_| ())
-            .unwrap_or(());
+
+    /// The calling thread's scope.
+    pub fn current() -> Self {
+        SCOPE.with(|scope| scope.borrow().clone())
     }
-    Ok(())
+
+    /// Runs `f` under this scope, restoring the thread's previous one
+    /// afterwards — also on panic.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Scope);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                SCOPE.with(|scope| mem::swap(&mut *scope.borrow_mut(), &mut self.0));
+            }
+        }
+        let _restore = Restore(SCOPE.with(|scope| scope.replace(self.clone())));
+        f()
+    }
 }
 
-/// Sets this thread's logical actor lane: 0 is the aggregator/driver,
-/// `1 + c` is client `c`. Events and spans recorded by the thread carry
-/// this lane as their `tid`.
-pub fn set_actor(actor: u32) {
-    ACTOR.with(|a| a.set(actor));
+/// Two handles are equal when they are the same recorder.
+impl PartialEq for Recorder {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
 }
 
-/// Declares this process's identity in a distributed run: the run-wide
-/// trace id (derived from the run seed) and the OS pid to stamp on JSONL
-/// lines. Until this is called, lines carry `pid: 0` and no metadata line
-/// is written — single-process traces keep their historical byte-identical
-/// shape. The next [`flush`] after this call writes a `process_meta`
-/// metadata line that `photon trace merge` uses to align shards.
-pub fn set_process_meta(trace_id: u64, pid: u32) {
-    let mut guard = COLLECTOR.lock();
-    let collector = guard.get_or_insert_with(Collector::empty);
-    collector.trace_id = trace_id;
-    collector.pid = pid;
-    collector.meta_set = true;
-    collector.meta_dirty = true;
+impl Eq for Recorder {}
+
+impl fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Recorder")
+            .field("enabled", &self.enabled.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
 }
 
-/// Publishes this process's estimated trace-clock offset from the
-/// coordinator's clock (microseconds; positive means the coordinator's
-/// clock reads ahead of ours). Clients derive it from the session
-/// handshake round trip; `photon trace merge` adds it to every timestamp
-/// in this process's shard. No-op until [`set_process_meta`] declares the
-/// process.
-pub fn set_clock_offset_us(offset_us: i64) {
-    let mut guard = COLLECTOR.lock();
-    let collector = guard.get_or_insert_with(Collector::empty);
-    collector.clock_offset_us = offset_us;
-    if collector.meta_set {
+impl Drop for Recorder {
+    fn drop(&mut self) {
+        self.set_enabled(false);
+    }
+}
+
+pub(crate) fn default_recorder() -> &'static Arc<Recorder> {
+    DEFAULT.get_or_init(|| Arc::new(Recorder::new(true)))
+}
+
+/// Runs `f` on the calling thread's recorder: the scoped one, else the
+/// process default.
+pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Recorder>) -> R) -> R {
+    SCOPE.with(|scope| f(scope.borrow().recorder()))
+}
+
+/// True while no recorder in the process is enabled: the one relaxed load a
+/// call site pays then.
+#[inline(always)]
+fn idle() -> bool {
+    ENABLED_RECORDERS.load(Ordering::Relaxed) == 0
+}
+
+/// Runs `f` on the calling thread's recorder and actor lane if that
+/// recorder is enabled. One relaxed load while no recorder is.
+#[inline(always)]
+fn recording<R>(f: impl FnOnce(&Arc<Recorder>, u32) -> R) -> Option<R> {
+    if idle() {
+        return None;
+    }
+    // Out of line, so a call site inlines the load and the branch only.
+    #[inline(never)]
+    fn resolve<R>(f: impl FnOnce(&Arc<Recorder>, u32) -> R) -> Option<R> {
+        SCOPE.with(|scope| {
+            let scope = scope.borrow();
+            let recorder = scope.recorder();
+            recorder
+                .enabled
+                .load(Ordering::Relaxed)
+                .then(|| f(recorder, scope.actor))
+        })
+    }
+    resolve(f)
+}
+
+impl Recorder {
+    fn new(feeds_flight: bool) -> Self {
+        Recorder {
+            enabled: AtomicBool::new(false),
+            kernel_events: AtomicBool::new(false),
+            clock: Clock::new(),
+            registry: Mutex::new(Vec::new()),
+            collector: Mutex::new(Collector::default()),
+            feeds_flight,
+        }
+    }
+
+    /// A recorder enabled with the given sinks and clock. Nothing records
+    /// into it until a thread runs inside its [`Recorder::scope`].
+    ///
+    /// # Errors
+    /// The JSONL sink's file cannot be created.
+    pub fn start(config: TraceConfig) -> io::Result<Arc<Self>> {
+        let recorder = Arc::new(Recorder::new(false));
+        recorder.init(config)?;
+        Ok(recorder)
+    }
+
+    /// Runs `f` with this recorder as the calling thread's current one, on
+    /// the thread's current actor lane; the previous recorder is restored
+    /// afterwards — also on panic. Scopes nest.
+    pub fn scope<R>(self: &Arc<Self>, f: impl FnOnce() -> R) -> R {
+        Scope {
+            recorder: Some(Arc::clone(self)),
+            ..Scope::current()
+        }
+        .enter(f)
+    }
+
+    fn set_enabled(&self, on: bool) {
+        if self.enabled.swap(on, Ordering::SeqCst) != on {
+            if on {
+                ENABLED_RECORDERS.fetch_add(1, Ordering::SeqCst);
+            } else {
+                ENABLED_RECORDERS.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Enables tracing with the given sinks and clock; calling again
+    /// replaces the sink configuration and keeps already-collected data.
+    fn init(&self, config: TraceConfig) -> io::Result<()> {
+        let jsonl = match &config.jsonl {
+            Some(path) => Some(JsonlSink::create(path)?),
+            None => None,
+        };
+        {
+            let mut collector = self.collector.lock();
+            collector.jsonl = jsonl;
+            collector.prometheus = config.prometheus;
+        }
+        self.clock.set_mode(config.clock);
+        self.kernel_events
+            .store(config.kernel_events, Ordering::SeqCst);
+        self.set_enabled(true);
+        Ok(())
+    }
+
+    /// Disables tracing and discards all state (shards, collector, sinks,
+    /// sim clock; the flight ring too when this is the process default).
+    fn reset(&self) {
+        self.set_enabled(false);
+        self.kernel_events.store(false, Ordering::SeqCst);
+        for shard in self.registry.lock().iter() {
+            *shard.data.lock() = ShardData::default();
+        }
+        *self.collector.lock() = Collector::default();
+        if self.feeds_flight {
+            crate::flight::reset_for_tests();
+        }
+        self.clock.set_sim_time_us(0);
+        self.clock.set_mode(ClockMode::Sim);
+    }
+
+    fn set_process_meta(&self, trace_id: u64, pid: u32) {
+        let mut collector = self.collector.lock();
+        collector.trace_id = trace_id;
+        collector.pid = pid;
+        collector.meta_set = true;
         collector.meta_dirty = true;
     }
-}
 
-/// An RAII guard that flushes the recorder when dropped, so a process
-/// exiting between round flushes (early return, error path, end of main)
-/// never loses its final events. Obtain one with [`flush_guard`].
-#[must_use = "the guard flushes on drop; binding it to `_` drops it immediately"]
-pub struct FlushGuard {
-    _private: (),
-}
+    fn set_clock_offset_us(&self, offset_us: i64) {
+        let mut collector = self.collector.lock();
+        collector.clock_offset_us = offset_us;
+        if collector.meta_set {
+            collector.meta_dirty = true;
+        }
+    }
 
-impl Drop for FlushGuard {
-    fn drop(&mut self) {
-        let _ = flush();
+    /// Runs `f` on the calling thread's shard of this recorder,
+    /// registering one on the thread's first record here.
+    #[inline]
+    fn with_shard<R>(self: &Arc<Self>, f: impl FnOnce(&mut ShardData) -> R) -> R {
+        SHARD.with(|slot| {
+            let mut slot = slot.borrow_mut();
+            let mine = slot
+                .as_ref()
+                .is_some_and(|(owner, _)| std::ptr::eq(owner.as_ptr(), Arc::as_ptr(self)));
+            if !mine {
+                let shard = Arc::new(Shard {
+                    data: Mutex::new(ShardData::default()),
+                });
+                self.registry.lock().push(Arc::clone(&shard));
+                *slot = Some((Arc::downgrade(self), shard));
+            }
+            let (_, shard) = slot.as_ref().expect("installed above");
+            let mut data = shard.data.lock();
+            f(&mut data)
+        })
+    }
+
+    #[inline]
+    fn open_span(&self, phase: Phase) -> SpanInner {
+        CHILD_NS.with(|stack| stack.borrow_mut().push(0));
+        SpanInner {
+            phase,
+            name: phase.name(),
+            ts_us: self.clock.now_us(),
+            start: Instant::now(),
+            sim_dur_us: 0,
+            args: [("", 0); MAX_ARGS],
+            nargs: 0,
+        }
+    }
+
+    fn close_span(self: &Arc<Self>, inner: &SpanInner, actor: u32, elapsed_ns: u64, self_ns: u64) {
+        let emit = inner
+            .phase
+            .emits_event(self.kernel_events.load(Ordering::Relaxed));
+        let dur_us = if self.clock.is_sim() {
+            inner.sim_dur_us
+        } else {
+            elapsed_ns / 1_000
+        };
+        self.with_shard(|data| {
+            data.profile.record_span(inner.phase, elapsed_ns, self_ns);
+            if emit {
+                data.push(
+                    &self.collector,
+                    Event {
+                        ts_us: inner.ts_us,
+                        actor,
+                        seq: 0,
+                        phase: inner.phase,
+                        name: inner.name,
+                        kind: EventKind::Span,
+                        dur_us,
+                        args: inner.args,
+                    },
+                );
+            }
+        });
+    }
+
+    fn instant(
+        self: &Arc<Self>,
+        actor: u32,
+        phase: Phase,
+        name: &'static str,
+        args: &[(&'static str, u64)],
+    ) {
+        let mut packed = [("", 0u64); MAX_ARGS];
+        for (slot, kv) in packed.iter_mut().zip(args.iter()) {
+            *slot = *kv;
+        }
+        let event = Event {
+            ts_us: self.clock.now_us(),
+            actor,
+            seq: 0,
+            phase,
+            name,
+            kind: EventKind::Instant,
+            dur_us: 0,
+            args: packed,
+        };
+        self.with_shard(|data| data.push(&self.collector, event));
+    }
+
+    /// Migrates every shard's data into the collector. Dead threads' shards
+    /// (only referenced by the registry, fully drained) are pruned.
+    fn drain_shards(&self) {
+        let shards: Vec<Arc<Shard>> = self.registry.lock().iter().map(Arc::clone).collect();
+        let mut events: Vec<Event> = Vec::new();
+        let mut profile = PhaseProfile::new();
+        let mut counters = CounterSet::new();
+        let mut hists: BTreeMap<&'static str, LogHistogram> = BTreeMap::new();
+        for shard in &shards {
+            let mut data = shard.data.lock();
+            events.append(&mut data.events);
+            profile.merge(&mem::take(&mut data.profile));
+            counters.merge(&mem::take(&mut data.counters));
+            for (name, hist) in mem::take(&mut data.hists) {
+                hists.entry(name).or_default().merge(&hist);
+            }
+        }
+        {
+            let mut collector = self.collector.lock();
+            collector.take_events(&mut events);
+            collector.profile.merge(&profile);
+            collector.counters.merge(&counters);
+            for (name, hist) in hists {
+                collector.hists.entry(name).or_default().merge(&hist);
+            }
+        }
+        self.registry
+            .lock()
+            .retain(|shard| Arc::strong_count(shard) > 1 || !shard.data.lock().is_empty());
+    }
+
+    /// Drains all shards into the collector and returns the merged state
+    /// without touching any sink.
+    pub fn drain_now(&self) -> FlushSummary {
+        self.drain_shards();
+        self.collector.lock().summary()
+    }
+
+    /// Drains all shards, writes pending events to the JSONL sink (sorted
+    /// deterministically), rewrites the Prometheus snapshot atomically, and
+    /// returns the merged state. A disabled recorder returns an empty
+    /// summary.
+    ///
+    /// # Errors
+    /// I/O errors from either sink.
+    pub fn flush(&self) -> io::Result<FlushSummary> {
+        if !self.enabled.load(Ordering::Relaxed) {
+            return Ok(FlushSummary::default());
+        }
+        self.drain_shards();
+        let mut collector = self.collector.lock();
+        let batch = collector.take_batch();
+        let pid = collector.pid;
+        if collector.meta_dirty {
+            collector.meta_dirty = false;
+            let meta = collector.meta_line();
+            if let Some(sink) = collector.jsonl.as_mut() {
+                sink.write_line(&meta)?;
+            }
+            if self.feeds_flight {
+                crate::flight::note_meta(meta);
+            }
+        }
+        if let Some(sink) = collector.jsonl.as_mut() {
+            for event in &batch {
+                sink.write_line(&event.to_json_line_with_pid(pid))?;
+            }
+            sink.flush()?;
+        }
+        if self.feeds_flight {
+            crate::flight::note_events(&batch);
+        }
+        if let Some(path) = collector.prometheus.as_deref() {
+            let text = render_prometheus(
+                &collector.counters,
+                &collector.gauges,
+                &collector.hists,
+                &collector.profile,
+            );
+            atomic_write(path, &text)?;
+        }
+        Ok(collector.summary())
+    }
+
+    /// Drains all shards and renders every pending event as sorted JSONL
+    /// into a string (consuming them), without touching file sinks.
+    /// Intended for determinism tests.
+    pub fn flush_to_string(&self) -> String {
+        self.drain_shards();
+        let mut out = String::new();
+        for event in &self.collector.lock().take_batch() {
+            out.push_str(&event.to_json_line());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Snapshot used by the flight recorder: the process pid, the metadata
+    /// line (when process identity was declared) and a clone of every event
+    /// drained but not yet flushed. Non-consuming, so a dump never steals
+    /// events from a later flush.
+    pub(crate) fn flight_snapshot(&self) -> (u32, Option<String>, Vec<Event>) {
+        self.drain_shards();
+        let collector = self.collector.lock();
+        let mut pending = collector.pending.clone();
+        pending.sort();
+        let meta = collector.meta_set.then(|| collector.meta_line());
+        (collector.pid, meta, pending)
     }
 }
 
-/// Returns a [`FlushGuard`] that flushes all sinks when dropped.
-pub fn flush_guard() -> FlushGuard {
-    FlushGuard { _private: () }
+impl ShardData {
+    /// Stamps `event` with the shard's next sequence number and queues it,
+    /// spilling a full shard into `collector` first.
+    fn push(&mut self, collector: &Mutex<Collector>, mut event: Event) {
+        if self.events.len() == SHARD_EVENT_CAP {
+            collector.lock().take_events(&mut self.events);
+        }
+        event.seq = self.seq;
+        self.seq += 1;
+        self.events.push(event);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.events.is_empty()
+            && self.counters.is_empty()
+            && self.hists.is_empty()
+            && self.profile.is_empty()
+    }
 }
 
 impl Collector {
-    fn empty() -> Self {
-        Self {
-            pending: Vec::new(),
-            profile: PhaseProfile::new(),
-            counters: CounterSet::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
-            written: 0,
-            dropped: 0,
-            jsonl: None,
-            prometheus: None,
-            pid: 0,
-            trace_id: 0,
-            clock_offset_us: 0,
-            meta_dirty: false,
-            meta_set: false,
+    /// Queues `events` for the next flush, up to [`PENDING_EVENT_CAP`];
+    /// the rest are counted as dropped. Leaves `events` empty.
+    fn take_events(&mut self, events: &mut Vec<Event>) {
+        let room = PENDING_EVENT_CAP.saturating_sub(self.pending.len());
+        if events.len() > room {
+            self.dropped += (events.len() - room) as u64;
+            events.truncate(room);
         }
+        self.pending.append(events);
+    }
+
+    /// The pending events in their deterministic order, counted as written.
+    fn take_batch(&mut self) -> Vec<Event> {
+        let mut batch = mem::take(&mut self.pending);
+        batch.sort();
+        self.written += batch.len() as u64;
+        batch
     }
 
     /// The `process_meta` metadata line `photon trace merge` reads to
@@ -267,80 +624,71 @@ impl Collector {
     }
 }
 
-fn with_shard<R>(f: impl FnOnce(&mut ShardData) -> R) -> R {
-    SHARD.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if slot.is_none() {
-            let shard = Arc::new(Shard {
-                data: Mutex::new(ShardData {
-                    events: Vec::new(),
-                    seq: 0,
-                    profile: PhaseProfile::new(),
-                    counters: CounterSet::new(),
-                    hists: BTreeMap::new(),
-                    dropped: 0,
-                }),
-            });
-            REGISTRY.lock().push(Arc::clone(&shard));
-            *slot = Some(shard);
-        }
-        let shard = slot.as_ref().map(Arc::clone);
-        drop(slot);
-        let shard = shard.unwrap_or_else(|| unreachable!("shard installed above"));
-        let mut data = shard.data.lock();
-        f(&mut data)
-    })
+/// True when the calling thread's recorder is enabled (one relaxed atomic
+/// load while none is).
+#[inline]
+pub fn enabled() -> bool {
+    recording(|_, _| ()).is_some()
 }
 
-/// Migrates every shard's data into the collector. Dead threads' shards
-/// (only referenced by the registry, fully drained) are pruned.
-fn drain_shards() {
-    let shards: Vec<Arc<Shard>> = REGISTRY.lock().iter().map(Arc::clone).collect();
-    let mut events: Vec<Event> = Vec::new();
-    let mut profile = PhaseProfile::new();
-    let mut counters = CounterSet::new();
-    let mut hists: BTreeMap<&'static str, LogHistogram> = BTreeMap::new();
-    let mut dropped = 0u64;
-    for shard in &shards {
-        let mut data = shard.data.lock();
-        events.append(&mut data.events);
-        profile.merge(&data.profile);
-        data.profile = PhaseProfile::new();
-        counters.merge(&data.counters);
-        data.counters.clear();
-        for (name, hist) in mem::take(&mut data.hists) {
-            hists.entry(name).or_default().merge(&hist);
-        }
-        dropped += mem::take(&mut data.dropped);
-    }
-    {
-        let mut guard = COLLECTOR.lock();
-        let collector = guard.get_or_insert_with(Collector::empty);
-        collector.pending.append(&mut events);
-        collector.profile.merge(&profile);
-        collector.counters.merge(&counters);
-        for (name, hist) in hists {
-            collector.hists.entry(name).or_default().merge(&hist);
-        }
-        collector.dropped += dropped;
-    }
-    REGISTRY
-        .lock()
-        .retain(|shard| Arc::strong_count(shard) > 1 || !shard_is_empty(shard));
+/// Enables the process default recorder with the given sinks and clock.
+/// Idempotent per process in normal use; calling again replaces the sink
+/// configuration and keeps already-collected data.
+pub fn init(config: TraceConfig) -> io::Result<()> {
+    default_recorder().init(config)
 }
 
-fn shard_is_empty(shard: &Shard) -> bool {
-    let data = shard.data.lock();
-    data.events.is_empty()
-        && data.counters.is_empty()
-        && data.hists.is_empty()
-        && data.profile.is_empty()
-        && data.dropped == 0
+/// Sets this thread's logical actor lane: 0 is the aggregator/driver,
+/// `1 + c` is client `c`. Events and spans recorded by the thread carry
+/// this lane as their `tid`, and so do those of the threads that enter a
+/// [`Scope`] captured here.
+pub fn set_actor(actor: u32) {
+    SCOPE.with(|scope| scope.borrow_mut().actor = actor);
+}
+
+/// Declares this process's identity in a distributed run: the run-wide
+/// trace id (derived from the run seed) and the OS pid to stamp on JSONL
+/// lines. Until this is called, lines carry `pid: 0` and no metadata line
+/// is written — single-process traces keep their historical byte-identical
+/// shape. The next [`flush`] after this call writes a `process_meta`
+/// metadata line that `photon trace merge` uses to align shards.
+pub fn set_process_meta(trace_id: u64, pid: u32) {
+    with_current(|recorder| recorder.set_process_meta(trace_id, pid));
+}
+
+/// Publishes this process's estimated trace-clock offset from the
+/// coordinator's clock (microseconds; positive means the coordinator's
+/// clock reads ahead of ours). Clients derive it from the session
+/// handshake round trip; `photon trace merge` adds it to every timestamp
+/// in this process's shard. No-op until [`set_process_meta`] declares the
+/// process.
+pub fn set_clock_offset_us(offset_us: i64) {
+    with_current(|recorder| recorder.set_clock_offset_us(offset_us));
+}
+
+/// An RAII guard that flushes the recorder when dropped, so a process
+/// exiting between round flushes (early return, error path, end of main)
+/// never loses its final events. Obtain one with [`flush_guard`].
+#[must_use = "the guard flushes on drop; binding it to `_` drops it immediately"]
+pub struct FlushGuard {
+    _private: (),
+}
+
+impl Drop for FlushGuard {
+    fn drop(&mut self) {
+        let _ = flush();
+    }
+}
+
+/// Returns a [`FlushGuard`] that flushes all sinks when dropped.
+pub fn flush_guard() -> FlushGuard {
+    FlushGuard { _private: () }
 }
 
 /// An in-flight span. Records its phase timing (and, for event-emitting
-/// phases, a JSONL event) when dropped. Must be dropped on the thread
-/// that created it — self-time accounting is thread-local.
+/// phases, a JSONL event) when dropped, into the recorder current on its
+/// thread at that moment. Must be dropped on the thread that created it —
+/// self-time accounting is thread-local.
 #[must_use = "a span records on drop; binding it to `_` ends it immediately"]
 pub struct Span {
     inner: Option<SpanInner>,
@@ -358,22 +706,16 @@ struct SpanInner {
 
 /// Opens a span for `phase`. No-op (and allocation-free) when tracing is
 /// disabled.
-#[inline]
+// A `Span` is 160 bytes. Out of line and returning early, the idle path
+// writes the `None` straight into the caller's slot; inlined, or through
+// `recording` alone, the span is built aside and copied on every call.
+#[inline(never)]
 pub fn span(phase: Phase) -> Span {
-    if !enabled() {
+    if idle() {
         return Span { inner: None };
     }
-    CHILD_NS.with(|stack| stack.borrow_mut().push(0));
     Span {
-        inner: Some(SpanInner {
-            phase,
-            name: phase.name(),
-            ts_us: clock::now_us(),
-            start: Instant::now(),
-            sim_dur_us: 0,
-            args: [("", 0); MAX_ARGS],
-            nargs: 0,
-        }),
+        inner: recording(|recorder, _| recorder.open_span(phase)),
     }
 }
 
@@ -414,7 +756,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
+        let Some(inner) = &self.inner else {
             return;
         };
         let elapsed_ns = inner.start.elapsed().as_nanos() as u64;
@@ -427,228 +769,81 @@ impl Drop for Span {
             child
         });
         let self_ns = elapsed_ns.saturating_sub(child_ns);
-        let emit = inner
-            .phase
-            .emits_event(KERNEL_EVENTS.load(Ordering::Relaxed));
-        let actor = ACTOR.with(|a| a.get());
-        let dur_us = if clock::is_sim() {
-            inner.sim_dur_us
-        } else {
-            elapsed_ns / 1_000
-        };
-        with_shard(|data| {
-            data.profile.record_span(inner.phase, elapsed_ns, self_ns);
-            if emit {
-                if data.events.len() < SHARD_EVENT_CAP {
-                    let seq = data.seq;
-                    data.seq += 1;
-                    data.events.push(Event {
-                        ts_us: inner.ts_us,
-                        actor,
-                        seq,
-                        phase: inner.phase,
-                        name: inner.name,
-                        kind: EventKind::Span,
-                        dur_us,
-                        args: inner.args,
-                    });
-                } else {
-                    data.dropped += 1;
-                }
-            }
-        });
+        recording(|recorder, actor| recorder.close_span(inner, actor, elapsed_ns, self_ns));
     }
 }
 
 /// Records an instantaneous marker event with up to 4 numeric args.
 #[inline]
 pub fn instant(phase: Phase, name: &'static str, args: &[(&'static str, u64)]) {
-    if !enabled() {
-        return;
-    }
-    let ts_us = clock::now_us();
-    let actor = ACTOR.with(|a| a.get());
-    let mut packed = [("", 0u64); MAX_ARGS];
-    for (slot, kv) in packed.iter_mut().zip(args.iter()) {
-        *slot = *kv;
-    }
-    with_shard(|data| {
-        if data.events.len() < SHARD_EVENT_CAP {
-            let seq = data.seq;
-            data.seq += 1;
-            data.events.push(Event {
-                ts_us,
-                actor,
-                seq,
-                phase,
-                name,
-                kind: EventKind::Instant,
-                dur_us: 0,
-                args: packed,
-            });
-        } else {
-            data.dropped += 1;
-        }
-    });
+    recording(|recorder, actor| recorder.instant(actor, phase, name, args));
 }
 
-/// Adds `delta` to the named global counter.
+/// Adds `delta` to the named counter.
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    with_shard(|data| data.counters.add(name, delta));
+    recording(|recorder, _| recorder.with_shard(|data| data.counters.add(name, delta)));
 }
 
 /// Sets a named gauge (last write wins; call from the driver thread for
 /// deterministic snapshots).
 #[inline]
 pub fn gauge_set(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut guard = COLLECTOR.lock();
-    guard
-        .get_or_insert_with(Collector::empty)
-        .gauges
-        .insert(name, value);
+    recording(|recorder, _| recorder.collector.lock().gauges.insert(name, value));
 }
 
-/// Records one sample into the named global histogram.
+/// Records one sample into the named histogram.
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_shard(|data| {
-        data.hists.entry(name).or_default().record(value);
+    recording(|recorder, _| {
+        recorder.with_shard(|data| data.hists.entry(name).or_default().record(value))
     });
 }
 
-/// Drains all shards into the collector and returns the merged state
-/// without touching any sink.
+/// [`Recorder::drain_now`] on the calling thread's recorder.
 pub fn drain_now() -> FlushSummary {
-    drain_shards();
-    COLLECTOR
-        .lock()
-        .get_or_insert_with(Collector::empty)
-        .summary()
+    with_current(|recorder| recorder.drain_now())
 }
 
-/// Drains all shards, writes pending events to the JSONL sink (sorted
-/// deterministically), rewrites the Prometheus snapshot atomically, and
-/// returns the merged state. Called by drivers at every round boundary.
+/// [`Recorder::flush`] on the calling thread's recorder. Called by drivers
+/// at every round boundary.
 pub fn flush() -> io::Result<FlushSummary> {
-    if !enabled() {
-        return Ok(FlushSummary::default());
-    }
-    drain_shards();
-    let mut guard = COLLECTOR.lock();
-    let collector = guard.get_or_insert_with(Collector::empty);
-    let mut batch = mem::take(&mut collector.pending);
-    batch.sort();
-    collector.written += batch.len() as u64;
-    let pid = collector.pid;
-    if collector.meta_dirty {
-        collector.meta_dirty = false;
-        let meta = collector.meta_line();
-        if let Some(sink) = collector.jsonl.as_mut() {
-            sink.write_line(&meta)?;
-        }
-        crate::flight::note_meta(meta);
-    }
-    if let Some(sink) = collector.jsonl.as_mut() {
-        for event in &batch {
-            sink.write_line(&event.to_json_line_with_pid(pid))?;
-        }
-        sink.flush()?;
-    }
-    crate::flight::note_events(&batch);
-    if let Some(path) = collector.prometheus.clone() {
-        let text = render_prometheus(
-            &collector.counters,
-            &collector.gauges,
-            &collector.hists,
-            &collector.profile,
-        );
-        atomic_write(&path, &text)?;
-    }
-    Ok(collector.summary())
+    with_current(|recorder| recorder.flush())
 }
 
-/// Drains all shards and renders every pending event as sorted JSONL
-/// into a string (consuming them), without touching file sinks. Intended
-/// for determinism tests.
+/// [`Recorder::flush_to_string`] on the calling thread's recorder.
 pub fn flush_to_string() -> String {
-    drain_shards();
-    let mut guard = COLLECTOR.lock();
-    let collector = guard.get_or_insert_with(Collector::empty);
-    let mut batch = mem::take(&mut collector.pending);
-    batch.sort();
-    collector.written += batch.len() as u64;
-    let mut out = String::new();
-    for event in &batch {
-        out.push_str(&event.to_json_line());
-        out.push('\n');
-    }
-    out
+    with_current(|recorder| recorder.flush_to_string())
 }
 
-/// Disables tracing and discards all recorder state (shards, collector,
-/// sinks, sim clock). Tests that exercise the global recorder must
-/// serialize on their own lock, call this first, and not hold spans
-/// across the reset.
+/// Disables the process default recorder and discards all its state
+/// (shards, collector, sinks, sim clock) and the flight ring. A test that
+/// needs a recorder builds its own with [`Recorder::start`]; this is for
+/// the programs that own the process, between measurement passes, and must
+/// not race with spans open on the default recorder.
 pub fn reset_for_tests() {
-    ENABLED.store(false, Ordering::SeqCst);
-    KERNEL_EVENTS.store(false, Ordering::SeqCst);
-    let shards: Vec<Arc<Shard>> = mem::take(&mut *REGISTRY.lock());
-    for shard in shards {
-        let mut data = shard.data.lock();
-        data.events.clear();
-        data.profile = PhaseProfile::new();
-        data.counters.clear();
-        data.hists.clear();
-        data.dropped = 0;
-        data.seq = 0;
-    }
-    SHARD.with(|slot| *slot.borrow_mut() = None);
-    *COLLECTOR.lock() = None;
-    crate::flight::reset_for_tests();
-    clock::set_sim_time_us(0);
-    clock::set_mode(ClockMode::Sim);
+    default_recorder().reset();
 }
-
-/// Snapshot used by the flight recorder: the process pid, the metadata
-/// line (when process identity was declared) and a clone of every event
-/// drained but not yet flushed. Non-consuming, so a dump never steals
-/// events from a later flush.
-pub(crate) fn flight_snapshot() -> (u32, Option<String>, Vec<Event>) {
-    drain_shards();
-    let mut guard = COLLECTOR.lock();
-    let collector = guard.get_or_insert_with(Collector::empty);
-    let mut pending = collector.pending.clone();
-    pending.sort();
-    let meta = collector.meta_set.then(|| collector.meta_line());
-    (collector.pid, meta, pending)
-}
-
-#[cfg(test)]
-pub(crate) static TEST_GUARD: Mutex<()> = Mutex::new(());
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn recorder() -> Arc<Recorder> {
+        Recorder::start(TraceConfig::default()).expect("start")
+    }
 
     #[test]
     fn disabled_recorder_is_inert() {
-        let _guard = TEST_GUARD.lock();
-        reset_for_tests();
-        counter_add("never", 1);
-        observe("never_hist", 5);
-        let s = span(Phase::Round).arg("round", 1);
-        drop(s);
-        let summary = drain_now();
+        let off = Arc::new(Recorder::new(false));
+        off.scope(|| {
+            counter_add("never", 1);
+            observe("never_hist", 5);
+            let s = span(Phase::Round).arg("round", 1);
+            drop(s);
+        });
+        let summary = off.drain_now();
         assert_eq!(summary.counters.len(), 0);
         assert_eq!(summary.events_written, 0);
         assert!(summary.profile.is_empty());
@@ -656,20 +851,18 @@ mod tests {
 
     #[test]
     fn spans_nest_with_self_time_accounting() {
-        let _guard = TEST_GUARD.lock();
-        reset_for_tests();
-        init(TraceConfig::default()).expect("init");
-        set_actor(0);
-        clock::set_sim_time_us(1_000_000);
-        {
+        let rec = recorder();
+        rec.scope(|| {
+            set_actor(0);
+            crate::set_sim_time_us(1_000_000);
             let mut outer = span(Phase::Round).arg("round", 3);
             {
                 let _inner = span(Phase::GuardScreen);
                 std::thread::sleep(Duration::from_millis(2));
             }
             outer.set_sim_dur_us(500);
-        }
-        let text = flush_to_string();
+        });
+        let text = rec.flush_to_string();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "two span events: {text}");
         // Sorted output: both share ts/actor, guard_screen closed first.
@@ -677,52 +870,67 @@ mod tests {
         assert!(lines[1].contains("\"name\":\"round\""));
         assert!(lines[1].contains("\"dur\":500"));
         assert!(lines[1].contains("\"ts\":1000000"));
-        let summary = drain_now();
+        let summary = rec.drain_now();
         let round = summary.profile.get(Phase::Round).expect("round stat");
         let guard = summary.profile.get(Phase::GuardScreen).expect("guard stat");
         assert!(guard.total_ns >= 2_000_000);
         assert!(round.total_ns >= guard.total_ns);
         assert!(round.self_ns <= round.total_ns - guard.total_ns + 1_000_000);
-        reset_for_tests();
     }
 
     #[test]
     fn counters_and_hists_merge_across_threads() {
-        let _guard = TEST_GUARD.lock();
-        reset_for_tests();
-        init(TraceConfig::default()).expect("init");
+        let rec = recorder();
         let handles: Vec<_> = (0..4)
             .map(|i| {
+                let rec = Arc::clone(&rec);
                 std::thread::spawn(move || {
-                    set_actor(1 + i);
-                    counter_add("work.items", 10);
-                    observe("work.latency_ns", 1_000 * (i as u64 + 1));
+                    rec.scope(|| {
+                        set_actor(1 + i);
+                        counter_add("work.items", 10);
+                        observe("work.latency_ns", 1_000 * (i as u64 + 1));
+                    })
                 })
             })
             .collect();
         for h in handles {
             h.join().expect("worker");
         }
-        let summary = drain_now();
+        let summary = rec.drain_now();
         assert_eq!(summary.counters.get("work.items"), 40);
         let hist = summary.hists.get("work.latency_ns").expect("hist");
         assert_eq!(hist.count(), 4);
         assert_eq!(hist.max(), 4_000);
-        reset_for_tests();
     }
 
     #[test]
     fn kernel_spans_are_profile_only_by_default() {
-        let _guard = TEST_GUARD.lock();
-        reset_for_tests();
-        init(TraceConfig::default()).expect("init");
-        drop(span(Phase::KernelGemm));
-        drop(span(Phase::PoolDispatch));
-        let text = flush_to_string();
+        let rec = recorder();
+        rec.scope(|| {
+            drop(span(Phase::KernelGemm));
+            drop(span(Phase::PoolDispatch));
+        });
+        let text = rec.flush_to_string();
         assert!(text.is_empty(), "no kernel events expected: {text}");
-        let summary = drain_now();
+        let summary = rec.drain_now();
         assert!(summary.profile.get(Phase::KernelGemm).is_some());
         assert!(summary.profile.get(Phase::PoolDispatch).is_some());
-        reset_for_tests();
+    }
+
+    #[test]
+    fn a_full_shard_spills_into_the_collector_in_order() {
+        let rec = recorder();
+        let n = SHARD_EVENT_CAP as u64 + 1;
+        rec.scope(|| (0..n).for_each(|i| instant(Phase::Rollback, "tick", &[("i", i)])));
+        assert_eq!(rec.collector.lock().pending.len(), SHARD_EVENT_CAP);
+        rec.drain_shards();
+        let batch = rec.collector.lock().take_batch();
+        let order: Vec<u64> = batch.iter().map(|e| e.args[0].1).collect();
+        assert_eq!(
+            order,
+            (0..n).collect::<Vec<_>>(),
+            "sequence spans the spill"
+        );
+        assert_eq!(rec.drain_now().events_dropped, 0);
     }
 }

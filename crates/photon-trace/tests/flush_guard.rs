@@ -3,15 +3,10 @@
 //! never reaches its round-boundary flush must still leave every
 //! recorded event on disk, as complete lines.
 
-use std::sync::Mutex;
-
 use photon_trace::{
     flight_dump, flight_init, flush, flush_guard, init, instant, reset_for_tests, set_actor,
-    set_process_meta, set_sim_time_us, span, Phase, TraceConfig,
+    set_process_meta, set_sim_time_us, span, Phase, Recorder, TraceConfig,
 };
-
-/// The recorder is process-global; tests that touch it must not overlap.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("photon-fg-{}-{tag}", std::process::id()));
@@ -22,16 +17,14 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn guard_flushes_partial_round_on_drop() {
-    let _lock = RECORDER_LOCK.lock().unwrap();
-    reset_for_tests();
     let dir = scratch("guard");
     let path = dir.join("trace.jsonl");
-    init(TraceConfig {
+    let recorder = Recorder::start(TraceConfig {
         jsonl: Some(path.clone()),
         ..TraceConfig::default()
     })
-    .expect("init");
-    {
+    .expect("start");
+    recorder.scope(|| {
         let _guard = flush_guard();
         set_actor(0);
         set_sim_time_us(1_000);
@@ -42,7 +35,7 @@ fn guard_flushes_partial_round_on_drop() {
         drop(s);
         instant(Phase::Rollback, "abort_marker", &[("round", 0)]);
         // No explicit flush: the guard drop below is the only flush.
-    }
+    });
     let text = std::fs::read_to_string(&path).expect("trace file");
     assert!(
         text.lines().any(|l| l.contains("\"name\":\"round\"")),
@@ -57,13 +50,13 @@ fn guard_flushes_partial_round_on_drop() {
     for line in text.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "torn: {line}");
     }
-    reset_for_tests();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The one test on the process default recorder, the only one that feeds
+/// the flight ring; nothing else in this binary touches either.
 #[test]
 fn flight_dump_carries_unflushed_final_round() {
-    let _lock = RECORDER_LOCK.lock().unwrap();
     reset_for_tests();
     let dir = scratch("flight");
     let flight_path = dir.join("flight-self.jsonl");

@@ -2,23 +2,22 @@
 //! and counter merge are order-invariant, and a multi-threaded Sim-clock
 //! workload flushes to byte-identical JSONL regardless of scheduling.
 
-use std::sync::Mutex;
-
 use photon_trace::{
-    counter_add, flush_to_string, init, observe, reset_for_tests, set_actor, set_sim_time_us, span,
-    CounterSet, LogHistogram, Phase, TraceConfig,
+    counter_add, flush_to_string, observe, set_actor, set_sim_time_us, span, CounterSet,
+    LogHistogram, Phase, Recorder, Scope, TraceConfig,
 };
 use proptest::prelude::*;
-
-/// The recorder is process-global; tests that touch it must not overlap.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs a deterministic synthetic federation-shaped workload: `rounds`
 /// rounds, each advancing the sim clock, with `clients` worker threads
 /// recording spans, counters and histogram samples derived only from
-/// `seed`, the round and the client id.
+/// `seed`, the round and the client id, into a recorder of its own.
 fn run_workload(seed: u64, rounds: u64, clients: u32) -> String {
-    init(TraceConfig::default()).expect("recorder init");
+    let recorder = Recorder::start(TraceConfig::default()).expect("recorder start");
+    recorder.scope(|| workload(seed, rounds, clients))
+}
+
+fn workload(seed: u64, rounds: u64, clients: u32) -> String {
     set_actor(0);
     let mut out = String::new();
     for round in 0..rounds {
@@ -27,16 +26,19 @@ fn run_workload(seed: u64, rounds: u64, clients: u32) -> String {
         round_span.set_sim_dur_us(1_000_000);
         let handles: Vec<_> = (0..clients)
             .map(|client| {
+                let scope = Scope::current();
                 std::thread::spawn(move || {
-                    set_actor(1 + client);
-                    let mix = seed ^ (round << 8) ^ client as u64;
-                    let mut step = span(Phase::LocalStep)
-                        .arg("client", client as u64)
-                        .arg("tokens", 128 + (mix % 997));
-                    step.set_sim_dur_us(900_000);
-                    counter_add("client.steps", 1 + (mix % 3));
-                    observe("client.delta_bytes", 1 + (mix % 100_000));
-                    drop(step);
+                    scope.enter(|| {
+                        set_actor(1 + client);
+                        let mix = seed ^ (round << 8) ^ client as u64;
+                        let mut step = span(Phase::LocalStep)
+                            .arg("client", client as u64)
+                            .arg("tokens", 128 + (mix % 997));
+                        step.set_sim_dur_us(900_000);
+                        counter_add("client.steps", 1 + (mix % 3));
+                        observe("client.delta_bytes", 1 + (mix % 100_000));
+                        drop(step);
+                    })
                 })
             })
             .collect();
@@ -63,12 +65,8 @@ proptest! {
         rounds in 1u64..4,
         clients in 1u32..5,
     ) {
-        let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset_for_tests();
         let first = run_workload(seed, rounds, clients);
-        reset_for_tests();
         let second = run_workload(seed, rounds, clients);
-        reset_for_tests();
         prop_assert!(!first.is_empty());
         prop_assert_eq!(first, second);
     }

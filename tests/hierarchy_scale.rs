@@ -10,7 +10,7 @@ use photon_core::{FaultSpec, Federation, FederationConfig, TrainingHistory};
 use photon_tests::{
     scale_cfg, scale_federation, SCALE_MAX_RESIDENT as MAX_RESIDENT, SCALE_SHARDS as SHARDS,
 };
-use photon_trace::{ClockMode, TraceConfig};
+use photon_trace::{ClockMode, Recorder, TraceConfig};
 use std::fs;
 use std::path::PathBuf;
 
@@ -49,32 +49,24 @@ fn shard_crash_at_registry_scale_degrades_one_shard_and_replays_bit_identically(
     let cfg = scale_cfg(REGISTERED, SAMPLED);
     let dir = tmp_dir("e2e");
 
-    // Faulted run A, traced under the sim clock.
+    // The faulted run, traced under the sim clock into `trace`.
+    let traced = |trace: &PathBuf| {
+        let recorder = Recorder::start(TraceConfig {
+            jsonl: Some(trace.clone()),
+            prometheus: None,
+            kernel_events: false,
+            clock: ClockMode::Sim,
+        })
+        .expect("tracing initializes");
+        let out = recorder.scope(|| run(&cfg, &crash_spec()));
+        recorder.flush().expect("trace flushes");
+        out
+    };
     let trace_a = dir.join("run-a.jsonl");
-    photon_trace::reset_for_tests();
-    photon_trace::init(TraceConfig {
-        jsonl: Some(trace_a.clone()),
-        prometheus: None,
-        kernel_events: false,
-        clock: ClockMode::Sim,
-    })
-    .expect("tracing initializes");
-    let (fed_a, hist_a) = run(&cfg, &crash_spec());
-    photon_trace::flush().expect("trace flushes");
-
+    let (fed_a, hist_a) = traced(&trace_a);
     // Identical faulted run B.
     let trace_b = dir.join("run-b.jsonl");
-    photon_trace::reset_for_tests();
-    photon_trace::init(TraceConfig {
-        jsonl: Some(trace_b.clone()),
-        prometheus: None,
-        kernel_events: false,
-        clock: ClockMode::Sim,
-    })
-    .expect("tracing initializes");
-    let (fed_b, hist_b) = run(&cfg, &crash_spec());
-    photon_trace::flush().expect("trace flushes");
-    photon_trace::reset_for_tests();
+    let (fed_b, hist_b) = traced(&trace_b);
 
     // Bit-identical replay: parameters, history, and the trace bytes.
     assert_eq!(

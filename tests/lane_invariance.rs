@@ -3,15 +3,15 @@
 //! a lane per client must leave identical parameter bits, equal
 //! `RoundRecord`s and a byte-identical drained sim-clock trace.
 //!
-//! One `#[test]` in its own binary: the trace recorder is process-global,
-//! so sibling tests would write into the trace under comparison.
+//! Each run records into a `Recorder` of its own, so the trace under
+//! comparison holds that run's events and nothing else.
 
 use photon_core::experiments::build_iid_federation;
 use photon_core::{FaultSpec, FederationConfig, HierarchyConfig, RoundRecord};
 use photon_fedopt::{AggregationKind, GuardConfig};
 use photon_tensor::backend::{with_backend, BackendKind};
 use photon_tests::tiny_federation;
-use photon_trace::{ClockMode, TraceConfig};
+use photon_trace::{Recorder, TraceConfig};
 
 const TOKENS: usize = 3_000;
 const CLIENTS: usize = 8;
@@ -25,26 +25,20 @@ struct Outcome {
 }
 
 fn run(cfg: &FederationConfig, faults: &str, rounds: u64, max_lanes: usize) -> Outcome {
-    photon_trace::reset_for_tests();
-    photon_trace::init(TraceConfig {
-        jsonl: None,
-        prometheus: None,
-        kernel_events: false,
-        clock: ClockMode::Sim,
-    })
-    .expect("tracing initializes");
+    let recorder = Recorder::start(TraceConfig::default()).expect("tracing initializes");
     let spec = FaultSpec::parse(faults).expect("fault spec parses");
     let injector = spec.plan(cfg.population, rounds);
     let (mut fed, _) = build_iid_federation(cfg, TOKENS).expect("federation builds");
-    let steps = (0..rounds)
-        .map(|_| {
-            fed.aggregator
-                .run_round_on_lanes(&mut fed.clients, Some(&injector), max_lanes)
-                .map_err(|e| e.to_string())
-        })
-        .collect();
-    let trace = photon_trace::flush_to_string();
-    photon_trace::reset_for_tests();
+    let steps = recorder.scope(|| {
+        (0..rounds)
+            .map(|_| {
+                fed.aggregator
+                    .run_round_on_lanes(&mut fed.clients, Some(&injector), max_lanes)
+                    .map_err(|e| e.to_string())
+            })
+            .collect()
+    });
+    let trace = recorder.flush_to_string();
     Outcome {
         steps,
         param_bits: fed

@@ -14,14 +14,9 @@ use photon_core::{
 };
 use photon_fedopt::BufferConfig;
 use photon_tests::tiny_federation;
-use photon_trace::{ClockMode, TraceConfig};
+use photon_trace::{ClockMode, Recorder, TraceConfig};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-/// The trace recorder is process-global; tests touching it serialize
-/// behind this lock and reset it afterwards.
-static RECORDER: Mutex<()> = Mutex::new(());
 
 const TOKENS: usize = 3_000;
 
@@ -365,13 +360,11 @@ fn corrupt_checkpoint_resume_restarts_cleanly() {
 /// — replays byte-identically under the simulated clock.
 #[test]
 fn same_seed_network_chaos_traces_are_byte_identical() {
-    let _guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     let mut traces = Vec::new();
     for run in 0..2 {
-        photon_trace::reset_for_tests();
         let dir = tmp_dir(&format!("net-trace-{run}"));
         let jsonl = dir.join("trace.jsonl");
-        photon_trace::init(TraceConfig {
+        let recorder = Recorder::start(TraceConfig {
             jsonl: Some(jsonl.clone()),
             prometheus: None,
             kernel_events: false,
@@ -417,14 +410,16 @@ fn same_seed_network_chaos_traces_are_byte_identical() {
             resume: false,
             metrics_json: None,
         };
-        run_training(
-            || build_iid_federation(&cfg, TOKENS),
-            &opts,
-            Some(&injector),
-        )
-        .expect("chaos run completes");
-        photon_trace::flush().expect("final flush succeeds");
-        photon_trace::reset_for_tests();
+        recorder
+            .scope(|| {
+                run_training(
+                    || build_iid_federation(&cfg, TOKENS),
+                    &opts,
+                    Some(&injector),
+                )
+            })
+            .expect("chaos run completes");
+        recorder.flush().expect("final flush succeeds");
         traces.push(fs::read_to_string(&jsonl).expect("trace file exists"));
         let _ = fs::remove_dir_all(&dir);
     }

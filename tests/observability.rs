@@ -2,21 +2,22 @@
 //! must produce a line-parseable JSONL trace, a lint-clean Prometheus
 //! snapshot and a phase profile whose group shares sum to ~100% with
 //! nonzero compute/comms/aggregation buckets; the JSONL trace must replay
-//! byte-identically for a fixed seed; and a watchdog rollback must leave
+//! byte-identically for a fixed seed; a watchdog rollback must leave
 //! `rounds_committed` strictly behind `rounds_seen` (the overcounting
-//! regression).
+//! regression); and a run records into the `Recorder` it is scoped under
+//! and nowhere else, whatever runs beside it in the process.
 
+use photon_cluster::{GpuSpec, Region, SiloSpec};
 use photon_core::experiments::{build_iid_federation, RunOptions};
-use photon_core::{run_training, FaultSpec, TrainingOptions};
+use photon_core::{run_training, DataSource, FaultSpec, LlmClient, TrainingOptions};
+use photon_data::Shard;
+use photon_tensor::ops::{self, pool};
+use photon_tensor::SeedStream;
 use photon_tests::tiny_federation;
-use photon_trace::{ClockMode, Phase, PhaseGroup, TraceConfig};
+use photon_trace::{ClockMode, Phase, PhaseGroup, Recorder, Scope, TraceConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
-/// The trace recorder is process-global; every test that touches it runs
-/// under this lock and resets it afterwards.
-static RECORDER: Mutex<()> = Mutex::new(());
+use std::sync::{Arc, Barrier};
 
 const ROUNDS: u64 = 4;
 const TOKENS: usize = 3_000;
@@ -28,14 +29,36 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// An in-memory sim-clock recorder.
+fn recorder(kernel_events: bool) -> Arc<Recorder> {
+    Recorder::start(TraceConfig {
+        kernel_events,
+        ..TraceConfig::default()
+    })
+    .expect("tracing initializes")
+}
+
 /// A short faulted run: crashes, corrupt frames and a straggler over a
 /// 3-client federation with partial results allowed.
 fn chaos_run(dir: &Path, metrics_json: Option<PathBuf>) -> photon_core::TrainingOutcome {
+    seeded_chaos_run(dir, 29, metrics_json)
+}
+
+/// [`chaos_run`] for any `seed >= 20`; the fault plan's seed moves with it
+/// (29 runs the `seed=9` plan the single-seed tests always ran).
+fn seeded_chaos_run(
+    dir: &Path,
+    seed: u64,
+    metrics_json: Option<PathBuf>,
+) -> photon_core::TrainingOutcome {
     let mut cfg = tiny_federation(3);
-    cfg.seed = 29;
+    cfg.seed = seed;
     cfg.allow_partial_results = true;
-    let spec = FaultSpec::parse("crash=0.2,corrupt=0.3,straggle=0.2,straggle-ms=400,seed=9")
-        .expect("fault spec parses");
+    let spec = FaultSpec::parse(&format!(
+        "crash=0.2,corrupt=0.3,straggle=0.2,straggle-ms=400,seed={}",
+        seed - 20
+    ))
+    .expect("fault spec parses");
     let injector = spec.plan(cfg.population, ROUNDS);
     let opts = TrainingOptions {
         run: RunOptions {
@@ -60,13 +83,11 @@ fn chaos_run(dir: &Path, metrics_json: Option<PathBuf>) -> photon_core::Training
 
 #[test]
 fn chaos_trace_sinks_parse_lint_and_profile() {
-    let _guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-    photon_trace::reset_for_tests();
     let dir = tmp_dir("sinks");
     let jsonl = dir.join("trace.jsonl");
     let prom = dir.join("metrics.prom");
     let mjson = dir.join("metrics.json");
-    photon_trace::init(TraceConfig {
+    let recorder = Recorder::start(TraceConfig {
         jsonl: Some(jsonl.clone()),
         prometheus: Some(prom.clone()),
         kernel_events: false,
@@ -74,8 +95,8 @@ fn chaos_trace_sinks_parse_lint_and_profile() {
     })
     .expect("tracing initializes");
 
-    let outcome = chaos_run(&dir, Some(mjson.clone()));
-    let summary = photon_trace::flush().expect("final flush succeeds");
+    let outcome = recorder.scope(|| chaos_run(&dir, Some(mjson.clone())));
+    let summary = recorder.flush().expect("final flush succeeds");
 
     // Every JSONL line is standalone valid JSON with the chrome://tracing
     // core fields.
@@ -141,28 +162,24 @@ fn chaos_trace_sinks_parse_lint_and_profile() {
     }
     assert!(outcome.history.rounds.len() == ROUNDS as usize);
 
-    photon_trace::reset_for_tests();
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn same_seed_chaos_traces_are_byte_identical() {
-    let _guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     let mut traces = Vec::new();
     for run in 0..2 {
-        photon_trace::reset_for_tests();
         let dir = tmp_dir(&format!("identical-{run}"));
         let jsonl = dir.join("trace.jsonl");
-        photon_trace::init(TraceConfig {
+        let recorder = Recorder::start(TraceConfig {
             jsonl: Some(jsonl.clone()),
             prometheus: None,
             kernel_events: false,
             clock: ClockMode::Sim,
         })
         .expect("tracing initializes");
-        chaos_run(&dir, None);
-        photon_trace::flush().expect("final flush succeeds");
-        photon_trace::reset_for_tests();
+        recorder.scope(|| chaos_run(&dir, None));
+        recorder.flush().expect("final flush succeeds");
         traces.push(fs::read_to_string(&jsonl).expect("trace file exists"));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -172,8 +189,6 @@ fn same_seed_chaos_traces_are_byte_identical() {
 
 #[test]
 fn watchdog_rollback_does_not_overcount_committed_rounds() {
-    let _guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-    photon_trace::reset_for_tests();
     let dir = tmp_dir("rollback-count");
     let rounds = 5u64;
     // One all-NaN update under plain mean aggregation: the watchdog's
@@ -207,4 +222,181 @@ fn watchdog_rollback_does_not_overcount_committed_rounds() {
     // The regression: the neutralized round is seen but never committed.
     assert_eq!(telemetry.rounds_committed(), rounds - 1);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Nothing an untraced thread of this binary does reaches the process
+/// default recorder, which no test here enables.
+fn assert_process_default_is_empty() {
+    let summary = photon_trace::drain_now();
+    assert!(summary.profile.is_empty() && summary.counters.is_empty());
+    assert_eq!(photon_trace::flush_to_string(), "", "process default trace");
+}
+
+#[test]
+fn concurrent_federations_record_only_their_own_traces() {
+    const SEEDS: [u64; 4] = [29, 31, 37, 41];
+    // `run_training` flushes at every round boundary, so the trace is read
+    // back from the recorder's JSONL file.
+    let traced = |tag: &str, seed: u64, start: &Barrier| {
+        let dir = tmp_dir(&format!("{tag}-{seed}"));
+        let jsonl = dir.join("trace.jsonl");
+        let recorder = Recorder::start(TraceConfig {
+            jsonl: Some(jsonl.clone()),
+            ..TraceConfig::default()
+        })
+        .expect("tracing initializes");
+        start.wait();
+        recorder.scope(|| seeded_chaos_run(&dir, seed, None));
+        recorder.flush().expect("final flush succeeds");
+        let trace = fs::read_to_string(&jsonl).expect("trace file exists");
+        let _ = fs::remove_dir_all(&dir);
+        trace
+    };
+    // Four traced federations and an untraced one, all at once.
+    let start = &Barrier::new(SEEDS.len() + 1);
+    let traced = &traced;
+    let together: Vec<String> = std::thread::scope(|scope| {
+        let runs: Vec<_> = SEEDS
+            .iter()
+            .map(|&seed| scope.spawn(move || traced("together", seed, start)))
+            .collect();
+        scope.spawn(move || {
+            let dir = tmp_dir("together-untraced");
+            start.wait();
+            seeded_chaos_run(&dir, 43, None);
+            let _ = fs::remove_dir_all(&dir);
+        });
+        runs.into_iter()
+            .map(|run| run.join().expect("run"))
+            .collect()
+    });
+    assert_process_default_is_empty();
+    for (&seed, together) in SEEDS.iter().zip(&together) {
+        let alone = traced("alone", seed, &Barrier::new(1));
+        assert!(alone.contains("local_step"), "seed {seed} was traced");
+        assert_eq!(together, &alone, "seed {seed}: beside four other runs");
+    }
+    assert_ne!(together[0], together[1], "different seeds, different runs");
+}
+
+#[test]
+fn a_kernel_span_lands_in_its_submitters_recorder_and_nowhere_else() {
+    let (mine, other) = (recorder(true), recorder(true));
+    let (m, k, n) = (256, 256, 256);
+    let (a, b) = (vec![1.0f32; m * k], vec![0.5f32; k * n]);
+    let mut c = vec![0.0f32; m * n];
+    let submitter = std::thread::current().id();
+    // Where each task of a 2-wide batch ran, and whether a recorder was
+    // enabled for it there.
+    let seen = std::sync::Mutex::new(Vec::new());
+    mine.scope(|| {
+        photon_trace::set_actor(7);
+        pool::Context {
+            chunks: 2,
+            width: 2,
+            ..pool::Context::current()
+        }
+        .enter(|| {
+            let note = || {
+                let at = (std::thread::current().id(), photon_trace::enabled());
+                seen.lock().expect("seen").push(at);
+            };
+            pool::run_tasks(vec![Box::new(note), Box::new(note)]);
+            // Large enough that the pool worker takes half the rows.
+            ops::gemm_auto(ops::Gemm::new(m, k, n), &a, &b, &mut c);
+        });
+    });
+    assert_eq!(c[0], 128.0);
+    // A pool worker is outside every scope: a span opened inside a task
+    // would be lost, which is why kernels open theirs on the submitter.
+    for (thread, enabled) in seen.into_inner().expect("seen") {
+        assert_eq!(enabled, thread == submitter, "scope is per thread");
+    }
+    let summary = mine.drain_now();
+    assert_eq!(summary.counters.get("pool.batches"), 2);
+    assert_eq!(
+        summary.profile.get(Phase::KernelGemm).map(|s| s.count),
+        Some(1)
+    );
+    let trace = mine.flush_to_string();
+    let kernels: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains("kernel_gemm"))
+        .collect();
+    assert_eq!(kernels.len(), 1, "one kernel span: {trace}");
+    assert!(kernels[0].contains("\"tid\":7,"), "on the submitter's lane");
+    assert!(other.drain_now().profile.is_empty() && other.flush_to_string().is_empty());
+    assert_process_default_is_empty();
+}
+
+#[test]
+fn ddp_replica_kernel_spans_carry_their_clients_lane() {
+    let mut cfg = tiny_federation(2);
+    cfg.seed = 47;
+    let (mut fed, _) = build_iid_federation(&cfg, TOKENS).expect("federation builds");
+    // Client 1 trains as two DDP replicas on threads of their own.
+    let silo = SiloSpec::single_node("two-gpu", 2, GpuSpec::h100(), Region::Quebec);
+    let tokens = Arc::new((0..600u32).map(|i| i % 17).collect());
+    let data = DataSource::new("ddp", Shard::from_range("ddp", tokens, 0, 600));
+    fed.clients[1] = LlmClient::new(1, data, Some(silo), SeedStream::new(5));
+    let recorder = recorder(true);
+    recorder
+        .scope(|| fed.run_round_with(None))
+        .expect("round runs");
+    let trace = recorder.flush_to_string();
+    let lanes = |name: &str| -> std::collections::BTreeSet<&str> {
+        trace
+            .lines()
+            .filter(|l| l.contains(name))
+            .map(|l| {
+                l.split("\"tid\":")
+                    .nth(1)
+                    .expect("tid")
+                    .split(',')
+                    .next()
+                    .expect("tid")
+            })
+            .collect()
+    };
+    assert_eq!(
+        lanes("kernel_gemm"),
+        ["1", "2"].into(),
+        "1 + client, never 0"
+    );
+    assert_eq!(lanes("local_step"), ["1", "2"].into());
+}
+
+#[test]
+fn scope_nests_and_restores_the_previous_recorder_after_a_panic() {
+    let (outer, inner) = (recorder(false), recorder(false));
+    let mark = |name| photon_trace::instant(Phase::Rollback, name, &[]);
+    let before = Scope::current();
+    outer.scope(|| {
+        mark("outer-1");
+        inner.scope(|| mark("inner-1"));
+        mark("outer-2");
+        let panicked = std::panic::catch_unwind(|| {
+            inner.scope(|| {
+                photon_trace::set_actor(9);
+                mark("inner-2");
+                panic!("inside the inner scope");
+            })
+        });
+        assert!(panicked.is_err());
+        mark("outer-3");
+    });
+    assert_eq!(Scope::current(), before, "restored on exit");
+    mark("outside");
+    let names = |trace: String| -> Vec<String> {
+        let name = |l: &str| l.split('"').nth(3).expect("name").to_owned();
+        trace.lines().map(name).collect()
+    };
+    // One timestamp and lane throughout, so a trace keeps emission order;
+    // lane 9 sorts the panicking scope's mark last.
+    assert_eq!(
+        names(outer.flush_to_string()),
+        ["outer-1", "outer-2", "outer-3"]
+    );
+    assert_eq!(names(inner.flush_to_string()), ["inner-1", "inner-2"]);
+    assert_process_default_is_empty();
 }

@@ -5,8 +5,8 @@
 //! parameter bit patterns, the fault counters and the drained sim-clock
 //! trace. A refactor of the round engine must leave every digest alone.
 //!
-//! One `#[test]` in its own binary: the trace recorder is process-global,
-//! so sibling tests would write into the traces under digest.
+//! Each scenario records into a `Recorder` of its own, so the trace under
+//! digest holds that scenario's events and nothing else.
 //!
 //! The `want` column was generated by running this file against the
 //! pre-refactor engine (a mismatch prints the digests it computed). Do
@@ -20,7 +20,7 @@ use photon_core::{
 use photon_fedopt::{AggregationKind, BufferConfig, GuardConfig};
 use photon_tensor::backend::{with_backend, BackendKind};
 use photon_tests::tiny_federation;
-use photon_trace::{ClockMode, TraceConfig};
+use photon_trace::{Recorder, TraceConfig};
 
 const TOKENS: usize = 3_000;
 
@@ -86,31 +86,25 @@ impl Fnv {
 /// is recorded, the round neutralized, and the same round re-run — the
 /// recovery driver's protocol without the checkpoint restore.
 fn run(cfg: &FederationConfig, faults: &str, rounds: u64) -> Run {
-    photon_trace::reset_for_tests();
-    photon_trace::init(TraceConfig {
-        jsonl: None,
-        prometheus: None,
-        kernel_events: false,
-        clock: ClockMode::Sim,
-    })
-    .expect("tracing initializes");
+    let recorder = Recorder::start(TraceConfig::default()).expect("tracing initializes");
     let spec = FaultSpec::parse(faults).expect("fault spec parses");
     let injector = spec.plan(cfg.population, rounds);
     let (mut fed, _) = build_iid_federation(cfg, TOKENS).expect("federation builds");
     let mut steps = Vec::new();
-    while fed.aggregator.round() < rounds {
-        assert!(steps.len() < 2 * rounds as usize, "run does not terminate");
-        match fed.run_round_with(Some(&injector)) {
-            Ok(record) => steps.push(Ok(record)),
-            Err(CoreError::Divergence { round, reason }) => {
-                steps.push(Err(format!("divergence at {round}: {reason}")));
-                fed.aggregator.neutralize_round(round);
+    recorder.scope(|| {
+        while fed.aggregator.round() < rounds {
+            assert!(steps.len() < 2 * rounds as usize, "run does not terminate");
+            match fed.run_round_with(Some(&injector)) {
+                Ok(record) => steps.push(Ok(record)),
+                Err(CoreError::Divergence { round, reason }) => {
+                    steps.push(Err(format!("divergence at {round}: {reason}")));
+                    fed.aggregator.neutralize_round(round);
+                }
+                Err(e) => panic!("round {} failed: {e}", fed.aggregator.round()),
             }
-            Err(e) => panic!("round {} failed: {e}", fed.aggregator.round()),
         }
-    }
-    let trace = photon_trace::flush_to_string();
-    photon_trace::reset_for_tests();
+    });
+    let trace = recorder.flush_to_string();
     Run {
         steps,
         params: fed.aggregator.params().to_vec(),
