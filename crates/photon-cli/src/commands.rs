@@ -337,7 +337,9 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
     if let Some(best) = outcome.history.best_ppl() {
         println!("best validation perplexity: {best:.2}");
     }
-    let faults = outcome.federation.aggregator.telemetry().fault_counters();
+    // The summary is a rendering of the run's one metrics snapshot.
+    let snapshot = outcome.snapshot();
+    let faults = snapshot.fault_counters;
     if outcome.recoveries > 0 || faults != photon_core::FaultCounters::default() {
         println!(
             "faults absorbed: {} crash(es), {} straggler(s), {} retransmit(s), \
@@ -383,18 +385,12 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
             faults.shard_crashes, faults.shard_hangs, faults.shard_degraded, faults.reparented
         );
     }
-    let telemetry = outcome.federation.aggregator.telemetry();
-    if let (Some(p50), Some(p99)) = (
-        telemetry.link_latency_quantile(0.5),
-        telemetry.link_latency_quantile(0.99),
-    ) {
+    let network = &snapshot.network;
+    if let (Some(p50), Some(p99)) = (network.latency_p50_ms, network.latency_p99_ms) {
         println!(
             "network: {} delivery(ies), latency p50 {p50} ms / p99 {p99} ms, \
              {} loss(es), {} duplicate(s) dropped, {} partition drop(s)",
-            telemetry.link_latency_count(),
-            faults.link_losses,
-            faults.dup_drops,
-            faults.partition_drops
+            network.deliveries, faults.link_losses, faults.dup_drops, faults.partition_drops
         );
     }
     if faults.degraded_rounds > 0 {

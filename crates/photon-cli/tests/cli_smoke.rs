@@ -82,3 +82,46 @@ fn help_paths_do_not_error() {
     commands::generate(&args("generate --help")).unwrap();
     commands::downstream(&args("downstream --help")).unwrap();
 }
+
+/// The end-of-run summary and `--metrics-json` are renderings of one
+/// snapshot: the counts a faulted run prints are the ones it wrote.
+#[test]
+fn summary_counts_are_the_metrics_json_counts() {
+    let dir = ckpt_dir("summary");
+    std::fs::create_dir_all(&dir).expect("dir");
+    let json = dir.join("metrics.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_photon"))
+        .args("train --clients 4 --rounds 4 --local-steps 2 --batch 2 --partial-ok".split(' '))
+        .args("--tokens-per-client 2000 --eval-every 0 --deadline-ms 100".split(' '))
+        .args([
+            "--faults",
+            "crash=0.2,corrupt=0.3,straggle=0.2,straggle-ms=400,seed=9",
+        ])
+        .arg("--metrics-json")
+        .arg(&json)
+        .output()
+        .expect("photon runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let written = std::fs::read_to_string(&json).expect("metrics json");
+    let written = |key: &str| -> u64 {
+        let (_, rest) = written.split_once(&format!("\"{key}\": ")).expect(key);
+        let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+        digits.expect(key).parse().expect(key)
+    };
+    let summary = format!(
+        "faults absorbed: {} crash(es), {} straggler(s), {} retransmit(s), \
+         {} link dropout(s), {} recovery(ies)",
+        written("crashes"),
+        written("stragglers"),
+        written("retransmits"),
+        written("link_dropouts"),
+        written("recoveries"),
+    );
+    assert!(written("crashes") + written("retransmits") > 0, "{stdout}");
+    assert!(stdout.contains(&summary), "{summary}\nnot in\n{stdout}");
+}

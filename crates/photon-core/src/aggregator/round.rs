@@ -426,12 +426,12 @@ impl Aggregator {
             .as_mut()
             .expect("elastic planning requires a membership registry");
         let churn = reg.begin_round(self.round, injector);
-        self.telemetry.record_churn(
-            churn.joined.len() as u64,
-            churn.departed.len() as u64,
-            churn.expired.len() as u64,
-            churn.rejoined.len() as u64,
-        );
+        self.telemetry.count(|f| {
+            f.joins += churn.joined.len() as u64;
+            f.leaves += churn.departed.len() as u64;
+            f.lease_expiries += churn.expired.len() as u64;
+            f.rejoins += churn.rejoined.len() as u64;
+        });
         // Every (re)join runs the Hello/LeaseGrant handshake over the
         // Link; the frames count toward the round's wire traffic.
         let mcfg = reg.config();
@@ -868,13 +868,13 @@ impl Aggregator {
 
     /// Accumulates the round's network chaos into the telemetry.
     fn record_network(&self, acct: &RoundAccounting, dup_drops: u64) {
-        self.telemetry.record_network(
-            acct.net_losses,
-            acct.net_duplicates,
-            acct.net_reorders,
-            dup_drops,
-            acct.unreachable as u64,
-        );
+        self.telemetry.count(|f| {
+            f.link_losses += acct.net_losses;
+            f.link_duplicates += acct.net_duplicates;
+            f.link_reorders += acct.net_reorders;
+            f.dup_drops += dup_drops;
+            f.partition_drops += acct.unreachable as u64;
+        });
     }
 
     /// The degraded-quorum gate. When an active partition (or mass loss)
@@ -892,12 +892,12 @@ impl Aggregator {
         if received >= quorum {
             if self.degraded {
                 self.degraded = false;
-                self.telemetry.record_degraded_recovery();
+                self.telemetry.count(|f| f.degraded_recoveries += 1);
             }
             return false;
         }
         self.degraded = true;
-        self.telemetry.record_degraded_round();
+        self.telemetry.count(|f| f.degraded_rounds += 1);
         photon_trace::instant(
             photon_trace::Phase::DegradedRound,
             "degraded_round",
@@ -928,7 +928,7 @@ impl Aggregator {
                 };
                 guard.quarantine(self.round, id);
                 tally.guard_rejected += 1;
-                self.telemetry.record_guard(1, 0, 0, 0);
+                self.telemetry.count(|f| f.rejected_nonfinite += 1);
                 Ok(None)
             }
         }
@@ -1027,7 +1027,7 @@ impl Aggregator {
                 .is_some_and(|g| g.is_quarantined(a.client_id, self.round));
             if quarantined {
                 tally.quarantined += 1;
-                self.telemetry.record_guard(0, 0, 0, 1);
+                self.telemetry.count(|f| f.quarantine_skips += 1);
                 continue;
             }
             if let Some(update) = self.admit_weight(a.client_id, a.delta, a.weight, tally)? {
@@ -1080,12 +1080,12 @@ impl Aggregator {
             return vec![true; ids.len()];
         };
         let report = guard.screen_round(self.round, ids, updates);
-        self.telemetry.record_guard(
-            report.rejected_nonfinite,
-            report.rejected_outliers,
-            report.clipped,
-            report.quarantine_skips,
-        );
+        self.telemetry.count(|f| {
+            f.rejected_nonfinite += report.rejected_nonfinite;
+            f.rejected_outliers += report.rejected_outliers;
+            f.norm_clipped += report.clipped;
+            f.quarantine_skips += report.quarantine_skips;
+        });
         tally.guard_rejected += (report.rejected_nonfinite + report.rejected_outliers) as usize;
         tally.guard_clipped += report.clipped as usize;
         tally.quarantined += report.quarantine_skips as usize;
@@ -1241,23 +1241,22 @@ impl Aggregator {
         // merge stage that can fail the round: a round that returns an
         // error and is replayed by the recovery driver counts its faults
         // once.
-        self.telemetry.record_round_faults(
-            acct.crashes as u64,
-            acct.stragglers as u64,
-            acct.retransmits,
-            acct.link_dropouts as u64,
-        );
-        self.telemetry.record_shard_faults(
-            plan.shard_crashes.len() as u64,
-            plan.shard_hangs.len() as u64,
-            tally.shard_degraded as u64,
-        );
-        self.telemetry.record_reparented(tally.reparented as u64);
+        self.telemetry.count(|f| {
+            f.crashes += acct.crashes as u64;
+            f.stragglers += acct.stragglers as u64;
+            f.retransmits += acct.retransmits;
+            f.link_dropouts += acct.link_dropouts as u64;
+            f.shard_crashes += plan.shard_crashes.len() as u64;
+            f.shard_hangs += plan.shard_hangs.len() as u64;
+            f.shard_degraded += tally.shard_degraded as u64;
+            f.reparented += tally.reparented as u64;
+            if let Some(stale) = tally.stale_commit {
+                f.buffered_commits += 1;
+                f.stale_commits += stale;
+            }
+        });
         for (id, metrics) in &seen {
             self.telemetry.record(*id, self.round, metrics);
-        }
-        if let Some(stale) = tally.stale_commit {
-            self.telemetry.record_commit(stale);
         }
 
         // A neutralized round runs (keeping client state deterministic)

@@ -67,7 +67,10 @@ pub use photon_comms::{
     PartitionSpec,
 };
 pub use recovery::{run_training, TrainingOptions, TrainingOutcome};
-pub use telemetry::{ClientStats, FaultCounters, Telemetry};
+pub use telemetry::{
+    ClientStats, FaultCounters, HealthSnapshot, HierarchyMetrics, Metric, MetricKind,
+    MetricsSnapshot, NetworkMetrics, RoundSlot, Telemetry, TransportMetrics, METRIC_SCHEMA,
+};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

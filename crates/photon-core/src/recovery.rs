@@ -11,7 +11,10 @@
 
 use crate::experiments::{eval_seq, RunOptions};
 use crate::faults::FaultPlan;
-use crate::{checkpoint_exists, load_checkpoint, CoreError, Federation, Result, TrainingHistory};
+use crate::{
+    checkpoint_exists, load_checkpoint, CoreError, Federation, HierarchyMetrics, MetricsSnapshot,
+    Result, TrainingHistory,
+};
 use photon_data::{EvalStream, TokenCorpus};
 use photon_nn::evaluate_perplexity;
 use std::collections::BTreeSet;
@@ -66,6 +69,38 @@ pub struct TrainingOutcome {
     pub federation: Federation,
 }
 
+impl TrainingOutcome {
+    /// The run's metrics: the store's snapshot plus what only the training
+    /// driver knows — the round, the storage dtype, the live view of the
+    /// sub-aggregator tree (`None` for flat runs), the recovery tallies
+    /// and the per-round history. The last `--metrics-json` rewrite holds
+    /// it, and the CLI's end-of-run summary prints it.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let agg = &self.federation.aggregator;
+        let snapshot = agg.telemetry().snapshot();
+        let counters = snapshot.fault_counters;
+        let hierarchy = agg.config().hierarchy.as_ref().map(|cfg| HierarchyMetrics {
+            shards: cfg.shards,
+            shard_quorum_frac: cfg.shard_quorum_frac,
+            max_resident: cfg.max_resident,
+            dead_shards: agg.hierarchy_state().unwrap_or_default().dead_shards,
+            shard_crashes: counters.shard_crashes,
+            shard_hangs: counters.shard_hangs,
+            shard_degraded: counters.shard_degraded,
+            reparented: counters.reparented,
+        });
+        MetricsSnapshot {
+            round: agg.round(),
+            dtype: Some(agg.config().dtype.as_str()),
+            hierarchy,
+            recoveries: Some(self.recoveries),
+            rollbacks: Some(self.rollbacks),
+            history: Some(self.history.clone()),
+            ..snapshot
+        }
+    }
+}
+
 /// Drives federated training to completion through crashes: rounds are
 /// checkpointed every `opts.checkpoint_every` rounds (with server-optimizer
 /// state), and any round error — or an aggregator crash scheduled in
@@ -88,10 +123,13 @@ pub fn run_training<F>(
 where
     F: FnMut() -> Result<(Federation, TokenCorpus)>,
 {
-    let (mut fed, val) = build()?;
-    let mut history = TrainingHistory::new();
-    let mut recoveries = 0u32;
-    let mut rollbacks = 0u32;
+    let (fed, val) = build()?;
+    let mut run = TrainingOutcome {
+        history: TrainingHistory::new(),
+        recoveries: 0,
+        rollbacks: 0,
+        federation: fed,
+    };
     // An injected aggregator crash fires once; after recovery the process
     // is a different incarnation and the schedule entry is spent.
     let mut fired_agg_crashes: BTreeSet<u64> = BTreeSet::new();
@@ -101,19 +139,19 @@ where
     let mut neutralized: BTreeSet<u64> = BTreeSet::new();
 
     if opts.resume {
-        restore_latest(&mut fed, opts);
+        restore_latest(&mut run.federation, opts);
         // A fresh process cannot know which prefix rounds a prior
         // incarnation neutralized (that is not checkpointed), so the whole
         // restored prefix counts as committed.
-        mark_committed_prefix(&fed, &neutralized);
+        mark_committed_prefix(&run.federation, &neutralized);
     }
 
-    let seq = eval_seq(fed.aggregator.config());
-    while fed.aggregator.round() < opts.run.rounds {
-        let round = fed.aggregator.round();
-        match fed.run_round_with(injector) {
+    let seq = eval_seq(run.federation.aggregator.config());
+    while run.federation.aggregator.round() < opts.run.rounds {
+        let round = run.federation.aggregator.round();
+        match run.federation.run_round_with(injector) {
             Ok(mut record) => {
-                if opts.run.eval_every > 0 && (round + 1) % opts.run.eval_every == 0 {
+                if opts.run.eval_every > 0 && (round + 1).is_multiple_of(opts.run.eval_every) {
                     // A fresh stream per eval keeps evaluation a pure
                     // function of the round, so replayed rounds reproduce
                     // their records exactly.
@@ -121,7 +159,7 @@ where
                         .arg("round", round)
                         .arg("windows", opts.run.eval_windows as u64);
                     let mut stream = EvalStream::new(&val, seq);
-                    let model = fed.aggregator.global_model();
+                    let model = run.federation.aggregator.global_model();
                     let report = evaluate_perplexity(&model, &mut stream, opts.run.eval_windows);
                     record.eval_ppl = Some(report.perplexity);
                 }
@@ -131,17 +169,17 @@ where
                     .is_some_and(|(p, t)| p <= t);
                 // Replayed rounds overwrite the records destroyed by the
                 // crash they recover from.
-                history.rounds.truncate(round as usize);
-                history.push(record);
+                run.history.rounds.truncate(round as usize);
+                run.history.push(record);
 
                 let due =
                     opts.checkpoint_every > 0 && (round + 1).is_multiple_of(opts.checkpoint_every);
                 if let Some(dir) = &opts.checkpoint_dir {
                     if due || reached || round + 1 == opts.run.rounds {
                         let _save_span = photon_trace::span(photon_trace::Phase::CheckpointSave)
-                            .arg("round", fed.aggregator.round());
+                            .arg("round", run.federation.aggregator.round());
                         photon_trace::counter_add("checkpoint.saves", 1);
-                        fed.aggregator.save_checkpoint(dir)?;
+                        run.federation.aggregator.save_checkpoint(dir)?;
                     }
                 }
                 if reached {
@@ -150,65 +188,59 @@ where
                 let agg_crashes = injector.is_some_and(|inj| inj.aggregator_crashes_after(round))
                     && fired_agg_crashes.insert(round);
                 if agg_crashes {
-                    if recoveries >= opts.recovery_budget {
+                    if run.recoveries >= opts.recovery_budget {
                         return Err(CoreError::ClientFailure(format!(
                             "aggregator crashed after round {round} with the \
                              recovery budget exhausted"
                         )));
                     }
-                    recoveries += 1;
-                    fed = recover(&mut build, opts, &mut history, &neutralized)?;
+                    run.recoveries += 1;
+                    run.federation = recover(&mut build, opts, &mut run.history, &neutralized)?;
                 }
             }
             Err(CoreError::Divergence { round, reason }) => {
-                if recoveries + rollbacks >= opts.recovery_budget {
+                if run.recoveries + run.rollbacks >= opts.recovery_budget {
                     return Err(CoreError::Divergence { round, reason });
                 }
-                rollbacks += 1;
+                run.rollbacks += 1;
                 neutralized.insert(round);
                 photon_trace::instant(
                     photon_trace::Phase::Rollback,
                     "watchdog_rollback",
-                    &[("round", round), ("rollback", rollbacks as u64)],
+                    &[("round", round), ("rollback", run.rollbacks as u64)],
                 );
                 photon_trace::counter_add("watchdog.rollbacks", 1);
                 eprintln!(
                     "round {round} diverged ({reason}); rolling back to the \
                      last-good checkpoint and neutralizing the round \
-                     (rollback {rollbacks})"
+                     (rollback {})",
+                    run.rollbacks
                 );
-                fed = recover(&mut build, opts, &mut history, &neutralized)?;
+                run.federation = recover(&mut build, opts, &mut run.history, &neutralized)?;
             }
             Err(e) => {
-                if recoveries + rollbacks >= opts.recovery_budget {
+                if run.recoveries + run.rollbacks >= opts.recovery_budget {
                     return Err(e);
                 }
-                recoveries += 1;
+                run.recoveries += 1;
                 eprintln!(
                     "round {round} failed ({e}); restoring from checkpoint \
-                     (recovery {recoveries}/{})",
-                    opts.recovery_budget
+                     (recovery {}/{})",
+                    run.recoveries, opts.recovery_budget
                 );
-                fed = recover(&mut build, opts, &mut history, &neutralized)?;
+                run.federation = recover(&mut build, opts, &mut run.history, &neutralized)?;
             }
         }
-        publish_round_metrics(&fed, &history, recoveries, rollbacks, opts);
+        publish_round_metrics(&run, opts);
     }
-    for _ in 0..recoveries {
-        fed.aggregator.telemetry().record_recovery();
-    }
-    for _ in 0..rollbacks {
-        fed.aggregator.telemetry().record_rollback();
-    }
+    run.federation.aggregator.telemetry().count(|f| {
+        f.recoveries += u64::from(run.recoveries);
+        f.rollbacks += u64::from(run.rollbacks);
+    });
     // A `stop_below` early exit breaks out before the in-loop publish;
     // refresh the sinks once more so they reflect the final state.
-    publish_round_metrics(&fed, &history, recoveries, rollbacks, opts);
-    Ok(TrainingOutcome {
-        history,
-        recoveries,
-        rollbacks,
-        federation: fed,
-    })
+    publish_round_metrics(&run, opts);
+    Ok(run)
 }
 
 /// Rebuilds the federation from scratch and restores the latest
@@ -249,146 +281,30 @@ fn mark_committed_prefix(fed: &Federation, neutralized: &BTreeSet<u64>) {
     }
 }
 
-/// Refreshes the observability sinks after a round: publishes run-level
-/// gauges, drains the trace recorder into its sinks, and atomically
-/// rewrites the live metrics JSON. Sink failures warn and never fail
-/// training.
-fn publish_round_metrics(
-    fed: &Federation,
-    history: &TrainingHistory,
-    recoveries: u32,
-    rollbacks: u32,
-    opts: &TrainingOptions,
-) {
-    let telemetry = fed.aggregator.telemetry();
-    if photon_trace::enabled() {
-        photon_trace::gauge_set("rounds_seen", telemetry.rounds_seen() as f64);
-        photon_trace::gauge_set("rounds_committed", telemetry.rounds_committed() as f64);
-        let skew = telemetry.participation_skew();
-        if skew.is_finite() {
-            photon_trace::gauge_set("participation_skew", skew);
-        }
-        // Hierarchical-aggregation health: the shard topology from the
-        // config, the crash/re-parent tallies from the live tree, and
-        // the streaming-merge residency high-water mark from the last
-        // committed round — all surfaced in the Prometheus text sink.
-        if let Some(hcfg) = &fed.aggregator.config().hierarchy {
-            photon_trace::gauge_set("hierarchy.shards", hcfg.shards as f64);
-            photon_trace::gauge_set("hierarchy.shard_quorum_frac", hcfg.shard_quorum_frac);
-            photon_trace::gauge_set("hierarchy.max_resident", hcfg.max_resident as f64);
-            if let Some(state) = fed.aggregator.hierarchy_state() {
-                photon_trace::gauge_set("hierarchy.dead_shards", state.dead_shards.len() as f64);
-            }
-            if let Some(last) = history.rounds.last() {
-                photon_trace::gauge_set("hierarchy.peak_resident", last.peak_resident as f64);
-                photon_trace::gauge_set("hierarchy.shard_crashes", last.shard_crashes as f64);
-                photon_trace::gauge_set("hierarchy.reparented_clients", last.reparented as f64);
-            }
-        }
-        if let Err(e) = photon_trace::flush() {
-            eprintln!("warning: trace flush failed: {e}");
-        }
+/// Refreshes the observability sinks after a round from one
+/// [`MetricsSnapshot`]: publishes its derived gauges, drains the trace
+/// recorder into its sinks, and atomically rewrites the live metrics JSON
+/// (so a concurrent reader never observes a torn file). Sink failures warn
+/// and never fail training.
+fn publish_round_metrics(run: &TrainingOutcome, opts: &TrainingOptions) {
+    if !photon_trace::enabled() && opts.metrics_json.is_none() {
+        return; // no sink to refresh
+    }
+    let snapshot = run.snapshot();
+    for (name, value) in snapshot.gauges() {
+        photon_trace::gauge_set(name, value);
+    }
+    if let Err(e) = photon_trace::flush() {
+        eprintln!("warning: trace flush failed: {e}");
     }
     if let Some(path) = &opts.metrics_json {
-        if let Err(e) = write_metrics_json(path, fed, history, recoveries, rollbacks) {
+        let written = serde_json::to_string_pretty(&snapshot)
+            .map_err(std::io::Error::other)
+            .and_then(|json| photon_trace::atomic_write(path, &json));
+        if let Err(e) = written {
             eprintln!("warning: cannot write {}: {e}", path.display());
         }
     }
-}
-
-/// The live metrics snapshot: run counters (including the committed-round
-/// count, the compute-thread budget and the participation skew — `null`
-/// when no client has trained yet) plus the per-round history. Written
-/// atomically so a concurrent reader never observes a torn file.
-fn write_metrics_json(
-    path: &std::path::Path,
-    fed: &Federation,
-    history: &TrainingHistory,
-    recoveries: u32,
-    rollbacks: u32,
-) -> std::io::Result<()> {
-    let telemetry = fed.aggregator.telemetry();
-    let faults = serde_json::to_string_pretty(&telemetry.fault_counters())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let skew = telemetry.participation_skew();
-    let skew_json = if skew.is_finite() {
-        format!("{skew}")
-    } else {
-        "null".to_string()
-    };
-    let quantile = |q: f64| {
-        telemetry
-            .link_latency_quantile(q)
-            .map_or("null".to_string(), |v| v.to_string())
-    };
-    let counters = telemetry.fault_counters();
-    // Live view of the sub-aggregator tree: `null` for flat runs, else the
-    // shard count, the permanently dead shards and the cumulative shard
-    // fault counters.
-    let hierarchy_json = match (
-        fed.aggregator.config().hierarchy.as_ref(),
-        fed.aggregator.hierarchy_state(),
-    ) {
-        (Some(hcfg), Some(state)) => format!(
-            "{{\"shards\": {}, \"max_resident\": {}, \"dead_shards\": [{}], \
-             \"shard_crashes\": {}, \"shard_hangs\": {}, \
-             \"shard_degraded\": {}, \"reparented\": {}}}",
-            hcfg.shards,
-            hcfg.max_resident,
-            state
-                .dead_shards
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            counters.shard_crashes,
-            counters.shard_hangs,
-            counters.shard_degraded,
-            counters.reparented,
-        ),
-        _ => "null".to_string(),
-    };
-    let reconnects_json = telemetry
-        .reconnects_by_client()
-        .iter()
-        .map(|(id, n)| format!("\"{id}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n\"round\": {},\n\"rounds_seen\": {},\n\"rounds_committed\": {},\n\
-         \"compute_threads\": {},\n\"backend\": \"{}\",\n\"dtype\": \"{}\",\n\
-         \"participation_skew\": {},\n\
-         \"total_tokens\": {},\n\"recoveries\": {},\n\"rollbacks\": {},\n\
-         \"network\": {{\"deliveries\": {}, \"latency_p50_ms\": {}, \
-         \"latency_p99_ms\": {}}},\n\
-         \"transport\": {{\"reconnects\": {}, \"heartbeat_misses\": {}, \
-         \"session_resumes\": {}, \"coordinator_restarts\": {}, \
-         \"reconnects_by_client\": {{{}}}}},\n\
-         \"hierarchy\": {},\n\
-         \"fault_counters\": {},\n\"history\": {}\n}}\n",
-        fed.aggregator.round(),
-        telemetry.rounds_seen(),
-        telemetry.rounds_committed(),
-        telemetry.compute_threads(),
-        photon_tensor::backend::active_name(),
-        fed.aggregator.config().dtype.as_str(),
-        skew_json,
-        telemetry.total_tokens(),
-        recoveries,
-        rollbacks,
-        telemetry.link_latency_count(),
-        quantile(0.5),
-        quantile(0.99),
-        counters.transport_reconnects,
-        counters.heartbeat_misses,
-        counters.session_resumes,
-        counters.coordinator_restarts,
-        reconnects_json,
-        hierarchy_json,
-        faults,
-        history.to_json()
-    );
-    photon_trace::atomic_write(path, &json)
 }
 
 /// Restores the latest checkpoint into a freshly built federation, when

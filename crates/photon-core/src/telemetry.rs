@@ -1,43 +1,33 @@
 //! Federation telemetry: the `AggMetrics` side of Algorithm 1 (L.10).
 //!
-//! The aggregator records every client's per-round metrics into a
-//! thread-safe hub; operators (and the experiment harnesses) read
-//! aggregated summaries — per-client token counts, participation, loss
-//! trajectories — without touching the training loop.
+//! **Store → snapshot → renderers.** A run has one store, [`Telemetry`]:
+//! the [`FaultCounters`] themselves (written through
+//! [`Telemetry::count`]), one per-client table holding the training and the
+//! transport columns side by side ([`ClientStats`], written through
+//! [`Telemetry::client`]) and a handful of run scalars. There is one read
+//! path, [`Telemetry::snapshot`], and every surface an operator reads is a
+//! rendering of the [`MetricsSnapshot`] it returns: `--metrics-json` is the
+//! struct through `serde_json`, `/health` is its coordinator-and-clients
+//! part ([`MetricsSnapshot::into_health`]), `/metrics` is
+//! [`MetricsSnapshot::to_prometheus`], the recorder's `--metrics-text` sink
+//! gets its gauges from [`MetricsSnapshot::gauges`] and the CLI's end-of-run
+//! summary prints the snapshot's fields.
 //!
-//! Since the observability pass, the hub's fault/guard/churn tallies are
-//! backed by a [`photon_trace::CounterSet`]: every `record_*` call bumps a
-//! named counter in the instance-local set **and** mirrors the same
-//! increment into the thread's trace recorder (a no-op when tracing is
-//! disabled), so the Prometheus snapshot and the CLI summary read from one
-//! source of truth. [`FaultCounters`] remains the stable serialized view,
-//! assembled from counter names on demand.
+//! [`METRIC_SCHEMA`] lists every name those renderings carry, with the
+//! reader that produces its value, so a name is spelled once.
+//! [`Telemetry::count`] mirrors each counter it changed into the thread's
+//! trace recorder (a no-op without one), which is how `--metrics-text`
+//! carries them; `/metrics` renders the snapshot's counters whether or not
+//! a recorder is enabled.
 
 use parking_lot::RwLock;
 use photon_comms::TrainMetrics;
+use photon_trace::{FlushSummary, LogHistogram};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// Per-client aggregate statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ClientStats {
-    /// Rounds this client participated in.
-    pub rounds_participated: u64,
-    /// Total tokens this client has trained on.
-    pub tokens: u64,
-    /// Total local optimizer steps.
-    pub steps: u64,
-    /// Mean of the client's reported per-round losses.
-    pub mean_loss: f32,
-    /// Most recent reported loss.
-    pub last_loss: f32,
-    /// Mean cosine alignment between this client's pseudo-gradients and
-    /// the aggregated round update — the §6 "client contribution" measure
-    /// (near 1: pulls with the federation; near 0: orthogonal noise;
-    /// negative: conflicts).
-    pub mean_alignment: f32,
-}
+use MetricKind::{Client, Coordinator, Counter, Gauge, Json, RunCounter};
 
 /// Run-level fault and recovery counters — the operator's view of how much
 /// turbulence the federation absorbed (§4's dropout tolerance plus the
@@ -138,84 +128,398 @@ pub struct FaultCounters {
     pub reparented: u64,
 }
 
-/// Counter-name keys backing [`FaultCounters`] — the same names appear in
-/// the Prometheus snapshot (as `name` label values) and in trace flushes.
-mod key {
-    pub const CRASHES: &str = "faults.crashes";
-    pub const STRAGGLERS: &str = "faults.stragglers";
-    pub const RETRANSMITS: &str = "faults.retransmits";
-    pub const LINK_DROPOUTS: &str = "faults.link_dropouts";
-    pub const RECOVERIES: &str = "faults.recoveries";
-    pub const REJECTED_NONFINITE: &str = "guard.rejected_nonfinite";
-    pub const REJECTED_OUTLIERS: &str = "guard.rejected_outliers";
-    pub const NORM_CLIPPED: &str = "guard.norm_clipped";
-    pub const QUARANTINE_SKIPS: &str = "guard.quarantine_skips";
-    pub const ROLLBACKS: &str = "faults.rollbacks";
-    pub const JOINS: &str = "churn.joins";
-    pub const LEAVES: &str = "churn.leaves";
-    pub const LEASE_EXPIRIES: &str = "churn.lease_expiries";
-    pub const REJOINS: &str = "churn.rejoins";
-    pub const BUFFERED_COMMITS: &str = "buffer.commits";
-    pub const STALE_COMMITS: &str = "buffer.stale_commits";
-    pub const ROUNDS_COMMITTED: &str = "rounds.committed";
-    pub const LINK_LOSSES: &str = "network.link_losses";
-    pub const LINK_DUPLICATES: &str = "network.link_duplicates";
-    pub const LINK_REORDERS: &str = "network.link_reorders";
-    pub const DUP_DROPS: &str = "network.dup_drops";
-    pub const PARTITION_DROPS: &str = "network.partition_drops";
-    pub const DEGRADED_ROUNDS: &str = "network.degraded_rounds";
-    pub const DEGRADED_RECOVERIES: &str = "network.degraded_recoveries";
-    pub const TRANSPORT_RECONNECTS: &str = "transport.reconnects";
-    pub const HEARTBEAT_MISSES: &str = "transport.heartbeat_misses";
-    pub const SESSION_RESUMES: &str = "transport.session_resumes";
-    pub const COORDINATOR_RESTARTS: &str = "transport.coordinator_restarts";
-    pub const SHARD_CRASHES: &str = "hierarchy.shard_crashes";
-    pub const SHARD_HANGS: &str = "hierarchy.shard_hangs";
-    pub const SHARD_DEGRADED: &str = "hierarchy.shard_degraded";
-    pub const REPARENTED: &str = "hierarchy.reparented";
-}
-
 impl FaultCounters {
-    /// Assembles the serialized view from a named counter set.
-    fn from_counters(c: &photon_trace::CounterSet) -> Self {
-        FaultCounters {
-            crashes: c.get(key::CRASHES),
-            stragglers: c.get(key::STRAGGLERS),
-            retransmits: c.get(key::RETRANSMITS),
-            link_dropouts: c.get(key::LINK_DROPOUTS),
-            recoveries: c.get(key::RECOVERIES),
-            rejected_nonfinite: c.get(key::REJECTED_NONFINITE),
-            rejected_outliers: c.get(key::REJECTED_OUTLIERS),
-            norm_clipped: c.get(key::NORM_CLIPPED),
-            quarantine_skips: c.get(key::QUARANTINE_SKIPS),
-            rollbacks: c.get(key::ROLLBACKS),
-            joins: c.get(key::JOINS),
-            leaves: c.get(key::LEAVES),
-            lease_expiries: c.get(key::LEASE_EXPIRIES),
-            rejoins: c.get(key::REJOINS),
-            buffered_commits: c.get(key::BUFFERED_COMMITS),
-            stale_commits: c.get(key::STALE_COMMITS),
-            link_losses: c.get(key::LINK_LOSSES),
-            link_duplicates: c.get(key::LINK_DUPLICATES),
-            link_reorders: c.get(key::LINK_REORDERS),
-            dup_drops: c.get(key::DUP_DROPS),
-            partition_drops: c.get(key::PARTITION_DROPS),
-            degraded_rounds: c.get(key::DEGRADED_ROUNDS),
-            degraded_recoveries: c.get(key::DEGRADED_RECOVERIES),
-            transport_reconnects: c.get(key::TRANSPORT_RECONNECTS),
-            heartbeat_misses: c.get(key::HEARTBEAT_MISSES),
-            session_resumes: c.get(key::SESSION_RESUMES),
-            coordinator_restarts: c.get(key::COORDINATOR_RESTARTS),
-            shard_crashes: c.get(key::SHARD_CRASHES),
-            shard_hangs: c.get(key::SHARD_HANGS),
-            shard_degraded: c.get(key::SHARD_DEGRADED),
-            reparented: c.get(key::REPARENTED),
-        }
+    /// Every counter under its exported name, in field order. The names
+    /// are [`METRIC_SCHEMA`]'s, the one place they are spelled.
+    pub fn rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        METRIC_SCHEMA.iter().filter_map(move |m| match m.kind {
+            Counter(get) => Some((m.name, get(self))),
+            _ => None,
+        })
     }
 }
 
-/// A cheaply clonable, thread-safe telemetry hub shared between the
-/// aggregator and observers.
+/// How a [`METRIC_SCHEMA`] entry is read and where it is rendered.
+#[derive(Debug, Clone, Copy)]
+pub enum MetricKind {
+    /// A [`FaultCounters`] field: `photon_counter_total{name}`, mirrored
+    /// into the trace recorder as it changes, and an entry of the JSON's
+    /// `fault_counters` (same order).
+    Counter(fn(&FaultCounters) -> u64),
+    /// A run-level count: `photon_counter_total{name}` on `/metrics`.
+    RunCounter(fn(&MetricsSnapshot) -> u64),
+    /// `photon_gauge{name}` when the value exists; the name is also the
+    /// dotted path of the JSON key that holds it, where there is one.
+    Gauge(fn(&MetricsSnapshot) -> Option<f64>),
+    /// A Prometheus family called `name`, rendered for runs with a
+    /// coordinator (`serve`).
+    Coordinator(fn(&MetricsSnapshot) -> Option<u64>),
+    /// A `clients.<id>` column of the JSON, and a sample per client of the
+    /// given Prometheus family, labelled `client` plus the given labels.
+    Client(&'static str, &'static str, fn(&ClientStats) -> Option<u64>),
+    /// A key of the JSON renderings only (dotted path).
+    Json,
+}
+
+/// One exported metric: its name, how it is read and a one-line help.
+#[derive(Debug, Clone, Copy)]
+pub struct Metric {
+    /// Exported name: the `name` label, the family, or the JSON path.
+    pub name: &'static str,
+    /// Reader and rendering.
+    pub kind: MetricKind,
+    /// One-line description (the Prometheus `# HELP` text).
+    pub help: &'static str,
+}
+
+/// One row per line; a plain array of struct literals wraps every row.
+macro_rules! schema {
+    ($($name:literal $kind:expr => $help:literal;)*) => {
+        &[$(Metric { name: $name, kind: $kind, help: $help }),*]
+    };
+}
+
+/// Everything a [`MetricsSnapshot`] exports, under the one name each
+/// rendering uses for it. `tests/observability.rs` holds the JSON and the
+/// Prometheus renderings of a run, and DESIGN.md's table, against it.
+#[rustfmt::skip]
+pub const METRIC_SCHEMA: &[Metric] = schema! {
+    "faults.crashes"                Counter(|f| f.crashes)              => "Clients that crashed mid-round (no result frame).";
+    "faults.stragglers"             Counter(|f| f.stragglers)           => "Clients dropped for missing the round deadline.";
+    "faults.retransmits"            Counter(|f| f.retransmits)          => "Result-frame retransmissions after CRC failures.";
+    "faults.link_dropouts"          Counter(|f| f.link_dropouts)        => "Clients dropped after exhausting the retransmit budget.";
+    "faults.recoveries"             Counter(|f| f.recoveries)           => "Checkpoint restores by the recovery driver.";
+    "guard.rejected_nonfinite"      Counter(|f| f.rejected_nonfinite)   => "Updates rejected for non-finite coordinates.";
+    "guard.rejected_outliers"       Counter(|f| f.rejected_outliers)    => "Updates rejected as cohort outliers.";
+    "guard.norm_clipped"            Counter(|f| f.norm_clipped)         => "Updates admitted after norm clipping.";
+    "guard.quarantine_skips"        Counter(|f| f.quarantine_skips)     => "Updates skipped because their client was quarantined.";
+    "faults.rollbacks"              Counter(|f| f.rollbacks)            => "Watchdog rollbacks to the last-good checkpoint.";
+    "churn.joins"                   Counter(|f| f.joins)                => "Clients admitted mid-run.";
+    "churn.leaves"                  Counter(|f| f.leaves)               => "Members that permanently departed.";
+    "churn.lease_expiries"          Counter(|f| f.lease_expiries)       => "Liveness leases that lapsed.";
+    "churn.rejoins"                 Counter(|f| f.rejoins)              => "Expired members that warm-rejoined.";
+    "buffer.commits"                Counter(|f| f.buffered_commits)     => "Buffered-aggregation merges committed.";
+    "buffer.stale_commits"          Counter(|f| f.stale_commits)        => "Committed updates down-weighted for staleness.";
+    "network.link_losses"           Counter(|f| f.link_losses)          => "Result transmissions lost in flight.";
+    "network.link_duplicates"       Counter(|f| f.link_duplicates)      => "Duplicate result arrivals generated by the link.";
+    "network.link_reorders"         Counter(|f| f.link_reorders)        => "Deliveries that arrived out of order.";
+    "network.dup_drops"             Counter(|f| f.dup_drops)            => "Duplicate arrivals discarded by update dedup.";
+    "network.partition_drops"       Counter(|f| f.partition_drops)      => "Deliveries lost to an active partition.";
+    "network.degraded_rounds"       Counter(|f| f.degraded_rounds)      => "Rounds run below the reachability quorum.";
+    "network.degraded_recoveries"   Counter(|f| f.degraded_recoveries)  => "Exits from degraded mode.";
+    "transport.reconnects"          Counter(|f| f.transport_reconnects) => "Client connections that dropped and dialed back in.";
+    "transport.heartbeat_misses"    Counter(|f| f.heartbeat_misses)     => "Heartbeats the coordinator expected but never received.";
+    "transport.session_resumes"     Counter(|f| f.session_resumes)      => "Reconnections that resumed an existing session.";
+    "transport.coordinator_restarts" Counter(|f| f.coordinator_restarts) => "Coordinator restarts restored from a checkpoint.";
+    "hierarchy.shard_crashes"       Counter(|f| f.shard_crashes)        => "Sub-aggregator shard crashes.";
+    "hierarchy.shard_hangs"         Counter(|f| f.shard_hangs)          => "Sub-aggregator shard hangs.";
+    "hierarchy.shard_degraded"      Counter(|f| f.shard_degraded)       => "Shard slices dropped for missing the shard quorum.";
+    "hierarchy.reparented"          Counter(|f| f.reparented)           => "Cohort members fostered to a sibling shard.";
+    "rounds.committed"              RunCounter(|s| s.rounds_committed)  => "Distinct rounds whose update was applied.";
+    "round"                         Json                                => "Next round the aggregator runs.";
+    "rounds_seen"                   Gauge(|s| Some(s.rounds_seen as f64)) => "Rounds observed, including neutralized ones.";
+    "rounds_committed"              Gauge(|s| Some(s.rounds_committed as f64)) => "Distinct rounds whose update was applied.";
+    "compute_threads"               Gauge(|s| (s.compute_threads > 0).then_some(s.compute_threads as f64)) => "Worker-pool size the kernels fan out to.";
+    "backend"                       Json                                => "Compute backend the kernels resolved to.";
+    "dtype"                         Json                                => "Storage dtype of checkpoints and wire payloads.";
+    "participation_skew"            Gauge(|s| s.participation_skew)     => "Most over least trained client's tokens.";
+    "total_tokens"                  Json                                => "Tokens trained on across the federation.";
+    "network.deliveries"            Json                                => "Deliveries with a simulated latency.";
+    "network.latency_p50_ms"        Json                                => "Median simulated delivery latency.";
+    "network.latency_p99_ms"        Json                                => "99th-percentile simulated delivery latency.";
+    "transport.reconnects_by_client" Json                               => "Reconnects per client id.";
+    "hierarchy.shards"              Gauge(|s| Some(s.hierarchy.as_ref()?.shards as f64)) => "Sub-aggregator shards in the tree.";
+    "hierarchy.shard_quorum_frac"   Gauge(|s| Some(s.hierarchy.as_ref()?.shard_quorum_frac)) => "Fraction of a shard's slice that must fold.";
+    "hierarchy.max_resident"        Gauge(|s| Some(s.hierarchy.as_ref()?.max_resident as f64)) => "Residency bound of a shard's streaming merge.";
+    "hierarchy.dead_shards"         Gauge(|s| Some(s.hierarchy.as_ref()?.dead_shards.len() as f64)) => "Permanently crashed shards.";
+    "hierarchy.peak_resident"       Gauge(|s| Some(s.last_shard_round()?.peak_resident as f64)) => "Last round's streaming-merge residency high-water mark.";
+    "hierarchy.reparented_clients"  Gauge(|s| Some(s.last_shard_round()?.reparented as f64)) => "Last round's fostered cohort members.";
+    "recoveries"                    Json                                => "Checkpoint restores so far (train).";
+    "rollbacks"                     Json                                => "Watchdog rollbacks so far (train).";
+    "history"                       Json                                => "Per-round records that stand (train).";
+    "state"                         Json                                => "Coordinator state name (serve).";
+    "state_code"                    Json                                => "Coordinator state discriminant (serve).";
+    "sessions"                      Json                                => "Sessions admitted (serve).";
+    "resumed_from"                  Json                                => "Checkpointed round this process restored (serve).";
+    "recent_rounds"                 Json                                => "Last committed rounds: received vs cohort (serve).";
+    "photon_coord_round"            Coordinator(|s| s.state_code.and(Some(s.round))) => "Current coordinator round.";
+    "photon_coord_state"            Coordinator(|s| s.state_code.map(u64::from)) => "Coordinator state machine discriminant.";
+    "photon_coord_rounds_committed_total" Coordinator(|s| s.state_code.and(Some(s.rounds_committed))) => "Rounds committed so far.";
+    "clients.rounds"                Client("photon_client_rounds_total", "", |c| Some(c.rounds)) => "Rounds the client's result was recorded in.";
+    "clients.tokens"                Json                                => "Tokens the client trained on.";
+    "clients.steps"                 Json                                => "Local optimizer steps.";
+    "clients.mean_loss"             Json                                => "Mean of the client's per-round losses.";
+    "clients.last_loss"             Json                                => "Most recent reported loss.";
+    "clients.mean_alignment"        Json                                => "Mean cosine of its updates with the round update.";
+    "clients.results"               Client("photon_client_results_total", "", |c| Some(c.results)) => "Results received from the client.";
+    "clients.latency_ms_p50"        Client("photon_client_result_latency_ms", ",quantile=\"0.5\"", |c| c.latency_ms_p50) => "Broadcast-to-result latency in ms, median.";
+    "clients.latency_ms_p99"        Client("photon_client_result_latency_ms", ",quantile=\"0.99\"", |c| c.latency_ms_p99) => "Broadcast-to-result latency in ms, 99th percentile.";
+    "clients.heartbeat_misses"      Client("photon_client_heartbeat_misses_total", "", |c| Some(c.heartbeat_misses)) => "Heartbeat strikes observed for the client.";
+    "clients.reconnects"            Client("photon_client_reconnects_total", "", |c| Some(c.reconnects)) => "Session resumes after a disconnect.";
+    "clients.straggler_rounds"      Client("photon_client_straggler_rounds_total", "", |c| Some(c.straggler_rounds)) => "Rounds closed without or past the client's result.";
+    "clients.connected"             Client("photon_client_connected", "", |c| Some(u64::from(c.connected))) => "1 when a live connection is registered.";
+    "clients.last_round"            Json                                => "Last round with activity from the client.";
+};
+
+/// One client's row of the store's table, and its entry in a
+/// [`MetricsSnapshot`]: the training columns the aggregator writes beside
+/// the transport columns the coordinator writes.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct ClientStats {
+    /// Rounds this client's result was recorded in.
+    pub rounds: u64,
+    /// Total tokens this client has trained on.
+    pub tokens: u64,
+    /// Total local optimizer steps.
+    pub steps: u64,
+    /// Mean of the client's reported per-round losses.
+    pub mean_loss: f32,
+    /// Most recent reported loss.
+    pub last_loss: f32,
+    /// Mean cosine alignment between this client's pseudo-gradients and
+    /// the aggregated round update — the §6 "client contribution" measure
+    /// (near 1: pulls with the federation; near 0: orthogonal noise;
+    /// negative: conflicts).
+    pub mean_alignment: f32,
+    /// Results received (including redelivered duplicates).
+    pub results: u64,
+    /// Median broadcast-to-result latency; `None` before any result.
+    pub latency_ms_p50: Option<u64>,
+    /// 99th-percentile broadcast-to-result latency.
+    pub latency_ms_p99: Option<u64>,
+    /// Heartbeat strikes (each one a missed liveness window).
+    pub heartbeat_misses: u64,
+    /// Session resumes after a disconnect.
+    pub reconnects: u64,
+    /// Rounds that closed without, or past, this client's result.
+    pub straggler_rounds: u64,
+    /// Whether a live connection is registered.
+    pub connected: bool,
+    /// Last round with any activity from this client.
+    pub last_round: u64,
+    /// What the means and quantiles above are computed from. The
+    /// histogram is boxed and absent until the first sample: a sim run
+    /// has 10^5 rows and no latency.
+    #[serde(skip)]
+    loss_sum: f64,
+    #[serde(skip)]
+    alignment: (f64, u64),
+    #[serde(skip)]
+    latency_ms: Option<Box<LogHistogram>>,
+}
+
+impl ClientStats {
+    /// Records one result's broadcast-to-result latency.
+    pub fn observe_latency_ms(&mut self, ms: u64) {
+        let samples = self.latency_ms.get_or_insert_with(Box::default);
+        samples.record(ms);
+        self.latency_ms_p50 = Some(samples.quantile(0.5));
+        self.latency_ms_p99 = Some(samples.quantile(0.99));
+    }
+}
+
+/// Simulated per-delivery latency (network-model runs only).
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct NetworkMetrics {
+    /// Deliveries with a recorded latency.
+    pub deliveries: u64,
+    /// Median latency; `None` before any delivery.
+    pub latency_p50_ms: Option<u64>,
+    /// 99th-percentile latency.
+    pub latency_p99_ms: Option<u64>,
+}
+
+/// Transport health of a multi-process run (all zero in-process).
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct TransportMetrics {
+    /// [`FaultCounters::transport_reconnects`].
+    pub reconnects: u64,
+    /// [`FaultCounters::heartbeat_misses`].
+    pub heartbeat_misses: u64,
+    /// [`FaultCounters::session_resumes`].
+    pub session_resumes: u64,
+    /// [`FaultCounters::coordinator_restarts`].
+    pub coordinator_restarts: u64,
+    /// Reconnects per client id, for the clients that have any.
+    pub reconnects_by_client: BTreeMap<String, u64>,
+}
+
+/// Live view of the sub-aggregator tree, filled in by the driver.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct HierarchyMetrics {
+    /// Shards in the tree.
+    pub shards: usize,
+    /// Fraction of a shard's slice that must fold before it commits.
+    pub shard_quorum_frac: f64,
+    /// Residency bound of each shard's streaming merge.
+    pub max_resident: usize,
+    /// Permanently crashed shards, ascending.
+    pub dead_shards: Vec<u32>,
+    /// [`FaultCounters::shard_crashes`].
+    pub shard_crashes: u64,
+    /// [`FaultCounters::shard_hangs`].
+    pub shard_hangs: u64,
+    /// [`FaultCounters::shard_degraded`].
+    pub shard_degraded: u64,
+    /// [`FaultCounters::reparented`].
+    pub reparented: u64,
+}
+
+/// One committed round of a `serve` run, as kept in its recent-round ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+pub struct RoundSlot {
+    /// Round index.
+    pub round: u64,
+    /// Results that reached the commit.
+    pub received: u32,
+    /// Cohort size the round was broadcast to.
+    pub cohort: u32,
+    /// Duplicate deliveries dropped by the idempotency keys.
+    pub dup_drops: u32,
+}
+
+/// Everything a run reports, read from the store in one pass. The store
+/// fills the run scalars, `fault_counters`, `clients`, `network` and
+/// `transport`; the driver adds what only it knows — `round`, `dtype`,
+/// `hierarchy`, `recoveries` / `rollbacks` / `history` for `train`,
+/// `sessions` / `resumed_from` / `recent_rounds` for `serve` — and a
+/// section that does not apply to a driver stays `None` (`null`).
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct MetricsSnapshot {
+    /// Next round the aggregator runs.
+    pub round: u64,
+    /// Rounds observed, including ones a watchdog rollback neutralized.
+    pub rounds_seen: u64,
+    /// Distinct rounds whose update was applied; `<= rounds_seen`.
+    pub rounds_committed: u64,
+    /// Worker-pool size the kernels fan out to (0 if never recorded).
+    pub compute_threads: usize,
+    /// Compute backend the kernels resolved to.
+    pub backend: &'static str,
+    /// Storage dtype of checkpoints and wire payloads.
+    pub dtype: Option<&'static str>,
+    /// Most over least trained client's token count — a fairness and
+    /// straggler indicator; `None` while some client has trained nothing.
+    pub participation_skew: Option<f64>,
+    /// Tokens trained on across the federation.
+    pub total_tokens: u64,
+    /// Checkpoint restores so far (`train`).
+    pub recoveries: Option<u32>,
+    /// Watchdog rollbacks so far (`train`).
+    pub rollbacks: Option<u32>,
+    /// Coordinator state name (`serve`).
+    pub state: Option<&'static str>,
+    /// Coordinator state discriminant (`serve`).
+    pub state_code: Option<u8>,
+    /// Sessions admitted (`serve`).
+    pub sessions: Option<u64>,
+    /// Checkpointed round this process restored from (`serve`).
+    pub resumed_from: Option<u64>,
+    /// Per-delivery simulated latency.
+    pub network: NetworkMetrics,
+    /// Transport health.
+    pub transport: TransportMetrics,
+    /// The sub-aggregator tree; `None` for flat runs.
+    pub hierarchy: Option<HierarchyMetrics>,
+    /// The last committed rounds, oldest first (`serve`).
+    pub recent_rounds: Option<Vec<RoundSlot>>,
+    /// The run's fault, guard, churn, network, transport and shard tallies.
+    pub fault_counters: FaultCounters,
+    /// The per-client table, keyed by client id.
+    pub clients: BTreeMap<String, ClientStats>,
+    /// Per-round records that stand (`train`).
+    pub history: Option<crate::TrainingHistory>,
+}
+
+/// The `/health` body: the coordinator-and-clients part of a snapshot.
+#[derive(Debug, Clone, Serialize)]
+pub struct HealthSnapshot {
+    /// Current coordinator round.
+    pub round: u64,
+    /// Coordinator state discriminant.
+    pub state: Option<u8>,
+    /// Distinct rounds whose update was applied.
+    pub rounds_committed: u64,
+    /// One entry per client the coordinator has seen.
+    pub clients: BTreeMap<String, ClientStats>,
+}
+
+impl MetricsSnapshot {
+    /// Keeps what `/health` serves: nothing in it grows with run length.
+    pub fn into_health(self) -> HealthSnapshot {
+        HealthSnapshot {
+            round: self.round,
+            state: self.state_code,
+            rounds_committed: self.rounds_committed,
+            clients: self.clients,
+        }
+    }
+
+    /// The last round's record, for a run with a shard tree.
+    fn last_shard_round(&self) -> Option<&crate::RoundRecord> {
+        self.hierarchy.as_ref()?;
+        self.history.as_ref()?.rounds.last()
+    }
+
+    /// The derived gauges the snapshot has a value for.
+    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        METRIC_SCHEMA.iter().filter_map(move |m| match m.kind {
+            Gauge(get) => Some((m.name, get(self)?)),
+            _ => None,
+        })
+    }
+
+    /// Prometheus text exposition of the snapshot on top of `recorder`'s
+    /// state (spans, histograms, the counters only it keeps): a counter
+    /// the store mirrored into the recorder appears once, and every
+    /// counter appears whether or not a recorder is enabled. Lint-clean
+    /// per [`photon_trace::lint_prometheus`].
+    pub fn to_prometheus(&self, recorder: &FlushSummary) -> String {
+        let mut counters = recorder.counters.clone();
+        let mut gauges = recorder.gauges.clone();
+        gauges.extend(self.gauges());
+        for m in METRIC_SCHEMA {
+            match m.kind {
+                Counter(get) => counters.record_max(m.name, get(&self.fault_counters)),
+                RunCounter(get) => counters.record_max(m.name, get(self)),
+                _ => {}
+            }
+        }
+        let mut out =
+            photon_trace::render_prometheus(&counters, &gauges, &recorder.hists, &recorder.profile);
+        let mut declared = "";
+        for m in METRIC_SCHEMA {
+            let (family, samples): (_, Vec<_>) = match m.kind {
+                Coordinator(get) => {
+                    let sample = get(self).map(|value| (String::new(), value));
+                    (m.name, sample.into_iter().collect())
+                }
+                Client(family, labels, get) => {
+                    let sample = |(id, c)| Some((format!("{{client=\"{id}\"{labels}}}"), get(c)?));
+                    (family, self.clients.iter().filter_map(sample).collect())
+                }
+                _ => continue,
+            };
+            if !samples.is_empty() && family != declared {
+                // Prometheus naming: a family called `…_total` is a counter.
+                let kind = if family.ends_with("_total") {
+                    "counter"
+                } else {
+                    "gauge"
+                };
+                let _ = writeln!(out, "# HELP {family} {}\n# TYPE {family} {kind}", m.help);
+                declared = family;
+            }
+            for (labels, value) in samples {
+                let _ = writeln!(out, "{family}{labels} {value}");
+            }
+        }
+        out
+    }
+}
+
+/// A cheaply clonable, thread-safe handle to the run's one metrics store,
+/// shared between the aggregator, the coordinator and observers.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Arc<RwLock<Inner>>,
@@ -223,50 +527,62 @@ pub struct Telemetry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    clients: BTreeMap<u32, ClientAccum>,
+    counters: FaultCounters,
+    clients: BTreeMap<u32, ClientStats>,
     rounds_seen: u64,
     /// Distinct round indices whose aggregated update was actually
     /// applied. A set (not a counter) so a post-rollback replay of the
     /// same round is not double-counted within one federation instance.
     committed: BTreeSet<u64>,
     compute_threads: usize,
-    counters: photon_trace::CounterSet,
     /// Observed per-delivery simulated latencies (network model runs
     /// only) as a multiset, latency → deliveries, for the p50/p99 metrics
     /// surface: bounded by the distinct latencies, not the deliveries.
     link_latencies_ms: BTreeMap<u64, u64>,
-    /// Per-client transport reconnect counts (multi-process runs only) —
-    /// the operator's view of which workers flap.
-    reconnects_by_client: BTreeMap<u32, u64>,
+    /// The coordinator's round, state discriminant and state name
+    /// (`serve` only).
+    coordinator: Option<(u64, u8, &'static str)>,
 }
 
 impl Inner {
-    /// Bumps a named counter locally and mirrors the increment into the
-    /// thread's trace recorder (no-op when tracing is disabled).
-    fn bump(&mut self, name: &'static str, by: u64) {
-        if by == 0 {
-            return;
-        }
-        self.counters.add(name, by);
-        photon_trace::counter_add(name, by);
+    /// The `q`-quantile (`0.0..=1.0`) of the observed per-delivery
+    /// latencies; `None` before any delivery was recorded.
+    fn link_latency_quantile(&self, deliveries: u64, q: f64) -> Option<u64> {
+        let last = deliveries.checked_sub(1)?;
+        // The index the sorted list of deliveries would be read at.
+        let idx = ((last as f64 * q.clamp(0.0, 1.0)).round() as u64).min(last);
+        let mut below = 0;
+        self.link_latencies_ms.iter().find_map(|(&ms, &n)| {
+            below += n;
+            (idx < below).then_some(ms)
+        })
     }
 }
 
-#[derive(Debug, Default)]
-struct ClientAccum {
-    rounds: u64,
-    tokens: u64,
-    steps: u64,
-    loss_sum: f64,
-    last_loss: f32,
-    alignment_sum: f64,
-    alignment_count: u64,
-}
-
 impl Telemetry {
-    /// Creates an empty hub.
+    /// Creates an empty store.
     pub fn new() -> Self {
         Telemetry::default()
+    }
+
+    /// The one write path of the counters: `f` edits them in place, and
+    /// each row it raised is mirrored into the thread's trace recorder
+    /// under its exported name (a no-op when tracing is disabled).
+    pub fn count(&self, f: impl FnOnce(&mut FaultCounters)) {
+        let mut inner = self.inner.write();
+        let before = inner.counters;
+        f(&mut inner.counters);
+        for ((name, was), (_, now)) in before.rows().zip(inner.counters.rows()) {
+            if now > was {
+                photon_trace::counter_add(name, now - was);
+            }
+        }
+    }
+
+    /// The one write path of the per-client table: `f` edits `id`'s row,
+    /// created empty on first touch.
+    pub fn client(&self, id: u32, f: impl FnOnce(&mut ClientStats)) {
+        f(self.inner.write().clients.entry(id).or_default());
     }
 
     /// Records one client's round metrics (called by the aggregator as
@@ -274,21 +590,23 @@ impl Telemetry {
     pub fn record(&self, client_id: u32, round: u64, metrics: &TrainMetrics) {
         let mut inner = self.inner.write();
         inner.rounds_seen = inner.rounds_seen.max(round + 1);
-        let acc = inner.clients.entry(client_id).or_default();
-        acc.rounds += 1;
-        acc.tokens += metrics.tokens;
-        acc.steps += metrics.steps;
-        acc.loss_sum += metrics.mean_loss as f64;
-        acc.last_loss = metrics.mean_loss;
+        let row = inner.clients.entry(client_id).or_default();
+        row.rounds += 1;
+        row.tokens += metrics.tokens;
+        row.steps += metrics.steps;
+        row.loss_sum += metrics.mean_loss as f64;
+        row.mean_loss = (row.loss_sum / row.rounds as f64) as f32;
+        row.last_loss = metrics.mean_loss;
     }
 
     /// Records the cosine alignment of one client's update with the
     /// aggregated round delta.
     pub fn record_alignment(&self, client_id: u32, cosine: f32) {
-        let mut inner = self.inner.write();
-        let acc = inner.clients.entry(client_id).or_default();
-        acc.alignment_sum += cosine as f64;
-        acc.alignment_count += 1;
+        self.client(client_id, |row| {
+            row.alignment.0 += cosine as f64;
+            row.alignment.1 += 1;
+            row.mean_alignment = (row.alignment.0 / row.alignment.1 as f64) as f32;
+        });
     }
 
     /// Records the resolved compute-thread budget for this run (the
@@ -296,179 +614,13 @@ impl Telemetry {
     /// by drivers so operators can correlate throughput with parallelism.
     pub fn record_compute_threads(&self, threads: usize) {
         self.inner.write().compute_threads = threads;
-        photon_trace::gauge_set("compute_threads", threads as f64);
-    }
-
-    /// The recorded compute-thread budget (0 if never recorded).
-    pub fn compute_threads(&self) -> usize {
-        self.inner.read().compute_threads
-    }
-
-    /// Accumulates one round's fault counts (crashes, stragglers,
-    /// retransmissions, link-budget dropouts).
-    pub fn record_round_faults(
-        &self,
-        crashes: u64,
-        stragglers: u64,
-        retransmits: u64,
-        link_dropouts: u64,
-    ) {
-        let mut inner = self.inner.write();
-        inner.bump(key::CRASHES, crashes);
-        inner.bump(key::STRAGGLERS, stragglers);
-        inner.bump(key::RETRANSMITS, retransmits);
-        inner.bump(key::LINK_DROPOUTS, link_dropouts);
-    }
-
-    /// Records one checkpoint restore by the recovery driver.
-    pub fn record_recovery(&self) {
-        self.inner.write().bump(key::RECOVERIES, 1);
-    }
-
-    /// Accumulates one round's guard decisions (non-finite rejections,
-    /// outlier rejections, norm clips, quarantine skips).
-    pub fn record_guard(
-        &self,
-        rejected_nonfinite: u64,
-        rejected_outliers: u64,
-        norm_clipped: u64,
-        quarantine_skips: u64,
-    ) {
-        let mut inner = self.inner.write();
-        inner.bump(key::REJECTED_NONFINITE, rejected_nonfinite);
-        inner.bump(key::REJECTED_OUTLIERS, rejected_outliers);
-        inner.bump(key::NORM_CLIPPED, norm_clipped);
-        inner.bump(key::QUARANTINE_SKIPS, quarantine_skips);
-    }
-
-    /// Records one watchdog-triggered rollback to the last-good
-    /// checkpoint.
-    pub fn record_rollback(&self) {
-        self.inner.write().bump(key::ROLLBACKS, 1);
-    }
-
-    /// Accumulates one round's membership churn (joins, permanent leaves,
-    /// lease expiries, warm rejoins).
-    pub fn record_churn(&self, joins: u64, leaves: u64, lease_expiries: u64, rejoins: u64) {
-        let mut inner = self.inner.write();
-        inner.bump(key::JOINS, joins);
-        inner.bump(key::LEAVES, leaves);
-        inner.bump(key::LEASE_EXPIRIES, lease_expiries);
-        inner.bump(key::REJOINS, rejoins);
-    }
-
-    /// Records one buffered-aggregation commit, of which `stale` committed
-    /// updates carried a staleness discount.
-    pub fn record_commit(&self, stale: u64) {
-        let mut inner = self.inner.write();
-        inner.bump(key::BUFFERED_COMMITS, 1);
-        inner.bump(key::STALE_COMMITS, stale);
-    }
-
-    /// Accumulates one round's network chaos (lost transmissions,
-    /// duplicate arrivals, reordered deliveries, dedup discards, and
-    /// deliveries severed by a partition).
-    pub fn record_network(
-        &self,
-        losses: u64,
-        duplicates: u64,
-        reorders: u64,
-        dup_drops: u64,
-        partition_drops: u64,
-    ) {
-        let mut inner = self.inner.write();
-        inner.bump(key::LINK_LOSSES, losses);
-        inner.bump(key::LINK_DUPLICATES, duplicates);
-        inner.bump(key::LINK_REORDERS, reorders);
-        inner.bump(key::DUP_DROPS, dup_drops);
-        inner.bump(key::PARTITION_DROPS, partition_drops);
     }
 
     /// Records one delivery's total simulated latency (in-flight time plus
     /// backoff and reorder delay) for the p50/p99 metrics surface.
     pub fn record_link_latency(&self, latency_ms: u64) {
-        *self
-            .inner
-            .write()
-            .link_latencies_ms
-            .entry(latency_ms)
-            .or_insert(0) += 1;
-    }
-
-    /// Records one transport reconnect by `client` and whether it resumed
-    /// its session (versus being re-admitted as a new member).
-    pub fn record_reconnect(&self, client: u32, resumed: bool) {
         let mut inner = self.inner.write();
-        inner.bump(key::TRANSPORT_RECONNECTS, 1);
-        if resumed {
-            inner.bump(key::SESSION_RESUMES, 1);
-        }
-        *inner.reconnects_by_client.entry(client).or_insert(0) += 1;
-    }
-
-    /// Accumulates heartbeats a peer was expected to send but never did.
-    pub fn record_heartbeat_misses(&self, misses: u64) {
-        self.inner.write().bump(key::HEARTBEAT_MISSES, misses);
-    }
-
-    /// Records one coordinator crash-restart (state machine restored from
-    /// checkpoint, live clients re-synchronized).
-    pub fn record_coordinator_restart(&self) {
-        self.inner.write().bump(key::COORDINATOR_RESTARTS, 1);
-    }
-
-    /// Per-client transport reconnect counts, ascending by client id.
-    pub fn reconnects_by_client(&self) -> Vec<(u32, u64)> {
-        self.inner
-            .read()
-            .reconnects_by_client
-            .iter()
-            .map(|(&id, &n)| (id, n))
-            .collect()
-    }
-
-    /// Accumulates one round's sub-aggregator shard faults and
-    /// quorum-degraded shard slices.
-    pub fn record_shard_faults(&self, crashes: u64, hangs: u64, degraded: u64) {
-        let mut inner = self.inner.write();
-        inner.bump(key::SHARD_CRASHES, crashes);
-        inner.bump(key::SHARD_HANGS, hangs);
-        inner.bump(key::SHARD_DEGRADED, degraded);
-    }
-
-    /// Accumulates cohort members fostered to a sibling shard because
-    /// their home shard is dead.
-    pub fn record_reparented(&self, n: u64) {
-        self.inner.write().bump(key::REPARENTED, n);
-    }
-
-    /// Records one round run in degraded mode (below quorum).
-    pub fn record_degraded_round(&self) {
-        self.inner.write().bump(key::DEGRADED_ROUNDS, 1);
-    }
-
-    /// Records one exit from degraded mode (quorum restored after a heal).
-    pub fn record_degraded_recovery(&self) {
-        self.inner.write().bump(key::DEGRADED_RECOVERIES, 1);
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) of observed per-delivery simulated
-    /// latencies; `None` before any delivery was recorded.
-    pub fn link_latency_quantile(&self, q: f64) -> Option<u64> {
-        let count = self.link_latency_count().checked_sub(1)?;
-        // The index the sorted list of deliveries would be read at.
-        let idx = ((count as f64 * q.clamp(0.0, 1.0)).round() as u64).min(count as u64);
-        let mut below = 0;
-        let inner = self.inner.read();
-        inner.link_latencies_ms.iter().find_map(|(&ms, &n)| {
-            below += n;
-            (idx < below).then_some(ms)
-        })
-    }
-
-    /// Number of deliveries with a recorded simulated latency.
-    pub fn link_latency_count(&self) -> usize {
-        self.inner.read().link_latencies_ms.values().sum::<u64>() as usize
+        *inner.link_latencies_ms.entry(latency_ms).or_insert(0) += 1;
     }
 
     /// Marks `round` as *committed*: it completed and its aggregated
@@ -477,93 +629,72 @@ impl Telemetry {
     ///
     /// Deliberately NOT mirrored into the trace recorder: recovery
     /// re-seeds the committed prefix on every rebuilt federation, which
-    /// would inflate a cumulative counter; the recovery driver publishes
-    /// the commit count as a gauge instead.
+    /// would inflate a cumulative counter; the recorder gets the commit
+    /// count as a gauge instead.
     pub fn record_committed_round(&self, round: u64) {
-        let mut inner = self.inner.write();
-        if inner.committed.insert(round) {
-            inner.counters.add(key::ROUNDS_COMMITTED, 1);
-        }
+        self.inner.write().committed.insert(round);
+    }
+
+    /// Publishes the coordinator's current round and state (discriminant
+    /// and name).
+    pub fn set_coordinator(&self, round: u64, state: u8, name: &'static str) {
+        self.inner.write().coordinator = Some((round, state, name));
     }
 
     /// The run's accumulated fault counters.
     pub fn fault_counters(&self) -> FaultCounters {
-        FaultCounters::from_counters(&self.inner.read().counters)
+        self.inner.read().counters
     }
 
-    /// A snapshot of the named counter set backing [`FaultCounters`]
-    /// (deterministically ordered; used by the metrics sinks).
-    pub fn counters(&self) -> photon_trace::CounterSet {
-        self.inner.read().counters.clone()
-    }
-
-    /// Number of rounds observed so far (including rounds later
-    /// neutralized by a watchdog rollback — see [`rounds_committed`]).
-    ///
-    /// [`rounds_committed`]: Telemetry::rounds_committed
-    pub fn rounds_seen(&self) -> u64 {
-        self.inner.read().rounds_seen
-    }
-
-    /// Number of distinct rounds whose update was actually applied.
-    /// Always `<= rounds_seen()`: a round the watchdog neutralized is
-    /// *seen* (its clients trained) but never *committed*.
-    pub fn rounds_committed(&self) -> u64 {
-        self.inner.read().committed.len() as u64
-    }
-
-    /// Total tokens consumed across the federation.
-    pub fn total_tokens(&self) -> u64 {
-        self.inner.read().clients.values().map(|c| c.tokens).sum()
-    }
-
-    /// Per-client summaries, ordered by client id.
-    pub fn client_stats(&self) -> Vec<(u32, ClientStats)> {
-        self.inner
-            .read()
-            .clients
-            .iter()
-            .map(|(&id, acc)| {
-                (
-                    id,
-                    ClientStats {
-                        rounds_participated: acc.rounds,
-                        tokens: acc.tokens,
-                        steps: acc.steps,
-                        mean_loss: if acc.rounds == 0 {
-                            0.0
-                        } else {
-                            (acc.loss_sum / acc.rounds as f64) as f32
-                        },
-                        last_loss: acc.last_loss,
-                        mean_alignment: if acc.alignment_count == 0 {
-                            0.0
-                        } else {
-                            (acc.alignment_sum / acc.alignment_count as f64) as f32
-                        },
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// The spread between the most and least trained client's token
-    /// counts — a fairness/straggler indicator under partial
-    /// participation.
-    pub fn participation_skew(&self) -> f64 {
+    /// The one read path: everything the store holds, copied out under
+    /// the lock in one pass over the client table.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.read();
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for acc in inner.clients.values() {
-            lo = lo.min(acc.tokens);
-            hi = hi.max(acc.tokens);
-        }
-        if lo == u64::MAX || lo == 0 {
-            if hi == 0 {
-                return 1.0;
+        let f = inner.counters;
+        let (mut lo, mut hi, mut total_tokens) = (u64::MAX, 0, 0);
+        let mut reconnects_by_client = BTreeMap::new();
+        let mut clients = BTreeMap::new();
+        for (id, row) in &inner.clients {
+            lo = lo.min(row.tokens);
+            hi = hi.max(row.tokens);
+            total_tokens += row.tokens;
+            if row.reconnects > 0 {
+                reconnects_by_client.insert(id.to_string(), row.reconnects);
             }
-            return f64::INFINITY;
+            clients.insert(id.to_string(), row.clone());
         }
-        hi as f64 / lo as f64
+        let deliveries = inner.link_latencies_ms.values().sum();
+        let quantile = |q| inner.link_latency_quantile(deliveries, q);
+        MetricsSnapshot {
+            round: inner.coordinator.map_or(0, |c| c.0),
+            rounds_seen: inner.rounds_seen,
+            rounds_committed: inner.committed.len() as u64,
+            compute_threads: inner.compute_threads,
+            backend: photon_tensor::backend::active_name(),
+            participation_skew: match (lo, hi) {
+                (_, 0) => Some(1.0),
+                (0, _) => None,
+                _ => Some(hi as f64 / lo as f64),
+            },
+            total_tokens,
+            state_code: inner.coordinator.map(|c| c.1),
+            state: inner.coordinator.map(|c| c.2),
+            network: NetworkMetrics {
+                deliveries,
+                latency_p50_ms: quantile(0.5),
+                latency_p99_ms: quantile(0.99),
+            },
+            transport: TransportMetrics {
+                reconnects: f.transport_reconnects,
+                heartbeat_misses: f.heartbeat_misses,
+                session_resumes: f.session_resumes,
+                coordinator_restarts: f.coordinator_restarts,
+                reconnects_by_client,
+            },
+            fault_counters: f,
+            clients,
+            ..MetricsSnapshot::default()
+        }
     }
 }
 
@@ -579,19 +710,25 @@ mod tests {
         }
     }
 
+    /// The value of the counter exported as `name`.
+    fn row(t: &Telemetry, name: &str) -> u64 {
+        let rows = t.fault_counters();
+        let found = rows.rows().find(|(n, _)| *n == name);
+        found.unwrap_or_else(|| panic!("no counter {name}")).1
+    }
+
     #[test]
     fn records_and_summarizes() {
         let t = Telemetry::new();
         t.record(0, 0, &metrics(3.0, 800));
         t.record(1, 0, &metrics(2.0, 800));
         t.record(0, 1, &metrics(1.0, 800));
-        assert_eq!(t.rounds_seen(), 2);
-        assert_eq!(t.total_tokens(), 2400);
-        let stats = t.client_stats();
-        assert_eq!(stats.len(), 2);
-        let (id0, s0) = &stats[0];
-        assert_eq!(*id0, 0);
-        assert_eq!(s0.rounds_participated, 2);
+        let snapshot = t.snapshot();
+        assert_eq!(snapshot.rounds_seen, 2);
+        assert_eq!(snapshot.total_tokens, 2400);
+        assert_eq!(snapshot.clients.len(), 2);
+        let s0 = &snapshot.clients["0"];
+        assert_eq!(s0.rounds, 2);
         assert_eq!(s0.mean_loss, 2.0);
         assert_eq!(s0.last_loss, 1.0);
         assert_eq!(s0.tokens, 1600);
@@ -603,25 +740,32 @@ mod tests {
         t.record(0, 0, &metrics(1.0, 8));
         t.record_alignment(0, 0.8);
         t.record_alignment(0, 0.4);
-        let stats = t.client_stats();
-        assert!((stats[0].1.mean_alignment - 0.6).abs() < 1e-6);
+        assert!((t.snapshot().clients["0"].mean_alignment - 0.6).abs() < 1e-6);
     }
 
     #[test]
     fn compute_threads_round_trips() {
         let t = Telemetry::new();
-        assert_eq!(t.compute_threads(), 0);
+        assert_eq!(t.snapshot().compute_threads, 0);
         t.record_compute_threads(8);
-        assert_eq!(t.compute_threads(), 8);
+        assert_eq!(t.snapshot().compute_threads, 8);
     }
 
     #[test]
     fn fault_counters_accumulate() {
         let t = Telemetry::new();
         assert_eq!(t.fault_counters(), FaultCounters::default());
-        t.record_round_faults(1, 2, 5, 0);
-        t.record_round_faults(0, 1, 3, 1);
-        t.record_recovery();
+        let round = |crashes, stragglers, retransmits, link_dropouts| {
+            t.count(|f| {
+                f.crashes += crashes;
+                f.stragglers += stragglers;
+                f.retransmits += retransmits;
+                f.link_dropouts += link_dropouts;
+            })
+        };
+        round(1, 2, 5, 0);
+        round(0, 1, 3, 1);
+        t.count(|f| f.recoveries += 1);
         let f = t.fault_counters();
         assert_eq!(f.crashes, 1);
         assert_eq!(f.stragglers, 3);
@@ -633,9 +777,17 @@ mod tests {
     #[test]
     fn guard_counters_accumulate() {
         let t = Telemetry::new();
-        t.record_guard(1, 2, 3, 4);
-        t.record_guard(1, 0, 0, 1);
-        t.record_rollback();
+        let guard = |nonfinite, outliers, clipped, skips| {
+            t.count(|f| {
+                f.rejected_nonfinite += nonfinite;
+                f.rejected_outliers += outliers;
+                f.norm_clipped += clipped;
+                f.quarantine_skips += skips;
+            })
+        };
+        guard(1, 2, 3, 4);
+        guard(1, 0, 0, 1);
+        t.count(|f| f.rollbacks += 1);
         let f = t.fault_counters();
         assert_eq!(f.rejected_nonfinite, 2);
         assert_eq!(f.rejected_outliers, 2);
@@ -647,10 +799,18 @@ mod tests {
     #[test]
     fn churn_and_commit_counters_accumulate() {
         let t = Telemetry::new();
-        t.record_churn(1, 0, 2, 1);
-        t.record_churn(0, 1, 0, 0);
-        t.record_commit(0);
-        t.record_commit(3);
+        t.count(|f| {
+            f.joins += 1;
+            f.lease_expiries += 2;
+            f.rejoins += 1;
+        });
+        t.count(|f| f.leaves += 1);
+        for stale in [0, 3] {
+            t.count(|f| {
+                f.buffered_commits += 1;
+                f.stale_commits += stale;
+            });
+        }
         let f = t.fault_counters();
         assert_eq!(f.joins, 1);
         assert_eq!(f.leaves, 1);
@@ -663,26 +823,36 @@ mod tests {
     #[test]
     fn shard_counters_accumulate() {
         let t = Telemetry::new();
-        t.record_shard_faults(1, 2, 1);
-        t.record_shard_faults(0, 0, 1);
-        t.record_reparented(25);
+        t.count(|f| {
+            f.shard_crashes += 1;
+            f.shard_hangs += 2;
+            f.shard_degraded += 1;
+        });
+        t.count(|f| f.shard_degraded += 1);
+        t.count(|f| f.reparented += 25);
         let f = t.fault_counters();
         assert_eq!(f.shard_crashes, 1);
         assert_eq!(f.shard_hangs, 2);
         assert_eq!(f.shard_degraded, 2);
         assert_eq!(f.reparented, 25);
-        assert_eq!(t.counters().get("hierarchy.shard_crashes"), 1);
+        assert_eq!(row(&t, "hierarchy.shard_crashes"), 1);
     }
 
     #[test]
     fn network_counters_and_latency_quantiles_accumulate() {
         let t = Telemetry::new();
-        assert_eq!(t.link_latency_quantile(0.5), None);
-        t.record_network(3, 1, 2, 1, 4);
-        t.record_network(1, 0, 0, 0, 0);
-        t.record_degraded_round();
-        t.record_degraded_round();
-        t.record_degraded_recovery();
+        assert_eq!(t.snapshot().network.latency_p50_ms, None);
+        t.count(|f| {
+            f.link_losses += 3;
+            f.link_duplicates += 1;
+            f.link_reorders += 2;
+            f.dup_drops += 1;
+            f.partition_drops += 4;
+        });
+        t.count(|f| f.link_losses += 1);
+        t.count(|f| f.degraded_rounds += 1);
+        t.count(|f| f.degraded_rounds += 1);
+        t.count(|f| f.degraded_recoveries += 1);
         let f = t.fault_counters();
         assert_eq!(f.link_losses, 4);
         assert_eq!(f.link_duplicates, 1);
@@ -694,10 +864,14 @@ mod tests {
         for ms in [10, 50, 20, 40, 30] {
             t.record_link_latency(ms);
         }
-        assert_eq!(t.link_latency_count(), 5);
-        assert_eq!(t.link_latency_quantile(0.5), Some(30));
-        assert_eq!(t.link_latency_quantile(0.0), Some(10));
-        assert_eq!(t.link_latency_quantile(1.0), Some(50));
+        let quantile = |t: &Telemetry, q| {
+            let inner = t.inner.read();
+            inner.link_latency_quantile(inner.link_latencies_ms.values().sum(), q)
+        };
+        assert_eq!(t.snapshot().network.deliveries, 5);
+        assert_eq!(t.snapshot().network.latency_p50_ms, Some(30));
+        assert_eq!(quantile(&t, 0.0), Some(10));
+        assert_eq!(quantile(&t, 1.0), Some(50));
 
         // 10^5 deliveries: every quantile equals the sorted list's.
         let t = Telemetry::new();
@@ -706,24 +880,29 @@ mod tests {
             .collect();
         sorted.iter().for_each(|&ms| t.record_link_latency(ms));
         sorted.sort_unstable();
-        assert_eq!(t.link_latency_count(), sorted.len());
+        assert_eq!(t.snapshot().network.deliveries, sorted.len() as u64);
         for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
             let idx = (((sorted.len() - 1) as f64) * q).round() as usize;
-            assert_eq!(t.link_latency_quantile(q), Some(sorted[idx]), "q = {q}");
+            assert_eq!(quantile(&t, q), Some(sorted[idx]), "q = {q}");
         }
     }
 
     #[test]
     fn counters_snapshot_uses_stable_names() {
         let t = Telemetry::new();
-        t.record_round_faults(2, 0, 1, 0);
-        t.record_commit(1);
-        let c = t.counters();
-        assert_eq!(c.get("faults.crashes"), 2);
-        assert_eq!(c.get("faults.retransmits"), 1);
-        assert_eq!(c.get("buffer.commits"), 1);
-        assert_eq!(c.get("buffer.stale_commits"), 1);
-        assert_eq!(c.get("faults.stragglers"), 0);
+        t.count(|f| {
+            f.crashes += 2;
+            f.retransmits += 1;
+        });
+        t.count(|f| {
+            f.buffered_commits += 1;
+            f.stale_commits += 1;
+        });
+        assert_eq!(row(&t, "faults.crashes"), 2);
+        assert_eq!(row(&t, "faults.retransmits"), 1);
+        assert_eq!(row(&t, "buffer.commits"), 1);
+        assert_eq!(row(&t, "buffer.stale_commits"), 1);
+        assert_eq!(row(&t, "faults.stragglers"), 0);
     }
 
     #[test]
@@ -737,12 +916,12 @@ mod tests {
                 t.record_committed_round(r);
             }
         }
-        assert_eq!(t.rounds_seen(), 5);
-        assert_eq!(t.rounds_committed(), 4);
+        assert_eq!(t.snapshot().rounds_seen, 5);
+        assert_eq!(t.snapshot().rounds_committed, 4);
         // A replay of an already-committed round (recovery re-running the
         // post-checkpoint suffix) must not double-count.
         t.record_committed_round(4);
-        assert_eq!(t.rounds_committed(), 4);
+        assert_eq!(t.snapshot().rounds_committed, 4);
     }
 
     #[test]
@@ -750,9 +929,9 @@ mod tests {
         let t = Telemetry::new();
         t.record(0, 0, &metrics(1.0, 1000));
         t.record(1, 0, &metrics(1.0, 250));
-        assert_eq!(t.participation_skew(), 4.0);
+        assert_eq!(t.snapshot().participation_skew, Some(4.0));
         let empty = Telemetry::new();
-        assert_eq!(empty.participation_skew(), 1.0);
+        assert_eq!(empty.snapshot().participation_skew, Some(1.0));
     }
 
     #[test]
@@ -768,7 +947,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(t.total_tokens(), 4 * 50 * 10);
-        assert_eq!(t.rounds_seen(), 50);
+        assert_eq!(t.snapshot().total_tokens, 4 * 50 * 10);
+        assert_eq!(t.snapshot().rounds_seen, 50);
     }
 }

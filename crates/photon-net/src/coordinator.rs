@@ -82,18 +82,7 @@ impl CoordState {
     }
 }
 
-/// One committed round in the recent-round ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundSlot {
-    /// Round index.
-    pub round: u64,
-    /// Results that reached the commit.
-    pub received: u32,
-    /// Cohort size the round was broadcast to.
-    pub cohort: u32,
-    /// Duplicate deliveries dropped by the idempotency keys.
-    pub dup_drops: u32,
-}
+pub use photon_core::RoundSlot;
 
 /// The pure coordinator state machine: min-client gating, round
 /// progression and a ring buffer of the last [`ROUND_RING`] committed

@@ -44,7 +44,7 @@ mod tracectx;
 pub use backoff::ReconnectBackoff;
 pub use client::{run_client, ClientOptions, ClientReport};
 pub use coordinator::{CoordState, Coordinator, RoundSlot, ROUND_RING};
-pub use health::{spawn_health_server, ClientSlo, HealthRegistry, HealthServer};
+pub use health::{spawn_health_server, HealthServer};
 pub use plan::RunPlan;
 pub use server::{serve, ServeOptions, ServeReport, COORDKILL_EXIT_CODE};
 pub use session::{session_token, Admission, SessionError, SessionTable};

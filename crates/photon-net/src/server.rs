@@ -22,14 +22,17 @@
 //!   re-synchronized via `RunSync`.
 
 use crate::coordinator::{CoordState, Coordinator};
-use crate::health::{spawn_health_server, HealthRegistry};
+use crate::health::spawn_health_server;
 use crate::plan::RunPlan;
 use crate::session::SessionTable;
 use crate::tcp::TcpLink;
 use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_broadcast, send_traced};
 use crate::{NetError, Result};
 use photon_comms::{BroadcastFrame, Link, LinkError, Message, TrainMetrics, WireOpts};
-use photon_core::{checkpoint_exists, load_checkpoint, Aggregator, FaultPlan, RoundRecord};
+use photon_core::{
+    checkpoint_exists, load_checkpoint, Aggregator, FaultPlan, MetricsSnapshot, RoundRecord,
+    Telemetry,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -112,7 +115,9 @@ struct Registry {
     plan_json: Vec<u8>,
     wire: WireOpts,
     events: Sender<Event>,
-    health: HealthRegistry,
+    /// The aggregator's metrics store: the main loop writes the
+    /// coordinator state and the per-client transport columns into it.
+    telemetry: Telemetry,
 }
 
 enum Event {
@@ -174,7 +179,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeReport> {
         // A rejected checkpoint leaves `agg` at its fresh round 0.
         match load_checkpoint(dir).and_then(|ckpt| agg.restore(ckpt)) {
             Ok(()) => {
-                agg.telemetry().record_coordinator_restart();
+                agg.telemetry().count(|f| f.coordinator_restarts += 1);
                 photon_trace::instant(
                     photon_trace::Phase::CoordRestart,
                     "coord_restart",
@@ -219,11 +224,12 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeReport> {
         plan_json: plan.to_json_bytes(),
         wire: plan.cfg.wire_opts(),
         events: events_tx,
-        health: HealthRegistry::new(),
+        telemetry: agg.telemetry().clone(),
     });
+    publish_coordinator(&registry, &coord);
 
     let health_server = match opts.health_port {
-        Some(port) => Some(spawn_health_server(port, registry.health.clone())?),
+        Some(port) => Some(spawn_health_server(port, registry.telemetry.clone())?),
         None => None,
     };
 
@@ -405,6 +411,7 @@ fn main_loop(
     now_ms: &dyn Fn() -> u64,
 ) -> Result<ServeReport> {
     let wire = registry.wire;
+    let telemetry = &registry.telemetry;
     let hb_timeout = Duration::from_millis(opts.heartbeat_timeout_ms.max(1));
     let round_timeout = Duration::from_millis(opts.round_timeout_ms.max(1));
     // (round, client) keys of every applied result: the idempotency set
@@ -418,14 +425,7 @@ fn main_loop(
     loop {
         let connected = registry.conns.lock().unwrap().len();
         if let Some((from, to)) = coord.tick(connected, now_ms()) {
-            registry
-                .state
-                .store(coord.state().discriminant(), Ordering::SeqCst);
-            registry.health.set_coordinator(
-                coord.round(),
-                coord.state().discriminant(),
-                coord.committed(),
-            );
+            publish_coordinator(registry, coord);
             photon_trace::instant(
                 photon_trace::Phase::Round,
                 "coord_transition",
@@ -489,10 +489,15 @@ fn main_loop(
                         strikes: 0,
                     },
                 );
-                registry.health.set_connected(client, true);
+                telemetry.client(client, |row| {
+                    row.connected = true;
+                    row.reconnects += u64::from(resumed);
+                });
                 if resumed {
-                    registry.health.note_reconnect(client);
-                    agg.telemetry().record_reconnect(client, true);
+                    telemetry.count(|f| {
+                        f.transport_reconnects += 1;
+                        f.session_resumes += 1;
+                    });
                     photon_trace::instant(
                         photon_trace::Phase::SessionResume,
                         "session_resume",
@@ -520,7 +525,7 @@ fn main_loop(
                     conns.remove(&client);
                     drop(conns);
                     liveness.remove(&client);
-                    registry.health.set_connected(client, false);
+                    telemetry.client(client, |row| row.connected = false);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -536,8 +541,8 @@ fn main_loop(
             if live.last_seen.elapsed() >= hb_timeout {
                 live.last_seen = Instant::now();
                 live.strikes += 1;
-                agg.telemetry().record_heartbeat_misses(1);
-                registry.health.note_heartbeat_miss(*client);
+                telemetry.count(|f| f.heartbeat_misses += 1);
+                telemetry.client(*client, |row| row.heartbeat_misses += 1);
                 if live.strikes >= HEARTBEAT_STRIKES {
                     to_sever.push(*client);
                 }
@@ -566,7 +571,6 @@ fn main_loop(
                 // The injected coordinator kill: the checkpoint for this
                 // commit is already on disk; die without any goodbye. The
                 // flight recorder preserves the final round's spans.
-                write_metrics(opts, agg, coord, registry, resumed_from);
                 let _ = photon_trace::flush();
                 let _ = photon_trace::flight_dump();
                 std::process::exit(COORDKILL_EXIT_CODE);
@@ -605,7 +609,7 @@ fn main_loop(
             link.sever();
         }
     }
-    write_metrics(opts, agg, coord, registry, resumed_from);
+    write_metrics(opts, coord, registry, resumed_from);
     Ok(ServeReport {
         rounds_run: coord.committed(),
         final_round: agg.round(),
@@ -619,11 +623,12 @@ fn main_loop(
 /// and broadcasts the model, encoded once straight from the aggregator's
 /// parameters.
 fn open_round(agg: &Aggregator, registry: &Registry, round_timeout: Duration) -> InFlight {
-    registry.round.store(agg.round(), Ordering::SeqCst);
     let cohort: Vec<u32> = registry.conns.lock().unwrap().keys().copied().collect();
     let broadcast = BroadcastFrame::new(agg.round(), agg.params(), registry.wire);
     for &client in &cohort {
-        registry.health.note_participation(client, agg.round());
+        registry
+            .telemetry
+            .client(client, |row| row.last_round = agg.round());
         send_broadcast_to(registry, client, &broadcast);
     }
     InFlight {
@@ -686,12 +691,13 @@ fn handle_result(
         return; // a future round or a non-cohort member: ignore
     }
     applied.insert((round, client_id));
-    registry
-        .health
-        .note_result(client_id, round, fl.opened.elapsed().as_millis() as u64);
-    if Instant::now() >= fl.deadline {
-        registry.health.note_straggler(client_id);
-    }
+    let late = Instant::now() >= fl.deadline;
+    registry.telemetry.client(client_id, |row| {
+        row.results += 1;
+        row.observe_latency_ms(fl.opened.elapsed().as_millis() as u64);
+        row.last_round = row.last_round.max(round);
+        row.straggler_rounds += u64::from(late);
+    });
     fl.pending.push((client_id, delta, weight, metrics));
     fl.wire_bytes += frame_len;
 }
@@ -715,18 +721,14 @@ fn commit_round(
     // (partial-results commit superseded it).
     for &client in &fl.cohort {
         if !contributors.contains(&client) {
-            registry.health.note_straggler(client);
+            registry
+                .telemetry
+                .client(client, |row| row.straggler_rounds += 1);
         }
     }
     let record = agg.commit_external_round(fl.pending, &fl.cohort, fl.wire_bytes)?;
     coord.on_round_committed(received, fl.cohort.len() as u32, 0, now_ms);
-    registry.round.store(agg.round(), Ordering::SeqCst);
-    registry
-        .state
-        .store(coord.state().discriminant(), Ordering::SeqCst);
-    registry
-        .health
-        .set_coordinator(agg.round(), coord.state().discriminant(), coord.committed());
+    publish_coordinator(registry, coord);
     if let Some(dir) = &opts.checkpoint_dir {
         agg.save_checkpoint(dir)?;
     }
@@ -745,15 +747,26 @@ fn commit_round(
             registry.wire,
         );
     }
-    write_metrics(opts, agg, coord, registry, resumed_from);
+    write_metrics(opts, coord, registry, resumed_from);
     Ok(record)
 }
 
-/// Writes the metrics JSON snapshot (same transport section shape as the
-/// in-process `--metrics-json`).
+/// Mirrors the state machine's round and state for handshake-time
+/// `RunSync` and publishes them to the metrics store.
+fn publish_coordinator(registry: &Registry, coord: &Coordinator) {
+    let state = coord.state();
+    registry.round.store(coord.round(), Ordering::SeqCst);
+    registry.state.store(state.discriminant(), Ordering::SeqCst);
+    registry
+        .telemetry
+        .set_coordinator(coord.round(), state.discriminant(), state.name());
+}
+
+/// Writes the run's [`MetricsSnapshot`] as JSON: the store's part plus
+/// what only this loop knows (sessions, the resume point, the ring of
+/// recent rounds).
 fn write_metrics(
     opts: &ServeOptions,
-    agg: &Aggregator,
     coord: &Coordinator,
     registry: &Registry,
     resumed_from: Option<u64>,
@@ -761,45 +774,13 @@ fn write_metrics(
     let Some(path) = &opts.metrics_json else {
         return;
     };
-    let telemetry = agg.telemetry();
-    let counters = telemetry.fault_counters();
-    let faults = serde_json::to_string_pretty(&counters).unwrap_or_else(|_| "{}".into());
-    let reconnects_json = telemetry
-        .reconnects_by_client()
-        .iter()
-        .map(|(id, n)| format!("\"{id}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let ring = coord
-        .recent_rounds()
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"round\": {}, \"received\": {}, \"cohort\": {}, \"dup_drops\": {}}}",
-                s.round, s.received, s.cohort, s.dup_drops
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n\"round\": {},\n\"state\": \"{}\",\n\"rounds_committed\": {},\n\
-         \"resumed_from\": {},\n\"sessions\": {},\n\
-         \"transport\": {{\"reconnects\": {}, \"heartbeat_misses\": {}, \
-         \"session_resumes\": {}, \"coordinator_restarts\": {}, \
-         \"reconnects_by_client\": {{{}}}}},\n\
-         \"recent_rounds\": [{}],\n\"fault_counters\": {}\n}}\n",
-        agg.round(),
-        coord.state().name(),
-        coord.committed(),
-        resumed_from.map_or("null".to_string(), |r| r.to_string()),
-        registry.sessions.lock().unwrap().len(),
-        counters.transport_reconnects,
-        counters.heartbeat_misses,
-        counters.session_resumes,
-        counters.coordinator_restarts,
-        reconnects_json,
-        ring,
-        faults,
-    );
-    let _ = photon_trace::atomic_write(path, &json);
+    let snapshot = MetricsSnapshot {
+        sessions: Some(registry.sessions.lock().unwrap().len() as u64),
+        resumed_from,
+        recent_rounds: Some(coord.recent_rounds()),
+        ..registry.telemetry.snapshot()
+    };
+    if let Ok(json) = serde_json::to_string_pretty(&snapshot) {
+        let _ = photon_trace::atomic_write(path, &json);
+    }
 }

@@ -1,12 +1,15 @@
 //! End-to-end multi-process-shaped tests over TCP loopback: one serve
 //! loop and N client loops on their own threads, real sockets between
 //! them. Covers the fault-free path, client netcrash + session resume,
-//! and coordinator crash-restart from the checkpoint.
+//! coordinator crash-restart from the checkpoint, and the live `/metrics`
+//! endpoint with and without a trace recorder.
 
 use photon_core::FederationConfig;
 use photon_net::{run_client, serve, ClientOptions, RunPlan, ServeOptions};
 use photon_nn::ModelConfig;
-use std::net::TcpListener;
+use photon_trace::{Recorder, TraceConfig};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 
 /// Reserves a localhost port (bind, read, release). The tiny race
 /// between release and serve's bind is irrelevant at test scale.
@@ -184,4 +187,73 @@ fn coordinator_restart_resumes_from_checkpoint() {
         assert_eq!(c.rounds_trained, 4);
     }
     std::fs::remove_dir_all(&ckpt).ok();
+}
+
+/// The body of one HTTP/1.0 GET against the health endpoint; `None` while
+/// it is not (or no longer) up.
+fn http_get(port: u16, path: &str) -> Option<String> {
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).ok()?;
+    let request = format!("GET {path} HTTP/1.0\r\n\r\n");
+    stream.write_all(request.as_bytes()).ok()?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response).ok()?;
+    Some(response.split_once("\r\n\r\n")?.1.to_string())
+}
+
+/// `/metrics` is a rendering of the run's metrics store, so it carries the
+/// fault, transport and per-client counters whether or not anything is
+/// tracing, and a counter the store also mirrors into an enabled recorder
+/// is printed once.
+#[test]
+fn metrics_endpoint_serves_the_store_with_and_without_a_recorder() {
+    for traced in [false, true] {
+        let addr = free_addr();
+        let port: u16 = free_addr().rsplit(':').next().unwrap().parse().unwrap();
+        let mut opts = serve_opts(&addr, demo_plan(2, 3, Some("netcrash@r1c1")), 2);
+        opts.health_port = Some(port);
+        opts.cooldown_ms = 1_000; // a window to scrape in once the rounds are done
+        let recorder = traced.then(|| Recorder::start(TraceConfig::default()).unwrap());
+        let server = std::thread::spawn(move || match &recorder {
+            Some(recorder) => recorder.scope(|| serve(&opts)),
+            None => serve(&opts),
+        });
+        let clients = spawn_clients(&addr, 2);
+
+        // Client 1's connection dies in round 1 and the member gate holds
+        // round 2 until it is back, so the last commit follows the resume.
+        let committed = |health: String| -> Option<u64> {
+            let (_, rest) = health.split_once("\"rounds_committed\": ")?;
+            rest.split(|c: char| !c.is_ascii_digit())
+                .next()?
+                .parse()
+                .ok()
+        };
+        let started = std::time::Instant::now();
+        while http_get(port, "/health").and_then(committed) < Some(3) {
+            assert!(started.elapsed().as_secs() < 60, "no third commit");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let text = http_get(port, "/metrics").expect("/metrics answers mid-run");
+        photon_trace::lint_prometheus(&text).expect("lint");
+        // Span self-times are the recorder's alone: the endpoint reports
+        // the recorder the run is scoped under, when there is one.
+        assert_eq!(text.contains("photon_phase_self_seconds{"), traced);
+        for sample in [
+            "photon_counter_total{name=\"rounds.committed\"} ",
+            "photon_counter_total{name=\"transport.reconnects\"} 1\n",
+            "photon_counter_total{name=\"transport.session_resumes\"} 1\n",
+            "photon_client_results_total{client=\"0\"} ",
+            "photon_client_reconnects_total{client=\"1\"} 1\n",
+            "photon_client_connected{client=\"1\"} 1\n",
+            "photon_client_result_latency_ms{client=\"0\",quantile=\"0.5\"} ",
+        ] {
+            let hits = text.matches(sample).count();
+            assert_eq!(hits, 1, "traced: {traced}, {sample:?} x{hits} in\n{text}");
+        }
+
+        assert_eq!(server.join().unwrap().unwrap().rounds_run, 3);
+        for handle in clients {
+            assert!(handle.join().unwrap().unwrap().clean_shutdown);
+        }
+    }
 }

@@ -70,19 +70,19 @@ fn telemetry_tracks_every_round() {
     };
     run_federation(&mut fed, &val, &opts).unwrap();
 
-    let telemetry = fed.aggregator.telemetry();
-    assert_eq!(telemetry.rounds_seen(), 5);
-    let stats = telemetry.client_stats();
+    let telemetry = fed.aggregator.telemetry().snapshot();
+    assert_eq!(telemetry.rounds_seen, 5);
+    let stats = &telemetry.clients;
     assert_eq!(stats.len(), fed.clients.len());
     let cfg = fed.aggregator.config();
     let expect_tokens = 5 * cfg.local_steps * (cfg.local_batch * cfg.model.seq_len) as u64;
-    for (_, s) in &stats {
-        assert_eq!(s.rounds_participated, 5);
+    for s in stats.values() {
+        assert_eq!(s.rounds, 5);
         assert_eq!(s.tokens, expect_tokens);
         assert!(s.mean_loss.is_finite() && s.mean_loss > 0.0);
     }
     // Full participation => perfectly balanced.
-    assert_eq!(telemetry.participation_skew(), 1.0);
+    assert_eq!(telemetry.participation_skew, Some(1.0));
 }
 
 #[test]

@@ -4,17 +4,23 @@
 //! nonzero compute/comms/aggregation buckets; the JSONL trace must replay
 //! byte-identically for a fixed seed; a watchdog rollback must leave
 //! `rounds_committed` strictly behind `rounds_seen` (the overcounting
-//! regression); and a run records into the `Recorder` it is scoped under
-//! and nowhere else, whatever runs beside it in the process.
+//! regression); every name the metrics snapshot exports, as JSON or as
+//! Prometheus text, is a row of `METRIC_SCHEMA` and of DESIGN.md's table;
+//! and a run records into the `Recorder` it is scoped under and nowhere
+//! else, whatever runs beside it in the process.
 
 use photon_cluster::{GpuSpec, Region, SiloSpec};
 use photon_core::experiments::{build_iid_federation, RunOptions};
-use photon_core::{run_training, DataSource, FaultSpec, LlmClient, TrainingOptions};
+use photon_core::{
+    run_training, DataSource, FaultSpec, HierarchyConfig, LlmClient, MetricKind, NetworkConfig,
+    TrainingOptions, METRIC_SCHEMA,
+};
 use photon_data::Shard;
 use photon_tensor::ops::{self, pool};
 use photon_tensor::SeedStream;
 use photon_tests::tiny_federation;
 use photon_trace::{ClockMode, Phase, PhaseGroup, Recorder, Scope, TraceConfig};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
@@ -122,6 +128,7 @@ fn chaos_trace_sinks_parse_lint_and_profile() {
     let prom_text = fs::read_to_string(&prom).expect("prom file exists");
     photon_trace::lint_prometheus(&prom_text).expect("prometheus snapshot lints");
     assert!(prom_text.contains("photon_gauge{name=\"rounds_committed\"}"));
+    assert_no_name_is_both_counter_and_gauge(&prom_text);
 
     // Phase profile: group shares sum to ~100% with nonzero
     // compute/comms/aggregation buckets.
@@ -162,6 +169,180 @@ fn chaos_trace_sinks_parse_lint_and_profile() {
     }
     assert!(outcome.history.rounds.len() == ROUNDS as usize);
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The `name` label values of `family`'s samples in a Prometheus text.
+fn labelled<'a>(text: &'a str, family: &str) -> BTreeSet<&'a str> {
+    let prefix = format!("{family}{{name=\"");
+    let label = |l: &'a str| l.strip_prefix(&prefix)?.split('"').next();
+    text.lines().filter_map(label).collect()
+}
+
+/// One name, one meaning: a counter's exported name never also labels a
+/// gauge (`hierarchy.shard_crashes` once did, with the last round's count).
+fn assert_no_name_is_both_counter_and_gauge(prom_text: &str) {
+    let counters = labelled(prom_text, "photon_counter_total");
+    let gauges = labelled(prom_text, "photon_gauge");
+    assert!(!counters.is_empty() && !gauges.is_empty(), "{prom_text}");
+    let both: Vec<_> = counters.intersection(&gauges).collect();
+    assert!(both.is_empty(), "counter and gauge at once: {both:?}");
+}
+
+/// A sharded, network-modelled chaos run with both metrics sinks on: its
+/// `--metrics-json` and the Prometheus rendering of its final snapshot
+/// carry exactly the names of `METRIC_SCHEMA`, the counters agree row for
+/// row on every surface, and DESIGN.md's table lists the same rows.
+#[test]
+fn every_exported_name_is_a_row_of_the_metric_schema() {
+    let dir = tmp_dir("schema");
+    let (prom, mjson) = (dir.join("metrics.prom"), dir.join("metrics.json"));
+    let mut cfg = tiny_federation(4);
+    cfg.seed = 29;
+    cfg.allow_partial_results = true;
+    cfg.network = Some(NetworkConfig::default());
+    cfg.hierarchy = Some(HierarchyConfig {
+        shards: 2,
+        ..HierarchyConfig::default()
+    });
+    let spec = FaultSpec::parse("crash=0.2,corrupt=0.3,shardhang@r1s1,seed=9").expect("spec");
+    let injector = spec.plan(cfg.population, ROUNDS);
+    let opts = TrainingOptions {
+        run: RunOptions {
+            rounds: ROUNDS,
+            eval_every: 0,
+            eval_windows: 4,
+            stop_below: None,
+        },
+        checkpoint_dir: None,
+        metrics_json: Some(mjson.clone()),
+        ..TrainingOptions::default()
+    };
+    let recorder = Recorder::start(TraceConfig {
+        prometheus: Some(prom.clone()),
+        ..TraceConfig::default()
+    })
+    .expect("tracing initializes");
+    let outcome = recorder
+        .scope(|| {
+            run_training(
+                || build_iid_federation(&cfg, TOKENS),
+                &opts,
+                Some(&injector),
+            )
+        })
+        .expect("chaos run completes");
+    recorder.flush().expect("final flush succeeds");
+    assert_no_name_is_both_counter_and_gauge(&fs::read_to_string(&prom).expect("prom file"));
+
+    // The snapshot as `serve` would fill it: a coordinator and one result
+    // latency, so the coordinator and quantile families render too.
+    let store = outcome.federation.aggregator.telemetry();
+    store.set_coordinator(ROUNDS, 5, "finished");
+    store.client(0, |row| row.observe_latency_ms(40));
+    let text = outcome
+        .snapshot()
+        .to_prometheus(&photon_trace::FlushSummary::default());
+    photon_trace::lint_prometheus(&text).expect("snapshot rendering lints");
+    let json = fs::read_to_string(&mjson).expect("metrics json exists");
+    let json = serde_json::from_str_value(&json).expect("metrics json parses");
+
+    // What Prometheus calls each schema row: its `name` label under the
+    // two shared families, else its own family.
+    let family = |m: &photon_core::Metric| match m.kind {
+        MetricKind::Counter(_) | MetricKind::RunCounter(_) => Some("photon_counter_total"),
+        MetricKind::Gauge(_) => Some("photon_gauge"),
+        MetricKind::Coordinator(..) => Some(m.name),
+        MetricKind::Client(family, ..) => Some(family),
+        MetricKind::Json => None,
+    };
+    let key = |m: &photon_core::Metric| match family(m)? {
+        "photon_counter_total" | "photon_gauge" => Some(m.name),
+        family => Some(family),
+    };
+    let by_key: BTreeMap<&str, &str> = METRIC_SCHEMA
+        .iter()
+        .filter_map(|m| Some((key(m)?, m.name)))
+        .collect();
+    let mut carried = BTreeSet::new();
+    let mut unknown = Vec::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let family = line.split(['{', ' ']).next().expect("family");
+        let name = match family {
+            "photon_counter_total" | "photon_gauge" => line.split('"').nth(1).expect("name label"),
+            family => family,
+        };
+        match by_key.get(name) {
+            Some(row) => drop(carried.insert(row.to_string())),
+            None => unknown.push(line),
+        }
+    }
+    // JSON keys, sections flattened to dotted paths; `fault_counters` is
+    // the counter rows in schema order, value for value.
+    let faults = store.fault_counters();
+    let mut sections = Vec::new();
+    for (k, v) in json.as_map().expect("snapshot object") {
+        match k.as_str().expect("key") {
+            "fault_counters" => {
+                let written = v.as_map().expect("fault_counters object");
+                assert_eq!(written.len(), faults.rows().count());
+                for ((name, value), (_, json_value)) in faults.rows().zip(written) {
+                    assert_eq!(json_value.as_u64(), Some(value), "{name} in the JSON");
+                    let sample = format!("photon_counter_total{{name=\"{name}\"}} {value}\n");
+                    assert!(text.contains(&sample), "{name} = {value} on /metrics");
+                }
+            }
+            "clients" => {
+                let clients = v.as_map().expect("clients object");
+                assert_eq!(clients.len(), cfg.population);
+                sections.extend(clients.iter().map(|(_, client)| ("clients", client)));
+            }
+            k @ ("network" | "transport" | "hierarchy") => sections.push((k, v)),
+            k => {
+                carried.insert(k.to_string());
+            }
+        }
+    }
+    for (section, object) in sections {
+        for (key, _) in object.as_map().expect("section object") {
+            carried.insert(format!("{section}.{}", key.as_str().expect("key")));
+        }
+    }
+    assert!(
+        faults.crashes + faults.retransmits + faults.shard_hangs > 2,
+        "{faults:?}"
+    );
+    assert!(unknown.is_empty(), "not in METRIC_SCHEMA: {unknown:?}");
+    let schema: BTreeSet<String> = METRIC_SCHEMA.iter().map(|m| m.name.to_string()).collect();
+    assert_eq!(schema.len(), METRIC_SCHEMA.len(), "a name is listed twice");
+    assert_eq!(carried, schema, "exported names vs METRIC_SCHEMA");
+
+    // DESIGN.md's table is this list.
+    let table: String = METRIC_SCHEMA
+        .iter()
+        .map(|m| {
+            let kind = match m.kind {
+                MetricKind::Counter(_) => "counter",
+                MetricKind::RunCounter(_) => "run counter",
+                MetricKind::Gauge(_) => "gauge",
+                MetricKind::Coordinator(..) => "coordinator",
+                MetricKind::Client(..) => "client",
+                MetricKind::Json => "json",
+            };
+            let family = family(m).map_or("—".to_string(), |f| format!("`{f}`"));
+            format!("| `{}` | {kind} | {family} | {} |\n", m.name, m.help)
+        })
+        .collect();
+    let design = concat!(env!("CARGO_MANIFEST_DIR"), "/../DESIGN.md");
+    let design = fs::read_to_string(design).expect("DESIGN.md");
+    let documented = design
+        .split("<!-- metric-schema -->\n")
+        .nth(1)
+        .and_then(|rest| rest.split("<!-- /metric-schema -->").next());
+    assert!(
+        documented.is_some_and(|d| d.ends_with(&table)),
+        "DESIGN.md's metric table is not METRIC_SCHEMA; it should end with:\n{table}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -217,10 +398,10 @@ fn watchdog_rollback_does_not_overcount_committed_rounds() {
     )
     .expect("run completes through the rollback");
     assert_eq!(outcome.rollbacks, 1, "expected exactly one rollback");
-    let telemetry = outcome.federation.aggregator.telemetry();
-    assert_eq!(telemetry.rounds_seen(), rounds);
+    let telemetry = outcome.federation.aggregator.telemetry().snapshot();
+    assert_eq!(telemetry.rounds_seen, rounds);
     // The regression: the neutralized round is seen but never committed.
-    assert_eq!(telemetry.rounds_committed(), rounds - 1);
+    assert_eq!(telemetry.rounds_committed, rounds - 1);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -35,9 +35,9 @@ fn partial_results_aggregate_survivors() {
     // Training still converges on the survivors' updates.
     assert!(history.final_ppl().unwrap() < 200.0);
     // Telemetry shows the flaky client participated in fewer rounds.
-    let stats = fed.aggregator.telemetry().client_stats();
-    assert_eq!(stats[1].1.rounds_participated, 2);
-    assert_eq!(stats[0].1.rounds_participated, 4);
+    let stats = fed.aggregator.telemetry().snapshot().clients;
+    assert_eq!(stats["1"].rounds, 2);
+    assert_eq!(stats["0"].rounds, 4);
 }
 
 #[test]
