@@ -32,7 +32,7 @@ use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRec
 use parking_lot::Mutex;
 use photon_comms::{PartitionKind, TrainMetrics};
 use photon_fedopt::{
-    canonical_fold, sample_live, AggregationKind, BufferedUpdate, ClientUpdate, StreamingMerge,
+    aggregate_deltas, sample_live, AggregationKind, BufferedUpdate, ClientUpdate, StreamingMerge,
 };
 use photon_tensor::ops::pool;
 use std::collections::BTreeMap;
@@ -841,12 +841,9 @@ impl Aggregator {
         }
 
         let delta = match (&routed, self.cfg.aggregation) {
-            // The root reduce of a weighted mean is the canonical fold,
-            // which makes the whole tree a pure re-bracketing of one
-            // summation order.
-            (Some(_), AggregationKind::Mean) => canonical_fold(&cand.updates)
-                .map(|(delta, _)| delta)
-                .expect("root reduce over a non-empty shard set"),
+            // The root reduce of a weighted mean is the one mean, without
+            // the rule's trace span.
+            (Some(_), AggregationKind::Mean) => aggregate_deltas(&cand.updates),
             _ => self.cfg.aggregation.aggregate(&cand.updates),
         };
         let folded = cand.updates.len();

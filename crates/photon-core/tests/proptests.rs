@@ -148,7 +148,7 @@ proptest! {
 // ---- Hierarchical aggregation properties -------------------------------
 
 use photon_core::{HierarchyConfig, ShardTree};
-use photon_fedopt::{canonical_fold, BufferedUpdate, ClientUpdate, UpdateBuffer};
+use photon_fedopt::{aggregate_deltas, BufferedUpdate, ClientUpdate, StreamingMerge, UpdateBuffer};
 
 /// A pending buffer entry with a unique `(origin_round, client_id)` key.
 fn arb_entries() -> impl Strategy<Value = Vec<BufferedUpdate>> {
@@ -191,8 +191,8 @@ proptest! {
         let mut batch_buf = UpdateBuffer::from_entries(entries.clone());
         let mut stream_buf = UpdateBuffer::from_entries(entries);
         let batch = batch_buf.commit(round, decay).expect("entries pending");
-        let (expect_delta, expect_weight) =
-            canonical_fold(&batch.updates).expect("non-empty batch");
+        let expect_delta = aggregate_deltas(&batch.updates);
+        let expect_weight: f64 = batch.updates.iter().map(|u| u.weight).sum();
         let commit = stream_buf
             .commit_streaming(round, decay, n + 1)
             .expect("entries pending");
@@ -229,21 +229,26 @@ proptest! {
         prop_assert!(part.unrouted.is_empty());
 
         let update = |_: u32| ClientUpdate::new(delta.clone(), 1.0).unwrap();
-        // Per-shard fold, then root fold over the shard aggregates.
+        // Per-shard streaming fold, then the one mean over the shard
+        // aggregates, as the round engine reduces a tree.
         let mut shard_updates = Vec::new();
         for members in part.shards.values() {
             if members.is_empty() {
                 continue;
             }
-            let ups: Vec<ClientUpdate> = members.iter().map(|&m| update(m)).collect();
-            let (merged, weight) = canonical_fold(&ups).unwrap();
+            let mut fold = StreamingMerge::new(members.iter().map(|&m| (0, m)).collect(), 2);
+            for &m in members {
+                fold.push((0, m), update(m));
+            }
+            let (merged, weight) = fold.finish().unwrap();
             shard_updates.push(ClientUpdate::new(merged, weight).unwrap());
         }
-        let (root, root_w) = canonical_fold(&shard_updates).unwrap();
-        // Flat mean over the whole cohort.
+        let root = aggregate_deltas(&shard_updates);
+        let root_w: f64 = shard_updates.iter().map(|u| u.weight).sum();
+        // The one mean over the whole cohort.
         let flat_ups: Vec<ClientUpdate> = cohort.iter().map(|&m| update(m)).collect();
-        let (flat, flat_w) = canonical_fold(&flat_ups).unwrap();
-        prop_assert_eq!(root_w.to_bits(), flat_w.to_bits());
+        let flat = aggregate_deltas(&flat_ups);
+        prop_assert_eq!(root_w, cohort_n as f64);
         for (a, b) in root.iter().zip(&flat) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -199,23 +199,63 @@ pub fn delta_from(global: &[f32], local: &[f32]) -> Vec<f32> {
     global.iter().zip(local).map(|(g, l)| g - l).collect()
 }
 
-/// Weighted average of client pseudo-gradients (Algorithm 1, L.8).
+/// Weighted average of client pseudo-gradients (Algorithm 1, L.8): the
+/// one weighted mean, folded in slice order.
 ///
 /// # Panics
 /// Panics if `updates` is empty or the deltas have differing lengths.
 pub fn aggregate_deltas(updates: &[ClientUpdate]) -> Vec<f32> {
-    assert!(!updates.is_empty(), "cannot aggregate zero updates");
-    let n = updates[0].delta.len();
-    let total_w: f64 = updates.iter().map(|u| u.weight).sum();
-    let mut out = vec![0.0f64; n];
+    let mut sum = WeightedSum::default();
     for u in updates {
-        assert_eq!(u.delta.len(), n, "delta length mismatch");
-        let w = u.weight / total_w;
-        for (o, &d) in out.iter_mut().zip(&u.delta) {
-            *o += w * d as f64;
-        }
+        sum.add(u);
     }
-    out.into_iter().map(|v| v as f32).collect()
+    sum.finish().expect("cannot aggregate zero updates").0
+}
+
+/// The one weighted mean every merge computes, `(Σ w·Δ) / Σ w`: weights
+/// and weighted deltas accumulate in f64 in the order updates are added,
+/// and the sum is divided by the total weight once, at the end. It sums
+/// before it divides because a stream cannot normalise before it has seen
+/// every weight; the flat reduce ([`aggregate_deltas`]) and the shard
+/// folds ([`crate::StreamingMerge`]) are both this fold.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WeightedSum {
+    acc: Vec<f64>,
+    weight: f64,
+    count: usize,
+}
+
+impl WeightedSum {
+    /// Folds one update in.
+    ///
+    /// # Panics
+    /// Panics if its length differs from the updates folded before it.
+    pub(crate) fn add(&mut self, update: &ClientUpdate) {
+        if self.count == 0 {
+            self.acc = vec![0.0; update.delta.len()];
+        }
+        assert_eq!(update.delta.len(), self.acc.len(), "delta length mismatch");
+        self.weight += update.weight;
+        for (a, &d) in self.acc.iter_mut().zip(&update.delta) {
+            *a += update.weight * d as f64;
+        }
+        self.count += 1;
+    }
+
+    /// Updates folded so far.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The weighted mean and the total weight behind it; `None` if nothing
+    /// was folded.
+    pub(crate) fn finish(self) -> Option<(Vec<f32>, f64)> {
+        if self.count == 0 {
+            return None;
+        }
+        let w = self.weight;
+        Some((self.acc.into_iter().map(|v| (v / w) as f32).collect(), w))
+    }
 }
 
 #[cfg(test)]
@@ -246,6 +286,28 @@ mod tests {
     fn weighted_aggregation() {
         let updates = vec![u(vec![0.0], 3.0), u(vec![4.0], 1.0)];
         assert_eq!(aggregate_deltas(&updates), vec![1.0]);
+    }
+
+    #[test]
+    fn the_one_mean_sums_then_divides() {
+        // Three clients whose second coordinates cancel: summing first
+        // gives exactly 0, normalising first leaves a 5.6e-17 residue.
+        let updates = vec![
+            u(vec![0.1, 1.5], 1.0),
+            u(vec![0.3, -0.5], 1.0),
+            u(vec![0.3, -1.0], 1.0),
+        ];
+        let got = aggregate_deltas(&updates);
+        let total: f64 = updates.iter().map(|u| u.weight).sum();
+        let column = |j: usize| updates.iter().map(move |u| (u.weight, u.delta[j] as f64));
+        let bits = |v: f64| (v as f32).to_bits();
+        for (j, got) in got.iter().enumerate() {
+            let sum_then_divide = column(j).map(|(w, d)| w * d).sum::<f64>() / total;
+            let normalise_then_sum: f64 = column(j).map(|(w, d)| w / total * d).sum();
+            assert_ne!(bits(sum_then_divide), bits(normalise_then_sum), "{j}");
+            assert_eq!(got.to_bits(), bits(sum_then_divide), "{j}");
+        }
+        assert_eq!(got[1], 0.0);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! the [`crate::ClientUpdate`] weights handed to the aggregation rule are
 //! the same `f64`s the synchronous path would use.
 
+use crate::aggregate::WeightedSum;
 use crate::ClientUpdate;
 use serde::{Deserialize, Serialize};
 
@@ -246,7 +247,7 @@ impl UpdateBuffer {
     /// memory-bounded [`StreamingMerge`] and returns the folded aggregate
     /// directly. The merge folds in canonical `(origin_round, client_id)`
     /// order, so the result is **bitwise identical** to
-    /// [`canonical_fold`] over the batch [`commit`](UpdateBuffer::commit)
+    /// [`crate::aggregate_deltas`] over the batch [`commit`](UpdateBuffer::commit)
     /// would have produced, for any arrival permutation that fits within
     /// `max_resident`.
     pub fn commit_streaming(
@@ -335,29 +336,6 @@ pub struct StreamingCommit {
     pub peak_resident: usize,
 }
 
-/// The canonical reference fold the streaming merge reproduces: weights
-/// and weighted deltas are accumulated in f64 **in slice order**, then the
-/// sum is normalized once and cast to f32. Hierarchical shard merges and
-/// the root reduce both use this fold, so a shard tree over a canonically
-/// sorted cohort is a pure re-bracketing of the same f64 operations.
-/// Returns `(weighted_mean, total_weight)`, or `None` for an empty slice.
-pub fn canonical_fold(updates: &[ClientUpdate]) -> Option<(Vec<f32>, f64)> {
-    let first = updates.first()?;
-    let mut acc = vec![0.0f64; first.delta.len()];
-    let mut total_w = 0.0f64;
-    for u in updates {
-        assert_eq!(u.delta.len(), acc.len(), "delta length mismatch");
-        total_w += u.weight;
-        for (a, &d) in acc.iter_mut().zip(&u.delta) {
-            *a += u.weight * d as f64;
-        }
-    }
-    Some((
-        acc.into_iter().map(|v| (v / total_w) as f32).collect(),
-        total_w,
-    ))
-}
-
 /// The outcome of offering one update to a [`StreamingMerge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamPush {
@@ -380,9 +358,10 @@ pub enum StreamPush {
 /// arrival matching the fold frontier is folded immediately (and unblocks
 /// any held successors); an out-of-order arrival is held resident. The
 /// fold therefore consumes updates in exactly the canonical sorted order,
-/// making the result bitwise identical to [`canonical_fold`] over the
-/// sorted batch — while never holding more than `max_resident` full
-/// update vectors (the running accumulator counts as one).
+/// making the result bitwise identical to the one weighted mean
+/// ([`crate::aggregate_deltas`]) over the sorted batch — while never
+/// holding more than `max_resident` full update vectors (the running
+/// accumulator counts as one).
 ///
 /// When an arrival would exceed the bound, the merge *abandons* the
 /// missing keys before its canonically-smallest resident and folds that
@@ -394,9 +373,7 @@ pub struct StreamingMerge {
     expected: Vec<(u64, u32)>,
     next: usize,
     held: std::collections::BTreeMap<(u64, u32), ClientUpdate>,
-    acc: Vec<f64>,
-    weight_sum: f64,
-    folded: usize,
+    sum: WeightedSum,
     abandoned: usize,
     late_drops: usize,
     peak_resident: usize,
@@ -419,9 +396,7 @@ impl StreamingMerge {
             expected,
             next: 0,
             held: std::collections::BTreeMap::new(),
-            acc: Vec::new(),
-            weight_sum: 0.0,
-            folded: 0,
+            sum: WeightedSum::default(),
             abandoned: 0,
             late_drops: 0,
             peak_resident: 1,
@@ -439,7 +414,7 @@ impl StreamingMerge {
             return StreamPush::LateDropped;
         }
         if key == self.expected[self.next] {
-            self.fold(update);
+            self.sum.add(&update);
             self.next += 1;
             self.drain_held();
             return StreamPush::Folded;
@@ -458,7 +433,7 @@ impl StreamingMerge {
                 return StreamPush::LateDropped;
             }
             if key == self.expected[self.next] {
-                self.fold(update);
+                self.sum.add(&update);
                 self.next += 1;
                 self.drain_held();
                 return StreamPush::Folded;
@@ -478,19 +453,15 @@ impl StreamingMerge {
                 self.abandoned += 1;
                 self.next += 1;
             }
-            self.fold(update);
+            self.sum.add(&update);
             self.next += 1;
         }
-        if self.folded == 0 {
-            return None;
-        }
-        let w = self.weight_sum;
-        Some((self.acc.into_iter().map(|v| (v / w) as f32).collect(), w))
+        self.sum.finish()
     }
 
     /// Number of updates folded so far.
     pub fn folded(&self) -> usize {
-        self.folded
+        self.sum.count()
     }
 
     /// Most full update vectors resident at once (held + accumulator).
@@ -509,23 +480,11 @@ impl StreamingMerge {
         self.late_drops
     }
 
-    fn fold(&mut self, update: ClientUpdate) {
-        if self.acc.is_empty() {
-            self.acc = vec![0.0f64; update.delta.len()];
-        }
-        assert_eq!(update.delta.len(), self.acc.len(), "delta length mismatch");
-        self.weight_sum += update.weight;
-        for (a, &d) in self.acc.iter_mut().zip(&update.delta) {
-            *a += update.weight * d as f64;
-        }
-        self.folded += 1;
-    }
-
     fn drain_held(&mut self) {
         while self.next < self.expected.len() {
             match self.held.remove(&self.expected[self.next]) {
                 Some(update) => {
-                    self.fold(update);
+                    self.sum.add(&update);
                     self.next += 1;
                 }
                 None => break,
@@ -541,7 +500,7 @@ impl StreamingMerge {
             self.abandoned += 1;
             self.next += 1;
         }
-        self.fold(update);
+        self.sum.add(&update);
         self.next += 1;
         self.drain_held();
     }
@@ -667,7 +626,8 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let (want, want_w) = canonical_fold(&updates).unwrap();
+        let want = aggregate_deltas(&updates);
+        let want_w: f64 = updates.iter().map(|u| u.weight).sum();
         // Several arrival permutations, all with enough residency.
         for order in [
             vec![0usize, 1, 2, 3, 4, 5],
@@ -737,7 +697,8 @@ mod tests {
         mk(&mut batch_buf);
         let mut stream_buf = batch_buf.clone();
         let batch = batch_buf.commit(5, 0.7).unwrap();
-        let (want, want_w) = canonical_fold(&batch.updates).unwrap();
+        let want = aggregate_deltas(&batch.updates);
+        let want_w: f64 = batch.updates.iter().map(|u| u.weight).sum();
         let got = stream_buf.commit_streaming(5, 0.7, 8).unwrap();
         assert_eq!(got.merged, want);
         assert_eq!(got.weight, want_w);

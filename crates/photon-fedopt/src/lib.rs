@@ -38,8 +38,8 @@ mod ties;
 pub use aggregate::{aggregate_deltas, delta_from, AggregationKind, ClientUpdate};
 pub use availability::{AvailabilityModel, AvailabilitySampler, AvailabilityTraces};
 pub use buffer::{
-    canonical_fold, staleness_factor, staleness_weights, BufferConfig, BufferedUpdate, CommitBatch,
-    StreamPush, StreamingCommit, StreamingMerge, UpdateBuffer,
+    staleness_factor, staleness_weights, BufferConfig, BufferedUpdate, CommitBatch, StreamPush,
+    StreamingCommit, StreamingMerge, UpdateBuffer,
 };
 pub use guard::{GuardConfig, GuardDecision, GuardReport, UpdateGuard};
 pub use robust::{median_aggregate, norm_clipped_aggregate, trimmed_mean_aggregate};

@@ -199,7 +199,7 @@ fn table() -> Vec<Row> {
             faults: "seed=1",
             rounds: 6,
             fired: |run| run.records().all(|r| r.pseudo_grad_norm > 0.0),
-            want: 0x48ca_535e_fb71_2f53,
+            want: 0xace2_5a08_6d52_c79d,
         },
         Row {
             name: "flat trimmed-mean + guard, byzantine faults, partial results",
@@ -232,7 +232,7 @@ fn table() -> Vec<Row> {
                     && c.dup_drops > 0
                     && c.link_losses > 0
             },
-            want: 0x8c9d_5a29_8ce0_2d56,
+            want: 0x2f3e_e7f5_9919_e13a,
         },
         Row {
             name: "4-shard tree: shardcrash, shardhang, shard-quorum miss",
@@ -299,7 +299,7 @@ fn table() -> Vec<Row> {
                 run.steps.iter().filter(|s| s.is_err()).count() == 1
                     && run.records().filter(|r| r.neutralized).count() == 1
             },
-            want: 0x7804_bcd7_7ab6_0103,
+            want: 0x0e1b_371a_ed1e_4c7c,
         },
     ]
 }
