@@ -31,9 +31,7 @@ use crate::membership::ChurnEvents;
 use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord};
 use parking_lot::Mutex;
 use photon_comms::{PartitionKind, TrainMetrics};
-use photon_fedopt::{
-    aggregate_deltas, sample_live, AggregationKind, BufferedUpdate, ClientUpdate, StreamingMerge,
-};
+use photon_fedopt::{sample_live, BufferedUpdate, ClientUpdate, StreamingMerge};
 use photon_tensor::ops::pool;
 use std::collections::BTreeMap;
 
@@ -840,12 +838,7 @@ impl Aggregator {
             ));
         }
 
-        let delta = match (&routed, self.cfg.aggregation) {
-            // The root reduce of a weighted mean is the one mean, without
-            // the rule's trace span.
-            (Some(_), AggregationKind::Mean) => aggregate_deltas(&cand.updates),
-            _ => self.cfg.aggregation.aggregate(&cand.updates),
-        };
+        let delta = self.cfg.aggregation.aggregate(&cand.updates);
         let folded = cand.updates.len();
         let contributors = match routed {
             Some(_) => Vec::new(),
@@ -1118,17 +1111,20 @@ impl Aggregator {
         let mut tally = MergeTally::default();
         let mut dup_drops = acct.dup_drops;
         let mut seen = Vec::new();
+        if let Some(tree) = tree {
+            let ids: Vec<u32> = plan.cohort_idx.iter().map(|&i| i as u32).collect();
+            tally.reparented = tree.partition(&ids).reparented;
+        }
         for a in arrivals {
-            if let Some(tree) = tree {
-                match tree.shard_of(a.client_id) {
-                    // The sub-aggregator died or stalled (or none is
-                    // left): the arrival never reaches the buffer.
-                    Some(s) if plan.shard_crashes.contains(&s) || plan.shard_hangs.contains(&s) => {
-                        continue
-                    }
-                    None => continue,
-                    Some(s) => tally.reparented += usize::from(s != tree.home_shard(a.client_id)),
-                }
+            // The sub-aggregator died or stalled (or none is left): the
+            // arrival never reaches the buffer.
+            let lost = tree.is_some_and(|tree| {
+                tree.shard_of(a.client_id).is_none_or(|s| {
+                    plan.shard_crashes.contains(&s) || plan.shard_hangs.contains(&s)
+                })
+            });
+            if lost {
+                continue;
             }
             // Weight validity is enforced at arrival (mirroring the
             // synchronous path) so a later commit cannot fail on it.
@@ -1168,24 +1164,6 @@ impl Aggregator {
         let mut aggregate = None;
         if !commit_ready {
             // Below quorum with nothing overdue: the commit is deferred.
-        } else if let Some(tree) = tree {
-            // Streaming commit: the pending set folds through a
-            // memory-bounded merge in canonical order instead of
-            // materializing a sorted batch — bitwise the same aggregate.
-            // The guard's per-update screen cannot run on a pre-folded
-            // stream; arrival-time weight checks and the watchdog stand
-            // in for it (config validation pins the aggregation to Mean).
-            let max_resident = tree.config().max_resident;
-            if let Some(c) = buffer.commit_streaming(round, bcfg.staleness_decay, max_resident) {
-                tally.peak_resident = c.peak_resident;
-                tally.stale_commit = Some(c.stale as u64);
-                mean_client_loss = mean(c.losses.iter().copied());
-                aggregate = Some(Aggregate {
-                    delta: c.merged,
-                    folded: c.client_ids.len(),
-                    contributors: Vec::new(),
-                });
-            }
         } else if let Some(batch) = buffer.commit(round, bcfg.staleness_decay) {
             let (mut ids, mut updates, mut losses) =
                 (batch.client_ids, batch.updates, batch.losses);

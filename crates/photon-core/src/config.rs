@@ -338,16 +338,6 @@ impl FederationConfig {
                     "secure aggregation cannot run through sub-aggregator shards".into(),
                 ));
             }
-            if self.buffer.is_some() && self.aggregation != AggregationKind::Mean {
-                // The buffered hierarchical commit streams through the
-                // canonical fold; a robust rule needs the materialized
-                // batch the streaming path exists to avoid.
-                return Err(crate::CoreError::InvalidConfig(
-                    "buffered hierarchical aggregation streams a weighted mean; \
-                     robust aggregation rules require the flat batch path"
-                        .into(),
-                ));
-            }
         }
         if self.dtype == Dtype::Bf16 {
             if self.compress_link {
@@ -601,6 +591,16 @@ mod tests {
         let mut secure = cfg.clone();
         secure.secure_agg = true;
         assert!(secure.validate().is_err());
+
+        // A buffered tree commits the buffer's batch through the screen
+        // and the rule like a flat buffered round: robust rules apply.
+        let mut buffered = cfg.clone();
+        buffered.membership = Some(MembershipConfig::default());
+        buffered.allow_partial_results = true;
+        buffered.buffer = Some(BufferConfig::default());
+        buffered.guard = GuardConfig::on();
+        buffered.aggregation = AggregationKind::TrimmedMean { trim_ratio: 0.2 };
+        buffered.validate().unwrap();
 
         // Configs serialized before hierarchy existed still load.
         let plain = FederationConfig::quick_demo(ModelConfig::proxy_tiny(), 8);

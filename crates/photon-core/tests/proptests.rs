@@ -148,7 +148,9 @@ proptest! {
 // ---- Hierarchical aggregation properties -------------------------------
 
 use photon_core::{HierarchyConfig, ShardTree};
-use photon_fedopt::{aggregate_deltas, BufferedUpdate, ClientUpdate, StreamingMerge, UpdateBuffer};
+use photon_fedopt::{
+    aggregate_deltas, staleness_factor, BufferedUpdate, ClientUpdate, StreamingMerge, UpdateBuffer,
+};
 
 /// A pending buffer entry with a unique `(origin_round, client_id)` key.
 fn arb_entries() -> impl Strategy<Value = Vec<BufferedUpdate>> {
@@ -178,9 +180,10 @@ fn arb_entries() -> impl Strategy<Value = Vec<BufferedUpdate>> {
 }
 
 proptest! {
-    /// The streaming memory-bounded commit is bitwise identical to the
-    /// batch commit's canonical fold, for ANY permutation of arrival
-    /// order (as long as the residency bound admits every update).
+    /// A `StreamingMerge` fed the pending set in ANY arrival order (as
+    /// long as the residency bound admits every update) is bitwise the
+    /// batch commit followed by the one weighted mean: merging results as
+    /// they arrive cannot change what a round commits.
     #[test]
     fn streaming_commit_matches_batch_commit_bitwise(
         entries in arb_entries().prop_shuffle(),
@@ -188,18 +191,25 @@ proptest! {
     ) {
         let n = entries.len();
         let round = 4u64; // every entry has arrived by now
-        let mut batch_buf = UpdateBuffer::from_entries(entries.clone());
-        let mut stream_buf = UpdateBuffer::from_entries(entries);
-        let batch = batch_buf.commit(round, decay).expect("entries pending");
+        let batch = UpdateBuffer::from_entries(entries.clone())
+            .commit(round, decay)
+            .expect("entries pending");
         let expect_delta = aggregate_deltas(&batch.updates);
         let expect_weight: f64 = batch.updates.iter().map(|u| u.weight).sum();
-        let commit = stream_buf
-            .commit_streaming(round, decay, n + 1)
-            .expect("entries pending");
-        prop_assert!(commit.peak_resident <= n + 1);
-        prop_assert_eq!(commit.weight.to_bits(), expect_weight.to_bits());
-        prop_assert_eq!(commit.merged.len(), expect_delta.len());
-        for (i, (a, b)) in commit.merged.iter().zip(&expect_delta).enumerate() {
+        let mut keys: Vec<(u64, u32)> =
+            entries.iter().map(|e| (e.origin_round, e.client_id)).collect();
+        keys.sort_unstable();
+        let mut merge = StreamingMerge::new(keys, n + 1);
+        for e in entries {
+            let weight = e.base_weight * staleness_factor(e.staleness_at(round), decay);
+            let update = ClientUpdate::new(e.delta, weight).expect("a positive weight");
+            merge.push((e.origin_round, e.client_id), update);
+        }
+        prop_assert!(merge.peak_resident() <= n + 1);
+        let (merged, weight) = merge.finish().expect("every update folded");
+        prop_assert_eq!(weight.to_bits(), expect_weight.to_bits());
+        prop_assert_eq!(merged.len(), expect_delta.len());
+        for (i, (a, b)) in merged.iter().zip(&expect_delta).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "coordinate {} differs", i);
         }
     }

@@ -241,60 +241,6 @@ impl UpdateBuffer {
         Some(out)
     }
 
-    /// Streaming variant of [`commit`](UpdateBuffer::commit): drains the
-    /// same pending set, but instead of materializing a sorted batch it
-    /// feeds each entry — in arrival (insertion) order — through a
-    /// memory-bounded [`StreamingMerge`] and returns the folded aggregate
-    /// directly. The merge folds in canonical `(origin_round, client_id)`
-    /// order, so the result is **bitwise identical** to
-    /// [`crate::aggregate_deltas`] over the batch [`commit`](UpdateBuffer::commit)
-    /// would have produced, for any arrival permutation that fits within
-    /// `max_resident`.
-    pub fn commit_streaming(
-        &mut self,
-        round: u64,
-        decay: f64,
-        max_resident: usize,
-    ) -> Option<StreamingCommit> {
-        let batch = self.drain_pending(round);
-        if batch.is_empty() {
-            return None;
-        }
-        let mut commit_span = photon_trace::span(photon_trace::Phase::BufferCommit)
-            .arg("round", round)
-            .arg("updates", batch.len() as u64);
-        let mut expected: Vec<(u64, u32)> = batch
-            .iter()
-            .map(|e| (e.origin_round, e.client_id))
-            .collect();
-        expected.sort_unstable();
-        let mut merge = StreamingMerge::new(expected, max_resident);
-        let mut out = StreamingCommit {
-            client_ids: Vec::with_capacity(batch.len()),
-            origin_rounds: Vec::with_capacity(batch.len()),
-            losses: Vec::with_capacity(batch.len()),
-            stale: 0,
-            merged: Vec::new(),
-            weight: 0.0,
-            peak_resident: 0,
-        };
-        for entry in batch {
-            out.stale += usize::from(entry.staleness_at(round) > 0);
-            out.client_ids.push(entry.client_id);
-            out.origin_rounds.push(entry.origin_round);
-            out.losses.push(entry.mean_loss);
-            let key = (entry.origin_round, entry.client_id);
-            merge.push(key, entry.weighted_at(round, decay));
-        }
-        commit_span.set_arg("stale", out.stale as u64);
-        photon_trace::counter_add("buffer.committed_updates", out.client_ids.len() as u64);
-        out.peak_resident = merge.peak_resident();
-        let (merged, weight) = merge.finish()?;
-        out.merged = merged;
-        out.weight = weight;
-        Some(out)
-    }
-
     /// Total buffered updates (pending plus deferred).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -314,26 +260,6 @@ impl UpdateBuffer {
     pub fn from_entries(entries: Vec<BufferedUpdate>) -> Self {
         UpdateBuffer { entries }
     }
-}
-
-/// The result of a streaming commit: the same metadata a [`CommitBatch`]
-/// carries, with the updates already folded into one aggregate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingCommit {
-    /// Sender ids, in arrival order.
-    pub client_ids: Vec<u32>,
-    /// Origin rounds, parallel to `client_ids`.
-    pub origin_rounds: Vec<u64>,
-    /// Reported mean losses, parallel to `client_ids`.
-    pub losses: Vec<f32>,
-    /// How many committed updates were stale.
-    pub stale: usize,
-    /// The folded weighted mean (canonical summation order).
-    pub merged: Vec<f32>,
-    /// Total (staleness-scaled) weight behind `merged`.
-    pub weight: f64,
-    /// Most full update vectors the merge held at once.
-    pub peak_resident: usize,
 }
 
 /// The outcome of offering one update to a [`StreamingMerge`].
@@ -681,31 +607,6 @@ mod tests {
         assert_eq!(m.late_drops(), 1);
         let (_, w) = m.finish().unwrap();
         assert_eq!(w, 2.0);
-    }
-
-    #[test]
-    fn commit_streaming_matches_batch_commit_bitwise() {
-        let mk = |buf: &mut UpdateBuffer| {
-            // Mixed origins and arrival order: entries 2, 0, 1 with one
-            // stale update, committed at round 5.
-            buf.push(entry(2, 5, 5, vec![2.0, -0.5]));
-            buf.push(entry(0, 4, 5, vec![0.25, 1.0]));
-            buf.push(entry(1, 5, 5, vec![-1.0, 3.0]));
-            buf.push(entry(3, 5, 9, vec![9.0, 9.0])); // deferred
-        };
-        let mut batch_buf = UpdateBuffer::new();
-        mk(&mut batch_buf);
-        let mut stream_buf = batch_buf.clone();
-        let batch = batch_buf.commit(5, 0.7).unwrap();
-        let want = aggregate_deltas(&batch.updates);
-        let want_w: f64 = batch.updates.iter().map(|u| u.weight).sum();
-        let got = stream_buf.commit_streaming(5, 0.7, 8).unwrap();
-        assert_eq!(got.merged, want);
-        assert_eq!(got.weight, want_w);
-        assert_eq!(got.stale, batch.stale);
-        assert!(got.peak_resident <= 8);
-        assert_eq!(stream_buf.len(), 1, "deferred entry survives");
-        assert!(stream_buf.commit_streaming(5, 0.7, 8).is_none());
     }
 
     #[test]

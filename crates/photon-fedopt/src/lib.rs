@@ -39,7 +39,7 @@ pub use aggregate::{aggregate_deltas, delta_from, AggregationKind, ClientUpdate}
 pub use availability::{AvailabilityModel, AvailabilitySampler, AvailabilityTraces};
 pub use buffer::{
     staleness_factor, staleness_weights, BufferConfig, BufferedUpdate, CommitBatch, StreamPush,
-    StreamingCommit, StreamingMerge, UpdateBuffer,
+    StreamingMerge, UpdateBuffer,
 };
 pub use guard::{GuardConfig, GuardDecision, GuardReport, UpdateGuard};
 pub use robust::{median_aggregate, norm_clipped_aggregate, trimmed_mean_aggregate};

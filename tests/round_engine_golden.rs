@@ -189,6 +189,11 @@ fn table() -> Vec<Row> {
         max_resident: 4,
     });
 
+    let mut buffered_tree_robust = buffered(8, 43);
+    buffered_tree_robust.hierarchy = buffered_tree.hierarchy;
+    buffered_tree_robust.guard = GuardConfig::on();
+    buffered_tree_robust.aggregation = AggregationKind::TrimmedMean { trim_ratio: 0.2 };
+
     let mut watched = flat(3, 19);
     watched.loss_spike_mult = Some(20.0);
 
@@ -246,7 +251,7 @@ fn table() -> Vec<Row> {
                     && c.shard_degraded >= 2
                     && c.reparented > 0
             },
-            want: 0xdd0b_82fa_e242_bbdf,
+            want: 0x7da9_0e9e_2f3e_5f95,
         },
         Row {
             name: "tree + guard: poisoned shard aggregates screened at the root",
@@ -257,7 +262,7 @@ fn table() -> Vec<Row> {
                 let c = &run.counters;
                 c.rejected_nonfinite > 0 && c.shard_hangs == 1
             },
-            want: 0x93f5_bfbc_f0eb_23db,
+            want: 0xa03e_0060_873f_250e,
         },
         Row {
             name: "membership + buffered: deferred stragglers, stale commit",
@@ -275,7 +280,7 @@ fn table() -> Vec<Row> {
             want: 0x4b4a_2576_37e6_7b3f,
         },
         Row {
-            name: "buffered + tree: streaming commit",
+            name: "buffered + tree: the buffer's batch commit",
             cfg: buffered_tree,
             faults: "shards=4,straggle:1400@r1c5,shardhang@r2s1,shardcrash@r4s3,seed=13",
             rounds: 7,
@@ -286,9 +291,20 @@ fn table() -> Vec<Row> {
                     && c.shard_crashes == 1
                     && c.shard_hangs == 1
                     && c.reparented > 0
-                    && run.records().any(|r| r.peak_resident > 0)
             },
-            want: 0x0c99_e58a_15cc_afb4,
+            want: 0x5022_89ed_3eaf_18f2,
+        },
+        Row {
+            name: "buffered + tree + guard + trimmed-mean: updates screened per client",
+            cfg: buffered_tree_robust,
+            faults:
+                "shards=4,nan-update@r1c2,sign-flip@r3c5,shardhang@r2s3,shardcrash@r4s1,seed=17",
+            rounds: 7,
+            fired: |run| {
+                let c = &run.counters;
+                c.rejected_nonfinite > 0 && c.buffered_commits > 0
+            },
+            want: 0x932c_4684_8ab1_fd47,
         },
         Row {
             name: "watchdog trip, then the neutralized replay",
