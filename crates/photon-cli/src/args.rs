@@ -88,6 +88,33 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Checks every option given against the `--names` the command's help
+    /// texts list (`--help` is always accepted): a misspelt or misplaced
+    /// option fails instead of being silently ignored.
+    ///
+    /// # Errors
+    /// Names the unknown options.
+    pub fn check_known(&self, helps: &[&str]) -> Result<(), String> {
+        let listed = |name: &str| {
+            let option = format!("--{name}");
+            helps.iter().any(|help| {
+                help.match_indices(&option).any(|(at, _)| {
+                    !help[at + option.len()..]
+                        .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+                })
+            })
+        };
+        let mut unknown: Vec<&String> = (self.options.keys().chain(&self.flags))
+            .filter(|name| name.as_str() != "help" && (name.is_empty() || !listed(name)))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort();
+        let names: Vec<String> = unknown.iter().map(|name| format!("--{name}")).collect();
+        Err(format!("unknown option {} (see --help)", names.join(", ")))
+    }
 }
 
 #[cfg(test)]

@@ -134,6 +134,7 @@ OPTIONS:
 
 /// `photon train` / `photon resume`.
 pub fn train(args: &Args, resume: bool) -> Result<(), String> {
+    args.check_known(&[TRAIN_HELP])?;
     if args.flag("help") {
         println!("{TRAIN_HELP}");
         return Ok(());
@@ -641,10 +642,16 @@ fn parse_model(name: &str) -> Result<ModelConfig, String> {
     })
 }
 
+const PLAN_HELP: &str = "photon plan — hardware planning
+
+OPTIONS:
+    --size 125M|1B|3B|7B   Table 1 deployment row [7B]";
+
 /// `photon plan`.
 pub fn plan(args: &Args) -> Result<(), String> {
+    args.check_known(&[PLAN_HELP])?;
     if args.flag("help") {
-        println!("photon plan — hardware planning\n\nOPTIONS:\n    --size 125M|1B|3B|7B   Table 1 deployment row [7B]");
+        println!("{PLAN_HELP}");
         return Ok(());
     }
     use photon_cluster::{autotune_batch, paper_silos, select_strategy, Region, RegionGraph};
@@ -701,10 +708,21 @@ pub fn plan(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+const GENERATE_HELP: &str = "photon generate — sample text from a checkpoint
+
+OPTIONS:
+    --checkpoint-dir DIR   (required)
+    --prompt TEXT          [\"The \"]
+    --tokens N             [120]
+    --temperature X        [0.8]
+    --top-k N              [20]
+    --seed N               [0]";
+
 /// `photon generate`.
 pub fn generate(args: &Args) -> Result<(), String> {
+    args.check_known(&[GENERATE_HELP])?;
     if args.flag("help") {
-        println!("photon generate — sample text from a checkpoint\n\nOPTIONS:\n    --checkpoint-dir DIR   (required)\n    --prompt TEXT          [\"The \"]\n    --tokens N             [120]\n    --temperature X        [0.8]\n    --top-k N              [20]\n    --seed N               [0]");
+        println!("{GENERATE_HELP}");
         return Ok(());
     }
     let model = load_model(args)?;
@@ -725,10 +743,17 @@ pub fn generate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+const DOWNSTREAM_HELP: &str = "photon downstream — synthetic in-context evaluation
+
+OPTIONS:
+    --checkpoint-dir DIR   (required)
+    --seed N               [7]";
+
 /// `photon downstream`.
 pub fn downstream(args: &Args) -> Result<(), String> {
+    args.check_known(&[DOWNSTREAM_HELP])?;
     if args.flag("help") {
-        println!("photon downstream — synthetic in-context evaluation\n\nOPTIONS:\n    --checkpoint-dir DIR   (required)\n    --seed N               [7]");
+        println!("{DOWNSTREAM_HELP}");
         return Ok(());
     }
     let model = load_model(args)?;
@@ -780,6 +805,7 @@ OPTIONS:
                                so `photon trace merge` can join the
                                per-process shards into one timeline
     --metrics-text PATH        Prometheus text snapshot per commit
+    --trace-kernels            also emit per-kernel spans into the shard
     --flight-dir DIR           crash flight recorder: on panic or an
                                injected coordkill, dump the last spans
                                to DIR/flight-<pid>.jsonl
@@ -821,6 +847,7 @@ fn init_process_observability(args: &Args) -> Result<bool, String> {
 
 /// `photon serve`.
 pub fn serve(args: &Args) -> Result<(), String> {
+    args.check_known(&[SERVE_HELP, TRAIN_HELP])?;
     if args.flag("help") {
         println!("{SERVE_HELP}");
         return Ok(());
@@ -898,11 +925,13 @@ OPTIONS:
                             mergeable with the coordinator's shard via
                             `photon trace merge`
     --metrics-text PATH     Prometheus text snapshot on flush
+    --trace-kernels         also emit per-kernel spans into the shard
     --flight-dir DIR        dump the last spans to
                             DIR/flight-<pid>.jsonl on panic";
 
 /// `photon client`.
 pub fn client(args: &Args) -> Result<(), String> {
+    args.check_known(&[CLIENT_HELP])?;
     if args.flag("help") {
         println!("{CLIENT_HELP}");
         return Ok(());
@@ -949,6 +978,7 @@ OPTIONS:
 
 /// `photon trace <action>`.
 pub fn trace(args: &Args, action: Option<&str>) -> Result<(), String> {
+    args.check_known(&[TRACE_HELP])?;
     if args.flag("help") || action.is_none() {
         println!("{TRACE_HELP}");
         return match action {

@@ -73,6 +73,31 @@ fn helpful_errors() {
     assert!(commands::train(&args("train --model bogus"), false).is_err());
     assert!(commands::train(&args("train --data bogus"), false).is_err());
     assert!(commands::train(&args("resume"), true).is_err()); // missing dir
+
+    // An option the command's help does not list is an error naming it,
+    // not a silently different run: `--shard` is not `--shards`.
+    let unknown = |result: Result<(), String>, name: &str| {
+        let err = result.expect_err(name);
+        assert!(err.contains(&format!("unknown option {name}")), "{err}");
+    };
+    unknown(commands::train(&args("train --shard 4"), false), "--shard");
+    unknown(commands::train(&args("train --gaurd"), false), "--gaurd");
+    unknown(commands::train(&args("resume --dir x"), true), "--dir");
+    unknown(
+        commands::serve(&args("serve --clients 2 --gaurd")),
+        "--gaurd",
+    );
+    unknown(commands::client(&args("client --clients 2")), "--clients");
+    unknown(commands::plan(&args("plan --model tiny")), "--model");
+    unknown(commands::generate(&args("generate --rounds 2")), "--rounds");
+    unknown(
+        commands::downstream(&args("downstream --tokens 3")),
+        "--tokens",
+    );
+    unknown(
+        commands::trace(&args("trace --input a"), Some("merge")),
+        "--input",
+    );
 }
 
 #[test]

@@ -15,9 +15,12 @@
 //! * **collect** carries each reply across the simulated link (chaos,
 //!   retransmits, deadline), decodes it and removes re-deliveries
 //!   ([`Arrival`], [`RoundAccounting`]).
-//! * **merge** is the only mode-specific stage. Flat, shard tree,
-//!   buffered and buffered-over-tree each turn the arrivals into either
-//!   one aggregate or a "commit nothing" outcome ([`Merged`]).
+//! * **merge** turns the arrivals into either one aggregate or a "commit
+//!   nothing" outcome ([`Merged`]) by the same four steps in flat, shard
+//!   tree, buffered and buffered-over-tree rounds: admission (one pass
+//!   over the sorted arrivals), shard folds (synchronous trees; a
+//!   buffered round enqueues and drains the buffer's batch instead), one
+//!   guard screen and one aggregation rule.
 //! * **commit** alone runs the watchdog, applies the server optimizer,
 //!   records the round's telemetry, builds the [`RoundRecord`] and
 //!   advances the round counter.
@@ -26,12 +29,12 @@
 
 use super::Aggregator;
 use crate::faults::{ClientFault, FaultPlan};
-use crate::hierarchy::{HierarchyConfig, ShardPartition, ShardTree};
+use crate::hierarchy::{ShardPartition, ShardTree};
 use crate::membership::ChurnEvents;
 use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord};
 use parking_lot::Mutex;
 use photon_comms::{PartitionKind, TrainMetrics};
-use photon_fedopt::{sample_live, BufferedUpdate, ClientUpdate, StreamingMerge};
+use photon_fedopt::{sample_live, BufferedUpdate, ClientUpdate, CommitBatch, StreamingMerge};
 use photon_tensor::ops::pool;
 use std::collections::BTreeMap;
 
@@ -121,8 +124,7 @@ struct Aggregate {
     /// How many updates were folded into `delta`.
     folded: usize,
     /// The per-client updates behind `delta`, for the §6 alignment
-    /// measurement; empty when the merge folded them on the way (shard
-    /// tree, streaming buffered commit).
+    /// measurement; empty when the rule reduced shard aggregates.
     contributors: Vec<(u32, ClientUpdate)>,
 }
 
@@ -143,15 +145,27 @@ struct MergeTally {
     peak_resident: usize,
 }
 
+/// An arrival that passed admission.
+struct Admitted {
+    client_id: u32,
+    /// The live shard the client reports to, on a tree.
+    shard: Option<u32>,
+    update: ClientUpdate,
+    metrics: TrainMetrics,
+    arrival_round: u64,
+}
+
 /// Updates waiting for the guard screen and the aggregation rule.
 #[derive(Default)]
 struct Candidates {
-    /// Guard identities, parallel to `updates`.
+    /// Guard identities, parallel to `updates`: client ids, or shard
+    /// pseudo-ids where the updates are shard aggregates.
     ids: Vec<u32>,
     updates: Vec<ClientUpdate>,
-    /// Clients behind the updates: parallel to them in the flat merge,
-    /// the committed shards' members in the tree merge.
-    seen: Seen,
+    /// The reported losses behind the updates, which steer the watchdog:
+    /// parallel to client updates, every member's behind shard
+    /// aggregates.
+    losses: Vec<f32>,
 }
 
 impl Merged {
@@ -751,11 +765,20 @@ impl Aggregator {
     // ---------------------------------------------------------------
 
     /// L.8: turns the round's arrivals into one aggregate, or decides the
-    /// round commits nothing. The synchronous pipeline is
-    /// degraded-quorum gate → admission (client updates, or shard
-    /// aggregates from the tree) → guard screen → partial-results gate →
-    /// aggregation rule; buffered rounds take
-    /// [`Aggregator::merge_buffered`].
+    /// round commits nothing. Flat, shard-tree, buffered and
+    /// buffered-over-tree rounds run the same four steps:
+    ///
+    /// 1. **admission** ([`Aggregator::admit`]) — one pass over the sorted
+    ///    arrivals;
+    /// 2. **shard folds** ([`Aggregator::fold_shards`]) — a synchronous
+    ///    tree folds each shard's slice; a buffered round instead
+    ///    enqueues the admitted updates and, once due, drains the
+    ///    buffer's commit batch ([`Aggregator::enqueue`]);
+    /// 3. **screen** — one guard screen over what step 2 produced;
+    /// 4. **reduce** — one call to the aggregation rule.
+    ///
+    /// A synchronous round is gated by the degraded quorum before
+    /// admission and by the partial-results policy after the screen.
     fn merge(
         &mut self,
         plan: &RoundPlan,
@@ -771,11 +794,6 @@ impl Aggregator {
                 live_tree.mark_crashed(s);
             }
         }
-        if self.buffer.is_some() {
-            return self.merge_buffered(plan, tree.as_ref(), arrivals, acct);
-        }
-        self.record_network(acct, acct.dup_drops);
-        let (cohort, received) = (plan.cohort_idx.len(), arrivals.len());
         // Route the assigned cohort (not just the arrivals) onto the tree:
         // per-shard quorum denominators come from the slice a shard was
         // responsible for, so silent losses count against it.
@@ -789,40 +807,74 @@ impl Aggregator {
             tally.shards = part.shards.len();
             tally.reparented = part.reparented;
         }
-
-        if self.below_reachability_quorum(cohort, received) {
-            tally.degraded = true;
-            let seen = arrivals.iter().map(|a| (a.client_id, a.metrics)).collect();
-            return Ok(Merged::nothing(seen, tally));
+        let buffered = self.buffer.is_some();
+        let (cohort, received) = (plan.cohort_idx.len(), arrivals.len());
+        if !buffered {
+            self.record_network(acct, acct.dup_drops);
+            if self.below_reachability_quorum(cohort, received) {
+                tally.degraded = true;
+                let seen = arrivals.iter().map(|a| (a.client_id, a.metrics)).collect();
+                return Ok(Merged::nothing(seen, tally));
+            }
         }
 
-        let mut cand = match &routed {
-            Some((tree, part)) => self.fold_shards(plan, tree, part, arrivals, &mut tally)?,
-            None => self.admit_clients(arrivals, &mut tally)?,
+        let (admitted, arrived) =
+            self.admit(plan, routed.as_ref().map(|(t, _)| t), arrivals, &mut tally)?;
+        // The updates fold into shard aggregates before the screen only
+        // in a synchronous tree round.
+        let shard_folds = routed.as_ref().filter(|_| !buffered);
+        let (mut cand, mut seen) = if buffered {
+            let (seen, batch) = self.enqueue(admitted, acct, &mut tally);
+            let Some(batch) = batch else {
+                tally.commit_deferred = true;
+                return Ok(Merged::nothing(seen, tally));
+            };
+            tally.stale_commit = Some(batch.stale as u64);
+            let cand = Candidates {
+                ids: batch.client_ids,
+                updates: batch.updates,
+                losses: batch.losses,
+            };
+            (cand, seen)
+        } else if let Some((tree, part)) = shard_folds {
+            let (cand, seen) = self.fold_shards(plan, tree, part, admitted, &arrived, &mut tally);
+            if cand.updates.is_empty() {
+                // Every slice was lost (crashes, hangs, quorum misses, or
+                // all shards dead). Committing nothing and carrying on is
+                // the whole point of the tree: no rollback, no error.
+                tally.degraded = true;
+                return Ok(Merged::nothing(seen, tally));
+            }
+            (cand, seen)
+        } else {
+            let seen = admitted.iter().map(|a| (a.client_id, a.metrics)).collect();
+            let mut cand = Candidates::default();
+            for a in admitted {
+                cand.ids.push(a.client_id);
+                cand.updates.push(a.update);
+                cand.losses.push(a.metrics.mean_loss);
+            }
+            (cand, seen)
         };
-        if routed.is_some() && cand.updates.is_empty() {
-            // Every slice was lost (crashes, hangs, quorum misses, or all
-            // shards dead). Committing nothing and carrying on is the
-            // whole point of the tree: no rollback, no error.
-            tally.degraded = true;
-            return Ok(Merged::nothing(cand.seen, tally));
-        }
 
-        // Admission checks: quarantine skips, finiteness, norm clipping,
-        // cohort outlier rejection. In the flat merge a rejected update
-        // takes its client's metrics with it — a poisoned loss must not
-        // steer the watchdog; the tree screens shard aggregates, whose
-        // members were admitted at the leaves.
+        // Where the screen sees client updates, a rejected update takes
+        // its client's loss with it — a poisoned loss must not steer the
+        // watchdog — and, in a synchronous round, its metrics. Shard
+        // aggregates stand for members admitted one by one.
         let keep = self.screen(&mut cand.ids, &mut cand.updates, &mut tally);
-        if routed.is_none() {
-            retain_mask(&mut cand.seen, &keep);
+        if shard_folds.is_none() {
+            retain_mask(&mut cand.losses, &keep);
+            if !buffered {
+                retain_mask(&mut seen, &keep);
+            }
         }
 
         // §4: only the partial-update path may proceed with survivors.
         // Guard rejections and shard-level drops are deliberate
         // exclusions, not transport failures: the gate only counts
-        // clients that never delivered a usable frame.
-        if received < cohort && (!self.cfg.allow_partial_results || received == 0) {
+        // clients that never delivered a usable frame. A buffered commit
+        // is whatever reached the quorum.
+        if !buffered && received < cohort && (!self.cfg.allow_partial_results || received == 0) {
             return Err(CoreError::ClientFailure(format!(
                 "expected {cohort} results, got {received} (enable allow_partial_results \
                  to aggregate survivors)"
@@ -830,9 +882,10 @@ impl Aggregator {
         }
         if cand.updates.is_empty() {
             return Err(CoreError::ClientFailure(
-                match routed {
-                    Some(_) => "the guard rejected every shard aggregate",
-                    None => "the guard rejected the entire cohort",
+                match (buffered, shard_folds) {
+                    (true, _) => "the guard rejected the entire buffered commit",
+                    (false, Some(_)) => "the guard rejected every shard aggregate",
+                    (false, None) => "the guard rejected the entire cohort",
                 }
                 .into(),
             ));
@@ -840,7 +893,7 @@ impl Aggregator {
 
         let delta = self.cfg.aggregation.aggregate(&cand.updates);
         let folded = cand.updates.len();
-        let contributors = match routed {
+        let contributors = match shard_folds {
             Some(_) => Vec::new(),
             None => cand.ids.into_iter().zip(cand.updates).collect(),
         };
@@ -850,8 +903,8 @@ impl Aggregator {
                 folded,
                 contributors,
             }),
-            mean_client_loss: mean(cand.seen.iter().map(|(_, m)| m.mean_loss)),
-            seen: cand.seen,
+            mean_client_loss: mean(cand.losses.iter().copied()),
+            seen,
             tally,
         })
     }
@@ -900,72 +953,104 @@ impl Aggregator {
         true
     }
 
-    /// Arrival-time weight check shared by every merge: a malformed
-    /// aggregation weight surfaces as a recoverable failure, and guarded
-    /// runs quarantine the sender instead of failing the round.
-    fn admit_weight(
+    /// Admission: the one pass every round makes over its arrivals, in
+    /// ascending client id.
+    ///
+    /// * On a tree an arrival reports to its client's live shard, and is
+    ///   lost with it when that shard crashed or hung this round (or no
+    ///   shard is left).
+    /// * Where the update folds into a shard aggregate before the screen
+    ///   can see it (a synchronous tree), a client serving a quarantine
+    ///   sentence is skipped here; everywhere else the screen skips it.
+    /// * A malformed aggregation weight fails the round, or quarantines
+    ///   the sender in a guarded run, so no later step can fail on it.
+    ///
+    /// Returns the admitted updates and how many arrivals reached each
+    /// shard.
+    fn admit(
         &mut self,
-        id: u32,
-        delta: Vec<f32>,
-        weight: f64,
-        tally: &mut MergeTally,
-    ) -> Result<Option<ClientUpdate>> {
-        match ClientUpdate::new(delta, weight) {
-            Ok(update) => Ok(Some(update)),
-            Err(e) => {
-                let Some(guard) = self.guard.as_mut() else {
-                    return Err(CoreError::ClientFailure(format!("client {id}: {e}")));
-                };
-                guard.quarantine(self.round, id);
-                tally.guard_rejected += 1;
-                self.telemetry.count(|f| f.rejected_nonfinite += 1);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Flat admission: every arrival with a valid weight is a candidate.
-    fn admit_clients(
-        &mut self,
+        plan: &RoundPlan,
+        tree: Option<&ShardTree>,
         arrivals: Vec<Arrival>,
         tally: &mut MergeTally,
-    ) -> Result<Candidates> {
-        let mut cand = Candidates::default();
+    ) -> Result<(Vec<Admitted>, BTreeMap<u32, usize>)> {
+        let skip_quarantined = tree.is_some() && self.buffer.is_none();
+        let mut admitted = Vec::with_capacity(arrivals.len());
+        let mut arrived = BTreeMap::new();
         for a in arrivals {
-            if let Some(update) = self.admit_weight(a.client_id, a.delta, a.weight, tally)? {
-                cand.ids.push(a.client_id);
-                cand.updates.push(update);
-                cand.seen.push((a.client_id, a.metrics));
+            let shard = match tree.map(|tree| tree.shard_of(a.client_id)) {
+                None => None,
+                Some(Some(s))
+                    if !plan.shard_crashes.contains(&s) && !plan.shard_hangs.contains(&s) =>
+                {
+                    *arrived.entry(s).or_insert(0) += 1;
+                    Some(s)
+                }
+                Some(_) => continue,
+            };
+            let quarantined = skip_quarantined
+                && self
+                    .guard
+                    .as_ref()
+                    .is_some_and(|g| g.is_quarantined(a.client_id, self.round));
+            if quarantined {
+                tally.quarantined += 1;
+                self.telemetry.count(|f| f.quarantine_skips += 1);
+                continue;
             }
+            let update = match ClientUpdate::new(a.delta, a.weight) {
+                Ok(update) => update,
+                Err(e) => {
+                    let Some(guard) = self.guard.as_mut() else {
+                        return Err(CoreError::ClientFailure(format!(
+                            "client {}: {e}",
+                            a.client_id
+                        )));
+                    };
+                    guard.quarantine(self.round, a.client_id);
+                    tally.guard_rejected += 1;
+                    self.telemetry.count(|f| f.rejected_nonfinite += 1);
+                    continue;
+                }
+            };
+            admitted.push(Admitted {
+                client_id: a.client_id,
+                shard,
+                update,
+                metrics: a.metrics,
+                arrival_round: a.arrival_round,
+            });
         }
-        Ok(cand)
+        Ok((admitted, arrived))
     }
 
-    /// Tree admission: the arrivals are grouped by the shard they report
-    /// to and every live shard folds its slice, ascending shard id so the
-    /// root reduce replays bit-identically. The candidates are the shard
-    /// aggregates, under pseudo-ids so a repeatedly-poisoned shard earns
-    /// its own quarantine at the root screen.
+    /// Shard folds: every live shard folds what admission routed to it
+    /// through a streaming, memory-bounded merge, ascending shard id so
+    /// the root reduce replays bit-identically. The candidates are the
+    /// shard aggregates, under pseudo-ids so a repeatedly-poisoned shard
+    /// earns its own quarantine at the root screen, with every member's
+    /// loss; `Seen` is the members.
     ///
     /// Failure domains compose per level: a `shardcrash`/`shardhang`
-    /// loses only that shard's slice this round, and a shard missing its
-    /// quorum degrades alone.
+    /// loses only that shard's slice this round, and a shard that folds
+    /// less than its `ceil(shard_quorum_frac × slice)` quorum (or folds to
+    /// a degenerate weight) degrades alone.
     fn fold_shards(
-        &mut self,
+        &self,
         plan: &RoundPlan,
         tree: &ShardTree,
         part: &ShardPartition,
-        arrivals: Vec<Arrival>,
+        admitted: Vec<Admitted>,
+        arrived: &BTreeMap<u32, usize>,
         tally: &mut MergeTally,
-    ) -> Result<Candidates> {
-        // Arrivals with no live shard to report to are lost.
-        let mut routed: BTreeMap<u32, Vec<Arrival>> = BTreeMap::new();
-        for a in arrivals {
-            if let Some(s) = tree.shard_of(a.client_id) {
-                routed.entry(s).or_default().push(a);
-            }
+    ) -> (Candidates, Seen) {
+        let hcfg = tree.config();
+        let mut by_shard: BTreeMap<u32, Vec<Admitted>> = BTreeMap::new();
+        for a in admitted {
+            let shard = a.shard.expect("tree admission routes every update");
+            by_shard.entry(shard).or_default().push(a);
         }
-        let mut cand = Candidates::default();
+        let (mut cand, mut seen) = (Candidates::default(), Seen::new());
         for (&shard, slice) in &part.shards {
             if slice.is_empty() {
                 continue;
@@ -977,83 +1062,95 @@ impl Aggregator {
                 note_shard_degraded(shard, self.round, crashed, slice.len());
                 continue;
             }
-            let arrived = routed.remove(&shard).unwrap_or_default();
-            let folded = self.fold_shard(shard, slice.len(), arrived, tree.config(), tally)?;
-            if let Some((update, members)) = folded {
-                cand.ids.push(SHARD_GUARD_BASE + shard);
-                cand.updates.push(update);
-                cand.seen.extend(members);
+            let mut merge_span = photon_trace::span(photon_trace::Phase::ShardMerge)
+                .arg("shard", shard as u64)
+                .arg("round", self.round)
+                .arg("slice", slice.len() as u64)
+                .arg("arrived", arrived.get(&shard).copied().unwrap_or(0) as u64);
+            // Admission hands the members over in ascending client id, so
+            // the expected key set is strictly ascending and each push
+            // folds at the frontier; out-of-order arrival permutations are
+            // covered by the streaming-merge property tests.
+            let members = by_shard.remove(&shard).unwrap_or_default();
+            let expected = members.iter().map(|a| (self.round, a.client_id)).collect();
+            let mut merge = StreamingMerge::new(expected, hcfg.max_resident);
+            let mut shard_seen = Vec::with_capacity(members.len());
+            for a in members {
+                merge.push((self.round, a.client_id), a.update);
+                shard_seen.push((a.client_id, a.metrics));
             }
+            tally.peak_resident = tally.peak_resident.max(merge.peak_resident());
+            let folded = merge.folded();
+            merge_span.set_arg("folded", folded as u64);
+            merge_span.set_arg("peak_resident", merge.peak_resident() as u64);
+            let aggregate = (folded >= hcfg.shard_quorum(slice.len()) && folded > 0)
+                .then(|| merge.finish())
+                .flatten()
+                .and_then(|(merged, weight)| ClientUpdate::new(merged, weight).ok());
+            let Some(update) = aggregate else {
+                tally.shard_degraded += 1;
+                note_shard_degraded(shard, self.round, false, slice.len());
+                continue;
+            };
+            cand.ids.push(SHARD_GUARD_BASE + shard);
+            cand.updates.push(update);
+            cand.losses
+                .extend(shard_seen.iter().map(|(_, m)| m.mean_loss));
+            seen.extend(shard_seen);
         }
-        Ok(cand)
+        (cand, seen)
     }
 
-    /// One shard's leaf admission and streaming, memory-bounded merge.
-    /// Returns the shard aggregate with the members behind it, or `None`
-    /// when the shard missed its `ceil(shard_quorum_frac × slice)` quorum
-    /// (or folded to a degenerate weight) and its slice is dropped.
-    fn fold_shard(
+    /// A buffered round's second step: the admitted updates join the
+    /// buffer (a re-delivered client round is dropped) and, once the
+    /// pending set reaches the quorum — or a pending update has waited
+    /// longer than one lease duration, the deadline path that keeps
+    /// sub-quorum runs making progress — the buffer drains its commit
+    /// batch: every pending update, staleness-discounted, in canonical
+    /// `(origin_round, client_id)` order. Returns the clients heard from
+    /// this round and the batch, if one is due.
+    fn enqueue(
         &mut self,
-        shard: u32,
-        slice: usize,
-        arrived: Vec<Arrival>,
-        hcfg: HierarchyConfig,
+        admitted: Vec<Admitted>,
+        acct: &RoundAccounting,
         tally: &mut MergeTally,
-    ) -> Result<Option<(ClientUpdate, Seen)>> {
-        let mut merge_span = photon_trace::span(photon_trace::Phase::ShardMerge)
-            .arg("shard", shard as u64)
-            .arg("round", self.round)
-            .arg("slice", slice as u64)
-            .arg("arrived", arrived.len() as u64);
-        // Leaf admission mirrors the flat arrival checks: quarantined
-        // senders are skipped and a malformed weight quarantines (or fails
-        // the round when unguarded). Outlier screening runs at the root,
-        // over shard aggregates.
-        let mut admitted: Vec<(u32, ClientUpdate, TrainMetrics)> = Vec::new();
-        for a in arrived {
-            let quarantined = self
-                .guard
-                .as_ref()
-                .is_some_and(|g| g.is_quarantined(a.client_id, self.round));
-            if quarantined {
-                tally.quarantined += 1;
-                self.telemetry.count(|f| f.quarantine_skips += 1);
-                continue;
-            }
-            if let Some(update) = self.admit_weight(a.client_id, a.delta, a.weight, tally)? {
-                admitted.push((a.client_id, update, a.metrics));
+    ) -> (Seen, Option<CommitBatch>) {
+        let bcfg = self
+            .cfg
+            .buffer
+            .expect("a buffered merge has a buffer config");
+        let mcfg = self.cfg.membership.expect("buffering requires membership");
+        let round = self.round;
+        let buffer = self.buffer.as_mut().expect("a buffered merge has a buffer");
+        let mut dup_drops = acct.dup_drops;
+        let mut seen = Vec::new();
+        for a in admitted {
+            let fresh = buffer.push(BufferedUpdate {
+                client_id: a.client_id,
+                origin_round: round,
+                arrival_round: a.arrival_round,
+                base_weight: a.update.weight,
+                mean_loss: a.metrics.mean_loss,
+                delta: a.update.delta,
+            });
+            if fresh {
+                seen.push((a.client_id, a.metrics));
+            } else {
+                dup_drops += 1;
             }
         }
-        // Arrivals come in ascending client-id order, so the expected key
-        // set is already strictly ascending and each push folds at the
-        // frontier; out-of-order arrival permutations are covered by the
-        // streaming-merge property tests.
-        let expected = admitted
-            .iter()
-            .map(|(id, _, _)| (self.round, *id))
-            .collect();
-        let mut merge = StreamingMerge::new(expected, hcfg.max_resident);
-        let mut members = Vec::with_capacity(admitted.len());
-        for (id, update, metrics) in admitted {
-            merge.push((self.round, id), update);
-            members.push((id, metrics));
-        }
-        tally.peak_resident = tally.peak_resident.max(merge.peak_resident());
-        let folded = merge.folded();
-        merge_span.set_arg("folded", folded as u64);
-        merge_span.set_arg("peak_resident", merge.peak_resident() as u64);
-        let aggregate = if folded >= hcfg.shard_quorum(slice) && folded > 0 {
-            merge
-                .finish()
-                .and_then(|(merged, weight)| ClientUpdate::new(merged, weight).ok())
+        let overdue = buffer.entries().iter().any(|e| {
+            e.arrival_round <= round
+                && e.staleness_at(round).saturating_mul(mcfg.round_ms) >= mcfg.lease_ms
+        });
+        let batch = if buffer.quorum_reached(round, bcfg.quorum) || overdue {
+            buffer.commit(round, bcfg.staleness_decay)
         } else {
             None
         };
-        if aggregate.is_none() {
-            tally.shard_degraded += 1;
-            note_shard_degraded(shard, self.round, false, slice);
-        }
-        Ok(aggregate.map(|update| (update, members)))
+        tally.buffered = buffer.len();
+        self.record_network(acct, dup_drops);
+        (seen, batch)
     }
 
     /// The guard screen every merge shares. Drops the rejected entries
@@ -1083,114 +1180,6 @@ impl Aggregator {
         retain_mask(ids, &keep);
         retain_mask(updates, &keep);
         keep
-    }
-
-    /// The buffered (semi-synchronous) merge: every arrived result is
-    /// enqueued in the update buffer, and a merge commits only when the
-    /// pending set reaches the quorum — or when a pending update has
-    /// waited longer than one lease duration, the deadline path that
-    /// keeps sub-quorum runs making progress. Committed updates are
-    /// staleness-discounted and guard-screened like a synchronous merge.
-    ///
-    /// With a shard tree every arrival passes through its sub-aggregator
-    /// on the way to the buffer, so shard faults drop the slice at
-    /// arrival time and orphans of dead shards are fostered.
-    fn merge_buffered(
-        &mut self,
-        plan: &RoundPlan,
-        tree: Option<&ShardTree>,
-        arrivals: Vec<Arrival>,
-        acct: &RoundAccounting,
-    ) -> Result<Merged> {
-        let bcfg = self
-            .cfg
-            .buffer
-            .expect("a buffered merge has a buffer config");
-        let mcfg = self.cfg.membership.expect("buffering requires membership");
-        let round = self.round;
-        let mut tally = MergeTally::default();
-        let mut dup_drops = acct.dup_drops;
-        let mut seen = Vec::new();
-        if let Some(tree) = tree {
-            let ids: Vec<u32> = plan.cohort_idx.iter().map(|&i| i as u32).collect();
-            tally.reparented = tree.partition(&ids).reparented;
-        }
-        for a in arrivals {
-            // The sub-aggregator died or stalled (or none is left): the
-            // arrival never reaches the buffer.
-            let lost = tree.is_some_and(|tree| {
-                tree.shard_of(a.client_id).is_none_or(|s| {
-                    plan.shard_crashes.contains(&s) || plan.shard_hangs.contains(&s)
-                })
-            });
-            if lost {
-                continue;
-            }
-            // Weight validity is enforced at arrival (mirroring the
-            // synchronous path) so a later commit cannot fail on it.
-            let Some(update) = self.admit_weight(a.client_id, a.delta, a.weight, &mut tally)?
-            else {
-                continue;
-            };
-            let accepted = self
-                .buffer
-                .as_mut()
-                .expect("a buffered merge has a buffer")
-                .push(BufferedUpdate {
-                    client_id: a.client_id,
-                    origin_round: round,
-                    arrival_round: a.arrival_round,
-                    base_weight: update.weight,
-                    mean_loss: a.metrics.mean_loss,
-                    delta: update.delta,
-                });
-            if accepted {
-                seen.push((a.client_id, a.metrics));
-            } else {
-                // A duplicating link re-delivered an already-buffered
-                // client round; the copy is discarded.
-                dup_drops += 1;
-            }
-        }
-        self.record_network(acct, dup_drops);
-
-        let buffer = self.buffer.as_mut().expect("a buffered merge has a buffer");
-        let overdue = buffer.entries().iter().any(|e| {
-            e.arrival_round <= round
-                && e.staleness_at(round).saturating_mul(mcfg.round_ms) >= mcfg.lease_ms
-        });
-        let commit_ready = buffer.quorum_reached(round, bcfg.quorum) || overdue;
-        let mut mean_client_loss = mean(seen.iter().map(|(_, m)| m.mean_loss));
-        let mut aggregate = None;
-        if !commit_ready {
-            // Below quorum with nothing overdue: the commit is deferred.
-        } else if let Some(batch) = buffer.commit(round, bcfg.staleness_decay) {
-            let (mut ids, mut updates, mut losses) =
-                (batch.client_ids, batch.updates, batch.losses);
-            let keep = self.screen(&mut ids, &mut updates, &mut tally);
-            retain_mask(&mut losses, &keep);
-            if updates.is_empty() {
-                return Err(CoreError::ClientFailure(
-                    "the guard rejected the entire buffered commit".into(),
-                ));
-            }
-            tally.stale_commit = Some(batch.stale as u64);
-            mean_client_loss = mean(losses.iter().copied());
-            aggregate = Some(Aggregate {
-                delta: self.cfg.aggregation.aggregate(&updates),
-                folded: updates.len(),
-                contributors: ids.into_iter().zip(updates).collect(),
-            });
-        }
-        tally.shards = tree.map_or(0, ShardTree::live_count);
-        tally.buffered = self.buffer.as_ref().map_or(0, |b| b.len());
-        tally.commit_deferred = aggregate.is_none();
-        Ok(Merged {
-            aggregate,
-            seen,
-            mean_client_loss,
-            tally,
-        })
     }
 
     // ---------------------------------------------------------------

@@ -1,10 +1,11 @@
 //! Hierarchical (sharded) aggregation: a deterministic K-ary reduce tree.
 //!
-//! Leaf clients report to sub-aggregator *shards*; each shard folds its
-//! cohort slice through a streaming, memory-bounded merge
-//! ([`photon_fedopt::StreamingMerge`]) and the shard aggregates reduce
-//! upward to the root. The tree is the dominant failure domain at
-//! 10⁵-client scale, so its design is robustness-first:
+//! Leaf clients report to sub-aggregator *shards*; in a synchronous round
+//! each shard folds its cohort slice through a streaming, memory-bounded
+//! merge ([`photon_fedopt::StreamingMerge`]) and the shard aggregates
+//! reduce upward to the root, while a buffered round routes each arrival
+//! through its shard into the update buffer. The tree is the dominant
+//! failure domain at 10⁵-client scale, so its design is robustness-first:
 //!
 //! - **Deterministic shape.** A client's home shard is `id % shards`; no
 //!   coordinator state is needed to route a report.

@@ -19,7 +19,14 @@
 //! full quorum, the committed merge is **bitwise identical** to the
 //! synchronous weighted mean: `staleness_factor(0, d) == 1.0` exactly, so
 //! the [`crate::ClientUpdate`] weights handed to the aggregation rule are
-//! the same `f64`s the synchronous path would use.
+//! the same `f64`s the synchronous path would use. Every buffered round —
+//! over a shard tree too — commits through [`UpdateBuffer::commit`], the
+//! guard screen and the aggregation rule.
+//!
+//! The module also holds [`StreamingMerge`], the memory-bounded fold a
+//! shard of the aggregation tree runs over its slice: the one weighted
+//! mean ([`crate::aggregate_deltas`]) taken in canonical key order
+//! whatever order updates arrive in.
 
 use crate::aggregate::WeightedSum;
 use crate::ClientUpdate;

@@ -13,6 +13,12 @@
 //! It also provides the client samplers of Algorithm 1 (full participation
 //! and uniform `K`-of-`P` sampling).
 //!
+//! The weighted mean of pseudo-gradients (Algorithm 1, L.8) is written
+//! once: `(Σ w·Δ) / Σ w`, accumulated in f64 and divided at the end, which
+//! is what a stream must do since it cannot normalise before it has seen
+//! every weight. [`aggregate_deltas`] (the `Mean` rule) and the shard
+//! folds of [`StreamingMerge`] are both that fold.
+//!
 //! ```
 //! use photon_fedopt::{aggregate_deltas, ClientUpdate};
 //! let updates = vec![
