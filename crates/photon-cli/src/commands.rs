@@ -139,23 +139,7 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
         println!("{TRAIN_HELP}");
         return Ok(());
     }
-    // Resolve the kernel worker budget before any compute runs. Absent
-    // means auto (PHOTON_THREADS env, else the machine's parallelism);
-    // an explicit 0 forces the serial paths.
-    if let Some(t) = args.get_opt_parsed::<usize>("threads")? {
-        photon_tensor::ops::pool::set_max_threads(if t == 0 { 1 } else { t });
-    }
-    let threads = photon_tensor::ops::pool::max_threads();
-    // Pin the compute backend before any kernel runs. An explicit request
-    // for simd on a host without AVX2/FMA falls back to scalar (reported
-    // by the effective name below); absent means PHOTON_BACKEND env, else
-    // CPU detection.
-    if let Some(name) = args.get("backend") {
-        let kind = photon_tensor::backend::BackendKind::parse(name)
-            .ok_or_else(|| format!("unknown --backend {name:?} (scalar|simd)"))?;
-        photon_tensor::backend::set_backend(kind);
-    }
-    let backend = photon_tensor::backend::active_name();
+    let (threads, backend) = init_compute(args)?;
 
     let ckpt_dir = args.get("checkpoint-dir").map(PathBuf::from);
     let rounds: u64 = args.get_parsed("rounds", 12)?;
@@ -187,20 +171,7 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
         config_from_args(args)?
     };
 
-    let injector = match args.get("faults") {
-        Some(spec) => {
-            let mut spec = FaultSpec::parse(spec).map_err(|e| format!("--faults: {e}"))?;
-            // The probabilistic shard columns need a shard count; default
-            // it from the aggregation tree unless the spec pinned one.
-            if spec.shards == 0 {
-                if let Some(h) = &cfg.hierarchy {
-                    spec.shards = h.shards;
-                }
-            }
-            Some(spec.plan(cfg.population, rounds))
-        }
-        None => None,
-    };
+    let injector = parse_faults(args)?.map(|spec| spec.plan_for(&cfg, rounds));
 
     println!(
         "training {} | {} clients | tau = {} | B_l = {} | B_g = {} | {} | \
@@ -341,7 +312,12 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
     // The summary is a rendering of the run's one metrics snapshot.
     let snapshot = outcome.snapshot();
     let faults = snapshot.fault_counters;
-    if outcome.recoveries > 0 || faults != photon_core::FaultCounters::default() {
+    // A resume's restart from the checkpoint is not a fault it absorbed.
+    let absorbed = photon_core::FaultCounters {
+        coordinator_restarts: 0,
+        ..faults
+    };
+    if outcome.recoveries > 0 || absorbed != photon_core::FaultCounters::default() {
         println!(
             "faults absorbed: {} crash(es), {} straggler(s), {} retransmit(s), \
              {} link dropout(s), {} recovery(ies)",
@@ -424,6 +400,34 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
         println!("checkpoint saved to {}", dir.display());
     }
     Ok(())
+}
+
+/// Resolves `--threads` and `--backend` before any kernel runs and returns
+/// the worker count and the backend's effective name. An absent
+/// `--threads` means auto (PHOTON_THREADS env, else the machine's
+/// parallelism) and an explicit 0 forces the serial paths; an absent
+/// `--backend` means PHOTON_BACKEND env, else CPU detection, and simd on a
+/// host without AVX2/FMA falls back to scalar.
+fn init_compute(args: &Args) -> Result<(usize, &'static str), String> {
+    if let Some(t) = args.get_opt_parsed::<usize>("threads")? {
+        photon_tensor::ops::pool::set_max_threads(if t == 0 { 1 } else { t });
+    }
+    if let Some(name) = args.get("backend") {
+        let kind = photon_tensor::backend::BackendKind::parse(name)
+            .ok_or_else(|| format!("unknown --backend {name:?} (scalar|simd)"))?;
+        photon_tensor::backend::set_backend(kind);
+    }
+    Ok((
+        photon_tensor::ops::pool::max_threads(),
+        photon_tensor::backend::active_name(),
+    ))
+}
+
+/// `--faults`, parsed.
+fn parse_faults(args: &Args) -> Result<Option<FaultSpec>, String> {
+    args.get("faults")
+        .map(|spec| FaultSpec::parse(spec).map_err(|e| format!("--faults: {e}")))
+        .transpose()
 }
 
 /// The end-of-run observability summary: per-phase wall-time shares with
@@ -779,9 +783,12 @@ fn load_model(args: &Args) -> Result<Gpt, String> {
 
 const SERVE_HELP: &str = "photon serve — multi-process coordinator
 
-Listens for `photon client` processes, runs the federated rounds, and
-survives kills: every commit is checkpointed, and `--resume` restores
-the state machine from the checkpoint while live clients re-sync.
+Listens for `photon client` processes and runs `photon train`'s round
+loop over them: the same cohort sampling, membership, buffer, shard tree,
+guard, watchdog rollback and crash recovery. It survives kills: every
+commit is checkpointed before its results are acked, and `--resume`
+restores the checkpoint while live clients re-sync. A result that misses
+--round-timeout-ms is a dropout of its round.
 
 OPTIONS:
     --addr HOST:PORT           listen address        [127.0.0.1:7700]
@@ -809,13 +816,15 @@ OPTIONS:
     --flight-dir DIR           crash flight recorder: on panic or an
                                injected coordkill, dump the last spans
                                to DIR/flight-<pid>.jsonl
-    --faults SPEC              process faults: netcrash@rNcM (client
+    --faults SPEC              `photon train`'s fault grammar (clients
+                               apply their faults themselves), plus
+                               process faults: netcrash@rNcM (client
                                severs its socket mid-round),
                                nethang@rNcM (client goes silent),
                                coordkill@rN (coordinator exits after
                                committing round N)
-    plus the model/optimizer options of `photon train` (--model,
-    --clients, --local-steps, --batch, --seed, --tokens-per-client, ...)";
+    plus the options of `photon train` (--model, --clients, --shards,
+    --membership, --threads, --backend, ...); --secure is rejected";
 
 /// Switches the recorder on for a multi-process entry point (real
 /// monotonic clock — shards from different processes are aligned later
@@ -852,6 +861,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
         println!("{SERVE_HELP}");
         return Ok(());
     }
+    init_compute(args)?;
     let tracing_on = init_process_observability(args)?;
     // Flush the shard even when serve() errors or an injected fault cuts
     // the run short mid-round.
@@ -862,10 +872,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     cfg.allow_partial_results = true;
     cfg.validate().map_err(|e| e.to_string())?;
     let rounds: u64 = args.get_parsed("rounds", 12)?;
-    let faults = match args.get("faults") {
-        Some(spec) => Some(FaultSpec::parse(spec)?),
-        None => None,
-    };
+    let faults = parse_faults(args)?;
     let min_clients = args.get_parsed("min-clients", cfg.population)?;
     let plan = photon_net::RunPlan {
         tokens_per_client: args.get_parsed("tokens-per-client", 20_000)?,

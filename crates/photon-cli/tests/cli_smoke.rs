@@ -74,6 +74,14 @@ fn helpful_errors() {
     assert!(commands::train(&args("train --data bogus"), false).is_err());
     assert!(commands::train(&args("resume"), true).is_err()); // missing dir
 
+    // `serve` resolves `train`'s compute options the same way.
+    let backend = commands::train(&args("train --backend bogus"), false).unwrap_err();
+    assert!(backend.contains("unknown --backend"), "{backend}");
+    assert_eq!(
+        commands::serve(&args("serve --backend bogus")).unwrap_err(),
+        backend
+    );
+
     // An option the command's help does not list is an error naming it,
     // not a silently different run: `--shard` is not `--shards`.
     let unknown = |result: Result<(), String>, name: &str| {

@@ -48,7 +48,7 @@ pub use crc::crc32;
 pub use link::{
     corrupt_frame, deliver, deliver_chaos, DeliveryReport, LinkExhausted, RetransmitPolicy,
 };
-pub use message::{BroadcastFrame, Message, TrainMetrics, WireOpts};
+pub use message::{Message, SealedFrame, TrainMetrics, WireOpts};
 pub use network::{
     AdaptiveDeadlineConfig, LinkOutcome, LinkProfile, NetworkConfig, NetworkModel, PartitionKind,
     PartitionSchedule, PartitionSpec,

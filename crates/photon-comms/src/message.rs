@@ -527,28 +527,38 @@ fn build_frame(
     seal_frame(frame)
 }
 
-/// A model broadcast encoded **once** for a whole cohort.
+/// A message encoded **once** and put on the wire as often as it is
+/// needed: a model broadcast to its whole cohort, a client's result on
+/// every re-delivery.
 ///
-/// The parameters are borrowed, serialized into one frame and CRC'd one
-/// time; [`BroadcastFrame::frame`] hands every recipient the same shared
-/// bytes. When frames carry a per-recipient [`TraceCtx`],
-/// [`BroadcastFrame::traced`] derives each recipient's header and trailer
-/// from the saved CRC state — 52 bytes of work — and the shared payload
-/// goes on the wire between them untouched.
+/// The floats are serialized into one frame and CRC'd one time;
+/// [`SealedFrame::frame`] hands every send the same shared bytes. When
+/// frames carry a per-send [`TraceCtx`], [`SealedFrame::traced`] derives
+/// each send's header and trailer from the saved CRC state — 52 bytes of
+/// work — and the shared payload goes on the wire between them untouched.
 #[derive(Debug, Clone)]
-pub struct BroadcastFrame {
+pub struct SealedFrame {
     frame: Bytes,
     flags: FrameFlags,
     payload_crc: Crc32,
 }
 
-impl BroadcastFrame {
+impl SealedFrame {
+    /// Encodes `msg`; byte-identical to [`Message::to_frame_opts`].
+    pub fn new(msg: &Message, opts: WireOpts) -> SealedFrame {
+        let (head, floats) = msg.encode_head();
+        SealedFrame::seal(&head, floats, opts)
+    }
+
     /// Encodes `Message::ModelBroadcast { round, params }` from borrowed
-    /// parameters; byte-identical to [`Message::to_frame_opts`] on the
-    /// owned message.
-    pub fn new(round: u64, params: &[f32], opts: WireOpts) -> BroadcastFrame {
-        let (frame, payload_crc) = build_frame(&broadcast_head(round), Some(params), opts, None);
-        BroadcastFrame {
+    /// parameters.
+    pub fn broadcast(round: u64, params: &[f32], opts: WireOpts) -> SealedFrame {
+        SealedFrame::seal(&broadcast_head(round), Some(params), opts)
+    }
+
+    fn seal(head: &[u8], floats: Option<&[f32]>, opts: WireOpts) -> SealedFrame {
+        let (frame, payload_crc) = build_frame(head, floats, opts, None);
+        SealedFrame {
             frame,
             flags: opts.flags(),
             payload_crc,
@@ -561,8 +571,8 @@ impl BroadcastFrame {
     }
 
     /// The three pieces that, written back to back, are exactly
-    /// [`Message::to_frame_traced`] for this broadcast and `ctx`: a
-    /// per-recipient header, the shared payload, a per-recipient trailer.
+    /// [`Message::to_frame_traced`] for this message and `ctx`: a per-send
+    /// header, the shared payload, a per-send trailer.
     pub fn traced(&self, ctx: TraceCtx) -> ([u8; FRAME_HEADER_LEN], &[u8], [u8; TRACE_CTX_LEN]) {
         let payload = &self.frame[FRAME_HEADER_LEN..];
         let trailer = ctx.encode();
@@ -737,17 +747,21 @@ mod tests {
                 msg.to_frame_opts(opts)
             };
             assert_eq!(hex(&frame), want, "{msg_name}/{opts_name}/traced={traced}");
-            // The encode-once broadcast is the same bytes again, whole or
-            // in its three traced pieces.
+            // The encode-once frame is the same bytes again, whole or in
+            // its three traced pieces, and so is a broadcast sealed from
+            // borrowed parameters.
+            let mut sealed = vec![SealedFrame::new(msg, opts)];
             if msg_name == "broadcast" {
-                let shared = BroadcastFrame::new(7, &golden_floats(), opts);
+                sealed.push(SealedFrame::broadcast(7, &golden_floats(), opts));
+            }
+            for shared in sealed {
                 let got = if traced {
                     let (header, payload, trailer) = shared.traced(golden_ctx());
                     [&header[..], payload, &trailer[..]].concat()
                 } else {
                     shared.frame().to_vec()
                 };
-                assert_eq!(hex(&got), want, "shared {opts_name}/traced={traced}");
+                assert_eq!(hex(&got), want, "sealed {msg_name}/{opts_name}/{traced}");
             }
         }
     }
@@ -757,7 +771,7 @@ mod tests {
         let params = sample_params(4097);
         for opts in ["raw", "compressed", "bf16"].map(golden_opts) {
             let before = FLOAT_BLOCKS_SERIALIZED.with(std::cell::Cell::get);
-            let shared = BroadcastFrame::new(9, &params, opts);
+            let shared = SealedFrame::broadcast(9, &params, opts);
             let frames: Vec<Vec<u8>> = (0..3u64)
                 .map(|seq| {
                     let ctx = TraceCtx {

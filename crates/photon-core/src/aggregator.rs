@@ -1,5 +1,7 @@
 mod round;
 
+pub use round::{client_round, ClientReply, Exchange, Transport};
+
 use crate::checkpoint::{write_checkpoint, Checkpoint, CheckpointView};
 use crate::faults::FaultPlan;
 use crate::hierarchy::{HierarchyState, ShardTree};
@@ -73,6 +75,16 @@ impl Aggregator {
     /// # Errors
     /// Returns an error if the configuration is inconsistent.
     pub fn new(cfg: FederationConfig) -> Result<Self> {
+        Aggregator::with_telemetry(cfg, crate::Telemetry::new())
+    }
+
+    /// [`Aggregator::new`] writing into an existing metrics store, so what
+    /// observes the store (a live `/metrics` endpoint) outlives a rebuilt
+    /// aggregator.
+    ///
+    /// # Errors
+    /// Returns an error if the configuration is inconsistent.
+    pub fn with_telemetry(cfg: FederationConfig, telemetry: crate::Telemetry) -> Result<Self> {
         cfg.validate()?;
         let mut rng = SeedStream::new(cfg.seed);
         let model = Gpt::with_positions(cfg.model, cfg.positions, &mut rng.split("global-init"));
@@ -117,7 +129,7 @@ impl Aggregator {
             server_opt,
             sampler,
             round: 0,
-            telemetry: crate::Telemetry::new(),
+            telemetry,
             guard,
             loss_ema: None,
             norm_ema: None,

@@ -7,13 +7,16 @@
 //!
 //! * **plan** applies membership churn, draws the cohort and the round's
 //!   scheduled faults, and fixes the straggler deadline ([`RoundPlan`]).
-//! * **transport** broadcasts the model and runs the sampled clients on
-//!   at most `pool::max_threads()` scoped lane threads, which own the
-//!   core budget for the round. It is the only simulator-specific stage:
-//!   the TCP coordinator in `photon-net` moves the same frames over
-//!   sockets and enters at [`Aggregator::commit_external_round`].
-//! * **collect** carries each reply across the simulated link (chaos,
-//!   retransmits, deadline), decodes it and removes re-deliveries
+//! * **transport** encodes the model once as the round's broadcast frame
+//!   and hands it to a [`Transport`], which returns the cohort's replies.
+//!   It is the only stage that differs between the simulator and a real
+//!   network: [`Lanes`] train the in-process clients on at most
+//!   `pool::max_threads()` scoped lane threads, which own the core budget
+//!   for the round, and `photon-net`'s TCP transport moves the same frames
+//!   over sockets. Both run [`client_round`] on the client side.
+//! * **collect** sorts the replies by client id, carries each simulated one
+//!   across the simulated link (chaos, retransmits, deadline), decodes it
+//!   and removes re-deliveries, whichever transport delivered them
 //!   ([`Arrival`], [`RoundAccounting`]).
 //! * **merge** turns the arrivals into either one aggregate or a "commit
 //!   nothing" outcome ([`Merged`]) by the same four steps in flat, shard
@@ -33,7 +36,7 @@ use crate::hierarchy::{ShardPartition, ShardTree};
 use crate::membership::ChurnEvents;
 use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord};
 use parking_lot::Mutex;
-use photon_comms::{PartitionKind, TrainMetrics};
+use photon_comms::{Message, PartitionKind, SealedFrame, TrainMetrics};
 use photon_fedopt::{sample_live, BufferedUpdate, ClientUpdate, CommitBatch, StreamingMerge};
 use photon_tensor::ops::pool;
 use std::collections::BTreeMap;
@@ -53,9 +56,8 @@ const SHARD_GUARD_BASE: u32 = 0x8000_0000;
 struct RoundPlan {
     /// The sampled cohort as indices into the provisioned client vector.
     cohort_idx: Vec<usize>,
-    /// The sampled clients' ids, parallel to `cohort_idx` (what the
-    /// simulated transport hands each client; an external transport
-    /// leaves it empty).
+    /// The sampled clients' ids, parallel to `cohort_idx` (a client's id
+    /// is its roster index): what the transport addresses.
     cohort_ids: Vec<u32>,
     /// This round's membership changes (empty without a registry).
     churn: ChurnEvents,
@@ -88,8 +90,31 @@ struct Arrival {
     arrival_round: u64,
 }
 
-/// Per-round transport and network counters, filled by the collect stage
-/// (or by the external transport's entry point).
+impl Arrival {
+    /// The decoded result `message`, landing in `arrival_round`.
+    fn of(message: Message, arrival_round: u64) -> Result<Arrival> {
+        match message {
+            Message::ClientResult {
+                client_id,
+                delta,
+                weight,
+                metrics,
+                ..
+            } => Ok(Arrival {
+                client_id,
+                delta,
+                weight,
+                metrics,
+                arrival_round,
+            }),
+            other => Err(CoreError::ClientFailure(format!(
+                "unexpected message from client: {other:?}"
+            ))),
+        }
+    }
+}
+
+/// Per-round transport and network counters, filled by the collect stage.
 #[derive(Default)]
 struct RoundAccounting {
     crashes: usize,
@@ -262,6 +287,21 @@ impl Aggregator {
         injector: Option<&FaultPlan>,
         max_lanes: usize,
     ) -> Result<RoundRecord> {
+        self.run_round_over(&mut Lanes { clients, max_lanes }, injector)
+    }
+
+    /// One federated round (Algorithm 1, L.4–11) whose cohort `transport`
+    /// reaches: the simulator's client lanes or a real network. Everything
+    /// but stage 2 is this engine's, whichever it is.
+    ///
+    /// # Errors
+    /// As [`Aggregator::run_round_with`], plus whatever the transport
+    /// reports.
+    pub fn run_round_over(
+        &mut self,
+        transport: &mut dyn Transport,
+        injector: Option<&FaultPlan>,
+    ) -> Result<RoundRecord> {
         // Observability: freeze the simulated clock at the round start so
         // every event this round emits carries the same replayable
         // timestamp, then open the round's root span on the driver lane.
@@ -274,74 +314,9 @@ impl Aggregator {
             photon_trace::span(photon_trace::Phase::Round).arg("round", self.round);
         round_span.set_sim_dur_us(round_ms.saturating_mul(1_000));
 
-        let plan = self.plan(clients, injector)?;
-        let (replies, broadcast_bytes) = self.transport(&plan, clients, injector, max_lanes)?;
+        let plan = self.plan(transport.roster_len(), injector)?;
+        let (replies, broadcast_bytes) = self.transport(&plan, transport, injector)?;
         let (arrivals, acct) = self.collect(&plan, replies, broadcast_bytes, injector)?;
-        self.merge_and_commit(&mut round_span, plan, arrivals, acct)
-    }
-
-    /// Commits one federated round from results gathered by an external
-    /// transport (the `photon-net` TCP coordinator) instead of in-process
-    /// client threads. `results` carries `(client_id, delta, weight,
-    /// metrics)` tuples exactly as decoded from `ClientResult` frames;
-    /// `cohort_ids` is the set of clients the round was assigned to, and
-    /// `wire_bytes` what the transport actually moved.
-    ///
-    /// Results from clients outside the cohort are dropped, re-deliveries
-    /// are removed by the same id-keyed dedup the simulated Link uses, and
-    /// the round then runs the same merge and commit stages as
-    /// [`Aggregator::run_round_with`] — so a retried frame can never
-    /// double-apply and both transports converge identically.
-    ///
-    /// # Errors
-    /// Same failure surface as [`Aggregator::run_round_with`]: partial
-    /// results without `allow_partial_results`, an empty post-guard
-    /// cohort, or a watchdog trip.
-    pub fn commit_external_round(
-        &mut self,
-        results: Vec<(u32, Vec<f32>, f64, TrainMetrics)>,
-        cohort_ids: &[u32],
-        wire_bytes: u64,
-    ) -> Result<RoundRecord> {
-        let round = self.round;
-        let mut round_span = photon_trace::span(photon_trace::Phase::Round).arg("round", round);
-        let mut arrivals: Vec<Arrival> = results
-            .into_iter()
-            .filter(|(id, _, _, _)| cohort_ids.contains(id))
-            .map(|(client_id, delta, weight, metrics)| Arrival {
-                client_id,
-                delta,
-                weight,
-                metrics,
-                arrival_round: round,
-            })
-            .collect();
-        let dup_drops = dedup_arrivals(&mut arrivals);
-        let plan = RoundPlan {
-            cohort_idx: cohort_ids.iter().map(|&id| id as usize).collect(),
-            ..RoundPlan::default()
-        };
-        let acct = RoundAccounting {
-            // A cohort member that never delivered a usable result is a
-            // transport dropout from the aggregator's point of view.
-            link_dropouts: cohort_ids.len().saturating_sub(arrivals.len()),
-            wire_bytes,
-            dup_drops,
-            ..RoundAccounting::default()
-        };
-        self.merge_and_commit(&mut round_span, plan, arrivals, acct)
-    }
-
-    /// The half of a round both transports share: stamps the round's
-    /// traffic on its root span and the run counters, then merges and
-    /// commits.
-    fn merge_and_commit(
-        &mut self,
-        round_span: &mut photon_trace::Span,
-        plan: RoundPlan,
-        arrivals: Vec<Arrival>,
-        acct: RoundAccounting,
-    ) -> Result<RoundRecord> {
         round_span.set_arg("cohort", plan.cohort_idx.len() as u64);
         round_span.set_arg("wire_bytes", acct.wire_bytes);
         round_span.set_arg("received", arrivals.len() as u64);
@@ -361,14 +336,15 @@ impl Aggregator {
     // Stage 1: plan
     // ---------------------------------------------------------------
 
-    /// Applies this round's churn, draws the cohort and the scheduled
-    /// shard faults, and fixes the straggler deadline.
-    fn plan(&mut self, clients: &[LlmClient], injector: Option<&FaultPlan>) -> Result<RoundPlan> {
+    /// Applies this round's churn, draws the cohort from a roster of
+    /// `roster_len` clients and the scheduled shard faults, and fixes the
+    /// straggler deadline.
+    fn plan(&mut self, roster_len: usize, injector: Option<&FaultPlan>) -> Result<RoundPlan> {
         let mut plan = if self.membership.is_some() {
             self.plan_elastic_cohort(injector)?
         } else {
             RoundPlan {
-                cohort_idx: self.sampler.sample(clients.len(), self.round),
+                cohort_idx: self.sampler.sample(roster_len, self.round),
                 ..RoundPlan::default()
             }
         };
@@ -376,15 +352,14 @@ impl Aggregator {
             return Err(CoreError::InvalidConfig("empty cohort".into()));
         }
         if let Some(&max) = plan.cohort_idx.iter().max() {
-            if max >= clients.len() {
+            if max >= roster_len {
                 return Err(CoreError::InvalidConfig(format!(
-                    "cohort references client {max} but only {} are provisioned \
-                     (call Federation::sync_roster after membership churn)",
-                    clients.len()
+                    "cohort references client {max} but only {roster_len} are provisioned \
+                     (call Federation::sync_roster after membership churn)"
                 )));
             }
         }
-        plan.cohort_ids = plan.cohort_idx.iter().map(|&i| clients[i].id()).collect();
+        plan.cohort_ids = plan.cohort_idx.iter().map(|&i| i as u32).collect();
 
         // Active partitions: fully severed clients exchange no traffic this
         // round (no broadcast charged, result dropped); asymmetrically
@@ -505,72 +480,36 @@ impl Aggregator {
     }
 
     // ---------------------------------------------------------------
-    // Stage 2: transport (simulator)
+    // Stage 2: transport
     // ---------------------------------------------------------------
 
-    /// L.5–6: broadcasts the model as one shared Link frame and trains the
-    /// cohort on `min(cohort, max_lanes)` scoped lane threads that claim
-    /// clients from one queue. The lanes divide the caller's execution
-    /// width and keep its chunk count ([`pool::Context::lanes`]), so with
-    /// a lane per core every kernel runs inline on its lane and the result
-    /// does not depend on the lane count. Returns the replies in client-id
-    /// order plus the broadcast bytes charged.
+    /// L.5–6: encodes the model once as the round's broadcast frame and
+    /// hands it to `transport` for the cohort. Returns the cohort's
+    /// replies plus the broadcast bytes charged.
     fn transport(
         &self,
         plan: &RoundPlan,
-        clients: &mut [LlmClient],
+        transport: &mut dyn Transport,
         injector: Option<&FaultPlan>,
-        max_lanes: usize,
     ) -> Result<(Vec<ClientReply>, u64)> {
         let cohort = plan.cohort_idx.len();
-        let broadcast = {
+        let (broadcast, frame_bytes) = {
             let mut bspan =
                 photon_trace::span(photon_trace::Phase::Broadcast).arg("cohort", cohort as u64);
-            let frame =
-                photon_comms::BroadcastFrame::new(self.round, &self.params, self.cfg.wire_opts())
-                    .frame();
-            bspan.set_arg("frame_bytes", frame.len() as u64);
-            frame
+            let frame = SealedFrame::broadcast(self.round, &self.params, self.cfg.wire_opts());
+            let frame_bytes = frame.frame().len() as u64;
+            bspan.set_arg("frame_bytes", frame_bytes);
+            (frame, frame_bytes)
         };
-        let broadcast_bytes = broadcast.len() as u64 * (cohort - plan.severed_full) as u64;
+        let broadcast_bytes = frame_bytes * (cohort - plan.severed_full) as u64;
         photon_trace::counter_add("round.broadcast_bytes", broadcast_bytes);
-        // One frame, verified and decoded once for the whole cohort. The
-        // clients train from the *decoded frame*, never `self.params`:
-        // bf16 storage and the link codec round on the wire.
-        let global = decode_broadcast(broadcast, self.round);
-        let global = global.as_deref().map_err(String::as_str);
-
-        // The cohort's clients, picked out of the roster by ascending
-        // index: O(cohort) however many clients are provisioned.
-        let mut cohort_sorted = plan.cohort_idx.clone();
-        cohort_sorted.sort_unstable();
-        cohort_sorted.dedup();
-        let mut roster = clients.iter_mut();
-        let mut next = 0;
-        let members: Vec<&mut LlmClient> = cohort_sorted
-            .iter()
-            .map(|&i| {
-                let client = roster
-                    .nth(i - next)
-                    .expect("cohort index within the roster");
-                next = i + 1;
-                client
-            })
-            .collect();
-
-        let lanes = members.len().min(max_lanes);
-        let (round, cfg, cohort_ids) = (self.round, &self.cfg, &plan.cohort_ids);
-        let replies = on_lanes(members, lanes, |client| {
-            let fault = injector.and_then(|inj| inj.client_fault(round, client.id()));
-            client_round(client, global, round, cohort_ids, cfg, fault)
-        });
-        let Some(mut replies) = replies else {
-            return Err(CoreError::ClientFailure("a client thread panicked".into()));
-        };
-        // Replies come back in completion order; hand them on in client-id
-        // order so the aggregator-side Link deliveries (and the trace
-        // events they emit) replay in a deterministic sequence.
-        replies.sort_by_key(ClientReply::client_id);
+        let replies = transport.exchange(Exchange {
+            round: self.round,
+            broadcast,
+            cohort: &plan.cohort_ids,
+            cfg: &self.cfg,
+            faults: injector,
+        })?;
         Ok((replies, broadcast_bytes))
     }
 
@@ -578,12 +517,13 @@ impl Aggregator {
     // Stage 3: collect
     // ---------------------------------------------------------------
 
-    /// L.7: carries every reply across the simulated Link, applies the
-    /// straggler policy, decodes the survivors and removes re-deliveries.
+    /// L.7: takes the replies in client-id order, carries every simulated
+    /// one across the simulated Link, applies the straggler policy, decodes
+    /// the survivors and removes re-deliveries.
     fn collect(
         &mut self,
         plan: &RoundPlan,
-        replies: Vec<ClientReply>,
+        mut replies: Vec<ClientReply>,
         broadcast_bytes: u64,
         injector: Option<&FaultPlan>,
     ) -> Result<(Vec<Arrival>, RoundAccounting)> {
@@ -591,6 +531,10 @@ impl Aggregator {
             wire_bytes: broadcast_bytes + plan.handshake_bytes,
             ..RoundAccounting::default()
         };
+        // Replies come back in completion order; handle them in client-id
+        // order so the aggregator-side Link deliveries (and the trace
+        // events they emit) replay in a deterministic sequence.
+        replies.sort_by_key(ClientReply::client_id);
         let mut arrivals = Vec::with_capacity(plan.cohort_idx.len());
         let mut round_latencies: Vec<u64> = Vec::new();
         for reply in replies {
@@ -604,6 +548,15 @@ impl Aggregator {
                         "client {client_id}: {message}"
                     )));
                 }
+                ClientReply::Received {
+                    message, frame_len, ..
+                } => {
+                    // A real link delivered it; the socket checked its CRC
+                    // and decoded it.
+                    acct.wire_bytes += frame_len;
+                    arrivals.push(Arrival::of(message, self.round)?);
+                    continue;
+                }
                 ClientReply::Frame {
                     client_id,
                     frame,
@@ -612,7 +565,7 @@ impl Aggregator {
                 } => self.deliver(
                     injector,
                     client_id,
-                    &frame,
+                    &frame.frame(),
                     delay_ms,
                     corrupt_attempts,
                     &mut acct,
@@ -644,35 +597,15 @@ impl Aggregator {
             let frame_len = delivered.frame.len() as u64;
             // The Link's retransmit loop verified this frame's CRC; the
             // decode does not walk the payload again.
-            match photon_comms::Message::from_verified_frame(delivered.frame)?.0 {
-                photon_comms::Message::ClientResult {
-                    client_id,
-                    delta,
-                    weight,
-                    metrics,
-                    ..
-                } => {
-                    let arrival = Arrival {
-                        client_id,
-                        delta,
-                        weight,
-                        metrics,
-                        arrival_round,
-                    };
-                    // A duplicating link re-delivers the decoded frame; the
-                    // copy is charged to the wire and discarded by dedup.
-                    for _ in 0..delivered.duplicates {
-                        acct.wire_bytes += frame_len;
-                        arrivals.push(arrival.clone());
-                    }
-                    arrivals.push(arrival);
-                }
-                other => {
-                    return Err(CoreError::ClientFailure(format!(
-                        "unexpected message from client: {other:?}"
-                    )))
-                }
+            let message = Message::from_verified_frame(delivered.frame)?.0;
+            let arrival = Arrival::of(message, arrival_round)?;
+            // A duplicating link re-delivers the decoded frame; the copy is
+            // charged to the wire and discarded by dedup.
+            for _ in 0..delivered.duplicates {
+                acct.wire_bytes += frame_len;
+                arrivals.push(arrival.clone());
             }
+            arrivals.push(arrival);
         }
         acct.dup_drops = dedup_arrivals(&mut arrivals);
 
@@ -1384,26 +1317,89 @@ struct Delivered {
     duplicates: u32,
 }
 
-/// What one client's round reports back to the collect stage. Every
-/// outcome — including failures that used to panic the thread — is a
-/// message, so the round can translate them into accounting or a typed
-/// [`CoreError`].
-enum ClientReply {
-    /// A result frame, plus the simulated turbulence to apply to it on the
-    /// aggregator side of the Link.
+/// Stage 2 of a round, the one part that differs between the simulator
+/// and a real network: put the round's broadcast frame in front of the
+/// cohort and hand back what the cohort replied. The simulator's client
+/// lanes implement it over in-process clients, `photon-net` over sockets;
+/// the plan before it and collect → merge → commit after it are the same
+/// engine code for both.
+pub trait Transport {
+    /// Clients the roster addresses: the population the cohort is drawn
+    /// from.
+    fn roster_len(&self) -> usize;
+
+    /// Delivers the broadcast to the cohort and returns the replies in any
+    /// order, re-deliveries included: the collect stage sorts them by
+    /// client id and drops the copies. A member with nothing to show for
+    /// the round is a [`ClientReply::Crash`].
+    ///
+    /// # Errors
+    /// When the transport cannot run the round at all.
+    fn exchange(&mut self, x: Exchange<'_>) -> Result<Vec<ClientReply>>;
+
+    /// Called by the training driver once round `round` has committed and,
+    /// when the run keeps checkpoints, its checkpoint has landed: a network
+    /// transport acks the round's results here, so acks follow durability.
+    /// Returning `false` ends the run after this round.
+    fn committed(&mut self, _round: u64) -> bool {
+        true
+    }
+}
+
+/// What the transport stage hands a [`Transport`].
+pub struct Exchange<'a> {
+    /// The round being run.
+    pub round: u64,
+    /// The round's model, encoded once for the whole cohort.
+    pub broadcast: SealedFrame,
+    /// The sampled cohort's client ids.
+    pub cohort: &'a [u32],
+    /// The run configuration.
+    pub cfg: &'a FederationConfig,
+    /// The run's fault schedule, if any.
+    pub faults: Option<&'a FaultPlan>,
+}
+
+/// What one cohort member's round came to. Every outcome — including
+/// failures that used to panic the thread — is a value, so the round can
+/// translate it into accounting or a typed [`CoreError`].
+pub enum ClientReply {
+    /// A simulated client's result frame, plus the turbulence the simulated
+    /// Link applies to it on the aggregator side.
     Frame {
+        /// The sender.
         client_id: u32,
-        frame: bytes::Bytes,
+        /// The sealed `ClientResult`.
+        frame: SealedFrame,
         /// Injected straggler delay (simulated ms).
         delay_ms: u64,
         /// How many leading transmissions arrive corrupted.
         corrupt_attempts: u32,
     },
-    /// Mid-round disconnect: no result frame will come.
-    Crash { client_id: u32 },
+    /// A result a real link delivered, CRC-checked and decoded once at the
+    /// socket.
+    Received {
+        /// The sender.
+        client_id: u32,
+        /// The decoded `ClientResult`.
+        message: Message,
+        /// Bytes the frame took on the wire.
+        frame_len: u64,
+    },
+    /// No result this round: a mid-round disconnect, or a member whose
+    /// result missed the transport's deadline.
+    Crash {
+        /// The silent member.
+        client_id: u32,
+    },
     /// The client could not run the round (e.g. the broadcast frame failed
     /// to decode); surfaced as [`CoreError::ClientFailure`].
-    Error { client_id: u32, message: String },
+    Error {
+        /// The failed member.
+        client_id: u32,
+        /// What went wrong.
+        message: String,
+    },
 }
 
 impl ClientReply {
@@ -1411,9 +1407,68 @@ impl ClientReply {
     fn client_id(&self) -> u32 {
         match self {
             ClientReply::Frame { client_id, .. }
+            | ClientReply::Received { client_id, .. }
             | ClientReply::Crash { client_id }
             | ClientReply::Error { client_id, .. } => *client_id,
         }
+    }
+}
+
+/// The simulator's transport: the cohort's in-process clients, trained on
+/// `min(cohort, max_lanes)` scoped lane threads that claim clients from one
+/// queue. The lanes divide the caller's execution width and keep its chunk
+/// count ([`pool::Context::lanes`]), so with a lane per core every kernel
+/// runs inline on its lane and the result does not depend on the lane
+/// count.
+struct Lanes<'a> {
+    clients: &'a mut [LlmClient],
+    max_lanes: usize,
+}
+
+impl Transport for Lanes<'_> {
+    fn roster_len(&self) -> usize {
+        self.clients.len()
+    }
+
+    fn exchange(&mut self, x: Exchange<'_>) -> Result<Vec<ClientReply>> {
+        let Exchange {
+            round,
+            broadcast,
+            cohort,
+            cfg,
+            faults,
+        } = x;
+        // One frame, verified and decoded once for the whole cohort. The
+        // clients train from the *decoded frame*, never the aggregator's
+        // floats: bf16 storage and the link codec round on the wire.
+        let global = decode_broadcast(broadcast.frame(), round);
+        drop(broadcast);
+        let global = global.as_deref().map_err(String::as_str);
+
+        // The cohort's clients, picked out of the roster by ascending
+        // index: O(cohort) however many clients are provisioned.
+        let mut cohort_sorted: Vec<usize> = cohort.iter().map(|&id| id as usize).collect();
+        cohort_sorted.sort_unstable();
+        cohort_sorted.dedup();
+        let mut roster = self.clients.iter_mut();
+        let mut next = 0;
+        let members: Vec<&mut LlmClient> = cohort_sorted
+            .iter()
+            .map(|&i| {
+                let client = roster
+                    .nth(i - next)
+                    .expect("cohort index within the roster");
+                next = i + 1;
+                client
+            })
+            .collect();
+
+        let lanes = members.len().min(self.max_lanes);
+        let replies = on_lanes(members, lanes, |client| {
+            let fault = faults.and_then(|inj| inj.client_fault(round, client.id()));
+            client_round(client, global, round, cohort, cfg, fault)
+        });
+        replies.ok_or_else(|| CoreError::ClientFailure("a client thread panicked".into()))
     }
 }
 
@@ -1431,9 +1486,12 @@ fn decode_broadcast(frame: bytes::Bytes, round: u64) -> std::result::Result<Vec<
     }
 }
 
-/// One client's side of a round: take the decoded broadcast, honour any
-/// scheduled fault, train, and frame the result. Runs on a client lane.
-fn client_round(
+/// One client's side of a round, the same on every transport: take the
+/// decoded broadcast, honour any scheduled fault, train, and seal the
+/// result. The simulator runs it on a client lane, `photon client` on
+/// every broadcast it receives, so a Byzantine fault means the same thing
+/// on both.
+pub fn client_round(
     client: &mut LlmClient,
     global: std::result::Result<&[f32], &str>,
     round: u64,
@@ -1495,14 +1553,14 @@ fn client_round(
         }
         _ => {}
     }
-    let frame = photon_comms::Message::ClientResult {
+    let result = Message::ClientResult {
         round,
         client_id,
         delta: outcome.delta,
         weight: outcome.weight,
         metrics: outcome.metrics,
-    }
-    .to_frame_opts(cfg.wire_opts());
+    };
+    let frame = SealedFrame::new(&result, cfg.wire_opts());
     let (delay_ms, corrupt_attempts) = match fault {
         Some(ClientFault::Straggle { delay_ms }) => (delay_ms, 0),
         Some(ClientFault::Corrupt { attempts }) => (0, attempts),
@@ -1527,7 +1585,7 @@ fn mix_link_seed(seed: u64, round: u64, client: u32) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::on_lanes;
+    use super::{on_lanes, ClientReply, Exchange, Transport};
     use crate::aggregator::tests::quick_cfg;
     use crate::hierarchy::HierarchyConfig;
     use crate::thread_census::spawned;
@@ -1663,52 +1721,58 @@ mod tests {
         );
     }
 
-    /// Runs `rounds` rounds twice from one config — through the simulated
-    /// transport, and by training the same clients by hand and entering at
-    /// `commit_external_round` — and requires the two aggregators to agree.
-    /// The hand-run side moves the model and the results through the wire
-    /// codec itself: what a client trains from is the *decoded broadcast
-    /// frame* (bf16 storage rounds there), never the aggregator's floats.
-    fn sim_and_external_agree(cfg: &FederationConfig, rounds: u64) {
-        let mut sim = build_federation(cfg, 2_000).unwrap();
-        let mut ext = build_federation(cfg, 2_000).unwrap();
-        let cohort: Vec<u32> = (0..cfg.population as u32).collect();
-        let over_the_wire =
-            |msg: Message| Message::from_frame(msg.to_frame_opts(cfg.wire_opts())).unwrap();
-        for round in 0..rounds {
-            let want = sim.aggregator.run_round(&mut sim.clients).unwrap();
-            let params = ext.aggregator.params().to_vec();
-            let Message::ModelBroadcast { params: global, .. } =
-                over_the_wire(Message::ModelBroadcast { round, params })
+    /// A transport run by hand: it trains the cohort's clients itself and
+    /// moves the model and every result through the wire codec, so what a
+    /// client trains from is the *decoded broadcast frame* (bf16 storage
+    /// rounds there), never the aggregator's floats. Like a real network it
+    /// delivers out of order — in reverse — and re-delivers one result.
+    struct ByHand<'a>(&'a mut [LlmClient]);
+
+    impl Transport for ByHand<'_> {
+        fn roster_len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn exchange(&mut self, x: Exchange<'_>) -> crate::Result<Vec<ClientReply>> {
+            let Ok(Message::ModelBroadcast { params: global, .. }) =
+                Message::from_frame(x.broadcast.frame())
             else {
                 panic!("a broadcast decodes as a broadcast");
             };
-            let mut results = Vec::new();
-            for client in &mut ext.clients {
-                let out = client.run_round(&global, round, &cohort, cfg).unwrap();
-                let Message::ClientResult {
-                    delta,
-                    weight,
-                    metrics,
-                    ..
-                } = over_the_wire(Message::ClientResult {
-                    round,
-                    client_id: client.id(),
+            let mut frames = Vec::new();
+            for &id in x.cohort {
+                let out = self.0[id as usize].run_round(&global, x.round, x.cohort, x.cfg)?;
+                let result = Message::ClientResult {
+                    round: x.round,
+                    client_id: id,
                     delta: out.delta,
                     weight: out.weight,
                     metrics: out.metrics,
-                })
-                else {
-                    panic!("a result decodes as a result");
                 };
-                results.push((client.id(), delta, weight, metrics));
+                frames.push((id, result.to_frame_opts(x.cfg.wire_opts())));
             }
-            // A real transport delivers in any order and may re-deliver.
-            results.reverse();
-            results.push(results[0].clone());
+            frames.reverse();
+            frames.push(frames[0].clone());
+            let received = |(client_id, frame): (u32, bytes::Bytes)| ClientReply::Received {
+                client_id,
+                frame_len: frame.len() as u64,
+                message: Message::from_frame(frame).expect("a result decodes as a result"),
+            };
+            Ok(frames.into_iter().map(received).collect())
+        }
+    }
+
+    /// Runs `rounds` rounds twice from one config — through the simulator's
+    /// lanes and through [`ByHand`] — and requires the two aggregators to
+    /// agree: the transport is the only stage that differs.
+    fn sim_and_external_agree(cfg: &FederationConfig, rounds: u64) {
+        let mut sim = build_federation(cfg, 2_000).unwrap();
+        let mut ext = build_federation(cfg, 2_000).unwrap();
+        for round in 0..rounds {
+            let want = sim.aggregator.run_round(&mut sim.clients).unwrap();
             let got = ext
                 .aggregator
-                .commit_external_round(results, &cohort, 0)
+                .run_round_over(&mut ByHand(&mut ext.clients), None)
                 .unwrap();
             // Only what the wire moved may differ between the transports.
             let sans_wire = |r: RoundRecord| RoundRecord { wire_bytes: 0, ..r };
@@ -1720,6 +1784,9 @@ mod tests {
                 "round {round}"
             );
         }
+        // Every re-delivery reached the engine's dedup, and only there.
+        let dups = |fed: &crate::Federation| fed.aggregator.telemetry().fault_counters().dup_drops;
+        assert_eq!((dups(&ext), dups(&sim)), (rounds, 0));
     }
 
     #[test]

@@ -431,6 +431,20 @@ impl FaultSpec {
         self.partitions.iter().try_for_each(PartitionSpec::validate)
     }
 
+    /// [`FaultSpec::plan`] for `rounds` rounds of a run of `cfg`: the
+    /// probabilistic shard columns cover the run's aggregation tree unless
+    /// the spec pinned a shard count.
+    ///
+    /// # Panics
+    /// Panics if the spec fails [`FaultSpec::validate`].
+    pub fn plan_for(&self, cfg: &crate::FederationConfig, rounds: u64) -> FaultPlan {
+        let mut spec = self.clone();
+        if spec.shards == 0 {
+            spec.shards = cfg.hierarchy.map_or(0, |h| h.shards);
+        }
+        spec.plan(cfg.population, rounds)
+    }
+
     /// Expands the rates into a concrete schedule over `population`
     /// clients and `rounds` rounds. Every (round, client) cell draws from
     /// its own stream keyed by `(seed, round, client)`, so the plan is

@@ -46,7 +46,10 @@ mod metrics;
 mod recovery;
 mod telemetry;
 
-pub use aggregator::{build_client, build_federation, Aggregator, Federation};
+pub use aggregator::{
+    build_client, build_federation, client_round, Aggregator, ClientReply, Exchange, Federation,
+    Transport,
+};
 pub use centralized::CentralizedTrainer;
 pub use checkpoint::{
     checkpoint_exists, load_checkpoint, save_checkpoint, Checkpoint, ElasticState,
@@ -61,12 +64,12 @@ pub use hierarchy::{HierarchyConfig, HierarchyState, ShardPartition, ShardTree};
 pub use membership::{
     ChurnEvents, MemberPhase, MembershipConfig, MembershipRegistry, MembershipSnapshot,
 };
-pub use metrics::{RoundRecord, TrainingHistory};
+pub use metrics::{RoundRecord, TrainingHistory, ROUND_RING};
 pub use photon_comms::{
     AdaptiveDeadlineConfig, LinkProfile, NetworkConfig, PartitionKind, PartitionSchedule,
     PartitionSpec,
 };
-pub use recovery::{run_training, TrainingOptions, TrainingOutcome};
+pub use recovery::{run_training, run_training_over, TrainingOptions, TrainingOutcome};
 pub use telemetry::{
     ClientStats, FaultCounters, HealthSnapshot, HierarchyMetrics, Metric, MetricKind,
     MetricsSnapshot, NetworkMetrics, RoundSlot, Telemetry, TransportMetrics, METRIC_SCHEMA,

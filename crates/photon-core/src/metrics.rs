@@ -1,4 +1,8 @@
+use crate::RoundSlot;
 use serde::{Deserialize, Serialize};
+
+/// Rounds in a run's recent-round ring ([`TrainingHistory::recent_rounds`]).
+pub const ROUND_RING: usize = 8;
 
 /// Summary of one federated round.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -155,6 +159,23 @@ impl TrainingHistory {
     /// Total Link traffic over the run.
     pub fn total_wire_bytes(&self) -> u64 {
         self.rounds.iter().map(|r| r.wire_bytes).sum()
+    }
+
+    /// The last [`ROUND_RING`] rounds, oldest first: how many results each
+    /// one's commit received out of the cohort it was sent to. Enough tail
+    /// to diagnose a sick deployment without unbounded state.
+    pub fn recent_rounds(&self) -> Vec<RoundSlot> {
+        let tail = &self.rounds[self.rounds.len().saturating_sub(ROUND_RING)..];
+        tail.iter()
+            .map(|r| {
+                let lost = r.dropouts + r.stragglers + r.unreachable;
+                RoundSlot {
+                    round: r.round,
+                    received: r.cohort.len().saturating_sub(lost) as u32,
+                    cohort: r.cohort.len() as u32,
+                }
+            })
+            .collect()
     }
 
     /// Serializes to pretty JSON for experiment reports.

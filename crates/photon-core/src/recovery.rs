@@ -1,6 +1,10 @@
-//! Crash-tolerant training driver: checkpoint every K rounds, restore from
-//! the latest checkpoint on any round failure (or an injected aggregator
-//! crash) within a bounded recovery budget.
+//! The training driver, one loop whatever the transport: rounds run to the
+//! target, each followed by a checkpoint when one is due; any round failure
+//! (or an injected aggregator crash) restores the latest checkpoint within
+//! a bounded recovery budget, and a watchdog divergence rolls back and
+//! neutralizes the round. [`run_training`] drives the simulator's
+//! in-process clients; `photon_net::serve` is [`run_training_over`] with a
+//! TCP [`Transport`].
 //!
 //! Recovery is exact, not approximate: cohort sampling, client data order
 //! and DP noise are all round-keyed (see [`photon_tensor::SeedStream::fork`]),
@@ -13,7 +17,7 @@ use crate::experiments::{eval_seq, RunOptions};
 use crate::faults::FaultPlan;
 use crate::{
     checkpoint_exists, load_checkpoint, CoreError, Federation, HierarchyMetrics, MetricsSnapshot,
-    Result, TrainingHistory,
+    Result, TrainingHistory, Transport,
 };
 use photon_data::{EvalStream, TokenCorpus};
 use photon_nn::evaluate_perplexity;
@@ -65,6 +69,8 @@ pub struct TrainingOutcome {
     /// Watchdog-triggered rollbacks to the last-good checkpoint (divergent
     /// rounds neutralized). Shares the recovery budget with `recoveries`.
     pub rollbacks: u32,
+    /// The checkpointed round a resume restored, when it restored one.
+    pub resumed_from: Option<u64>,
     /// The final federation (global model, telemetry).
     pub federation: Federation,
 }
@@ -72,9 +78,10 @@ pub struct TrainingOutcome {
 impl TrainingOutcome {
     /// The run's metrics: the store's snapshot plus what only the training
     /// driver knows — the round, the storage dtype, the live view of the
-    /// sub-aggregator tree (`None` for flat runs), the recovery tallies
-    /// and the per-round history. The last `--metrics-json` rewrite holds
-    /// it, and the CLI's end-of-run summary prints it.
+    /// sub-aggregator tree (`None` for flat runs), the recovery tallies,
+    /// the resume point and the per-round history with its recent-round
+    /// ring. The last `--metrics-json` rewrite holds it, and the CLI's
+    /// end-of-run summary prints it.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let agg = &self.federation.aggregator;
         let snapshot = agg.telemetry().snapshot();
@@ -95,6 +102,8 @@ impl TrainingOutcome {
             hierarchy,
             recoveries: Some(self.recoveries),
             rollbacks: Some(self.rollbacks),
+            resumed_from: self.resumed_from,
+            recent_rounds: Some(self.history.recent_rounds()),
             history: Some(self.history.clone()),
             ..snapshot
         }
@@ -123,11 +132,33 @@ pub fn run_training<F>(
 where
     F: FnMut() -> Result<(Federation, TokenCorpus)>,
 {
+    let build = || build().map(|(fed, val)| (fed, Some(val)));
+    run_training_over(build, None, opts, injector)
+}
+
+/// [`run_training`] with the cohort behind `transport` — `None` runs the
+/// federation's own clients on the simulator's lanes. `build` may return
+/// no validation corpus, and then no round is evaluated. After every
+/// committed round (and its checkpoint, when one is due) the driver calls
+/// [`Transport::committed`], which may end the run there.
+///
+/// # Errors
+/// As [`run_training`].
+pub fn run_training_over<F>(
+    mut build: F,
+    mut transport: Option<&mut dyn Transport>,
+    opts: &TrainingOptions,
+    injector: Option<&FaultPlan>,
+) -> Result<TrainingOutcome>
+where
+    F: FnMut() -> Result<(Federation, Option<TokenCorpus>)>,
+{
     let (fed, val) = build()?;
     let mut run = TrainingOutcome {
         history: TrainingHistory::new(),
         recoveries: 0,
         rollbacks: 0,
+        resumed_from: None,
         federation: fed,
     };
     // An injected aggregator crash fires once; after recovery the process
@@ -138,38 +169,50 @@ where
     // instead of re-diverging forever.
     let mut neutralized: BTreeSet<u64> = BTreeSet::new();
 
-    if opts.resume {
-        restore_latest(&mut run.federation, opts);
-        // A fresh process cannot know which prefix rounds a prior
-        // incarnation neutralized (that is not checkpointed), so the whole
-        // restored prefix counts as committed.
-        mark_committed_prefix(&run.federation, &neutralized);
+    if opts.resume && restore_latest(&mut run.federation, opts) {
+        run.resumed_from = Some(run.federation.aggregator.round());
+        let telemetry = run.federation.aggregator.telemetry();
+        telemetry.count(|f| f.coordinator_restarts += 1);
     }
+    // The store counts the rounds this process commits: a fresh process
+    // cannot know which rounds before its first a prior incarnation
+    // neutralized, since that is not checkpointed.
+    let first = run.federation.aggregator.round();
 
     let seq = eval_seq(run.federation.aggregator.config());
     while run.federation.aggregator.round() < opts.run.rounds {
         let round = run.federation.aggregator.round();
-        match run.federation.run_round_with(injector) {
+        let result = match transport.as_deref_mut() {
+            Some(transport) => run
+                .federation
+                .aggregator
+                .run_round_over(transport, injector),
+            None => run.federation.run_round_with(injector),
+        };
+        let mut reached = false;
+        let committed = match result {
             Ok(mut record) => {
-                if opts.run.eval_every > 0 && (round + 1).is_multiple_of(opts.run.eval_every) {
+                let eval_due =
+                    opts.run.eval_every > 0 && (round + 1).is_multiple_of(opts.run.eval_every);
+                if let Some(val) = val.as_ref().filter(|_| eval_due) {
                     // A fresh stream per eval keeps evaluation a pure
                     // function of the round, so replayed rounds reproduce
                     // their records exactly.
                     let _eval_span = photon_trace::span(photon_trace::Phase::Eval)
                         .arg("round", round)
                         .arg("windows", opts.run.eval_windows as u64);
-                    let mut stream = EvalStream::new(&val, seq);
+                    let mut stream = EvalStream::new(val, seq);
                     let model = run.federation.aggregator.global_model();
                     let report = evaluate_perplexity(&model, &mut stream, opts.run.eval_windows);
                     record.eval_ppl = Some(report.perplexity);
                 }
-                let reached = record
+                reached = record
                     .eval_ppl
                     .zip(opts.run.stop_below)
                     .is_some_and(|(p, t)| p <= t);
                 // Replayed rounds overwrite the records destroyed by the
                 // crash they recover from.
-                run.history.rounds.truncate(round as usize);
+                run.history.rounds.retain(|r| r.round < round);
                 run.history.push(record);
 
                 let due =
@@ -182,10 +225,8 @@ where
                         run.federation.aggregator.save_checkpoint(dir)?;
                     }
                 }
-                if reached {
-                    break;
-                }
-                let agg_crashes = injector.is_some_and(|inj| inj.aggregator_crashes_after(round))
+                let agg_crashes = !reached
+                    && injector.is_some_and(|inj| inj.aggregator_crashes_after(round))
                     && fired_agg_crashes.insert(round);
                 if agg_crashes {
                     if run.recoveries >= opts.recovery_budget {
@@ -195,8 +236,10 @@ where
                         )));
                     }
                     run.recoveries += 1;
-                    run.federation = recover(&mut build, opts, &mut run.history, &neutralized)?;
+                    run.federation =
+                        recover(&mut build, opts, &mut run.history, &neutralized, first)?;
                 }
+                true
             }
             Err(CoreError::Divergence { round, reason }) => {
                 if run.recoveries + run.rollbacks >= opts.recovery_budget {
@@ -216,7 +259,8 @@ where
                      (rollback {})",
                     run.rollbacks
                 );
-                run.federation = recover(&mut build, opts, &mut run.history, &neutralized)?;
+                run.federation = recover(&mut build, opts, &mut run.history, &neutralized, first)?;
+                false
             }
             Err(e) => {
                 if run.recoveries + run.rollbacks >= opts.recovery_budget {
@@ -228,17 +272,24 @@ where
                      (recovery {}/{})",
                     run.recoveries, opts.recovery_budget
                 );
-                run.federation = recover(&mut build, opts, &mut run.history, &neutralized)?;
+                run.federation = recover(&mut build, opts, &mut run.history, &neutralized, first)?;
+                false
             }
-        }
+        };
         publish_round_metrics(&run, opts);
+        let stop = committed
+            && transport
+                .as_deref_mut()
+                .is_some_and(|t| !t.committed(round));
+        if reached || stop {
+            break;
+        }
     }
     run.federation.aggregator.telemetry().count(|f| {
         f.recoveries += u64::from(run.recoveries);
         f.rollbacks += u64::from(run.rollbacks);
     });
-    // A `stop_below` early exit breaks out before the in-loop publish;
-    // refresh the sinks once more so they reflect the final state.
+    // Refresh the sinks once more so they reflect the final state.
     publish_round_metrics(&run, opts);
     Ok(run)
 }
@@ -251,9 +302,10 @@ fn recover<F>(
     opts: &TrainingOptions,
     history: &mut TrainingHistory,
     neutralized: &BTreeSet<u64>,
+    first: u64,
 ) -> Result<Federation>
 where
-    F: FnMut() -> Result<(Federation, TokenCorpus)>,
+    F: FnMut() -> Result<(Federation, Option<TokenCorpus>)>,
 {
     let (mut fed, _) = build()?;
     restore_latest(&mut fed, opts);
@@ -263,22 +315,17 @@ where
     for &round in neutralized {
         fed.aggregator.neutralize_round(round);
     }
-    // Every round baked into the restored parameters committed (except
-    // the neutralized ones, whose updates were skipped); seed the fresh
-    // telemetry so `rounds_committed` stays comparable across recoveries.
-    mark_committed_prefix(&fed, neutralized);
-    history.rounds.truncate(fed.aggregator.round() as usize);
-    Ok(fed)
-}
-
-/// Marks the restored checkpoint prefix `0..round()` as committed on a
-/// freshly rebuilt federation's telemetry, skipping neutralized rounds.
-fn mark_committed_prefix(fed: &Federation, neutralized: &BTreeSet<u64>) {
-    for round in 0..fed.aggregator.round() {
+    // Every round this process committed into the restored parameters
+    // stands (except the neutralized ones, whose updates were skipped);
+    // seed a fresh store so `rounds_committed` stays comparable across
+    // recoveries.
+    for round in first..fed.aggregator.round() {
         if !neutralized.contains(&round) {
             fed.aggregator.telemetry().record_committed_round(round);
         }
     }
+    history.rounds.retain(|r| r.round < fed.aggregator.round());
+    Ok(fed)
 }
 
 /// Refreshes the observability sinks after a round from one
@@ -308,25 +355,25 @@ fn publish_round_metrics(run: &TrainingOutcome, opts: &TrainingOptions) {
 }
 
 /// Restores the latest checkpoint into a freshly built federation, when
-/// there is one. A torn or corrupt checkpoint must not kill the run: the
-/// rejected restore changed nothing, so the federation starts over from
-/// round 0 (within the recovery budget) with a warning.
-fn restore_latest(fed: &mut Federation, opts: &TrainingOptions) {
+/// there is one, and says whether it did. A torn or corrupt checkpoint must
+/// not kill the run: the rejected restore changed nothing, so the
+/// federation starts over from round 0 (within the recovery budget) with a
+/// warning.
+fn restore_latest(fed: &mut Federation, opts: &TrainingOptions) -> bool {
     let latest = opts.checkpoint_dir.as_deref();
     let Some(dir) = latest.filter(|dir| checkpoint_exists(dir)) else {
-        return;
+        return false;
     };
     let _restore_span = photon_trace::span(photon_trace::Phase::CheckpointRestore);
     photon_trace::counter_add("checkpoint.restores", 1);
-    let restored = load_checkpoint(dir)
-        .and_then(|ckpt| fed.aggregator.restore(ckpt))
-        // Mid-run joiners in the restored roster are re-provisioned
-        // deterministically from the run seed.
-        .and_then(|()| fed.sync_roster());
-    if let Err(e) = restored {
+    // Mid-run joiners in the restored roster are re-provisioned, from the
+    // run seed, before the next simulated round.
+    let restored = load_checkpoint(dir).and_then(|ckpt| fed.aggregator.restore(ckpt));
+    if let Err(e) = &restored {
         eprintln!(
             "warning: checkpoint in {} is unusable ({e}); restarting from round 0",
             dir.display()
         );
     }
+    restored.is_ok()
 }

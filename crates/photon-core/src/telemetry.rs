@@ -113,6 +113,12 @@ pub struct FaultCounters {
     /// checkpoint and re-synchronized live clients.
     #[serde(default)]
     pub coordinator_restarts: u64,
+    /// Results re-delivered for a round that had already committed: acked
+    /// again, never applied again. A run-level row rather than an entry of
+    /// this struct's JSON, whose form the simulated runs' golden digests
+    /// pin: the JSON carries it as `transport.redelivery_acks`.
+    #[serde(skip)]
+    pub redelivery_acks: u64,
     /// Sub-aggregator shard crashes (each kills its shard permanently).
     #[serde(default)]
     pub shard_crashes: u64,
@@ -211,6 +217,7 @@ pub const METRIC_SCHEMA: &[Metric] = schema! {
     "transport.heartbeat_misses"    Counter(|f| f.heartbeat_misses)     => "Heartbeats the coordinator expected but never received.";
     "transport.session_resumes"     Counter(|f| f.session_resumes)      => "Reconnections that resumed an existing session.";
     "transport.coordinator_restarts" Counter(|f| f.coordinator_restarts) => "Coordinator restarts restored from a checkpoint.";
+    "transport.redelivery_acks"     RunCounter(|s| s.fault_counters.redelivery_acks) => "Re-delivered results of committed rounds, re-acked, not re-applied.";
     "hierarchy.shard_crashes"       Counter(|f| f.shard_crashes)        => "Sub-aggregator shard crashes.";
     "hierarchy.shard_hangs"         Counter(|f| f.shard_hangs)          => "Sub-aggregator shard hangs.";
     "hierarchy.shard_degraded"      Counter(|f| f.shard_degraded)       => "Shard slices dropped for missing the shard quorum.";
@@ -234,14 +241,14 @@ pub const METRIC_SCHEMA: &[Metric] = schema! {
     "hierarchy.dead_shards"         Gauge(|s| Some(s.hierarchy.as_ref()?.dead_shards.len() as f64)) => "Permanently crashed shards.";
     "hierarchy.peak_resident"       Gauge(|s| Some(s.last_shard_round()?.peak_resident as f64)) => "Last round's streaming-merge residency high-water mark.";
     "hierarchy.reparented_clients"  Gauge(|s| Some(s.last_shard_round()?.reparented as f64)) => "Last round's fostered cohort members.";
-    "recoveries"                    Json                                => "Checkpoint restores so far (train).";
-    "rollbacks"                     Json                                => "Watchdog rollbacks so far (train).";
-    "history"                       Json                                => "Per-round records that stand (train).";
+    "recoveries"                    Json                                => "Checkpoint restores so far.";
+    "rollbacks"                     Json                                => "Watchdog rollbacks so far.";
+    "history"                       Json                                => "Per-round records that stand.";
     "state"                         Json                                => "Coordinator state name (serve).";
     "state_code"                    Json                                => "Coordinator state discriminant (serve).";
     "sessions"                      Json                                => "Sessions admitted (serve).";
-    "resumed_from"                  Json                                => "Checkpointed round this process restored (serve).";
-    "recent_rounds"                 Json                                => "Last committed rounds: received vs cohort (serve).";
+    "resumed_from"                  Json                                => "Checkpointed round this process resumed from.";
+    "recent_rounds"                 Json                                => "Last rounds of the history: received vs cohort.";
     "photon_coord_round"            Coordinator(|s| s.state_code.and(Some(s.round))) => "Current coordinator round.";
     "photon_coord_state"            Coordinator(|s| s.state_code.map(u64::from)) => "Coordinator state machine discriminant.";
     "photon_coord_rounds_committed_total" Coordinator(|s| s.state_code.and(Some(s.rounds_committed))) => "Rounds committed so far.";
@@ -340,6 +347,8 @@ pub struct TransportMetrics {
     pub session_resumes: u64,
     /// [`FaultCounters::coordinator_restarts`].
     pub coordinator_restarts: u64,
+    /// [`FaultCounters::redelivery_acks`].
+    pub redelivery_acks: u64,
     /// Reconnects per client id, for the clients that have any.
     pub reconnects_by_client: BTreeMap<String, u64>,
 }
@@ -365,7 +374,8 @@ pub struct HierarchyMetrics {
     pub reparented: u64,
 }
 
-/// One committed round of a `serve` run, as kept in its recent-round ring.
+/// One round of a run's recent-round ring
+/// ([`crate::TrainingHistory::recent_rounds`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct RoundSlot {
     /// Round index.
@@ -374,16 +384,15 @@ pub struct RoundSlot {
     pub received: u32,
     /// Cohort size the round was broadcast to.
     pub cohort: u32,
-    /// Duplicate deliveries dropped by the idempotency keys.
-    pub dup_drops: u32,
 }
 
 /// Everything a run reports, read from the store in one pass. The store
-/// fills the run scalars, `fault_counters`, `clients`, `network` and
-/// `transport`; the driver adds what only it knows — `round`, `dtype`,
-/// `hierarchy`, `recoveries` / `rollbacks` / `history` for `train`,
-/// `sessions` / `resumed_from` / `recent_rounds` for `serve` — and a
-/// section that does not apply to a driver stays `None` (`null`).
+/// fills the run scalars, `fault_counters`, `clients`, `network`,
+/// `transport` and, under `serve`, the coordinator's `state` and
+/// `sessions`; the training driver adds what only it knows — `round`,
+/// `dtype`, `hierarchy`, `recoveries`, `rollbacks`, `resumed_from`,
+/// `history` and the `recent_rounds` derived from it — and a section that
+/// does not apply to a run stays `None` (`null`).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsSnapshot {
     /// Next round the aggregator runs.
@@ -403,9 +412,9 @@ pub struct MetricsSnapshot {
     pub participation_skew: Option<f64>,
     /// Tokens trained on across the federation.
     pub total_tokens: u64,
-    /// Checkpoint restores so far (`train`).
+    /// Checkpoint restores so far.
     pub recoveries: Option<u32>,
-    /// Watchdog rollbacks so far (`train`).
+    /// Watchdog rollbacks so far.
     pub rollbacks: Option<u32>,
     /// Coordinator state name (`serve`).
     pub state: Option<&'static str>,
@@ -413,7 +422,7 @@ pub struct MetricsSnapshot {
     pub state_code: Option<u8>,
     /// Sessions admitted (`serve`).
     pub sessions: Option<u64>,
-    /// Checkpointed round this process restored from (`serve`).
+    /// Checkpointed round this process resumed from.
     pub resumed_from: Option<u64>,
     /// Per-delivery simulated latency.
     pub network: NetworkMetrics,
@@ -421,13 +430,13 @@ pub struct MetricsSnapshot {
     pub transport: TransportMetrics,
     /// The sub-aggregator tree; `None` for flat runs.
     pub hierarchy: Option<HierarchyMetrics>,
-    /// The last committed rounds, oldest first (`serve`).
+    /// The history's last rounds, oldest first.
     pub recent_rounds: Option<Vec<RoundSlot>>,
     /// The run's fault, guard, churn, network, transport and shard tallies.
     pub fault_counters: FaultCounters,
     /// The per-client table, keyed by client id.
     pub clients: BTreeMap<String, ClientStats>,
-    /// Per-round records that stand (`train`).
+    /// Per-round records that stand.
     pub history: Option<crate::TrainingHistory>,
 }
 
@@ -539,9 +548,10 @@ struct Inner {
     /// only) as a multiset, latency → deliveries, for the p50/p99 metrics
     /// surface: bounded by the distinct latencies, not the deliveries.
     link_latencies_ms: BTreeMap<u64, u64>,
-    /// The coordinator's round, state discriminant and state name
-    /// (`serve` only).
+    /// The coordinator's round, state discriminant and state name, and
+    /// the sessions it admitted (`serve` only).
     coordinator: Option<(u64, u8, &'static str)>,
+    sessions: Option<u64>,
 }
 
 impl Inner {
@@ -641,6 +651,11 @@ impl Telemetry {
         self.inner.write().coordinator = Some((round, state, name));
     }
 
+    /// Publishes how many client sessions the coordinator has admitted.
+    pub fn set_sessions(&self, sessions: u64) {
+        self.inner.write().sessions = Some(sessions);
+    }
+
     /// The run's accumulated fault counters.
     pub fn fault_counters(&self) -> FaultCounters {
         self.inner.read().counters
@@ -679,6 +694,7 @@ impl Telemetry {
             total_tokens,
             state_code: inner.coordinator.map(|c| c.1),
             state: inner.coordinator.map(|c| c.2),
+            sessions: inner.sessions,
             network: NetworkMetrics {
                 deliveries,
                 latency_p50_ms: quantile(0.5),
@@ -689,6 +705,7 @@ impl Telemetry {
                 heartbeat_misses: f.heartbeat_misses,
                 session_resumes: f.session_resumes,
                 coordinator_restarts: f.coordinator_restarts,
+                redelivery_acks: f.redelivery_acks,
                 reconnects_by_client,
             },
             fault_counters: f,

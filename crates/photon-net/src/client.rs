@@ -2,25 +2,28 @@
 //!
 //! The client loop is a reconnect machine around a training loop:
 //! connect with capped-exponential backoff, handshake (fresh join or
-//! session resume by deterministic token), train every broadcast round,
-//! and retain each un-acked result so it is re-sent after every
-//! reconnect until the coordinator acknowledges it — the coordinator's
-//! `(round, client)` idempotency keys make that re-delivery safe.
+//! session resume by deterministic token), run every broadcast round
+//! through [`client_round`] — the simulator's own client side — and
+//! retain each un-acked result, sealed once, so it is re-sent after every
+//! reconnect until the coordinator acknowledges it. The round engine's
+//! per-round dedup, and the coordinator's re-ack of rounds already
+//! committed, make that re-delivery safe.
 //!
-//! Process faults from the shared plan are injected at this layer:
-//! `netcrash@rNcM` severs the socket right after the result is sent
-//! (so the re-delivery after resume races a possibly-delivered first
-//! copy — the double-apply hazard the dedup keys exist for), and
-//! `nethang@rNcM` goes silent without closing the socket, driving the
-//! coordinator's heartbeat-miss detection.
+//! Faults from the shared plan are injected at this layer: the client
+//! faults (`crash`, `nan-update`, `sign-flip`, `scale`) inside
+//! [`client_round`] exactly as in the simulator; `netcrash@rNcM` severs
+//! the socket right after the result is sent (so the re-delivery after
+//! resume races a possibly-delivered first copy — the double-apply hazard
+//! the dedup exists for), and `nethang@rNcM` goes silent without closing
+//! the socket, driving the coordinator's heartbeat-miss detection.
 
 use crate::backoff::ReconnectBackoff;
 use crate::plan::RunPlan;
 use crate::tcp::TcpLink;
-use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_traced};
+use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_sealed, send_traced};
 use crate::{NetError, Result};
-use photon_comms::{Link, LinkError, Message, WireOpts};
-use photon_core::{build_client, FaultPlan, LlmClient};
+use photon_comms::{Link, LinkError, Message, SealedFrame, WireOpts};
+use photon_core::{build_client, client_round, ClientReply, FaultPlan, LlmClient};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -145,7 +148,7 @@ fn store_identity(opts: &ClientOptions, identity: &Identity) {
 pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
     let mut backoff = ReconnectBackoff::new(opts.reconnect_base_ms, opts.reconnect_cap_ms);
     let mut identity: Option<Identity> = load_identity(opts);
-    let mut retained: Option<(u64, Message)> = None;
+    let mut retained: Option<(u64, SealedFrame)> = None;
     let mut plan: Option<RunPlan> = None;
     let mut injector: Option<FaultPlan> = None;
     let mut llm: Option<LlmClient> = None;
@@ -180,9 +183,6 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
             Some(id) => (id.client_id, id.token, id.last_acked.unwrap_or(u64::MAX)),
             None => (u32::MAX, 0, u64::MAX),
         };
-        let wire = plan
-            .as_ref()
-            .map_or(handshake_wire(), |p| p.cfg.wire_opts());
         let hello = Message::SessionHello {
             client_id: hello_id,
             token: hello_token,
@@ -261,9 +261,9 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
         );
 
         // Re-deliver the retained (un-acked) result from before the
-        // reconnect; the coordinator's dedup keys make this idempotent.
-        if let Some((_, msg)) = &retained {
-            let _ = send_traced(link.as_ref(), msg, wire);
+        // reconnect; the coordinator's dedup makes this idempotent.
+        if let Some((_, result)) = &retained {
+            let _ = send_sealed(&link, result);
         }
 
         // --- training loop for this connection ------------------------
@@ -309,7 +309,7 @@ fn connection_loop(
     plan: &mut Option<RunPlan>,
     injector: &mut Option<FaultPlan>,
     llm: &mut Option<LlmClient>,
-    retained: &mut Option<(u64, Message)>,
+    retained: &mut Option<(u64, SealedFrame)>,
     identity: &mut Option<Identity>,
     report: &mut ClientReport,
     hb_hang: &Arc<AtomicBool>,
@@ -329,10 +329,7 @@ fn connection_loop(
             Message::RunSync { config_json, .. } if plan.is_none() => {
                 match RunPlan::from_json_bytes(&config_json) {
                     Ok(p) => {
-                        *injector = p
-                            .faults
-                            .as_ref()
-                            .map(|spec| spec.plan(p.cfg.population, p.rounds));
+                        *injector = p.fault_plan();
                         // Deterministic provisioning: this rebuilds the
                         // exact founding client for `me`, so a client
                         // process restarted from scratch trains
@@ -358,12 +355,11 @@ fn connection_loop(
                 let (Some(p), Some(client)) = (plan.as_ref(), llm.as_mut()) else {
                     continue; // can't train before RunSync delivers the plan
                 };
-                let wire = p.cfg.wire_opts();
                 // A re-broadcast of a round we already trained: re-send
                 // the retained result instead of re-training.
-                if let Some((r, msg)) = retained {
+                if let Some((r, result)) = retained {
                     if *r == round {
-                        let _ = send_traced(link.as_ref(), msg, wire);
+                        let _ = send_sealed(link, result);
                         continue;
                     }
                 }
@@ -375,29 +371,26 @@ fn connection_loop(
                     std::thread::sleep(Duration::from_millis(opts.hang_ms));
                     hb_hang.store(false, Ordering::SeqCst);
                 }
-                let outcome = match client.run_round(&params, round, &[me], &p.cfg) {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
+                let fault = injector.as_ref().and_then(|i| i.client_fault(round, me));
+                let result = match client_round(client, Ok(&params), round, &[me], &p.cfg, fault) {
+                    ClientReply::Frame { frame, .. } => frame,
+                    // A scheduled crash: this round's result never comes.
+                    ClientReply::Crash { .. } => continue,
+                    ClientReply::Error { message, .. } => {
                         // Local compute is broken (a sub-federation node
                         // died); reconnecting would only re-fail. Bow out
                         // and let the coordinator's quorum absorb it.
-                        eprintln!("client {me}: round {round} failed locally: {e}");
+                        eprintln!("client {me}: round {round} failed locally: {message}");
                         return ConnOutcome::Shutdown;
                     }
+                    ClientReply::Received { .. } => unreachable!("a client round seals a frame"),
                 };
                 report.rounds_trained += 1;
-                let result = Message::ClientResult {
-                    round,
-                    client_id: me,
-                    delta: outcome.delta,
-                    weight: outcome.weight,
-                    metrics: outcome.metrics,
-                };
                 // Retain before sending, so a send that fails half-way
-                // still re-delivers after the reconnect; the send borrows
-                // the retained copy (the delta is model-sized).
+                // still re-delivers after the reconnect; the sends share
+                // the one sealed frame (the delta is model-sized).
                 let (_, result) = retained.insert((round, result));
-                let send_res = send_traced(link.as_ref(), result, wire);
+                let send_res = send_sealed(link, result);
                 if injector.as_ref().is_some_and(|i| i.netcrash_at(round, me)) {
                     // Crash the transport right behind the result: the
                     // first copy may or may not have landed, and the

@@ -1,27 +1,26 @@
-//! The explicit coordinator state machine driving a multi-process run.
+//! The member gate of a multi-process run.
 //!
 //! ```text
 //!                    connected >= min_clients
 //! WaitingForMembers ────────────────────────► Warmup
-//!        ▲                                      │ warmup_ms elapsed
-//!        │ connected < min_clients              ▼
-//!        └────────────────────────────────── RoundStart ◄──┐
-//!                                               │          │ more rounds
-//!                                 round commits │          │
-//!                                               ▼          │
-//!                                            RoundEnd ─────┘
-//!                                               │ target reached
-//!                                               ▼
-//!                                            Cooldown ──► Finished
+//!        ▲  ▲                                   │ warmup_ms elapsed
+//!        │  │ connected < min_clients           ▼
+//!        │  └─────────────────────────────── RoundStart ◄──┐
+//!        │                                      │          │ connected
+//!        │                        round commits │          │ >= min_clients
+//!        │     connected < min_clients          ▼          │
+//!        └───────────────────────────────── RoundEnd ──────┘
+//!
+//!                  the driver ran its last round
+//!    any state ─────────────────────────────────► Cooldown ──► Finished
+//!                                                     cooldown_ms
 //! ```
 //!
-//! The machine is pure — it owns no sockets, no clock and no model — so
-//! it unit-tests exhaustively and restores trivially after a coordinator
-//! crash: `restore(round)` puts a fresh machine back at the checkpointed
-//! round, re-gathering members before training resumes.
-
-/// Slots kept in the recent-round ring buffer.
-pub const ROUND_RING: usize = 8;
+//! The gate only decides *when* a round may start and when the run winds
+//! down; which round runs, and when it commits, belong to the round engine
+//! and the training driver. It owns no sockets, no clock and no model, so
+//! it unit-tests exhaustively, and a restarted coordinator needs nothing
+//! back but a fresh gate that re-gathers its members.
 
 /// Coordinator run states, in lifecycle order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -29,12 +28,13 @@ pub enum CoordState {
     /// Gathering connections until the min-client gate opens.
     WaitingForMembers,
     /// Members gathered; a settling delay before the first broadcast so
-    /// near-simultaneous joiners land in round 0's cohort.
+    /// near-simultaneous joiners land in the first cohort.
     Warmup,
     /// A round is in flight: the model is broadcast and results are
     /// being collected.
     RoundStart,
-    /// The in-flight round committed; deciding whether to run another.
+    /// The in-flight round committed; the next one starts as soon as the
+    /// gate holds.
     RoundEnd,
     /// All rounds committed; a grace window for final acks to drain.
     Cooldown,
@@ -82,52 +82,27 @@ impl CoordState {
     }
 }
 
-pub use photon_core::RoundSlot;
-
-/// The pure coordinator state machine: min-client gating, round
-/// progression and a ring buffer of the last [`ROUND_RING`] committed
-/// rounds for post-mortem visibility.
+/// The pure member gate: min-client gating, the warmup before a gathered
+/// cohort's first round and the cooldown after the last.
 #[derive(Debug)]
 pub struct Coordinator {
     state: CoordState,
-    round: u64,
-    target_rounds: u64,
     min_clients: usize,
     warmup_ms: u64,
     cooldown_ms: u64,
     entered_at_ms: u64,
-    ring: [RoundSlot; ROUND_RING],
-    committed: u64,
 }
 
 impl Coordinator {
-    /// A machine that will run rounds `0..target_rounds` once
-    /// `min_clients` connections are gathered.
-    pub fn new(min_clients: usize, target_rounds: u64, warmup_ms: u64, cooldown_ms: u64) -> Self {
+    /// A gate that opens once `min_clients` connections are gathered.
+    pub fn new(min_clients: usize, warmup_ms: u64, cooldown_ms: u64) -> Self {
         Coordinator {
             state: CoordState::WaitingForMembers,
-            round: 0,
-            target_rounds,
             min_clients: min_clients.max(1),
             warmup_ms,
             cooldown_ms,
             entered_at_ms: 0,
-            ring: [RoundSlot::default(); ROUND_RING],
-            committed: 0,
         }
-    }
-
-    /// Rebuilds the machine after a coordinator crash-restart: training
-    /// resumes at `round` (the checkpointed next round), but members
-    /// must re-gather through the min-client gate first.
-    pub fn restore(&mut self, round: u64, now_ms: u64) {
-        self.round = round;
-        self.state = if round >= self.target_rounds {
-            CoordState::Cooldown
-        } else {
-            CoordState::WaitingForMembers
-        };
-        self.entered_at_ms = now_ms;
     }
 
     /// Current state.
@@ -135,100 +110,59 @@ impl Coordinator {
         self.state
     }
 
-    /// The round currently in flight (or next to start).
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Rounds committed through this machine instance.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// The last [`ROUND_RING`] committed rounds, oldest first.
-    pub fn recent_rounds(&self) -> Vec<RoundSlot> {
-        let n = (self.committed as usize).min(ROUND_RING);
-        (0..n)
-            .map(|i| {
-                let slot = (self.committed as usize - n + i) % ROUND_RING;
-                self.ring[slot]
-            })
-            .collect()
-    }
-
-    /// Advances time- and membership-driven transitions. Returns the
-    /// transition taken, if any; call repeatedly (idempotent when
-    /// nothing changed).
+    /// Advances the time- and membership-driven transitions and returns
+    /// the one taken as `(from, to)`, if any; call repeatedly (idempotent when nothing
+    /// changed). Between rounds the next one starts at once while the gate
+    /// holds: the warmup runs only after members were (re)gathered.
     pub fn tick(&mut self, connected: usize, now_ms: u64) -> Option<(CoordState, CoordState)> {
-        let from = self.state;
+        let gathered = connected >= self.min_clients;
+        let elapsed = now_ms.saturating_sub(self.entered_at_ms);
         let to = match self.state {
-            CoordState::WaitingForMembers if connected >= self.min_clients => {
-                if self.round >= self.target_rounds {
-                    CoordState::Cooldown
-                } else {
-                    CoordState::Warmup
-                }
-            }
-            CoordState::Warmup if connected < self.min_clients => CoordState::WaitingForMembers,
-            CoordState::Warmup if now_ms.saturating_sub(self.entered_at_ms) >= self.warmup_ms => {
-                CoordState::RoundStart
-            }
-            CoordState::RoundEnd => {
-                if self.round >= self.target_rounds {
-                    CoordState::Cooldown
-                } else if connected < self.min_clients {
-                    CoordState::WaitingForMembers
-                } else {
-                    CoordState::RoundStart
-                }
-            }
-            CoordState::Cooldown
-                if now_ms.saturating_sub(self.entered_at_ms) >= self.cooldown_ms =>
-            {
-                CoordState::Finished
-            }
+            CoordState::WaitingForMembers if gathered => CoordState::Warmup,
+            CoordState::Warmup if !gathered => CoordState::WaitingForMembers,
+            CoordState::Warmup if elapsed >= self.warmup_ms => CoordState::RoundStart,
+            CoordState::RoundEnd if gathered => CoordState::RoundStart,
+            CoordState::RoundEnd => CoordState::WaitingForMembers,
+            CoordState::Cooldown if elapsed >= self.cooldown_ms => CoordState::Finished,
             _ => return None,
         };
-        if to == from {
-            return None;
-        }
-        self.state = to;
-        self.entered_at_ms = now_ms;
-        Some((from, to))
+        Some(self.enter(to, now_ms))
     }
 
-    /// Records a committed round: pushes a ring slot, advances the round
-    /// counter and moves `RoundStart → RoundEnd`.
+    /// The round in flight committed: `RoundStart → RoundEnd`.
     ///
     /// # Panics
     /// If called outside `RoundStart` — committing a round no broadcast
     /// opened is a server-loop bug.
-    pub fn on_round_committed(&mut self, received: u32, cohort: u32, dup_drops: u32, now_ms: u64) {
+    pub fn round_committed(&mut self, now_ms: u64) -> (CoordState, CoordState) {
         assert_eq!(
             self.state,
             CoordState::RoundStart,
             "round committed outside RoundStart"
         );
-        self.ring[(self.committed as usize) % ROUND_RING] = RoundSlot {
-            round: self.round,
-            received,
-            cohort,
-            dup_drops,
-        };
-        self.committed += 1;
-        self.round += 1;
-        self.state = CoordState::RoundEnd;
+        self.enter(CoordState::RoundEnd, now_ms)
+    }
+
+    /// The driver ran its last round: wind down from wherever the gate is.
+    pub fn finish(&mut self, now_ms: u64) -> (CoordState, CoordState) {
+        self.enter(CoordState::Cooldown, now_ms)
+    }
+
+    fn enter(&mut self, to: CoordState, now_ms: u64) -> (CoordState, CoordState) {
+        let from = std::mem::replace(&mut self.state, to);
         self.entered_at_ms = now_ms;
+        (from, to)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use photon_core::{RoundRecord, TrainingHistory, ROUND_RING};
 
     #[test]
     fn full_lifecycle_with_fake_clock() {
-        let mut c = Coordinator::new(2, 2, 100, 50);
+        let mut c = Coordinator::new(2, 100, 50);
         assert_eq!(c.state(), CoordState::WaitingForMembers);
         // One client is not enough.
         assert!(c.tick(1, 0).is_none());
@@ -243,78 +177,84 @@ mod tests {
             c.tick(2, 110),
             Some((CoordState::Warmup, CoordState::RoundStart))
         );
-        assert_eq!(c.round(), 0);
-        c.on_round_committed(2, 2, 0, 120);
+        assert!(c.tick(2, 115).is_none(), "a round in flight holds");
+        c.round_committed(120);
         assert_eq!(c.state(), CoordState::RoundEnd);
-        assert_eq!(c.round(), 1);
-        // More rounds to run: straight back to RoundStart.
+        // The gate holds: straight back to RoundStart, no second warmup.
         assert_eq!(
             c.tick(2, 121),
             Some((CoordState::RoundEnd, CoordState::RoundStart))
         );
-        c.on_round_committed(2, 2, 1, 130);
-        // Target reached: Cooldown, then Finished after the grace window.
-        assert_eq!(
-            c.tick(2, 131),
-            Some((CoordState::RoundEnd, CoordState::Cooldown))
-        );
+        c.round_committed(130);
+        // The driver is done: Cooldown, then Finished after the grace window.
+        assert_eq!(c.finish(131), (CoordState::RoundEnd, CoordState::Cooldown));
         assert!(c.tick(2, 150).is_none());
         assert_eq!(
             c.tick(2, 200),
             Some((CoordState::Cooldown, CoordState::Finished))
         );
-        assert_eq!(c.committed(), 2);
+        assert!(c.tick(2, 300).is_none(), "Finished is final");
     }
 
     #[test]
     fn losing_quorum_between_rounds_regates() {
-        let mut c = Coordinator::new(3, 5, 0, 0);
+        let mut c = Coordinator::new(3, 0, 0);
         c.tick(3, 0);
         c.tick(3, 0);
         assert_eq!(c.state(), CoordState::RoundStart);
-        c.on_round_committed(3, 3, 0, 1);
+        c.round_committed(1);
         // A client died between rounds: back through the gate.
         assert_eq!(
             c.tick(2, 2),
             Some((CoordState::RoundEnd, CoordState::WaitingForMembers))
         );
-        // It reconnects: warmup again, then the next round starts where
-        // the run left off.
+        // It reconnects: warmup again, then the next round may start.
         c.tick(3, 3);
         c.tick(3, 3);
         assert_eq!(c.state(), CoordState::RoundStart);
-        assert_eq!(c.round(), 1);
+        // A member lost during the warmup closes the gate again.
+        let mut c = Coordinator::new(2, 100, 0);
+        c.tick(2, 0);
+        assert_eq!(
+            c.tick(1, 10),
+            Some((CoordState::Warmup, CoordState::WaitingForMembers))
+        );
     }
 
     #[test]
     fn ring_keeps_only_the_most_recent_rounds() {
-        let mut c = Coordinator::new(1, 100, 0, 0);
-        c.tick(1, 0);
-        c.tick(1, 0);
+        let mut history = TrainingHistory::new();
         for r in 0..12u64 {
-            assert_eq!(c.state(), CoordState::RoundStart);
-            c.on_round_committed(1, 1, r as u32, r);
-            c.tick(1, r);
+            history.push(RoundRecord {
+                round: r,
+                cohort: vec![0, 1, 2],
+                dropouts: (r % 2) as usize,
+                stragglers: usize::from(r == 11),
+                ..RoundRecord::default()
+            });
         }
-        let recent = c.recent_rounds();
+        let recent = history.recent_rounds();
         assert_eq!(recent.len(), ROUND_RING);
         assert_eq!(recent.first().unwrap().round, 4);
-        assert_eq!(recent.last().unwrap().round, 11);
-        assert_eq!(recent.last().unwrap().dup_drops, 11);
+        let last = recent.last().unwrap();
+        assert_eq!((last.round, last.received, last.cohort), (11, 1, 3));
+        assert_eq!(recent[0].received, 3, "round 4 lost nothing");
+        assert!(TrainingHistory::new().recent_rounds().is_empty());
     }
 
     #[test]
     fn restore_regates_members_at_the_checkpointed_round() {
-        let mut c = Coordinator::new(2, 10, 0, 0);
-        c.restore(6, 1_000);
-        assert_eq!(c.state(), CoordState::WaitingForMembers);
-        assert_eq!(c.round(), 6);
+        // A restarted coordinator's gate is a fresh one: whatever round the
+        // checkpoint restores, nothing starts before the members re-gather.
+        let mut c = Coordinator::new(2, 0, 0);
+        assert!(c.tick(1, 1_000).is_none());
         c.tick(2, 1_001);
         c.tick(2, 1_001);
         assert_eq!(c.state(), CoordState::RoundStart);
-        // Restoring past the target goes straight to wind-down.
-        let mut done = Coordinator::new(2, 10, 0, 0);
-        done.restore(10, 0);
+        // Restored past the target, the driver runs nothing and the gate
+        // winds down without waiting for anyone.
+        let mut done = Coordinator::new(2, 0, 0);
+        done.finish(0);
         assert_eq!(done.state(), CoordState::Cooldown);
         assert_eq!(
             done.tick(0, 5),

@@ -1,28 +1,31 @@
 //! # photon-net
 //!
 //! Multi-process deployment for Photon-RS: a framed TCP transport behind
-//! the [`photon_comms::Link`] abstraction, an explicit coordinator state
-//! machine, and crash-tolerant session resumption — so one `photon serve`
-//! aggregator and N `photon client` processes run a federated pre-training
-//! run as separate OS processes that survive kills on either side.
+//! the round engine's one transport seam ([`photon_core::Transport`]), a
+//! member gate, and crash-tolerant session resumption — so one
+//! `photon serve` aggregator and N `photon client` processes run a
+//! federated pre-training run as separate OS processes that survive kills
+//! on either side. There is one training driver: `serve` is
+//! [`photon_core::run_training_over`] with the TCP transport, and a client
+//! runs [`photon_core::client_round`], the simulator's own client side, so
+//! the same seed and config end with the same parameters on either
+//! transport.
 //!
 //! The crate is layered bottom-up:
 //!
 //! * [`frame_io`]: blocking read/write of the exact photon-comms wire
 //!   frames (magic/version/flags/CRC32/length) over any `std::io` stream,
 //!   with the hostile-length cap enforced *before* allocation;
-//! * [`TcpLink`]: the socket-backed [`photon_comms::Link`] — the
-//!   aggregator, guard, membership and checkpoint-recovery paths run
-//!   unchanged on either this or the in-process `ChannelLink`;
+//! * [`TcpLink`]: the socket-backed [`photon_comms::Link`];
 //! * [`ReconnectBackoff`]: capped exponential backoff with deterministic
 //!   jitter for client reconnect loops;
 //! * [`session`]: deterministic session tokens and the coordinator-side
 //!   session table — tokens are a pure function of `(run seed, client id)`
 //!   so a restarted coordinator re-authenticates resuming clients without
 //!   having persisted any session state;
-//! * [`Coordinator`]: the explicit run state machine
-//!   (`WaitingForMembers → Warmup → RoundStart → RoundEnd → Cooldown →
-//!   Finished`) with min-client gating and a ring buffer of recent rounds;
+//! * [`Coordinator`]: the member gate (`WaitingForMembers → Warmup →
+//!   RoundStart → RoundEnd → Cooldown → Finished`): min-client gating,
+//!   warmup and cooldown — the round itself is the engine's;
 //! * [`serve`] / [`run_client`]: the two process entry points, wiring
 //!   heartbeats, idempotent result re-delivery, client session resumption
 //!   and coordinator crash-restart from the checkpoint.
@@ -43,7 +46,7 @@ mod tracectx;
 
 pub use backoff::ReconnectBackoff;
 pub use client::{run_client, ClientOptions, ClientReport};
-pub use coordinator::{CoordState, Coordinator, RoundSlot, ROUND_RING};
+pub use coordinator::{CoordState, Coordinator};
 pub use health::{spawn_health_server, HealthServer};
 pub use plan::RunPlan;
 pub use server::{serve, ServeOptions, ServeReport, COORDKILL_EXIT_CODE};

@@ -1,6 +1,6 @@
 //! The run plan shipped from coordinator to clients at admission.
 
-use photon_core::{FaultSpec, FederationConfig};
+use photon_core::{FaultPlan, FaultSpec, FederationConfig};
 use serde::{Deserialize, Serialize};
 
 /// Everything a client process needs to participate in a run: the
@@ -20,7 +20,8 @@ pub struct RunPlan {
     pub tokens_per_client: usize,
     /// Rounds the run will commit.
     pub rounds: u64,
-    /// Process-fault schedule (netcrash/nethang/coordkill), if any.
+    /// The shared fault schedule, if any: process faults (netcrash,
+    /// nethang, coordkill) and the client faults both sides honour.
     #[serde(default)]
     pub faults: Option<FaultSpec>,
 }
@@ -34,6 +35,12 @@ impl RunPlan {
         serde_json::to_string(self)
             .expect("RunPlan serialization cannot fail")
             .into_bytes()
+    }
+
+    /// The fault schedule both sides expand from the plan, identically.
+    pub fn fault_plan(&self) -> Option<FaultPlan> {
+        let spec = self.faults.as_ref()?;
+        Some(spec.plan_for(&self.cfg, self.rounds))
     }
 
     /// Parses a `RunSync` payload.

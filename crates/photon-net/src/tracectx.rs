@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use photon_comms::{BroadcastFrame, Link, LinkError, Message, TraceCtx, WireOpts};
+use photon_comms::{Link, LinkError, Message, SealedFrame, TraceCtx, WireOpts};
 
 use crate::backoff::splitmix;
 use crate::tcp::TcpLink;
@@ -98,33 +98,33 @@ pub(crate) fn send_traced<L: Link + ?Sized>(
     }
 }
 
-/// [`send_traced`] for a broadcast encoded once for its whole cohort:
-/// every recipient gets the same payload bytes, and with tracing on only
-/// the header and this recipient's span-context trailer are built per
-/// send.
+/// [`send_traced`] for a message encoded once — a broadcast for its whole
+/// cohort, a result for every re-delivery: every send writes the same
+/// payload bytes, and with tracing on only the header and this send's
+/// span-context trailer are built per send.
 ///
 /// # Errors
 /// Propagates [`LinkError`] from the underlying send.
-pub(crate) fn send_broadcast(
+pub(crate) fn send_sealed(
     link: &TcpLink,
-    broadcast: &BroadcastFrame,
+    sealed: &SealedFrame,
 ) -> std::result::Result<(), LinkError> {
-    send_broadcast_with(link, broadcast, next_ctx())
+    send_sealed_with(link, sealed, next_ctx())
 }
 
-fn send_broadcast_with(
+fn send_sealed_with(
     link: &TcpLink,
-    broadcast: &BroadcastFrame,
+    sealed: &SealedFrame,
     ctx: Option<TraceCtx>,
 ) -> std::result::Result<(), LinkError> {
     match ctx {
         Some(ctx) => {
-            let (header, payload, trailer) = broadcast.traced(ctx);
+            let (header, payload, trailer) = sealed.traced(ctx);
             let bytes = header.len() + payload.len() + trailer.len();
             note_edge(photon_trace::Phase::NetSend, "net_send", &ctx, bytes as u64);
             link.send_frame_parts(&[&header, payload, &trailer])
         }
-        None => link.send_frame(broadcast.frame()),
+        None => link.send_frame(sealed.frame()),
     }
 }
 
@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn one_encoded_broadcast_fans_out_to_three_traced_recipients() {
         let params: Vec<f32> = (0..50_000).map(|i| (i as f32).sin()).collect();
-        let broadcast = BroadcastFrame::new(6, &params, WireOpts::default());
+        let broadcast = SealedFrame::broadcast(6, &params, WireOpts::default());
         let want = Message::ModelBroadcast { round: 6, params };
         let wait = Duration::from_secs(5);
         let links: Vec<_> = (0..3).map(|_| crate::tcp::tests::loopback_pair()).collect();
@@ -201,8 +201,8 @@ mod tests {
                 });
             }
             for (seq, (server, _)) in links.iter().enumerate() {
-                send_broadcast_with(server, &broadcast, Some(ctx_for(seq as u64))).unwrap();
-                send_broadcast_with(server, &broadcast, None).unwrap();
+                send_sealed_with(server, &broadcast, Some(ctx_for(seq as u64))).unwrap();
+                send_sealed_with(server, &broadcast, None).unwrap();
             }
         });
     }

@@ -1,8 +1,10 @@
 //! End-to-end multi-process-shaped tests over TCP loopback: one serve
 //! loop and N client loops on their own threads, real sockets between
 //! them. Covers the fault-free path, client netcrash + session resume,
-//! coordinator crash-restart from the checkpoint, and the live `/metrics`
-//! endpoint with and without a trace recorder.
+//! coordinator crash-restart from the checkpoint, the live `/metrics`
+//! endpoint with and without a trace recorder, and the sim-vs-TCP
+//! differential: the same seed and config end with the same parameters
+//! on both transports.
 
 use photon_core::FederationConfig;
 use photon_net::{run_client, serve, ClientOptions, RunPlan, ServeOptions};
@@ -242,6 +244,7 @@ fn metrics_endpoint_serves_the_store_with_and_without_a_recorder() {
             "photon_counter_total{name=\"rounds.committed\"} ",
             "photon_counter_total{name=\"transport.reconnects\"} 1\n",
             "photon_counter_total{name=\"transport.session_resumes\"} 1\n",
+            "photon_counter_total{name=\"transport.redelivery_acks\"} ",
             "photon_client_results_total{client=\"0\"} ",
             "photon_client_reconnects_total{client=\"1\"} 1\n",
             "photon_client_connected{client=\"1\"} 1\n",
@@ -255,5 +258,188 @@ fn metrics_endpoint_serves_the_store_with_and_without_a_recorder() {
         for handle in clients {
             assert!(handle.join().unwrap().unwrap().clean_shutdown);
         }
+    }
+}
+
+/// A fresh scratch directory under the system temp dir.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "photon-net-{tag}-{}-{}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn bits(params: &[f32]) -> Vec<u32> {
+    params.iter().map(|v| v.to_bits()).collect()
+}
+
+/// What the serve side of a differential row ended with.
+struct Served {
+    report: photon_net::ServeReport,
+    /// Its last `--metrics-json` snapshot.
+    metrics: serde::Value,
+    /// The parameters of its final checkpoint.
+    params: Vec<f32>,
+}
+
+/// `serve` plus one `run_client` thread per client over loopback, with a
+/// checkpoint directory.
+fn serve_run(plan: RunPlan) -> Served {
+    let (addr, dir) = (free_addr(), scratch("differential"));
+    let clients = plan.cfg.population;
+    let mut opts = serve_opts(&addr, plan, clients);
+    opts.checkpoint_dir = Some(dir.join("ckpt"));
+    opts.metrics_json = Some(dir.join("metrics.json"));
+    let server = std::thread::spawn(move || serve(&opts));
+    for handle in spawn_clients(&addr, clients) {
+        assert!(handle.join().unwrap().unwrap().clean_shutdown);
+    }
+    let report = server.join().unwrap().unwrap();
+    let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
+    let params = photon_core::load_checkpoint(&dir.join("ckpt"))
+        .unwrap()
+        .params;
+    std::fs::remove_dir_all(&dir).ok();
+    Served {
+        report,
+        metrics: serde_json::from_str_value(&metrics).unwrap(),
+        params,
+    }
+}
+
+/// The same plan through `run_training`'s loop in the simulator.
+fn sim_run(plan: &RunPlan, checkpoints: bool) -> photon_core::TrainingOutcome {
+    let dir = scratch("sim");
+    let opts = photon_core::TrainingOptions {
+        run: photon_core::experiments::RunOptions {
+            rounds: plan.rounds,
+            eval_every: 0,
+            eval_windows: 0,
+            stop_below: None,
+        },
+        checkpoint_dir: checkpoints.then(|| dir.clone()),
+        checkpoint_every: 1,
+        ..photon_core::TrainingOptions::default()
+    };
+    let build = || {
+        Ok((
+            photon_core::build_federation(&plan.cfg, plan.tokens_per_client)?,
+            None,
+        ))
+    };
+    let outcome = photon_core::run_training_over(build, None, &opts, plan.fault_plan().as_ref());
+    std::fs::remove_dir_all(&dir).ok();
+    outcome.unwrap()
+}
+
+fn field<'a>(v: &'a serde::Value, path: &str) -> &'a serde::Value {
+    path.split('.').fold(v, |v, key| {
+        let map = v
+            .as_map()
+            .unwrap_or_else(|| panic!("{path}: not an object"));
+        let hit = map.iter().find(|(k, _)| k.as_str() == Some(key));
+        &hit.unwrap_or_else(|| panic!("{path}: no {key}")).1
+    })
+}
+
+/// The north star's check: one seed and config, run by `serve` over TCP
+/// and by the simulator, ends with the same parameters bit for bit — flat,
+/// through a shard tree that loses a shard, with membership and a buffer,
+/// through a watchdog rollback, and past a Byzantine client the guard
+/// screens (the client applies its fault itself). Each row also reads one
+/// metric, equal on both sides, that shows the row did what it names.
+#[test]
+fn serve_over_tcp_ends_where_the_simulator_does() {
+    let tree = |cfg: &mut FederationConfig| {
+        cfg.hierarchy = Some(photon_core::HierarchyConfig {
+            shards: 4,
+            ..photon_core::HierarchyConfig::default()
+        });
+    };
+    let buffered = |cfg: &mut FederationConfig| {
+        cfg.membership = Some(photon_core::MembershipConfig::default());
+        cfg.buffer = Some(photon_fedopt::BufferConfig {
+            quorum: 3,
+            ..photon_fedopt::BufferConfig::default()
+        });
+    };
+    let watched = |cfg: &mut FederationConfig| cfg.loss_spike_mult = Some(20.0);
+    let guarded = |cfg: &mut FederationConfig| cfg.guard = photon_fedopt::GuardConfig::on();
+    // Name, clients, rounds, faults, the config edit, and the metric.
+    type Row<'a> = (
+        &'a str,
+        usize,
+        u64,
+        Option<&'a str>,
+        &'a dyn Fn(&mut FederationConfig),
+        (&'a str, u64),
+    );
+    let rows: [Row; 5] = [
+        ("flat", 3, 3, None, &|_| {}, ("rounds_committed", 3)),
+        (
+            "4-shard tree",
+            8,
+            3,
+            Some("shardcrash@r1s2"),
+            &tree,
+            ("fault_counters.shard_crashes", 1),
+        ),
+        (
+            "membership + buffer",
+            4,
+            4,
+            None,
+            &buffered,
+            ("fault_counters.buffered_commits", 4),
+        ),
+        (
+            "watchdog rollback",
+            3,
+            6,
+            Some("scale:4000@r4c0"),
+            &watched,
+            ("rollbacks", 1),
+        ),
+        (
+            "guard + nan-update",
+            3,
+            3,
+            Some("nan-update@r1c0"),
+            &guarded,
+            ("fault_counters.rejected_nonfinite", 1),
+        ),
+    ];
+    for (name, clients, rounds, faults, edit, (metric, want)) in rows {
+        let mut plan = demo_plan(clients, rounds, faults);
+        edit(&mut plan.cfg);
+        let sim = sim_run(&plan, true);
+        let tcp = serve_run(plan);
+        assert!(
+            bits(&tcp.params) == bits(sim.federation.aggregator.params()),
+            "{name}: the serve run's checkpoint differs from the simulator's final params"
+        );
+        let losses = sim
+            .history
+            .rounds
+            .iter()
+            .map(|r| f64::from(r.mean_client_loss));
+        assert_eq!(
+            tcp.report.round_losses,
+            losses.collect::<Vec<_>>(),
+            "{name}"
+        );
+        let sim_json = serde_json::to_string(&sim.snapshot()).unwrap();
+        let sim_metrics = serde_json::from_str_value(&sim_json).unwrap();
+        for side in [&tcp.metrics, &sim_metrics] {
+            assert_eq!(field(side, metric).as_u64(), Some(want), "{name}: {metric}");
+        }
+        let recent = field(&tcp.metrics, "recent_rounds").as_seq().unwrap();
+        assert_eq!(recent.len() as u64, rounds, "{name}: recent rounds");
     }
 }
