@@ -158,3 +158,63 @@ fn summary_counts_are_the_metrics_json_counts() {
     assert!(written("crashes") + written("retransmits") > 0, "{stdout}");
     assert!(stdout.contains(&summary), "{summary}\nnot in\n{stdout}");
 }
+
+/// The run's metrics store survives `recover()`: after a run that restored
+/// from its checkpoints three times, `--metrics-json`'s counters are the
+/// `--metrics-text` counter rows, name for name (the trace recorder that
+/// renders the latter outlives every rebuilt federation).
+#[test]
+fn metrics_json_counters_are_the_metrics_text_counters_through_recoveries() {
+    let dir = ckpt_dir("recovered-counters");
+    std::fs::create_dir_all(&dir).expect("dir");
+    let (json, text) = (dir.join("metrics.json"), dir.join("metrics.prom"));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_photon"))
+        .args("train --clients 4 --rounds 8 --checkpoint-every 2 --recovery-budget 8".split(' '))
+        .args("--partial-ok --faults crash=0.15,agg=0.3,seed=5".split(' '))
+        .args("--tokens-per-client 4000 --local-steps 2 --eval-every 0".split(' '))
+        .arg("--checkpoint-dir")
+        .arg(dir.join("ckpt"))
+        .arg("--metrics-json")
+        .arg(&json)
+        .arg("--metrics-text")
+        .arg(&text)
+        .output()
+        .expect("photon runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&json).expect("metrics json");
+    let text = std::fs::read_to_string(&text).expect("metrics text");
+    let (_, counters) = json
+        .split_once("\"fault_counters\": {")
+        .expect("fault_counters");
+    let counters = &counters[..counters.find('}').expect("object ends")];
+    let written: Vec<u64> = counters
+        .split(',')
+        .map(|entry| {
+            entry
+                .rsplit(':')
+                .next()
+                .expect("value")
+                .trim()
+                .parse()
+                .expect(entry)
+        })
+        .collect();
+    let exported = |name: &str| -> u64 {
+        let sample = format!("photon_counter_total{{name=\"{name}\"}} ");
+        let value = text.lines().find_map(|line| line.strip_prefix(&sample));
+        value.map_or(0, |v| v.parse().expect(name))
+    };
+    let names: Vec<_> = photon_core::FaultCounters::default()
+        .rows()
+        .map(|(name, _)| name)
+        .collect();
+    assert_eq!(written.len(), names.len(), "{counters}");
+    for (name, value) in names.into_iter().zip(written) {
+        assert_eq!(value, exported(name), "{name}");
+    }
+    assert!(exported("faults.recoveries") == 3 && exported("faults.crashes") > 0);
+}

@@ -169,6 +169,12 @@ impl Aggregator {
         &self.telemetry
     }
 
+    /// Writes into `telemetry` from now on: a rebuilt aggregator keeps the
+    /// run's one store.
+    pub(crate) fn set_telemetry(&mut self, telemetry: crate::Telemetry) {
+        self.telemetry = telemetry;
+    }
+
     /// Saves everything a restart needs — parameters, server-optimizer
     /// momenta, roster with in-flight buffered updates, dead shards — as
     /// `dir`'s checkpoint. Parameters and buffered updates are encoded

@@ -1,21 +1,20 @@
-use photon_data::{Batch, TokenStream};
-use photon_nn::{Activations, Gpt, ModelConfig};
-use photon_optim::{clip_global_norm, AdamW, AdamWConfig, LrSchedule, Optimizer};
+use crate::ddp::{Replica, Step};
+use photon_data::TokenStream;
+use photon_nn::{Gpt, ModelConfig};
+use photon_optim::{AdamW, AdamWConfig, LrSchedule};
 use photon_tensor::SeedStream;
 
 /// The centralized pre-training baseline Photon is compared against:
 /// one optimizer stepping on a large global batch every step (Table 5's
-/// `Batch Size Cent` column). For the data-parallel variant with explicit
-/// multi-worker gradient all-reduce, see [`crate::ddp_train`].
+/// `Batch Size Cent` column): the local trainer's `Replica` with its
+/// stream, schedule and step count. For the data-parallel variant with
+/// explicit multi-worker gradient all-reduce, see [`crate::ddp_train`].
 pub struct CentralizedTrainer {
-    model: Gpt,
+    replica: Replica,
     opt: AdamW,
     schedule: LrSchedule,
     grad_clip: Option<f32>,
     stream: Box<dyn TokenStream>,
-    acts: Activations,
-    grads: Vec<f32>,
-    batch: Batch,
     step: u64,
     accum_steps: u32,
 }
@@ -24,7 +23,7 @@ impl std::fmt::Debug for CentralizedTrainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CentralizedTrainer")
             .field("step", &self.step)
-            .field("params", &self.model.param_count())
+            .field("params", &self.replica.model().param_count())
             .finish()
     }
 }
@@ -44,18 +43,14 @@ impl CentralizedTrainer {
         seed: u64,
     ) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        let mut rng = SeedStream::new(seed);
-        let model = Gpt::new(model_cfg, &mut rng);
-        let grads = model.grad_buffer();
+        let model = Gpt::new(model_cfg, &mut SeedStream::new(seed));
+        let replica = Replica::new(model, batch_size, model_cfg.seq_len);
         CentralizedTrainer {
-            acts: Activations::new(&model_cfg, batch_size, model_cfg.seq_len),
-            batch: Batch::zeros(batch_size, model_cfg.seq_len),
-            model,
-            opt: AdamW::new(adamw, grads.len()),
+            opt: AdamW::new(adamw, replica.model().param_count()),
+            replica,
             schedule,
             grad_clip,
             stream,
-            grads,
             step: 0,
             accum_steps: 1,
         }
@@ -77,36 +72,17 @@ impl CentralizedTrainer {
     /// Runs one optimizer step (accumulating `accum_steps` micro-batches),
     /// returning the mean micro-batch loss.
     pub fn step(&mut self) -> f32 {
-        self.grads.iter_mut().for_each(|g| *g = 0.0);
-        let mut loss_sum = 0.0f64;
-        for _ in 0..self.accum_steps {
-            self.stream.next_batch(&mut self.batch);
-            let loss = self
-                .model
-                .forward(
-                    &self.batch.inputs,
-                    Some(&self.batch.targets),
-                    &mut self.acts,
-                )
-                .expect("targets provided");
-            loss_sum += loss as f64;
-            self.model.backward(
-                &self.batch.inputs,
-                &self.batch.targets,
-                &mut self.acts,
-                &mut self.grads,
-            );
-        }
-        if self.accum_steps > 1 {
-            photon_tensor::ops::scale(1.0 / self.accum_steps as f32, &mut self.grads);
-        }
-        if let Some(max_norm) = self.grad_clip {
-            clip_global_norm(&mut self.grads, max_norm);
-        }
-        let lr = self.schedule.lr_at(self.step);
-        self.opt.step(self.model.params_mut(), &self.grads, lr);
+        let step = Step {
+            micro_batches: self.accum_steps,
+            lr: self.schedule.lr_at(self.step),
+            grad_clip: self.grad_clip,
+            prox: None,
+        };
+        let loss = self
+            .replica
+            .step(&mut *self.stream, &mut self.opt, &step, None);
         self.step += 1;
-        (loss_sum / self.accum_steps as f64) as f32
+        loss
     }
 
     /// Runs `n` steps, returning the mean loss.
@@ -120,7 +96,7 @@ impl CentralizedTrainer {
 
     /// The trained model.
     pub fn model(&self) -> &Gpt {
-        &self.model
+        self.replica.model()
     }
 
     /// Overwrites the model weights (e.g. to continue from a federated
@@ -129,7 +105,7 @@ impl CentralizedTrainer {
     /// # Panics
     /// Panics if the parameter length does not match.
     pub fn set_params(&mut self, params: &[f32]) {
-        self.model.set_params(params);
+        self.replica.set_params(params);
     }
 
     /// Steps taken so far.

@@ -1,8 +1,8 @@
-use crate::{DataSource, DdpConfig, FederationConfig};
+use crate::{DataSource, DdpConfig, DdpReport, FederationConfig};
 use photon_cluster::{select_strategy, SiloSpec, TrainingStrategy};
 use photon_comms::{mask_update, TrainMetrics};
+use photon_fedopt::{aggregate_deltas, delta_from, ClientUpdate};
 use photon_optim::{clip_global_norm, AdamW};
-use photon_tensor::ops::pool;
 use photon_tensor::SeedStream;
 
 /// The result of one client's local round (before Link framing).
@@ -27,13 +27,13 @@ pub struct LlmClient {
     silo: Option<SiloSpec>,
     rng: SeedStream,
     /// Persistent local optimizer for the stateful mode
-    /// (`stateless_local = false`); single-worker pipelines only.
+    /// (`stateless_local = false`); single-replica pipelines only.
     opt_state: Option<AdamW>,
     /// Rounds on which this client simulates a mid-round failure
     /// (disconnect before returning a result).
     fail_rounds: Vec<u64>,
-    /// Rounds on which one sub-federation node thread panics mid-train —
-    /// exercising the path that surfaces a node panic as a
+    /// Rounds on which replica 0 panics before it trains — exercising the
+    /// path that surfaces a replica panic as a
     /// [`CoreError::ClientFailure`](crate::CoreError::ClientFailure)
     /// instead of aborting the whole client.
     panic_node_rounds: Vec<u64>,
@@ -67,9 +67,9 @@ impl LlmClient {
         self.fail_rounds.contains(&round)
     }
 
-    /// Schedules a deterministic panic inside one sub-federation node
-    /// thread on the given rounds (only meaningful for clients whose
-    /// strategy selects the sub-federation branch).
+    /// Schedules a deterministic panic in the client's first replica — its
+    /// single-GPU model, DDP rank 0 or sub-federation node 0 — on the
+    /// given rounds.
     pub fn panic_node_on_rounds(&mut self, rounds: Vec<u64>) {
         self.panic_node_rounds = rounds;
     }
@@ -100,9 +100,9 @@ impl LlmClient {
     ///
     /// # Errors
     /// Returns [`CoreError::ClientFailure`](crate::CoreError::ClientFailure)
-    /// when a sub-federation node thread panics: the node's loss is
-    /// contained to this client's round result, exactly like a client
-    /// thread panic is contained to the aggregator's round.
+    /// when a replica panics: the replica's loss is contained to this
+    /// client's round result, exactly like a client thread panic is
+    /// contained to the aggregator's round.
     ///
     /// # Panics
     /// Panics if `global` has the wrong length for the configured model,
@@ -115,48 +115,72 @@ impl LlmClient {
         cohort: &[u32],
         cfg: &FederationConfig,
     ) -> crate::Result<ClientOutcome> {
-        let strategy = self.strategy(cfg);
-        let workers = match strategy {
-            TrainingStrategy::SubFederation { partitions } => partitions,
-            other => other.parallel_workers(),
-        }
-        .clamp(1, 8);
+        // DDP and FSDP replicas average their gradients over a ring every
+        // step (L.16–18); sub-federation nodes train apart and are averaged
+        // once, at the end (L.19–25).
+        let (replicas, data_parallel) = match self.strategy(cfg) {
+            TrainingStrategy::SubFederation { partitions } => (partitions, false),
+            other => (other.parallel_workers(), true),
+        };
+        let replicas = replicas.clamp(1, 8);
 
         // All in-round randomness forks off a round-keyed stream (never
         // advancing the client's base stream), so a client rebuilt from
         // scratch after a crash replays any round bit-identically.
         let mut round_rng = self.rng.fork(&format!("round-{round}"));
-
-        let (local_params, metrics) = if let TrainingStrategy::SubFederation { .. } = strategy {
-            self.run_sub_federation(global, round, workers, cfg, &mut round_rng)?
-        } else if workers == 1 && !cfg.stateless_local {
-            self.run_single_stateful(global, round, cfg, &mut round_rng)
+        let streams = if replicas == 1 && data_parallel {
+            vec![self.ds.bind_stream(round_rng.split("round-stream"))]
         } else {
-            // Standard distributed training across the silo's GPUs
-            // (Algorithm 1, L.16–18). Stateless: fresh optimizer per round.
-            let ddp_cfg = self.ddp_config(round, cfg);
-            let streams = if workers == 1 {
-                vec![self.ds.bind_stream(round_rng.split("round-stream"))]
-            } else {
-                self.ds.partition_streams(workers, &mut round_rng)
-            };
-            let (params, report) = crate::ddp_train(global, &ddp_cfg, streams);
-            (
-                params,
-                TrainMetrics {
-                    mean_loss: report.mean_loss,
-                    tokens: report.tokens,
-                    steps: report.steps,
-                },
-            )
+            self.ds.partition_streams(replicas, &mut round_rng)
         };
+        let segment = self.ddp_config(round, cfg);
+        let (id, faulty) = (self.id, self.panic_node_rounds.contains(&round));
+        // Stateless: every replica starts the round with a fresh optimizer.
+        // Stateful mode keeps a lone replica's momenta local across rounds
+        // instead of communicating them (Appendix C.1).
+        let mut retained = (replicas == 1 && data_parallel && !cfg.stateless_local).then(|| {
+            self.opt_state
+                .get_or_insert_with(|| AdamW::new(cfg.adamw, global.len()))
+        });
+        let jobs: Vec<_> = streams.into_iter().map(|s| (s, retained.take())).collect();
+        let trained =
+            crate::ddp::run_replicas(jobs, data_parallel, |replica, (stream, opt), ring| {
+                if faulty && replica == 0 {
+                    panic!("injected replica fault (client {id}, round {round})");
+                }
+                crate::ddp::train_replica(global, &segment, opt, stream, ring)
+            })
+            .map_err(|(replica, reason)| {
+                crate::CoreError::ClientFailure(format!(
+                    "replica {replica} of client {id} panicked in round {round}: {reason}"
+                ))
+            })?;
 
-        let mut delta = photon_fedopt::delta_from(global, &local_params);
+        let report = DdpReport::of(&segment, &trained);
+        let mut delta = if data_parallel {
+            // The ring keeps the replicas in lockstep: any one is the model.
+            delta_from(global, &trained[0].0)
+        } else {
+            // L.24, θ_k = (1/|I|) Σ θ_i, through the one mean: the nodes'
+            // pseudo-gradients, weight 1 each.
+            let nodes: Vec<_> = trained
+                .iter()
+                .map(|(params, _)| ClientUpdate {
+                    delta: delta_from(global, params),
+                    weight: 1.0,
+                })
+                .collect();
+            aggregate_deltas(&nodes)
+        };
         self.post_process(&mut delta, round, cohort, cfg, &mut round_rng);
         Ok(ClientOutcome {
             delta,
             weight: 1.0,
-            metrics,
+            metrics: TrainMetrics {
+                mean_loss: report.mean_loss,
+                tokens: report.tokens,
+                steps: report.steps,
+            },
         })
     }
 
@@ -172,113 +196,6 @@ impl LlmClient {
             grad_clip: cfg.grad_clip,
             fedprox_mu: cfg.fedprox_mu,
         }
-    }
-
-    /// Sub-federation branch (Algorithm 1, L.19–25): each node trains an
-    /// independent replica on a stream partition; the client averages the
-    /// node models into one update before returning it.
-    fn run_sub_federation(
-        &mut self,
-        global: &[f32],
-        round: u64,
-        partitions: usize,
-        cfg: &FederationConfig,
-        rng: &mut SeedStream,
-    ) -> crate::Result<(Vec<f32>, TrainMetrics)> {
-        let ddp_cfg = self.ddp_config(round, cfg);
-        let streams = self.ds.partition_streams(partitions, rng);
-        // Concurrent nodes take equal shares of this client's compute
-        // context, like DDP replicas.
-        let ctx = pool::Context::current().split(partitions);
-        let panic_scheduled = self.panic_node_rounds.contains(&round);
-        let client_id = self.id;
-        #[cfg(test)]
-        crate::thread_census::note_spawned(streams.len());
-        // Scoped threads: every node is joined before a failure surfaces,
-        // so a panicking node never leaves siblings running into the next
-        // round, and the nodes read `global` in place.
-        let joined: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = streams
-                .into_iter()
-                .enumerate()
-                .map(|(node, stream)| {
-                    let (ddp_cfg, ctx) = (&ddp_cfg, &ctx);
-                    scope.spawn(move || {
-                        if panic_scheduled && node == 0 {
-                            panic!("injected sub-federation node fault (client {client_id}, round {round})");
-                        }
-                        ctx.enter(|| crate::ddp_train(global, ddp_cfg, vec![stream]))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let mut results = Vec::with_capacity(joined.len());
-        let mut failure: Option<String> = None;
-        for (node, outcome) in joined.into_iter().enumerate() {
-            match outcome {
-                Ok(result) => results.push(result),
-                Err(payload) => {
-                    let reason = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    failure.get_or_insert(format!(
-                        "sub-federation node {node} of client {client_id} \
-                         panicked in round {round}: {reason}"
-                    ));
-                }
-            }
-        }
-        if let Some(message) = failure {
-            return Err(crate::CoreError::ClientFailure(message));
-        }
-
-        // L.24: θ_k = (1/|I|) Σ θ_i.
-        let n = results.len();
-        let mut avg = vec![0.0f32; global.len()];
-        let mut loss = 0.0f32;
-        let mut tokens = 0u64;
-        for (params, report) in &results {
-            photon_tensor::ops::axpy(1.0 / n as f32, params, &mut avg);
-            loss += report.mean_loss / n as f32;
-            tokens += report.tokens;
-        }
-        Ok((
-            avg,
-            TrainMetrics {
-                mean_loss: loss,
-                tokens,
-                steps: cfg.local_steps,
-            },
-        ))
-    }
-
-    /// Single-worker path with a persistent local optimizer (used when
-    /// `stateless_local = false`; the paper keeps momenta local rather
-    /// than communicating them, Appendix C.1).
-    fn run_single_stateful(
-        &mut self,
-        global: &[f32],
-        round: u64,
-        cfg: &FederationConfig,
-        rng: &mut SeedStream,
-    ) -> (Vec<f32>, TrainMetrics) {
-        let ddp_cfg = self.ddp_config(round, cfg);
-        let stream = self.ds.bind_stream(rng.split("round-stream"));
-        let opt = self
-            .opt_state
-            .get_or_insert_with(|| AdamW::new(cfg.adamw, global.len()));
-        let (params, mean_loss) = crate::ddp::train_replica(global, &ddp_cfg, opt, stream, None);
-        (
-            params,
-            TrainMetrics {
-                mean_loss,
-                tokens: cfg.local_steps * (cfg.local_batch * cfg.model.seq_len) as u64,
-                steps: cfg.local_steps,
-            },
-        )
     }
 
     /// Algorithm 1, L.28: `PostProcess` — clip, add DP noise, mask.
@@ -310,8 +227,10 @@ impl LlmClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thread_census::spawned;
     use photon_data::Shard;
     use photon_nn::{Gpt, ModelConfig};
+    use photon_tensor::ops::pool;
     use std::sync::Arc;
 
     fn test_cfg() -> FederationConfig {
@@ -447,10 +366,69 @@ mod tests {
             TrainingStrategy::SubFederation { partitions: 2 }
         );
         let global = global_params(&cfg);
-        let out = c.run_round(&global, 0, &[0], &cfg).unwrap();
+        let ctx = pool::Context {
+            chunks: 4,
+            width: 4,
+            ..pool::Context::current()
+        };
+        let before = spawned();
+        let out = ctx.enter(|| c.run_round(&global, 0, &[0], &cfg)).unwrap();
+        assert_eq!(spawned() - before, 2, "one thread per node");
         assert!(photon_tensor::ops::l2_norm(&out.delta) > 0.0);
         // Both partitions' tokens are counted.
         assert_eq!(out.metrics.tokens, 2 * 4 * 2 * 8);
+
+        // L.24 is the one mean over the nodes' pseudo-gradients, each node
+        // trained alone on its partition stream with its share of the
+        // context.
+        let segment = c.ddp_config(0, &cfg);
+        let streams =
+            c.ds.partition_streams(2, &mut SeedStream::new(5).fork("round-0"));
+        let nodes: Vec<_> = streams
+            .into_iter()
+            .map(|stream| {
+                let (params, _) = ctx
+                    .split(2)
+                    .enter(|| crate::ddp_train(&global, &segment, vec![stream]));
+                ClientUpdate {
+                    delta: delta_from(&global, &params),
+                    weight: 1.0,
+                }
+            })
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.delta), bits(&aggregate_deltas(&nodes)));
+    }
+
+    #[test]
+    fn ddp_replica_panic_surfaces_as_client_failure() {
+        use photon_cluster::{GpuSpec, Region};
+        let cfg = test_cfg();
+        let silo = SiloSpec::single_node("two-gpu", 2, GpuSpec::h100(), Region::Quebec);
+        let shard = Shard::from_range("c", Arc::new((0..600u32).map(|i| i % 17).collect()), 0, 600);
+        let mut c = LlmClient::new(
+            7,
+            DataSource::new("ds", shard),
+            Some(silo),
+            SeedStream::new(5),
+        );
+        assert_eq!(c.strategy(&cfg), TrainingStrategy::Ddp { n_gpus: 2 });
+        c.panic_node_on_rounds(vec![1]);
+        let global = global_params(&cfg);
+        assert!(c.run_round(&global, 0, &[7], &cfg).is_ok());
+        // Rank 1 finds the ring broken and fails too, instead of waiting
+        // on a peer that is gone; the lowest failed replica is named.
+        match c.run_round(&global, 1, &[7], &cfg).unwrap_err() {
+            crate::CoreError::ClientFailure(msg) => {
+                assert!(
+                    msg.contains("replica 0 of client 7 panicked in round 1"),
+                    "{msg}"
+                );
+                assert!(msg.contains("injected replica fault"), "{msg}");
+            }
+            other => panic!("expected ClientFailure, got {other:?}"),
+        }
+        assert!(c.run_round(&global, 2, &[7], &cfg).is_ok());
     }
 
     #[test]
@@ -486,8 +464,8 @@ mod tests {
         let err = c.run_round(&global, 1, &[7], &cfg).unwrap_err();
         match err {
             crate::CoreError::ClientFailure(msg) => {
-                assert!(msg.contains("node 0 of client 7"), "{msg}");
-                assert!(msg.contains("injected sub-federation node fault"), "{msg}");
+                assert!(msg.contains("replica 0 of client 7"), "{msg}");
+                assert!(msg.contains("injected replica fault"), "{msg}");
             }
             other => panic!("expected ClientFailure, got {other:?}"),
         }

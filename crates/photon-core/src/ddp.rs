@@ -1,19 +1,25 @@
-//! Distributed data parallelism (Algorithm 2) over real OS threads.
+//! The one local trainer: Algorithm 1's local pipeline (L.16–25) and
+//! Algorithm 2's data-parallel baseline, over real OS threads.
 //!
-//! Each worker holds a full model replica and a private data stream; every
-//! step the workers compute local gradients, average them with a real
-//! ring-allreduce (`photon-comms`), and apply identical optimizer updates.
-//! Because the reduced gradient is bitwise identical on every rank, the
-//! replicas stay exactly synchronized — which the implementation asserts.
+//! A [`Replica`] — a model with its activations, gradients and batch,
+//! allocated once — is the only place a local optimizer step is written,
+//! and [`run_replicas`] is the one runner every local-training path goes
+//! through: the single-GPU client, DDP and FSDP replicas, and the
+//! sub-federation's nodes. The centralized baseline steps a replica of its
+//! own.
 //!
-//! This module serves both the centralized baseline and the RDMA branch of
-//! the LLM client's local pipeline (Algorithm 1, L.16–18).
+//! Data-parallel replicas hold a private data stream each; every step they
+//! average their gradients with a real ring-allreduce (`photon-comms`) and
+//! apply identical optimizer updates. Because the reduced gradient is
+//! bitwise identical on every rank, the replicas stay exactly
+//! synchronized — which the runner asserts.
 
 use photon_comms::{ring_allreduce_group, RingWorker};
 use photon_data::{Batch, TokenStream};
 use photon_nn::{Activations, Gpt, ModelConfig};
 use photon_optim::{clip_global_norm, AdamW, AdamWConfig, LrSchedule, Optimizer};
 use photon_tensor::ops::pool;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Configuration for one DDP training segment.
 #[derive(Debug, Clone)]
@@ -50,122 +56,248 @@ pub struct DdpReport {
     pub steps: u64,
 }
 
-/// One replica's training segment: `cfg.steps` steps of `opt` from
-/// `params` over `stream`, gradients averaged over `ring` when there is
-/// one. Returns the trained parameters and the mean loss.
+/// A trained replica's parameters and mean loss.
+pub(crate) type Trained = (Vec<f32>, f32);
+
+impl DdpReport {
+    /// The report of a `cfg` segment that `trained` replicas ran: the mean
+    /// of their losses and the tokens of all of them.
+    pub(crate) fn of(cfg: &DdpConfig, trained: &[Trained]) -> Self {
+        let n = trained.len();
+        DdpReport {
+            mean_loss: trained.iter().map(|(_, loss)| loss).sum::<f32>() / n as f32,
+            tokens: cfg.steps * (n * cfg.per_worker_batch * cfg.seq_len) as u64,
+            steps: cfg.steps,
+        }
+    }
+}
+
+/// A model with its activations, gradients and batch, allocated once: the
+/// one place a local optimizer step is written.
+pub(crate) struct Replica {
+    model: Gpt,
+    acts: Activations,
+    grads: Vec<f32>,
+    batch: Batch,
+}
+
+/// What one [`Replica::step`] does around its forward and backward passes.
+pub(crate) struct Step<'a> {
+    /// Micro-batches whose gradients the step averages (gradient
+    /// accumulation; 1 without).
+    pub(crate) micro_batches: u32,
+    /// Learning rate.
+    pub(crate) lr: f32,
+    /// Optional global-norm gradient clipping.
+    pub(crate) grad_clip: Option<f32>,
+    /// FedProx: `μ` and the anchor `w_start`, adding `μ (w − w_start)` to
+    /// the gradient.
+    pub(crate) prox: Option<(f32, &'a [f32])>,
+}
+
+impl Replica {
+    /// A replica of `model` training on `(batch, seq_len)` batches.
+    pub(crate) fn new(model: Gpt, batch: usize, seq_len: usize) -> Self {
+        Replica {
+            acts: Activations::new(model.config(), batch, seq_len),
+            grads: model.grad_buffer(),
+            batch: Batch::zeros(batch, seq_len),
+            model,
+        }
+    }
+
+    /// The model.
+    pub(crate) fn model(&self) -> &Gpt {
+        &self.model
+    }
+
+    /// Overwrites the model's weights.
+    ///
+    /// # Panics
+    /// Panics if the parameter length does not match.
+    pub(crate) fn set_params(&mut self, params: &[f32]) {
+        self.model.set_params(params);
+    }
+
+    /// The trained parameters.
+    pub(crate) fn into_params(self) -> Vec<f32> {
+        self.model.into_params()
+    }
+
+    /// One optimizer step of `opt` on batches drawn from `stream`: forward
+    /// and backward over `step.micro_batches` batches (their gradients
+    /// averaged), the FedProx anchor, the ring mean when there is a `ring`,
+    /// clipping, the update. Returns the mean micro-batch loss.
+    pub(crate) fn step(
+        &mut self,
+        stream: &mut dyn TokenStream,
+        opt: &mut AdamW,
+        step: &Step<'_>,
+        ring: Option<&mut RingWorker>,
+    ) -> f32 {
+        let Replica {
+            model,
+            acts,
+            grads,
+            batch,
+        } = self;
+        grads.fill(0.0);
+        let mut loss_sum = 0.0f64;
+        for _ in 0..step.micro_batches {
+            stream.next_batch(batch);
+            let loss = model
+                .forward(&batch.inputs, Some(&batch.targets), acts)
+                .expect("targets provided");
+            loss_sum += loss as f64;
+            model.backward(&batch.inputs, &batch.targets, acts, grads);
+        }
+        if step.micro_batches > 1 {
+            photon_tensor::ops::scale(1.0 / step.micro_batches as f32, grads);
+        }
+        if let Some((mu, anchor)) = step.prox {
+            for ((g, &w), &a) in grads.iter_mut().zip(model.params()).zip(anchor) {
+                *g += mu * (w - a);
+            }
+        }
+        if let Some(ring) = ring {
+            ring.allreduce_mean(grads);
+        }
+        if let Some(max_norm) = step.grad_clip {
+            clip_global_norm(grads, max_norm);
+        }
+        opt.step(model.params_mut(), grads, step.lr);
+        (loss_sum / step.micro_batches as f64) as f32
+    }
+}
+
+/// One replica's training segment: `cfg.steps` steps from `params` over
+/// `stream` with `opt` — a fresh optimizer when there is none (stateless
+/// local training) — and gradients averaged over `ring` when there is one.
+/// Returns the trained parameters and the mean loss.
 pub(crate) fn train_replica(
     params: &[f32],
     cfg: &DdpConfig,
-    opt: &mut AdamW,
+    opt: Option<&mut AdamW>,
     mut stream: Box<dyn TokenStream>,
     mut ring: Option<RingWorker>,
-) -> (Vec<f32>, f32) {
-    let mut model = Gpt::from_params(cfg.model, params.to_vec());
-    let mut acts = Activations::new(&cfg.model, cfg.per_worker_batch, cfg.seq_len);
-    let mut grads = model.grad_buffer();
-    let mut batch = Batch::zeros(cfg.per_worker_batch, cfg.seq_len);
+) -> Trained {
+    let mut fresh = None;
+    let opt = match opt {
+        Some(opt) => opt,
+        None => fresh.insert(AdamW::new(cfg.adamw, params.len())),
+    };
+    let model = Gpt::from_params(cfg.model, params.to_vec());
+    let mut replica = Replica::new(model, cfg.per_worker_batch, cfg.seq_len);
     let mut loss_sum = 0.0f64;
     for i in 0..cfg.steps {
-        stream.next_batch(&mut batch);
-        grads.iter_mut().for_each(|g| *g = 0.0);
-        let loss = model
-            .forward(&batch.inputs, Some(&batch.targets), &mut acts)
-            .expect("targets provided");
-        loss_sum += loss as f64;
-        model.backward(&batch.inputs, &batch.targets, &mut acts, &mut grads);
-        if let Some(mu) = cfg.fedprox_mu {
+        let step = Step {
+            micro_batches: 1,
+            lr: cfg.schedule.lr_at(cfg.start_step + i),
+            grad_clip: cfg.grad_clip,
             // The proximal anchor is the received model itself.
-            for ((g, &wi), &ai) in grads.iter_mut().zip(model.params()).zip(params) {
-                *g += mu * (wi - ai);
-            }
-        }
-        if let Some(ring) = ring.as_mut() {
-            ring.allreduce_mean(&mut grads);
-        }
-        if let Some(max_norm) = cfg.grad_clip {
-            clip_global_norm(&mut grads, max_norm);
-        }
-        let lr = cfg.schedule.lr_at(cfg.start_step + i);
-        opt.step(model.params_mut(), &grads, lr);
+            prox: cfg.fedprox_mu.map(|mu| (mu, params)),
+        };
+        loss_sum += replica.step(&mut *stream, opt, &step, ring.as_mut()) as f64;
     }
     let mean = (loss_sum / cfg.steps.max(1) as f64) as f32;
-    (model.into_params(), mean)
+    (replica.into_params(), mean)
 }
 
-/// Runs synchronous data-parallel training from `params`, returning the
-/// updated parameters and a report. One worker per stream, each on a
-/// thread of its own (the ring all-reduce needs them concurrent) under an
-/// equal share of the caller's compute context — except that a single
-/// stream whose caller has one core to give (execution width 1: a client
-/// lane on a full machine) trains on the caller, where a thread of its own
-/// could only take turns with it.
+/// The one replica runner: `train(index, job, ring)` trains one replica per
+/// job and returns its parameters and mean loss. Each replica runs on a
+/// scoped thread of its own under an equal share of the caller's compute
+/// context ([`pool::Context::split`]) — except that a single replica whose
+/// caller has one core to give (execution width 1: a client lane on a full
+/// machine) trains on the caller, where a thread of its own could only take
+/// turns with it (DESIGN.md §4.8). With `ring`, two or more replicas
+/// average their gradients over a ring every step; one replica has nothing
+/// to average with and gets none.
+///
+/// Every replica is joined before any outcome is read, so a failed replica
+/// never leaves a sibling running into the next round (a ring peer of a
+/// dead replica panics on the broken ring instead of waiting). Returns the
+/// replicas' results in job order, or the lowest-indexed replica that
+/// panicked and its panic message.
 ///
 /// # Panics
-/// Panics if `streams` is empty, a worker panics, or the replicas
+/// Panics if ring replicas desynchronize (which would indicate a
+/// collective bug).
+pub(crate) fn run_replicas<J: Send>(
+    jobs: Vec<J>,
+    ring: bool,
+    train: impl Fn(usize, J, Option<RingWorker>) -> Trained + Sync,
+) -> Result<Vec<Trained>, (usize, String)> {
+    let n = jobs.len();
+    let ctx = pool::Context::current().split(n);
+    let joined: Vec<std::thread::Result<Trained>> = if n == 1 && ctx.width == 1 {
+        let job = jobs.into_iter().next().expect("one job");
+        vec![catch_unwind(AssertUnwindSafe(|| train(0, job, None)))]
+    } else {
+        let mut rings = (ring && n > 1)
+            .then(|| ring_allreduce_group(n))
+            .into_iter()
+            .flatten();
+        #[cfg(test)]
+        crate::thread_census::note_spawned(n);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .into_iter()
+                .enumerate()
+                .map(|(replica, job)| {
+                    let (ctx, train, ring) = (&ctx, &train, rings.next());
+                    scope.spawn(move || ctx.enter(|| train(replica, job, ring)))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
+    let trained = joined
+        .into_iter()
+        .enumerate()
+        .map(|(replica, outcome)| outcome.map_err(|payload| (replica, panic_message(&*payload))))
+        .collect::<Result<Vec<_>, _>>()?;
+    // The ring's reduced gradient is bitwise identical on every rank and
+    // the optimizers are deterministic.
+    let same = |a: &[f32], b: &[f32]| {
+        a.iter()
+            .map(|v| v.to_bits())
+            .eq(b.iter().map(|v| v.to_bits()))
+    };
+    assert!(
+        !ring || trained.windows(2).all(|w| same(&w[0].0, &w[1].0)),
+        "ddp replicas desynchronized"
+    );
+    Ok(trained)
+}
+
+/// A caught panic's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Runs synchronous data-parallel training from `params` — one replica per
+/// stream, each with a fresh optimizer, under the one replica runner with a
+/// ring — and returns the updated parameters and a report.
+///
+/// # Panics
+/// Panics if `streams` is empty, a replica panics, or the replicas
 /// desynchronize (which would indicate a collective bug).
 pub fn ddp_train(
     params: &[f32],
     cfg: &DdpConfig,
-    mut streams: Vec<Box<dyn TokenStream>>,
+    streams: Vec<Box<dyn TokenStream>>,
 ) -> (Vec<f32>, DdpReport) {
     assert!(!streams.is_empty(), "ddp needs at least one worker");
-    let n = streams.len();
-    // Stateless: every replica starts the segment with a fresh optimizer.
-    let replica = |stream, ring| {
-        let mut opt = AdamW::new(cfg.adamw, params.len());
-        train_replica(params, cfg, &mut opt, stream, ring)
-    };
-    let ctx = pool::Context::current().split(n);
-    // At width > 1 a single stream keeps its thread: the one-client-per-
-    // process path trains measurably faster with the round's model-sized
-    // buffers off the connection thread (DESIGN.md §4.8).
-    let mut results: Vec<(Vec<f32>, f32)> = if n == 1 && ctx.width == 1 {
-        vec![replica(streams.pop().expect("one stream"), None)]
-    } else {
-        #[cfg(test)]
-        crate::thread_census::note_spawned(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = streams
-                .into_iter()
-                .zip(ring_allreduce_group(n))
-                .map(|(stream, ring)| {
-                    let ctx = &ctx;
-                    scope.spawn(move || ctx.enter(|| replica(stream, Some(ring))))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("ddp worker panicked"))
-                .collect()
-        })
-    };
-
-    // Replicas must be exactly synchronized: the ring produces bitwise
-    // identical reduced gradients and the optimizers are deterministic.
-    let (reference, _) = &results[0];
-    for (p, _) in &results[1..] {
-        assert_eq!(
-            p.len(),
-            reference.len(),
-            "ddp replicas desynchronized (length)"
-        );
-        assert!(
-            p.iter().zip(reference).all(|(a, b)| a == b),
-            "ddp replicas desynchronized (values)"
-        );
-    }
-
-    let mean_loss = results.iter().map(|(_, l)| *l).sum::<f32>() / n as f32;
-    let tokens = cfg.steps * (n * cfg.per_worker_batch * cfg.seq_len) as u64;
-    let (params_out, _) = results.swap_remove(0);
-    (
-        params_out,
-        DdpReport {
-            mean_loss,
-            tokens,
-            steps: cfg.steps,
-        },
-    )
+    let mut trained = run_replicas(streams, true, |_, stream, ring| {
+        train_replica(params, cfg, None, stream, ring)
+    })
+    .unwrap_or_else(|(replica, reason)| panic!("ddp replica {replica} panicked: {reason}"));
+    let report = DdpReport::of(cfg, &trained);
+    (trained.swap_remove(0).0, report)
 }
 
 #[cfg(test)]

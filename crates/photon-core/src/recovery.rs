@@ -169,15 +169,14 @@ where
     // instead of re-diverging forever.
     let mut neutralized: BTreeSet<u64> = BTreeSet::new();
 
+    // The store counts what this process does, across its recoveries: a
+    // resumed run cannot know which rounds before its first a prior
+    // process neutralized, since that is not checkpointed.
     if opts.resume && restore_latest(&mut run.federation, opts) {
         run.resumed_from = Some(run.federation.aggregator.round());
         let telemetry = run.federation.aggregator.telemetry();
         telemetry.count(|f| f.coordinator_restarts += 1);
     }
-    // The store counts the rounds this process commits: a fresh process
-    // cannot know which rounds before its first a prior incarnation
-    // neutralized, since that is not checkpointed.
-    let first = run.federation.aggregator.round();
 
     let seq = eval_seq(run.federation.aggregator.config());
     while run.federation.aggregator.round() < opts.run.rounds {
@@ -236,8 +235,7 @@ where
                         )));
                     }
                     run.recoveries += 1;
-                    run.federation =
-                        recover(&mut build, opts, &mut run.history, &neutralized, first)?;
+                    recover(&mut build, opts, &mut run, &neutralized)?;
                 }
                 true
             }
@@ -259,7 +257,7 @@ where
                      (rollback {})",
                     run.rollbacks
                 );
-                run.federation = recover(&mut build, opts, &mut run.history, &neutralized, first)?;
+                recover(&mut build, opts, &mut run, &neutralized)?;
                 false
             }
             Err(e) => {
@@ -272,7 +270,7 @@ where
                      (recovery {}/{})",
                     run.recoveries, opts.recovery_budget
                 );
-                run.federation = recover(&mut build, opts, &mut run.history, &neutralized, first)?;
+                recover(&mut build, opts, &mut run, &neutralized)?;
                 false
             }
         };
@@ -294,20 +292,23 @@ where
     Ok(run)
 }
 
-/// Rebuilds the federation from scratch and restores the latest
-/// checkpoint (or leaves it at round 0 when there is none), truncating the
-/// history to the restored round.
+/// Replaces the run's federation with one rebuilt from scratch that writes
+/// into the run's metrics store, restores the latest checkpoint (or stays
+/// at round 0 when there is none), and truncates the history to the
+/// restored round. The store's committed rounds are a set, so the replayed
+/// rounds count once.
 fn recover<F>(
     build: &mut F,
     opts: &TrainingOptions,
-    history: &mut TrainingHistory,
+    run: &mut TrainingOutcome,
     neutralized: &BTreeSet<u64>,
-    first: u64,
-) -> Result<Federation>
+) -> Result<()>
 where
     F: FnMut() -> Result<(Federation, Option<TokenCorpus>)>,
 {
     let (mut fed, _) = build()?;
+    let store = run.federation.aggregator.telemetry().clone();
+    fed.aggregator.set_telemetry(store);
     restore_latest(&mut fed, opts);
     // The rebuilt aggregator starts with a clean slate; re-arm the
     // neutralized rounds so the replay skips every previously-diverged
@@ -315,17 +316,11 @@ where
     for &round in neutralized {
         fed.aggregator.neutralize_round(round);
     }
-    // Every round this process committed into the restored parameters
-    // stands (except the neutralized ones, whose updates were skipped);
-    // seed a fresh store so `rounds_committed` stays comparable across
-    // recoveries.
-    for round in first..fed.aggregator.round() {
-        if !neutralized.contains(&round) {
-            fed.aggregator.telemetry().record_committed_round(round);
-        }
-    }
-    history.rounds.retain(|r| r.round < fed.aggregator.round());
-    Ok(fed)
+    run.history
+        .rounds
+        .retain(|r| r.round < fed.aggregator.round());
+    run.federation = fed;
+    Ok(())
 }
 
 /// Refreshes the observability sinks after a round from one

@@ -637,10 +637,10 @@ impl Telemetry {
     /// update was applied (not neutralized by a watchdog rollback).
     /// Idempotent per round, so a replay after recovery counts once.
     ///
-    /// Deliberately NOT mirrored into the trace recorder: recovery
-    /// re-seeds the committed prefix on every rebuilt federation, which
-    /// would inflate a cumulative counter; the recorder gets the commit
-    /// count as a gauge instead.
+    /// Deliberately NOT mirrored into the trace recorder: the replay after
+    /// a recovery commits rounds the set already holds, which would inflate
+    /// a cumulative counter; the recorder gets the commit count as a gauge
+    /// instead.
     pub fn record_committed_round(&self, round: u64) {
         self.inner.write().committed.insert(round);
     }

@@ -377,8 +377,8 @@ fn connection_loop(
                     // A scheduled crash: this round's result never comes.
                     ClientReply::Crash { .. } => continue,
                     ClientReply::Error { message, .. } => {
-                        // Local compute is broken (a sub-federation node
-                        // died); reconnecting would only re-fail. Bow out
+                        // Local compute is broken (a replica panicked);
+                        // reconnecting would only re-fail. Bow out
                         // and let the coordinator's quorum absorb it.
                         eprintln!("client {me}: round {round} failed locally: {message}");
                         return ConnOutcome::Shutdown;
