@@ -459,17 +459,6 @@ impl Message {
             tag => Err(WireError::BadCompression(format!("unknown tag {tag}"))),
         }
     }
-
-    /// Size of the serialized frame in bytes (the quantity the wall-time
-    /// model charges to the network).
-    pub fn wire_bytes(&self, compress: bool) -> usize {
-        self.to_frame(compress).len()
-    }
-
-    /// [`Message::wire_bytes`] under explicit [`WireOpts`].
-    pub fn wire_bytes_opts(&self, opts: WireOpts) -> usize {
-        self.to_frame_opts(opts).len()
-    }
 }
 
 /// The body of a `ModelBroadcast` ahead of its float block: tag, round.
@@ -887,7 +876,7 @@ mod tests {
             );
         }
         // Handshake frames are control-plane small: no float payload.
-        assert!(hello.wire_bytes(false) < 64);
+        assert!(hello.to_frame_opts(WireOpts::default()).len() < 64);
     }
 
     #[test]
@@ -932,7 +921,7 @@ mod tests {
                 );
             }
             // Control-plane frames stay small (no float payload).
-            assert!(msg.wire_bytes(false) < 128);
+            assert!(msg.to_frame_opts(WireOpts::default()).len() < 128);
         }
     }
 
@@ -954,8 +943,8 @@ mod tests {
             round: 5,
             params: sample_params(4096),
         };
-        let f32_bytes = msg.wire_bytes(false);
-        let bf16_bytes = msg.wire_bytes_opts(opts);
+        let f32_bytes = msg.to_frame_opts(WireOpts::default()).len();
+        let bf16_bytes = msg.to_frame_opts(opts).len();
         assert!(
             (bf16_bytes as f64) < 0.55 * f32_bytes as f64,
             "bf16 {bf16_bytes} vs f32 {f32_bytes}"
@@ -1058,6 +1047,7 @@ mod tests {
             round: 0,
             params: sample_params(1600),
         };
-        assert!(large.wire_bytes(false) > small.wire_bytes(false) * 50);
+        let len = |msg: &Message| msg.to_frame_opts(WireOpts::default()).len();
+        assert!(len(&large) > len(&small) * 50);
     }
 }
