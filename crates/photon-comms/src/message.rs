@@ -212,13 +212,7 @@ impl Message {
                 weight,
                 metrics,
             } => {
-                head.put_u8(TAG_RESULT);
-                head.put_u64_le(*round);
-                head.put_u32_le(*client_id);
-                head.put_f64_le(*weight);
-                head.put_f32_le(metrics.mean_loss);
-                head.put_u64_le(metrics.tokens);
-                head.put_u64_le(metrics.steps);
+                head.put_slice(&result_head(*round, *client_id, *weight, *metrics));
                 floats = Some(&delta[..]);
             }
             Message::Shutdown => {
@@ -468,6 +462,20 @@ fn broadcast_head(round: u64) -> [u8; 9] {
     head
 }
 
+/// The body of a `ClientResult` ahead of its float block: tag, round,
+/// client id, weight and metrics.
+fn result_head(round: u64, client_id: u32, weight: f64, metrics: TrainMetrics) -> Vec<u8> {
+    let mut head = Vec::with_capacity(1 + 8 + 4 + 8 + 4 + 8 + 8);
+    head.put_u8(TAG_RESULT);
+    head.put_u64_le(round);
+    head.put_u32_le(client_id);
+    head.put_f64_le(weight);
+    head.put_f32_le(metrics.mean_loss);
+    head.put_u64_le(metrics.tokens);
+    head.put_u64_le(metrics.steps);
+    head
+}
+
 /// Builds a whole frame — header, `head`, the float block, the optional
 /// trace trailer — in one buffer of exactly the frame's size: the floats
 /// are converted straight into it and the CRC, one pass over the payload,
@@ -543,6 +551,19 @@ impl SealedFrame {
     /// parameters.
     pub fn broadcast(round: u64, params: &[f32], opts: WireOpts) -> SealedFrame {
         SealedFrame::seal(&broadcast_head(round), Some(params), opts)
+    }
+
+    /// Encodes `Message::ClientResult` from a borrowed pseudo-gradient.
+    pub fn result(
+        round: u64,
+        client_id: u32,
+        delta: &[f32],
+        weight: f64,
+        metrics: TrainMetrics,
+        opts: WireOpts,
+    ) -> SealedFrame {
+        let head = result_head(round, client_id, weight, metrics);
+        SealedFrame::seal(&head, Some(delta), opts)
     }
 
     fn seal(head: &[u8], floats: Option<&[f32]>, opts: WireOpts) -> SealedFrame {
@@ -737,11 +758,25 @@ mod tests {
             };
             assert_eq!(hex(&frame), want, "{msg_name}/{opts_name}/traced={traced}");
             // The encode-once frame is the same bytes again, whole or in
-            // its three traced pieces, and so is a broadcast sealed from
-            // borrowed parameters.
+            // its three traced pieces, and so is a broadcast or a result
+            // sealed from borrowed floats.
             let mut sealed = vec![SealedFrame::new(msg, opts)];
-            if msg_name == "broadcast" {
-                sealed.push(SealedFrame::broadcast(7, &golden_floats(), opts));
+            match msg {
+                Message::ModelBroadcast { round, params } => {
+                    sealed.push(SealedFrame::broadcast(*round, params, opts));
+                }
+                Message::ClientResult {
+                    round,
+                    client_id,
+                    delta,
+                    weight,
+                    metrics,
+                } => {
+                    let result =
+                        SealedFrame::result(*round, *client_id, delta, *weight, *metrics, opts);
+                    sealed.push(result);
+                }
+                _ => {}
             }
             for shared in sealed {
                 let got = if traced {

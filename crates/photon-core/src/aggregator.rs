@@ -6,7 +6,9 @@ use crate::checkpoint::{write_checkpoint, Checkpoint, CheckpointView};
 use crate::faults::FaultPlan;
 use crate::hierarchy::{HierarchyState, ShardTree};
 use crate::membership::MembershipRegistry;
-use crate::{CohortSpec, CoreError, DataSource, FederationConfig, LlmClient, Result, RoundRecord};
+use crate::{
+    CohortSpec, CoreError, DataSource, FederationConfig, LlmClient, Result, RoundRecord, Workspace,
+};
 use photon_data::{partition_iid, DomainKind, SyntheticDomain, TokenCorpus};
 use photon_fedopt::{
     AvailabilitySampler, AvailabilityTraces, ClientSampler, FullParticipation, ServerOpt,
@@ -57,6 +59,10 @@ pub struct Aggregator {
     /// Sub-aggregator tree, present when `cfg.hierarchy` is set. Its dead
     /// set is the only hierarchical state a checkpoint carries.
     hierarchy: Option<ShardTree>,
+    /// The simulator's client lanes' training buffers, one per lane,
+    /// kept from round to round (never checkpointed: a round stores every
+    /// buffer before it reads it).
+    workspaces: Vec<Workspace>,
 }
 
 impl std::fmt::Debug for Aggregator {
@@ -141,6 +147,7 @@ impl Aggregator {
             degraded: false,
             latency_obs: Vec::new(),
             hierarchy,
+            workspaces: Vec::new(),
         })
     }
 

@@ -34,7 +34,7 @@ use super::Aggregator;
 use crate::faults::{ClientFault, FaultPlan};
 use crate::hierarchy::{ShardPartition, ShardTree};
 use crate::membership::ChurnEvents;
-use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord};
+use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord, Workspace};
 use parking_lot::Mutex;
 use photon_comms::{Message, PartitionKind, SealedFrame, TrainMetrics};
 use photon_fedopt::{sample_live, BufferedUpdate, ClientUpdate, CommitBatch, StreamingMerge};
@@ -287,7 +287,17 @@ impl Aggregator {
         injector: Option<&FaultPlan>,
         max_lanes: usize,
     ) -> Result<RoundRecord> {
-        self.run_round_over(&mut Lanes { clients, max_lanes }, injector)
+        // The lanes' workspaces leave the aggregator for the round and
+        // come back after it, whatever the round came to.
+        let mut workspaces = std::mem::take(&mut self.workspaces);
+        let mut lanes = Lanes {
+            clients,
+            max_lanes,
+            workspaces: &mut workspaces,
+        };
+        let record = self.run_round_over(&mut lanes, injector);
+        self.workspaces = workspaces;
+        record
     }
 
     /// One federated round (Algorithm 1, L.4–11) whose cohort `transport`
@@ -1269,31 +1279,34 @@ impl Aggregator {
     }
 }
 
-/// Runs `work` over `items` on `lanes` scoped threads that claim items
-/// from one queue, each under an equal share of the caller's execution
-/// width ([`pool::Context::lanes`]). Returns the results in no particular
-/// order, or `None` when a lane panicked. Every lane is joined either way,
-/// and the surviving lanes drain the queue, so no item runs twice and none
-/// is left unrun behind a lane that died.
-fn on_lanes<T: Send, R: Send>(
+/// Runs `work` over `items` on one scoped thread per lane, the lanes
+/// claiming items from one queue, each under an equal share of the
+/// caller's execution width ([`pool::Context::lanes`]) and with its own
+/// `lanes` entry for every item it runs. Returns the results in no
+/// particular order, or `None` when a lane panicked. Every lane is joined
+/// either way, and the surviving lanes drain the queue, so no item runs
+/// twice and none is left unrun behind a lane that died.
+fn on_lanes<T: Send, W: Send, R: Send>(
     items: Vec<T>,
-    lanes: usize,
-    work: impl Fn(T) -> R + Sync,
+    lanes: &mut [W],
+    work: impl Fn(&mut W, T) -> R + Sync,
 ) -> Option<Vec<R>> {
-    let ctx = pool::Context::current().lanes(lanes);
+    let ctx = pool::Context::current().lanes(lanes.len());
     let queue = Mutex::new(items.into_iter());
     #[cfg(test)]
-    crate::thread_census::note_spawned(lanes);
+    crate::thread_census::note_spawned(lanes.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..lanes)
-            .map(|_| {
-                scope.spawn(|| {
+        let handles: Vec<_> = lanes
+            .iter_mut()
+            .map(|lane| {
+                let (ctx, queue, work) = (&ctx, &queue, &work);
+                scope.spawn(move || {
                     ctx.enter(|| {
                         // The lock covers the claim only, never the work.
                         let claim = || queue.lock().next();
                         let mut done = Vec::new();
                         while let Some(item) = claim() {
-                            done.push(work(item));
+                            done.push(work(lane, item));
                         }
                         done
                     })
@@ -1420,9 +1433,15 @@ impl ClientReply {
 /// count ([`pool::Context::lanes`]), so with a lane per core every kernel
 /// runs inline on its lane and the result does not depend on the lane
 /// count.
+///
+/// Each lane trains its clients, one after another, in a [`Workspace`] of
+/// its own that outlives the round: the lanes, not the registered
+/// clients, hold the training buffers, so there are `min(cohort, cores)`
+/// of them however many clients are registered.
 struct Lanes<'a> {
     clients: &'a mut [LlmClient],
     max_lanes: usize,
+    workspaces: &'a mut Vec<Workspace>,
 }
 
 impl Transport for Lanes<'_> {
@@ -1464,10 +1483,17 @@ impl Transport for Lanes<'_> {
             .collect();
 
         let lanes = members.len().min(self.max_lanes);
-        let replies = on_lanes(members, lanes, |client| {
-            let fault = faults.and_then(|inj| inj.client_fault(round, client.id()));
-            client_round(client, global, round, cohort, cfg, fault)
-        });
+        if self.workspaces.len() < lanes {
+            self.workspaces.resize_with(lanes, Workspace::new);
+        }
+        let replies = on_lanes(
+            members,
+            &mut self.workspaces[..lanes],
+            |workspace, client| {
+                let fault = faults.and_then(|inj| inj.client_fault(round, client.id()));
+                client_round(client, workspace, global, round, cohort, cfg, fault)
+            },
+        );
         replies.ok_or_else(|| CoreError::ClientFailure("a client thread panicked".into()))
     }
 }
@@ -1487,12 +1513,13 @@ fn decode_broadcast(frame: bytes::Bytes, round: u64) -> std::result::Result<Vec<
 }
 
 /// One client's side of a round, the same on every transport: take the
-/// decoded broadcast, honour any scheduled fault, train, and seal the
-/// result. The simulator runs it on a client lane, `photon client` on
-/// every broadcast it receives, so a Byzantine fault means the same thing
-/// on both.
+/// decoded broadcast, honour any scheduled fault, train in `workspace`,
+/// and seal the result from the delta where it was formed. The simulator
+/// runs it on a client lane, `photon client` on every broadcast it
+/// receives, so a Byzantine fault means the same thing on both.
 pub fn client_round(
     client: &mut LlmClient,
+    workspace: &mut Workspace,
     global: std::result::Result<&[f32], &str>,
     round: u64,
     cohort_ids: &[u32],
@@ -1517,12 +1544,12 @@ pub fn client_round(
         // Simulated mid-round disconnect: no result frame.
         return ClientReply::Crash { client_id };
     }
-    let mut outcome = {
+    let update = {
         let mut step_span = photon_trace::span(photon_trace::Phase::LocalStep)
             .arg("client", client_id as u64)
             .arg("round", round);
-        let outcome = match client.run_round(params, round, cohort_ids, cfg) {
-            Ok(outcome) => outcome,
+        let update = match client.run_round_in(workspace, params, round, cohort_ids, cfg) {
+            Ok(update) => update,
             Err(e) => {
                 return ClientReply::Error {
                     client_id,
@@ -1530,37 +1557,38 @@ pub fn client_round(
                 }
             }
         };
-        step_span.set_arg("tokens", outcome.metrics.tokens);
-        step_span.set_arg("steps", outcome.metrics.steps);
-        photon_trace::counter_add("client.steps", outcome.metrics.steps);
-        photon_trace::counter_add("client.tokens", outcome.metrics.tokens);
-        outcome
+        step_span.set_arg("tokens", update.metrics.tokens);
+        step_span.set_arg("steps", update.metrics.steps);
+        photon_trace::counter_add("client.steps", update.metrics.steps);
+        photon_trace::counter_add("client.tokens", update.metrics.tokens);
+        update
     };
     // Byzantine faults poison the result AFTER honest local training, so
     // the client's own state stays on the deterministic trajectory and
     // only the reported delta is adversarial.
+    let delta = update.delta;
     match fault {
-        Some(ClientFault::NanUpdate) => outcome.delta.fill(f32::NAN),
+        Some(ClientFault::NanUpdate) => delta.fill(f32::NAN),
         Some(ClientFault::SignFlip) => {
-            for v in &mut outcome.delta {
+            for v in delta.iter_mut() {
                 *v = -*v;
             }
         }
         Some(ClientFault::Scale { factor }) => {
-            for v in &mut outcome.delta {
+            for v in delta.iter_mut() {
                 *v = (*v as f64 * factor) as f32;
             }
         }
         _ => {}
     }
-    let result = Message::ClientResult {
+    let frame = SealedFrame::result(
         round,
         client_id,
-        delta: outcome.delta,
-        weight: outcome.weight,
-        metrics: outcome.metrics,
-    };
-    let frame = SealedFrame::new(&result, cfg.wire_opts());
+        delta,
+        update.weight,
+        update.metrics,
+        cfg.wire_opts(),
+    );
     let (delay_ms, corrupt_attempts) = match fault {
         Some(ClientFault::Straggle { delay_ms }) => (delay_ms, 0),
         Some(ClientFault::Corrupt { attempts }) => (0, attempts),
@@ -1590,9 +1618,10 @@ mod tests {
     use crate::hierarchy::HierarchyConfig;
     use crate::thread_census::spawned;
     use crate::{
-        build_federation, CohortSpec, CoreError, DataSource, FaultCounters, FaultSpec,
-        FederationConfig, LlmClient, RoundRecord,
+        build_federation, CohortSpec, CoreError, DataSource, FaultCounters, FaultPlan, FaultSpec,
+        Federation, FederationConfig, LlmClient, RoundRecord, Workspace,
     };
+    use photon_cluster::TrainingStrategy;
     use photon_comms::Message;
     use photon_tensor::ops::pool;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1600,16 +1629,16 @@ mod tests {
     #[test]
     fn a_lane_that_panics_is_joined_and_the_others_finish_the_queue() {
         let runs: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-        let work = |i: usize| {
+        let work = |(): &mut (), i: usize| {
             runs[i].fetch_add(1, Ordering::SeqCst);
             assert!(i != 3, "item 3 fails");
             i * 10
         };
-        assert_eq!(on_lanes((0..8).collect(), 2, work), None);
+        assert_eq!(on_lanes((0..8).collect(), &mut [(); 2], work), None);
         let counts: Vec<usize> = runs.iter().map(|r| r.swap(0, Ordering::SeqCst)).collect();
         assert_eq!(counts, [1; 8], "every item ran, none twice");
 
-        let mut clean = on_lanes((4..8).collect(), 3, work).expect("no lane panicked");
+        let mut clean = on_lanes((4..8).collect(), &mut [(); 3], work).expect("no lane panicked");
         clean.sort_unstable();
         assert_eq!(clean, [40, 50, 60, 70]);
     }
@@ -1622,7 +1651,8 @@ mod tests {
             backend: Some(photon_tensor::backend::BackendKind::Scalar),
             ..pool::Context::current()
         };
-        let seen = outer.enter(|| on_lanes(vec![(); 2], 2, |()| pool::Context::current()));
+        let seen =
+            outer.enter(|| on_lanes(vec![(); 2], &mut [(); 2], |_, ()| pool::Context::current()));
         assert_eq!(seen, Some(vec![outer.lanes(2); 2]));
         assert_eq!(outer.lanes(2).width, 2);
     }
@@ -1686,6 +1716,146 @@ mod tests {
             }
         });
         assert_eq!(spawned() - before, 0, "a client trains on its lane");
+    }
+
+    /// A stateless client, a stateful one, FedProx, a 2-replica DDP silo,
+    /// a 2-node sub-federation silo and a sign flip: the federations the
+    /// store-before-read rule is checked on, each with its fault plan.
+    fn workspace_cases() -> Vec<(&'static str, Federation, Option<FaultPlan>)> {
+        use photon_cluster::{GpuSpec, Interconnect, NodeSpec, Region, SiloSpec};
+        let fed = |edit: &dyn Fn(&mut FederationConfig)| {
+            let mut cfg = quick_cfg(3);
+            edit(&mut cfg);
+            build_federation(&cfg, 2_000).unwrap()
+        };
+        let with_silo = |silo: SiloSpec| {
+            let mut fed = fed(&|_| {});
+            for client in &mut fed.clients {
+                let (id, ds) = (client.id(), client.data_source().clone());
+                let rng = photon_tensor::SeedStream::new(u64::from(id));
+                *client = LlmClient::new(id, ds, Some(silo.clone()), rng);
+            }
+            fed
+        };
+        let ddp = with_silo(SiloSpec::single_node(
+            "two-gpu",
+            2,
+            GpuSpec::h100(),
+            Region::Quebec,
+        ));
+        let subfed = with_silo(SiloSpec {
+            name: "slow-cluster".into(),
+            nodes: vec![
+                NodeSpec::nvlink(GpuSpec::h100(), 1),
+                NodeSpec::nvlink(GpuSpec::h100(), 1),
+            ],
+            inter_node: Interconnect::Ethernet { gbps: 1.0 },
+            region: Region::Quebec,
+        });
+        let cfg = ddp.aggregator.config().clone();
+        assert_eq!(
+            ddp.clients[0].strategy(&cfg),
+            TrainingStrategy::Ddp { n_gpus: 2 }
+        );
+        assert_eq!(
+            subfed.clients[0].strategy(&cfg),
+            TrainingStrategy::SubFederation { partitions: 2 }
+        );
+        let sign_flip = FaultSpec::parse("sign-flip@r1c0").unwrap().plan(3, 3);
+        vec![
+            ("stateless", fed(&|_| {}), None),
+            ("stateful", fed(&|c| c.stateless_local = false), None),
+            ("fedprox", fed(&|c| c.fedprox_mu = Some(0.1)), None),
+            ("ddp", ddp, None),
+            ("sub-federation", subfed, None),
+            ("sign-flip", fed(&|_| {}), Some(sign_flip)),
+        ]
+    }
+
+    /// Three rounds of `fed`, and what they came to. `poisoned` runs every
+    /// client on one lane whose workspace is NaN-filled each time a client
+    /// takes it; otherwise every client has a lane of its own and the
+    /// lanes' workspaces are dropped before every round, so each client
+    /// round starts on fresh buffers.
+    fn three_rounds(
+        fed: &mut Federation,
+        faults: Option<&FaultPlan>,
+        poisoned: bool,
+    ) -> (Vec<RoundRecord>, Vec<u32>) {
+        let agg = &mut fed.aggregator;
+        let records = (0..3)
+            .map(|_| {
+                let lanes = if poisoned {
+                    let mut lane = Workspace::new();
+                    lane.nan_fill = true;
+                    agg.workspaces = vec![lane];
+                    1
+                } else {
+                    agg.workspaces.clear();
+                    fed.clients.len()
+                };
+                agg.run_round_on_lanes(&mut fed.clients, faults, lanes)
+                    .unwrap()
+            })
+            .collect();
+        let bits = agg.params().iter().map(|v| v.to_bits()).collect();
+        (records, bits)
+    }
+
+    #[test]
+    fn lane_workspaces_store_before_they_read() {
+        let fresh = workspace_cases();
+        for ((name, mut poisoned, faults), (_, mut fresh, _)) in
+            workspace_cases().into_iter().zip(fresh)
+        {
+            let want = three_rounds(&mut fresh, faults.as_ref(), false);
+            let got = three_rounds(&mut poisoned, faults.as_ref(), true);
+            assert!(
+                got == want,
+                "{name}: a NaN-filled workspace changed the run"
+            );
+        }
+
+        // A client that panics half-way through a round on a lane leaves
+        // nothing the next round reads.
+        let cfg = quick_cfg(3);
+        let mut fed = build_federation(&cfg, 2_000).unwrap();
+        let mut lane = Workspace::new();
+        lane.nan_fill = true;
+        fed.aggregator.workspaces = vec![lane];
+        let honest = std::mem::replace(&mut fed.clients[1], client_without_a_window(1));
+        assert!(fed
+            .aggregator
+            .run_round_on_lanes(&mut fed.clients, None, 1)
+            .is_err());
+        fed.clients[1] = honest;
+        fed.aggregator.workspaces[0].nan_fill = false;
+        let after_the_panic = fed
+            .aggregator
+            .run_round_on_lanes(&mut fed.clients, None, 1)
+            .unwrap();
+        let mut fresh = build_federation(&cfg, 2_000).unwrap();
+        let want = fresh
+            .aggregator
+            .run_round_on_lanes(&mut fresh.clients, None, 3)
+            .unwrap();
+        assert_eq!(after_the_panic, want);
+        assert_eq!(fed.aggregator.params(), fresh.aggregator.params());
+    }
+
+    #[test]
+    fn a_nan_aggregate_is_a_divergence() {
+        let cfg = quick_cfg(2);
+        let plan = FaultSpec::parse("nan-update@r0c0").unwrap().plan(2, 1);
+        let mut fed = build_federation(&cfg, 2_000).unwrap();
+        let err = fed
+            .aggregator
+            .run_round_with(&mut fed.clients, Some(&plan))
+            .unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Divergence { round: 0, reason } if reason.contains("not finite")),
+            "{err}"
+        );
     }
 
     fn four_shards() -> Option<HierarchyConfig> {

@@ -1,7 +1,7 @@
+use crate::ddp::{node_mean, run_replicas, train_replica, Workspace};
 use crate::{DataSource, DdpConfig, DdpReport, FederationConfig};
 use photon_cluster::{select_strategy, SiloSpec, TrainingStrategy};
 use photon_comms::{mask_update, TrainMetrics};
-use photon_fedopt::{aggregate_deltas, delta_from, ClientUpdate};
 use photon_optim::{clip_global_norm, AdamW};
 use photon_tensor::SeedStream;
 
@@ -10,6 +10,19 @@ use photon_tensor::SeedStream;
 pub struct ClientOutcome {
     /// Pseudo-gradient `θ_global − θ_local` (possibly post-processed).
     pub delta: Vec<f32>,
+    /// Aggregation weight.
+    pub weight: f64,
+    /// Local training metrics.
+    pub metrics: TrainMetrics,
+}
+
+/// A client round's result with its pseudo-gradient still in the
+/// [`Workspace`] that trained it.
+#[derive(Debug)]
+pub struct LocalUpdate<'w> {
+    /// Pseudo-gradient `θ_global − θ_local` (possibly post-processed),
+    /// formed in the workspace's gradient buffer.
+    pub delta: &'w mut [f32],
     /// Aggregation weight.
     pub weight: f64,
     /// Local training metrics.
@@ -93,10 +106,31 @@ impl LlmClient {
         }
     }
 
-    /// Runs one local round from the broadcast `global` parameters,
-    /// returning the post-processed pseudo-gradient. `cohort` lists all
-    /// participating client ids this round (needed for secure-aggregation
-    /// masking).
+    /// [`LlmClient::run_round_in`] on a workspace of its own, returning
+    /// the pseudo-gradient as an owned vector.
+    ///
+    /// # Errors
+    /// As [`LlmClient::run_round_in`].
+    pub fn run_round(
+        &mut self,
+        global: &[f32],
+        round: u64,
+        cohort: &[u32],
+        cfg: &FederationConfig,
+    ) -> crate::Result<ClientOutcome> {
+        let mut workspace = Workspace::new();
+        let update = self.run_round_in(&mut workspace, global, round, cohort, cfg)?;
+        Ok(ClientOutcome {
+            delta: update.delta.to_vec(),
+            weight: update.weight,
+            metrics: update.metrics,
+        })
+    }
+
+    /// Runs one local round from the broadcast `global` parameters in
+    /// `workspace`, returning the post-processed pseudo-gradient, which
+    /// stays in the workspace. `cohort` lists all participating client ids
+    /// this round (needed for secure-aggregation masking).
     ///
     /// # Errors
     /// Returns [`CoreError::ClientFailure`](crate::CoreError::ClientFailure)
@@ -108,13 +142,14 @@ impl LlmClient {
     /// Panics if `global` has the wrong length for the configured model,
     /// or secure aggregation is enabled and this client is missing from
     /// the cohort.
-    pub fn run_round(
+    pub fn run_round_in<'w>(
         &mut self,
+        workspace: &'w mut Workspace,
         global: &[f32],
         round: u64,
         cohort: &[u32],
         cfg: &FederationConfig,
-    ) -> crate::Result<ClientOutcome> {
+    ) -> crate::Result<LocalUpdate<'w>> {
         // DDP and FSDP replicas average their gradients over a ring every
         // step (L.16–18); sub-federation nodes train apart and are averaged
         // once, at the end (L.19–25).
@@ -135,45 +170,45 @@ impl LlmClient {
         };
         let segment = self.ddp_config(round, cfg);
         let (id, faulty) = (self.id, self.panic_node_rounds.contains(&round));
-        // Stateless: every replica starts the round with a fresh optimizer.
-        // Stateful mode keeps a lone replica's momenta local across rounds
-        // instead of communicating them (Appendix C.1).
-        let mut retained = (replicas == 1 && data_parallel && !cfg.stateless_local).then(|| {
+        // Stateless: every replica starts the round with its optimizer
+        // reset. Stateful mode keeps a lone replica's momenta local across
+        // rounds instead of communicating them (Appendix C.1).
+        let retained = (replicas == 1 && data_parallel && !cfg.stateless_local).then(|| {
             self.opt_state
                 .get_or_insert_with(|| AdamW::new(cfg.adamw, global.len()))
         });
-        let jobs: Vec<_> = streams.into_iter().map(|s| (s, retained.take())).collect();
-        let trained =
-            crate::ddp::run_replicas(jobs, data_parallel, |replica, (stream, opt), ring| {
-                if faulty && replica == 0 {
+        let (slots, reset) = workspace.slots(replicas, &segment, global, retained.is_none());
+        let opts: Vec<&mut AdamW> = match retained {
+            Some(opt) => vec![opt],
+            None => reset.iter_mut().collect(),
+        };
+        let jobs: Vec<_> = streams.into_iter().zip(opts).collect();
+        let losses = run_replicas(
+            slots,
+            jobs,
+            data_parallel,
+            |index, replica, (stream, opt), ring| {
+                if faulty && index == 0 {
                     panic!("injected replica fault (client {id}, round {round})");
                 }
-                crate::ddp::train_replica(global, &segment, opt, stream, ring)
-            })
-            .map_err(|(replica, reason)| {
-                crate::CoreError::ClientFailure(format!(
-                    "replica {replica} of client {id} panicked in round {round}: {reason}"
-                ))
-            })?;
+                train_replica(replica, global, &segment, opt, stream, ring)
+            },
+        )
+        .map_err(|(replica, reason)| {
+            crate::CoreError::ClientFailure(format!(
+                "replica {replica} of client {id} panicked in round {round}: {reason}"
+            ))
+        })?;
 
-        let report = DdpReport::of(&segment, &trained);
-        let mut delta = if data_parallel {
+        let report = DdpReport::of(&segment, &losses);
+        let delta = if data_parallel {
             // The ring keeps the replicas in lockstep: any one is the model.
-            delta_from(global, &trained[0].0)
+            slots[0].delta(global)
         } else {
-            // L.24, θ_k = (1/|I|) Σ θ_i, through the one mean: the nodes'
-            // pseudo-gradients, weight 1 each.
-            let nodes: Vec<_> = trained
-                .iter()
-                .map(|(params, _)| ClientUpdate {
-                    delta: delta_from(global, params),
-                    weight: 1.0,
-                })
-                .collect();
-            aggregate_deltas(&nodes)
+            node_mean(slots, global)
         };
-        self.post_process(&mut delta, round, cohort, cfg, &mut round_rng);
-        Ok(ClientOutcome {
+        self.post_process(delta, round, cohort, cfg, &mut round_rng);
+        Ok(LocalUpdate {
             delta,
             weight: 1.0,
             metrics: TrainMetrics {
@@ -229,6 +264,7 @@ mod tests {
     use super::*;
     use crate::thread_census::spawned;
     use photon_data::Shard;
+    use photon_fedopt::{aggregate_deltas, ClientUpdate};
     use photon_nn::{Gpt, ModelConfig};
     use photon_tensor::ops::pool;
     use std::sync::Arc;
@@ -391,7 +427,7 @@ mod tests {
                     .split(2)
                     .enter(|| crate::ddp_train(&global, &segment, vec![stream]));
                 ClientUpdate {
-                    delta: delta_from(&global, &params),
+                    delta: global.iter().zip(&params).map(|(g, l)| g - l).collect(),
                     weight: 1.0,
                 }
             })

@@ -6,7 +6,9 @@
 //! and [`run_replicas`] is the one runner every local-training path goes
 //! through: the single-GPU client, DDP and FSDP replicas, and the
 //! sub-federation's nodes. The centralized baseline steps a replica of its
-//! own.
+//! own. A client's replicas and their optimizers live in a [`Workspace`]
+//! that outlives the round: whoever runs clients one after another (a
+//! simulator lane, a `photon client` process) owns one.
 //!
 //! Data-parallel replicas hold a private data stream each; every step they
 //! average their gradients with a real ring-allreduce (`photon-comms`) and
@@ -16,6 +18,7 @@
 
 use photon_comms::{ring_allreduce_group, RingWorker};
 use photon_data::{Batch, TokenStream};
+use photon_fedopt::{aggregate_deltas, ClientUpdate};
 use photon_nn::{Activations, Gpt, ModelConfig};
 use photon_optim::{clip_global_norm, AdamW, AdamWConfig, LrSchedule, Optimizer};
 use photon_tensor::ops::pool;
@@ -56,18 +59,107 @@ pub struct DdpReport {
     pub steps: u64,
 }
 
-/// A trained replica's parameters and mean loss.
-pub(crate) type Trained = (Vec<f32>, f32);
-
 impl DdpReport {
-    /// The report of a `cfg` segment that `trained` replicas ran: the mean
-    /// of their losses and the tokens of all of them.
-    pub(crate) fn of(cfg: &DdpConfig, trained: &[Trained]) -> Self {
-        let n = trained.len();
+    /// The report of a `cfg` segment whose replicas reported `losses`: the
+    /// mean of their losses and the tokens of all of them.
+    pub(crate) fn of(cfg: &DdpConfig, losses: &[f32]) -> Self {
+        let n = losses.len();
         DdpReport {
-            mean_loss: trained.iter().map(|(_, loss)| loss).sum::<f32>() / n as f32,
+            mean_loss: losses.iter().sum::<f32>() / n as f32,
             tokens: cfg.steps * (n * cfg.per_worker_batch * cfg.seq_len) as u64,
             steps: cfg.steps,
+        }
+    }
+}
+
+/// A client's training state, sized once per run shape and reused round
+/// after round: up to 8 replicas (grown on demand) and, for stateless
+/// local training, one optimizer per replica.
+///
+/// Nothing in it carries over from one client round to the next. A round
+/// stores every buffer before it reads it: the broadcast is loaded into
+/// the parameters, each step draws its batch and overwrites its
+/// activations and gradients, stateless optimizers are reset, and the
+/// delta is formed over the gradients. A round that failed half-way
+/// leaves nothing the next one reads.
+#[derive(Default)]
+pub struct Workspace {
+    replicas: Vec<Replica>,
+    opts: Vec<AdamW>,
+    /// Overwrites everything with NaN each time the workspace is handed
+    /// out, to prove the rule above.
+    #[cfg(test)]
+    pub(crate) nan_fill: bool,
+}
+
+impl std::fmt::Debug for Workspace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Workspace")
+            .field("replicas", &self.replicas.len())
+            .field("optimizers", &self.opts.len())
+            .finish()
+    }
+}
+
+impl Workspace {
+    /// An empty workspace; the first round sizes it.
+    pub fn new() -> Self {
+        Workspace::default()
+    }
+
+    /// `n` replicas shaped for `cfg` and `params`, and — with
+    /// `fresh_opts` — `n` optimizers reset to their first step. Buffers of
+    /// another shape are dropped and rebuilt; nothing else is allocated.
+    pub(crate) fn slots(
+        &mut self,
+        n: usize,
+        cfg: &DdpConfig,
+        params: &[f32],
+        fresh_opts: bool,
+    ) -> (&mut [Replica], &mut [AdamW]) {
+        if !self.replicas.iter().all(|r| r.fits(cfg, params.len())) {
+            self.replicas.clear();
+        }
+        while self.replicas.len() < n {
+            let model = Gpt::from_params(cfg.model, params.to_vec());
+            let replica = Replica::new(model, cfg.per_worker_batch, cfg.seq_len);
+            self.replicas.push(replica);
+        }
+        let opts = if fresh_opts { n } else { 0 };
+        if !self
+            .opts
+            .iter()
+            .all(|o| o.config() == &cfg.adamw && o.param_len() == params.len())
+        {
+            self.opts.clear();
+        }
+        while self.opts.len() < opts {
+            self.opts.push(AdamW::new(cfg.adamw, params.len()));
+        }
+        #[cfg(test)]
+        if self.nan_fill {
+            self.fill_nan();
+        }
+        let opts = &mut self.opts[..opts];
+        opts.iter_mut().for_each(Optimizer::reset_state);
+        (&mut self.replicas[..n], opts)
+    }
+
+    /// NaN in every float the workspace holds, an out-of-vocabulary token
+    /// in every batch slot.
+    #[cfg(test)]
+    fn fill_nan(&mut self) {
+        for r in &mut self.replicas {
+            r.model.params_mut().fill(f32::NAN);
+            r.acts.fill(f32::NAN);
+            r.grads.fill(f32::NAN);
+            r.batch.inputs.fill(u32::MAX);
+            r.batch.targets.fill(u32::MAX);
+        }
+        for opt in &mut self.opts {
+            // A NaN gradient leaves NaN in both moments.
+            let nan = vec![f32::NAN; opt.param_len()];
+            opt.step(&mut nan.clone(), &nan, 1.0);
         }
     }
 }
@@ -106,6 +198,16 @@ impl Replica {
         }
     }
 
+    /// Whether the replica trains `cfg`'s model over `param_len`
+    /// parameters on its batches.
+    fn fits(&self, cfg: &DdpConfig, param_len: usize) -> bool {
+        self.model.config() == &cfg.model
+            && self.model.param_count() == param_len
+            && self.grads.len() == param_len
+            && self.acts.batch() == cfg.per_worker_batch
+            && self.acts.seq() == cfg.seq_len
+    }
+
     /// The model.
     pub(crate) fn model(&self) -> &Gpt {
         &self.model
@@ -119,9 +221,14 @@ impl Replica {
         self.model.set_params(params);
     }
 
-    /// The trained parameters.
-    pub(crate) fn into_params(self) -> Vec<f32> {
-        self.model.into_params()
+    /// Forms the pseudo-gradient `global − local` in the gradient buffer,
+    /// which no step reads before it stores it again, and returns it.
+    pub(crate) fn delta(&mut self, global: &[f32]) -> &mut [f32] {
+        assert_eq!(global.len(), self.grads.len(), "parameter length mismatch");
+        for ((d, &g), &l) in self.grads.iter_mut().zip(global).zip(self.model.params()) {
+            *d = g - l;
+        }
+        &mut self.grads
     }
 
     /// One optimizer step of `opt` on batches drawn from `stream`: forward
@@ -170,24 +277,18 @@ impl Replica {
     }
 }
 
-/// One replica's training segment: `cfg.steps` steps from `params` over
-/// `stream` with `opt` — a fresh optimizer when there is none (stateless
-/// local training) — and gradients averaged over `ring` when there is one.
-/// Returns the trained parameters and the mean loss.
+/// One replica's training segment: loads `params` into `replica`, runs
+/// `cfg.steps` steps over `stream` with `opt`, averaging gradients over
+/// `ring` when there is one, and returns the mean loss.
 pub(crate) fn train_replica(
+    replica: &mut Replica,
     params: &[f32],
     cfg: &DdpConfig,
-    opt: Option<&mut AdamW>,
+    opt: &mut AdamW,
     mut stream: Box<dyn TokenStream>,
     mut ring: Option<RingWorker>,
-) -> Trained {
-    let mut fresh = None;
-    let opt = match opt {
-        Some(opt) => opt,
-        None => fresh.insert(AdamW::new(cfg.adamw, params.len())),
-    };
-    let model = Gpt::from_params(cfg.model, params.to_vec());
-    let mut replica = Replica::new(model, cfg.per_worker_batch, cfg.seq_len);
+) -> f32 {
+    replica.set_params(params);
     let mut loss_sum = 0.0f64;
     for i in 0..cfg.steps {
         let step = Step {
@@ -199,39 +300,45 @@ pub(crate) fn train_replica(
         };
         loss_sum += replica.step(&mut *stream, opt, &step, ring.as_mut()) as f64;
     }
-    let mean = (loss_sum / cfg.steps.max(1) as f64) as f32;
-    (replica.into_params(), mean)
+    (loss_sum / cfg.steps.max(1) as f64) as f32
 }
 
-/// The one replica runner: `train(index, job, ring)` trains one replica per
-/// job and returns its parameters and mean loss. Each replica runs on a
-/// scoped thread of its own under an equal share of the caller's compute
-/// context ([`pool::Context::split`]) — except that a single replica whose
-/// caller has one core to give (execution width 1: a client lane on a full
-/// machine) trains on the caller, where a thread of its own could only take
-/// turns with it (DESIGN.md §4.8). With `ring`, two or more replicas
+/// The one replica runner: `train(index, replica, job, ring)` trains
+/// `replicas[index]` on `jobs[index]` and returns its mean loss; the
+/// trained parameters stay in the replica. Each replica runs on a scoped
+/// thread of its own under an equal share of the caller's compute context
+/// ([`pool::Context::split`]) — except that a single replica whose caller
+/// has one core to give (execution width 1: a client lane on a full
+/// machine) trains on the caller, where a thread of its own could only
+/// take turns with it (DESIGN.md §4.8). With `ring`, two or more replicas
 /// average their gradients over a ring every step; one replica has nothing
 /// to average with and gets none.
 ///
 /// Every replica is joined before any outcome is read, so a failed replica
 /// never leaves a sibling running into the next round (a ring peer of a
 /// dead replica panics on the broken ring instead of waiting). Returns the
-/// replicas' results in job order, or the lowest-indexed replica that
+/// replicas' losses in job order, or the lowest-indexed replica that
 /// panicked and its panic message.
 ///
 /// # Panics
-/// Panics if ring replicas desynchronize (which would indicate a
-/// collective bug).
+/// Panics if there are fewer replicas than jobs, or ring replicas
+/// desynchronize (which would indicate a collective bug).
 pub(crate) fn run_replicas<J: Send>(
+    replicas: &mut [Replica],
     jobs: Vec<J>,
     ring: bool,
-    train: impl Fn(usize, J, Option<RingWorker>) -> Trained + Sync,
-) -> Result<Vec<Trained>, (usize, String)> {
+    train: impl Fn(usize, &mut Replica, J, Option<RingWorker>) -> f32 + Sync,
+) -> Result<Vec<f32>, (usize, String)> {
     let n = jobs.len();
+    assert!(replicas.len() >= n, "a replica per job");
+    let replicas = &mut replicas[..n];
     let ctx = pool::Context::current().split(n);
-    let joined: Vec<std::thread::Result<Trained>> = if n == 1 && ctx.width == 1 {
+    let joined: Vec<std::thread::Result<f32>> = if n == 1 && ctx.width == 1 {
         let job = jobs.into_iter().next().expect("one job");
-        vec![catch_unwind(AssertUnwindSafe(|| train(0, job, None)))]
+        let replica = &mut replicas[0];
+        vec![catch_unwind(AssertUnwindSafe(|| {
+            train(0, replica, job, None)
+        }))]
     } else {
         let mut rings = (ring && n > 1)
             .then(|| ring_allreduce_group(n))
@@ -240,18 +347,19 @@ pub(crate) fn run_replicas<J: Send>(
         #[cfg(test)]
         crate::thread_census::note_spawned(n);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
+            let handles: Vec<_> = replicas
+                .iter_mut()
+                .zip(jobs)
                 .enumerate()
-                .map(|(replica, job)| {
+                .map(|(index, (replica, job))| {
                     let (ctx, train, ring) = (&ctx, &train, rings.next());
-                    scope.spawn(move || ctx.enter(|| train(replica, job, ring)))
+                    scope.spawn(move || ctx.enter(|| train(index, replica, job, ring)))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join()).collect()
         })
     };
-    let trained = joined
+    let losses = joined
         .into_iter()
         .enumerate()
         .map(|(replica, outcome)| outcome.map_err(|payload| (replica, panic_message(&*payload))))
@@ -264,10 +372,36 @@ pub(crate) fn run_replicas<J: Send>(
             .eq(b.iter().map(|v| v.to_bits()))
     };
     assert!(
-        !ring || trained.windows(2).all(|w| same(&w[0].0, &w[1].0)),
+        !ring
+            || replicas
+                .windows(2)
+                .all(|w| same(w[0].model.params(), w[1].model.params())),
         "ddp replicas desynchronized"
     );
-    Ok(trained)
+    Ok(losses)
+}
+
+/// L.24, `θ_k = (1/|I|) Σ θ_i`, through the one mean: the nodes'
+/// pseudo-gradients, weight 1 each, formed in their gradient buffers; the
+/// mean lands in node 0's.
+pub(crate) fn node_mean<'r>(nodes: &'r mut [Replica], global: &[f32]) -> &'r mut [f32] {
+    let updates: Vec<ClientUpdate> = nodes
+        .iter_mut()
+        .map(|node| {
+            node.delta(global);
+            ClientUpdate {
+                delta: std::mem::take(&mut node.grads),
+                weight: 1.0,
+            }
+        })
+        .collect();
+    let mean = aggregate_deltas(&updates);
+    for (node, update) in nodes.iter_mut().zip(updates) {
+        node.grads = update.delta;
+    }
+    let first = &mut nodes[0].grads;
+    first.copy_from_slice(&mean);
+    first
 }
 
 /// A caught panic's message.
@@ -292,12 +426,17 @@ pub fn ddp_train(
     streams: Vec<Box<dyn TokenStream>>,
 ) -> (Vec<f32>, DdpReport) {
     assert!(!streams.is_empty(), "ddp needs at least one worker");
-    let mut trained = run_replicas(streams, true, |_, stream, ring| {
-        train_replica(params, cfg, None, stream, ring)
+    let mut workspace = Workspace::new();
+    let (replicas, opts) = workspace.slots(streams.len(), cfg, params, true);
+    let jobs: Vec<_> = streams.into_iter().zip(opts).collect();
+    let losses = run_replicas(replicas, jobs, true, |_, replica, (stream, opt), ring| {
+        train_replica(replica, params, cfg, opt, stream, ring)
     })
     .unwrap_or_else(|(replica, reason)| panic!("ddp replica {replica} panicked: {reason}"));
-    let report = DdpReport::of(cfg, &trained);
-    (trained.swap_remove(0).0, report)
+    (
+        replicas[0].model().params().to_vec(),
+        DdpReport::of(cfg, &losses),
+    )
 }
 
 #[cfg(test)]
@@ -439,6 +578,20 @@ mod tests {
             dist(&prox),
             dist(&free)
         );
+    }
+
+    #[test]
+    fn the_delta_is_global_minus_local_in_the_gradient_buffer() {
+        let cfg = tiny_cfg(1);
+        let global = init_params(&cfg);
+        let mut replica = Replica::new(Gpt::from_params(cfg.model, global.clone()), 2, 8);
+        let local: Vec<f32> = global.iter().map(|g| g * 0.5 + 1.0).collect();
+        replica.set_params(&local);
+        let want: Vec<f32> = global.iter().zip(&local).map(|(g, l)| g - l).collect();
+        let grads = replica.grads.as_ptr();
+        let delta = replica.delta(&global);
+        assert_eq!(delta, &want[..]);
+        assert_eq!(delta.as_ptr(), grads, "formed where the gradients were");
     }
 
     #[test]

@@ -54,10 +54,10 @@ pub use centralized::CentralizedTrainer;
 pub use checkpoint::{
     checkpoint_exists, load_checkpoint, save_checkpoint, Checkpoint, ElasticState,
 };
-pub use client::{ClientOutcome, LlmClient};
+pub use client::{ClientOutcome, LlmClient, LocalUpdate};
 pub use config::{CohortSpec, FederationConfig, PostProcessConfig};
 pub use datasource::DataSource;
-pub use ddp::{ddp_train, DdpConfig, DdpReport};
+pub use ddp::{ddp_train, DdpConfig, DdpReport, Workspace};
 pub use error::CoreError;
 pub use faults::{ClientFault, FaultPlan, FaultSpec, TargetedFault};
 pub use hierarchy::{HierarchyConfig, HierarchyState, ShardPartition, ShardTree};

@@ -189,16 +189,6 @@ impl ClientUpdate {
     }
 }
 
-/// Computes a client's pseudo-gradient from the global and locally trained
-/// parameters: `Δ = global − local`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn delta_from(global: &[f32], local: &[f32]) -> Vec<f32> {
-    assert_eq!(global.len(), local.len(), "parameter length mismatch");
-    global.iter().zip(local).map(|(g, l)| g - l).collect()
-}
-
 /// Weighted average of client pseudo-gradients (Algorithm 1, L.8): the
 /// one weighted mean, folded in slice order.
 ///
@@ -231,14 +221,19 @@ impl WeightedSum {
     /// # Panics
     /// Panics if its length differs from the updates folded before it.
     pub(crate) fn add(&mut self, update: &ClientUpdate) {
+        let w = update.weight;
         if self.count == 0 {
-            self.acc = vec![0.0; update.delta.len()];
+            // The first update stores `0.0 + w·Δ` — the sum over zeroed
+            // accumulators, to the bit — instead of zeroing a buffer it
+            // would read straight back.
+            self.acc = update.delta.iter().map(|&d| 0.0 + w * d as f64).collect();
+        } else {
+            assert_eq!(update.delta.len(), self.acc.len(), "delta length mismatch");
+            for (a, &d) in self.acc.iter_mut().zip(&update.delta) {
+                *a += w * d as f64;
+            }
         }
-        assert_eq!(update.delta.len(), self.acc.len(), "delta length mismatch");
-        self.weight += update.weight;
-        for (a, &d) in self.acc.iter_mut().zip(&update.delta) {
-            *a += update.weight * d as f64;
-        }
+        self.weight += w;
         self.count += 1;
     }
 
@@ -264,12 +259,6 @@ mod tests {
 
     fn u(delta: Vec<f32>, weight: f64) -> ClientUpdate {
         ClientUpdate::new(delta, weight).unwrap()
-    }
-
-    #[test]
-    fn delta_is_global_minus_local() {
-        let d = delta_from(&[1.0, 2.0], &[0.5, 3.0]);
-        assert_eq!(d, vec![0.5, -1.0]);
     }
 
     #[test]
@@ -308,6 +297,15 @@ mod tests {
             assert_eq!(got.to_bits(), bits(sum_then_divide), "{j}");
         }
         assert_eq!(got[1], 0.0);
+    }
+
+    #[test]
+    fn the_first_update_sums_onto_zero() {
+        // `0.0 + w·Δ`, as over a zeroed accumulator: a negative zero comes
+        // out positive, exactly as it did before the first update stored.
+        let mean = aggregate_deltas(&[u(vec![-0.0, 1.5], 2.0)]);
+        assert_eq!(mean[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(mean[1], 1.5);
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod sampler;
 mod server;
 mod ties;
 
-pub use aggregate::{aggregate_deltas, delta_from, AggregationKind, ClientUpdate};
+pub use aggregate::{aggregate_deltas, AggregationKind, ClientUpdate};
 pub use availability::{AvailabilityModel, AvailabilitySampler, AvailabilityTraces};
 pub use buffer::{
     staleness_factor, staleness_weights, BufferConfig, BufferedUpdate, CommitBatch, StreamPush,

@@ -1,7 +1,7 @@
 //! Property-based tests for federated aggregation and server optimizers.
 
 use photon_fedopt::{
-    aggregate_deltas, delta_from, median_aggregate, staleness_factor, staleness_weights,
+    aggregate_deltas, median_aggregate, staleness_factor, staleness_weights,
     trimmed_mean_aggregate, BufferedUpdate, ClientSampler, ClientUpdate, FullParticipation,
     ServerOptKind, UniformSampler, UpdateBuffer,
 };
@@ -70,7 +70,10 @@ proptest! {
             .collect();
         let updates: Vec<ClientUpdate> = locals
             .iter()
-            .map(|l| ClientUpdate::new(delta_from(&global, l), 1.0).unwrap())
+            .map(|l| {
+                let delta = global.iter().zip(l).map(|(g, l)| g - l).collect();
+                ClientUpdate::new(delta, 1.0).unwrap()
+            })
             .collect();
         let avg_delta = aggregate_deltas(&updates);
         let mut new_global = global.clone();

@@ -5,7 +5,8 @@
 //! session resume by deterministic token), run every broadcast round
 //! through [`client_round`] — the simulator's own client side — and
 //! retain each un-acked result, sealed once, so it is re-sent after every
-//! reconnect until the coordinator acknowledges it. The round engine's
+//! reconnect until the coordinator acknowledges it. The process trains in
+//! one [`Workspace`] for its whole life, reconnects included. The round engine's
 //! per-round dedup, and the coordinator's re-ack of rounds already
 //! committed, make that re-delivery safe.
 //!
@@ -23,7 +24,7 @@ use crate::tcp::TcpLink;
 use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_sealed, send_traced};
 use crate::{NetError, Result};
 use photon_comms::{Link, LinkError, Message, SealedFrame, WireOpts};
-use photon_core::{build_client, client_round, ClientReply, FaultPlan, LlmClient};
+use photon_core::{build_client, client_round, ClientReply, FaultPlan, LlmClient, Workspace};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -152,6 +153,7 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
     let mut plan: Option<RunPlan> = None;
     let mut injector: Option<FaultPlan> = None;
     let mut llm: Option<LlmClient> = None;
+    let mut workspace = Workspace::new();
     let mut report = ClientReport {
         client_id: u32::MAX,
         rounds_trained: 0,
@@ -274,6 +276,7 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
             &mut plan,
             &mut injector,
             &mut llm,
+            &mut workspace,
             &mut retained,
             &mut identity,
             &mut report,
@@ -309,6 +312,7 @@ fn connection_loop(
     plan: &mut Option<RunPlan>,
     injector: &mut Option<FaultPlan>,
     llm: &mut Option<LlmClient>,
+    workspace: &mut Workspace,
     retained: &mut Option<(u64, SealedFrame)>,
     identity: &mut Option<Identity>,
     report: &mut ClientReport,
@@ -372,7 +376,17 @@ fn connection_loop(
                     hb_hang.store(false, Ordering::SeqCst);
                 }
                 let fault = injector.as_ref().and_then(|i| i.client_fault(round, me));
-                let result = match client_round(client, Ok(&params), round, &[me], &p.cfg, fault) {
+                let cohort = [me];
+                let reply = client_round(
+                    client,
+                    workspace,
+                    Ok(&params),
+                    round,
+                    &cohort,
+                    &p.cfg,
+                    fault,
+                );
+                let result = match reply {
                     ClientReply::Frame { frame, .. } => frame,
                     // A scheduled crash: this round's result never comes.
                     ClientReply::Crash { .. } => continue,

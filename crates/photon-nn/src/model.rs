@@ -159,6 +159,60 @@ impl Activations {
         &self.losses
     }
 
+    /// Overwrites every buffer with `value`. Each pass stores what it
+    /// reads later, so a caller that reuses these buffers can fill them
+    /// with NaN to show that nothing depends on what a previous pass left.
+    pub fn fill(&mut self, value: f32) {
+        let g = &mut self.g;
+        let mut bufs = vec![
+            &mut self.encoded,
+            &mut self.lnf,
+            &mut self.lnf_mean,
+            &mut self.lnf_rstd,
+            &mut self.logits,
+            &mut self.probs,
+            &mut self.losses,
+            &mut self.preatt,
+            &mut self.g_preatt,
+            &mut self.g_att,
+            &mut self.g_encoded,
+            &mut self.g_lnf,
+            &mut self.g_logits,
+            &mut g.ln1,
+            &mut g.qkv,
+            &mut g.atty,
+            &mut g.attproj,
+            &mut g.residual2,
+            &mut g.ln2,
+            &mut g.fch,
+            &mut g.fch_gelu,
+            &mut g.fcproj,
+        ];
+        for l in &mut self.layers {
+            bufs.extend([
+                &mut l.ln1,
+                &mut l.ln1_mean,
+                &mut l.ln1_rstd,
+                &mut l.qkv,
+                &mut l.atty,
+                &mut l.att,
+                &mut l.attproj,
+                &mut l.residual2,
+                &mut l.ln2,
+                &mut l.ln2_mean,
+                &mut l.ln2_rstd,
+                &mut l.fch,
+                &mut l.fch_gelu,
+                &mut l.fcproj,
+                &mut l.residual3,
+                &mut l.g_residual3,
+            ]);
+        }
+        for buf in bufs {
+            buf.fill(value);
+        }
+    }
+
     /// Zeroes the gradients of the layers' inputs and outputs: with
     /// `residual2` (zeroed where each layer's backward step starts) the
     /// only activation gradients with two producers — the residual add and

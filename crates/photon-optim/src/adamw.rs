@@ -31,6 +31,10 @@ impl Default for AdamWConfig {
 /// Maintains first/second moment vectors and a step counter for bias
 /// correction. `reset_state` supports Photon's stateless local optimization
 /// (moments are *not* communicated between rounds; paper Appendix C.1).
+///
+/// Before the first step the moments are zero by definition: that step
+/// stores them from the gradient without reading the buffers, so a reset
+/// is the step counter alone, not a pass over two model-sized vectors.
 #[derive(Debug, Clone)]
 pub struct AdamW {
     config: AdamWConfig,
@@ -59,29 +63,43 @@ impl AdamW {
     pub fn step_count(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for AdamW {
-    fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
-        assert_eq!(params.len(), self.m.len(), "params length mismatch");
-        assert_eq!(grads.len(), self.m.len(), "grads length mismatch");
+    /// One update. The `FIRST` step takes both moments as `0.0` instead
+    /// of reading them: the same arithmetic as over zeroed buffers, so the
+    /// result is the same bits whatever a reset left in them.
+    fn update<const FIRST: bool>(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
         self.t += 1;
         let c = self.config;
         let bc1 = 1.0 - c.beta1.powi(self.t as i32);
         let bc2 = 1.0 - c.beta2.powi(self.t as i32);
         for i in 0..params.len() {
             let g = grads[i];
-            self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g;
-            self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g;
+            let (m, v) = if FIRST {
+                (0.0, 0.0)
+            } else {
+                (self.m[i], self.v[i])
+            };
+            self.m[i] = c.beta1 * m + (1.0 - c.beta1) * g;
+            self.v[i] = c.beta2 * v + (1.0 - c.beta2) * g * g;
             let m_hat = self.m[i] / bc1;
             let v_hat = self.v[i] / bc2;
             params[i] -= lr * (m_hat / (v_hat.sqrt() + c.eps) + c.weight_decay * params[i]);
         }
     }
+}
+
+impl Optimizer for AdamW {
+    fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
+        assert_eq!(params.len(), self.m.len(), "params length mismatch");
+        assert_eq!(grads.len(), self.m.len(), "grads length mismatch");
+        if self.t == 0 {
+            self.update::<true>(params, grads, lr);
+        } else {
+            self.update::<false>(params, grads, lr);
+        }
+    }
 
     fn reset_state(&mut self) {
-        self.m.iter_mut().for_each(|x| *x = 0.0);
-        self.v.iter_mut().for_each(|x| *x = 0.0);
         self.t = 0;
     }
 
@@ -145,6 +163,31 @@ mod tests {
         let mut q = vec![0.0f32];
         opt.step(&mut q, &[5.0], 0.1);
         assert!((q[0] + 0.1).abs() < 1e-3);
+    }
+
+    #[test]
+    fn a_reset_steps_like_zeroed_moments_whatever_the_buffers_hold() {
+        let cfg = AdamWConfig {
+            weight_decay: 0.1,
+            ..AdamWConfig::default()
+        };
+        let grads = [3.0, -0.0, 0.0, -2.5e-3, 7.0];
+        let run = |opt: &mut AdamW| {
+            let mut p = vec![0.5f32, -1.0, 0.0, -0.0, 2.0];
+            for _ in 0..3 {
+                opt.step(&mut p, &grads, 0.1);
+            }
+            p.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let fresh = run(&mut AdamW::new(cfg, 5));
+        let mut reused = AdamW::new(cfg, 5);
+        reused.step(&mut [0.0; 5], &[f32::NAN; 5], 1.0);
+        reused.reset_state();
+        assert_eq!(
+            run(&mut reused),
+            fresh,
+            "NaN moments left by a reset are never read"
+        );
     }
 
     #[test]
