@@ -300,3 +300,167 @@ proptest! {
         prop_assert_eq!(a.reparented, b.reparented);
     }
 }
+
+// ---- Fault grammar: pinned plan listing ---------------------------------
+
+use photon_core::FaultPlan;
+use std::fmt::Write as _;
+
+/// Every spec the repository runs or tests: the `round_engine_golden`
+/// rows, each `--faults` string in the CI workflow (matrix cells
+/// expanded), and the grammar strings of `faults.rs`'s unit tests,
+/// rejected ones included.
+const LISTED_SPECS: &[&str] = &[
+    // round_engine_golden
+    "seed=1",
+    "nan-update@r1c2,scale:50@r3c1,sign-flip@r5c3,crash@r2c4,corrupt:1@r4c0,straggle:900@r2c0,seed=3",
+    "partition@r1-r3:0|1.2.3,lossy=0.1,slowlink@r4c0,seed=5",
+    "shards=4,shardcrash@r1s2,shardhang@r3s0,crash@r2c1,crash@r5c7,seed=7",
+    "shards=4,nan-update@r1c3,scale:80@r3c0,shardhang@r4s1,seed=9",
+    "straggle:1500@r1c2,join@r2,crash@r4c0,crash@r4c1,crash@r4c3,leave@r6c3,seed=11",
+    "shards=4,straggle:1400@r1c5,shardhang@r2s1,shardcrash@r4s3,seed=13",
+    "shards=4,nan-update@r1c2,sign-flip@r3c5,shardhang@r2s3,shardcrash@r4s1,seed=17",
+    "scale:4000@r4c0,seed=15",
+    // .github/workflows/ci.yml
+    "crash=0.1,straggle=0.1,straggle-ms=200,corrupt=0.1,agg=0.3,seed=5",
+    "nan-update@r1c0,nan-update@r3c2,seed=5",
+    "sign-flip@r1c0,sign-flip@r3c2,seed=5",
+    "scale:40@r1c0,scale:40@r3c2,seed=5",
+    "crash=0.1,straggle=0.2,straggle-ms=1200,join=0.1,leave=0.02,seed=5",
+    "crash=0.1,straggle=0.2,straggle-ms=1200,join=0.3,leave=0.08,seed=5",
+    "crash=0.1,straggle=0.1,straggle-ms=500,corrupt=0.1,seed=7",
+    "crash=0.2,corrupt=0.3,straggle=0.2,straggle-ms=400,seed=9",
+    "netcrash@r1c1,coordkill@r2",
+    "netcrash@r1c1",
+    "crash=0.2,corrupt=0.2,seed=9",
+    "partition@r2-r4:*|3,lossy=0.1,slowlink@r2c0,straggle=0.1,straggle-ms=300,seed=7",
+    "partition@r1-r3:*|~1.2,lossy=0.1,slowlink@r2c0,straggle=0.1,straggle-ms=300,seed=7",
+    "crash=0.2,corrupt=0.2,straggle=0.2,straggle-ms=400,seed=9",
+    "netcrash@r1c1,nethang@r2c0",
+    "scale:4000@r2c0",
+    "shardcrash@r1s1,shardcrash=0.1,crash=0.05,seed=5",
+    "shardcrash@r1s1,shardcrash=0.1,crash=0.05,nan-update@r2c1,seed=5",
+    "shardhang@r1s1,shardhang=0.1,crash=0.05,seed=5",
+    "shardhang@r1s1,shardhang=0.1,crash=0.05,nan-update@r2c1,seed=5",
+    // faults.rs unit tests
+    "crash=0.1,straggle=0.2,straggle-ms=500,corrupt=0.15,corrupt-attempts=3,agg=0.1,seed=7",
+    "crash=0.05,straggle=0.1,straggle-ms=200,corrupt=0.02,agg=0.01,seed=4",
+    "crash=2.0",
+    "bogus=1",
+    "crash",
+    "crash=0.5,straggle=0.4,corrupt=0.3",
+    "nan=0.1,sign-flip=0.1,scale=0.1,scale-factor=40,seed=13",
+    "sign-flip@r3c1,scale:50@r2c0,nan-update@r99c0,seed=5",
+    "sign-flip@r3c1,crash=0.05,scale:2.5@r0c2,seed=8",
+    "straggle:75@r1c1",
+    "corrupt:2@r1c1",
+    "scale:inf@r1c1",
+    "sign-flip@x3c1",
+    "sign-flip@r3",
+    "warp@r1c1",
+    "nan=0.5,sign-flip=0.4,scale=0.3",
+    "netcrash@r2c1,nethang@r3c0,coordkill@r4,crash=0.05,seed=9",
+    "netcrash@r2",
+    "nethang@x2c1",
+    "coordkill@c1",
+    "join=0.3,leave=0.02,seed=17",
+    "join=0.1,leave=0.01,join@r4,join@r4,leave@r6c20,seed=3",
+    "join@r4,join@r4,join@r99,leave@r6c20,leave@r99c0,seed=3",
+    "join@x4",
+    "leave@r6",
+    "join=1.5",
+    "crash=0.6,leave=0.5",
+    "lossy=0.2,partition@r2-r5:0|1.2,partition@r6:*|~3,slowlink@r3c0,seed=9",
+    "partition@r2",
+    "partition@r2:0|",
+    "partition@r5-r2:0|1",
+    "partition@r2:1|1",
+    "slowlink@r3",
+    "lossy=1.5",
+    "crash=0.1,straggle=0.2,straggle-ms=500,corrupt=0.15,corrupt-attempts=3,agg=0.1,lossy=0.5,seed=7",
+    "shardcrash=0.1,shardhang=0.2,shards=8,shardcrash@r3s2,shardhang@r1s0",
+    "shardcrash@r3c2",
+    "shardhang@s2",
+    "shardcrash=1.5",
+    "crash=0.1,straggle=0.2,straggle-ms=500,corrupt=0.15,corrupt-attempts=3,agg=0.1,shardcrash=0.3,shardhang=0.3,shards=4,seed=7",
+];
+
+/// Every answer `plan` gives over rounds `0..rounds + 2` × indices
+/// `0..24` (clients or shards), then every count, one line each.
+fn plan_listing(plan: &FaultPlan, rounds: u64, out: &mut String) {
+    for round in 0..rounds + 2 {
+        writeln!(
+            out,
+            "r{round} crashes={:?} agg={} joins={} leaves={:?} coordkill={}",
+            plan.crashes_at(round),
+            plan.aggregator_crashes_after(round),
+            plan.joins_at(round),
+            plan.leaves_at(round),
+            plan.coordkill_after(round),
+        )
+        .unwrap();
+        for i in 0..24 {
+            writeln!(
+                out,
+                "r{round}i{i} fault={:?} loss={} slow={} part={:?} netcrash={} nethang={} \
+                 shardcrash={} shardhang={}",
+                plan.client_fault(round, i),
+                plan.link_loss(round, i),
+                plan.slowlink_at(round, i),
+                plan.partition_state(round, i),
+                plan.netcrash_at(round, i),
+                plan.nethang_at(round, i),
+                plan.shardcrash_at(round, i),
+                plan.shardhang_at(round, i),
+            )
+            .unwrap();
+        }
+    }
+    writeln!(
+        out,
+        "counts client={} agg={} join={} leave={} loss={} slow={} part={} netcrash={} \
+         nethang={} coordkill={} shardcrash={} shardhang={}",
+        plan.client_fault_count(),
+        plan.agg_crash_count(),
+        plan.join_count(),
+        plan.leave_count(),
+        plan.link_loss_count(),
+        plan.slowlink_count(),
+        plan.partition_count(),
+        plan.netcrash_count(),
+        plan.nethang_count(),
+        plan.coordkill_count(),
+        plan.shardcrash_count(),
+        plan.shardhang_count(),
+    )
+    .unwrap();
+}
+
+/// Every corpus spec expands to exactly the plans it always has: each
+/// accepted spec is listed at two shapes (the second also giving the
+/// shard columns four shards when the spec names none), each rejected
+/// one as `rejected`, and the FNV-1a digest of the whole listing is
+/// pinned.
+#[test]
+fn fault_plans_listing_is_pinned() {
+    let mut listing = String::new();
+    for text in LISTED_SPECS {
+        writeln!(listing, "spec {text}").unwrap();
+        let Ok(spec) = FaultSpec::parse(text) else {
+            listing.push_str("rejected\n");
+            continue;
+        };
+        for (population, rounds, shards) in [(4, 8, 0), (8, 10, 4)] {
+            let mut spec = spec.clone();
+            if spec.shards == 0 {
+                spec.shards = shards;
+            }
+            writeln!(listing, "plan {population}x{rounds} shards={}", spec.shards).unwrap();
+            plan_listing(&spec.plan(population, rounds), rounds, &mut listing);
+        }
+    }
+    let digest = listing.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(digest, 0xd838_163b_498c_4085, "fault plan listing moved: {digest:#018x}");
+}
