@@ -5,9 +5,9 @@ use photon_core::experiments::{
     build_heterogeneous_federation, build_iid_federation, downstream_report, RunOptions,
 };
 use photon_core::{
-    load_checkpoint, run_training, AdaptiveDeadlineConfig, CohortSpec, CoreError, FaultSpec,
-    Federation, FederationConfig, HierarchyConfig, LinkProfile, MembershipConfig, NetworkConfig,
-    TrainingOptions,
+    load_checkpoint, run_training, AdaptiveDeadlineConfig, CohortSpec, CoreError, FaultEvent,
+    FaultSpec, Federation, FederationConfig, HierarchyConfig, LinkProfile, MembershipConfig,
+    NetworkConfig, Tally, TrainingOptions,
 };
 use photon_fedopt::{AggregationKind, BufferConfig, GuardConfig, ServerOptKind};
 use photon_nn::{generate as sample_tokens, Gpt, ModelConfig, SampleConfig};
@@ -48,25 +48,33 @@ OPTIONS:
                                       to P percent (seeded, deterministic)
     --link-timeout-ms N               per-delivery timeout; a link that
                                       exceeds it counts as a dropout
-    --faults SPEC                     seeded fault injection, e.g.
-                                      crash=0.05,straggle=0.1,straggle-ms=500,
-                                      corrupt=0.05,agg=0.02,seed=9
-                                      (pair with --partial-ok); Byzantine
-                                      rates nan=,sign-flip=,scale=,
-                                      scale-factor=; churn rates join=,leave=;
-                                      targeted entries kind@rNcM, e.g.
-                                      sign-flip@r3c1, plus join@rN and
-                                      leave@rNcM; network chaos: lossy=RATE
-                                      per-cell transmission loss,
-                                      slowlink@rNcM pins a link slow, and
+    --faults SPEC                     seeded fault injection (pair with
+                                      --partial-ok): comma-separated rates,
+                                      pinned faults and partitions, e.g.
+                                      crash=0.05,straggle=0.1,seed=9,
+                                      sign-flip@r3c1,shardhang@r2s0
+                                      rates per client and round: crash=,
+                                      straggle= (late by up to
+                                      straggle-ms=N [1000]), corrupt= (up
+                                      to corrupt-attempts=N [2] bad
+                                      frames), nan=, sign-flip=, scale=
+                                      (by scale-factor=X [100]), leave=,
+                                      lossy= (lost transmissions); per
+                                      round: agg= (aggregator crash),
+                                      join=; per shard: shardcrash=,
+                                      shardhang= over shards=N (defaults
+                                      to --shards); seed=N
+                                      pinned, client M at round N:
+                                      crash@rNcM, straggle:<ms>@rNcM,
+                                      corrupt:<n>@rNcM, nan-update@rNcM,
+                                      sign-flip@rNcM, scale:<x>@rNcM,
+                                      leave@rNcM, slowlink@rNcM; shard M:
+                                      shardcrash@rNsM, shardhang@rNsM;
+                                      round N: join@rN
                                       partition@rN[-rM]:a.b|c.d severs the
-                                      right side from the left (`~` instead
-                                      of `|` hears broadcasts but loses
-                                      results; `*` = everyone else);
-                                      shard faults: shardcrash=RATE,
-                                      shardhang=RATE, shards=N (defaults
-                                      to --shards), plus pinned
-                                      shardcrash@rNsM / shardhang@rNsM
+                                      right side from the left (with `|~`
+                                      it hears broadcasts but loses
+                                      results; `*` = everyone else)
     --net-latency-ms N                simulated network: per-link base
                                       latency (any --net-* flag enables
                                       the deterministic link model)  [0]
@@ -195,19 +203,18 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
         println!(
             "fault plan: {} client fault(s), {} aggregator crash(es), {} join(s), \
              {} leave(s) over {rounds} round(s)",
-            inj.client_fault_count(),
-            inj.agg_crash_count(),
-            inj.join_count(),
-            inj.leave_count()
+            inj.count(Tally::ClientFaults),
+            inj.count(Tally::Event(FaultEvent::AggCrash)),
+            inj.count(Tally::Joins),
+            inj.count(Tally::Event(FaultEvent::Leave))
         );
-        let chaos = inj.partition_count() + inj.slowlink_count() + inj.link_loss_count();
-        if chaos > 0 {
+        let partitions = inj.count(Tally::Partitions);
+        let slow_links = inj.count(Tally::Event(FaultEvent::SlowLink));
+        let lossy = inj.count(Tally::LinkLosses);
+        if partitions + slow_links + lossy > 0 {
             println!(
-                "network chaos: {} partition window(s), {} slow link(s), \
-                 {} lossy cell(s)",
-                inj.partition_count(),
-                inj.slowlink_count(),
-                inj.link_loss_count()
+                "network chaos: {partitions} partition window(s), {slow_links} slow link(s), \
+                 {lossy} lossy cell(s)"
             );
         }
     }

@@ -218,3 +218,35 @@ fn metrics_json_counters_are_the_metrics_text_counters_through_recoveries() {
     }
     assert!(exported("faults.recoveries") == 3 && exported("faults.crashes") > 0);
 }
+
+/// Every rate key and pinned kind the `--faults` parser names in its
+/// unknown-key and unknown-kind errors is documented: each key as `key=`
+/// and each kind as `kind@` in `train --help` or `serve --help`.
+#[test]
+fn fault_grammar_names_are_all_in_the_help() {
+    let help = |command: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_photon"))
+            .args([command, "--help"])
+            .output()
+            .expect("photon runs");
+        assert!(out.status.success(), "{command} --help failed");
+        String::from_utf8(out.stdout).expect("utf-8 help")
+    };
+    let help = help("train") + &help("serve");
+    // The names an error lists, `|`-separated inside its parentheses.
+    let listed = |spec: &str| {
+        let err = photon_core::FaultSpec::parse(spec).expect_err(spec);
+        let (_, names) = err.rsplit_once('(').expect("a name list");
+        let names = names.strip_suffix(')').expect("a closed name list");
+        names.split('|').map(String::from).collect::<Vec<_>>()
+    };
+    let keys = listed("bogus=1");
+    let kinds = listed("bogus@r1c1");
+    assert_eq!((keys.len(), kinds.len()), (17, 14), "{keys:?} {kinds:?}");
+    for key in keys {
+        assert!(help.contains(&format!("{key}=")), "help omits {key}=");
+    }
+    for kind in kinds {
+        assert!(help.contains(&format!("{kind}@")), "help omits {kind}@");
+    }
+}

@@ -31,7 +31,7 @@
 #![deny(clippy::too_many_lines)]
 
 use super::Aggregator;
-use crate::faults::{ClientFault, FaultPlan};
+use crate::faults::{ClientFault, FaultEvent, FaultPlan};
 use crate::hierarchy::{ShardPartition, ShardTree};
 use crate::membership::ChurnEvents;
 use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord, Workspace};
@@ -402,12 +402,12 @@ impl Aggregator {
             plan.shard_crashes = live
                 .iter()
                 .copied()
-                .filter(|&s| inj.shardcrash_at(self.round, s))
+                .filter(|&s| inj.has(FaultEvent::ShardCrash, self.round, s))
                 .collect();
             plan.shard_hangs = live
                 .iter()
                 .copied()
-                .filter(|&s| inj.shardhang_at(self.round, s))
+                .filter(|&s| inj.has(FaultEvent::ShardHang, self.round, s))
                 .collect();
         }
         Ok(plan)
@@ -669,7 +669,7 @@ impl Aggregator {
             .map(|net| net.link_outcome(self.round, client_id, frame.len()))
             .unwrap_or_default();
         let mut latency_ms = outcome.latency_ms;
-        if injector.is_some_and(|inj| inj.slowlink_at(self.round, client_id)) {
+        if injector.is_some_and(|inj| inj.has(FaultEvent::SlowLink, self.round, client_id)) {
             let factor = self.cfg.network.map_or(10, |n| n.slow_factor);
             latency_ms = latency_ms.saturating_mul(factor).max(1_000);
         }
@@ -1540,7 +1540,7 @@ pub fn client_round(
             }
         }
     };
-    if client.fails_on(round) || fault == Some(ClientFault::Crash) {
+    if fault == Some(ClientFault::Crash) {
         // Simulated mid-round disconnect: no result frame.
         return ClientReply::Crash { client_id };
     }

@@ -42,9 +42,6 @@ pub struct LlmClient {
     /// Persistent local optimizer for the stateful mode
     /// (`stateless_local = false`); single-replica pipelines only.
     opt_state: Option<AdamW>,
-    /// Rounds on which this client simulates a mid-round failure
-    /// (disconnect before returning a result).
-    fail_rounds: Vec<u64>,
     /// Rounds on which replica 0 panics before it trains — exercising the
     /// path that surfaces a replica panic as a
     /// [`CoreError::ClientFailure`](crate::CoreError::ClientFailure)
@@ -62,22 +59,8 @@ impl LlmClient {
             silo,
             rng,
             opt_state: None,
-            fail_rounds: Vec::new(),
             panic_node_rounds: Vec::new(),
         }
-    }
-
-    /// Schedules simulated mid-round failures (the client trains but drops
-    /// the connection before returning a result) — used to exercise the
-    /// aggregator's partial-update path (§4: the parameter server
-    /// "handles worker dropouts well").
-    pub fn fail_on_rounds(&mut self, rounds: Vec<u64>) {
-        self.fail_rounds = rounds;
-    }
-
-    /// Whether this client is scheduled to fail on `round`.
-    pub fn fails_on(&self, round: u64) -> bool {
-        self.fail_rounds.contains(&round)
     }
 
     /// Schedules a deterministic panic in the client's first replica — its

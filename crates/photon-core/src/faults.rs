@@ -5,10 +5,11 @@
 //! survive intermittent participation and aggregator restarts. This module
 //! turns that assumption into a testable contract: a [`FaultSpec`]
 //! describes *rates* of client crashes, stragglers, corrupted result
-//! frames and aggregator crashes; [`FaultSpec::plan`] expands it into a
-//! concrete, seeded [`FaultPlan`] — a pure function of `(spec, population,
-//! rounds)` that is independent of thread budgets and query order, so
-//! every chaos run replays bit-identically.
+//! frames and aggregator crashes, plus faults pinned to one cell;
+//! [`FaultSpec::plan`] expands it into a concrete, seeded [`FaultPlan`] — a
+//! pure function of `(spec, population, rounds)` that is independent of
+//! thread budgets and query order, so every chaos run replays
+//! bit-identically.
 
 use photon_comms::{PartitionKind, PartitionSchedule, PartitionSpec};
 use photon_tensor::SeedStream;
@@ -55,99 +56,202 @@ pub enum ClientFault {
     },
 }
 
-impl ClientFault {
-    /// Parses the targeted-fault kind grammar: `crash`, `nan-update`,
-    /// `sign-flip`, `scale:<x>`, `straggle:<ms>`, `corrupt:<n>`.
-    ///
-    /// # Errors
-    /// Returns a message naming the offending kind or parameter.
-    pub fn parse_kind(s: &str) -> Result<ClientFault, String> {
-        let (name, param) = match s.split_once(':') {
-            Some((n, p)) => (n, Some(p)),
-            None => (s, None),
-        };
-        let bad = |what: &str| format!("invalid {what} in fault kind {s:?}");
-        match (name, param) {
-            ("crash", None) => Ok(ClientFault::Crash),
-            ("nan-update", None) => Ok(ClientFault::NanUpdate),
-            ("sign-flip", None) => Ok(ClientFault::SignFlip),
-            ("scale", Some(p)) => {
-                let factor: f64 = p.parse().map_err(|_| bad("factor"))?;
-                if !factor.is_finite() {
-                    return Err(bad("factor"));
-                }
-                Ok(ClientFault::Scale { factor })
-            }
-            ("straggle", Some(p)) => Ok(ClientFault::Straggle {
-                delay_ms: p.parse().map_err(|_| bad("delay"))?,
-            }),
-            ("corrupt", Some(p)) => Ok(ClientFault::Corrupt {
-                attempts: p.parse().map_err(|_| bad("attempts"))?,
-            }),
-            _ => Err(format!(
-                "unknown fault kind {s:?} \
-                 (crash|nan-update|sign-flip|scale:<x>|straggle:<ms>|corrupt:<n>)"
-            )),
-        }
-    }
+/// A plan event that is not a client's round fault. A [`FaultPlan`] keeps
+/// them all in one ordered set keyed `(event, round, index)`, where
+/// `index` is the client or shard the event hits (0 for the round-level
+/// events).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum FaultEvent {
+    /// The aggregator crashes right after the round completes, before the
+    /// next checkpoint (round-level; drawn from `agg=`, never pinned).
+    AggCrash,
+    /// The client permanently departs (unlike a crash, it never returns).
+    Leave,
+    /// The client's link is slow for the round: the network model
+    /// multiplies that delivery's latency by the configured slow factor.
+    SlowLink,
+    /// The client's transport connection is severed mid-round, forcing a
+    /// reconnect with capped backoff and a session resume. Injected at the
+    /// transport layer only: the simulator has no connection to sever.
+    NetCrash,
+    /// The client keeps its connection open but goes mute (heartbeats
+    /// included) for the round, exercising heartbeat-miss detection.
+    NetHang,
+    /// The coordinator process exits right after committing the round; a
+    /// restart restores it from the checkpoint (round-level).
+    CoordKill,
+    /// The sub-aggregator shard crashes mid-round: its slice of the cohort
+    /// is lost, the shard is permanently dead, and its orphans re-parent
+    /// to siblings from the next round on.
+    ShardCrash,
+    /// The sub-aggregator shard hangs for the round: its slice is lost
+    /// that round only.
+    ShardHang,
 }
 
-/// A fault pinned to one specific `(round, client)` cell, bypassing the
-/// probabilistic draw — `sign-flip@r3c1` injects a sign flip into client 1
-/// at round 3 regardless of the seeded rates.
+/// What a pinned fault does.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum FaultKind {
+    /// A round fault of one client; overrides that cell's draw.
+    Client {
+        /// The fault.
+        fault: ClientFault,
+    },
+    /// One brand-new client joins (on top of any `join=` draw).
+    Join,
+    /// One plan event.
+    Event {
+        /// The event.
+        event: FaultEvent,
+    },
+}
+
+/// Every pinned kind, one row each: its name before `@` (a `:<…>` suffix
+/// is a magnitude the entry must give), the axis of the cell after its
+/// round (`c` a client, `s` a shard, none for a round-level kind), and what
+/// fires. Parsing and the unknown-kind error both read this table.
+#[rustfmt::skip]
+const KINDS: [(&str, Option<char>, FaultKind); 14] = [
+    ("crash", Some('c'), client(ClientFault::Crash)),
+    ("straggle:<ms>", Some('c'), client(ClientFault::Straggle { delay_ms: 0 })),
+    ("corrupt:<n>", Some('c'), client(ClientFault::Corrupt { attempts: 0 })),
+    ("nan-update", Some('c'), client(ClientFault::NanUpdate)),
+    ("sign-flip", Some('c'), client(ClientFault::SignFlip)),
+    ("scale:<x>", Some('c'), client(ClientFault::Scale { factor: 0.0 })),
+    ("join", None, FaultKind::Join),
+    ("leave", Some('c'), event(FaultEvent::Leave)),
+    ("slowlink", Some('c'), event(FaultEvent::SlowLink)),
+    ("netcrash", Some('c'), event(FaultEvent::NetCrash)),
+    ("nethang", Some('c'), event(FaultEvent::NetHang)),
+    ("coordkill", None, event(FaultEvent::CoordKill)),
+    ("shardcrash", Some('s'), event(FaultEvent::ShardCrash)),
+    ("shardhang", Some('s'), event(FaultEvent::ShardHang)),
+];
+
+const fn client(fault: ClientFault) -> FaultKind {
+    FaultKind::Client { fault }
+}
+
+const fn event(event: FaultEvent) -> FaultKind {
+    FaultKind::Event { event }
+}
+
+/// Every `key=value` rate key, one row each with the field it sets.
+/// Parsing and the unknown-key error both read this table.
+type SetRate = fn(&mut FaultSpec, &str) -> Option<()>;
+const RATE_KEYS: [(&str, SetRate); 17] = [
+    ("crash", |s, v| set(&mut s.p_crash, v)),
+    ("straggle", |s, v| set(&mut s.p_straggle, v)),
+    ("straggle-ms", |s, v| set(&mut s.straggle_ms_max, v)),
+    ("corrupt", |s, v| set(&mut s.p_corrupt, v)),
+    ("corrupt-attempts", |s, v| {
+        set(&mut s.corrupt_attempts_max, v)
+    }),
+    ("agg", |s, v| set(&mut s.p_agg_crash, v)),
+    ("nan", |s, v| set(&mut s.p_nan, v)),
+    ("sign-flip", |s, v| set(&mut s.p_sign_flip, v)),
+    ("scale", |s, v| set(&mut s.p_scale, v)),
+    ("scale-factor", |s, v| set(&mut s.scale_factor, v)),
+    ("join", |s, v| set(&mut s.p_join, v)),
+    ("leave", |s, v| set(&mut s.p_leave, v)),
+    ("lossy", |s, v| set(&mut s.p_link_loss, v)),
+    ("shardcrash", |s, v| set(&mut s.p_shard_crash, v)),
+    ("shardhang", |s, v| set(&mut s.p_shard_hang, v)),
+    ("shards", |s, v| set(&mut s.shards, v)),
+    ("seed", |s, v| set(&mut s.seed, v)),
+];
+
+fn set<T: std::str::FromStr>(field: &mut T, value: &str) -> Option<()> {
+    *field = value.parse().ok()?;
+    Some(())
+}
+
+/// A fault pinned to one cell, bypassing the probabilistic draws:
+/// `sign-flip@r3c1` makes client 1 flip its update at round 3 whatever
+/// the seeded rates say, `join@r2` admits one client at round 2, and
+/// `shardhang@r4s1` hangs shard 1 at round 4.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TargetedFault {
     /// Round the fault fires in.
     pub round: u64,
-    /// Client hit by the fault.
-    pub client: u32,
-    /// What happens to the client.
-    pub fault: ClientFault,
+    /// Client or shard hit by the fault (0 for a round-level kind).
+    pub index: u32,
+    /// What happens.
+    pub kind: FaultKind,
 }
 
 impl TargetedFault {
-    /// Parses a `kind@rNcM` entry, e.g. `sign-flip@r3c1` or
-    /// `scale:50@r2c0`.
+    /// Parses a `kind@rN`, `kind@rNcM` or `kind@rNsM` entry, whichever
+    /// axis the kind takes, e.g. `sign-flip@r3c1`, `scale:50@r2c0`,
+    /// `join@r4` or `shardcrash@r3s2`.
     ///
     /// # Errors
     /// Returns a message naming the malformed part.
     pub fn parse(s: &str) -> Result<TargetedFault, String> {
-        let (kind, cell) = s
+        let (name, cell) = s
             .split_once('@')
-            .ok_or_else(|| format!("targeted fault {s:?} is not kind@rNcM"))?;
-        let fault = ClientFault::parse_kind(kind)?;
-        let (round, client) = parse_cell(cell, Some('c')).map_err(|part| match part {
-            CellPart::Shape => format!("targeted fault cell {cell:?} is not rNcM"),
-            CellPart::Round => format!("invalid round in {cell:?}"),
-            CellPart::Index => format!("invalid client in {cell:?}"),
+            .ok_or_else(|| format!("targeted fault {s:?} is not kind@cell"))?;
+        let (kind, axis) = parse_kind(name)?;
+        let (round, index) = parse_cell(cell, axis).ok_or_else(|| {
+            let shape = axis.map_or("rN".into(), |axis| format!("rN{axis}M"));
+            format!("targeted fault {s:?} is not {name}@{shape}")
         })?;
-        Ok(TargetedFault {
-            round,
-            client,
-            fault,
-        })
+        Ok(TargetedFault { round, index, kind })
     }
 }
 
-/// Which part of a targeted cell failed to parse.
-enum CellPart {
-    Shape,
-    Round,
-    Index,
+/// Looks a pinned kind's name up in [`KINDS`], filling in the magnitude a
+/// `:<…>` row takes, and returns it with the axis of its cell.
+fn parse_kind(name: &str) -> Result<(FaultKind, Option<char>), String> {
+    let (base, magnitude) = match name.split_once(':') {
+        Some((base, magnitude)) => (base, Some(magnitude)),
+        None => (name, None),
+    };
+    let &(_, axis, kind) = KINDS
+        .iter()
+        .find(|(row, ..)| {
+            row.split(':').next() == Some(base) && row.contains(':') == magnitude.is_some()
+        })
+        .ok_or_else(|| {
+            let kinds: Vec<_> = KINDS.iter().map(|(row, ..)| *row).collect();
+            format!("unknown fault kind {name:?} ({})", kinds.join("|"))
+        })?;
+    let kind = match (kind, magnitude) {
+        (FaultKind::Client { fault }, Some(magnitude)) => client(
+            sized(fault, magnitude)
+                .ok_or_else(|| format!("invalid magnitude in fault kind {name:?}"))?,
+        ),
+        (kind, _) => kind,
+    };
+    Ok((kind, axis))
 }
 
-/// Parses the cell of a targeted entry: `rN` when `axis` is `None`
-/// (index 0), else `rN<axis>M` — `c` addresses a client, `s` a shard.
-fn parse_cell(cell: &str, axis: Option<char>) -> Result<(u64, u32), CellPart> {
-    let rest = cell.strip_prefix('r').ok_or(CellPart::Shape)?;
+/// `fault` with the magnitude of a `straggle:<ms>`, `corrupt:<n>` or
+/// `scale:<x>` entry (a scale factor must be finite).
+fn sized(fault: ClientFault, magnitude: &str) -> Option<ClientFault> {
+    Some(match fault {
+        ClientFault::Straggle { .. } => ClientFault::Straggle {
+            delay_ms: magnitude.parse().ok()?,
+        },
+        ClientFault::Corrupt { .. } => ClientFault::Corrupt {
+            attempts: magnitude.parse().ok()?,
+        },
+        ClientFault::Scale { .. } => ClientFault::Scale {
+            factor: magnitude.parse().ok().filter(|f: &f64| f.is_finite())?,
+        },
+        other => other,
+    })
+}
+
+/// Parses the cell of a pinned entry: `rN` when `axis` is `None` (index
+/// 0), else `rN<axis>M`.
+fn parse_cell(cell: &str, axis: Option<char>) -> Option<(u64, u32)> {
+    let rest = cell.strip_prefix('r')?;
     let (round, index) = match axis {
-        Some(axis) => rest.split_once(axis).ok_or(CellPart::Shape)?,
+        Some(axis) => rest.split_once(axis)?,
         None => (rest, "0"),
     };
-    Ok((
-        round.parse().map_err(|_| CellPart::Round)?,
-        index.parse().map_err(|_| CellPart::Index)?,
-    ))
+    Some((round.parse().ok()?, index.parse().ok()?))
 }
 
 /// Per-run fault rates, expanded into a [`FaultPlan`] by [`FaultSpec::plan`].
@@ -185,16 +289,9 @@ pub struct FaultSpec {
     /// departs (unlike a crash, a departed client never returns).
     #[serde(default)]
     pub p_leave: f64,
-    /// Rounds with a pinned join (`join@rN` grammar), on top of `p_join`.
-    #[serde(default)]
-    pub targeted_joins: Vec<u64>,
-    /// Pinned departures (`leave@rNcM` grammar). Unlike the probabilistic
-    /// draw these may target clients beyond the founding population —
-    /// a client that joined mid-run can be told to leave again.
-    #[serde(default)]
-    pub targeted_leaves: Vec<(u64, u32)>,
-    /// Faults pinned to specific `(round, client)` cells, applied on top
-    /// of (and overriding) the probabilistic draws.
+    /// Faults pinned to one cell (`kind@rN`, `kind@rNcM`, `kind@rNsM`),
+    /// applied on top of the probabilistic draws; a pinned client fault
+    /// overrides its cell's draw.
     #[serde(default)]
     pub targeted: Vec<TargetedFault>,
     /// Per-(round, client) probability the link *loses* leading result
@@ -203,53 +300,23 @@ pub struct FaultSpec {
     /// with `lossy=0` expands to the exact legacy plan.
     #[serde(default)]
     pub p_link_loss: f64,
-    /// Links pinned slow for one round (`slowlink@rNcM` grammar): the
-    /// network model multiplies that delivery's latency by the configured
-    /// slow factor.
-    #[serde(default)]
-    pub targeted_slowlinks: Vec<(u64, u32)>,
     /// Partition windows (`partition@rN[-rM]:a|b` grammar, `.`-separated
     /// client ids, `~` marking the severed group asymmetric).
     #[serde(default)]
     pub partitions: Vec<PartitionSpec>,
-    /// Process-level connection severs (`netcrash@rNcM` grammar): the
-    /// client's transport connection is killed mid-round, forcing a
-    /// reconnect with capped backoff and a session resume. Injected at the
-    /// transport layer only — the in-process simulator has no connection
-    /// to sever, so sim plans are unaffected.
-    #[serde(default)]
-    pub targeted_netcrashes: Vec<(u64, u32)>,
-    /// Process-level silent hangs (`nethang@rNcM` grammar): the client
-    /// keeps its connection open but goes mute (heartbeats included) for
-    /// the round, exercising heartbeat-miss detection.
-    #[serde(default)]
-    pub targeted_nethangs: Vec<(u64, u32)>,
-    /// Coordinator kills (`coordkill@rN` grammar): the serve process
-    /// exits right after committing round N; a restart must restore the
-    /// state machine from the checkpoint and re-sync live clients.
-    #[serde(default)]
-    pub targeted_coordkills: Vec<u64>,
     /// Per-(round, shard) probability a sub-aggregator shard *crashes*
-    /// mid-round: its slice of the cohort is lost that round, the shard is
-    /// permanently dead, and its orphans are re-parented to siblings from
-    /// the next round on. Drawn from its own salted column over
-    /// [`FaultSpec::shards`] shards.
+    /// mid-round ([`FaultEvent::ShardCrash`]). Drawn from its own salted
+    /// column over [`FaultSpec::shards`] shards.
     #[serde(default)]
     pub p_shard_crash: f64,
     /// Per-(round, shard) probability a sub-aggregator shard *hangs* for
-    /// one round: its slice is lost that round but the shard recovers.
+    /// one round ([`FaultEvent::ShardHang`]).
     #[serde(default)]
     pub p_shard_hang: f64,
     /// How many sub-aggregator shards the probabilistic shard columns
     /// cover (set from the hierarchy config; 0 disables the columns).
     #[serde(default)]
     pub shards: usize,
-    /// Pinned shard crashes (`shardcrash@rNsM` grammar).
-    #[serde(default)]
-    pub targeted_shardcrashes: Vec<(u64, u32)>,
-    /// Pinned shard hangs (`shardhang@rNsM` grammar).
-    #[serde(default)]
-    pub targeted_shardhangs: Vec<(u64, u32)>,
     /// Seed for the fault schedule (independent of the training seed).
     pub seed: u64,
 }
@@ -274,32 +341,25 @@ impl FaultSpec {
             scale_factor: default_scale_factor(),
             p_join: 0.0,
             p_leave: 0.0,
-            targeted_joins: Vec::new(),
-            targeted_leaves: Vec::new(),
             targeted: Vec::new(),
             p_link_loss: 0.0,
-            targeted_slowlinks: Vec::new(),
             partitions: Vec::new(),
-            targeted_netcrashes: Vec::new(),
-            targeted_nethangs: Vec::new(),
-            targeted_coordkills: Vec::new(),
             p_shard_crash: 0.0,
             p_shard_hang: 0.0,
             shards: 0,
-            targeted_shardcrashes: Vec::new(),
-            targeted_shardhangs: Vec::new(),
             seed,
         }
     }
 
     /// Parses a compact CLI spec: comma-separated entries that are either
-    /// `key=value` rate pairs — keys `crash`, `straggle`, `straggle-ms`,
-    /// `corrupt`, `corrupt-attempts`, `agg`, `nan`, `sign-flip`, `scale`,
-    /// `scale-factor`, `join`, `leave`, `lossy`, `seed` — or targeted
-    /// entries: `kind@rNcM` faults, `join@rN` admissions, `leave@rNcM`
-    /// departures, `slowlink@rNcM` slow links, and partition windows
-    /// `partition@rN[-rM]:a|b` (client ids `.`-separated; `~` before the
-    /// severed group makes the partition asymmetric), e.g.
+    /// `key=value` rates (the keys of `RATE_KEYS`: `crash`, `straggle`,
+    /// `straggle-ms`, `corrupt`, `corrupt-attempts`, `agg`, `nan`,
+    /// `sign-flip`, `scale`, `scale-factor`, `join`, `leave`, `lossy`,
+    /// `shardcrash`, `shardhang`, `shards`, `seed`), pinned faults
+    /// `kind@rN` / `kind@rNcM` / `kind@rNsM` (see [`TargetedFault::parse`]),
+    /// or partition windows `partition@rN[-rM]:a|b` (client ids
+    /// `.`-separated; `~` before the severed group makes the partition
+    /// asymmetric), e.g.
     /// `crash=0.05,lossy=0.1,partition@r2-r5:0|1.2,slowlink@r3c0,seed=9`.
     ///
     /// # Errors
@@ -310,64 +370,19 @@ impl FaultSpec {
             let pair = pair.trim();
             if let Some(window) = pair.strip_prefix("partition@") {
                 spec.partitions.push(parse_partition(window)?);
-                continue;
-            }
-            if let Some((kind, cell)) = pair.split_once('@') {
-                let cells = match kind {
-                    "slowlink" => Some((&mut spec.targeted_slowlinks, 'c')),
-                    "netcrash" => Some((&mut spec.targeted_netcrashes, 'c')),
-                    "nethang" => Some((&mut spec.targeted_nethangs, 'c')),
-                    "leave" => Some((&mut spec.targeted_leaves, 'c')),
-                    "shardcrash" => Some((&mut spec.targeted_shardcrashes, 's')),
-                    "shardhang" => Some((&mut spec.targeted_shardhangs, 's')),
-                    _ => None,
-                };
-                if let Some((cells, axis)) = cells {
-                    cells.push(parse_cell(cell, Some(axis)).map_err(|_| {
-                        format!("targeted {kind} {pair:?} is not {kind}@rN{axis}M")
-                    })?);
-                    continue;
-                }
-                let rounds = match kind {
-                    "join" => Some(&mut spec.targeted_joins),
-                    "coordkill" => Some(&mut spec.targeted_coordkills),
-                    _ => None,
-                };
-                match rounds {
-                    Some(rounds) => rounds.push(
-                        parse_cell(cell, None)
-                            .map_err(|_| format!("targeted {kind} {pair:?} is not {kind}@rN"))?
-                            .0,
-                    ),
-                    None => spec.targeted.push(TargetedFault::parse(pair)?),
-                }
-                continue;
-            }
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec entry {pair:?} is not key=value"))?;
-            let bad = || format!("invalid fault value for {key}: {value:?}");
-            match key.trim() {
-                "crash" => spec.p_crash = value.parse().map_err(|_| bad())?,
-                "straggle" => spec.p_straggle = value.parse().map_err(|_| bad())?,
-                "straggle-ms" => spec.straggle_ms_max = value.parse().map_err(|_| bad())?,
-                "corrupt" => spec.p_corrupt = value.parse().map_err(|_| bad())?,
-                "corrupt-attempts" => {
-                    spec.corrupt_attempts_max = value.parse().map_err(|_| bad())?
-                }
-                "agg" => spec.p_agg_crash = value.parse().map_err(|_| bad())?,
-                "nan" => spec.p_nan = value.parse().map_err(|_| bad())?,
-                "sign-flip" => spec.p_sign_flip = value.parse().map_err(|_| bad())?,
-                "scale" => spec.p_scale = value.parse().map_err(|_| bad())?,
-                "scale-factor" => spec.scale_factor = value.parse().map_err(|_| bad())?,
-                "join" => spec.p_join = value.parse().map_err(|_| bad())?,
-                "leave" => spec.p_leave = value.parse().map_err(|_| bad())?,
-                "lossy" => spec.p_link_loss = value.parse().map_err(|_| bad())?,
-                "shardcrash" => spec.p_shard_crash = value.parse().map_err(|_| bad())?,
-                "shardhang" => spec.p_shard_hang = value.parse().map_err(|_| bad())?,
-                "shards" => spec.shards = value.parse().map_err(|_| bad())?,
-                "seed" => spec.seed = value.parse().map_err(|_| bad())?,
-                other => return Err(format!("unknown fault spec key {other:?}")),
+            } else if pair.contains('@') {
+                spec.targeted.push(TargetedFault::parse(pair)?);
+            } else {
+                let (key, value) = pair
+                    .split_once('=')
+                    .ok_or_else(|| format!("fault spec entry {pair:?} is not key=value"))?;
+                let key = key.trim();
+                let (_, set) = RATE_KEYS.iter().find(|(k, _)| *k == key).ok_or_else(|| {
+                    let keys: Vec<_> = RATE_KEYS.iter().map(|(k, _)| *k).collect();
+                    format!("unknown fault spec key {key:?} ({})", keys.join("|"))
+                })?;
+                set(&mut spec, value)
+                    .ok_or_else(|| format!("invalid fault value for {key}: {value:?}"))?;
             }
         }
         spec.validate()?;
@@ -456,7 +471,7 @@ impl FaultSpec {
     pub fn plan(&self, population: usize, rounds: u64) -> FaultPlan {
         self.validate().expect("invalid fault spec");
         let mut client_faults = BTreeMap::new();
-        let mut leaves = BTreeSet::new();
+        let mut events = BTreeSet::new();
         for round in 0..rounds {
             for client in 0..population as u32 {
                 let mut rng = cell_stream(self.seed, round, client);
@@ -493,7 +508,7 @@ impl FaultSpec {
                 } else if u < t_leave {
                     // A departure is a membership event, not a round fault:
                     // the registry retires the client permanently.
-                    leaves.insert((round, client));
+                    events.insert((FaultEvent::Leave, round, client));
                     None
                 } else {
                     None
@@ -503,16 +518,11 @@ impl FaultSpec {
                 }
             }
         }
-        // Targeted faults override whatever the probabilistic draw chose
-        // for their cell; out-of-horizon targets are ignored.
-        for t in &self.targeted {
-            if t.round < rounds && (t.client as usize) < population {
-                client_faults.insert((t.round, t.client), t.fault);
+        for round in 0..rounds {
+            if cell_stream(self.seed, round, u32::MAX).next_f64() < self.p_agg_crash {
+                events.insert((FaultEvent::AggCrash, round, 0));
             }
         }
-        let agg_crashes = (0..rounds)
-            .filter(|&round| cell_stream(self.seed, round, u32::MAX).next_f64() < self.p_agg_crash)
-            .collect();
         // Joins draw from their own reserved cell column (client id
         // u32::MAX - 1, disjoint from the agg-crash column): at most one
         // admission per round from the rate, plus any pinned join@rN.
@@ -520,12 +530,6 @@ impl FaultSpec {
             .filter(|&round| cell_stream(self.seed, round, u32::MAX - 1).next_f64() < self.p_join)
             .map(|round| (round, 1))
             .collect();
-        for round in in_horizon(&self.targeted_joins, rounds, |r| r) {
-            *joins.entry(round).or_insert(0) += 1;
-        }
-        // Targeted leaves may name any client id — including one only
-        // admitted mid-run — so they are not bounded by `population`.
-        leaves.extend(in_horizon(&self.targeted_leaves, rounds, cell_round));
         // Link losses draw from their own salted column (never the client
         // fault chain), so `lossy=0` leaves legacy plans bit-identical.
         let mut link_losses = BTreeMap::new();
@@ -540,66 +544,47 @@ impl FaultSpec {
                 }
             }
         }
-        // Slow links, like targeted leaves, may name clients admitted
-        // mid-run, so they are bounded only by the round horizon.
-        let slow_links = in_horizon(&self.targeted_slowlinks, rounds, cell_round).collect();
-        // Process faults are targeted-only (no probabilistic column), so
-        // legacy specs expand to bit-identical plans with empty sets.
-        let netcrashes = in_horizon(&self.targeted_netcrashes, rounds, cell_round).collect();
-        let nethangs = in_horizon(&self.targeted_nethangs, rounds, cell_round).collect();
-        let coordkills = in_horizon(&self.targeted_coordkills, rounds, |r| r).collect();
         // Shard faults draw from their own salted (round, shard) column,
         // gated on the rates, so legacy specs expand bit-identically.
-        let mut shardcrashes = BTreeSet::new();
-        let mut shardhangs = BTreeSet::new();
         if (self.p_shard_crash > 0.0 || self.p_shard_hang > 0.0) && self.shards > 0 {
             for round in 0..rounds {
                 for shard in 0..self.shards as u32 {
                     let mut rng = cell_stream(self.seed ^ SHARD_FAULT_SALT, round, shard);
                     let u = rng.next_f64();
                     if u < self.p_shard_crash {
-                        shardcrashes.insert((round, shard));
+                        events.insert((FaultEvent::ShardCrash, round, shard));
                     } else if u < self.p_shard_crash + self.p_shard_hang {
-                        shardhangs.insert((round, shard));
+                        events.insert((FaultEvent::ShardHang, round, shard));
                     }
                 }
             }
         }
-        shardcrashes.extend(in_horizon(&self.targeted_shardcrashes, rounds, cell_round));
-        shardhangs.extend(in_horizon(&self.targeted_shardhangs, rounds, cell_round));
+        // Pinned faults land after every draw; those past the horizon are
+        // ignored. A pinned client fault also needs a founding client and
+        // overrides its cell's draw. Every other kind is bounded by round
+        // only: a pinned leave or slow link may name a client admitted
+        // mid-run, and each pinned join admits one more client.
+        for t in self.targeted.iter().filter(|t| t.round < rounds) {
+            match t.kind {
+                FaultKind::Client { fault } => {
+                    if (t.index as usize) < population {
+                        client_faults.insert((t.round, t.index), fault);
+                    }
+                }
+                FaultKind::Join => *joins.entry(t.round).or_insert(0) += 1,
+                FaultKind::Event { event } => {
+                    events.insert((event, t.round, t.index));
+                }
+            }
+        }
         FaultPlan {
             client_faults,
-            agg_crashes,
             joins,
-            leaves,
             link_losses,
-            slow_links,
             partitions: PartitionSchedule::new(self.partitions.clone()),
-            netcrashes,
-            nethangs,
-            coordkills,
-            shardcrashes,
-            shardhangs,
-            rounds,
+            events,
         }
     }
-}
-
-/// The targets that fire inside the planning horizon; later ones are
-/// ignored.
-fn in_horizon<'a, T: Copy>(
-    targets: &'a [T],
-    rounds: u64,
-    round_of: impl Fn(T) -> u64 + 'a,
-) -> impl Iterator<Item = T> + 'a {
-    targets
-        .iter()
-        .copied()
-        .filter(move |&target| round_of(target) < rounds)
-}
-
-fn cell_round((round, _): (u64, u32)) -> u64 {
-    round
 }
 
 /// Parses a partition window `rN[-rM]:a|b` (after the `partition@`
@@ -653,22 +638,29 @@ fn cell_stream(seed: u64, round: u64, client: u32) -> SeedStream {
     SeedStream::new(h)
 }
 
+/// One column of a [`FaultPlan`], as [`FaultPlan::count`] tallies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tally {
+    /// Scheduled client round faults, of any kind.
+    ClientFaults,
+    /// Scheduled admissions (a round may admit several).
+    Joins,
+    /// Cells scheduled to lose leading transmissions.
+    LinkLosses,
+    /// Partition windows.
+    Partitions,
+    /// Scheduled events of one kind.
+    Event(FaultEvent),
+}
+
 /// A concrete, replayable fault schedule.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     client_faults: BTreeMap<(u64, u32), ClientFault>,
-    agg_crashes: BTreeSet<u64>,
     joins: BTreeMap<u64, u32>,
-    leaves: BTreeSet<(u64, u32)>,
     link_losses: BTreeMap<(u64, u32), u32>,
-    slow_links: BTreeSet<(u64, u32)>,
     partitions: PartitionSchedule,
-    netcrashes: BTreeSet<(u64, u32)>,
-    nethangs: BTreeSet<(u64, u32)>,
-    coordkills: BTreeSet<u64>,
-    shardcrashes: BTreeSet<(u64, u32)>,
-    shardhangs: BTreeSet<(u64, u32)>,
-    rounds: u64,
+    events: BTreeSet<(FaultEvent, u64, u32)>,
 }
 
 impl FaultPlan {
@@ -688,43 +680,9 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Whether the aggregator is scheduled to crash right after `round`
-    /// completes (before the next checkpoint).
-    pub fn aggregator_crashes_after(&self, round: u64) -> bool {
-        self.agg_crashes.contains(&round)
-    }
-
     /// How many new clients join the federation at `round`.
     pub fn joins_at(&self, round: u64) -> u32 {
         self.joins.get(&round).copied().unwrap_or(0)
-    }
-
-    /// The clients scheduled to permanently depart at `round`, ascending.
-    pub fn leaves_at(&self, round: u64) -> Vec<u32> {
-        self.leaves
-            .range((round, 0)..=(round, u32::MAX))
-            .map(|&(_, c)| c)
-            .collect()
-    }
-
-    /// Number of scheduled client faults.
-    pub fn client_fault_count(&self) -> usize {
-        self.client_faults.len()
-    }
-
-    /// Number of scheduled aggregator crashes.
-    pub fn agg_crash_count(&self) -> usize {
-        self.agg_crashes.len()
-    }
-
-    /// Number of scheduled joins across the horizon.
-    pub fn join_count(&self) -> usize {
-        self.joins.values().map(|&n| n as usize).sum()
-    }
-
-    /// Number of scheduled permanent departures.
-    pub fn leave_count(&self) -> usize {
-        self.leaves.len()
     }
 
     /// Leading result transmissions lost on `client`'s link at `round`
@@ -733,95 +691,50 @@ impl FaultPlan {
         self.link_losses.get(&(round, client)).copied().unwrap_or(0)
     }
 
-    /// Whether `client`'s link is pinned slow at `round`.
-    pub fn slowlink_at(&self, round: u64, client: u32) -> bool {
-        self.slow_links.contains(&(round, client))
-    }
-
     /// The severing in effect for `client` at `round`, if any.
     pub fn partition_state(&self, round: u64, client: u32) -> Option<PartitionKind> {
         self.partitions.state(round, client)
     }
 
-    /// Number of cells scheduled to lose transmissions.
-    pub fn link_loss_count(&self) -> usize {
-        self.link_losses.len()
+    /// Whether `event` is scheduled at `round` for client or shard
+    /// `index` (0 for the round-level [`FaultEvent::AggCrash`] and
+    /// [`FaultEvent::CoordKill`]).
+    pub fn has(&self, event: FaultEvent, round: u64, index: u32) -> bool {
+        self.events.contains(&(event, round, index))
     }
 
-    /// Number of cells pinned slow.
-    pub fn slowlink_count(&self) -> usize {
-        self.slow_links.len()
+    /// The clients or shards `event` is scheduled for at `round`,
+    /// ascending.
+    pub fn at(&self, event: FaultEvent, round: u64) -> Vec<u32> {
+        self.events
+            .range((event, round, 0)..=(event, round, u32::MAX))
+            .map(|&(_, _, index)| index)
+            .collect()
     }
 
-    /// Number of scheduled partition windows.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Whether `client`'s transport connection is scheduled to be severed
-    /// mid-round at `round` (reconnect + session resume expected).
-    pub fn netcrash_at(&self, round: u64, client: u32) -> bool {
-        self.netcrashes.contains(&(round, client))
-    }
-
-    /// Whether `client` is scheduled to go silent (socket open, no frames
-    /// or heartbeats) at `round`.
-    pub fn nethang_at(&self, round: u64, client: u32) -> bool {
-        self.nethangs.contains(&(round, client))
-    }
-
-    /// Whether the coordinator process is scheduled to die right after
-    /// committing `round`.
-    pub fn coordkill_after(&self, round: u64) -> bool {
-        self.coordkills.contains(&round)
-    }
-
-    /// Number of scheduled transport connection severs.
-    pub fn netcrash_count(&self) -> usize {
-        self.netcrashes.len()
-    }
-
-    /// Number of scheduled transport hangs.
-    pub fn nethang_count(&self) -> usize {
-        self.nethangs.len()
-    }
-
-    /// Number of scheduled coordinator kills.
-    pub fn coordkill_count(&self) -> usize {
-        self.coordkills.len()
-    }
-
-    /// Whether sub-aggregator `shard` is scheduled to crash mid-round at
-    /// `round` (permanent death; orphans re-parent next round).
-    pub fn shardcrash_at(&self, round: u64, shard: u32) -> bool {
-        self.shardcrashes.contains(&(round, shard))
-    }
-
-    /// Whether sub-aggregator `shard` is scheduled to hang for `round`
-    /// (its slice is lost that round only).
-    pub fn shardhang_at(&self, round: u64, shard: u32) -> bool {
-        self.shardhangs.contains(&(round, shard))
-    }
-
-    /// Number of scheduled shard crashes.
-    pub fn shardcrash_count(&self) -> usize {
-        self.shardcrashes.len()
-    }
-
-    /// Number of scheduled shard hangs.
-    pub fn shardhang_count(&self) -> usize {
-        self.shardhangs.len()
-    }
-
-    /// The planning horizon in rounds.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
+    /// How many entries one column of the plan holds.
+    pub fn count(&self, tally: Tally) -> usize {
+        match tally {
+            Tally::ClientFaults => self.client_faults.len(),
+            Tally::Joins => self.joins.values().map(|&n| n as usize).sum(),
+            Tally::LinkLosses => self.link_losses.len(),
+            Tally::Partitions => self.partitions.len(),
+            Tally::Event(event) => self
+                .events
+                .range((event, 0, 0)..=(event, u64::MAX, u32::MAX))
+                .count(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::FaultEvent::*;
     use super::*;
+
+    fn pinned(round: u64, index: u32, kind: FaultKind) -> TargetedFault {
+        TargetedFault { round, index, kind }
+    }
 
     fn chaos_spec(seed: u64) -> FaultSpec {
         FaultSpec {
@@ -840,7 +753,10 @@ mod tests {
         let a = chaos_spec(7).plan(16, 50);
         let b = chaos_spec(7).plan(16, 50);
         assert_eq!(a, b);
-        assert!(a.client_fault_count() > 0, "chaos spec injected nothing");
+        assert!(
+            a.count(Tally::ClientFaults) > 0,
+            "chaos spec injected nothing"
+        );
     }
 
     #[test]
@@ -854,18 +770,18 @@ mod tests {
     fn rates_are_roughly_respected() {
         let plan = chaos_spec(3).plan(32, 200);
         let cells = 32.0 * 200.0;
-        let frac = plan.client_fault_count() as f64 / cells;
+        let frac = plan.count(Tally::ClientFaults) as f64 / cells;
         // p_crash + p_straggle + p_corrupt = 0.45.
         assert!((frac - 0.45).abs() < 0.05, "fault rate {frac}");
-        let agg_frac = plan.agg_crash_count() as f64 / 200.0;
+        let agg_frac = plan.count(Tally::Event(FaultEvent::AggCrash)) as f64 / 200.0;
         assert!((agg_frac - 0.1).abs() < 0.08, "agg crash rate {agg_frac}");
     }
 
     #[test]
     fn zero_spec_injects_nothing() {
         let plan = FaultSpec::none(9).plan(8, 100);
-        assert_eq!(plan.client_fault_count(), 0);
-        assert_eq!(plan.agg_crash_count(), 0);
+        assert_eq!(plan.count(Tally::ClientFaults), 0);
+        assert_eq!(plan.count(Tally::Event(FaultEvent::AggCrash)), 0);
     }
 
     #[test]
@@ -975,7 +891,11 @@ mod tests {
             plan.client_fault(2, 0),
             Some(ClientFault::Scale { factor: 50.0 })
         );
-        assert_eq!(plan.client_fault_count(), 2, "out-of-horizon target kept");
+        assert_eq!(
+            plan.count(Tally::ClientFaults),
+            2,
+            "out-of-horizon target kept"
+        );
     }
 
     #[test]
@@ -988,28 +908,28 @@ mod tests {
             vec![
                 TargetedFault {
                     round: 3,
-                    client: 1,
-                    fault: ClientFault::SignFlip
+                    index: 1,
+                    kind: client(ClientFault::SignFlip)
                 },
                 TargetedFault {
                     round: 0,
-                    client: 2,
-                    fault: ClientFault::Scale { factor: 2.5 }
+                    index: 2,
+                    kind: client(ClientFault::Scale { factor: 2.5 })
                 },
             ]
         );
         assert_eq!(
-            ClientFault::parse_kind("straggle:75").unwrap(),
-            ClientFault::Straggle { delay_ms: 75 }
+            TargetedFault::parse("straggle:75@r0c0").unwrap().kind,
+            client(ClientFault::Straggle { delay_ms: 75 })
         );
         assert_eq!(
-            ClientFault::parse_kind("corrupt:2").unwrap(),
-            ClientFault::Corrupt { attempts: 2 }
+            TargetedFault::parse("corrupt:2@r0c0").unwrap().kind,
+            client(ClientFault::Corrupt { attempts: 2 })
         );
         assert!(TargetedFault::parse("sign-flip@x3c1").is_err());
         assert!(TargetedFault::parse("sign-flip@r3").is_err());
         assert!(TargetedFault::parse("warp@r1c1").is_err());
-        assert!(ClientFault::parse_kind("scale:inf").is_err());
+        assert!(TargetedFault::parse("scale:inf@r0c0").is_err());
         assert!(FaultSpec::parse("nan=0.5,sign-flip=0.4,scale=0.3").is_err());
     }
 
@@ -1017,22 +937,27 @@ mod tests {
     fn process_fault_grammar_parses_and_plans() {
         let spec =
             FaultSpec::parse("netcrash@r2c1,nethang@r3c0,coordkill@r4,crash=0.05,seed=9").unwrap();
-        assert_eq!(spec.targeted_netcrashes, vec![(2, 1)]);
-        assert_eq!(spec.targeted_nethangs, vec![(3, 0)]);
-        assert_eq!(spec.targeted_coordkills, vec![4]);
+        assert_eq!(
+            spec.targeted,
+            vec![
+                pinned(2, 1, event(NetCrash)),
+                pinned(3, 0, event(NetHang)),
+                pinned(4, 0, event(CoordKill)),
+            ]
+        );
         let plan = spec.plan(4, 8);
-        assert!(plan.netcrash_at(2, 1));
-        assert!(!plan.netcrash_at(2, 0));
-        assert!(plan.nethang_at(3, 0));
-        assert!(plan.coordkill_after(4));
-        assert!(!plan.coordkill_after(3));
-        assert_eq!(plan.netcrash_count(), 1);
-        assert_eq!(plan.nethang_count(), 1);
-        assert_eq!(plan.coordkill_count(), 1);
+        assert!(plan.has(NetCrash, 2, 1));
+        assert!(!plan.has(NetCrash, 2, 0));
+        assert!(plan.has(NetHang, 3, 0));
+        assert!(plan.has(CoordKill, 4, 0));
+        assert!(!plan.has(CoordKill, 3, 0));
+        assert_eq!(plan.count(Tally::Event(NetCrash)), 1);
+        assert_eq!(plan.count(Tally::Event(NetHang)), 1);
+        assert_eq!(plan.count(Tally::Event(CoordKill)), 1);
         // Out-of-horizon targets are dropped, like every other targeted kind.
         let short = spec.plan(4, 2);
-        assert_eq!(short.netcrash_count(), 0);
-        assert_eq!(short.coordkill_count(), 0);
+        assert_eq!(short.count(Tally::Event(NetCrash)), 0);
+        assert_eq!(short.count(Tally::Event(CoordKill)), 0);
         // Malformed cells are named in the error.
         assert!(FaultSpec::parse("netcrash@r2").is_err());
         assert!(FaultSpec::parse("nethang@x2c1").is_err());
@@ -1045,16 +970,14 @@ mod tests {
         // the exact legacy plan, so sim-mode runs stay bit-identical.
         let legacy = chaos_spec(7).plan(16, 50);
         let extended = FaultSpec {
-            targeted_netcrashes: Vec::new(),
-            targeted_nethangs: Vec::new(),
-            targeted_coordkills: Vec::new(),
+            targeted: Vec::new(),
             ..chaos_spec(7)
         }
         .plan(16, 50);
         assert_eq!(legacy, extended);
-        assert_eq!(legacy.netcrash_count(), 0);
-        assert_eq!(legacy.nethang_count(), 0);
-        assert_eq!(legacy.coordkill_count(), 0);
+        assert_eq!(legacy.count(Tally::Event(NetCrash)), 0);
+        assert_eq!(legacy.count(Tally::Event(NetHang)), 0);
+        assert_eq!(legacy.count(Tally::Event(CoordKill)), 0);
     }
 
     #[test]
@@ -1063,14 +986,13 @@ mod tests {
         // churn-free spec expands to the exact legacy plan.
         let legacy = chaos_spec(7).plan(16, 50);
         let extended = FaultSpec {
-            targeted_joins: Vec::new(),
-            targeted_leaves: Vec::new(),
+            targeted: Vec::new(),
             ..chaos_spec(7)
         }
         .plan(16, 50);
         assert_eq!(legacy, extended);
-        assert_eq!(legacy.join_count(), 0);
-        assert_eq!(legacy.leave_count(), 0);
+        assert_eq!(legacy.count(Tally::Joins), 0);
+        assert_eq!(legacy.count(Tally::Event(Leave)), 0);
     }
 
     #[test]
@@ -1081,13 +1003,13 @@ mod tests {
             ..FaultSpec::none(17)
         };
         let plan = spec.plan(16, 100);
-        let joins = plan.join_count() as f64 / 100.0;
+        let joins = plan.count(Tally::Joins) as f64 / 100.0;
         assert!((joins - 0.3).abs() < 0.12, "join rate {joins}");
-        let leaves = plan.leave_count() as f64 / (16.0 * 100.0);
+        let leaves = plan.count(Tally::Event(Leave)) as f64 / (16.0 * 100.0);
         assert!((leaves - 0.02).abs() < 0.015, "leave rate {leaves}");
         // A leave is a membership event, never also a round fault.
         for round in 0..100 {
-            for client in plan.leaves_at(round) {
+            for client in plan.at(Leave, round) {
                 assert_eq!(plan.client_fault(round, client), None);
             }
         }
@@ -1101,11 +1023,22 @@ mod tests {
             FaultSpec::parse("join=0.1,leave=0.01,join@r4,join@r4,leave@r6c20,seed=3").unwrap();
         assert_eq!(spec.p_join, 0.1);
         assert_eq!(spec.p_leave, 0.01);
-        assert_eq!(spec.targeted_joins, vec![4, 4]);
-        assert_eq!(spec.targeted_leaves, vec![(6, 20)]);
+        assert_eq!(
+            spec.targeted,
+            vec![
+                pinned(4, 0, FaultKind::Join),
+                pinned(4, 0, FaultKind::Join),
+                pinned(6, 20, event(Leave)),
+            ]
+        );
         let plan = FaultSpec {
-            targeted_joins: vec![4, 4, 99],
-            targeted_leaves: vec![(6, 20), (99, 0)],
+            targeted: vec![
+                pinned(4, 0, FaultKind::Join),
+                pinned(4, 0, FaultKind::Join),
+                pinned(99, 0, FaultKind::Join),
+                pinned(6, 20, event(Leave)),
+                pinned(99, 0, event(Leave)),
+            ],
             ..FaultSpec::none(3)
         }
         .plan(8, 10);
@@ -1113,9 +1046,13 @@ mod tests {
         assert_eq!(plan.joins_at(5), 0);
         // Targeted leaves are not bounded by the founding population:
         // client 20 joined mid-run and can still be told to depart.
-        assert_eq!(plan.leaves_at(6), vec![20]);
-        assert_eq!(plan.join_count(), 2, "out-of-horizon join dropped");
-        assert_eq!(plan.leave_count(), 1, "out-of-horizon leave dropped");
+        assert_eq!(plan.at(Leave, 6), vec![20]);
+        assert_eq!(plan.count(Tally::Joins), 2, "out-of-horizon join dropped");
+        assert_eq!(
+            plan.count(Tally::Event(Leave)),
+            1,
+            "out-of-horizon leave dropped"
+        );
         assert!(FaultSpec::parse("join@x4").is_err());
         assert!(FaultSpec::parse("leave@r6").is_err());
         assert!(FaultSpec::parse("join=1.5").is_err());
@@ -1129,7 +1066,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.p_link_loss, 0.2);
-        assert_eq!(spec.targeted_slowlinks, vec![(3, 0)]);
+        assert_eq!(spec.targeted, vec![pinned(3, 0, event(SlowLink))]);
         assert_eq!(spec.partitions.len(), 2);
         assert_eq!(spec.partitions[0].start_round, 2);
         assert_eq!(spec.partitions[0].heal_round, Some(5));
@@ -1139,11 +1076,14 @@ mod tests {
         assert!(spec.partitions[1].asymmetric);
 
         let plan = spec.plan(8, 10);
-        assert!(plan.link_loss_count() > 0, "lossy=0.2 scheduled nothing");
-        assert_eq!(plan.slowlink_count(), 1);
-        assert!(plan.slowlink_at(3, 0));
-        assert!(!plan.slowlink_at(3, 1));
-        assert_eq!(plan.partition_count(), 2);
+        assert!(
+            plan.count(Tally::LinkLosses) > 0,
+            "lossy=0.2 scheduled nothing"
+        );
+        assert_eq!(plan.count(Tally::Event(SlowLink)), 1);
+        assert!(plan.has(SlowLink, 3, 0));
+        assert!(!plan.has(SlowLink, 3, 1));
+        assert_eq!(plan.count(Tally::Partitions), 2);
         assert_eq!(
             plan.partition_state(3, 1),
             Some(PartitionKind::Full),
@@ -1181,14 +1121,14 @@ mod tests {
         let legacy = chaos_spec(7).plan(16, 50);
         let extended = FaultSpec {
             p_link_loss: 0.0,
-            targeted_slowlinks: Vec::new(),
+            targeted: Vec::new(),
             partitions: Vec::new(),
             ..chaos_spec(7)
         }
         .plan(16, 50);
         assert_eq!(legacy, extended);
-        assert_eq!(legacy.link_loss_count(), 0);
-        assert_eq!(legacy.partition_count(), 0);
+        assert_eq!(legacy.count(Tally::LinkLosses), 0);
+        assert_eq!(legacy.count(Tally::Partitions), 0);
     }
 
     #[test]
@@ -1202,13 +1142,16 @@ mod tests {
         };
         let a = base.plan(16, 50);
         let b = lossy.plan(16, 50);
-        assert!(b.link_loss_count() > 0);
+        assert!(b.count(Tally::LinkLosses) > 0);
         for round in 0..50 {
             for client in 0..16 {
                 assert_eq!(a.client_fault(round, client), b.client_fault(round, client));
             }
         }
-        assert_eq!(a.agg_crash_count(), b.agg_crash_count());
+        assert_eq!(
+            a.count(Tally::Event(AggCrash)),
+            b.count(Tally::Event(AggCrash))
+        );
         // Loss plans themselves replay bit-identically.
         assert_eq!(b, lossy.plan(16, 50));
     }
@@ -1222,12 +1165,17 @@ mod tests {
         assert_eq!(spec.p_shard_crash, 0.1);
         assert_eq!(spec.p_shard_hang, 0.2);
         assert_eq!(spec.shards, 8);
-        assert_eq!(spec.targeted_shardcrashes, vec![(3, 2)]);
-        assert_eq!(spec.targeted_shardhangs, vec![(1, 0)]);
+        assert_eq!(
+            spec.targeted,
+            vec![
+                pinned(3, 2, event(ShardCrash)),
+                pinned(1, 0, event(ShardHang)),
+            ]
+        );
         let plan = spec.plan(16, 10);
-        assert!(plan.shardcrash_at(3, 2));
-        assert!(plan.shardhang_at(1, 0));
-        assert!(plan.shardcrash_count() + plan.shardhang_count() >= 2);
+        assert!(plan.has(ShardCrash, 3, 2));
+        assert!(plan.has(ShardHang, 1, 0));
+        assert!(plan.count(Tally::Event(ShardCrash)) + plan.count(Tally::Event(ShardHang)) >= 2);
         // The probabilistic columns replay bit-identically.
         assert_eq!(plan, spec.plan(16, 10));
         // Malformed cells are rejected.
@@ -1257,8 +1205,8 @@ mod tests {
             ..chaos_spec(7)
         }
         .plan(16, 50);
-        assert!(sharded.shardcrash_count() > 0);
-        assert!(sharded.shardhang_count() > 0);
+        assert!(sharded.count(Tally::Event(ShardCrash)) > 0);
+        assert!(sharded.count(Tally::Event(ShardHang)) > 0);
         for round in 0..50 {
             for client in 0..16 {
                 assert_eq!(
@@ -1267,6 +1215,9 @@ mod tests {
                 );
             }
         }
-        assert_eq!(legacy.agg_crash_count(), sharded.agg_crash_count());
+        assert_eq!(
+            legacy.count(Tally::Event(AggCrash)),
+            sharded.count(Tally::Event(AggCrash))
+        );
     }
 }

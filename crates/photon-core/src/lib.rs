@@ -59,7 +59,7 @@ pub use config::{CohortSpec, FederationConfig, PostProcessConfig};
 pub use datasource::DataSource;
 pub use ddp::{ddp_train, DdpConfig, DdpReport, Workspace};
 pub use error::CoreError;
-pub use faults::{ClientFault, FaultPlan, FaultSpec, TargetedFault};
+pub use faults::{ClientFault, FaultEvent, FaultKind, FaultPlan, FaultSpec, Tally, TargetedFault};
 pub use hierarchy::{HierarchyConfig, HierarchyState, ShardPartition, ShardTree};
 pub use membership::{
     ChurnEvents, MemberPhase, MembershipConfig, MembershipRegistry, MembershipSnapshot,

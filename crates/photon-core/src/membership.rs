@@ -31,7 +31,7 @@
 //! Storage is flat arrays (ids are dense), and a round pays one sequential
 //! pass over the active leases plus what changed: [`MembershipRegistry`].
 
-use crate::faults::FaultPlan;
+use crate::faults::{FaultEvent, FaultPlan};
 use photon_comms::SimClock;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -274,7 +274,7 @@ impl MembershipRegistry {
                 self.active.push(id);
                 events.joined.push(id);
             }
-            for id in inj.leaves_at(round) {
+            for id in inj.at(FaultEvent::Leave, round) {
                 if let Some(m) = self.members.get_mut(id as usize) {
                     if m.phase != MemberPhase::Departed {
                         m.phase = MemberPhase::Departed;
@@ -448,7 +448,7 @@ impl MembershipRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{ClientFault, FaultSpec};
+    use crate::faults::{ClientFault, FaultKind, FaultSpec, TargetedFault};
     use photon_tensor::SeedStream;
     use std::collections::BTreeMap;
 
@@ -469,8 +469,12 @@ mod tests {
     #[test]
     fn joins_assign_fresh_ids_and_leaves_are_permanent() {
         let spec = FaultSpec {
-            targeted_joins: vec![2, 2],
-            targeted_leaves: vec![(3, 1), (5, 4)],
+            targeted: vec![
+                TargetedFault::parse("join@r2").unwrap(),
+                TargetedFault::parse("join@r2").unwrap(),
+                TargetedFault::parse("leave@r3c1").unwrap(),
+                TargetedFault::parse("leave@r5c4").unwrap(),
+            ],
             ..FaultSpec::none(1)
         };
         let inj = spec.plan(3, 10);
@@ -542,13 +546,13 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_exactly() {
         let spec = FaultSpec {
-            targeted_joins: vec![1],
-            targeted_leaves: vec![(2, 0)],
             targeted: vec![
-                crate::faults::TargetedFault::parse("crash@r1c2").unwrap(),
-                crate::faults::TargetedFault::parse("crash@r2c2").unwrap(),
-                crate::faults::TargetedFault::parse("crash@r3c2").unwrap(),
-                crate::faults::TargetedFault::parse("crash@r4c2").unwrap(),
+                TargetedFault::parse("join@r1").unwrap(),
+                TargetedFault::parse("leave@r2c0").unwrap(),
+                TargetedFault::parse("crash@r1c2").unwrap(),
+                TargetedFault::parse("crash@r2c2").unwrap(),
+                TargetedFault::parse("crash@r3c2").unwrap(),
+                TargetedFault::parse("crash@r4c2").unwrap(),
             ],
             ..FaultSpec::none(1)
         };
@@ -653,7 +657,7 @@ mod tests {
                     );
                     events.joined.push(id);
                 }
-                for id in inj.leaves_at(round) {
+                for id in inj.at(FaultEvent::Leave, round) {
                     if let Some(m) = self.members.get_mut(&id) {
                         if m.phase != MemberPhase::Departed {
                             m.phase = MemberPhase::Departed;
@@ -731,8 +735,11 @@ mod tests {
             ..FaultSpec::none(case)
         };
         for _ in 0..rng.next_below(8) {
-            spec.targeted_joins
-                .push(rng.next_below(rounds as usize) as u64);
+            spec.targeted.push(TargetedFault {
+                round: rng.next_below(rounds as usize) as u64,
+                index: 0,
+                kind: FaultKind::Join,
+            });
         }
         // Joins draw from their own columns, so the ids they will be given
         // can be read off a first expansion and told to leave on arrival.
@@ -742,13 +749,24 @@ mod tests {
             let joiners = next_id..next_id + joins_only.joins_at(round);
             next_id = joiners.end;
             for id in joiners.filter(|_| rng.next_below(4) == 0) {
-                spec.targeted_leaves.push((round, id));
+                spec.targeted.push(TargetedFault {
+                    round,
+                    index: id,
+                    kind: FaultKind::Event {
+                        event: FaultEvent::Leave,
+                    },
+                });
             }
         }
         for _ in 0..rng.next_below(6) {
             let id = rng.next_below(next_id as usize + 2) as u32;
-            spec.targeted_leaves
-                .push((rng.next_below(rounds as usize) as u64, id));
+            spec.targeted.push(TargetedFault {
+                round: rng.next_below(rounds as usize) as u64,
+                index: id,
+                kind: FaultKind::Event {
+                    event: FaultEvent::Leave,
+                },
+            });
         }
         let injector = spec.plan(population, rounds);
         (cfg, population, injector)

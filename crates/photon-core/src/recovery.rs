@@ -14,7 +14,7 @@
 //! parameters of one that never crashed.
 
 use crate::experiments::{eval_seq, RunOptions};
-use crate::faults::FaultPlan;
+use crate::faults::{FaultEvent, FaultPlan};
 use crate::{
     checkpoint_exists, load_checkpoint, CoreError, Federation, HierarchyMetrics, MetricsSnapshot,
     Result, TrainingHistory, Transport,
@@ -225,7 +225,7 @@ where
                     }
                 }
                 let agg_crashes = !reached
-                    && injector.is_some_and(|inj| inj.aggregator_crashes_after(round))
+                    && injector.is_some_and(|inj| inj.has(FaultEvent::AggCrash, round, 0))
                     && fired_agg_crashes.insert(round);
                 if agg_crashes {
                     if run.recoveries >= opts.recovery_budget {

@@ -1,7 +1,9 @@
 //! Property-based tests for the federation engine's configuration and
 //! round bookkeeping.
 
-use photon_core::{CohortSpec, FaultSpec, FederationConfig, RoundRecord, TrainingHistory};
+use photon_core::{
+    CohortSpec, FaultEvent, FaultSpec, FederationConfig, RoundRecord, TrainingHistory,
+};
 use photon_fedopt::{AggregationKind, ServerOptKind};
 use photon_nn::ModelConfig;
 use proptest::prelude::*;
@@ -103,8 +105,8 @@ proptest! {
                 );
             }
             prop_assert_eq!(
-                baseline.aggregator_crashes_after(round),
-                replay.aggregator_crashes_after(round)
+                baseline.has(FaultEvent::AggCrash, round, 0),
+                replay.has(FaultEvent::AggCrash, round, 0)
             );
         }
         // A fault never lands outside the scheduled horizon.
@@ -303,7 +305,8 @@ proptest! {
 
 // ---- Fault grammar: pinned plan listing ---------------------------------
 
-use photon_core::FaultPlan;
+use photon_core::FaultEvent::*;
+use photon_core::{FaultPlan, Tally};
 use std::fmt::Write as _;
 
 /// Every spec the repository runs or tests: the `round_engine_golden`
@@ -393,10 +396,10 @@ fn plan_listing(plan: &FaultPlan, rounds: u64, out: &mut String) {
             out,
             "r{round} crashes={:?} agg={} joins={} leaves={:?} coordkill={}",
             plan.crashes_at(round),
-            plan.aggregator_crashes_after(round),
+            plan.has(AggCrash, round, 0),
             plan.joins_at(round),
-            plan.leaves_at(round),
-            plan.coordkill_after(round),
+            plan.at(Leave, round),
+            plan.has(CoordKill, round, 0),
         )
         .unwrap();
         for i in 0..24 {
@@ -406,12 +409,12 @@ fn plan_listing(plan: &FaultPlan, rounds: u64, out: &mut String) {
                  shardcrash={} shardhang={}",
                 plan.client_fault(round, i),
                 plan.link_loss(round, i),
-                plan.slowlink_at(round, i),
+                plan.has(SlowLink, round, i),
                 plan.partition_state(round, i),
-                plan.netcrash_at(round, i),
-                plan.nethang_at(round, i),
-                plan.shardcrash_at(round, i),
-                plan.shardhang_at(round, i),
+                plan.has(NetCrash, round, i),
+                plan.has(NetHang, round, i),
+                plan.has(ShardCrash, round, i),
+                plan.has(ShardHang, round, i),
             )
             .unwrap();
         }
@@ -420,18 +423,18 @@ fn plan_listing(plan: &FaultPlan, rounds: u64, out: &mut String) {
         out,
         "counts client={} agg={} join={} leave={} loss={} slow={} part={} netcrash={} \
          nethang={} coordkill={} shardcrash={} shardhang={}",
-        plan.client_fault_count(),
-        plan.agg_crash_count(),
-        plan.join_count(),
-        plan.leave_count(),
-        plan.link_loss_count(),
-        plan.slowlink_count(),
-        plan.partition_count(),
-        plan.netcrash_count(),
-        plan.nethang_count(),
-        plan.coordkill_count(),
-        plan.shardcrash_count(),
-        plan.shardhang_count(),
+        plan.count(Tally::ClientFaults),
+        plan.count(Tally::Event(AggCrash)),
+        plan.count(Tally::Joins),
+        plan.count(Tally::Event(Leave)),
+        plan.count(Tally::LinkLosses),
+        plan.count(Tally::Event(SlowLink)),
+        plan.count(Tally::Partitions),
+        plan.count(Tally::Event(NetCrash)),
+        plan.count(Tally::Event(NetHang)),
+        plan.count(Tally::Event(CoordKill)),
+        plan.count(Tally::Event(ShardCrash)),
+        plan.count(Tally::Event(ShardHang)),
     )
     .unwrap();
 }
@@ -462,5 +465,267 @@ fn fault_plans_listing_is_pinned() {
     let digest = listing.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
     });
-    assert_eq!(digest, 0xd838_163b_498c_4085, "fault plan listing moved: {digest:#018x}");
+    assert_eq!(
+        digest, 0xd838_163b_498c_4085,
+        "fault plan listing moved: {digest:#018x}"
+    );
+}
+
+// ---- Fault grammar: fuzz ------------------------------------------------
+
+/// The `key=value` rate keys of the `--faults` grammar.
+const GRAMMAR_RATE_KEYS: [&str; 17] = [
+    "crash",
+    "straggle",
+    "straggle-ms",
+    "corrupt",
+    "corrupt-attempts",
+    "agg",
+    "nan",
+    "sign-flip",
+    "scale",
+    "scale-factor",
+    "join",
+    "leave",
+    "lossy",
+    "shardcrash",
+    "shardhang",
+    "shards",
+    "seed",
+];
+
+/// The pinned kinds of the `--faults` grammar, each with the axis its cell
+/// names after the round (`None`: the round alone).
+const GRAMMAR_PINNED_KINDS: [(&str, Option<char>); 14] = [
+    ("crash", Some('c')),
+    ("straggle", Some('c')),
+    ("corrupt", Some('c')),
+    ("nan-update", Some('c')),
+    ("sign-flip", Some('c')),
+    ("scale", Some('c')),
+    ("join", None),
+    ("leave", Some('c')),
+    ("slowlink", Some('c')),
+    ("netcrash", Some('c')),
+    ("nethang", Some('c')),
+    ("coordkill", None),
+    ("shardcrash", Some('s')),
+    ("shardhang", Some('s')),
+];
+
+/// A value for rate key `key`, in range or not, drawn from `n`.
+fn rate_value(key: &str, n: u64, in_range: bool) -> String {
+    let pick = |options: &[&str]| options[(n % options.len() as u64) as usize].to_string();
+    match (key, in_range) {
+        ("straggle-ms", true) => (1 + n % 5_000).to_string(),
+        ("straggle-ms", false) => pick(&["0", "-5", "1.5"]),
+        ("corrupt-attempts", true) => (1 + n % 9).to_string(),
+        ("corrupt-attempts", false) => pick(&["0", "-1", "4294967296"]),
+        ("scale-factor", true) => ((n % 4_001) as f64 / 10.0 - 200.0).to_string(),
+        ("scale-factor", false) => pick(&["inf", "-inf", "NaN", "x"]),
+        ("shards", true) => (n % 9).to_string(),
+        ("shards", false) => pick(&["-1", "2.5"]),
+        ("seed", true) => n.to_string(),
+        ("seed", false) => pick(&["-1", "0x10"]),
+        // Every other key is a probability. In-range values stay at or
+        // below 0.14, so no sum of them passes 1.
+        (_, true) => ((n % 15) as f64 / 100.0).to_string(),
+        (_, false) => pick(&["1.5", "-0.25", "NaN", "inf", "x", ""]),
+    }
+}
+
+/// A pinned entry of kind `GRAMMAR_PINNED_KINDS[kind]` on its own axis,
+/// or one broken four ways: the wrong axis, no `r` before the round, a bad
+/// magnitude (or one on a kind that takes none), and a missing magnitude
+/// (or an unknown name).
+fn pinned_entry(kind: usize, n: u64, in_range: bool) -> String {
+    let (name, axis) = GRAMMAR_PINNED_KINDS[kind];
+    let (round, index) = (n % 25, (n >> 8) % 20);
+    let cell = |axis: Option<char>| match axis {
+        Some(axis) => format!("r{round}{axis}{index}"),
+        None => format!("r{round}"),
+    };
+    let magnitude = match name {
+        "straggle" => format!(":{}", (n >> 16) % 3_000),
+        "corrupt" => format!(":{}", (n >> 16) % 5),
+        "scale" => format!(":{}", ((n >> 16) % 1_000) as f64 / 4.0 - 50.0),
+        _ => String::new(),
+    };
+    if in_range {
+        return format!("{name}{magnitude}@{}", cell(axis));
+    }
+    let wrong_axis = Some(if axis == Some('c') { 's' } else { 'c' });
+    let (bad_magnitude, bad_name) = match name {
+        "straggle" => (format!("{name}:-1"), name.to_string()),
+        "corrupt" => (format!("{name}:x"), name.to_string()),
+        "scale" => (format!("{name}:inf"), name.to_string()),
+        _ => (format!("{name}:3"), format!("{name}x")),
+    };
+    match (n >> 32) % 4 {
+        0 => format!("{name}{magnitude}@{}", cell(wrong_axis)),
+        1 => format!("{name}{magnitude}@x{round}"),
+        2 => format!("{bad_magnitude}@{}", cell(axis)),
+        _ => format!("{bad_name}@{}", cell(axis)),
+    }
+}
+
+/// A partition window, valid or broken one of five ways.
+fn partition_entry(n: u64, in_range: bool) -> String {
+    let start = n % 10;
+    let span = if (n >> 8) & 1 == 0 {
+        format!("r{start}")
+    } else {
+        format!("r{start}-r{}", start + 1 + (n >> 4) % 5)
+    };
+    let connected = ["", "*", "0", "0.4"][((n >> 12) % 4) as usize];
+    let severed = ["1", "1.2", "3.5.7"][((n >> 16) % 3) as usize];
+    let tilde = if (n >> 20) & 1 == 1 { "~" } else { "" };
+    if in_range {
+        return format!("partition@{span}:{connected}|{tilde}{severed}");
+    }
+    match (n >> 32) % 5 {
+        0 => format!("partition@r{start}-r{start}:{connected}|{severed}"),
+        1 => format!("partition@{span}:{connected}|{tilde}"),
+        2 => format!("partition@{span}:1|{tilde}1.2"),
+        3 => format!("partition@{span}:{connected}"),
+        _ => format!("partition@{span}:{connected}|{tilde}1.x"),
+    }
+}
+
+/// One generated `--faults` entry: its text, the rate key it sets (a
+/// later entry for the same key overrides it), and whether it is in
+/// range. Three in four entries are.
+fn grammar_entry() -> impl Strategy<Value = (String, Option<usize>, bool)> {
+    (0usize..3, 0usize..17, 0usize..14, 0u64..4, any::<u64>()).prop_map(
+        |(class, key, kind, broken, n)| {
+            let in_range = broken != 0;
+            match class {
+                0 => {
+                    let key_name = GRAMMAR_RATE_KEYS[key];
+                    let text = format!("{key_name}={}", rate_value(key_name, n, in_range));
+                    (text, Some(key), in_range)
+                }
+                1 => (pinned_entry(kind, n, in_range), None, in_range),
+                _ => (partition_entry(n, in_range), None, in_range),
+            }
+        },
+    )
+}
+
+fn joined(entries: &[(String, Option<usize>, bool)]) -> String {
+    let texts: Vec<&str> = entries.iter().map(|(text, ..)| text.as_str()).collect();
+    texts.join(",")
+}
+
+/// Parses `text` and, when it is accepted, checks the spec validates.
+fn parse_checked(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(spec) = FaultSpec::parse(text) {
+        prop_assert!(
+            spec.validate().is_ok(),
+            "{:?} parsed but fails validate",
+            text
+        );
+    }
+    Ok(())
+}
+
+/// Grammar tokens that arbitrary bytes would almost never spell.
+const GRAMMAR_TOKENS: [&str; 32] = [
+    "crash",
+    "join",
+    "leave",
+    "scale",
+    "straggle",
+    "corrupt",
+    "shardcrash",
+    "nethang",
+    "partition",
+    "seed",
+    "shards",
+    "lossy",
+    "@",
+    "r",
+    "c",
+    "s",
+    ":",
+    "=",
+    ",",
+    "|",
+    "~",
+    "*",
+    ".",
+    "-r",
+    "0",
+    "1",
+    "7",
+    "0.5",
+    "-1",
+    "inf",
+    "NaN",
+    "99999999999999999999",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No input makes the parser panic: arbitrary bytes (lossy UTF-8) and
+    /// random strings of grammar tokens are accepted or refused, and an
+    /// accepted one validates.
+    #[test]
+    fn fault_grammar_never_panics_on_arbitrary_input(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        soup in proptest::collection::vec(0usize..GRAMMAR_TOKENS.len(), 0..24),
+    ) {
+        parse_checked(&String::from_utf8_lossy(&bytes))?;
+        parse_checked(&soup.iter().map(|&t| GRAMMAR_TOKENS[t]).collect::<String>())?;
+    }
+
+    /// A spec built from the grammar parses exactly when every value in
+    /// it is in range (the last value of a repeated rate key counting),
+    /// and every accepted spec expands at any small shape.
+    #[test]
+    fn fault_grammar_accepts_exactly_in_range_specs(
+        entries in proptest::collection::vec(grammar_entry(), 0..10),
+        population in 1usize..=16,
+        rounds in 1u64..=20,
+    ) {
+        let text = joined(&entries);
+        let mut key_in_range = [true; 17];
+        let mut in_range = true;
+        for &(_, key, ok) in &entries {
+            match key {
+                Some(key) => key_in_range[key] = ok,
+                None => in_range &= ok,
+            }
+        }
+        let in_range = in_range && key_in_range.iter().all(|&ok| ok);
+        let parsed = FaultSpec::parse(&text);
+        prop_assert_eq!(parsed.is_ok(), in_range, "{:?} -> {:?}", text, parsed);
+        if let Ok(spec) = parsed {
+            spec.plan(population, rounds);
+        }
+    }
+
+    /// Every truncation and single-byte mutation of a valid spec is
+    /// accepted or refused without a panic, and an accepted one validates.
+    #[test]
+    fn fault_grammar_mutations_never_panic(
+        entries in proptest::collection::vec(grammar_entry(), 1..8),
+        mutations in proptest::collection::vec((any::<sample::Index>(), any::<u8>()), 1..16),
+    ) {
+        let valid: Vec<_> = entries.into_iter().filter(|&(_, _, ok)| ok).collect();
+        let text = joined(&valid);
+        prop_assert!(FaultSpec::parse(&text).is_ok(), "{:?} refused", text);
+        for cut in 0..text.len() {
+            parse_checked(&text[..cut])?;
+        }
+        if text.is_empty() {
+            return Ok(());
+        }
+        for (at, byte) in mutations {
+            let mut bytes = text.clone().into_bytes();
+            bytes[at.index(text.len())] = byte;
+            parse_checked(&String::from_utf8_lossy(&bytes))?;
+        }
+    }
 }

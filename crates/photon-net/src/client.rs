@@ -24,6 +24,7 @@ use crate::tcp::TcpLink;
 use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_sealed, send_traced};
 use crate::{NetError, Result};
 use photon_comms::{Link, LinkError, Message, SealedFrame, WireOpts};
+use photon_core::FaultEvent::{NetCrash, NetHang};
 use photon_core::{build_client, client_round, ClientReply, FaultPlan, LlmClient, Workspace};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -367,7 +368,7 @@ fn connection_loop(
                         continue;
                     }
                 }
-                if injector.as_ref().is_some_and(|i| i.nethang_at(round, me)) {
+                if injector.as_ref().is_some_and(|i| i.has(NetHang, round, me)) {
                     // Go silent (heartbeats included) without closing the
                     // socket: the coordinator's miss detection must spot
                     // this and sever us.
@@ -405,7 +406,10 @@ fn connection_loop(
                 // the one sealed frame (the delta is model-sized).
                 let (_, result) = retained.insert((round, result));
                 let send_res = send_sealed(link, result);
-                if injector.as_ref().is_some_and(|i| i.netcrash_at(round, me)) {
+                if injector
+                    .as_ref()
+                    .is_some_and(|i| i.has(NetCrash, round, me))
+                {
                     // Crash the transport right behind the result: the
                     // first copy may or may not have landed, and the
                     // post-resume re-delivery must not double-apply.

@@ -43,13 +43,25 @@ impl RunPlan {
         Some(spec.plan_for(&self.cfg, self.rounds))
     }
 
-    /// Parses a `RunSync` payload.
+    /// Parses a `RunSync` payload and validates its configuration and
+    /// fault spec, so a hostile or corrupt plan is refused here rather
+    /// than panicking when a client expands it.
     ///
     /// # Errors
     /// A human-readable message when the bytes are not a valid plan.
     pub fn from_json_bytes(bytes: &[u8]) -> Result<RunPlan, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| format!("plan not utf-8: {e}"))?;
-        serde_json::from_str(text).map_err(|e| format!("plan not valid json: {e}"))
+        let plan: RunPlan =
+            serde_json::from_str(text).map_err(|e| format!("plan not valid json: {e}"))?;
+        plan.cfg
+            .validate()
+            .map_err(|e| format!("plan config invalid: {e}"))?;
+        if let Some(faults) = &plan.faults {
+            faults
+                .validate()
+                .map_err(|e| format!("plan faults invalid: {e}"))?;
+        }
+        Ok(plan)
     }
 }
 
@@ -71,5 +83,26 @@ mod tests {
         assert_eq!(back, plan);
         assert!(RunPlan::from_json_bytes(b"{nope").is_err());
         assert!(RunPlan::from_json_bytes(&[0xff, 0xfe]).is_err());
+    }
+
+    #[test]
+    fn hostile_fault_spec_is_refused_not_panicked_on() {
+        let plan = RunPlan {
+            cfg: FederationConfig::quick_demo(ModelConfig::proxy_tiny(), 3),
+            tokens_per_client: 4_096,
+            rounds: 5,
+            faults: Some(FaultSpec::parse("crash=0.5").unwrap()),
+        };
+        let json = String::from_utf8(plan.to_json_bytes()).unwrap();
+        assert!(json.contains("\"p_crash\":0.5"), "{json}");
+        let hostile = json.replace("\"p_crash\":0.5", "\"p_crash\":2.0");
+        let err = std::panic::catch_unwind(|| RunPlan::from_json_bytes(hostile.as_bytes()))
+            .expect("parsing a hostile plan must not panic")
+            .unwrap_err();
+        assert!(err.contains("crash=2"), "{err}");
+        // A configuration that fails its own validation is refused too.
+        let mut bad = plan.clone();
+        bad.cfg.local_steps = 0;
+        assert!(RunPlan::from_json_bytes(&bad.to_json_bytes()).is_err());
     }
 }

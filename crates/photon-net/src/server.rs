@@ -35,6 +35,7 @@ use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_sealed, 
 use crate::{NetError, Result};
 use photon_comms::{Link, LinkError, Message, SealedFrame, WireOpts};
 use photon_core::experiments::RunOptions;
+use photon_core::FaultEvent::CoordKill;
 use photon_core::{
     checkpoint_exists, run_training_over, Aggregator, ClientReply, Exchange, FaultPlan, Federation,
     Telemetry, TrainingOptions, Transport,
@@ -535,7 +536,7 @@ impl Transport for Tcp<'_> {
         for client_id in std::mem::take(&mut self.contributors) {
             self.send_to(client_id, &Message::ResultAck { client_id, round });
         }
-        if self.faults.is_some_and(|f| f.coordkill_after(round)) {
+        if self.faults.is_some_and(|f| f.has(CoordKill, round, 0)) {
             // The injected coordinator kill: the checkpoint for this
             // commit is already on disk; die without any goodbye. The
             // flight recorder preserves the final round's spans.

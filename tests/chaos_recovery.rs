@@ -5,7 +5,9 @@
 //! uninterrupted run exactly.
 
 use photon_core::experiments::{build_iid_federation, RunOptions};
-use photon_core::{load_checkpoint, run_training, FaultPlan, FaultSpec, TrainingOptions};
+use photon_core::{
+    load_checkpoint, run_training, FaultEvent, FaultPlan, FaultSpec, Tally, TrainingOptions,
+};
 use photon_fedopt::ServerOptKind;
 use photon_tests::tiny_federation;
 use std::fs;
@@ -97,7 +99,7 @@ fn chaos_runs_replay_bit_identically() {
     cfg.round_deadline_ms = Some(50);
     cfg.seed = 21;
     let injector = chaos_spec().plan(cfg.population, 6);
-    assert!(injector.client_fault_count() > 0);
+    assert!(injector.count(Tally::ClientFaults) > 0);
 
     let run = |_: ()| {
         let (mut fed, _) = build_iid_federation(&cfg, 3_000).unwrap();
@@ -172,7 +174,7 @@ fn corruption_within_retransmit_budget_is_transparent() {
         ..FaultSpec::none(4)
     };
     let injector = spec.plan(cfg.population, 4);
-    assert!(injector.client_fault_count() > 0);
+    assert!(injector.count(Tally::ClientFaults) > 0);
 
     let (mut clean, _) = build_iid_federation(&cfg, 3_000).unwrap();
     let (mut noisy, _) = build_iid_federation(&cfg, 3_000).unwrap();
@@ -241,7 +243,10 @@ fn aggregator_crash_recovery_matches_uninterrupted_run() {
     control.p_agg_crash = 0.0;
     let crash_inj = crashing.plan(cfg.population, rounds);
     let control_inj = control.plan(cfg.population, rounds);
-    assert_eq!(crash_inj.agg_crash_count(), rounds as usize);
+    assert_eq!(
+        crash_inj.count(Tally::Event(FaultEvent::AggCrash)),
+        rounds as usize
+    );
 
     let run = |injector: &FaultPlan, dir: PathBuf, budget: u32| {
         let opts = TrainingOptions {

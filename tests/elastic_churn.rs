@@ -43,9 +43,9 @@ fn churn_spec() -> FaultSpec {
             TargetedFault::parse("crash@r2c0").unwrap(),
             TargetedFault::parse("crash@r3c0").unwrap(),
             TargetedFault::parse("crash@r4c0").unwrap(),
+            TargetedFault::parse("join@r2").unwrap(),
+            TargetedFault::parse("leave@r6c1").unwrap(),
         ],
-        targeted_joins: vec![2],
-        targeted_leaves: vec![(6, 1)],
         ..FaultSpec::none(7)
     }
 }
@@ -117,9 +117,10 @@ fn restore_resumes_with_a_roster_that_changed_since_the_checkpoint() {
     // taken at round 4, so the restored run must both re-provision a
     // mid-run joiner recorded in the snapshot and keep admitting new ones.
     let spec = FaultSpec {
-        targeted_joins: vec![2, 5],
-        targeted_leaves: vec![(3, 1)],
         targeted: vec![
+            TargetedFault::parse("join@r2").unwrap(),
+            TargetedFault::parse("join@r5").unwrap(),
+            TargetedFault::parse("leave@r3c1").unwrap(),
             TargetedFault::parse("crash@r1c0").unwrap(),
             TargetedFault::parse("crash@r2c0").unwrap(),
             TargetedFault::parse("crash@r3c0").unwrap(),
@@ -180,7 +181,7 @@ fn recovery_driver_replays_churn_through_an_aggregator_crash() {
     // replayed rounds land on the crash-free trajectory bit-for-bit.
     let spec = FaultSpec {
         p_agg_crash: 0.5,
-        targeted_joins: vec![2],
+        targeted: vec![TargetedFault::parse("join@r2").unwrap()],
         ..FaultSpec::none(13)
     };
     let cfg = elastic_cfg(3);

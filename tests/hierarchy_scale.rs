@@ -6,7 +6,7 @@
 //! the next round, and the whole faulted run must replay bit-identically —
 //! trace included — under the sim clock.
 
-use photon_core::{FaultSpec, Federation, FederationConfig, TrainingHistory};
+use photon_core::{FaultSpec, Federation, FederationConfig, TargetedFault, TrainingHistory};
 use photon_tests::{
     scale_cfg, scale_federation, SCALE_MAX_RESIDENT as MAX_RESIDENT, SCALE_SHARDS as SHARDS,
 };
@@ -22,7 +22,7 @@ const ROUNDS: u64 = 3;
 fn crash_spec() -> FaultSpec {
     FaultSpec {
         shards: SHARDS,
-        targeted_shardcrashes: vec![(1, 2)],
+        targeted: vec![TargetedFault::parse("shardcrash@r1s2").unwrap()],
         ..FaultSpec::none(23)
     }
 }

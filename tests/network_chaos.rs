@@ -10,7 +10,7 @@
 use photon_core::experiments::{build_iid_federation, RunOptions};
 use photon_core::{
     run_training, AdaptiveDeadlineConfig, FaultSpec, FederationConfig, LinkProfile,
-    MembershipConfig, NetworkConfig, TrainingOptions,
+    MembershipConfig, NetworkConfig, Tally, TrainingOptions,
 };
 use photon_fedopt::BufferConfig;
 use photon_tests::tiny_federation;
@@ -70,7 +70,7 @@ fn minority_partition_converges_near_fault_free() {
 
     let spec = FaultSpec::parse("partition@r1-r4:*|3,seed=7").expect("partition spec parses");
     let injector = spec.plan(cfg.population, rounds);
-    assert_eq!(injector.partition_count(), 1);
+    assert_eq!(injector.count(Tally::Partitions), 1);
     let dir = tmp_dir("minority");
     let mjson = dir.join("metrics.json");
     let part = run_training(

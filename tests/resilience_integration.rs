@@ -3,15 +3,18 @@
 //! (§2.1 / Appendix A).
 
 use photon_core::experiments::{build_iid_federation, run_federation, RunOptions};
+use photon_core::FaultSpec;
+use photon_data::EvalStream;
 use photon_fedopt::AvailabilityModel;
+use photon_nn::evaluate_perplexity;
 use photon_tests::tiny_federation;
 
 #[test]
 fn dropouts_fail_the_round_by_default() {
     let cfg = tiny_federation(3);
     let (mut fed, _val) = build_iid_federation(&cfg, 3_000).unwrap();
-    fed.clients[1].fail_on_rounds(vec![0]);
-    let err = fed.aggregator.run_round(&mut fed.clients).unwrap_err();
+    let plan = FaultSpec::parse("crash@r0c1").unwrap().plan(3, 1);
+    let err = fed.run_round_with(Some(&plan)).unwrap_err();
     assert!(err.to_string().contains("allow_partial_results"), "{err}");
 }
 
@@ -20,20 +23,18 @@ fn partial_results_aggregate_survivors() {
     let mut cfg = tiny_federation(3);
     cfg.allow_partial_results = true;
     let (mut fed, val) = build_iid_federation(&cfg, 3_000).unwrap();
-    fed.clients[1].fail_on_rounds(vec![0, 2]);
+    let plan = FaultSpec::parse("crash@r0c1,crash@r2c1")
+        .unwrap()
+        .plan(3, 4);
 
-    let opts = RunOptions {
-        rounds: 4,
-        eval_every: 4,
-        eval_windows: 16,
-        stop_below: None,
-    };
-    let history = run_federation(&mut fed, &val, &opts).unwrap();
-    assert_eq!(history.rounds[0].dropouts, 1);
-    assert_eq!(history.rounds[1].dropouts, 0);
-    assert_eq!(history.rounds[2].dropouts, 1);
+    let dropouts: Vec<usize> = (0..4)
+        .map(|_| fed.run_round_with(Some(&plan)).unwrap().dropouts)
+        .collect();
+    assert_eq!(dropouts[..3], [1, 0, 1]);
     // Training still converges on the survivors' updates.
-    assert!(history.final_ppl().unwrap() < 200.0);
+    let mut stream = EvalStream::new(&val, cfg.model.seq_len.clamp(8, 64));
+    let model = fed.aggregator.global_model();
+    assert!(evaluate_perplexity(&model, &mut stream, 16).perplexity < 200.0);
     // Telemetry shows the flaky client participated in fewer rounds.
     let stats = fed.aggregator.telemetry().snapshot().clients;
     assert_eq!(stats["1"].rounds, 2);
@@ -45,9 +46,10 @@ fn all_clients_down_still_fails() {
     let mut cfg = tiny_federation(2);
     cfg.allow_partial_results = true;
     let (mut fed, _val) = build_iid_federation(&cfg, 3_000).unwrap();
-    fed.clients[0].fail_on_rounds(vec![0]);
-    fed.clients[1].fail_on_rounds(vec![0]);
-    assert!(fed.aggregator.run_round(&mut fed.clients).is_err());
+    let plan = FaultSpec::parse("crash@r0c0,crash@r0c1")
+        .unwrap()
+        .plan(2, 1);
+    assert!(fed.run_round_with(Some(&plan)).is_err());
 }
 
 #[test]
