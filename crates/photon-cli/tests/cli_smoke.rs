@@ -1,8 +1,11 @@
 //! End-to-end smoke tests for every `photon` subcommand, driven through
 //! the library surface with miniature settings.
 
-use photon_cli::args::Args;
+use photon_cli::args::{Args, Command};
 use photon_cli::commands;
+use photon_cli::options::{CLIENT, RESUME, SERVE, TRAIN};
+use photon_core::MembershipConfig;
+use photon_fedopt::BufferConfig;
 
 fn args(s: &str) -> Args {
     Args::parse(s.split_whitespace().map(String::from)).expect("valid args")
@@ -114,6 +117,166 @@ fn help_paths_do_not_error() {
     commands::plan(&args("plan --help")).unwrap();
     commands::generate(&args("generate --help")).unwrap();
     commands::downstream(&args("downstream --help")).unwrap();
+    commands::serve(&args("serve --help")).unwrap();
+    commands::client(&args("client --help")).unwrap();
+    commands::train(&args("resume --help"), true).unwrap();
+    commands::trace(&args("trace --help"), None).unwrap();
+    commands::trace(&args("trace --help"), Some("merge")).unwrap();
+}
+
+/// Each command accepts exactly the options it reads, and one that it
+/// refuses, a switch given a value or a value option given none is an
+/// error naming the option.
+#[test]
+fn refused_and_malformed_options_are_errors_naming_them() {
+    let accepted = |command: &Command| command.rows().filter(|opt| opt.flag != "help").count();
+    let counts = [&TRAIN, &RESUME, &SERVE, &CLIENT].map(accepted);
+    assert_eq!(counts, [54, 14, 58, 11]);
+    for command in [&TRAIN, &RESUME, &SERVE, &CLIENT] {
+        let mut flags: Vec<_> = command.rows().map(|opt| opt.flag).collect();
+        flags.sort_unstable();
+        let rows = flags.len();
+        flags.dedup();
+        assert_eq!(
+            flags.len(),
+            rows,
+            "a flag appears twice in {}",
+            command.about
+        );
+    }
+
+    let named = |result: Result<(), String>, name: &str| {
+        let err = result.expect_err(name);
+        assert!(err.contains(name), "{name}: {err}");
+    };
+    for refused in [
+        "--data pile",
+        "--eval-every 2",
+        "--checkpoint-every 2",
+        "--partial-ok",
+        "--recovery-budget 2",
+    ] {
+        let name = refused.split(' ').next().unwrap();
+        named(commands::serve(&args(&format!("serve {refused}"))), name);
+    }
+    named(
+        commands::train(&args("resume --clients 8"), true),
+        "--clients",
+    );
+    named(
+        commands::train(&args("resume --model large"), true),
+        "--model",
+    );
+    named(
+        commands::train(&args("train --membership 1"), false),
+        "--membership",
+    );
+    named(
+        commands::train(&args("train --rounds --clients 2"), false),
+        "--rounds",
+    );
+}
+
+/// Any knob of the membership or buffer section turns its section on
+/// from its `Default`: `--round-ms` alone enables membership, and
+/// `--staleness-decay` alone enables buffering (and so membership).
+#[test]
+fn section_knobs_enable_their_section() {
+    let parsed = |line: &str| TRAIN.parse(&args(line)).expect(line).plan.cfg;
+    let cfg = parsed("train --round-ms 500");
+    let membership = cfg.membership.expect("--round-ms enables membership");
+    assert_eq!(membership.round_ms, 500);
+    assert_eq!(membership.lease_ms, MembershipConfig::default().lease_ms);
+    assert!(cfg.buffer.is_none());
+
+    let cfg = parsed("train --staleness-decay 0.25");
+    let buffer = cfg.buffer.expect("--staleness-decay enables buffering");
+    assert_eq!(buffer.staleness_decay, 0.25);
+    assert_eq!(buffer.quorum, BufferConfig::default().quorum);
+    assert_eq!(cfg.membership, Some(MembershipConfig::default()));
+
+    // The other knobs keep their meaning: `--lease-ms` and
+    // `--buffer-quorum` imply membership, `--max-resident` the tree.
+    assert!(parsed("train --lease-ms 5000").membership.is_some());
+    let cfg = parsed("train --buffer-quorum 3");
+    assert!(cfg.membership.is_some() && cfg.buffer.is_some_and(|b| b.quorum == 3));
+    assert!(parsed("train --max-resident 8").hierarchy.is_some());
+    let cfg = parsed("train");
+    assert!(cfg.membership.is_none() && cfg.buffer.is_none() && cfg.hierarchy.is_none());
+}
+
+/// Every `[default]` that `train`, `serve` and `client --help` print is
+/// what parsing an empty command line produces: giving an option its
+/// printed default changes nothing (a section knob turns its section on,
+/// at the section's defaults).
+#[test]
+fn help_defaults_are_the_parsed_defaults() {
+    for (name, command) in [("train", &TRAIN), ("serve", &SERVE), ("client", &CLIENT)] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_photon"))
+            .args([name, "--help"])
+            .output()
+            .expect("photon runs");
+        let help = String::from_utf8(out.stdout).expect("utf-8 help");
+        // One entry per option: its first line starts `    --flag`, and
+        // its `[default]`, if any, ends its last line.
+        let mut entries: Vec<String> = Vec::new();
+        for line in help.lines() {
+            if line.starts_with("    --") {
+                entries.push(line.trim().to_string());
+            } else if let Some(entry) = entries.last_mut().filter(|_| line.starts_with("     ")) {
+                entry.push(' ');
+                entry.push_str(line.trim());
+            }
+        }
+        assert_eq!(entries.len(), command.rows().count(), "{name} --help");
+        let empty = command.parse(&args(name)).expect(name);
+        let mut checked = 0;
+        for entry in &entries {
+            let Some(default) = entry.strip_suffix(']').and_then(|e| e.rsplit_once(" [")) else {
+                continue;
+            };
+            let flag = entry.split_whitespace().next().unwrap();
+            let line = format!("{name} {flag} {}", default.1);
+            let given = command.parse(&args(&line)).expect(&line);
+            let mut expected = empty.clone();
+            let (want, got) = (&mut expected.plan.cfg, &given.plan.cfg);
+            if got.network.is_some() {
+                want.network.get_or_insert_with(Default::default);
+            }
+            if got.adaptive_deadline.is_some() {
+                want.adaptive_deadline.get_or_insert_with(Default::default);
+            }
+            if got.membership.is_some() {
+                want.membership.get_or_insert_with(Default::default);
+            }
+            if got.buffer.is_some() {
+                want.buffer.get_or_insert_with(Default::default);
+            }
+            if got.hierarchy.is_some() {
+                want.hierarchy.get_or_insert_with(Default::default);
+            }
+            assert_eq!(format!("{given:?}"), format!("{expected:?}"), "{line}");
+            checked += 1;
+        }
+        assert!(checked >= 6, "{name}: only {checked} defaults printed");
+    }
+}
+
+/// A data error on resume is reported once: `build_data` hands the
+/// `CoreError` through instead of wrapping its rendering in another.
+#[test]
+fn resume_data_errors_carry_one_prefix() {
+    let dir = ckpt_dir("resume-pile");
+    commands::train(&tiny_train_args(&dir, ""), false).expect("train failed");
+    let resume = args(&format!(
+        "resume --checkpoint-dir {} --rounds 3 --data pile",
+        dir.display()
+    ));
+    let err = commands::train(&resume, true).expect_err("2 clients cannot be a Pile run");
+    assert_eq!(
+        err,
+        "invalid configuration: heterogeneous federations need a multiple of 4 clients"
+    );
 }
 
 /// The end-of-run summary and `--metrics-json` are renderings of one

@@ -209,7 +209,9 @@ impl FederationConfig {
     /// # Errors
     /// Returns [`crate::CoreError::InvalidConfig`] describing the problem.
     pub fn validate(&self) -> crate::Result<()> {
-        self.model.validate();
+        self.model
+            .check()
+            .map_err(crate::CoreError::InvalidConfig)?;
         if self.population == 0 {
             return Err(crate::CoreError::InvalidConfig("population is zero".into()));
         }

@@ -61,7 +61,7 @@ impl Default for ClientOptions {
             heartbeat_interval_ms: 100,
             reconnect_base_ms: 50,
             reconnect_cap_ms: 2_000,
-            max_connect_attempts: 60,
+            max_connect_attempts: 120,
             hang_ms: 1_500,
             session_file: None,
         }

@@ -53,15 +53,20 @@ impl RunPlan {
         let text = std::str::from_utf8(bytes).map_err(|e| format!("plan not utf-8: {e}"))?;
         let plan: RunPlan =
             serde_json::from_str(text).map_err(|e| format!("plan not valid json: {e}"))?;
-        plan.cfg
-            .validate()
-            .map_err(|e| format!("plan config invalid: {e}"))?;
-        if let Some(faults) = &plan.faults {
-            faults
-                .validate()
-                .map_err(|e| format!("plan faults invalid: {e}"))?;
-        }
+        plan.validate().map_err(|e| format!("plan invalid: {e}"))?;
         Ok(plan)
+    }
+
+    /// Validates the configuration and the fault spec.
+    ///
+    /// # Errors
+    /// The first rule either breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        self.cfg.validate().map_err(|e| e.to_string())?;
+        match &self.faults {
+            Some(faults) => faults.validate().map_err(|e| format!("fault spec: {e}")),
+            None => Ok(()),
+        }
     }
 }
 

@@ -44,17 +44,36 @@ impl ModelConfig {
     /// # Panics
     /// Panics if `d_model` is not divisible by `n_heads` or any field is 0.
     pub fn validate(&self) {
-        assert!(self.n_layers > 0, "n_layers must be positive");
-        assert!(self.n_heads > 0, "n_heads must be positive");
-        assert!(
-            self.d_model.is_multiple_of(self.n_heads),
-            "d_model {} not divisible by n_heads {}",
-            self.d_model,
-            self.n_heads
-        );
-        assert!(self.exp_ratio > 0, "exp_ratio must be positive");
-        assert!(self.vocab_size > 1, "vocab_size must exceed 1");
-        assert!(self.seq_len > 0, "seq_len must be positive");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// [`ModelConfig::validate`]'s rules as a `Result`, for configs read
+    /// from outside the process.
+    ///
+    /// # Errors
+    /// Describes the first rule broken.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = [
+            ("n_layers", self.n_layers),
+            ("n_heads", self.n_heads),
+            ("exp_ratio", self.exp_ratio),
+            ("seq_len", self.seq_len),
+        ];
+        if let Some((name, _)) = positive.iter().find(|(_, n)| *n == 0) {
+            return Err(format!("{name} must be positive"));
+        }
+        if !self.d_model.is_multiple_of(self.n_heads) {
+            return Err(format!(
+                "d_model {} not divisible by n_heads {}",
+                self.d_model, self.n_heads
+            ));
+        }
+        if self.vocab_size < 2 {
+            return Err("vocab_size must exceed 1".into());
+        }
+        Ok(())
     }
 
     /// Hidden dimension of the MLP.
