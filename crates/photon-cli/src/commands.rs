@@ -246,7 +246,7 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
         // Final drain: everything the last round recorded lands in the
         // sinks, and the merged summary feeds the phase-profile report.
         match photon_trace::flush() {
-            Ok(summary) => print_phase_report(&summary, rounds),
+            Ok(summary) => print_phase_report(&summary, &outcome.history, rounds),
             Err(e) => eprintln!("warning: final trace flush failed: {e}"),
         }
         if let Some(path) = &o.trace.jsonl {
@@ -297,9 +297,14 @@ fn init_tracing(o: &Options, clock: ClockMode) -> Result<bool, String> {
 }
 
 /// The end-of-run observability summary: per-phase wall-time shares with
-/// per-phase p50/p95 latencies, plus round-level latency and wire-byte
-/// distributions from the recorder's histograms.
-fn print_phase_report(summary: &photon_trace::FlushSummary, rounds: u64) {
+/// per-phase p50/p95 latencies, the round latency distribution from the
+/// profile's histogram and the wire-byte distribution of the rounds that
+/// stand.
+fn print_phase_report(
+    summary: &photon_trace::FlushSummary,
+    history: &photon_core::TrainingHistory,
+    rounds: u64,
+) {
     if summary.profile.is_empty() {
         return;
     }
@@ -314,7 +319,9 @@ fn print_phase_report(summary: &photon_trace::FlushSummary, rounds: u64) {
             h.count()
         );
     }
-    if let Some(h) = summary.hists.get("round.wire_bytes") {
+    let mut h = photon_trace::LogHistogram::new();
+    history.rounds.iter().for_each(|r| h.record(r.wire_bytes));
+    if !h.is_empty() {
         println!(
             "bytes on wire per round: p50 {:.1} KB, p95 {:.1} KB, total {:.1} KB",
             h.quantile(0.5) as f64 / 1024.0,

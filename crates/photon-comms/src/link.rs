@@ -215,24 +215,15 @@ pub fn deliver_chaos(
             .saturating_add(report.latency_ms)
             .saturating_mul(1_000),
     );
-    photon_trace::counter_add("link.deliveries", 1);
-    photon_trace::counter_add("link.wire_bytes", report.wire_bytes);
-    photon_trace::observe("link.frame_bytes", frame.len() as u64);
-    if lost_first > 0 {
-        photon_trace::counter_add("link.losses", lost_first.min(report.attempts) as u64);
-    }
-    if report.attempts > 1 {
-        photon_trace::counter_add("link.retransmits", (report.attempts - 1) as u64);
-        for retry in 1..report.attempts {
-            photon_trace::instant(
-                photon_trace::Phase::LinkRetransmit,
-                "link_retransmit",
-                &[
-                    ("retry", retry as u64),
-                    ("backoff_ms", policy.jittered_backoff_ms(retry, seed)),
-                ],
-            );
-        }
+    for retry in 1..report.attempts {
+        photon_trace::instant(
+            photon_trace::Phase::LinkRetransmit,
+            "link_retransmit",
+            &[
+                ("retry", retry as u64),
+                ("backoff_ms", policy.jittered_backoff_ms(retry, seed)),
+            ],
+        );
     }
     (result, report)
 }

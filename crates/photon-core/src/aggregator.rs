@@ -129,7 +129,7 @@ impl Aggregator {
             .network
             .map(|n| photon_comms::NetworkModel::new(n.profile, cfg.seed));
         let hierarchy = cfg.hierarchy.map(|h| ShardTree::new(h, cfg.seed));
-        Ok(Aggregator {
+        let aggregator = Aggregator {
             cfg,
             params,
             server_opt,
@@ -148,7 +148,9 @@ impl Aggregator {
             latency_obs: Vec::new(),
             hierarchy,
             workspaces: Vec::new(),
-        })
+        };
+        aggregator.publish_tree();
+        Ok(aggregator)
     }
 
     /// The run configuration.
@@ -180,6 +182,22 @@ impl Aggregator {
     /// run's one store.
     pub(crate) fn set_telemetry(&mut self, telemetry: crate::Telemetry) {
         self.telemetry = telemetry;
+        self.publish_tree();
+    }
+
+    /// Writes the tree's shape and dead shards into the store's live view
+    /// of it; a flat run has none.
+    fn publish_tree(&self) {
+        let (Some(cfg), Some(tree)) = (self.cfg.hierarchy, &self.hierarchy) else {
+            return;
+        };
+        let dead_shards = tree.state().dead_shards;
+        self.telemetry.hierarchy(|view| {
+            view.shards = cfg.shards;
+            view.shard_quorum_frac = cfg.shard_quorum_frac;
+            view.max_resident = cfg.max_resident;
+            view.dead_shards = dead_shards;
+        });
     }
 
     /// Saves everything a restart needs — parameters, server-optimizer
@@ -303,6 +321,7 @@ impl Aggregator {
         self.membership = membership;
         self.buffer = buffer;
         self.hierarchy = hierarchy;
+        self.publish_tree();
         self.guard = self
             .cfg
             .guard

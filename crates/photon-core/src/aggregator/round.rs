@@ -330,9 +330,6 @@ impl Aggregator {
         round_span.set_arg("cohort", plan.cohort_idx.len() as u64);
         round_span.set_arg("wire_bytes", acct.wire_bytes);
         round_span.set_arg("received", arrivals.len() as u64);
-        photon_trace::counter_add("round.wire_bytes", acct.wire_bytes);
-        photon_trace::observe("round.wire_bytes", acct.wire_bytes);
-        photon_trace::counter_add("rounds.total", 1);
         let merged = self.merge(&plan, arrivals, &acct)?;
         self.commit(plan, acct, merged)
     }
@@ -512,7 +509,6 @@ impl Aggregator {
             (frame, frame_bytes)
         };
         let broadcast_bytes = frame_bytes * (cohort - plan.severed_full) as u64;
-        photon_trace::counter_add("round.broadcast_bytes", broadcast_bytes);
         let replies = transport.exchange(Exchange {
             round: self.round,
             broadcast,
@@ -586,7 +582,6 @@ impl Aggregator {
             };
             if self.network.is_some() {
                 self.telemetry.record_link_latency(delivered.lateness);
-                photon_trace::observe("net.latency_ms", delivered.lateness);
             }
             round_latencies.push(delivered.lateness);
             // Straggler policy: synchronous rounds drop late results;
@@ -1162,6 +1157,13 @@ impl Aggregator {
                 f.stale_commits += stale;
             }
         });
+        if self.hierarchy.is_some() {
+            self.publish_tree();
+            self.telemetry.hierarchy(|view| {
+                view.peak_resident = tally.peak_resident;
+                view.reparented_clients = tally.reparented;
+            });
+        }
         for (id, metrics) in &seen {
             self.telemetry.record(*id, self.round, metrics);
         }
@@ -1559,8 +1561,6 @@ pub fn client_round(
         };
         step_span.set_arg("tokens", update.metrics.tokens);
         step_span.set_arg("steps", update.metrics.steps);
-        photon_trace::counter_add("client.steps", update.metrics.steps);
-        photon_trace::counter_add("client.tokens", update.metrics.tokens);
         update
     };
     // Byzantine faults poison the result AFTER honest local training, so

@@ -16,8 +16,8 @@
 use crate::experiments::{eval_seq, RunOptions};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::{
-    checkpoint_exists, load_checkpoint, CoreError, Federation, HierarchyMetrics, MetricsSnapshot,
-    Result, TrainingHistory, Transport,
+    checkpoint_exists, load_checkpoint, CoreError, Federation, MetricsSnapshot, Result,
+    TrainingHistory, Transport,
 };
 use photon_data::{EvalStream, TokenCorpus};
 use photon_nn::evaluate_perplexity;
@@ -77,29 +77,20 @@ pub struct TrainingOutcome {
 
 impl TrainingOutcome {
     /// The run's metrics: the store's snapshot plus what only the training
-    /// driver knows — the round, the storage dtype, the live view of the
-    /// sub-aggregator tree (`None` for flat runs), the recovery tallies,
+    /// driver knows — the round, the storage dtype, the recovery tallies,
     /// the resume point and the per-round history with its recent-round
     /// ring. The last `--metrics-json` rewrite holds it, and the CLI's
     /// end-of-run summary prints it.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        self.complete(self.federation.aggregator.telemetry().snapshot())
+    }
+
+    /// Adds what only the training driver knows to the store's `snapshot`.
+    fn complete(&self, snapshot: MetricsSnapshot) -> MetricsSnapshot {
         let agg = &self.federation.aggregator;
-        let snapshot = agg.telemetry().snapshot();
-        let counters = snapshot.fault_counters;
-        let hierarchy = agg.config().hierarchy.as_ref().map(|cfg| HierarchyMetrics {
-            shards: cfg.shards,
-            shard_quorum_frac: cfg.shard_quorum_frac,
-            max_resident: cfg.max_resident,
-            dead_shards: agg.hierarchy_state().unwrap_or_default().dead_shards,
-            shard_crashes: counters.shard_crashes,
-            shard_hangs: counters.shard_hangs,
-            shard_degraded: counters.shard_degraded,
-            reparented: counters.reparented,
-        });
         MetricsSnapshot {
             round: agg.round(),
             dtype: Some(agg.config().dtype.as_str()),
-            hierarchy,
             recoveries: Some(self.recoveries),
             rollbacks: Some(self.rollbacks),
             resumed_from: self.resumed_from,
@@ -171,11 +162,12 @@ where
 
     // The store counts what this process does, across its recoveries: a
     // resumed run cannot know which rounds before its first a prior
-    // process neutralized, since that is not checkpointed.
+    // process neutralized, since that is not checkpointed. Each recovery
+    // and rollback reaches it as it happens.
+    let store = run.federation.aggregator.telemetry().clone();
     if opts.resume && restore_latest(&mut run.federation, opts) {
         run.resumed_from = Some(run.federation.aggregator.round());
-        let telemetry = run.federation.aggregator.telemetry();
-        telemetry.count(|f| f.coordinator_restarts += 1);
+        store.count(|f| f.coordinator_restarts += 1);
     }
 
     let seq = eval_seq(run.federation.aggregator.config());
@@ -220,7 +212,6 @@ where
                     if due || reached || round + 1 == opts.run.rounds {
                         let _save_span = photon_trace::span(photon_trace::Phase::CheckpointSave)
                             .arg("round", run.federation.aggregator.round());
-                        photon_trace::counter_add("checkpoint.saves", 1);
                         run.federation.aggregator.save_checkpoint(dir)?;
                     }
                 }
@@ -235,6 +226,7 @@ where
                         )));
                     }
                     run.recoveries += 1;
+                    store.count(|f| f.recoveries += 1);
                     recover(&mut build, opts, &mut run, &neutralized)?;
                 }
                 true
@@ -244,13 +236,13 @@ where
                     return Err(CoreError::Divergence { round, reason });
                 }
                 run.rollbacks += 1;
+                store.count(|f| f.rollbacks += 1);
                 neutralized.insert(round);
                 photon_trace::instant(
                     photon_trace::Phase::Rollback,
                     "watchdog_rollback",
                     &[("round", round), ("rollback", run.rollbacks as u64)],
                 );
-                photon_trace::counter_add("watchdog.rollbacks", 1);
                 eprintln!(
                     "round {round} diverged ({reason}); rolling back to the \
                      last-good checkpoint and neutralizing the round \
@@ -265,6 +257,7 @@ where
                     return Err(e);
                 }
                 run.recoveries += 1;
+                store.count(|f| f.recoveries += 1);
                 eprintln!(
                     "round {round} failed ({e}); restoring from checkpoint \
                      (recovery {}/{})",
@@ -283,10 +276,6 @@ where
             break;
         }
     }
-    run.federation.aggregator.telemetry().count(|f| {
-        f.recoveries += u64::from(run.recoveries);
-        f.rollbacks += u64::from(run.rollbacks);
-    });
     // Refresh the sinks once more so they reflect the final state.
     publish_round_metrics(&run, opts);
     Ok(run)
@@ -323,24 +312,25 @@ where
     Ok(())
 }
 
-/// Refreshes the observability sinks after a round from one
-/// [`MetricsSnapshot`]: publishes its derived gauges, drains the trace
-/// recorder into its sinks, and atomically rewrites the live metrics JSON
-/// (so a concurrent reader never observes a torn file). Sink failures warn
-/// and never fail training.
+/// Refreshes the observability sinks after a round from one snapshot of the
+/// store: hands the trace recorder its Prometheus rendering — the text
+/// `/metrics` serves — and drains the recorder into its sinks, then
+/// atomically rewrites the live metrics JSON (so a concurrent reader never
+/// observes a torn file). Sink failures warn and never fail training.
 fn publish_round_metrics(run: &TrainingOutcome, opts: &TrainingOptions) {
-    if !photon_trace::enabled() && opts.metrics_json.is_none() {
+    let tracing = photon_trace::enabled();
+    if !tracing && opts.metrics_json.is_none() {
         return; // no sink to refresh
     }
-    let snapshot = run.snapshot();
-    for (name, value) in snapshot.gauges() {
-        photon_trace::gauge_set(name, value);
-    }
-    if let Err(e) = photon_trace::flush() {
-        eprintln!("warning: trace flush failed: {e}");
+    let snapshot = run.federation.aggregator.telemetry().snapshot();
+    if tracing {
+        photon_trace::set_metrics_text(|| snapshot.to_prometheus());
+        if let Err(e) = photon_trace::flush() {
+            eprintln!("warning: trace flush failed: {e}");
+        }
     }
     if let Some(path) = &opts.metrics_json {
-        let written = serde_json::to_string_pretty(&snapshot)
+        let written = serde_json::to_string_pretty(&run.complete(snapshot))
             .map_err(std::io::Error::other)
             .and_then(|json| photon_trace::atomic_write(path, &json));
         if let Err(e) = written {
@@ -360,7 +350,6 @@ fn restore_latest(fed: &mut Federation, opts: &TrainingOptions) -> bool {
         return false;
     };
     let _restore_span = photon_trace::span(photon_trace::Phase::CheckpointRestore);
-    photon_trace::counter_add("checkpoint.restores", 1);
     // Mid-run joiners in the restored roster are re-provisioned, from the
     // run seed, before the next simulated round.
     let restored = load_checkpoint(dir).and_then(|ckpt| fed.aggregator.restore(ckpt));

@@ -1,28 +1,26 @@
 //! Federation telemetry: the `AggMetrics` side of Algorithm 1 (L.10).
 //!
-//! **Store → snapshot → renderers.** A run has one store, [`Telemetry`]:
-//! the [`FaultCounters`] themselves (written through
-//! [`Telemetry::count`]), one per-client table holding the training and the
-//! transport columns side by side ([`ClientStats`], written through
-//! [`Telemetry::client`]) and a handful of run scalars. There is one read
-//! path, [`Telemetry::snapshot`], and every surface an operator reads is a
-//! rendering of the [`MetricsSnapshot`] it returns: `--metrics-json` is the
-//! struct through `serde_json`, `/health` is its coordinator-and-clients
-//! part ([`MetricsSnapshot::into_health`]), `/metrics` is
-//! [`MetricsSnapshot::to_prometheus`], the recorder's `--metrics-text` sink
-//! gets its gauges from [`MetricsSnapshot::gauges`] and the CLI's end-of-run
-//! summary prints the snapshot's fields.
+//! **Store → snapshot → renderers.** A run has one store, [`Telemetry`],
+//! and it is the only place a number lives: the [`FaultCounters`]
+//! themselves (written through [`Telemetry::count`]), one per-client table
+//! holding the training and the transport columns side by side
+//! ([`ClientStats`], written through [`Telemetry::client`]), the shard
+//! tree's live view ([`Telemetry::hierarchy`]) and a handful of run
+//! scalars. There is one read path, [`Telemetry::snapshot`], and every
+//! surface an operator reads is a rendering of the [`MetricsSnapshot`] it
+//! returns: `--metrics-json` is the struct through `serde_json`, `/health`
+//! is its coordinator-and-clients part ([`MetricsSnapshot::into_health`]),
+//! `/metrics` and the recorder's `--metrics-text` sink are both
+//! [`MetricsSnapshot::to_prometheus`] followed by the trace recorder's
+//! `photon_phase_*` families, and the CLI's end-of-run summary prints the
+//! snapshot's fields.
 //!
 //! [`METRIC_SCHEMA`] lists every name those renderings carry, with the
 //! reader that produces its value, so a name is spelled once.
-//! [`Telemetry::count`] mirrors each counter it changed into the thread's
-//! trace recorder (a no-op without one), which is how `--metrics-text`
-//! carries them; `/metrics` renders the snapshot's counters whether or not
-//! a recorder is enabled.
 
 use parking_lot::RwLock;
 use photon_comms::TrainMetrics;
-use photon_trace::{FlushSummary, LogHistogram};
+use photon_trace::LogHistogram;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -148,11 +146,10 @@ impl FaultCounters {
 /// How a [`METRIC_SCHEMA`] entry is read and where it is rendered.
 #[derive(Debug, Clone, Copy)]
 pub enum MetricKind {
-    /// A [`FaultCounters`] field: `photon_counter_total{name}`, mirrored
-    /// into the trace recorder as it changes, and an entry of the JSON's
-    /// `fault_counters` (same order).
+    /// A [`FaultCounters`] field: `photon_counter_total{name}` and an entry
+    /// of the JSON's `fault_counters` (same order).
     Counter(fn(&FaultCounters) -> u64),
-    /// A run-level count: `photon_counter_total{name}` on `/metrics`.
+    /// A run-level count: `photon_counter_total{name}`.
     RunCounter(fn(&MetricsSnapshot) -> u64),
     /// `photon_gauge{name}` when the value exists; the name is also the
     /// dotted path of the JSON key that holds it, where there is one.
@@ -239,8 +236,8 @@ pub const METRIC_SCHEMA: &[Metric] = schema! {
     "hierarchy.shard_quorum_frac"   Gauge(|s| Some(s.hierarchy.as_ref()?.shard_quorum_frac)) => "Fraction of a shard's slice that must fold.";
     "hierarchy.max_resident"        Gauge(|s| Some(s.hierarchy.as_ref()?.max_resident as f64)) => "Residency bound of a shard's streaming merge.";
     "hierarchy.dead_shards"         Gauge(|s| Some(s.hierarchy.as_ref()?.dead_shards.len() as f64)) => "Permanently crashed shards.";
-    "hierarchy.peak_resident"       Gauge(|s| Some(s.last_shard_round()?.peak_resident as f64)) => "Last round's streaming-merge residency high-water mark.";
-    "hierarchy.reparented_clients"  Gauge(|s| Some(s.last_shard_round()?.reparented as f64)) => "Last round's fostered cohort members.";
+    "hierarchy.peak_resident"       Gauge(|s| Some(s.hierarchy.as_ref()?.peak_resident as f64)) => "Last round's streaming-merge residency high-water mark.";
+    "hierarchy.reparented_clients"  Gauge(|s| Some(s.hierarchy.as_ref()?.reparented_clients as f64)) => "Last round's fostered cohort members.";
     "recoveries"                    Json                                => "Checkpoint restores so far.";
     "rollbacks"                     Json                                => "Watchdog rollbacks so far.";
     "history"                       Json                                => "Per-round records that stand.";
@@ -353,7 +350,9 @@ pub struct TransportMetrics {
     pub reconnects_by_client: BTreeMap<String, u64>,
 }
 
-/// Live view of the sub-aggregator tree, filled in by the driver.
+/// Live view of the sub-aggregator tree: the aggregator writes the tree's
+/// shape, its dead shards and the last round's figures into the store, and
+/// [`Telemetry::snapshot`] adds the shard counters.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct HierarchyMetrics {
     /// Shards in the tree.
@@ -364,6 +363,10 @@ pub struct HierarchyMetrics {
     pub max_resident: usize,
     /// Permanently crashed shards, ascending.
     pub dead_shards: Vec<u32>,
+    /// The last round's streaming-merge residency high-water mark.
+    pub peak_resident: usize,
+    /// The last round's cohort members fostered to a sibling shard.
+    pub reparented_clients: usize,
     /// [`FaultCounters::shard_crashes`].
     pub shard_crashes: u64,
     /// [`FaultCounters::shard_hangs`].
@@ -388,11 +391,11 @@ pub struct RoundSlot {
 
 /// Everything a run reports, read from the store in one pass. The store
 /// fills the run scalars, `fault_counters`, `clients`, `network`,
-/// `transport` and, under `serve`, the coordinator's `state` and
-/// `sessions`; the training driver adds what only it knows — `round`,
-/// `dtype`, `hierarchy`, `recoveries`, `rollbacks`, `resumed_from`,
-/// `history` and the `recent_rounds` derived from it — and a section that
-/// does not apply to a run stays `None` (`null`).
+/// `transport`, `hierarchy` and, under `serve`, the coordinator's `state`
+/// and `sessions`; the training driver adds what only it knows — `round`,
+/// `dtype`, `recoveries`, `rollbacks`, `resumed_from`, `history` and the
+/// `recent_rounds` derived from it — and a section that does not apply to
+/// a run stays `None` (`null`).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct MetricsSnapshot {
     /// Next round the aggregator runs.
@@ -464,50 +467,38 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The last round's record, for a run with a shard tree.
-    fn last_shard_round(&self) -> Option<&crate::RoundRecord> {
-        self.hierarchy.as_ref()?;
-        self.history.as_ref()?.rounds.last()
-    }
-
-    /// The derived gauges the snapshot has a value for.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        METRIC_SCHEMA.iter().filter_map(move |m| match m.kind {
-            Gauge(get) => Some((m.name, get(self)?)),
-            _ => None,
-        })
-    }
-
-    /// Prometheus text exposition of the snapshot on top of `recorder`'s
-    /// state (spans, histograms, the counters only it keeps): a counter
-    /// the store mirrored into the recorder appears once, and every
-    /// counter appears whether or not a recorder is enabled. Lint-clean
-    /// per [`photon_trace::lint_prometheus`].
-    pub fn to_prometheus(&self, recorder: &FlushSummary) -> String {
-        let mut counters = recorder.counters.clone();
-        let mut gauges = recorder.gauges.clone();
-        gauges.extend(self.gauges());
-        for m in METRIC_SCHEMA {
-            match m.kind {
-                Counter(get) => counters.record_max(m.name, get(&self.fault_counters)),
-                RunCounter(get) => counters.record_max(m.name, get(self)),
-                _ => {}
-            }
-        }
-        let mut out =
-            photon_trace::render_prometheus(&counters, &gauges, &recorder.hists, &recorder.profile);
+    /// Prometheus text exposition of the snapshot: every [`METRIC_SCHEMA`]
+    /// row with a rendering, in schema order — the counters under
+    /// `photon_counter_total`, the gauges with a value under `photon_gauge`,
+    /// the coordinator's families under `serve` and a sample per client of
+    /// each client family. Lint-clean per [`photon_trace::lint_prometheus`].
+    pub fn to_prometheus(&self) -> String {
+        let mut out = String::new();
         let mut declared = "";
         for m in METRIC_SCHEMA {
-            let (family, samples): (_, Vec<_>) = match m.kind {
+            let named = |value: String| vec![(format!("{{name=\"{}\"}}", m.name), value)];
+            let ((family, help), samples): (_, Vec<_>) = match m.kind {
+                Counter(get) => (COUNTERS, named(get(&self.fault_counters).to_string())),
+                RunCounter(get) => (COUNTERS, named(get(self).to_string())),
+                Gauge(get) => match get(self) {
+                    Some(value) => (GAUGES, named(value.to_string())),
+                    None => continue,
+                },
                 Coordinator(get) => {
-                    let sample = get(self).map(|value| (String::new(), value));
-                    (m.name, sample.into_iter().collect())
+                    let sample = get(self).map(|value| (String::new(), value.to_string()));
+                    ((m.name, m.help), sample.into_iter().collect())
                 }
                 Client(family, labels, get) => {
-                    let sample = |(id, c)| Some((format!("{{client=\"{id}\"{labels}}}"), get(c)?));
-                    (family, self.clients.iter().filter_map(sample).collect())
+                    let sample = |(id, c)| {
+                        let value = get(c)?.to_string();
+                        Some((format!("{{client=\"{id}\"{labels}}}"), value))
+                    };
+                    (
+                        (family, m.help),
+                        self.clients.iter().filter_map(sample).collect(),
+                    )
                 }
-                _ => continue,
+                Json => continue,
             };
             if !samples.is_empty() && family != declared {
                 // Prometheus naming: a family called `…_total` is a counter.
@@ -516,7 +507,7 @@ impl MetricsSnapshot {
                 } else {
                     "gauge"
                 };
-                let _ = writeln!(out, "# HELP {family} {}\n# TYPE {family} {kind}", m.help);
+                let _ = writeln!(out, "# HELP {family} {help}\n# TYPE {family} {kind}");
                 declared = family;
             }
             for (labels, value) in samples {
@@ -526,6 +517,11 @@ impl MetricsSnapshot {
         out
     }
 }
+
+/// The family every counter row shares, and its help.
+const COUNTERS: (&str, &str) = ("photon_counter_total", "Monotonic event counters.");
+/// The family every gauge row shares, and its help.
+const GAUGES: (&str, &str) = ("photon_gauge", "Derived instantaneous values.");
 
 /// A cheaply clonable, thread-safe handle to the run's one metrics store,
 /// shared between the aggregator, the coordinator and observers.
@@ -552,6 +548,9 @@ struct Inner {
     /// the sessions it admitted (`serve` only).
     coordinator: Option<(u64, u8, &'static str)>,
     sessions: Option<u64>,
+    /// The shard tree's live view, without the shard counters (runs with
+    /// a tree only).
+    hierarchy: Option<HierarchyMetrics>,
 }
 
 impl Inner {
@@ -575,24 +574,26 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// The one write path of the counters: `f` edits them in place, and
-    /// each row it raised is mirrored into the thread's trace recorder
-    /// under its exported name (a no-op when tracing is disabled).
+    /// The one write path of the counters: `f` edits them in place.
     pub fn count(&self, f: impl FnOnce(&mut FaultCounters)) {
-        let mut inner = self.inner.write();
-        let before = inner.counters;
-        f(&mut inner.counters);
-        for ((name, was), (_, now)) in before.rows().zip(inner.counters.rows()) {
-            if now > was {
-                photon_trace::counter_add(name, now - was);
-            }
-        }
+        f(&mut self.inner.write().counters);
     }
 
     /// The one write path of the per-client table: `f` edits `id`'s row,
     /// created empty on first touch.
     pub fn client(&self, id: u32, f: impl FnOnce(&mut ClientStats)) {
         f(self.inner.write().clients.entry(id).or_default());
+    }
+
+    /// The one write path of the shard tree's live view: `f` edits it,
+    /// created empty on first touch. Its shard counters are the
+    /// [`FaultCounters`]' and are filled in by [`Telemetry::snapshot`].
+    pub fn hierarchy(&self, f: impl FnOnce(&mut HierarchyMetrics)) {
+        f(self
+            .inner
+            .write()
+            .hierarchy
+            .get_or_insert_with(Default::default));
     }
 
     /// Records one client's round metrics (called by the aggregator as
@@ -636,11 +637,6 @@ impl Telemetry {
     /// Marks `round` as *committed*: it completed and its aggregated
     /// update was applied (not neutralized by a watchdog rollback).
     /// Idempotent per round, so a replay after recovery counts once.
-    ///
-    /// Deliberately NOT mirrored into the trace recorder: the replay after
-    /// a recovery commits rounds the set already holds, which would inflate
-    /// a cumulative counter; the recorder gets the commit count as a gauge
-    /// instead.
     pub fn record_committed_round(&self, round: u64) {
         self.inner.write().committed.insert(round);
     }
@@ -708,6 +704,13 @@ impl Telemetry {
                 redelivery_acks: f.redelivery_acks,
                 reconnects_by_client,
             },
+            hierarchy: inner.hierarchy.clone().map(|tree| HierarchyMetrics {
+                shard_crashes: f.shard_crashes,
+                shard_hangs: f.shard_hangs,
+                shard_degraded: f.shard_degraded,
+                reparented: f.reparented,
+                ..tree
+            }),
             fault_counters: f,
             clients,
             ..MetricsSnapshot::default()

@@ -244,7 +244,6 @@ impl UpdateBuffer {
             out.updates.push(entry.weighted_at(round, decay));
         }
         commit_span.set_arg("stale", out.stale as u64);
-        photon_trace::counter_add("buffer.committed_updates", out.updates.len() as u64);
         Some(out)
     }
 

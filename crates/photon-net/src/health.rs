@@ -4,13 +4,13 @@
 //! store the aggregator and the coordinator write — and renders a fresh
 //! [`photon_core::MetricsSnapshot`] per request over plain HTTP GET:
 //!
-//! * `GET /metrics` — Prometheus text exposition
-//!   ([`photon_core::MetricsSnapshot::to_prometheus`]): every counter and
-//!   derived gauge of the snapshot, the coordinator's `photon_coord_*`
-//!   and the per-client `photon_client_*` families, whether or not a
-//!   trace recorder is enabled; with one, also the recorder's own state
-//!   (its counters, histograms, per-phase self time). Lint-clean per
-//!   [`photon_trace::lint_prometheus`].
+//! * `GET /metrics` — Prometheus text exposition, the same text the
+//!   `--metrics-text` sink writes: the snapshot's rendering
+//!   ([`photon_core::MetricsSnapshot::to_prometheus`]: every counter and
+//!   derived gauge, the coordinator's `photon_coord_*` and the per-client
+//!   `photon_client_*` families), whether or not a trace recorder is
+//!   enabled, followed by the recorder's `photon_phase_*` families when
+//!   one is. Lint-clean per [`photon_trace::lint_prometheus`].
 //! * `GET /health` — the coordinator-and-clients part of the same
 //!   snapshot as JSON, for programmatic probes: round, state,
 //!   `rounds_committed` and one entry per client the coordinator has
@@ -113,9 +113,8 @@ fn serve_one(mut stream: TcpStream, telemetry: &Telemetry) -> std::io::Result<()
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4",
-            telemetry
-                .snapshot()
-                .to_prometheus(&photon_trace::drain_now()),
+            telemetry.snapshot().to_prometheus()
+                + &photon_trace::render_prometheus(&photon_trace::drain_now().profile),
         ),
         "/health" => (
             "200 OK",
@@ -168,9 +167,7 @@ mod tests {
 
     #[test]
     fn prometheus_output_is_lint_clean() {
-        let text = seeded_store()
-            .snapshot()
-            .to_prometheus(&photon_trace::drain_now());
+        let text = seeded_store().snapshot().to_prometheus();
         photon_trace::lint_prometheus(&text).expect("lint");
         assert!(text.contains("photon_client_rounds_total{client=\"0\"} 3"));
         assert!(text.contains("photon_client_reconnects_total{client=\"1\"} 1"));

@@ -466,10 +466,6 @@ pub fn gemm_auto(spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
         .arg("k", spec.k as u64)
         .arg("n", spec.n as u64)
         .arg("backend", backend::active_kind().id());
-    photon_trace::counter_add(
-        "kernel.gemm_flops",
-        2 * (spec.m as u64) * (spec.k as u64) * (spec.n as u64),
-    );
     par_gemm(spec, a, b, c, pool::effective_parallelism());
 }
 

@@ -370,8 +370,6 @@ pub fn run_tasks(tasks: Vec<Task<'_>>) {
     }
     // Profile-only span (never a JSONL event): dispatch + barrier wait.
     let _dispatch = photon_trace::span(photon_trace::Phase::PoolDispatch).arg("tasks", n as u64);
-    photon_trace::counter_add("pool.batches", 1);
-    photon_trace::counter_add("pool.tasks", n as u64);
     let run_inline = n == 1 || IS_WORKER.with(Cell::get) || WIDTH.with(Cell::get) == 1;
     let pool = if run_inline { None } else { pool() };
     let Some(pool) = pool else {

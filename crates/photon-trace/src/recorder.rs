@@ -11,7 +11,7 @@
 //! does, on their client's lane. Two federations in one process never see
 //! each other's events, sim time or kernel-event setting.
 //!
-//! The free functions ([`span`], [`counter_add`], [`flush`], …) are what
+//! The free functions ([`span`], [`instant`], [`flush`], …) are what
 //! instrumented code and the drivers call. Each is a one-line delegation
 //! to the thread's scoped recorder or, on a thread with none, to the
 //! process **default** — the recorder [`init`] configures, the only one a
@@ -33,13 +33,12 @@
 //!
 //! Shards are drained in registry order into one collector, but the
 //! collector sorts pending events by their full field set (timestamp,
-//! actor lane, per-shard sequence, content) before writing, and counter/
-//! histogram/profile merging is commutative — so the flushed output is
+//! actor lane, per-shard sequence, content) before writing, and profile
+//! merging is commutative — so the flushed output is
 //! independent of thread scheduling and drain timing. With the Sim clock
 //! this makes trace files byte-identical across same-seed runs.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::mem;
@@ -51,9 +50,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use crate::clock::{Clock, ClockMode};
-use crate::counters::CounterSet;
 use crate::event::{Event, EventKind, Phase, MAX_ARGS};
-use crate::hist::LogHistogram;
 use crate::profile::PhaseProfile;
 use crate::sink::{atomic_write, render_prometheus, JsonlSink};
 
@@ -62,8 +59,8 @@ use crate::sink::{atomic_write, render_prometheus, JsonlSink};
 const SHARD_EVENT_CAP: usize = 1 << 14;
 
 /// Events the collector holds between flushes. Beyond this, events are
-/// counted as dropped rather than grown without bound; profile/counter
-/// accounting is never dropped.
+/// counted as dropped rather than grown without bound; profile accounting
+/// is never dropped.
 const PENDING_EVENT_CAP: usize = 1 << 20;
 
 /// How many recorders in the process are enabled: the one load a call site
@@ -87,8 +84,6 @@ struct ShardData {
     events: Vec<Event>,
     seq: u64,
     profile: PhaseProfile,
-    counters: CounterSet,
-    hists: BTreeMap<&'static str, LogHistogram>,
 }
 
 struct Shard {
@@ -99,13 +94,13 @@ struct Shard {
 struct Collector {
     pending: Vec<Event>,
     profile: PhaseProfile,
-    counters: CounterSet,
-    gauges: BTreeMap<&'static str, f64>,
-    hists: BTreeMap<&'static str, LogHistogram>,
     written: u64,
     dropped: u64,
     jsonl: Option<JsonlSink>,
     prometheus: Option<PathBuf>,
+    /// What the Prometheus sink writes ahead of the profile's families
+    /// ([`set_metrics_text`]).
+    metrics_text: String,
     /// OS pid stamped on JSONL lines; 0 until [`set_process_meta`] is
     /// called, which keeps single-process traces byte-identical to the
     /// historical shape.
@@ -129,7 +124,8 @@ pub struct TraceConfig {
     /// trace sink (events are still collected for [`flush_to_string`]).
     pub jsonl: Option<PathBuf>,
     /// Prometheus text snapshot path (`--metrics-text`), rewritten
-    /// atomically on every [`flush`].
+    /// atomically on every [`flush`] with the [`set_metrics_text`] text
+    /// followed by the phase profile's families.
     pub prometheus: Option<PathBuf>,
     /// Emit per-kernel spans (GEMM/attention/layernorm) as JSONL events
     /// too. They always feed the profiler; as events they dominate trace
@@ -148,12 +144,6 @@ pub struct FlushSummary {
     pub events_dropped: u64,
     /// Merged per-phase wall-time profile.
     pub profile: PhaseProfile,
-    /// Merged named counters.
-    pub counters: CounterSet,
-    /// Last-set named gauges.
-    pub gauges: BTreeMap<&'static str, f64>,
-    /// Merged named histograms.
-    pub hists: BTreeMap<&'static str, LogHistogram>,
 }
 
 /// One run's trace state: the enabled and kernel-event flags, the clock,
@@ -457,25 +447,15 @@ impl Recorder {
         let shards: Vec<Arc<Shard>> = self.registry.lock().iter().map(Arc::clone).collect();
         let mut events: Vec<Event> = Vec::new();
         let mut profile = PhaseProfile::new();
-        let mut counters = CounterSet::new();
-        let mut hists: BTreeMap<&'static str, LogHistogram> = BTreeMap::new();
         for shard in &shards {
             let mut data = shard.data.lock();
             events.append(&mut data.events);
             profile.merge(&mem::take(&mut data.profile));
-            counters.merge(&mem::take(&mut data.counters));
-            for (name, hist) in mem::take(&mut data.hists) {
-                hists.entry(name).or_default().merge(&hist);
-            }
         }
         {
             let mut collector = self.collector.lock();
             collector.take_events(&mut events);
             collector.profile.merge(&profile);
-            collector.counters.merge(&counters);
-            for (name, hist) in hists {
-                collector.hists.entry(name).or_default().merge(&hist);
-            }
         }
         self.registry
             .lock()
@@ -490,9 +470,9 @@ impl Recorder {
     }
 
     /// Drains all shards, writes pending events to the JSONL sink (sorted
-    /// deterministically), rewrites the Prometheus snapshot atomically, and
-    /// returns the merged state. A disabled recorder returns an empty
-    /// summary.
+    /// deterministically), rewrites the Prometheus snapshot atomically — the
+    /// [`set_metrics_text`] text, then the profile's families — and returns
+    /// the merged state. A disabled recorder returns an empty summary.
     ///
     /// # Errors
     /// I/O errors from either sink.
@@ -524,12 +504,7 @@ impl Recorder {
             crate::flight::note_events(&batch);
         }
         if let Some(path) = collector.prometheus.as_deref() {
-            let text = render_prometheus(
-                &collector.counters,
-                &collector.gauges,
-                &collector.hists,
-                &collector.profile,
-            );
+            let text = collector.metrics_text.clone() + &render_prometheus(&collector.profile);
             atomic_write(path, &text)?;
         }
         Ok(collector.summary())
@@ -575,10 +550,7 @@ impl ShardData {
     }
 
     fn is_empty(&self) -> bool {
-        self.events.is_empty()
-            && self.counters.is_empty()
-            && self.hists.is_empty()
-            && self.profile.is_empty()
+        self.events.is_empty() && self.profile.is_empty()
     }
 }
 
@@ -617,9 +589,6 @@ impl Collector {
             events_written: self.written,
             events_dropped: self.dropped,
             profile: self.profile.clone(),
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            hists: self.hists.clone(),
         }
     }
 }
@@ -779,24 +748,18 @@ pub fn instant(phase: Phase, name: &'static str, args: &[(&'static str, u64)]) {
     recording(|recorder, actor| recorder.instant(actor, phase, name, args));
 }
 
-/// Adds `delta` to the named counter.
-#[inline]
-pub fn counter_add(name: &'static str, delta: u64) {
-    recording(|recorder, _| recorder.with_shard(|data| data.counters.add(name, delta)));
-}
-
-/// Sets a named gauge (last write wins; call from the driver thread for
-/// deterministic snapshots).
-#[inline]
-pub fn gauge_set(name: &'static str, value: f64) {
-    recording(|recorder, _| recorder.collector.lock().gauges.insert(name, value));
-}
-
-/// Records one sample into the named histogram.
-#[inline]
-pub fn observe(name: &'static str, value: u64) {
+/// Hands the calling thread's recorder the text its Prometheus sink writes
+/// ahead of the phase profile's families on every [`flush`]: the rendering
+/// of the run's metrics store, which the driver that owns the store
+/// refreshes before each flush. `render` runs only for a recorder with a
+/// Prometheus sink. A process with no store never calls this, and its sink
+/// carries the profile alone.
+pub fn set_metrics_text(render: impl FnOnce() -> String) {
     recording(|recorder, _| {
-        recorder.with_shard(|data| data.hists.entry(name).or_default().record(value))
+        if recorder.collector.lock().prometheus.is_some() {
+            let text = render();
+            recorder.collector.lock().metrics_text = text;
+        }
     });
 }
 
@@ -838,13 +801,10 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let off = Arc::new(Recorder::new(false));
         off.scope(|| {
-            counter_add("never", 1);
-            observe("never_hist", 5);
             let s = span(Phase::Round).arg("round", 1);
             drop(s);
         });
         let summary = off.drain_now();
-        assert_eq!(summary.counters.len(), 0);
         assert_eq!(summary.events_written, 0);
         assert!(summary.profile.is_empty());
     }
@@ -876,31 +836,6 @@ mod tests {
         assert!(guard.total_ns >= 2_000_000);
         assert!(round.total_ns >= guard.total_ns);
         assert!(round.self_ns <= round.total_ns - guard.total_ns + 1_000_000);
-    }
-
-    #[test]
-    fn counters_and_hists_merge_across_threads() {
-        let rec = recorder();
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let rec = Arc::clone(&rec);
-                std::thread::spawn(move || {
-                    rec.scope(|| {
-                        set_actor(1 + i);
-                        counter_add("work.items", 10);
-                        observe("work.latency_ns", 1_000 * (i as u64 + 1));
-                    })
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("worker");
-        }
-        let summary = rec.drain_now();
-        assert_eq!(summary.counters.get("work.items"), 40);
-        let hist = summary.hists.get("work.latency_ns").expect("hist");
-        assert_eq!(hist.count(), 4);
-        assert_eq!(hist.max(), 4_000);
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Export sinks: JSONL trace writer, Prometheus text exposition, and
-//! atomic file replacement.
+//! Export sinks: JSONL trace writer, the phase profile's Prometheus text
+//! families, the exposition-format lint, and atomic file replacement.
 //!
 //! None of the I/O here panics on failure: every fallible call returns
 //! `io::Result` and callers (the recorder, the CLI) degrade to a warning
 //! so a full metrics disk never kills a training run.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::counters::CounterSet;
-use crate::event::Phase;
-use crate::hist::LogHistogram;
 use crate::profile::PhaseProfile;
 
 /// Append-only JSONL trace writer (one chrome://tracing event per line).
@@ -77,87 +73,33 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Renders the full recorder state as a Prometheus text exposition
-/// snapshot: counters, gauges, named histograms and per-phase self time.
-pub fn render_prometheus(
-    counters: &CounterSet,
-    gauges: &BTreeMap<&'static str, f64>,
-    hists: &BTreeMap<&'static str, LogHistogram>,
-    profile: &PhaseProfile,
-) -> String {
+/// Renders the phase profile as Prometheus text exposition: per-phase
+/// self time and completed spans. Empty for an empty profile.
+pub fn render_prometheus(profile: &PhaseProfile) -> String {
     let mut out = String::new();
-
-    if !counters.is_empty() {
-        out.push_str("# HELP photon_counter_total Monotonic event counters.\n");
-        out.push_str("# TYPE photon_counter_total counter\n");
-        for (name, value) in counters.iter() {
-            out.push_str(&format!(
-                "photon_counter_total{{name=\"{name}\"}} {value}\n"
-            ));
-        }
+    if profile.is_empty() {
+        return out;
     }
-
-    if !gauges.is_empty() {
-        out.push_str("# HELP photon_gauge Last-set instantaneous values.\n");
-        out.push_str("# TYPE photon_gauge gauge\n");
-        for (name, value) in gauges {
-            out.push_str(&format!("photon_gauge{{name=\"{name}\"}} "));
-            push_f64(&mut out, *value);
-            out.push('\n');
-        }
+    out.push_str("# HELP photon_phase_self_seconds Exclusive wall time per phase.\n");
+    out.push_str("# TYPE photon_phase_self_seconds counter\n");
+    for (phase, stat) in profile.iter() {
+        out.push_str(&format!(
+            "photon_phase_self_seconds{{group=\"{}\",phase=\"{}\"}} ",
+            phase.group().name(),
+            phase.name()
+        ));
+        push_f64(&mut out, stat.self_ns as f64 / 1e9);
+        out.push('\n');
     }
-
-    if hists.values().any(|h| !h.is_empty()) {
-        out.push_str("# HELP photon_hist Log2-bucketed sample distributions.\n");
-        out.push_str("# TYPE photon_hist histogram\n");
-        for (name, hist) in hists {
-            if hist.is_empty() {
-                continue;
-            }
-            for (upper, cum) in hist.cumulative_buckets() {
-                out.push_str(&format!(
-                    "photon_hist_bucket{{name=\"{name}\",le=\"{upper}\"}} {cum}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "photon_hist_bucket{{name=\"{name}\",le=\"+Inf\"}} {}\n",
-                hist.count()
-            ));
-            out.push_str(&format!(
-                "photon_hist_sum{{name=\"{name}\"}} {}\n",
-                hist.sum()
-            ));
-            out.push_str(&format!(
-                "photon_hist_count{{name=\"{name}\"}} {}\n",
-                hist.count()
-            ));
-        }
+    out.push_str("# HELP photon_phase_spans_total Completed spans per phase.\n");
+    out.push_str("# TYPE photon_phase_spans_total counter\n");
+    for (phase, stat) in profile.iter() {
+        out.push_str(&format!(
+            "photon_phase_spans_total{{phase=\"{}\"}} {}\n",
+            phase.name(),
+            stat.count
+        ));
     }
-
-    if !profile.is_empty() {
-        out.push_str("# HELP photon_phase_self_seconds Exclusive wall time per phase.\n");
-        out.push_str("# TYPE photon_phase_self_seconds counter\n");
-        for (phase, stat) in profile.iter() {
-            out.push_str(&format!(
-                "photon_phase_self_seconds{{group=\"{}\",phase=\"{}\"}} ",
-                phase.group().name(),
-                phase.name()
-            ));
-            push_f64(&mut out, stat.self_ns as f64 / 1e9);
-            out.push('\n');
-        }
-        out.push_str("# HELP photon_phase_spans_total Completed spans per phase.\n");
-        out.push_str("# TYPE photon_phase_spans_total counter\n");
-        for (phase, stat) in profile.iter() {
-            out.push_str(&format!(
-                "photon_phase_spans_total{{phase=\"{}\"}} {}\n",
-                phase.name(),
-                stat.count
-            ));
-        }
-    }
-
-    let _ = Phase::ALL; // exhaustiveness anchor: phases render via profile.iter()
     out
 }
 
@@ -288,28 +230,15 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Phase;
 
     #[test]
     fn rendered_snapshot_passes_the_lint() {
-        let mut counters = CounterSet::new();
-        counters.add("link.retransmits", 3);
-        counters.add("wire_bytes", 123_456);
-        let mut gauges = BTreeMap::new();
-        gauges.insert("compute_threads", 8.0);
-        gauges.insert("participation_skew", 1.25);
-        let mut hists = BTreeMap::new();
-        let mut h = LogHistogram::new();
-        for v in [100u64, 250, 900, 5_000] {
-            h.record(v);
-        }
-        hists.insert("round_wall_ns", h);
         let mut profile = PhaseProfile::new();
         profile.record_span(Phase::Round, 1_000_000, 50_000);
         profile.record_span(Phase::LocalStep, 900_000, 900_000);
-        let text = render_prometheus(&counters, &gauges, &hists, &profile);
+        let text = render_prometheus(&profile);
         lint_prometheus(&text).expect("rendered snapshot must lint clean");
-        assert!(text.contains("photon_counter_total{name=\"link.retransmits\"} 3"));
-        assert!(text.contains("photon_hist_bucket{name=\"round_wall_ns\",le=\"+Inf\"} 4"));
         assert!(text.contains("photon_phase_self_seconds{group=\"compute\",phase=\"local_step\"}"));
     }
 

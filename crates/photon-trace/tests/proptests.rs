@@ -1,16 +1,16 @@
 //! Property tests for the recorder's determinism guarantees: histogram
-//! and counter merge are order-invariant, and a multi-threaded Sim-clock
+//! merge is order-invariant, and a multi-threaded Sim-clock
 //! workload flushes to byte-identical JSONL regardless of scheduling.
 
 use photon_trace::{
-    counter_add, flush_to_string, observe, set_actor, set_sim_time_us, span, CounterSet,
-    LogHistogram, Phase, Recorder, Scope, TraceConfig,
+    flush_to_string, set_actor, set_sim_time_us, span, LogHistogram, Phase, Recorder, Scope,
+    TraceConfig,
 };
 use proptest::prelude::*;
 
 /// Runs a deterministic synthetic federation-shaped workload: `rounds`
 /// rounds, each advancing the sim clock, with `clients` worker threads
-/// recording spans, counters and histogram samples derived only from
+/// recording spans derived only from
 /// `seed`, the round and the client id, into a recorder of its own.
 fn run_workload(seed: u64, rounds: u64, clients: u32) -> String {
     let recorder = Recorder::start(TraceConfig::default()).expect("recorder start");
@@ -35,8 +35,6 @@ fn workload(seed: u64, rounds: u64, clients: u32) -> String {
                             .arg("client", client as u64)
                             .arg("tokens", 128 + (mix % 997));
                         step.set_sim_dur_us(900_000);
-                        counter_add("client.steps", 1 + (mix % 3));
-                        observe("client.delta_bytes", 1 + (mix % 100_000));
                         drop(step);
                     })
                 })
@@ -93,28 +91,5 @@ proptest! {
         prop_assert_eq!(&lr, &rl);
         prop_assert_eq!(&lr, &whole);
         prop_assert_eq!(lr.quantile(0.5), whole.quantile(0.5));
-    }
-
-    /// Counter merge is order-invariant.
-    #[test]
-    fn counter_merge_is_order_invariant(
-        a_vals in proptest::collection::vec(0u64..1_000, 3),
-        b_vals in proptest::collection::vec(0u64..1_000, 3),
-    ) {
-        const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
-        let mut a = CounterSet::new();
-        let mut b = CounterSet::new();
-        for (i, name) in NAMES.iter().enumerate() {
-            a.add(name, a_vals[i]);
-            b.add(name, b_vals[i]);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(&ab, &ba);
-        for (i, name) in NAMES.iter().enumerate() {
-            prop_assert_eq!(ab.get(name), a_vals[i] + b_vals[i]);
-        }
     }
 }

@@ -6,7 +6,8 @@
 
 use photon_core::experiments::{build_iid_federation, RunOptions};
 use photon_core::{
-    load_checkpoint, run_training, FaultEvent, FaultPlan, FaultSpec, Tally, TrainingOptions,
+    load_checkpoint, run_training, Aggregator, FaultEvent, FaultPlan, FaultSpec, Federation, Tally,
+    Telemetry, TrainingOptions,
 };
 use photon_fedopt::ServerOptKind;
 use photon_tests::tiny_federation;
@@ -275,6 +276,40 @@ fn aggregator_crash_recovery_matches_uninterrupted_run() {
         "recovery must replay the destroyed rounds bit-identically"
     );
     assert_eq!(crashed.history, control_run.history);
+}
+
+/// Each recovery reaches the store when it happens, so a run that
+/// exhausts its budget has counted every one it made.
+#[test]
+fn an_exhausted_recovery_budget_counted_its_recoveries() {
+    let mut cfg = tiny_federation(3);
+    cfg.seed = 8;
+    let rounds = 5;
+    let mut crashing = chaos_spec();
+    crashing.p_agg_crash = 1.0;
+    let injector = crashing.plan(cfg.population, rounds);
+    let opts = TrainingOptions {
+        run: RunOptions {
+            rounds,
+            eval_every: 0,
+            eval_windows: 0,
+            stop_below: None,
+        },
+        checkpoint_dir: Some(tmp_dir("budget-exhausted")),
+        checkpoint_every: 2,
+        recovery_budget: 2,
+        resume: false,
+        metrics_json: None,
+    };
+    let store = Telemetry::new();
+    let build = || {
+        let (fed, val) = build_iid_federation(&cfg, 3_000)?;
+        let aggregator = Aggregator::with_telemetry(cfg.clone(), store.clone())?;
+        Ok((Federation { aggregator, ..fed }, val))
+    };
+    let failed = run_training(build, &opts, Some(&injector));
+    assert!(failed.is_err(), "the budget ran out");
+    assert_eq!(store.fault_counters().recoveries, 2);
 }
 
 #[test]

@@ -190,9 +190,11 @@ fn assert_no_name_is_both_counter_and_gauge(prom_text: &str) {
 }
 
 /// A sharded, network-modelled chaos run with both metrics sinks on: its
-/// `--metrics-json` and the Prometheus rendering of its final snapshot
-/// carry exactly the names of `METRIC_SCHEMA`, the counters agree row for
-/// row on every surface, and DESIGN.md's table lists the same rows.
+/// `--metrics-json`, its `--metrics-text` and the Prometheus rendering of
+/// its final snapshot carry exactly the names of `METRIC_SCHEMA` (and the
+/// profile's `photon_phase_*` families), the counters agree row for row on
+/// every surface, the store alone renders the tree's gauges, and
+/// DESIGN.md's table lists the same rows.
 #[test]
 fn every_exported_name_is_a_row_of_the_metric_schema() {
     let dir = tmp_dir("schema");
@@ -233,16 +235,25 @@ fn every_exported_name_is_a_row_of_the_metric_schema() {
         })
         .expect("chaos run completes");
     recorder.flush().expect("final flush succeeds");
-    assert_no_name_is_both_counter_and_gauge(&fs::read_to_string(&prom).expect("prom file"));
+    let prom_text = fs::read_to_string(&prom).expect("prom file");
+    assert_no_name_is_both_counter_and_gauge(&prom_text);
+
+    // `/metrics` renders the store alone, and it carries the tree's gauges
+    // as `--metrics-text` does.
+    let store = outcome.federation.aggregator.telemetry();
+    let tree_gauges = |text: &str| -> Vec<String> {
+        let tree = |l: &&str| l.starts_with("photon_gauge{name=\"hierarchy.");
+        text.lines().filter(tree).map(str::to_string).collect()
+    };
+    let from_store = tree_gauges(&store.snapshot().to_prometheus());
+    assert_eq!(from_store.len(), 6, "{from_store:?}");
+    assert_eq!(from_store, tree_gauges(&prom_text));
 
     // The snapshot as `serve` would fill it: a coordinator and one result
     // latency, so the coordinator and quantile families render too.
-    let store = outcome.federation.aggregator.telemetry();
     store.set_coordinator(ROUNDS, 5, "finished");
     store.client(0, |row| row.observe_latency_ms(40));
-    let text = outcome
-        .snapshot()
-        .to_prometheus(&photon_trace::FlushSummary::default());
+    let text = outcome.snapshot().to_prometheus();
     photon_trace::lint_prometheus(&text).expect("snapshot rendering lints");
     let json = fs::read_to_string(&mjson).expect("metrics json exists");
     let json = serde_json::from_str_value(&json).expect("metrics json parses");
@@ -266,7 +277,11 @@ fn every_exported_name_is_a_row_of_the_metric_schema() {
         .collect();
     let mut carried = BTreeSet::new();
     let mut unknown = Vec::new();
-    for line in text.lines().filter(|l| !l.starts_with('#')) {
+    // `--metrics-text` is the same rendering followed by the profile's
+    // families, so every other sample of it is a schema row too.
+    let profile = |l: &&str| !l.starts_with("photon_phase_");
+    let samples = text.lines().chain(prom_text.lines().filter(profile));
+    for line in samples.filter(|l| !l.starts_with('#')) {
         let family = line.split(['{', ' ']).next().expect("family");
         let name = match family {
             "photon_counter_total" | "photon_gauge" => line.split('"').nth(1).expect("name label"),
@@ -277,6 +292,14 @@ fn every_exported_name_is_a_row_of_the_metric_schema() {
             None => unknown.push(line),
         }
     }
+    let mut prom_counters: BTreeMap<&str, u64> = prom_text
+        .lines()
+        .filter_map(|l| l.strip_prefix("photon_counter_total{name=\""))
+        .map(|l| {
+            let (name, value) = l.split_once("\"} ").expect("counter sample");
+            (name, value.parse().expect("counter value"))
+        })
+        .collect();
     // JSON keys, sections flattened to dotted paths; `fault_counters` is
     // the counter rows in schema order, value for value.
     let faults = store.fault_counters();
@@ -290,6 +313,8 @@ fn every_exported_name_is_a_row_of_the_metric_schema() {
                     assert_eq!(json_value.as_u64(), Some(value), "{name} in the JSON");
                     let sample = format!("photon_counter_total{{name=\"{name}\"}} {value}\n");
                     assert!(text.contains(&sample), "{name} = {value} on /metrics");
+                    let in_text = prom_counters.remove(name);
+                    assert_eq!(in_text, Some(value), "{name} in --metrics-text");
                 }
             }
             "clients" => {
@@ -313,6 +338,14 @@ fn every_exported_name_is_a_row_of_the_metric_schema() {
         "{faults:?}"
     );
     assert!(unknown.is_empty(), "not in METRIC_SCHEMA: {unknown:?}");
+    let run_counters = BTreeMap::from([
+        ("rounds.committed", store.snapshot().rounds_committed),
+        ("transport.redelivery_acks", faults.redelivery_acks),
+    ]);
+    assert_eq!(
+        prom_counters, run_counters,
+        "the run counters of --metrics-text"
+    );
     let schema: BTreeSet<String> = METRIC_SCHEMA.iter().map(|m| m.name.to_string()).collect();
     assert_eq!(schema.len(), METRIC_SCHEMA.len(), "a name is listed twice");
     assert_eq!(carried, schema, "exported names vs METRIC_SCHEMA");
@@ -408,8 +441,7 @@ fn watchdog_rollback_does_not_overcount_committed_rounds() {
 /// Nothing an untraced thread of this binary does reaches the process
 /// default recorder, which no test here enables.
 fn assert_process_default_is_empty() {
-    let summary = photon_trace::drain_now();
-    assert!(summary.profile.is_empty() && summary.counters.is_empty());
+    assert!(photon_trace::drain_now().profile.is_empty());
     assert_eq!(photon_trace::flush_to_string(), "", "process default trace");
 }
 
@@ -494,11 +526,9 @@ fn a_kernel_span_lands_in_its_submitters_recorder_and_nowhere_else() {
         assert_eq!(enabled, thread == submitter, "scope is per thread");
     }
     let summary = mine.drain_now();
-    assert_eq!(summary.counters.get("pool.batches"), 2);
-    assert_eq!(
-        summary.profile.get(Phase::KernelGemm).map(|s| s.count),
-        Some(1)
-    );
+    let spans = |phase| summary.profile.get(phase).map(|s| s.count);
+    assert_eq!(spans(Phase::PoolDispatch), Some(2));
+    assert_eq!(spans(Phase::KernelGemm), Some(1));
     let trace = mine.flush_to_string();
     let kernels: Vec<&str> = trace
         .lines()
