@@ -194,35 +194,8 @@ const CONFIG: &[Opt] = &[
             let dtype = Dtype::parse(v).ok_or_else(|| format!("unknown --dtype {v:?} (f32|bf16)"));
             dtype.map(|dtype| o.plan.cfg.dtype = dtype)
         }, |o| Some(o.plan.cfg.dtype.as_str().into())),
-    opt!("deadline-ms" "N", "round deadline; late results dropped into the partial-update path",
-        Some(plan.cfg.round_deadline_ms)),
-    opt!("retransmit-budget" "N", "link retries for corrupt frames",
-        plan.cfg.retransmit.max_retries),
-    opt!("link-jitter-pct" "P", "jitter each retransmit backoff by up to P percent (seeded, \
-        deterministic)", plan.cfg.retransmit.jitter_pct),
-    opt!("link-timeout-ms" "N", "per-delivery timeout (0 = none); a link that exceeds it \
-        counts as a dropout", plan.cfg.retransmit.timeout_ms),
-    opt!("net-latency-ms" "N", "simulated network: per-link base latency (any --net-* \
-        option enables the deterministic link model)", plan.cfg.network?.profile.base_latency_ms),
-    opt!("net-jitter-ms" "N", "per-delivery latency jitter", plan.cfg.network?.profile.jitter_ms),
-    opt!("net-bw-kbps" "N", "link bandwidth; payload size adds transfer time (0 = infinite)",
-        plan.cfg.network?.profile.bandwidth_kbps),
-    opt!("net-loss" "X", "per-attempt loss probability", plan.cfg.network?.profile.loss_rate),
-    opt!("net-dup" "X", "duplicate-delivery probability", plan.cfg.network?.profile.dup_rate),
-    opt!("net-reorder-ms" "N", "reorder window for late duplicate arrivals",
-        plan.cfg.network?.profile.reorder_window_ms),
     opt!("net-quorum" "X", "reachable fraction below which a round runs degraded \
         (deadline lifted, server opt skipped)", plan.cfg.network?.min_quorum_frac),
-    opt!("net-slow-factor" "N", "latency multiplier applied by slowlink@ faults",
-        plan.cfg.network?.slow_factor),
-    opt!("adaptive-deadline", "derive the round deadline from a percentile of observed \
-        delivery latencies (replaces --deadline-ms; any --deadline-* knob below implies it)",
-        |o| { o.plan.cfg.adaptive_deadline.get_or_insert_with(Default::default); }),
-    opt!("deadline-percentile" "X", "adaptive deadline percentile",
-        plan.cfg.adaptive_deadline?.percentile),
-    opt!("deadline-floor-ms" "N", "adaptive deadline floor", plan.cfg.adaptive_deadline?.floor_ms),
-    opt!("deadline-ceiling-ms" "N", "adaptive deadline ceiling",
-        plan.cfg.adaptive_deadline?.ceiling_ms),
     opt!("aggregation" "RULE", "mean|ties[:density]|trimmed-mean[:r]|median|norm-clipped[:mult]",
         |o, v| AggregationKind::parse(v).map(|rule| o.plan.cfg.aggregation = rule)
             .map_err(|e| format!("--aggregation: {e}")),
@@ -249,6 +222,40 @@ const CONFIG: &[Opt] = &[
         shard commits upward (implies --shards)", plan.cfg.hierarchy?.shard_quorum_frac),
     opt!("max-resident" "N", "residency bound of each shard's streaming merge: at most N \
         full update vectors held at once (implies --shards)", plan.cfg.hierarchy?.max_resident),
+];
+
+/// The simulated link: deadlines, retransmits and the network model act on
+/// `train`'s in-process deliveries. `serve`'s TCP transport never reads
+/// them, so only `train` takes them.
+#[rustfmt::skip]
+const SIM_LINK: &[Opt] = &[
+    opt!("deadline-ms" "N", "round deadline; late results dropped into the partial-update path",
+        Some(plan.cfg.round_deadline_ms)),
+    opt!("retransmit-budget" "N", "link retries for corrupt frames",
+        plan.cfg.retransmit.max_retries),
+    opt!("link-jitter-pct" "P", "jitter each retransmit backoff by up to P percent (seeded, \
+        deterministic)", plan.cfg.retransmit.jitter_pct),
+    opt!("link-timeout-ms" "N", "per-delivery timeout (0 = none); a link that exceeds it \
+        counts as a dropout", plan.cfg.retransmit.timeout_ms),
+    opt!("net-latency-ms" "N", "simulated network: per-link base latency (any --net-* \
+        option enables the deterministic link model)", plan.cfg.network?.profile.base_latency_ms),
+    opt!("net-jitter-ms" "N", "per-delivery latency jitter", plan.cfg.network?.profile.jitter_ms),
+    opt!("net-bw-kbps" "N", "link bandwidth; payload size adds transfer time (0 = infinite)",
+        plan.cfg.network?.profile.bandwidth_kbps),
+    opt!("net-loss" "X", "per-attempt loss probability", plan.cfg.network?.profile.loss_rate),
+    opt!("net-dup" "X", "duplicate-delivery probability", plan.cfg.network?.profile.dup_rate),
+    opt!("net-reorder-ms" "N", "reorder window for late duplicate arrivals",
+        plan.cfg.network?.profile.reorder_window_ms),
+    opt!("net-slow-factor" "N", "latency multiplier applied by slowlink@ faults",
+        plan.cfg.network?.slow_factor),
+    opt!("adaptive-deadline", "derive the round deadline from a percentile of observed \
+        delivery latencies (replaces --deadline-ms; any --deadline-* knob below implies it)",
+        |o| { o.plan.cfg.adaptive_deadline.get_or_insert_with(Default::default); }),
+    opt!("deadline-percentile" "X", "adaptive deadline percentile",
+        plan.cfg.adaptive_deadline?.percentile),
+    opt!("deadline-floor-ms" "N", "adaptive deadline floor", plan.cfg.adaptive_deadline?.floor_ms),
+    opt!("deadline-ceiling-ms" "N", "adaptive deadline ceiling",
+        plan.cfg.adaptive_deadline?.ceiling_ms),
 ];
 
 /// The in-process driver's dropout tolerance (`serve` always tolerates).
@@ -391,6 +398,12 @@ const HELP: &[Opt] = &[opt!("help", "print this help", help)];
 /// `train`'s and `serve`'s last step: the LR schedule spans the run, a
 /// buffer needs membership, and the plan is validated, once.
 fn finish_plan(o: &mut Options) -> Result<(), String> {
+    if !(o.lr.is_finite() && o.lr >= 0.0) {
+        return Err(format!(
+            "invalid value for --lr: {} (a finite rate >= 0)",
+            o.lr
+        ));
+    }
     let cfg = &mut o.plan.cfg;
     let steps = o.plan.rounds.saturating_mul(cfg.local_steps).max(20);
     cfg.schedule = LrSchedule::paper_cosine(o.lr, 10, steps);
@@ -405,7 +418,7 @@ pub const TRAIN: Command = Command {
     finish: finish_plan,
     ..Command::new(
         "photon train — federated pre-training",
-        &[CONFIG, PARTIAL, RUN, COMPUTE, TRACE, LOCAL, HELP],
+        &[CONFIG, SIM_LINK, PARTIAL, RUN, COMPUTE, TRACE, LOCAL, HELP],
     )
 };
 
@@ -431,12 +444,16 @@ commit is checkpointed before its results are acked, and --resume
 restores the checkpoint while live clients re-sync. A result that misses
 --round-timeout-ms is a dropout of its round.
 
-It takes train's options except five: --data (clients always build IID
-shards), --eval-every (no validation corpus), --checkpoint-every (it
+It takes train's options except the simulated link's — --deadline-ms,
+--retransmit-budget, --link-*, --net-* other than --net-quorum,
+--adaptive-deadline and --deadline-* (over TCP a result arrives or
+misses --round-timeout-ms) — and five more: --data (clients always build
+IID shards), --eval-every (no validation corpus), --checkpoint-every (it
 checkpoints every commit, because acks follow durability), --partial-ok
 (it always tolerates partial cohorts) and --recovery-budget (it keeps the
 run driver's default budget; a killed coordinator restarts with --resume).
-It rejects --secure.",
+It rejects --secure, and --faults with straggle, corrupt, lossy,
+slowlink or partition faults, which only the simulated link injects.",
     groups: &[CONFIG, RUN, COMPUTE, TRACE, SERVE_ONLY, PROCESS, HELP],
     finish: |o| {
         // A client can die mid-round and the deadline path must still

@@ -167,13 +167,16 @@ fn config_grammar_token_soup_parses_or_names_the_option() {
     );
 }
 
-/// Valid plans as `serve` would ship them.
+/// Valid plans as `serve` or `train` parses them. `serve` no longer takes
+/// the third's network profile and deadline flags, and refuses its
+/// simulated-link faults when it runs, so `train` builds it. A client decodes
+/// the same `RunPlan` either way, and a hostile peer could ship any of it.
 fn plans() -> Vec<Vec<u8>> {
     [
         "serve --clients 3 --rounds 4 --faults netcrash@r1c1,nethang@r2c0",
         "serve --clients 8 --shards 4 --max-resident 4 --buffer-quorum 4 --staleness-decay 0.5 \
          --faults shardhang@r1s1,shardcrash=0.1,crash=0.05,nan-update@r2c1,seed=5",
-        "serve --clients 4 --net-latency-ms 30 --net-loss 0.15 --adaptive-deadline \
+        "train --clients 4 --net-latency-ms 30 --net-loss 0.15 --adaptive-deadline \
          --faults partition@r1-r3:*|~1.2,lossy=0.1,slowlink@r2c0,seed=7",
         "serve --clients 6 --sample 3 --membership --guard --aggregation trimmed-mean \
          --faults crash=0.1,straggle=0.2,join=0.3,leave=0.08,seed=5 --dtype bf16",
@@ -181,7 +184,12 @@ fn plans() -> Vec<Vec<u8>> {
     .iter()
     .map(|line| {
         let args = Args::parse(line.split_whitespace().map(String::from)).unwrap();
-        SERVE.parse(&args).expect(line).plan.to_json_bytes()
+        let spec = if args.command == "train" {
+            &TRAIN
+        } else {
+            &SERVE
+        };
+        spec.parse(&args).expect(line).plan.to_json_bytes()
     })
     .collect()
 }
@@ -200,7 +208,10 @@ fn check(bytes: &[u8], repro: &str) -> bool {
 fn config_grammar_plan_json_truncations_and_mutations_never_panic() {
     let mut rng = SeedStream::new(0x91A4);
     let mut parsed = 0;
-    for (i, plan) in plans().iter().enumerate() {
+    let plans = plans();
+    let third = String::from_utf8_lossy(&plans[2]);
+    assert!(third.contains("\"adaptive_deadline\":{"), "{third}");
+    for (i, plan) in plans.iter().enumerate() {
         assert!(check(plan, "the unmutated plan"), "plan {i} is valid");
         for len in 0..plan.len() {
             assert!(!check(&plan[..len], &format!("plan {i} cut at {len}")));

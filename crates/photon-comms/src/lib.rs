@@ -34,9 +34,7 @@ mod crc;
 mod link;
 mod message;
 mod network;
-mod quant;
 mod secure;
-mod sparse;
 mod topology;
 mod transport;
 mod walltime;
@@ -53,9 +51,7 @@ pub use network::{
     AdaptiveDeadlineConfig, LinkOutcome, LinkProfile, NetworkConfig, NetworkModel, PartitionKind,
     PartitionSchedule, PartitionSpec,
 };
-pub use quant::{dequantize_i8, quantization_error_bound, quantize_i8, QUANT_BLOCK};
 pub use secure::{mask_update, pairwise_seed, SecureAggError};
-pub use sparse::{densify, retained_mass, sparsify_top_k};
 pub use topology::{aggregation_time_seconds, bytes_on_wire, comm_time_seconds, Topology};
 pub use transport::{ChannelLink, Link, LinkError};
 pub use walltime::{RoundTime, SimClock, WallTimeModel};

@@ -181,16 +181,7 @@ impl Message {
     /// decodes any mode without out-of-band context.
     pub fn to_frame_opts(&self, opts: WireOpts) -> Bytes {
         let (head, floats) = self.encode_head();
-        build_frame(&head, floats, opts, None).0
-    }
-
-    /// [`Message::to_frame_opts`] with a [`TraceCtx`] span-context trailer
-    /// appended to the payload (CRC-covered) and the trace flag set, so the
-    /// receiver can recover the sender's causal edge via
-    /// [`Message::from_frame_traced`].
-    pub fn to_frame_traced(&self, opts: WireOpts, ctx: TraceCtx) -> Bytes {
-        let (head, floats) = self.encode_head();
-        build_frame(&head, floats, opts, Some(ctx)).0
+        build_frame(&head, floats, opts).0
     }
 
     /// Encodes everything in the body up to the float block — tag and
@@ -450,7 +441,7 @@ impl Message {
                     config_json,
                 })
             }
-            tag => Err(WireError::BadCompression(format!("unknown tag {tag}"))),
+            tag => Err(WireError::Malformed(format!("unknown message tag {tag}"))),
         }
     }
 }
@@ -476,17 +467,12 @@ fn result_head(round: u64, client_id: u32, weight: f64, metrics: TrainMetrics) -
     head
 }
 
-/// Builds a whole frame — header, `head`, the float block, the optional
-/// trace trailer — in one buffer of exactly the frame's size: the floats
-/// are converted straight into it and the CRC, one pass over the payload,
-/// is patched into the header afterwards. Returns the CRC state over the
-/// payload alongside the frame.
-fn build_frame(
-    head: &[u8],
-    floats: Option<&[f32]>,
-    opts: WireOpts,
-    ctx: Option<TraceCtx>,
-) -> (Bytes, Crc32) {
+/// Builds a whole untraced frame — header, `head`, the float block — in one
+/// buffer of exactly the frame's size: the floats are converted straight
+/// into it and the CRC, one pass over the payload, is patched into the
+/// header afterwards. Returns the CRC state over the payload alongside the
+/// frame, from which [`SealedFrame::traced`] extends it over a trailer.
+fn build_frame(head: &[u8], floats: Option<&[f32]>, opts: WireOpts) -> (Bytes, Crc32) {
     #[cfg(test)]
     if floats.is_some() {
         tests::FLOAT_BLOCKS_SERIALIZED.with(|n| n.set(n.get() + 1));
@@ -498,11 +484,7 @@ fn build_frame(
         (None, Some(xs)) => 8 + xs.len() * opts.dtype.bytes_per_param(),
         (None, None) => 0,
     };
-    let trailer_len = if ctx.is_some() { TRACE_CTX_LEN } else { 0 };
-    let mut flags = opts.flags();
-    flags.trace = ctx.is_some();
-
-    let mut frame = begin_frame(flags, head.len() + floats_len + trailer_len);
+    let mut frame = begin_frame(opts.flags(), head.len() + floats_len);
     frame.put_slice(head);
     match (&packed, floats) {
         (Some(c), _) => {
@@ -518,9 +500,6 @@ fn build_frame(
         }
         (None, None) => {}
     }
-    if let Some(ctx) = ctx {
-        frame.put_slice(&ctx.encode());
-    }
     seal_frame(frame)
 }
 
@@ -529,10 +508,11 @@ fn build_frame(
 /// every re-delivery.
 ///
 /// The floats are serialized into one frame and CRC'd one time;
-/// [`SealedFrame::frame`] hands every send the same shared bytes. When
-/// frames carry a per-send [`TraceCtx`], [`SealedFrame::traced`] derives
-/// each send's header and trailer from the saved CRC state — 52 bytes of
-/// work — and the shared payload goes on the wire between them untouched.
+/// [`SealedFrame::frame`] hands every send the same shared bytes. A traced
+/// frame — one that carries a per-send [`TraceCtx`] — is only ever built
+/// here: [`SealedFrame::traced`] derives each send's header and trailer
+/// from the saved CRC state — 52 bytes of work — and the shared payload
+/// goes on the wire between them untouched.
 #[derive(Debug, Clone)]
 pub struct SealedFrame {
     frame: Bytes,
@@ -567,7 +547,7 @@ impl SealedFrame {
     }
 
     fn seal(head: &[u8], floats: Option<&[f32]>, opts: WireOpts) -> SealedFrame {
-        let (frame, payload_crc) = build_frame(head, floats, opts, None);
+        let (frame, payload_crc) = build_frame(head, floats, opts);
         SealedFrame {
             frame,
             flags: opts.flags(),
@@ -580,9 +560,11 @@ impl SealedFrame {
         self.frame.clone()
     }
 
-    /// The three pieces that, written back to back, are exactly
-    /// [`Message::to_frame_traced`] for this message and `ctx`: a per-send
-    /// header, the shared payload, a per-send trailer.
+    /// The three pieces that, written back to back, are this message's
+    /// traced frame for `ctx`: a per-send header (trace flag set, CRC
+    /// extended over the trailer), the shared payload, and `ctx` as a
+    /// trailer, CRC-covered, from which [`Message::from_frame_traced`]
+    /// recovers the sender's causal edge.
     pub fn traced(&self, ctx: TraceCtx) -> ([u8; FRAME_HEADER_LEN], &[u8], [u8; TRACE_CTX_LEN]) {
         let payload = &self.frame[FRAME_HEADER_LEN..];
         let trailer = ctx.encode();
@@ -613,9 +595,9 @@ fn get_floats(body: &mut Bytes, flags: FrameFlags) -> Result<Vec<f32>, WireError
         body.advance(len);
         decompress_f32s(c).map_err(WireError::BadCompression)
     } else if flags.bf16 {
-        photon_tensor::read_bf16_slice(body).map_err(|e| WireError::BadCompression(e.to_string()))
+        photon_tensor::read_bf16_slice(body).map_err(|e| WireError::Malformed(e.to_string()))
     } else {
-        photon_tensor::read_f32_slice(body).map_err(|e| WireError::BadCompression(e.to_string()))
+        photon_tensor::read_f32_slice(body).map_err(|e| WireError::Malformed(e.to_string()))
     }
 }
 
@@ -638,6 +620,14 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `msg`'s traced frame for `ctx`, whole: its sealed frame's three
+    /// traced pieces back to back.
+    fn traced_frame(msg: &Message, opts: WireOpts, ctx: TraceCtx) -> Bytes {
+        let sealed = SealedFrame::new(msg, opts);
+        let (header, payload, trailer) = sealed.traced(ctx);
+        Bytes::from([&header[..], payload, &trailer[..]].concat())
     }
 
     /// Floats whose encodings differ by codec: signed zeros, inf, a NaN
@@ -752,7 +742,7 @@ mod tests {
                 .expect("golden row names a known message");
             let opts = golden_opts(opts_name);
             let frame = if traced {
-                msg.to_frame_traced(opts, golden_ctx())
+                traced_frame(msg, opts, golden_ctx())
             } else {
                 msg.to_frame_opts(opts)
             };
@@ -1031,7 +1021,7 @@ mod tests {
                 // bf16 storage perturbs floats; compare against the bf16
                 // roundtrip of the untraced path instead of the original.
                 let want = Message::from_frame(msg.to_frame_opts(opts)).unwrap();
-                let frame = msg.to_frame_traced(opts, ctx);
+                let frame = traced_frame(msg, opts, ctx);
                 let (got, got_ctx) = Message::from_frame_traced(frame.clone()).unwrap();
                 assert_eq!(got, want);
                 assert_eq!(got_ctx, Some(ctx));
@@ -1057,8 +1047,43 @@ mod tests {
             ts_us: 1,
         };
         let plain = msg.to_frame_opts(WireOpts::default()).len();
-        let traced = msg.to_frame_traced(WireOpts::default(), ctx).len();
+        let traced = traced_frame(&msg, WireOpts::default(), ctx).len();
         assert_eq!(traced, plain + TRACE_CTX_LEN);
+    }
+
+    /// A CRC-valid payload that is no message is `Malformed`, named; only
+    /// a compressed stream that fails to expand is `BadCompression`.
+    #[test]
+    fn decode_errors_name_what_failed() {
+        let err = Message::from_frame(crate::encode_frame(&[200], false)).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains("200")),
+            "{err}"
+        );
+        assert!(err.to_string().contains("tag 200"), "{err}");
+
+        let result = Message::ClientResult {
+            round: 1,
+            client_id: 2,
+            delta: sample_params(16),
+            weight: 1.0,
+            metrics: TrainMetrics::default(),
+        };
+        for opts in ["raw", "bf16"].map(golden_opts) {
+            let frame = result.to_frame_opts(opts);
+            let short = &frame[FRAME_HEADER_LEN..frame.len() - 3];
+            let err = Message::from_frame(crate::encode_frame_with(short, opts.flags()));
+            assert!(matches!(err, Err(WireError::Malformed(_))), "{err:?}");
+        }
+
+        // The compressed stream opens with its element count: claim one
+        // more element than the stream holds.
+        let frame = result.to_frame(true);
+        let mut payload = frame[FRAME_HEADER_LEN..].to_vec();
+        let count = result_head(1, 2, 1.0, TrainMetrics::default()).len() + 8;
+        payload[count] += 1;
+        let err = Message::from_frame(crate::encode_frame(&payload, true));
+        assert!(matches!(err, Err(WireError::BadCompression(_))), "{err:?}");
     }
 
     #[test]

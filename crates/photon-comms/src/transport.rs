@@ -1,7 +1,7 @@
 //! Transport abstraction for the aggregator <-> client Link.
 //!
 //! Photon's federation logic (aggregator, guard, membership, checkpoint
-//! recovery) is written against typed [`Message`]s moved over *some*
+//! recovery) is written against typed [`crate::Message`]s moved over *some*
 //! frame pipe. This module names that pipe: the [`Link`] trait is the
 //! minimal blocking surface — send a frame, receive a frame with a
 //! timeout, observe connectivity — that both backends implement:
@@ -17,7 +17,7 @@
 //! [`crate::encode_frame`] — magic/version/flags/CRC32/length header plus
 //! payload — so integrity checking is identical on both backends.
 
-use crate::{Message, WireError, WireOpts};
+use crate::WireError;
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -91,24 +91,6 @@ pub trait Link: Send + Sync {
     /// here is authoritative (the link is dead); a `true` is only
     /// optimistic — liveness is ultimately decided by heartbeats.
     fn is_connected(&self) -> bool;
-
-    /// Serializes and sends a typed [`Message`].
-    ///
-    /// # Errors
-    /// Propagates [`Link::send_frame`] errors.
-    fn send_message(&self, msg: &Message, opts: WireOpts) -> Result<(), LinkError> {
-        self.send_frame(msg.to_frame_opts(opts))
-    }
-
-    /// Receives and parses the next typed [`Message`].
-    ///
-    /// # Errors
-    /// Propagates [`Link::recv_frame`] errors; a frame that decodes but
-    /// fails message parsing is [`LinkError::Wire`].
-    fn recv_message(&self, timeout: Duration) -> Result<Message, LinkError> {
-        let frame = self.recv_frame(timeout)?;
-        Message::from_frame(frame).map_err(LinkError::Wire)
-    }
 }
 
 /// Frames a `ChannelLink` endpoint will buffer before `send_frame`
@@ -201,6 +183,7 @@ impl Link for ChannelLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Message, WireOpts};
 
     #[test]
     fn pair_moves_frames_both_ways() {
@@ -225,8 +208,10 @@ mod tests {
             client_id: 4,
             seq: 17,
         };
-        link.send_message(&msg, WireOpts::default()).unwrap();
-        assert_eq!(b.recv_message(Duration::from_millis(50)).unwrap(), msg);
+        link.send_frame(msg.to_frame_opts(WireOpts::default()))
+            .unwrap();
+        let frame = b.recv_frame(Duration::from_millis(50)).unwrap();
+        assert_eq!(Message::from_frame(frame).unwrap(), msg);
     }
 
     #[test]

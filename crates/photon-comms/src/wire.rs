@@ -129,6 +129,9 @@ pub enum WireError {
     },
     /// The compressed payload failed to decompress.
     BadCompression(String),
+    /// A CRC-valid payload that is no message: an unknown tag, or a float
+    /// block shorter than its declared count.
+    Malformed(String),
     /// A streaming transport refused the declared payload length (hostile
     /// or corrupt header) before allocating a receive buffer.
     FrameTooLarge {
@@ -152,6 +155,7 @@ impl fmt::Display for WireError {
                 )
             }
             WireError::BadCompression(msg) => write!(f, "payload decompression failed: {msg}"),
+            WireError::Malformed(msg) => write!(f, "malformed payload: {msg}"),
             WireError::FrameTooLarge { declared, max } => {
                 write!(f, "frame declares {declared} payload bytes (cap {max})")
             }

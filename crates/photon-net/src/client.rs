@@ -21,8 +21,7 @@
 use crate::backoff::ReconnectBackoff;
 use crate::plan::RunPlan;
 use crate::tcp::TcpLink;
-use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_sealed, send_traced};
-use crate::{NetError, Result};
+use crate::{run_trace_id, spawn_in_scope, NetError, Result};
 use photon_comms::{Link, LinkError, Message, SealedFrame, WireOpts};
 use photon_core::FaultEvent::{NetCrash, NetHang};
 use photon_core::{build_client, client_round, ClientReply, FaultPlan, LlmClient, Workspace};
@@ -192,11 +191,13 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
             last_acked_round: hello_acked,
         };
         let hello_sent_us = photon_trace::now_us();
-        if link.send_message(&hello, handshake_wire()).is_err() {
+        // Traced once this recorder has a trace scope: on a reconnect, not
+        // on a first connection, whose scope comes with the grant.
+        if link.send(&hello, handshake_wire()).is_err() {
             std::thread::sleep(backoff.next_delay());
             continue;
         }
-        let grant = match recv_traced(&link, Duration::from_secs(5)) {
+        let grant = match link.recv(Duration::from_secs(5)) {
             Ok((
                 Message::SessionGrant {
                     client_id,
@@ -231,7 +232,7 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
                         let grant_recv_us = photon_trace::now_us();
                         let rtt = grant_recv_us.saturating_sub(hello_sent_us);
                         let offset = ctx.ts_us as i64 + (rtt / 2) as i64 - grant_recv_us as i64;
-                        init_trace_scope(ctx.trace_id, client_id + 1);
+                        photon_trace::set_trace_scope(ctx.trace_id, client_id + 1);
                         photon_trace::set_clock_offset_us(offset);
                     }
                 }
@@ -266,7 +267,7 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
         // Re-deliver the retained (un-acked) result from before the
         // reconnect; the coordinator's dedup makes this idempotent.
         if let Some((_, result)) = &retained {
-            let _ = send_sealed(&link, result);
+            let _ = link.send_sealed(result);
         }
 
         // --- training loop for this connection ------------------------
@@ -320,7 +321,7 @@ fn connection_loop(
     hb_hang: &Arc<AtomicBool>,
 ) -> ConnOutcome {
     loop {
-        let msg = match recv_traced(link, Duration::from_millis(250)) {
+        let msg = match link.recv(Duration::from_millis(250)) {
             Ok((msg, _, _)) => msg,
             Err(LinkError::TimedOut) => {
                 if link.is_connected() {
@@ -347,9 +348,10 @@ fn connection_loop(
                             // Fallback scope for a grant that carried no
                             // trace context: the trace id is a pure
                             // function of the shared seed, so the lanes
-                            // still join (first init wins, so this is a
-                            // no-op after a handshake-derived scope).
-                            init_trace_scope(run_trace_id(p.cfg.seed), me + 1);
+                            // still join (the first declaration wins, so
+                            // this is a no-op after a handshake-derived
+                            // scope).
+                            photon_trace::set_trace_scope(run_trace_id(p.cfg.seed), me + 1);
                         }
                         *plan = Some(p);
                     }
@@ -364,7 +366,7 @@ fn connection_loop(
                 // the retained result instead of re-training.
                 if let Some((r, result)) = retained {
                     if *r == round {
-                        let _ = send_sealed(link, result);
+                        let _ = link.send_sealed(result);
                         continue;
                     }
                 }
@@ -405,7 +407,7 @@ fn connection_loop(
                 // still re-delivers after the reconnect; the sends share
                 // the one sealed frame (the delta is model-sized).
                 let (_, result) = retained.insert((round, result));
-                let send_res = send_sealed(link, result);
+                let send_res = link.send_sealed(result);
                 if injector
                     .as_ref()
                     .is_some_and(|i| i.has(NetCrash, round, me))
@@ -453,19 +455,14 @@ fn spawn_heartbeats(
     stop: Arc<AtomicBool>,
     hang: Arc<AtomicBool>,
 ) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
+    spawn_in_scope("photon-heartbeat", move || {
         photon_trace::set_actor(client_id + 1);
         let interval = Duration::from_millis(interval_ms.max(10));
         let mut seq = 0u64;
         while !stop.load(Ordering::SeqCst) && link.is_connected() {
             if !hang.load(Ordering::SeqCst) {
-                if send_traced(
-                    link.as_ref(),
-                    &Message::Heartbeat { client_id, seq },
-                    handshake_wire(),
-                )
-                .is_err()
-                {
+                let beat = Message::Heartbeat { client_id, seq };
+                if link.send(&beat, handshake_wire()).is_err() {
                     return;
                 }
                 seq += 1;
@@ -473,6 +470,7 @@ fn spawn_heartbeats(
             std::thread::sleep(interval);
         }
     })
+    .expect("spawn the heartbeat thread")
 }
 
 #[cfg(test)]

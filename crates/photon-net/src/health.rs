@@ -22,6 +22,7 @@
 //! HTTP/1.0 (request line + `Connection: close`) for `curl` and
 //! Prometheus scrapers on the existing TCP stack.
 
+use crate::spawn_in_scope;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,8 +67,7 @@ pub fn spawn_health_server(port: u16, telemetry: Telemetry) -> std::io::Result<H
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     // The endpoint reports the recorder the run is scoped under.
-    let scope = photon_trace::Scope::current();
-    let serve = move || {
+    spawn_in_scope("photon-health", move || {
         for stream in listener.incoming() {
             if stop_flag.load(Ordering::SeqCst) {
                 break;
@@ -81,10 +81,7 @@ pub fn spawn_health_server(port: u16, telemetry: Telemetry) -> std::io::Result<H
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
-    };
-    std::thread::Builder::new()
-        .name("photon-health".into())
-        .spawn(move || scope.enter(serve))?;
+    })?;
     Ok(HealthServer { stop, port })
 }
 

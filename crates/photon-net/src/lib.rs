@@ -16,7 +16,12 @@
 //! * [`frame_io`]: blocking read/write of the exact photon-comms wire
 //!   frames (magic/version/flags/CRC32/length) over any `std::io` stream,
 //!   with the hostile-length cap enforced *before* allocation;
-//! * [`TcpLink`]: the socket-backed [`photon_comms::Link`];
+//! * [`TcpLink`]: the socket-backed [`photon_comms::Link`], with one
+//!   traced send and one traced receive: a frame carries a span context
+//!   while the calling thread's recorder has a trace scope — the run's
+//!   [`run_trace_id`] and the process's actor lane, declared with
+//!   [`photon_trace::set_trace_scope`] — and the recorder numbers its
+//!   frames, so `photon trace merge` can pair every send with its receive;
 //! * [`ReconnectBackoff`]: capped exponential backoff with deterministic
 //!   jitter for client reconnect loops;
 //! * [`session`]: deterministic session tokens and the coordinator-side
@@ -28,7 +33,8 @@
 //!   warmup and cooldown — the round itself is the engine's;
 //! * [`serve`] / [`run_client`]: the two process entry points, wiring
 //!   heartbeats, idempotent result re-delivery, client session resumption
-//!   and coordinator crash-restart from the checkpoint.
+//!   and coordinator crash-restart from the checkpoint. Every thread they
+//!   spawn records into the recorder they were called under.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -52,7 +58,7 @@ pub use plan::RunPlan;
 pub use server::{serve, ServeOptions, ServeReport, COORDKILL_EXIT_CODE};
 pub use session::{session_token, Admission, SessionError, SessionTable};
 pub use tcp::TcpLink;
-pub use tracectx::{init_trace_scope, run_trace_id};
+pub use tracectx::run_trace_id;
 
 /// Errors surfaced by the serve / client entry points.
 #[derive(Debug)]
@@ -94,3 +100,19 @@ impl From<photon_core::CoreError> for NetError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NetError>;
+
+/// Spawns `f` on a thread called `name` that records into the calling
+/// thread's recorder, on its actor lane. Every thread photon-net starts
+/// goes through here.
+///
+/// # Errors
+/// Propagates a failure to spawn the thread.
+pub(crate) fn spawn_in_scope<R: Send + 'static>(
+    name: &str,
+    f: impl FnOnce() -> R + Send + 'static,
+) -> std::io::Result<std::thread::JoinHandle<R>> {
+    let scope = photon_trace::Scope::current();
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || scope.enter(f))
+}

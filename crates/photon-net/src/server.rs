@@ -31,14 +31,14 @@ use crate::health::spawn_health_server;
 use crate::plan::RunPlan;
 use crate::session::SessionTable;
 use crate::tcp::TcpLink;
-use crate::tracectx::{init_trace_scope, recv_traced, run_trace_id, send_sealed, send_traced};
-use crate::{NetError, Result};
+use crate::{run_trace_id, spawn_in_scope, NetError, Result};
 use photon_comms::{Link, LinkError, Message, SealedFrame, WireOpts};
 use photon_core::experiments::RunOptions;
-use photon_core::FaultEvent::CoordKill;
+use photon_core::ClientFault::{Corrupt, Straggle};
+use photon_core::FaultEvent::{CoordKill, SlowLink};
 use photon_core::{
-    checkpoint_exists, run_training_over, Aggregator, ClientReply, Exchange, FaultPlan, Federation,
-    Telemetry, TrainingOptions, Transport,
+    checkpoint_exists, run_training_over, Aggregator, ClientReply, Exchange, FaultKind, FaultPlan,
+    FaultSpec, Federation, Telemetry, TrainingOptions, Transport,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
@@ -184,10 +184,17 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeReport> {
             "multi-process serve does not support secure aggregation".into(),
         ));
     }
+    if let Some(kind) = plan.faults.as_ref().and_then(simulated_link_fault) {
+        // Over TCP a result arrives or misses the round timeout: no
+        // simulated link delays, corrupts, loses or partitions it.
+        return Err(NetError::Protocol(format!(
+            "multi-process serve does not inject {kind} faults: only train's simulated link does"
+        )));
+    }
     if photon_trace::enabled() {
         // Actor 0 is the coordinator lane; the trace id is a pure
         // function of the seed, so clients derive the same one.
-        init_trace_scope(run_trace_id(plan.cfg.seed), 0);
+        photon_trace::set_trace_scope(run_trace_id(plan.cfg.seed), 0);
     }
 
     let telemetry = Telemetry::new();
@@ -296,6 +303,30 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeReport> {
     })
 }
 
+/// The first fault kind in `spec` that only the simulated link injects.
+fn simulated_link_fault(spec: &FaultSpec) -> Option<&'static str> {
+    let rates = [
+        ("straggle", spec.p_straggle),
+        ("corrupt", spec.p_corrupt),
+        ("lossy", spec.p_link_loss),
+    ];
+    let pinned = spec.targeted.iter().find_map(|t| match t.kind {
+        FaultKind::Client {
+            fault: Straggle { .. },
+        } => Some("straggle"),
+        FaultKind::Client {
+            fault: Corrupt { .. },
+        } => Some("corrupt"),
+        FaultKind::Event { event: SlowLink } => Some("slowlink"),
+        _ => None,
+    });
+    let partition = (!spec.partitions.is_empty()).then_some("partition");
+    let rated = rates
+        .into_iter()
+        .find_map(|(kind, p)| (p > 0.0).then_some(kind));
+    rated.or(pinned).or(partition)
+}
+
 /// Binds the listen address, riding out lingering sockets from a
 /// just-killed predecessor (the crash-restart path rebinds the same
 /// port the dead coordinator held).
@@ -314,36 +345,45 @@ fn bind_with_retry(addr: &str) -> Result<TcpListener> {
     Err(NetError::Io(last.expect("retries imply an error")))
 }
 
-/// The accept thread: handshakes each connection and spawns its reader.
+/// The accept thread: handshakes each connection and spawns its reader,
+/// all on the coordinator's lane of the recorder `serve` runs under.
 fn spawn_accept_loop(
     listener: TcpListener,
     registry: Arc<Registry>,
     hb_timeout_ms: u64,
     accepting: Arc<AtomicBool>,
 ) {
-    std::thread::spawn(move || {
+    spawn_in_scope("photon-accept", move || {
+        photon_trace::set_actor(0);
         for stream in listener.incoming() {
             if !accepting.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = stream else { break };
             let registry = Arc::clone(&registry);
-            std::thread::spawn(move || {
+            // A connection the process has no thread for is dropped; its
+            // client reconnects.
+            let _ = spawn_in_scope("photon-handshake", move || {
                 if let Ok(link) = TcpLink::from_stream(stream) {
                     handshake(Arc::new(link), &registry, hb_timeout_ms);
                 }
             });
         }
-    });
+    })
+    .expect("spawn the accept thread");
 }
 
 /// Admits (or resumes) one connection, installs it in the registry, and
 /// spawns the per-connection reader thread.
 fn handshake(link: Arc<TcpLink>, registry: &Registry, hb_timeout_ms: u64) {
-    let hello = match link.recv_message(Duration::from_secs(5)) {
-        Ok(Message::SessionHello {
-            client_id, token, ..
-        }) => (client_id, token),
+    let hello = match link.recv(Duration::from_secs(5)) {
+        Ok((
+            Message::SessionHello {
+                client_id, token, ..
+            },
+            _,
+            _,
+        )) => (client_id, token),
         _ => return, // not a client of ours; drop the connection
     };
     let admission = {
@@ -371,9 +411,7 @@ fn handshake(link: Arc<TcpLink>, registry: &Registry, hb_timeout_ms: u64) {
     // The grant's trace context doubles as the clock-offset probe: the
     // client halves the hello->grant round trip against our send
     // timestamp to estimate its offset from the coordinator clock.
-    if send_traced(link.as_ref(), &grant, registry.wire).is_err()
-        || send_traced(link.as_ref(), &sync, registry.wire).is_err()
-    {
+    if link.send(&grant, registry.wire).is_err() || link.send(&sync, registry.wire).is_err() {
         return;
     }
     let client = admission.client_id;
@@ -393,11 +431,10 @@ fn handshake(link: Arc<TcpLink>, registry: &Registry, hb_timeout_ms: u64) {
 /// Per-connection reader: forwards decoded frames to the driver's thread
 /// until the link dies.
 fn spawn_reader(link: Arc<TcpLink>, client: u32, events: Sender<Event>, hb_timeout_ms: u64) {
-    std::thread::spawn(move || {
-        photon_trace::set_actor(0);
+    spawn_in_scope("photon-reader", move || {
         let poll = Duration::from_millis(hb_timeout_ms.max(10));
         loop {
-            match recv_traced(&link, poll) {
+            match link.recv(poll) {
                 Ok((msg, _, frame_len)) => {
                     let frame = Event::Frame {
                         client,
@@ -418,7 +455,8 @@ fn spawn_reader(link: Arc<TcpLink>, client: u32, events: Sender<Event>, hb_timeo
         }
         link.sever();
         let _ = events.send(Event::Disconnected { client, link });
-    });
+    })
+    .expect("spawn a reader thread");
 }
 
 /// The round in flight.
@@ -712,7 +750,7 @@ impl Tcp<'_> {
 
     fn send_to(&self, client: u32, msg: &Message) {
         if let Some(link) = self.registry.link(client) {
-            let _ = send_traced(link.as_ref(), msg, self.registry.wire);
+            let _ = link.send(msg, self.registry.wire);
         }
     }
 
@@ -737,7 +775,7 @@ impl Tcp<'_> {
             .collect();
         for link in conns {
             if graceful {
-                let _ = send_traced(link.as_ref(), &Message::Shutdown, self.registry.wire);
+                let _ = link.send(&Message::Shutdown, self.registry.wire);
             } else {
                 link.sever();
             }
@@ -747,6 +785,59 @@ impl Tcp<'_> {
 
 fn send_sealed_to(registry: &Registry, client: u32, frame: &SealedFrame) {
     if let Some(link) = registry.link(client) {
-        let _ = send_sealed(&link, frame);
+        let _ = link.send_sealed(frame);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use photon_core::FederationConfig;
+    use photon_nn::ModelConfig;
+
+    #[test]
+    fn serve_refuses_the_faults_only_the_simulated_link_injects() {
+        let kind = |spec: &str| simulated_link_fault(&FaultSpec::parse(spec).unwrap());
+        for (spec, want) in [
+            ("straggle=0.2", "straggle"),
+            ("straggle:300@r1c0", "straggle"),
+            ("corrupt=0.1", "corrupt"),
+            ("corrupt:2@r1c0", "corrupt"),
+            ("lossy=0.1", "lossy"),
+            ("slowlink@r1c0", "slowlink"),
+            ("partition@r1:0|1", "partition"),
+        ] {
+            assert_eq!(kind(spec), Some(want), "{spec}");
+        }
+        for spec in [
+            "crash=0.2,nan=0.1,straggle-ms=500,corrupt-attempts=3",
+            "netcrash@r1c1,nethang@r2c0,coordkill@r2,scale:4000@r2c0",
+        ] {
+            assert_eq!(kind(spec), None, "{spec}");
+        }
+
+        // The refusal comes before anything binds or trains.
+        let plan = RunPlan {
+            cfg: FederationConfig::quick_demo(ModelConfig::proxy_tiny(), 2),
+            tokens_per_client: 2_000,
+            rounds: 2,
+            faults: Some(FaultSpec::parse("straggle=0.2").unwrap()),
+        };
+        let opts = ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            plan,
+            min_clients: 2,
+            checkpoint_dir: None,
+            resume: false,
+            warmup_ms: 0,
+            cooldown_ms: 0,
+            round_timeout_ms: 1_000,
+            heartbeat_timeout_ms: 500,
+            metrics_json: None,
+            stop_after_rounds: None,
+            health_port: None,
+        };
+        let err = serve(&opts).unwrap_err().to_string();
+        assert!(err.contains("straggle"), "{err}");
     }
 }

@@ -1,8 +1,14 @@
-//! The socket-backed [`Link`]: framed messages over TCP.
+//! The socket-backed [`Link`]: framed messages over TCP, with one traced
+//! send ([`TcpLink::send`] / [`TcpLink::send_sealed`]) and one traced
+//! receive ([`TcpLink::recv`]). A frame sent while the calling thread's
+//! recorder has a trace scope (see [`crate::run_trace_id`]) carries a
+//! [`TraceCtx`] trailer — origin actor, the recorder's frame sequence and
+//! the sender's trace-clock timestamp — behind the wire trace flag.
 
 use crate::frame_io::{read_frame, write_frame_parts};
 use bytes::Bytes;
-use photon_comms::{Link, LinkError, Message, TraceCtx, VerifiedFrame};
+use photon_comms::{Link, LinkError, Message, SealedFrame, TraceCtx, VerifiedFrame, WireOpts};
+use photon_trace::Phase;
 use std::io::BufWriter;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,8 +18,8 @@ use std::time::Duration;
 /// A [`Link`] over one TCP connection.
 ///
 /// Send and receive sides hold independently-locked clones of the
-/// stream, so a reader thread blocked in [`Link::recv_frame`] never
-/// stalls a writer thread in [`Link::send_frame`] — the same discipline
+/// stream, so a reader thread blocked in [`TcpLink::recv`] never
+/// stalls a writer thread in [`TcpLink::send`] — the same discipline
 /// the in-process `ChannelLink` gets from its two queues. Any hard
 /// send/receive failure latches the link disconnected; a latched link
 /// stays dead until the owner reconnects and builds a new one.
@@ -71,12 +77,45 @@ impl TcpLink {
         self.connected.store(false, Ordering::SeqCst);
     }
 
-    /// Sends one wire frame given as consecutive pieces (see
-    /// [`write_frame_parts`]); [`Link::send_frame`] is the one-piece case.
+    /// Sends a control-plane message (see [`TcpLink::send_sealed`]).
     ///
     /// # Errors
-    /// As [`Link::send_frame`].
-    pub(crate) fn send_frame_parts(&self, parts: &[&[u8]]) -> Result<(), LinkError> {
+    /// As [`TcpLink::send_sealed`].
+    pub fn send(&self, msg: &Message, wire: WireOpts) -> Result<(), LinkError> {
+        self.send_sealed(&SealedFrame::new(msg, wire))
+    }
+
+    /// Sends a message encoded once — a broadcast for its whole cohort, a
+    /// result for every re-delivery — so every send writes the same
+    /// payload bytes. While the calling thread's recorder has a trace
+    /// scope, only this send's header and span-context trailer are built
+    /// around them, and the `net_send` edge is recorded; otherwise the
+    /// shared untraced frame goes out whole.
+    ///
+    /// # Errors
+    /// [`LinkError::Closed`] when the link is dead; [`LinkError::Io`] on
+    /// socket failure (which latches it dead).
+    pub fn send_sealed(&self, sealed: &SealedFrame) -> Result<(), LinkError> {
+        let ctx = photon_trace::next_frame().map(|(trace_id, origin, seq)| TraceCtx {
+            trace_id,
+            origin,
+            seq,
+            ts_us: photon_trace::now_us(),
+        });
+        match ctx {
+            Some(ctx) => {
+                let (header, payload, trailer) = sealed.traced(ctx);
+                let bytes = header.len() + payload.len() + trailer.len();
+                note_edge(Phase::NetSend, "net_send", &ctx, bytes as u64);
+                self.send_frame_parts(&[&header, payload, &trailer])
+            }
+            None => self.send_frame(sealed.frame()),
+        }
+    }
+
+    /// Sends one wire frame given as consecutive pieces (see
+    /// [`write_frame_parts`]); [`Link::send_frame`] is the one-piece case.
+    fn send_frame_parts(&self, parts: &[&[u8]]) -> Result<(), LinkError> {
         if !self.is_connected() {
             return Err(LinkError::Closed);
         }
@@ -88,19 +127,23 @@ impl TcpLink {
         res
     }
 
-    /// Receives and parses the next message with its optional trace
-    /// context. [`read_frame`] has already verified the payload CRC, so
-    /// the decode does not walk the payload a second time.
+    /// Receives the next message with its span context and frame length,
+    /// recording the `net_recv` edge of a traced frame so its sender's
+    /// `net_send` has a receive endpoint. [`read_frame`] has already
+    /// verified the payload CRC, so the decode does not walk the payload a
+    /// second time.
     ///
     /// # Errors
-    /// As [`Link::recv_message`].
-    pub(crate) fn recv_message_traced(
-        &self,
-        timeout: Duration,
-    ) -> Result<(Message, Option<TraceCtx>, u64), LinkError> {
+    /// [`LinkError::TimedOut`] when nothing arrived in time,
+    /// [`LinkError::Closed`] when the peer is gone, [`LinkError::Wire`]
+    /// for a frame that fails its checks or decodes to no message.
+    pub fn recv(&self, timeout: Duration) -> Result<(Message, Option<TraceCtx>, u64), LinkError> {
         let frame = self.recv_verified(timeout)?;
         let frame_len = frame.len() as u64;
-        let (msg, ctx) = Message::from_verified_frame(frame).map_err(LinkError::Wire)?;
+        let (msg, ctx) = Message::from_verified_frame(frame)?;
+        if let Some(ctx) = &ctx {
+            note_edge(Phase::NetRecv, "net_recv", ctx, frame_len);
+        }
         Ok((msg, ctx, frame_len))
     }
 
@@ -127,6 +170,16 @@ impl TcpLink {
     }
 }
 
+/// Records one endpoint of a traced frame's send/recv edge.
+fn note_edge(phase: Phase, name: &'static str, ctx: &TraceCtx, bytes: u64) {
+    let args = [
+        ("origin", u64::from(ctx.origin)),
+        ("seq", ctx.seq),
+        ("bytes", bytes),
+    ];
+    photon_trace::instant(phase, name, &args);
+}
+
 impl Drop for TcpLink {
     fn drop(&mut self) {
         self.sever();
@@ -145,16 +198,12 @@ impl Link for TcpLink {
     fn is_connected(&self) -> bool {
         self.connected.load(Ordering::SeqCst)
     }
-
-    fn recv_message(&self, timeout: Duration) -> Result<Message, LinkError> {
-        self.recv_message_traced(timeout).map(|(msg, _, _)| msg)
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use photon_comms::WireOpts;
+    use photon_trace::{Recorder, TraceConfig};
     use std::net::TcpListener;
 
     fn opts() -> WireOpts {
@@ -181,15 +230,12 @@ pub(crate) mod tests {
             round: 7,
             params: vec![1.0, -2.5, 3.25],
         };
-        client.send_message(&msg, opts()).unwrap();
-        let got = server.recv_message(Duration::from_secs(2)).unwrap();
-        assert_eq!(got, msg);
+        let wait = Duration::from_secs(2);
+        client.send(&msg, opts()).unwrap();
+        assert_eq!(server.recv(wait).unwrap().0, msg);
         // And the other direction.
-        server.send_message(&Message::Shutdown, opts()).unwrap();
-        assert_eq!(
-            client.recv_message(Duration::from_secs(2)).unwrap(),
-            Message::Shutdown
-        );
+        server.send(&Message::Shutdown, opts()).unwrap();
+        assert_eq!(client.recv(wait).unwrap().0, Message::Shutdown);
     }
 
     #[test]
@@ -210,21 +256,88 @@ pub(crate) mod tests {
             client_id: 1,
             seq: 2,
         };
-        client.send_message(&model, opts()).unwrap();
+        client.send(&model, opts()).unwrap();
+        let sealed = SealedFrame::new(&beat, opts());
+        let (header, payload, trailer) = sealed.traced(ctx);
         client
-            .send_frame(beat.to_frame_traced(opts(), ctx))
+            .send_frame_parts(&[&header, payload, &trailer])
             .unwrap();
-        client.send_message(&beat, opts()).unwrap();
+        client.send(&beat, opts()).unwrap();
 
-        // Every receive path this crate uses runs on this thread, so the
-        // thread-local count is exactly the passes these three frames got.
+        // Every receive runs on this thread, so the thread-local count is
+        // exactly the passes these three frames got.
         let before = CRC_PASSES.with(std::cell::Cell::get);
         let wait = Duration::from_secs(2);
-        assert_eq!(server.recv_message(wait).unwrap(), model);
-        let (msg, got_ctx, _) = crate::tracectx::recv_traced(&server, wait).unwrap();
+        assert_eq!(server.recv(wait).unwrap().0, model);
+        let (msg, got_ctx, _) = server.recv(wait).unwrap();
         assert_eq!((msg, got_ctx), (beat.clone(), Some(ctx)));
-        assert_eq!(server.recv_message_traced(wait).unwrap().0, beat);
+        assert_eq!(server.recv(wait).unwrap().0, beat);
         assert_eq!(CRC_PASSES.with(std::cell::Cell::get) - before, 3);
+    }
+
+    /// Two runs in one process: each recorder stamps its own trace id and
+    /// numbers its own frames from 0, and each flight dump holds only its
+    /// own recorder's events. The process default forgets its scope on
+    /// `reset_for_tests`.
+    #[test]
+    fn each_recorder_stamps_its_own_trace_scope_and_dumps_its_own_flight_ring() {
+        let dir = std::env::temp_dir().join(format!("photon-net-scope-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (server, client) = loopback_pair();
+        let wait = Duration::from_secs(5);
+        let beat = |seq| Message::Heartbeat { client_id: 1, seq };
+        let runs = [(0xA1_u64, 1_u32), (0xB2, 2)].map(|(trace_id, actor)| {
+            let recorder = Recorder::start(TraceConfig::default()).unwrap();
+            recorder.scope(|| {
+                photon_trace::flight_init(&dir.join(format!("flight-{trace_id:x}.jsonl")));
+                photon_trace::set_trace_scope(trace_id, actor);
+                // The first declaration wins: a re-handshake keeps it.
+                photon_trace::set_trace_scope(0xdead, 9);
+            });
+            (recorder, trace_id, actor)
+        });
+        // Interleaved sends: each recorder's sequence is its own.
+        for seq in 0..2_u64 {
+            for (recorder, trace_id, actor) in &runs {
+                let (msg, ctx, _) = recorder.scope(|| {
+                    client.send(&beat(seq), opts()).unwrap();
+                    server.recv(wait).unwrap()
+                });
+                assert_eq!(msg, beat(seq));
+                let ctx = ctx.expect("a send under a trace scope is traced");
+                assert_eq!(
+                    (ctx.trace_id, ctx.origin, ctx.seq),
+                    (*trace_id, *actor, seq)
+                );
+            }
+        }
+        for (recorder, trace_id, _) in &runs {
+            let path = recorder.scope(photon_trace::flight_dump).unwrap();
+            let text = std::fs::read_to_string(path.expect("armed")).unwrap();
+            let meta = text.lines().next().unwrap();
+            assert!(
+                meta.contains(&format!("\"trace_id\":{trace_id},")),
+                "{meta}"
+            );
+            // Its own two sends and two receives; none of the other's.
+            assert_eq!(text.matches("\"name\":\"net_send\"").count(), 2, "{text}");
+            assert_eq!(text.matches("\"name\":\"net_recv\"").count(), 2, "{text}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let traced_id = || {
+            client.send(&beat(0), opts()).unwrap();
+            server.recv(wait).unwrap().1.map(|ctx| ctx.trace_id)
+        };
+        photon_trace::init(TraceConfig::default()).unwrap();
+        photon_trace::set_trace_scope(0xC3, 0);
+        assert_eq!(traced_id(), Some(0xC3));
+        photon_trace::reset_for_tests();
+        photon_trace::init(TraceConfig::default()).unwrap();
+        photon_trace::set_trace_scope(0xD4, 0);
+        assert_eq!(traced_id(), Some(0xD4));
+        photon_trace::reset_for_tests();
+        assert_eq!(traced_id(), None);
     }
 
     #[test]
@@ -234,7 +347,7 @@ pub(crate) mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0x01;
         client.send_frame(Bytes::from(raw)).unwrap();
-        let err = server.recv_message(Duration::from_secs(2)).unwrap_err();
+        let err = server.recv(Duration::from_secs(2)).unwrap_err();
         assert!(matches!(err, LinkError::Wire(_)), "{err:?}");
     }
 
@@ -277,15 +390,15 @@ pub(crate) mod tests {
         // Server echoes 50 heartbeats while the client pumps them.
         let echo = std::thread::spawn(move || {
             for _ in 0..50 {
-                let msg = s2.recv_message(Duration::from_secs(5)).unwrap();
-                s2.send_message(&msg, opts()).unwrap();
+                let (msg, _, _) = s2.recv(Duration::from_secs(5)).unwrap();
+                s2.send(&msg, opts()).unwrap();
             }
         });
         for seq in 0..50u64 {
             client
-                .send_message(&Message::Heartbeat { client_id: 1, seq }, opts())
+                .send(&Message::Heartbeat { client_id: 1, seq }, opts())
                 .unwrap();
-            let back = client.recv_message(Duration::from_secs(5)).unwrap();
+            let (back, _, _) = client.recv(Duration::from_secs(5)).unwrap();
             assert_eq!(back, Message::Heartbeat { client_id: 1, seq });
         }
         echo.join().unwrap();

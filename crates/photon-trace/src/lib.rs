@@ -18,9 +18,9 @@
 //! …), each a delegation to the thread's scoped recorder or, with none,
 //! to the process default that [`init`] configures (the CLI's one
 //! recorder). Concurrent runs in one process therefore never see each
-//! other's events or sim time. Process-level state is exactly three things:
-//! the default slot, the count of enabled recorders, and the crash flight
-//! ring (fed by the default recorder only).
+//! other's events, sim time, trace scope, frame sequence or crash flight
+//! ring. Process-level state is exactly two things: the default slot and
+//! the count of enabled recorders.
 //!
 //! Every instrumented thread records into its **own shard** — a buffer of
 //! [`Event`]s plus per-phase profile accumulators — behind an uncontended
@@ -86,8 +86,8 @@ pub use hist::LogHistogram;
 pub use merge::{merge_shards, net_edge_stats, NetEdgeStats};
 pub use profile::{PhaseProfile, PhaseStat};
 pub use recorder::{
-    drain_now, enabled, flush, flush_guard, flush_to_string, init, instant, reset_for_tests,
-    set_actor, set_clock_offset_us, set_metrics_text, set_process_meta, span, FlushGuard,
-    FlushSummary, Recorder, Scope, Span, TraceConfig,
+    drain_now, enabled, flush, flush_guard, flush_to_string, init, instant, next_frame,
+    reset_for_tests, set_actor, set_clock_offset_us, set_metrics_text, set_trace_scope, span,
+    FlushGuard, FlushSummary, Recorder, Scope, Span, TraceConfig,
 };
 pub use sink::{atomic_write, lint_prometheus, render_prometheus};

@@ -15,9 +15,13 @@
 //! instrumented code and the drivers call. Each is a one-line delegation
 //! to the thread's scoped recorder or, on a thread with none, to the
 //! process **default** — the recorder [`init`] configures, the only one a
-//! CLI process has. Three things stay process-level: that default slot,
-//! the count of enabled recorders (below) and the crash flight ring, which
-//! only the default recorder feeds.
+//! CLI process has. Two things stay process-level: that default slot and
+//! the count of enabled recorders (below).
+//!
+//! A recorder also holds what a distributed run stamps on its frames — the
+//! trace scope [`set_trace_scope`] declares and the frame sequence
+//! [`next_frame`] advances — and the crash flight ring [`crate::flight_init`]
+//! arms, so two runs in one process keep their own of each.
 //!
 //! ## Hot path
 //!
@@ -42,8 +46,8 @@ use std::cell::RefCell;
 use std::fmt;
 use std::io;
 use std::mem;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
@@ -51,6 +55,7 @@ use parking_lot::Mutex;
 
 use crate::clock::{Clock, ClockMode};
 use crate::event::{Event, EventKind, Phase, MAX_ARGS};
+use crate::flight::FlightRing;
 use crate::profile::PhaseProfile;
 use crate::sink::{atomic_write, render_prometheus, JsonlSink};
 
@@ -101,20 +106,19 @@ struct Collector {
     /// What the Prometheus sink writes ahead of the profile's families
     /// ([`set_metrics_text`]).
     metrics_text: String,
-    /// OS pid stamped on JSONL lines; 0 until [`set_process_meta`] is
+    /// OS pid stamped on JSONL lines; 0 until [`set_trace_scope`] is
     /// called, which keeps single-process traces byte-identical to the
     /// historical shape.
     pid: u32,
-    /// Run-wide trace id ([`set_process_meta`]).
-    trace_id: u64,
     /// Estimated offset of this process's trace clock from the
     /// coordinator's, in microseconds ([`set_clock_offset_us`]).
     clock_offset_us: i64,
-    /// Process metadata has been set and the next flush should (re)write
-    /// the `process_meta` line.
+    /// The trace scope has been declared (or the clock offset moved) and
+    /// the next flush should (re)write the `process_meta` line.
     meta_dirty: bool,
-    /// Process metadata was ever set (controls pid stamping).
-    meta_set: bool,
+    /// The crash flight ring, once [`crate::flight_init`] armed it: every
+    /// flushed batch is fed into it.
+    flight: Option<FlightRing>,
 }
 
 /// Recorder configuration passed to [`Recorder::start`] and [`init`].
@@ -156,8 +160,13 @@ pub struct Recorder {
     pub(crate) clock: Clock,
     registry: Mutex<Vec<Arc<Shard>>>,
     collector: Mutex<Collector>,
-    /// Flushes feed the crash flight ring (the process default only).
-    feeds_flight: bool,
+    /// The trace scope a distributed run declares ([`set_trace_scope`]):
+    /// the run-wide trace id (0 until declared) and the actor lane that is
+    /// the `origin` of every frame this process stamps; then the next
+    /// frame's sequence number. Atomics, so stamping a frame takes no lock.
+    trace_id: AtomicU64,
+    origin: AtomicU32,
+    frame_seq: AtomicU64,
 }
 
 /// What a thread records under: its recorder and its actor lane. A spawned
@@ -218,8 +227,8 @@ impl Drop for Recorder {
     }
 }
 
-pub(crate) fn default_recorder() -> &'static Arc<Recorder> {
-    DEFAULT.get_or_init(|| Arc::new(Recorder::new(true)))
+fn default_recorder() -> &'static Arc<Recorder> {
+    DEFAULT.get_or_init(|| Arc::new(Recorder::new()))
 }
 
 /// Runs `f` on the calling thread's recorder: the scoped one, else the
@@ -258,14 +267,16 @@ fn recording<R>(f: impl FnOnce(&Arc<Recorder>, u32) -> R) -> Option<R> {
 }
 
 impl Recorder {
-    fn new(feeds_flight: bool) -> Self {
+    fn new() -> Self {
         Recorder {
             enabled: AtomicBool::new(false),
             kernel_events: AtomicBool::new(false),
             clock: Clock::new(),
             registry: Mutex::new(Vec::new()),
             collector: Mutex::new(Collector::default()),
-            feeds_flight,
+            trace_id: AtomicU64::new(0),
+            origin: AtomicU32::new(0),
+            frame_seq: AtomicU64::new(0),
         }
     }
 
@@ -275,7 +286,7 @@ impl Recorder {
     /// # Errors
     /// The JSONL sink's file cannot be created.
     pub fn start(config: TraceConfig) -> io::Result<Arc<Self>> {
-        let recorder = Arc::new(Recorder::new(false));
+        let recorder = Arc::new(Recorder::new());
         recorder.init(config)?;
         Ok(recorder)
     }
@@ -320,8 +331,8 @@ impl Recorder {
         Ok(())
     }
 
-    /// Disables tracing and discards all state (shards, collector, sinks,
-    /// sim clock; the flight ring too when this is the process default).
+    /// Disables tracing and discards all state (shards, collector with its
+    /// sinks and flight ring, trace scope, frame sequence, sim clock).
     fn reset(&self) {
         self.set_enabled(false);
         self.kernel_events.store(false, Ordering::SeqCst);
@@ -329,27 +340,15 @@ impl Recorder {
             *shard.data.lock() = ShardData::default();
         }
         *self.collector.lock() = Collector::default();
-        if self.feeds_flight {
-            crate::flight::reset_for_tests();
-        }
+        self.trace_id.store(0, Ordering::SeqCst);
+        self.frame_seq.store(0, Ordering::SeqCst);
         self.clock.set_sim_time_us(0);
         self.clock.set_mode(ClockMode::Sim);
     }
 
-    fn set_process_meta(&self, trace_id: u64, pid: u32) {
-        let mut collector = self.collector.lock();
-        collector.trace_id = trace_id;
-        collector.pid = pid;
-        collector.meta_set = true;
-        collector.meta_dirty = true;
-    }
-
-    fn set_clock_offset_us(&self, offset_us: i64) {
-        let mut collector = self.collector.lock();
-        collector.clock_offset_us = offset_us;
-        if collector.meta_set {
-            collector.meta_dirty = true;
-        }
+    /// The declared trace id, 0 while none is.
+    fn trace_id(&self) -> u64 {
+        self.trace_id.load(Ordering::Acquire)
     }
 
     /// Runs `f` on the calling thread's shard of this recorder,
@@ -486,12 +485,9 @@ impl Recorder {
         let pid = collector.pid;
         if collector.meta_dirty {
             collector.meta_dirty = false;
-            let meta = collector.meta_line();
+            let meta = collector.meta_line(self.trace_id());
             if let Some(sink) = collector.jsonl.as_mut() {
                 sink.write_line(&meta)?;
-            }
-            if self.feeds_flight {
-                crate::flight::note_meta(meta);
             }
         }
         if let Some(sink) = collector.jsonl.as_mut() {
@@ -500,8 +496,8 @@ impl Recorder {
             }
             sink.flush()?;
         }
-        if self.feeds_flight {
-            crate::flight::note_events(&batch);
+        if let Some(ring) = collector.flight.as_mut() {
+            ring.note_events(&batch);
         }
         if let Some(path) = collector.prometheus.as_deref() {
             let text = collector.metrics_text.clone() + &render_prometheus(&collector.profile);
@@ -523,17 +519,40 @@ impl Recorder {
         out
     }
 
-    /// Snapshot used by the flight recorder: the process pid, the metadata
-    /// line (when process identity was declared) and a clone of every event
-    /// drained but not yet flushed. Non-consuming, so a dump never steals
-    /// events from a later flush.
-    pub(crate) fn flight_snapshot(&self) -> (u32, Option<String>, Vec<Event>) {
+    /// Arms this recorder's flight ring to dump to `path`; arming again
+    /// moves the path and keeps the ring.
+    pub(crate) fn arm_flight(&self, path: &Path) {
+        let mut collector = self.collector.lock();
+        let flight = collector
+            .flight
+            .get_or_insert_with(|| FlightRing::new(path));
+        flight.path = path.to_path_buf();
+    }
+
+    /// Writes the flight ring, then every event drained but not yet
+    /// flushed, behind the metadata line once the trace scope is declared,
+    /// to the armed path, atomically. Non-consuming, so a dump never
+    /// steals events from a later flush. `None` when the ring was never
+    /// armed.
+    pub(crate) fn dump_flight(&self) -> io::Result<Option<PathBuf>> {
         self.drain_shards();
         let collector = self.collector.lock();
+        let Some(flight) = &collector.flight else {
+            return Ok(None);
+        };
         let mut pending = collector.pending.clone();
         pending.sort();
-        let meta = collector.meta_set.then(|| collector.meta_line());
-        (collector.pid, meta, pending)
+        let trace_id = self.trace_id();
+        let mut text = String::new();
+        if trace_id != 0 {
+            text = collector.meta_line(trace_id) + "\n";
+        }
+        for event in flight.ring.iter().chain(&pending) {
+            text.push_str(&event.to_json_line_with_pid(collector.pid));
+            text.push('\n');
+        }
+        atomic_write(&flight.path, &text)?;
+        Ok(Some(flight.path.clone()))
     }
 }
 
@@ -576,11 +595,11 @@ impl Collector {
 
     /// The `process_meta` metadata line `photon trace merge` reads to
     /// learn this shard's pid, trace id and clock offset.
-    fn meta_line(&self) -> String {
+    fn meta_line(&self, trace_id: u64) -> String {
         format!(
             "{{\"name\":\"process_meta\",\"cat\":\"orchestration\",\"ph\":\"M\",\"ts\":0,\
              \"pid\":{},\"tid\":0,\"args\":{{\"trace_id\":{},\"clock_offset_us\":{}}}}}",
-            self.pid, self.trace_id, self.clock_offset_us
+            self.pid, trace_id, self.clock_offset_us
         )
     }
 
@@ -615,24 +634,56 @@ pub fn set_actor(actor: u32) {
     SCOPE.with(|scope| scope.borrow_mut().actor = actor);
 }
 
-/// Declares this process's identity in a distributed run: the run-wide
-/// trace id (derived from the run seed) and the OS pid to stamp on JSONL
-/// lines. Until this is called, lines carry `pid: 0` and no metadata line
-/// is written — single-process traces keep their historical byte-identical
-/// shape. The next [`flush`] after this call writes a `process_meta`
-/// metadata line that `photon trace merge` uses to align shards.
-pub fn set_process_meta(trace_id: u64, pid: u32) {
-    with_current(|recorder| recorder.set_process_meta(trace_id, pid));
+/// Declares the calling thread's recorder's trace scope in a distributed
+/// run: the run-wide trace id (derived from the run seed; 0 is ignored)
+/// and this process's actor lane, the `origin` of every frame it stamps
+/// (0 for the coordinator, client id + 1 for a client). The first
+/// declaration per recorder wins — a client re-handshaking after a
+/// reconnect keeps its scope and its frame sequence — so each process
+/// writes exactly one `process_meta` line: the next [`flush`] writes it,
+/// with the OS pid every later JSONL line carries too. Until a scope is
+/// declared, lines carry `pid: 0` and no metadata line is written —
+/// single-process traces keep their historical byte-identical shape.
+pub fn set_trace_scope(trace_id: u64, actor: u32) {
+    with_current(|recorder| {
+        // Declarations serialize on the collector lock; a frame loads the
+        // trace id first, which publishes the origin stored before it.
+        let mut collector = recorder.collector.lock();
+        if trace_id != 0 && recorder.trace_id() == 0 {
+            recorder.origin.store(actor, Ordering::Relaxed);
+            recorder.trace_id.store(trace_id, Ordering::Release);
+            collector.pid = std::process::id();
+            collector.meta_dirty = true;
+        }
+    });
+}
+
+/// The next outgoing frame's span context on the calling thread's
+/// recorder — `(trace id, origin actor, sequence number)`, the sequence
+/// counting from 0 per recorder — or `None` while that recorder is
+/// disabled or has no [`set_trace_scope`]. Takes no lock.
+pub fn next_frame() -> Option<(u64, u32, u64)> {
+    recording(|recorder, _| {
+        let trace_id = recorder.trace_id();
+        let origin = recorder.origin.load(Ordering::Relaxed);
+        let seq = || recorder.frame_seq.fetch_add(1, Ordering::Relaxed);
+        (trace_id != 0).then(|| (trace_id, origin, seq()))
+    })
+    .flatten()
 }
 
 /// Publishes this process's estimated trace-clock offset from the
 /// coordinator's clock (microseconds; positive means the coordinator's
 /// clock reads ahead of ours). Clients derive it from the session
 /// handshake round trip; `photon trace merge` adds it to every timestamp
-/// in this process's shard. No-op until [`set_process_meta`] declares the
+/// in this process's shard. No-op until [`set_trace_scope`] declares the
 /// process.
 pub fn set_clock_offset_us(offset_us: i64) {
-    with_current(|recorder| recorder.set_clock_offset_us(offset_us));
+    with_current(|recorder| {
+        let mut collector = recorder.collector.lock();
+        collector.clock_offset_us = offset_us;
+        collector.meta_dirty |= recorder.trace_id() != 0;
+    });
 }
 
 /// An RAII guard that flushes the recorder when dropped, so a process
@@ -780,7 +831,8 @@ pub fn flush_to_string() -> String {
 }
 
 /// Disables the process default recorder and discards all its state
-/// (shards, collector, sinks, sim clock) and the flight ring. A test that
+/// (shards, collector, sinks, flight ring, trace scope, frame sequence,
+/// sim clock). A test that
 /// needs a recorder builds its own with [`Recorder::start`]; this is for
 /// the programs that own the process, between measurement passes, and must
 /// not race with spans open on the default recorder.
@@ -799,7 +851,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_inert() {
-        let off = Arc::new(Recorder::new(false));
+        let off = Arc::new(Recorder::new());
         off.scope(|| {
             let s = span(Phase::Round).arg("round", 1);
             drop(s);

@@ -5,7 +5,7 @@
 
 use photon_trace::{
     flight_dump, flight_init, flush, flush_guard, init, instant, reset_for_tests, set_actor,
-    set_process_meta, set_sim_time_us, span, Phase, Recorder, TraceConfig,
+    set_sim_time_us, set_trace_scope, span, Phase, Recorder, TraceConfig,
 };
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -53,8 +53,8 @@ fn guard_flushes_partial_round_on_drop() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The one test on the process default recorder, the only one that feeds
-/// the flight ring; nothing else in this binary touches either.
+/// The one test on the process default recorder, the recorder the CLI
+/// arms; nothing else in this binary touches it.
 #[test]
 fn flight_dump_carries_unflushed_final_round() {
     reset_for_tests();
@@ -62,7 +62,7 @@ fn flight_dump_carries_unflushed_final_round() {
     let flight_path = dir.join("flight-self.jsonl");
     init(TraceConfig::default()).expect("init");
     flight_init(&flight_path);
-    set_process_meta(0xfeed, 4242);
+    set_trace_scope(0xfeed, 0);
     set_actor(0);
     // Round 0 reaches its flush (lands in the ring)...
     set_sim_time_us(1_000);
@@ -75,9 +75,9 @@ fn flight_dump_carries_unflushed_final_round() {
     let written = flight_dump().expect("dump").expect("armed");
     assert_eq!(written, flight_path);
     let text = std::fs::read_to_string(&flight_path).expect("flight file");
-    // Metadata line first, stamped with the declared pid.
+    // Metadata line first, and every line stamped with the process pid.
     assert!(text.lines().next().unwrap().contains("process_meta"));
-    assert!(text.contains("\"pid\":4242"));
+    assert!(text.contains(&format!("\"pid\":{},", std::process::id())));
     // Both the flushed round and the unflushed final round are present.
     assert!(
         text.contains("\"ts\":1000,"),

@@ -1,7 +1,6 @@
-//! Integration tests for the §6 extension features: TIES aggregation,
-//! telemetry (AggMetrics), and int8 update quantization.
+//! Integration tests for the §6 extension features: TIES aggregation
+//! and telemetry (AggMetrics).
 
-use photon_comms::{dequantize_i8, quantize_i8};
 use photon_core::experiments::{build_heterogeneous_federation, run_federation, RunOptions};
 use photon_fedopt::AggregationKind;
 use photon_tests::tiny_federation;
@@ -83,43 +82,4 @@ fn telemetry_tracks_every_round() {
     }
     // Full participation => perfectly balanced.
     assert_eq!(telemetry.participation_skew, Some(1.0));
-}
-
-#[test]
-fn quantized_updates_preserve_aggregation_quality() {
-    // Simulate the §6 cross-device path: quantize each client's delta to
-    // int8 before aggregation and verify the aggregate barely moves.
-    use photon_fedopt::{aggregate_deltas, ClientUpdate};
-    use photon_tensor::SeedStream;
-    let mut rng = SeedStream::new(4);
-    let updates: Vec<ClientUpdate> = (0..4)
-        .map(|_| {
-            ClientUpdate::new((0..5_000).map(|_| rng.next_normal() * 1e-2).collect(), 1.0).unwrap()
-        })
-        .collect();
-    let exact = aggregate_deltas(&updates);
-    let quantized: Vec<ClientUpdate> = updates
-        .iter()
-        .map(|u| {
-            ClientUpdate::new(dequantize_i8(quantize_i8(&u.delta)).unwrap(), u.weight).unwrap()
-        })
-        .collect();
-    let approx = aggregate_deltas(&quantized);
-
-    let exact_norm = photon_tensor::ops::l2_norm(&exact);
-    let err_norm = photon_tensor::ops::l2_norm(
-        &exact
-            .iter()
-            .zip(&approx)
-            .map(|(a, b)| a - b)
-            .collect::<Vec<f32>>(),
-    );
-    assert!(
-        err_norm < exact_norm * 0.05,
-        "quantization error {err_norm} vs signal {exact_norm}"
-    );
-    // And the payload is ~4x smaller than raw f32.
-    let raw = updates[0].delta.len() * 4;
-    let q = quantize_i8(&updates[0].delta).len();
-    assert!(q * 3 < raw, "quantized {q} vs raw {raw}");
 }
