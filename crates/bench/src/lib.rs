@@ -189,11 +189,6 @@ pub fn run_comm_breakdown(rep: &mut Report, tau: u64, tau_paper: u64, cap: u64) 
     }
 }
 
-/// Formats seconds as `1234.5 s (0.34 h)`.
-pub fn fmt_time(seconds: f64) -> String {
-    format!("{seconds:>9.1} s ({:>6.2} h)", seconds / 3600.0)
-}
-
 /// Formats an optional round count, printing `>N` when the target was not
 /// reached within the round budget.
 pub fn fmt_rounds(r: Option<u64>, budget: u64) -> String {
@@ -227,7 +222,6 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert!(fmt_time(3600.0).contains("1.00 h"));
         assert_eq!(fmt_rounds(Some(7), 50).trim(), "7");
         assert_eq!(fmt_rounds(None, 50).trim(), ">  50");
     }

@@ -76,7 +76,7 @@ impl Interconnect {
 
     /// Whether the link supports RDMA-class collective operations — the
     /// `HasRDMA` predicate of Algorithm 1 (L.16).
-    pub fn has_rdma(&self) -> bool {
+    pub(crate) fn has_rdma(&self) -> bool {
         match *self {
             Interconnect::NvLink | Interconnect::InfiniBand { .. } => true,
             // The paper treats >= 100 Gbps datacenter Ethernet (RoCE) as
@@ -143,14 +143,6 @@ impl SiloSpec {
         self.nodes.iter().map(|n| n.n_gpus).sum()
     }
 
-    /// Aggregate peak TFLOP/s across the silo.
-    pub fn total_peak_tflops(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| n.gpu.peak_tflops_bf16 * n.n_gpus as f64)
-            .sum()
-    }
-
     /// The GPU spec of the first node (silos are homogeneous in the paper).
     ///
     /// # Panics
@@ -184,7 +176,6 @@ mod tests {
     fn silo_aggregates() {
         let silo = SiloSpec::single_node("utah-0", 8, GpuSpec::h100(), Region::Utah);
         assert_eq!(silo.total_gpus(), 8);
-        assert_eq!(silo.total_peak_tflops(), 8.0 * 989.0);
         assert_eq!(silo.gpu().name, "H100-SXM");
     }
 

@@ -36,4 +36,4 @@ pub use hardware::{GpuSpec, Interconnect, NodeSpec, SiloSpec};
 pub use regions::{paper_silos, Region, RegionGraph};
 pub use strategy::{select_strategy, TrainingStrategy};
 pub use throughput::{mfu, tokens_per_second, PaperModel, ThroughputSetting};
-pub use vram::{activation_bytes_per_sample, training_bytes, MemoryBreakdown};
+pub use vram::{training_bytes, MemoryBreakdown};

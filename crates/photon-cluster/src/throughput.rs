@@ -85,16 +85,6 @@ impl PaperModel {
         }
     }
 
-    /// Cosine-schedule duration in steps (Table 5), federated variant.
-    pub fn schedule_steps(&self) -> u64 {
-        match self {
-            PaperModel::M125 => 40_960,
-            PaperModel::B1_3 => 24_800,
-            PaperModel::B3 => 51_500,
-            PaperModel::B7 => 63_900,
-        }
-    }
-
     /// Maximum learning rate (Table 5).
     pub fn max_lr(&self) -> f32 {
         match self {
@@ -164,7 +154,6 @@ mod tests {
             assert!(!m.label().is_empty());
             m.config().validate();
             assert!(m.max_lr() > 0.0);
-            assert!(m.schedule_steps() > 0);
         }
         // Larger models get smaller peak learning rates (Table 5).
         assert!(PaperModel::M125.max_lr() > PaperModel::B7.max_lr());

@@ -31,7 +31,7 @@ impl MemoryBreakdown {
 
 /// Activation bytes for a single sample (sequence) in bf16, assuming fused
 /// attention and no checkpointing.
-pub fn activation_bytes_per_sample(config: &ModelConfig) -> usize {
+pub(crate) fn activation_bytes_per_sample(config: &ModelConfig) -> usize {
     // Per layer-token-channel cost: Korthikanti et al.'s 34 B baseline
     // (without the attention quadratic term) plus workspace/fragmentation
     // overhead, calibrated at 66 B so the autotuner reproduces the paper's

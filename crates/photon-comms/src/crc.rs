@@ -23,7 +23,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// checksum over a shared prefix can be forked and extended with different
 /// suffixes without re-reading the prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc32(u32);
+pub(crate) struct Crc32(u32);
 
 impl Crc32 {
     /// The state of a checksum over zero bytes.
@@ -39,7 +39,7 @@ impl Crc32 {
     }
 
     /// The CRC-32 of everything fed so far.
-    pub fn finalize(self) -> u32 {
+    pub(crate) fn finalize(self) -> u32 {
         !self.0
     }
 }

@@ -43,20 +43,17 @@ mod wire;
 pub use collective::{ring_allreduce_group, RingWorker};
 pub use compress::{compress_f32s, decompress_f32s};
 pub use crc::crc32;
-pub use link::{
-    corrupt_frame, deliver, deliver_chaos, DeliveryReport, LinkExhausted, RetransmitPolicy,
-};
+pub use link::{deliver, deliver_chaos, DeliveryReport, LinkExhausted, RetransmitPolicy};
 pub use message::{Message, SealedFrame, TrainMetrics, WireOpts};
 pub use network::{
     AdaptiveDeadlineConfig, LinkOutcome, LinkProfile, NetworkConfig, NetworkModel, PartitionKind,
     PartitionSchedule, PartitionSpec,
 };
-pub use secure::{mask_update, pairwise_seed, SecureAggError};
+pub use secure::{mask_update, SecureAggError};
 pub use topology::{aggregation_time_seconds, bytes_on_wire, comm_time_seconds, Topology};
 pub use transport::{ChannelLink, Link, LinkError};
 pub use walltime::{RoundTime, SimClock, WallTimeModel};
 pub use wire::{
-    crc_passes, decode_frame, decode_frame_flags, encode_frame, encode_frame_with, FrameFlags,
-    FrameHeader, TraceCtx, VerifiedFrame, WireError, FRAME_HEADER_LEN, MAX_FRAME_BYTES,
-    TRACE_CTX_LEN,
+    crc_passes, decode_frame, decode_frame_flags, encode_frame, FrameFlags, FrameHeader, TraceCtx,
+    VerifiedFrame, WireError, FRAME_HEADER_LEN, MAX_FRAME_BYTES, TRACE_CTX_LEN,
 };

@@ -68,7 +68,7 @@ impl RetransmitPolicy {
     /// `max_backoff_ms` cap enforced. With `jitter_pct == 0` this equals
     /// [`RetransmitPolicy::backoff_ms`] (modulo the cap), so legacy
     /// configurations replay unchanged.
-    pub fn jittered_backoff_ms(&self, retry: u32, seed: u64) -> u64 {
+    pub(crate) fn jittered_backoff_ms(&self, retry: u32, seed: u64) -> u64 {
         let base = self.backoff_ms(retry);
         let jittered = if self.jitter_pct == 0 {
             base
@@ -147,7 +147,7 @@ pub struct DeliveryReport {
 /// the same position arithmetic; empty frames pass through untouched
 /// (there is nothing to corrupt, and `decode_frame` already rejects them
 /// as truncated).
-pub fn corrupt_frame(frame: &Bytes, seed: u64) -> Bytes {
+pub(crate) fn corrupt_frame(frame: &Bytes, seed: u64) -> Bytes {
     let mut raw = frame.to_vec();
     if raw.is_empty() {
         return Bytes::new();

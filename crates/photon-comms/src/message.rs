@@ -288,13 +288,15 @@ impl Message {
     /// Returns a [`WireError`] on framing/corruption errors, an unknown
     /// message tag, or a trace-flagged payload too short to hold the
     /// trailer.
-    pub fn from_frame_traced(frame: Bytes) -> Result<(Message, Option<TraceCtx>), WireError> {
+    pub(crate) fn from_frame_traced(
+        frame: Bytes,
+    ) -> Result<(Message, Option<TraceCtx>), WireError> {
         let (header, body) = split_frame(frame)?;
         header.check_payload(&body)?;
         Self::decode_payload(body, header.flags)
     }
 
-    /// [`Message::from_frame_traced`] for a frame whose payload CRC has
+    /// `Message::from_frame_traced` for a frame whose payload CRC has
     /// **already been verified** — a streaming transport checks it while
     /// reading the frame off the socket, the simulated Link inside its
     /// retransmit loop — because a model-sized payload should be walked
@@ -304,7 +306,7 @@ impl Message {
     /// aggregated silently.
     ///
     /// # Errors
-    /// As [`Message::from_frame_traced`], minus the checksum.
+    /// As `Message::from_frame_traced`, minus the checksum.
     pub fn from_verified_frame(
         frame: VerifiedFrame,
     ) -> Result<(Message, Option<TraceCtx>), WireError> {
@@ -563,7 +565,7 @@ impl SealedFrame {
     /// The three pieces that, written back to back, are this message's
     /// traced frame for `ctx`: a per-send header (trace flag set, CRC
     /// extended over the trailer), the shared payload, and `ctx` as a
-    /// trailer, CRC-covered, from which [`Message::from_frame_traced`]
+    /// trailer, CRC-covered, from which `Message::from_frame_traced`
     /// recovers the sender's causal edge.
     pub fn traced(&self, ctx: TraceCtx) -> ([u8; FRAME_HEADER_LEN], &[u8], [u8; TRACE_CTX_LEN]) {
         let payload = &self.frame[FRAME_HEADER_LEN..];
@@ -1072,7 +1074,7 @@ mod tests {
         for opts in ["raw", "bf16"].map(golden_opts) {
             let frame = result.to_frame_opts(opts);
             let short = &frame[FRAME_HEADER_LEN..frame.len() - 3];
-            let err = Message::from_frame(crate::encode_frame_with(short, opts.flags()));
+            let err = Message::from_frame(crate::wire::encode_frame_with(short, opts.flags()));
             assert!(matches!(err, Err(WireError::Malformed(_))), "{err:?}");
         }
 

@@ -75,7 +75,7 @@ impl LinkProfile {
 
     /// Size-dependent transfer time for `bytes` at this link's bandwidth,
     /// in simulated milliseconds (`kbps` = kilobits/s = bits/ms).
-    pub fn transfer_ms(&self, bytes: usize) -> u64 {
+    pub(crate) fn transfer_ms(&self, bytes: usize) -> u64 {
         if self.bandwidth_kbps == 0 {
             return 0;
         }
@@ -256,7 +256,7 @@ pub struct PartitionSpec {
 
 impl PartitionSpec {
     /// Whether the window covers `round`.
-    pub fn active_at(&self, round: u64) -> bool {
+    pub(crate) fn active_at(&self, round: u64) -> bool {
         round >= self.start_round && self.heal_round.is_none_or(|h| round < h)
     }
 
@@ -327,16 +327,6 @@ impl PartitionSchedule {
     /// The severing in effect for `client` at `round`, if any.
     pub fn state(&self, round: u64, client: u32) -> Option<PartitionKind> {
         self.specs.iter().rev().find_map(|s| s.state(round, client))
-    }
-
-    /// Whether any window is active at `round`.
-    pub fn active_at(&self, round: u64) -> bool {
-        self.specs.iter().any(|s| s.active_at(round))
-    }
-
-    /// Whether a window heals exactly at `round` (its first healed round).
-    pub fn heals_at(&self, round: u64) -> bool {
-        self.specs.iter().any(|s| s.heal_round == Some(round))
     }
 
     /// Validates every window.
@@ -600,11 +590,8 @@ mod tests {
         assert_eq!(sched.state(2, 1), Some(PartitionKind::Full));
         assert_eq!(sched.state(3, 2), Some(PartitionKind::Full));
         assert_eq!(sched.state(4, 1), None, "healed at round 4");
-        assert!(sched.heals_at(4));
-        assert!(!sched.heals_at(3));
         assert_eq!(sched.state(9, 3), Some(PartitionKind::Asymmetric));
         assert_eq!(sched.state(9, 0), None);
-        assert!(sched.active_at(100), "unhealed window stays active");
     }
 
     #[test]

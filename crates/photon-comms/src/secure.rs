@@ -36,7 +36,7 @@ impl std::error::Error for SecureAggError {}
 /// key. Symmetric: `pairwise_seed(k, a, b) == pairwise_seed(k, b, a)`.
 /// In a real deployment this comes from a Diffie-Hellman exchange; here a
 /// keyed hash models the agreed secret.
-pub fn pairwise_seed(round_key: u64, a: u32, b: u32) -> u64 {
+pub(crate) fn pairwise_seed(round_key: u64, a: u32, b: u32) -> u64 {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     let mut h = round_key ^ 0x9E37_79B9_7F4A_7C15;
     for v in [lo as u64, hi as u64] {

@@ -32,11 +32,6 @@ impl Topology {
             Topology::RingAllReduce => "RAR",
         }
     }
-
-    /// Whether the topology tolerates client dropouts mid-aggregation.
-    pub fn tolerates_dropouts(&self) -> bool {
-        !matches!(self, Topology::RingAllReduce)
-    }
 }
 
 impl std::fmt::Display for Topology {
@@ -157,8 +152,5 @@ mod tests {
     #[test]
     fn labels_and_dropout_semantics() {
         assert_eq!(Topology::ParameterServer.label(), "PS");
-        assert!(Topology::ParameterServer.tolerates_dropouts());
-        assert!(Topology::AllReduce.tolerates_dropouts());
-        assert!(!Topology::RingAllReduce.tolerates_dropouts());
     }
 }

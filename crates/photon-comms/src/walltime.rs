@@ -37,11 +37,6 @@ impl SimClock {
     pub fn now_us(&self, round: u64) -> u64 {
         self.now_ms(round).saturating_mul(1_000)
     }
-
-    /// How many whole rounds a lease of `lease_ms` spans from its grant.
-    pub fn rounds_per_lease(&self, lease_ms: u64) -> u64 {
-        lease_ms / self.round_ms
-    }
 }
 
 impl Default for SimClock {
@@ -127,7 +122,7 @@ impl WallTimeModel {
     }
 
     /// Local compute time per round (Eq. 1).
-    pub fn local_time(&self) -> f64 {
+    pub(crate) fn local_time(&self) -> f64 {
         self.tau as f64 / self.nu
     }
 
@@ -199,7 +194,6 @@ mod tests {
         // Restoring at round 4 sees exactly the time the uninterrupted run
         // saw — there is no hidden clock state.
         assert_eq!(SimClock::new(250).now_ms(4), clock.now_ms(4));
-        assert_eq!(clock.rounds_per_lease(1_000), 4);
         assert_eq!(SimClock::default().round_ms, 1_000);
     }
 

@@ -225,7 +225,7 @@ impl FrameHeader {
     ///
     /// # Errors
     /// Returns [`WireError::BadChecksum`] on a mismatch.
-    pub fn check_payload(&self, payload: &[u8]) -> Result<(), WireError> {
+    pub(crate) fn check_payload(&self, payload: &[u8]) -> Result<(), WireError> {
         CRC_PASSES.fetch_add(1, Ordering::Relaxed);
         let computed = crate::crc32(payload);
         if computed != self.crc {
@@ -303,7 +303,7 @@ pub fn encode_frame(payload: &[u8], compressed: bool) -> Bytes {
 }
 
 /// [`encode_frame`] with the full flag set (bf16 float payloads included).
-pub fn encode_frame_with(payload: &[u8], flags: FrameFlags) -> Bytes {
+pub(crate) fn encode_frame_with(payload: &[u8], flags: FrameFlags) -> Bytes {
     let mut frame = begin_frame(flags, payload.len());
     frame.put_slice(payload);
     seal_frame(frame).0
@@ -332,7 +332,7 @@ pub fn decode_frame_flags(frame: Bytes) -> Result<(Bytes, FrameFlags), WireError
 }
 
 /// A whole Link frame whose payload has passed
-/// [`FrameHeader::check_payload`]. Outside this crate the only way to
+/// `FrameHeader::check_payload`. Outside this crate the only way to
 /// obtain one is [`VerifiedFrame::check`] (or a delivery that ran it), so
 /// [`crate::Message::from_verified_frame`], which does not walk the
 /// payload again, cannot be handed bytes nobody verified.

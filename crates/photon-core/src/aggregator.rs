@@ -336,7 +336,7 @@ impl Aggregator {
 
     /// The set of crashed shards; `None` when the run has no hierarchy
     /// config.
-    pub fn hierarchy_state(&self) -> Option<HierarchyState> {
+    pub(crate) fn hierarchy_state(&self) -> Option<HierarchyState> {
         self.hierarchy.as_ref().map(ShardTree::state)
     }
 

@@ -307,7 +307,7 @@ impl Aggregator {
     /// # Errors
     /// As [`Aggregator::run_round_with`], plus whatever the transport
     /// reports.
-    pub fn run_round_over(
+    pub(crate) fn run_round_over(
         &mut self,
         transport: &mut dyn Transport,
         injector: Option<&FaultPlan>,

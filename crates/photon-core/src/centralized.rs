@@ -107,11 +107,6 @@ impl CentralizedTrainer {
     pub fn set_params(&mut self, params: &[f32]) {
         self.replica.set_params(params);
     }
-
-    /// Steps taken so far.
-    pub fn global_step(&self) -> u64 {
-        self.step
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,6 @@ mod tests {
         let first = t.train_steps(5);
         let later = t.train_steps(40);
         assert!(later < first, "{first} -> {later}");
-        assert_eq!(t.global_step(), 45);
     }
 
     #[test]
@@ -159,8 +153,6 @@ mod tests {
         let first = t.train_steps(5);
         let later = t.train_steps(30);
         assert!(later < first, "{first} -> {later}");
-        // One optimizer step per accumulation group.
-        assert_eq!(t.global_step(), 35);
     }
 
     #[test]

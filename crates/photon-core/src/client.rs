@@ -19,7 +19,7 @@ pub struct ClientOutcome {
 /// A client round's result with its pseudo-gradient still in the
 /// [`Workspace`] that trained it.
 #[derive(Debug)]
-pub struct LocalUpdate<'w> {
+pub(crate) struct LocalUpdate<'w> {
     /// Pseudo-gradient `θ_global − θ_local` (possibly post-processed),
     /// formed in the workspace's gradient buffer.
     pub delta: &'w mut [f32],
@@ -66,7 +66,8 @@ impl LlmClient {
     /// Schedules a deterministic panic in the client's first replica — its
     /// single-GPU model, DDP rank 0 or sub-federation node 0 — on the
     /// given rounds.
-    pub fn panic_node_on_rounds(&mut self, rounds: Vec<u64>) {
+    #[cfg(test)]
+    fn panic_node_on_rounds(&mut self, rounds: Vec<u64>) {
         self.panic_node_rounds = rounds;
     }
 
@@ -89,11 +90,11 @@ impl LlmClient {
         }
     }
 
-    /// [`LlmClient::run_round_in`] on a workspace of its own, returning
+    /// `LlmClient::run_round_in` on a workspace of its own, returning
     /// the pseudo-gradient as an owned vector.
     ///
     /// # Errors
-    /// As [`LlmClient::run_round_in`].
+    /// As `LlmClient::run_round_in`.
     pub fn run_round(
         &mut self,
         global: &[f32],
@@ -125,7 +126,7 @@ impl LlmClient {
     /// Panics if `global` has the wrong length for the configured model,
     /// or secure aggregation is enabled and this client is missing from
     /// the cohort.
-    pub fn run_round_in<'w>(
+    pub(crate) fn run_round_in<'w>(
         &mut self,
         workspace: &'w mut Workspace,
         global: &[f32],

@@ -78,7 +78,11 @@ impl DataSource {
     ///
     /// # Panics
     /// Panics if the shard cannot be split `n` ways.
-    pub fn partition_streams(&self, n: usize, rng: &mut SeedStream) -> Vec<Box<dyn TokenStream>> {
+    pub(crate) fn partition_streams(
+        &self,
+        n: usize,
+        rng: &mut SeedStream,
+    ) -> Vec<Box<dyn TokenStream>> {
         self.shard
             .split(n)
             .into_iter()

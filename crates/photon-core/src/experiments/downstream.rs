@@ -15,7 +15,7 @@ use photon_tokenizer::Tokenizer;
 
 /// One two-choice cloze instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClozeTask {
+pub(crate) struct ClozeTask {
     /// Benchmark name this instance belongs to.
     pub benchmark: &'static str,
     /// Prompt tokens.
@@ -59,7 +59,7 @@ const BENCHMARKS: [(&str, DomainKind, usize, usize); 14] = [
 
 /// Generates the full task suite (a fixed number of instances per
 /// benchmark), deterministic given the seed stream state.
-pub fn downstream_suite(
+pub(crate) fn downstream_suite(
     tokenizer: &dyn Tokenizer,
     max_seq: usize,
     rng: &mut SeedStream,
@@ -117,7 +117,7 @@ fn clamp_lengths(prompt: usize, cont: usize, max_seq: usize) -> (usize, usize) {
 }
 
 /// Scores a model on a task suite, grouping accuracies per benchmark.
-pub fn evaluate_downstream(model: &Gpt, tasks: &[ClozeTask]) -> Vec<DownstreamScore> {
+pub(crate) fn evaluate_downstream(model: &Gpt, tasks: &[ClozeTask]) -> Vec<DownstreamScore> {
     let mut order: Vec<&'static str> = Vec::new();
     let mut totals: std::collections::HashMap<&'static str, (usize, usize)> =
         std::collections::HashMap::new();

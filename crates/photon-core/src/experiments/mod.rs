@@ -7,7 +7,7 @@
 
 mod downstream;
 
-pub use downstream::{downstream_suite, evaluate_downstream, ClozeTask, DownstreamScore};
+pub use downstream::DownstreamScore;
 
 use crate::aggregator::iid_clients;
 use crate::{
@@ -236,8 +236,8 @@ pub fn build_centralized(
 pub fn downstream_report(model: &Gpt, seed: u64) -> Vec<DownstreamScore> {
     let tokenizer = ByteTokenizer::new();
     let mut rng = SeedStream::new(seed);
-    let tasks = downstream_suite(&tokenizer, model.config().seq_len, &mut rng);
-    evaluate_downstream(model, &tasks)
+    let tasks = downstream::downstream_suite(&tokenizer, model.config().seq_len, &mut rng);
+    downstream::evaluate_downstream(model, &tasks)
 }
 
 #[cfg(test)]

@@ -99,7 +99,7 @@ impl HierarchyConfig {
     /// The per-shard quorum for a cohort slice of `shard_cohort` clients:
     /// `ceil(shard_quorum_frac × shard_cohort)`, never below 1 for a
     /// non-empty slice.
-    pub fn shard_quorum(&self, shard_cohort: usize) -> usize {
+    pub(crate) fn shard_quorum(&self, shard_cohort: usize) -> usize {
         if shard_cohort == 0 {
             return 0;
         }
@@ -171,7 +171,7 @@ impl ShardTree {
     }
 
     /// Shards still alive, ascending.
-    pub fn live_shards(&self) -> Vec<u32> {
+    pub(crate) fn live_shards(&self) -> Vec<u32> {
         (0..self.cfg.shards as u32)
             .filter(|s| !self.dead.contains(s))
             .collect()
@@ -183,7 +183,7 @@ impl ShardTree {
     }
 
     /// A client's home shard (ignoring crashes): `id % shards`.
-    pub fn home_shard(&self, client: u32) -> u32 {
+    pub(crate) fn home_shard(&self, client: u32) -> u32 {
         client % self.cfg.shards as u32
     }
 

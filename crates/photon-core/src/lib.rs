@@ -54,7 +54,7 @@ pub use centralized::CentralizedTrainer;
 pub use checkpoint::{
     checkpoint_exists, load_checkpoint, save_checkpoint, Checkpoint, ElasticState,
 };
-pub use client::{ClientOutcome, LlmClient, LocalUpdate};
+pub use client::{ClientOutcome, LlmClient};
 pub use config::{CohortSpec, FederationConfig, PostProcessConfig};
 pub use datasource::DataSource;
 pub use ddp::{ddp_train, DdpConfig, DdpReport, Workspace};

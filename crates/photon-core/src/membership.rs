@@ -143,7 +143,7 @@ pub struct MembershipSnapshot {
 /// Ids are dense by construction — founding members are `0..population`
 /// and every join takes the next id — so members live in a `Vec` indexed
 /// by id, and the live roster is a sorted id vector the registry lends out
-/// as a slice ([`MembershipRegistry::live_roster`]).
+/// as a slice (`live_roster`).
 ///
 /// What a round costs: [`MembershipRegistry::begin_round`] makes **one
 /// sequential pass over the active leases** (a store per member; the crash
@@ -344,13 +344,13 @@ impl MembershipRegistry {
 
     /// Active members, ascending — the universe the cohort sampler draws
     /// from this round, borrowed straight off the roster.
-    pub fn live_roster(&self) -> &[u32] {
+    pub(crate) fn live_roster(&self) -> &[u32] {
         &self.active
     }
 
     /// Every non-departed member, ascending — the fallback universe when
     /// every live member happens to be expired at once.
-    pub fn reachable_members(&self) -> Vec<u32> {
+    pub(crate) fn reachable_members(&self) -> Vec<u32> {
         remerge(
             &self.members,
             &self.active,
@@ -395,7 +395,7 @@ impl MembershipRegistry {
     /// phase tag, or member ids that are not exactly `0..next_id` in order
     /// (the id is the member's index, so a gap, a duplicate or a shuffle
     /// cannot be represented).
-    pub fn from_snapshot(snap: &MembershipSnapshot) -> Result<Self, String> {
+    pub(crate) fn from_snapshot(snap: &MembershipSnapshot) -> Result<Self, String> {
         snap.config.validate()?;
         let mut members = Vec::with_capacity(snap.members.len());
         for &(id, birth_round, lease_expires_ms, phase) in &snap.members {

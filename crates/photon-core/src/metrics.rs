@@ -177,11 +177,6 @@ impl TrainingHistory {
             })
             .collect()
     }
-
-    /// Serializes to pretty JSON for experiment reports.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("history serialization cannot fail")
-    }
 }
 
 #[cfg(test)]
@@ -204,8 +199,8 @@ mod tests {
     fn legacy_records_without_churn_fields_load() {
         let mut h = TrainingHistory::new();
         h.push(record(0, Some(40.0)));
-        let json = h
-            .to_json()
+        let json = serde_json::to_string_pretty(&h)
+            .unwrap()
             .replace("\"joined\": 0,", "")
             .replace("\"departed\": 0,", "")
             .replace("\"lease_expired\": 0,", "")
@@ -266,7 +261,8 @@ mod tests {
     fn json_roundtrip() {
         let mut h = TrainingHistory::new();
         h.push(record(0, Some(40.0)));
-        let back: TrainingHistory = serde_json::from_str(&h.to_json()).unwrap();
+        let back: TrainingHistory =
+            serde_json::from_str(&serde_json::to_string_pretty(&h).unwrap()).unwrap();
         assert_eq!(back, h);
     }
 }

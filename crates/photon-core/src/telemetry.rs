@@ -612,7 +612,7 @@ impl Telemetry {
 
     /// Records the cosine alignment of one client's update with the
     /// aggregated round delta.
-    pub fn record_alignment(&self, client_id: u32, cosine: f32) {
+    pub(crate) fn record_alignment(&self, client_id: u32, cosine: f32) {
         self.client(client_id, |row| {
             row.alignment.0 += cosine as f64;
             row.alignment.1 += 1;
@@ -629,7 +629,7 @@ impl Telemetry {
 
     /// Records one delivery's total simulated latency (in-flight time plus
     /// backoff and reorder delay) for the p50/p99 metrics surface.
-    pub fn record_link_latency(&self, latency_ms: u64) {
+    pub(crate) fn record_link_latency(&self, latency_ms: u64) {
         let mut inner = self.inner.write();
         *inner.link_latencies_ms.entry(latency_ms).or_insert(0) += 1;
     }

@@ -33,7 +33,9 @@ mod arc_tokens {
         serde::Serialize::serialize(v.as_ref(), s)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Arc<Vec<TokenId>>, D::Error> {
+    pub(crate) fn deserialize<'de, D: Deserializer<'de>>(
+        d: D,
+    ) -> Result<Arc<Vec<TokenId>>, D::Error> {
         let v: Vec<TokenId> = serde::Deserialize::deserialize(d)?;
         Ok(Arc::new(v))
     }
@@ -87,7 +89,7 @@ impl Shard {
     ///
     /// # Panics
     /// Panics if the window exceeds the shard.
-    pub fn copy_window(&self, pos: usize, out: &mut [TokenId]) {
+    pub(crate) fn copy_window(&self, pos: usize, out: &mut [TokenId]) {
         assert!(pos + out.len() <= self.len(), "window exceeds shard");
         let mut written = 0usize;
         let mut skip = pos;

@@ -197,11 +197,6 @@ impl EvalStream {
         }
     }
 
-    /// Number of non-overlapping windows available.
-    pub fn n_windows(&self) -> usize {
-        (self.tokens.len() - 1) / self.seq
-    }
-
     /// Restarts iteration from the beginning.
     pub fn reset(&mut self) {
         self.pos = 0;
@@ -280,7 +275,6 @@ mod tests {
     fn eval_stream_covers_corpus_once() {
         let corpus = TokenCorpus::new("v", (0..33).collect());
         let mut ev = EvalStream::new(&corpus, 8);
-        assert_eq!(ev.n_windows(), 4);
         let mut count = 0;
         let mut last_first = None;
         while let Some((x, y)) = ev.next_window() {

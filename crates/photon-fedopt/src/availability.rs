@@ -35,7 +35,8 @@ impl AvailabilityModel {
     }
 
     /// Steady-state fraction of time a client is available.
-    pub fn steady_state_up(&self) -> f64 {
+    #[cfg(test)]
+    fn steady_state_up(&self) -> f64 {
         if self.p_down + self.p_up == 0.0 {
             return 1.0;
         }
@@ -139,7 +140,8 @@ impl AvailabilityTraces {
     }
 
     /// Whether `client` is up at `round`, extending the chain on demand.
-    pub fn is_up(&self, client: usize, round: u64) -> bool {
+    #[cfg(test)]
+    fn is_up(&self, client: usize, round: u64) -> bool {
         let idx = round as usize;
         {
             let chains = self.chains.read();
@@ -160,7 +162,7 @@ impl AvailabilityTraces {
     /// collected under a single read lock. Otherwise all chains are
     /// extended and queried under **one** write lock, instead of the up to
     /// N per-client write-lock round-trips `is_up` in a loop would take.
-    pub fn available_at(&self, round: u64) -> Vec<usize> {
+    pub(crate) fn available_at(&self, round: u64) -> Vec<usize> {
         let idx = round as usize;
         {
             let chains = self.chains.read();

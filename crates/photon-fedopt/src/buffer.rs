@@ -306,7 +306,6 @@ pub struct StreamingMerge {
     next: usize,
     held: std::collections::BTreeMap<(u64, u32), ClientUpdate>,
     sum: WeightedSum,
-    abandoned: usize,
     late_drops: usize,
     peak_resident: usize,
     max_resident: usize,
@@ -329,7 +328,6 @@ impl StreamingMerge {
             next: 0,
             held: std::collections::BTreeMap::new(),
             sum: WeightedSum::default(),
-            abandoned: 0,
             late_drops: 0,
             peak_resident: 1,
             max_resident: max_resident.max(2),
@@ -382,7 +380,6 @@ impl StreamingMerge {
     pub fn finish(mut self) -> Option<(Vec<f32>, f64)> {
         while let Some((key, update)) = self.held.pop_first() {
             while self.expected[self.next] != key {
-                self.abandoned += 1;
                 self.next += 1;
             }
             self.sum.add(&update);
@@ -399,11 +396,6 @@ impl StreamingMerge {
     /// Most full update vectors resident at once (held + accumulator).
     pub fn peak_resident(&self) -> usize {
         self.peak_resident
-    }
-
-    /// Expected keys abandoned to keep residency bounded.
-    pub fn abandoned(&self) -> usize {
-        self.abandoned
     }
 
     /// Arrivals dropped because their canonical slot was already behind
@@ -429,7 +421,6 @@ impl StreamingMerge {
     fn make_room(&mut self) {
         let (key, update) = self.held.pop_first().expect("make_room on empty held set");
         while self.expected[self.next] != key {
-            self.abandoned += 1;
             self.next += 1;
         }
         self.sum.add(&update);

@@ -48,7 +48,8 @@ pub use buffer::{
     StreamingMerge, UpdateBuffer,
 };
 pub use guard::{GuardConfig, GuardDecision, GuardReport, UpdateGuard};
-pub use robust::{median_aggregate, norm_clipped_aggregate, trimmed_mean_aggregate};
+pub(crate) use robust::norm_clipped_aggregate;
+pub use robust::{median_aggregate, trimmed_mean_aggregate};
 pub use sampler::{sample_live, ClientSampler, FullParticipation, UniformSampler};
 pub use server::{DiLoCo, FedAdam, FedAvg, FedMom, ServerOpt, ServerOptKind, ServerOptState};
-pub use ties::{ties_aggregate, TiesConfig};
+pub(crate) use ties::{ties_aggregate, TiesConfig};

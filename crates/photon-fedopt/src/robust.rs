@@ -118,7 +118,7 @@ pub(crate) fn l2_norm_f64(delta: &[f32]) -> f64 {
 /// # Panics
 /// Panics if `updates` is empty, deltas have differing lengths, or
 /// `max_norm_mult` is not positive and finite.
-pub fn norm_clipped_aggregate(updates: &[ClientUpdate], max_norm_mult: f64) -> Vec<f32> {
+pub(crate) fn norm_clipped_aggregate(updates: &[ClientUpdate], max_norm_mult: f64) -> Vec<f32> {
     assert!(
         max_norm_mult.is_finite() && max_norm_mult > 0.0,
         "norm-clip multiple must be positive"

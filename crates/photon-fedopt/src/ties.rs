@@ -14,7 +14,7 @@ use crate::ClientUpdate;
 
 /// Configuration for TIES aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TiesConfig {
+pub(crate) struct TiesConfig {
     /// Fraction of each client's largest-magnitude entries to keep
     /// (the paper's k; 0.2 is the TIES default).
     pub density: f64,
@@ -34,7 +34,7 @@ impl Default for TiesConfig {
 /// # Panics
 /// Panics if `updates` is empty, deltas have differing lengths, or
 /// `density` is outside `(0, 1]`.
-pub fn ties_aggregate(updates: &[ClientUpdate], config: &TiesConfig) -> Vec<f32> {
+pub(crate) fn ties_aggregate(updates: &[ClientUpdate], config: &TiesConfig) -> Vec<f32> {
     assert!(!updates.is_empty(), "cannot aggregate zero updates");
     assert!(
         config.density > 0.0 && config.density <= 1.0,

@@ -8,7 +8,7 @@ use std::time::Duration;
 /// so simulated runs stay bit-identical while still de-synchronizing a
 /// thundering herd of reconnecting clients.
 #[derive(Debug, Clone)]
-pub struct ReconnectBackoff {
+pub(crate) struct ReconnectBackoff {
     base_ms: u64,
     cap_ms: u64,
     attempt: u32,
@@ -29,7 +29,7 @@ impl ReconnectBackoff {
     /// Delay before the next connection attempt, advancing the attempt
     /// counter. The jitter subtracts up to a quarter of the nominal
     /// delay so retries spread out instead of aligning.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(16);
         self.attempt = self.attempt.saturating_add(1);
         let nominal = self

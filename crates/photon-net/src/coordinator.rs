@@ -57,7 +57,8 @@ impl CoordState {
     }
 
     /// Inverse of [`CoordState::discriminant`].
-    pub fn from_discriminant(d: u8) -> Option<CoordState> {
+    #[cfg(test)]
+    fn from_discriminant(d: u8) -> Option<CoordState> {
         Some(match d {
             0 => CoordState::WaitingForMembers,
             1 => CoordState::Warmup,
@@ -134,7 +135,7 @@ impl Coordinator {
     /// # Panics
     /// If called outside `RoundStart` — committing a round no broadcast
     /// opened is a server-loop bug.
-    pub fn round_committed(&mut self, now_ms: u64) -> (CoordState, CoordState) {
+    pub(crate) fn round_committed(&mut self, now_ms: u64) -> (CoordState, CoordState) {
         assert_eq!(
             self.state,
             CoordState::RoundStart,

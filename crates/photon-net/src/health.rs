@@ -33,7 +33,7 @@ use photon_core::Telemetry;
 
 /// Handle to a running health endpoint; dropping it (or calling
 /// [`HealthServer::shutdown`]) stops the accept loop.
-pub struct HealthServer {
+pub(crate) struct HealthServer {
     stop: Arc<AtomicBool>,
     /// Port the endpoint actually bound (useful with port 0).
     pub port: u16,
@@ -61,7 +61,10 @@ impl Drop for HealthServer {
 ///
 /// # Errors
 /// Propagates a failure to bind the port or to spawn the thread.
-pub fn spawn_health_server(port: u16, telemetry: Telemetry) -> std::io::Result<HealthServer> {
+pub(crate) fn spawn_health_server(
+    port: u16,
+    telemetry: Telemetry,
+) -> std::io::Result<HealthServer> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     let port = listener.local_addr()?.port();
     let stop = Arc::new(AtomicBool::new(false));

@@ -19,10 +19,10 @@
 //! * [`TcpLink`]: the socket-backed [`photon_comms::Link`], with one
 //!   traced send and one traced receive: a frame carries a span context
 //!   while the calling thread's recorder has a trace scope — the run's
-//!   [`run_trace_id`] and the process's actor lane, declared with
+//!   `run_trace_id` and the process's actor lane, declared with
 //!   [`photon_trace::set_trace_scope`] — and the recorder numbers its
 //!   frames, so `photon trace merge` can pair every send with its receive;
-//! * [`ReconnectBackoff`]: capped exponential backoff with deterministic
+//! * `ReconnectBackoff`: capped exponential backoff with deterministic
 //!   jitter for client reconnect loops;
 //! * [`session`]: deterministic session tokens and the coordinator-side
 //!   session table — tokens are a pure function of `(run seed, client id)`
@@ -50,15 +50,13 @@ pub mod session;
 mod tcp;
 mod tracectx;
 
-pub use backoff::ReconnectBackoff;
 pub use client::{run_client, ClientOptions, ClientReport};
 pub use coordinator::{CoordState, Coordinator};
-pub use health::{spawn_health_server, HealthServer};
 pub use plan::RunPlan;
-pub use server::{serve, ServeOptions, ServeReport, COORDKILL_EXIT_CODE};
-pub use session::{session_token, Admission, SessionError, SessionTable};
+pub use server::{serve, ServeOptions, ServeReport};
+pub use session::Admission;
 pub use tcp::TcpLink;
-pub use tracectx::run_trace_id;
+pub(crate) use tracectx::run_trace_id;
 
 /// Errors surfaced by the serve / client entry points.
 #[derive(Debug)]

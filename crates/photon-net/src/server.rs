@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 /// Exit code the coordinator process dies with on an injected
 /// `coordkill` fault — distinguishable from a real crash in the chaos
 /// suite.
-pub const COORDKILL_EXIT_CODE: i32 = 41;
+pub(crate) const COORDKILL_EXIT_CODE: i32 = 41;
 
 /// Consecutive heartbeat-timeout windows before a quiet connection is
 /// severed (its session survives for a later resume).
@@ -85,7 +85,7 @@ pub struct ServeOptions {
     /// result has not arrived by then is a dropout of the round.
     pub round_timeout_ms: u64,
     /// A connection quiet for longer than this counts a heartbeat miss;
-    /// [`HEARTBEAT_STRIKES`] consecutive misses sever it.
+    /// `HEARTBEAT_STRIKES` consecutive misses sever it.
     pub heartbeat_timeout_ms: u64,
     /// Write a metrics JSON snapshot here after every round.
     pub metrics_json: Option<PathBuf>,

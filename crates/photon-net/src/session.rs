@@ -1,7 +1,7 @@
 //! Deterministic session tokens and the coordinator-side session table.
 //!
 //! A session token is a pure function of `(run seed, client id)` — see
-//! [`session_token`]. That one decision buys coordinator crash-tolerance
+//! `session_token`. That one decision buys coordinator crash-tolerance
 //! for free: a restarted coordinator holds no session state, yet can
 //! still authenticate every resuming client by recomputing the token it
 //! would have issued. A reconnecting client presents its id and token and
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 /// The deterministic session token for `client_id` under `run_seed`.
 /// Never 0 (0 on the wire means "no token yet" in a fresh
 /// [`photon_comms::Message::SessionHello`]).
-pub fn session_token(run_seed: u64, client_id: u32) -> u64 {
+pub(crate) fn session_token(run_seed: u64, client_id: u32) -> u64 {
     let mixed = splitmix(run_seed ^ splitmix(0x5e55_1000 ^ u64::from(client_id)));
     if mixed == 0 {
         1
@@ -25,7 +25,7 @@ pub fn session_token(run_seed: u64, client_id: u32) -> u64 {
 
 /// Why a handshake was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SessionError {
+pub(crate) enum SessionError {
     /// The presented token does not match the token for that client id.
     BadToken {
         /// Client id the peer claimed.
@@ -81,7 +81,7 @@ struct SessionEntry {
 /// the *top* of the range — a pre-crash client that has not resumed yet
 /// keeps its low id free to come back to.
 #[derive(Debug)]
-pub struct SessionTable {
+pub(crate) struct SessionTable {
     seed: u64,
     capacity: u32,
     next_id: u32,
@@ -106,7 +106,7 @@ impl SessionTable {
     /// authenticate exactly as in [`SessionTable::new`], but fresh
     /// admissions draw ids from the top of the range so they cannot
     /// collide with a founding client that has not resumed yet.
-    pub fn new_restarted(seed: u64, capacity: u32) -> SessionTable {
+    pub(crate) fn new_restarted(seed: u64, capacity: u32) -> SessionTable {
         SessionTable {
             allocate_high: true,
             ..SessionTable::new(seed, capacity)
@@ -166,7 +166,7 @@ impl SessionTable {
 
     /// Records the highest round whose result the coordinator has
     /// acknowledged for `client_id`.
-    pub fn note_acked(&mut self, client_id: u32, round: u64) {
+    pub(crate) fn note_acked(&mut self, client_id: u32, round: u64) {
         if let Some(entry) = self.sessions.get_mut(&client_id) {
             let newer = entry.last_acked_round.is_none_or(|r| round > r);
             if newer {
@@ -176,18 +176,13 @@ impl SessionTable {
     }
 
     /// Total session resumes across all clients.
-    pub fn total_resumes(&self) -> u64 {
+    pub(crate) fn total_resumes(&self) -> u64 {
         self.sessions.values().map(|e| e.resumes).sum()
     }
 
     /// Number of distinct sessions ever granted or resumed.
     pub fn len(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Whether no session has been granted yet.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
     }
 }
 

@@ -1,5 +1,5 @@
 //! The socket-backed [`Link`]: framed messages over TCP, with one traced
-//! send ([`TcpLink::send`] / [`TcpLink::send_sealed`]) and one traced
+//! send ([`TcpLink::send`] / `TcpLink::send_sealed`) and one traced
 //! receive ([`TcpLink::recv`]). A frame sent while the calling thread's
 //! recorder has a trace scope (see [`crate::run_trace_id`]) carries a
 //! [`TraceCtx`] trailer — origin actor, the recorder's frame sequence and
@@ -10,7 +10,7 @@ use bytes::Bytes;
 use photon_comms::{Link, LinkError, Message, SealedFrame, TraceCtx, VerifiedFrame, WireOpts};
 use photon_trace::Phase;
 use std::io::BufWriter;
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -27,7 +27,6 @@ pub struct TcpLink {
     reader: Mutex<TcpStream>,
     writer: Mutex<BufWriter<TcpStream>>,
     ctl: TcpStream,
-    peer: SocketAddr,
     connected: AtomicBool,
 }
 
@@ -37,17 +36,15 @@ impl TcpLink {
     /// model broadcasts.
     ///
     /// # Errors
-    /// Propagates stream clone / peer-address failures.
-    pub fn from_stream(stream: TcpStream) -> std::io::Result<TcpLink> {
+    /// Propagates stream clone failures.
+    pub(crate) fn from_stream(stream: TcpStream) -> std::io::Result<TcpLink> {
         stream.set_nodelay(true).ok();
-        let peer = stream.peer_addr()?;
         let reader = stream.try_clone()?;
         let ctl = stream.try_clone()?;
         Ok(TcpLink {
             reader: Mutex::new(reader),
             writer: Mutex::new(BufWriter::new(stream)),
             ctl,
-            peer,
             connected: AtomicBool::new(true),
         })
     }
@@ -58,11 +55,6 @@ impl TcpLink {
     /// Propagates the connect failure.
     pub fn connect(addr: &str) -> std::io::Result<TcpLink> {
         TcpLink::from_stream(TcpStream::connect(addr)?)
-    }
-
-    /// The peer's socket address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
     }
 
     /// Severs the connection: both directions are shut down and the link
@@ -77,10 +69,10 @@ impl TcpLink {
         self.connected.store(false, Ordering::SeqCst);
     }
 
-    /// Sends a control-plane message (see [`TcpLink::send_sealed`]).
+    /// Sends a control-plane message (see `TcpLink::send_sealed`).
     ///
     /// # Errors
-    /// As [`TcpLink::send_sealed`].
+    /// As `TcpLink::send_sealed`.
     pub fn send(&self, msg: &Message, wire: WireOpts) -> Result<(), LinkError> {
         self.send_sealed(&SealedFrame::new(msg, wire))
     }
@@ -95,7 +87,7 @@ impl TcpLink {
     /// # Errors
     /// [`LinkError::Closed`] when the link is dead; [`LinkError::Io`] on
     /// socket failure (which latches it dead).
-    pub fn send_sealed(&self, sealed: &SealedFrame) -> Result<(), LinkError> {
+    pub(crate) fn send_sealed(&self, sealed: &SealedFrame) -> Result<(), LinkError> {
         let ctx = photon_trace::next_frame().map(|(trace_id, origin, seq)| TraceCtx {
             trace_id,
             origin,

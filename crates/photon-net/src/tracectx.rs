@@ -16,7 +16,7 @@ use crate::backoff::splitmix;
 /// The run-wide trace id: a pure function of the run seed, so every
 /// process in one run agrees on it without coordination. Never 0 (0
 /// means "no trace").
-pub fn run_trace_id(run_seed: u64) -> u64 {
+pub(crate) fn run_trace_id(run_seed: u64) -> u64 {
     let mixed = splitmix(run_seed ^ 0x7ace_1d00);
     if mixed == 0 {
         1

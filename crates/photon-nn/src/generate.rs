@@ -27,7 +27,8 @@ impl Default for SampleConfig {
 
 impl SampleConfig {
     /// Greedy decoding.
-    pub fn greedy() -> Self {
+    #[cfg(test)]
+    fn greedy() -> Self {
         SampleConfig {
             temperature: 0.0,
             top_k: 0,

@@ -47,19 +47,14 @@ fn grain_for(row_len: usize, target: usize) -> usize {
     (target / row_len.max(1)).max(1)
 }
 
-/// Embedding lookup: `out[b,t,:] = wte[token[b,t],:]`. Row-parallel.
+/// Embedding lookup: `out[b,t,:] = wte[token[b,t],:]` for every token.
+/// Row-parallel.
 ///
 /// # Panics
 /// Panics if a token id is out of vocabulary range or buffers are too short.
-pub fn encoder_forward(
-    out: &mut [f32],
-    tokens: &[u32],
-    wte: &[f32],
-    bt: usize,
-    c: usize,
-    v: usize,
-) {
-    assert!(tokens.len() >= bt && out.len() >= bt * c && wte.len() >= v * c);
+pub(crate) fn encoder_forward(out: &mut [f32], tokens: &[u32], wte: &[f32], c: usize, v: usize) {
+    let bt = tokens.len();
+    assert!(out.len() >= bt * c && wte.len() >= v * c);
     let ranges = row_chunks(bt, grain_for(c, 4096));
     let chunks = pool::split_rows(&mut out[..bt * c], c, &ranges);
     let tasks: Vec<pool::Task> = chunks
@@ -83,8 +78,8 @@ pub fn encoder_forward(
 ///
 /// Serial: the scatter destination depends on token values, so positions
 /// cannot be partitioned into write-disjoint chunks.
-pub fn encoder_backward(dwte: &mut [f32], dout: &[f32], tokens: &[u32], bt: usize, c: usize) {
-    for (i, &tok) in tokens[..bt].iter().enumerate() {
+pub(crate) fn encoder_backward(dwte: &mut [f32], dout: &[f32], tokens: &[u32], c: usize) {
+    for (i, &tok) in tokens.iter().enumerate() {
         let tok = tok as usize;
         let grad = &dout[i * c..(i + 1) * c];
         let dst = &mut dwte[tok * c..(tok + 1) * c];
@@ -121,7 +116,7 @@ fn layernorm_rows(
 /// Caches per-position `mean` and reciprocal std `rstd` for the backward
 /// pass. `eps = 1e-5`.
 #[allow(clippy::too_many_arguments)]
-pub fn layernorm_forward(
+pub(crate) fn layernorm_forward(
     out: &mut [f32],
     mean: &mut [f32],
     rstd: &mut [f32],
@@ -183,7 +178,7 @@ fn layernorm_backward_rows(
 /// Row-parallel: `dinp` rows are write-disjoint; the `dweight`/`dbias`
 /// reductions go through per-chunk partial buffers merged in chunk order.
 #[allow(clippy::too_many_arguments)]
-pub fn layernorm_backward(
+pub(crate) fn layernorm_backward(
     dinp: &mut [f32],
     dweight: &mut [f32],
     dbias: &mut [f32],
@@ -282,7 +277,7 @@ pub fn matmul_forward(
 /// `trans_a` GEMM path (per-worker accumulators, deterministic reduce), and
 /// `dbias` reduces per-chunk partials in chunk order.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_backward(
+pub(crate) fn matmul_backward(
     dinp: &mut [f32],
     dweight: &mut [f32],
     dbias: &mut [f32],
@@ -668,7 +663,7 @@ pub fn gelu_backward(dinp: &mut [f32], inp: &[f32], dout: &[f32]) {
 }
 
 /// Residual connection: `out = a + b`. Element-chunked.
-pub fn residual_forward(out: &mut [f32], a: &[f32], b: &[f32]) {
+pub(crate) fn residual_forward(out: &mut [f32], a: &[f32], b: &[f32]) {
     let bk = backend::active();
     let n = out.len();
     let ranges = row_chunks(n, 8192);
@@ -689,7 +684,7 @@ pub fn residual_forward(out: &mut [f32], a: &[f32], b: &[f32]) {
 /// the residual stream, accumulates it (the stream has a second producer);
 /// `db`, the branch, is overwritten with it. Element-chunked (both gradient
 /// buffers split on the same ranges).
-pub fn residual_backward(da: &mut [f32], db: &mut [f32], dout: &[f32]) {
+pub(crate) fn residual_backward(da: &mut [f32], db: &mut [f32], dout: &[f32]) {
     let bk = backend::active();
     let n = dout.len();
     let ranges = row_chunks(n, 8192);
@@ -716,7 +711,7 @@ pub fn residual_backward(da: &mut [f32], db: &mut [f32], dout: &[f32]) {
 /// mean loss. Targets index into the vocabulary. Rows run in parallel; the
 /// final mean accumulates the per-row losses serially in row order, so the
 /// result is independent of the thread count.
-pub fn cross_entropy_forward(
+pub(crate) fn cross_entropy_forward(
     probs: &mut [f32],
     losses: &mut [f32],
     logits: &[f32],
@@ -755,7 +750,7 @@ pub fn cross_entropy_forward(
 
 /// Fused backward of softmax + cross-entropy for a *mean* loss:
 /// `dlogits[i, j] = (probs[i, j] - 1[j == target_i]) / BT`. Row-parallel.
-pub fn cross_entropy_backward(
+pub(crate) fn cross_entropy_backward(
     dlogits: &mut [f32],
     probs: &[f32],
     targets: &[u32],

@@ -394,7 +394,7 @@ impl Gpt {
         let p = &self.params;
         let wte = &p[self.layout.wte.start..self.layout.wte.end()];
 
-        k::encoder_forward(&mut acts.encoded, tokens, wte, bt, c, v);
+        k::encoder_forward(&mut acts.encoded, tokens, wte, c, v);
         if let Some(wpe_r) = self.layout.wpe {
             // Learned absolute positions: encoded[b, t, :] += wpe[t, :].
             let wpe = &p[wpe_r.start..wpe_r.end()];
@@ -721,7 +721,6 @@ impl Gpt {
             &mut grads[wte_r.start..wte_r.end()],
             &acts.g_encoded,
             tokens,
-            bt,
             c,
         );
     }

@@ -59,11 +59,6 @@ impl AdamW {
         &self.config
     }
 
-    /// Current step count (for bias correction).
-    pub fn step_count(&self) -> u64 {
-        self.t
-    }
-
     /// One update. The `FIRST` step takes both moments as `0.0` instead
     /// of reading them: the same arithmetic as over zeroed buffers, so the
     /// result is the same bits whatever a reset left in them.
@@ -156,9 +151,7 @@ mod tests {
         let mut opt = AdamW::new(AdamWConfig::default(), 1);
         let mut p = vec![1.0f32];
         opt.step(&mut p, &[1.0], 0.1);
-        assert_eq!(opt.step_count(), 1);
         opt.reset_state();
-        assert_eq!(opt.step_count(), 0);
         // After a reset the next step behaves like the first one.
         let mut q = vec![0.0f32];
         opt.step(&mut q, &[5.0], 0.1);

@@ -26,7 +26,8 @@ impl Default for SgdConfig {
 impl SgdConfig {
     /// DiLoCo's recommended outer-optimizer configuration:
     /// Nesterov momentum 0.9.
-    pub fn diloco_outer() -> Self {
+    #[cfg(test)]
+    fn diloco_outer() -> Self {
         SgdConfig {
             momentum: 0.9,
             nesterov: true,

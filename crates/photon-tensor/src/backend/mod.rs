@@ -64,9 +64,9 @@ mod scalar;
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 mod simd;
 
-pub use scalar::ScalarBackend;
+pub(crate) use scalar::ScalarBackend;
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-pub use simd::SimdBackend;
+pub(crate) use simd::SimdBackend;
 
 /// A compute backend: the set of inner-loop kernels everything above the
 /// worker pool dispatches through.

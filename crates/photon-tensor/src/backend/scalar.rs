@@ -109,7 +109,7 @@ pub(crate) const LN_EPS: f32 = 1e-5;
 /// The scalar reference backend (unit struct — all state lives in the
 /// slices it operates on).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ScalarBackend;
+pub(crate) struct ScalarBackend;
 
 impl Backend for ScalarBackend {
     fn name(&self) -> &'static str {

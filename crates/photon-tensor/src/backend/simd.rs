@@ -24,7 +24,7 @@ const SCALAR_REF: ScalarBackend = ScalarBackend;
 
 /// The SIMD backend (AVX2+FMA / NEON register-tiled kernels).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct SimdBackend;
+pub(crate) struct SimdBackend;
 
 impl Backend for SimdBackend {
     fn name(&self) -> &'static str {

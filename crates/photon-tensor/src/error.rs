@@ -1,29 +1,8 @@
 use std::fmt;
 
-/// Errors produced by tensor construction, reshaping and serialization.
+/// Errors produced by the slice codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TensorError {
-    /// The provided data length does not match the product of the shape dims.
-    ShapeDataMismatch {
-        /// Number of elements implied by the shape.
-        expected: usize,
-        /// Number of elements actually provided.
-        actual: usize,
-    },
-    /// Two tensors were expected to have identical shapes but did not.
-    ShapeMismatch {
-        /// Left-hand shape.
-        left: Vec<usize>,
-        /// Right-hand shape.
-        right: Vec<usize>,
-    },
-    /// A reshape was requested to a shape with a different element count.
-    InvalidReshape {
-        /// Element count of the existing tensor.
-        numel: usize,
-        /// Element count implied by the requested shape.
-        requested: usize,
-    },
     /// A serialized buffer was truncated or corrupt.
     Deserialize(String),
 }
@@ -31,17 +10,6 @@ pub enum TensorError {
 impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TensorError::ShapeDataMismatch { expected, actual } => write!(
-                f,
-                "shape implies {expected} elements but {actual} were provided"
-            ),
-            TensorError::ShapeMismatch { left, right } => {
-                write!(f, "shape mismatch: {left:?} vs {right:?}")
-            }
-            TensorError::InvalidReshape { numel, requested } => write!(
-                f,
-                "cannot reshape tensor of {numel} elements to shape with {requested} elements"
-            ),
             TensorError::Deserialize(msg) => write!(f, "deserialization failed: {msg}"),
         }
     }
@@ -55,26 +23,9 @@ mod tests {
 
     #[test]
     fn display_is_nonempty_and_lowercase() {
-        let errs = [
-            TensorError::ShapeDataMismatch {
-                expected: 4,
-                actual: 3,
-            },
-            TensorError::ShapeMismatch {
-                left: vec![2, 2],
-                right: vec![3],
-            },
-            TensorError::InvalidReshape {
-                numel: 6,
-                requested: 5,
-            },
-            TensorError::Deserialize("truncated".into()),
-        ];
-        for e in errs {
-            let s = e.to_string();
-            assert!(!s.is_empty());
-            assert!(s.chars().next().unwrap().is_lowercase());
-        }
+        let s = TensorError::Deserialize("truncated".into()).to_string();
+        assert!(!s.is_empty());
+        assert!(s.chars().next().unwrap().is_lowercase());
     }
 
     #[test]

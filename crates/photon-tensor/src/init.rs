@@ -97,7 +97,7 @@ impl SeedStream {
     ///
     /// Small populations use a full Fisher-Yates shuffle (the historical
     /// draw, kept so seeded runs stay bit-identical); populations above
-    /// [`SAMPLE_DENSE_MAX`] switch to Floyd's algorithm, which draws `k`
+    /// `SAMPLE_DENSE_MAX` switch to Floyd's algorithm, which draws `k`
     /// indices in O(k) without materializing `0..n` — the path that lets a
     /// cohort sampler pull thousands from 10⁵+ registered clients.
     ///
@@ -132,7 +132,7 @@ impl SeedStream {
 /// Largest population for which [`SeedStream::sample_indices`] keeps the
 /// legacy dense shuffle (bit-compatible with existing seeded runs); larger
 /// draws use the sparse O(k) path.
-pub const SAMPLE_DENSE_MAX: usize = 4096;
+pub(crate) const SAMPLE_DENSE_MAX: usize = 4096;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;

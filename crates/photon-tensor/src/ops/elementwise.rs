@@ -9,28 +9,6 @@ pub fn add_inplace(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// In-place element-wise subtraction: `dst[i] -= src[i]`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn sub_inplace(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "sub_inplace length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d -= s;
-    }
-}
-
-/// In-place element-wise multiplication: `dst[i] *= src[i]`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn mul_inplace(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "mul_inplace length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d *= s;
-    }
-}
-
 /// In-place scaling: `dst[i] *= alpha`.
 pub fn scale(alpha: f32, dst: &mut [f32]) {
     for d in dst.iter_mut() {
@@ -60,15 +38,6 @@ pub fn lerp_inplace(dst: &mut [f32], src: &[f32], t: f32) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d += t * (s - *d);
     }
-}
-
-/// Copies `src` into `dst`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn copy_from(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "copy_from length mismatch");
-    dst.copy_from_slice(src);
 }
 
 /// Clamps every element to `[-bound, bound]`.
@@ -106,14 +75,10 @@ mod tests {
         let mut d = vec![1.0, 2.0, 3.0];
         add_inplace(&mut d, &[1.0, 1.0, 1.0]);
         assert_eq!(d, vec![2.0, 3.0, 4.0]);
-        sub_inplace(&mut d, &[1.0, 1.0, 1.0]);
-        assert_eq!(d, vec![1.0, 2.0, 3.0]);
-        mul_inplace(&mut d, &[2.0, 2.0, 2.0]);
-        assert_eq!(d, vec![2.0, 4.0, 6.0]);
         scale(0.5, &mut d);
-        assert_eq!(d, vec![1.0, 2.0, 3.0]);
+        assert_eq!(d, vec![1.0, 1.5, 2.0]);
         axpy(10.0, &[1.0, 0.0, 1.0], &mut d);
-        assert_eq!(d, vec![11.0, 2.0, 13.0]);
+        assert_eq!(d, vec![11.0, 1.5, 12.0]);
     }
 
     #[test]

@@ -374,7 +374,7 @@ const MIN_TASK_FLOPS: usize = 1 << 23;
 /// `(m, n)` partial buffer and the partials are reduced into `C` in
 /// deterministic chunk order after the barrier. Small problems run
 /// serially, and the task count is sized so each task gets at least
-/// [`MIN_TASK_FLOPS`] of work (per-task overhead must amortize).
+/// `MIN_TASK_FLOPS` of work (per-task overhead must amortize).
 ///
 /// # Panics
 /// As [`gemm_serial`].

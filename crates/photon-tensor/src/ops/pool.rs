@@ -95,7 +95,6 @@ struct Job {
 
 struct Pool {
     tx: crossbeam::channel::Sender<Job>,
-    workers: usize,
 }
 
 /// Counts outstanding tasks of one `run_tasks` batch; the submitting thread
@@ -335,19 +334,9 @@ fn pool() -> Option<&'static Pool> {
                 })
                 .expect("failed to spawn photon worker thread");
         }
-        Some(Pool {
-            tx,
-            workers: threads - 1,
-        })
+        Some(Pool { tx })
     })
     .as_ref()
-}
-
-/// Number of persistent pool workers currently alive (0 before the first
-/// parallel dispatch or when running serially). The total compute
-/// parallelism is `pool_workers() + 1` once the pool exists.
-pub fn pool_workers() -> usize {
-    POOL.get().and_then(|p| p.as_ref()).map_or(0, |p| p.workers)
 }
 
 /// Executes a batch of independent tasks, blocking until all complete.

@@ -52,11 +52,6 @@ pub fn l2_norm(xs: &[f32]) -> f32 {
     lane_sum(xs, xs, |x, _| x as f64 * x as f64).sqrt() as f32
 }
 
-/// Largest absolute value. Returns `0.0` for an empty slice.
-pub fn max_abs(xs: &[f32]) -> f32 {
-    xs.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-}
-
 /// Index of the maximum element (first wins on ties).
 ///
 /// # Panics
@@ -165,7 +160,6 @@ mod tests {
         let xs = [1.0, -2.0, 3.0];
         assert_eq!(sum(&xs), 2.0);
         assert!((mean(&xs) - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(max_abs(&xs), 3.0);
         assert_eq!(argmax(&xs), 2);
         assert!((l2_norm(&xs) - 14.0f32.sqrt()).abs() < 1e-6);
     }
@@ -180,7 +174,6 @@ mod tests {
     fn empty_slices() {
         assert_eq!(sum(&[]), 0.0);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(max_abs(&[]), 0.0);
     }
 
     #[test]

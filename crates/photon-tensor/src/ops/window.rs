@@ -95,12 +95,12 @@ impl<'a> Window<'a> {
     }
 
     /// Columns in the window.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Distance in floats between the starts of consecutive rows.
-    pub fn ld(&self) -> usize {
+    pub(crate) fn ld(&self) -> usize {
         self.ld
     }
 
@@ -159,7 +159,7 @@ impl<'a> Window<'a> {
     ///
     /// # Panics
     /// Panics if `i >= rows`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f32] {
         assert!(i < self.rows, "window row out of range");
         // SAFETY: row `i` lies inside the window, which this borrow holds
         // mutably.

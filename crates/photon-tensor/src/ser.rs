@@ -1,9 +1,8 @@
-//! Compact little-endian binary (de)serialization for float buffers and
-//! tensors. This is the payload format used by the Photon `Link` wire
+//! Compact little-endian binary (de)serialization for float buffers. This is the payload format used by the Photon `Link` wire
 //! protocol (`photon-comms`) and by checkpoint files (`photon-core`).
 
 use crate::dtype::{bf16_from_f32, bf16_to_f32};
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, TensorError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Floats converted per staging block: 4 KiB of output, small enough to
@@ -11,7 +10,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 const CHUNK: usize = 1024;
 
 /// Appends `xs` as little-endian f32 bytes (no length prefix): each
-/// [`CHUNK`] is converted into a stack block and appended with one
+/// `CHUNK` is converted into a stack block and appended with one
 /// `put_slice`, so the sink sees a few large copies and no per-element
 /// call.
 pub fn put_f32s_le<B: BufMut + ?Sized>(out: &mut B, xs: &[f32]) {
@@ -112,46 +111,9 @@ pub fn read_bf16_slice(buf: &mut Bytes) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Appends a tensor (rank, dims, then data) to `out`.
-pub fn write_tensor(out: &mut BytesMut, t: &Tensor) {
-    out.put_u32_le(t.shape().rank() as u32);
-    for &d in t.shape().dims() {
-        out.put_u64_le(d as u64);
-    }
-    write_f32_slice(out, t.data());
-}
-
-/// Reads a tensor written by [`write_tensor`].
-///
-/// # Errors
-/// Returns [`TensorError::Deserialize`] on truncation, or
-/// [`TensorError::ShapeDataMismatch`] if the payload length disagrees with
-/// the declared shape.
-pub fn read_tensor(buf: &mut Bytes) -> Result<Tensor> {
-    if buf.remaining() < 4 {
-        return Err(TensorError::Deserialize("missing tensor rank".into()));
-    }
-    let rank = buf.get_u32_le() as usize;
-    if rank > 8 {
-        return Err(TensorError::Deserialize(format!(
-            "implausible tensor rank {rank}"
-        )));
-    }
-    if buf.remaining() < rank * 8 {
-        return Err(TensorError::Deserialize("missing tensor dims".into()));
-    }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(buf.get_u64_le() as usize);
-    }
-    let data = read_f32_slice(buf)?;
-    Tensor::from_vec(dims, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeedStream;
 
     #[test]
     fn slice_roundtrip() {
@@ -164,17 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn tensor_roundtrip() {
-        let mut rng = SeedStream::new(7);
-        let t = Tensor::randn(vec![3, 5, 2], 0.5, &mut rng);
-        let mut out = BytesMut::new();
-        write_tensor(&mut out, &t);
-        let mut buf = out.freeze();
-        let back = read_tensor(&mut buf).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
     fn truncated_buffers_error() {
         let mut out = BytesMut::new();
         write_f32_slice(&mut out, &[1.0, 2.0, 3.0]);
@@ -183,14 +134,6 @@ mod tests {
             let mut buf = full.slice(..cut);
             assert!(read_f32_slice(&mut buf).is_err(), "cut={cut}");
         }
-    }
-
-    #[test]
-    fn implausible_rank_rejected() {
-        let mut out = BytesMut::new();
-        out.put_u32_le(1000);
-        let mut buf = out.freeze();
-        assert!(read_tensor(&mut buf).is_err());
     }
 
     #[test]

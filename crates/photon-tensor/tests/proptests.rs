@@ -1,7 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use bytes::BytesMut;
-use photon_tensor::{ops, read_tensor, write_tensor, SeedStream, Tensor};
+use photon_tensor::{ops, SeedStream};
 use proptest::prelude::*;
 
 fn finite_f32() -> impl Strategy<Value = f32> {
@@ -9,20 +8,6 @@ fn finite_f32() -> impl Strategy<Value = f32> {
 }
 
 proptest! {
-    /// Serialization is lossless for any finite tensor.
-    #[test]
-    fn tensor_serde_roundtrip(
-        dims in proptest::collection::vec(1usize..6, 1..4),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = SeedStream::new(seed);
-        let t = Tensor::randn(dims, 1.0, &mut rng);
-        let mut out = BytesMut::new();
-        write_tensor(&mut out, &t);
-        let back = read_tensor(&mut out.freeze()).unwrap();
-        prop_assert_eq!(back, t);
-    }
-
     /// GEMM is linear in its left operand: (A1 + A2) B == A1 B + A2 B.
     #[test]
     fn gemm_left_linearity(

@@ -103,8 +103,7 @@ impl BpeTokenizer {
     }
 
     /// Rebuilds the rank lookup (needed after deserialization).
-    pub fn rebuild_ranks(&mut self) {
-        self.vocab.rebuild_lookup();
+    pub(crate) fn rebuild_ranks(&mut self) {
         self.merge_rank = self
             .merges
             .iter()

@@ -1,52 +1,37 @@
 use crate::TokenId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// A token vocabulary mapping ids to byte sequences and back.
+/// A token vocabulary mapping ids to byte sequences.
 ///
 /// The first 256 entries are always the single bytes `0..=255`; merged BPE
 /// tokens and special tokens follow. This layout guarantees every byte
 /// string is encodable, so no `<unk>` token is needed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Vocab {
     tokens: Vec<Vec<u8>>,
-    #[serde(skip)]
-    lookup: HashMap<Vec<u8>, TokenId>,
     eot: TokenId,
 }
 
 impl Vocab {
     /// Builds the base byte vocabulary (256 bytes + one `<|eot|>` token).
-    pub fn base_bytes() -> Self {
+    pub(crate) fn base_bytes() -> Self {
         let mut tokens: Vec<Vec<u8>> = (0u16..256).map(|b| vec![b as u8]).collect();
         let eot = tokens.len() as TokenId;
         tokens.push(b"<|eot|>".to_vec());
-        let mut v = Vocab {
-            tokens,
-            lookup: HashMap::new(),
-            eot,
-        };
-        v.rebuild_lookup();
-        v
+        Vocab { tokens, eot }
     }
 
     /// Appends a merged token, returning its id.
-    pub fn push_merged(&mut self, bytes: Vec<u8>) -> TokenId {
+    pub(crate) fn push_merged(&mut self, bytes: Vec<u8>) -> TokenId {
         let id = self.tokens.len() as TokenId;
-        self.lookup.insert(bytes.clone(), id);
         self.tokens.push(bytes);
         id
     }
 
     /// Byte sequence of a token id, if valid. The `<|eot|>` token decodes to
     /// its literal marker bytes.
-    pub fn bytes_of(&self, id: TokenId) -> Option<&[u8]> {
+    pub(crate) fn bytes_of(&self, id: TokenId) -> Option<&[u8]> {
         self.tokens.get(id as usize).map(|v| v.as_slice())
-    }
-
-    /// Id of an exact byte sequence, if present.
-    pub fn id_of(&self, bytes: &[u8]) -> Option<TokenId> {
-        self.lookup.get(bytes).copied()
     }
 
     /// Total number of tokens (bytes + eot + merges).
@@ -63,25 +48,7 @@ impl Vocab {
     pub fn eot_id(&self) -> TokenId {
         self.eot
     }
-
-    /// Rebuilds the reverse lookup (needed after deserialization, since the
-    /// map is skipped during serde).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .tokens
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.clone(), i as TokenId))
-            .collect();
-    }
 }
-
-impl PartialEq for Vocab {
-    fn eq(&self, other: &Self) -> bool {
-        self.tokens == other.tokens && self.eot == other.eot
-    }
-}
-impl Eq for Vocab {}
 
 #[cfg(test)]
 mod tests {
@@ -92,7 +59,6 @@ mod tests {
         let v = Vocab::base_bytes();
         assert_eq!(v.len(), 257);
         assert_eq!(v.bytes_of(65), Some(&b"A"[..]));
-        assert_eq!(v.id_of(b"A"), Some(65));
         assert_eq!(v.eot_id(), 256);
         assert!(!v.is_empty());
     }
@@ -102,7 +68,6 @@ mod tests {
         let mut v = Vocab::base_bytes();
         let id = v.push_merged(b"th".to_vec());
         assert_eq!(v.bytes_of(id), Some(&b"th"[..]));
-        assert_eq!(v.id_of(b"th"), Some(id));
     }
 
     #[test]
@@ -110,9 +75,7 @@ mod tests {
         let mut v = Vocab::base_bytes();
         v.push_merged(b"he".to_vec());
         let json = serde_json::to_string(&v).unwrap();
-        let mut back: Vocab = serde_json::from_str(&json).unwrap();
-        back.rebuild_lookup();
+        let back: Vocab = serde_json::from_str(&json).unwrap();
         assert_eq!(back, v);
-        assert_eq!(back.id_of(b"he"), v.id_of(b"he"));
     }
 }

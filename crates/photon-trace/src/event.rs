@@ -251,22 +251,17 @@ pub struct Event {
     /// Duration in microseconds (0 for instants; in Sim mode the
     /// deterministic simulated duration, not the measured one).
     pub dur_us: u64,
-    /// Up to [`MAX_ARGS`] numeric args; unused slots are `("", 0)`.
+    /// Up to `MAX_ARGS` numeric args; unused slots are `("", 0)`.
     pub args: [(&'static str, u64); MAX_ARGS],
 }
 
 impl Event {
-    /// Serializes the event as one chrome://tracing JSON object line
-    /// (no trailing newline) with `pid: 0` — single-process traces keep
-    /// their historical byte-identical shape.
-    pub fn to_json_line(&self) -> String {
-        self.to_json_line_with_pid(0)
-    }
-
-    /// [`Event::to_json_line`] with an explicit `pid` field, so each
-    /// process in a multi-process run writes shard lines under its own
-    /// OS pid and `photon trace merge` can lane the merged timeline.
-    pub fn to_json_line_with_pid(&self, pid: u32) -> String {
+    /// Serializes the event as one chrome://tracing JSON object line (no
+    /// trailing newline) under `pid`. Single-process traces write `pid: 0`
+    /// and keep their historical byte-identical shape; each process in a
+    /// multi-process run writes shard lines under its own OS pid, so
+    /// `photon trace merge` can lane the merged timeline.
+    pub(crate) fn to_json_line(&self, pid: u32) -> String {
         let mut line = String::with_capacity(128);
         line.push_str("{\"name\":\"");
         line.push_str(self.name);
@@ -318,7 +313,7 @@ mod tests {
             args: [("tokens", 2048), ("steps", 16), ("", 0), ("", 0)],
         };
         assert_eq!(
-            e.to_json_line(),
+            e.to_json_line(0),
             "{\"name\":\"local_step\",\"cat\":\"compute\",\"ph\":\"X\",\"ts\":1000,\
              \"dur\":250,\"pid\":0,\"tid\":3,\"args\":{\"tokens\":2048,\"steps\":16}}"
         );
@@ -336,13 +331,13 @@ mod tests {
             dur_us: 0,
             args: [("seq", 4), ("", 0), ("", 0), ("", 0)],
         };
-        let with_pid = e.to_json_line_with_pid(4242);
+        let with_pid = e.to_json_line(4242);
         assert!(with_pid.contains("\"pid\":4242"));
         assert_eq!(
             with_pid.replace("\"pid\":4242", "\"pid\":0"),
-            e.to_json_line()
+            e.to_json_line(0)
         );
-        assert!(e.to_json_line().contains("\"cat\":\"comms\""));
+        assert!(e.to_json_line(0).contains("\"cat\":\"comms\""));
     }
 
     #[test]
@@ -357,7 +352,7 @@ mod tests {
             dur_us: 0,
             args: [("", 0); MAX_ARGS],
         };
-        let line = e.to_json_line();
+        let line = e.to_json_line(0);
         assert!(!line.contains("\"dur\":"));
         assert!(!line.contains("args"));
         assert!(line.contains("\"ph\":\"i\""));

@@ -21,7 +21,7 @@ use crate::recorder::with_current;
 
 /// Maximum events retained in the flight ring; older events are evicted
 /// first. Sized to hold several rounds of control-plane spans.
-pub const FLIGHT_RING_CAP: usize = 4096;
+pub(crate) const FLIGHT_RING_CAP: usize = 4096;
 
 /// A recorder's flight ring and the path it dumps to.
 pub(crate) struct FlightRing {

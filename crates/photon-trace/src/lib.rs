@@ -81,7 +81,7 @@ mod sink;
 
 pub use clock::{now_us, set_sim_time_us, ClockMode};
 pub use event::{Event, EventKind, Phase, PhaseGroup};
-pub use flight::{flight_dump, flight_init, flight_install_panic_hook, FLIGHT_RING_CAP};
+pub use flight::{flight_dump, flight_init, flight_install_panic_hook};
 pub use hist::LogHistogram;
 pub use merge::{merge_shards, net_edge_stats, NetEdgeStats};
 pub use profile::{PhaseProfile, PhaseStat};

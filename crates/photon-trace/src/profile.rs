@@ -59,7 +59,7 @@ impl PhaseProfile {
     }
 
     /// Records one completed span.
-    pub fn record_span(&mut self, phase: Phase, total_ns: u64, self_ns: u64) {
+    pub(crate) fn record_span(&mut self, phase: Phase, total_ns: u64, self_ns: u64) {
         let stat = self.stats.entry(phase).or_default();
         stat.count += 1;
         stat.total_ns = stat.total_ns.saturating_add(total_ns);
@@ -85,7 +85,7 @@ impl PhaseProfile {
     }
 
     /// Total traced self time in nanoseconds across all phases.
-    pub fn total_self_ns(&self) -> u64 {
+    pub(crate) fn total_self_ns(&self) -> u64 {
         self.stats.values().map(|s| s.self_ns).sum()
     }
 

@@ -492,7 +492,7 @@ impl Recorder {
         }
         if let Some(sink) = collector.jsonl.as_mut() {
             for event in &batch {
-                sink.write_line(&event.to_json_line_with_pid(pid))?;
+                sink.write_line(&event.to_json_line(pid))?;
             }
             sink.flush()?;
         }
@@ -513,7 +513,7 @@ impl Recorder {
         self.drain_shards();
         let mut out = String::new();
         for event in &self.collector.lock().take_batch() {
-            out.push_str(&event.to_json_line());
+            out.push_str(&event.to_json_line(0));
             out.push('\n');
         }
         out
@@ -548,7 +548,7 @@ impl Recorder {
             text = collector.meta_line(trace_id) + "\n";
         }
         for event in flight.ring.iter().chain(&pending) {
-            text.push_str(&event.to_json_line_with_pid(collector.pid));
+            text.push_str(&event.to_json_line(collector.pid));
             text.push('\n');
         }
         atomic_write(&flight.path, &text)?;

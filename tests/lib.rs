@@ -8,6 +8,7 @@ use photon_data::Shard;
 use photon_nn::ModelConfig;
 use photon_tensor::SeedStream;
 use photon_tokenizer::TokenId;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A one-layer model small enough for sub-second integration tests.
@@ -101,4 +102,60 @@ pub fn scale_federation(cfg: &FederationConfig) -> Federation {
         clients,
         joiner_tokens: WINDOW,
     }
+}
+
+/// The workspace root (the parent of this test crate).
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("tests/ sits in the workspace")
+        .to_path_buf()
+}
+
+/// Every `.rs` file under `dir`, recursively, sorted.
+pub fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, &mut out);
+    out.sort();
+    out
+}
+
+/// `(path under crates/, contents)` of every `.rs` file under
+/// `crates/*/<sub>` (for example `src`), sorted by path.
+pub fn crate_sources(sub: &str) -> Vec<(String, String)> {
+    let crates = workspace_root().join("crates");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(&crates).expect("crates dir") {
+        let dir = krate.expect("crate entry").path().join(sub);
+        if dir.is_dir() {
+            files.extend(rust_files(&dir));
+        }
+    }
+    files.sort();
+    files
+        .into_iter()
+        .map(|file| {
+            let source = std::fs::read_to_string(&file).expect("readable source");
+            let rel = file.strip_prefix(&crates).expect("under crates/");
+            (rel.to_string_lossy().replace('\\', "/"), source)
+        })
+        .collect()
+}
+
+/// The non-test code of a source file: its lines ahead of the first
+/// top-level `#[cfg(test)]`, as the CHANGES.md line counts take it.
+pub fn non_test_lines(source: &str) -> impl Iterator<Item = &str> {
+    source
+        .lines()
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
 }

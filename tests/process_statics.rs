@@ -4,7 +4,7 @@
 //! wide. A new one fails this test until it is added here with its reason,
 //! and a removed one until its row goes.
 
-use std::path::{Path, PathBuf};
+use photon_tests::{crate_sources, non_test_lines};
 
 /// `(file under crates/, static, why it is one per process)`.
 const PINNED: &[(&str, &str, &str)] = &[
@@ -47,24 +47,11 @@ const PINNED: &[(&str, &str, &str)] = &[
 
 const INTERIOR: [&str; 4] = ["Atomic", "Mutex", "RwLock", "OnceLock"];
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).expect("readable source dir") {
-        let path = entry.expect("dir entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
 /// The interior-mutable statics declared in `source` ahead of its first
 /// top-level `#[cfg(test)]` (the non-test code, as the line counts take
 /// it).
 fn mutable_statics(source: &str) -> Vec<String> {
-    source
-        .lines()
-        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+    non_test_lines(source)
         .filter_map(|line| {
             let rest = line.trim_start();
             let rest = rest.strip_prefix("pub ").unwrap_or(rest);
@@ -81,23 +68,12 @@ fn mutable_statics(source: &str) -> Vec<String> {
 
 #[test]
 fn process_global_mutable_statics_are_pinned() {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
-    let mut files = Vec::new();
-    for krate in std::fs::read_dir(&crates).expect("crates dir") {
-        let src = krate.expect("crate entry").path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
     let mut found: Vec<(String, String)> = Vec::new();
-    for file in &files {
-        let source = std::fs::read_to_string(file).expect("readable source");
-        let rel = file.strip_prefix(&crates).expect("under crates/");
-        let rel = rel.to_string_lossy().replace('\\', "/");
+    for (file, source) in crate_sources("src") {
         found.extend(
             mutable_statics(&source)
                 .into_iter()
-                .map(|n| (rel.clone(), n)),
+                .map(|n| (file.clone(), n)),
         );
     }
     found.sort();
