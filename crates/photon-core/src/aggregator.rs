@@ -11,8 +11,7 @@ use crate::{
 };
 use photon_data::{partition_iid, DomainKind, SyntheticDomain, TokenCorpus};
 use photon_fedopt::{
-    AvailabilitySampler, AvailabilityTraces, ClientSampler, FullParticipation, ServerOpt,
-    UniformSampler, UpdateBuffer, UpdateGuard,
+    ClientSampler, FullParticipation, ServerOpt, UniformSampler, UpdateBuffer, UpdateGuard,
 };
 use photon_nn::Gpt;
 use photon_tensor::SeedStream;
@@ -96,25 +95,9 @@ impl Aggregator {
         let model = Gpt::with_positions(cfg.model, cfg.positions, &mut rng.split("global-init"));
         let params = model.into_params();
         let server_opt = cfg.server_opt.build(params.len());
-        // Sporadic availability wraps whichever cohort policy is set: only
-        // currently-up clients are candidates (§2.1 / Appendix A).
-        let sampler: Box<dyn ClientSampler> = match (cfg.availability, cfg.cohort) {
-            (Some(model), cohort) => {
-                // Lazily materialized: chains extend on demand, so short
-                // runs never pay for a long horizon and long runs never
-                // fall off one.
-                let traces =
-                    AvailabilityTraces::lazy(model, cfg.population, &mut rng.split("availability"));
-                let k = match cohort {
-                    CohortSpec::Full => cfg.population,
-                    CohortSpec::Sample { k } => k,
-                };
-                Box::new(AvailabilitySampler::new(traces, k, rng.split("sampler")))
-            }
-            (None, CohortSpec::Full) => Box::new(FullParticipation),
-            (None, CohortSpec::Sample { k }) => {
-                Box::new(UniformSampler::new(k, rng.split("sampler")))
-            }
+        let sampler: Box<dyn ClientSampler> = match cfg.cohort {
+            CohortSpec::Full => Box::new(FullParticipation),
+            CohortSpec::Sample { k } => Box::new(UniformSampler::new(k, rng.split("sampler"))),
         };
         let guard = cfg
             .guard

@@ -1718,18 +1718,14 @@ mod tests {
         assert_eq!(spawned() - before, 0, "a client trains on its lane");
     }
 
-    /// A stateless client, a stateful one, FedProx, a 2-replica DDP silo,
-    /// a 2-node sub-federation silo and a sign flip: the federations the
-    /// store-before-read rule is checked on, each with its fault plan.
+    /// A single-GPU client, a 2-replica DDP silo, a 2-node sub-federation
+    /// silo and a sign flip: the federations the store-before-read rule is
+    /// checked on, each with its fault plan.
     fn workspace_cases() -> Vec<(&'static str, Federation, Option<FaultPlan>)> {
         use photon_cluster::{GpuSpec, Interconnect, NodeSpec, Region, SiloSpec};
-        let fed = |edit: &dyn Fn(&mut FederationConfig)| {
-            let mut cfg = quick_cfg(3);
-            edit(&mut cfg);
-            build_federation(&cfg, 2_000).unwrap()
-        };
+        let fed = || build_federation(&quick_cfg(3), 2_000).unwrap();
         let with_silo = |silo: SiloSpec| {
-            let mut fed = fed(&|_| {});
+            let mut fed = fed();
             for client in &mut fed.clients {
                 let (id, ds) = (client.id(), client.data_source().clone());
                 let rng = photon_tensor::SeedStream::new(u64::from(id));
@@ -1763,12 +1759,10 @@ mod tests {
         );
         let sign_flip = FaultSpec::parse("sign-flip@r1c0").unwrap().plan(3, 3);
         vec![
-            ("stateless", fed(&|_| {}), None),
-            ("stateful", fed(&|c| c.stateless_local = false), None),
-            ("fedprox", fed(&|c| c.fedprox_mu = Some(0.1)), None),
+            ("single-gpu", fed(), None),
             ("ddp", ddp, None),
             ("sub-federation", subfed, None),
-            ("sign-flip", fed(&|_| {}), Some(sign_flip)),
+            ("sign-flip", fed(), Some(sign_flip)),
         ]
     }
 

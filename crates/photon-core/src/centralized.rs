@@ -1,4 +1,4 @@
-use crate::ddp::{Replica, Step};
+use crate::ddp::Replica;
 use photon_data::TokenStream;
 use photon_nn::{Gpt, ModelConfig};
 use photon_optim::{AdamW, AdamWConfig, LrSchedule};
@@ -16,7 +16,6 @@ pub struct CentralizedTrainer {
     grad_clip: Option<f32>,
     stream: Box<dyn TokenStream>,
     step: u64,
-    accum_steps: u32,
 }
 
 impl std::fmt::Debug for CentralizedTrainer {
@@ -52,35 +51,15 @@ impl CentralizedTrainer {
             grad_clip,
             stream,
             step: 0,
-            accum_steps: 1,
         }
     }
 
-    /// Enables gradient accumulation: each optimizer step averages the
-    /// gradients of `n` micro-batches, emulating an `n`-times larger batch
-    /// when VRAM cannot hold it (§2.2 — the paper tunes batch sizes so
-    /// that, ideally, no accumulation is needed).
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn with_grad_accumulation(mut self, n: u32) -> Self {
-        assert!(n > 0, "accumulation steps must be positive");
-        self.accum_steps = n;
-        self
-    }
-
-    /// Runs one optimizer step (accumulating `accum_steps` micro-batches),
-    /// returning the mean micro-batch loss.
+    /// Runs one optimizer step, returning the batch loss.
     pub fn step(&mut self) -> f32 {
-        let step = Step {
-            micro_batches: self.accum_steps,
-            lr: self.schedule.lr_at(self.step),
-            grad_clip: self.grad_clip,
-            prox: None,
-        };
+        let lr = self.schedule.lr_at(self.step);
         let loss = self
             .replica
-            .step(&mut *self.stream, &mut self.opt, &step, None);
+            .step(&mut *self.stream, &mut self.opt, lr, self.grad_clip, None);
         self.step += 1;
         loss
     }
@@ -142,16 +121,6 @@ mod tests {
         let mut t = trainer(4, 1e-2);
         let first = t.train_steps(5);
         let later = t.train_steps(40);
-        assert!(later < first, "{first} -> {later}");
-    }
-
-    #[test]
-    fn grad_accumulation_emulates_larger_batches() {
-        // 4 micro-batches of 2 should behave like batch 8 (same data
-        // distribution, same variance reduction), and definitely train.
-        let mut t = trainer(2, 1e-2).with_grad_accumulation(4);
-        let first = t.train_steps(5);
-        let later = t.train_steps(30);
         assert!(later < first, "{first} -> {later}");
     }
 

@@ -511,6 +511,37 @@ mod tests {
     }
 
     #[test]
+    fn a_manifest_with_the_removed_training_knobs_still_loads() {
+        // Checkpoints written while the config still had the stateful,
+        // FedProx, update post-processing and availability knobs carry
+        // their five keys, in the places they were serialized.
+        let dir = tmp_dir("removed-knobs");
+        let saved = full(1);
+        save(&dir, &saved);
+        let file = fs::read(dir.join(FILE)).unwrap();
+        let end = manifest_end(&file);
+        let mut manifest = std::str::from_utf8(&file[12..end]).unwrap().to_string();
+        for (before, keys) in [
+            ("\"grad_clip\":", "\"stateless_local\":true,"),
+            (
+                "\"compress_link\":",
+                "\"fedprox_mu\":null,\"post\":{\"clip_update_norm\":null,\"dp_noise_std\":null},",
+            ),
+            ("\"allow_partial_results\":", "\"availability\":null,"),
+        ] {
+            assert_eq!(manifest.matches(before).count(), 1, "{before}");
+            manifest = manifest.replace(before, &format!("{keys}{before}"));
+        }
+        let mut old = MAGIC.to_vec();
+        old.extend((manifest.len() as u32).to_le_bytes());
+        old.extend(manifest.as_bytes());
+        old.extend(&file[end..]);
+        reseal(&mut old);
+        fs::write(dir.join(FILE), &old).unwrap();
+        assert_eq!(load_checkpoint(&dir).unwrap(), saved);
+    }
+
+    #[test]
     fn server_opt_state_roundtrips() {
         let dir = tmp_dir("opt-state");
         let mut saved = params_only(4, &[1.0, 2.0]);

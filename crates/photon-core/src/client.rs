@@ -2,13 +2,13 @@ use crate::ddp::{node_mean, run_replicas, train_replica, Workspace};
 use crate::{DataSource, DdpConfig, DdpReport, FederationConfig};
 use photon_cluster::{select_strategy, SiloSpec, TrainingStrategy};
 use photon_comms::{mask_update, TrainMetrics};
-use photon_optim::{clip_global_norm, AdamW};
 use photon_tensor::SeedStream;
 
 /// The result of one client's local round (before Link framing).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientOutcome {
-    /// Pseudo-gradient `θ_global − θ_local` (possibly post-processed).
+    /// Pseudo-gradient `θ_global − θ_local` (masked under secure
+    /// aggregation).
     pub delta: Vec<f32>,
     /// Aggregation weight.
     pub weight: f64,
@@ -20,8 +20,8 @@ pub struct ClientOutcome {
 /// [`Workspace`] that trained it.
 #[derive(Debug)]
 pub(crate) struct LocalUpdate<'w> {
-    /// Pseudo-gradient `θ_global − θ_local` (possibly post-processed),
-    /// formed in the workspace's gradient buffer.
+    /// Pseudo-gradient `θ_global − θ_local` (masked under secure
+    /// aggregation), formed in the workspace's gradient buffer.
     pub delta: &'w mut [f32],
     /// Aggregation weight.
     pub weight: f64,
@@ -39,9 +39,6 @@ pub struct LlmClient {
     ds: DataSource,
     silo: Option<SiloSpec>,
     rng: SeedStream,
-    /// Persistent local optimizer for the stateful mode
-    /// (`stateless_local = false`); single-replica pipelines only.
-    opt_state: Option<AdamW>,
     /// Rounds on which replica 0 panics before it trains — exercising the
     /// path that surfaces a replica panic as a
     /// [`CoreError::ClientFailure`](crate::CoreError::ClientFailure)
@@ -58,7 +55,6 @@ impl LlmClient {
             ds,
             silo,
             rng,
-            opt_state: None,
             panic_node_rounds: Vec::new(),
         }
     }
@@ -113,8 +109,10 @@ impl LlmClient {
 
     /// Runs one local round from the broadcast `global` parameters in
     /// `workspace`, returning the post-processed pseudo-gradient, which
-    /// stays in the workspace. `cohort` lists all participating client ids
-    /// this round (needed for secure-aggregation masking).
+    /// stays in the workspace. Every replica starts the round with a reset
+    /// optimizer (stateless local optimization, Appendix A). `cohort` lists
+    /// all participating client ids this round (needed for
+    /// secure-aggregation masking).
     ///
     /// # Errors
     /// Returns [`CoreError::ClientFailure`](crate::CoreError::ClientFailure)
@@ -154,18 +152,7 @@ impl LlmClient {
         };
         let segment = self.ddp_config(round, cfg);
         let (id, faulty) = (self.id, self.panic_node_rounds.contains(&round));
-        // Stateless: every replica starts the round with its optimizer
-        // reset. Stateful mode keeps a lone replica's momenta local across
-        // rounds instead of communicating them (Appendix C.1).
-        let retained = (replicas == 1 && data_parallel && !cfg.stateless_local).then(|| {
-            self.opt_state
-                .get_or_insert_with(|| AdamW::new(cfg.adamw, global.len()))
-        });
-        let (slots, reset) = workspace.slots(replicas, &segment, global, retained.is_none());
-        let opts: Vec<&mut AdamW> = match retained {
-            Some(opt) => vec![opt],
-            None => reset.iter_mut().collect(),
-        };
+        let (slots, opts) = workspace.slots(replicas, &segment, global);
         let jobs: Vec<_> = streams.into_iter().zip(opts).collect();
         let losses = run_replicas(
             slots,
@@ -191,7 +178,7 @@ impl LlmClient {
         } else {
             node_mean(slots, global)
         };
-        self.post_process(delta, round, cohort, cfg, &mut round_rng);
+        self.post_process(delta, round, cohort, cfg);
         Ok(LocalUpdate {
             delta,
             weight: 1.0,
@@ -213,28 +200,11 @@ impl LlmClient {
             adamw: cfg.adamw,
             schedule: cfg.schedule,
             grad_clip: cfg.grad_clip,
-            fedprox_mu: cfg.fedprox_mu,
         }
     }
 
-    /// Algorithm 1, L.28: `PostProcess` — clip, add DP noise, mask.
-    fn post_process(
-        &mut self,
-        delta: &mut [f32],
-        round: u64,
-        cohort: &[u32],
-        cfg: &FederationConfig,
-        rng: &mut SeedStream,
-    ) {
-        if let Some(max_norm) = cfg.post.clip_update_norm {
-            clip_global_norm(delta, max_norm);
-        }
-        if let Some(std) = cfg.post.dp_noise_std {
-            let mut noise_rng = rng.split("dp-noise");
-            for d in delta.iter_mut() {
-                *d += std * noise_rng.next_normal();
-            }
-        }
+    /// Algorithm 1, L.28: `PostProcess` — the secure-aggregation mask.
+    fn post_process(&self, delta: &mut [f32], round: u64, cohort: &[u32], cfg: &FederationConfig) {
         if cfg.secure_agg {
             let round_key = cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(round);
             mask_update(delta, self.id, cohort, round_key)
@@ -283,6 +253,28 @@ mod tests {
         )
     }
 
+    /// A client on two one-GPU nodes joined by a slow link: a 2-node
+    /// sub-federation silo.
+    fn sub_federation_client(id: u32) -> LlmClient {
+        use photon_cluster::{GpuSpec, Interconnect, NodeSpec, Region};
+        let silo = SiloSpec {
+            name: "slow-cluster".into(),
+            nodes: vec![
+                NodeSpec::nvlink(GpuSpec::h100(), 1),
+                NodeSpec::nvlink(GpuSpec::h100(), 1),
+            ],
+            inter_node: Interconnect::Ethernet { gbps: 1.0 },
+            region: Region::Quebec,
+        };
+        let shard = Shard::from_range("c", Arc::new((0..600u32).map(|i| i % 17).collect()), 0, 600);
+        LlmClient::new(
+            id,
+            DataSource::new("ds", shard),
+            Some(silo),
+            SeedStream::new(5),
+        )
+    }
+
     fn global_params(cfg: &FederationConfig) -> Vec<f32> {
         Gpt::new(cfg.model, &mut SeedStream::new(9)).into_params()
     }
@@ -301,57 +293,24 @@ mod tests {
     }
 
     #[test]
-    fn stateful_mode_keeps_momenta_across_rounds() {
-        let mut cfg = test_cfg();
-        cfg.stateless_local = false;
-        let global = global_params(&cfg);
-        let mut c = client(0, 300);
-        let first = c.run_round(&global, 0, &[0], &cfg).unwrap();
-        assert!(c.opt_state.is_some());
-        let second = c.run_round(&global, 1, &[0], &cfg).unwrap();
-        // With warm momenta the second round's update differs from a cold
-        // restart producing the identical first-round update.
-        assert_ne!(first.delta, second.delta);
-    }
-
-    #[test]
     fn round_replay_is_rebuild_stable() {
         // A client rebuilt from scratch (same seed) must reproduce any
         // round bit-identically without replaying the earlier rounds —
-        // the property crash recovery depends on.
-        let mut cfg = test_cfg();
-        cfg.post.dp_noise_std = Some(0.01); // exercise in-round randomness
-        let global = global_params(&cfg);
-        let mut walked = client(0, 300);
-        walked.run_round(&global, 0, &[0], &cfg).unwrap();
-        walked.run_round(&global, 1, &[0], &cfg).unwrap();
-        let third = walked.run_round(&global, 2, &[0], &cfg).unwrap();
-        let mut fresh = client(0, 300);
-        let replayed = fresh.run_round(&global, 2, &[0], &cfg).unwrap();
-        assert_eq!(third.delta, replayed.delta);
-    }
-
-    #[test]
-    fn update_clipping_bounds_delta_norm() {
-        let mut cfg = test_cfg();
-        cfg.post.clip_update_norm = Some(0.01);
-        let global = global_params(&cfg);
-        let mut c = client(0, 300);
-        let out = c.run_round(&global, 0, &[0], &cfg).unwrap();
-        assert!(photon_tensor::ops::l2_norm(&out.delta) <= 0.0101);
-    }
-
-    #[test]
-    fn dp_noise_changes_update() {
+        // the property crash recovery depends on. A single-GPU client binds
+        // its stream off the round's forked stream; a sub-federation silo
+        // draws its partition streams from it.
         let cfg = test_cfg();
-        let mut noisy_cfg = cfg.clone();
-        noisy_cfg.post.dp_noise_std = Some(0.1);
         let global = global_params(&cfg);
-        let clean = client(0, 300).run_round(&global, 0, &[0], &cfg).unwrap();
-        let noisy = client(0, 300)
-            .run_round(&global, 0, &[0], &noisy_cfg)
-            .unwrap();
-        assert_ne!(clean.delta, noisy.delta);
+        let replays = |name: &str, build: fn() -> LlmClient| {
+            let mut walked = build();
+            walked.run_round(&global, 0, &[0], &cfg).unwrap();
+            walked.run_round(&global, 1, &[0], &cfg).unwrap();
+            let third = walked.run_round(&global, 2, &[0], &cfg).unwrap();
+            let replayed = build().run_round(&global, 2, &[0], &cfg).unwrap();
+            assert_eq!(third.delta, replayed.delta, "{name}");
+        };
+        replays("single-gpu", || client(0, 300));
+        replays("sub-federation", || sub_federation_client(0));
     }
 
     #[test]
@@ -363,24 +322,8 @@ mod tests {
 
     #[test]
     fn sub_federation_averages_partitions() {
-        use photon_cluster::{GpuSpec, Interconnect, NodeSpec, Region};
         let cfg = test_cfg();
-        let silo = SiloSpec {
-            name: "slow-cluster".into(),
-            nodes: vec![
-                NodeSpec::nvlink(GpuSpec::h100(), 1),
-                NodeSpec::nvlink(GpuSpec::h100(), 1),
-            ],
-            inter_node: Interconnect::Ethernet { gbps: 1.0 },
-            region: Region::Quebec,
-        };
-        let shard = Shard::from_range("c", Arc::new((0..600u32).map(|i| i % 17).collect()), 0, 600);
-        let mut c = LlmClient::new(
-            0,
-            DataSource::new("ds", shard),
-            Some(silo),
-            SeedStream::new(5),
-        );
+        let mut c = sub_federation_client(0);
         assert_eq!(
             c.strategy(&cfg),
             TrainingStrategy::SubFederation { partitions: 2 }
@@ -453,24 +396,8 @@ mod tests {
 
     #[test]
     fn sub_federation_node_panic_surfaces_as_client_failure() {
-        use photon_cluster::{GpuSpec, Interconnect, NodeSpec, Region};
         let cfg = test_cfg();
-        let silo = SiloSpec {
-            name: "slow-cluster".into(),
-            nodes: vec![
-                NodeSpec::nvlink(GpuSpec::h100(), 1),
-                NodeSpec::nvlink(GpuSpec::h100(), 1),
-            ],
-            inter_node: Interconnect::Ethernet { gbps: 1.0 },
-            region: Region::Quebec,
-        };
-        let shard = Shard::from_range("c", Arc::new((0..600u32).map(|i| i % 17).collect()), 0, 600);
-        let mut c = LlmClient::new(
-            7,
-            DataSource::new("ds", shard),
-            Some(silo),
-            SeedStream::new(5),
-        );
+        let mut c = sub_federation_client(7);
         assert_eq!(
             c.strategy(&cfg),
             TrainingStrategy::SubFederation { partitions: 2 }

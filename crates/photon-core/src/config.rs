@@ -1,7 +1,7 @@
 use crate::hierarchy::HierarchyConfig;
 use crate::membership::MembershipConfig;
 use photon_comms::{AdaptiveDeadlineConfig, NetworkConfig, RetransmitPolicy};
-use photon_fedopt::{AggregationKind, AvailabilityModel, BufferConfig, GuardConfig, ServerOptKind};
+use photon_fedopt::{AggregationKind, BufferConfig, GuardConfig, ServerOptKind};
 use photon_nn::{ModelConfig, PosEncoding};
 use photon_optim::{AdamWConfig, LrSchedule};
 use photon_tensor::Dtype;
@@ -17,16 +17,6 @@ pub enum CohortSpec {
         /// Clients per round.
         k: usize,
     },
-}
-
-/// Client-side post-processing applied before returning an update
-/// (Algorithm 1, L.28: clipping, compression, DP noise).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct PostProcessConfig {
-    /// Clip the pseudo-gradient to this L2 norm.
-    pub clip_update_norm: Option<f32>,
-    /// Add Gaussian noise of this std to the update (differential privacy).
-    pub dp_noise_std: Option<f32>,
 }
 
 /// Full specification of a federated pre-training run.
@@ -63,34 +53,20 @@ pub struct FederationConfig {
     /// disables the EMA checks.
     #[serde(default)]
     pub loss_spike_mult: Option<f64>,
-    /// Client optimizer hyperparameters (AdamW).
+    /// Client optimizer hyperparameters (AdamW). Local optimization is
+    /// stateless (Appendix A): every client round starts from fresh moments,
+    /// so a client rebuilt after a crash replays any round exactly.
     pub adamw: AdamWConfig,
     /// Client learning-rate schedule over *sequential* local steps
     /// (Table 5: `S_C` synchronized across rounds).
     pub schedule: LrSchedule,
-    /// Reset client optimizer state each round (Photon's
-    /// stateless-local-optimization mode, Appendix A). Keeps federated
-    /// pre-training compute-bound and supports intermittent availability.
-    pub stateless_local: bool,
     /// Global-norm gradient clipping during local training.
     pub grad_clip: Option<f32>,
-    /// FedProx proximal coefficient μ (Li et al.; §6 "reducing local model
-    /// divergence from the global model"): adds `μ (w − w_global)` to every
-    /// local gradient. `None` disables the proximal term.
-    #[serde(default)]
-    pub fedprox_mu: Option<f32>,
-    /// Update post-processing.
-    pub post: PostProcessConfig,
     /// Compress Link payloads (Photon default: lossless, §4).
     pub compress_link: bool,
     /// Mask updates with cancelling pairwise masks (secure aggregation).
     /// Requires uniform aggregation weights.
     pub secure_agg: bool,
-    /// Sporadic client availability (§2.1, Appendix A): when set, each
-    /// client follows an independent two-state Markov up/down process and
-    /// only currently-up clients can be sampled.
-    #[serde(default)]
-    pub availability: Option<AvailabilityModel>,
     /// Tolerate client dropouts mid-round: aggregate the surviving
     /// cohort's updates instead of failing the round (§4's
     /// parameter-server dropout semantics). Incompatible with the
@@ -119,7 +95,7 @@ pub struct FederationConfig {
     /// Elastic membership: when set, the fixed population becomes a
     /// *founding* roster managed by a lease-based membership registry —
     /// clients join, leave and expire mid-run, driven by the fault plan.
-    /// Subsumes (and is incompatible with) `availability`.
+    /// The one liveness model: without it every client is always up.
     #[serde(default)]
     pub membership: Option<MembershipConfig>,
     /// FedBuff-style buffered semi-synchronous aggregation: commit a merge
@@ -162,13 +138,9 @@ impl FederationConfig {
             loss_spike_mult: None,
             adamw: AdamWConfig::default(),
             schedule: LrSchedule::paper_cosine(3e-3, 20, 4000),
-            stateless_local: true,
             grad_clip: Some(1.0),
-            fedprox_mu: None,
-            post: PostProcessConfig::default(),
             compress_link: false,
             secure_agg: false,
-            availability: None,
             allow_partial_results: false,
             round_deadline_ms: None,
             retransmit: RetransmitPolicy::default(),
@@ -279,13 +251,6 @@ impl FederationConfig {
             membership
                 .validate()
                 .map_err(crate::CoreError::InvalidConfig)?;
-            if self.availability.is_some() {
-                // The registry's lease machinery subsumes the Markov
-                // up/down traces; running both would double-model liveness.
-                return Err(crate::CoreError::InvalidConfig(
-                    "membership subsumes availability (set only one)".into(),
-                ));
-            }
             if self.secure_agg {
                 // Pairwise masks assume a roster fixed at key agreement;
                 // mid-run joins/leaves would leave masks uncancelled.
@@ -529,11 +494,6 @@ mod tests {
         let mut no_mem = cfg.clone();
         no_mem.membership = None;
         assert!(no_mem.validate().is_err());
-
-        // Membership subsumes availability.
-        let mut both = cfg.clone();
-        both.availability = Some(AvailabilityModel::always_on());
-        assert!(both.validate().is_err());
 
         // Secure aggregation needs a fixed roster.
         let mut secure = cfg.clone();

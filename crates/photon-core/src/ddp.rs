@@ -43,9 +43,6 @@ pub struct DdpConfig {
     pub schedule: LrSchedule,
     /// Optional global-norm gradient clipping.
     pub grad_clip: Option<f32>,
-    /// FedProx proximal coefficient μ: adds `μ (w − w_start)` to gradients,
-    /// anchoring local training to the received global model.
-    pub fedprox_mu: Option<f32>,
 }
 
 /// Aggregate statistics from a DDP segment.
@@ -73,15 +70,14 @@ impl DdpReport {
 }
 
 /// A client's training state, sized once per run shape and reused round
-/// after round: up to 8 replicas (grown on demand) and, for stateless
-/// local training, one optimizer per replica.
+/// after round: up to 8 replicas (grown on demand), one optimizer each.
 ///
 /// Nothing in it carries over from one client round to the next. A round
 /// stores every buffer before it reads it: the broadcast is loaded into
 /// the parameters, each step draws its batch and overwrites its
-/// activations and gradients, stateless optimizers are reset, and the
-/// delta is formed over the gradients. A round that failed half-way
-/// leaves nothing the next one reads.
+/// activations and gradients, the optimizers are reset (local training is
+/// stateless), and the delta is formed over the gradients. A round that
+/// failed half-way leaves nothing the next one reads.
 #[derive(Default)]
 pub struct Workspace {
     replicas: Vec<Replica>,
@@ -107,15 +103,14 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// `n` replicas shaped for `cfg` and `params`, and — with
-    /// `fresh_opts` — `n` optimizers reset to their first step. Buffers of
-    /// another shape are dropped and rebuilt; nothing else is allocated.
+    /// `n` replicas shaped for `cfg` and `params` and `n` optimizers reset
+    /// to their first step. Buffers of another shape are dropped and
+    /// rebuilt; nothing else is allocated.
     pub(crate) fn slots(
         &mut self,
         n: usize,
         cfg: &DdpConfig,
         params: &[f32],
-        fresh_opts: bool,
     ) -> (&mut [Replica], &mut [AdamW]) {
         if !self.replicas.iter().all(|r| r.fits(cfg, params.len())) {
             self.replicas.clear();
@@ -125,7 +120,6 @@ impl Workspace {
             let replica = Replica::new(model, cfg.per_worker_batch, cfg.seq_len);
             self.replicas.push(replica);
         }
-        let opts = if fresh_opts { n } else { 0 };
         if !self
             .opts
             .iter()
@@ -133,14 +127,14 @@ impl Workspace {
         {
             self.opts.clear();
         }
-        while self.opts.len() < opts {
+        while self.opts.len() < n {
             self.opts.push(AdamW::new(cfg.adamw, params.len()));
         }
         #[cfg(test)]
         if self.nan_fill {
             self.fill_nan();
         }
-        let opts = &mut self.opts[..opts];
+        let opts = &mut self.opts[..n];
         opts.iter_mut().for_each(Optimizer::reset_state);
         (&mut self.replicas[..n], opts)
     }
@@ -171,20 +165,6 @@ pub(crate) struct Replica {
     acts: Activations,
     grads: Vec<f32>,
     batch: Batch,
-}
-
-/// What one [`Replica::step`] does around its forward and backward passes.
-pub(crate) struct Step<'a> {
-    /// Micro-batches whose gradients the step averages (gradient
-    /// accumulation; 1 without).
-    pub(crate) micro_batches: u32,
-    /// Learning rate.
-    pub(crate) lr: f32,
-    /// Optional global-norm gradient clipping.
-    pub(crate) grad_clip: Option<f32>,
-    /// FedProx: `μ` and the anchor `w_start`, adding `μ (w − w_start)` to
-    /// the gradient.
-    pub(crate) prox: Option<(f32, &'a [f32])>,
 }
 
 impl Replica {
@@ -231,15 +211,16 @@ impl Replica {
         &mut self.grads
     }
 
-    /// One optimizer step of `opt` on batches drawn from `stream`: forward
-    /// and backward over `step.micro_batches` batches (their gradients
-    /// averaged), the FedProx anchor, the ring mean when there is a `ring`,
-    /// clipping, the update. Returns the mean micro-batch loss.
+    /// One optimizer step of `opt` at learning rate `lr` on a batch drawn
+    /// from `stream`: forward, backward, the ring mean when there is a
+    /// `ring`, global-norm clipping to `grad_clip`, the update. Returns the
+    /// batch loss.
     pub(crate) fn step(
         &mut self,
         stream: &mut dyn TokenStream,
         opt: &mut AdamW,
-        step: &Step<'_>,
+        lr: f32,
+        grad_clip: Option<f32>,
         ring: Option<&mut RingWorker>,
     ) -> f32 {
         let Replica {
@@ -249,31 +230,19 @@ impl Replica {
             batch,
         } = self;
         grads.fill(0.0);
-        let mut loss_sum = 0.0f64;
-        for _ in 0..step.micro_batches {
-            stream.next_batch(batch);
-            let loss = model
-                .forward(&batch.inputs, Some(&batch.targets), acts)
-                .expect("targets provided");
-            loss_sum += loss as f64;
-            model.backward(&batch.inputs, &batch.targets, acts, grads);
-        }
-        if step.micro_batches > 1 {
-            photon_tensor::ops::scale(1.0 / step.micro_batches as f32, grads);
-        }
-        if let Some((mu, anchor)) = step.prox {
-            for ((g, &w), &a) in grads.iter_mut().zip(model.params()).zip(anchor) {
-                *g += mu * (w - a);
-            }
-        }
+        stream.next_batch(batch);
+        let loss = model
+            .forward(&batch.inputs, Some(&batch.targets), acts)
+            .expect("targets provided");
+        model.backward(&batch.inputs, &batch.targets, acts, grads);
         if let Some(ring) = ring {
             ring.allreduce_mean(grads);
         }
-        if let Some(max_norm) = step.grad_clip {
+        if let Some(max_norm) = grad_clip {
             clip_global_norm(grads, max_norm);
         }
-        opt.step(model.params_mut(), grads, step.lr);
-        (loss_sum / step.micro_batches as f64) as f32
+        opt.step(model.params_mut(), grads, lr);
+        loss
     }
 }
 
@@ -291,14 +260,8 @@ pub(crate) fn train_replica(
     replica.set_params(params);
     let mut loss_sum = 0.0f64;
     for i in 0..cfg.steps {
-        let step = Step {
-            micro_batches: 1,
-            lr: cfg.schedule.lr_at(cfg.start_step + i),
-            grad_clip: cfg.grad_clip,
-            // The proximal anchor is the received model itself.
-            prox: cfg.fedprox_mu.map(|mu| (mu, params)),
-        };
-        loss_sum += replica.step(&mut *stream, opt, &step, ring.as_mut()) as f64;
+        let lr = cfg.schedule.lr_at(cfg.start_step + i);
+        loss_sum += replica.step(&mut *stream, opt, lr, cfg.grad_clip, ring.as_mut()) as f64;
     }
     (loss_sum / cfg.steps.max(1) as f64) as f32
 }
@@ -427,7 +390,7 @@ pub fn ddp_train(
 ) -> (Vec<f32>, DdpReport) {
     assert!(!streams.is_empty(), "ddp needs at least one worker");
     let mut workspace = Workspace::new();
-    let (replicas, opts) = workspace.slots(streams.len(), cfg, params, true);
+    let (replicas, opts) = workspace.slots(streams.len(), cfg, params);
     let jobs: Vec<_> = streams.into_iter().zip(opts).collect();
     let losses = run_replicas(replicas, jobs, true, |_, replica, (stream, opt), ring| {
         train_replica(replica, params, cfg, opt, stream, ring)
@@ -483,7 +446,6 @@ mod tests {
             adamw: AdamWConfig::default(),
             schedule: LrSchedule::new(ScheduleKind::Constant, 1e-2, 1e-3, 1, 1000),
             grad_clip: Some(1.0),
-            fedprox_mu: None,
         }
     }
 
@@ -553,31 +515,6 @@ mod tests {
         let (_, r4) = ddp_train(&params, &cfg, streams(4, 300, 1));
         assert_eq!(r4.tokens, 2 * r2.tokens);
         assert_eq!(r2.steps, r4.steps);
-    }
-
-    #[test]
-    fn fedprox_anchors_local_training() {
-        // A large proximal coefficient keeps the local model close to the
-        // received global weights.
-        let free_cfg = tiny_cfg(20);
-        let mut prox_cfg = tiny_cfg(20);
-        prox_cfg.fedprox_mu = Some(10.0);
-        let params = init_params(&free_cfg);
-        let (free, _) = ddp_train(&params, &free_cfg, streams(1, 300, 5));
-        let (prox, _) = ddp_train(&params, &prox_cfg, streams(1, 300, 5));
-        let dist = |a: &[f32]| -> f32 {
-            a.iter()
-                .zip(&params)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f32>()
-                .sqrt()
-        };
-        assert!(
-            dist(&prox) < dist(&free) * 0.9,
-            "proximal term failed to anchor: {} vs {}",
-            dist(&prox),
-            dist(&free)
-        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! A federated run wires together every substrate crate:
 //!
 //! * clients train a [`photon_nn::Gpt`] with [`photon_optim`] on streams
-//!   from their private [`DataSource`]s (`photon-data`);
+//!   from their private [`DataSource`]s (`photon-data`), statelessly: every
+//!   round starts from fresh optimizer moments (Appendix A);
 //! * each sampled client runs on its own OS thread and talks to the
 //!   aggregator through real `Link` frames (`photon-comms` wire format,
 //!   optional compression and secure aggregation);
@@ -15,7 +16,9 @@
 //!   [`photon_fedopt::ServerOpt`] (FedAvg by default, DiLoCo as baseline);
 //! * hardware-aware strategy selection (`photon-cluster`) decides between
 //!   single-GPU, DDP (real threaded ring-allreduce) and sub-federation
-//!   local pipelines.
+//!   local pipelines;
+//! * elastic membership ([`MembershipRegistry`]) is the one model of which
+//!   clients are up: without it every client is always available.
 //!
 //! ```no_run
 //! use photon_core::{Aggregator, FederationConfig};
@@ -55,7 +58,7 @@ pub use checkpoint::{
     checkpoint_exists, load_checkpoint, save_checkpoint, Checkpoint, ElasticState,
 };
 pub use client::{ClientOutcome, LlmClient};
-pub use config::{CohortSpec, FederationConfig, PostProcessConfig};
+pub use config::{CohortSpec, FederationConfig};
 pub use datasource::DataSource;
 pub use ddp::{ddp_train, DdpConfig, DdpReport, Workspace};
 pub use error::CoreError;

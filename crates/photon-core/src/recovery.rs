@@ -6,12 +6,13 @@
 //! in-process clients; `photon_net::serve` is [`run_training_over`] with a
 //! TCP [`Transport`].
 //!
-//! Recovery is exact, not approximate: cohort sampling, client data order
-//! and DP noise are all round-keyed (see [`photon_tensor::SeedStream::fork`]),
-//! and checkpoints carry the server optimizer's state, so the rounds
-//! replayed after a restore are bit-identical to the rounds the crash
-//! destroyed — a run that crashes and recovers ends with exactly the
-//! parameters of one that never crashed.
+//! Recovery is exact, not approximate: cohort sampling and client data
+//! order are round-keyed (see [`photon_tensor::SeedStream::fork`]), client
+//! optimizers restart every round, and checkpoints carry the server
+//! optimizer's state, so the rounds replayed after a restore are
+//! bit-identical to the rounds the crash destroyed — a run that crashes
+//! and recovers ends with exactly the parameters of one that never
+//! crashed.
 
 use crate::experiments::{eval_seq, RunOptions};
 use crate::faults::{FaultEvent, FaultPlan};

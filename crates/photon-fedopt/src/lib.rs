@@ -10,8 +10,9 @@
 //! * **DiLoCo**: the baseline — SGD with Nesterov momentum as the outer
 //!   optimizer (η_s tuned per Fig. 8, momentum 0.9).
 //!
-//! It also provides the client samplers of Algorithm 1 (full participation
-//! and uniform `K`-of-`P` sampling).
+//! It also provides the client samplers of Algorithm 1: full participation,
+//! uniform `K`-of-`P` sampling, and [`sample_live`], the round-keyed draw
+//! from a live membership roster.
 //!
 //! The weighted mean of pseudo-gradients (Algorithm 1, L.8) is written
 //! once: `(Σ w·Δ) / Σ w`, accumulated in f64 and divided at the end, which
@@ -33,7 +34,6 @@
 #![deny(unsafe_code)]
 
 mod aggregate;
-mod availability;
 mod buffer;
 mod guard;
 mod robust;
@@ -42,7 +42,6 @@ mod server;
 mod ties;
 
 pub use aggregate::{aggregate_deltas, AggregationKind, ClientUpdate};
-pub use availability::{AvailabilityModel, AvailabilitySampler, AvailabilityTraces};
 pub use buffer::{
     staleness_factor, staleness_weights, BufferConfig, BufferedUpdate, CommitBatch, StreamPush,
     StreamingMerge, UpdateBuffer,

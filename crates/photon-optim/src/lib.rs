@@ -37,7 +37,7 @@ pub use sgd::{Sgd, SgdConfig};
 ///
 /// The learning rate is passed per step (schedules live outside the
 /// optimizer), and [`Optimizer::reset_state`] clears momenta — Photon's
-/// stateless-local-optimization mode resets client optimizer state every
+/// local optimization is stateless and resets client optimizer state every
 /// round (paper Appendix A).
 pub trait Optimizer: Send {
     /// Applies one update: `params <- params - lr * update(grads)`.

@@ -4,7 +4,7 @@ use rand_chacha::ChaCha8Rng;
 /// A deterministic, splittable random stream used across the workspace.
 ///
 /// Every stochastic component of Photon-RS (parameter init, data generation,
-/// client sampling, DP noise, secure-aggregation masks) draws from a
+/// client sampling, secure-aggregation masks) draws from a
 /// `SeedStream` so whole experiments are bit-reproducible from a single root
 /// seed. Streams can be [`split`](SeedStream::split) to derive independent
 /// child streams, mirroring how a federated deployment hands each client an
@@ -44,7 +44,7 @@ impl SeedStream {
     /// Derives a child stream keyed by a label *without* advancing this
     /// stream: the same label always yields the same child. This is the
     /// right tool for round-keyed streams (client data order, cohort
-    /// sampling, DP noise) that must come out identical when a run is
+    /// sampling) that must come out identical when a run is
     /// restored from a checkpoint and replayed from an earlier round.
     pub fn fork(&self, label: &str) -> SeedStream {
         let mut h = fnv1a(label.as_bytes());

@@ -43,16 +43,14 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Bytes the third `client_round` of a single-GPU `proxy_small` client
-/// allocates on one workspace (two rounds first, so the workspace and a
-/// stateful client's optimizer are in place), and the size of the result
-/// frame it sealed.
-fn third_round_bytes(stateless_local: bool) -> (u64, u64) {
+/// allocates on one workspace (two rounds first, so the workspace is in
+/// place), and the size of the result frame it sealed.
+fn third_round_bytes() -> (u64, u64) {
     let mut cfg = FederationConfig::quick_demo(ModelConfig::proxy_small(), 2);
     // One step of one sequence, `tcp_large_tau1`'s shape: what a train
     // step allocates itself is `step_allocations`' bound, not this one's.
     cfg.local_steps = 1;
     cfg.local_batch = 1;
-    cfg.stateless_local = stateless_local;
     let global = Gpt::new(cfg.model, &mut SeedStream::new(cfg.seed)).into_params();
     let mut client = build_client(&cfg, 0, 4_096).expect("client");
     let mut workspace = Workspace::new();
@@ -80,13 +78,11 @@ fn third_round_bytes(stateless_local: bool) -> (u64, u64) {
 
 #[test]
 fn a_client_round_on_a_lane_workspace_allocates_its_result_frame_and_little_else() {
-    for stateless_local in [true, false] {
-        let (bytes, frame) = third_round_bytes(stateless_local);
-        eprintln!("stateless_local={stateless_local}: {bytes} B allocated, result frame {frame} B");
-        assert!(
-            bytes <= frame + BOUND,
-            "stateless_local={stateless_local}: the third client round allocated {bytes} B \
-             for a {frame} B result frame: something model-sized is built per round"
-        );
-    }
+    let (bytes, frame) = third_round_bytes();
+    eprintln!("{bytes} B allocated, result frame {frame} B");
+    assert!(
+        bytes <= frame + BOUND,
+        "the third client round allocated {bytes} B for a {frame} B result frame: \
+         something model-sized is built per round"
+    );
 }

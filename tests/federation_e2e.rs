@@ -41,7 +41,6 @@ fn full_feature_stack_trains_together() {
         lr: 1.0,
         momentum: 0.3,
     };
-    cfg.post.clip_update_norm = Some(100.0);
     let (mut fed, val) = build_heterogeneous_federation(&cfg, 8_000).unwrap();
     let opts = RunOptions {
         rounds: 6,

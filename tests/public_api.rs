@@ -89,11 +89,6 @@ const PINNED: &[(&str, &str, &str)] = &[
         "the plain federation builder; only photon-core unit tests and `photon-net/tests/loopback.rs` call it",
     ),
     (
-        "photon-core/src/centralized.rs",
-        "with_grad_accumulation",
-        "only `grad_accumulation_emulates_larger_batches` calls it (a removal-only PR)",
-    ),
-    (
         "photon-core/src/datasource.rs",
         "with_public",
         "only `public_corpus_is_mixed_in` calls it (a removal-only PR)",
@@ -117,11 +112,6 @@ const PINNED: &[(&str, &str, &str)] = &[
         "photon-data/src/divergence.rs",
         "heterogeneity_index",
         "the §5.5 divergence module, called only by its unit tests (a removal-only PR)",
-    ),
-    (
-        "photon-fedopt/src/availability.rs",
-        "always_on",
-        "a trivial availability model only the fedopt and core config unit tests build",
     ),
     (
         "photon-fedopt/src/buffer.rs",

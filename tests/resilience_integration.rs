@@ -1,11 +1,9 @@
 //! Resilience integration: client dropouts mid-round (§4's
-//! parameter-server partial updates) and sporadic availability
-//! (§2.1 / Appendix A).
+//! parameter-server partial updates).
 
-use photon_core::experiments::{build_iid_federation, run_federation, RunOptions};
+use photon_core::experiments::build_iid_federation;
 use photon_core::FaultSpec;
 use photon_data::EvalStream;
-use photon_fedopt::AvailabilityModel;
 use photon_nn::evaluate_perplexity;
 use photon_tests::tiny_federation;
 
@@ -58,52 +56,4 @@ fn secure_agg_with_partial_rejected() {
     cfg.secure_agg = true;
     cfg.allow_partial_results = true;
     assert!(cfg.validate().is_err());
-}
-
-#[test]
-fn sporadic_availability_shapes_cohorts() {
-    let mut cfg = tiny_federation(8);
-    cfg.availability = Some(AvailabilityModel {
-        p_down: 0.4,
-        p_up: 0.4,
-    });
-    cfg.seed = 17;
-    let (mut fed, val) = build_iid_federation(&cfg, 3_000).unwrap();
-    let opts = RunOptions {
-        rounds: 10,
-        eval_every: 0,
-        eval_windows: 0,
-        stop_below: None,
-    };
-    let history = run_federation(&mut fed, &val, &opts).unwrap();
-    // Cohort sizes vary with availability (full participation nominal, but
-    // down clients are excluded).
-    let sizes: Vec<usize> = history.rounds.iter().map(|r| r.cohort.len()).collect();
-    assert!(
-        sizes.iter().any(|&s| s < 8),
-        "availability never removed a client: {sizes:?}"
-    );
-    assert!(sizes.iter().all(|&s| s >= 1));
-    // And the run is reproducible.
-    let (mut fed2, val2) = build_iid_federation(&cfg, 3_000).unwrap();
-    let history2 = run_federation(&mut fed2, &val2, &opts).unwrap();
-    let sizes2: Vec<usize> = history2.rounds.iter().map(|r| r.cohort.len()).collect();
-    assert_eq!(sizes, sizes2);
-}
-
-#[test]
-fn availability_with_sampling_respects_k() {
-    use photon_core::CohortSpec;
-    let mut cfg = tiny_federation(8);
-    cfg.cohort = CohortSpec::Sample { k: 3 };
-    cfg.availability = Some(AvailabilityModel {
-        p_down: 0.2,
-        p_up: 0.8,
-    });
-    let (mut fed, _val) = build_iid_federation(&cfg, 3_000).unwrap();
-    for _ in 0..6 {
-        let rec = fed.aggregator.run_round(&mut fed.clients).unwrap();
-        assert!(rec.cohort.len() <= 3);
-        assert!(!rec.cohort.is_empty());
-    }
 }
