@@ -1,9 +1,10 @@
 //! Where one train step goes at the three benchmark shapes (`cargo run
 //! --release -p photon-nn --example step_profile`): median ms per step on one
 //! thread for the two passes and for each kernel family timed alone at the
-//! step's shapes and call counts. A kernel timed alone keeps its operands in
-//! cache; what the step adds lands in `else`, with layernorm, residuals, bias
-//! and loss. Public API only.
+//! step's shapes and call counts, with the GFLOP/s of the three matmul
+//! directions and of the attention GEMMs. A kernel timed alone keeps its
+//! operands in cache; what the step adds lands in `else`, with layernorm,
+//! residuals, bias and loss. Public API only.
 
 use photon_nn::{kernels as k, Activations, Gpt, ModelConfig};
 use photon_tensor::backend::{self, Backend};
@@ -23,13 +24,34 @@ fn ms(mut f: impl FnMut()) -> f64 {
     samples[30]
 }
 
+/// GFLOP/s of `flops` floating-point operations done in `ms` milliseconds.
+fn gflops(flops: f64, ms: f64) -> f64 {
+    flops / ms * 1e-6
+}
+
 fn randv(n: usize, rng: &mut SeedStream) -> Vec<f32> {
     (0..n).map(|_| rng.next_normal() * 0.5).collect()
 }
 
 /// The causal row-block GEMMs of `units` attention units, as `kernels.rs`
-/// issues them: `S`, `O` forward; `dP`, `dQ`, `dV`, `dK` backward.
-fn unit_gemms(bk: &dyn Backend, units: usize, t: usize, c: usize, hs: usize, bwd: bool) -> f64 {
+/// issues them: `S`, `O` forward; `dP`, `dQ`, `dV`, `dK` backward. Returns
+/// the median ms and the flops of one call.
+fn unit_gemms(
+    bk: &dyn Backend,
+    units: usize,
+    t: usize,
+    c: usize,
+    hs: usize,
+    bwd: bool,
+) -> (f64, f64) {
+    let flops: usize = (0..t)
+        .step_by(16)
+        .map(|i0| {
+            let (i1, m) = ((i0 + 16).min(t), 16.min(t - i0));
+            let back = if bwd { 2 * 2 * m * (t - i0) * hs } else { 0 };
+            2 * 2 * m * hs * i1 + back
+        })
+        .sum();
     let mut rng = SeedStream::new(2);
     let (qkv, d_o) = (randv(t * 3 * c, &mut rng), randv(t * c, &mut rng));
     let (mut tt, mut out) = (randv(t * t, &mut rng), vec![0.0; t * 3 * c]);
@@ -48,7 +70,8 @@ fn unit_gemms(bk: &dyn Backend, units: usize, t: usize, c: usize, hs: usize, bwd
             }
         }
     };
-    ms(|| (0..units).for_each(|_| once(&mut tt, &mut out)))
+    let ms = ms(|| (0..units).for_each(|_| once(&mut tt, &mut out)));
+    (ms, (units * flops) as f64)
 }
 
 fn profile(name: &str, cfg: ModelConfig, b: usize) {
@@ -64,9 +87,10 @@ fn profile(name: &str, cfg: ModelConfig, b: usize) {
 
     // (in, out) of qkv, attproj, fc, fcproj (once a layer) and the LM head.
     let linears = [(c, 3 * c), (c, c), (c, rc), (rc, c), (c, v)];
-    let [mut mm_fwd, mut mm_dinp, mut mm_dw] = [0.0; 3];
+    let [mut mm_fwd, mut mm_dinp, mut mm_dw, mut mm_flops] = [0.0; 4];
     for (ic, oc) in linears {
         let calls = if oc == v { 1.0 } else { l };
+        mm_flops += calls * (2 * bt * ic * oc) as f64;
         let (x, w) = (randv(bt * ic, &mut rng), randv(oc * ic, &mut rng));
         let (dy, mut y) = (randv(bt * oc, &mut rng), vec![0.0; bt * oc]);
         let (mut dx, mut dw) = (vec![0.0; bt * ic], vec![0.0; oc * ic]);
@@ -85,8 +109,10 @@ fn profile(name: &str, cfg: ModelConfig, b: usize) {
     let (dq, ds, dp) = (&mut dqkv, &mut dpre, &mut datt);
     let att_bwd = l * ms(|| k::attention_backward(dq, ds, dp, &dout, &qkv, &att, b, t, c, nh));
     let bk = backend::active();
-    let fwd_gemm = l * unit_gemms(bk, units, t, c, hs, false);
-    let bwd_gemm = l * unit_gemms(bk, units, t, c, hs, true);
+    let (fwd_gemm, fwd_flops) = unit_gemms(bk, units, t, c, hs, false);
+    let (bwd_gemm, bwd_flops) = unit_gemms(bk, units, t, c, hs, true);
+    let (fwd_gf, bwd_gf) = (gflops(fwd_flops, fwd_gemm), gflops(bwd_flops, bwd_gemm));
+    let (fwd_gemm, bwd_gemm) = (l * fwd_gemm, l * bwd_gemm);
     let logits = randv(tt, &mut rng);
     let softmax = l * ms(|| {
         for (pre_u, att_u) in pre.chunks_exact_mut(tt).zip(att.chunks_exact_mut(tt)) {
@@ -104,9 +130,11 @@ fn profile(name: &str, cfg: ModelConfig, b: usize) {
     let other = step - (mm_fwd + mm_dinp + mm_dw + att_fwd + att_bwd + gelu + zeroing);
     let (rest_f, rest_b) = (att_fwd - fwd_gemm - softmax, att_bwd - bwd_gemm);
     println!("{name} B={b}: step {step:.2} ms = fwd {fwd:.2} + bwd {bwd:.2}, {per_s:.0} tokens/s");
+    let [gf_fwd, gf_dinp, gf_dw] = [mm_fwd, mm_dinp, mm_dw].map(|time| gflops(mm_flops, time));
     println!("  matmul     fwd {mm_fwd:.2}  dinp {mm_dinp:.2}  dweight {mm_dw:.2}");
-    println!("  attention  fwd {att_fwd:.2} = gemm {fwd_gemm:.2} + softmax {softmax:.2} + rest {rest_f:.2}");
-    println!("             bwd {att_bwd:.2} = gemm {bwd_gemm:.2} + row passes, rest {rest_b:.2}");
+    println!("             GFLOP/s fwd {gf_fwd:.0}  dinp {gf_dinp:.0}  dweight {gf_dw:.0}");
+    println!("  attention  fwd {att_fwd:.2} = gemm {fwd_gemm:.2} ({fwd_gf:.0} GFLOP/s) + softmax {softmax:.2} + rest {rest_f:.2}");
+    println!("             bwd {att_bwd:.2} = gemm {bwd_gemm:.2} ({bwd_gf:.0} GFLOP/s) + row passes, rest {rest_b:.2}");
     println!("  gelu {gelu:.2}  zeroing {zeroing:.2}  else {other:.2}");
 }
 

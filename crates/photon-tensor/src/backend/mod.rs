@@ -17,7 +17,9 @@
 //! 2. the `PHOTON_BACKEND` environment variable (`scalar` or `simd`);
 //! 3. CPU feature detection: AVX2+FMA on x86-64
 //!    (`is_x86_feature_detected!`), NEON on aarch64 (baseline), otherwise
-//!    scalar.
+//!    scalar. On x86-64 the SIMD GEMM then runs its AVX-512F tile where
+//!    the CPU has `avx512f`; that tile gives the AVX2 tile's bits, so it is
+//!    not a backend of its own.
 //!
 //! Requesting `simd` on a host without the required features falls back to
 //! scalar — runtime dispatch never regresses a host that cannot vectorize.
@@ -43,7 +45,8 @@
 //! Both backends run [`Backend::gemm`] through one driver (`ops/gemm.rs`):
 //! leading dimensions on every operand, `trans_b` panels transposed inside
 //! the kernel, remainder rows and columns through the same register tile.
-//! A backend supplies only the tile.
+//! A backend supplies only the tile (on x86-64 the SIMD backend has two,
+//! AVX-512F and AVX2, and the CPU picks).
 //!
 //! The scalar tile is held to more than determinism: each output element
 //! accumulates `(alpha * a[i, p]) * b[p, j]` over ascending `p`, straight
@@ -52,9 +55,11 @@
 //! per-row `dot`/`axpy` loops they replaced bit for bit, which is what keeps
 //! scalar replays (and the round-engine golden digests) unchanged. One
 //! exception is pinned by the same digests: a small `A Bᵀ` on dense operands
-//! (the matmuls of tiny models) sums each output as a four-chain dot. The
+//! (the matmuls of tiny models) sums each output as a four-chain dot. A
 //! SIMD tile sums per k-block into zeroed registers and applies `alpha` once
 //! per tile, so SIMD attention agrees with those loops to tolerance only.
+//! The two x86 SIMD tiles share that order exactly and so give the same
+//! bits as each other.
 
 use crate::ops::{Gemm, Window};
 use std::cell::Cell;
@@ -193,7 +198,8 @@ pub trait Backend: Send + Sync {
 pub enum BackendKind {
     /// Portable scalar reference kernels.
     Scalar,
-    /// 8-wide f32 FMA register tiles (AVX2+FMA on x86-64, NEON on aarch64).
+    /// f32 FMA register tiles (AVX-512F or AVX2+FMA on x86-64, NEON on
+    /// aarch64).
     Simd,
 }
 

@@ -22,6 +22,7 @@ impl Tile for ScalarTile {
     #[allow(unsafe_code)]
     unsafe fn tile(
         rows: usize,
+        _cols: usize,
         kc: usize,
         a: *const f32,
         rs_a: usize,

@@ -1,15 +1,18 @@
 #![allow(unsafe_code)] // `core::arch` intrinsics; every entry point re-checks CPU support.
 
-//! SIMD microkernel backend: 8-wide f32 FMA register tiles via `core::arch`.
+//! SIMD microkernel backend: f32 FMA register tiles via `core::arch`.
 //!
-//! On x86-64 the kernels require AVX2+FMA and are compiled with
-//! `#[target_feature]`; the safe wrappers assert runtime support before
-//! entering them, so constructing [`SimdBackend`] on an unsupported host
-//! panics instead of executing illegal instructions. On aarch64 the GEMM
-//! and vector primitives use NEON (baseline on AArch64); the
-//! transcendental row kernels (GELU / softmax) delegate to the scalar
-//! reference there. GEMM is the shared driver in `ops/gemm.rs` around each
-//! ISA's register tile: the tile is the only GEMM code in this file.
+//! On x86-64 the backend requires AVX2+FMA and its kernels are compiled
+//! with `#[target_feature]`; the safe wrappers assert runtime support
+//! before entering them, so constructing [`SimdBackend`] on an unsupported
+//! host panics instead of executing illegal instructions. GEMM runs a
+//! 16-wide AVX-512F tile where the CPU has `avx512f` and the 8-wide AVX2
+//! tile elsewhere, with the same bits from both; the other kernels are
+//! 8-wide AVX2. On aarch64 the GEMM and vector primitives use NEON
+//! (baseline on AArch64); the transcendental row kernels (GELU / softmax)
+//! delegate to the scalar reference there. GEMM is the shared driver in
+//! `ops/gemm.rs` around each ISA's register tile: the tiles are the only
+//! GEMM code in this file.
 //!
 //! Numerics: reductions are reassociated into 8-wide accumulator trees and
 //! `exp` is a Cephes-style degree-6 polynomial (relative error ~1e-6), so
@@ -18,11 +21,11 @@
 //! bit-identical for a fixed backend.
 
 use super::{Backend, ScalarBackend};
-use crate::ops::{drive, Gemm, Window};
+use crate::ops::{Gemm, Window};
 
 const SCALAR_REF: ScalarBackend = ScalarBackend;
 
-/// The SIMD backend (AVX2+FMA / NEON register-tiled kernels).
+/// The SIMD backend (AVX-512F or AVX2+FMA / NEON register-tiled kernels).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct SimdBackend;
 
@@ -33,7 +36,7 @@ impl Backend for SimdBackend {
 
     fn gemm(&self, spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_>) {
         arch::require_simd();
-        drive::<arch::RegisterTile>(spec, a, b, c);
+        arch::gemm(spec, a, b, c);
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
@@ -119,12 +122,13 @@ impl Backend for SimdBackend {
 
 #[cfg(target_arch = "x86_64")]
 mod arch {
-    //! AVX2+FMA kernels. Every public wrapper asserts runtime CPU support
-    //! before entering a `#[target_feature]` function, making the wrappers
-    //! sound even if `SimdBackend` is constructed directly.
+    //! AVX2+FMA kernels and the AVX-512F GEMM tile. Every public wrapper
+    //! asserts runtime CPU support before entering a `#[target_feature]`
+    //! function, making the wrappers sound even if `SimdBackend` is
+    //! constructed directly.
 
     use super::{Backend, SCALAR_REF};
-    use crate::ops::Tile;
+    use crate::ops::{drive, Gemm, Tile, Window};
     use core::arch::x86_64::*;
 
     pub(super) fn require_simd() {
@@ -132,6 +136,16 @@ mod arch {
             crate::backend::simd_available(),
             "SIMD backend used on a host without AVX2+FMA"
         );
+    }
+
+    /// The AVX-512 tile where the CPU has `avx512f`, the AVX2 tile
+    /// elsewhere. Both give the same bits (see [`Avx512Tile`]).
+    pub(super) fn gemm(spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_>) {
+        if is_x86_feature_detected!("avx512f") {
+            drive::<Avx512Tile>(spec, a, b, c);
+        } else {
+            drive::<RegisterTile>(spec, a, b, c);
+        }
     }
 
     /// The AVX2+FMA register tile: 6x16 (12 accumulators plus 2 panel lanes
@@ -145,6 +159,7 @@ mod arch {
 
         unsafe fn tile(
             rows: usize,
+            _cols: usize,
             kc: usize,
             a: *const f32,
             rs_a: usize,
@@ -178,7 +193,77 @@ mod arch {
             kc: usize,
         ) {
             // SAFETY: as above.
-            unsafe { pack_transposed_avx2(panel, b, ldb, nr, kc) }
+            unsafe { pack_transposed_avx2::<16>(panel, b, ldb, nr, kc) }
+        }
+    }
+
+    /// The AVX-512F register tile: 12x32 (24 zmm accumulators plus 2 panel
+    /// lanes plus 1 broadcast = 27 of 32 zmm), the last rows of a ragged `m`
+    /// through the same loop at 1 to 11 rows. A ragged last panel runs in
+    /// place under a lane mask, on one zmm column when at most 16 columns
+    /// remain. Each output is the AVX2 tile's: one FMA chain per `KC` block
+    /// over ascending `p` from zero, then `alpha * acc + C` in one FMA, so
+    /// the two tiles give the same bits.
+    pub(super) struct Avx512Tile;
+
+    impl Tile for Avx512Tile {
+        const MR: usize = 12;
+        const NR: usize = 32;
+        const MASKED: bool = true;
+
+        unsafe fn tile(
+            rows: usize,
+            cols: usize,
+            kc: usize,
+            a: *const f32,
+            rs_a: usize,
+            cs_a: usize,
+            panel: *const f32,
+            ldp: usize,
+            c: *mut f32,
+            ldc: usize,
+            alpha: f32,
+            store: bool,
+        ) {
+            // The lanes of the last zmm column that lie inside the panel.
+            let last = u16::MAX >> (16 - ((cols - 1) % 16 + 1));
+            // `tile_avx512::<rows, W>`, the row count made a constant.
+            macro_rules! by_rows {
+                ($w:literal) => {
+                    by_rows!($w; 2 3 4 5 6 7 8 9 10 11 12)
+                };
+                ($w:literal; $($r:literal)*) => {
+                    match rows {
+                        $($r => tile_avx512::<$r, $w>(
+                            kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store, last,
+                        ),)*
+                        _ => tile_avx512::<1, $w>(
+                            kc, a, rs_a, cs_a, panel, ldp, c, ldc, alpha, store, last,
+                        ),
+                    }
+                };
+            }
+            // SAFETY: the caller's contract, passed on unchanged; the
+            // dispatch in `gemm` verified `avx512f` before the driver ran.
+            unsafe {
+                if cols > 16 {
+                    by_rows!(2)
+                } else {
+                    by_rows!(1)
+                }
+            }
+        }
+
+        unsafe fn pack_transposed(
+            panel: *mut f32,
+            b: *const f32,
+            ldb: usize,
+            nr: usize,
+            kc: usize,
+        ) {
+            // SAFETY: as above; `SimdBackend::gemm` verified AVX2+FMA
+            // before it picked this tile.
+            unsafe { pack_transposed_avx2::<32>(panel, b, ldb, nr, kc) }
         }
     }
 
@@ -319,6 +404,59 @@ mod arch {
         }
     }
 
+    /// [`Avx512Tile`] at `R` rows and `W` zmm columns: as [`tile_avx2`],
+    /// with the loads and stores of the last column under the lane mask
+    /// `last` (masked lanes are neither read nor written).
+    ///
+    /// # Safety
+    /// [`Tile::tile`]'s contract for `R` rows and the columns `W` and
+    /// `last` select, on a CPU with `avx512f`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile_avx512<const R: usize, const W: usize>(
+        kc: usize,
+        a: *const f32,
+        rs_a: usize,
+        cs_a: usize,
+        panel: *const f32,
+        ldp: usize,
+        c: *mut f32,
+        ldc: usize,
+        alpha: f32,
+        store: bool,
+        last: __mmask16,
+    ) {
+        let mask = |w: usize| if w + 1 == W { last } else { u16::MAX };
+        let mut acc = [[_mm512_setzero_ps(); W]; R];
+        for p in 0..kc {
+            let brow = panel.add(p * ldp);
+            let mut b = [_mm512_setzero_ps(); W];
+            for (w, bw) in b.iter_mut().enumerate() {
+                *bw = _mm512_maskz_loadu_ps(mask(w), brow.add(16 * w));
+            }
+            let acol = a.add(p * cs_a);
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let s = _mm512_set1_ps(*acol.add(r * rs_a));
+                for (accw, &bw) in accr.iter_mut().zip(&b) {
+                    *accw = _mm512_fmadd_ps(s, bw, *accw);
+                }
+            }
+        }
+        let alpha_v = _mm512_set1_ps(alpha);
+        for (r, accr) in acc.iter().enumerate() {
+            let crow = c.add(r * ldc);
+            for (w, &accw) in accr.iter().enumerate() {
+                let cw = if store {
+                    _mm512_setzero_ps()
+                } else {
+                    _mm512_maskz_loadu_ps(mask(w), crow.add(16 * w))
+                };
+                let out = _mm512_fmadd_ps(alpha_v, accw, cw);
+                _mm512_mask_storeu_ps(crow.add(16 * w), mask(w), out);
+            }
+        }
+    }
+
     /// Transposes eight 8-lane rows in registers.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
@@ -350,20 +488,19 @@ mod arch {
         ]
     }
 
-    /// [`Tile::pack_transposed`]: 8x8 blocks through [`transpose8`] (rows
-    /// past `nr` read as zero), the last `kc % 8` panel rows one element at
-    /// a time.
+    /// [`Tile::pack_transposed`] for an `NR`-wide panel: 8x8 blocks through
+    /// [`transpose8`] (rows past `nr` read as zero), the last `kc % 8` panel
+    /// rows one element at a time.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn pack_transposed_avx2(
+    unsafe fn pack_transposed_avx2<const NR: usize>(
         panel: *mut f32,
         b: *const f32,
         ldb: usize,
         nr: usize,
         kc: usize,
     ) {
-        const NR: usize = RegisterTile::NR;
         let body = kc - kc % 8;
-        for j0 in [0, 8] {
+        for j0 in (0..NR).step_by(8) {
             for p0 in (0..body).step_by(8) {
                 let mut rows = [_mm256_setzero_ps(); 8];
                 for (j, row) in rows.iter_mut().enumerate().take(nr.saturating_sub(j0)) {
@@ -910,11 +1047,15 @@ mod arch {
     //! backend's win is the matmul path.
 
     use super::{Backend, SCALAR_REF};
-    use crate::ops::Tile;
+    use crate::ops::{drive, Gemm, Tile, Window};
     use core::arch::aarch64::*;
 
     /// NEON is mandatory on aarch64.
     pub(super) fn require_simd() {}
+
+    pub(super) fn gemm(spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_>) {
+        drive::<RegisterTile>(spec, a, b, c);
+    }
 
     /// The NEON register tile: 4x8, two 4-lane accumulators per row, the
     /// last rows of a ragged `m` through the same loop at 1 to 3 rows.
@@ -926,6 +1067,7 @@ mod arch {
 
         unsafe fn tile(
             rows: usize,
+            _cols: usize,
             kc: usize,
             a: *const f32,
             rs_a: usize,
@@ -1156,6 +1298,76 @@ mod tests {
                         (x - y).abs() <= 1e-3 * 1.0f32.max(x.abs()),
                         "{name} {m}x{k}x{n}: {x} vs {y}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 tile must give the AVX2 tile's bits, not merely close
+    /// values: the pinned GEMM digests and every seeded SIMD replay hold on
+    /// both kinds of x86 host only if it does. Every element of the `(m, n)`
+    /// window and the canaries around it (padding columns, spare rows) are
+    /// compared, over all four layouts, padded leading dimensions, every
+    /// ragged row tile, one- and two-column masked panels, and `k` past one
+    /// `KC` block.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_tile_matches_the_avx2_tile_bitwise() {
+        use crate::ops::{drive, Tile};
+        if !simd_available() || !is_x86_feature_detected!("avx512f") {
+            println!("skipped: no avx512f on this CPU, only the AVX2 tile can run");
+            return;
+        }
+        println!("both x86 tiles ran: AVX2 6x16 and AVX-512 12x32");
+        const CANARY: f32 = -7777.25;
+        fn run<K: Tile>(spec: Gemm, a: &[f32], b: &[f32], c: &[f32]) -> Vec<u32> {
+            let mut c = c.to_vec();
+            let mut window = Window::new(&mut c, spec.m, spec.n, spec.ldc);
+            drive::<K>(spec, a, b, &mut window);
+            c.iter().map(|v| v.to_bits()).collect()
+        }
+        // Operands are windows into one pool, at a different offset per case.
+        let pool = randv(1 << 18, 1);
+        let take = |len: usize, at: usize| &pool[at % (pool.len() - len)..][..len];
+        // An `alpha` that is not a power of two makes `alpha * acc` inexact,
+        // so a tile that rounded it before adding C would differ.
+        let (alphas, betas) = ([0.0, 1.0, 0.5, -1.3], [0.0, 1.0, 0.5]);
+        let mut case = 0usize;
+        for layout in 0..4 {
+            for n in [1, 7, 15, 16, 17, 31, 32, 33, 257] {
+                for k in [1, 255, 256, 257, 600] {
+                    for m in 1..=15 {
+                        case += 1;
+                        let (alpha, beta) = (alphas[case % 4], betas[case / 4 % 3]);
+                        let mut spec = Gemm::new(m, k, n).alpha(alpha).beta(beta);
+                        if layout & 1 != 0 {
+                            spec = spec.transpose_a();
+                        }
+                        if layout & 2 != 0 {
+                            spec = spec.transpose_b();
+                        }
+                        let spec = spec.lda(spec.lda + 3).ldb(spec.ldb + 5).ldc(n + 2);
+                        let a_rows = if spec.trans_a { k } else { m };
+                        let b_rows = if spec.trans_b { n } else { k };
+                        let a = take(a_rows * spec.lda, 7 * case);
+                        let b = take(b_rows * spec.ldb, 13 * case);
+                        let mut c = vec![CANARY; (m + 1) * spec.ldc];
+                        let fill = take(m * n, 29 * case);
+                        for (row, src) in c.chunks_exact_mut(spec.ldc).zip(fill.chunks(n)) {
+                            row[..n].copy_from_slice(src);
+                        }
+                        let want = run::<arch::RegisterTile>(spec, a, b, &c);
+                        let got = run::<arch::Avx512Tile>(spec, a, b, &c);
+                        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            let inside = i / spec.ldc < m && i % spec.ldc < n;
+                            assert!(
+                                g == w && (inside || g == CANARY.to_bits()),
+                                "{spec:?}: element {i} is {} under AVX-512, {} under AVX2",
+                                f32::from_bits(g),
+                                f32::from_bits(w)
+                            );
+                        }
+                    }
                 }
             }
         }

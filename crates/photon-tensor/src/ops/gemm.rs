@@ -172,30 +172,41 @@ pub(crate) fn scale_beta(c: &mut Window<'_>, m: usize, n: usize, beta: f32) {
 pub(crate) const KC: usize = 256;
 /// Widest panel / tallest tile any [`Tile`] declares (sizes the driver's
 /// stack buffers).
-const MAX_NR: usize = 16;
-const MAX_MR: usize = 6;
+const MAX_NR: usize = 32;
+const MAX_MR: usize = 12;
+
+/// The driver's stack panel, cache-line aligned so a packed panel row of a
+/// 32- or 16-wide tile starts on a line and its vector loads do not split.
+#[repr(C, align(64))]
+struct Panel([f32; KC * MAX_NR]);
 
 /// The one ISA-specific piece of GEMM: an `MR x NR` register tile, and
 /// optionally a faster panel transpose. [`drive`] does everything else.
 pub(crate) trait Tile {
-    /// Tile height (at most 6).
+    /// Tile height (at most 12).
     const MR: usize;
-    /// Tile width (at most 16).
+    /// Tile width (at most 32).
     const NR: usize;
+    /// Whether [`Tile::tile`] takes a ragged last panel itself, touching
+    /// only its first `cols` columns of the panel and of C. Otherwise
+    /// [`drive`] hands it a zero-padded panel and a full-width copy of the C
+    /// tile, and `cols` is always `NR`.
+    const MASKED: bool = false;
 
-    /// `C = alpha * A P + C` on a `rows x NR` tile, or `C = alpha * A P + 0`
-    /// when `store`. Element `(r, p)` of A is `a[r * rs_a + p * cs_a]`, row
-    /// `p` of the panel P is `panel[p * ldp..][..NR]`, row `r` of C is
-    /// `c[r * ldc..][..NR]`. Each output sums its `kc` products in ascending
-    /// `p`.
+    /// `C = alpha * A P + C` on a `rows x cols` tile, or `C = alpha * A P +
+    /// 0` when `store`. Element `(r, p)` of A is `a[r * rs_a + p * cs_a]`,
+    /// row `p` of the panel P is `panel[p * ldp..][..cols]`, row `r` of C is
+    /// `c[r * ldc..][..cols]`. Each output sums its `kc` products in
+    /// ascending `p`.
     ///
     /// # Safety
-    /// `1 <= rows <= MR`, every element named above is in bounds for reads
-    /// (A, P) or writes (C), and the ISA the implementation needs is
-    /// available.
+    /// `1 <= rows <= MR`, `1 <= cols <= NR` with `cols == NR` unless
+    /// `MASKED`, every element named above is in bounds for reads (A, P) or
+    /// writes (C), and the ISA the implementation needs is available.
     #[allow(clippy::too_many_arguments)]
     unsafe fn tile(
         rows: usize,
+        cols: usize,
         kc: usize,
         a: *const f32,
         rs_a: usize,
@@ -249,13 +260,14 @@ unsafe fn pack_rows(
 /// allocation.
 ///
 /// Per `KC` block of the contraction and per `NR`-wide column panel: the
-/// panel of `op(B)` is read in place (`nn` / `tn`, full width), copied with
-/// zero padding (last panel of a ragged `n`) or transposed (`trans_b`) into
-/// a stack buffer, then every `MR`-row tile of `op(A)` (the last one
-/// shorter) runs [`Tile::tile`] against it; A is always read in place
-/// through its two strides. A ragged last panel computes full-width tiles
-/// on a stack copy of the C tile. So each output element is one accumulator
-/// per `KC` block summed over ascending `p`, whatever the layout or edge.
+/// panel of `op(B)` is read in place (`nn` / `tn`), copied with zero padding
+/// (last panel of a ragged `n`, unless the tile is [`Tile::MASKED`]) or
+/// transposed (`trans_b`) into a stack buffer, then every `MR`-row tile of
+/// `op(A)` (the last one shorter) runs [`Tile::tile`] against it; A is
+/// always read in place through its two strides. An unmasked tile computes
+/// a ragged last panel full-width on a stack copy of the C tile. So each
+/// output element is one accumulator per `KC` block summed over ascending
+/// `p`, whatever the tile, layout or edge.
 pub(crate) fn drive<K: Tile>(spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_>) {
     spec.check(a.len(), b.len(), c);
     let Gemm {
@@ -277,7 +289,7 @@ pub(crate) fn drive<K: Tile>(spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_
     let (rs_a, cs_a) = if spec.trans_a { (1, lda) } else { (lda, 1) };
     let ldc = c.ld();
     let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-    let mut panel = MaybeUninit::<[f32; KC * MAX_NR]>::uninit();
+    let mut panel = MaybeUninit::<Panel>::uninit();
     let panel = panel.as_mut_ptr().cast::<f32>();
     let mut edge = [0.0f32; MAX_MR * MAX_NR];
     let edge = edge.as_mut_ptr();
@@ -286,18 +298,22 @@ pub(crate) fn drive<K: Tile>(spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_
         let store = beta == 0.0 && p0 == 0;
         for j0 in (0..n).step_by(K::NR) {
             let nr = K::NR.min(n - j0);
+            // An unmasked tile computes a ragged panel on full-width copies.
+            let ragged = nr < K::NR && !K::MASKED;
+            let cols = if K::MASKED { nr } else { K::NR };
             // SAFETY: `spec.check` proved every `(row, col)` of the physical
             // A, B and of the `(m, n)` corner of C in bounds; the offsets
             // below stay inside `[p0, p0 + kc) x [j0, j0 + nr)` of op(B),
             // `[i0, i0 + rows) x [p0, p0 + kc)` of op(A) and
-            // `[i0, i0 + rows) x [j0, j0 + nr)` of C. `panel` and `edge`
+            // `[i0, i0 + rows) x [j0, j0 + nr)` of C, and a masked tile
+            // touches only the first `cols = nr` columns. `panel` and `edge`
             // hold a full `KC x MAX_NR` panel and `MAX_MR x MAX_NR` tile,
             // and a pack writes all `kc * NR` floats the tiles then read.
             unsafe {
                 let (bpanel, ldp) = if spec.trans_b {
                     K::pack_transposed(panel, bp.add(j0 * ldb + p0), ldb, nr, kc);
                     (panel.cast_const(), K::NR)
-                } else if nr < K::NR {
+                } else if ragged {
                     pack_rows(panel, bp.add(p0 * ldb + j0), ldb, nr, kc, K::NR);
                     (panel.cast_const(), K::NR)
                 } else {
@@ -307,8 +323,6 @@ pub(crate) fn drive<K: Tile>(spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_
                     let rows = K::MR.min(m - i0);
                     let a_tile = ap.add(i0 * rs_a + p0 * cs_a);
                     let c_tile = cp.add(i0 * ldc + j0);
-                    // A ragged panel computes on a full-width copy of the tile.
-                    let ragged = nr < K::NR;
                     let (dst, ld_dst) = if ragged { (edge, K::NR) } else { (c_tile, ldc) };
                     if ragged && !store {
                         for r in 0..rows {
@@ -317,7 +331,7 @@ pub(crate) fn drive<K: Tile>(spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_
                         }
                     }
                     K::tile(
-                        rows, kc, a_tile, rs_a, cs_a, bpanel, ldp, dst, ld_dst, alpha, store,
+                        rows, cols, kc, a_tile, rs_a, cs_a, bpanel, ldp, dst, ld_dst, alpha, store,
                     );
                     if ragged {
                         for r in 0..rows {

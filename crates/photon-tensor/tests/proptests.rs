@@ -191,7 +191,11 @@ fn digest(values: impl Iterator<Item = f32>) -> u64 {
 /// (`tn`, beta 1) of every linear layer — must keep the bits recorded at the
 /// commit before GEMM learned leading dimensions. Under SIMD the last
 /// `n % 8` columns are left out: that commit summed them in a scalar tail,
-/// the one place where the register tile's FMA chain was not used.
+/// the one place where the register tile's FMA chain was not used. The SIMD
+/// digests hold for both x86 tiles: an AVX-512 host runs the 12x32 AVX-512F
+/// tile here and an AVX2-only host the 6x16 AVX2 tile, and both must match
+/// the same three values, so a seeded SIMD run replays byte-identically on
+/// either kind of host.
 #[test]
 fn proxy_model_gemm_bits_are_pinned() {
     use photon_tensor::backend::{simd_available, with_backend, BackendKind};
