@@ -1086,6 +1086,18 @@ mod tests {
         payload[count] += 1;
         let err = Message::from_frame(crate::encode_frame(&payload, true));
         assert!(matches!(err, Err(WireError::BadCompression(_))), "{err:?}");
+
+        // A count no stream of its size could hold is refused before the
+        // decoder allocates for it (2^40 elements would be 4 TiB).
+        payload[count..count + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = Message::from_frame(crate::encode_frame(&payload, true));
+        assert!(matches!(err, Err(WireError::BadCompression(_))), "{err:?}");
+        // ... and so is a bare 2^61 count, the stream holding nothing else.
+        let mut bare = payload[..count - 8].to_vec();
+        bare.extend_from_slice(&8u64.to_le_bytes());
+        bare.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        let err = Message::from_frame(crate::encode_frame(&bare, true));
+        assert!(matches!(err, Err(WireError::BadCompression(_))), "{err:?}");
     }
 
     #[test]
