@@ -262,18 +262,13 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves `--threads` and `--backend` before any kernel runs and returns
-/// the worker count and the backend's effective name. An absent
-/// `--threads` means auto (PHOTON_THREADS env, else the machine's
-/// parallelism) and an explicit 0 forces the serial paths; an absent
-/// `--backend` means PHOTON_BACKEND env, else CPU detection, and simd on a
-/// host without AVX2/FMA falls back to scalar.
+/// Resolves `--threads` before any kernel runs and returns the worker
+/// count and the name of the backend the CPU runs. An absent `--threads`
+/// means auto (PHOTON_THREADS env, else the machine's parallelism) and an
+/// explicit 0 forces the serial paths.
 fn init_compute(o: &Options) -> (usize, &'static str) {
     if let Some(t) = o.threads {
         photon_tensor::ops::pool::set_max_threads(if t == 0 { 1 } else { t });
-    }
-    if let Some(kind) = o.backend {
-        photon_tensor::backend::set_backend(kind);
     }
     (
         photon_tensor::ops::pool::max_threads(),

@@ -10,7 +10,6 @@ use photon_fedopt::{AggregationKind, GuardConfig, ServerOptKind};
 use photon_net::{ClientOptions, RunPlan};
 use photon_nn::{ModelConfig, PosEncoding, SampleConfig};
 use photon_optim::LrSchedule;
-use photon_tensor::backend::BackendKind;
 use photon_tensor::Dtype;
 use photon_trace::TraceConfig;
 use std::path::PathBuf;
@@ -32,8 +31,6 @@ pub struct Options {
     pub training: TrainingOptions,
     /// Kernel worker threads; `None` is PHOTON_THREADS, else every core.
     pub threads: Option<usize>,
-    /// Compute backend; `None` is PHOTON_BACKEND, else CPU detection.
-    pub backend: Option<BackendKind>,
     /// Trace sinks; each command picks the clock.
     pub trace: TraceConfig,
     /// Crash flight-recorder directory of `serve` and `client`.
@@ -88,7 +85,6 @@ impl Default for Options {
             pile: false,
             training: TrainingOptions::default(),
             threads: None,
-            backend: None,
             trace: TraceConfig::default(),
             flight_dir: None,
             min_clients: None,
@@ -295,17 +291,11 @@ const RUN: &[Opt] = &[
         every round", Some(training.metrics_json)),
 ];
 
-/// Kernel threads and backend, set before any kernel runs.
+/// Kernel threads, set before any kernel runs.
 #[rustfmt::skip]
 const COMPUTE: &[Opt] = &[
     opt!("threads" "N", "kernel worker threads (0 = serial; default: PHOTON_THREADS, else \
         every core)", Some(threads)),
-    opt!("backend" "scalar|simd", "compute backend (default: PHOTON_BACKEND, else CPU \
-        detection; simd falls back to scalar when the CPU lacks AVX2/FMA)", |o, v| {
-            let kind = BackendKind::parse(v);
-            let kind = kind.ok_or_else(|| format!("unknown --backend {v:?} (scalar|simd)"));
-            kind.map(|kind| o.backend = Some(kind))
-        }),
 ];
 
 /// Trace and Prometheus-text sinks.

@@ -1648,7 +1648,6 @@ mod tests {
         let outer = pool::Context {
             chunks: 6,
             width: 4,
-            backend: Some(photon_tensor::backend::BackendKind::Scalar),
             ..pool::Context::current()
         };
         let seen =

@@ -224,7 +224,7 @@ pub const METRIC_SCHEMA: &[Metric] = schema! {
     "rounds_seen"                   Gauge(|s| Some(s.rounds_seen as f64)) => "Rounds observed, including neutralized ones.";
     "rounds_committed"              Gauge(|s| Some(s.rounds_committed as f64)) => "Distinct rounds whose update was applied.";
     "compute_threads"               Gauge(|s| (s.compute_threads > 0).then_some(s.compute_threads as f64)) => "Worker-pool size the kernels fan out to.";
-    "backend"                       Json                                => "Compute backend the kernels resolved to.";
+    "backend"                       Json                                => "Kernel path the CPU runs (scalar or simd; same bits).";
     "dtype"                         Json                                => "Storage dtype of checkpoints and wire payloads.";
     "participation_skew"            Gauge(|s| s.participation_skew)     => "Most over least trained client's tokens.";
     "total_tokens"                  Json                                => "Tokens trained on across the federation.";
@@ -406,7 +406,7 @@ pub struct MetricsSnapshot {
     pub rounds_committed: u64,
     /// Worker-pool size the kernels fan out to (0 if never recorded).
     pub compute_threads: usize,
-    /// Compute backend the kernels resolved to.
+    /// Kernel path the CPU runs (`scalar` or `simd`; the same bits).
     pub backend: &'static str,
     /// Storage dtype of checkpoints and wire payloads.
     pub dtype: Option<&'static str>,

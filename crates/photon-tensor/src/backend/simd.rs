@@ -8,22 +8,23 @@
 //! host panics instead of executing illegal instructions. GEMM runs a
 //! 16-wide AVX-512F tile where the CPU has `avx512f` and the 8-wide AVX2
 //! tile elsewhere, with the same bits from both; the other kernels are
-//! 8-wide AVX2. On aarch64 the GEMM and vector primitives use NEON
-//! (baseline on AArch64); the transcendental row kernels (GELU / softmax)
-//! delegate to the scalar reference there. GEMM is the shared driver in
-//! `ops/gemm.rs` around each ISA's register tile: the tiles are the only
-//! GEMM code in this file.
+//! 8-wide AVX2. On aarch64 only GEMM is vectorized (a NEON tile); every row
+//! kernel is the portable one, where `mul_add` is one `fmadd`. GEMM is the
+//! shared driver in `ops/gemm.rs` around each ISA's register tile: the
+//! tiles are the only GEMM code in this file.
 //!
-//! Numerics: reductions are reassociated into 8-wide accumulator trees and
-//! `exp` is a Cephes-style degree-6 polynomial (relative error ~1e-6), so
-//! SIMD results are tolerance-equal — not bit-equal — to scalar. Within
-//! this backend every kernel is a pure function of its inputs: replays are
-//! bit-identical for a fixed backend.
+//! Numerics: every kernel computes the bits of its portable counterpart in
+//! `scalar.rs` (the module docs there give the rules: one FMA chain per
+//! output and `KC` block, 8-lane reductions through one tree, one Cephes
+//! `exp`, the same scalar tails). So a result does not depend on which
+//! path, tile or host computed it, only on its inputs and the pool chunk
+//! count.
 
-use super::{Backend, ScalarBackend};
+use super::Backend;
 use crate::ops::{Gemm, Window};
 
-const SCALAR_REF: ScalarBackend = ScalarBackend;
+#[cfg(target_arch = "aarch64")]
+const SCALAR_REF: super::ScalarBackend = super::ScalarBackend;
 
 /// The SIMD backend (AVX-512F or AVX2+FMA / NEON register-tiled kernels).
 #[derive(Debug, Default, Clone, Copy)]
@@ -127,7 +128,9 @@ mod arch {
     //! function, making the wrappers sound even if `SimdBackend` is
     //! constructed directly.
 
-    use super::{Backend, SCALAR_REF};
+    use crate::backend::scalar::{
+        gelu_grad_tail, gelu_tail, EXP_HI, EXP_LN2, EXP_LO, EXP_POLY, GELU_CUBE, GELU_S, LN_EPS,
+    };
     use crate::ops::{drive, Gemm, Tile, Window};
     use core::arch::x86_64::*;
 
@@ -615,23 +618,22 @@ mod arch {
 
     /// Vector `exp` (Cephes `expf` polynomial): clamp, split `x = n ln2 + r`,
     /// evaluate a degree-6 polynomial on `r`, scale by `2^n` via exponent
-    /// bits. Relative error ~1e-6 on the clamped domain.
+    /// bits. Relative error ~1e-6 on the clamped domain; the portable
+    /// `scalar::exp` is the same sequence lane by lane.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn exp_avx2(x: __m256) -> __m256 {
-        let x = _mm256_min_ps(x, _mm256_set1_ps(88.376_26));
-        let x = _mm256_max_ps(x, _mm256_set1_ps(-87.336_54));
+        let x = _mm256_min_ps(x, _mm256_set1_ps(EXP_HI));
+        let x = _mm256_max_ps(x, _mm256_set1_ps(EXP_LO));
         let n = _mm256_round_ps(
             _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
             _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC,
         );
-        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693_359_4), x);
-        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.121_944_4e-4), r);
-        let mut y = _mm256_set1_ps(1.987_569_1e-4);
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(1.398_199_9e-3));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(8.333_452e-3));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(4.166_579_6e-2));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(1.666_666_5e-1));
-        y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(0.5));
+        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(EXP_LN2[0]), x);
+        let r = _mm256_fnmadd_ps(n, _mm256_set1_ps(EXP_LN2[1]), r);
+        let mut y = _mm256_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(c));
+        }
         let y = _mm256_fmadd_ps(
             y,
             _mm256_mul_ps(r, r),
@@ -656,14 +658,12 @@ mod arch {
         )
     }
 
-    const GELU_CUBE: f32 = 0.044715;
-
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gelu_avx2(out: &mut [f32], inp: &[f32]) {
         let len = out.len();
         let op = out.as_mut_ptr();
         let ip = inp.as_ptr();
-        let s_v = _mm256_set1_ps(crate::backend::scalar::GELU_S);
+        let s_v = _mm256_set1_ps(GELU_S);
         let cube_v = _mm256_set1_ps(GELU_CUBE);
         let half = _mm256_set1_ps(0.5);
         let one = _mm256_set1_ps(1.0);
@@ -678,9 +678,7 @@ mod arch {
             _mm256_storeu_ps(op.add(i), y);
             i += 8;
         }
-        if i < len {
-            SCALAR_REF.gelu(&mut out[i..], &inp[i..]);
-        }
+        gelu_tail(&mut out[i..], &inp[i..]);
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -689,7 +687,7 @@ mod arch {
         let dp = dinp.as_mut_ptr();
         let ip = inp.as_ptr();
         let yp = dout.as_ptr();
-        let s_v = _mm256_set1_ps(crate::backend::scalar::GELU_S);
+        let s_v = _mm256_set1_ps(GELU_S);
         let cube_v = _mm256_set1_ps(GELU_CUBE);
         let three_cube = _mm256_set1_ps(3.0 * GELU_CUBE);
         let half = _mm256_set1_ps(0.5);
@@ -712,9 +710,7 @@ mod arch {
             _mm256_storeu_ps(dp.add(i), _mm256_mul_ps(local, dy));
             i += 8;
         }
-        if i < len {
-            SCALAR_REF.gelu_grad(&mut dinp[i..], &inp[i..], &dout[i..]);
-        }
+        gelu_grad_tail(&mut dinp[i..], &inp[i..], &dout[i..]);
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -754,7 +750,7 @@ mod arch {
             i += 1;
         }
         let var = var / c as f32;
-        let rstd = 1.0 / (var + crate::backend::scalar::LN_EPS).sqrt();
+        let rstd = 1.0 / (var + LN_EPS).sqrt();
 
         let rstd_v = _mm256_set1_ps(rstd);
         let op = out.as_mut_ptr();
@@ -849,8 +845,8 @@ mod arch {
 
     /// Softmax over one row. The last `len % 8` elements go through the
     /// same vector max / `exp` / sum as the full lanes, loaded and stored
-    /// under a lane mask (dead lanes read as `-inf` for the max and add `0`
-    /// to the sum): attention calls this on every causal prefix length, so a
+    /// under a lane mask (dead lanes leave the max alone and add `0` to the
+    /// sum): attention calls this on every causal prefix length, so a
     /// scalar libm tail would cost more than the vector body.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn softmax_row_avx2(probs: &mut [f32], logits: &[f32]) {
@@ -865,19 +861,20 @@ mod arch {
         );
         let tail_ps = _mm256_castsi256_ps(tail);
 
-        // SAFETY (both masked accesses below): a masked-off lane is neither
+        // SAFETY (every masked access below): a masked-off lane is neither
         // read nor written, and the live lanes are `body..v`, in bounds of
         // both slices (equal lengths checked by the caller).
-        let mut max_v = _mm256_blendv_ps(
-            _mm256_set1_ps(f32::NEG_INFINITY),
-            _mm256_maskload_ps(lp.add(body), tail),
-            tail_ps,
-        );
+        let mut max_v = _mm256_set1_ps(f32::NEG_INFINITY);
         let mut i = 0usize;
         while i < body {
             max_v = _mm256_max_ps(max_v, _mm256_loadu_ps(lp.add(i)));
             i += 8;
         }
+        // The tail folds last and into its live lanes only, so every lane
+        // takes its elements in ascending order (which decides where a NaN
+        // logit lands).
+        let tail_max = _mm256_max_ps(max_v, _mm256_maskload_ps(lp.add(body), tail));
+        max_v = _mm256_blendv_ps(max_v, tail_max, tail_ps);
         let max_b = _mm256_set1_ps(hmax(max_v));
 
         let mut sum_v = _mm256_setzero_ps();
@@ -927,8 +924,8 @@ mod arch {
     }
 
     /// [`Backend::causal_softmax`]: rows in whole vectors with the causal
-    /// mask folded in as a lane mask (dead lanes read as `-inf` for the max,
-    /// add `0` to the sum and store `0`), four rows at a time where four
+    /// mask folded in as a lane mask (dead lanes leave the max alone, add
+    /// `0` to the sum and store `0`), four rows at a time where four
     /// share a vector count: a row is one max -> exp -> sum -> divide
     /// dependency chain, and four independent chains fill the pipeline one
     /// leaves idle. Per element the arithmetic is that of the scalar bias
@@ -999,7 +996,8 @@ mod arch {
                     in_row,
                     _mm256_andnot_ps(dead, logit),
                 );
-                max_v[r] = _mm256_max_ps(max_v[r], _mm256_blendv_ps(logit, neg_inf, dead));
+                // Dead lanes keep their maximum, as in `softmax_row_avx2`.
+                max_v[r] = _mm256_blendv_ps(_mm256_max_ps(max_v[r], logit), max_v[r], dead);
             }
         }
 
@@ -1041,10 +1039,8 @@ mod arch {
 
 #[cfg(target_arch = "aarch64")]
 mod arch {
-    //! NEON kernels (baseline on AArch64, so no runtime detection needed).
-    //! GEMM and the vector primitives are vectorized; the transcendental
-    //! row kernels delegate to the scalar reference — on aarch64 the SIMD
-    //! backend's win is the matmul path.
+    //! The NEON GEMM tile (NEON is baseline on AArch64, so no runtime
+    //! detection is needed); every other kernel is the portable one.
 
     use super::{Backend, SCALAR_REF};
     use crate::ops::{drive, Gemm, Tile, Window};
@@ -1092,18 +1088,15 @@ mod arch {
     }
 
     pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: NEON is baseline; equal lengths checked by caller.
-        unsafe { dot_neon(a, b) }
+        SCALAR_REF.dot(a, b)
     }
 
     pub(super) fn axpy(alpha: f32, src: &[f32], dst: &mut [f32]) {
-        // SAFETY: as above.
-        unsafe { axpy_neon(alpha, src, dst) }
+        SCALAR_REF.axpy(alpha, src, dst);
     }
 
     pub(super) fn add(out: &mut [f32], a: &[f32], b: &[f32]) {
-        // SAFETY: as above.
-        unsafe { add_neon(out, a, b) }
+        SCALAR_REF.add(out, a, b);
     }
 
     pub(super) fn gelu(out: &mut [f32], inp: &[f32]) {
@@ -1137,7 +1130,9 @@ mod arch {
     }
 
     /// [`Tile::tile`] at `R` rows: accumulators zeroed per call and merged
-    /// into C with one FMA per lane.
+    /// into C with one FMA per lane, the portable tile's chain and epilogue
+    /// (`vfmaq_f32(acc, s, b)` from zero per `KC` block, then
+    /// `vfmaq_f32(c or 0, alpha, acc)`).
     #[allow(clippy::too_many_arguments)]
     unsafe fn tile_neon<const R: usize>(
         kc: usize,
@@ -1175,79 +1170,12 @@ mod arch {
             vst1q_f32(crow.add(4), vfmaq_f32(c1, alpha_v, accr[1]));
         }
     }
-
-    unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
-        let len = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        let mut acc2 = vdupq_n_f32(0.0);
-        let mut acc3 = vdupq_n_f32(0.0);
-        let mut i = 0usize;
-        while i + 16 <= len {
-            acc0 = vfmaq_f32(acc0, vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-            acc1 = vfmaq_f32(acc1, vld1q_f32(ap.add(i + 4)), vld1q_f32(bp.add(i + 4)));
-            acc2 = vfmaq_f32(acc2, vld1q_f32(ap.add(i + 8)), vld1q_f32(bp.add(i + 8)));
-            acc3 = vfmaq_f32(acc3, vld1q_f32(ap.add(i + 12)), vld1q_f32(bp.add(i + 12)));
-            i += 16;
-        }
-        while i + 4 <= len {
-            acc0 = vfmaq_f32(acc0, vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-            i += 4;
-        }
-        let mut sum = vaddvq_f32(vaddq_f32(vaddq_f32(acc0, acc1), vaddq_f32(acc2, acc3)));
-        while i < len {
-            sum += *ap.add(i) * *bp.add(i);
-            i += 1;
-        }
-        sum
-    }
-
-    unsafe fn axpy_neon(alpha: f32, src: &[f32], dst: &mut [f32]) {
-        let len = dst.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        let av = vdupq_n_f32(alpha);
-        let mut i = 0usize;
-        while i + 4 <= len {
-            vst1q_f32(
-                dp.add(i),
-                vfmaq_f32(vld1q_f32(dp.add(i)), av, vld1q_f32(sp.add(i))),
-            );
-            i += 4;
-        }
-        while i < len {
-            *dp.add(i) += alpha * *sp.add(i);
-            i += 1;
-        }
-    }
-
-    unsafe fn add_neon(out: &mut [f32], a: &[f32], b: &[f32]) {
-        let len = out.len();
-        let op = out.as_mut_ptr();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= len {
-            vst1q_f32(
-                op.add(i),
-                vaddq_f32(vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i))),
-            );
-            i += 4;
-        }
-        while i < len {
-            *op.add(i) = *ap.add(i) + *bp.add(i);
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::simd_available;
-    use crate::ops::gemm_serial;
+    use crate::backend::{simd_available, ScalarBackend};
     use crate::SeedStream;
 
     fn randv(n: usize, seed: u64) -> Vec<f32> {
@@ -1266,12 +1194,18 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every x86 tile this CPU runs (the backend's pick and, under it, the
+    /// AVX2 tile) gives the portable tile's bits, in every layout, past one
+    /// `KC` block and on ragged edges.
     #[test]
     fn simd_gemm_matches_scalar_all_layouts() {
         if !simd_available() {
             return;
         }
-        let (sc, sd) = (ScalarBackend, SimdBackend);
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 5, 7),
@@ -1289,15 +1223,25 @@ mod tests {
                 ("tt", base.transpose_a().transpose_b()),
             ];
             for (name, spec) in layouts {
-                let mut c1 = randv(m * n, 3);
-                let mut c2 = c1.clone();
-                gemm_serial(&sc, spec, &a, &b, &mut c1);
-                gemm_serial(&sd, spec, &a, &b, &mut c2);
-                for (x, y) in c1.iter().zip(&c2) {
-                    assert!(
-                        (x - y).abs() <= 1e-3 * 1.0f32.max(x.abs()),
-                        "{name} {m}x{k}x{n}: {x} vs {y}"
+                for spec in [spec, spec.alpha(-0.7).beta(0.0)] {
+                    let c0 = randv(m * n, 3);
+                    let run = |gemm: &dyn Fn(&mut Window<'_>)| {
+                        let mut c = c0.clone();
+                        gemm(&mut Window::new(&mut c, m, n, n));
+                        bits(&c)
+                    };
+                    let want = run(&|c| ScalarBackend.gemm(spec, &a, &b, c));
+                    assert_eq!(
+                        run(&|c| SimdBackend.gemm(spec, &a, &b, c)),
+                        want,
+                        "{name} {spec:?}"
                     );
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        let avx2 =
+                            run(&|c| crate::ops::drive::<arch::RegisterTile>(spec, &a, &b, c));
+                        assert_eq!(avx2, want, "{name} {spec:?} (AVX2 tile)");
+                    }
                 }
             }
         }
@@ -1373,22 +1317,26 @@ mod tests {
         }
     }
 
+    /// The softmax `exp` polynomial against libm in f64, at every
+    /// masked-tail width (attention calls it on each causal prefix length,
+    /// from one element up), over a spread of magnitudes that reaches the
+    /// clamp.
     #[test]
     fn simd_exp_path_accuracy() {
         if !simd_available() {
             return;
         }
-        let sd = SimdBackend;
-        // Softmax over a spread of magnitudes, including large negatives
-        // that exercise the exp clamp, at every masked-tail width (attention
-        // calls it on each causal prefix length, from one element up).
         for len in 1..=40 {
             let logits: Vec<f32> = (0..len).map(|i| (i as f32 - 18.0) * 2.3).collect();
             // One element past the row on each side must stay untouched.
             let mut p_simd = vec![f32::NAN; len + 2];
-            let mut p_ref = vec![0.0f32; len];
-            sd.softmax_row(&mut p_simd[1..=len], &logits);
-            ScalarBackend.softmax_row(&mut p_ref, &logits);
+            SimdBackend.softmax_row(&mut p_simd[1..=len], &logits);
+            let max = logits
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &x| m.max(x as f64));
+            let e: Vec<f64> = logits.iter().map(|&x| (x as f64 - max).exp()).collect();
+            let sum: f64 = e.iter().sum();
+            let p_ref: Vec<f32> = e.iter().map(|&v| (v / sum) as f32).collect();
             assert_close(&p_simd[1..=len], &p_ref, 1e-5);
             assert!(p_simd[0].is_nan() && p_simd[len + 1].is_nan(), "len {len}");
             let sum: f32 = p_simd[1..=len].iter().sum();
@@ -1414,10 +1362,8 @@ mod tests {
             let (mut att_simd, mut att_ref) = (vec![f32::NAN; t * t], vec![f32::NAN; t * t]);
             SimdBackend.causal_softmax(&mut att_simd, &mut pre_simd, t, 0.25, 0.0625);
             ScalarBackend.causal_softmax(&mut att_ref, &mut pre_ref, t, 0.25, 0.0625);
-            // The bias is the same three IEEE operations on both sides.
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
             assert_eq!(bits(&pre_simd), bits(&pre_ref), "t = {t}");
-            assert_close(&att_simd, &att_ref, 1e-5);
+            assert_eq!(bits(&att_simd), bits(&att_ref), "t = {t}");
             for (i, v) in att_simd.iter().enumerate() {
                 assert!(
                     i % t <= i / t || v.to_bits() == 0,
@@ -1427,24 +1373,32 @@ mod tests {
         }
     }
 
+    /// The vector GELUs give the portable bits, and stay within 1e-4 of
+    /// the libm `tanh` form their tails use.
     #[test]
     fn simd_gelu_matches_scalar() {
         if !simd_available() {
             return;
         }
-        let sd = SimdBackend;
+        use crate::backend::scalar::{gelu_grad_tail, gelu_tail};
         let x: Vec<f32> = (0..41).map(|i| (i as f32 - 20.0) * 0.5).collect();
         let dy = randv(x.len(), 9);
         let mut y_simd = vec![0.0f32; x.len()];
         let mut y_ref = vec![0.0f32; x.len()];
-        sd.gelu(&mut y_simd, &x);
+        let mut y_libm = vec![0.0f32; x.len()];
+        SimdBackend.gelu(&mut y_simd, &x);
         ScalarBackend.gelu(&mut y_ref, &x);
-        assert_close(&y_simd, &y_ref, 1e-4);
+        gelu_tail(&mut y_libm, &x);
+        assert_eq!(bits(&y_simd), bits(&y_ref));
+        assert_close(&y_simd, &y_libm, 1e-4);
 
         let mut d_simd = vec![f32::NAN; x.len()];
         let mut d_ref = vec![f32::NAN; x.len()];
-        sd.gelu_grad(&mut d_simd, &x, &dy);
+        let mut d_libm = vec![f32::NAN; x.len()];
+        SimdBackend.gelu_grad(&mut d_simd, &x, &dy);
         ScalarBackend.gelu_grad(&mut d_ref, &x, &dy);
-        assert_close(&d_simd, &d_ref, 1e-4);
+        gelu_grad_tail(&mut d_libm, &x, &dy);
+        assert_eq!(bits(&d_simd), bits(&d_ref));
+        assert_close(&d_simd, &d_libm, 1e-4);
     }
 }

@@ -153,7 +153,7 @@ impl Gemm {
 /// Scales the `(m, n)` corner of `c` by `beta` with the overwrite special
 /// case (`beta == 0` stores zeros even over NaN/Inf garbage, matching BLAS
 /// semantics). Nothing outside the corner is touched.
-pub(crate) fn scale_beta(c: &mut Window<'_>, m: usize, n: usize, beta: f32) {
+fn scale_beta(c: &mut Window<'_>, m: usize, n: usize, beta: f32) {
     if beta == 1.0 {
         return;
     }
@@ -348,9 +348,8 @@ pub(crate) fn drive<K: Tile>(spec: Gemm, a: &[f32], b: &[f32], c: &mut Window<'_
 /// Runs a spec on the calling thread through one backend, with `c` a plain
 /// slice whose rows are `spec.ldc` apart. No pool. This is the entry point
 /// for a kernel that fans out itself and hands the backend it resolved on
-/// the submitting thread to its tasks (a pool worker does not see a
-/// [`backend::with_backend`] scope); a kernel that owns a [`Window`] calls
-/// [`Backend::gemm`] directly.
+/// the submitting thread to its tasks; a kernel that owns a [`Window`]
+/// calls [`Backend::gemm`] directly.
 ///
 /// # Panics
 /// Panics if a leading dimension is below its operand's column count or a
@@ -361,8 +360,8 @@ pub fn gemm_serial(bk: &dyn Backend, spec: Gemm, a: &[f32], b: &[f32], c: &mut [
 }
 
 /// Executes a [`Gemm`] spec on the calling thread through the active
-/// [`crate::backend`] (scalar reference or SIMD register tiles). For the
-/// pool-parallel entry points use [`par_gemm`] or [`gemm_auto`].
+/// [`crate::backend`] (portable or SIMD register tiles, the same bits). For
+/// the pool-parallel entry points use [`par_gemm`] or [`gemm_auto`].
 ///
 /// # Panics
 /// As [`gemm_serial`].
@@ -478,8 +477,7 @@ pub fn gemm_auto(spec: Gemm, a: &[f32], b: &[f32], c: &mut [f32]) {
     let _kernel = photon_trace::span(photon_trace::Phase::KernelGemm)
         .arg("m", spec.m as u64)
         .arg("k", spec.k as u64)
-        .arg("n", spec.n as u64)
-        .arg("backend", backend::active_kind().id());
+        .arg("n", spec.n as u64);
     par_gemm(spec, a, b, c, pool::effective_parallelism());
 }
 
@@ -524,8 +522,6 @@ mod tests {
     #[test]
     fn all_transpose_variants_match_naive() {
         let mut rng = SeedStream::new(1);
-        // (32, 64, 48) is past the scalar backend's dot-form `nt` shapes, so
-        // both of its `trans_b` orders get correctness coverage.
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 4, 5),
@@ -679,19 +675,20 @@ mod tests {
         gemm(Gemm::new(2, 2, 2), &[1.0; 3], &[1.0; 4], &mut c);
     }
 
-    use crate::backend::{by_kind, simd_available, BackendKind};
+    use crate::backend::ScalarBackend;
 
-    /// `kind`, or the scalar backend on a host that cannot run SIMD.
-    fn backend_or_scalar(kind: BackendKind) -> &'static dyn Backend {
-        match kind {
-            BackendKind::Simd if !simd_available() => by_kind(BackendKind::Scalar),
-            kind => by_kind(kind),
+    /// The portable backend (`scalar`) or the active one (`simd`, which is
+    /// the portable one on a host without SIMD).
+    fn backend_named(name: &str) -> &'static dyn Backend {
+        match name {
+            "scalar" => &ScalarBackend,
+            _ => backend::active(),
         }
     }
 
     /// Runs `spec` on zero-filled operands of the given lengths.
-    fn run_lens(kind: BackendKind, spec: Gemm, (a, b, c): (usize, usize, usize)) {
-        let bk = backend_or_scalar(kind);
+    fn run_lens(name: &str, spec: Gemm, (a, b, c): (usize, usize, usize)) {
+        let bk = backend_named(name);
         gemm_serial(bk, spec, &vec![0.0; a], &vec![0.0; b], &mut vec![0.0; c]);
     }
 
@@ -705,13 +702,13 @@ mod tests {
                 #[test]
                 #[should_panic(expected = $msg)]
                 fn scalar() {
-                    run_lens(BackendKind::Scalar, $spec, $lens);
+                    run_lens("scalar", $spec, $lens);
                 }
 
                 #[test]
                 #[should_panic(expected = $msg)]
                 fn simd() {
-                    run_lens(BackendKind::Simd, $spec, $lens);
+                    run_lens("simd", $spec, $lens);
                 }
             }
         )*};
@@ -739,12 +736,12 @@ mod tests {
 
     #[test]
     fn a_window_smaller_than_the_result_is_rejected_by_both_backends() {
-        for kind in [BackendKind::Scalar, BackendKind::Simd] {
+        for kind in ["scalar", "simd"] {
             let caught = std::panic::catch_unwind(|| {
                 let mut c = [0.0f32; 20];
                 let mut window = Window::new(&mut c, 4, 4, 5);
                 let spec = Gemm::new(4, 3, 5);
-                backend_or_scalar(kind).gemm(spec, &[0.0; 12], &[0.0; 15], &mut window);
+                backend_named(kind).gemm(spec, &[0.0; 12], &[0.0; 15], &mut window);
             });
             let message = *caught.unwrap_err().downcast::<String>().unwrap();
             assert!(
@@ -763,8 +760,8 @@ mod tests {
                 .map(|i| if nan_at(i) { f32::NAN } else { 9.0 })
                 .collect()
         };
-        for kind in [BackendKind::Scalar, BackendKind::Simd] {
-            let bk = backend_or_scalar(kind);
+        for kind in ["scalar", "simd"] {
+            let bk = backend_named(kind);
             for layout in 0..4 {
                 let shaped = |m, k, n| {
                     let spec = Gemm::new(m, k, n);
@@ -788,7 +785,7 @@ mod tests {
                         .iter()
                         .zip(fresh())
                         .all(|(x, y)| x.to_bits() == y.to_bits());
-                    assert!(same, "{kind:?} {spec:?} wrote to C");
+                    assert!(same, "{kind} {spec:?} wrote to C");
                 }
                 // k = 0 is `C = beta * C` on the window and only there:
                 // beta = 0 stores zeros over the NaN, beta = 1 leaves it.
@@ -796,7 +793,7 @@ mod tests {
                 gemm_serial(bk, shaped(3, 0, 4), &[], &[], &mut c);
                 for (i, v) in c.iter().enumerate() {
                     let want = if i / 6 < 3 && i % 6 < 4 { 0.0 } else { 9.0 };
-                    assert_eq!(v.to_bits(), f32::to_bits(want), "{kind:?} element {i}");
+                    assert_eq!(v.to_bits(), f32::to_bits(want), "{kind} element {i}");
                 }
                 let mut c = fresh();
                 gemm_serial(bk, shaped(3, 0, 4).beta(1.0), &[], &[], &mut c);

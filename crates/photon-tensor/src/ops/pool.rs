@@ -42,10 +42,9 @@
 //! budget over 4 replicas gives each 2 chunks on 2 threads). A spawned
 //! thread starts with empty thread-locals, so the spawner captures
 //! [`Context::current`] and the thread [`Context::enter`]s it — which also
-//! hands it the spawner's backend override and trace scope (recorder and
-//! actor lane), so a replica's kernel spans land in its round's recorder
-//! on its client's lane. Tasks
-//! already running *on* a pool worker never fan out again
+//! hands it the spawner's trace scope (recorder and actor lane), so a
+//! replica's kernel spans land in its round's recorder on its client's
+//! lane. Tasks already running *on* a pool worker never fan out again
 //! ([`effective_parallelism`] reports `1` there), which makes pool-waiting
 //! deadlocks impossible by construction.
 //!
@@ -60,7 +59,6 @@
 //! barrier in deterministic chunk order.
 #![allow(unsafe_code)]
 
-use crate::backend::{self, BackendKind};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::ops::Range;
@@ -191,9 +189,8 @@ pub fn with_parallelism<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// What a thread computes under: the chunk count its kernels split by, the
-/// execution width its batches may occupy, its [`backend::with_backend`]
-/// override and its trace scope (see the module docs, "Nested
-/// parallelism"). Thread-local; a driver that spawns threads captures
+/// execution width its batches may occupy and its trace scope (see the
+/// module docs, "Nested parallelism"). Thread-local; a driver that spawns threads captures
 /// [`Context::current`], divides it, and has each thread [`Context::enter`]
 /// its share.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,8 +201,6 @@ pub struct Context {
     /// How many compute threads this thread's batches may occupy. At 1,
     /// [`run_tasks`] runs every batch on the caller.
     pub width: usize,
-    /// The scoped backend override, inherited as captured.
-    pub backend: Option<BackendKind>,
     /// The recorder and actor lane trace calls reach, inherited as
     /// captured.
     pub trace: photon_trace::Scope,
@@ -224,7 +219,6 @@ impl Context {
             } else {
                 max_threads()
             },
-            backend: backend::scoped_kind(),
             trace: photon_trace::Scope::current(),
         }
     }
@@ -250,18 +244,16 @@ impl Context {
     /// Runs `f` under this context (a zero count is taken as 1), restoring
     /// the thread's previous one afterwards — also on panic.
     pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Restore(usize, usize, Option<BackendKind>);
+        struct Restore(usize, usize);
         impl Drop for Restore {
             fn drop(&mut self) {
                 BUDGET.with(|b| b.set(self.0));
                 WIDTH.with(|w| w.set(self.1));
-                backend::set_scoped_kind(self.2);
             }
         }
         let _restore = Restore(
             BUDGET.with(|b| b.replace(self.chunks.max(1))),
             WIDTH.with(|w| w.replace(self.width.max(1))),
-            backend::set_scoped_kind(self.backend),
         );
         self.trace.enter(f)
     }
@@ -496,7 +488,6 @@ mod tests {
         let base = Context {
             chunks: 8,
             width: 4,
-            backend: Some(BackendKind::Scalar),
             // A recorder and an actor lane that are not the thread defaults.
             trace: recorder.scope(|| {
                 photon_trace::set_actor(3);
@@ -517,7 +508,7 @@ mod tests {
             // the context its spawner captured.
             let ctx = Context::current().lanes(4);
             let seen = std::thread::spawn(move || {
-                assert_eq!(Context::current().backend, None);
+                assert_ne!(Context::current().trace, ctx.trace);
                 ctx.enter(Context::current)
             });
             assert_eq!(seen.join().unwrap(), base.lanes(4));

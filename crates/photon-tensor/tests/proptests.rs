@@ -189,60 +189,52 @@ fn digest(values: impl Iterator<Item = f32>) -> u64 {
 /// Dense GEMM results at the matmul shapes of the three benchmark models —
 /// forward (`nt`, beta 0), input gradient (`nn`, beta 1) and weight gradient
 /// (`tn`, beta 1) of every linear layer — must keep the bits recorded at the
-/// commit before GEMM learned leading dimensions. Under SIMD the last
-/// `n % 8` columns are left out: that commit summed them in a scalar tail,
-/// the one place where the register tile's FMA chain was not used. The SIMD
-/// digests hold for both x86 tiles: an AVX-512 host runs the 12x32 AVX-512F
-/// tile here and an AVX2-only host the 6x16 AVX2 tile, and both must match
-/// the same three values, so a seeded SIMD run replays byte-identically on
-/// either kind of host.
+/// commit before GEMM learned leading dimensions, less the last `n % 8`
+/// columns: that commit summed them in a scalar tail, the one place where
+/// the register tile's FMA chain was not used. The digests hold for every
+/// tile: the portable one, and the active backend's (on an AVX-512 host the
+/// 12x32 AVX-512F tile, on an AVX2-only host the 6x16 AVX2 tile, on aarch64
+/// the NEON tile), so a seeded run replays byte-identically on any host.
 #[test]
 fn proxy_model_gemm_bits_are_pinned() {
-    use photon_tensor::backend::{simd_available, with_backend, BackendKind};
+    use photon_tensor::backend::{active, portable};
     // (name, d_model, batch * seq); mlp = 4 d, vocab = 257.
     let models = [
         ("proxy_tiny", 32, 128),
         ("proxy_small", 64, 512),
         ("proxy_large", 128, 64),
     ];
-    let pinned: [(&str, BackendKind, u64); 6] = [
-        ("proxy_tiny", BackendKind::Scalar, 0x85da_e44f_e28e_1837),
-        ("proxy_tiny", BackendKind::Simd, 0xb1ea_22f9_dd19_7e0d),
-        ("proxy_small", BackendKind::Scalar, 0x8038_1b80_9499_f264),
-        ("proxy_small", BackendKind::Simd, 0x86db_bed0_fb50_af86),
-        ("proxy_large", BackendKind::Scalar, 0x5766_87b6_8c45_b882),
-        ("proxy_large", BackendKind::Simd, 0xa0ee_00de_7dfa_f0aa),
+    let pinned: [(&str, u64); 3] = [
+        ("proxy_tiny", 0xb1ea_22f9_dd19_7e0d),
+        ("proxy_small", 0x86db_bed0_fb50_af86),
+        ("proxy_large", 0xa0ee_00de_7dfa_f0aa),
     ];
-    for (name, kind, want) in pinned {
-        if kind == BackendKind::Simd && !simd_available() {
-            continue;
-        }
-        let &(_, d, bt) = models.iter().find(|m| m.0 == name).unwrap();
-        let mut rng = SeedStream::new(0x6e6d);
-        let mut got = 0u64;
-        // (in features, out features) of qkv, attproj, fc, fcproj, lm head.
-        for (ic, oc) in [(d, 3 * d), (d, d), (d, 4 * d), (4 * d, d), (d, 257)] {
-            let specs = [
-                ops::Gemm::new(bt, ic, oc).transpose_b(),
-                ops::Gemm::new(bt, oc, ic).beta(1.0),
-                ops::Gemm::new(oc, bt, ic).transpose_a().beta(1.0),
-            ];
-            for spec in specs {
-                let a: Vec<f32> = (0..spec.m * spec.k).map(|_| rng.next_normal()).collect();
-                let b: Vec<f32> = (0..spec.k * spec.n).map(|_| rng.next_normal()).collect();
-                let mut c: Vec<f32> = (0..spec.m * spec.n).map(|_| rng.next_normal()).collect();
-                with_backend(kind, || ops::gemm(spec, &a, &b, &mut c));
-                let kept = match kind {
-                    BackendKind::Scalar => spec.n,
-                    BackendKind::Simd => spec.n - spec.n % 8,
-                };
-                let rows = c
-                    .chunks_exact(spec.n)
-                    .flat_map(|row| row[..kept].iter().copied());
-                got = got.rotate_left(7) ^ digest(rows);
+    for (name, want) in pinned {
+        for (path, bk) in [("portable", portable()), ("active", active())] {
+            let &(_, d, bt) = models.iter().find(|m| m.0 == name).unwrap();
+            let mut rng = SeedStream::new(0x6e6d);
+            let mut got = 0u64;
+            // (in features, out features) of qkv, attproj, fc, fcproj, lm head.
+            for (ic, oc) in [(d, 3 * d), (d, d), (d, 4 * d), (4 * d, d), (d, 257)] {
+                let specs = [
+                    ops::Gemm::new(bt, ic, oc).transpose_b(),
+                    ops::Gemm::new(bt, oc, ic).beta(1.0),
+                    ops::Gemm::new(oc, bt, ic).transpose_a().beta(1.0),
+                ];
+                for spec in specs {
+                    let a: Vec<f32> = (0..spec.m * spec.k).map(|_| rng.next_normal()).collect();
+                    let b: Vec<f32> = (0..spec.k * spec.n).map(|_| rng.next_normal()).collect();
+                    let mut c: Vec<f32> = (0..spec.m * spec.n).map(|_| rng.next_normal()).collect();
+                    ops::gemm_serial(bk, spec, &a, &b, &mut c);
+                    let kept = spec.n - spec.n % 8;
+                    let rows = c
+                        .chunks_exact(spec.n)
+                        .flat_map(|row| row[..kept].iter().copied());
+                    got = got.rotate_left(7) ^ digest(rows);
+                }
             }
+            assert_eq!(got, want, "{name} on the {path} path: computed {got:#018x}");
         }
-        assert_eq!(got, want, "{name} under {kind:?}: computed {got:#018x}");
     }
 }
 
@@ -315,42 +307,30 @@ impl Strided {
         }]
     }
 
-    /// Whether the scalar backend sums this problem as four-chain dots: a
-    /// small `A Bᵀ` on dense operands, pinned by the golden digests.
-    fn is_dot_form(&self) -> bool {
-        let s = &self.spec;
-        let small = s.m < 8 || 2 * s.m * s.k * s.n < 1 << 16;
-        !s.trans_a && s.trans_b && s.lda == s.k && s.ldb == s.k && small
-    }
-
-    /// The scalar backend's result, bit for bit: each element starts from
-    /// `beta * c` (zero for `beta = 0`) and adds `(alpha * a[i, p]) * b[p, j]`
-    /// over ascending `p` — or `alpha` times a four-chain dot in the dot form.
+    /// Every backend's result, bit for bit: `C` scaled by `beta` (zeroed
+    /// for `beta = 0`), then per `KC`-block of the contraction one FMA chain
+    /// from zero over ascending `p`, added to the element as `alpha * acc`
+    /// in one more FMA.
     fn reference(&self) -> Vec<f32> {
+        // The GEMM driver's `KC`.
+        const KC: usize = 256;
         let s = &self.spec;
         let mut want = self.c.clone();
         for i in 0..s.m {
             for j in 0..s.n {
                 let at = i * s.ldc + j;
-                let mut acc = match s.beta {
+                let mut c = match s.beta {
                     0.0 => 0.0,
                     1.0 => want[at],
                     beta => want[at] * beta,
                 };
-                if self.is_dot_form() {
-                    let mut chains = [0.0f32; 5];
-                    for p in 0..s.k {
-                        let chain = if p < s.k - s.k % 4 { p % 4 } else { 4 };
-                        chains[chain] += self.a_at(i, p) * self.b_at(p, j);
-                    }
-                    let dot = (chains[0] + chains[1]) + (chains[2] + chains[3]) + chains[4];
-                    acc += s.alpha * dot;
-                } else {
-                    for p in 0..s.k {
-                        acc += (s.alpha * self.a_at(i, p)) * self.b_at(p, j);
-                    }
+                for p0 in (0..s.k).step_by(KC) {
+                    let acc = (p0..s.k.min(p0 + KC)).fold(0.0f32, |acc, p| {
+                        self.a_at(i, p).mul_add(self.b_at(p, j), acc)
+                    });
+                    c = s.alpha.mul_add(acc, c);
                 }
-                want[at] = acc;
+                want[at] = c;
             }
         }
         want
@@ -362,10 +342,10 @@ proptest! {
     // default 64 cases would leave most combinations unvisited.
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Every layout, edge and leading dimension of the one GEMM entry: the
-    /// scalar backend bit for bit against the ascending-`p` reference, SIMD
-    /// within the parity bound, `beta = 0` over NaN garbage, and nothing
-    /// outside the `(m, n)` window of `C` touched.
+    /// Every layout, edge and leading dimension of the one GEMM entry: both
+    /// backends bit for bit against the `KC`-blocked FMA reference,
+    /// `beta = 0` over NaN garbage, and nothing outside the `(m, n)` window
+    /// of `C` touched.
     #[test]
     fn strided_gemm_matches_the_reference_and_stays_in_its_window(
         m in 1usize..20,
@@ -373,28 +353,24 @@ proptest! {
         n in prop_oneof![1usize..36, 47usize..50],
         layout in (any::<bool>(), any::<bool>()),
         pads in (0usize..4, 0usize..4, 0usize..4),
-        alpha in 0usize..2,
+        alpha in 0usize..3,
         beta in 0usize..3,
         seed in any::<u64>(),
     ) {
-        use photon_tensor::backend::{by_kind, BackendKind};
-        let (alpha, beta) = ([1.0, 0.125][alpha], [0.0, 1.0, 0.5][beta]);
+        use photon_tensor::backend::{active, portable};
+        let (alpha, beta) = ([1.0, 0.125, -0.7][alpha], [0.0, 1.0, 0.5][beta]);
         let problem = Strided::new((m, k, n), layout, pads, alpha, beta, seed);
         let (spec, want) = (problem.spec, problem.reference());
-        for kind in [BackendKind::Scalar, BackendKind::Simd] {
+        for (path, bk) in [("portable", portable()), ("active", active())] {
             let mut c = problem.c.clone();
-            ops::gemm_serial(by_kind(kind), spec, &problem.a, &problem.b, &mut c);
-            let tol = 1e-5 * (k as f32).sqrt().max(1.0) * 8.0;
+            ops::gemm_serial(bk, spec, &problem.a, &problem.b, &mut c);
             for (at, (&got, &want)) in c.iter().zip(&want).enumerate() {
                 let inside = at / spec.ldc < m && at % spec.ldc < n;
-                let ok = match kind {
-                    _ if !inside => got.to_bits() == CANARY.to_bits(),
-                    BackendKind::Scalar => got.to_bits() == want.to_bits(),
-                    BackendKind::Simd => {
-                        (got - want).abs() <= tol * got.abs().max(want.abs()).max(1.0)
-                    }
-                };
-                prop_assert!(ok, "{kind:?} {spec:?} at {at}: {got} vs {want}");
+                let want = if inside { want } else { CANARY };
+                prop_assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{path} {spec:?} at {at}: {got} vs {want}"
+                );
             }
         }
     }

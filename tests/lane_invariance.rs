@@ -9,7 +9,6 @@
 use photon_core::experiments::build_iid_federation;
 use photon_core::{FaultSpec, FederationConfig, HierarchyConfig, RoundRecord};
 use photon_fedopt::{AggregationKind, GuardConfig};
-use photon_tensor::backend::{with_backend, BackendKind};
 use photon_tests::tiny_federation;
 use photon_trace::{Recorder, TraceConfig};
 
@@ -88,7 +87,7 @@ fn a_round_sequence_is_identical_on_any_number_of_lanes() {
         ),
     ];
     for (name, cfg, faults) in scenarios {
-        let on = |max_lanes| with_backend(BackendKind::Scalar, || run(&cfg, faults, 5, max_lanes));
+        let on = |max_lanes| run(&cfg, faults, 5, max_lanes);
         let one = on(1);
         assert!(
             one.steps.iter().all(Result::is_ok) && one.trace.contains("local_step"),

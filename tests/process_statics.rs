@@ -14,11 +14,6 @@ const PINNED: &[(&str, &str, &str)] = &[
         "a statistic of payload CRC passes, read only as differences",
     ),
     (
-        "photon-tensor/src/backend/mod.rs",
-        "ACTIVE_KIND",
-        "the kernel backend, resolved once before any kernel runs",
-    ),
-    (
         "photon-tensor/src/ops/pool.rs",
         "OVERRIDE",
         "the --threads budget, set once before the pool starts",

@@ -145,8 +145,8 @@ const PINNED: &[(&str, &str, &str)] = &[
     ),
     (
         "photon-tensor/src/backend/mod.rs",
-        "with_backend",
-        "pins a kernel backend for a closure; the backend-parity, golden and lane-invariance tests use it",
+        "portable",
+        "the portable kernels on any host; the backend-parity and GEMM property tests hold the active backend to them",
     ),
     (
         "photon-tensor/src/ops/elementwise.rs",
