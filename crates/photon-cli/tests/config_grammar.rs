@@ -57,6 +57,20 @@ const VALID: [&str; 13] = [
     "127.0.0.1:0",
 ];
 
+/// `train` option sets that each parse but fail plan validation: one case
+/// in fifty is drawn from here, so the soup reaches the validator on
+/// purpose, not by seed luck. (`--buffer-quorum` without `--membership`
+/// is not here: a buffer turns membership on.)
+const INVALID_PLANS: [&[&str]; 7] = [
+    &["--dtype", "bf16", "--compress"],
+    &["--dtype", "bf16", "--secure"],
+    &["--adaptive-deadline", "--deadline-ms", "100"],
+    &["--secure", "--partial-ok"],
+    &["--secure", "--aggregation", "trimmed-mean"],
+    &["--secure", "--net-loss", "0.1"],
+    &["--secure", "--shards", "4"],
+];
+
 fn pick<'a>(rng: &mut SeedStream, items: &[&'a str]) -> &'a str {
     items[rng.next_below(items.len())]
 }
@@ -75,8 +89,14 @@ fn names() -> Vec<String> {
 
 /// A random command line: each option is absent-valued, given a value it
 /// accepts (its printed default when it has one), or given a malformed
-/// one; sometimes a stray token lands between options.
+/// one; sometimes a stray token lands between options. One line in fifty
+/// is instead a known-invalid `train` plan from [`INVALID_PLANS`].
 fn command_line(rng: &mut SeedStream, names: &[String]) -> (usize, Vec<String>) {
+    if rng.next_below(50) == 0 {
+        let invalid = INVALID_PLANS[rng.next_below(INVALID_PLANS.len())];
+        let tokens = std::iter::once("train").chain(invalid.iter().copied());
+        return (0, tokens.map(String::from).collect());
+    }
     let command = rng.next_below(COMMANDS.len());
     let (name, table) = COMMANDS[command];
     let own: Vec<_> = table.rows().collect();
@@ -122,6 +142,16 @@ fn names_option(error: &str, option: &str) -> bool {
 /// every plan they accept is one a client accepts too.
 #[test]
 fn config_grammar_token_soup_parses_or_names_the_option() {
+    for invalid in INVALID_PLANS {
+        let tokens = std::iter::once("train").chain(invalid.iter().copied());
+        let args = Args::parse(tokens.map(String::from)).expect("the options parse");
+        let refused = TRAIN.parse(&args).err().unwrap_or_default();
+        assert!(
+            refused.starts_with("invalid configuration: "),
+            "photon train {}: {refused:?}",
+            invalid.join(" ")
+        );
+    }
     let names = names();
     let mut rng = SeedStream::new(0xC0F16);
     let (mut accepted, mut plans, mut invalid) = (0, 0, 0);
@@ -164,6 +194,7 @@ fn config_grammar_token_soup_parses_or_names_the_option() {
         accepted > 1_000 && plans > 200 && invalid > 5,
         "{accepted} {plans} {invalid}"
     );
+    println!("{accepted} accepted, {plans} plans, {invalid} refused by plan validation");
 }
 
 /// Valid plans as `serve` or `train` parses them. `serve` no longer takes

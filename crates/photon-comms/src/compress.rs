@@ -157,13 +157,27 @@ pub fn compress_f32s(xs: &[f32]) -> Bytes {
     Bytes::from(rle.out)
 }
 
-/// Decompresses a buffer produced by [`compress_f32s`].
+/// Decompresses a buffer produced by [`compress_f32s`] into a fresh
+/// vector.
 ///
 /// # Errors
 /// Returns a description of the corruption if the stream is truncated or
 /// inconsistent with its declared length, including a count no stream of
 /// its size could hold.
 pub fn decompress_f32s(buf: Bytes) -> Result<Vec<f32>, String> {
+    decompress_f32s_into(buf, Vec::new())
+}
+
+/// Decompresses a buffer produced by [`compress_f32s`] into `out`,
+/// replacing what it held and reusing its allocation. The declared count
+/// is checked against what the stream could hold before anything is
+/// allocated.
+///
+/// # Errors
+/// Returns a description of the corruption if the stream is truncated or
+/// inconsistent with its declared length, including a count no stream of
+/// its size could hold.
+pub(crate) fn decompress_f32s_into(buf: Bytes, mut out: Vec<f32>) -> Result<Vec<f32>, String> {
     let Some((count, s)) = buf.split_first_chunk::<8>() else {
         return Err("missing element count".into());
     };
@@ -214,16 +228,18 @@ pub fn decompress_f32s(buf: Bytes) -> Result<Vec<f32>, String> {
     let (p1, rest) = rest.split_at(n);
     let (p2, p3) = rest.split_at(n);
     let mut acc = 0u32;
-    Ok(p0
-        .iter()
-        .zip(p1)
-        .zip(p2)
-        .zip(p3)
-        .map(|(((&b0, &b1), &b2), &b3)| {
-            acc ^= u32::from_le_bytes([b0, b1, b2, b3]);
-            f32::from_bits(acc)
-        })
-        .collect())
+    out.clear();
+    out.extend(
+        p0.iter()
+            .zip(p1)
+            .zip(p2)
+            .zip(p3)
+            .map(|(((&b0, &b1), &b2), &b3)| {
+                acc ^= u32::from_le_bytes([b0, b1, b2, b3]);
+                f32::from_bits(acc)
+            }),
+    );
+    Ok(out)
 }
 
 /// The byte-at-a-time codec the word-at-a-time one replaced, kept as the
@@ -512,6 +528,24 @@ mod tests {
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{name}"
             );
+        }
+    }
+
+    #[test]
+    fn a_reused_buffer_decompresses_like_a_fresh_one() {
+        for (name, xs) in oracle_cases() {
+            let c = compress_f32s(&xs);
+            let want = decompress_f32s(c.clone()).unwrap();
+            for stale in [vec![f32::NAN; 3], vec![f32::NAN; xs.len() + 9]] {
+                let got = decompress_f32s_into(c.clone(), stale).unwrap();
+                assert_eq!(got.len(), want.len(), "{name}");
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{name}"
+                );
+            }
         }
     }
 

@@ -43,7 +43,10 @@ mod wire;
 pub use collective::{ring_allreduce_group, RingWorker};
 pub use compress::{compress_f32s, decompress_f32s};
 pub use crc::crc32;
-pub use link::{deliver, deliver_chaos, DeliveryReport, LinkExhausted, RetransmitPolicy};
+pub use link::{
+    deliver, deliver_chaos, deliver_untraced, trace_delivery, DeliveryReport, LinkExhausted,
+    RetransmitPolicy,
+};
 pub use message::{Message, SealedFrame, TrainMetrics, WireOpts};
 pub use network::{
     AdaptiveDeadlineConfig, LinkOutcome, LinkProfile, NetworkConfig, NetworkModel, PartitionKind,

@@ -190,6 +190,7 @@ pub fn deliver(
 /// check, and each attempt costs `latency_ms` of simulated in-flight time.
 /// Retries follow `policy`'s capped, jittered exponential backoff, and the
 /// per-delivery timeout (when set) bounds the total simulated time spent.
+/// The delivery is traced ([`trace_delivery`]).
 ///
 /// `deliver` is the special case `lost_first == 0, latency_ms == 0`.
 ///
@@ -204,9 +205,19 @@ pub fn deliver_chaos(
     seed: u64,
     policy: &RetransmitPolicy,
 ) -> (Result<VerifiedFrame, LinkExhausted>, DeliveryReport) {
-    let mut link_span = photon_trace::span(photon_trace::Phase::LinkDeliver);
     let (result, report) =
-        deliver_inner(frame, corrupt_first, lost_first, latency_ms, seed, policy);
+        deliver_untraced(frame, corrupt_first, lost_first, latency_ms, seed, policy);
+    trace_delivery(&report, seed, policy);
+    (result, report)
+}
+
+/// Emits what a delivery did as trace events on the calling thread: one
+/// `link_deliver` span (attempts, wire bytes, simulated backoff plus
+/// in-flight time) and a `link_retransmit` instant per retry. Kept apart
+/// from [`deliver_untraced`] so a receiver can run the delivery on one
+/// thread and trace it, in a fixed order, on another.
+pub fn trace_delivery(report: &DeliveryReport, seed: u64, policy: &RetransmitPolicy) {
+    let mut link_span = photon_trace::span(photon_trace::Phase::LinkDeliver);
     link_span.set_arg("attempts", report.attempts as u64);
     link_span.set_arg("wire_bytes", report.wire_bytes);
     link_span.set_sim_dur_us(
@@ -225,10 +236,14 @@ pub fn deliver_chaos(
             ],
         );
     }
-    (result, report)
 }
 
-fn deliver_inner(
+/// [`deliver_chaos`] without its trace events: the retransmit loop alone,
+/// every attempt's CRC check included.
+///
+/// # Errors
+/// As [`deliver_chaos`].
+pub fn deliver_untraced(
     frame: &Bytes,
     corrupt_first: u32,
     lost_first: u32,

@@ -1,7 +1,7 @@
 use crate::crc::Crc32;
 use crate::wire::{begin_frame, seal_frame, split_frame, FrameHeader};
 use crate::{
-    compress_f32s, decompress_f32s, FrameFlags, TraceCtx, VerifiedFrame, WireError,
+    compress::decompress_f32s_into, compress_f32s, FrameFlags, TraceCtx, VerifiedFrame, WireError,
     FRAME_HEADER_LEN, TRACE_CTX_LEN,
 };
 use bytes::{Buf, BufMut, Bytes};
@@ -293,7 +293,7 @@ impl Message {
     ) -> Result<(Message, Option<TraceCtx>), WireError> {
         let (header, body) = split_frame(frame)?;
         header.check_payload(&body)?;
-        Self::decode_payload(body, header.flags)
+        Self::decode_payload(body, header.flags, Vec::new())
     }
 
     /// `Message::from_frame_traced` for a frame whose payload CRC has
@@ -310,13 +310,29 @@ impl Message {
     pub fn from_verified_frame(
         frame: VerifiedFrame,
     ) -> Result<(Message, Option<TraceCtx>), WireError> {
+        Self::from_verified_frame_into(frame, Vec::new())
+    }
+
+    /// [`Message::from_verified_frame`], decoding a float block (a
+    /// broadcast's parameters, a result's delta) into `floats`: whatever it
+    /// held is replaced and its allocation reused, so a receiver that
+    /// hands back last round's buffers decodes a cohort without touching
+    /// the allocator. A message without floats drops the buffer.
+    ///
+    /// # Errors
+    /// As [`Message::from_verified_frame`].
+    pub fn from_verified_frame_into(
+        frame: VerifiedFrame,
+        floats: Vec<f32>,
+    ) -> Result<(Message, Option<TraceCtx>), WireError> {
         let (header, body) = split_frame(frame.into_bytes())?;
-        Self::decode_payload(body, header.flags)
+        Self::decode_payload(body, header.flags, floats)
     }
 
     fn decode_payload(
         mut body: Bytes,
         flags: FrameFlags,
+        floats: Vec<f32>,
     ) -> Result<(Message, Option<TraceCtx>), WireError> {
         let ctx = if flags.trace {
             if body.remaining() < TRACE_CTX_LEN {
@@ -330,10 +346,14 @@ impl Message {
         } else {
             None
         };
-        Self::decode_body(body, flags).map(|msg| (msg, ctx))
+        Self::decode_body(body, flags, floats).map(|msg| (msg, ctx))
     }
 
-    fn decode_body(mut body: Bytes, flags: FrameFlags) -> Result<Message, WireError> {
+    fn decode_body(
+        mut body: Bytes,
+        flags: FrameFlags,
+        floats: Vec<f32>,
+    ) -> Result<Message, WireError> {
         if body.remaining() < 1 {
             return Err(WireError::Truncated);
         }
@@ -343,7 +363,7 @@ impl Message {
                     return Err(WireError::Truncated);
                 }
                 let round = body.get_u64_le();
-                let params = get_floats(&mut body, flags)?;
+                let params = get_floats(&mut body, flags, floats)?;
                 Ok(Message::ModelBroadcast { round, params })
             }
             TAG_RESULT => {
@@ -358,7 +378,7 @@ impl Message {
                     tokens: body.get_u64_le(),
                     steps: body.get_u64_le(),
                 };
-                let delta = get_floats(&mut body, flags)?;
+                let delta = get_floats(&mut body, flags, floats)?;
                 Ok(Message::ClientResult {
                     round,
                     client_id,
@@ -584,7 +604,9 @@ impl SealedFrame {
     }
 }
 
-fn get_floats(body: &mut Bytes, flags: FrameFlags) -> Result<Vec<f32>, WireError> {
+/// Decodes the float block at the front of `body` into `out`, whatever
+/// its encoding.
+fn get_floats(body: &mut Bytes, flags: FrameFlags, out: Vec<f32>) -> Result<Vec<f32>, WireError> {
     if flags.compressed {
         if body.remaining() < 8 {
             return Err(WireError::Truncated);
@@ -595,11 +617,11 @@ fn get_floats(body: &mut Bytes, flags: FrameFlags) -> Result<Vec<f32>, WireError
         }
         let c = body.slice(..len);
         body.advance(len);
-        decompress_f32s(c).map_err(WireError::BadCompression)
+        decompress_f32s_into(c, out).map_err(WireError::BadCompression)
     } else if flags.bf16 {
-        photon_tensor::read_bf16_slice(body).map_err(|e| WireError::Malformed(e.to_string()))
+        photon_tensor::read_bf16_slice(body, out).map_err(|e| WireError::Malformed(e.to_string()))
     } else {
-        photon_tensor::read_f32_slice(body).map_err(|e| WireError::Malformed(e.to_string()))
+        photon_tensor::read_f32_slice(body, out).map_err(|e| WireError::Malformed(e.to_string()))
     }
 }
 
@@ -845,6 +867,35 @@ mod tests {
         );
         let short = VerifiedFrame(frame.slice(..frame.len() - 1));
         assert!(Message::from_verified_frame(short).is_err());
+    }
+
+    #[test]
+    fn a_result_decodes_into_a_reused_buffer_in_every_encoding() {
+        let msg = Message::ClientResult {
+            round: 3,
+            client_id: 9,
+            delta: sample_params(300),
+            weight: 2.0,
+            metrics: TrainMetrics::default(),
+        };
+        for opts in [
+            WireOpts::default(),
+            WireOpts {
+                compress: true,
+                ..WireOpts::default()
+            },
+            WireOpts {
+                dtype: Dtype::Bf16,
+                ..WireOpts::default()
+            },
+        ] {
+            let frame = VerifiedFrame::check(msg.to_frame_opts(opts)).unwrap();
+            let want = Message::from_verified_frame(frame.clone()).unwrap();
+            for stale in [vec![f32::NAN; 7], vec![f32::NAN; 1_000]] {
+                let got = Message::from_verified_frame_into(frame.clone(), stale).unwrap();
+                assert_eq!(got, want, "{opts:?}");
+            }
+        }
     }
 
     #[test]

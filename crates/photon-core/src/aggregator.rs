@@ -46,8 +46,6 @@ pub struct Aggregator {
     /// construction; [`sample_live`] forks a round-keyed child per round,
     /// so warm joiners and restores replay identical cohorts.
     member_rng: Option<SeedStream>,
-    /// Simulated chaos network, present when `cfg.network` is set.
-    network: Option<photon_comms::NetworkModel>,
     /// Whether the previous round left the aggregator degraded (below the
     /// reachability quorum); lifts the deadline until quorum returns.
     degraded: bool,
@@ -62,6 +60,9 @@ pub struct Aggregator {
     /// kept from round to round (never checkpointed: a round stores every
     /// buffer before it reads it).
     workspaces: Vec<Workspace>,
+    /// The update buffers those lanes decode results into, kept from
+    /// round to round like the workspaces.
+    spares: round::Spares,
 }
 
 impl std::fmt::Debug for Aggregator {
@@ -108,9 +109,6 @@ impl Aggregator {
             .map(|m| MembershipRegistry::new(m, cfg.population));
         let member_rng = membership.is_some().then(|| rng.split("member-sampler"));
         let buffer = cfg.buffer.map(|_| UpdateBuffer::new());
-        let network = cfg
-            .network
-            .map(|n| photon_comms::NetworkModel::new(n.profile, cfg.seed));
         let hierarchy = cfg.hierarchy.map(|h| ShardTree::new(h, cfg.seed));
         let aggregator = Aggregator {
             cfg,
@@ -126,11 +124,11 @@ impl Aggregator {
             membership,
             buffer,
             member_rng,
-            network,
             degraded: false,
             latency_obs: Vec::new(),
             hierarchy,
             workspaces: Vec::new(),
+            spares: round::Spares::default(),
         };
         aggregator.publish_tree();
         Ok(aggregator)

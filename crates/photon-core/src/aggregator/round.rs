@@ -8,15 +8,19 @@
 //! * **plan** applies membership churn, draws the cohort and the round's
 //!   scheduled faults, and fixes the straggler deadline ([`RoundPlan`]).
 //! * **transport** encodes the model once as the round's broadcast frame
-//!   and hands it to a [`Transport`], which returns the cohort's replies.
-//!   It is the only stage that differs between the simulator and a real
-//!   network: [`Lanes`] train the in-process clients on at most
-//!   `pool::max_threads()` scoped lane threads, which own the core budget
-//!   for the round, and `photon-net`'s TCP transport moves the same frames
-//!   over sockets. Both run [`client_round`] on the client side.
-//! * **collect** sorts the replies by client id, carries each simulated one
-//!   across the simulated link (chaos, retransmits, deadline), decodes it
-//!   and removes re-deliveries, whichever transport delivered them
+//!   and hands it to a [`Transport`], which returns the cohort's replies,
+//!   each result received: CRC-checked and decoded. It is the only stage
+//!   that differs between the simulator and a real network: [`Lanes`]
+//!   train the in-process clients on at most `pool::max_threads()` scoped
+//!   lane threads, which own the core budget for the round, and carry
+//!   each result across the simulated Link on the lane that trained it
+//!   ([`SimLink`]), decoding it into an update buffer kept from earlier
+//!   rounds; `photon-net`'s TCP transport moves the same frames over
+//!   sockets and decodes them on its reader threads. Both run
+//!   [`client_round`] on the client side.
+//! * **collect** takes the replies in client-id order, accounts for and
+//!   traces each simulated delivery, applies the straggler policy and
+//!   removes re-deliveries, whichever transport delivered them
 //!   ([`Arrival`], [`RoundAccounting`]).
 //! * **merge** turns the arrivals into either one aggregate or a "commit
 //!   nothing" outcome ([`Merged`]) by the same four steps in flat, shard
@@ -27,6 +31,10 @@
 //! * **commit** alone runs the watchdog, applies the server optimizer,
 //!   records the round's telemetry, builds the [`RoundRecord`] and
 //!   advances the round counter.
+//!
+//! Every update vector the round is done with — folded, rejected,
+//! aggregated — goes back to the transport ([`Transport::recycle`]), which
+//! may decode the next round's results into it.
 
 #![deny(clippy::too_many_lines)]
 
@@ -36,7 +44,7 @@ use crate::hierarchy::{ShardPartition, ShardTree};
 use crate::membership::ChurnEvents;
 use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord, Workspace};
 use parking_lot::Mutex;
-use photon_comms::{Message, PartitionKind, SealedFrame, TrainMetrics};
+use photon_comms::{DeliveryReport, Message, PartitionKind, SealedFrame, TrainMetrics, WireError};
 use photon_fedopt::{sample_live, BufferedUpdate, ClientUpdate, CommitBatch, StreamingMerge};
 use photon_tensor::ops::pool;
 use std::collections::BTreeMap;
@@ -78,7 +86,6 @@ struct RoundPlan {
 
 /// One client result that reached the aggregator, decoded and
 /// deduplicated.
-#[derive(Clone)]
 struct Arrival {
     client_id: u32,
     delta: Vec<f32>,
@@ -222,6 +229,10 @@ fn retain_mask<T>(items: &mut Vec<T>, keep: &[bool]) {
     items.retain(|_| *keep.next().expect("mask covers the vector"));
 }
 
+/// Update vectors a round is done with, on their way back to the
+/// transport.
+type Spent = Vec<Vec<f32>>;
+
 /// Sorts arrivals by client id — so float accumulation is bit-reproducible
 /// whatever order the transport delivered in — and removes re-deliveries:
 /// within a round each client legitimately appears once, so id-adjacent
@@ -287,16 +298,20 @@ impl Aggregator {
         injector: Option<&FaultPlan>,
         max_lanes: usize,
     ) -> Result<RoundRecord> {
-        // The lanes' workspaces leave the aggregator for the round and
-        // come back after it, whatever the round came to.
+        // The lanes' workspaces and update buffers leave the aggregator
+        // for the round and come back after it, whatever the round came to.
         let mut workspaces = std::mem::take(&mut self.workspaces);
+        let mut spares = std::mem::take(&mut self.spares);
         let mut lanes = Lanes {
             clients,
             max_lanes,
             workspaces: &mut workspaces,
+            spares: &mut spares,
+            cohort: 0,
         };
         let record = self.run_round_over(&mut lanes, injector);
         self.workspaces = workspaces;
+        self.spares = spares;
         record
     }
 
@@ -326,12 +341,16 @@ impl Aggregator {
 
         let plan = self.plan(transport.roster_len(), injector)?;
         let (replies, broadcast_bytes) = self.transport(&plan, transport, injector)?;
-        let (arrivals, acct) = self.collect(&plan, replies, broadcast_bytes, injector)?;
+        let (arrivals, acct) = self.collect(&plan, replies, broadcast_bytes)?;
         round_span.set_arg("cohort", plan.cohort_idx.len() as u64);
         round_span.set_arg("wire_bytes", acct.wire_bytes);
         round_span.set_arg("received", arrivals.len() as u64);
-        let merged = self.merge(&plan, arrivals, &acct)?;
-        self.commit(plan, acct, merged)
+        let mut spent = Spent::new();
+        let record = self
+            .merge(&plan, arrivals, &acct, &mut spent)
+            .and_then(|merged| self.commit(plan, acct, merged, &mut spent));
+        transport.recycle(spent);
+        record
     }
 
     /// Simulated wall time of one round.
@@ -523,28 +542,28 @@ impl Aggregator {
     // Stage 3: collect
     // ---------------------------------------------------------------
 
-    /// L.7: takes the replies in client-id order, carries every simulated
-    /// one across the simulated Link, applies the straggler policy, decodes
-    /// the survivors and removes re-deliveries.
+    /// L.7: takes the replies in client-id order, accounts for and traces
+    /// every simulated delivery, applies the straggler policy and removes
+    /// re-deliveries. A result's receive (CRC check and decode) already
+    /// ran in the transport; its decode error surfaces here, by id.
     fn collect(
         &mut self,
         plan: &RoundPlan,
         mut replies: Vec<ClientReply>,
         broadcast_bytes: u64,
-        injector: Option<&FaultPlan>,
     ) -> Result<(Vec<Arrival>, RoundAccounting)> {
         let mut acct = RoundAccounting {
             wire_bytes: broadcast_bytes + plan.handshake_bytes,
             ..RoundAccounting::default()
         };
         // Replies come back in completion order; handle them in client-id
-        // order so the aggregator-side Link deliveries (and the trace
-        // events they emit) replay in a deterministic sequence.
+        // order so the simulated Link's trace events and the latency
+        // window replay in a deterministic sequence.
         replies.sort_by_key(ClientReply::client_id);
         let mut arrivals = Vec::with_capacity(plan.cohort_idx.len());
         let mut round_latencies: Vec<u64> = Vec::new();
         for reply in replies {
-            let delivered = match reply {
+            let (client_id, message, frame_len, link) = match reply {
                 ClientReply::Crash { .. } => {
                     acct.crashes += 1;
                     continue;
@@ -554,65 +573,63 @@ impl Aggregator {
                         "client {client_id}: {message}"
                     )));
                 }
-                ClientReply::Received {
-                    message, frame_len, ..
-                } => {
-                    // A real link delivered it; the socket checked its CRC
-                    // and decoded it.
-                    acct.wire_bytes += frame_len;
-                    arrivals.push(Arrival::of(message, self.round)?);
+                ClientReply::Frame { client_id, .. } => {
+                    return Err(CoreError::ClientFailure(format!(
+                        "client {client_id}: the transport returned a result frame unreceived"
+                    )));
+                }
+                ClientReply::Lost { client_id, link } => {
+                    self.note_delivery(client_id, &link, &mut acct);
+                    if link.severed.is_none() {
+                        // Budget (or delivery timeout) exhausted: the
+                        // client counts as dropped out.
+                        acct.link_dropouts += 1;
+                    }
                     continue;
                 }
-                ClientReply::Frame {
+                ClientReply::Received {
                     client_id,
-                    frame,
-                    delay_ms,
-                    corrupt_attempts,
-                } => self.deliver(
-                    injector,
-                    client_id,
-                    &frame.frame(),
-                    delay_ms,
-                    corrupt_attempts,
-                    &mut acct,
-                ),
+                    message,
+                    frame_len,
+                    link,
+                } => (client_id, message, frame_len, link),
             };
-            let Some(delivered) = delivered else {
-                continue;
-            };
-            if self.network.is_some() {
-                self.telemetry.record_link_latency(delivered.lateness);
-            }
-            round_latencies.push(delivered.lateness);
-            // Straggler policy: synchronous rounds drop late results;
-            // buffered rounds defer them to the simulated round their
-            // lateness lands them in, where they commit with a staleness
-            // discount instead.
             let mut arrival_round = self.round;
-            if let Some(deadline) = plan.effective_deadline_ms {
-                if delivered.lateness > deadline {
-                    acct.stragglers += 1;
-                    if self.buffer.is_none() {
-                        continue;
+            let mut duplicates = 0;
+            match link {
+                // A real socket charges the one copy it read and is never
+                // late: its transport enforces the deadline.
+                None => acct.wire_bytes += frame_len,
+                Some(link) => {
+                    self.note_delivery(client_id, &link, &mut acct);
+                    if self.cfg.network.is_some() {
+                        self.telemetry.record_link_latency(link.lateness);
                     }
-                    arrival_round =
-                        self.round + 1 + (delivered.lateness - deadline) / self.round_ms();
+                    round_latencies.push(link.lateness);
+                    // Straggler policy: synchronous rounds drop late
+                    // results; buffered rounds defer them to the simulated
+                    // round their lateness lands them in, where they commit
+                    // with a staleness discount instead.
+                    if let Some(deadline) = plan.effective_deadline_ms {
+                        if link.lateness > deadline {
+                            acct.stragglers += 1;
+                            if self.buffer.is_none() {
+                                continue;
+                            }
+                            arrival_round =
+                                self.round + 1 + (link.lateness - deadline) / self.round_ms();
+                        }
+                    }
+                    duplicates = u64::from(link.duplicates);
                 }
             }
-            let frame_len = delivered.frame.len() as u64;
-            // The Link's retransmit loop verified this frame's CRC; the
-            // decode does not walk the payload again.
-            let message = Message::from_verified_frame(delivered.frame)?.0;
-            let arrival = Arrival::of(message, arrival_round)?;
-            // A duplicating link re-delivers the decoded frame; the copy is
-            // charged to the wire and discarded by dedup.
-            for _ in 0..delivered.duplicates {
-                acct.wire_bytes += frame_len;
-                arrivals.push(arrival.clone());
-            }
-            arrivals.push(arrival);
+            arrivals.push(Arrival::of(message?, arrival_round)?);
+            // A duplicating link re-delivers the result: each copy is
+            // charged to the wire and dropped, as dedup drops a socket's.
+            acct.wire_bytes += duplicates * frame_len;
+            acct.dup_drops += duplicates;
         }
-        acct.dup_drops = dedup_arrivals(&mut arrivals);
+        acct.dup_drops += dedup_arrivals(&mut arrivals);
 
         // Feed the adaptive-deadline window (bounded, deterministic: the
         // replies were processed in client-id order).
@@ -626,24 +643,12 @@ impl Aggregator {
         Ok((arrivals, acct))
     }
 
-    /// One result frame's trip across the simulated Link: an active
-    /// partition severs it, the chaos network and the fault plan decide
-    /// latency, loss and duplication, and CRC-failed or lost attempts are
-    /// retransmitted (deterministically) up to the budget. `None` means
-    /// the result never arrived.
-    fn deliver(
-        &self,
-        injector: Option<&FaultPlan>,
-        client_id: u32,
-        frame: &bytes::Bytes,
-        delay_ms: u64,
-        corrupt_attempts: u32,
-        acct: &mut RoundAccounting,
-    ) -> Option<Delivered> {
-        // A severed client's result never reaches the aggregator (it
-        // still trained, keeping its local state deterministic across
-        // the heal).
-        if let Some(kind) = injector.and_then(|inj| inj.partition_state(self.round, client_id)) {
+    /// Accounts for one result's trip across the simulated Link and
+    /// traces it on the round's own thread: a `net_partition` instant
+    /// when a partition severed the client, else the delivery's
+    /// `link_deliver` span and retransmit instants.
+    fn note_delivery(&self, client_id: u32, link: &SimDelivery, acct: &mut RoundAccounting) {
+        if let Some(kind) = link.severed {
             acct.unreachable += 1;
             photon_trace::instant(
                 photon_trace::Phase::NetPartition,
@@ -653,49 +658,14 @@ impl Aggregator {
                     ("full", u64::from(kind == PartitionKind::Full)),
                 ],
             );
-            return None;
+            return;
         }
-        // The chaos network decides what the link does to this delivery;
-        // the fault plan can pile scheduled losses and a pinned-slow link
-        // on top.
-        let outcome = self
-            .network
-            .as_ref()
-            .map(|net| net.link_outcome(self.round, client_id, frame.len()))
-            .unwrap_or_default();
-        let mut latency_ms = outcome.latency_ms;
-        if injector.is_some_and(|inj| inj.has(FaultEvent::SlowLink, self.round, client_id)) {
-            let factor = self.cfg.network.map_or(10, |n| n.slow_factor);
-            latency_ms = latency_ms.saturating_mul(factor).max(1_000);
-        }
-        let lost_attempts =
-            outcome.lost_attempts + injector.map_or(0, |inj| inj.link_loss(self.round, client_id));
-        acct.net_losses += lost_attempts as u64;
-        acct.net_duplicates += outcome.duplicates as u64;
-        acct.net_reorders += u64::from(outcome.reorder_ms > 0);
-        let (delivered, report) = photon_comms::deliver_chaos(
-            frame,
-            corrupt_attempts,
-            lost_attempts,
-            latency_ms,
-            mix_link_seed(self.cfg.seed, self.round, client_id),
-            &self.cfg.retransmit,
-        );
-        acct.wire_bytes += report.wire_bytes;
-        acct.retransmits += u64::from(report.attempts.saturating_sub(1));
-        let Ok(frame) = delivered else {
-            // Budget (or delivery timeout) exhausted: the client counts
-            // as dropped out.
-            acct.link_dropouts += 1;
-            return None;
-        };
-        Some(Delivered {
-            frame,
-            // Simulated lateness is the injected delay plus the delivery's
-            // in-flight time, retry backoff and any reorder delay.
-            lateness: delay_ms + report.backoff_ms + report.latency_ms + outcome.reorder_ms,
-            duplicates: outcome.duplicates,
-        })
+        acct.net_losses += u64::from(link.lost_attempts);
+        acct.net_duplicates += u64::from(link.duplicates);
+        acct.net_reorders += u64::from(link.reordered);
+        photon_comms::trace_delivery(&link.report, link.seed, &self.cfg.retransmit);
+        acct.wire_bytes += link.report.wire_bytes;
+        acct.retransmits += u64::from(link.report.attempts.saturating_sub(1));
     }
 
     // ---------------------------------------------------------------
@@ -717,11 +687,13 @@ impl Aggregator {
     ///
     /// A synchronous round is gated by the degraded quorum before
     /// admission and by the partial-results policy after the screen.
+    /// Update vectors the merge is done with go to `spent`.
     fn merge(
         &mut self,
         plan: &RoundPlan,
         arrivals: Vec<Arrival>,
         acct: &RoundAccounting,
+        spent: &mut Spent,
     ) -> Result<Merged> {
         // This round routes over the tree as it stood when the round
         // began; a crash takes effect from the next round's routing on,
@@ -752,12 +724,13 @@ impl Aggregator {
             if self.below_reachability_quorum(cohort, received) {
                 tally.degraded = true;
                 let seen = arrivals.iter().map(|a| (a.client_id, a.metrics)).collect();
+                spent.extend(arrivals.into_iter().map(|a| a.delta));
                 return Ok(Merged::nothing(seen, tally));
             }
         }
 
-        let (admitted, arrived) =
-            self.admit(plan, routed.as_ref().map(|(t, _)| t), arrivals, &mut tally)?;
+        let tree = routed.as_ref().map(|(t, _)| t);
+        let (admitted, arrived) = self.admit(plan, tree, arrivals, &mut tally, spent)?;
         // The updates fold into shard aggregates before the screen only
         // in a synchronous tree round.
         let shard_folds = routed.as_ref().filter(|_| !buffered);
@@ -775,7 +748,8 @@ impl Aggregator {
             };
             (cand, seen)
         } else if let Some((tree, part)) = shard_folds {
-            let (cand, seen) = self.fold_shards(plan, tree, part, admitted, &arrived, &mut tally);
+            let (cand, seen) =
+                self.fold_shards(plan, tree, part, admitted, &arrived, &mut tally, spent);
             if cand.updates.is_empty() {
                 // Every slice was lost (crashes, hangs, quorum misses, or
                 // all shards dead). Committing nothing and carrying on is
@@ -799,7 +773,7 @@ impl Aggregator {
         // its client's loss with it — a poisoned loss must not steer the
         // watchdog — and, in a synchronous round, its metrics. Shard
         // aggregates stand for members admitted one by one.
-        let keep = self.screen(&mut cand.ids, &mut cand.updates, &mut tally);
+        let keep = self.screen(&mut cand.ids, &mut cand.updates, &mut tally, spent);
         if shard_folds.is_none() {
             retain_mask(&mut cand.losses, &keep);
             if !buffered {
@@ -832,7 +806,10 @@ impl Aggregator {
         let delta = self.cfg.aggregation.aggregate(&cand.updates);
         let folded = cand.updates.len();
         let contributors = match shard_folds {
-            Some(_) => Vec::new(),
+            Some(_) => {
+                spent.extend(cand.updates.into_iter().map(|u| u.delta));
+                Vec::new()
+            }
             None => cand.ids.into_iter().zip(cand.updates).collect(),
         };
         Ok(Merged {
@@ -904,13 +881,14 @@ impl Aggregator {
     ///   the sender in a guarded run, so no later step can fail on it.
     ///
     /// Returns the admitted updates and how many arrivals reached each
-    /// shard.
+    /// shard; what it turns away goes to `spent`.
     fn admit(
         &mut self,
         plan: &RoundPlan,
         tree: Option<&ShardTree>,
         arrivals: Vec<Arrival>,
         tally: &mut MergeTally,
+        spent: &mut Spent,
     ) -> Result<(Vec<Admitted>, BTreeMap<u32, usize>)> {
         let skip_quarantined = tree.is_some() && self.buffer.is_none();
         let mut admitted = Vec::with_capacity(arrivals.len());
@@ -924,7 +902,10 @@ impl Aggregator {
                     *arrived.entry(s).or_insert(0) += 1;
                     Some(s)
                 }
-                Some(_) => continue,
+                Some(_) => {
+                    spent.push(a.delta);
+                    continue;
+                }
             };
             let quarantined = skip_quarantined
                 && self
@@ -934,6 +915,7 @@ impl Aggregator {
             if quarantined {
                 tally.quarantined += 1;
                 self.telemetry.count(|f| f.quarantine_skips += 1);
+                spent.push(a.delta);
                 continue;
             }
             let update = match ClientUpdate::new(a.delta, a.weight) {
@@ -972,7 +954,9 @@ impl Aggregator {
     /// Failure domains compose per level: a `shardcrash`/`shardhang`
     /// loses only that shard's slice this round, and a shard that folds
     /// less than its `ceil(shard_quorum_frac × slice)` quorum (or folds to
-    /// a degenerate weight) degrades alone.
+    /// a degenerate weight) degrades alone. The folded vectors go to
+    /// `spent`.
+    #[allow(clippy::too_many_arguments)]
     fn fold_shards(
         &self,
         plan: &RoundPlan,
@@ -981,6 +965,7 @@ impl Aggregator {
         admitted: Vec<Admitted>,
         arrived: &BTreeMap<u32, usize>,
         tally: &mut MergeTally,
+        spent: &mut Spent,
     ) -> (Candidates, Seen) {
         let hcfg = tree.config();
         let mut by_shard: BTreeMap<u32, Vec<Admitted>> = BTreeMap::new();
@@ -1021,9 +1006,9 @@ impl Aggregator {
             let folded = merge.folded();
             merge_span.set_arg("folded", folded as u64);
             merge_span.set_arg("peak_resident", merge.peak_resident() as u64);
-            let aggregate = (folded >= hcfg.shard_quorum(slice.len()) && folded > 0)
-                .then(|| merge.finish())
-                .flatten()
+            let aggregate = merge
+                .finish_spent(spent)
+                .filter(|_| folded >= hcfg.shard_quorum(slice.len()) && folded > 0)
                 .and_then(|(merged, weight)| ClientUpdate::new(merged, weight).ok());
             let Some(update) = aggregate else {
                 tally.shard_degraded += 1;
@@ -1092,14 +1077,15 @@ impl Aggregator {
     }
 
     /// The guard screen every merge shares. Drops the rejected entries
-    /// of `ids` and `updates` (clipped deltas are rescaled in place) and
-    /// returns the admission mask for the caller's own parallel vectors.
-    /// Unguarded runs admit everything.
+    /// of `ids` and `updates` (clipped deltas are rescaled in place; a
+    /// rejected one goes to `spent`) and returns the admission mask for
+    /// the caller's own parallel vectors. Unguarded runs admit everything.
     fn screen(
         &mut self,
         ids: &mut Vec<u32>,
         updates: &mut Vec<ClientUpdate>,
         tally: &mut MergeTally,
+        spent: &mut Spent,
     ) -> Vec<bool> {
         let Some(guard) = self.guard.as_mut() else {
             return vec![true; ids.len()];
@@ -1116,7 +1102,14 @@ impl Aggregator {
         tally.quarantined += report.quarantine_skips as usize;
         let keep: Vec<bool> = report.decisions.iter().map(|d| d.admitted()).collect();
         retain_mask(ids, &keep);
-        retain_mask(updates, &keep);
+        let mut admitted = keep.iter();
+        updates.retain_mut(|update| {
+            let admitted = *admitted.next().expect("mask covers the vector");
+            if !admitted {
+                spent.push(std::mem::take(&mut update.delta));
+            }
+            admitted
+        });
         keep
     }
 
@@ -1126,12 +1119,14 @@ impl Aggregator {
 
     /// L.9–11, and the one place a round advances: records the round's
     /// telemetry, runs the watchdog, applies the server optimizer, builds
-    /// the record and bumps the round counter.
+    /// the record and bumps the round counter. The aggregate and the
+    /// updates behind it go to `spent`.
     fn commit(
         &mut self,
         plan: RoundPlan,
         acct: RoundAccounting,
         merged: Merged,
+        spent: &mut Spent,
     ) -> Result<RoundRecord> {
         let Merged {
             aggregate,
@@ -1174,7 +1169,7 @@ impl Aggregator {
         let pseudo_grad_norm = aggregate
             .as_ref()
             .map_or(0.0, |agg| photon_tensor::ops::l2_norm(&agg.delta));
-        if let Some(agg) = aggregate.filter(|_| !neutralized) {
+        if let Some(agg) = aggregate.as_ref().filter(|_| !neutralized) {
             // Loss-spike watchdog, BEFORE the server optimizer touches the
             // parameters: a divergent round leaves the model untouched and
             // the recovery driver rolls back to the last-good checkpoint.
@@ -1208,6 +1203,10 @@ impl Aggregator {
             };
             self.loss_ema = Some(blend(self.loss_ema, mean_client_loss as f64));
             self.norm_ema = Some(blend(self.norm_ema, pseudo_grad_norm as f64));
+        }
+        if let Some(agg) = aggregate {
+            spent.extend(agg.contributors.into_iter().map(|(_, update)| update.delta));
+            spent.push(agg.delta);
         }
 
         let record = RoundRecord {
@@ -1323,15 +1322,6 @@ fn on_lanes<T: Send, W: Send, R: Send>(
     })
 }
 
-/// A result frame that made it across the simulated Link.
-struct Delivered {
-    frame: photon_comms::VerifiedFrame,
-    /// Simulated milliseconds between the round start and the arrival.
-    lateness: u64,
-    /// Extra copies a duplicating link delivered.
-    duplicates: u32,
-}
-
 /// Stage 2 of a round, the one part that differs between the simulator
 /// and a real network: put the round's broadcast frame in front of the
 /// cohort and hand back what the cohort replied. The simulator's client
@@ -1359,6 +1349,12 @@ pub trait Transport {
     fn committed(&mut self, _round: u64) -> bool {
         true
     }
+
+    /// Takes back the update vectors the round is done with — folded,
+    /// rejected or aggregated — whether or not it committed. A transport
+    /// that decodes results into buffers of its own keeps them for the
+    /// next round; the default drops them.
+    fn recycle(&mut self, _spent: Vec<Vec<f32>>) {}
 }
 
 /// What the transport stage hands a [`Transport`].
@@ -1379,8 +1375,9 @@ pub struct Exchange<'a> {
 /// failures that used to panic the thread — is a value, so the round can
 /// translate it into accounting or a typed [`CoreError`].
 pub enum ClientReply {
-    /// A simulated client's result frame, plus the turbulence the simulated
-    /// Link applies to it on the aggregator side.
+    /// [`client_round`]'s result frame, plus the turbulence a simulated Link
+    /// applies to it on the way: what a transport sends, never what it
+    /// hands the engine.
     Frame {
         /// The sender.
         client_id: u32,
@@ -1391,15 +1388,27 @@ pub enum ClientReply {
         /// How many leading transmissions arrive corrupted.
         corrupt_attempts: u32,
     },
-    /// A result a real link delivered, CRC-checked and decoded once at the
-    /// socket.
+    /// A result the receiving end CRC-checked and decoded once: a socket's
+    /// reader thread, or a simulator lane running the simulated Link.
     Received {
         /// The sender.
         client_id: u32,
-        /// The decoded `ClientResult`.
-        message: Message,
-        /// Bytes the frame took on the wire.
+        /// The decoded `ClientResult`, or why its verified frame did not
+        /// decode.
+        message: std::result::Result<Message, WireError>,
+        /// Bytes one copy of the frame took on the wire.
         frame_len: u64,
+        /// What the simulated Link did on the way; `None` for a real
+        /// socket, which charges the one copy it read and is never late.
+        link: Option<SimDelivery>,
+    },
+    /// A simulated result the Link never delivered: an active partition
+    /// severed its client, or every allowed attempt failed.
+    Lost {
+        /// The sender.
+        client_id: u32,
+        /// What the simulated Link did to it.
+        link: SimDelivery,
     },
     /// No result this round: a mid-round disconnect, or a member whose
     /// result missed the transport's deadline.
@@ -1423,6 +1432,7 @@ impl ClientReply {
         match self {
             ClientReply::Frame { client_id, .. }
             | ClientReply::Received { client_id, .. }
+            | ClientReply::Lost { client_id, .. }
             | ClientReply::Crash { client_id }
             | ClientReply::Error { client_id, .. } => *client_id,
         }
@@ -1440,10 +1450,57 @@ impl ClientReply {
 /// its own that outlives the round: the lanes, not the registered
 /// clients, hold the training buffers, so there are `min(cohort, cores)`
 /// of them however many clients are registered.
+///
+/// A lane is also its clients' receiving end: it carries each sealed
+/// result across the [`SimLink`] and decodes it into an update buffer
+/// taken from `spares`, which [`Transport::recycle`] refills with what the
+/// round is done with — at most one cohort's worth — so a warm round
+/// decodes its cohort without touching the allocator.
 struct Lanes<'a> {
     clients: &'a mut [LlmClient],
     max_lanes: usize,
     workspaces: &'a mut Vec<Workspace>,
+    spares: &'a mut Spares,
+    /// This round's cohort size: how many spares are worth keeping.
+    cohort: usize,
+}
+
+/// Update vectors kept from round to round for the simulator's lanes to
+/// decode results into (never checkpointed: a decode replaces whatever a
+/// buffer held).
+#[derive(Default)]
+pub(super) struct Spares {
+    buffers: Vec<Vec<f32>>,
+    /// Test hook: before every round, each member gets a spare, every
+    /// spare is NaN-filled and two in three are given a wrong length, so
+    /// a decode that reads a buffer before storing all of it changes the
+    /// run.
+    #[cfg(test)]
+    pub(super) poison: bool,
+}
+
+impl Spares {
+    /// One buffer per cohort member, recycled ones first.
+    fn take(&mut self, members: usize) -> Vec<Vec<f32>> {
+        #[cfg(test)]
+        if self.poison {
+            self.buffers.resize_with(members, Vec::new);
+            for (i, buffer) in self.buffers.iter_mut().enumerate() {
+                let len = match i % 3 {
+                    0 => buffer.len(),
+                    1 => buffer.len() / 2,
+                    _ => buffer.len() + 5,
+                };
+                buffer.clear();
+                buffer.resize(len, f32::NAN);
+            }
+        }
+        let mut taken = self
+            .buffers
+            .split_off(self.buffers.len().saturating_sub(members));
+        taken.resize_with(members, Vec::new);
+        taken
+    }
 }
 
 impl Transport for Lanes<'_> {
@@ -1488,15 +1545,146 @@ impl Transport for Lanes<'_> {
         if self.workspaces.len() < lanes {
             self.workspaces.resize_with(lanes, Workspace::new);
         }
+        self.cohort = members.len();
+        let buffers = self.spares.take(members.len());
+        let link = SimLink::new(round, cfg, faults);
         let replies = on_lanes(
-            members,
+            members.into_iter().zip(buffers).collect(),
             &mut self.workspaces[..lanes],
-            |workspace, client| {
+            |workspace, (client, buffer)| {
                 let fault = faults.and_then(|inj| inj.client_fault(round, client.id()));
-                client_round(client, workspace, global, round, cohort, cfg, fault)
+                let reply = client_round(client, workspace, global, round, cohort, cfg, fault);
+                link.receive(reply, buffer)
             },
         );
         replies.ok_or_else(|| CoreError::ClientFailure("a client thread panicked".into()))
+    }
+
+    fn recycle(&mut self, spent: Vec<Vec<f32>>) {
+        let keep = self.cohort.saturating_sub(self.spares.buffers.len());
+        self.spares.buffers.extend(spent.into_iter().take(keep));
+    }
+}
+
+/// What the simulated Link did to one result frame, as the lane that
+/// carried it measured it: what the collect stage accounts for and
+/// traces, on the round's own thread, in client-id order.
+#[derive(Clone, Copy, Default)]
+pub struct SimDelivery {
+    /// The active partition that severed the client: nothing was sent.
+    severed: Option<PartitionKind>,
+    /// The retransmit loop's attempts, wire bytes, backoff and in-flight
+    /// time.
+    report: DeliveryReport,
+    /// The delivery's seed, which keys its bit flips and backoff jitter.
+    seed: u64,
+    /// Leading attempts lost in flight.
+    lost_attempts: u32,
+    /// Extra copies a duplicating link delivered.
+    duplicates: u32,
+    /// Whether the link delayed the arrival behind later ones.
+    reordered: bool,
+    /// Simulated milliseconds between the round start and the arrival.
+    lateness: u64,
+}
+
+/// The simulated Link a result crosses on its way to the aggregator. Its
+/// every input — the fault plan, the chaos network, the retransmit policy
+/// — is pure in `(seed, round, client)`, so the lane that runs it does
+/// not change what it does.
+struct SimLink<'a> {
+    round: u64,
+    cfg: &'a FederationConfig,
+    faults: Option<&'a FaultPlan>,
+    network: Option<photon_comms::NetworkModel>,
+}
+
+impl<'a> SimLink<'a> {
+    fn new(round: u64, cfg: &'a FederationConfig, faults: Option<&'a FaultPlan>) -> Self {
+        let network = cfg
+            .network
+            .map(|n| photon_comms::NetworkModel::new(n.profile, cfg.seed));
+        SimLink {
+            round,
+            cfg,
+            faults,
+            network,
+        }
+    }
+
+    /// Receives `reply`'s result frame: an active partition severs it, the
+    /// chaos network and the fault plan decide latency, loss and
+    /// duplication, CRC-failed or lost attempts are retransmitted
+    /// (deterministically) up to the budget, and the frame that verified
+    /// is decoded into `buffer`. Any other reply passes through.
+    fn receive(&self, reply: ClientReply, buffer: Vec<f32>) -> ClientReply {
+        let ClientReply::Frame {
+            client_id,
+            frame,
+            delay_ms,
+            corrupt_attempts,
+        } = reply
+        else {
+            return reply;
+        };
+        let (round, faults) = (self.round, self.faults);
+        // A severed client's result never reaches the aggregator (it
+        // still trained, keeping its local state deterministic across the
+        // heal).
+        if let Some(kind) = faults.and_then(|inj| inj.partition_state(round, client_id)) {
+            let link = SimDelivery {
+                severed: Some(kind),
+                ..SimDelivery::default()
+            };
+            return ClientReply::Lost { client_id, link };
+        }
+        let frame = frame.frame();
+        // The chaos network decides what the link does to this delivery;
+        // the fault plan can pile scheduled losses and a pinned-slow link
+        // on top.
+        let outcome = self
+            .network
+            .as_ref()
+            .map(|net| net.link_outcome(round, client_id, frame.len()))
+            .unwrap_or_default();
+        let mut latency_ms = outcome.latency_ms;
+        if faults.is_some_and(|inj| inj.has(FaultEvent::SlowLink, round, client_id)) {
+            let factor = self.cfg.network.map_or(10, |n| n.slow_factor);
+            latency_ms = latency_ms.saturating_mul(factor).max(1_000);
+        }
+        let lost_attempts =
+            outcome.lost_attempts + faults.map_or(0, |inj| inj.link_loss(round, client_id));
+        let seed = mix_link_seed(self.cfg.seed, round, client_id);
+        let (delivered, report) = photon_comms::deliver_untraced(
+            &frame,
+            corrupt_attempts,
+            lost_attempts,
+            latency_ms,
+            seed,
+            &self.cfg.retransmit,
+        );
+        let link = SimDelivery {
+            severed: None,
+            report,
+            seed,
+            lost_attempts,
+            duplicates: outcome.duplicates,
+            reordered: outcome.reorder_ms > 0,
+            // Simulated lateness is the injected delay plus the delivery's
+            // in-flight time, retry backoff and any reorder delay.
+            lateness: delay_ms + report.backoff_ms + report.latency_ms + outcome.reorder_ms,
+        };
+        match delivered {
+            Err(_) => ClientReply::Lost { client_id, link },
+            // The retransmit loop verified this frame's CRC; the decode
+            // does not walk the payload again.
+            Ok(verified) => ClientReply::Received {
+                client_id,
+                message: Message::from_verified_frame_into(verified, buffer).map(|(m, _)| m),
+                frame_len: frame.len() as u64,
+                link: Some(link),
+            },
+        }
     }
 }
 
@@ -1613,7 +1801,7 @@ fn mix_link_seed(seed: u64, round: u64, client: u32) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{on_lanes, ClientReply, Exchange, Transport};
+    use super::{on_lanes, ClientReply, Exchange, Spares, Transport};
     use crate::aggregator::tests::quick_cfg;
     use crate::hierarchy::HierarchyConfig;
     use crate::thread_census::spawned;
@@ -1718,10 +1906,12 @@ mod tests {
     }
 
     /// A single-GPU client, a 2-replica DDP silo, a 2-node sub-federation
-    /// silo and a sign flip: the federations the store-before-read rule is
-    /// checked on, each with its fault plan.
+    /// silo and a sign flip, then a shard tree, a buffered round and a
+    /// chaotic network, each with its faults: the federations the
+    /// store-before-read rules are checked on, each with its fault plan.
     fn workspace_cases() -> Vec<(&'static str, Federation, Option<FaultPlan>)> {
         use photon_cluster::{GpuSpec, Interconnect, NodeSpec, Region, SiloSpec};
+        use photon_comms::{LinkProfile, NetworkConfig};
         let fed = || build_federation(&quick_cfg(3), 2_000).unwrap();
         let with_silo = |silo: SiloSpec| {
             let mut fed = fed();
@@ -1757,35 +1947,105 @@ mod tests {
             TrainingStrategy::SubFederation { partitions: 2 }
         );
         let sign_flip = FaultSpec::parse("sign-flip@r1c0").unwrap().plan(3, 3);
+
+        let mut tree = quick_cfg(8);
+        tree.hierarchy = four_shards();
+        tree.allow_partial_results = true;
+        let tree_faults = FaultSpec::parse("shards=4,crash@r0c5,shardhang@r1s2,seed=3")
+            .unwrap()
+            .plan(8, 3);
+        let mut buffered = quick_cfg(4);
+        buffered.membership = Some(crate::MembershipConfig::default());
+        buffered.buffer = Some(photon_fedopt::BufferConfig {
+            quorum: 3,
+            staleness_decay: 0.5,
+        });
+        buffered.round_deadline_ms = Some(150);
+        buffered.allow_partial_results = true;
+        let buffered_faults = FaultSpec::parse("straggle:1500@r0c1,straggle:400@r1c2,seed=3")
+            .unwrap()
+            .plan(4, 3);
+        let mut chaos = quick_cfg(6);
+        chaos.network = Some(NetworkConfig {
+            profile: LinkProfile {
+                base_latency_ms: 20,
+                jitter_ms: 10,
+                loss_rate: 0.2,
+                dup_rate: 0.3,
+                reorder_window_ms: 15,
+                ..LinkProfile::default()
+            },
+            ..NetworkConfig::default()
+        });
+        chaos.guard = photon_fedopt::GuardConfig::on();
+        chaos.allow_partial_results = true;
+        let chaos_faults = FaultSpec::parse("corrupt=0.3,sign-flip@r1c4,seed=5")
+            .unwrap()
+            .plan(6, 3);
         vec![
             ("single-gpu", fed(), None),
             ("ddp", ddp, None),
             ("sub-federation", subfed, None),
             ("sign-flip", fed(), Some(sign_flip)),
+            (
+                "tree",
+                build_federation(&tree, 2_000).unwrap(),
+                Some(tree_faults),
+            ),
+            (
+                "buffered",
+                build_federation(&buffered, 2_000).unwrap(),
+                Some(buffered_faults),
+            ),
+            (
+                "chaos",
+                build_federation(&chaos, 2_000).unwrap(),
+                Some(chaos_faults),
+            ),
         ]
     }
 
-    /// Three rounds of `fed`, and what they came to. `poisoned` runs every
-    /// client on one lane whose workspace is NaN-filled each time a client
-    /// takes it; otherwise every client has a lane of its own and the
-    /// lanes' workspaces are dropped before every round, so each client
-    /// round starts on fresh buffers.
+    /// Which buffers a round of [`three_rounds`] starts on.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Start {
+        /// Every client a lane of its own, on workspaces and update
+        /// buffers dropped before every round: each client round starts
+        /// on fresh ones.
+        Fresh,
+        /// Every client on one lane whose workspace is NaN-filled each
+        /// time a client takes it.
+        PoisonedWorkspace,
+        /// Two lanes whose spare update buffers are NaN-filled, and two in
+        /// three of them a wrong length, before every round.
+        PoisonedSpares,
+    }
+
+    /// Three rounds of `fed`, started as `start` says, and what they came
+    /// to.
     fn three_rounds(
         fed: &mut Federation,
         faults: Option<&FaultPlan>,
-        poisoned: bool,
+        start: Start,
     ) -> (Vec<RoundRecord>, Vec<u32>) {
         let agg = &mut fed.aggregator;
         let records = (0..3)
             .map(|_| {
-                let lanes = if poisoned {
-                    let mut lane = Workspace::new();
-                    lane.nan_fill = true;
-                    agg.workspaces = vec![lane];
-                    1
-                } else {
-                    agg.workspaces.clear();
-                    fed.clients.len()
+                let lanes = match start {
+                    Start::Fresh => {
+                        agg.workspaces.clear();
+                        agg.spares = Spares::default();
+                        fed.clients.len()
+                    }
+                    Start::PoisonedWorkspace => {
+                        let mut lane = Workspace::new();
+                        lane.nan_fill = true;
+                        agg.workspaces = vec![lane];
+                        1
+                    }
+                    Start::PoisonedSpares => {
+                        agg.spares.poison = true;
+                        2
+                    }
                 };
                 agg.run_round_on_lanes(&mut fed.clients, faults, lanes)
                     .unwrap()
@@ -1795,19 +2055,22 @@ mod tests {
         (records, bits)
     }
 
-    #[test]
-    fn lane_workspaces_store_before_they_read() {
+    /// Runs every [`workspace_cases`] federation fresh and from `poisoned`
+    /// buffers, and requires the two runs to agree.
+    fn poison_changes_nothing(poisoned: Start) {
         let fresh = workspace_cases();
-        for ((name, mut poisoned, faults), (_, mut fresh, _)) in
+        for ((name, mut poisoned_fed, faults), (_, mut fresh, _)) in
             workspace_cases().into_iter().zip(fresh)
         {
-            let want = three_rounds(&mut fresh, faults.as_ref(), false);
-            let got = three_rounds(&mut poisoned, faults.as_ref(), true);
-            assert!(
-                got == want,
-                "{name}: a NaN-filled workspace changed the run"
-            );
+            let want = three_rounds(&mut fresh, faults.as_ref(), Start::Fresh);
+            let got = three_rounds(&mut poisoned_fed, faults.as_ref(), poisoned);
+            assert!(got == want, "{name}: a poisoned buffer changed the run");
         }
+    }
+
+    #[test]
+    fn lane_workspaces_store_before_they_read() {
+        poison_changes_nothing(Start::PoisonedWorkspace);
 
         // A client that panics half-way through a round on a lane leaves
         // nothing the next round reads.
@@ -1834,6 +2097,11 @@ mod tests {
             .unwrap();
         assert_eq!(after_the_panic, want);
         assert_eq!(fed.aggregator.params(), fresh.aggregator.params());
+    }
+
+    #[test]
+    fn recycled_update_buffers_store_before_they_read() {
+        poison_changes_nothing(Start::PoisonedSpares);
     }
 
     #[test]
@@ -1919,7 +2187,8 @@ mod tests {
             let received = |(client_id, frame): (u32, bytes::Bytes)| ClientReply::Received {
                 client_id,
                 frame_len: frame.len() as u64,
-                message: Message::from_frame(frame).expect("a result decodes as a result"),
+                message: Message::from_frame(frame),
+                link: None,
             };
             Ok(frames.into_iter().map(received).collect())
         }

@@ -291,7 +291,7 @@ impl Reader {
     /// A length-prefixed float vector; the count is checked against the
     /// bytes present before anything is allocated for it.
     fn f32s(&mut self) -> Decoded<Vec<f32>> {
-        read_f32_slice(&mut self.body).map_err(|e| e.to_string())
+        read_f32_slice(&mut self.body, Vec::new()).map_err(|e| e.to_string())
     }
 
     fn section<T>(&mut self, body: impl FnOnce(&mut Self) -> Decoded<T>) -> Decoded<Option<T>> {

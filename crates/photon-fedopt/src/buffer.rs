@@ -300,12 +300,18 @@ pub enum StreamPush {
 /// resident instead; an abandoned key that later arrives is counted and
 /// dropped. Abandonment is deterministic in the arrival order, so runs
 /// replay bit-identically.
+///
+/// A folded update's vector is spent, not freed: the merge keeps it (it
+/// no longer counts as resident) and [`StreamingMerge::finish_spent`]
+/// hands it back, so a receiver can decode the next round into it.
 #[derive(Debug, Clone)]
 pub struct StreamingMerge {
     expected: Vec<(u64, u32)>,
     next: usize,
     held: std::collections::BTreeMap<(u64, u32), ClientUpdate>,
     sum: WeightedSum,
+    /// The vectors of the folded updates.
+    spent: Vec<Vec<f32>>,
     late_drops: usize,
     peak_resident: usize,
     max_resident: usize,
@@ -328,6 +334,7 @@ impl StreamingMerge {
             next: 0,
             held: std::collections::BTreeMap::new(),
             sum: WeightedSum::default(),
+            spent: Vec::new(),
             late_drops: 0,
             peak_resident: 1,
             max_resident: max_resident.max(2),
@@ -344,8 +351,7 @@ impl StreamingMerge {
             return StreamPush::LateDropped;
         }
         if key == self.expected[self.next] {
-            self.sum.add(&update);
-            self.next += 1;
+            self.fold(update);
             self.drain_held();
             return StreamPush::Folded;
         }
@@ -363,8 +369,7 @@ impl StreamingMerge {
                 return StreamPush::LateDropped;
             }
             if key == self.expected[self.next] {
-                self.sum.add(&update);
-                self.next += 1;
+                self.fold(update);
                 self.drain_held();
                 return StreamPush::Folded;
             }
@@ -377,15 +382,28 @@ impl StreamingMerge {
     /// Folds everything still held (in canonical order) and returns the
     /// weighted mean plus the total folded weight; `None` if nothing was
     /// ever folded.
-    pub fn finish(mut self) -> Option<(Vec<f32>, f64)> {
+    pub fn finish(self) -> Option<(Vec<f32>, f64)> {
+        self.finish_spent(&mut Vec::new())
+    }
+
+    /// [`StreamingMerge::finish`], handing the vectors of every update the
+    /// merge folded to `spent`, for their allocations to be reused.
+    pub fn finish_spent(mut self, spent: &mut Vec<Vec<f32>>) -> Option<(Vec<f32>, f64)> {
         while let Some((key, update)) = self.held.pop_first() {
             while self.expected[self.next] != key {
                 self.next += 1;
             }
-            self.sum.add(&update);
-            self.next += 1;
+            self.fold(update);
         }
+        spent.append(&mut self.spent);
         self.sum.finish()
+    }
+
+    /// Folds `update` at the frontier and advances past it.
+    fn fold(&mut self, update: ClientUpdate) {
+        self.sum.add(&update);
+        self.spent.push(update.delta);
+        self.next += 1;
     }
 
     /// Number of updates folded so far.
@@ -407,10 +425,7 @@ impl StreamingMerge {
     fn drain_held(&mut self) {
         while self.next < self.expected.len() {
             match self.held.remove(&self.expected[self.next]) {
-                Some(update) => {
-                    self.sum.add(&update);
-                    self.next += 1;
-                }
+                Some(update) => self.fold(update),
                 None => break,
             }
         }
@@ -423,8 +438,7 @@ impl StreamingMerge {
         while self.expected[self.next] != key {
             self.next += 1;
         }
-        self.sum.add(&update);
-        self.next += 1;
+        self.fold(update);
         self.drain_held();
     }
 }

@@ -400,7 +400,9 @@ fn connection_loop(
                         eprintln!("client {me}: round {round} failed locally: {message}");
                         return ConnOutcome::Shutdown;
                     }
-                    ClientReply::Received { .. } => unreachable!("a client round seals a frame"),
+                    ClientReply::Received { .. } | ClientReply::Lost { .. } => {
+                        unreachable!("a client round seals a frame")
+                    }
                 };
                 report.rounds_trained += 1;
                 // Retain before sending, so a send that fails half-way

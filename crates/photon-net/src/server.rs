@@ -743,8 +743,9 @@ impl Tcp<'_> {
         // A second copy within the round goes to the engine's dedup too.
         fl.replies.push(ClientReply::Received {
             client_id,
-            message,
+            message: Ok(message),
             frame_len,
+            link: None,
         });
     }
 

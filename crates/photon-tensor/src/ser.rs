@@ -37,20 +37,30 @@ pub fn put_bf16s_le<B: BufMut + ?Sized>(out: &mut B, xs: &[f32]) {
     }
 }
 
+/// The floats of little-endian f32 bytes; a trailing partial element is
+/// ignored.
+fn f32s_le(raw: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    raw.chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+/// The floats of little-endian bf16 bits, widened (exactly); a trailing
+/// partial element is ignored.
+fn bf16s_le(raw: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    raw.chunks_exact(2)
+        .map(|b| bf16_to_f32(u16::from_le_bytes([b[0], b[1]])))
+}
+
 /// Decodes little-endian f32 bytes written by [`put_f32s_le`]; a trailing
 /// partial element is ignored.
 pub fn f32s_from_le(raw: &[u8]) -> Vec<f32> {
-    raw.chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect()
+    f32s_le(raw).collect()
 }
 
 /// Decodes little-endian bf16 bits written by [`put_bf16s_le`], widening
 /// to f32 (exact); a trailing partial element is ignored.
 pub fn bf16s_from_le(raw: &[u8]) -> Vec<f32> {
-    raw.chunks_exact(2)
-        .map(|b| bf16_to_f32(u16::from_le_bytes([b[0], b[1]])))
-        .collect()
+    bf16s_le(raw).collect()
 }
 
 /// Appends a length-prefixed `f32` slice to `out` (u64 count + LE floats).
@@ -78,14 +88,18 @@ fn read_count(buf: &mut Bytes, width: usize, what: &str) -> Result<usize> {
     }
 }
 
-/// Reads a length-prefixed `f32` slice written by [`write_f32_slice`].
+/// Reads a length-prefixed `f32` slice written by [`write_f32_slice`]
+/// into `out`, replacing what it held and reusing its allocation: pass
+/// `Vec::new()` for a fresh vector. The count is checked against the
+/// bytes present before `out` grows.
 ///
 /// # Errors
 /// Returns [`TensorError::Deserialize`] if the buffer is truncated or the
 /// declared length is implausibly large for the remaining bytes.
-pub fn read_f32_slice(buf: &mut Bytes) -> Result<Vec<f32>> {
+pub fn read_f32_slice(buf: &mut Bytes, mut out: Vec<f32>) -> Result<Vec<f32>> {
     let bytes = read_count(buf, 4, "f32")?;
-    let out = f32s_from_le(&buf[..bytes]);
+    out.clear();
+    out.extend(f32s_le(&buf[..bytes]));
     buf.advance(bytes);
     Ok(out)
 }
@@ -99,14 +113,15 @@ pub fn write_bf16_slice(out: &mut BytesMut, xs: &[f32]) {
 }
 
 /// Reads a length-prefixed bf16 slice written by [`write_bf16_slice`],
-/// widening to f32 (exact).
+/// widening to f32 (exact), into `out` as [`read_f32_slice`] does.
 ///
 /// # Errors
 /// Returns [`TensorError::Deserialize`] if the buffer is truncated or the
 /// declared length is implausibly large for the remaining bytes.
-pub fn read_bf16_slice(buf: &mut Bytes) -> Result<Vec<f32>> {
+pub fn read_bf16_slice(buf: &mut Bytes, mut out: Vec<f32>) -> Result<Vec<f32>> {
     let bytes = read_count(buf, 2, "bf16")?;
-    let out = bf16s_from_le(&buf[..bytes]);
+    out.clear();
+    out.extend(bf16s_le(&buf[..bytes]));
     buf.advance(bytes);
     Ok(out)
 }
@@ -121,7 +136,7 @@ mod tests {
         let mut out = BytesMut::new();
         write_f32_slice(&mut out, &xs);
         let mut buf = out.freeze();
-        assert_eq!(read_f32_slice(&mut buf).unwrap(), xs);
+        assert_eq!(read_f32_slice(&mut buf, Vec::new()).unwrap(), xs);
         assert_eq!(buf.remaining(), 0);
     }
 
@@ -132,7 +147,7 @@ mod tests {
         let full = out.freeze();
         for cut in [0, 4, 11, full.len() - 1] {
             let mut buf = full.slice(..cut);
-            assert!(read_f32_slice(&mut buf).is_err(), "cut={cut}");
+            assert!(read_f32_slice(&mut buf, Vec::new()).is_err(), "cut={cut}");
         }
     }
 
@@ -146,7 +161,7 @@ mod tests {
         assert_eq!(bf_buf.len() - 8, (f32_buf.len() - 8) / 2);
         let mut buf = bf_buf.freeze();
         // These values are exactly representable in bf16.
-        assert_eq!(read_bf16_slice(&mut buf).unwrap(), xs);
+        assert_eq!(read_bf16_slice(&mut buf, Vec::new()).unwrap(), xs);
         assert_eq!(buf.remaining(), 0);
     }
 
@@ -157,7 +172,7 @@ mod tests {
         let full = out.freeze();
         for cut in [0, 4, 9, full.len() - 1] {
             let mut buf = full.slice(..cut);
-            assert!(read_bf16_slice(&mut buf).is_err(), "cut={cut}");
+            assert!(read_bf16_slice(&mut buf, Vec::new()).is_err(), "cut={cut}");
         }
     }
 
@@ -235,9 +250,9 @@ mod tests {
                 proptest::prop_assert_eq!(out.as_slice(), &want[..]);
                 let mut buf = Bytes::from(want.clone());
                 let got = if bf16 {
-                    read_bf16_slice(&mut buf).unwrap()
+                    read_bf16_slice(&mut buf, Vec::new()).unwrap()
                 } else {
-                    read_f32_slice(&mut buf).unwrap()
+                    read_f32_slice(&mut buf, Vec::new()).unwrap()
                 };
                 proptest::prop_assert_eq!(buf.remaining(), 0);
                 let want_back = reference_read(Bytes::from(want), bf16);
@@ -256,11 +271,34 @@ mod tests {
             out.put_slice(&[0u8; 16]);
             let mut buf = out.freeze();
             let got = if width_bf16 {
-                read_bf16_slice(&mut buf)
+                read_bf16_slice(&mut buf, Vec::new())
             } else {
-                read_f32_slice(&mut buf)
+                read_f32_slice(&mut buf, Vec::new())
             };
             assert!(got.is_err());
+        }
+    }
+
+    #[test]
+    fn a_reused_buffer_decodes_like_a_fresh_one() {
+        let xs = vec![1.0f32, -2.5, 3.25, 0.0, -1024.0];
+        for bf16 in [false, true] {
+            let mut out = BytesMut::new();
+            if bf16 {
+                write_bf16_slice(&mut out, &xs);
+            } else {
+                write_f32_slice(&mut out, &xs);
+            }
+            let frame = out.freeze();
+            for stale in [vec![], vec![f32::NAN; 2], vec![f32::NAN; 64]] {
+                let read = if bf16 {
+                    read_bf16_slice
+                } else {
+                    read_f32_slice
+                };
+                let got = read(&mut frame.clone(), stale).unwrap();
+                assert_eq!(got, read(&mut frame.clone(), Vec::new()).unwrap());
+            }
         }
     }
 
@@ -269,6 +307,6 @@ mod tests {
         let mut out = BytesMut::new();
         write_f32_slice(&mut out, &[]);
         let mut buf = out.freeze();
-        assert!(read_f32_slice(&mut buf).unwrap().is_empty());
+        assert!(read_f32_slice(&mut buf, Vec::new()).unwrap().is_empty());
     }
 }

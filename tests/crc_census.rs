@@ -1,9 +1,11 @@
 //! CRC-pass census: a simulated round verifies every frame it receives
 //! exactly once. An N-client cohort shares one broadcast frame (checked
 //! and decoded once, before the lanes start) and returns N result frames
-//! (each checked inside the Link's retransmit loop and decoded from that
-//! proof), so a clean round runs N + 1 payload verifications — not the
-//! 3 N of N broadcast copies plus every result checked twice.
+//! (each checked inside the simulated Link's retransmit loop, which runs
+//! on the client's lane right after it seals its result, and decoded from
+//! that proof on the same lane), so a clean round still runs N + 1
+//! payload verifications — not the 3 N of N broadcast copies plus every
+//! result checked twice.
 //!
 //! One `#[test]` in its own binary: `photon_comms::crc_passes` counts the
 //! whole process, so a sibling test's frames would land in the census.
