@@ -6,7 +6,7 @@
 
 use crate::args::{choose, name_of, value, Command, Kind, Opt};
 use photon_core::{CohortSpec, FaultSpec, FederationConfig, TrainingOptions};
-use photon_fedopt::{AggregationKind, GuardConfig, ServerOptKind};
+use photon_fedopt::{AggregationKind, ServerOptKind};
 use photon_net::{ClientOptions, RunPlan};
 use photon_nn::{ModelConfig, PosEncoding, SampleConfig};
 use photon_optim::LrSchedule;
@@ -197,7 +197,7 @@ const CONFIG: &[Opt] = &[
             .map_err(|e| format!("--aggregation: {e}")),
         |o| Some(o.plan.cfg.aggregation.rule_name().into())),
     opt!("guard", "screen updates before merging (finiteness, norm clip, outlier rejection, \
-        quarantine)", |o| o.plan.cfg.guard = GuardConfig::on()),
+        quarantine)", plan.cfg.guard.enabled),
     opt!("loss-spike-mult" "X", "roll back when mean loss exceeds X * its EMA (watchdog; X > 1)",
         Some(plan.cfg.loss_spike_mult)),
     opt!("compress", "lossless Link compression", plan.cfg.compress_link),

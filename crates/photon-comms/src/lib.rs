@@ -44,8 +44,7 @@ pub use collective::{ring_allreduce_group, RingWorker};
 pub use compress::{compress_f32s, decompress_f32s};
 pub use crc::crc32;
 pub use link::{
-    deliver, deliver_chaos, deliver_untraced, trace_delivery, DeliveryReport, LinkExhausted,
-    RetransmitPolicy,
+    deliver, deliver_untraced, trace_delivery, DeliveryReport, LinkExhausted, RetransmitPolicy,
 };
 pub use message::{Message, SealedFrame, TrainMetrics, WireOpts};
 pub use network::{
@@ -53,7 +52,7 @@ pub use network::{
     PartitionSchedule, PartitionSpec,
 };
 pub use secure::{mask_update, SecureAggError};
-pub use topology::{aggregation_time_seconds, bytes_on_wire, comm_time_seconds, Topology};
+pub use topology::{bytes_on_wire, comm_time_seconds, Topology};
 pub use transport::{ChannelLink, Link, LinkError};
 pub use walltime::{RoundTime, SimClock, WallTimeModel};
 pub use wire::{

@@ -7,34 +7,34 @@
 //! deterministically: corruption and loss are injected by caller-supplied
 //! schedules (normally seeded fault-plan / network-model entries from the
 //! federation engine), every corrupted attempt is *actually* decoded so
-//! the CRC path is exercised, and the retry budget, capped exponential
-//! backoff, seeded jitter and per-delivery timeout are fixed policy, so a
-//! chaos run replays bit-identically.
+//! the CRC path is exercised, and the retry budget, exponential backoff,
+//! seeded jitter and per-delivery timeout are fixed policy, so a chaos run
+//! replays bit-identically.
 
 use crate::{VerifiedFrame, WireError};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Retransmission policy for a Link endpoint.
+/// Simulated backoff before the first retry; retry `n` (1-based) backs
+/// off `BACKOFF_BASE_MS << (n - 1)`, simulated wall-clock only — nothing
+/// sleeps.
+const BACKOFF_BASE_MS: u64 = 10;
+
+/// Retransmission policy for a Link endpoint. Configs that still carry the
+/// `backoff_base_ms` and `max_backoff_ms` keys load with those keys
+/// ignored: the backoff base is fixed and the schedule is uncapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetransmitPolicy {
     /// Retransmissions allowed after the first attempt (so a frame is
     /// transmitted at most `1 + max_retries` times).
     pub max_retries: u32,
-    /// Backoff before retry `n` (1-based) is `backoff_base_ms << (n - 1)`,
-    /// simulated wall-clock only — nothing sleeps.
-    pub backoff_base_ms: u64,
     /// Jitter as a percentage of each backoff: retry `n` backs off
-    /// `backoff_ms(n) + U[0, backoff_ms(n) * jitter_pct / 100]`, the draw
-    /// keyed off the delivery seed. `0` (the default) disables jitter and
-    /// reproduces the legacy fixed schedule bit-for-bit.
+    /// `b(n) + U[0, b(n) * jitter_pct / 100]` where `b(n) = 10 << (n - 1)`
+    /// ms, the draw keyed off the delivery seed. `0` (the default)
+    /// disables jitter and reproduces the fixed schedule bit-for-bit.
     #[serde(default)]
     pub jitter_pct: u32,
-    /// Cap on any single (jittered) backoff in simulated ms; `0` means
-    /// uncapped.
-    #[serde(default)]
-    pub max_backoff_ms: u64,
     /// Per-delivery timeout over accumulated simulated time (latency of
     /// every attempt plus all backoff) in ms; `0` disables it. A delivery
     /// that would exceed the timeout gives up even with retries left.
@@ -46,31 +46,27 @@ impl Default for RetransmitPolicy {
     fn default() -> Self {
         RetransmitPolicy {
             max_retries: 3,
-            backoff_base_ms: 10,
             jitter_pct: 0,
-            max_backoff_ms: 0,
             timeout_ms: 0,
         }
     }
 }
 
-impl RetransmitPolicy {
-    /// Simulated backoff before the `n`-th retry (1-based, deterministic
-    /// exponential, saturating), before jitter and capping.
-    pub fn backoff_ms(&self, retry: u32) -> u64 {
-        self.backoff_base_ms.saturating_mul(
-            1u64.checked_shl(retry.saturating_sub(1))
-                .unwrap_or(u64::MAX),
-        )
-    }
+/// Simulated backoff before the `n`-th retry (1-based, deterministic
+/// exponential, saturating), before jitter.
+fn backoff_ms(retry: u32) -> u64 {
+    BACKOFF_BASE_MS.saturating_mul(
+        1u64.checked_shl(retry.saturating_sub(1))
+            .unwrap_or(u64::MAX),
+    )
+}
 
-    /// Backoff before the `n`-th retry with seeded jitter applied and the
-    /// `max_backoff_ms` cap enforced. With `jitter_pct == 0` this equals
-    /// [`RetransmitPolicy::backoff_ms`] (modulo the cap), so legacy
-    /// configurations replay unchanged.
+impl RetransmitPolicy {
+    /// Backoff before the `n`-th retry with seeded jitter applied. With
+    /// `jitter_pct == 0` this equals the plain exponential schedule.
     pub(crate) fn jittered_backoff_ms(&self, retry: u32, seed: u64) -> u64 {
-        let base = self.backoff_ms(retry);
-        let jittered = if self.jitter_pct == 0 {
+        let base = backoff_ms(retry);
+        if self.jitter_pct == 0 {
             base
         } else {
             let span = base
@@ -83,11 +79,6 @@ impl RetransmitPolicy {
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             base.saturating_add((z ^ (z >> 31)) % span)
-        };
-        if self.max_backoff_ms > 0 {
-            jittered.min(self.max_backoff_ms)
-        } else {
-            jittered
         }
     }
 }
@@ -168,7 +159,7 @@ pub(crate) fn corrupt_frame(frame: &Bytes, seed: u64) -> Bytes {
 /// Delivers `frame` across a lossy link: attempt `a` (0-based) transmits a
 /// corrupted copy whenever `a < corrupt_first`, the receiver decodes (CRC
 /// check) and requests a retransmission on failure, up to
-/// `policy.max_retries` times.
+/// `policy.max_retries` times. The delivery is traced ([`trace_delivery`]).
 ///
 /// `seed` keys the injected bit flips so a replay corrupts the same bits.
 /// Returns the first frame that verified cleanly plus the delivery cost.
@@ -181,32 +172,7 @@ pub fn deliver(
     seed: u64,
     policy: &RetransmitPolicy,
 ) -> (Result<VerifiedFrame, LinkExhausted>, DeliveryReport) {
-    deliver_chaos(frame, corrupt_first, 0, 0, seed, policy)
-}
-
-/// Delivers `frame` across a chaotic link: the first `lost_first` attempts
-/// vanish in flight (the receiver times out and requests a retransmit),
-/// the next `corrupt_first` attempts arrive corrupted and fail the CRC
-/// check, and each attempt costs `latency_ms` of simulated in-flight time.
-/// Retries follow `policy`'s capped, jittered exponential backoff, and the
-/// per-delivery timeout (when set) bounds the total simulated time spent.
-/// The delivery is traced ([`trace_delivery`]).
-///
-/// `deliver` is the special case `lost_first == 0, latency_ms == 0`.
-///
-/// # Errors
-/// Returns [`LinkExhausted`] when every allowed attempt failed or the
-/// timeout fired first.
-pub fn deliver_chaos(
-    frame: &Bytes,
-    corrupt_first: u32,
-    lost_first: u32,
-    latency_ms: u64,
-    seed: u64,
-    policy: &RetransmitPolicy,
-) -> (Result<VerifiedFrame, LinkExhausted>, DeliveryReport) {
-    let (result, report) =
-        deliver_untraced(frame, corrupt_first, lost_first, latency_ms, seed, policy);
+    let (result, report) = deliver_untraced(frame, corrupt_first, 0, 0, seed, policy);
     trace_delivery(&report, seed, policy);
     (result, report)
 }
@@ -238,11 +204,17 @@ pub fn trace_delivery(report: &DeliveryReport, seed: u64, policy: &RetransmitPol
     }
 }
 
-/// [`deliver_chaos`] without its trace events: the retransmit loop alone,
-/// every attempt's CRC check included.
+/// Delivers `frame` across a chaotic link, untraced: the first
+/// `lost_first` attempts vanish in flight (the receiver times out and
+/// requests a retransmit), the next `corrupt_first` attempts arrive
+/// corrupted and fail the CRC check, and each attempt costs `latency_ms`
+/// of simulated in-flight time. Retries follow `policy`'s jittered
+/// exponential backoff, and the per-delivery timeout (when set) bounds the
+/// total simulated time spent. [`trace_delivery`] emits what it did.
 ///
 /// # Errors
-/// As [`deliver_chaos`].
+/// Returns [`LinkExhausted`] when every allowed attempt failed or the
+/// timeout fired first.
 pub fn deliver_untraced(
     frame: &Bytes,
     corrupt_first: u32,
@@ -343,7 +315,6 @@ mod tests {
         let f = frame();
         let policy = RetransmitPolicy {
             max_retries: 2,
-            backoff_base_ms: 5,
             ..RetransmitPolicy::default()
         };
         let (out, report) = deliver(&f, 99, 7, &policy);
@@ -352,7 +323,7 @@ mod tests {
         assert!(matches!(err.last_error, WireError::BadChecksum { .. }));
         assert!(!err.timed_out);
         assert_eq!(report.attempts, 3);
-        assert_eq!(report.backoff_ms, 5 + 10);
+        assert_eq!(report.backoff_ms, 10 + 20);
         assert!(err.to_string().contains("3 attempt(s)"));
     }
 
@@ -396,15 +367,10 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_saturating() {
-        let p = RetransmitPolicy {
-            max_retries: 80,
-            backoff_base_ms: 10,
-            ..RetransmitPolicy::default()
-        };
-        assert_eq!(p.backoff_ms(1), 10);
-        assert_eq!(p.backoff_ms(2), 20);
-        assert_eq!(p.backoff_ms(5), 160);
-        assert_eq!(p.backoff_ms(70), u64::MAX); // shift overflow saturates
+        assert_eq!(backoff_ms(1), 10);
+        assert_eq!(backoff_ms(2), 20);
+        assert_eq!(backoff_ms(5), 160);
+        assert_eq!(backoff_ms(70), u64::MAX); // shift overflow saturates
     }
 
     #[test]
@@ -413,8 +379,8 @@ mod tests {
         for retry in 1..6 {
             assert_eq!(
                 plain.jittered_backoff_ms(retry, 42),
-                plain.backoff_ms(retry),
-                "jitter_pct 0 must reproduce the legacy schedule"
+                backoff_ms(retry),
+                "jitter_pct 0 must reproduce the fixed schedule"
             );
         }
         let jittery = RetransmitPolicy {
@@ -424,7 +390,7 @@ mod tests {
         let mut saw_jitter = false;
         for seed in 0..32u64 {
             for retry in 1..5 {
-                let base = jittery.backoff_ms(retry);
+                let base = backoff_ms(retry);
                 let j = jittery.jittered_backoff_ms(retry, seed);
                 assert!(j >= base && j <= base + base / 2 + 1);
                 assert_eq!(j, jittery.jittered_backoff_ms(retry, seed));
@@ -435,25 +401,10 @@ mod tests {
     }
 
     #[test]
-    fn backoff_cap_clamps_the_schedule() {
-        let p = RetransmitPolicy {
-            max_retries: 10,
-            backoff_base_ms: 10,
-            jitter_pct: 25,
-            max_backoff_ms: 35,
-            timeout_ms: 0,
-        };
-        for retry in 1..10 {
-            assert!(p.jittered_backoff_ms(retry, 7) <= 35);
-        }
-        assert_eq!(p.jittered_backoff_ms(9, 7), 35);
-    }
-
-    #[test]
     fn lost_attempts_consume_budget_then_recover() {
         let f = frame();
         let policy = RetransmitPolicy::default();
-        let (out, report) = deliver_chaos(&f, 0, 2, 30, 7, &policy);
+        let (out, report) = deliver_untraced(&f, 0, 2, 30, 7, &policy);
         assert_eq!(*out.unwrap(), f);
         assert_eq!(report.attempts, 3);
         assert_eq!(report.latency_ms, 90, "every attempt pays link latency");
@@ -467,7 +418,7 @@ mod tests {
             max_retries: 4,
             ..RetransmitPolicy::default()
         };
-        let (out, report) = deliver_chaos(&f, 1, 1, 0, 7, &policy);
+        let (out, report) = deliver_untraced(&f, 1, 1, 0, 7, &policy);
         assert_eq!(*out.unwrap(), f);
         assert_eq!(report.attempts, 3, "1 lost + 1 corrupt + 1 clean");
     }
@@ -477,12 +428,10 @@ mod tests {
         let f = frame();
         let policy = RetransmitPolicy {
             max_retries: 50,
-            backoff_base_ms: 10,
             jitter_pct: 0,
-            max_backoff_ms: 0,
             timeout_ms: 100,
         };
-        let (out, report) = deliver_chaos(&f, 99, 0, 0, 7, &policy);
+        let (out, report) = deliver_untraced(&f, 99, 0, 0, 7, &policy);
         let err = out.unwrap_err();
         assert!(err.timed_out);
         assert!(err.to_string().contains("timed out"));
@@ -499,8 +448,8 @@ mod tests {
             timeout_ms: 500,
             ..RetransmitPolicy::default()
         };
-        let a = deliver_chaos(&f, 1, 1, 25, 99, &policy);
-        let b = deliver_chaos(&f, 1, 1, 25, 99, &policy);
+        let a = deliver_untraced(&f, 1, 1, 25, 99, &policy);
+        let b = deliver_untraced(&f, 1, 1, 25, 99, &policy);
         assert_eq!(a.0.is_ok(), b.0.is_ok());
         assert_eq!(a.1, b.1);
     }

@@ -138,8 +138,9 @@ impl NetworkConfig {
 }
 
 /// Adaptive round deadline: a percentile of recently observed per-client
-/// delivery latencies, clamped to a floor/ceiling, replacing the static
-/// `--deadline-ms`.
+/// delivery latencies (the aggregator keeps the last 128), clamped to a
+/// floor/ceiling, replacing the static `--deadline-ms`. Configs that still
+/// carry the `window` key load with it ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveDeadlineConfig {
     /// Percentile of observed latencies to cut at (e.g. `0.95`).
@@ -152,9 +153,6 @@ pub struct AdaptiveDeadlineConfig {
     /// has been observed (simulated ms).
     #[serde(default = "default_ceiling_ms")]
     pub ceiling_ms: u64,
-    /// Observations kept in the sliding window.
-    #[serde(default = "default_window")]
-    pub window: usize,
 }
 
 fn default_percentile() -> f64 {
@@ -169,17 +167,12 @@ fn default_ceiling_ms() -> u64 {
     10_000
 }
 
-fn default_window() -> usize {
-    128
-}
-
 impl Default for AdaptiveDeadlineConfig {
     fn default() -> Self {
         AdaptiveDeadlineConfig {
             percentile: default_percentile(),
             floor_ms: default_floor_ms(),
             ceiling_ms: default_ceiling_ms(),
-            window: default_window(),
         }
     }
 }
@@ -201,9 +194,6 @@ impl AdaptiveDeadlineConfig {
                 "adaptive deadline floor ({}) exceeds ceiling ({})",
                 self.floor_ms, self.ceiling_ms
             ));
-        }
-        if self.window == 0 {
-            return Err("adaptive deadline window must be >= 1".into());
         }
         Ok(())
     }
@@ -540,7 +530,6 @@ mod tests {
             percentile: 0.5,
             floor_ms: 10,
             ceiling_ms: 1_000,
-            window: 64,
         };
         assert_eq!(ad.effective_deadline_ms(&[]), 1_000);
         assert_eq!(ad.effective_deadline_ms(&[50, 200, 100]), 100);

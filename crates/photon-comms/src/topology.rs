@@ -66,18 +66,6 @@ pub fn comm_time_seconds(topology: Topology, k: usize, model_mb: f64, bandwidth_
     }
 }
 
-/// Server-side aggregation time (Eq. 7): `T_agg = K·S / ζ` with server
-/// capacity ζ in MB/s-equivalent (default 5 TFLOP/s in the paper; callers
-/// pass the corresponding byte-processing rate). The paper treats this as
-/// negligible next to communication but models it for completeness.
-///
-/// # Panics
-/// Panics if `zeta` is not positive.
-pub fn aggregation_time_seconds(k: usize, model_mb: f64, zeta_mbps: f64) -> f64 {
-    assert!(zeta_mbps > 0.0, "server capacity must be positive");
-    k as f64 * model_mb / zeta_mbps
-}
-
 /// Total bytes crossing the wide-area network in one aggregation round
 /// (up + down for PS; per-worker sends for the collectives). Used to
 /// verify the threaded collective implementations move exactly the
@@ -133,13 +121,6 @@ mod tests {
             assert_eq!(comm_time_seconds(t, 1, 1000.0, 1.0), 0.0);
             assert_eq!(bytes_on_wire(t, 1, 1000), 0);
         }
-    }
-
-    #[test]
-    fn aggregation_time_linear_in_k() {
-        let one = aggregation_time_seconds(1, 100.0, 1e6);
-        let eight = aggregation_time_seconds(8, 100.0, 1e6);
-        assert!((eight - 8.0 * one).abs() < 1e-12);
     }
 
     #[test]

@@ -156,24 +156,6 @@ impl WallTimeModel {
         }
     }
 
-    /// Round time for a cohort with *heterogeneous* hardware: a
-    /// synchronous round is gated by its slowest client (the straggler),
-    /// so local compute is `τ / min(ν)`. The paper assumes equipollent
-    /// hardware (Appendix B.1); this extension quantifies the §6
-    /// cross-device system-heterogeneity cost.
-    ///
-    /// # Panics
-    /// Panics if `nus` is empty or contains a non-positive throughput.
-    pub fn round_time_heterogeneous(&self, nus: &[f64]) -> RoundTime {
-        assert!(!nus.is_empty(), "need at least one client throughput");
-        assert!(nus.iter().all(|&n| n > 0.0), "throughputs must be positive");
-        let slowest = nus.iter().cloned().fold(f64::INFINITY, f64::min);
-        RoundTime {
-            compute_s: self.tau as f64 / slowest,
-            comm_s: comm_time_seconds(self.topology, nus.len(), self.model_mb, self.bandwidth_mbps),
-        }
-    }
-
     /// The centralized-DDP equivalent: synchronizing every batch step is a
     /// round of τ = 1 (communication at every step) — how Table 2 derives
     /// the centralized communication burden from the same machinery.
@@ -249,18 +231,6 @@ mod tests {
     #[should_panic(expected = "throughput must be positive")]
     fn invalid_nu_panics() {
         WallTimeModel::new(0.0, 1, 1.0, 1.0, Topology::AllReduce);
-    }
-
-    #[test]
-    fn stragglers_gate_heterogeneous_rounds() {
-        let m = WallTimeModel::new(2.0, 512, 100.0, 1250.0, Topology::RingAllReduce);
-        // One slow client (0.5 batches/s) among fast ones.
-        let het = m.round_time_heterogeneous(&[2.0, 2.0, 0.5, 2.0]);
-        assert_eq!(het.compute_s, 512.0 / 0.5);
-        // Homogeneous cohort matches the standard model.
-        let hom = m.round_time_heterogeneous(&[2.0; 4]);
-        assert_eq!(hom.compute_s, m.round_time(4).compute_s);
-        assert_eq!(hom.comm_s, m.round_time(4).comm_s);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 mod round;
 
-pub use round::{client_round, ClientReply, Exchange, Transport};
+pub use round::{client_round, ClientReply, ClientRoundOutcome, Exchange, Transport};
 
 use crate::checkpoint::{write_checkpoint, Checkpoint, CheckpointView};
 use crate::faults::FaultPlan;

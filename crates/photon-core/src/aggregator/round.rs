@@ -59,6 +59,10 @@ const WATCHDOG_EMA_BETA: f64 = 0.7;
 /// repeatedly emits poisoned aggregates earns its own quarantine sentence.
 const SHARD_GUARD_BASE: u32 = 0x8000_0000;
 
+/// Delivery latencies the adaptive deadline keeps: its percentile is taken
+/// over the last this many observations.
+const LATENCY_WINDOW: usize = 128;
+
 /// What the plan stage fixes before any traffic moves.
 #[derive(Default)]
 struct RoundPlan {
@@ -573,11 +577,6 @@ impl Aggregator {
                         "client {client_id}: {message}"
                     )));
                 }
-                ClientReply::Frame { client_id, .. } => {
-                    return Err(CoreError::ClientFailure(format!(
-                        "client {client_id}: the transport returned a result frame unreceived"
-                    )));
-                }
                 ClientReply::Lost { client_id, link } => {
                     self.note_delivery(client_id, &link, &mut acct);
                     if link.severed.is_none() {
@@ -633,10 +632,10 @@ impl Aggregator {
 
         // Feed the adaptive-deadline window (bounded, deterministic: the
         // replies were processed in client-id order).
-        if let Some(ad) = self.cfg.adaptive_deadline {
+        if self.cfg.adaptive_deadline.is_some() {
             self.latency_obs.extend(&round_latencies);
-            if self.latency_obs.len() > ad.window {
-                let excess = self.latency_obs.len() - ad.window;
+            if self.latency_obs.len() > LATENCY_WINDOW {
+                let excess = self.latency_obs.len() - LATENCY_WINDOW;
                 self.latency_obs.drain(..excess);
             }
         }
@@ -1371,16 +1370,12 @@ pub struct Exchange<'a> {
     pub faults: Option<&'a FaultPlan>,
 }
 
-/// What one cohort member's round came to. Every outcome — including
-/// failures that used to panic the thread — is a value, so the round can
-/// translate it into accounting or a typed [`CoreError`].
-pub enum ClientReply {
-    /// [`client_round`]'s result frame, plus the turbulence a simulated Link
-    /// applies to it on the way: what a transport sends, never what it
-    /// hands the engine.
-    Frame {
-        /// The sender.
-        client_id: u32,
+/// What [`client_round`] came to on the client's side: what a transport
+/// sends, never what it hands the engine.
+pub enum ClientRoundOutcome {
+    /// The sealed result, plus the turbulence a simulated Link applies to
+    /// it on the way.
+    Sealed {
         /// The sealed `ClientResult`.
         frame: SealedFrame,
         /// Injected straggler delay (simulated ms).
@@ -1388,6 +1383,21 @@ pub enum ClientReply {
         /// How many leading transmissions arrive corrupted.
         corrupt_attempts: u32,
     },
+    /// A scheduled mid-round crash: no result.
+    Crash,
+    /// The client could not run the round (e.g. the broadcast frame failed
+    /// to decode).
+    Error {
+        /// What went wrong.
+        message: String,
+    },
+}
+
+/// What one cohort member's round came to, as a [`Transport`] hands it to
+/// the engine. Every outcome — including failures that used to panic the
+/// thread — is a value, so the round can translate it into accounting or
+/// a typed [`CoreError`].
+pub enum ClientReply {
     /// A result the receiving end CRC-checked and decoded once: a socket's
     /// reader thread, or a simulator lane running the simulated Link.
     Received {
@@ -1430,8 +1440,7 @@ impl ClientReply {
     /// The sender, for deterministic (id-ordered) reply processing.
     fn client_id(&self) -> u32 {
         match self {
-            ClientReply::Frame { client_id, .. }
-            | ClientReply::Received { client_id, .. }
+            ClientReply::Received { client_id, .. }
             | ClientReply::Lost { client_id, .. }
             | ClientReply::Crash { client_id }
             | ClientReply::Error { client_id, .. } => *client_id,
@@ -1552,9 +1561,10 @@ impl Transport for Lanes<'_> {
             members.into_iter().zip(buffers).collect(),
             &mut self.workspaces[..lanes],
             |workspace, (client, buffer)| {
-                let fault = faults.and_then(|inj| inj.client_fault(round, client.id()));
-                let reply = client_round(client, workspace, global, round, cohort, cfg, fault);
-                link.receive(reply, buffer)
+                let client_id = client.id();
+                let fault = faults.and_then(|inj| inj.client_fault(round, client_id));
+                let outcome = client_round(client, workspace, global, round, cohort, cfg, fault);
+                link.receive(client_id, outcome, buffer)
             },
         );
         replies.ok_or_else(|| CoreError::ClientFailure("a client thread panicked".into()))
@@ -1612,20 +1622,27 @@ impl<'a> SimLink<'a> {
         }
     }
 
-    /// Receives `reply`'s result frame: an active partition severs it, the
-    /// chaos network and the fault plan decide latency, loss and
-    /// duplication, CRC-failed or lost attempts are retransmitted
+    /// Receives client `client_id`'s sealed result: an active partition
+    /// severs it, the chaos network and the fault plan decide latency,
+    /// loss and duplication, CRC-failed or lost attempts are retransmitted
     /// (deterministically) up to the budget, and the frame that verified
-    /// is decoded into `buffer`. Any other reply passes through.
-    fn receive(&self, reply: ClientReply, buffer: Vec<f32>) -> ClientReply {
-        let ClientReply::Frame {
-            client_id,
-            frame,
-            delay_ms,
-            corrupt_attempts,
-        } = reply
-        else {
-            return reply;
+    /// is decoded into `buffer`. A crash or error passes through.
+    fn receive(
+        &self,
+        client_id: u32,
+        outcome: ClientRoundOutcome,
+        buffer: Vec<f32>,
+    ) -> ClientReply {
+        let (frame, delay_ms, corrupt_attempts) = match outcome {
+            ClientRoundOutcome::Sealed {
+                frame,
+                delay_ms,
+                corrupt_attempts,
+            } => (frame, delay_ms, corrupt_attempts),
+            ClientRoundOutcome::Crash => return ClientReply::Crash { client_id },
+            ClientRoundOutcome::Error { message } => {
+                return ClientReply::Error { client_id, message }
+            }
         };
         let (round, faults) = (self.round, self.faults);
         // A severed client's result never reaches the aggregator (it
@@ -1715,7 +1732,7 @@ pub fn client_round(
     cohort_ids: &[u32],
     cfg: &FederationConfig,
     fault: Option<ClientFault>,
-) -> ClientReply {
+) -> ClientRoundOutcome {
     let client_id = client.id();
     // Each client gets its own trace lane (`tid` = 1 + id; 0 is the
     // aggregator/driver) whichever thread runs it, so per-client spans
@@ -1724,15 +1741,14 @@ pub fn client_round(
     let params = match global {
         Ok(params) => params,
         Err(message) => {
-            return ClientReply::Error {
-                client_id,
+            return ClientRoundOutcome::Error {
                 message: message.to_owned(),
             }
         }
     };
     if fault == Some(ClientFault::Crash) {
         // Simulated mid-round disconnect: no result frame.
-        return ClientReply::Crash { client_id };
+        return ClientRoundOutcome::Crash;
     }
     let update = {
         let mut step_span = photon_trace::span(photon_trace::Phase::LocalStep)
@@ -1741,8 +1757,7 @@ pub fn client_round(
         let update = match client.run_round_in(workspace, params, round, cohort_ids, cfg) {
             Ok(update) => update,
             Err(e) => {
-                return ClientReply::Error {
-                    client_id,
+                return ClientRoundOutcome::Error {
                     message: e.to_string(),
                 }
             }
@@ -1782,8 +1797,7 @@ pub fn client_round(
         Some(ClientFault::Corrupt { attempts }) => (0, attempts),
         _ => (0, 0),
     };
-    ClientReply::Frame {
-        client_id,
+    ClientRoundOutcome::Sealed {
         frame,
         delay_ms,
         corrupt_attempts,

@@ -513,21 +513,33 @@ mod tests {
     #[test]
     fn a_manifest_with_the_removed_training_knobs_still_loads() {
         // Checkpoints written while the config still had the stateful,
-        // FedProx, update post-processing and availability knobs carry
-        // their five keys, in the places they were serialized.
+        // FedProx, update post-processing and availability knobs, the five
+        // guard thresholds, the retransmit backoff base and cap and the
+        // adaptive-deadline window carry their keys, in the places they
+        // were serialized.
         let dir = tmp_dir("removed-knobs");
-        let saved = full(1);
+        let mut saved = full(1);
+        saved.config.adaptive_deadline = Some(photon_comms::AdaptiveDeadlineConfig::default());
         save(&dir, &saved);
         let file = fs::read(dir.join(FILE)).unwrap();
         let end = manifest_end(&file);
         let mut manifest = std::str::from_utf8(&file[12..end]).unwrap().to_string();
         for (before, keys) in [
+            ("\"zscore_threshold\":", "\"clip_norm_mult\":4.0,"),
+            (
+                "},\"loss_spike_mult\":",
+                ",\"cosine_floor\":-0.25,\"quarantine_base\":2,\"quarantine_max\":16,\
+                 \"norm_window\":32",
+            ),
             ("\"grad_clip\":", "\"stateless_local\":true,"),
             (
                 "\"compress_link\":",
                 "\"fedprox_mu\":null,\"post\":{\"clip_update_norm\":null,\"dp_noise_std\":null},",
             ),
             ("\"allow_partial_results\":", "\"availability\":null,"),
+            ("\"jitter_pct\":", "\"backoff_base_ms\":10,"),
+            ("\"timeout_ms\":", "\"max_backoff_ms\":0,"),
+            ("},\"membership\":", ",\"window\":128"),
         ] {
             assert_eq!(manifest.matches(before).count(), 1, "{before}");
             manifest = manifest.replace(before, &format!("{keys}{before}"));

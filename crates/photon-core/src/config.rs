@@ -385,7 +385,7 @@ mod tests {
 
         let mut cfg = FederationConfig::quick_demo(ModelConfig::proxy_tiny(), 4);
         cfg.guard = GuardConfig {
-            clip_norm_mult: 0.5,
+            zscore_threshold: 0.0,
             ..GuardConfig::on()
         };
         assert!(cfg.validate().is_err());
@@ -421,8 +421,7 @@ mod tests {
             .unwrap()
             .replace("\"round_deadline_ms\":null,", "")
             .replace(
-                "\"retransmit\":{\"max_retries\":3,\"backoff_base_ms\":10,\
-                 \"jitter_pct\":0,\"max_backoff_ms\":0,\"timeout_ms\":0},",
+                "\"retransmit\":{\"max_retries\":3,\"jitter_pct\":0,\"timeout_ms\":0},",
                 "",
             )
             .replace("\"network\":null,", "")
@@ -431,6 +430,34 @@ mod tests {
         assert!(!json.contains("network"), "field not stripped: {json}");
         let back: FederationConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
+
+        // Configs serialized while the backoff base and cap, five guard
+        // thresholds and the adaptive window were settings still load.
+        let mut adaptive = cfg.clone();
+        adaptive.adaptive_deadline = Some(AdaptiveDeadlineConfig::default());
+        let mut json = serde_json::to_string(&adaptive).unwrap();
+        for (now, then) in [
+            (
+                "\"retransmit\":{\"max_retries\":3,\"jitter_pct\":0,\"timeout_ms\":0}",
+                "\"retransmit\":{\"max_retries\":3,\"backoff_base_ms\":10,\
+                 \"jitter_pct\":0,\"max_backoff_ms\":0,\"timeout_ms\":0}",
+            ),
+            (
+                "\"guard\":{\"enabled\":false,\"zscore_threshold\":6.0}",
+                "\"guard\":{\"enabled\":false,\"clip_norm_mult\":4.0,\"zscore_threshold\":6.0,\
+                 \"cosine_floor\":-0.25,\"quarantine_base\":2,\"quarantine_max\":16,\
+                 \"norm_window\":32}",
+            ),
+            (
+                "\"ceiling_ms\":10000}",
+                "\"ceiling_ms\":10000,\"window\":128}",
+            ),
+        ] {
+            assert_eq!(json.matches(now).count(), 1, "{now} in {json}");
+            json = json.replace(now, then);
+        }
+        let back: FederationConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, adaptive);
     }
 
     #[test]

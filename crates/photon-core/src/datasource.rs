@@ -1,4 +1,4 @@
-use photon_data::{Shard, ShardStream, StreamMixer, TokenStream};
+use photon_data::{Shard, ShardStream, TokenStream};
 use photon_tensor::SeedStream;
 
 /// A Photon Data Source: the storage side of the compute/data decoupling
@@ -10,10 +10,6 @@ use photon_tensor::SeedStream;
 pub struct DataSource {
     name: String,
     shard: Shard,
-    /// Optional shared public corpus mixed into every bound stream
-    /// (§3.1: "public DS can be configured for data sharing among LLM-C
-    /// clients"), with its sampling weight.
-    public: Option<(Shard, f64)>,
 }
 
 impl DataSource {
@@ -22,22 +18,7 @@ impl DataSource {
         DataSource {
             name: name.into(),
             shard,
-            public: None,
         }
-    }
-
-    /// Attaches a shared public corpus sampled with probability
-    /// `public_weight` per sequence (the private shard takes the rest).
-    ///
-    /// # Panics
-    /// Panics if `public_weight` is outside `(0, 1)`.
-    pub fn with_public(mut self, public: Shard, public_weight: f64) -> Self {
-        assert!(
-            public_weight > 0.0 && public_weight < 1.0,
-            "public weight must be in (0, 1)"
-        );
-        self.public = Some((public, public_weight));
-        self
     }
 
     /// The DS label.
@@ -55,23 +36,9 @@ impl DataSource {
         self.shard.is_empty()
     }
 
-    /// Binds a training stream over the full shard (mixed with the public
-    /// corpus when one is attached).
-    pub fn bind_stream(&self, mut rng: SeedStream) -> Box<dyn TokenStream> {
-        match &self.public {
-            None => Box::new(ShardStream::new(self.shard.clone(), rng)),
-            Some((public, weight)) => {
-                let private = Box::new(ShardStream::new(self.shard.clone(), rng.split("private")))
-                    as Box<dyn TokenStream>;
-                let shared = Box::new(ShardStream::new(public.clone(), rng.split("public")))
-                    as Box<dyn TokenStream>;
-                Box::new(StreamMixer::new(
-                    vec![private, shared],
-                    &[1.0 - weight, *weight],
-                    rng.split("mixer"),
-                ))
-            }
-        }
+    /// Binds a training stream over the full shard.
+    pub fn bind_stream(&self, rng: SeedStream) -> Box<dyn TokenStream> {
+        Box::new(ShardStream::new(self.shard.clone(), rng))
     }
 
     /// Partitions the source into `n` worker streams (IID default policy).
@@ -116,26 +83,6 @@ mod tests {
         assert_eq!(ds.len(), 256);
         assert!(!ds.is_empty());
         assert_eq!(ds.name(), "ds");
-    }
-
-    #[test]
-    fn public_corpus_is_mixed_in() {
-        // Private tokens < 1000; public tokens >= 1000.
-        let private = Shard::from_range("p", Arc::new((0..200u32).collect()), 0, 200);
-        let public = Shard::from_range("pub", Arc::new((1000..1200u32).collect()), 0, 200);
-        let ds = DataSource::new("mixed", private).with_public(public, 0.3);
-        let mut stream = ds.bind_stream(SeedStream::new(4));
-        let mut from_public = 0usize;
-        let mut b = Batch::zeros(1, 8);
-        const N: usize = 300;
-        for _ in 0..N {
-            stream.next_batch(&mut b);
-            if b.inputs[0] >= 1000 {
-                from_public += 1;
-            }
-        }
-        let frac = from_public as f64 / N as f64;
-        assert!((frac - 0.3).abs() < 0.1, "public fraction {frac}");
     }
 
     #[test]

@@ -50,8 +50,8 @@ mod recovery;
 mod telemetry;
 
 pub use aggregator::{
-    build_client, build_federation, client_round, Aggregator, ClientReply, Exchange, Federation,
-    Transport,
+    build_client, build_federation, client_round, Aggregator, ClientReply, ClientRoundOutcome,
+    Exchange, Federation, Transport,
 };
 pub use centralized::CentralizedTrainer;
 pub use checkpoint::{

@@ -13,8 +13,8 @@
 //! sharding reproduces the Pile heterogeneity experiments.
 //!
 //! The crate also provides the streaming machinery of Photon's Data Sources
-//! (DS): token shards, infinite sampling streams, weighted stream mixers and
-//! a pre-tokenization cache.
+//! (DS): token shards, infinite sampling streams and sequential evaluation
+//! windows.
 //!
 //! ```
 //! use photon_data::{DomainKind, SyntheticDomain};
@@ -29,16 +29,12 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-mod cache;
 mod corpus;
-mod divergence;
 mod domains;
 mod partition;
 mod stream;
 
-pub use cache::TokenCache;
 pub use corpus::{build_domain_corpora, TokenCorpus};
-pub use divergence::{heterogeneity_index, js_divergence, kl_divergence, unigram_distribution};
 pub use domains::{DomainKind, SyntheticDomain};
 pub use partition::{partition_by_domain, partition_iid, Shard};
-pub use stream::{Batch, EvalStream, ShardStream, StreamMixer, TokenStream};
+pub use stream::{Batch, EvalStream, ShardStream, TokenStream};

@@ -69,27 +69,11 @@ impl Shard {
         self.len() == 0
     }
 
-    /// Token at a logical position within the shard.
-    ///
-    /// # Panics
-    /// Panics if `pos >= len()`.
-    pub fn token_at(&self, pos: usize) -> TokenId {
-        let mut rem = pos;
-        for seg in &self.segments {
-            let n = seg.end - seg.start;
-            if rem < n {
-                return seg.tokens[seg.start + rem];
-            }
-            rem -= n;
-        }
-        panic!("shard position {pos} out of bounds (len {})", self.len());
-    }
-
     /// Copies a logical window `[pos, pos + out.len())` into `out`.
     ///
     /// # Panics
     /// Panics if the window exceeds the shard.
-    pub(crate) fn copy_window(&self, pos: usize, out: &mut [TokenId]) {
+    pub fn copy_window(&self, pos: usize, out: &mut [TokenId]) {
         assert!(pos + out.len() <= self.len(), "window exceeds shard");
         let mut written = 0usize;
         let mut skip = pos;
@@ -216,6 +200,13 @@ mod tests {
         TokenCorpus::new("test", (0..n as TokenId).collect())
     }
 
+    /// Every token of `shard`, in order.
+    fn tokens(shard: &Shard) -> Vec<TokenId> {
+        let mut out = vec![0; shard.len()];
+        shard.copy_window(0, &mut out);
+        out
+    }
+
     #[test]
     fn iid_partition_is_equal_and_disjoint() {
         let c = corpus(64 * 16);
@@ -224,10 +215,7 @@ mod tests {
         assert_eq!(shards.len(), 8);
         assert!(shards.iter().all(|s| s.len() == 128));
         // Disjoint coverage: union of tokens = original set.
-        let mut seen: Vec<TokenId> = shards
-            .iter()
-            .flat_map(|s| (0..s.len()).map(|i| s.token_at(i)).collect::<Vec<_>>())
-            .collect();
+        let mut seen: Vec<TokenId> = shards.iter().flat_map(tokens).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..1024).collect::<Vec<_>>());
     }
@@ -238,8 +226,7 @@ mod tests {
         let mut rng = SeedStream::new(2);
         let shards = partition_iid(&c, 4, 16, &mut rng);
         // With a shuffle, shard 0 should not just be the first quarter.
-        let first: Vec<TokenId> = (0..256).map(|i| shards[0].token_at(i)).collect();
-        assert_ne!(first, (0..256).collect::<Vec<_>>());
+        assert_ne!(tokens(&shards[0]), (0..256).collect::<Vec<_>>());
     }
 
     #[test]
@@ -258,8 +245,8 @@ mod tests {
         assert_eq!(parts.iter().map(Shard::len).sum::<usize>(), 100);
         let mut buf = vec![0; 10];
         parts[1].copy_window(5, &mut buf);
-        let expect: Vec<TokenId> = (0..10).map(|i| parts[1].token_at(5 + i)).collect();
-        assert_eq!(buf, expect);
+        // Part 1 of 100 tokens split three ways is tokens 34..67.
+        assert_eq!(buf, (39..49).collect::<Vec<TokenId>>());
     }
 
     #[test]
@@ -276,7 +263,7 @@ mod tests {
         let parts = whole.split(3);
         let lens: Vec<usize> = parts.iter().map(Shard::len).collect();
         assert_eq!(lens, vec![4, 3, 3]);
-        assert_eq!(parts[2].token_at(0), 7);
+        assert_eq!(tokens(&parts[2]), [7, 8, 9]);
     }
 
     #[test]
@@ -285,6 +272,6 @@ mod tests {
         let json = serde_json::to_string(&whole).unwrap();
         let back: Shard = serde_json::from_str(&json).unwrap();
         assert_eq!(back.len(), whole.len());
-        assert_eq!(back.token_at(0), whole.token_at(0));
+        assert_eq!(tokens(&back), tokens(&whole));
     }
 }

@@ -99,78 +99,6 @@ impl TokenStream for ShardStream {
     }
 }
 
-/// Mixes several streams with explicit sampling weights, reproducing the
-/// paper's DS design: "mixing arbitrary data streams with precise control
-/// over sampling across such streams" (§4).
-pub struct StreamMixer {
-    streams: Vec<Box<dyn TokenStream>>,
-    /// Cumulative sampling probabilities.
-    cum_weights: Vec<f64>,
-    rng: SeedStream,
-}
-
-impl std::fmt::Debug for StreamMixer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamMixer")
-            .field("n_streams", &self.streams.len())
-            .field("cum_weights", &self.cum_weights)
-            .finish()
-    }
-}
-
-impl StreamMixer {
-    /// Creates a mixer. Weights are normalized internally.
-    ///
-    /// # Panics
-    /// Panics if the inputs are empty, lengths differ, or weights are not
-    /// all positive.
-    pub fn new(streams: Vec<Box<dyn TokenStream>>, weights: &[f64], rng: SeedStream) -> Self {
-        assert!(!streams.is_empty(), "mixer requires at least one stream");
-        assert_eq!(streams.len(), weights.len(), "one weight per stream");
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        let total: f64 = weights.iter().sum();
-        let mut cum = 0.0;
-        let cum_weights = weights
-            .iter()
-            .map(|w| {
-                cum += w / total;
-                cum
-            })
-            .collect();
-        StreamMixer {
-            streams,
-            cum_weights,
-            rng,
-        }
-    }
-
-    fn pick(&mut self) -> usize {
-        let u = self.rng.next_f64();
-        self.cum_weights
-            .iter()
-            .position(|&c| u <= c)
-            .unwrap_or(self.streams.len() - 1)
-    }
-}
-
-impl TokenStream for StreamMixer {
-    fn next_batch(&mut self, out: &mut Batch) {
-        // Sample each sequence's source independently for fine-grained mixing.
-        let mut row = Batch::zeros(1, out.seq);
-        for b in 0..out.batch {
-            let s = self.pick();
-            self.streams[s].next_batch(&mut row);
-            out.inputs[b * out.seq..(b + 1) * out.seq].copy_from_slice(&row.inputs);
-            out.targets[b * out.seq..(b + 1) * out.seq].copy_from_slice(&row.targets);
-        }
-    }
-
-    fn describe(&self) -> String {
-        let parts: Vec<String> = self.streams.iter().map(|s| s.describe()).collect();
-        format!("mixer[{}]", parts.join(", "))
-    }
-}
-
 /// Deterministic, sequential, non-overlapping evaluation windows over a
 /// validation corpus. Iteration ends when the corpus is exhausted.
 #[derive(Debug, Clone)]
@@ -253,25 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn mixer_respects_weights() {
-        // Stream A yields tokens < 1000, stream B yields tokens >= 1000.
-        let a = Box::new(ShardStream::new(shard(50, 0), SeedStream::new(1)));
-        let b = Box::new(ShardStream::new(shard(50, 1000), SeedStream::new(2)));
-        let mut mixer = StreamMixer::new(vec![a, b], &[9.0, 1.0], SeedStream::new(3));
-        let mut batch = Batch::zeros(1, 4);
-        let mut from_a = 0;
-        const N: usize = 400;
-        for _ in 0..N {
-            mixer.next_batch(&mut batch);
-            if batch.inputs[0] < 1000 {
-                from_a += 1;
-            }
-        }
-        let frac = from_a as f64 / N as f64;
-        assert!((frac - 0.9).abs() < 0.07, "frac={frac}");
-    }
-
-    #[test]
     fn eval_stream_covers_corpus_once() {
         let corpus = TokenCorpus::new("v", (0..33).collect());
         let mut ev = EvalStream::new(&corpus, 8);
@@ -289,13 +198,6 @@ mod tests {
         assert_eq!(count, 4);
         ev.reset();
         assert!(ev.next_window().is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "weights must be positive")]
-    fn zero_weight_rejected() {
-        let a: Box<dyn TokenStream> = Box::new(ShardStream::new(shard(10, 0), SeedStream::new(1)));
-        StreamMixer::new(vec![a], &[0.0], SeedStream::new(2));
     }
 
     #[test]

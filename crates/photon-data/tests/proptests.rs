@@ -1,11 +1,18 @@
 //! Property-based tests for sharding and streaming invariants.
 
 use photon_data::{
-    partition_by_domain, partition_iid, Batch, ShardStream, TokenCorpus, TokenStream,
+    partition_by_domain, partition_iid, Batch, Shard, ShardStream, TokenCorpus, TokenStream,
 };
 use photon_tensor::SeedStream;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// Every token of `shard`, in order.
+fn tokens(shard: &Shard) -> Vec<u32> {
+    let mut out = vec![0; shard.len()];
+    shard.copy_window(0, &mut out);
+    out
+}
 
 proptest! {
     /// IID partitioning is a disjoint, equal-size cover of the shuffled
@@ -29,7 +36,7 @@ proptest! {
         // Disjoint: collect all tokens, no duplicates.
         let mut seen: Vec<u32> = shards
             .iter()
-            .flat_map(|s| (0..s.len()).map(|i| s.token_at(i)).collect::<Vec<_>>())
+            .flat_map(tokens)
             .collect();
         seen.sort_unstable();
         seen.dedup();
@@ -58,7 +65,7 @@ proptest! {
             let mine = &shards[d * clients_per..(d + 1) * clients_per];
             let rebuilt: Vec<u32> = mine
                 .iter()
-                .flat_map(|s| (0..s.len()).map(|i| s.token_at(i)).collect::<Vec<_>>())
+                .flat_map(tokens)
                 .collect();
             prop_assert_eq!(&rebuilt[..], corpus.tokens());
         }

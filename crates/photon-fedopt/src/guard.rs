@@ -9,8 +9,8 @@
 //! 1. **Quarantine skip** — clients that offended recently are ignored for
 //!    a deterministic, round-keyed backoff window;
 //! 2. **Finiteness scan** — any non-finite coordinate rejects the update;
-//! 3. **Norm clipping** — updates larger than `clip_norm_mult ×` the
-//!    running median of recently accepted norms are rescaled down;
+//! 3. **Norm clipping** — updates larger than four times the running
+//!    median of recently accepted norms are rescaled down;
 //! 4. **Cohort outlier rejection** — robust z-score (median/MAD) on norms
 //!    catches scaled updates; cosine similarity against the cohort mean
 //!    catches direction-inverted (sign-flip) updates.
@@ -24,41 +24,40 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// Thresholds for the [`UpdateGuard`]. Defaults are conservative: honest
-/// heterogeneity (the paper's near-orthogonal client updates, Appendix
-/// C.1) passes untouched, while the Byzantine faults in
-/// `photon_core::faults` are caught in one round.
+/// Clip an update whose norm exceeds this multiple of the running median
+/// of recently accepted norms.
+const CLIP_NORM_MULT: f64 = 4.0;
+/// Reject an update whose cosine similarity to the cohort mean falls below
+/// this floor (sign-flipped updates score near −1).
+const COSINE_FLOOR: f64 = -0.25;
+/// First-offence quarantine length in rounds; doubles per strike.
+const QUARANTINE_BASE: u64 = 2;
+/// Ceiling on the exponential quarantine backoff, in rounds.
+const QUARANTINE_MAX: u64 = 16;
+/// Number of recently accepted norms kept for the running median.
+const NORM_WINDOW: usize = 32;
+
+/// Settings of the [`UpdateGuard`]. The thresholds are conservative:
+/// honest heterogeneity (the paper's near-orthogonal client updates,
+/// Appendix C.1) passes untouched, while the Byzantine faults in
+/// `photon_core::faults` are caught in one round. Only the z-score
+/// threshold is a setting; the clip multiple, cosine floor, quarantine
+/// backoff and norm window are fixed, and configs that still carry their
+/// keys load with those keys ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GuardConfig {
     /// Whether admission checks run at all.
     pub enabled: bool,
-    /// Clip an update whose norm exceeds this multiple of the running
-    /// median of recently accepted norms.
-    pub clip_norm_mult: f64,
     /// Reject an update whose norm sits more than this many robust
     /// standard deviations (median/MAD) above the cohort median.
     pub zscore_threshold: f64,
-    /// Reject an update whose cosine similarity to the cohort mean falls
-    /// below this floor (sign-flipped updates score near −1).
-    pub cosine_floor: f64,
-    /// First-offence quarantine length in rounds; doubles per strike.
-    pub quarantine_base: u64,
-    /// Ceiling on the exponential quarantine backoff.
-    pub quarantine_max: u64,
-    /// Number of recently accepted norms kept for the running median.
-    pub norm_window: usize,
 }
 
 impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig {
             enabled: false,
-            clip_norm_mult: 4.0,
             zscore_threshold: 6.0,
-            cosine_floor: -0.25,
-            quarantine_base: 2,
-            quarantine_max: 16,
-            norm_window: 32,
         }
     }
 }
@@ -72,34 +71,16 @@ impl GuardConfig {
         }
     }
 
-    /// Checks threshold consistency.
+    /// Checks the z-score threshold.
     ///
     /// # Errors
-    /// Returns a description of the out-of-range field.
+    /// Returns a description of the out-of-range threshold.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.clip_norm_mult.is_finite() && self.clip_norm_mult > 1.0) {
-            return Err(format!(
-                "guard clip_norm_mult {} must be finite and > 1",
-                self.clip_norm_mult
-            ));
-        }
         if !(self.zscore_threshold.is_finite() && self.zscore_threshold > 0.0) {
             return Err(format!(
                 "guard zscore_threshold {} must be positive",
                 self.zscore_threshold
             ));
-        }
-        if !(-1.0..=1.0).contains(&self.cosine_floor) {
-            return Err(format!(
-                "guard cosine_floor {} outside [-1, 1]",
-                self.cosine_floor
-            ));
-        }
-        if self.quarantine_base == 0 || self.quarantine_max < self.quarantine_base {
-            return Err("guard quarantine window must satisfy 1 <= base <= max".into());
-        }
-        if self.norm_window == 0 {
-            return Err("guard norm_window must be at least 1".into());
         }
         Ok(())
     }
@@ -194,13 +175,11 @@ impl UpdateGuard {
         });
         s.strikes += 1;
         let shift = s.strikes.saturating_sub(1).min(6);
-        let base = self
-            .cfg
-            .quarantine_base
+        let base = QUARANTINE_BASE
             .checked_shl(shift)
             .unwrap_or(u64::MAX)
-            .min(self.cfg.quarantine_max);
-        let jitter = mix(self.seed, round, client) % self.cfg.quarantine_base;
+            .min(QUARANTINE_MAX);
+        let jitter = mix(self.seed, round, client) % QUARANTINE_BASE;
         s.until = round + base + jitter;
     }
 
@@ -244,7 +223,7 @@ impl UpdateGuard {
             .map(|u| crate::robust::l2_norm_f64(&u.delta))
             .collect();
         if let Some(med) = self.history_median() {
-            let ceiling = self.cfg.clip_norm_mult * med;
+            let ceiling = CLIP_NORM_MULT * med;
             if ceiling.is_finite() && ceiling > 0.0 {
                 for i in 0..n {
                     if report.decisions[i] == GuardDecision::Admit && norms[i] > ceiling {
@@ -312,7 +291,7 @@ impl UpdateGuard {
                             .map(|(&v, m)| v as f64 * m)
                             .sum();
                         let cosine = dot / (norms[i] * mean_norm);
-                        if cosine < self.cfg.cosine_floor {
+                        if cosine < COSINE_FLOOR {
                             report.decisions[i] = GuardDecision::RejectedOutlier;
                             report.rejected_outliers += 1;
                             self.quarantine(round, ids[i]);
@@ -326,7 +305,7 @@ impl UpdateGuard {
         // sorts the cohort, keeping the window deterministic).
         for (i, &norm) in norms.iter().enumerate() {
             if report.decisions[i].admitted() {
-                if self.norm_history.len() == self.cfg.norm_window {
+                if self.norm_history.len() == NORM_WINDOW {
                     self.norm_history.pop_front();
                 }
                 self.norm_history.push_back(norm);
@@ -478,7 +457,7 @@ mod tests {
         assert_eq!(a.quarantine[&5].until, b.quarantine[&5].until);
         // Third strike sits out at least base << 2 rounds.
         assert!(a.quarantine[&5].until >= 80 + 8);
-        assert!(a.quarantine[&5].until <= 80 + cfg.quarantine_max + cfg.quarantine_base);
+        assert!(a.quarantine[&5].until <= 80 + QUARANTINE_MAX + QUARANTINE_BASE);
     }
 
     #[test]
@@ -500,15 +479,13 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_nonsense() {
-        let mut cfg = GuardConfig::on();
-        cfg.clip_norm_mult = 0.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = GuardConfig::on();
-        cfg.cosine_floor = -2.0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = GuardConfig::on();
-        cfg.quarantine_max = 0;
-        assert!(cfg.validate().is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = GuardConfig {
+                zscore_threshold: bad,
+                ..GuardConfig::on()
+            };
+            assert!(cfg.validate().is_err(), "{bad}");
+        }
         assert!(GuardConfig::on().validate().is_ok());
     }
 }

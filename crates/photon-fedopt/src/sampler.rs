@@ -42,19 +42,6 @@ impl UniformSampler {
         assert!(k > 0, "cohort size must be positive");
         UniformSampler { k, rng }
     }
-
-    /// Samples a fixed fraction of the population (rounded, minimum 1).
-    ///
-    /// # Panics
-    /// Panics if `fraction` is not in `(0, 1]`.
-    pub fn from_fraction(fraction: f64, population: usize, rng: SeedStream) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]"
-        );
-        let k = ((population as f64 * fraction).round() as usize).max(1);
-        UniformSampler::new(k, rng)
-    }
 }
 
 /// Round-keyed uniform draw of up to `k` clients from an explicit *live
@@ -129,15 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_constructor_matches_paper_ratios() {
-        // 25%, 50%, 100% of 16 clients (paper §5.5).
-        for (frac, expect) in [(0.25, 4), (0.5, 8), (1.0, 16)] {
-            let s = UniformSampler::from_fraction(frac, 16, SeedStream::new(3));
-            assert_eq!(s.cohort_size(16), expect);
-        }
-    }
-
-    #[test]
     fn sampling_is_round_keyed() {
         // A sampler that skipped straight to round 5 (e.g. after a
         // checkpoint restore) picks the same cohort as one that walked
@@ -166,12 +144,6 @@ mod tests {
         let mut b = UniformSampler::new(2, SeedStream::new(7));
         assert_eq!(a.sample(10, 0), b.sample(10, 0));
         assert_eq!(a.sample(10, 1), b.sample(10, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction must be in")]
-    fn invalid_fraction_panics() {
-        UniformSampler::from_fraction(0.0, 16, SeedStream::new(1));
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::tcp::TcpLink;
 use crate::{run_trace_id, spawn_in_scope, NetError, Result};
 use photon_comms::{Link, LinkError, Message, SealedFrame, WireOpts};
 use photon_core::FaultEvent::{NetCrash, NetHang};
-use photon_core::{build_client, client_round, ClientReply, FaultPlan, LlmClient, Workspace};
+use photon_core::{
+    build_client, client_round, ClientRoundOutcome, FaultPlan, LlmClient, Workspace,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -380,7 +382,7 @@ fn connection_loop(
                 }
                 let fault = injector.as_ref().and_then(|i| i.client_fault(round, me));
                 let cohort = [me];
-                let reply = client_round(
+                let outcome = client_round(
                     client,
                     workspace,
                     Ok(&params),
@@ -389,19 +391,16 @@ fn connection_loop(
                     &p.cfg,
                     fault,
                 );
-                let result = match reply {
-                    ClientReply::Frame { frame, .. } => frame,
+                let result = match outcome {
+                    ClientRoundOutcome::Sealed { frame, .. } => frame,
                     // A scheduled crash: this round's result never comes.
-                    ClientReply::Crash { .. } => continue,
-                    ClientReply::Error { message, .. } => {
+                    ClientRoundOutcome::Crash => continue,
+                    ClientRoundOutcome::Error { message } => {
                         // Local compute is broken (a replica panicked);
                         // reconnecting would only re-fail. Bow out
                         // and let the coordinator's quorum absorb it.
                         eprintln!("client {me}: round {round} failed locally: {message}");
                         return ConnOutcome::Shutdown;
-                    }
-                    ClientReply::Received { .. } | ClientReply::Lost { .. } => {
-                        unreachable!("a client round seals a frame")
                     }
                 };
                 report.rounds_trained += 1;

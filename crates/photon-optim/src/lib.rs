@@ -3,7 +3,10 @@
 //! Local (client-side) optimization for Photon-RS: AdamW and SGD with
 //! Nesterov momentum, cosine learning-rate schedules with linear warm-up,
 //! and global-norm gradient clipping — the full client training recipe of
-//! the paper (AdamW, cosine schedule, warm-up; Appendix A).
+//! the paper (AdamW, cosine schedule, warm-up; Appendix A). When the batch
+//! size changes, the learning rate stays and the cosine period stretches
+//! ([`LrSchedule::stretch_for_batch`], Appendix C.1); the crate has no
+//! linear or square-root learning-rate scaling rules.
 //!
 //! Optimizers operate on flat parameter/gradient buffers, matching
 //! `photon-nn`'s single-buffer layout, so one `step` call updates an entire
@@ -23,13 +26,11 @@
 
 mod adamw;
 mod clip;
-mod scaling;
 mod schedule;
 mod sgd;
 
 pub use adamw::{AdamW, AdamWConfig};
 pub use clip::{clip_global_norm, global_norm};
-pub use scaling::LrScalingRule;
 pub use schedule::{LrSchedule, ScheduleKind};
 pub use sgd::{Sgd, SgdConfig};
 

@@ -27,30 +27,6 @@ pub fn axpy(alpha: f32, src: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// Linear interpolation towards `src`: `dst = (1 - t) * dst + t * src`.
-///
-/// Used by momentum-style server optimizers.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn lerp_inplace(dst: &mut [f32], src: &[f32], t: f32) {
-    assert_eq!(dst.len(), src.len(), "lerp_inplace length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += t * (s - *d);
-    }
-}
-
-/// Clamps every element to `[-bound, bound]`.
-///
-/// # Panics
-/// Panics if `bound` is negative or NaN.
-pub fn clip_inplace(dst: &mut [f32], bound: f32) {
-    assert!(bound >= 0.0, "clip bound must be non-negative");
-    for d in dst.iter_mut() {
-        *d = d.clamp(-bound, bound);
-    }
-}
-
 /// Adds a bias row vector to every row of a `(rows, cols)` matrix.
 ///
 /// # Panics
@@ -79,24 +55,6 @@ mod tests {
         assert_eq!(d, vec![1.0, 1.5, 2.0]);
         axpy(10.0, &[1.0, 0.0, 1.0], &mut d);
         assert_eq!(d, vec![11.0, 1.5, 12.0]);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let mut d = vec![0.0, 10.0];
-        lerp_inplace(&mut d, &[10.0, 0.0], 0.0);
-        assert_eq!(d, vec![0.0, 10.0]);
-        lerp_inplace(&mut d, &[10.0, 0.0], 1.0);
-        assert_eq!(d, vec![10.0, 0.0]);
-        lerp_inplace(&mut d, &[0.0, 10.0], 0.5);
-        assert_eq!(d, vec![5.0, 5.0]);
-    }
-
-    #[test]
-    fn clip_bounds() {
-        let mut d = vec![-5.0, -0.5, 0.5, 5.0];
-        clip_inplace(&mut d, 1.0);
-        assert_eq!(d, vec![-1.0, -0.5, 0.5, 1.0]);
     }
 
     #[test]

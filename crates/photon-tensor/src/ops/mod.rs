@@ -10,7 +10,7 @@ pub mod pool;
 mod reduce;
 mod window;
 
-pub use elementwise::{add_bias_rows, add_inplace, axpy, clip_inplace, lerp_inplace, scale};
+pub use elementwise::{add_bias_rows, add_inplace, axpy, scale};
 pub(crate) use gemm::{drive, Tile};
 pub use gemm::{gemm, gemm_auto, gemm_serial, par_gemm, Gemm};
 pub use reduce::{argmax, dot, l2_norm, max_abs_diff, mean, sum};

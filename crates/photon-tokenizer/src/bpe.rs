@@ -36,12 +36,11 @@ impl Default for BpeTrainConfig {
 /// assert_eq!(tok.decode(&tok.encode(text)), text);
 /// assert!(tok.encode(text).len() < text.len()); // compresses
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BpeTokenizer {
     vocab: Vocab,
     /// Merge rules in training order: (left, right) -> merged id.
     merges: Vec<(TokenId, TokenId, TokenId)>,
-    #[serde(skip)]
     merge_rank: HashMap<(TokenId, TokenId), (usize, TokenId)>,
 }
 
@@ -93,43 +92,21 @@ impl BpeTokenizer {
             }
         }
 
-        let mut tok = BpeTokenizer {
-            vocab,
-            merges,
-            merge_rank: HashMap::new(),
-        };
-        tok.rebuild_ranks();
-        tok
-    }
-
-    /// Rebuilds the rank lookup (needed after deserialization).
-    pub(crate) fn rebuild_ranks(&mut self) {
-        self.merge_rank = self
-            .merges
+        let merge_rank = merges
             .iter()
             .enumerate()
             .map(|(rank, &(l, r, m))| ((l, r), (rank, m)))
             .collect();
+        BpeTokenizer {
+            vocab,
+            merges,
+            merge_rank,
+        }
     }
 
     /// Number of learned merge rules.
     pub fn merge_count(&self) -> usize {
         self.merges.len()
-    }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("tokenizer serialization cannot fail")
-    }
-
-    /// Deserializes from JSON produced by [`BpeTokenizer::to_json`].
-    ///
-    /// # Errors
-    /// Returns the underlying parse error message on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let mut tok: BpeTokenizer = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        tok.rebuild_ranks();
-        Ok(tok)
     }
 
     fn encode_chunk(&self, chunk: &str, out: &mut Vec<TokenId>) {
@@ -288,15 +265,6 @@ mod tests {
         let a = BpeTokenizer::train(&corpus, &cfg);
         let b = BpeTokenizer::train(&corpus, &cfg);
         assert_eq!(a.encode("the quick"), b.encode("the quick"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let tok = BpeTokenizer::train(&sample_corpus(), &BpeTrainConfig::default());
-        let back = BpeTokenizer::from_json(&tok.to_json()).unwrap();
-        let text = "the lazy dog sleeps";
-        assert_eq!(back.encode(text), tok.encode(text));
-        assert!(BpeTokenizer::from_json("{not json").is_err());
     }
 
     #[test]

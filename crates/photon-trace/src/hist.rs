@@ -130,20 +130,6 @@ impl LogHistogram {
         self.max
     }
 
-    /// Non-empty buckets as `(inclusive_upper_edge, cumulative_count)`
-    /// pairs, for Prometheus `le` rendering.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                cum += n;
-                out.push((bucket_upper(i), cum));
-            }
-        }
-        out
-    }
-
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -197,18 +183,5 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, whole);
         assert_eq!(ba, whole);
-    }
-
-    #[test]
-    fn cumulative_buckets_are_monotonic() {
-        let mut h = LogHistogram::new();
-        for v in [1u64, 2, 4, 8, 16, 1024] {
-            h.record(v);
-        }
-        let cum = h.cumulative_buckets();
-        assert_eq!(cum.last().map(|(_, c)| *c), Some(h.count()));
-        for w in cum.windows(2) {
-            assert!(w[0].0 < w[1].0 && w[0].1 <= w[1].1);
-        }
     }
 }

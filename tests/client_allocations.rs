@@ -8,7 +8,7 @@
 //! process's global allocator and counts every thread (replica threads
 //! and kernel workers included).
 
-use photon_core::{build_client, client_round, ClientReply, FederationConfig, Workspace};
+use photon_core::{build_client, client_round, ClientRoundOutcome, FederationConfig, Workspace};
 use photon_nn::{Gpt, ModelConfig};
 use photon_tensor::SeedStream;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,7 +55,7 @@ fn third_round_bytes() -> (u64, u64) {
     let mut client = build_client(&cfg, 0, 4_096).expect("client");
     let mut workspace = Workspace::new();
     let mut round = |round: u64| {
-        let reply = client_round(
+        let outcome = client_round(
             &mut client,
             &mut workspace,
             Ok(&global),
@@ -64,8 +64,8 @@ fn third_round_bytes() -> (u64, u64) {
             &cfg,
             None,
         );
-        match reply {
-            ClientReply::Frame { frame, .. } => frame.frame().len() as u64,
+        match outcome {
+            ClientRoundOutcome::Sealed { frame, .. } => frame.frame().len() as u64,
             _ => panic!("round {round} sealed no result"),
         }
     };

@@ -1,13 +1,18 @@
-//! `FederationConfig`'s fields are pinned: each is listed below with the
-//! non-test line outside photon-core that sets it — an option-table row,
-//! `finish_plan`, a benchmark workload or an example. A field nothing
-//! outside photon-core sets has one value in use, and its row gives the
-//! reason it stays a field instead of becoming that value. A new field
-//! fails this test until it gets a row, and a row fails once its field or
-//! its setter line is gone.
+//! The run configuration's fields are pinned: each field of
+//! `FederationConfig` and of the config structs it nests is listed below
+//! with the non-test line that sets it — an option-table row,
+//! `finish_plan`, a benchmark workload or an example. A setter sits
+//! outside photon-core and outside the crate that declares the struct, so
+//! a constructor or `Default` there does not count. A field nothing else
+//! sets has one value in use, and its row gives the reason it stays a
+//! field instead of becoming that value. A new field fails this test until
+//! it gets a row, and a row fails once its field or its setter line is
+//! gone.
 //!
 //! Non-test code is a file's lines ahead of its first top-level
-//! `#[cfg(test)]`. A setter line names the field as `cfg.<field>`.
+//! `#[cfg(test)]`. A `FederationConfig` setter line names the field as
+//! `cfg.<field>`; a nested struct's names it as `.<field>` or as
+//! `<field>:` in a struct literal.
 
 use photon_tests::{non_test_lines, workspace_root};
 
@@ -21,10 +26,14 @@ enum Setter {
 
 use Setter::{Kept, Line};
 
+/// A struct's fields, each with its setter.
+type Fields = &'static [(&'static str, Setter)];
+
 const OPTIONS: &str = "crates/photon-cli/src/options.rs";
+const WORKLOADS: &str = "benchmark/src/workloads.rs";
 
 /// Every field of `FederationConfig`, with its setter.
-const FIELDS: &[(&str, Setter)] = &[
+const FIELDS: Fields = &[
     ("model", Line(OPTIONS, "plan.cfg.model in models()")),
     (
         "positions",
@@ -54,10 +63,7 @@ const FIELDS: &[(&str, Setter)] = &[
         "aggregation",
         Line(OPTIONS, "o.plan.cfg.aggregation = rule"),
     ),
-    (
-        "guard",
-        Line("benchmark/src/workloads.rs", "cfg.guard = GuardConfig {"),
-    ),
+    ("guard", Line(WORKLOADS, "cfg.guard = GuardConfig {")),
     (
         "loss_spike_mult",
         Line(OPTIONS, "Some(plan.cfg.loss_spike_mult)"),
@@ -130,6 +136,140 @@ const FIELDS: &[(&str, Setter)] = &[
     ("seed", Line(OPTIONS, "\"root seed\", plan.cfg.seed")),
 ];
 
+/// The config structs `FederationConfig` nests: `(struct, the file under
+/// crates/ that declares it, every field with its setter)`.
+const NESTED: &[(&str, &str, Fields)] = &[
+    (
+        "GuardConfig",
+        "photon-fedopt/src/guard.rs",
+        &[
+            ("enabled", Line(OPTIONS, "plan.cfg.guard.enabled")),
+            (
+                "zscore_threshold",
+                Line(WORKLOADS, "zscore_threshold: 1e12,"),
+            ),
+        ],
+    ),
+    (
+        "RetransmitPolicy",
+        "photon-comms/src/link.rs",
+        &[
+            (
+                "max_retries",
+                Line(OPTIONS, "plan.cfg.retransmit.max_retries"),
+            ),
+            (
+                "jitter_pct",
+                Line(OPTIONS, "plan.cfg.retransmit.jitter_pct"),
+            ),
+            (
+                "timeout_ms",
+                Line(OPTIONS, "plan.cfg.retransmit.timeout_ms"),
+            ),
+        ],
+    ),
+    (
+        "NetworkConfig",
+        "photon-comms/src/network.rs",
+        &[
+            (
+                "profile",
+                Line(OPTIONS, "plan.cfg.network?.profile.loss_rate"),
+            ),
+            (
+                "min_quorum_frac",
+                Line(OPTIONS, "plan.cfg.network?.min_quorum_frac"),
+            ),
+            (
+                "slow_factor",
+                Line(OPTIONS, "plan.cfg.network?.slow_factor"),
+            ),
+        ],
+    ),
+    (
+        "LinkProfile",
+        "photon-comms/src/network.rs",
+        &[
+            (
+                "base_latency_ms",
+                Line(OPTIONS, "plan.cfg.network?.profile.base_latency_ms"),
+            ),
+            (
+                "jitter_ms",
+                Line(OPTIONS, "plan.cfg.network?.profile.jitter_ms"),
+            ),
+            (
+                "bandwidth_kbps",
+                Line(OPTIONS, "plan.cfg.network?.profile.bandwidth_kbps"),
+            ),
+            (
+                "loss_rate",
+                Line(OPTIONS, "plan.cfg.network?.profile.loss_rate"),
+            ),
+            (
+                "dup_rate",
+                Line(OPTIONS, "plan.cfg.network?.profile.dup_rate"),
+            ),
+            (
+                "reorder_window_ms",
+                Line(OPTIONS, "plan.cfg.network?.profile.reorder_window_ms"),
+            ),
+        ],
+    ),
+    (
+        "AdaptiveDeadlineConfig",
+        "photon-comms/src/network.rs",
+        &[
+            (
+                "percentile",
+                Line(OPTIONS, "plan.cfg.adaptive_deadline?.percentile"),
+            ),
+            (
+                "floor_ms",
+                Line(OPTIONS, "plan.cfg.adaptive_deadline?.floor_ms"),
+            ),
+            (
+                "ceiling_ms",
+                Line(OPTIONS, "plan.cfg.adaptive_deadline?.ceiling_ms"),
+            ),
+        ],
+    ),
+    (
+        "MembershipConfig",
+        "photon-core/src/membership.rs",
+        &[
+            ("lease_ms", Line(OPTIONS, "plan.cfg.membership?.lease_ms")),
+            ("round_ms", Line(OPTIONS, "plan.cfg.membership?.round_ms")),
+        ],
+    ),
+    (
+        "HierarchyConfig",
+        "photon-core/src/hierarchy.rs",
+        &[
+            ("shards", Line(OPTIONS, "plan.cfg.hierarchy?.shards")),
+            (
+                "shard_quorum_frac",
+                Line(OPTIONS, "plan.cfg.hierarchy?.shard_quorum_frac"),
+            ),
+            (
+                "max_resident",
+                Line(OPTIONS, "plan.cfg.hierarchy?.max_resident"),
+            ),
+        ],
+    ),
+    (
+        "BufferConfig",
+        "photon-fedopt/src/buffer.rs",
+        &[
+            ("quorum", Line(OPTIONS, "plan.cfg.buffer?.quorum")),
+            (
+                "staleness_decay",
+                Line(OPTIONS, "plan.cfg.buffer?.staleness_decay"),
+            ),
+        ],
+    ),
+];
+
 /// The field names of `pub struct <name>` in `source`, in order: the
 /// `pub <field>:` lines one level inside its braces.
 fn struct_fields(source: &str, name: &str) -> Vec<String> {
@@ -158,6 +298,61 @@ fn names_field(line: &str, field: &str) -> bool {
     })
 }
 
+/// Whether `line` names `field` as a member: `.<field>`, or `<field>:` in
+/// a struct literal, not as a prefix or suffix of a longer name.
+fn names_member(line: &str, field: &str) -> bool {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(field).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let rest = &line[at + field.len()..];
+        !before.is_some_and(is_word)
+            && !rest.starts_with(is_word)
+            && (before == Some('.') || (rest.starts_with(':') && !rest.starts_with("::")))
+    })
+}
+
+/// Checks `owner.field`'s setter: a kept field gives its reason; a setter
+/// line sits in none of the `barred` directories, names the field as
+/// `names` reads it, and is a non-test line of its file.
+fn check_setter(
+    owner: &str,
+    field: &str,
+    setter: &Setter,
+    barred: &[String],
+    names: fn(&str, &str) -> bool,
+) {
+    match setter {
+        Line(file, fragment) => {
+            for dir in barred {
+                assert!(
+                    !file.starts_with(dir.as_str()),
+                    "{owner}.{field}: the setter must sit outside {dir}"
+                );
+            }
+            assert!(
+                names(fragment, field),
+                "{owner}.{field}: `{fragment}` does not set it"
+            );
+            let source = std::fs::read_to_string(workspace_root().join(file))
+                .unwrap_or_else(|e| panic!("{owner}.{field}: {file}: {e}"));
+            assert!(
+                non_test_lines(&source).any(|line| line.contains(fragment)),
+                "{owner}.{field}: no non-test line of {file} contains `{fragment}`"
+            );
+        }
+        Kept(why) => assert!(
+            !why.is_empty(),
+            "{owner}.{field}: a kept field needs its reason"
+        ),
+    }
+}
+
+/// The crate directory (`crates/<name>/`) of a path under crates/.
+fn crate_dir(file: &str) -> String {
+    let name = file.split('/').next().expect("a path under crates/");
+    format!("crates/{name}/")
+}
+
 #[test]
 fn every_federation_config_field_has_a_setter_outside_photon_core() {
     let root = workspace_root();
@@ -173,25 +368,35 @@ fn every_federation_config_field_has_a_setter_outside_photon_core() {
          photon-core that sets it, or the reason it has one value, and drop \
          the row of a removed one"
     );
+    let barred = [crate_dir("photon-core/src/config.rs")];
     for (field, setter) in FIELDS {
-        match setter {
-            Line(file, fragment) => {
-                assert!(
-                    !file.starts_with("crates/photon-core/"),
-                    "{field}: the setter must sit outside photon-core"
-                );
-                assert!(
-                    names_field(fragment, field),
-                    "{field}: `{fragment}` does not set it"
-                );
-                let source = std::fs::read_to_string(root.join(file))
-                    .unwrap_or_else(|e| panic!("{field}: {file}: {e}"));
-                assert!(
-                    non_test_lines(&source).any(|line| line.contains(fragment)),
-                    "{field}: no non-test line of {file} contains `{fragment}`"
-                );
-            }
-            Kept(why) => assert!(!why.is_empty(), "{field}: a kept field needs its reason"),
+        check_setter("FederationConfig", field, setter, &barred, names_field);
+    }
+}
+
+#[test]
+fn every_nested_config_field_has_a_setter_outside_its_crate() {
+    let root = workspace_root();
+    for (name, file, rows) in NESTED {
+        let source = std::fs::read_to_string(root.join("crates").join(file))
+            .unwrap_or_else(|e| panic!("{name}: {file}: {e}"));
+        let mut fields = struct_fields(&source, name);
+        assert!(
+            !fields.is_empty(),
+            "{name}: no `pub struct {name}` in {file}"
+        );
+        fields.sort();
+        let mut pinned: Vec<String> = rows.iter().map(|(f, _)| f.to_string()).collect();
+        pinned.sort();
+        assert_eq!(
+            fields, pinned,
+            "{name}'s fields changed: give a new field the line outside its \
+             crate and photon-core that sets it, or the reason it has one \
+             value, and drop the row of a removed one"
+        );
+        let barred = [crate_dir("photon-core/"), crate_dir(file)];
+        for (field, setter) in *rows {
+            check_setter(name, field, setter, &barred, names_member);
         }
     }
 }
@@ -236,4 +441,12 @@ pub struct FederationConfig {
     assert!(names_field("plan.cfg.network?.profile", "network"));
     assert!(!names_field("plan.cfg.seeded", "seed"));
     assert!(!names_field("plan.seed", "seed"));
+    assert!(names_member("plan.cfg.buffer?.quorum", "quorum"));
+    assert!(names_member(
+        "    zscore_threshold: 1e12,",
+        "zscore_threshold"
+    ));
+    assert!(!names_member("plan.cfg.network?.min_quorum_frac", "quorum"));
+    assert!(!names_member("let quorum = 2;", "quorum"));
+    assert!(!names_member("quorum::Rule", "quorum"));
 }

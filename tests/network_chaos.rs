@@ -272,7 +272,6 @@ fn jittered_retransmit_exhaustion_counts_and_commits() {
     cfg.allow_partial_results = true;
     cfg.retransmit.max_retries = 1;
     cfg.retransmit.jitter_pct = 50;
-    cfg.retransmit.max_backoff_ms = 60;
     let spec = FaultSpec {
         p_corrupt: 0.35,
         // More corrupted transmissions than the budget allows.
@@ -390,7 +389,6 @@ fn same_seed_network_chaos_traces_are_byte_identical() {
             percentile: 0.9,
             floor_ms: 50,
             ceiling_ms: 2_000,
-            window: 32,
         });
         let spec = FaultSpec::parse(
             "partition@r1-r3:*|~2,lossy=0.2,slowlink@r1c0,straggle=0.15,straggle-ms=300,seed=13",

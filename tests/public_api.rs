@@ -50,18 +50,8 @@ const PINNED: &[(&str, &str, &str)] = &[
     ),
     (
         "photon-comms/src/topology.rs",
-        "aggregation_time_seconds",
-        "Appendix B.1's server-side term; only `aggregation_time_linear_in_k` calls it (a removal-only PR)",
-    ),
-    (
-        "photon-comms/src/topology.rs",
         "bytes_on_wire",
         "the analytic byte count `tests/walltime_consistency.rs` and `photon-comms/tests/proptests.rs` hold the collectives to",
-    ),
-    (
-        "photon-comms/src/walltime.rs",
-        "round_time_heterogeneous",
-        "the straggler-gated round time; only `stragglers_gate_heterogeneous_rounds` calls it",
     ),
     (
         "photon-comms/src/walltime.rs",
@@ -89,11 +79,6 @@ const PINNED: &[(&str, &str, &str)] = &[
         "the plain federation builder; only photon-core unit tests and `photon-net/tests/loopback.rs` call it",
     ),
     (
-        "photon-core/src/datasource.rs",
-        "with_public",
-        "only `public_corpus_is_mixed_in` calls it (a removal-only PR)",
-    ),
-    (
         "photon-core/src/ddp.rs",
         "ddp_train",
         "the fresh-optimizer DDP entry point the ddp and client unit tests run; the client drives `run_replicas` itself",
@@ -109,11 +94,6 @@ const PINNED: &[(&str, &str, &str)] = &[
         "the run's fault counters as one value; the chaos, guard and observability tests read them",
     ),
     (
-        "photon-data/src/divergence.rs",
-        "heterogeneity_index",
-        "the §5.5 divergence module, called only by its unit tests (a removal-only PR)",
-    ),
-    (
         "photon-fedopt/src/buffer.rs",
         "late_drops",
         "only the streaming-merge unit tests read the late-drop count",
@@ -124,19 +104,9 @@ const PINNED: &[(&str, &str, &str)] = &[
         "the normalized staleness weights `photon-fedopt/tests/proptests.rs` and the buffer unit tests check",
     ),
     (
-        "photon-fedopt/src/sampler.rs",
-        "from_fraction",
-        "only `fraction_constructor_matches_paper_ratios` and `invalid_fraction_panics` call it (a removal-only PR)",
-    ),
-    (
         "photon-nn/src/model.rs",
         "pos_encoding",
         "only `tests/architecture_variants.rs` and the model unit tests read a model's positional scheme",
-    ),
-    (
-        "photon-optim/src/scaling.rs",
-        "lr_for_batch",
-        "Appendix C.1's scaling rules, called only by their unit tests (a removal-only PR)",
     ),
     (
         "photon-optim/src/schedule.rs",
@@ -154,16 +124,6 @@ const PINNED: &[(&str, &str, &str)] = &[
         "only `photon-tensor/tests/proptests.rs` and the elementwise unit tests call it",
     ),
     (
-        "photon-tensor/src/ops/elementwise.rs",
-        "clip_inplace",
-        "only `clip_bounds` calls it (a removal-only PR)",
-    ),
-    (
-        "photon-tensor/src/ops/elementwise.rs",
-        "lerp_inplace",
-        "only `lerp_endpoints` calls it (a removal-only PR)",
-    ),
-    (
         "photon-tensor/src/ops/reduce.rs",
         "max_abs_diff",
         "only `photon-tensor/tests/proptests.rs` and the reduce unit tests call it",
@@ -175,23 +135,8 @@ const PINNED: &[(&str, &str, &str)] = &[
     ),
     (
         "photon-tokenizer/src/bpe.rs",
-        "from_json",
-        "only `json_roundtrip` calls it (a removal-only PR)",
-    ),
-    (
-        "photon-tokenizer/src/bpe.rs",
         "merge_count",
         "only `tests/pipeline_integration.rs` and the bpe unit tests read it",
-    ),
-    (
-        "photon-tokenizer/src/bpe.rs",
-        "to_json",
-        "only `json_roundtrip` calls it, with `from_json`",
-    ),
-    (
-        "photon-trace/src/hist.rs",
-        "cumulative_buckets",
-        "only `cumulative_buckets_are_monotonic` calls it (a removal-only PR)",
     ),
     (
         "photon-trace/src/sink.rs",
