@@ -76,12 +76,8 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
         );
         let partitions = inj.count(Tally::Partitions);
         let slow_links = inj.count(Tally::Event(FaultEvent::SlowLink));
-        let lossy = inj.count(Tally::LinkLosses);
-        if partitions + slow_links + lossy > 0 {
-            println!(
-                "network chaos: {partitions} partition window(s), {slow_links} slow link(s), \
-                 {lossy} lossy cell(s)"
-            );
+        if partitions + slow_links > 0 {
+            println!("network chaos: {partitions} partition window(s), {slow_links} slow link(s)");
         }
     }
     if let Some(membership) = cfg.membership {
@@ -226,8 +222,8 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
     if let (Some(p50), Some(p99)) = (network.latency_p50_ms, network.latency_p99_ms) {
         println!(
             "network: {} delivery(ies), latency p50 {p50} ms / p99 {p99} ms, \
-             {} loss(es), {} duplicate(s) dropped, {} partition drop(s)",
-            network.deliveries, faults.link_losses, faults.dup_drops, faults.partition_drops
+             {} duplicate(s) dropped, {} partition drop(s)",
+            network.deliveries, faults.dup_drops, faults.partition_drops
         );
     }
     if faults.degraded_rounds > 0 {

@@ -229,19 +229,12 @@ const SIM_LINK: &[Opt] = &[
         Some(plan.cfg.round_deadline_ms)),
     opt!("retransmit-budget" "N", "link retries for corrupt frames",
         plan.cfg.retransmit.max_retries),
-    opt!("link-jitter-pct" "P", "jitter each retransmit backoff by up to P percent (seeded, \
-        deterministic)", plan.cfg.retransmit.jitter_pct),
-    opt!("link-timeout-ms" "N", "per-delivery timeout (0 = none); a link that exceeds it \
-        counts as a dropout", plan.cfg.retransmit.timeout_ms),
     opt!("net-latency-ms" "N", "simulated network: per-link base latency (any --net-* \
         option enables the deterministic link model)", plan.cfg.network?.profile.base_latency_ms),
     opt!("net-jitter-ms" "N", "per-delivery latency jitter", plan.cfg.network?.profile.jitter_ms),
     opt!("net-bw-kbps" "N", "link bandwidth; payload size adds transfer time (0 = infinite)",
         plan.cfg.network?.profile.bandwidth_kbps),
-    opt!("net-loss" "X", "per-attempt loss probability", plan.cfg.network?.profile.loss_rate),
     opt!("net-dup" "X", "duplicate-delivery probability", plan.cfg.network?.profile.dup_rate),
-    opt!("net-reorder-ms" "N", "reorder window for late duplicate arrivals",
-        plan.cfg.network?.profile.reorder_window_ms),
     opt!("net-slow-factor" "N", "latency multiplier applied by slowlink@ faults",
         plan.cfg.network?.slow_factor),
     opt!("adaptive-deadline", "derive the round deadline from a percentile of observed \
@@ -269,9 +262,9 @@ const RUN: &[Opt] = &[
          faults and partitions, e.g. crash=0.05,straggle=0.1,seed=9,sign-flip@r3c1,shardhang@r2s0\n\
          rates per client and round: crash=, straggle= (late by up to straggle-ms=N \
          [1000]), corrupt= (up to corrupt-attempts=N [2] bad frames), nan=, sign-flip=, \
-         scale= (by scale-factor=X [100]), leave=, lossy= (lost transmissions); per \
-         round: agg= (aggregator crash), join=; per shard: shardcrash=, shardhang= over \
-         shards=N (defaults to --shards); seed=N\n\
+         scale= (by scale-factor=X [100]), leave=; per round: agg= (aggregator crash), \
+         join=; per shard: shardcrash=, shardhang= over shards=N (defaults to --shards); \
+         seed=N\n\
          pinned, client M at round N: crash@rNcM, straggle:<ms>@rNcM, corrupt:<n>@rNcM, \
          nan-update@rNcM, sign-flip@rNcM, scale:<x>@rNcM, leave@rNcM, slowlink@rNcM; \
          shard M: shardcrash@rNsM, shardhang@rNsM; round N: join@rN\n\
@@ -435,15 +428,15 @@ restores the checkpoint while live clients re-sync. A result that misses
 --round-timeout-ms is a dropout of its round.
 
 It takes train's options except the simulated link's — --deadline-ms,
---retransmit-budget, --link-*, --net-* other than --net-quorum,
+--retransmit-budget, --net-* other than --net-quorum,
 --adaptive-deadline and --deadline-* (over TCP a result arrives or
 misses --round-timeout-ms) — and five more: --data (clients always build
 IID shards), --eval-every (no validation corpus), --checkpoint-every (it
 checkpoints every commit, because acks follow durability), --partial-ok
 (it always tolerates partial cohorts) and --recovery-budget (it keeps the
 run driver's default budget; a killed coordinator restarts with --resume).
-It rejects --secure, and --faults with straggle, corrupt, lossy,
-slowlink or partition faults, which only the simulated link injects.",
+It rejects --secure, and --faults with straggle, corrupt, slowlink or
+partition faults, which only the simulated link injects.",
     groups: &[CONFIG, RUN, COMPUTE, TRACE, SERVE_ONLY, PROCESS, HELP],
     finish: |o| {
         // A client can die mid-round and the deadline path must still

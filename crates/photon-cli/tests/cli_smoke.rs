@@ -130,7 +130,7 @@ fn help_paths_do_not_error() {
 fn refused_and_malformed_options_are_errors_naming_them() {
     let accepted = |command: &Command| command.rows().filter(|opt| opt.flag != "help").count();
     let counts = [&TRAIN, &RESUME, &SERVE, &CLIENT].map(accepted);
-    assert_eq!(counts, [53, 13, 42, 11]);
+    assert_eq!(counts, [49, 13, 42, 11]);
     for command in [&TRAIN, &RESUME, &SERVE, &CLIENT] {
         let mut flags: Vec<_> = command.rows().map(|opt| opt.flag).collect();
         flags.sort_unstable();
@@ -157,14 +157,10 @@ fn refused_and_malformed_options_are_errors_naming_them() {
         // The simulated link's, which the TCP transport never reads.
         "--deadline-ms 100",
         "--retransmit-budget 2",
-        "--link-jitter-pct 5",
-        "--link-timeout-ms 100",
         "--net-latency-ms 5",
         "--net-jitter-ms 5",
         "--net-bw-kbps 64",
-        "--net-loss 0.1",
         "--net-dup 0.1",
-        "--net-reorder-ms 5",
         "--net-slow-factor 2",
         "--adaptive-deadline",
         "--deadline-percentile 0.9",
@@ -174,6 +170,23 @@ fn refused_and_malformed_options_are_errors_naming_them() {
         let name = refused.split(' ').next().unwrap();
         named(commands::serve(&args(&format!("serve {refused}"))), name);
     }
+    // Link knobs a socket has no meaning for are gone from every command.
+    for gone in [
+        "--net-loss 0.1",
+        "--net-reorder-ms 5",
+        "--link-jitter-pct 5",
+        "--link-timeout-ms 100",
+    ] {
+        let name = gone.split(' ').next().unwrap();
+        named(
+            commands::train(&args(&format!("train {gone}")), false),
+            name,
+        );
+    }
+    named(
+        commands::train(&args("train --faults lossy=0.1"), false),
+        "\"lossy\"",
+    );
     named(
         commands::train(&args("resume --clients 8"), true),
         "--clients",
@@ -425,7 +438,7 @@ fn fault_grammar_names_are_all_in_the_help() {
     };
     let keys = listed("bogus=1");
     let kinds = listed("bogus@r1c1");
-    assert_eq!((keys.len(), kinds.len()), (17, 14), "{keys:?} {kinds:?}");
+    assert_eq!((keys.len(), kinds.len()), (16, 14), "{keys:?} {kinds:?}");
     for key in keys {
         assert!(help.contains(&format!("{key}=")), "help omits {key}=");
     }

@@ -67,7 +67,7 @@ const INVALID_PLANS: [&[&str]; 7] = [
     &["--adaptive-deadline", "--deadline-ms", "100"],
     &["--secure", "--partial-ok"],
     &["--secure", "--aggregation", "trimmed-mean"],
-    &["--secure", "--net-loss", "0.1"],
+    &["--secure", "--net-dup", "0.1"],
     &["--secure", "--shards", "4"],
 ];
 
@@ -206,8 +206,8 @@ fn plans() -> Vec<Vec<u8>> {
         "serve --clients 3 --rounds 4 --faults netcrash@r1c1,nethang@r2c0",
         "serve --clients 8 --shards 4 --max-resident 4 --buffer-quorum 4 --staleness-decay 0.5 \
          --faults shardhang@r1s1,shardcrash=0.1,crash=0.05,nan-update@r2c1,seed=5",
-        "train --clients 4 --net-latency-ms 30 --net-loss 0.15 --adaptive-deadline \
-         --faults partition@r1-r3:*|~1.2,lossy=0.1,slowlink@r2c0,seed=7",
+        "train --clients 4 --net-latency-ms 30 --net-dup 0.15 --adaptive-deadline \
+         --faults partition@r1-r3:*|~1.2,slowlink@r2c0,seed=7",
         "serve --clients 6 --sample 3 --membership --guard --aggregation trimmed-mean \
          --faults crash=0.1,straggle=0.2,join=0.3,leave=0.08,seed=5 --dtype bf16",
     ]

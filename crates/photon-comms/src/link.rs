@@ -1,15 +1,14 @@
-//! Bounded retransmit with deterministic jittered backoff for the Link
+//! Bounded retransmit with deterministic exponential backoff for the Link
 //! layer.
 //!
-//! Photon's Link (§4) must absorb transient corruption and loss: a result
-//! frame whose CRC check fails — or that never arrives — is re-requested
-//! instead of failing the round. This module simulates that delivery loop
-//! deterministically: corruption and loss are injected by caller-supplied
-//! schedules (normally seeded fault-plan / network-model entries from the
-//! federation engine), every corrupted attempt is *actually* decoded so
-//! the CRC path is exercised, and the retry budget, exponential backoff,
-//! seeded jitter and per-delivery timeout are fixed policy, so a chaos run
-//! replays bit-identically.
+//! Photon's Link (§4) must absorb transient corruption: a result frame
+//! whose CRC check fails is re-requested instead of failing the round.
+//! This module simulates that delivery loop deterministically: corruption
+//! is injected by a caller-supplied count (normally a seeded fault-plan
+//! entry from the federation engine), every corrupted attempt is
+//! *actually* decoded so the CRC path is exercised, and the retry budget
+//! and exponential backoff are fixed policy, so a chaos run replays
+//! bit-identically.
 
 use crate::{VerifiedFrame, WireError};
 use bytes::Bytes;
@@ -22,38 +21,25 @@ use std::fmt;
 const BACKOFF_BASE_MS: u64 = 10;
 
 /// Retransmission policy for a Link endpoint. Configs that still carry the
-/// `backoff_base_ms` and `max_backoff_ms` keys load with those keys
-/// ignored: the backoff base is fixed and the schedule is uncapped.
+/// `backoff_base_ms`, `max_backoff_ms`, `jitter_pct` and `timeout_ms` keys
+/// load with those keys ignored: the backoff schedule is fixed, and a real
+/// deployment bounds a delivery with the client's reconnect backoff and
+/// the coordinator's round timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetransmitPolicy {
     /// Retransmissions allowed after the first attempt (so a frame is
     /// transmitted at most `1 + max_retries` times).
     pub max_retries: u32,
-    /// Jitter as a percentage of each backoff: retry `n` backs off
-    /// `b(n) + U[0, b(n) * jitter_pct / 100]` where `b(n) = 10 << (n - 1)`
-    /// ms, the draw keyed off the delivery seed. `0` (the default)
-    /// disables jitter and reproduces the fixed schedule bit-for-bit.
-    #[serde(default)]
-    pub jitter_pct: u32,
-    /// Per-delivery timeout over accumulated simulated time (latency of
-    /// every attempt plus all backoff) in ms; `0` disables it. A delivery
-    /// that would exceed the timeout gives up even with retries left.
-    #[serde(default)]
-    pub timeout_ms: u64,
 }
 
 impl Default for RetransmitPolicy {
     fn default() -> Self {
-        RetransmitPolicy {
-            max_retries: 3,
-            jitter_pct: 0,
-            timeout_ms: 0,
-        }
+        RetransmitPolicy { max_retries: 3 }
     }
 }
 
 /// Simulated backoff before the `n`-th retry (1-based, deterministic
-/// exponential, saturating), before jitter.
+/// exponential, saturating).
 fn backoff_ms(retry: u32) -> u64 {
     BACKOFF_BASE_MS.saturating_mul(
         1u64.checked_shl(retry.saturating_sub(1))
@@ -61,56 +47,22 @@ fn backoff_ms(retry: u32) -> u64 {
     )
 }
 
-impl RetransmitPolicy {
-    /// Backoff before the `n`-th retry with seeded jitter applied. With
-    /// `jitter_pct == 0` this equals the plain exponential schedule.
-    pub(crate) fn jittered_backoff_ms(&self, retry: u32, seed: u64) -> u64 {
-        let base = backoff_ms(retry);
-        if self.jitter_pct == 0 {
-            base
-        } else {
-            let span = base
-                .saturating_mul(self.jitter_pct as u64)
-                .saturating_div(100)
-                .saturating_add(1);
-            // One splitmix-style mix of (seed, retry): deterministic,
-            // uniform enough for backoff de-synchronisation.
-            let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(retry as u64 + 1));
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            base.saturating_add((z ^ (z >> 31)) % span)
-        }
-    }
-}
-
-/// Delivery failed even after exhausting the retransmit budget (or the
-/// per-delivery timeout).
+/// Delivery failed even after exhausting the retransmit budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkExhausted {
     /// Total transmission attempts made.
     pub attempts: u32,
     /// The decode error from the final attempt.
     pub last_error: WireError,
-    /// `true` when the per-delivery timeout fired before the retry budget
-    /// was exhausted.
-    pub timed_out: bool,
 }
 
 impl fmt::Display for LinkExhausted {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.timed_out {
-            write!(
-                f,
-                "link delivery timed out after {} attempt(s): {}",
-                self.attempts, self.last_error
-            )
-        } else {
-            write!(
-                f,
-                "link delivery failed after {} attempt(s): {}",
-                self.attempts, self.last_error
-            )
-        }
+        write!(
+            f,
+            "link delivery failed after {} attempt(s): {}",
+            self.attempts, self.last_error
+        )
     }
 }
 
@@ -156,9 +108,9 @@ pub(crate) fn corrupt_frame(frame: &Bytes, seed: u64) -> Bytes {
     Bytes::from(raw)
 }
 
-/// Delivers `frame` across a lossy link: attempt `a` (0-based) transmits a
-/// corrupted copy whenever `a < corrupt_first`, the receiver decodes (CRC
-/// check) and requests a retransmission on failure, up to
+/// Delivers `frame` across a corrupting link: attempt `a` (0-based)
+/// transmits a corrupted copy whenever `a < corrupt_first`, the receiver
+/// decodes (CRC check) and requests a retransmission on failure, up to
 /// `policy.max_retries` times. The delivery is traced ([`trace_delivery`]).
 ///
 /// `seed` keys the injected bit flips so a replay corrupts the same bits.
@@ -172,8 +124,8 @@ pub fn deliver(
     seed: u64,
     policy: &RetransmitPolicy,
 ) -> (Result<VerifiedFrame, LinkExhausted>, DeliveryReport) {
-    let (result, report) = deliver_untraced(frame, corrupt_first, 0, 0, seed, policy);
-    trace_delivery(&report, seed, policy);
+    let (result, report) = deliver_untraced(frame, corrupt_first, 0, seed, policy);
+    trace_delivery(&report);
     (result, report)
 }
 
@@ -182,7 +134,7 @@ pub fn deliver(
 /// in-flight time) and a `link_retransmit` instant per retry. Kept apart
 /// from [`deliver_untraced`] so a receiver can run the delivery on one
 /// thread and trace it, in a fixed order, on another.
-pub fn trace_delivery(report: &DeliveryReport, seed: u64, policy: &RetransmitPolicy) {
+pub fn trace_delivery(report: &DeliveryReport) {
     let mut link_span = photon_trace::span(photon_trace::Phase::LinkDeliver);
     link_span.set_arg("attempts", report.attempts as u64);
     link_span.set_arg("wire_bytes", report.wire_bytes);
@@ -196,29 +148,21 @@ pub fn trace_delivery(report: &DeliveryReport, seed: u64, policy: &RetransmitPol
         photon_trace::instant(
             photon_trace::Phase::LinkRetransmit,
             "link_retransmit",
-            &[
-                ("retry", retry as u64),
-                ("backoff_ms", policy.jittered_backoff_ms(retry, seed)),
-            ],
+            &[("retry", retry as u64), ("backoff_ms", backoff_ms(retry))],
         );
     }
 }
 
-/// Delivers `frame` across a chaotic link, untraced: the first
-/// `lost_first` attempts vanish in flight (the receiver times out and
-/// requests a retransmit), the next `corrupt_first` attempts arrive
-/// corrupted and fail the CRC check, and each attempt costs `latency_ms`
-/// of simulated in-flight time. Retries follow `policy`'s jittered
-/// exponential backoff, and the per-delivery timeout (when set) bounds the
-/// total simulated time spent. [`trace_delivery`] emits what it did.
+/// Delivers `frame` across a corrupting link, untraced: the first
+/// `corrupt_first` attempts arrive corrupted and fail the CRC check, and
+/// each attempt costs `latency_ms` of simulated in-flight time. Retries
+/// follow the exponential backoff. [`trace_delivery`] emits what it did.
 ///
 /// # Errors
-/// Returns [`LinkExhausted`] when every allowed attempt failed or the
-/// timeout fired first.
+/// Returns [`LinkExhausted`] when every allowed attempt failed.
 pub fn deliver_untraced(
     frame: &Bytes,
     corrupt_first: u32,
-    lost_first: u32,
     latency_ms: u64,
     seed: u64,
     policy: &RetransmitPolicy,
@@ -227,36 +171,12 @@ pub fn deliver_untraced(
     let mut last_error = WireError::Truncated;
     for attempt in 0..=policy.max_retries {
         if attempt > 0 {
-            let backoff = policy.jittered_backoff_ms(attempt, seed);
-            // A retry that would blow the per-delivery timeout gives up
-            // before waiting out the backoff or re-sending.
-            let elapsed = report
-                .backoff_ms
-                .saturating_add(backoff)
-                .saturating_add(report.latency_ms)
-                .saturating_add(latency_ms);
-            if policy.timeout_ms > 0 && elapsed > policy.timeout_ms {
-                return (
-                    Err(LinkExhausted {
-                        attempts: report.attempts,
-                        last_error,
-                        timed_out: true,
-                    }),
-                    report,
-                );
-            }
-            report.backoff_ms += backoff;
+            report.backoff_ms += backoff_ms(attempt);
         }
         report.attempts += 1;
         report.wire_bytes += frame.len() as u64;
         report.latency_ms = report.latency_ms.saturating_add(latency_ms);
-        if attempt < lost_first {
-            // Lost in flight: nothing reaches the receiver; its timeout
-            // triggers the retransmit request.
-            last_error = WireError::Truncated;
-            continue;
-        }
-        let sent = if attempt < lost_first + corrupt_first {
+        let sent = if attempt < corrupt_first {
             corrupt_frame(frame, seed.wrapping_add(attempt as u64))
         } else {
             frame.clone()
@@ -273,7 +193,6 @@ pub fn deliver_untraced(
         Err(LinkExhausted {
             attempts: report.attempts,
             last_error,
-            timed_out: false,
         }),
         report,
     )
@@ -308,20 +227,20 @@ mod tests {
         assert_eq!(report.wire_bytes, 3 * f.len() as u64);
         // Backoff 10ms then 20ms.
         assert_eq!(report.backoff_ms, 10 + 20);
+        let (out, report) = deliver_untraced(&f, 2, 30, 7, &policy);
+        assert_eq!(*out.unwrap(), f);
+        assert_eq!(report.latency_ms, 90, "every attempt pays link latency");
+        assert_eq!(report.backoff_ms, 10 + 20);
     }
 
     #[test]
     fn budget_exhaustion_reports_the_crc_error() {
         let f = frame();
-        let policy = RetransmitPolicy {
-            max_retries: 2,
-            ..RetransmitPolicy::default()
-        };
+        let policy = RetransmitPolicy { max_retries: 2 };
         let (out, report) = deliver(&f, 99, 7, &policy);
         let err = out.unwrap_err();
         assert_eq!(err.attempts, 3);
         assert!(matches!(err.last_error, WireError::BadChecksum { .. }));
-        assert!(!err.timed_out);
         assert_eq!(report.attempts, 3);
         assert_eq!(report.backoff_ms, 10 + 20);
         assert!(err.to_string().contains("3 attempt(s)"));
@@ -374,82 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn jitter_is_seeded_bounded_and_off_by_default() {
-        let plain = RetransmitPolicy::default();
-        for retry in 1..6 {
-            assert_eq!(
-                plain.jittered_backoff_ms(retry, 42),
-                backoff_ms(retry),
-                "jitter_pct 0 must reproduce the fixed schedule"
-            );
-        }
-        let jittery = RetransmitPolicy {
-            jitter_pct: 50,
-            ..RetransmitPolicy::default()
-        };
-        let mut saw_jitter = false;
-        for seed in 0..32u64 {
-            for retry in 1..5 {
-                let base = backoff_ms(retry);
-                let j = jittery.jittered_backoff_ms(retry, seed);
-                assert!(j >= base && j <= base + base / 2 + 1);
-                assert_eq!(j, jittery.jittered_backoff_ms(retry, seed));
-                saw_jitter |= j != base;
-            }
-        }
-        assert!(saw_jitter, "50% jitter never moved a backoff");
-    }
-
-    #[test]
-    fn lost_attempts_consume_budget_then_recover() {
-        let f = frame();
-        let policy = RetransmitPolicy::default();
-        let (out, report) = deliver_untraced(&f, 0, 2, 30, 7, &policy);
-        assert_eq!(*out.unwrap(), f);
-        assert_eq!(report.attempts, 3);
-        assert_eq!(report.latency_ms, 90, "every attempt pays link latency");
-        assert_eq!(report.backoff_ms, 10 + 20);
-    }
-
-    #[test]
-    fn loss_and_corruption_chain_before_the_clean_attempt() {
-        let f = frame();
-        let policy = RetransmitPolicy {
-            max_retries: 4,
-            ..RetransmitPolicy::default()
-        };
-        let (out, report) = deliver_untraced(&f, 1, 1, 0, 7, &policy);
-        assert_eq!(*out.unwrap(), f);
-        assert_eq!(report.attempts, 3, "1 lost + 1 corrupt + 1 clean");
-    }
-
-    #[test]
-    fn per_delivery_timeout_fires_before_budget_exhaustion() {
-        let f = frame();
-        let policy = RetransmitPolicy {
-            max_retries: 50,
-            jitter_pct: 0,
-            timeout_ms: 100,
-        };
-        let (out, report) = deliver_untraced(&f, 99, 0, 0, 7, &policy);
-        let err = out.unwrap_err();
-        assert!(err.timed_out);
-        assert!(err.to_string().contains("timed out"));
-        // Backoff 10+20+40 = 70 fits; +80 would exceed 100.
-        assert_eq!(report.attempts, 4);
-        assert!(report.backoff_ms <= policy.timeout_ms);
-    }
-
-    #[test]
     fn chaos_delivery_is_deterministic() {
         let f = frame();
-        let policy = RetransmitPolicy {
-            jitter_pct: 30,
-            timeout_ms: 500,
-            ..RetransmitPolicy::default()
-        };
-        let a = deliver_untraced(&f, 1, 1, 25, 99, &policy);
-        let b = deliver_untraced(&f, 1, 1, 25, 99, &policy);
+        let policy = RetransmitPolicy::default();
+        let a = deliver_untraced(&f, 2, 25, 99, &policy);
+        let b = deliver_untraced(&f, 2, 25, 99, &policy);
         assert_eq!(a.0.is_ok(), b.0.is_ok());
         assert_eq!(a.1, b.1);
     }

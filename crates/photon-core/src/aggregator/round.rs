@@ -134,9 +134,7 @@ struct RoundAccounting {
     retransmits: u64,
     wire_bytes: u64,
     unreachable: usize,
-    net_losses: u64,
     net_duplicates: u64,
-    net_reorders: u64,
     dup_drops: u64,
 }
 
@@ -659,10 +657,8 @@ impl Aggregator {
             );
             return;
         }
-        acct.net_losses += u64::from(link.lost_attempts);
         acct.net_duplicates += u64::from(link.duplicates);
-        acct.net_reorders += u64::from(link.reordered);
-        photon_comms::trace_delivery(&link.report, link.seed, &self.cfg.retransmit);
+        photon_comms::trace_delivery(&link.report);
         acct.wire_bytes += link.report.wire_bytes;
         acct.retransmits += u64::from(link.report.attempts.saturating_sub(1));
     }
@@ -826,18 +822,17 @@ impl Aggregator {
     /// Accumulates the round's network chaos into the telemetry.
     fn record_network(&self, acct: &RoundAccounting, dup_drops: u64) {
         self.telemetry.count(|f| {
-            f.link_losses += acct.net_losses;
             f.link_duplicates += acct.net_duplicates;
-            f.link_reorders += acct.net_reorders;
             f.dup_drops += dup_drops;
             f.partition_drops += acct.unreachable as u64;
         });
     }
 
-    /// The degraded-quorum gate. When an active partition (or mass loss)
-    /// leaves the round below the reachability quorum, committing the
-    /// minority slice would skew the model toward whoever stayed
-    /// connected: the round records its telemetry but commits nothing.
+    /// The degraded-quorum gate. When an active partition (or mass
+    /// retransmit exhaustion) leaves the round below the reachability
+    /// quorum, committing the minority slice would skew the model toward
+    /// whoever stayed connected: the round records its telemetry but
+    /// commits nothing.
     /// The deadline stays lifted until a round reaches quorum again, at
     /// which point the aggregator recovers automatically. Runs before
     /// anything touches the guard.
@@ -1586,14 +1581,8 @@ pub struct SimDelivery {
     /// The retransmit loop's attempts, wire bytes, backoff and in-flight
     /// time.
     report: DeliveryReport,
-    /// The delivery's seed, which keys its bit flips and backoff jitter.
-    seed: u64,
-    /// Leading attempts lost in flight.
-    lost_attempts: u32,
     /// Extra copies a duplicating link delivered.
     duplicates: u32,
-    /// Whether the link delayed the arrival behind later ones.
-    reordered: bool,
     /// Simulated milliseconds between the round start and the arrival.
     lateness: u64,
 }
@@ -1623,8 +1612,8 @@ impl<'a> SimLink<'a> {
     }
 
     /// Receives client `client_id`'s sealed result: an active partition
-    /// severs it, the chaos network and the fault plan decide latency,
-    /// loss and duplication, CRC-failed or lost attempts are retransmitted
+    /// severs it, the chaos network and the fault plan decide latency and
+    /// duplication, CRC-failed attempts are retransmitted
     /// (deterministically) up to the budget, and the frame that verified
     /// is decoded into `buffer`. A crash or error passes through.
     fn receive(
@@ -1657,8 +1646,7 @@ impl<'a> SimLink<'a> {
         }
         let frame = frame.frame();
         // The chaos network decides what the link does to this delivery;
-        // the fault plan can pile scheduled losses and a pinned-slow link
-        // on top.
+        // the fault plan can pin the link slow on top.
         let outcome = self
             .network
             .as_ref()
@@ -1669,27 +1657,20 @@ impl<'a> SimLink<'a> {
             let factor = self.cfg.network.map_or(10, |n| n.slow_factor);
             latency_ms = latency_ms.saturating_mul(factor).max(1_000);
         }
-        let lost_attempts =
-            outcome.lost_attempts + faults.map_or(0, |inj| inj.link_loss(round, client_id));
-        let seed = mix_link_seed(self.cfg.seed, round, client_id);
         let (delivered, report) = photon_comms::deliver_untraced(
             &frame,
             corrupt_attempts,
-            lost_attempts,
             latency_ms,
-            seed,
+            mix_link_seed(self.cfg.seed, round, client_id),
             &self.cfg.retransmit,
         );
         let link = SimDelivery {
             severed: None,
             report,
-            seed,
-            lost_attempts,
             duplicates: outcome.duplicates,
-            reordered: outcome.reorder_ms > 0,
             // Simulated lateness is the injected delay plus the delivery's
-            // in-flight time, retry backoff and any reorder delay.
-            lateness: delay_ms + report.backoff_ms + report.latency_ms + outcome.reorder_ms,
+            // in-flight time and retry backoff.
+            lateness: delay_ms + report.backoff_ms + report.latency_ms,
         };
         match delivered {
             Err(_) => ClientReply::Lost { client_id, link },
@@ -1984,9 +1965,7 @@ mod tests {
             profile: LinkProfile {
                 base_latency_ms: 20,
                 jitter_ms: 10,
-                loss_rate: 0.2,
                 dup_rate: 0.3,
-                reorder_window_ms: 15,
                 ..LinkProfile::default()
             },
             ..NetworkConfig::default()

@@ -514,12 +514,14 @@ mod tests {
     fn a_manifest_with_the_removed_training_knobs_still_loads() {
         // Checkpoints written while the config still had the stateful,
         // FedProx, update post-processing and availability knobs, the five
-        // guard thresholds, the retransmit backoff base and cap and the
-        // adaptive-deadline window carry their keys, in the places they
-        // were serialized.
+        // guard thresholds, the retransmit backoff base, cap and jitter, the
+        // per-delivery timeout, the adaptive-deadline window, per-attempt
+        // link loss and the reorder window carry their keys, in the places
+        // they were serialized.
         let dir = tmp_dir("removed-knobs");
         let mut saved = full(1);
         saved.config.adaptive_deadline = Some(photon_comms::AdaptiveDeadlineConfig::default());
+        saved.config.network = Some(photon_comms::NetworkConfig::default());
         save(&dir, &saved);
         let file = fs::read(dir.join(FILE)).unwrap();
         let end = manifest_end(&file);
@@ -537,8 +539,13 @@ mod tests {
                 "\"fedprox_mu\":null,\"post\":{\"clip_update_norm\":null,\"dp_noise_std\":null},",
             ),
             ("\"allow_partial_results\":", "\"availability\":null,"),
-            ("\"jitter_pct\":", "\"backoff_base_ms\":10,"),
-            ("\"timeout_ms\":", "\"max_backoff_ms\":0,"),
+            (
+                "},\"network\":",
+                ",\"backoff_base_ms\":10,\"jitter_pct\":50,\"max_backoff_ms\":0,\
+                 \"timeout_ms\":500",
+            ),
+            ("\"dup_rate\":", "\"loss_rate\":0.15,"),
+            ("},\"min_quorum_frac\":", ",\"reorder_window_ms\":20"),
             ("},\"membership\":", ",\"window\":128"),
         ] {
             assert_eq!(manifest.matches(before).count(), 1, "{before}");

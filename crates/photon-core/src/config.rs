@@ -272,7 +272,7 @@ impl FederationConfig {
                 .validate()
                 .map_err(crate::CoreError::InvalidConfig)?;
             if self.secure_agg {
-                // Loss, partitions and degraded rounds all drop results,
+                // Partitions and degraded rounds drop results,
                 // which the simplified secure aggregation cannot survive.
                 return Err(crate::CoreError::InvalidConfig(
                     "secure aggregation cannot run over a chaotic network (disable one)".into(),
@@ -420,10 +420,7 @@ mod tests {
         let json = serde_json::to_string(&cfg)
             .unwrap()
             .replace("\"round_deadline_ms\":null,", "")
-            .replace(
-                "\"retransmit\":{\"max_retries\":3,\"jitter_pct\":0,\"timeout_ms\":0},",
-                "",
-            )
+            .replace("\"retransmit\":{\"max_retries\":3},", "")
             .replace("\"network\":null,", "")
             .replace("\"adaptive_deadline\":null,", "");
         assert!(!json.contains("retransmit"), "field not stripped: {json}");
@@ -431,16 +428,23 @@ mod tests {
         let back: FederationConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
 
-        // Configs serialized while the backoff base and cap, five guard
-        // thresholds and the adaptive window were settings still load.
+        // Configs serialized while the backoff base, cap and jitter, the
+        // per-delivery timeout, five guard thresholds, the adaptive window,
+        // per-attempt loss and the reorder window were settings still load.
         let mut adaptive = cfg.clone();
         adaptive.adaptive_deadline = Some(AdaptiveDeadlineConfig::default());
+        adaptive.network = Some(NetworkConfig::default());
         let mut json = serde_json::to_string(&adaptive).unwrap();
         for (now, then) in [
             (
-                "\"retransmit\":{\"max_retries\":3,\"jitter_pct\":0,\"timeout_ms\":0}",
+                "\"retransmit\":{\"max_retries\":3}",
                 "\"retransmit\":{\"max_retries\":3,\"backoff_base_ms\":10,\
-                 \"jitter_pct\":0,\"max_backoff_ms\":0,\"timeout_ms\":0}",
+                 \"jitter_pct\":50,\"max_backoff_ms\":0,\"timeout_ms\":500}",
+            ),
+            (
+                "\"bandwidth_kbps\":0,\"dup_rate\":0.0}",
+                "\"bandwidth_kbps\":0,\"loss_rate\":0.15,\"dup_rate\":0.0,\
+                 \"reorder_window_ms\":20}",
             ),
             (
                 "\"guard\":{\"enabled\":false,\"zscore_threshold\":6.0}",
@@ -468,7 +472,7 @@ mod tests {
             profile: LinkProfile {
                 base_latency_ms: 20,
                 jitter_ms: 10,
-                loss_rate: 0.1,
+                dup_rate: 0.1,
                 ..LinkProfile::default()
             },
             ..NetworkConfig::default()
@@ -486,7 +490,7 @@ mod tests {
         let mut bad = cfg.clone();
         bad.network = Some(NetworkConfig {
             profile: LinkProfile {
-                loss_rate: 1.5,
+                dup_rate: 1.5,
                 ..LinkProfile::default()
             },
             ..NetworkConfig::default()

@@ -16,13 +16,6 @@ use photon_tensor::SeedStream;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Salt separating the link-loss draw column from the client fault chain,
-/// so `lossy=` rates never perturb a legacy plan.
-const LINK_LOSS_SALT: u64 = 0x6c6f_7373_7921; // "lossy!"
-
-/// Leading transmission attempts a single `lossy=` firing may swallow.
-const LINK_LOSS_BURST: usize = 2;
-
 /// Salt separating the sub-aggregator shard fault column from every other
 /// draw, so `shardcrash=`/`shardhang=` rates never perturb a legacy plan.
 const SHARD_FAULT_SALT: u64 = 0x7368_6172_6421; // "shard!"
@@ -139,7 +132,7 @@ const fn event(event: FaultEvent) -> FaultKind {
 /// Every `key=value` rate key, one row each with the field it sets.
 /// Parsing and the unknown-key error both read this table.
 type SetRate = fn(&mut FaultSpec, &str) -> Option<()>;
-const RATE_KEYS: [(&str, SetRate); 17] = [
+const RATE_KEYS: [(&str, SetRate); 16] = [
     ("crash", |s, v| set(&mut s.p_crash, v)),
     ("straggle", |s, v| set(&mut s.p_straggle, v)),
     ("straggle-ms", |s, v| set(&mut s.straggle_ms_max, v)),
@@ -154,7 +147,6 @@ const RATE_KEYS: [(&str, SetRate); 17] = [
     ("scale-factor", |s, v| set(&mut s.scale_factor, v)),
     ("join", |s, v| set(&mut s.p_join, v)),
     ("leave", |s, v| set(&mut s.p_leave, v)),
-    ("lossy", |s, v| set(&mut s.p_link_loss, v)),
     ("shardcrash", |s, v| set(&mut s.p_shard_crash, v)),
     ("shardhang", |s, v| set(&mut s.p_shard_hang, v)),
     ("shards", |s, v| set(&mut s.shards, v)),
@@ -294,12 +286,6 @@ pub struct FaultSpec {
     /// overrides its cell's draw.
     #[serde(default)]
     pub targeted: Vec<TargetedFault>,
-    /// Per-(round, client) probability the link *loses* leading result
-    /// transmissions (`lossy=` grammar). Drawn from its own salted column,
-    /// never the client fault chain — loss is a link property, and a spec
-    /// with `lossy=0` expands to the exact legacy plan.
-    #[serde(default)]
-    pub p_link_loss: f64,
     /// Partition windows (`partition@rN[-rM]:a|b` grammar, `.`-separated
     /// client ids, `~` marking the severed group asymmetric).
     #[serde(default)]
@@ -342,7 +328,6 @@ impl FaultSpec {
             p_join: 0.0,
             p_leave: 0.0,
             targeted: Vec::new(),
-            p_link_loss: 0.0,
             partitions: Vec::new(),
             p_shard_crash: 0.0,
             p_shard_hang: 0.0,
@@ -354,13 +339,13 @@ impl FaultSpec {
     /// Parses a compact CLI spec: comma-separated entries that are either
     /// `key=value` rates (the keys of `RATE_KEYS`: `crash`, `straggle`,
     /// `straggle-ms`, `corrupt`, `corrupt-attempts`, `agg`, `nan`,
-    /// `sign-flip`, `scale`, `scale-factor`, `join`, `leave`, `lossy`,
-    /// `shardcrash`, `shardhang`, `shards`, `seed`), pinned faults
+    /// `sign-flip`, `scale`, `scale-factor`, `join`, `leave`, `shardcrash`,
+    /// `shardhang`, `shards`, `seed`), pinned faults
     /// `kind@rN` / `kind@rNcM` / `kind@rNsM` (see [`TargetedFault::parse`]),
     /// or partition windows `partition@rN[-rM]:a|b` (client ids
     /// `.`-separated; `~` before the severed group makes the partition
     /// asymmetric), e.g.
-    /// `crash=0.05,lossy=0.1,partition@r2-r5:0|1.2,slowlink@r3c0,seed=9`.
+    /// `crash=0.05,partition@r2-r5:0|1.2,slowlink@r3c0,seed=9`.
     ///
     /// # Errors
     /// Returns a message naming the offending entry or value.
@@ -425,12 +410,6 @@ impl FaultSpec {
         }
         if !self.scale_factor.is_finite() {
             return Err(format!("scale factor {} must be finite", self.scale_factor));
-        }
-        if !self.p_link_loss.is_finite() || !(0.0..=1.0).contains(&self.p_link_loss) {
-            return Err(format!(
-                "fault probability lossy={} outside [0, 1]",
-                self.p_link_loss
-            ));
         }
         for (name, p) in [
             ("shardcrash", self.p_shard_crash),
@@ -530,20 +509,6 @@ impl FaultSpec {
             .filter(|&round| cell_stream(self.seed, round, u32::MAX - 1).next_f64() < self.p_join)
             .map(|round| (round, 1))
             .collect();
-        // Link losses draw from their own salted column (never the client
-        // fault chain), so `lossy=0` leaves legacy plans bit-identical.
-        let mut link_losses = BTreeMap::new();
-        if self.p_link_loss > 0.0 {
-            for round in 0..rounds {
-                for client in 0..population as u32 {
-                    let mut rng = cell_stream(self.seed ^ LINK_LOSS_SALT, round, client);
-                    if rng.next_f64() < self.p_link_loss {
-                        let burst = 1 + rng.next_below(LINK_LOSS_BURST) as u32;
-                        link_losses.insert((round, client), burst);
-                    }
-                }
-            }
-        }
         // Shard faults draw from their own salted (round, shard) column,
         // gated on the rates, so legacy specs expand bit-identically.
         if (self.p_shard_crash > 0.0 || self.p_shard_hang > 0.0) && self.shards > 0 {
@@ -580,7 +545,6 @@ impl FaultSpec {
         FaultPlan {
             client_faults,
             joins,
-            link_losses,
             partitions: PartitionSchedule::new(self.partitions.clone()),
             events,
         }
@@ -645,8 +609,6 @@ pub enum Tally {
     ClientFaults,
     /// Scheduled admissions (a round may admit several).
     Joins,
-    /// Cells scheduled to lose leading transmissions.
-    LinkLosses,
     /// Partition windows.
     Partitions,
     /// Scheduled events of one kind.
@@ -658,7 +620,6 @@ pub enum Tally {
 pub struct FaultPlan {
     client_faults: BTreeMap<(u64, u32), ClientFault>,
     joins: BTreeMap<u64, u32>,
-    link_losses: BTreeMap<(u64, u32), u32>,
     partitions: PartitionSchedule,
     events: BTreeSet<(FaultEvent, u64, u32)>,
 }
@@ -683,12 +644,6 @@ impl FaultPlan {
     /// How many new clients join the federation at `round`.
     pub fn joins_at(&self, round: u64) -> u32 {
         self.joins.get(&round).copied().unwrap_or(0)
-    }
-
-    /// Leading result transmissions lost on `client`'s link at `round`
-    /// (0 = the link delivers normally).
-    pub fn link_loss(&self, round: u64, client: u32) -> u32 {
-        self.link_losses.get(&(round, client)).copied().unwrap_or(0)
     }
 
     /// The severing in effect for `client` at `round`, if any.
@@ -717,7 +672,6 @@ impl FaultPlan {
         match tally {
             Tally::ClientFaults => self.client_faults.len(),
             Tally::Joins => self.joins.values().map(|&n| n as usize).sum(),
-            Tally::LinkLosses => self.link_losses.len(),
             Tally::Partitions => self.partitions.len(),
             Tally::Event(event) => self
                 .events
@@ -1061,11 +1015,8 @@ mod tests {
 
     #[test]
     fn network_grammar_parses_and_expands() {
-        let spec = FaultSpec::parse(
-            "lossy=0.2,partition@r2-r5:0|1.2,partition@r6:*|~3,slowlink@r3c0,seed=9",
-        )
-        .unwrap();
-        assert_eq!(spec.p_link_loss, 0.2);
+        let spec = FaultSpec::parse("partition@r2-r5:0|1.2,partition@r6:*|~3,slowlink@r3c0,seed=9")
+            .unwrap();
         assert_eq!(spec.targeted, vec![pinned(3, 0, event(SlowLink))]);
         assert_eq!(spec.partitions.len(), 2);
         assert_eq!(spec.partitions[0].start_round, 2);
@@ -1076,10 +1027,6 @@ mod tests {
         assert!(spec.partitions[1].asymmetric);
 
         let plan = spec.plan(8, 10);
-        assert!(
-            plan.count(Tally::LinkLosses) > 0,
-            "lossy=0.2 scheduled nothing"
-        );
         assert_eq!(plan.count(Tally::Event(SlowLink)), 1);
         assert!(plan.has(SlowLink, 3, 0));
         assert!(!plan.has(SlowLink, 3, 1));
@@ -1091,13 +1038,6 @@ mod tests {
         );
         assert_eq!(plan.partition_state(5, 1), None, "healed");
         assert_eq!(plan.partition_state(7, 3), Some(PartitionKind::Asymmetric));
-        // Loss bursts stay within the configured burst cap.
-        for round in 0..10 {
-            for client in 0..8 {
-                let burst = plan.link_loss(round, client);
-                assert!(burst <= 1 + LINK_LOSS_BURST as u32);
-            }
-        }
         // Malformed windows are rejected.
         assert!(FaultSpec::parse("partition@r2").is_err());
         assert!(
@@ -1110,50 +1050,25 @@ mod tests {
         );
         assert!(FaultSpec::parse("partition@r2:1|1").is_err(), "overlap");
         assert!(FaultSpec::parse("slowlink@r3").is_err());
-        assert!(FaultSpec::parse("lossy=1.5").is_err());
+        // Per-attempt link loss is not a fault kind: a socket retransmits
+        // below the frame, and a reset is a reconnect.
+        let err = FaultSpec::parse("lossy=1.5").unwrap_err();
+        assert!(err.contains("unknown fault spec key \"lossy\""), "{err}");
     }
 
     #[test]
     fn zero_network_rates_leave_legacy_plans_unchanged() {
-        // `lossy=` draws from its own salted column and partitions ride in
-        // separate fields, so a network-free spec expands to the exact
-        // legacy plan.
+        // Partitions and pinned slow links ride in separate fields, so a
+        // network-free spec expands to the exact legacy plan.
         let legacy = chaos_spec(7).plan(16, 50);
         let extended = FaultSpec {
-            p_link_loss: 0.0,
             targeted: Vec::new(),
             partitions: Vec::new(),
             ..chaos_spec(7)
         }
         .plan(16, 50);
         assert_eq!(legacy, extended);
-        assert_eq!(legacy.count(Tally::LinkLosses), 0);
         assert_eq!(legacy.count(Tally::Partitions), 0);
-    }
-
-    #[test]
-    fn link_loss_column_is_independent_of_the_fault_chain() {
-        // Turning `lossy=` on must not move a single client fault: the
-        // loss draw lives in a disjoint salted column.
-        let base = chaos_spec(7);
-        let lossy = FaultSpec {
-            p_link_loss: 0.5,
-            ..chaos_spec(7)
-        };
-        let a = base.plan(16, 50);
-        let b = lossy.plan(16, 50);
-        assert!(b.count(Tally::LinkLosses) > 0);
-        for round in 0..50 {
-            for client in 0..16 {
-                assert_eq!(a.client_fault(round, client), b.client_fault(round, client));
-            }
-        }
-        assert_eq!(
-            a.count(Tally::Event(AggCrash)),
-            b.count(Tally::Event(AggCrash))
-        );
-        // Loss plans themselves replay bit-identically.
-        assert_eq!(b, lossy.plan(16, 50));
     }
 
     #[test]

@@ -75,15 +75,9 @@ pub struct FaultCounters {
     /// Committed updates that were stale (down-weighted by staleness).
     #[serde(default)]
     pub stale_commits: u64,
-    /// Result transmissions lost in flight by the network model.
-    #[serde(default)]
-    pub link_losses: u64,
     /// Duplicate result arrivals generated by the network model.
     #[serde(default)]
     pub link_duplicates: u64,
-    /// Deliveries that arrived out of order (picked up reorder delay).
-    #[serde(default)]
-    pub link_reorders: u64,
     /// Duplicate arrivals discarded by update dedup (buffer or in-round).
     #[serde(default)]
     pub dup_drops: u64,
@@ -203,9 +197,7 @@ pub const METRIC_SCHEMA: &[Metric] = schema! {
     "churn.rejoins"                 Counter(|f| f.rejoins)              => "Expired members that warm-rejoined.";
     "buffer.commits"                Counter(|f| f.buffered_commits)     => "Buffered-aggregation merges committed.";
     "buffer.stale_commits"          Counter(|f| f.stale_commits)        => "Committed updates down-weighted for staleness.";
-    "network.link_losses"           Counter(|f| f.link_losses)          => "Result transmissions lost in flight.";
     "network.link_duplicates"       Counter(|f| f.link_duplicates)      => "Duplicate result arrivals generated by the link.";
-    "network.link_reorders"         Counter(|f| f.link_reorders)        => "Deliveries that arrived out of order.";
     "network.dup_drops"             Counter(|f| f.dup_drops)            => "Duplicate arrivals discarded by update dedup.";
     "network.partition_drops"       Counter(|f| f.partition_drops)      => "Deliveries lost to an active partition.";
     "network.degraded_rounds"       Counter(|f| f.degraded_rounds)      => "Rounds run below the reachability quorum.";
@@ -863,20 +855,16 @@ mod tests {
         let t = Telemetry::new();
         assert_eq!(t.snapshot().network.latency_p50_ms, None);
         t.count(|f| {
-            f.link_losses += 3;
             f.link_duplicates += 1;
-            f.link_reorders += 2;
             f.dup_drops += 1;
             f.partition_drops += 4;
         });
-        t.count(|f| f.link_losses += 1);
+        t.count(|f| f.link_duplicates += 1);
         t.count(|f| f.degraded_rounds += 1);
         t.count(|f| f.degraded_rounds += 1);
         t.count(|f| f.degraded_recoveries += 1);
         let f = t.fault_counters();
-        assert_eq!(f.link_losses, 4);
-        assert_eq!(f.link_duplicates, 1);
-        assert_eq!(f.link_reorders, 2);
+        assert_eq!(f.link_duplicates, 2);
         assert_eq!(f.dup_drops, 1);
         assert_eq!(f.partition_drops, 4);
         assert_eq!(f.degraded_rounds, 2);

@@ -305,11 +305,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeReport> {
 
 /// The first fault kind in `spec` that only the simulated link injects.
 fn simulated_link_fault(spec: &FaultSpec) -> Option<&'static str> {
-    let rates = [
-        ("straggle", spec.p_straggle),
-        ("corrupt", spec.p_corrupt),
-        ("lossy", spec.p_link_loss),
-    ];
+    let rates = [("straggle", spec.p_straggle), ("corrupt", spec.p_corrupt)];
     let pinned = spec.targeted.iter().find_map(|t| match t.kind {
         FaultKind::Client {
             fault: Straggle { .. },
@@ -804,7 +800,6 @@ mod tests {
             ("straggle:300@r1c0", "straggle"),
             ("corrupt=0.1", "corrupt"),
             ("corrupt:2@r1c0", "corrupt"),
-            ("lossy=0.1", "lossy"),
             ("slowlink@r1c0", "slowlink"),
             ("partition@r1:0|1", "partition"),
         ] {

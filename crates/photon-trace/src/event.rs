@@ -23,7 +23,7 @@ pub enum Phase {
     PoolDispatch,
     /// Model broadcast framing on the aggregator side.
     Broadcast,
-    /// One result-frame delivery across the lossy Link (incl. retries).
+    /// One result-frame delivery across the simulated Link (incl. retries).
     LinkDeliver,
     /// A Link retransmission after a CRC failure.
     LinkRetransmit,

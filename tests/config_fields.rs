@@ -114,7 +114,7 @@ const FIELDS: Fields = &[
     ),
     (
         "network",
-        Line(OPTIONS, "plan.cfg.network?.profile.loss_rate"),
+        Line(OPTIONS, "plan.cfg.network?.profile.dup_rate"),
     ),
     (
         "adaptive_deadline",
@@ -153,20 +153,10 @@ const NESTED: &[(&str, &str, Fields)] = &[
     (
         "RetransmitPolicy",
         "photon-comms/src/link.rs",
-        &[
-            (
-                "max_retries",
-                Line(OPTIONS, "plan.cfg.retransmit.max_retries"),
-            ),
-            (
-                "jitter_pct",
-                Line(OPTIONS, "plan.cfg.retransmit.jitter_pct"),
-            ),
-            (
-                "timeout_ms",
-                Line(OPTIONS, "plan.cfg.retransmit.timeout_ms"),
-            ),
-        ],
+        &[(
+            "max_retries",
+            Line(OPTIONS, "plan.cfg.retransmit.max_retries"),
+        )],
     ),
     (
         "NetworkConfig",
@@ -174,7 +164,7 @@ const NESTED: &[(&str, &str, Fields)] = &[
         &[
             (
                 "profile",
-                Line(OPTIONS, "plan.cfg.network?.profile.loss_rate"),
+                Line(OPTIONS, "plan.cfg.network?.profile.dup_rate"),
             ),
             (
                 "min_quorum_frac",
@@ -203,16 +193,8 @@ const NESTED: &[(&str, &str, Fields)] = &[
                 Line(OPTIONS, "plan.cfg.network?.profile.bandwidth_kbps"),
             ),
             (
-                "loss_rate",
-                Line(OPTIONS, "plan.cfg.network?.profile.loss_rate"),
-            ),
-            (
                 "dup_rate",
                 Line(OPTIONS, "plan.cfg.network?.profile.dup_rate"),
-            ),
-            (
-                "reorder_window_ms",
-                Line(OPTIONS, "plan.cfg.network?.profile.reorder_window_ms"),
             ),
         ],
     ),
