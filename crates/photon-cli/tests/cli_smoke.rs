@@ -187,6 +187,14 @@ fn refused_and_malformed_options_are_errors_naming_them() {
         commands::train(&args("train --faults lossy=0.1"), false),
         "\"lossy\"",
     );
+    // A repeated rate key is a typo: the later value does not override.
+    named(
+        commands::train(
+            &args("train --faults crash=2.0,crash=0.0 --rounds 1"),
+            false,
+        ),
+        "\"crash\" is given twice",
+    );
     named(
         commands::train(&args("resume --clients 8"), true),
         "--clients",

@@ -181,7 +181,7 @@ impl Message {
     /// decodes any mode without out-of-band context.
     pub fn to_frame_opts(&self, opts: WireOpts) -> Bytes {
         let (head, floats) = self.encode_head();
-        build_frame(&head, floats, opts).0
+        build_frame(&head, floats, opts, Vec::new()).0
     }
 
     /// Encodes everything in the body up to the float block — tag and
@@ -293,7 +293,7 @@ impl Message {
     ) -> Result<(Message, Option<TraceCtx>), WireError> {
         let (header, body) = split_frame(frame)?;
         header.check_payload(&body)?;
-        Self::decode_payload(body, header.flags, Vec::new())
+        Self::decode_payload(body, header.flags, Vec::new)
     }
 
     /// `Message::from_frame_traced` for a frame whose payload CRC has
@@ -305,25 +305,19 @@ impl Message {
     /// keeps unchecked bytes out: a corrupted update decoded here would be
     /// aggregated silently.
     ///
-    /// # Errors
-    /// As `Message::from_frame_traced`, minus the checksum.
-    pub fn from_verified_frame(
-        frame: VerifiedFrame,
-    ) -> Result<(Message, Option<TraceCtx>), WireError> {
-        Self::from_verified_frame_into(frame, Vec::new())
-    }
-
-    /// [`Message::from_verified_frame`], decoding a float block (a
-    /// broadcast's parameters, a result's delta) into `floats`: whatever it
-    /// held is replaced and its allocation reused, so a receiver that
-    /// hands back last round's buffers decodes a cohort without touching
-    /// the allocator. A message without floats drops the buffer.
+    /// A float block (a broadcast's parameters, a result's delta) decodes
+    /// into the buffer `floats` hands over: whatever it held is replaced
+    /// and its allocation reused, so a receiver that hands back last
+    /// round's buffers decodes a cohort without touching the allocator.
+    /// `floats` is called only once the message turns out to carry a float
+    /// block, so a control-plane frame takes no buffer; `Vec::new` hands
+    /// over none.
     ///
     /// # Errors
-    /// As [`Message::from_verified_frame`].
+    /// As `Message::from_frame_traced`, minus the checksum.
     pub fn from_verified_frame_into(
         frame: VerifiedFrame,
-        floats: Vec<f32>,
+        floats: impl FnOnce() -> Vec<f32>,
     ) -> Result<(Message, Option<TraceCtx>), WireError> {
         let (header, body) = split_frame(frame.into_bytes())?;
         Self::decode_payload(body, header.flags, floats)
@@ -332,7 +326,7 @@ impl Message {
     fn decode_payload(
         mut body: Bytes,
         flags: FrameFlags,
-        floats: Vec<f32>,
+        floats: impl FnOnce() -> Vec<f32>,
     ) -> Result<(Message, Option<TraceCtx>), WireError> {
         let ctx = if flags.trace {
             if body.remaining() < TRACE_CTX_LEN {
@@ -352,7 +346,7 @@ impl Message {
     fn decode_body(
         mut body: Bytes,
         flags: FrameFlags,
-        floats: Vec<f32>,
+        floats: impl FnOnce() -> Vec<f32>,
     ) -> Result<Message, WireError> {
         if body.remaining() < 1 {
             return Err(WireError::Truncated);
@@ -363,7 +357,7 @@ impl Message {
                     return Err(WireError::Truncated);
                 }
                 let round = body.get_u64_le();
-                let params = get_floats(&mut body, flags, floats)?;
+                let params = get_floats(&mut body, flags, floats())?;
                 Ok(Message::ModelBroadcast { round, params })
             }
             TAG_RESULT => {
@@ -378,7 +372,7 @@ impl Message {
                     tokens: body.get_u64_le(),
                     steps: body.get_u64_le(),
                 };
-                let delta = get_floats(&mut body, flags, floats)?;
+                let delta = get_floats(&mut body, flags, floats())?;
                 Ok(Message::ClientResult {
                     round,
                     client_id,
@@ -490,11 +484,16 @@ fn result_head(round: u64, client_id: u32, weight: f64, metrics: TrainMetrics) -
 }
 
 /// Builds a whole untraced frame — header, `head`, the float block — in one
-/// buffer of exactly the frame's size: the floats are converted straight
-/// into it and the CRC, one pass over the payload, is patched into the
-/// header afterwards. Returns the CRC state over the payload alongside the
+/// buffer of exactly the frame's size (`buffer`'s allocation, when it is
+/// large enough): the floats are converted straight into it and the CRC,
+/// one pass over the payload, is patched into the header afterwards. Returns the CRC state over the payload alongside the
 /// frame, from which [`SealedFrame::traced`] extends it over a trailer.
-fn build_frame(head: &[u8], floats: Option<&[f32]>, opts: WireOpts) -> (Bytes, Crc32) {
+fn build_frame(
+    head: &[u8],
+    floats: Option<&[f32]>,
+    opts: WireOpts,
+    buffer: Vec<u8>,
+) -> (Bytes, Crc32) {
     #[cfg(test)]
     if floats.is_some() {
         tests::FLOAT_BLOCKS_SERIALIZED.with(|n| n.set(n.get() + 1));
@@ -506,7 +505,7 @@ fn build_frame(head: &[u8], floats: Option<&[f32]>, opts: WireOpts) -> (Bytes, C
         (None, Some(xs)) => 8 + xs.len() * opts.dtype.bytes_per_param(),
         (None, None) => 0,
     };
-    let mut frame = begin_frame(opts.flags(), head.len() + floats_len);
+    let mut frame = begin_frame(buffer, opts.flags(), head.len() + floats_len);
     frame.put_slice(head);
     match (&packed, floats) {
         (Some(c), _) => {
@@ -546,17 +545,22 @@ impl SealedFrame {
     /// Encodes `msg`; byte-identical to [`Message::to_frame_opts`].
     pub fn new(msg: &Message, opts: WireOpts) -> SealedFrame {
         let (head, floats) = msg.encode_head();
-        SealedFrame::seal(&head, floats, opts)
+        SealedFrame::seal(&head, floats, opts, Vec::new())
     }
 
     /// Encodes `Message::ModelBroadcast { round, params }` from borrowed
-    /// parameters.
-    pub fn broadcast(round: u64, params: &[f32], opts: WireOpts) -> SealedFrame {
-        SealedFrame::seal(&broadcast_head(round), Some(params), opts)
+    /// parameters into `buffer`, reusing its allocation as
+    /// [`SealedFrame::result`] does.
+    pub fn broadcast(buffer: Vec<u8>, round: u64, params: &[f32], opts: WireOpts) -> SealedFrame {
+        SealedFrame::seal(&broadcast_head(round), Some(params), opts, buffer)
     }
 
-    /// Encodes `Message::ClientResult` from a borrowed pseudo-gradient.
+    /// Encodes `Message::ClientResult` from a borrowed pseudo-gradient into
+    /// `buffer`, reusing its allocation: a spent result frame handed back
+    /// by [`SealedFrame::into_buffer`] seals the next result without
+    /// touching the allocator.
     pub fn result(
+        buffer: Vec<u8>,
         round: u64,
         client_id: u32,
         delta: &[f32],
@@ -565,11 +569,17 @@ impl SealedFrame {
         opts: WireOpts,
     ) -> SealedFrame {
         let head = result_head(round, client_id, weight, metrics);
-        SealedFrame::seal(&head, Some(delta), opts)
+        SealedFrame::seal(&head, Some(delta), opts, buffer)
     }
 
-    fn seal(head: &[u8], floats: Option<&[f32]>, opts: WireOpts) -> SealedFrame {
-        let (frame, payload_crc) = build_frame(head, floats, opts);
+    /// The frame's allocation, to seal another message into, once no
+    /// other copy of the frame is alive; an empty buffer while one is.
+    pub fn into_buffer(self) -> Vec<u8> {
+        self.frame.try_into_mut().map(Vec::from).unwrap_or_default()
+    }
+
+    fn seal(head: &[u8], floats: Option<&[f32]>, opts: WireOpts, buffer: Vec<u8>) -> SealedFrame {
+        let (frame, payload_crc) = build_frame(head, floats, opts, buffer);
         SealedFrame {
             frame,
             flags: opts.flags(),
@@ -777,7 +787,7 @@ mod tests {
             let mut sealed = vec![SealedFrame::new(msg, opts)];
             match msg {
                 Message::ModelBroadcast { round, params } => {
-                    sealed.push(SealedFrame::broadcast(*round, params, opts));
+                    sealed.push(SealedFrame::broadcast(Vec::new(), *round, params, opts));
                 }
                 Message::ClientResult {
                     round,
@@ -786,9 +796,14 @@ mod tests {
                     weight,
                     metrics,
                 } => {
-                    let result =
-                        SealedFrame::result(*round, *client_id, delta, *weight, *metrics, opts);
-                    sealed.push(result);
+                    // Fresh, and into spent frames longer and shorter
+                    // than this one: the old bytes never show.
+                    for spent in [Vec::new(), vec![0xA5; 4_096], vec![0x5A; 9]] {
+                        let result = SealedFrame::result(
+                            spent, *round, *client_id, delta, *weight, *metrics, opts,
+                        );
+                        sealed.push(result);
+                    }
                 }
                 _ => {}
             }
@@ -809,7 +824,7 @@ mod tests {
         let params = sample_params(4097);
         for opts in ["raw", "compressed", "bf16"].map(golden_opts) {
             let before = FLOAT_BLOCKS_SERIALIZED.with(std::cell::Cell::get);
-            let shared = SealedFrame::broadcast(9, &params, opts);
+            let shared = SealedFrame::broadcast(Vec::new(), 9, &params, opts);
             let frames: Vec<Vec<u8>> = (0..3u64)
                 .map(|seq| {
                     let ctx = TraceCtx {
@@ -842,7 +857,7 @@ mod tests {
         };
         let frame = msg.to_frame(false);
         assert_eq!(
-            Message::from_verified_frame(VerifiedFrame(frame.clone())).unwrap(),
+            Message::from_verified_frame_into(VerifiedFrame(frame.clone()), Vec::new).unwrap(),
             (msg.clone(), None)
         );
         // A wrong CRC field is the one thing it does not look at ...
@@ -853,7 +868,7 @@ mod tests {
             Err(WireError::BadChecksum { .. })
         ));
         assert_eq!(
-            Message::from_verified_frame(VerifiedFrame(Bytes::from(raw)))
+            Message::from_verified_frame_into(VerifiedFrame(Bytes::from(raw)), Vec::new)
                 .unwrap()
                 .0,
             msg
@@ -862,11 +877,41 @@ mod tests {
         let mut raw = frame.to_vec();
         raw[0] = b'X';
         assert_eq!(
-            Message::from_verified_frame(VerifiedFrame(Bytes::from(raw))).unwrap_err(),
+            Message::from_verified_frame_into(VerifiedFrame(Bytes::from(raw)), Vec::new)
+                .unwrap_err(),
             WireError::BadMagic
         );
         let short = VerifiedFrame(frame.slice(..frame.len() - 1));
-        assert!(Message::from_verified_frame(short).is_err());
+        assert!(Message::from_verified_frame_into(short, Vec::new).is_err());
+    }
+
+    #[test]
+    fn a_spent_frame_comes_back_without_a_copy_only_when_unshared() {
+        let seal = |buffer| {
+            let delta = sample_params(500);
+            let metrics = TrainMetrics::default();
+            SealedFrame::result(buffer, 1, 2, &delta, 1.0, metrics, WireOpts::default())
+        };
+        let first = seal(Vec::new());
+        let at = first.frame().as_ptr();
+        let buffer = first.into_buffer();
+        assert_eq!(
+            buffer.as_ptr(),
+            at,
+            "an unshared frame is handed back in place"
+        );
+        let second = seal(buffer);
+        assert_eq!(
+            second.frame().as_ptr(),
+            at,
+            "and the next result is sealed into it"
+        );
+        let copy = second.frame();
+        assert!(
+            second.into_buffer().is_empty(),
+            "a frame still shared is not"
+        );
+        drop(copy);
     }
 
     #[test]
@@ -890,9 +935,9 @@ mod tests {
             },
         ] {
             let frame = VerifiedFrame::check(msg.to_frame_opts(opts)).unwrap();
-            let want = Message::from_verified_frame(frame.clone()).unwrap();
+            let want = Message::from_verified_frame_into(frame.clone(), Vec::new).unwrap();
             for stale in [vec![f32::NAN; 7], vec![f32::NAN; 1_000]] {
-                let got = Message::from_verified_frame_into(frame.clone(), stale).unwrap();
+                let got = Message::from_verified_frame_into(frame.clone(), || stale).unwrap();
                 assert_eq!(got, want, "{opts:?}");
             }
         }

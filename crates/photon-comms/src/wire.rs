@@ -253,11 +253,15 @@ pub fn crc_passes() -> u64 {
 /// Byte range of the CRC field inside the frame header.
 const CRC_FIELD: std::ops::Range<usize> = 12..16;
 
-/// Starts a frame in one buffer sized for the whole of it: the header
-/// (CRC still zero) followed by room for exactly `payload_len` payload
-/// bytes, which the caller appends before [`seal_frame`].
-pub(crate) fn begin_frame(flags: FrameFlags, payload_len: usize) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload_len);
+/// Starts a frame in `frame`, emptied and sized for the whole of it: the
+/// header (CRC still zero) followed by room for `payload_len` payload
+/// bytes, which the caller appends before [`seal_frame`]. An empty buffer
+/// gets exactly that room; a kept one too small for a frame (a compressed
+/// frame's length moves from round to round) grows by doubling, so it
+/// soon stops growing.
+pub(crate) fn begin_frame(mut frame: Vec<u8>, flags: FrameFlags, payload_len: usize) -> Vec<u8> {
+    frame.clear();
+    frame.reserve(FRAME_HEADER_LEN + payload_len);
     let header = FrameHeader {
         flags,
         crc: 0,
@@ -304,7 +308,7 @@ pub fn encode_frame(payload: &[u8], compressed: bool) -> Bytes {
 
 /// [`encode_frame`] with the full flag set (bf16 float payloads included).
 pub(crate) fn encode_frame_with(payload: &[u8], flags: FrameFlags) -> Bytes {
-    let mut frame = begin_frame(flags, payload.len());
+    let mut frame = begin_frame(Vec::new(), flags, payload.len());
     frame.put_slice(payload);
     seal_frame(frame).0
 }
@@ -334,7 +338,7 @@ pub fn decode_frame_flags(frame: Bytes) -> Result<(Bytes, FrameFlags), WireError
 /// A whole Link frame whose payload has passed
 /// `FrameHeader::check_payload`. Outside this crate the only way to
 /// obtain one is [`VerifiedFrame::check`] (or a delivery that ran it), so
-/// [`crate::Message::from_verified_frame`], which does not walk the
+/// [`crate::Message::from_verified_frame_into`], which does not walk the
 /// payload again, cannot be handed bytes nobody verified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifiedFrame(pub(crate) Bytes);

@@ -63,6 +63,13 @@ pub struct Aggregator {
     /// The update buffers those lanes decode results into, kept from
     /// round to round like the workspaces.
     spares: round::Spares,
+    /// The buffer the aggregation rule writes a round's aggregate into,
+    /// kept from round to round on every transport (never checkpointed:
+    /// the rule stores all of it before anything reads it).
+    aggregate: Vec<f32>,
+    /// The buffer the round's broadcast frame is encoded into, kept from
+    /// round to round likewise.
+    broadcast: Vec<u8>,
 }
 
 impl std::fmt::Debug for Aggregator {
@@ -129,6 +136,8 @@ impl Aggregator {
             hierarchy,
             workspaces: Vec::new(),
             spares: round::Spares::default(),
+            aggregate: Vec::new(),
+            broadcast: Vec::new(),
         };
         aggregator.publish_tree();
         Ok(aggregator)

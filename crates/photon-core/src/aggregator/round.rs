@@ -7,8 +7,9 @@
 //!
 //! * **plan** applies membership churn, draws the cohort and the round's
 //!   scheduled faults, and fixes the straggler deadline ([`RoundPlan`]).
-//! * **transport** encodes the model once as the round's broadcast frame
-//!   and hands it to a [`Transport`], which returns the cohort's replies,
+//! * **transport** encodes the model once as the round's broadcast frame,
+//!   into a buffer kept from round to round, and lends it to a
+//!   [`Transport`], which returns the cohort's replies,
 //!   each result received: CRC-checked and decoded. It is the only stage
 //!   that differs between the simulator and a real network: [`Lanes`]
 //!   train the in-process clients on at most `pool::max_threads()` scoped
@@ -16,8 +17,8 @@
 //!   each result across the simulated Link on the lane that trained it
 //!   ([`SimLink`]), decoding it into an update buffer kept from earlier
 //!   rounds; `photon-net`'s TCP transport moves the same frames over
-//!   sockets and decodes them on its reader threads. Both run
-//!   [`client_round`] on the client side.
+//!   sockets and decodes them on its reader threads, into update buffers
+//!   kept the same way. Both run [`client_round`] on the client side.
 //! * **collect** takes the replies in client-id order, accounts for and
 //!   traces each simulated delivery, applies the straggler policy and
 //!   removes re-deliveries, whichever transport delivered them
@@ -33,8 +34,13 @@
 //!   advances the round counter.
 //!
 //! Every update vector the round is done with — folded, rejected,
-//! aggregated — goes back to the transport ([`Transport::recycle`]), which
-//! may decode the next round's results into it.
+//! contributed — goes back to the transport ([`Transport::recycle`]),
+//! which decodes the next round's results into it; the aggregate and the
+//! broadcast frame stay with the [`Aggregator`], which writes the next
+//! round's into them. The two model-sized passes the coordinator makes
+//! itself — the `Mean` rule, and the aggregate's norm with the §6
+//! alignment in **commit** — run on the compute pool, with the bits of
+//! the serial passes.
 
 #![deny(clippy::too_many_lines)]
 
@@ -511,11 +517,12 @@ impl Aggregator {
     // Stage 2: transport
     // ---------------------------------------------------------------
 
-    /// L.5–6: encodes the model once as the round's broadcast frame and
-    /// hands it to `transport` for the cohort. Returns the cohort's
-    /// replies plus the broadcast bytes charged.
+    /// L.5–6: encodes the model once as the round's broadcast frame, into
+    /// the frame buffer kept from the last round, and lends it to
+    /// `transport` for the cohort. Returns the cohort's replies plus the
+    /// broadcast bytes charged.
     fn transport(
-        &self,
+        &mut self,
         plan: &RoundPlan,
         transport: &mut dyn Transport,
         injector: Option<&FaultPlan>,
@@ -524,7 +531,9 @@ impl Aggregator {
         let (broadcast, frame_bytes) = {
             let mut bspan =
                 photon_trace::span(photon_trace::Phase::Broadcast).arg("cohort", cohort as u64);
-            let frame = SealedFrame::broadcast(self.round, &self.params, self.cfg.wire_opts());
+            let buffer = std::mem::take(&mut self.broadcast);
+            let opts = self.cfg.wire_opts();
+            let frame = SealedFrame::broadcast(buffer, self.round, &self.params, opts);
             let frame_bytes = frame.frame().len() as u64;
             bspan.set_arg("frame_bytes", frame_bytes);
             (frame, frame_bytes)
@@ -532,11 +541,12 @@ impl Aggregator {
         let broadcast_bytes = frame_bytes * (cohort - plan.severed_full) as u64;
         let replies = transport.exchange(Exchange {
             round: self.round,
-            broadcast,
+            broadcast: &broadcast,
             cohort: &plan.cohort_ids,
             cfg: &self.cfg,
             faults: injector,
         })?;
+        self.broadcast = broadcast.into_buffer();
         Ok((replies, broadcast_bytes))
     }
 
@@ -798,7 +808,10 @@ impl Aggregator {
             ));
         }
 
-        let delta = self.cfg.aggregation.aggregate(&cand.updates);
+        let mut delta = std::mem::take(&mut self.aggregate);
+        self.cfg
+            .aggregation
+            .aggregate_into(&cand.updates, &mut delta);
         let folded = cand.updates.len();
         let contributors = match shard_folds {
             Some(_) => {
@@ -1160,9 +1173,21 @@ impl Aggregator {
         // A neutralized round runs (keeping client state deterministic)
         // but skips the update application and the watchdog.
         let neutralized = self.neutralized.contains(&self.round);
-        let pseudo_grad_norm = aggregate
-            .as_ref()
-            .map_or(0.0, |agg| photon_tensor::ops::l2_norm(&agg.delta));
+        // The aggregate's norm, and for the §6 measurement each
+        // contributor's dot product with it and own norm, spread over the
+        // pool.
+        let (pseudo_grad_norm, alignment) = aggregate.as_ref().map_or_else(
+            || (0.0, Vec::new()),
+            |agg| {
+                let deltas: Vec<&[f32]> = agg
+                    .contributors
+                    .iter()
+                    .filter(|_| !neutralized)
+                    .map(|(_, update)| update.delta.as_slice())
+                    .collect();
+                photon_fedopt::alignment(&agg.delta, &deltas)
+            },
+        );
         if let Some(agg) = aggregate.as_ref().filter(|_| !neutralized) {
             // Loss-spike watchdog, BEFORE the server optimizer touches the
             // parameters: a divergent round leaves the model untouched and
@@ -1172,9 +1197,7 @@ impl Aggregator {
             // §6 client-contribution measurement: cosine alignment between
             // each client's update and the aggregate.
             if pseudo_grad_norm > 0.0 {
-                for (id, update) in &agg.contributors {
-                    let dot = photon_tensor::ops::dot(&update.delta, &agg.delta);
-                    let norm = update.norm();
+                for ((id, _), &(dot, norm)) in agg.contributors.iter().zip(&alignment) {
                     if norm > 0.0 {
                         self.telemetry
                             .record_alignment(*id, dot / (norm * pseudo_grad_norm));
@@ -1200,7 +1223,7 @@ impl Aggregator {
         }
         if let Some(agg) = aggregate {
             spent.extend(agg.contributors.into_iter().map(|(_, update)| update.delta));
-            spent.push(agg.delta);
+            self.aggregate = agg.delta;
         }
 
         let record = RoundRecord {
@@ -1345,9 +1368,11 @@ pub trait Transport {
     }
 
     /// Takes back the update vectors the round is done with — folded,
-    /// rejected or aggregated — whether or not it committed. A transport
-    /// that decodes results into buffers of its own keeps them for the
-    /// next round; the default drops them.
+    /// rejected or contributed — whether or not it committed. The
+    /// simulator's lanes and `photon-net`'s TCP transport both keep up to
+    /// one cohort of them and decode the next round's results into them;
+    /// the default, for a transport that decodes into fresh vectors,
+    /// drops them.
     fn recycle(&mut self, _spent: Vec<Vec<f32>>) {}
 }
 
@@ -1355,8 +1380,10 @@ pub trait Transport {
 pub struct Exchange<'a> {
     /// The round being run.
     pub round: u64,
-    /// The round's model, encoded once for the whole cohort.
-    pub broadcast: SealedFrame,
+    /// The round's model, encoded once for the whole cohort. A transport
+    /// that keeps it past the exchange keeps a clone, and the round then
+    /// encodes its next broadcast into a fresh buffer.
+    pub broadcast: &'a SealedFrame,
     /// The sampled cohort's client ids.
     pub cohort: &'a [u32],
     /// The run configuration.
@@ -1524,7 +1551,6 @@ impl Transport for Lanes<'_> {
         // clients train from the *decoded frame*, never the aggregator's
         // floats: bf16 storage and the link codec round on the wire.
         let global = decode_broadcast(broadcast.frame(), round);
-        drop(broadcast);
         let global = global.as_deref().map_err(String::as_str);
 
         // The cohort's clients, picked out of the roster by ascending
@@ -1678,7 +1704,7 @@ impl<'a> SimLink<'a> {
             // does not walk the payload again.
             Ok(verified) => ClientReply::Received {
                 client_id,
-                message: Message::from_verified_frame_into(verified, buffer).map(|(m, _)| m),
+                message: Message::from_verified_frame_into(verified, || buffer).map(|(m, _)| m),
                 frame_len: frame.len() as u64,
                 link: Some(link),
             },
@@ -1731,6 +1757,9 @@ pub fn client_round(
         // Simulated mid-round disconnect: no result frame.
         return ClientRoundOutcome::Crash;
     }
+    // The delta lives in the workspace: take the frame it is sealed into
+    // out first.
+    let frame_buffer = workspace.take_result_frame();
     let update = {
         let mut step_span = photon_trace::span(photon_trace::Phase::LocalStep)
             .arg("client", client_id as u64)
@@ -1766,6 +1795,7 @@ pub fn client_round(
         _ => {}
     }
     let frame = SealedFrame::result(
+        frame_buffer,
         round,
         client_id,
         delta,
@@ -2009,7 +2039,8 @@ mod tests {
         /// time a client takes it.
         PoisonedWorkspace,
         /// Two lanes whose spare update buffers are NaN-filled, and two in
-        /// three of them a wrong length, before every round.
+        /// three of them a wrong length, before every round; the kept
+        /// aggregate buffer likewise.
         PoisonedSpares,
     }
 
@@ -2037,6 +2068,11 @@ mod tests {
                     }
                     Start::PoisonedSpares => {
                         agg.spares.poison = true;
+                        // The kept aggregate buffer too, of a length that
+                        // changes from round to round.
+                        let n = agg.params().len();
+                        let len = [n, n / 2, n + 5][agg.round() as usize % 3];
+                        agg.aggregate = vec![f32::NAN; len];
                         2
                     }
                 };

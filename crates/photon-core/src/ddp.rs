@@ -16,7 +16,7 @@
 //! bitwise identical on every rank, the replicas stay exactly
 //! synchronized — which the runner asserts.
 
-use photon_comms::{ring_allreduce_group, RingWorker};
+use photon_comms::{ring_allreduce_group, RingWorker, SealedFrame};
 use photon_data::{Batch, TokenStream};
 use photon_fedopt::{aggregate_deltas, ClientUpdate};
 use photon_nn::{Activations, Gpt, ModelConfig};
@@ -82,6 +82,9 @@ impl DdpReport {
 pub struct Workspace {
     replicas: Vec<Replica>,
     opts: Vec<AdamW>,
+    /// A spent result frame the next result is sealed into, once its
+    /// transport has handed it back ([`Workspace::keep_result_frame`]).
+    result_frame: Vec<u8>,
     /// Overwrites everything with NaN each time the workspace is handed
     /// out, to prove the rule above.
     #[cfg(test)]
@@ -101,6 +104,18 @@ impl Workspace {
     /// An empty workspace; the first round sizes it.
     pub fn new() -> Self {
         Workspace::default()
+    }
+
+    /// Takes back a result frame the transport is done with — delivered
+    /// and acknowledged — so the next round seals its result into the
+    /// frame's allocation instead of a fresh one.
+    pub fn keep_result_frame(&mut self, frame: SealedFrame) {
+        self.result_frame = frame.into_buffer();
+    }
+
+    /// The kept result-frame buffer, leaving none behind.
+    pub(crate) fn take_result_frame(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.result_frame)
     }
 
     /// `n` replicas shaped for `cfg` and `params` and `n` optimizers reset

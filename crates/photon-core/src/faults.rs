@@ -340,7 +340,7 @@ impl FaultSpec {
     /// `key=value` rates (the keys of `RATE_KEYS`: `crash`, `straggle`,
     /// `straggle-ms`, `corrupt`, `corrupt-attempts`, `agg`, `nan`,
     /// `sign-flip`, `scale`, `scale-factor`, `join`, `leave`, `shardcrash`,
-    /// `shardhang`, `shards`, `seed`), pinned faults
+    /// `shardhang`, `shards`, `seed`; each at most once), pinned faults
     /// `kind@rN` / `kind@rNcM` / `kind@rNsM` (see [`TargetedFault::parse`]),
     /// or partition windows `partition@rN[-rM]:a|b` (client ids
     /// `.`-separated; `~` before the severed group makes the partition
@@ -351,6 +351,7 @@ impl FaultSpec {
     /// Returns a message naming the offending entry or value.
     pub fn parse(s: &str) -> Result<FaultSpec, String> {
         let mut spec = FaultSpec::none(0);
+        let mut rates_seen = [false; RATE_KEYS.len()];
         for pair in s.split(',').filter(|p| !p.trim().is_empty()) {
             let pair = pair.trim();
             if let Some(window) = pair.strip_prefix("partition@") {
@@ -362,11 +363,18 @@ impl FaultSpec {
                     .split_once('=')
                     .ok_or_else(|| format!("fault spec entry {pair:?} is not key=value"))?;
                 let key = key.trim();
-                let (_, set) = RATE_KEYS.iter().find(|(k, _)| *k == key).ok_or_else(|| {
-                    let keys: Vec<_> = RATE_KEYS.iter().map(|(k, _)| *k).collect();
-                    format!("unknown fault spec key {key:?} ({})", keys.join("|"))
-                })?;
-                set(&mut spec, value)
+                let row = RATE_KEYS
+                    .iter()
+                    .position(|(k, _)| *k == key)
+                    .ok_or_else(|| {
+                        let keys: Vec<_> = RATE_KEYS.iter().map(|(k, _)| *k).collect();
+                        format!("unknown fault spec key {key:?} ({})", keys.join("|"))
+                    })?;
+                // A repeated key is a typo, not an override.
+                if std::mem::replace(&mut rates_seen[row], true) {
+                    return Err(format!("fault spec key {key:?} is given twice"));
+                }
+                (RATE_KEYS[row].1)(&mut spec, value)
                     .ok_or_else(|| format!("invalid fault value for {key}: {value:?}"))?;
             }
         }

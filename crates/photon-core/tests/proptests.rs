@@ -616,20 +616,6 @@ fn grammar_entry() -> impl Strategy<Value = (String, Option<usize>, bool)> {
         })
 }
 
-/// Whether the value of rate entry `text` (`key=value`) reads as its
-/// key's type at all. The parser refuses one that does not on the spot,
-/// while a value that reads but is out of range is only checked once
-/// every entry is in, so a later entry for the same key can replace it.
-fn rate_value_reads(text: &str) -> bool {
-    let (key, value) = text.split_once('=').expect("a rate entry");
-    match key {
-        "straggle-ms" | "seed" => value.parse::<u64>().is_ok(),
-        "corrupt-attempts" => value.parse::<u32>().is_ok(),
-        "shards" => value.parse::<usize>().is_ok(),
-        _ => value.parse::<f64>().is_ok(),
-    }
-}
-
 fn joined(entries: &[(String, Option<usize>, bool)]) -> String {
     let texts: Vec<&str> = entries.iter().map(|(text, ..)| text.as_str()).collect();
     texts.join(",")
@@ -699,9 +685,8 @@ proptest! {
     }
 
     /// A spec built from the grammar parses exactly when every value in
-    /// it is in range (the last value of a repeated rate key counting,
-    /// unless an earlier one does not read as a number at all), and every
-    /// accepted spec expands at any small shape.
+    /// it is in range and no rate key repeats, and every accepted spec
+    /// expands at any small shape.
     #[test]
     fn fault_grammar_accepts_exactly_in_range_specs(
         entries in proptest::collection::vec(grammar_entry(), 0..10),
@@ -709,16 +694,11 @@ proptest! {
         rounds in 1u64..=20,
     ) {
         let text = joined(&entries);
-        let mut key_in_range = [true; GRAMMAR_RATE_KEYS.len()];
-        let mut in_range = true;
-        for (text, key, ok) in &entries {
-            match *key {
-                Some(_) if !rate_value_reads(text) => in_range = false,
-                Some(key) => key_in_range[key] = *ok,
-                None => in_range &= ok,
-            }
-        }
-        let in_range = in_range && key_in_range.iter().all(|&ok| ok);
+        let mut keys: Vec<usize> = entries.iter().filter_map(|(_, key, _)| *key).collect();
+        let rates = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        let in_range = entries.iter().all(|(_, _, ok)| *ok) && keys.len() == rates;
         let parsed = FaultSpec::parse(&text);
         prop_assert_eq!(parsed.is_ok(), in_range, "{:?} -> {:?}", text, parsed);
         if let Ok(spec) = parsed {
@@ -733,7 +713,11 @@ proptest! {
         entries in proptest::collection::vec(grammar_entry(), 1..8),
         mutations in proptest::collection::vec((any::<sample::Index>(), any::<u8>()), 1..16),
     ) {
-        let valid: Vec<_> = entries.into_iter().filter(|&(_, _, ok)| ok).collect();
+        let mut keys = [false; GRAMMAR_RATE_KEYS.len()];
+        let valid: Vec<_> = entries
+            .into_iter()
+            .filter(|&(_, key, ok)| ok && key.is_none_or(|k| !std::mem::replace(&mut keys[k], true)))
+            .collect();
         let text = joined(&valid);
         prop_assert!(FaultSpec::parse(&text).is_ok(), "{:?} refused", text);
         for cut in 0..text.len() {

@@ -1,3 +1,4 @@
+use photon_tensor::ops::pool;
 use serde::{Deserialize, Serialize};
 
 /// The aggregation rule applied to the cohort's pseudo-gradients before
@@ -121,11 +122,14 @@ impl AggregationKind {
         }
     }
 
-    /// Applies the rule to a cohort's updates.
+    /// Applies the rule to a cohort's updates, writing the aggregate into
+    /// `out`. The `Mean` rule reuses `out`'s allocation, so a caller that
+    /// keeps it from round to round aggregates without touching the
+    /// allocator; the other rules replace it.
     ///
     /// # Panics
     /// Panics if `updates` is empty or delta lengths differ.
-    pub fn aggregate(&self, updates: &[ClientUpdate]) -> Vec<f32> {
+    pub fn aggregate_into(&self, updates: &[ClientUpdate], out: &mut Vec<f32>) {
         let _merge_span = photon_trace::span(photon_trace::Phase::RobustMerge)
             .named(self.rule_name())
             .arg("updates", updates.len() as u64)
@@ -133,8 +137,8 @@ impl AggregationKind {
                 "params",
                 updates.first().map_or(0, |u| u.delta.len()) as u64,
             );
-        match *self {
-            AggregationKind::Mean => aggregate_deltas(updates),
+        *out = match *self {
+            AggregationKind::Mean => return mean_into(updates, out),
             AggregationKind::Ties { density } => {
                 crate::ties_aggregate(updates, &crate::TiesConfig { density })
             }
@@ -145,7 +149,7 @@ impl AggregationKind {
             AggregationKind::NormClipped { max_norm_mult } => {
                 crate::norm_clipped_aggregate(updates, max_norm_mult)
             }
-        }
+        };
     }
 }
 
@@ -176,13 +180,6 @@ impl ClientUpdate {
         Ok(ClientUpdate { delta, weight })
     }
 
-    /// L2 norm of the pseudo-gradient (a useful training-health metric:
-    /// the paper notes client updates are near-orthogonal with small
-    /// pseudo-gradient norms, Appendix C.1).
-    pub fn norm(&self) -> f32 {
-        photon_tensor::ops::l2_norm(&self.delta)
-    }
-
     /// Whether every entry of the pseudo-gradient is finite.
     pub fn is_finite(&self) -> bool {
         self.delta.iter().all(|v| v.is_finite())
@@ -195,19 +192,121 @@ impl ClientUpdate {
 /// # Panics
 /// Panics if `updates` is empty or the deltas have differing lengths.
 pub fn aggregate_deltas(updates: &[ClientUpdate]) -> Vec<f32> {
-    let mut sum = WeightedSum::default();
-    for u in updates {
-        sum.add(u);
+    let mut mean = Vec::new();
+    mean_into(updates, &mut mean);
+    mean
+}
+
+/// Passes over vectors shorter than this run on the calling thread: a
+/// pool dispatch (~35 µs) would cost more than splitting the pass saves.
+const POOL_FLOOR: usize = 1 << 16;
+
+/// Columns the mean folds at a time: one f64 accumulator block on the
+/// stack, small enough to stay in L1 while every update streams past it.
+const MEAN_BLOCK: usize = 512;
+
+/// [`aggregate_deltas`] into `out`, whose allocation is reused: one pass
+/// over the cohort, its columns split over the compute pool, and each
+/// column exactly [`WeightedSum`]'s fold — f64 `0.0 + w·Δ` for the first
+/// update, `+= w·Δ` for the rest in slice order, one division by the total
+/// weight — so the split never changes a bit.
+///
+/// # Panics
+/// Panics if `updates` is empty or the deltas have differing lengths.
+fn mean_into(updates: &[ClientUpdate], out: &mut Vec<f32>) {
+    let (first, rest) = updates
+        .split_first()
+        .expect("cannot aggregate zero updates");
+    let len = first.delta.len();
+    for u in rest {
+        assert_eq!(u.delta.len(), len, "delta length mismatch");
     }
-    sum.finish().expect("cannot aggregate zero updates").0
+    let total = updates.iter().fold(0.0, |sum, u| sum + u.weight);
+    // Every element is stored below; only a length change writes here.
+    out.resize(len, 0.0);
+    on_pool(len, out, |cols, out| {
+        let mut acc = [0.0f64; MEAN_BLOCK];
+        for (start, out) in cols.step_by(MEAN_BLOCK).zip(out.chunks_mut(MEAN_BLOCK)) {
+            let block = start..start + out.len();
+            let acc = &mut acc[..out.len()];
+            let w = first.weight;
+            for (a, &d) in acc.iter_mut().zip(&first.delta[block.clone()]) {
+                *a = 0.0 + w * d as f64;
+            }
+            for u in rest {
+                let w = u.weight;
+                for (a, &d) in acc.iter_mut().zip(&u.delta[block.clone()]) {
+                    *a += w * d as f64;
+                }
+            }
+            for (o, &a) in out.iter_mut().zip(acc.iter()) {
+                *o = (a / total) as f32;
+            }
+        }
+    });
+}
+
+/// What the §6 contribution measurement reads off a round's aggregate:
+/// its L2 norm, and each contributor's dot product with it and own L2
+/// norm, in `deltas` order. Each is one whole-vector
+/// [`photon_tensor::ops::dot`] or [`photon_tensor::ops::l2_norm`] call, the
+/// calls spread over the compute pool, so the bits are those of calling
+/// them one after another.
+pub fn alignment(aggregate: &[f32], deltas: &[&[f32]]) -> (f32, Vec<(f32, f32)>) {
+    use photon_tensor::ops::{dot, l2_norm};
+    // The norms of the aggregate and of every contributor first, then the
+    // dearer dots: contiguous chunks of this list balance across the pool.
+    let n = deltas.len();
+    let mut sums = vec![0.0; 2 * n + 1];
+    on_pool(aggregate.len(), &mut sums, |jobs, out| {
+        for (job, sum) in jobs.zip(out) {
+            *sum = match job {
+                0 => l2_norm(aggregate),
+                k if k <= n => l2_norm(deltas[k - 1]),
+                k => dot(deltas[k - n - 1], aggregate),
+            };
+        }
+    });
+    let pairs = (0..n).map(|c| (sums[n + 1 + c], sums[1 + c])).collect();
+    (sums[0], pairs)
+}
+
+/// Runs `work` over contiguous ranges of `out`, one per chunk of the
+/// compute pool, or over all of it on the caller when the pass reads
+/// vectors of fewer than [`POOL_FLOOR`] floats. `work` computes each
+/// element from its index alone, so the split is scheduling only.
+fn on_pool<T: Send>(
+    floats: usize,
+    out: &mut [T],
+    work: impl Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+) {
+    let parts = if floats < POOL_FLOOR {
+        1
+    } else {
+        pool::effective_parallelism().min(out.len())
+    };
+    if parts <= 1 {
+        work(0..out.len(), out);
+        return;
+    }
+    let ranges = pool::chunk_ranges(out.len(), parts);
+    let chunks = pool::split_rows(out, 1, &ranges);
+    let work = &work;
+    let tasks = ranges
+        .into_iter()
+        .zip(chunks)
+        .map(|(range, chunk)| Box::new(move || work(range, chunk)) as pool::Task)
+        .collect();
+    pool::run_tasks(tasks);
 }
 
 /// The one weighted mean every merge computes, `(Σ w·Δ) / Σ w`: weights
 /// and weighted deltas accumulate in f64 in the order updates are added,
 /// and the sum is divided by the total weight once, at the end. It sums
 /// before it divides because a stream cannot normalise before it has seen
-/// every weight; the flat reduce ([`aggregate_deltas`]) and the shard
-/// folds ([`crate::StreamingMerge`]) are both this fold.
+/// every weight. The shard folds ([`crate::StreamingMerge`]) run it one
+/// update at a time; the flat reduce ([`aggregate_deltas`]) runs the same
+/// fold column by column over the whole cohort at once.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WeightedSum {
     acc: Vec<f64>,
@@ -315,15 +414,96 @@ mod tests {
     }
 
     #[test]
-    fn norm_metric() {
-        assert_eq!(u(vec![3.0, 4.0], 1.0).norm(), 5.0);
-    }
-
-    #[test]
     fn finiteness_scan() {
         assert!(u(vec![1.0, -2.0], 1.0).is_finite());
         assert!(!u(vec![1.0, f32::NAN], 1.0).is_finite());
         assert!(!u(vec![f32::INFINITY], 1.0).is_finite());
+    }
+
+    /// Three updates of `len` floats with unequal weights. Of every 16
+    /// columns, one holds a NaN, one a +inf, one a -inf, one +inf and
+    /// -inf in two updates, and one -0.0 in all three (which the first
+    /// update's `0.0 + w·Δ` turns into +0.0).
+    fn awkward_cohort(len: usize) -> Vec<ClientUpdate> {
+        [0.75, 2.0, 1e-3]
+            .iter()
+            .enumerate()
+            .map(|(k, &w)| {
+                let delta = (0..len)
+                    .map(|j| match (j % 16, k) {
+                        (0, 0) => f32::NAN,
+                        (1, 1) => f32::INFINITY,
+                        (2, 2) => f32::NEG_INFINITY,
+                        (3, _) => -0.0,
+                        (4, 0) => f32::INFINITY,
+                        (4, 1) => f32::NEG_INFINITY,
+                        _ => ((j * 7 + k * 13) % 97) as f32 * 0.013 - 0.6,
+                    })
+                    .collect();
+                u(delta, w)
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_pooled_mean_is_the_sequential_fold_to_the_bit() {
+        for len in [1, 7, 8, (1 << 16) - 1, (1 << 16) + 1] {
+            let updates = awkward_cohort(len);
+            let mut fold = WeightedSum::default();
+            for update in &updates {
+                fold.add(update);
+            }
+            let (want, _) = fold.finish().unwrap();
+            for chunks in [1, 2, 3] {
+                for stale in [Vec::new(), vec![f32::NAN; len + 3], vec![f32::NAN; len / 2]] {
+                    let mut got = stale;
+                    pool::with_parallelism(chunks, || {
+                        AggregationKind::Mean.aggregate_into(&updates, &mut got);
+                    });
+                    assert_eq!(bits(&got), bits(&want), "len {len}, {chunks} chunks");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pooled_alignment_is_the_separate_calls_to_the_bit() {
+        use photon_tensor::ops::{dot, l2_norm};
+        for len in [1, 7, (1 << 16) + 1] {
+            let updates = awkward_cohort(len);
+            // Finite deltas, so the cosines are numbers worth comparing.
+            let finite: Vec<Vec<f32>> = updates
+                .iter()
+                .map(|u| {
+                    u.delta
+                        .iter()
+                        .map(|v| if v.is_finite() { *v } else { 0.5 })
+                        .collect()
+                })
+                .collect();
+            let mean = aggregate_deltas(&updates);
+            for (aggregate, deltas) in [(&mean, &finite), (&finite[0], &finite)] {
+                let deltas: Vec<&[f32]> = deltas.iter().map(Vec::as_slice).collect();
+                let want: Vec<(u32, u32)> = deltas
+                    .iter()
+                    .map(|d| (dot(d, aggregate).to_bits(), l2_norm(d).to_bits()))
+                    .collect();
+                for chunks in [1, 2, 3] {
+                    let (norm, pairs) =
+                        pool::with_parallelism(chunks, || alignment(aggregate, &deltas));
+                    assert_eq!(norm.to_bits(), l2_norm(aggregate).to_bits(), "len {len}");
+                    let got: Vec<(u32, u32)> = pairs
+                        .iter()
+                        .map(|(d, n)| (d.to_bits(), n.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "len {len}, {chunks} chunks");
+                }
+            }
+        }
     }
 
     #[test]
@@ -385,15 +565,21 @@ mod kind_tests {
             ClientUpdate::new(vec![1.0, 0.2], 1.0).unwrap(),
             ClientUpdate::new(vec![3.0, -0.2], 1.0).unwrap(),
         ];
-        assert_eq!(AggregationKind::Mean.aggregate(&updates), vec![2.0, 0.0]);
-        let ties = AggregationKind::Ties { density: 1.0 }.aggregate(&updates);
+        // A stale buffer of the wrong length, as a kept one may be.
+        let aggregate = |kind: AggregationKind| {
+            let mut out = vec![f32::NAN; 5];
+            kind.aggregate_into(&updates, &mut out);
+            out
+        };
+        assert_eq!(aggregate(AggregationKind::Mean), vec![2.0, 0.0]);
+        let ties = aggregate(AggregationKind::Ties { density: 1.0 });
         assert_eq!(ties[0], 2.0);
         assert!(ties[1] > 0.0); // sign election keeps the positive entry
-        let med = AggregationKind::Median.aggregate(&updates);
+        let med = aggregate(AggregationKind::Median);
         assert_eq!(med, vec![2.0, 0.0]);
-        let tm = AggregationKind::TrimmedMean { trim_ratio: 0.2 }.aggregate(&updates);
+        let tm = aggregate(AggregationKind::TrimmedMean { trim_ratio: 0.2 });
         assert_eq!(tm, vec![2.0, 0.0]);
-        let nc = AggregationKind::NormClipped { max_norm_mult: 3.0 }.aggregate(&updates);
+        let nc = aggregate(AggregationKind::NormClipped { max_norm_mult: 3.0 });
         assert_eq!(nc.len(), 2);
         assert_eq!(AggregationKind::default(), AggregationKind::Mean);
     }

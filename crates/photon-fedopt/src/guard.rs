@@ -435,13 +435,13 @@ mod tests {
         }
         // A 10x update is above the clip ceiling (4x median) but may pass
         // the cohort z-score if the cohort is small; clipping bounds it.
-        let norm_before = updates[0].norm();
+        let norm_before = photon_tensor::ops::l2_norm(&updates[0].delta);
         for v in &mut updates[0].delta {
             *v *= 10.0;
         }
         let report = guard.screen_round(3, &ids, &mut updates);
         assert_eq!(report.decisions[0], GuardDecision::Clipped);
-        assert!(updates[0].norm() < norm_before * 6.0);
+        assert!(photon_tensor::ops::l2_norm(&updates[0].delta) < norm_before * 6.0);
     }
 
     #[test]

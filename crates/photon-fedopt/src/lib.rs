@@ -17,8 +17,9 @@
 //! The weighted mean of pseudo-gradients (Algorithm 1, L.8) is written
 //! once: `(Σ w·Δ) / Σ w`, accumulated in f64 and divided at the end, which
 //! is what a stream must do since it cannot normalise before it has seen
-//! every weight. [`aggregate_deltas`] (the `Mean` rule) and the shard
-//! folds of [`StreamingMerge`] are both that fold.
+//! every weight. [`aggregate_deltas`] (the `Mean` rule, one pass over the
+//! cohort split by columns over the compute pool) and the shard folds of
+//! [`StreamingMerge`] are both that fold.
 //!
 //! ```
 //! use photon_fedopt::{aggregate_deltas, ClientUpdate};
@@ -41,7 +42,7 @@ mod sampler;
 mod server;
 mod ties;
 
-pub use aggregate::{aggregate_deltas, AggregationKind, ClientUpdate};
+pub use aggregate::{aggregate_deltas, alignment, AggregationKind, ClientUpdate};
 pub use buffer::{
     staleness_factor, staleness_weights, BufferConfig, BufferedUpdate, CommitBatch, StreamPush,
     StreamingMerge, UpdateBuffer,

@@ -6,7 +6,10 @@
 //! through [`client_round`] — the simulator's own client side — and
 //! retain each un-acked result, sealed once, so it is re-sent after every
 //! reconnect until the coordinator acknowledges it. The process trains in
-//! one [`Workspace`] for its whole life, reconnects included. The round engine's
+//! one [`Workspace`] for its whole life, reconnects included, and receives
+//! into one frame buffer and one parameter buffer; an acknowledged result
+//! hands its frame back to the workspace, which seals the next result into
+//! it, so a warm round allocates nothing model-sized. The round engine's
 //! per-round dedup, and the coordinator's re-ack of rounds already
 //! committed, make that re-delivery safe.
 //!
@@ -155,7 +158,11 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
     let mut plan: Option<RunPlan> = None;
     let mut injector: Option<FaultPlan> = None;
     let mut llm: Option<LlmClient> = None;
+    // Kept for the process's life, reconnects included: the training
+    // state, the received frame and the decoded broadcast (the sealed
+    // result's buffer goes back into the workspace once it is acked).
     let mut workspace = Workspace::new();
+    let mut inbox = Inbox::default();
     let mut report = ClientReport {
         client_id: u32::MAX,
         rounds_trained: 0,
@@ -281,6 +288,7 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport> {
             &mut injector,
             &mut llm,
             &mut workspace,
+            &mut inbox,
             &mut retained,
             &mut identity,
             &mut report,
@@ -307,6 +315,14 @@ enum ConnOutcome {
     Reconnect,
 }
 
+/// What a client receives into, kept from frame to frame: the frame read
+/// off the socket and the decoded broadcast's parameters.
+#[derive(Default)]
+struct Inbox {
+    frame: Vec<u8>,
+    params: Vec<f32>,
+}
+
 /// Drives one live connection until it drops or the run ends.
 #[allow(clippy::too_many_arguments)]
 fn connection_loop(
@@ -317,13 +333,18 @@ fn connection_loop(
     injector: &mut Option<FaultPlan>,
     llm: &mut Option<LlmClient>,
     workspace: &mut Workspace,
+    inbox: &mut Inbox,
     retained: &mut Option<(u64, SealedFrame)>,
     identity: &mut Option<Identity>,
     report: &mut ClientReport,
     hb_hang: &Arc<AtomicBool>,
 ) -> ConnOutcome {
     loop {
-        let msg = match link.recv(Duration::from_millis(250)) {
+        let params = &mut inbox.params;
+        let received = link.recv_into(Duration::from_millis(250), &mut inbox.frame, || {
+            std::mem::take(params)
+        });
+        let msg = match received {
             Ok((msg, _, _)) => msg,
             Err(LinkError::TimedOut) => {
                 if link.is_connected() {
@@ -361,6 +382,9 @@ fn connection_loop(
                 }
             }
             Message::ModelBroadcast { round, params } => {
+                // Kept where the next broadcast decodes into it.
+                inbox.params = params;
+                let params = &inbox.params;
                 let (Some(p), Some(client)) = (plan.as_ref(), llm.as_mut()) else {
                     continue; // can't train before RunSync delivers the plan
                 };
@@ -382,15 +406,8 @@ fn connection_loop(
                 }
                 let fault = injector.as_ref().and_then(|i| i.client_fault(round, me));
                 let cohort = [me];
-                let outcome = client_round(
-                    client,
-                    workspace,
-                    Ok(&params),
-                    round,
-                    &cohort,
-                    &p.cfg,
-                    fault,
-                );
+                let outcome =
+                    client_round(client, workspace, Ok(params), round, &cohort, &p.cfg, fault);
                 let result = match outcome {
                     ClientRoundOutcome::Sealed { frame, .. } => frame,
                     // A scheduled crash: this round's result never comes.
@@ -424,8 +441,10 @@ fn connection_loop(
                 }
             }
             Message::ResultAck { round, .. } => {
-                if retained.as_ref().is_some_and(|(r, _)| *r <= round) {
-                    *retained = None;
+                // Acked is durable: the frame is never re-sent, and the
+                // next result is sealed into its buffer.
+                if let Some((_, result)) = retained.take_if(|(r, _)| *r <= round) {
+                    workspace.keep_result_frame(result);
                 }
                 if let Some(id) = identity.as_mut() {
                     let newer = id.last_acked.is_none_or(|r| round > r);

@@ -58,7 +58,7 @@ fn read_full<R: Read + ?Sized>(
 /// returned — a corrupt frame surfaces as [`LinkError::Wire`] without
 /// ever reaching message decoding. This is the one CRC pass a received
 /// frame gets: the crate decodes what it reads here with
-/// [`photon_comms::Message::from_verified_frame`].
+/// [`photon_comms::Message::from_verified_frame_into`].
 ///
 /// # Errors
 /// [`LinkError::TimedOut`] when no frame starts within the stream's read
@@ -66,22 +66,44 @@ fn read_full<R: Read + ?Sized>(
 /// [`LinkError::Closed`] on EOF, [`LinkError::Wire`] on integrity
 /// failure, [`LinkError::Io`] on any other socket error.
 pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<VerifiedFrame, LinkError> {
+    read_frame_with(r, &mut Vec::new(), |frame| frame)
+}
+
+/// [`read_frame`] into `buf`, a buffer the caller keeps from frame to
+/// frame: `use_frame` gets the verified frame, and once it returns having
+/// dropped the frame, `buf` holds the same allocation again (an empty
+/// buffer if the frame is still alive). `buf` grows to the largest frame
+/// read and never shrinks, so a warm receiver reads model-sized frames
+/// without touching the allocator.
+///
+/// # Errors
+/// As [`read_frame`].
+pub(crate) fn read_frame_with<R: Read + ?Sized, T>(
+    r: &mut R,
+    buf: &mut Vec<u8>,
+    use_frame: impl FnOnce(VerifiedFrame) -> T,
+) -> Result<T, LinkError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     read_full(r, &mut header, false)?;
     let parsed = FrameHeader::parse(&header, MAX_FRAME_BYTES)?;
-    let payload_len = parsed.len as usize;
-    let mut frame = vec![0u8; FRAME_HEADER_LEN + payload_len];
-    frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
-    read_full(r, &mut frame[FRAME_HEADER_LEN..], true)?;
-    let frame = VerifiedFrame::check(Bytes::from(frame))?;
+    let len = FRAME_HEADER_LEN + parsed.len as usize;
+    if buf.len() < len {
+        *buf = vec![0u8; len];
+    }
+    buf[..FRAME_HEADER_LEN].copy_from_slice(&header);
+    read_full(r, &mut buf[FRAME_HEADER_LEN..len], true)?;
+    let whole = Bytes::from(std::mem::take(buf));
     #[cfg(test)]
     CRC_PASSES.with(|n| n.set(n.get() + 1));
-    Ok(frame)
+    let used = VerifiedFrame::check(whole.slice(..len)).map(use_frame);
+    *buf = whole.try_into_mut().map(Vec::from).unwrap_or_default();
+    Ok(used?)
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Payload CRC verifications run by [`read_frame`] on this thread.
+    /// Payload CRC verifications run by [`read_frame_with`] on this
+    /// thread.
     pub(crate) static CRC_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -148,6 +170,38 @@ mod tests {
                 seq: 9
             }
         );
+    }
+
+    #[test]
+    fn a_kept_buffer_reads_every_frame_and_keeps_its_allocation() {
+        let big = Message::ModelBroadcast {
+            round: 2,
+            params: (0..5_000).map(|i| i as f32 - 0.5).collect(),
+        }
+        .to_frame(false);
+        let small = sample_frame();
+        let mut wire = Vec::new();
+        for frame in [&big, &small, &big] {
+            write_frame(&mut wire, frame).unwrap();
+        }
+        let mut cursor = Cursor::new(wire);
+        // Stale bytes, longer than the small frame and shorter than the
+        // big one.
+        let mut buf = vec![0xA5; big.len() / 2];
+        let mut at = None;
+        for want in [&big, &small, &big] {
+            let got = read_frame_with(&mut cursor, &mut buf, |f| f.to_vec()).unwrap();
+            assert_eq!(&got[..], &want[..]);
+            assert_eq!(buf.len(), big.len(), "grown once, never shrunk");
+            assert_eq!(*at.get_or_insert(buf.as_ptr()), buf.as_ptr());
+        }
+        // A frame that fails its check leaves the buffer with the caller.
+        let mut bad = small.to_vec();
+        *bad.last_mut().unwrap() ^= 1;
+        let mut cursor = Cursor::new(bad);
+        let err = read_frame_with(&mut cursor, &mut buf, |_| ()).unwrap_err();
+        assert!(matches!(err, LinkError::Wire(_)), "{err:?}");
+        assert_eq!(buf.as_ptr(), at.unwrap());
     }
 
     #[test]

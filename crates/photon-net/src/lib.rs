@@ -101,7 +101,8 @@ pub type Result<T> = std::result::Result<T, NetError>;
 
 /// Spawns `f` on a thread called `name` that records into the calling
 /// thread's recorder, on its actor lane. Every thread photon-net starts
-/// goes through here.
+/// goes through here, but the coordinator's scoped broadcast senders,
+/// which enter the same scope themselves.
 ///
 /// # Errors
 /// Propagates a failure to spawn the thread.

@@ -8,6 +8,14 @@
 //! checkpoints, watchdog rollback, crash recovery, the metrics sinks — and
 //! the transport stage pumps the forwarded events whenever it waits: for
 //! the member gate, for a round's results, through the cooldown.
+//!
+//! A warm round allocates nothing model-sized: the transport writes the
+//! broadcast frame the round engine lends it to the whole cohort at once
+//! (one scoped sender thread per extra member), each reader thread reads
+//! every frame into one buffer kept for the connection's life, and
+//! results decode into update vectors the round engine hands back
+//! ([`Transport::recycle`]), at most one cohort's worth.
+//!
 //! Robustness invariants:
 //!
 //! * **Idempotent re-delivery** — a result re-sent within its round is a
@@ -127,11 +135,22 @@ struct Registry {
     /// The run's metrics store: the transport writes the coordinator state
     /// and the per-client transport columns into it.
     telemetry: Telemetry,
+    /// Update vectors the round engine is done with, at most one cohort's
+    /// worth ([`Transport::recycle`]): the reader threads decode results
+    /// into them.
+    spares: Mutex<Vec<Vec<f32>>>,
 }
 
 impl Registry {
     fn link(&self, client: u32) -> Option<Arc<TcpLink>> {
         self.conns.lock().unwrap().get(&client).cloned()
+    }
+
+    /// A spare update vector to decode a result into; an empty one when
+    /// none is left.
+    fn spare(&self) -> Vec<f32> {
+        let mut spares = self.spares.lock().unwrap_or_else(|e| e.into_inner());
+        spares.pop().unwrap_or_default()
     }
 }
 
@@ -218,6 +237,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeReport> {
         wire: plan.cfg.wire_opts(),
         events: events_tx,
         telemetry: telemetry.clone(),
+        spares: Mutex::new(Vec::new()),
     });
 
     let faults = plan.fault_plan();
@@ -231,6 +251,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeReport> {
         liveness: BTreeMap::new(),
         current: 0,
         in_flight: None,
+        cohort: 0,
         contributors: Vec::new(),
         commits: 0,
         stopped: false,
@@ -361,7 +382,7 @@ fn spawn_accept_loop(
             // client reconnects.
             let _ = spawn_in_scope("photon-handshake", move || {
                 if let Ok(link) = TcpLink::from_stream(stream) {
-                    handshake(Arc::new(link), &registry, hb_timeout_ms);
+                    handshake(Arc::new(link), registry, hb_timeout_ms);
                 }
             });
         }
@@ -371,7 +392,7 @@ fn spawn_accept_loop(
 
 /// Admits (or resumes) one connection, installs it in the registry, and
 /// spawns the per-connection reader thread.
-fn handshake(link: Arc<TcpLink>, registry: &Registry, hb_timeout_ms: u64) {
+fn handshake(link: Arc<TcpLink>, registry: Arc<Registry>, hb_timeout_ms: u64) {
     let hello = match link.recv(Duration::from_secs(5)) {
         Ok((
             Message::SessionHello {
@@ -421,16 +442,20 @@ fn handshake(link: Arc<TcpLink>, registry: &Registry, hb_timeout_ms: u64) {
         client,
         resumed: admission.resumed,
     });
-    spawn_reader(link, client, registry.events.clone(), hb_timeout_ms);
+    spawn_reader(link, client, registry, hb_timeout_ms);
 }
 
 /// Per-connection reader: forwards decoded frames to the driver's thread
-/// until the link dies.
-fn spawn_reader(link: Arc<TcpLink>, client: u32, events: Sender<Event>, hb_timeout_ms: u64) {
+/// until the link dies. It reads every frame into one buffer kept for the
+/// connection's life and decodes each result into a spare update vector,
+/// so a warm round receives without touching the allocator.
+fn spawn_reader(link: Arc<TcpLink>, client: u32, registry: Arc<Registry>, hb_timeout_ms: u64) {
     spawn_in_scope("photon-reader", move || {
         let poll = Duration::from_millis(hb_timeout_ms.max(10));
+        let events = &registry.events;
+        let mut frame = Vec::new();
         loop {
-            match link.recv(poll) {
+            match link.recv_into(poll, &mut frame, || registry.spare()) {
                 Ok((msg, _, frame_len)) => {
                     let frame = Event::Frame {
                         client,
@@ -485,6 +510,9 @@ struct Tcp<'a> {
     /// durable.
     current: u64,
     in_flight: Option<InFlight>,
+    /// The size of the cohort last exchanged: how many spares are worth
+    /// keeping.
+    cohort: usize,
     /// Who delivered the round last exchanged, acked once it is durable.
     contributors: Vec<u32>,
     commits: u64,
@@ -513,14 +541,15 @@ impl Transport for Tcp<'_> {
             self.registry
                 .telemetry
                 .client(client, |row| row.last_round = round);
-            send_sealed_to(self.registry, client, &x.broadcast);
         }
+        self.cohort = x.cohort.len();
+        send_sealed_to_all(self.registry, x.cohort, x.broadcast);
         let timeout = Duration::from_millis(self.opts.round_timeout_ms.max(1));
         let mut deadline = Instant::now() + timeout;
         self.in_flight = Some(InFlight {
             round: x.round,
             cohort: x.cohort.to_vec(),
-            broadcast: x.broadcast,
+            broadcast: x.broadcast.clone(),
             replies: Vec::new(),
             heard: BTreeSet::new(),
             opened: Instant::now(),
@@ -537,9 +566,7 @@ impl Transport for Tcp<'_> {
                 // Nothing collected (every cohort member is mid-reconnect):
                 // re-broadcast and rearm rather than run an empty round.
                 deadline = Instant::now() + timeout;
-                for &client in &fl.cohort {
-                    send_sealed_to(self.registry, client, &fl.broadcast);
-                }
+                send_sealed_to_all(self.registry, &fl.cohort, &fl.broadcast);
             }
             self.pump(POLL);
         }
@@ -585,6 +612,18 @@ impl Transport for Tcp<'_> {
             .stop_after_rounds
             .is_some_and(|n| self.commits >= n);
         !self.stopped
+    }
+
+    fn recycle(&mut self, spent: Vec<Vec<f32>>) {
+        // Every push and pop leaves the list whole: a panicked holder
+        // cannot have broken it.
+        let mut spares = self
+            .registry
+            .spares
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let keep = self.cohort.saturating_sub(spares.len());
+        spares.extend(spent.into_iter().take(keep));
     }
 }
 
@@ -682,7 +721,7 @@ impl Tcp<'_> {
                 // client's result is still outstanding.
                 if let Some(fl) = &self.in_flight {
                     if fl.cohort.contains(&client) && !fl.heard.contains(&client) {
-                        send_sealed_to(self.registry, client, &fl.broadcast);
+                        send_sealed_to_all(self.registry, &[client], &fl.broadcast);
                     }
                 }
             }
@@ -780,10 +819,30 @@ impl Tcp<'_> {
     }
 }
 
-fn send_sealed_to(registry: &Registry, client: u32, frame: &SealedFrame) {
-    if let Some(link) = registry.link(client) {
-        let _ = link.send_sealed(frame);
-    }
+/// Writes `frame` to every connected one of `clients` at once, instead of
+/// one model-sized write after another: the first on the calling thread,
+/// each other on a scoped thread of its own that records into the
+/// caller's recorder on its actor lane, as [`spawn_in_scope`]'s threads
+/// do, so every `net_send` keeps its span context.
+fn send_sealed_to_all(registry: &Registry, clients: &[u32], frame: &SealedFrame) {
+    let links: Vec<Arc<TcpLink>> = clients.iter().filter_map(|&c| registry.link(c)).collect();
+    let Some((first, rest)) = links.split_first() else {
+        return;
+    };
+    std::thread::scope(|threads| {
+        for link in rest {
+            let scope = photon_trace::Scope::current();
+            let send = move || scope.enter(|| link.send_sealed(frame));
+            let spawned = std::thread::Builder::new()
+                .name("photon-send".into())
+                .spawn_scoped(threads, send);
+            if spawned.is_err() {
+                // No thread to spare: this one waits its turn.
+                let _ = link.send_sealed(frame);
+            }
+        }
+        let _ = first.send_sealed(frame);
+    });
 }
 
 #[cfg(test)]

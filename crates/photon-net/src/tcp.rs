@@ -5,7 +5,7 @@
 //! [`TraceCtx`] trailer — origin actor, the recorder's frame sequence and
 //! the sender's trace-clock timestamp — behind the wire trace flag.
 
-use crate::frame_io::{read_frame, write_frame_parts};
+use crate::frame_io::{read_frame, read_frame_with, write_frame_parts};
 use bytes::Bytes;
 use photon_comms::{Link, LinkError, Message, SealedFrame, TraceCtx, VerifiedFrame, WireOpts};
 use photon_trace::Phase;
@@ -130,9 +130,30 @@ impl TcpLink {
     /// [`LinkError::Closed`] when the peer is gone, [`LinkError::Wire`]
     /// for a frame that fails its checks or decodes to no message.
     pub fn recv(&self, timeout: Duration) -> Result<(Message, Option<TraceCtx>, u64), LinkError> {
-        let frame = self.recv_verified(timeout)?;
-        let frame_len = frame.len() as u64;
-        let (msg, ctx) = Message::from_verified_frame(frame)?;
+        self.recv_into(timeout, &mut Vec::new(), Vec::new)
+    }
+
+    /// [`TcpLink::recv`] through buffers the caller keeps from frame to
+    /// frame: the frame is read into `frame` ([`read_frame_with`]), and a
+    /// float block — a broadcast's parameters, a result's delta — decodes
+    /// into the buffer `floats` hands over, asked for only when the
+    /// message carries one.
+    ///
+    /// # Errors
+    /// As [`TcpLink::recv`].
+    pub(crate) fn recv_into(
+        &self,
+        timeout: Duration,
+        frame: &mut Vec<u8>,
+        floats: impl FnOnce() -> Vec<f32>,
+    ) -> Result<(Message, Option<TraceCtx>, u64), LinkError> {
+        let (decoded, frame_len) = self.read(timeout, |stream| {
+            read_frame_with(stream, frame, |frame| {
+                let frame_len = frame.len() as u64;
+                (Message::from_verified_frame_into(frame, floats), frame_len)
+            })
+        })?;
+        let (msg, ctx) = decoded?;
         if let Some(ctx) = &ctx {
             note_edge(Phase::NetRecv, "net_recv", ctx, frame_len);
         }
@@ -142,6 +163,16 @@ impl TcpLink {
     /// [`Link::recv_frame`], keeping [`read_frame`]'s proof that the CRC
     /// has been checked.
     fn recv_verified(&self, timeout: Duration) -> Result<VerifiedFrame, LinkError> {
+        self.read(timeout, read_frame)
+    }
+
+    /// Runs one frame read on the receive side within `timeout`, latching
+    /// the link dead when the peer is gone or the socket fails.
+    fn read<T>(
+        &self,
+        timeout: Duration,
+        read: impl FnOnce(&mut TcpStream) -> Result<T, LinkError>,
+    ) -> Result<T, LinkError> {
         if !self.is_connected() {
             return Err(LinkError::Closed);
         }
@@ -153,7 +184,7 @@ impl TcpLink {
             self.latch_dead();
             LinkError::Io(e)
         })?;
-        let res = read_frame(&mut *reader);
+        let res = read(&mut reader);
         match &res {
             Err(LinkError::Closed) | Err(LinkError::Io(_)) => self.latch_dead(),
             _ => {}
@@ -330,6 +361,50 @@ pub(crate) mod tests {
         assert_eq!(traced_id(), Some(0xD4));
         photon_trace::reset_for_tests();
         assert_eq!(traced_id(), None);
+    }
+
+    /// A result read into a kept frame buffer and decoded into a recycled
+    /// spare — NaN-filled, and two in three of a wrong length, as the
+    /// simulator's poisoned spares are — is the fresh decode, in every
+    /// wire encoding; a control-plane frame takes no spare.
+    #[test]
+    fn a_result_decoded_into_a_recycled_spare_is_the_fresh_decode() {
+        let (server, client) = loopback_pair();
+        let wait = Duration::from_secs(5);
+        let result = |round| Message::ClientResult {
+            round,
+            client_id: 1,
+            delta: (0..3_000).map(|i| (i as f32 * 0.37).sin()).collect(),
+            weight: 1.5,
+            metrics: Default::default(),
+        };
+        let encodings = [
+            opts(),
+            WireOpts {
+                compress: true,
+                ..opts()
+            },
+            WireOpts {
+                // photon-net names no dtype: read it as a config would.
+                dtype: serde_json::from_str("\"Bf16\"").unwrap(),
+                ..opts()
+            },
+        ];
+        let mut frame = vec![0xA5; 100];
+        for (round, wire) in encodings.into_iter().enumerate() {
+            let msg = result(round as u64);
+            client.send(&msg, wire).unwrap();
+            let (want, ..) = server.recv(wait).unwrap();
+            for len in [3_000, 1_500, 3_005] {
+                client.send(&msg, wire).unwrap();
+                let spare = vec![f32::NAN; len];
+                let (got, ..) = server.recv_into(wait, &mut frame, || spare).unwrap();
+                assert_eq!(got, want, "{wire:?}, a spare of {len}");
+            }
+        }
+        client.send(&Message::Shutdown, opts()).unwrap();
+        let got = server.recv_into(wait, &mut frame, || unreachable!("no float block"));
+        assert_eq!(got.unwrap().0, Message::Shutdown);
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod tests {
     #[test]
     fn one_encoded_broadcast_fans_out_to_three_traced_recipients() {
         let params: Vec<f32> = (0..50_000).map(|i| (i as f32).sin()).collect();
-        let broadcast = SealedFrame::broadcast(6, &params, WireOpts::default());
+        let broadcast = SealedFrame::broadcast(Vec::new(), 6, &params, WireOpts::default());
         let want = Message::ModelBroadcast { round: 6, params };
         let wait = Duration::from_secs(5);
         let links: Vec<_> = (0..3).map(|_| loopback_pair()).collect();
