@@ -10,6 +10,7 @@ use photon_core::experiments::{
 use photon_core::{load_checkpoint, run_training, FaultEvent, Federation, Tally};
 use photon_fedopt::ServerOptKind;
 use photon_nn::{generate as sample_tokens, Gpt, ModelConfig};
+use photon_tensor::ops::pool;
 use photon_tensor::SeedStream;
 use photon_tokenizer::{ByteTokenizer, Tokenizer};
 use photon_trace::{ClockMode, TraceConfig};
@@ -28,10 +29,15 @@ fn options(command: &Command, args: &Args) -> Result<Option<Options>, String> {
 
 /// `photon train` / `photon resume`.
 pub fn train(args: &Args, resume: bool) -> Result<(), String> {
-    let Some(mut o) = options(if resume { &RESUME } else { &TRAIN }, args)? else {
+    let Some(o) = options(if resume { &RESUME } else { &TRAIN }, args)? else {
         return Ok(());
     };
-    let (threads, backend) = init_compute(&o);
+    let compute = compute_context(&o);
+    compute.enter(|| run_train(o, resume, compute.width))
+}
+
+/// `train`'s body, on the run's compute budget of `threads`.
+fn run_train(mut o: Options, resume: bool, threads: usize) -> Result<(), String> {
     let tracing_on = init_tracing(&o, ClockMode::Sim)?;
     let rounds = o.plan.rounds;
     o.training.run.rounds = rounds;
@@ -49,7 +55,7 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
 
     println!(
         "training {} | {} clients | tau = {} | B_l = {} | B_g = {} | {} | \
-         {} worker thread(s) | {} backend | {} storage",
+         {} compute thread(s) | {} backend | {} storage",
         cfg.model,
         cfg.population,
         cfg.local_steps,
@@ -62,7 +68,7 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
             ServerOptKind::DiLoCo { .. } => "diloco",
         },
         threads,
-        backend,
+        photon_tensor::backend::active_name(),
         cfg.dtype.as_str()
     );
     if let Some(inj) = &injector {
@@ -258,18 +264,19 @@ pub fn train(args: &Args, resume: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves `--threads` before any kernel runs and returns the worker
-/// count and the name of the backend the CPU runs. An absent `--threads`
-/// means auto (PHOTON_THREADS env, else the machine's parallelism) and an
-/// explicit 0 forces the serial paths.
-fn init_compute(o: &Options) -> (usize, &'static str) {
-    if let Some(t) = o.threads {
-        photon_tensor::ops::pool::set_max_threads(if t == 0 { 1 } else { t });
+/// The run's compute budget: `--threads N` as both its chunk count and
+/// its width (an explicit 0 means serial), else the calling thread's
+/// (`PHOTON_THREADS`, else every core). The command runs inside it, so two
+/// runs in one process keep their own budgets.
+fn compute_context(o: &Options) -> pool::Context {
+    match o.threads {
+        Some(t) => pool::Context {
+            chunks: t.max(1),
+            width: t.max(1),
+            trace: photon_trace::Scope::current(),
+        },
+        None => pool::Context::current(),
     }
-    (
-        photon_tensor::ops::pool::max_threads(),
-        photon_tensor::backend::active_name(),
-    )
 }
 
 /// Switches the recorder on when a trace sink is asked for, stamping
@@ -458,7 +465,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let Some(o) = options(&SERVE, args)? else {
         return Ok(());
     };
-    init_compute(&o);
+    compute_context(&o).enter(|| run_serve(o))
+}
+
+/// `serve`'s body, on the run's compute budget.
+fn run_serve(o: Options) -> Result<(), String> {
     let tracing_on = init_process_observability(&o)?;
     // Flush the shard even when serve() errors or an injected fault cuts
     // the run short mid-round.

@@ -29,7 +29,7 @@ pub struct Options {
     /// The run driver's checkpoint, recovery, evaluation and metrics
     /// options (`train` sets `run.rounds` to `plan.rounds`).
     pub training: TrainingOptions,
-    /// Kernel worker threads; `None` is PHOTON_THREADS, else every core.
+    /// The run's compute budget; `None` is PHOTON_THREADS, else every core.
     pub threads: Option<usize>,
     /// Trace sinks; each command picks the clock.
     pub trace: TraceConfig,
@@ -284,11 +284,13 @@ const RUN: &[Opt] = &[
         every round", Some(training.metrics_json)),
 ];
 
-/// Kernel threads, set before any kernel runs.
+/// The run's compute budget.
 #[rustfmt::skip]
 const COMPUTE: &[Opt] = &[
-    opt!("threads" "N", "kernel worker threads (0 = serial; default: PHOTON_THREADS, else \
-        every core)", Some(threads)),
+    opt!("threads" "N", "this run's compute threads: its client lanes and kernel chunks (0 = \
+        serial; default: PHOTON_THREADS, else every core). Worker threads are spawned once per \
+        process at the default, so N above it changes the chunking but adds no workers",
+        Some(threads)),
 ];
 
 /// Trace and Prometheus-text sinks.

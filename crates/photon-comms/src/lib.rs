@@ -56,6 +56,6 @@ pub use topology::{bytes_on_wire, comm_time_seconds, Topology};
 pub use transport::{ChannelLink, Link, LinkError};
 pub use walltime::{RoundTime, SimClock, WallTimeModel};
 pub use wire::{
-    crc_passes, decode_frame, decode_frame_flags, encode_frame, FrameFlags, FrameHeader, TraceCtx,
+    decode_frame, decode_frame_flags, encode_frame, FrameFlags, FrameHeader, TraceCtx,
     VerifiedFrame, WireError, FRAME_HEADER_LEN, MAX_FRAME_BYTES, TRACE_CTX_LEN,
 };

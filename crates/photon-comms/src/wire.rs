@@ -1,7 +1,6 @@
 use crate::crc::Crc32;
 use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC: &[u8; 8] = b"PHTNLNK1";
 const VERSION: u16 = 1;
@@ -226,7 +225,9 @@ impl FrameHeader {
     /// # Errors
     /// Returns [`WireError::BadChecksum`] on a mismatch.
     pub(crate) fn check_payload(&self, payload: &[u8]) -> Result<(), WireError> {
-        CRC_PASSES.fetch_add(1, Ordering::Relaxed);
+        // Profile-only span (never a JSONL event): the run's recorder
+        // counts its CRC passes and their time.
+        let _crc = photon_trace::span(photon_trace::Phase::CrcCheck);
         let computed = crate::crc32(payload);
         if computed != self.crc {
             return Err(WireError::BadChecksum {
@@ -236,18 +237,6 @@ impl FrameHeader {
         }
         Ok(())
     }
-}
-
-/// Payload verifications run by [`FrameHeader::check_payload`], process
-/// wide: a statistic (hence `Relaxed`) that publishes nothing.
-static CRC_PASSES: AtomicU64 = AtomicU64::new(0);
-
-/// How many payload CRC verifications this process has run, on any
-/// thread. Tests take a difference around a round to hold the Link to one
-/// pass per received frame.
-#[doc(hidden)]
-pub fn crc_passes() -> u64 {
-    CRC_PASSES.load(Ordering::Relaxed)
 }
 
 /// Byte range of the CRC field inside the frame header.

@@ -215,7 +215,7 @@ pub const METRIC_SCHEMA: &[Metric] = schema! {
     "round"                         Json                                => "Next round the aggregator runs.";
     "rounds_seen"                   Gauge(|s| Some(s.rounds_seen as f64)) => "Rounds observed, including neutralized ones.";
     "rounds_committed"              Gauge(|s| Some(s.rounds_committed as f64)) => "Distinct rounds whose update was applied.";
-    "compute_threads"               Gauge(|s| (s.compute_threads > 0).then_some(s.compute_threads as f64)) => "Worker-pool size the kernels fan out to.";
+    "compute_threads"               Gauge(|s| (s.compute_threads > 0).then_some(s.compute_threads as f64)) => "The run's compute-thread budget.";
     "backend"                       Json                                => "Kernel path the CPU runs (scalar or simd; same bits).";
     "dtype"                         Json                                => "Storage dtype of checkpoints and wire payloads.";
     "participation_skew"            Gauge(|s| s.participation_skew)     => "Most over least trained client's tokens.";
@@ -396,7 +396,7 @@ pub struct MetricsSnapshot {
     pub rounds_seen: u64,
     /// Distinct rounds whose update was applied; `<= rounds_seen`.
     pub rounds_committed: u64,
-    /// Worker-pool size the kernels fan out to (0 if never recorded).
+    /// The run's compute-thread budget (0 if never recorded).
     pub compute_threads: usize,
     /// Kernel path the CPU runs (`scalar` or `simd`; the same bits).
     pub backend: &'static str,
@@ -612,9 +612,9 @@ impl Telemetry {
         });
     }
 
-    /// Records the resolved compute-thread budget for this run (the
-    /// worker-pool size the kernels fan out to). Logged once at startup
-    /// by drivers so operators can correlate throughput with parallelism.
+    /// Records the run's compute-thread budget (its client lanes and
+    /// kernel chunks). Logged once at startup by drivers so operators can
+    /// correlate throughput with parallelism.
     pub fn record_compute_threads(&self, threads: usize) {
         self.inner.write().compute_threads = threads;
     }

@@ -19,6 +19,7 @@
 //! decisions are pure functions of `(config, seed, round, id-sorted
 //! cohort)`, so guarded runs replay bit-identically.
 
+use crate::robust::median_f64;
 use crate::ClientUpdate;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -245,9 +246,9 @@ impl UpdateGuard {
         if live.len() >= 3 {
             // Robust z-score on norms: median/MAD, high side only.
             let mut live_norms: Vec<f64> = live.iter().map(|&i| norms[i]).collect();
-            let med = median_in_place(&mut live_norms);
+            let med = median_f64(&mut live_norms);
             let mut devs: Vec<f64> = live.iter().map(|&i| (norms[i] - med).abs()).collect();
-            let mad = median_in_place(&mut devs);
+            let mad = median_f64(&mut devs);
             let sigma = (1.4826 * mad).max(med.abs() * 1e-6).max(1e-12);
             for &i in &live {
                 // Clipped updates were already tamed to the norm ceiling;
@@ -325,17 +326,7 @@ impl UpdateGuard {
             return None;
         }
         let mut sorted: Vec<f64> = self.norm_history.iter().copied().collect();
-        Some(median_in_place(&mut sorted))
-    }
-}
-
-fn median_in_place(values: &mut [f64]) -> f64 {
-    values.sort_unstable_by(f64::total_cmp);
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
+        Some(median_f64(&mut sorted))
     }
 }
 

@@ -174,7 +174,7 @@ pub fn median_aggregate(updates: &[ClientUpdate]) -> Vec<f32> {
 
 /// Median of a slice of f64 values, `total_cmp`-sorted; the slice is
 /// reordered in place.
-fn median_f64(values: &mut [f64]) -> f64 {
+pub(crate) fn median_f64(values: &mut [f64]) -> f64 {
     values.sort_unstable_by(f64::total_cmp);
     let n = values.len();
     if n % 2 == 1 {

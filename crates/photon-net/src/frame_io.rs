@@ -93,18 +93,9 @@ pub(crate) fn read_frame_with<R: Read + ?Sized, T>(
     buf[..FRAME_HEADER_LEN].copy_from_slice(&header);
     read_full(r, &mut buf[FRAME_HEADER_LEN..len], true)?;
     let whole = Bytes::from(std::mem::take(buf));
-    #[cfg(test)]
-    CRC_PASSES.with(|n| n.set(n.get() + 1));
     let used = VerifiedFrame::check(whole.slice(..len)).map(use_frame);
     *buf = whole.try_into_mut().map(Vec::from).unwrap_or_default();
     Ok(used?)
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Payload CRC verifications run by [`read_frame_with`] on this
-    /// thread.
-    pub(crate) static CRC_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Writes the pieces of one wire frame back to back and flushes once, so

@@ -263,7 +263,6 @@ pub(crate) mod tests {
 
     #[test]
     fn a_received_frame_is_crc_verified_exactly_once() {
-        use crate::frame_io::CRC_PASSES;
         let (server, client) = loopback_pair();
         let ctx = TraceCtx {
             trace_id: 9,
@@ -287,15 +286,22 @@ pub(crate) mod tests {
             .unwrap();
         client.send(&beat, opts()).unwrap();
 
-        // Every receive runs on this thread, so the thread-local count is
-        // exactly the passes these three frames got.
-        let before = CRC_PASSES.with(std::cell::Cell::get);
+        // Every receive runs on this thread, so the recorder scoped around
+        // them counts exactly the passes these three frames got.
+        let recorder = Recorder::start(TraceConfig::default()).unwrap();
         let wait = Duration::from_secs(2);
-        assert_eq!(server.recv(wait).unwrap().0, model);
-        let (msg, got_ctx, _) = server.recv(wait).unwrap();
-        assert_eq!((msg, got_ctx), (beat.clone(), Some(ctx)));
-        assert_eq!(server.recv(wait).unwrap().0, beat);
-        assert_eq!(CRC_PASSES.with(std::cell::Cell::get) - before, 3);
+        recorder.scope(|| {
+            assert_eq!(server.recv(wait).unwrap().0, model);
+            let (msg, got_ctx, _) = server.recv(wait).unwrap();
+            assert_eq!((msg, got_ctx), (beat.clone(), Some(ctx)));
+            assert_eq!(server.recv(wait).unwrap().0, beat);
+        });
+        let passes = recorder
+            .drain_now()
+            .profile
+            .get(Phase::CrcCheck)
+            .map(|s| s.count);
+        assert_eq!(passes, Some(3));
     }
 
     /// Two runs in one process: each recorder stamps its own trace id and

@@ -8,15 +8,20 @@
 //!
 //! # Threading model
 //!
-//! The pool's size is resolved once, with the following precedence:
+//! A thread's compute budget is its [`Context`]'s width ([`max_threads`]).
+//! A run sets its budget by entering a context (the CLI's `--threads N`
+//! runs its command inside `Context { chunks: N, width: N, .. }`), so two
+//! runs in one process keep their own. A thread outside every context
+//! computes under the process default, resolved once:
 //!
-//! 1. [`set_max_threads`] (wired to the CLI `--threads` flag; `1` = serial);
-//! 2. the `PHOTON_THREADS` environment variable (`0` or `1` = serial);
-//! 3. [`std::thread::available_parallelism`].
+//! 1. the `PHOTON_THREADS` environment variable (`0` or `1` = serial);
+//! 2. [`std::thread::available_parallelism`].
 //!
-//! A resolved size of `n` means the process uses at most `n` compute
-//! threads: `n - 1` pool workers plus the submitting thread, which always
-//! executes one chunk of every batch inline instead of sleeping.
+//! The process has one set of workers, spawned with the default and never
+//! resized: `n - 1` pool workers for a default of `n`, plus the submitting
+//! thread, which always executes one chunk of every batch inline instead
+//! of sleeping. A budget above the default sets the chunk count (and with
+//! it the bits) but adds no workers.
 //!
 //! # Nested parallelism
 //!
@@ -63,26 +68,22 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A unit of work submitted to [`run_tasks`]. The borrow may reference the
 /// caller's stack: [`run_tasks`] does not return until every task has run.
 pub type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 
-/// Explicit thread-count override (0 = unset). Highest precedence.
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-/// `PHOTON_THREADS`, read once.
-static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
-/// The worker pool, spawned on first parallel dispatch.
-static POOL: OnceLock<Option<Pool>> = OnceLock::new();
+/// The process's default budget and its workers, set up on first use.
+static POOL: OnceLock<Pool> = OnceLock::new();
 
 thread_local! {
     /// Set on pool worker threads; suppresses nested fan-out.
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// Thread-local chunk budget (0 = unset, use the global max).
+    /// Thread-local chunk budget (0 = unset, use the process default).
     static BUDGET: Cell<usize> = const { Cell::new(0) };
-    /// Thread-local execution width (0 = unset, use the global max).
+    /// Thread-local execution width (0 = unset, use the process default).
     static WIDTH: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -92,7 +93,10 @@ struct Job {
 }
 
 struct Pool {
-    tx: crossbeam::channel::Sender<Job>,
+    /// The default budget: `PHOTON_THREADS`, else every core.
+    threads: usize,
+    /// The `threads - 1` workers' queue; `None` at a default of 1.
+    tx: Option<crossbeam::channel::Sender<Job>>,
 }
 
 /// Counts outstanding tasks of one `run_tasks` batch; the submitting thread
@@ -128,50 +132,30 @@ impl Latch {
     }
 }
 
-/// Overrides the maximum number of compute threads (CLI `--threads`).
-///
-/// Values are clamped to at least 1; `set_max_threads(1)` forces fully
-/// serial execution. Takes precedence over `PHOTON_THREADS` and hardware
-/// detection. Call this *before* the first parallel kernel if you need more
-/// threads than the autodetected count — the worker pool is sized when
-/// first used and never grows (later calls can still *lower* the effective
-/// parallelism at any time).
-pub fn set_max_threads(n: usize) {
-    OVERRIDE.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The resolved global thread budget: override > `PHOTON_THREADS` >
-/// [`std::thread::available_parallelism`]. Always at least 1.
+/// The calling thread's compute budget: its [`Context`]'s width, outside
+/// every context the process default (`PHOTON_THREADS`, else
+/// [`std::thread::available_parallelism`]); `1` on pool workers. Always
+/// at least 1.
 pub fn max_threads() -> usize {
-    let over = OVERRIDE.load(Ordering::SeqCst);
-    if over != 0 {
-        return over;
+    if IS_WORKER.with(Cell::get) {
+        return 1;
     }
-    let env = *ENV_THREADS.get_or_init(|| {
-        std::env::var("PHOTON_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-    });
-    match env {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+    match WIDTH.with(Cell::get) {
+        0 => pool().threads,
+        width => width,
     }
 }
 
-/// The parallelism kernels should use *right now* on this thread:
-/// the thread-local [`with_parallelism`] budget if one is set, otherwise
-/// [`max_threads`]; always `1` on pool worker threads (no nested fan-out).
+/// The parallelism kernels should use *right now* on this thread: its
+/// [`Context`]'s chunk count, outside every context the process default;
+/// always `1` on pool worker threads (no nested fan-out).
 pub fn effective_parallelism() -> usize {
     if IS_WORKER.with(Cell::get) {
         return 1;
     }
-    let budget = BUDGET.with(Cell::get);
-    if budget != 0 {
-        budget
-    } else {
-        max_threads()
+    match BUDGET.with(Cell::get) {
+        0 => pool().threads,
+        chunks => chunks,
     }
 }
 
@@ -209,16 +193,9 @@ pub struct Context {
 impl Context {
     /// The calling thread's context.
     pub fn current() -> Self {
-        let width = WIDTH.with(Cell::get);
         Context {
             chunks: effective_parallelism(),
-            width: if IS_WORKER.with(Cell::get) {
-                1
-            } else if width != 0 {
-                width
-            } else {
-                max_threads()
-            },
+            width: max_threads(),
             trace: photon_trace::Scope::current(),
         }
     }
@@ -304,11 +281,17 @@ pub fn split_rows<'a, T>(
     chunks
 }
 
-fn pool() -> Option<&'static Pool> {
+fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
-        let threads = max_threads();
+        let threads = match std::env::var("PHOTON_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+        {
+            Some(n) => n.max(1),
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        };
         if threads <= 1 {
-            return None;
+            return Pool { threads, tx: None };
         }
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
         for i in 0..threads - 1 {
@@ -326,9 +309,11 @@ fn pool() -> Option<&'static Pool> {
                 })
                 .expect("failed to spawn photon worker thread");
         }
-        Some(Pool { tx })
+        Pool {
+            threads,
+            tx: Some(tx),
+        }
     })
-    .as_ref()
 }
 
 /// Executes a batch of independent tasks, blocking until all complete.
@@ -352,8 +337,8 @@ pub fn run_tasks(tasks: Vec<Task<'_>>) {
     // Profile-only span (never a JSONL event): dispatch + barrier wait.
     let _dispatch = photon_trace::span(photon_trace::Phase::PoolDispatch).arg("tasks", n as u64);
     let run_inline = n == 1 || IS_WORKER.with(Cell::get) || WIDTH.with(Cell::get) == 1;
-    let pool = if run_inline { None } else { pool() };
-    let Some(pool) = pool else {
+    let tx = if run_inline { None } else { pool().tx.as_ref() };
+    let Some(tx) = tx else {
         for task in tasks {
             task();
         }
@@ -384,12 +369,11 @@ pub fn run_tasks(tasks: Vec<Task<'_>>) {
         // drop the task (and with it every borrow) before counting down the
         // latch, and we do not leave this function until the latch opens.
         let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
-        pool.tx
-            .send(Job {
-                task,
-                latch: Arc::clone(&latch),
-            })
-            .unwrap_or_else(|_| panic!("photon worker pool disconnected"));
+        tx.send(Job {
+            task,
+            latch: Arc::clone(&latch),
+        })
+        .unwrap_or_else(|_| panic!("photon worker pool disconnected"));
     }
     inline_task();
     drop(guard);
@@ -425,6 +409,7 @@ pub fn parallel_for(n: usize, grain: usize, body: impl Fn(Range<usize>) + Sync) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn chunk_ranges_cover_and_balance() {
@@ -514,6 +499,22 @@ mod tests {
             assert_eq!(seen.join().unwrap(), base.lanes(4));
         });
         assert_eq!(Context::current(), outer);
+    }
+
+    #[test]
+    fn the_budget_is_the_contexts_width_and_a_new_thread_starts_on_the_default() {
+        let default = max_threads();
+        Context {
+            chunks: 3,
+            width: default + 4,
+            ..Context::current()
+        }
+        .enter(|| {
+            assert_eq!((effective_parallelism(), max_threads()), (3, default + 4));
+            let fresh = std::thread::spawn(|| (effective_parallelism(), max_threads()));
+            assert_eq!(fresh.join().unwrap(), (default, default));
+        });
+        assert_eq!(max_threads(), default);
     }
 
     #[test]

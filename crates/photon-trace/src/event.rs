@@ -61,6 +61,8 @@ pub enum Phase {
     NetSend,
     /// A traced wire frame arriving at this process (`photon-net` recv).
     NetRecv,
+    /// One payload CRC verification of a received frame.
+    CrcCheck,
 }
 
 /// Coarse roll-up groups for the phase-profile report.
@@ -82,7 +84,7 @@ pub enum PhaseGroup {
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 25] = [
+    pub const ALL: [Phase; 26] = [
         Phase::Round,
         Phase::LocalStep,
         Phase::KernelGemm,
@@ -108,6 +110,7 @@ impl Phase {
         Phase::ShardDegraded,
         Phase::NetSend,
         Phase::NetRecv,
+        Phase::CrcCheck,
     ];
 
     /// Stable snake_case name (used as the JSONL `name` default, the
@@ -139,6 +142,7 @@ impl Phase {
             Phase::ShardDegraded => "shard_degraded",
             Phase::NetSend => "net_send",
             Phase::NetRecv => "net_recv",
+            Phase::CrcCheck => "crc_check",
         }
     }
 
@@ -157,7 +161,8 @@ impl Phase {
             | Phase::NetPartition
             | Phase::SessionResume
             | Phase::NetSend
-            | Phase::NetRecv => PhaseGroup::Comms,
+            | Phase::NetRecv
+            | Phase::CrcCheck => PhaseGroup::Comms,
             Phase::GuardScreen
             | Phase::RobustMerge
             | Phase::BufferCommit
@@ -174,11 +179,12 @@ impl Phase {
 
     /// Whether spans of this phase emit JSONL events. Kernel-level spans
     /// are profile-only unless `kernel_events` is enabled (they dominate
-    /// event volume); pool dispatch batches are always profile-only.
+    /// event volume); pool dispatch batches and CRC checks are always
+    /// profile-only.
     pub(crate) fn emits_event(self, kernel_events: bool) -> bool {
         match self {
             Phase::KernelGemm | Phase::KernelAttention | Phase::KernelLayerNorm => kernel_events,
-            Phase::PoolDispatch => false,
+            Phase::PoolDispatch | Phase::CrcCheck => false,
             _ => true,
         }
     }

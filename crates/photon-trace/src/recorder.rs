@@ -896,12 +896,14 @@ mod tests {
         rec.scope(|| {
             drop(span(Phase::KernelGemm));
             drop(span(Phase::PoolDispatch));
+            drop(span(Phase::CrcCheck));
         });
         let text = rec.flush_to_string();
         assert!(text.is_empty(), "no kernel events expected: {text}");
         let summary = rec.drain_now();
         assert!(summary.profile.get(Phase::KernelGemm).is_some());
         assert!(summary.profile.get(Phase::PoolDispatch).is_some());
+        assert!(summary.profile.get(Phase::CrcCheck).is_some());
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! it gets a row, and a row fails once its field or its setter line is
 //! gone.
 //!
+//! `ModelConfig`, `AdamWConfig` and the `DdpConfig` a client derives
+//! from `FederationConfig` each round are pinned the same way.
+//! `LrSchedule`'s fields are private (a schedule is built whole by its
+//! constructors), so `schedule` is pinned on `FederationConfig`'s row
+//! alone.
+//!
 //! Non-test code is a file's lines ahead of its first top-level
 //! `#[cfg(test)]`. A `FederationConfig` setter line names the field as
 //! `cfg.<field>`; a nested struct's names it as `.<field>` or as
@@ -31,6 +37,14 @@ type Fields = &'static [(&'static str, Setter)];
 
 const OPTIONS: &str = "crates/photon-cli/src/options.rs";
 const WORKLOADS: &str = "benchmark/src/workloads.rs";
+
+/// `AdamWConfig`'s hyper-parameters: one value each in use.
+const ADAMW_DEFAULT: &str = "one value in use, `AdamWConfig::default()`'s (the paper's \
+     β1 = 0.9, β2 = 0.95, ε = 1e-8); the update reads it by name, and `FederationConfig::adamw` \
+     carries it";
+
+/// `DdpConfig` is built from the run's config, not set by anyone.
+const DERIVED: &str = "`LlmClient::ddp_config` derives it from `FederationConfig` every round";
 
 /// Every field of `FederationConfig`, with its setter.
 const FIELDS: Fields = &[
@@ -136,9 +150,58 @@ const FIELDS: Fields = &[
     ("seed", Line(OPTIONS, "\"root seed\", plan.cfg.seed")),
 ];
 
-/// The config structs `FederationConfig` nests: `(struct, the file under
-/// crates/ that declares it, every field with its setter)`.
+/// The config structs `FederationConfig` nests, and the `DdpConfig` a
+/// client derives from it: `(struct, the file under crates/ that declares
+/// it, every field with its setter)`.
 const NESTED: &[(&str, &str, Fields)] = &[
+    (
+        "ModelConfig",
+        "photon-nn/src/config.rs",
+        &[
+            ("n_layers", Line(WORKLOADS, "n_layers: 1,")),
+            ("d_model", Line(WORKLOADS, "d_model: 8,")),
+            ("n_heads", Line(WORKLOADS, "n_heads: 1,")),
+            ("exp_ratio", Line(WORKLOADS, "exp_ratio: 2,")),
+            ("vocab_size", Line(WORKLOADS, "vocab_size: 257,")),
+            ("seq_len", Line(WORKLOADS, "seq_len: 8,")),
+        ],
+    ),
+    (
+        "AdamWConfig",
+        "photon-optim/src/adamw.rs",
+        &[
+            ("beta1", Kept(ADAMW_DEFAULT)),
+            ("beta2", Kept(ADAMW_DEFAULT)),
+            ("eps", Kept(ADAMW_DEFAULT)),
+            (
+                "weight_decay",
+                Kept(
+                    "0 in every run; only photon-optim's unit tests set another value, to \
+                     check the decoupled decay (a removal candidate, named in CHANGES.md)",
+                ),
+            ),
+        ],
+    ),
+    (
+        "DdpConfig",
+        "photon-core/src/ddp.rs",
+        &[
+            ("model", Kept(DERIVED)),
+            ("per_worker_batch", Kept(DERIVED)),
+            (
+                "seq_len",
+                Kept(
+                    "always `model.seq_len` (a removal candidate, named in CHANGES.md); \
+                     derived by `LlmClient::ddp_config`",
+                ),
+            ),
+            ("steps", Kept(DERIVED)),
+            ("start_step", Kept(DERIVED)),
+            ("adamw", Kept(DERIVED)),
+            ("schedule", Kept(DERIVED)),
+            ("grad_clip", Kept(DERIVED)),
+        ],
+    ),
     (
         "GuardConfig",
         "photon-fedopt/src/guard.rs",

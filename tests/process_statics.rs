@@ -9,24 +9,10 @@ use photon_tests::{crate_sources, non_test_lines};
 /// `(file under crates/, static, why it is one per process)`.
 const PINNED: &[(&str, &str, &str)] = &[
     (
-        "photon-comms/src/wire.rs",
-        "CRC_PASSES",
-        "a statistic of payload CRC passes, read only as differences",
-    ),
-    (
-        "photon-tensor/src/ops/pool.rs",
-        "OVERRIDE",
-        "the --threads budget, set once before the pool starts",
-    ),
-    (
-        "photon-tensor/src/ops/pool.rs",
-        "ENV_THREADS",
-        "PHOTON_THREADS, read once",
-    ),
-    (
         "photon-tensor/src/ops/pool.rs",
         "POOL",
-        "the worker threads every kernel dispatches to, spawned once",
+        "the worker threads every kernel dispatches to, spawned once at the default \
+         budget (PHOTON_THREADS, else every core); a run's own budget is its Context",
     ),
     (
         "photon-trace/src/recorder.rs",

@@ -60,11 +60,6 @@ const PINNED: &[(&str, &str, &str)] = &[
     ),
     (
         "photon-comms/src/wire.rs",
-        "crc_passes",
-        "the payload-CRC census only `tests/crc_census.rs` reads",
-    ),
-    (
-        "photon-comms/src/wire.rs",
         "decode_frame",
         "the one-shot frame decoder the wire fuzzers and proptests drive",
     ),

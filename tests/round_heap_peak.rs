@@ -5,8 +5,9 @@
 //! (the lanes' in-flight result frames, the shard accumulators), not by
 //! one or two per cohort member. Over loopback TCP both ends keep every
 //! model-sized buffer, so a warm round allocates none. A count, not a
-//! timing: it does not depend on the host's speed (the flat round's
-//! reading does depend on how its lanes happen to overlap).
+//! timing: it does not depend on the host's speed (the flat round's rise
+//! does depend on how its lanes happen to overlap, so the flat round also
+//! counts its large allocations, which do not).
 //!
 //! One `#[test]` in its own binary: the counting allocator is the
 //! process's global allocator and counts every thread (the client lanes
@@ -30,8 +31,14 @@ static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 /// The least `LIVE` has been since it was last reset.
 static FLOOR: AtomicU64 = AtomicU64::new(u64::MAX);
+/// Allocations of at least `LARGE_FROM` bytes since it was last set.
+static LARGE: AtomicU64 = AtomicU64::new(0);
+/// The size from which an allocation counts in `LARGE`; none do until a
+/// count starts.
+static LARGE_FROM: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// The system allocator, tracking live bytes and their high-water mark.
+/// The system allocator, tracking live bytes, their high-water mark and
+/// the large allocations.
 /// `realloc` and `alloc_zeroed` keep their default forms, which go through
 /// `alloc` and `dealloc`.
 struct Counting;
@@ -42,6 +49,9 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let live = LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
         PEAK.fetch_max(live, Ordering::Relaxed);
+        if layout.size() as u64 >= LARGE_FROM.load(Ordering::Relaxed) {
+            LARGE.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -59,17 +69,26 @@ static GLOBAL: Counting = Counting;
 
 /// How far the fourth round of `fed` lifts the heap's high-water mark
 /// above the round's starting level, in model-sized buffers (three rounds
-/// first, so every buffer a round keeps is in place).
-fn warm_round_peak_rise(mut fed: Federation) -> f64 {
+/// first, so every buffer a round keeps is in place), and how many
+/// allocations of at least half a model's bytes it makes. The rise
+/// depends on which buffers happen to be alive at once; the count does
+/// not.
+fn warm_round_peak_rise(mut fed: Federation) -> (f64, u64) {
     for _ in 0..3 {
         fed.run_round().expect("warm-up round");
     }
+    let model_bytes = std::mem::size_of_val(fed.aggregator.params());
     let start = LIVE.load(Ordering::Relaxed);
     PEAK.store(start, Ordering::Relaxed);
+    LARGE.store(0, Ordering::Relaxed);
+    LARGE_FROM.store(model_bytes as u64 / 2, Ordering::Relaxed);
     fed.run_round().expect("measured round");
+    LARGE_FROM.store(u64::MAX, Ordering::Relaxed);
     let rise = PEAK.load(Ordering::Relaxed) - start;
-    let model_bytes = std::mem::size_of_val(fed.aggregator.params());
-    rise as f64 / model_bytes as f64
+    (
+        rise as f64 / model_bytes as f64,
+        LARGE.load(Ordering::Relaxed),
+    )
 }
 
 /// `sim_tiny_wide`'s shape: 8 `proxy_tiny` clients, trimmed mean, the
@@ -172,16 +191,21 @@ fn rounds_committed(port: u16) -> Option<u64> {
 
 #[test]
 fn a_warm_rounds_heap_peak_does_not_grow_with_the_cohort() {
-    let tree = warm_round_peak_rise(scale_federation(&scale_cfg(1_000, 256)));
+    let (tree, _) = warm_round_peak_rise(scale_federation(&scale_cfg(1_000, 256)));
     println!("256-client nano tree: the peak rose by {tree:.1} model-sized buffers");
-    let flat = warm_round_peak_rise(tiny_wide());
-    println!("8-client proxy_tiny flat round: the peak rose by {flat:.1} model-sized buffers");
+    let (flat, flat_large) = warm_round_peak_rise(tiny_wide());
+    println!(
+        "8-client proxy_tiny flat round: the peak rose by {flat:.1} model-sized buffers, \
+         in {flat_large} allocation(s) of half a model or more"
+    );
     let tcp = tcp_round_swing();
     println!("serve + 2 clients over loopback: a warm round swung by {tcp:.1} model-sized buffers");
     // The tree and TCP bounds are their steady readings plus a margin:
-    // 12.3 + 1.7 and 0.1 + 0.9. The flat reading depends on how the
-    // lanes' in-flight result frames overlap (3.0 to 5.0 run to run on
-    // two lanes), so its bound stays where it was.
+    // 12.3 + 1.7 and 0.1 + 0.9. The flat rise depends on how the lanes'
+    // in-flight result frames overlap (3.0 to 6.0 run to run on one to
+    // four lanes), so its bound stays where it was; its count of large
+    // allocations does not (29 on every run at any thread budget), so
+    // that is bounded at its reading and sees one buffer more.
     assert!(
         tree < 14.0,
         "a warm 256-client tree round lifted the heap peak by {tree:.1} model-sized buffers: \
@@ -191,6 +215,11 @@ fn a_warm_rounds_heap_peak_does_not_grow_with_the_cohort() {
         flat < 8.0,
         "a warm 8-client flat round lifted the heap peak by {flat:.1} model-sized buffers, \
          as many as its cohort"
+    );
+    assert!(
+        flat_large <= 29,
+        "a warm 8-client flat round made {flat_large} allocations of half a model or more, \
+         above its 29: a buffer the round used to keep is allocated each round"
     );
     assert!(
         tcp < 1.0,
