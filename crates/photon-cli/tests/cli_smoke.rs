@@ -363,6 +363,29 @@ fn summary_counts_are_the_metrics_json_counts() {
     assert!(stdout.contains(&summary), "{summary}\nnot in\n{stdout}");
 }
 
+/// `--metrics-json` may name a file inside a `--checkpoint-dir` that does
+/// not exist yet: the first round's metrics write creates the directory
+/// instead of warning that it cannot write the file.
+#[test]
+fn metrics_json_inside_a_new_checkpoint_dir_is_written_from_round_one() {
+    let dir = ckpt_dir("metrics-in-new-dir").join("ckpt");
+    let json = dir.join("metrics.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_photon"))
+        .args("train --clients 2 --rounds 1 --local-steps 2 --batch 2".split(' '))
+        .args("--tokens-per-client 2000 --eval-every 0".split(' '))
+        .arg("--checkpoint-dir")
+        .arg(&dir)
+        .arg("--metrics-json")
+        .arg(&json)
+        .output()
+        .expect("photon runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("warning"), "{stderr}");
+    let json = std::fs::read_to_string(&json).expect("metrics json after round 1");
+    assert!(json.contains("\"history\""), "{json}");
+}
+
 /// The run's metrics store survives `recover()`: after a run that restored
 /// from its checkpoints three times, `--metrics-json`'s counters are the
 /// `--metrics-text` counter rows, name for name (the trace recorder that

@@ -67,6 +67,9 @@ pub struct Aggregator {
     /// kept from round to round on every transport (never checkpointed:
     /// the rule stores all of it before anything reads it).
     aggregate: Vec<f32>,
+    /// The buffers a synchronous tree round's shard folds write their
+    /// aggregates into, kept from round to round likewise.
+    shard_means: Vec<Vec<f32>>,
     /// The buffer the round's broadcast frame is encoded into, kept from
     /// round to round likewise.
     broadcast: Vec<u8>,
@@ -137,6 +140,7 @@ impl Aggregator {
             workspaces: Vec::new(),
             spares: round::Spares::default(),
             aggregate: Vec::new(),
+            shard_means: Vec::new(),
             broadcast: Vec::new(),
         };
         aggregator.publish_tree();

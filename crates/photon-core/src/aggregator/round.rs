@@ -51,7 +51,7 @@ use crate::membership::ChurnEvents;
 use crate::{CohortSpec, CoreError, FederationConfig, LlmClient, Result, RoundRecord, Workspace};
 use parking_lot::Mutex;
 use photon_comms::{DeliveryReport, Message, PartitionKind, SealedFrame, TrainMetrics, WireError};
-use photon_fedopt::{sample_live, BufferedUpdate, ClientUpdate, CommitBatch, StreamingMerge};
+use photon_fedopt::{sample_live, AggregationKind, BufferedUpdate, ClientUpdate, CommitBatch};
 use photon_tensor::ops::pool;
 use std::collections::BTreeMap;
 
@@ -183,6 +183,25 @@ struct MergeTally {
     shard_degraded: usize,
     reparented: usize,
     peak_resident: usize,
+}
+
+/// One live shard's part of a synchronous tree round, between the pooled
+/// fold and the trace events it stands for.
+struct ShardFold {
+    shard: u32,
+    /// Cohort members routed to the shard.
+    slice: usize,
+    /// Whether the shard crashed (`Some(true)`) or hung (`Some(false)`)
+    /// this round, losing its slice.
+    lost: Option<bool>,
+    /// The admitted members' updates, ascending client id.
+    members: Vec<ClientUpdate>,
+    seen: Seen,
+    /// The buffer the members' weighted mean is written into; `None` when
+    /// the shard misses its quorum or its total weight is degenerate.
+    mean: Option<Vec<f32>>,
+    /// The members' total weight.
+    weight: f64,
 }
 
 /// An arrival that passed admission.
@@ -809,13 +828,20 @@ impl Aggregator {
         }
 
         let mut delta = std::mem::take(&mut self.aggregate);
-        self.cfg
-            .aggregation
-            .aggregate_into(&cand.updates, &mut delta);
+        {
+            let rule = self.cfg.aggregation;
+            let _merge_span = photon_trace::span(photon_trace::Phase::RobustMerge)
+                .named(rule.rule_name())
+                .arg("updates", cand.updates.len() as u64)
+                .arg("params", cand.updates[0].delta.len() as u64);
+            rule.aggregate_into(&cand.updates, &mut delta);
+        }
         let folded = cand.updates.len();
         let contributors = match shard_folds {
             Some(_) => {
-                spent.extend(cand.updates.into_iter().map(|u| u.delta));
+                // The shard aggregates' buffers take the next round's.
+                let means = cand.updates.into_iter().map(|u| u.delta);
+                self.shard_means.extend(means);
                 Vec::new()
             }
             None => cand.ids.into_iter().zip(cand.updates).collect(),
@@ -952,11 +978,20 @@ impl Aggregator {
     }
 
     /// Shard folds: every live shard folds what admission routed to it
-    /// through a streaming, memory-bounded merge, ascending shard id so
-    /// the root reduce replays bit-identically. The candidates are the
-    /// shard aggregates, under pseudo-ids so a repeatedly-poisoned shard
-    /// earns its own quarantine at the root screen, with every member's
-    /// loss; `Seen` is the members.
+    /// into its aggregate, the weighted mean of its members, ascending
+    /// shard id so the root reduce replays bit-identically. The candidates
+    /// are the shard aggregates, under pseudo-ids so a repeatedly-poisoned
+    /// shard earns its own quarantine at the root screen, with every
+    /// member's loss; `Seen` is the members.
+    ///
+    /// Admission hands each shard its members in ascending client id, the
+    /// order a [`photon_fedopt::StreamingMerge`] over them folds in at its
+    /// frontier without holding any back, so each aggregate is the one
+    /// mean over the members in that order (`AggregationKind::Mean`).
+    /// The shards fold as pool tasks, one contiguous range of shards per
+    /// chunk, each into a buffer kept from earlier rounds; the trace
+    /// events the folds stand for are emitted afterwards, shard by shard,
+    /// in the order a serial fold emits them.
     ///
     /// Failure domains compose per level: a `shardcrash`/`shardhang`
     /// loses only that shard's slice this round, and a shard that folds
@@ -965,7 +1000,7 @@ impl Aggregator {
     /// `spent`.
     #[allow(clippy::too_many_arguments)]
     fn fold_shards(
-        &self,
+        &mut self,
         plan: &RoundPlan,
         tree: &ShardTree,
         part: &ShardPartition,
@@ -980,53 +1015,78 @@ impl Aggregator {
             let shard = a.shard.expect("tree admission routes every update");
             by_shard.entry(shard).or_default().push(a);
         }
-        let (mut cand, mut seen) = (Candidates::default(), Seen::new());
-        for (&shard, slice) in &part.shards {
-            if slice.is_empty() {
-                continue;
-            }
+        let mut folds: Vec<ShardFold> = Vec::with_capacity(part.shards.len());
+        for (&shard, slice) in part.shards.iter().filter(|(_, slice)| !slice.is_empty()) {
             let crashed = plan.shard_crashes.contains(&shard);
-            if crashed || plan.shard_hangs.contains(&shard) {
+            let lost = (crashed || plan.shard_hangs.contains(&shard)).then_some(crashed);
+            let (members, seen): (Vec<ClientUpdate>, Seen) = by_shard
+                .remove(&shard)
+                .unwrap_or_default()
+                .into_iter()
+                .map(|a| (a.update, (a.client_id, a.metrics)))
+                .unzip();
+            // The total weight, summed in member order as the mean sums it.
+            let weight = members.iter().fold(0.0, |sum, u| sum + u.weight);
+            let quorate = !members.is_empty()
+                && members.len() >= hcfg.shard_quorum(slice.len())
+                && weight.is_finite()
+                && weight > 0.0;
+            let mean = quorate.then(|| self.shard_means.pop().unwrap_or_default());
+            folds.push(ShardFold {
+                shard,
+                slice: slice.len(),
+                lost,
+                members,
+                seen,
+                mean,
+                weight,
+            });
+        }
+        let ranges = pool::chunk_ranges(folds.len(), pool::effective_parallelism());
+        let tasks = pool::split_rows(&mut folds, 1, &ranges)
+            .into_iter()
+            .map(|chunk| {
+                Box::new(move || {
+                    for fold in chunk {
+                        if let Some(mean) = fold.mean.as_mut() {
+                            AggregationKind::Mean.aggregate_into(&fold.members, mean);
+                        }
+                    }
+                }) as pool::Task
+            })
+            .collect();
+        pool::run_tasks(tasks);
+
+        let (mut cand, mut seen) = (Candidates::default(), Seen::new());
+        for fold in folds {
+            let (shard, slice) = (fold.shard, fold.slice);
+            if let Some(crashed) = fold.lost {
                 // The sub-aggregator died or stalled mid-round: its whole
                 // slice is lost; siblings are unaffected.
-                note_shard_degraded(shard, self.round, crashed, slice.len());
+                note_shard_degraded(shard, self.round, crashed, slice);
                 continue;
             }
-            let mut merge_span = photon_trace::span(photon_trace::Phase::ShardMerge)
+            // Every member folded at the frontier: one vector resident.
+            tally.peak_resident = 1;
+            let _merge_span = photon_trace::span(photon_trace::Phase::ShardMerge)
                 .arg("shard", shard as u64)
                 .arg("round", self.round)
-                .arg("slice", slice.len() as u64)
+                .arg("slice", slice as u64)
                 .arg("arrived", arrived.get(&shard).copied().unwrap_or(0) as u64);
-            // Admission hands the members over in ascending client id, so
-            // the expected key set is strictly ascending and each push
-            // folds at the frontier; out-of-order arrival permutations are
-            // covered by the streaming-merge property tests.
-            let members = by_shard.remove(&shard).unwrap_or_default();
-            let expected = members.iter().map(|a| (self.round, a.client_id)).collect();
-            let mut merge = StreamingMerge::new(expected, hcfg.max_resident);
-            let mut shard_seen = Vec::with_capacity(members.len());
-            for a in members {
-                merge.push((self.round, a.client_id), a.update);
-                shard_seen.push((a.client_id, a.metrics));
-            }
-            tally.peak_resident = tally.peak_resident.max(merge.peak_resident());
-            let folded = merge.folded();
-            merge_span.set_arg("folded", folded as u64);
-            merge_span.set_arg("peak_resident", merge.peak_resident() as u64);
-            let aggregate = merge
-                .finish_spent(spent)
-                .filter(|_| folded >= hcfg.shard_quorum(slice.len()) && folded > 0)
-                .and_then(|(merged, weight)| ClientUpdate::new(merged, weight).ok());
-            let Some(update) = aggregate else {
+            spent.extend(fold.members.into_iter().map(|u| u.delta));
+            let Some(delta) = fold.mean else {
                 tally.shard_degraded += 1;
-                note_shard_degraded(shard, self.round, false, slice.len());
+                note_shard_degraded(shard, self.round, false, slice);
                 continue;
             };
             cand.ids.push(SHARD_GUARD_BASE + shard);
-            cand.updates.push(update);
+            cand.updates.push(ClientUpdate {
+                delta,
+                weight: fold.weight,
+            });
             cand.losses
-                .extend(shard_seen.iter().map(|(_, m)| m.mean_loss));
-            seen.extend(shard_seen);
+                .extend(fold.seen.iter().map(|(_, m)| m.mean_loss));
+            seen.extend(fold.seen);
         }
         (cand, seen)
     }
@@ -1166,9 +1226,7 @@ impl Aggregator {
                 view.reparented_clients = tally.reparented;
             });
         }
-        for (id, metrics) in &seen {
-            self.telemetry.record(*id, self.round, metrics);
-        }
+        self.telemetry.record_round(self.round, &seen);
 
         // A neutralized round runs (keeping client state deterministic)
         // but skips the update application and the watchdog.
@@ -1303,40 +1361,46 @@ impl Aggregator {
 /// `lanes` entry for every item it runs. Returns the results in no
 /// particular order, or `None` when a lane panicked. Every lane is joined
 /// either way, and the surviving lanes drain the queue, so no item runs
-/// twice and none is left unrun behind a lane that died.
+/// twice and none is left unrun behind a lane that died. The results land
+/// in one vector sized for every item, so what the call allocates does
+/// not depend on how the lanes happened to share the items.
 fn on_lanes<T: Send, W: Send, R: Send>(
     items: Vec<T>,
     lanes: &mut [W],
     work: impl Fn(&mut W, T) -> R + Sync,
 ) -> Option<Vec<R>> {
     let ctx = pool::Context::current().lanes(lanes.len());
+    let done = Mutex::new(Vec::with_capacity(items.len()));
     let queue = Mutex::new(items.into_iter());
     #[cfg(test)]
     crate::thread_census::note_spawned(lanes.len());
-    std::thread::scope(|scope| {
+    let joined = std::thread::scope(|scope| {
         let handles: Vec<_> = lanes
             .iter_mut()
             .map(|lane| {
-                let (ctx, queue, work) = (&ctx, &queue, &work);
+                let (ctx, queue, done, work) = (&ctx, &queue, &done, &work);
                 scope.spawn(move || {
                     ctx.enter(|| {
-                        // The lock covers the claim only, never the work.
+                        // The locks cover the claim and the hand-in only,
+                        // never the work.
                         let claim = || queue.lock().next();
-                        let mut done = Vec::new();
                         while let Some(item) = claim() {
-                            done.push(work(lane, item));
+                            let result = work(lane, item);
+                            done.lock().push(result);
                         }
-                        done
                     })
                 })
             })
             .collect();
         // Join every lane before looking at any outcome: a scoped thread
         // that panicked and was never joined would panic the scope itself.
-        let joined: Vec<_> = handles.into_iter().map(|lane| lane.join()).collect();
-        let per_lane: Option<Vec<Vec<R>>> = joined.into_iter().map(|lane| lane.ok()).collect();
-        per_lane.map(|done| done.into_iter().flatten().collect())
-    })
+        let joined: Vec<bool> = handles
+            .into_iter()
+            .map(|lane| lane.join().is_ok())
+            .collect();
+        joined.into_iter().all(|ok| ok)
+    });
+    joined.then(|| done.into_inner())
 }
 
 /// Stage 2 of a round, the one part that differs between the simulator
@@ -1830,12 +1894,14 @@ mod tests {
     use crate::aggregator::tests::quick_cfg;
     use crate::hierarchy::HierarchyConfig;
     use crate::thread_census::spawned;
+    use crate::Aggregator;
     use crate::{
         build_federation, CohortSpec, CoreError, DataSource, FaultCounters, FaultPlan, FaultSpec,
         Federation, FederationConfig, LlmClient, RoundRecord, Workspace,
     };
     use photon_cluster::TrainingStrategy;
     use photon_comms::Message;
+    use photon_comms::TrainMetrics;
     use photon_tensor::ops::pool;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -2286,5 +2352,98 @@ mod tests {
         let mut fed = build_federation(&cfg, 2_000).unwrap();
         let record = fed.aggregator.run_round(&mut fed.clients).unwrap();
         assert_eq!(record.shards, 4, "the tree merge ran");
+    }
+
+    /// Client `id`'s update in `shard_folds_are_the_streaming_merge_to_the_bit`:
+    /// `len` floats and a weight that depend on its place `k` in its
+    /// shard. Of every 16 columns one is NaN at k = 0, one +inf at k = 1,
+    /// one -inf at k = 2, one +inf and -inf at k = 0 and 1, and one -0.0
+    /// for every member (which the first member's `0.0 + w·Δ` turns into
+    /// +0.0).
+    fn awkward_member(id: u32, len: usize) -> photon_fedopt::ClientUpdate {
+        let k = id as usize / 4;
+        let delta = (0..len)
+            .map(|j| match (j % 16, k) {
+                (0, 0) => f32::NAN,
+                (1, 1) | (4, 0) => f32::INFINITY,
+                (2, 2) | (4, 1) => f32::NEG_INFINITY,
+                (3, _) => -0.0,
+                _ => ((j * 7 + k * 13) % 97) as f32 * 0.013 - 0.6,
+            })
+            .collect();
+        let weight = [0.75, 2.0, 1e-3, 3.5, 1.0, 0.25][k];
+        photon_fedopt::ClientUpdate::new(delta, weight).unwrap()
+    }
+
+    /// The pooled shard folds are, to the bit, a `StreamingMerge` over each
+    /// shard's members in client-id order, at any chunk count and into
+    /// kept buffers of any length and contents. Four shards of six: shard
+    /// 1 crashes, shard 2 hears from two members (below its quorum of
+    /// three), shards 0 and 3 hear from all six.
+    #[test]
+    fn shard_folds_are_the_streaming_merge_to_the_bit() {
+        use super::{Admitted, MergeTally, RoundPlan, SHARD_GUARD_BASE};
+        use photon_fedopt::StreamingMerge;
+        let mut cfg = quick_cfg(24);
+        cfg.hierarchy = four_shards();
+        let hcfg = cfg.hierarchy.unwrap();
+        let tree = crate::ShardTree::new(hcfg, cfg.seed);
+        let part = tree.partition(&(0..24).collect::<Vec<u32>>());
+        let plan = RoundPlan {
+            shard_crashes: vec![1],
+            ..RoundPlan::default()
+        };
+        let heard: Vec<u32> = (0..24)
+            .filter(|id| id % 4 != 1 && (id % 4 != 2 || *id < 8))
+            .collect();
+        let arrived = [(0, 6), (2, 2), (3, 6)].into_iter().collect();
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for len in [7, (1 << 16) + 1] {
+            let want: Vec<(Vec<u32>, u64)> = [0u32, 3]
+                .iter()
+                .map(|&shard| {
+                    let members: Vec<u32> = (shard..24).step_by(4).collect();
+                    let keys = members.iter().map(|&id| (0, id)).collect();
+                    let mut merge = StreamingMerge::new(keys, hcfg.max_resident);
+                    for &id in &members {
+                        merge.push((0, id), awkward_member(id, len));
+                    }
+                    let (mean, weight) = merge.finish().unwrap();
+                    (bits(&mean), weight.to_bits())
+                })
+                .collect();
+            for chunks in [1, 2, 3] {
+                let mut agg = Aggregator::new(cfg.clone()).unwrap();
+                agg.shard_means = vec![vec![f32::NAN; len + 3], vec![f32::NAN; len / 2]];
+                let admitted = heard
+                    .iter()
+                    .map(|&id| Admitted {
+                        client_id: id,
+                        shard: tree.shard_of(id),
+                        update: awkward_member(id, len),
+                        metrics: TrainMetrics::default(),
+                        arrival_round: 0,
+                    })
+                    .collect();
+                let (mut tally, mut spent) = (MergeTally::default(), Vec::new());
+                let (cand, seen) = pool::with_parallelism(chunks, || {
+                    agg.fold_shards(
+                        &plan, &tree, &part, admitted, &arrived, &mut tally, &mut spent,
+                    )
+                });
+                let at = format!("len {len}, {chunks} chunks");
+                assert_eq!(cand.ids, [SHARD_GUARD_BASE, SHARD_GUARD_BASE + 3], "{at}");
+                let got: Vec<(Vec<u32>, u64)> = cand
+                    .updates
+                    .iter()
+                    .map(|u| (bits(&u.delta), u.weight.to_bits()))
+                    .collect();
+                assert!(got == want, "{at}");
+                let seen: Vec<u32> = seen.iter().map(|(id, _)| *id).collect();
+                assert_eq!(seen, [0, 4, 8, 12, 16, 20, 3, 7, 11, 15, 19, 23], "{at}");
+                assert_eq!((tally.shard_degraded, tally.peak_resident), (1, 1), "{at}");
+                assert_eq!(spent.len(), heard.len(), "every member's vector is spent");
+            }
+        }
     }
 }

@@ -43,7 +43,7 @@ impl CentralizedTrainer {
     ) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         let model = Gpt::new(model_cfg, &mut SeedStream::new(seed));
-        let replica = Replica::new(model, batch_size, model_cfg.seq_len);
+        let replica = Replica::new(model, batch_size);
         CentralizedTrainer {
             opt: AdamW::new(adamw, replica.model().param_count()),
             replica,

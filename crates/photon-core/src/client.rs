@@ -194,7 +194,6 @@ impl LlmClient {
         DdpConfig {
             model: cfg.model,
             per_worker_batch: cfg.local_batch,
-            seq_len: cfg.model.seq_len,
             steps: cfg.local_steps,
             start_step: round * cfg.local_steps,
             adamw: cfg.adamw,

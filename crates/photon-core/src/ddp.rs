@@ -29,10 +29,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub struct DdpConfig {
     /// Model architecture.
     pub model: ModelConfig,
-    /// Micro-batch per worker.
+    /// Micro-batch per worker; its sequences are `model.seq_len` long.
     pub per_worker_batch: usize,
-    /// Sequence length for training batches.
-    pub seq_len: usize,
     /// Optimizer steps to run.
     pub steps: u64,
     /// Global step offset (so LR schedules continue across rounds).
@@ -63,7 +61,7 @@ impl DdpReport {
         let n = losses.len();
         DdpReport {
             mean_loss: losses.iter().sum::<f32>() / n as f32,
-            tokens: cfg.steps * (n * cfg.per_worker_batch * cfg.seq_len) as u64,
+            tokens: cfg.steps * (n * cfg.per_worker_batch * cfg.model.seq_len) as u64,
             steps: cfg.steps,
         }
     }
@@ -132,7 +130,7 @@ impl Workspace {
         }
         while self.replicas.len() < n {
             let model = Gpt::from_params(cfg.model, params.to_vec());
-            let replica = Replica::new(model, cfg.per_worker_batch, cfg.seq_len);
+            let replica = Replica::new(model, cfg.per_worker_batch);
             self.replicas.push(replica);
         }
         if !self
@@ -183,8 +181,9 @@ pub(crate) struct Replica {
 }
 
 impl Replica {
-    /// A replica of `model` training on `(batch, seq_len)` batches.
-    pub(crate) fn new(model: Gpt, batch: usize, seq_len: usize) -> Self {
+    /// A replica of `model` training on `(batch, model.seq_len)` batches.
+    pub(crate) fn new(model: Gpt, batch: usize) -> Self {
+        let seq_len = model.config().seq_len;
         Replica {
             acts: Activations::new(model.config(), batch, seq_len),
             grads: model.grad_buffer(),
@@ -200,7 +199,7 @@ impl Replica {
             && self.model.param_count() == param_len
             && self.grads.len() == param_len
             && self.acts.batch() == cfg.per_worker_batch
-            && self.acts.seq() == cfg.seq_len
+            && self.acts.seq() == cfg.model.seq_len
     }
 
     /// The model.
@@ -455,7 +454,6 @@ mod tests {
                 seq_len: 8,
             },
             per_worker_batch: 2,
-            seq_len: 8,
             steps,
             start_step: 0,
             adamw: AdamWConfig::default(),
@@ -536,7 +534,7 @@ mod tests {
     fn the_delta_is_global_minus_local_in_the_gradient_buffer() {
         let cfg = tiny_cfg(1);
         let global = init_params(&cfg);
-        let mut replica = Replica::new(Gpt::from_params(cfg.model, global.clone()), 2, 8);
+        let mut replica = Replica::new(Gpt::from_params(cfg.model, global.clone()), 2);
         let local: Vec<f32> = global.iter().map(|g| g * 0.5 + 1.0).collect();
         replica.set_params(&local);
         let want: Vec<f32> = global.iter().zip(&local).map(|(g, l)| g - l).collect();

@@ -28,8 +28,10 @@
 //! is *expired* — dropped from the live roster until a crash-free round
 //! lets it re-handshake (`Hello`/`LeaseGrant`) and warm-rejoin.
 //!
-//! Storage is flat arrays (ids are dense), and a round pays one sequential
-//! pass over the active leases plus what changed: [`MembershipRegistry`].
+//! Storage is flat arrays (ids are dense), and a round pays only for what
+//! changed — the members lapsing and this round's churn and crashes — never
+//! for the active roster: every heartbeating member holds the one lease the
+//! registry renews for all of them at once ([`MembershipRegistry`]).
 
 use crate::faults::{FaultEvent, FaultPlan};
 use photon_comms::SimClock;
@@ -96,8 +98,14 @@ pub enum MemberPhase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Member {
     birth_round: u64,
+    /// The member's own lease. An active member that is not lapsing holds
+    /// the later of this and the registry's shared `renewed` lease
+    /// ([`MembershipRegistry::lease_of`]); everyone else holds this.
     lease_expires_ms: u64,
     phase: MemberPhase,
+    /// Missed its last heartbeat: its lease stopped moving at
+    /// `lease_expires_ms` and it sits in the expiry heap.
+    lapsing: bool,
 }
 
 /// The membership changes one round produced, in the order they were
@@ -145,12 +153,14 @@ pub struct MembershipSnapshot {
 /// by id, and the live roster is a sorted id vector the registry lends out
 /// as a slice (`live_roster`).
 ///
-/// What a round costs: [`MembershipRegistry::begin_round`] makes **one
-/// sequential pass over the active leases** (a store per member; the crash
-/// test is a cursor over the round's sorted crash list). That pass is
-/// O(active) and the only term that grows with the registry. Everything
-/// else is O(churn + this round's faults): joins append, expiries come off
-/// a min-heap, and a round that changed the rosters at all (departures,
+/// What a round costs: [`MembershipRegistry::begin_round`] is
+/// O(lapsing + churn + this round's crashes), with no term that grows with
+/// the active roster. Every member that heartbeats gets the same lease,
+/// `now + lease_ms`, so renewal is one store into the shared `renewed`
+/// lease; a member's own lease is written only when it crashes (it keeps
+/// the lease it held and starts lapsing), when a lapsing member heartbeats
+/// again, and when it joins, rejoins or departs. Expiries come off a
+/// min-heap, and a round that changed the rosters at all (departures,
 /// rejoins, expiries) rebuilds them in one merge pass, worst case
 /// O(active + changes) — never a `Vec::insert`/`remove` per change.
 /// Sampling borrows the roster, so the cohort draw is O(cohort). Departed
@@ -167,35 +177,34 @@ pub struct MembershipRegistry {
     /// Ids in [`MemberPhase::Expired`], ascending — the rejoin scan's
     /// universe.
     expired: Vec<u32>,
+    /// The lease every active, non-lapsing member shares: the last
+    /// round's `now + lease_ms` (0 before the first round of a founded or
+    /// restored registry, whose members all hold their own).
+    renewed: u64,
+    /// Ids of the lapsing members, in no order — the heartbeat scan's
+    /// universe. May also hold ids that have since expired or departed;
+    /// the next scan drops them.
+    lapsing: Vec<u32>,
     /// Lazy lease-expiry min-heap over `(lease_expires_ms, id)`. An entry
-    /// is pushed whenever a member misses a heartbeat (its lease then
-    /// stops moving), and validated against the member's current lease on
-    /// pop — stale entries (renewed or already-expired members) are
-    /// discarded. A member can only expire on a round it also crashes
-    /// (renewal precedes the expiry check), so crash-time pushes cover
-    /// every expiry, including replays after a checkpoint restore.
+    /// is pushed when a member starts lapsing (its lease then stops
+    /// moving), and validated against the member's current lease on pop —
+    /// stale entries (renewed or already-expired members) are discarded.
+    /// A member can only expire on a round it also crashes (renewal
+    /// precedes the expiry check), so crash-time pushes cover every
+    /// expiry, including replays after a checkpoint restore.
     expiry_heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl PartialEq for MembershipRegistry {
     fn eq(&self, other: &Self) -> bool {
-        // The rosters are derived state (and the lazy heap admits many
-        // equivalent shapes); logical equality is the member table.
-        self.cfg == other.cfg && self.members == other.members
+        // The rosters are derived state (and the lazy heap and the shared
+        // lease admit many equivalent shapes); logical equality is the
+        // member table as a snapshot reads it.
+        self.cfg == other.cfg && self.snapshot().members == other.snapshot().members
     }
 }
 
 impl Eq for MembershipRegistry {}
-
-/// Whether `id` is in the ascending list `ids`, for a scan whose own ids
-/// ascend: drops the head of the list below `id`, so a whole scan costs
-/// O(list + queries) instead of a map lookup per query.
-fn next_is(ids: &mut &[u32], id: u32) -> bool {
-    while ids.first().is_some_and(|&head| head < id) {
-        *ids = &ids[1..];
-    }
-    ids.first() == Some(&id)
-}
 
 /// `roster` with `added` merged in (both ascending, disjoint), minus every
 /// id that has left `phase`: one pass, O(roster + added).
@@ -227,6 +236,7 @@ impl MembershipRegistry {
             birth_round: 0,
             lease_expires_ms: clock.now_ms(0) + cfg.lease_ms,
             phase: MemberPhase::Active,
+            lapsing: false,
         };
         MembershipRegistry {
             cfg,
@@ -234,7 +244,19 @@ impl MembershipRegistry {
             members: vec![founder; population],
             active: (0..population as u32).collect(),
             expired: Vec::new(),
+            renewed: 0,
+            lapsing: Vec::new(),
             expiry_heap: BinaryHeap::new(),
+        }
+    }
+
+    /// The lease `m` holds: the shared one or its own, whichever is later,
+    /// while it is active and heartbeating; its own otherwise.
+    fn lease_of(&self, m: &Member) -> u64 {
+        if m.phase == MemberPhase::Active && !m.lapsing {
+            m.lease_expires_ms.max(self.renewed)
+        } else {
+            m.lease_expires_ms
         }
     }
 
@@ -269,63 +291,93 @@ impl MembershipRegistry {
                     birth_round: round,
                     lease_expires_ms: lease,
                     phase: MemberPhase::Active,
+                    lapsing: false,
                 });
                 // The newest id is the largest: the roster stays sorted.
                 self.active.push(id);
                 events.joined.push(id);
             }
             for id in inj.at(FaultEvent::Leave, round) {
-                if let Some(m) = self.members.get_mut(id as usize) {
-                    if m.phase != MemberPhase::Departed {
-                        m.phase = MemberPhase::Departed;
-                        events.departed.push(id);
-                    }
+                let Some(&m) = self.members.get(id as usize) else {
+                    continue;
+                };
+                if m.phase != MemberPhase::Departed {
+                    // It leaves with the lease it held.
+                    self.members[id as usize] = Member {
+                        lease_expires_ms: self.lease_of(&m),
+                        phase: MemberPhase::Departed,
+                        lapsing: false,
+                        ..m
+                    };
+                    events.departed.push(id);
                 }
             }
         }
 
-        // This round's crashes, ascending; each scan below walks them with
-        // its own cursor.
+        // This round's crashes, ascending.
         let crashes = injector.map_or_else(Vec::new, |inj| inj.crashes_at(round));
+        let crashed = |id: u32| crashes.binary_search(&id).is_ok();
         // Warm rejoins: O(expired), ascending id.
-        let mut crashed = &crashes[..];
         for &id in &self.expired {
             let m = &mut self.members[id as usize];
-            if m.phase == MemberPhase::Expired && !next_is(&mut crashed, id) {
+            if m.phase == MemberPhase::Expired && !crashed(id) {
                 m.phase = MemberPhase::Active;
                 m.lease_expires_ms = lease;
                 events.rejoined.push(id);
             }
         }
-        // Heartbeat renewals: the one O(active) pass, sequential over the
-        // roster and the member table. A member that crashes misses its
-        // heartbeat — its lease stops moving, so it enters the expiry heap
-        // with the lease it will still hold when (if) it lapses. (This
-        // round's rejoins already hold a fresh lease.)
-        let mut crashed = &crashes[..];
-        for &id in &self.active {
-            let m = &mut self.members[id as usize];
-            if m.phase != MemberPhase::Active {
-                continue; // departed above
+        // Heartbeats: a lapsing member that heartbeats takes this round's
+        // lease as its own and stops lapsing; one that crashes again keeps
+        // lapsing. O(lapsing).
+        let members = &mut self.members;
+        self.lapsing.retain(|&id| {
+            let m = &mut members[id as usize];
+            if m.phase != MemberPhase::Active || !m.lapsing {
+                return false; // expired or departed since it started lapsing
             }
-            if next_is(&mut crashed, id) {
-                self.expiry_heap.push(Reverse((m.lease_expires_ms, id)));
-            } else {
-                m.lease_expires_ms = lease;
+            if crashed(id) {
+                return true;
+            }
+            m.lapsing = false;
+            m.lease_expires_ms = lease;
+            false
+        });
+        // A heartbeating member that crashes misses its heartbeat: it keeps
+        // the lease it holds — stored as its own, since the shared one
+        // moves on below — and enters the expiry heap with it. O(crashes).
+        for &id in &crashes {
+            let Some(&m) = self.members.get(id as usize) else {
+                continue;
+            };
+            if m.phase == MemberPhase::Active && !m.lapsing {
+                let held = self.lease_of(&m);
+                self.members[id as usize] = Member {
+                    lease_expires_ms: held,
+                    lapsing: true,
+                    ..m
+                };
+                self.lapsing.push(id);
+                self.expiry_heap.push(Reverse((held, id)));
             }
         }
-        // Lease expiries: O(expiring), off the heap instead of a second
-        // full scan. Entries whose lease no longer matches (the member
-        // renewed, already expired, or departed since the push) are stale
-        // and discarded.
+        // Every other active member heartbeats: one store renews them all.
+        self.renewed = lease;
+        // Lease expiries: O(expiring), off the heap instead of a full
+        // scan. Entries whose lease no longer matches (the member renewed,
+        // already expired, or departed since the push) are stale and
+        // discarded.
         while let Some(&Reverse((expires_ms, id))) = self.expiry_heap.peek() {
             if expires_ms >= now {
                 break;
             }
             self.expiry_heap.pop();
-            let m = &mut self.members[id as usize];
-            if m.phase == MemberPhase::Active && m.lease_expires_ms == expires_ms {
-                m.phase = MemberPhase::Expired;
+            let m = self.members[id as usize];
+            if m.phase == MemberPhase::Active && self.lease_of(&m) == expires_ms {
+                self.members[id as usize] = Member {
+                    phase: MemberPhase::Expired,
+                    lapsing: false,
+                    ..m
+                };
                 events.expired.push(id);
             }
         }
@@ -382,7 +434,7 @@ impl MembershipRegistry {
                         MemberPhase::Expired => 1,
                         MemberPhase::Departed => 2,
                     };
-                    (id, m.birth_round, m.lease_expires_ms, phase)
+                    (id, m.birth_round, self.lease_of(m), phase)
                 })
                 .collect(),
         }
@@ -415,6 +467,7 @@ impl MembershipRegistry {
                 birth_round,
                 lease_expires_ms,
                 phase,
+                lapsing: false,
             });
         }
         if members.len() != snap.next_id as usize {
@@ -437,9 +490,13 @@ impl MembershipRegistry {
             active: in_phase(MemberPhase::Active),
             expired: in_phase(MemberPhase::Expired),
             members,
+            // Every member holds its own lease, and none is lapsing: a
+            // member lapsing when the snapshot was taken starts again on
+            // its next crash, with the lease it still holds.
+            renewed: 0,
+            lapsing: Vec::new(),
             // Empty is correct: a member can only expire on a round it
-            // also crashes, and the deterministic fault plan re-pushes its
-            // entry when that round replays.
+            // also crashes, and that crash pushes its entry.
             expiry_heap: BinaryHeap::new(),
         })
     }
@@ -627,6 +684,7 @@ mod tests {
                             birth_round: 0,
                             lease_expires_ms: lease,
                             phase: MemberPhase::Active,
+                            lapsing: false,
                         },
                     )
                 })
@@ -653,6 +711,7 @@ mod tests {
                             birth_round: round,
                             lease_expires_ms: lease,
                             phase: MemberPhase::Active,
+                            lapsing: false,
                         },
                     );
                     events.joined.push(id);
@@ -772,60 +831,153 @@ mod tests {
         (cfg, population, injector)
     }
 
+    /// What one scenario reached: members that joined and left in the
+    /// same round, expiries and rejoins.
+    #[derive(Default)]
+    struct Reached {
+        joined_and_left: usize,
+        expired: usize,
+        rejoined: usize,
+    }
+
+    /// Runs `rounds` rounds of one scenario through the registry and the
+    /// shadow and holds them equal every round: churn events, rosters,
+    /// phases, birth rounds and snapshots. A registry restored from the
+    /// snapshot after round `restore_at` runs alongside from then on.
+    fn check_against_shadow(
+        name: &str,
+        (cfg, population, inj): (MembershipConfig, usize, FaultPlan),
+        rounds: u64,
+        restore_at: u64,
+    ) -> (MembershipRegistry, Reached) {
+        let mut fast = MembershipRegistry::new(cfg, population);
+        let mut shadow = ShadowRegistry::new(cfg, population);
+        let mut restored: Option<MembershipRegistry> = None;
+        let mut reached = Reached::default();
+        for round in 0..rounds {
+            let at = format!("{name}, round {round}");
+            let events = fast.begin_round(round, Some(&inj));
+            assert_eq!(events, shadow.begin_round(round, Some(&inj)), "{at}");
+            let live = shadow.ids(|p| p == MemberPhase::Active);
+            assert_eq!(fast.live_roster(), live, "{at}");
+            let reachable = shadow.ids(|p| p != MemberPhase::Departed);
+            assert_eq!(fast.reachable_members(), reachable, "{at}");
+            // One id past the roster too: never admitted.
+            for id in 0..=shadow.next_id {
+                let want = shadow.members.get(&id);
+                assert_eq!(fast.phase(id), want.map(|m| m.phase), "{at}");
+                assert_eq!(fast.birth_round(id), want.map(|m| m.birth_round), "{at}");
+            }
+            assert_eq!(fast.snapshot(), shadow.snapshot(), "{at}");
+
+            let crashes: Vec<u32> = (0..shadow.next_id)
+                .filter(|&id| inj.client_fault(round, id) == Some(ClientFault::Crash))
+                .collect();
+            assert_eq!(inj.crashes_at(round), crashes, "{at}");
+
+            if let Some(restored) = restored.as_mut() {
+                assert_eq!(restored.begin_round(round, Some(&inj)), events, "{at}");
+                assert_eq!(restored.live_roster(), fast.live_roster(), "{at}");
+                assert_eq!(restored.reachable_members(), reachable, "{at}");
+                assert_eq!(*restored, fast, "{at}");
+            }
+            if round == restore_at {
+                restored = Some(MembershipRegistry::from_snapshot(&fast.snapshot()).unwrap());
+            }
+            let left_on_arrival = |id| events.departed.contains(id);
+            reached.joined_and_left += events
+                .joined
+                .iter()
+                .filter(|&id| left_on_arrival(id))
+                .count();
+            reached.expired += events.expired.len();
+            reached.rejoined += events.rejoined.len();
+        }
+        assert_eq!(fast.roster_len(), shadow.next_id as usize, "{name}");
+        (fast, reached)
+    }
+
+    /// A scenario of pinned faults on 3 founders, 1 s rounds and a 3 s
+    /// lease. The plan is expanded over `plan_population` ids, more than
+    /// the founders, so that a pinned crash may name a client admitted
+    /// mid-run — which `churn_case`'s plans never do.
+    fn pinned_case(
+        faults: &[&str],
+        plan_population: usize,
+    ) -> (MembershipConfig, usize, FaultPlan) {
+        let spec = FaultSpec {
+            targeted: faults
+                .iter()
+                .map(|f| TargetedFault::parse(f).unwrap())
+                .collect(),
+            ..FaultSpec::none(1)
+        };
+        (cfg(), 3, spec.plan(plan_population, 12))
+    }
+
     #[test]
     fn heap_path_matches_old_double_scan_exactly() {
         let rounds = 60;
-        let (mut joined_and_left, mut expired, mut rejoined) = (0, 0, 0);
+        let mut total = Reached::default();
         for case in 0..64 {
-            let (cfg, population, inj) = churn_case(case, rounds);
-            let mut fast = MembershipRegistry::new(cfg, population);
-            let mut shadow = ShadowRegistry::new(cfg, population);
-            // A registry restored from a mid-run snapshot runs alongside.
-            let restore_at = case % rounds;
-            let mut restored: Option<MembershipRegistry> = None;
-            for round in 0..rounds {
-                let at = format!("case {case}, round {round}");
-                let events = fast.begin_round(round, Some(&inj));
-                assert_eq!(events, shadow.begin_round(round, Some(&inj)), "{at}");
-                let live = shadow.ids(|p| p == MemberPhase::Active);
-                assert_eq!(fast.live_roster(), live, "{at}");
-                let reachable = shadow.ids(|p| p != MemberPhase::Departed);
-                assert_eq!(fast.reachable_members(), reachable, "{at}");
-                // One id past the roster too: never admitted.
-                for id in 0..=shadow.next_id {
-                    let want = shadow.members.get(&id);
-                    assert_eq!(fast.phase(id), want.map(|m| m.phase), "{at}");
-                    assert_eq!(fast.birth_round(id), want.map(|m| m.birth_round), "{at}");
-                }
-                assert_eq!(fast.snapshot(), shadow.snapshot(), "{at}");
-
-                let crashes: Vec<u32> = (0..shadow.next_id)
-                    .filter(|&id| inj.client_fault(round, id) == Some(ClientFault::Crash))
-                    .collect();
-                assert_eq!(inj.crashes_at(round), crashes, "{at}");
-
-                if let Some(restored) = restored.as_mut() {
-                    assert_eq!(restored.begin_round(round, Some(&inj)), events, "{at}");
-                    assert_eq!(restored.live_roster(), fast.live_roster(), "{at}");
-                    assert_eq!(restored.reachable_members(), reachable, "{at}");
-                    assert_eq!(*restored, fast, "{at}");
-                }
-                if round == restore_at {
-                    restored = Some(MembershipRegistry::from_snapshot(&fast.snapshot()).unwrap());
-                }
-                let left_on_arrival = |id| events.departed.contains(id);
-                joined_and_left += events
-                    .joined
-                    .iter()
-                    .filter(|&id| left_on_arrival(id))
-                    .count();
-                expired += events.expired.len();
-                rejoined += events.rejoined.len();
-            }
-            assert_eq!(fast.roster_len(), shadow.next_id as usize);
+            let (_, reached) = check_against_shadow(
+                &format!("case {case}"),
+                churn_case(case, rounds),
+                rounds,
+                case % rounds,
+            );
+            total.joined_and_left += reached.joined_and_left;
+            total.expired += reached.expired;
+            total.rejoined += reached.rejoined;
         }
         // The table reaches what it claims to.
-        assert!(joined_and_left > 0 && expired > 100 && rejoined > 100);
+        assert!(total.joined_and_left > 0 && total.expired > 100 && total.rejoined > 100);
+
+        // Client 3 joins at round 2 and crashes in its join round and the
+        // four after it: it holds its own join-round lease (5 s), not the
+        // shared lease of the round before (4 s), and lapses at round 6.
+        // Client 4 joins with it, crashes in its join round only and
+        // heartbeats on.
+        let joiner_crashes = [
+            "join@r2",
+            "join@r2",
+            "crash@r2c3",
+            "crash@r3c3",
+            "crash@r4c3",
+            "crash@r5c3",
+            "crash@r6c3",
+            "crash@r2c4",
+        ];
+        // Client 1 crashes at rounds 1 and 2 and leaves at round 3 while
+        // lapsing, with the lease it held (3 s); client 2 leaves at round
+        // 3 while heartbeating (the shared 5 s). Joiner 3 lapses from its
+        // join round and leaves at round 4 with its own 5 s lease.
+        let lapsing_leaves = [
+            "crash@r1c1",
+            "crash@r2c1",
+            "leave@r3c1",
+            "leave@r3c2",
+            "join@r2",
+            "crash@r2c3",
+            "crash@r3c3",
+            "leave@r4c3",
+        ];
+        for restore_at in [0, 2, 3, 11] {
+            let name = format!("joiner crashes, restored after round {restore_at}");
+            let case = pinned_case(&joiner_crashes, 5);
+            let (reg, reached) = check_against_shadow(&name, case, 12, restore_at);
+            assert_eq!((reached.expired, reached.rejoined), (1, 1), "{name}");
+            assert_eq!(reg.phase(4), Some(MemberPhase::Active), "{name}");
+
+            let name = format!("lapsing members leave, restored after round {restore_at}");
+            let case = pinned_case(&lapsing_leaves, 4);
+            let (reg, _) = check_against_shadow(&name, case, 12, restore_at);
+            let leases: Vec<_> = reg.snapshot().members[1..]
+                .iter()
+                .map(|m| (m.2, m.3))
+                .collect();
+            assert_eq!(leases, [(3_000, 2), (5_000, 2), (5_000, 2)], "{name}");
+        }
     }
 
     #[test]

@@ -588,18 +588,24 @@ impl Telemetry {
             .get_or_insert_with(Default::default));
     }
 
-    /// Records one client's round metrics (called by the aggregator as
-    /// results arrive).
-    pub fn record(&self, client_id: u32, round: u64, metrics: &TrainMetrics) {
+    /// Records the round metrics of every client `round` heard from, under
+    /// one write lock (called once per round by the aggregator). A round
+    /// that heard from nobody records nothing.
+    pub fn record_round(&self, round: u64, seen: &[(u32, TrainMetrics)]) {
+        if seen.is_empty() {
+            return;
+        }
         let mut inner = self.inner.write();
         inner.rounds_seen = inner.rounds_seen.max(round + 1);
-        let row = inner.clients.entry(client_id).or_default();
-        row.rounds += 1;
-        row.tokens += metrics.tokens;
-        row.steps += metrics.steps;
-        row.loss_sum += metrics.mean_loss as f64;
-        row.mean_loss = (row.loss_sum / row.rounds as f64) as f32;
-        row.last_loss = metrics.mean_loss;
+        for (id, metrics) in seen {
+            let row = inner.clients.entry(*id).or_default();
+            row.rounds += 1;
+            row.tokens += metrics.tokens;
+            row.steps += metrics.steps;
+            row.loss_sum += metrics.mean_loss as f64;
+            row.mean_loss = (row.loss_sum / row.rounds as f64) as f32;
+            row.last_loss = metrics.mean_loss;
+        }
     }
 
     /// Records the cosine alignment of one client's update with the
@@ -732,9 +738,10 @@ mod tests {
     #[test]
     fn records_and_summarizes() {
         let t = Telemetry::new();
-        t.record(0, 0, &metrics(3.0, 800));
-        t.record(1, 0, &metrics(2.0, 800));
-        t.record(0, 1, &metrics(1.0, 800));
+        t.record_round(0, &[(0, metrics(3.0, 800)), (1, metrics(2.0, 800))]);
+        t.record_round(1, &[(0, metrics(1.0, 800))]);
+        // A round that heard from nobody is not a round seen.
+        t.record_round(2, &[]);
         let snapshot = t.snapshot();
         assert_eq!(snapshot.rounds_seen, 2);
         assert_eq!(snapshot.total_tokens, 2400);
@@ -749,7 +756,7 @@ mod tests {
     #[test]
     fn alignment_averages() {
         let t = Telemetry::new();
-        t.record(0, 0, &metrics(1.0, 8));
+        t.record_round(0, &[(0, metrics(1.0, 8))]);
         t.record_alignment(0, 0.8);
         t.record_alignment(0, 0.4);
         assert!((t.snapshot().clients["0"].mean_alignment - 0.6).abs() < 1e-6);
@@ -919,7 +926,7 @@ mod tests {
         // Rounds 0..5 are observed; round 3 diverges and is neutralized on
         // replay, so it is seen but never committed.
         for r in 0..5u64 {
-            t.record(0, r, &metrics(1.0, 8));
+            t.record_round(r, &[(0, metrics(1.0, 8))]);
             if r != 3 {
                 t.record_committed_round(r);
             }
@@ -935,8 +942,7 @@ mod tests {
     #[test]
     fn skew_detects_unequal_participation() {
         let t = Telemetry::new();
-        t.record(0, 0, &metrics(1.0, 1000));
-        t.record(1, 0, &metrics(1.0, 250));
+        t.record_round(0, &[(0, metrics(1.0, 1000)), (1, metrics(1.0, 250))]);
         assert_eq!(t.snapshot().participation_skew, Some(4.0));
         let empty = Telemetry::new();
         assert_eq!(empty.snapshot().participation_skew, Some(1.0));
@@ -950,7 +956,7 @@ mod tests {
                 let t = t.clone();
                 s.spawn(move || {
                     for r in 0..50 {
-                        t.record(c, r, &metrics(1.0, 10));
+                        t.record_round(r, &[(c, metrics(1.0, 10))]);
                     }
                 });
             }

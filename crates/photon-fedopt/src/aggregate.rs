@@ -130,13 +130,6 @@ impl AggregationKind {
     /// # Panics
     /// Panics if `updates` is empty or delta lengths differ.
     pub fn aggregate_into(&self, updates: &[ClientUpdate], out: &mut Vec<f32>) {
-        let _merge_span = photon_trace::span(photon_trace::Phase::RobustMerge)
-            .named(self.rule_name())
-            .arg("updates", updates.len() as u64)
-            .arg(
-                "params",
-                updates.first().map_or(0, |u| u.delta.len()) as u64,
-            );
         *out = match *self {
             AggregationKind::Mean => return mean_into(updates, out),
             AggregationKind::Ties { density } => {
@@ -304,9 +297,9 @@ fn on_pool<T: Send>(
 /// and weighted deltas accumulate in f64 in the order updates are added,
 /// and the sum is divided by the total weight once, at the end. It sums
 /// before it divides because a stream cannot normalise before it has seen
-/// every weight. The shard folds ([`crate::StreamingMerge`]) run it one
-/// update at a time; the flat reduce ([`aggregate_deltas`]) runs the same
-/// fold column by column over the whole cohort at once.
+/// every weight. [`crate::StreamingMerge`] runs it one update at a time;
+/// the `Mean` rule ([`aggregate_deltas`]) runs the same fold column by
+/// column over a whole set of updates at once.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WeightedSum {
     acc: Vec<f64>,

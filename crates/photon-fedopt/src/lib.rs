@@ -18,8 +18,9 @@
 //! once: `(Σ w·Δ) / Σ w`, accumulated in f64 and divided at the end, which
 //! is what a stream must do since it cannot normalise before it has seen
 //! every weight. [`aggregate_deltas`] (the `Mean` rule, one pass over the
-//! cohort split by columns over the compute pool) and the shard folds of
-//! [`StreamingMerge`] are both that fold.
+//! cohort split by columns over the compute pool, which a synchronous
+//! shard tree also runs per shard) and [`StreamingMerge`] (one update at
+//! a time, as they arrive) are both that fold.
 //!
 //! ```
 //! use photon_fedopt::{aggregate_deltas, ClientUpdate};

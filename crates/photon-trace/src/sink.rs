@@ -52,8 +52,12 @@ impl Drop for JsonlSink {
 
 /// Writes `contents` to `path` atomically: the bytes land in a sibling
 /// temp file first and are `rename`d over the target, so readers (and
-/// crashed runs) only ever observe a complete snapshot.
+/// crashed runs) only ever observe a complete snapshot. The file's parent
+/// directory is created if it does not exist yet.
 pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
     let mut tmp: PathBuf = path.to_path_buf();
     let mut name = tmp
         .file_name()
@@ -261,6 +265,13 @@ mod tests {
         atomic_write(&target, "second\n").expect("second write");
         let body = std::fs::read_to_string(&target).expect("read back");
         assert_eq!(body, "second\n");
+        // A missing parent directory is created, not an error.
+        let nested = dir.join("not").join("yet").join("metrics.prom");
+        atomic_write(&nested, "third\n").expect("write under a new directory");
+        assert_eq!(
+            std::fs::read_to_string(&nested).expect("read back"),
+            "third\n"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

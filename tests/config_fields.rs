@@ -188,13 +188,6 @@ const NESTED: &[(&str, &str, Fields)] = &[
         &[
             ("model", Kept(DERIVED)),
             ("per_worker_batch", Kept(DERIVED)),
-            (
-                "seq_len",
-                Kept(
-                    "always `model.seq_len` (a removal candidate, named in CHANGES.md); \
-                     derived by `LlmClient::ddp_config`",
-                ),
-            ),
             ("steps", Kept(DERIVED)),
             ("start_step", Kept(DERIVED)),
             ("adamw", Kept(DERIVED)),
